@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-sim bench-sweep serve-smoke dispatch-smoke plan-smoke workload-smoke obs-smoke bounds-smoke calib-smoke lint staticcheck fmt
+.PHONY: all build test bench serve-smoke dispatch-smoke plan-smoke workload-smoke obs-smoke bounds-smoke calib-smoke lint staticcheck fmt
 
 all: lint build test
 
@@ -17,21 +17,6 @@ test:
 # without turning CI into a measurement job.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
-
-# Simulator speed gate: time the pre-rewrite dense engine against the
-# event-driven engine with CI-width early stopping on the paper's
-# 1024-PE fat-tree at stable loads, verify bit-identity (early stopping
-# off) and CI-band agreement, and emit BENCH_sim.json. Fails below 10x.
-bench-sim:
-	$(GO) run ./cmd/simbench -out BENCH_sim.json
-	@cat BENCH_sim.json
-
-# Benchmark smoke for the sweep engine: run a fixed small grid and emit
-# BENCH_sweep.json (points/sec) so the performance trajectory is tracked
-# across PRs.
-bench-sweep:
-	$(GO) run ./cmd/sweep -spec builtin:figure3-small -quiet -bench-out BENCH_sweep.json
-	@cat BENCH_sweep.json
 
 # Smoke-test the sweep service: start sweepd, run builtin:figure3 both
 # in-process and via -addr, diff the results, and emit BENCH_serve.json

@@ -1,17 +1,10 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation, plus the ablation and extension experiments of DESIGN.md.
-// Each benchmark maps to one experiment id:
+// evaluation, plus the ablation and extension experiments of DESIGN.md:
+// BenchmarkExperiment/<ID> runs one entry of the experiment table
+// (exp.All: F3, T1, T2, A1/A2, A3, X1, X2, V1) at paper scale.
 //
-//	BenchmarkFigure3Model / BenchmarkFigure3Sim*  — F3 (Figure 3)
-//	BenchmarkValidationGrid                       — T1
-//	BenchmarkSaturationModel / BenchmarkSaturationTable — T2
-//	BenchmarkAblationBlocking / BenchmarkAblationServers — A1/A2
-//	BenchmarkPolicyComparison                     — A3
-//	BenchmarkHypercube                            — X1
-//	BenchmarkTorusConsistency                     — X2
-//
-// Simulation-backed benchmarks use the Quick budget so the whole suite
-// runs in minutes; set REPRO_BENCH_FULL=1 for report-quality windows.
+// Simulation-backed entries use the Quick budget so the whole suite runs
+// in seconds; set REPRO_BENCH_FULL=1 for report-quality windows.
 // Micro-benchmarks at the bottom cover the hot paths (queueing formulas,
 // model resolution, simulator cycles).
 package repro_test
@@ -30,112 +23,33 @@ import (
 	"repro/internal/topology"
 )
 
-func budget() exp.Budget {
+func budget() sweep.Budget {
 	if os.Getenv("REPRO_BENCH_FULL") != "" {
-		return exp.Full
+		return sweep.Full
 	}
-	return exp.Quick
+	return sweep.Quick
 }
 
-// BenchmarkFigure3Model regenerates the model curves of Figure 3 (1024
-// processors; 16-, 32- and 64-flit messages; ten loads to 95% of
-// saturation).
-func BenchmarkFigure3Model(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := exp.DefaultFigure3()
-		cfg.WithSim = false
-		res, err := exp.Figure3(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Curves) != 3 {
-			b.Fatal("missing curves")
-		}
-	}
-}
-
-func benchFigure3Sim(b *testing.B, flits int) {
-	for i := 0; i < b.N; i++ {
-		cfg := exp.Figure3Config{
-			NumProc:  1024,
-			MsgFlits: []int{flits},
-			Points:   6,
-			MaxFrac:  0.9,
-			WithSim:  true,
-			Budget:   budget(),
-		}
-		res, err := exp.Figure3(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.SaturationLoad[flits], "satload/flits-per-cycle")
-	}
-}
-
-// BenchmarkFigure3Sim16/32/64 regenerate the experimental (simulated)
-// series of Figure 3 at each of the paper's message lengths.
-func BenchmarkFigure3Sim16(b *testing.B) { benchFigure3Sim(b, 16) }
-func BenchmarkFigure3Sim32(b *testing.B) { benchFigure3Sim(b, 32) }
-func BenchmarkFigure3Sim64(b *testing.B) { benchFigure3Sim(b, 64) }
-
-// BenchmarkValidationGrid regenerates T1: model vs simulation across
-// machine sizes and message lengths at three operating points.
-func BenchmarkValidationGrid(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.ValidationGrid([]int{64, 256, 1024}, []int{16, 32, 64},
-			[]float64{0.2, 0.5, 0.8}, budget())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 27 {
-			b.Fatalf("rows = %d", len(rows))
-		}
-	}
-}
-
-// BenchmarkSaturationModel computes the Eq. 26 saturation load for every
-// configuration in T2 (model side only).
-func BenchmarkSaturationModel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, n := range []int{64, 256, 1024} {
-			for _, s := range []float64{16, 32, 64} {
-				m := analytic.MustFatTreeModel(n, s, core.Options{})
-				if _, err := m.SaturationLoad(); err != nil {
+// BenchmarkExperiment regenerates each experiment of the table on a
+// fresh, cache-less runner, so every iteration computes its whole grid.
+func BenchmarkExperiment(b *testing.B) {
+	for i := range exp.All {
+		e := &exp.All[i]
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				out, err := e.Run(context.Background(), sweep.NewRunner(), "paper", budget())
+				if err != nil {
 					b.Fatal(err)
 				}
+				if out.Text == "" {
+					b.Fatal("empty artifact")
+				}
 			}
-		}
+		})
 	}
 }
 
-// BenchmarkSaturationTable regenerates T2 with its simulation brackets.
-func BenchmarkSaturationTable(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.SaturationTable([]int{64, 256}, []int{16, 32}, budget())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 4 {
-			b.Fatalf("rows = %d", len(rows))
-		}
-	}
-}
-
-// BenchmarkAblationBlocking regenerates A1/A2: the paper's model against
-// the variant without the blocking correction and the variant without the
-// multi-server treatment (plus the pre-erratum rate), with one simulated
-// reference curve.
-func BenchmarkAblationBlocking(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Ablations(1024, 32, 6, budget())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Variants) != 4 {
-			b.Fatal("missing variants")
-		}
-	}
-}
+// --- Micro-benchmarks on the hot paths ---
 
 // BenchmarkAblationServers isolates the model-side A2 comparison at a
 // fixed operating point (no simulation), for quick iteration on the
@@ -163,49 +77,6 @@ func BenchmarkAblationServers(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkPolicyComparison regenerates A3: simulator pair-queue vs
-// random-fixed up-link arbitration.
-func BenchmarkPolicyComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.PolicyComparison(256, 16, 4, budget())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 4 {
-			b.Fatalf("rows = %d", len(rows))
-		}
-	}
-}
-
-// BenchmarkHypercube regenerates X1: the general model on a binary
-// 8-cube vs simulation.
-func BenchmarkHypercube(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Hypercube(8, 16, 5, budget())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Points) != 5 {
-			b.Fatal("missing points")
-		}
-	}
-}
-
-// BenchmarkTorusConsistency regenerates X2: k=2 torus ≡ hypercube.
-func BenchmarkTorusConsistency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, maxDiff, err := exp.TorusConsistency(8, 16, 6)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if maxDiff > 1e-9 {
-			b.Fatalf("inconsistent: %v", maxDiff)
-		}
-	}
-}
-
-// --- Micro-benchmarks on the hot paths ---
 
 func BenchmarkWaitMG1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -275,7 +146,7 @@ func BenchmarkSweepTable2(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec.Budget = sweep.Budget(budget())
+	spec.Budget = budget()
 	for i := 0; i < b.N; i++ {
 		if _, err := (&sweep.Runner{}).Run(context.Background(), spec); err != nil {
 			b.Fatal(err)

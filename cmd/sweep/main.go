@@ -128,7 +128,7 @@ func main() {
 		return
 	}
 	if *dump != "" {
-		spec, err := loadSpec(*dump)
+		spec, err := cliutil.LoadSpec(*dump)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func main() {
 	var results []*sweep.Result
 	computed, cells := 0, 0
 	for _, ref := range specs {
-		spec, err := loadSpec(ref)
+		spec, err := cliutil.LoadSpec(ref)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -372,23 +372,6 @@ func writeBench(path string, specs specList, cells, computed int, elapsed time.D
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// loadSpec resolves a -spec argument: "builtin:<name>" or a JSON file
-// path.
-func loadSpec(ref string) (sweep.Spec, error) {
-	if name, ok := strings.CutPrefix(ref, "builtin:"); ok {
-		return sweep.Builtin(name)
-	}
-	data, err := os.ReadFile(ref)
-	if err != nil {
-		return sweep.Spec{}, err
-	}
-	spec, err := sweep.ParseSpec(data)
-	if err != nil {
-		return sweep.Spec{}, fmt.Errorf("%s: %w", ref, err)
-	}
-	return spec, nil
 }
 
 func displayName(s sweep.Spec) string {

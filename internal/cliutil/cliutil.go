@@ -1,7 +1,7 @@
 // Package cliutil holds the small helpers shared by the cmd/ binaries:
 // logger setup, comma-separated list parsing, experiment budget
-// selection, table-or-CSV output, spec dumping, timeout contexts, and
-// trace-file tracers.
+// selection, table-or-CSV output, spec loading and dumping, timeout
+// contexts, and trace-file tracers.
 package cliutil
 
 import (
@@ -15,9 +15,9 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/exp"
 	"repro/internal/obs"
 	"repro/internal/series"
+	"repro/internal/sweep"
 )
 
 // Setup configures the standard logger the binaries share: no
@@ -44,6 +44,23 @@ func DumpJSON(v any) error {
 	}
 	fmt.Println(string(out))
 	return nil
+}
+
+// LoadSpec resolves a -spec argument: "builtin:<name>" or the path of a
+// JSON sweep spec, decoded strictly and validated.
+func LoadSpec(ref string) (sweep.Spec, error) {
+	if name, ok := strings.CutPrefix(ref, "builtin:"); ok {
+		return sweep.Builtin(name)
+	}
+	data, err := os.ReadFile(ref)
+	if err != nil {
+		return sweep.Spec{}, err
+	}
+	spec, err := sweep.ParseSpec(data)
+	if err != nil {
+		return sweep.Spec{}, fmt.Errorf("%s: %w", ref, err)
+	}
+	return spec, nil
 }
 
 // Context returns a context honouring the -timeout convention: zero
@@ -167,10 +184,10 @@ func OpenTracer(path string) (*obs.Tracer, func() error, error) {
 
 // Budget returns the Full budget when full is set, Quick otherwise, with
 // the given seed applied.
-func Budget(full bool, seed uint64) exp.Budget {
-	b := exp.Quick
+func Budget(full bool, seed uint64) sweep.Budget {
+	b := sweep.Quick
 	if full {
-		b = exp.Full
+		b = sweep.Full
 	}
 	b.Seed = seed
 	return b

@@ -122,9 +122,10 @@ func (d *Dispatcher) observe(ctx context.Context, key string, cell sweep.Cell) {
 	}
 }
 
-// WithHTTPClient replaces the default HTTP client (no timeout — range
-// streams run as long as their cells take; deadlines belong to the
-// caller's context and the idle watchdog).
+// WithHTTPClient replaces the default HTTP clients on every path: range
+// streams (default: no timeout — they run as long as their cells take;
+// deadlines belong to the caller's context and the idle watchdog) and
+// the per-cell Evaluate and /v1/curve requests.
 func WithHTTPClient(c *http.Client) Option { return func(d *Dispatcher) { d.client = c } }
 
 // WithShardBackoff sets the base delay a failing shard sits out before
@@ -158,18 +159,7 @@ func WithIdleTimeout(t time.Duration) Option { return func(d *Dispatcher) { d.id
 // New builds a dispatcher over the given shard addresses ("host:port" or
 // full URLs); at least one is required.
 func New(addrs []string, opts ...Option) (*Dispatcher, error) {
-	rb, err := eval.NewRemoteBackend(addrs)
-	if err != nil {
-		return nil, fmt.Errorf("dispatch: %w", err)
-	}
 	d := &Dispatcher{
-		addrs: rb.Addrs(),
-		// The same salt a Runner derives for a backend list holding one
-		// fleet client, so dispatched, per-cell remote and batched sweeps
-		// over the same shard set share cache lines.
-		salt:     "backends=" + rb.CacheTag() + "|",
-		client:   &http.Client{},
-		rb:       rb,
 		backoff:  100 * time.Millisecond,
 		maxFails: 3,
 		idle:     60 * time.Second,
@@ -177,6 +167,26 @@ func New(addrs []string, opts ...Option) (*Dispatcher, error) {
 	for _, opt := range opts {
 		opt(d)
 	}
+	// A WithHTTPClient client serves every request the dispatcher makes:
+	// range streams and, through the per-cell backend, /v1/eval and
+	// /v1/curve. Without one each path keeps its own default (no timeout
+	// for range streams, the RemoteBackend's 30 s for single cells).
+	var ropts []eval.RemoteOption
+	if d.client != nil {
+		ropts = append(ropts, eval.WithHTTPClient(d.client))
+	} else {
+		d.client = &http.Client{}
+	}
+	rb, err := eval.NewRemoteBackend(addrs, ropts...)
+	if err != nil {
+		return nil, fmt.Errorf("dispatch: %w", err)
+	}
+	d.rb = rb
+	d.addrs = rb.Addrs()
+	// The same salt a Runner derives for a backend list holding one
+	// fleet client, so dispatched, per-cell remote and batched sweeps
+	// over the same shard set share cache lines.
+	d.salt = "backends=" + rb.CacheTag() + "|"
 	d.health = make(map[string]ShardHealth, len(d.addrs))
 	for _, addr := range d.addrs {
 		d.health[addr] = ShardHealthy

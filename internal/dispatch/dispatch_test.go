@@ -510,6 +510,45 @@ func TestDispatcherEvaluate(t *testing.T) {
 	}
 }
 
+// countingTransport records the URL path of every request it carries.
+type countingTransport struct {
+	mu    sync.Mutex
+	paths map[string]int
+}
+
+func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	c.mu.Lock()
+	c.paths[req.URL.Path]++
+	c.mu.Unlock()
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestWithHTTPClientCoversEveryPath pins that a caller-supplied client
+// carries all of the dispatcher's traffic — per-cell Evaluate and curve
+// resolution as well as the range streams — so a custom transport
+// (auth, proxy, TLS) is never bypassed.
+func TestWithHTTPClientCoversEveryPath(t *testing.T) {
+	addrs, _ := newFleet(t, 1)
+	ct := &countingTransport{paths: map[string]int{}}
+	d := newDispatcher(t, addrs, WithHTTPClient(&http.Client{Transport: ct}))
+	spec := modelOnlySpec()
+	scens, err := sweep.Expand(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := d.Evaluate(context.Background(), scens[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Run(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/v1/eval", "/v1/curve", "/v1/sweep/part"} {
+		if ct.paths[path] == 0 {
+			t.Errorf("no %s request went through the WithHTTPClient transport (saw %v)", path, ct.paths)
+		}
+	}
+}
+
 // TestCrossShardTraceStitching pins the fleet-wide tracing contract: a
 // dispatched sweep traced at the coordinator, with every shard writing
 // its own trace file, must reassemble into one well-formed tree after

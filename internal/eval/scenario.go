@@ -182,7 +182,7 @@ type Scenario struct {
 // the scenario's position within its curve, so results never depend on
 // scheduling order or grid width. The derivation matches what
 // exp.CompareCurve applies along a multi-point curve, which is why a
-// Figure 3 sweep reproduces cmd/figure3 bit for bit; grids whose cells
+// Figure 3 sweep reproduces the direct computation bit for bit; grids whose cells
 // were historically simulated one point at a time (the pre-sweep
 // ValidationGrid) now give each load position its own seed instead of
 // reusing the base seed, which shifts their sim values at noise level.

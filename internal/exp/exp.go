@@ -1,8 +1,9 @@
-// Package exp defines the paper-reproduction experiments as code: every
-// table and figure of the evaluation (§3.6) plus the ablation and
-// extension studies listed in DESIGN.md. The cmd/ binaries and the root
-// benchmark suite are thin wrappers around this package, so a figure is
-// regenerated identically no matter where it is invoked from.
+// Package exp defines the paper-reproduction experiments as one ordered
+// table, All: every table and figure of the evaluation (§3.6) plus the
+// ablation and extension studies listed in DESIGN.md, each a sweep spec
+// with a renderer. cmd/reproduce and the root benchmark suite range over
+// the table, so an artifact is regenerated identically no matter where
+// it is invoked from.
 package exp
 
 import (
@@ -12,23 +13,11 @@ import (
 
 	"repro/internal/analytic"
 	"repro/internal/core"
-	"repro/internal/series"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
-
-// Budget scales the simulation effort of an experiment. It is the sweep
-// engine's budget type: every experiment driver compiles to a sweep spec.
-type Budget = sweep.Budget
-
-// Quick is sized for CI and iterative work: a Figure 3 reproduction in
-// tens of seconds with visible but modest noise.
-var Quick = sweep.Quick
-
-// Full is sized for report-quality numbers.
-var Full = sweep.Full
 
 // ComparisonPoint pairs the model's prediction with a simulation
 // measurement at one offered load.
@@ -71,11 +60,13 @@ func LoadsUpTo(m interface{ SaturationLoad() (float64, error) }, points int, fra
 }
 
 // CompareCurve evaluates the model and (optionally) the simulator over the
-// given loads. A nil net skips simulation (model-only curves). The
-// budget's Precision and Replicas knobs map to the simulator's CI-width
-// early stopping and independent-replica options.
+// given loads directly, without the sweep engine: it is the reference the
+// tests compare the table's sweep path against. A nil net skips
+// simulation (model-only curves). The budget's Precision and Replicas
+// knobs map to the simulator's CI-width early stopping and
+// independent-replica options.
 func CompareCurve(model analytic.NetworkModel, net topology.Network, flits int,
-	loads []float64, b Budget, policy sim.UpLinkPolicy) ([]ComparisonPoint, error) {
+	loads []float64, b sweep.Budget, policy sim.UpLinkPolicy) ([]ComparisonPoint, error) {
 
 	var opts []sim.Option
 	if b.Precision > 0 {
@@ -118,18 +109,4 @@ func CompareCurve(model analytic.NetworkModel, net topology.Network, flits int,
 		pts = append(pts, pt)
 	}
 	return pts, nil
-}
-
-// CurveSeries converts comparison points into plot series (model solid,
-// sim marked), skipping NaN sim entries.
-func CurveSeries(label string, modelMarker, simMarker byte, pts []ComparisonPoint) (*series.Series, *series.Series) {
-	m := &series.Series{Name: "Model " + label, Marker: modelMarker}
-	s := &series.Series{Name: "Experiment " + label, Marker: simMarker}
-	for _, p := range pts {
-		m.Add(p.LoadFlits, p.Model)
-		if !math.IsNaN(p.Sim) {
-			s.Add(p.LoadFlits, p.Sim)
-		}
-	}
-	return m, s
 }

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -8,11 +10,39 @@ import (
 	"repro/internal/analytic"
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 	"repro/internal/topology"
 )
 
 // tiny keeps experiment tests fast.
-var tiny = Budget{Warmup: 1000, Measure: 6000, Seed: 3}
+var tiny = sweep.Budget{Warmup: 1000, Measure: 6000, Seed: 3}
+
+func newTestRunner() *sweep.Runner {
+	return sweep.NewRunner(sweep.WithWorkers(2), sweep.WithCache(sweep.NewCache()))
+}
+
+// runEntry runs the table entry's small-scale spec at the tiny budget,
+// after edit (if any) has shrunk it, and returns the executed sweep with
+// its rendering.
+func runEntry(t *testing.T, id string, edit func(*sweep.Spec)) (*sweep.Result, Output) {
+	t.Helper()
+	e, err := Lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := e.Spec("small", tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if edit != nil {
+		edit(&spec)
+	}
+	out, err := e.RunSpec(context.Background(), newTestRunner(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.JSON.(*sweep.Result), out
+}
 
 func TestLoadsUpTo(t *testing.T) {
 	m := analytic.MustFatTreeModel(64, 16, core.Options{})
@@ -89,166 +119,164 @@ func TestCompareCurveMarksModelSaturation(t *testing.T) {
 }
 
 func TestFigure3SmallScale(t *testing.T) {
-	cfg := Figure3Config{
-		NumProc:  64,
-		MsgFlits: []int{8, 16},
-		Points:   4,
-		MaxFrac:  0.85,
-		WithSim:  true,
-		Budget:   tiny,
+	sw, out := runEntry(t, "F3", func(s *sweep.Spec) {
+		s.Topologies[0].Sizes = []int{64}
+		s.MsgFlits = []int{8, 16}
+		s.Loads = sweep.LoadSpec{Points: 4, MaxFrac: 0.85}
+	})
+	curves := byCurve(sw)
+	if len(curves) != 2 {
+		t.Fatalf("%d curves, want 2", len(curves))
 	}
-	res, err := Figure3(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, flits := range cfg.MsgFlits {
-		pts := res.Curves[flits]
+	for ci, pts := range curves {
+		c := sw.Curves[ci]
 		if len(pts) != 4 {
-			t.Fatalf("s=%d: %d points", flits, len(pts))
+			t.Fatalf("s=%d: %d points", c.MsgFlits, len(pts))
 		}
 		// Monotone model curve, sim present.
 		for i, p := range pts {
 			if math.IsNaN(p.Sim) {
-				t.Errorf("s=%d point %d missing sim", flits, i)
+				t.Errorf("s=%d point %d missing sim", c.MsgFlits, i)
 			}
 			if i > 0 && p.Model <= pts[i-1].Model {
-				t.Errorf("s=%d: model curve not increasing", flits)
+				t.Errorf("s=%d: model curve not increasing", c.MsgFlits)
 			}
 		}
-		if res.SaturationLoad[flits] <= 0 {
-			t.Errorf("s=%d: saturation %v", flits, res.SaturationLoad[flits])
+		if c.SaturationLoad <= 0 {
+			t.Errorf("s=%d: saturation %v", c.MsgFlits, c.SaturationLoad)
 		}
-		if want := float64(flits) + analytic.MustFatTreeModel(64, float64(flits), core.Options{}).AvgDist() - 1; math.Abs(res.UnloadedLatency[flits]-want) > 1e-9 {
-			t.Errorf("s=%d: unloaded latency %v, want %v", flits, res.UnloadedLatency[flits], want)
-		}
-	}
-	plot := res.Plot()
-	for _, want := range []string{"Figure 3", "Loadrate", "Latency", "Model 8-flit", "Experiment 16-flit"} {
-		if !strings.Contains(plot, want) {
-			t.Errorf("plot missing %q", want)
+		m := analytic.MustFatTreeModel(64, float64(c.MsgFlits), core.Options{})
+		unloaded := fmt.Sprintf("%-9d  %.1f ", c.MsgFlits, float64(c.MsgFlits)+m.AvgDist()-1)
+		if !strings.Contains(out.Text, unloaded) {
+			t.Errorf("s=%d: summary row %q (s + D - 1) missing:\n%s", c.MsgFlits, unloaded, out.Text)
 		}
 	}
-	csv := res.CSV()
-	if !strings.Contains(csv, "load_flits_per_cycle") || len(strings.Split(csv, "\n")) < 4 {
-		t.Errorf("CSV malformed:\n%s", csv)
+	for _, want := range []string{"Figure 3", "64-processor", "Loadrate", "Latency",
+		"Model 8-flit", "Experiment 16-flit", "model saturation"} {
+		if !strings.Contains(out.Text, want) {
+			t.Errorf("figure missing %q", want)
+		}
 	}
-	if sum := res.Summary(); !strings.Contains(sum, "saturation") {
-		t.Errorf("summary missing saturation column:\n%s", sum)
-	}
-}
-
-func TestFigure3DefaultsApplied(t *testing.T) {
-	def := DefaultFigure3()
-	if def.NumProc != 1024 || len(def.MsgFlits) != 3 || !def.WithSim {
-		t.Errorf("unexpected defaults: %+v", def)
+	if !strings.HasPrefix(out.CSV, "load_flits_per_cycle,Model 8-flit,Experiment 8-flit,") ||
+		len(strings.Split(out.CSV, "\n")) < 4 {
+		t.Errorf("CSV malformed:\n%s", out.CSV)
 	}
 }
 
 func TestValidationGridSmall(t *testing.T) {
-	rows, err := ValidationGrid([]int{16, 64}, []int{8}, []float64{0.3, 0.6}, tiny)
-	if err != nil {
-		t.Fatal(err)
+	sw, out := runEntry(t, "T1", func(s *sweep.Spec) {
+		s.Topologies[0].Sizes = []int{16, 64}
+		s.MsgFlits = []int{8}
+		s.Loads = sweep.LoadSpec{Fracs: []float64{0.3, 0.6}}
+	})
+	if len(sw.Rows) != 4 {
+		t.Fatalf("rows = %d, want 4", len(sw.Rows))
 	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(rows))
-	}
-	for _, r := range rows {
+	for _, r := range sw.Rows {
 		if math.IsNaN(r.Sim) || r.Model <= 0 {
 			t.Errorf("bad row: %+v", r)
 		}
-		if r.RelErr > 0.3 {
-			t.Errorf("N=%d s=%d frac=%v: rel err %.1f%% implausibly high",
-				r.NumProc, r.MsgFlits, r.Frac, r.RelErr*100)
+		if e := r.RelErr(); e > 0.3 {
+			t.Errorf("%s s=%d frac=%v: rel err %.1f%% implausibly high",
+				r.Scenario.Topology, r.Scenario.MsgFlits, r.Scenario.Load.Value, e*100)
 		}
 	}
-	tbl := GridTable(rows)
-	if tbl.NumRows() != 4 {
-		t.Errorf("table rows = %d", tbl.NumRows())
+	// Header, rule and one line per cell.
+	if n := strings.Count(out.Text, "\n"); n != 6 {
+		t.Errorf("table has %d lines, want 6:\n%s", n, out.Text)
 	}
-	if !strings.Contains(tbl.String(), "rel err") {
-		t.Error("table missing header")
+	if !strings.Contains(out.Text, "rel err") || !strings.Contains(out.Note, "4 cells") {
+		t.Errorf("table header or note wrong: %q\n%s", out.Note, out.Text)
 	}
 }
 
 func TestSaturationTableSmall(t *testing.T) {
-	rows, err := SaturationTable([]int{16}, []int{8}, tiny)
-	if err != nil {
-		t.Fatal(err)
+	sw, out := runEntry(t, "T2", func(s *sweep.Spec) {
+		s.Topologies[0].Sizes = []int{16}
+		s.MsgFlits = []int{8}
+	})
+	if len(sw.Curves) != 1 {
+		t.Fatalf("curves = %d", len(sw.Curves))
 	}
-	if len(rows) != 1 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	r := rows[0]
-	if r.Model <= 0 {
-		t.Fatalf("model saturation %v", r.Model)
+	sat := sw.Curves[0].SaturationLoad
+	if sat <= 0 {
+		t.Fatalf("model saturation %v", sat)
 	}
 	// The simulator must sustain 80% of the model's saturation and fail
-	// by 130%.
-	if math.IsNaN(r.SimStable) || r.SimStable < 0.79*r.Model {
-		t.Errorf("sim sustained only %v of model %v", r.SimStable, r.Model)
+	// by 130%; the table's two bracket columns say so.
+	rows := sw.Rows
+	if rows[0].SimSaturated {
+		t.Errorf("sim saturated at %v, 80%% of model %v", rows[0].LoadFlits, sat)
 	}
-	if math.IsNaN(r.SimSaturated) || r.SimSaturated > 1.31*r.Model {
-		t.Errorf("sim saturation bracket %v too high vs model %v", r.SimSaturated, r.Model)
+	if last := rows[len(rows)-1]; !last.SimSaturated || last.LoadFlits > 1.31*sat {
+		t.Errorf("sim not saturated by %v (model %v)", last.LoadFlits, sat)
 	}
-	out := SaturationTableRender(rows).String()
-	if !strings.Contains(out, "model sat") {
-		t.Error("render missing header")
+	if !strings.Contains(out.Text, "model sat") || strings.Contains(out.Text, "NaN") {
+		t.Errorf("render missing header or bracket:\n%s", out.Text)
 	}
 }
 
 func TestAblationsOrdering(t *testing.T) {
-	res, err := Ablations(64, 16, 3, tiny)
-	if err != nil {
-		t.Fatal(err)
+	sw, out := runEntry(t, "A1/A2", nil)
+	curves := byCurve(sw)
+	if len(curves) != 4 {
+		t.Fatalf("%d variants, want 4", len(curves))
 	}
-	base := res.Variants["paper model"]
-	noBlock := res.Variants["A1: no blocking correction"]
-	single := res.Variants["A2: up-links as 2x M/G/1"]
-	noPair := res.Variants["pre-erratum M/G/2 rate"]
-	for i := range res.Loads {
-		if !(noBlock[i] > base[i]) {
-			t.Errorf("point %d: A1 %v should exceed base %v", i, noBlock[i], base[i])
+	base, noBlock, single, noPair := curves[0], curves[1], curves[2], curves[3]
+	for i := range base {
+		if !(noBlock[i].Model > base[i].Model) {
+			t.Errorf("point %d: A1 %v should exceed base %v", i, noBlock[i].Model, base[i].Model)
 		}
-		if !(single[i] > base[i]) {
-			t.Errorf("point %d: A2 %v should exceed base %v", i, single[i], base[i])
+		if !(single[i].Model > base[i].Model) {
+			t.Errorf("point %d: A2 %v should exceed base %v", i, single[i].Model, base[i].Model)
 		}
-		if !(noPair[i] < base[i]) {
-			t.Errorf("point %d: pre-erratum %v should be below base %v", i, noPair[i], base[i])
+		if !(noPair[i].Model < base[i].Model) {
+			t.Errorf("point %d: pre-erratum %v should be below base %v", i, noPair[i].Model, base[i].Model)
 		}
 	}
-	if !strings.Contains(res.Table().String(), "simulation") {
-		t.Error("ablation table missing sim column")
+	header, _, _ := strings.Cut(out.Text, "\n")
+	for _, col := range []string{"simulation", "paper model", "A1: no blocking correction",
+		"A2: up-links as 2x M/G/1", "pre-erratum M/G/2 rate"} {
+		if !strings.Contains(header, col) {
+			t.Errorf("ablation table missing column %q: %s", col, header)
+		}
+	}
+	if strings.Contains(out.Text, "NaN") {
+		t.Errorf("ablation table lost its simulation reference:\n%s", out.Text)
 	}
 }
 
 func TestPolicyComparisonSmall(t *testing.T) {
-	rows, err := PolicyComparison(64, 8, 2, tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
+	sw, out := runEntry(t, "A3", nil)
+	curves := byCurve(sw)
+	if len(curves) != 2 || len(curves[0]) != 4 {
+		t.Fatalf("grid shape %d curves x %d loads", len(curves), len(curves[0]))
 	}
 	// At the highest probed load the pair queue must win clearly.
-	last := rows[len(rows)-1]
-	if last.PairQueue >= last.RandomFixed {
-		t.Errorf("pair-queue %v should beat random-fixed %v at %.4f flits/cyc",
-			last.PairQueue, last.RandomFixed, last.LoadFlits)
+	pair, fixed := curves[0][3], curves[1][3]
+	if pair.Scenario.Policy != sim.PairQueue || fixed.Scenario.Policy != sim.RandomFixed {
+		t.Fatalf("policy order: %v, %v", pair.Scenario.Policy, fixed.Scenario.Policy)
 	}
-	if !strings.Contains(PolicyTable(rows).String(), "pair-queue") {
-		t.Error("policy table header")
+	if pair.Sim >= fixed.Sim {
+		t.Errorf("pair-queue %v should beat random-fixed %v at %.4f flits/cyc",
+			pair.Sim, fixed.Sim, pair.LoadFlits)
+	}
+	lines := strings.Split(strings.TrimSpace(out.Text), "\n")
+	top := strings.Fields(lines[len(lines)-1])
+	if !strings.Contains(lines[0], "pair-queue") || len(lines) != 6 ||
+		top[0] != fmt.Sprintf("%.4f", pair.LoadFlits) || top[1] != fmt.Sprintf("%.2f", pair.Sim) ||
+		top[3] != fmt.Sprintf("%.2f", fixed.Sim) {
+		t.Errorf("policy table header or top-load row wrong:\n%s", out.Text)
 	}
 }
 
 func TestHypercubeExperimentSmall(t *testing.T) {
-	res, err := Hypercube(5, 8, 3, tiny)
-	if err != nil {
-		t.Fatal(err)
+	sw, out := runEntry(t, "X1", nil)
+	sat := sw.Curves[0].SaturationLoad
+	if len(sw.Rows) != 6 || !(sat > 0) {
+		t.Fatalf("bad result: %d rows, saturation %v", len(sw.Rows), sat)
 	}
-	if len(res.Points) != 3 || res.SaturationLoad <= 0 {
-		t.Fatalf("bad result: %+v", res)
-	}
-	for i, p := range res.Points {
+	for i, p := range sw.Rows {
 		if math.IsNaN(p.Sim) {
 			t.Errorf("point %d missing sim", i)
 		}
@@ -257,24 +285,31 @@ func TestHypercubeExperimentSmall(t *testing.T) {
 		// The knee (top of the sweep) legitimately diverges — the paper's
 		// own curves do the same at saturation — so only the sub-knee
 		// points carry a tolerance.
-		if e := p.RelErr(); p.LoadFlits < 0.6*res.SaturationLoad && e > 0.3 {
+		if e := p.RelErr(); p.LoadFlits < 0.6*sat && e > 0.3 {
 			t.Errorf("point %d: rel err %.1f%%", i, e*100)
 		}
 	}
-	if !strings.Contains(res.Table().String(), "model L") {
-		t.Error("hypercube table header")
+	if !strings.Contains(out.Text, "model L") || !strings.Contains(out.Note, "6-cube saturation") {
+		t.Errorf("hypercube table header or note wrong: %q", out.Note)
 	}
 }
 
 func TestTorusConsistencyX2(t *testing.T) {
-	tbl, maxDiff, err := TorusConsistency(6, 16, 4)
+	e, err := Lookup("X2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if maxDiff > 1e-9 {
-		t.Errorf("k=2 torus deviates from hypercube by %v", maxDiff)
+	out, err := e.Run(context.Background(), nil, "small", tiny)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if tbl.NumRows() != 4 {
-		t.Errorf("rows = %d", tbl.NumRows())
+	rows := out.JSON.([]TorusRow)
+	if len(rows) != 6 {
+		t.Errorf("rows = %d", len(rows))
+	}
+	for _, r := range rows {
+		if d := math.Abs(r.Hypercube - r.Torus); !(d <= 1e-9) {
+			t.Errorf("k=2 torus deviates from hypercube by %v at load %v", d, r.LoadFlits)
+		}
 	}
 }

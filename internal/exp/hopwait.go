@@ -11,6 +11,7 @@ import (
 	"repro/internal/series"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/sweep"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -50,18 +51,13 @@ type HopWaitRow struct {
 	ModelWait float64
 }
 
-// HopWaits runs experiment V1 with no cancellation; see HopWaitsContext.
-func HopWaits(numProc, msgFlits int, load float64, b Budget) ([]HopWaitRow, error) {
-	return HopWaitsContext(context.Background(), numProc, msgFlits, load, b)
-}
-
-// HopWaitsContext runs experiment V1 on a butterfly fat-tree: it
+// HopWaits runs experiment V1 on a butterfly fat-tree: it
 // instruments every channel grant, aggregates waits per channel class,
 // and compares them with the model's blended blocking-corrected waits.
 // The injection class is excluded (its simulator-side wait spans the
 // source queue, which the model accounts separately as W̄₀₁). Cancelling
 // ctx aborts the instrumented simulation inside its cycle loop.
-func HopWaitsContext(ctx context.Context, numProc, msgFlits int, load float64, b Budget) ([]HopWaitRow, error) {
+func HopWaits(ctx context.Context, numProc, msgFlits int, load float64, b sweep.Budget) ([]HopWaitRow, error) {
 	model, err := analytic.NewFatTreeModel(numProc, float64(msgFlits), core.Options{})
 	if err != nil {
 		return nil, err
@@ -162,8 +158,22 @@ func (r HopWaitRow) MarshalJSON() ([]byte, error) {
 	}{r.Class, finite(r.ModelWait), finite(r.SimWait), r.SimSamples})
 }
 
-// HopWaitTable renders V1 rows.
-func HopWaitTable(rows []HopWaitRow) *series.Table {
+// hopWaitsEntry is V1 in the experiment table: 16-flit messages on the
+// A3-sized fat-tree at half the saturation load of F3's first curve.
+func hopWaitsEntry(ctx context.Context, scale string, b sweep.Budget) (Output, error) {
+	g := gridOf(scale)
+	f3, err := analytic.NewFatTreeModel(g.figN, 16, core.Options{})
+	if err != nil {
+		return Output{}, err
+	}
+	sat, err := f3.SaturationLoad()
+	if err != nil {
+		return Output{}, err
+	}
+	rows, err := HopWaits(ctx, min(g.figN, 256), 16, 0.5*sat, b)
+	if err != nil {
+		return Output{}, err
+	}
 	tbl := &series.Table{Headers: []string{"class", "model wait (Eq.9)", "sim wait", "samples"}}
 	for _, r := range rows {
 		tbl.AddRow(
@@ -173,5 +183,5 @@ func HopWaitTable(rows []HopWaitRow) *series.Table {
 			fmt.Sprintf("%d", r.SimSamples),
 		)
 	}
-	return tbl
+	return tableOutput(tbl, fmt.Sprintf("%d channel classes compared", len(rows)), rows), nil
 }

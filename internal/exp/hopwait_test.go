@@ -1,10 +1,11 @@
 package exp
 
 import (
+	"context"
 	"math"
-	"strings"
 	"testing"
 
+	"repro/internal/sweep"
 	"repro/internal/topology"
 )
 
@@ -34,7 +35,7 @@ func TestHopWaitsMatchesModel(t *testing.T) {
 	// Moderate load on a mid-size machine: per-class waits are fractions
 	// of a cycle to a few cycles; the blended model values must track the
 	// measured ones within sampling noise and approximation error.
-	rows, err := HopWaits(64, 16, 0.06, Budget{Warmup: 2000, Measure: 20000, Seed: 5})
+	rows, err := HopWaits(context.Background(), 64, 16, 0.06, sweep.Budget{Warmup: 2000, Measure: 20000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,14 +55,10 @@ func TestHopWaitsMatchesModel(t *testing.T) {
 			t.Errorf("%s: sim wait %.3f vs model %.3f", r.Class, r.SimWait, r.ModelWait)
 		}
 	}
-	out := HopWaitTable(rows).String()
-	if !strings.Contains(out, "Eq.9") || !strings.Contains(out, "down<1,0>") {
-		t.Errorf("table malformed:\n%s", out)
-	}
 }
 
 func TestHopWaitsZeroLoad(t *testing.T) {
-	rows, err := HopWaits(16, 8, 0, Budget{Warmup: 100, Measure: 500, Seed: 1})
+	rows, err := HopWaits(context.Background(), 16, 8, 0, sweep.Budget{Warmup: 100, Measure: 500, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,229 +1,162 @@
 package exp
 
-// The tests in this file pin the sweep-spec migration of the bespoke
-// experiment drivers: each new driver must reproduce the pre-refactor
-// hand-rolled computation — model values inside 1e-9 and simulation
-// values exactly (the spec derivation feeds the simulator the same
-// absolute loads and per-point seeds, so a same-seed run is
-// bit-identical). The reference implementations below are the literal
-// pre-refactor code paths, kept as CompareCurve compositions.
+// The tests in this file pin the table's sweep path against the direct
+// computation the experiment drivers used before they became sweep
+// specs: one CompareCurve per curve — the model's Latency and sim.Run
+// called straight, no eval backends, no runner. Model values must agree
+// inside 1e-9 and simulation values exactly (the spec feeds the
+// simulator the same absolute loads and per-point seeds, so a same-seed
+// run is bit-identical).
 
 import (
-	"context"
 	"math"
 	"testing"
 
 	"repro/internal/analytic"
 	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/topology"
 )
 
-// refAblations is the pre-refactor exp.Ablations: one hand-rolled
-// CompareCurve per variant against a shared simulated reference.
-func refAblations(numProc, msgFlits, points int, b Budget) (*AblationResult, error) {
-	base, err := analytic.NewFatTreeModel(numProc, float64(msgFlits), core.Options{})
-	if err != nil {
-		return nil, err
-	}
-	loads, err := LoadsUpTo(base, points, 0.9)
-	if err != nil {
-		return nil, err
-	}
-	net, err := topology.NewFatTree(numProc)
-	if err != nil {
-		return nil, err
-	}
-	simPts, err := CompareCurve(base, net, msgFlits, loads, b, sim.PairQueue)
-	if err != nil {
-		return nil, err
-	}
-	res := &AblationResult{
-		NumProc: numProc, MsgFlits: msgFlits, Loads: loads, Sim: simPts,
-		Variants: map[string][]float64{},
-		VariantOrder: []string{
-			"paper model",
-			"A1: no blocking correction",
-			"A2: up-links as 2x M/G/1",
-			"pre-erratum M/G/2 rate",
-		},
-	}
-	variants := map[string]core.Options{
-		"paper model":                {},
-		"A1: no blocking correction": {NoBlockingCorrection: true},
-		"A2: up-links as 2x M/G/1":   {SingleServerGroups: true},
-		"pre-erratum M/G/2 rate":     {NoPairRateCorrection: true},
-	}
-	for name, opt := range variants {
-		m, err := analytic.NewFatTreeModel(numProc, float64(msgFlits), opt)
-		if err != nil {
-			return nil, err
-		}
-		pts, err := CompareCurve(m, nil, msgFlits, loads, b, sim.PairQueue)
-		if err != nil {
-			return nil, err
-		}
-		col := make([]float64, len(pts))
-		for i, p := range pts {
-			col[i] = p.Model
-		}
-		res.Variants[name] = col
-	}
-	return res, nil
+// refCurve is one curve computed directly.
+type refCurve struct {
+	sat float64
+	pts []ComparisonPoint
 }
 
-// refPolicyComparison is the pre-refactor exp.PolicyComparison.
-func refPolicyComparison(numProc, msgFlits, points int, b Budget) ([]PolicyRow, error) {
-	model, err := analytic.NewFatTreeModel(numProc, float64(msgFlits), core.Options{})
-	if err != nil {
-		return nil, err
-	}
-	loads, err := LoadsUpTo(model, points, 0.85)
-	if err != nil {
-		return nil, err
-	}
-	net, err := topology.NewFatTree(numProc)
-	if err != nil {
-		return nil, err
-	}
-	pair, err := CompareCurve(model, net, msgFlits, loads, b, sim.PairQueue)
-	if err != nil {
-		return nil, err
-	}
-	fixed, err := CompareCurve(model, net, msgFlits, loads, b, sim.RandomFixed)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]PolicyRow, len(loads))
-	for i := range loads {
-		rows[i] = PolicyRow{
-			LoadFlits: loads[i],
-			PairQueue: pair[i].Sim, RandomFixed: fixed[i].Sim,
-			PairCI: pair[i].SimCI, FixedCI: fixed[i].SimCI,
-		}
-	}
-	return rows, nil
-}
-
-// refHypercube is the pre-refactor exp.Hypercube.
-func refHypercube(dims, msgFlits, points int, b Budget) (*HypercubeResult, error) {
-	model, err := analytic.NewHypercubeModel(dims, float64(msgFlits), core.Options{})
-	if err != nil {
-		return nil, err
-	}
-	sat, err := model.SaturationLoad()
-	if err != nil {
-		return nil, err
-	}
-	loads, err := LoadsUpTo(model, points, 0.85)
-	if err != nil {
-		return nil, err
-	}
-	net, err := topology.NewHypercube(dims)
-	if err != nil {
-		return nil, err
-	}
-	pts, err := CompareCurve(model, net, msgFlits, loads, b, sim.PairQueue)
-	if err != nil {
-		return nil, err
-	}
-	return &HypercubeResult{Dims: dims, MsgFlits: msgFlits, Points: pts, SaturationLoad: sat}, nil
-}
-
-func newTestRunner() *sweep.Runner {
-	return sweep.NewRunner(sweep.WithWorkers(2), sweep.WithCache(sweep.NewCache()))
-}
-
-// TestAblationsMatchPreRefactor pins A1/A2 through the Evaluator
-// backends against the hand-rolled reference.
-func TestAblationsMatchPreRefactor(t *testing.T) {
-	want, err := refAblations(64, 16, 3, tiny)
+// reference computes the spec's grid curve by curve with CompareCurve,
+// resolving fractional loads against the base model's saturation.
+func reference(t *testing.T, spec sweep.Spec) []refCurve {
+	t.Helper()
+	scens, err := sweep.Expand(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AblationsRun(context.Background(), 64, 16, 3, tiny, newTestRunner())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Loads) != len(want.Loads) || len(got.Sim) != len(want.Sim) {
-		t.Fatalf("shape differs: %d/%d loads, %d/%d sim points",
-			len(got.Loads), len(want.Loads), len(got.Sim), len(want.Sim))
-	}
-	for i := range want.Loads {
-		if math.Abs(got.Loads[i]-want.Loads[i]) > 1e-9 {
-			t.Errorf("load %d: %v vs %v", i, got.Loads[i], want.Loads[i])
+	var out []refCurve
+	for start := 0; start < len(scens); {
+		first := scens[start]
+		end := start
+		for end < len(scens) && scens[end].CurveKey() == first.CurveKey() {
+			end++
 		}
-		if got.Sim[i].Sim != want.Sim[i].Sim || got.Sim[i].SimCI != want.Sim[i].SimCI {
-			t.Errorf("sim point %d: (%v ±%v) vs (%v ±%v)",
-				i, got.Sim[i].Sim, got.Sim[i].SimCI, want.Sim[i].Sim, want.Sim[i].SimCI)
+		flits := float64(first.MsgFlits)
+		var base interface{ SaturationLoad() (float64, error) }
+		var model analytic.NetworkModel
+		var net topology.Network
+		switch first.Topology.Family {
+		case sweep.FamilyBFT:
+			base = analytic.MustFatTreeModel(first.Topology.Size, flits, core.Options{})
+			model = analytic.MustFatTreeModel(first.Topology.Size, flits, first.Variant.Options())
+			net = topology.MustFatTree(first.Topology.Size)
+		case sweep.FamilyHypercube:
+			m, err := analytic.NewHypercubeModel(first.Topology.Size, flits, first.Variant.Options())
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, model = m, m
+			if net, err = topology.NewHypercube(first.Topology.Size); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			t.Fatalf("no reference for family %q", first.Topology.Family)
 		}
-		for _, name := range want.VariantOrder {
-			g, w := got.Variants[name][i], want.Variants[name][i]
-			if math.IsInf(w, 1) != math.IsInf(g, 1) || (!math.IsInf(w, 1) && math.Abs(g-w) > 1e-9) {
-				t.Errorf("%s point %d: %v vs %v", name, i, g, w)
+		sat, err := base.SaturationLoad()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var loads []float64
+		for _, sc := range scens[start:end] {
+			load := sc.Load.Value
+			if sc.Load.Frac {
+				load *= sat
+			}
+			loads = append(loads, load)
+		}
+		if !first.WithSim {
+			net = nil
+		}
+		pts, err := CompareCurve(model, net, first.MsgFlits, loads, spec.Budget, first.Policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, refCurve{sat: sat, pts: pts})
+		start = end
+	}
+	return out
+}
+
+// checkMatchesReference runs the entry's small-scale spec (shrunk by
+// edit, if any) through the sweep engine and compares every cell and
+// every curve's saturation load with the direct computation.
+func checkMatchesReference(t *testing.T, id string, edit func(*sweep.Spec)) {
+	t.Helper()
+	sw, _ := runEntry(t, id, edit)
+	want := reference(t, sw.Spec)
+	got := byCurve(sw)
+	if len(got) != len(want) {
+		t.Fatalf("curves: %d vs %d", len(got), len(want))
+	}
+	for ci, ref := range want {
+		if math.Abs(sw.Curves[ci].SaturationLoad-ref.sat) > 1e-12 {
+			t.Errorf("curve %d saturation: %v vs %v", ci, sw.Curves[ci].SaturationLoad, ref.sat)
+		}
+		if len(got[ci]) != len(ref.pts) {
+			t.Fatalf("curve %d points: %d vs %d", ci, len(got[ci]), len(ref.pts))
+		}
+		for i, w := range ref.pts {
+			g := got[ci][i]
+			if math.Abs(g.LoadFlits-w.LoadFlits) > 1e-9 {
+				t.Errorf("curve %d point %d load: %v vs %v", ci, i, g.LoadFlits, w.LoadFlits)
+			}
+			if math.IsInf(w.Model, 1) != math.IsInf(g.Model, 1) ||
+				(!math.IsInf(w.Model, 1) && math.Abs(g.Model-w.Model) > 1e-9) {
+				t.Errorf("curve %d point %d model: %v vs %v", ci, i, g.Model, w.Model)
+			}
+			if math.IsNaN(w.Sim) != math.IsNaN(g.Sim) ||
+				(!math.IsNaN(w.Sim) && (g.Sim != w.Sim || g.SimCI != w.SimCI || g.SimSaturated != w.SimSaturated)) {
+				t.Errorf("curve %d point %d sim: (%v ±%v) vs (%v ±%v)", ci, i, g.Sim, g.SimCI, w.Sim, w.SimCI)
 			}
 		}
 	}
 }
 
-// TestPolicyComparisonMatchesPreRefactor pins A3.
-func TestPolicyComparisonMatchesPreRefactor(t *testing.T) {
-	want, err := refPolicyComparison(64, 8, 2, tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := PolicyComparisonRun(context.Background(), 64, 8, 2, tiny, newTestRunner())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("rows: %d vs %d", len(got), len(want))
-	}
-	for i := range want {
-		if math.Abs(got[i].LoadFlits-want[i].LoadFlits) > 1e-9 {
-			t.Errorf("row %d load: %v vs %v", i, got[i].LoadFlits, want[i].LoadFlits)
-		}
-		if got[i].PairQueue != want[i].PairQueue || got[i].RandomFixed != want[i].RandomFixed ||
-			got[i].PairCI != want[i].PairCI || got[i].FixedCI != want[i].FixedCI {
-			t.Errorf("row %d sim values differ:\n  got  %+v\n  want %+v", i, got[i], want[i])
-		}
-	}
+// TestFigure3MatchesSweepSpec pins F3's Points/MaxFrac grid.
+func TestFigure3MatchesSweepSpec(t *testing.T) {
+	checkMatchesReference(t, "F3", func(s *sweep.Spec) {
+		s.Topologies[0].Sizes = []int{64}
+		s.MsgFlits = []int{8, 16}
+		s.Loads = sweep.LoadSpec{Points: 3, MaxFrac: 0.8}
+	})
 }
+
+// TestValidationGridMatchesSweepSpec pins T1's fractional-load grid.
+func TestValidationGridMatchesSweepSpec(t *testing.T) {
+	checkMatchesReference(t, "T1", func(s *sweep.Spec) {
+		s.Topologies[0].Sizes = []int{16, 64}
+		s.MsgFlits = []int{8}
+		s.Loads = sweep.LoadSpec{Fracs: []float64{0.3, 0.6}}
+	})
+}
+
+// TestAblationsMatchPreRefactor pins A1/A2: every variant's model column
+// and the shared simulated reference.
+func TestAblationsMatchPreRefactor(t *testing.T) { checkMatchesReference(t, "A1/A2", nil) }
+
+// TestPolicyComparisonMatchesPreRefactor pins A3.
+func TestPolicyComparisonMatchesPreRefactor(t *testing.T) { checkMatchesReference(t, "A3", nil) }
 
 // TestHypercubeMatchesPreRefactor pins X1.
-func TestHypercubeMatchesPreRefactor(t *testing.T) {
-	want, err := refHypercube(5, 8, 3, tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := HypercubeRun(context.Background(), 5, 8, 3, tiny, newTestRunner())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got.SaturationLoad-want.SaturationLoad) > 1e-12 {
-		t.Errorf("saturation: %v vs %v", got.SaturationLoad, want.SaturationLoad)
-	}
-	if len(got.Points) != len(want.Points) {
-		t.Fatalf("points: %d vs %d", len(got.Points), len(want.Points))
-	}
-	for i := range want.Points {
-		g, w := got.Points[i], want.Points[i]
-		if math.Abs(g.LoadFlits-w.LoadFlits) > 1e-9 || math.Abs(g.Model-w.Model) > 1e-9 {
-			t.Errorf("point %d model side: (%v, %v) vs (%v, %v)", i, g.LoadFlits, g.Model, w.LoadFlits, w.Model)
-		}
-		if g.Sim != w.Sim || g.SimCI != w.SimCI || g.SimSaturated != w.SimSaturated {
-			t.Errorf("point %d sim side: (%v ±%v) vs (%v ±%v)", i, g.Sim, g.SimCI, w.Sim, w.SimCI)
-		}
-	}
-}
+func TestHypercubeMatchesPreRefactor(t *testing.T) { checkMatchesReference(t, "X1", nil) }
 
-// TestSaturationSpecDump sanity-checks the T2 spec compilation (its sim
-// values legitimately shift at noise level versus the pre-refactor
-// driver — each probe now derives its own seed — so T2 pins the spec
-// shape rather than bit-identical numbers; see CHANGES.md).
+// TestSaturationSpecDump sanity-checks the T2 spec (its sim values
+// legitimately shifted at noise level when it became a sweep — each
+// probe derives its own seed — so T2 pins the spec shape rather than
+// numbers against the hand-rolled driver; see CHANGES.md).
 func TestSaturationSpecDump(t *testing.T) {
-	spec := SaturationSpec([]int{16, 64}, []int{8}, tiny)
+	spec, err := saturationSpec("small", tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +167,7 @@ func TestSaturationSpecDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(scens) != 2*1*4 {
-		t.Fatalf("scenarios = %d, want 8", len(scens))
+	if len(scens) != 3*3*4 {
+		t.Fatalf("scenarios = %d, want 36", len(scens))
 	}
 }

@@ -16,7 +16,7 @@ type RunAllConfig struct {
 	// Dir receives one text/CSV file per experiment plus a SUMMARY.txt.
 	Dir string
 	// Budget scales every simulation.
-	Budget Budget
+	Budget sweep.Budget
 	// Scale shrinks the machine sizes for CI runs: "paper" (default,
 	// N up to 1024) or "small" (N up to 256).
 	Scale string
@@ -24,10 +24,9 @@ type RunAllConfig struct {
 	Log io.Writer
 }
 
-// RunAll executes every experiment in DESIGN.md's index (F3, T1, T2,
-// A1–A3, X1, X2, V1) and writes the artifacts to cfg.Dir. It returns the
-// summary text. Cancelling ctx aborts the run mid-experiment (the sweep
-// engine checks it inside the simulator's cycle loop).
+// RunAll executes every experiment of the table and writes the artifacts
+// to cfg.Dir. It returns the summary text. Cancelling ctx aborts the run
+// mid-experiment (the simulator checks it inside its cycle loop).
 func RunAll(ctx context.Context, cfg RunAllConfig) (string, error) {
 	if cfg.Log == nil {
 		cfg.Log = io.Discard
@@ -35,25 +34,12 @@ func RunAll(ctx context.Context, cfg RunAllConfig) (string, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return "", err
 	}
-	sizes := []int{64, 256, 1024}
-	figN := 1024
-	hcDims := 8
-	if cfg.Scale == "small" {
-		sizes = []int{16, 64, 256}
-		figN = 256
-		hcDims = 6
-	}
-	flits := []int{16, 32, 64}
-	start := time.Now()
-	summary := &summaryWriter{}
-
 	write := func(name, content string) error {
 		return os.WriteFile(filepath.Join(cfg.Dir, name), []byte(content), 0o644)
 	}
 
-	// Every sweep-backed experiment (F3, T1, T2, A1–A3, X1) shares one
-	// runner so their grids land in a common cache and progress streams
-	// to cfg.Log.
+	// The sweep-backed experiments share one runner so their grids land
+	// in a common cache and progress streams to cfg.Log.
 	runner := sweep.NewRunner(
 		sweep.WithCache(sweep.NewCache()),
 		sweep.WithProgress(func(ev sweep.Event) {
@@ -64,130 +50,30 @@ func RunAll(ctx context.Context, cfg RunAllConfig) (string, error) {
 		}),
 	)
 
-	// F3.
-	fmt.Fprintln(cfg.Log, "running F3 (Figure 3)...")
-	f3, err := Figure3Run(ctx, Figure3Config{
-		NumProc: figN, MsgFlits: flits, Points: 10, MaxFrac: 0.95,
-		WithSim: true, Budget: cfg.Budget,
-	}, runner)
-	if err != nil {
-		return "", fmt.Errorf("F3: %w", err)
-	}
-	if err := write("figure3.txt", f3.Plot()+"\n"+f3.Summary()); err != nil {
-		return "", err
-	}
-	if err := write("figure3.csv", f3.CSV()); err != nil {
-		return "", err
-	}
-	summary.add("F3", "figure3.txt/.csv", fmt.Sprintf("saturation %.4f flits/cyc/PE at N=%d",
-		f3.SaturationLoad[flits[0]], figN))
-
-	// T1.
-	fmt.Fprintln(cfg.Log, "running T1 (validation grid)...")
-	grid, err := ValidationGridRun(ctx, sizes, flits, []float64{0.2, 0.5, 0.8}, cfg.Budget, runner)
-	if err != nil {
-		return "", fmt.Errorf("T1: %w", err)
-	}
-	if err := write("validate.txt", GridTable(grid).String()); err != nil {
-		return "", err
-	}
-	var worst float64
-	for _, r := range grid {
-		if r.RelErr > worst {
-			worst = r.RelErr
+	start := time.Now()
+	var summary string
+	for i := range All {
+		e := &All[i]
+		fmt.Fprintf(cfg.Log, "running %s (%s)...\n", e.ID, e.Title)
+		out, err := e.Run(ctx, runner, cfg.Scale, cfg.Budget)
+		if err != nil {
+			return "", fmt.Errorf("%s: %w", e.ID, err)
 		}
+		files := e.Artifact + ".txt"
+		if err := write(files, out.Text); err != nil {
+			return "", err
+		}
+		if e.PlotCSV {
+			if err := write(e.Artifact+".csv", out.CSV); err != nil {
+				return "", err
+			}
+			files += "/.csv"
+		}
+		summary += fmt.Sprintf("%-6s %-16s %s\n", e.ID, files, out.Note)
 	}
-	summary.add("T1", "validate.txt", fmt.Sprintf("%d cells, worst rel err %.1f%%", len(grid), worst*100))
-
-	// T2.
-	fmt.Fprintln(cfg.Log, "running T2 (saturation)...")
-	sat, err := SaturationTableRun(ctx, sizes, flits, cfg.Budget, runner)
-	if err != nil {
-		return "", fmt.Errorf("T2: %w", err)
-	}
-	if err := write("saturation.txt", SaturationTableRender(sat).String()); err != nil {
-		return "", err
-	}
-	summary.add("T2", "saturation.txt", fmt.Sprintf("%d configurations bracketed", len(sat)))
-
-	// A1/A2.
-	fmt.Fprintln(cfg.Log, "running A1/A2 (model ablations)...")
-	abl, err := AblationsRun(ctx, figN, 32, 6, cfg.Budget, runner)
-	if err != nil {
-		return "", fmt.Errorf("A1/A2: %w", err)
-	}
-	if err := write("ablation.txt", abl.Table().String()); err != nil {
-		return "", err
-	}
-	summary.add("A1/A2", "ablation.txt", "blocking correction + M/G/2 both required")
-
-	// A3.
-	fmt.Fprintln(cfg.Log, "running A3 (policy comparison)...")
-	pol, err := PolicyComparisonRun(ctx, min(figN, 256), 16, 4, cfg.Budget, runner)
-	if err != nil {
-		return "", fmt.Errorf("A3: %w", err)
-	}
-	if err := write("policy.txt", PolicyTable(pol).String()); err != nil {
-		return "", err
-	}
-	last := pol[len(pol)-1]
-	summary.add("A3", "policy.txt", fmt.Sprintf("pair queue beats pinned by %.0f%% at top load",
-		100*(last.RandomFixed-last.PairQueue)/last.PairQueue))
-
-	// X1.
-	fmt.Fprintln(cfg.Log, "running X1 (hypercube)...")
-	hc, err := HypercubeRun(ctx, hcDims, 16, 6, cfg.Budget, runner)
-	if err != nil {
-		return "", fmt.Errorf("X1: %w", err)
-	}
-	if err := write("hypercube.txt", hc.Table().String()); err != nil {
-		return "", err
-	}
-	summary.add("X1", "hypercube.txt", fmt.Sprintf("%d-cube saturation %.4f flits/cyc/PE",
-		hcDims, hc.SaturationLoad))
-
-	// X2.
-	fmt.Fprintln(cfg.Log, "running X2 (torus consistency)...")
-	torus, maxDiff, err := TorusConsistency(hcDims, 16, 6)
-	if err != nil {
-		return "", fmt.Errorf("X2: %w", err)
-	}
-	if err := write("torus.txt", torus.String()); err != nil {
-		return "", err
-	}
-	summary.add("X2", "torus.txt", fmt.Sprintf("k=2 max diff %.1e", maxDiff))
-
-	// V1.
-	fmt.Fprintln(cfg.Log, "running V1 (per-hop waits)...")
-	satLoad := f3.SaturationLoad[flits[0]]
-	hw, err := HopWaits(min(figN, 256), 16, 0.5*satLoad, cfg.Budget)
-	if err != nil {
-		return "", fmt.Errorf("V1: %w", err)
-	}
-	if err := write("hopwaits.txt", HopWaitTable(hw).String()); err != nil {
-		return "", err
-	}
-	summary.add("V1", "hopwaits.txt", fmt.Sprintf("%d channel classes compared", len(hw)))
-
-	text := summary.render(time.Since(start))
+	text := fmt.Sprintf("full reproduction run, %s\n\n", time.Since(start).Round(time.Second)) + summary
 	if err := write("SUMMARY.txt", text); err != nil {
 		return "", err
 	}
 	return text, nil
-}
-
-type summaryWriter struct {
-	rows [][3]string
-}
-
-func (s *summaryWriter) add(id, file, note string) {
-	s.rows = append(s.rows, [3]string{id, file, note})
-}
-
-func (s *summaryWriter) render(elapsed time.Duration) string {
-	out := fmt.Sprintf("full reproduction run, %s\n\n", elapsed.Round(time.Second))
-	for _, r := range s.rows {
-		out += fmt.Sprintf("%-6s %-16s %s\n", r[0], r[1], r[2])
-	}
-	return out
 }

@@ -14,9 +14,8 @@ import (
 // This file preserves the original dense per-cycle engine verbatim. It is
 // NOT dead code: it is the determinism oracle the event-driven engine is
 // pinned against (TestEventEngineMatchesReference and friends assert
-// bit-identical Results on the figure3/table2 scenario families) and the
-// baseline the bench-sim CI gate measures the ≥10x speedup over
-// (cmd/simbench). It advances every cycle and scans every source each
+// bit-identical Results on the figure3/table2 scenario families). It
+// advances every cycle and scans every source each
 // cycle — exactly the cost profile the rewrite removes — so any
 // behavioural drift in the new engine shows up as a bit-level diff here
 // rather than as silent statistical noise.
@@ -87,8 +86,7 @@ type refEngine struct {
 // RunReference simulates the configured system with the original dense
 // per-cycle engine. It is kept as the determinism oracle for the
 // event-driven Run — a fixed Config must produce a bit-identical Result
-// through either — and as the baseline of the bench-sim throughput gate.
-// It supports no options (no early stopping, no replicas).
+// through either. It supports no options (no early stopping, no replicas).
 func RunReference(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -13,8 +13,8 @@ import (
 var builtins = map[string]Spec{
 	// figure3 is the paper's Figure 3 grid: the 1024-processor butterfly
 	// fat-tree at 16/32/64-flit messages, ten loads to 95% of saturation,
-	// model against simulation. Identical, cell for cell, to what
-	// cmd/figure3 runs by default.
+	// model against simulation. Experiment F3 (exp.All) starts from it,
+	// as T1 does from table2.
 	"figure3": {
 		Name:        "figure3",
 		Description: "Paper Figure 3: latency vs load, 1024-PE butterfly fat-tree, s=16/32/64",

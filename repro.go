@@ -18,8 +18,8 @@
 //     same question — the latency of a Scenario — behind one
 //     context-aware interface (AnalyticBackend, SimBackend); and
 //   - a declarative scenario-sweep engine on top of it, with streaming,
-//     caching and cancellation, plus an experiment harness regenerating
-//     every figure and table of the evaluation; and
+//     caching and cancellation (cmd/reproduce regenerates every figure
+//     and table of the evaluation from it); and
 //   - a sweep service: a persistent, content-addressed result store
 //     (OpenStore), an HTTP serving front-end (ListenAndServe, cmd/sweepd)
 //     streaming NDJSON cells over Runner.Stream, and a RemoteBackend that
@@ -99,7 +99,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dispatch"
 	"repro/internal/eval"
-	"repro/internal/exp"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/serve"
@@ -160,12 +159,8 @@ type (
 	// bit-identically (see cmd/trace and docs/workload.md).
 	WorkloadTrace = workload.Trace
 
-	// Budget scales experiment simulation effort.
-	Budget = exp.Budget
-	// Figure3Config parameterises the Figure 3 reproduction.
-	Figure3Config = exp.Figure3Config
-	// Figure3Result holds a Figure 3 reproduction.
-	Figure3Result = exp.Figure3Result
+	// Budget scales simulation effort.
+	Budget = sweep.Budget
 
 	// Evaluator is the backend contract shared by the analytical model
 	// and the simulator: Evaluate(ctx, Scenario) -> Point. Custom
@@ -340,10 +335,6 @@ func ReadWorkloadTrace(r io.Reader) (*WorkloadTrace, error) { return workload.Re
 // WriteWorkloadTrace writes a trace in the canonical NDJSON form; equal
 // traces produce byte-identical files.
 func WriteWorkloadTrace(w io.Writer, tr *WorkloadTrace) error { return workload.WriteTrace(w, tr) }
-
-// Figure3 regenerates the paper's Figure 3 (see exp.Figure3Config;
-// zero-value config uses the paper's parameters with a CI-sized budget).
-func Figure3(cfg Figure3Config) (*Figure3Result, error) { return exp.Figure3(cfg) }
 
 // NewAnalyticBackend returns the analytical-model Evaluator: memoized
 // models per topology/message length/variant, fractional loads anchored
@@ -545,10 +536,10 @@ func CalibMapPath(storeDir string) string { return calib.MapPath(storeDir) }
 // default runner and /v1/plan searches feed and consult it.
 func ServeWithCalibration(m *CalibMap) ServeOption { return serve.WithCalibration(m) }
 
-// QuickBudget and FullBudget are the standard experiment efforts.
+// QuickBudget and FullBudget are the standard simulation efforts.
 var (
-	QuickBudget = exp.Quick
-	FullBudget  = exp.Full
+	QuickBudget = sweep.Quick
+	FullBudget  = sweep.Full
 )
 
 // DefaultSimTermination is the standard early-stopping rule: stop once

@@ -111,26 +111,6 @@ func TestFacadeVariantsAndOtherNetworks(t *testing.T) {
 	}
 }
 
-func TestFacadeFigure3Tiny(t *testing.T) {
-	res, err := repro.Figure3(repro.Figure3Config{
-		NumProc:  16,
-		MsgFlits: []int{8},
-		Points:   2,
-		MaxFrac:  0.6,
-		WithSim:  false,
-		Budget:   repro.QuickBudget,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Curves[8]) != 2 {
-		t.Errorf("points = %d", len(res.Curves[8]))
-	}
-	if repro.FullBudget.Measure <= repro.QuickBudget.Measure {
-		t.Error("budgets misordered")
-	}
-}
-
 func TestFacadeSweep(t *testing.T) {
 	spec, err := repro.SweepBuiltin("figure3")
 	if err != nil {
