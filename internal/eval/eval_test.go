@@ -1,12 +1,16 @@
 package eval
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/topology"
 )
 
 func bftScenario(withSim bool) Scenario {
@@ -133,6 +137,92 @@ func TestSimBackendEvaluate(t *testing.T) {
 	}
 	if !math.IsNaN(skip.Sim) || !math.IsNaN(skip.LoadFlits) {
 		t.Errorf("WithSim=false should yield an empty point: %+v", skip)
+	}
+}
+
+// misdeliveringNet labels every ejection channel with the wrong
+// processor, which trips the simulator's delivery assertion (a panic).
+type misdeliveringNet struct{ topology.Network }
+
+func (n *misdeliveringNet) EjectsTo(ch topology.ChannelID) int {
+	p := n.Network.EjectsTo(ch)
+	if p >= 0 {
+		return (p + 1) % n.NumProcessors()
+	}
+	return p
+}
+
+// A request must not be able to kill or wedge a shard: a simulator panic
+// comes back as that cell's error, and the backend — whose pool must not
+// take the panicked engine back — answers the next cell exactly as a
+// fresh backend would.
+func TestSimBackendSurvivesSimulatorPanic(t *testing.T) {
+	ctx := context.Background()
+	ab := NewAnalyticBackend()
+	sb := NewSimBackend(ab)
+	healthy := bftScenario(true)
+	want, err := NewSimBackend(ab).Evaluate(ctx, healthy)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	broken := healthy
+	broken.Topology.Size = 64
+	net, err := broken.Topology.NewNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb.nets[broken.Topology] = &misdeliveringNet{net}
+	for _, replicas := range []int{1, 2} {
+		broken.Budget.Replicas = replicas
+		_, err := sb.Evaluate(ctx, broken)
+		if err == nil || !strings.Contains(err.Error(), "delivered to") {
+			t.Fatalf("replicas=%d: err = %v, want the simulator's panic as an error", replicas, err)
+		}
+	}
+
+	got, err := sb.Evaluate(ctx, healthy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !samePoint(got, want) {
+		t.Errorf("healthy cell after a panic: got %+v, want %+v", got, want)
+	}
+}
+
+// sim.run spans say whether the run was on a recycled engine and how many
+// worm slots it needed; the engine counters move with them.
+func TestSimRunSpanReportsEngineReuse(t *testing.T) {
+	var buf bytes.Buffer
+	tr := obs.NewTracer(&buf)
+	ctx := obs.WithTracer(context.Background(), tr)
+	before := obs.Counters()
+	sb := NewSimBackend(NewAnalyticBackend())
+	for i := 0; i < 2; i++ {
+		sc := bftScenario(true)
+		sc.Budget.Seed += uint64(i)
+		if _, err := sb.Evaluate(ctx, sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := obs.Counters()
+	events, err := obs.ReadEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 2 {
+		t.Fatalf("got %d spans, want 2 sim.run", len(events))
+	}
+	for i, ev := range events {
+		hw, _ := ev.Attrs["worms_high_water"].(float64)
+		if ev.Name != "sim.run" || ev.Attrs["engine_reused"] != (i == 1) || hw < 1 {
+			t.Errorf("span %d: %s %v, want sim.run with engine_reused=%v and a worm high-water mark", i, ev.Name, ev.Attrs, i == 1)
+		}
+	}
+	for name, want := range map[string]int64{"sim_engines_built_total": 1, "sim_engines_reused_total": 1} {
+		if got := after[name] - before[name]; got != want {
+			t.Errorf("%s moved by %d, want %d", name, got, want)
+		}
 	}
 }
 

@@ -18,13 +18,16 @@ import (
 // are resolved through the anchor (normally the AnalyticBackend of the
 // same sweep, so model and simulator probe identical absolute loads).
 // Scenarios with WithSim unset are answered with an empty Point — the
-// backend only measures where the grid asked for measurement. Safe for
-// concurrent use; the simulator checks ctx inside its cycle loop.
+// backend only measures where the grid asked for measurement. Runs draw
+// their engines from one sim.Pool, so a long-lived backend simulates on
+// warm engines. Safe for concurrent use; the simulator checks ctx inside
+// its cycle loop.
 type SimBackend struct {
 	mu     sync.Mutex
 	nets   map[Topology]topology.Network
 	traces map[string]*traceEntry
 	anchor LoadResolver
+	pool   sim.Pool
 }
 
 type traceEntry struct {
@@ -97,8 +100,16 @@ func (b *SimBackend) ResolveLoad(sc Scenario) (float64, error) {
 // Evaluate implements Evaluator: one deterministic simulation run at the
 // scenario's derived seed. Budget.Precision and Budget.Replicas map to
 // the simulator's early-stopping and replica options; the achieved
-// relative precision comes back in Point.SimPrecision.
-func (b *SimBackend) Evaluate(ctx context.Context, sc Scenario) (Point, error) {
+// relative precision comes back in Point.SimPrecision. A panic below
+// this call — a network or workload the simulator's invariants reject —
+// fails this cell only: it comes back as the cell's error, and the pool
+// never sees the engine it happened on again.
+func (b *SimBackend) Evaluate(ctx context.Context, sc Scenario) (pt Point, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			pt, err = Point{}, fmt.Errorf("eval: simulator panic on %s: %v", sc.Key(), v)
+		}
+	}()
 	if err := ctx.Err(); err != nil {
 		return Point{}, err
 	}
@@ -142,7 +153,7 @@ func (b *SimBackend) Evaluate(ctx context.Context, sc Scenario) (Point, error) {
 		opts = append(opts, sim.WithReplicas(sc.Budget.Replicas))
 	}
 	simCtx, span := obs.StartSpanKeyed(ctx, "sim.run", sc.Key())
-	res, err := sim.Run(simCtx, cfg, opts...)
+	res, err := b.pool.Run(simCtx, cfg, opts...)
 	if err != nil {
 		span.End(obs.String("error", err.Error()))
 		return Point{}, err
@@ -152,7 +163,7 @@ func (b *SimBackend) Evaluate(ctx context.Context, sc Scenario) (Point, error) {
 		obs.Int("replicas", res.Replicas),
 		obs.Bool("early_stopped", res.EarlyStopped),
 		obs.Bool("saturated", res.Saturated))
-	pt := NewPoint()
+	pt = NewPoint()
 	pt.LoadFlits = load
 	pt.Sim = res.LatencyMean
 	pt.SimCI = res.LatencyCI95

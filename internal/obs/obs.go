@@ -144,6 +144,9 @@ type traceCtx struct {
 	tracer *Tracer
 	trace  string
 	span   string
+	// cur is the span itself when it was started in this process (nil
+	// for IDs extracted from headers); Annotate writes to it.
+	cur *Span
 }
 
 type ctxKey struct{}
@@ -232,7 +235,19 @@ func startSpan(ctx context.Context, name, key string, seq bool) (context.Context
 		s.trace = tc.trace
 		s.id = deriveID(tc.trace, tc.span, name, key)
 	}
-	return context.WithValue(ctx, ctxKey{}, traceCtx{tracer: tc.tracer, trace: s.trace, span: s.id}), s
+	return context.WithValue(ctx, ctxKey{}, traceCtx{tracer: tc.tracer, trace: s.trace, span: s.id, cur: s}), s
+}
+
+// Annotate attaches attrs to the span ctx was derived from — the one
+// returned alongside ctx by StartSpan — so a callee can describe its
+// work on its caller's span. A no-op when tracing is disabled or the
+// span has ended.
+func Annotate(ctx context.Context, attrs ...Attr) {
+	if tc, ok := ctx.Value(ctxKey{}).(traceCtx); ok {
+		for _, a := range attrs {
+			tc.cur.SetAttr(a)
+		}
+	}
 }
 
 // SetAttr attaches an attr to the span before it ends. Safe for

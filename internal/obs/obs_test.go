@@ -108,6 +108,38 @@ func TestDeterministicKeyedIDs(t *testing.T) {
 	}
 }
 
+// Annotate writes to the span its context came from — not to a parent,
+// not after End — and is free when tracing is off or the span is remote.
+func TestAnnotate(t *testing.T) {
+	var buf bytes.Buffer
+	tr := NewTracer(&buf)
+	rctx, root := StartSpanKeyed(WithTracer(context.Background(), tr), "sweep.run", "r")
+	cctx, cell := StartSpanKeyed(rctx, "sim.run", "c")
+	Annotate(cctx, Bool("engine_reused", true), Int("worms_high_water", 7))
+	cell.End(Int("cycles", 100))
+	Annotate(cctx, Int("late", 1))
+	root.End()
+	events, err := ReadEvents(&buf)
+	if err != nil {
+		t.Fatalf("ReadEvents: %v", err)
+	}
+	if a := events[0].Attrs; len(a) != 3 || a["engine_reused"] != true || a["worms_high_water"] != 7.0 || a["cycles"] != 100.0 {
+		t.Errorf("annotated span attrs = %v", a)
+	}
+	if a := events[1].Attrs; len(a) != 0 {
+		t.Errorf("parent span picked up attrs: %v", a)
+	}
+
+	remote := withRemote(context.Background(), tr, "t", "s")
+	off := context.Background()
+	if n := testing.AllocsPerRun(100, func() {
+		Annotate(remote, Bool("x", true))
+		Annotate(off, Bool("x", true))
+	}); n != 0 {
+		t.Errorf("Annotate without a local span allocates %.1f/op, want 0", n)
+	}
+}
+
 // Header propagation: a server extracting what a client injected must
 // parent its spans inside the client's trace.
 func TestHTTPPropagationStitches(t *testing.T) {

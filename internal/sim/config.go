@@ -232,18 +232,25 @@ func (c *Config) progressTimeout() int {
 // histBins is the bin count of the latency histogram.
 const histBins = 1024
 
-// histMax resolves the histogram upper bound: HistMax when positive,
-// otherwise a generous 50×(MsgFlits + diameter) — far above any
-// stable-mode latency.
-func (c *Config) histMax(net topology.Network) float64 {
-	if c.HistMax > 0 {
-		return c.HistMax
-	}
+// diameter returns the longest shortest path from processor 0, in
+// channels — the network's diameter on the vertex-symmetric topologies
+// the repo builds.
+func diameter(net topology.Network) int {
 	diam := 0
 	for p := 0; p < net.NumProcessors(); p++ {
 		if d := net.PathLen(0, p); d > diam {
 			diam = d
 		}
+	}
+	return diam
+}
+
+// histMax resolves the histogram upper bound: HistMax when positive,
+// otherwise a generous 50×(MsgFlits + diameter) — far above any
+// stable-mode latency.
+func (c *Config) histMax(diam int) float64 {
+	if c.HistMax > 0 {
+		return c.HistMax
 	}
 	return 50 * float64(c.MsgFlits+diam)
 }

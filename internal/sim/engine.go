@@ -2,18 +2,15 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"strconv"
-	"sync"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/traffic"
+	"repro/internal/workload"
 )
 
 // Process-wide engine counters, rendered on /metrics by the serve
@@ -25,6 +22,8 @@ var (
 	simEarlySaved    = obs.NewCounter("sim_earlystop_cycles_saved_total")
 	simMergeMicros   = obs.NewCounter("sim_replica_merge_micros_total")
 	simRunsCompleted = obs.NewCounter("sim_runs_total")
+	simEnginesBuilt  = obs.NewCounter("sim_engines_built_total")
+	simEnginesReused = obs.NewCounter("sim_engines_reused_total")
 )
 
 type wormState uint8
@@ -57,6 +56,66 @@ type wormSoA struct {
 	tracked    []bool
 	drainFrom  []int64 // first cycle of post-head-arrival consumption
 	enqueuedAt []int64 // cycle the worm entered its current arbitration queue
+	next       []int32 // successor in that queue (see linkedQueues)
+
+	// Path slab: a new slot's path buffer is the next stride channels of
+	// the current chunk (spare), capacity-limited to them, so a shortest
+	// path never reallocates and a longer one falls back to append's
+	// growth instead of overrunning its neighbour.
+	chunks [][]topology.ChannelID
+	spare  []topology.ChannelID
+	used   int // chunks handed out so far this run
+	stride int
+}
+
+// pathChunkWorms is the number of path buffers carved from one chunk.
+const pathChunkWorms = 512
+
+// resized returns s with length n and every element zero, reusing its
+// backing array when it is large enough.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// recycle empties the store for a run whose paths are at most stride
+// channels long, keeping every column's capacity (at least n slots) and
+// the path chunks.
+func (s *wormSoA) recycle(n, stride int) {
+	s.src, s.dst = resized(s.src, n)[:0], resized(s.dst, n)[:0]
+	s.arrival = resized(s.arrival, n)[:0]
+	s.grantCycle = resized(s.grantCycle, n)[:0]
+	s.path = resized(s.path, n)[:0]
+	s.tailIdx = resized(s.tailIdx, n)[:0]
+	s.injected = resized(s.injected, n)[:0]
+	s.consumed = resized(s.consumed, n)[:0]
+	s.state = resized(s.state, n)[:0]
+	s.tracked = resized(s.tracked, n)[:0]
+	s.drainFrom = resized(s.drainFrom, n)[:0]
+	s.enqueuedAt = resized(s.enqueuedAt, n)[:0]
+	s.next = resized(s.next, n)[:0]
+	s.spare, s.used, s.stride = nil, 0, stride
+}
+
+// carve returns an empty path buffer of capacity stride from the slab.
+func (s *wormSoA) carve() []topology.ChannelID {
+	if len(s.spare) < s.stride {
+		if s.used == len(s.chunks) {
+			s.chunks = append(s.chunks, nil)
+		}
+		if len(s.chunks[s.used]) < s.stride {
+			s.chunks[s.used] = make([]topology.ChannelID, pathChunkWorms*s.stride)
+		}
+		s.spare = s.chunks[s.used]
+		s.used++
+	}
+	buf := s.spare[:0:s.stride]
+	s.spare = s.spare[s.stride:]
+	return buf
 }
 
 func (s *wormSoA) grow() int32 {
@@ -64,7 +123,7 @@ func (s *wormSoA) grow() int32 {
 	s.dst = append(s.dst, 0)
 	s.arrival = append(s.arrival, 0)
 	s.grantCycle = append(s.grantCycle, 0)
-	s.path = append(s.path, nil)
+	s.path = append(s.path, s.carve())
 	s.tailIdx = append(s.tailIdx, 0)
 	s.injected = append(s.injected, 0)
 	s.consumed = append(s.consumed, 0)
@@ -72,6 +131,7 @@ func (s *wormSoA) grow() int32 {
 	s.tracked = append(s.tracked, false)
 	s.drainFrom = append(s.drainFrom, 0)
 	s.enqueuedAt = append(s.enqueuedAt, 0)
+	s.next = append(s.next, 0)
 	return int32(len(s.src) - 1)
 }
 
@@ -88,27 +148,78 @@ func (s *wormSoA) reset(id int32) {
 
 func (s *wormSoA) len() int { return len(s.src) }
 
-// fifo is an amortised O(1) FIFO.
-type fifo[T any] struct {
-	items []T
-	head  int
+// linkedQueues is a set of intrusive FIFOs over elements that live in
+// someone else's slab: queue q runs head[q] → next[head[q]] → … → tail[q],
+// -1 terminated, where next is one column shared by all queues. That
+// sharing rests on one invariant: an element waits in at most one queue
+// at a time. It holds for worms (a head requests its next hop only after
+// the previous grant popped it) and for queued arrivals (each belongs to
+// one source). Pushing an element that is still queued corrupts both
+// queues.
+type linkedQueues struct {
+	head, tail []int32
 }
 
-func (q *fifo[T]) push(v T) { q.items = append(q.items, v) }
-func (q *fifo[T]) empty() bool {
-	return q.head >= len(q.items)
-}
-func (q *fifo[T]) pop() T {
-	v := q.items[q.head]
-	q.head++
-	if q.head > 64 && q.head*2 >= len(q.items) {
-		n := copy(q.items, q.items[q.head:])
-		q.items = q.items[:n]
-		q.head = 0
+// recycle makes n empty queues, keeping capacity.
+func (q *linkedQueues) recycle(n int) {
+	q.head, q.tail = resized(q.head, n), resized(q.tail, n)
+	for i := range q.head {
+		q.head[i], q.tail[i] = -1, -1
 	}
-	return v
 }
-func (q *fifo[T]) len() int { return len(q.items) - q.head }
+
+func (q *linkedQueues) empty(i int32) bool { return q.head[i] < 0 }
+
+func (q *linkedQueues) push(i, id int32, next []int32) {
+	next[id] = -1
+	if t := q.tail[i]; t < 0 {
+		q.head[i] = id
+	} else {
+		next[t] = id
+	}
+	q.tail[i] = id
+}
+
+func (q *linkedQueues) pop(i int32, next []int32) int32 {
+	id := q.head[i]
+	q.head[i] = next[id]
+	if q.head[i] < 0 {
+		q.tail[i] = -1
+	}
+	return id
+}
+
+// arrivalSlab stores the messages queued at their sources — arrival time
+// and, under preDests, destination — in one slab shared by all sources;
+// each source's FIFO is threaded through next (engine.srcQ), as is the
+// list of free slots.
+type arrivalSlab struct {
+	at   []float64
+	dst  []int32
+	next []int32
+	free int32
+}
+
+func (s *arrivalSlab) recycle() {
+	s.at, s.dst, s.next, s.free = s.at[:0], s.dst[:0], s.next[:0], -1
+}
+
+func (s *arrivalSlab) put(at float64, dst int32) int32 {
+	if slot := s.free; slot >= 0 {
+		s.free = s.next[slot]
+		s.at[slot], s.dst[slot] = at, dst
+		return slot
+	}
+	s.at = append(s.at, at)
+	s.dst = append(s.dst, dst)
+	s.next = append(s.next, 0)
+	return int32(len(s.at) - 1)
+}
+
+func (s *arrivalSlab) release(slot int32) {
+	s.next[slot] = s.free
+	s.free = slot
+}
 
 // arrEvent is one entry of the arrival calendar: processor p's next
 // Poisson arrival becomes eligible for injection at the given cycle.
@@ -136,8 +247,9 @@ type engine struct {
 	acquiredAt []int64
 	busyInMeas []int64
 
-	groupQ    []fifo[int32]
-	chanQ     []fifo[int32]
+	// arbQ holds the arbitration FIFOs, one per group (PairQueue) or per
+	// channel (RandomFixed), threaded through soa.next.
+	arbQ      linkedQueues
 	pending   []topology.GroupID
 	inPending []bool
 
@@ -145,23 +257,27 @@ type engine struct {
 	draining            []int32
 	releases            []topology.ChannelID
 
-	sources    []traffic.Source
-	srcRNG     []*traffic.RNG
-	pendingArr []fifo[float64]
+	sources []traffic.Source
+	srcSlab workload.SourceSlab
+	arrRNG  []traffic.RNG // per-source arrival streams (the sources point here)
+	srcRNG  []traffic.RNG // per-source destination streams
+	// arr and srcQ queue each source's accepted arrivals until the
+	// injection channel takes them.
+	arr  arrivalSlab
+	srcQ linkedQueues
 	// pat is the resolved destination pattern (nil under trace replay,
 	// where destinations ride with the arrivals).
 	pat traffic.Pattern
 	// preDests: destinations are decided at arrival-pop time — either
-	// read from a replayed trace (destSrc[p] non-nil) or pre-drawn from
-	// the pattern so a recorder can observe them — and queue in
-	// pendingDst alongside pendingArr. Off (the default), destinations
+	// read from a replayed trace (destSrc non-empty) or pre-drawn from
+	// the pattern so a recorder can observe them — and queue in arr
+	// alongside the arrival times. Off (the default), destinations
 	// are drawn at worm-creation time; both orders consume each
 	// srcRNG[p] stream identically, so results are bit-identical.
 	preDests   bool
 	destSrc    []traffic.DestSource
-	pendingDst []fifo[int32]
 	waitingInj []bool
-	rng        *traffic.RNG
+	rng        traffic.RNG
 
 	// Event-driven advancement: arrHeap is a binary min-heap over each
 	// source's next arrival-eligibility cycle, and injReady lists the
@@ -181,7 +297,7 @@ type engine struct {
 	hardEnd      int64
 	earlyStopped bool
 
-	lat                *stats.BatchMeans
+	lat                stats.BatchMeans
 	latAll             stats.Stream
 	latHist            *stats.Histogram
 	wInj, xInj         stats.Stream
@@ -201,239 +317,109 @@ type engine struct {
 	obsPopped   int64
 	obsIdleSkip int64
 
+	reused      bool // this run is on recycled storage (Pool)
 	debugChecks bool // same-package tests enable per-cycle invariants
 }
 
-// Run simulates the configured system and returns the measured result.
-// Without options the run is bit-deterministic for a given Config and
-// bit-identical to the pre-event-driven engine (RunReference); options add
-// the statistical machinery on top: WithTermination for CI-width early
-// stopping, WithReplicas for concurrent independent replicas merged by
-// pooled batch means, WithHistogram for latency percentiles.
-//
-// The cycle loop checks ctx periodically, so a cancelled context aborts
-// mid-simulation (not just between runs) with an error wrapping ctx.Err().
-// Cancellation does not perturb determinism — an uncancelled run is
-// unaffected by its context.
-func Run(ctx context.Context, cfg Config, opts ...Option) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	o, err := buildOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	if o.hist {
-		cfg.LatencyHistogram = true
-		if o.histMax > 0 {
-			cfg.HistMax = o.histMax
-		}
-	}
-	if o.replicas == 1 {
-		e, err := newEngine(cfg)
-		if err != nil {
-			return nil, err
-		}
-		e.term = o.term
-		return e.run(ctx)
-	}
-	if cfg.Trace != nil {
-		return nil, errors.New("sim: trace replay is a single deterministic run; replicas > 1 is not meaningful")
-	}
-	if cfg.Recorder != nil {
-		return nil, errors.New("sim: recording with replicas > 1 would interleave traces; run one replica")
-	}
-	return runReplicas(ctx, cfg, o)
-}
-
-// runReplicas launches one engine per replica on derived seeds, cancels
-// the rest on the first failure, and merges the survivors in replica-index
-// order so the merged Result does not depend on goroutine scheduling.
-func runReplicas(ctx context.Context, cfg Config, o runOptions) (*Result, error) {
-	n := o.replicas
-	term := o.term
-	if term.Enabled() {
-		// Each replica stops on its own (deterministic) statistics, so ask
-		// every replica for a CI √n looser than the request: pooling n
-		// independent replicas tightens the half-width by about √n,
-		// landing the merged CI near the requested target.
-		term.RelHalfWidth *= math.Sqrt(float64(n))
-	}
-	engines := make([]*engine, n)
-	results := make([]*Result, n)
-	errs := make([]error, n)
-	rctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		rcfg := cfg
-		rcfg.Seed = ReplicaSeed(cfg.Seed, r)
-		e, err := newEngine(rcfg)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		e.term = term
-		engines[r] = e
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			_, sp := obs.StartSpanKeyed(rctx, "sim.replica", strconv.Itoa(r))
-			results[r], errs[r] = engines[r].run(rctx)
-			sp.End(obs.Int("replica", r), obs.Bool("failed", errs[r] != nil))
-			if errs[r] != nil {
-				cancel()
-			}
-		}(r)
-	}
-	wg.Wait()
-	// Prefer a substantive failure (deadlock, parent cancellation) over
-	// the secondary "context canceled" errors of replicas we aborted.
-	var firstErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-		if ctx.Err() != nil || !errors.Is(err, context.Canceled) {
-			return nil, err
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	mergeStart := time.Now()
-	res := mergeReplicas(engines, results)
-	simMergeMicros.Add(time.Since(mergeStart).Microseconds())
-	return res, nil
-}
-
-// mergeReplicas pools the replica accumulators into one Result: batch
-// means and sample streams are merged exactly (stats.Stream/BatchMeans
-// parallel reduction), counts are summed, and rates are re-derived from
-// the pooled totals weighted by each replica's actual measured window.
-func mergeReplicas(engines []*engine, results []*Result) *Result {
-	first := engines[0]
-	pooled := first.lat
-	latAll := first.latAll
-	wInj := first.wInj
-	xInj := first.xInj
-	hist := first.latHist
-	flits := first.flitsDelivered
-	measSum := first.measEnd - first.measStart
-	queueInt := first.queueIntegral
-	busy := make([]int64, len(first.busyInMeas))
-	copy(busy, first.busyInMeas)
-
-	res := *results[0]
-	for r := 1; r < len(engines); r++ {
-		e := engines[r]
-		pooled.Merge(e.lat)
-		latAll.Merge(&e.latAll)
-		wInj.Merge(&e.wInj)
-		xInj.Merge(&e.xInj)
-		if hist != nil && e.latHist != nil {
-			hist.Merge(e.latHist)
-		}
-		flits += e.flitsDelivered
-		measSum += e.measEnd - e.measStart
-		queueInt += e.queueIntegral
-		for ch := range busy {
-			busy[ch] += e.busyInMeas[ch]
-		}
-		res.TrackedInjected += results[r].TrackedInjected
-		res.TrackedCompleted += results[r].TrackedCompleted
-		res.TotalCompleted += results[r].TotalCompleted
-		res.Cycles += results[r].Cycles
-		res.Saturated = res.Saturated || results[r].Saturated
-		res.EarlyStopped = res.EarlyStopped || results[r].EarlyStopped
-	}
-
-	meas := float64(measSum)
-	nProc := float64(first.nProc)
-	res.LatencyMean = latAll.Mean()
-	res.LatencyCI95 = pooled.HalfWidth(0.95)
-	res.LatencyMin = latAll.Min()
-	res.LatencyMax = latAll.Max()
-	res.WaitInjMean = wInj.Mean()
-	res.ServiceInjMean = xInj.Mean()
-	res.ThroughputFlits = float64(flits) / (meas * nProc)
-	res.MeanSourceQueue = queueInt / (meas * nProc)
-	res.ChannelBusy = make([]float64, len(busy))
-	for ch := range busy {
-		res.ChannelBusy[ch] = float64(busy[ch]) / meas
-	}
-	res.Replicas = len(engines)
-	res.MeasuredCycles = int(measSum)
-	res.Precision = relPrecision(res.LatencyCI95, res.LatencyMean)
-	if hist != nil && hist.Total() > 0 {
-		res.LatencyP50 = hist.Quantile(0.50)
-		res.LatencyP95 = hist.Quantile(0.95)
-		res.LatencyP99 = hist.Quantile(0.99)
-	}
-	return &res
-}
-
 func newEngine(cfg Config) (*engine, error) {
+	e := new(engine)
+	if err := e.reset(cfg); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// reset prepares e to run cfg from cycle 0, exactly as a new engine
+// would, on whatever storage e already owns. It rebuilds the value from
+// scratch and carries over only backing arrays — emptied, zeroed or
+// refilled here — so a field this function does not mention is zero, not
+// stale: forgetting one costs an allocation, never a wrong result. The
+// previous run may have been on another network, message length or
+// policy; columns are re-sliced to the new shape and grow only when it
+// is larger. On error e is half-built and must be dropped.
+func (e *engine) reset(cfg Config) error {
 	net := cfg.Net
 	nProc := net.NumProcessors()
 	nCh := net.NumChannels()
 	nGr := len(net.Groups())
-	e := &engine{
+	old := *e
+	*e = engine{
 		cfg:        cfg,
 		net:        net,
 		groups:     net.Groups(),
 		nProc:      nProc,
 		sFlits:     int32(cfg.MsgFlits),
-		busy:       make([]bool, nCh),
-		acquiredAt: make([]int64, nCh),
-		busyInMeas: make([]int64, nCh),
-		groupQ:     make([]fifo[int32], nGr),
-		chanQ:      make([]fifo[int32], nCh),
-		inPending:  make([]bool, nGr),
-		srcRNG:     make([]*traffic.RNG, nProc),
-		pendingArr: make([]fifo[float64], nProc),
-		waitingInj: make([]bool, nProc),
-		arrHeap:    make([]arrEvent, 0, nProc),
-		injReady:   make([]int32, 0, nProc),
-		inInjReady: make([]bool, nProc),
+		soa:        old.soa,
+		freeList:   old.freeList[:0],
+		busy:       resized(old.busy, nCh),
+		acquiredAt: resized(old.acquiredAt, nCh),
+		busyInMeas: resized(old.busyInMeas, nCh),
+		arbQ:       old.arbQ,
+		pending:    old.pending[:0],
+		inPending:  resized(old.inPending, nGr),
+		routeNow:   old.routeNow[:0],
+		routeNext:  old.routeNext[:0],
+		draining:   old.draining[:0],
+		releases:   old.releases[:0],
+		srcSlab:    old.srcSlab,
+		arrRNG:     resized(old.arrRNG, nProc),
+		srcRNG:     resized(old.srcRNG, nProc),
+		arr:        old.arr,
+		srcQ:       old.srcQ,
+		destSrc:    old.destSrc[:0],
+		waitingInj: resized(old.waitingInj, nProc),
+		arrHeap:    resized(old.arrHeap, nProc)[:0],
+		injReady:   resized(old.injReady, nProc)[:0],
+		inInjReady: resized(old.inInjReady, nProc),
+		qChecks:    old.qChecks[:0],
 		measStart:  int64(cfg.WarmupCycles),
 		measEnd:    int64(cfg.WarmupCycles + cfg.MeasureCycles),
-		lat:        stats.NewBatchMeans(cfg.batchSize()),
+		lat:        *stats.NewBatchMeans(cfg.batchSize()),
 	}
+	diam := diameter(net)
+	e.soa.recycle(nProc, diam)
+	if cfg.Policy == RandomFixed {
+		e.arbQ.recycle(nCh)
+	} else {
+		e.arbQ.recycle(nGr)
+	}
+	e.srcQ.recycle(nProc)
+	e.arr.recycle()
 	if cfg.LatencyHistogram {
-		e.latHist = stats.NewHistogram(0, cfg.histMax(net), histBins)
+		e.latHist = stats.NewHistogram(0, cfg.histMax(diam), histBins)
 	}
-	master := traffic.NewRNG(cfg.Seed)
-	e.rng = master.Split(streamShuffle)
-	for p := 0; p < nProc; p++ {
-		e.srcRNG[p] = master.Split(streamDest(p))
+	var master traffic.RNG
+	master.Seed(cfg.Seed)
+	master.SplitInto(&e.rng, streamShuffle)
+	for p := range e.srcRNG {
+		master.SplitInto(&e.srcRNG[p], streamDest(p))
 	}
 	if cfg.Trace != nil {
 		e.sources = cfg.Trace.Sources()
-		e.destSrc = make([]traffic.DestSource, nProc)
+		e.destSrc = resized(e.destSrc, nProc)
 		for p, s := range e.sources {
 			e.destSrc[p] = s.(traffic.DestSource)
 		}
 		e.preDests = true
 	} else {
-		// Split does not consume the parent stream, so pulling the
+		// SplitInto does not consume the parent stream, so pulling the
 		// arrival streams here (after all destination streams) derives
 		// the same per-processor generators as the historical interleaved
 		// loop — the default workload stays bit-identical.
-		srcs, err := cfg.Workload.Sources(nProc, cfg.Lambda0,
-			func(p int) *traffic.RNG { return master.Split(streamArrival(p)) })
+		srcs, err := cfg.Workload.Sources(&e.srcSlab, nProc, cfg.Lambda0,
+			func(p int) *traffic.RNG {
+				master.SplitInto(&e.arrRNG[p], streamArrival(p))
+				return &e.arrRNG[p]
+			})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		e.sources = srcs
 		pat := cfg.pattern()
 		if !cfg.Workload.IsDefault() && cfg.Workload.Pattern != "" {
 			pat, err = cfg.Workload.BuildPattern(nProc, net.PathLen)
 			if err != nil {
-				return nil, err
+				return err
 			}
 		}
 		e.pat = pat
@@ -441,13 +427,20 @@ func newEngine(cfg Config) (*engine, error) {
 	if cfg.Recorder != nil {
 		e.preDests = true
 	}
-	if e.preDests {
-		e.pendingDst = make([]fifo[int32], nProc)
-	}
 	for p := 0; p < nProc; p++ {
 		e.scheduleArrival(p)
 	}
-	return e, nil
+	return nil
+}
+
+// release drops every reference to caller-owned memory — the config's
+// closures and trace, the sources and destination pattern built from
+// them, the network — so a parked engine pins nothing but its own slabs.
+func (e *engine) release() {
+	e.cfg = Config{}
+	e.net, e.groups = nil, nil
+	e.sources, e.pat = nil, nil
+	clear(e.destSrc)
 }
 
 // scheduleArrival (re)inserts processor p's next arrival into the
@@ -607,19 +600,18 @@ func (e *engine) arrivals(t int64) {
 			if !ok {
 				break
 			}
-			e.pendingArr[p].push(a)
+			var d int32
 			if e.preDests {
-				var d int32
-				if e.destSrc != nil && e.destSrc[p] != nil {
+				if len(e.destSrc) > 0 {
 					d = int32(e.destSrc[p].LastDest())
 				} else {
-					d = int32(e.pat.Dest(p, e.nProc, e.srcRNG[p]))
+					d = int32(e.pat.Dest(p, e.nProc, &e.srcRNG[p]))
 				}
-				e.pendingDst[p].push(d)
 				if e.cfg.Recorder != nil {
 					e.cfg.Recorder(p, int(d), a)
 				}
 			}
+			e.srcQ.push(int32(p), e.arr.put(a, d), e.arr.next)
 			e.totalQueued++
 			if a >= float64(e.measStart) && a < float64(e.measEnd) {
 				e.trackedArrived++
@@ -647,14 +639,16 @@ func (e *engine) arrivals(t int64) {
 }
 
 func (e *engine) createWorm(p int, t int64) {
-	a := e.pendingArr[p].pop()
+	slot := e.srcQ.pop(int32(p), e.arr.next)
+	a := e.arr.at[slot]
 	id := e.alloc()
 	e.soa.src[id] = int32(p)
 	if e.preDests {
-		e.soa.dst[id] = e.pendingDst[p].pop()
+		e.soa.dst[id] = e.arr.dst[slot]
 	} else {
-		e.soa.dst[id] = int32(e.pat.Dest(p, e.nProc, e.srcRNG[p]))
+		e.soa.dst[id] = int32(e.pat.Dest(p, e.nProc, &e.srcRNG[p]))
 	}
+	e.arr.release(slot)
 	e.soa.arrival[id] = a
 	e.soa.state[id] = stateRouting
 	e.soa.tracked[id] = a >= float64(e.measStart) && a < float64(e.measEnd)
@@ -714,16 +708,15 @@ func (e *engine) requests(t int64) {
 
 func (e *engine) enqueue(g topology.GroupID, id int32, t int64) {
 	e.soa.enqueuedAt[id] = t
+	q := g
 	if e.cfg.Policy == RandomFixed {
 		members := e.groups[g]
-		ch := members[0]
+		q = members[0]
 		if len(members) > 1 {
-			ch = members[e.rng.Intn(len(members))]
+			q = members[e.rng.Intn(len(members))]
 		}
-		e.chanQ[ch].push(id)
-	} else {
-		e.groupQ[g].push(id)
 	}
+	e.arbQ.push(q, id, e.soa.next)
 	if !e.inPending[g] {
 		e.inPending[g] = true
 		e.pending = append(e.pending, g)
@@ -750,25 +743,23 @@ func (e *engine) grantGroup(g topology.GroupID, t int64) bool {
 	if e.cfg.Policy == RandomFixed {
 		waiters := false
 		for _, ch := range members {
-			q := &e.chanQ[ch]
-			for !q.empty() && !e.busy[ch] {
-				e.grant(q.pop(), ch, t)
+			for !e.arbQ.empty(ch) && !e.busy[ch] {
+				e.grant(e.arbQ.pop(ch, e.soa.next), ch, t)
 			}
-			if !q.empty() {
+			if !e.arbQ.empty(ch) {
 				waiters = true
 			}
 		}
 		return waiters
 	}
-	q := &e.groupQ[g]
-	for !q.empty() {
+	for !e.arbQ.empty(g) {
 		ch := e.pickFree(members)
 		if ch < 0 {
 			break
 		}
-		e.grant(q.pop(), topology.ChannelID(ch), t)
+		e.grant(e.arbQ.pop(g, e.soa.next), ch, t)
 	}
-	return !q.empty()
+	return !e.arbQ.empty(g)
 }
 
 // pickFree returns a uniformly random free member channel, or -1. Worms
@@ -810,7 +801,7 @@ func (e *engine) grant(id int32, ch topology.ChannelID, t int64) {
 		src := e.soa.src[id]
 		e.waitingInj[src] = false
 		e.totalQueued--
-		if !e.pendingArr[src].empty() && !e.inInjReady[src] {
+		if !e.srcQ.empty(src) && !e.inInjReady[src] {
 			// The source has more queued messages: its next worm is
 			// created at the next cycle's arrivals phase, exactly when
 			// the dense scan would notice the freed injection slot.
@@ -960,6 +951,11 @@ func (e *engine) finish(t int64) *Result {
 	simEventsPopped.Add(e.obsPopped)
 	simIdleSkipped.Add(e.obsIdleSkip)
 	simRunsCompleted.Add(1)
+	if e.reused {
+		simEnginesReused.Add(1)
+	} else {
+		simEnginesBuilt.Add(1)
+	}
 	if e.earlyStopped {
 		if saved := int64(e.cfg.WarmupCycles+e.cfg.MeasureCycles) - e.measEnd; saved > 0 {
 			simEarlySaved.Add(saved)

@@ -20,6 +20,29 @@ import (
 // behavioural drift in the new engine shows up as a bit-level diff here
 // rather than as silent statistical noise.
 
+// fifo is an amortised O(1) FIFO, the reference engine's queue (the event
+// engine threads its queues through its slabs instead; see linkedQueues).
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *fifo[T]) push(v T) { q.items = append(q.items, v) }
+func (q *fifo[T]) empty() bool {
+	return q.head >= len(q.items)
+}
+func (q *fifo[T]) pop() T {
+	v := q.items[q.head]
+	q.head++
+	if q.head > 64 && q.head*2 >= len(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		q.items = q.items[:n]
+		q.head = 0
+	}
+	return v
+}
+func (q *fifo[T]) len() int { return len(q.items) - q.head }
+
 // refWorm is one in-flight message of the reference engine (the original
 // array-of-structs layout).
 type refWorm struct {
@@ -127,7 +150,7 @@ func newRefEngine(cfg Config) (*refEngine, error) {
 		lat:        stats.NewBatchMeans(cfg.batchSize()),
 	}
 	if cfg.LatencyHistogram {
-		e.latHist = stats.NewHistogram(0, cfg.histMax(net), histBins)
+		e.latHist = stats.NewHistogram(0, cfg.histMax(diameter(net)), histBins)
 	}
 	master := traffic.NewRNG(cfg.Seed)
 	e.rng = master.Split(streamShuffle)

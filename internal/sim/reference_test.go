@@ -66,6 +66,62 @@ func mustMatch(t *testing.T, name string, got, want *Result) {
 	}
 }
 
+// simCase is one named simulator configuration of a test matrix.
+type simCase struct {
+	name string
+	cfg  Config
+	opts []Option
+}
+
+// referenceFamilies are the figure3/table2 scenario families the event
+// engine is pinned on: fat trees and hypercubes over a range of loads,
+// both policies, with and without the histogram, saturated and idle.
+func referenceFamilies() []simCase {
+	return []simCase{
+		{name: "bft64-s16-light", cfg: Config{
+			Net: topology.MustFatTree(64), MsgFlits: 16, Seed: 42,
+			WarmupCycles: 2000, MeasureCycles: 8000,
+		}.FlitLoad(0.02)},
+		{name: "bft64-s16-heavy", cfg: Config{
+			Net: topology.MustFatTree(64), MsgFlits: 16, Seed: 42,
+			WarmupCycles: 2000, MeasureCycles: 8000,
+		}.FlitLoad(0.06)},
+		{name: "bft256-s32", cfg: Config{
+			Net: topology.MustFatTree(256), MsgFlits: 32, Seed: 7,
+			WarmupCycles: 1500, MeasureCycles: 6000,
+		}.FlitLoad(0.03)},
+		{name: "bft64-randomfixed", cfg: Config{
+			Net: topology.MustFatTree(64), MsgFlits: 16, Seed: 11,
+			WarmupCycles: 1000, MeasureCycles: 6000, Policy: RandomFixed,
+		}.FlitLoad(0.04)},
+		{name: "hcube6-s16", cfg: Config{
+			Net: topology.MustHypercube(6), MsgFlits: 16, Seed: 5,
+			WarmupCycles: 1500, MeasureCycles: 6000,
+		}.FlitLoad(0.05)},
+		{name: "bft64-histogram", cfg: Config{
+			Net: topology.MustFatTree(64), MsgFlits: 8, Seed: 23,
+			WarmupCycles: 1000, MeasureCycles: 8000, LatencyHistogram: true,
+		}.FlitLoad(0.03)},
+		{name: "bft64-saturated", cfg: Config{
+			Net: topology.MustFatTree(64), MsgFlits: 16, Seed: 3,
+			WarmupCycles: 500, MeasureCycles: 3000, DrainLimit: 2000,
+		}.FlitLoad(0.5)},
+		{name: "bft16-hotspot", cfg: Config{
+			Net: topology.MustFatTree(16), MsgFlits: 8, Seed: 9,
+			Pattern:      traffic.Hotspot{Hot: 3, Fraction: 0.25},
+			WarmupCycles: 800, MeasureCycles: 5000,
+		}.FlitLoad(0.02)},
+		{name: "bft16-near-idle", cfg: Config{
+			Net: topology.MustFatTree(16), MsgFlits: 8, Seed: 31,
+			WarmupCycles: 1000, MeasureCycles: 50000, Lambda0: 0.0001,
+		}},
+		{name: "zero-load", cfg: Config{
+			Net: topology.MustFatTree(16), MsgFlits: 8, Seed: 1,
+			WarmupCycles: 100, MeasureCycles: 2000, Lambda0: 0,
+		}},
+	}
+}
+
 // TestEventEngineMatchesReference is the determinism pin of the rewrite:
 // on the figure3/table2 scenario families (fat trees and hypercubes over a
 // range of loads, both policies, with and without the histogram), the
@@ -73,53 +129,7 @@ func mustMatch(t *testing.T, name string, got, want *Result) {
 // engine preserved in RunReference — every float, every counter.
 func TestEventEngineMatchesReference(t *testing.T) {
 	ctx := context.Background()
-	cases := []struct {
-		name string
-		cfg  Config
-	}{
-		{"bft64-s16-light", Config{
-			Net: topology.MustFatTree(64), MsgFlits: 16, Seed: 42,
-			WarmupCycles: 2000, MeasureCycles: 8000,
-		}.FlitLoad(0.02)},
-		{"bft64-s16-heavy", Config{
-			Net: topology.MustFatTree(64), MsgFlits: 16, Seed: 42,
-			WarmupCycles: 2000, MeasureCycles: 8000,
-		}.FlitLoad(0.06)},
-		{"bft256-s32", Config{
-			Net: topology.MustFatTree(256), MsgFlits: 32, Seed: 7,
-			WarmupCycles: 1500, MeasureCycles: 6000,
-		}.FlitLoad(0.03)},
-		{"bft64-randomfixed", Config{
-			Net: topology.MustFatTree(64), MsgFlits: 16, Seed: 11,
-			WarmupCycles: 1000, MeasureCycles: 6000, Policy: RandomFixed,
-		}.FlitLoad(0.04)},
-		{"hcube6-s16", Config{
-			Net: topology.MustHypercube(6), MsgFlits: 16, Seed: 5,
-			WarmupCycles: 1500, MeasureCycles: 6000,
-		}.FlitLoad(0.05)},
-		{"bft64-histogram", Config{
-			Net: topology.MustFatTree(64), MsgFlits: 8, Seed: 23,
-			WarmupCycles: 1000, MeasureCycles: 8000, LatencyHistogram: true,
-		}.FlitLoad(0.03)},
-		{"bft64-saturated", Config{
-			Net: topology.MustFatTree(64), MsgFlits: 16, Seed: 3,
-			WarmupCycles: 500, MeasureCycles: 3000, DrainLimit: 2000,
-		}.FlitLoad(0.5)},
-		{"bft16-hotspot", Config{
-			Net: topology.MustFatTree(16), MsgFlits: 8, Seed: 9,
-			Pattern:      traffic.Hotspot{Hot: 3, Fraction: 0.25},
-			WarmupCycles: 800, MeasureCycles: 5000,
-		}.FlitLoad(0.02)},
-		{"bft16-near-idle", Config{
-			Net: topology.MustFatTree(16), MsgFlits: 8, Seed: 31,
-			WarmupCycles: 1000, MeasureCycles: 50000, Lambda0: 0.0001,
-		}},
-		{"zero-load", Config{
-			Net: topology.MustFatTree(16), MsgFlits: 8, Seed: 1,
-			WarmupCycles: 100, MeasureCycles: 2000, Lambda0: 0,
-		}},
-	}
-	for _, tc := range cases {
+	for _, tc := range referenceFamilies() {
 		t.Run(tc.name, func(t *testing.T) {
 			want, err := RunReference(ctx, tc.cfg)
 			if err != nil {

@@ -169,3 +169,33 @@ func TestSteadyStateAllocs(t *testing.T) {
 		t.Errorf("allocation delta %v over 120k extra cycles; steady state is allocating", delta)
 	}
 }
+
+// TestWarmRunAllocs pins what building and reusing an engine costs on the
+// paper's largest configuration: a cold Run stays in the hundreds of
+// allocations (slabs, not per-worm or per-source objects), and a run on a
+// warm pooled engine allocates little beyond its Result.
+func TestWarmRunAllocs(t *testing.T) {
+	cfg := Config{
+		Net: topology.MustFatTree(1024), MsgFlits: 32, Seed: 42,
+		WarmupCycles: 1000, MeasureCycles: 4000,
+	}.FlitLoad(0.04)
+	ctx := context.Background()
+	cold := testing.AllocsPerRun(2, func() {
+		if _, err := Run(ctx, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var p Pool
+	warm := testing.AllocsPerRun(2, func() {
+		if _, err := p.Run(ctx, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if cold > 500 {
+		t.Errorf("cold Run allocates %v times, want <= 500", cold)
+	}
+	if warm > 64 {
+		t.Errorf("warm pooled run allocates %v times, want <= 64", warm)
+	}
+	t.Logf("bft-1024 s=32: cold %v allocs/run, warm %v", cold, warm)
+}

@@ -6,20 +6,22 @@ import (
 )
 
 // renewalSource is the shared machinery of the renewal-process sources:
-// interarrival gaps are drawn i.i.d. from draw, and the stream is the
-// running sum. A nil draw (rate 0) never fires.
+// interarrival gaps are drawn i.i.d. by gap, and the stream is the running
+// sum. gap is a plain function over the source's own fields rather than a
+// closure, so a slab of sources costs no allocation per source.
 type renewalSource struct {
-	rate float64
-	next float64
-	draw func() float64
+	rng          *RNG
+	rate         float64
+	next         float64
+	shape, scale float64
+	gap          func(*renewalSource) float64
 }
 
-func newRenewal(rate float64, draw func() float64) renewalSource {
-	s := renewalSource{rate: rate, next: math.Inf(1), draw: draw}
+func (s *renewalSource) init(rate, shape, scale float64, rng *RNG, gap func(*renewalSource) float64) {
+	*s = renewalSource{rng: rng, rate: rate, next: math.Inf(1), shape: shape, scale: scale, gap: gap}
 	if rate > 0 {
-		s.next = draw()
+		s.next = gap(s)
 	}
-	return s
 }
 
 // Rate returns the configured mean arrival rate.
@@ -35,7 +37,7 @@ func (s *renewalSource) PopBefore(limit float64) (float64, bool) {
 		return 0, false
 	}
 	t := s.next
-	s.next += s.draw()
+	s.next += s.gap(s)
 	return t, true
 }
 
@@ -55,17 +57,27 @@ type GammaSource struct{ renewalSource }
 // NewGammaSource creates a Gamma-interarrival source with the given mean
 // rate (messages/cycle) and shape.
 func NewGammaSource(rate, shape float64, rng *RNG) (*GammaSource, error) {
-	if err := checkRate("gamma", rate); err != nil {
+	s := new(GammaSource)
+	if err := s.Init(rate, shape, rng); err != nil {
 		return nil, err
 	}
-	if shape <= 0 || math.IsNaN(shape) {
-		return nil, fmt.Errorf("traffic: gamma: shape must be > 0, got %v", shape)
-	}
-	scale := 1 / (shape * rate) // mean shape*scale = 1/rate
-	s := &GammaSource{}
-	s.renewalSource = newRenewal(rate, func() float64 { return rng.Gamma(shape) * scale })
 	return s, nil
 }
+
+// Init is NewGammaSource into caller-owned storage.
+func (s *GammaSource) Init(rate, shape float64, rng *RNG) error {
+	if err := checkRate("gamma", rate); err != nil {
+		return err
+	}
+	if shape <= 0 || math.IsNaN(shape) {
+		return fmt.Errorf("traffic: gamma: shape must be > 0, got %v", shape)
+	}
+	// mean shape*scale = 1/rate
+	s.init(rate, shape, 1/(shape*rate), rng, gammaGap)
+	return nil
+}
+
+func gammaGap(s *renewalSource) float64 { return s.rng.Gamma(s.shape) * s.scale }
 
 // WeibullSource is a renewal process with Weibull(shape) interarrivals
 // of mean 1/rate. shape<1 gives a heavy-ish tail (bursty), shape>1 a
@@ -75,20 +87,29 @@ type WeibullSource struct{ renewalSource }
 // NewWeibullSource creates a Weibull-interarrival source with the given
 // mean rate (messages/cycle) and shape.
 func NewWeibullSource(rate, shape float64, rng *RNG) (*WeibullSource, error) {
-	if err := checkRate("weibull", rate); err != nil {
+	s := new(WeibullSource)
+	if err := s.Init(rate, shape, rng); err != nil {
 		return nil, err
 	}
+	return s, nil
+}
+
+// Init is NewWeibullSource into caller-owned storage.
+func (s *WeibullSource) Init(rate, shape float64, rng *RNG) error {
+	if err := checkRate("weibull", rate); err != nil {
+		return err
+	}
 	if shape <= 0 || math.IsNaN(shape) {
-		return nil, fmt.Errorf("traffic: weibull: shape must be > 0, got %v", shape)
+		return fmt.Errorf("traffic: weibull: shape must be > 0, got %v", shape)
 	}
 	// E[X] = scale * Γ(1+1/k)  =>  scale = 1/(rate * Γ(1+1/k)).
-	scale := 1 / (rate * math.Gamma(1+1/shape))
-	s := &WeibullSource{}
-	s.renewalSource = newRenewal(rate, func() float64 {
-		u := 1 - rng.Float64() // (0,1]
-		return scale * math.Pow(-math.Log(u), 1/shape)
-	})
-	return s, nil
+	s.init(rate, shape, 1/(rate*math.Gamma(1+1/shape)), rng, weibullGap)
+	return nil
+}
+
+func weibullGap(s *renewalSource) float64 {
+	u := 1 - s.rng.Float64() // (0,1]
+	return s.scale * math.Pow(-math.Log(u), 1/s.shape)
 }
 
 // WeibullSCV returns the squared coefficient of variation of Weibull
@@ -119,16 +140,25 @@ type MMPPSource struct {
 // (messages/cycle), onFrac the stationary fraction of time spent ON
 // (0 < onFrac <= 1), burstCycles the mean ON duration in cycles.
 func NewMMPPSource(rate, onFrac, burstCycles float64, rng *RNG) (*MMPPSource, error) {
-	if err := checkRate("mmpp", rate); err != nil {
+	s := new(MMPPSource)
+	if err := s.Init(rate, onFrac, burstCycles, rng); err != nil {
 		return nil, err
 	}
+	return s, nil
+}
+
+// Init is NewMMPPSource into caller-owned storage.
+func (s *MMPPSource) Init(rate, onFrac, burstCycles float64, rng *RNG) error {
+	if err := checkRate("mmpp", rate); err != nil {
+		return err
+	}
 	if onFrac <= 0 || onFrac > 1 || math.IsNaN(onFrac) {
-		return nil, fmt.Errorf("traffic: mmpp: on_frac must be in (0, 1], got %v", onFrac)
+		return fmt.Errorf("traffic: mmpp: on_frac must be in (0, 1], got %v", onFrac)
 	}
 	if burstCycles <= 0 || math.IsNaN(burstCycles) {
-		return nil, fmt.Errorf("traffic: mmpp: burst_cycles must be > 0, got %v", burstCycles)
+		return fmt.Errorf("traffic: mmpp: burst_cycles must be > 0, got %v", burstCycles)
 	}
-	s := &MMPPSource{
+	*s = MMPPSource{
 		rng:      rng,
 		rate:     rate,
 		lambdaOn: rate / onFrac,
@@ -137,7 +167,7 @@ func NewMMPPSource(rate, onFrac, burstCycles float64, rng *RNG) (*MMPPSource, er
 		next:     math.Inf(1),
 	}
 	if rate == 0 {
-		return s, nil
+		return nil
 	}
 	if onFrac == 1 {
 		s.rOff = math.Inf(1) // OFF periods have zero length
@@ -151,7 +181,7 @@ func NewMMPPSource(rate, onFrac, burstCycles float64, rng *RNG) (*MMPPSource, er
 		s.onEnd = s.t + rng.Exp(s.rOn)
 	}
 	s.next = s.advance()
-	return s, nil
+	return nil
 }
 
 // advance walks the on/off state machine to the next arrival time.

@@ -36,6 +36,12 @@ type RNG struct {
 // independent streams.
 func NewRNG(seed uint64) *RNG {
 	var r RNG
+	r.Seed(seed)
+	return &r
+}
+
+// Seed reseeds r in place, to the state NewRNG(seed) starts from.
+func (r *RNG) Seed(seed uint64) {
 	st := seed
 	for i := range r.s {
 		r.s[i] = splitmix64(&st)
@@ -44,14 +50,22 @@ func NewRNG(seed uint64) *RNG {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &r
 }
 
 // Split derives a new independent generator from r, keyed by id. The parent
 // stream is not consumed.
 func (r *RNG) Split(id uint64) *RNG {
+	var c RNG
+	r.SplitInto(&c, id)
+	return &c
+}
+
+// SplitInto is Split into caller-owned storage: dst becomes the generator
+// Split(id) would return, so a slab of per-source streams needs no
+// per-stream allocation.
+func (r *RNG) SplitInto(dst *RNG, id uint64) {
 	st := r.s[0] ^ (id+1)*0xd1342543de82ef95
-	return NewRNG(splitmix64(&st))
+	dst.Seed(splitmix64(&st))
 }
 
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
@@ -170,14 +184,24 @@ type PoissonSource struct {
 // fires; a negative or NaN rate is an error (it would otherwise take
 // down a whole sweepd shard on a malformed remote spec).
 func NewPoissonSource(rate float64, rng *RNG) (*PoissonSource, error) {
-	if rate < 0 || math.IsNaN(rate) || math.IsInf(rate, 1) {
-		return nil, fmt.Errorf("traffic: arrival rate must be finite and non-negative, got %v", rate)
+	s := new(PoissonSource)
+	if err := s.Init(rate, rng); err != nil {
+		return nil, err
 	}
-	s := &PoissonSource{rng: rng, rate: rate, next: math.Inf(1)}
+	return s, nil
+}
+
+// Init is NewPoissonSource into caller-owned storage (an element of a
+// per-network slab): it overwrites s and draws the first arrival.
+func (s *PoissonSource) Init(rate float64, rng *RNG) error {
+	if rate < 0 || math.IsNaN(rate) || math.IsInf(rate, 1) {
+		return fmt.Errorf("traffic: arrival rate must be finite and non-negative, got %v", rate)
+	}
+	*s = PoissonSource{rng: rng, rate: rate, next: math.Inf(1)}
 	if rate > 0 {
 		s.next = rng.Exp(rate)
 	}
-	return s, nil
+	return nil
 }
 
 // Rate returns the configured arrival rate.

@@ -374,10 +374,19 @@ func (s *Spec) SCV(lambda0 float64) float64 {
 // according to the mix. Every mix is mean-preserving: the rates average
 // to lambda0 exactly, so workloads compare at equal offered load.
 func (s *Spec) Rates(n int, lambda0 float64) ([]float64, error) {
-	if lambda0 < 0 || math.IsNaN(lambda0) {
-		return nil, fmt.Errorf("workload: negative or NaN mean rate %v", lambda0)
-	}
 	rates := make([]float64, n)
+	if err := s.fillRates(rates, lambda0); err != nil {
+		return nil, err
+	}
+	return rates, nil
+}
+
+// fillRates is Rates into caller-owned storage, one rate per element.
+func (s *Spec) fillRates(rates []float64, lambda0 float64) error {
+	if lambda0 < 0 || math.IsNaN(lambda0) {
+		return fmt.Errorf("workload: negative or NaN mean rate %v", lambda0)
+	}
+	n := len(rates)
 	mix := MixUniform
 	if s != nil && s.Mix != "" {
 		mix = s.Mix
@@ -400,7 +409,7 @@ func (s *Spec) Rates(n int, lambda0 float64) ([]float64, error) {
 	case MixTopK:
 		k := s.MixK
 		if k >= n {
-			return nil, fmt.Errorf("workload: topk mix_k %d must be < processor count %d", k, n)
+			return fmt.Errorf("workload: topk mix_k %d must be < processor count %d", k, n)
 		}
 		hot := lambda0 * float64(n) * s.MixFrac / float64(k)
 		cold := lambda0 * float64(n) * (1 - s.MixFrac) / float64(n-k)
@@ -412,50 +421,95 @@ func (s *Spec) Rates(n int, lambda0 float64) ([]float64, error) {
 			}
 		}
 	default:
-		return nil, badEnum("mix", mix, []string{MixUniform, MixRamp, MixTopK})
+		return badEnum("mix", mix, []string{MixUniform, MixRamp, MixTopK})
 	}
-	return rates, nil
+	return nil
+}
+
+// SourceSlab is the storage behind one network's arrival sources: the
+// rate vector, the interface column handed to the engine, and one value
+// slab per process kind that the column points into. The zero value is
+// ready; Spec.Sources overwrites it and keeps its capacity, so building n
+// sources costs a handful of allocations the first time and none after.
+type SourceSlab struct {
+	out     []traffic.Source
+	rates   []float64
+	poisson []traffic.PoissonSource
+	gamma   []traffic.GammaSource
+	weibull []traffic.WeibullSource
+	mmpp    []traffic.MMPPSource
+}
+
+// sized returns s with length n, reusing its backing array when it is
+// large enough. The contents are unspecified.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// fillSources initialises one slab element per processor and points the
+// interface column at it.
+func fillSources[T any, P interface {
+	*T
+	traffic.Source
+}](slab []T, out []traffic.Source, init func(src *T, p int) error) ([]T, error) {
+	slab = sized(slab, len(out))
+	for p := range out {
+		if err := init(&slab[p], p); err != nil {
+			return slab, err
+		}
+		out[p] = P(&slab[p])
+	}
+	return slab, nil
 }
 
 // Sources builds the per-processor arrival sources for mean rate
-// lambda0, pulling each source's RNG stream from rng(p). The default
-// spec reproduces exactly the pre-workload engine's sources: one
-// PoissonSource per processor on stream rng(p), consumed in processor
-// order.
-func (s *Spec) Sources(n int, lambda0 float64, rng func(p int) *traffic.RNG) ([]traffic.Source, error) {
+// lambda0 in slab, pulling each source's RNG stream from rng(p). The
+// returned column points into slab and is valid until slab's next use.
+// The default spec reproduces exactly the pre-workload engine's sources:
+// one PoissonSource per processor on stream rng(p), consumed in
+// processor order.
+func (s *Spec) Sources(slab *SourceSlab, n int, lambda0 float64, rng func(p int) *traffic.RNG) ([]traffic.Source, error) {
 	if s != nil && s.Trace != "" {
 		return nil, fmt.Errorf("workload: trace workloads build sources via Trace.Sources")
 	}
-	rates, err := s.Rates(n, lambda0)
-	if err != nil {
+	slab.rates = sized(slab.rates, n)
+	rates := slab.rates
+	if err := s.fillRates(rates, lambda0); err != nil {
 		return nil, err
 	}
 	proc := ProcessPoisson
 	if s != nil && s.Process != "" {
 		proc = s.Process
 	}
-	out := make([]traffic.Source, n)
-	for p := 0; p < n; p++ {
-		r := rng(p)
-		var src traffic.Source
-		var err error
-		switch proc {
-		case ProcessPoisson:
-			src, err = traffic.NewPoissonSource(rates[p], r)
-		case ProcessGamma:
-			src, err = traffic.NewGammaSource(rates[p], s.Shape, r)
-		case ProcessWeibull:
-			src, err = traffic.NewWeibullSource(rates[p], s.Shape, r)
-		case ProcessMMPP:
-			src, err = traffic.NewMMPPSource(rates[p], s.OnFrac, s.BurstCycles, r)
-		default:
-			err = badEnum("process", proc,
-				[]string{ProcessPoisson, ProcessGamma, ProcessWeibull, ProcessMMPP})
-		}
-		if err != nil {
-			return nil, err
-		}
-		out[p] = src
+	slab.out = sized(slab.out, n)
+	out := slab.out
+	var err error
+	switch proc {
+	case ProcessPoisson:
+		slab.poisson, err = fillSources(slab.poisson, out, func(src *traffic.PoissonSource, p int) error {
+			return src.Init(rates[p], rng(p))
+		})
+	case ProcessGamma:
+		slab.gamma, err = fillSources(slab.gamma, out, func(src *traffic.GammaSource, p int) error {
+			return src.Init(rates[p], s.Shape, rng(p))
+		})
+	case ProcessWeibull:
+		slab.weibull, err = fillSources(slab.weibull, out, func(src *traffic.WeibullSource, p int) error {
+			return src.Init(rates[p], s.Shape, rng(p))
+		})
+	case ProcessMMPP:
+		slab.mmpp, err = fillSources(slab.mmpp, out, func(src *traffic.MMPPSource, p int) error {
+			return src.Init(rates[p], s.OnFrac, s.BurstCycles, rng(p))
+		})
+	default:
+		err = badEnum("process", proc,
+			[]string{ProcessPoisson, ProcessGamma, ProcessWeibull, ProcessMMPP})
+	}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

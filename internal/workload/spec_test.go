@@ -205,7 +205,7 @@ func TestSourcesDefaultMatchesPoisson(t *testing.T) {
 		rngs[p] = master.Split(uint64(p))
 	}
 	var nilSpec *Spec
-	got, err := nilSpec.Sources(n, lambda0, func(p int) *traffic.RNG { return rngs[p] })
+	got, err := nilSpec.Sources(new(SourceSlab), n, lambda0, func(p int) *traffic.RNG { return rngs[p] })
 	if err != nil {
 		t.Fatal(err)
 	}

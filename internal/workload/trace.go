@@ -168,13 +168,15 @@ func (tr *Trace) Sources() []traffic.Source {
 		per[ev.Src] = append(per[ev.Src], ev)
 	}
 	out := make([]traffic.Source, tr.Header.Size)
+	slab := make([]TraceSource, tr.Header.Size)
 	span := tr.Span()
 	for p := range out {
 		rate := 0.0
 		if span > 0 {
 			rate = float64(len(per[p])) / span
 		}
-		out[p] = &TraceSource{events: per[p], rate: rate, lastDst: -1}
+		slab[p] = TraceSource{events: per[p], rate: rate, lastDst: -1}
+		out[p] = &slab[p]
 	}
 	return out
 }
