@@ -83,6 +83,8 @@ lint:
 	$(GO) vet ./...
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+	@test "$$(grep -rl 'http\.NewRequest' --include='*.go' internal cmd | grep -v '_test\.go$$')" = internal/eval/remote.go || { \
+		echo "outbound requests must be built in internal/eval/remote.go only (one fleet transport)"; exit 1; }
 
 # staticcheck runs when the binary is available (CI installs it; locally
 # it is optional so the default toolchain stays sufficient).

@@ -38,9 +38,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -48,6 +48,7 @@ import (
 	"repro/internal/calib"
 	"repro/internal/cliutil"
 	"repro/internal/dispatch"
+	"repro/internal/eval"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/store"
@@ -272,60 +273,42 @@ func submit(ctx context.Context, addr string, spec plan.Spec, stream, quiet bool
 		}
 		span.End()
 	}()
-	base := addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
+	rb, err := eval.NewRemoteBackend([]string{addr})
+	if err != nil {
+		return nil, err
 	}
-	base = strings.TrimRight(base, "/")
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/plan", strings.NewReader(string(body)))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	obs.Inject(ctx, req.Header)
-	resp, err := (&http.Client{}).Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var payload struct {
-			Error string `json:"error"`
-		}
-		if json.NewDecoder(resp.Body).Decode(&payload) == nil && payload.Error != "" {
-			return nil, fmt.Errorf("%s: %s", resp.Status, payload.Error)
-		}
-		return nil, fmt.Errorf("server returned %s", resp.Status)
-	}
 	enc := json.NewEncoder(os.Stdout)
-	sc := bufio.NewScanner(resp.Body)
-	// The final done line carries the whole Result (every candidate),
-	// so the line cap must scale to large design spaces, not row size.
-	sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
-	for sc.Scan() {
-		var u plan.Update
-		if err := json.Unmarshal(sc.Bytes(), &u); err != nil {
-			return nil, fmt.Errorf("bad update line: %w", err)
-		}
-		if u.Err != nil {
-			return nil, u.Err
-		}
-		if stream {
-			if err := enc.Encode(u); err != nil {
-				return nil, err
+	err = rb.Post(ctx, "/v1/plan", body, func(r io.Reader) error {
+		sc := bufio.NewScanner(r)
+		// The final done line carries the whole Result (every candidate),
+		// so the line cap must scale to large design spaces, not row size.
+		sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
+		for sc.Scan() {
+			var u plan.Update
+			if err := json.Unmarshal(sc.Bytes(), &u); err != nil {
+				return fmt.Errorf("bad update line: %w", err)
 			}
-		} else if !quiet {
-			progress(u)
+			if u.Err != nil {
+				return u.Err
+			}
+			if stream {
+				if err := enc.Encode(u); err != nil {
+					return err
+				}
+			} else if !quiet {
+				progress(u)
+			}
+			if u.Phase == plan.PhaseDone {
+				res = u.Result
+			}
 		}
-		if u.Phase == plan.PhaseDone {
-			res = u.Result
-		}
-	}
-	if err := sc.Err(); err != nil {
+		return sc.Err()
+	})
+	if err != nil {
 		return nil, err
 	}
 	if res == nil {

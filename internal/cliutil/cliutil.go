@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -70,48 +69,6 @@ func Context(timeout time.Duration) (context.Context, context.CancelFunc) {
 		return context.WithCancel(context.Background())
 	}
 	return context.WithTimeout(context.Background(), timeout)
-}
-
-// ParseInts parses a comma-separated integer list such as "64,256,1024".
-func ParseInts(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
-		}
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, fmt.Errorf("cliutil: bad integer %q: %w", p, err)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("cliutil: empty list %q", s)
-	}
-	return out, nil
-}
-
-// ParseFloats parses a comma-separated float list such as "0.2,0.5,0.8".
-func ParseFloats(s string) ([]float64, error) {
-	parts := strings.Split(s, ",")
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(p, 64)
-		if err != nil {
-			return nil, fmt.Errorf("cliutil: bad float %q: %w", p, err)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("cliutil: empty list %q", s)
-	}
-	return out, nil
 }
 
 // ParseStrings parses a comma-separated string list such as

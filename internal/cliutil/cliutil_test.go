@@ -5,35 +5,6 @@ import (
 	"testing"
 )
 
-func TestParseInts(t *testing.T) {
-	got, err := ParseInts(" 64,256 ,1024")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, []int{64, 256, 1024}) {
-		t.Errorf("got %v", got)
-	}
-	if _, err := ParseInts("a,b"); err == nil {
-		t.Error("accepted garbage")
-	}
-	if _, err := ParseInts(" , "); err == nil {
-		t.Error("accepted empty list")
-	}
-}
-
-func TestParseFloats(t *testing.T) {
-	got, err := ParseFloats("0.2,0.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, []float64{0.2, 0.5}) {
-		t.Errorf("got %v", got)
-	}
-	if _, err := ParseFloats("x"); err == nil {
-		t.Error("accepted garbage")
-	}
-}
-
 func TestParseStrings(t *testing.T) {
 	got, err := ParseStrings(" hosta:8713, hostb:8713 ,")
 	if err != nil {

@@ -120,14 +120,20 @@ func TestPropertyServiceMonotoneInLoad(t *testing.T) {
 }
 
 // The blocking correction can only reduce predicted service times: P <= 1
-// scales waits down relative to the uncorrected variant.
+// scales waits down relative to the uncorrected variant. The uncorrected
+// variant saturating where the corrected one resolves is that same
+// ordering taken to its limit, so it holds the property; the corrected
+// model failing alone breaks it.
 func TestPropertyBlockingCorrectionReduces(t *testing.T) {
 	f := func(seed uint64) bool {
 		m := randomLayeredModel(seed)
 		with, err1 := m.Resolve(Options{})
 		without, err2 := m.Resolve(Options{NoBlockingCorrection: true})
-		if err1 != nil || err2 != nil {
+		if err1 != nil {
 			return false
+		}
+		if err2 != nil {
+			return true // only the uncorrected variant saturates
 		}
 		for i := range with.ServiceTime {
 			if with.ServiceTime[i] > without.ServiceTime[i]+1e-9 {
@@ -135,6 +141,11 @@ func TestPropertyBlockingCorrectionReduces(t *testing.T) {
 			}
 		}
 		return true
+	}
+	// The seed testing/quick once drew: corrected resolves, uncorrected
+	// reports class ca0 saturated (rho=1.1414).
+	if !f(0x8a556637d53d20a0) {
+		t.Error("seed 0x8a556637d53d20a0: uncorrected saturation counted against the correction")
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -25,12 +25,9 @@
 package dispatch
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -54,11 +51,10 @@ type Dispatcher struct {
 	batch    int
 	cache    sweep.CacheStore
 	calib    sweep.CellObserver
-	client   *http.Client
-	rb       *eval.RemoteBackend // curve metadata via /v1/curve, with failover
+	ropts    []eval.RemoteOption // transport settings, consumed by New
+	rb       *eval.RemoteBackend // the fleet transport: every request goes through it
 	backoff  time.Duration
 	maxFails int
-	idle     time.Duration
 
 	cacheHits, cells, batches, requeues, failures, ejected atomic.Int64
 
@@ -122,15 +118,16 @@ func (d *Dispatcher) observe(ctx context.Context, key string, cell sweep.Cell) {
 	}
 }
 
-// WithHTTPClient replaces the default HTTP clients on every path: range
-// streams (default: no timeout — they run as long as their cells take;
-// deadlines belong to the caller's context and the idle watchdog) and
-// the per-cell Evaluate and /v1/curve requests.
-func WithHTTPClient(c *http.Client) Option { return func(d *Dispatcher) { d.client = c } }
+// WithHTTPClient replaces the transport's default HTTP client on every
+// path — range streams, per-cell Evaluate and /v1/curve requests — with
+// eval.WithHTTPClient's semantics.
+func WithHTTPClient(c *http.Client) Option {
+	return func(d *Dispatcher) { d.ropts = append(d.ropts, eval.WithHTTPClient(c)) }
+}
 
 // WithShardBackoff sets the base delay a failing shard sits out before
-// its next attempt (doubled per consecutive failure, capped at 5s;
-// default 100ms).
+// its next attempt (doubled per consecutive failure, capped at 5s, then
+// stretched to the shard's Retry-After when it sent one; default 100ms).
 func WithShardBackoff(b time.Duration) Option {
 	return func(d *Dispatcher) {
 		if b > 0 {
@@ -151,33 +148,17 @@ func WithMaxShardFailures(n int) Option {
 	}
 }
 
-// WithIdleTimeout sets the per-range progress watchdog: a shard whose
-// stream delivers no cell for this long is treated as failed and its
-// remainder is stolen (default 60s; 0 disables).
-func WithIdleTimeout(t time.Duration) Option { return func(d *Dispatcher) { d.idle = t } }
-
 // New builds a dispatcher over the given shard addresses ("host:port" or
 // full URLs); at least one is required.
 func New(addrs []string, opts ...Option) (*Dispatcher, error) {
 	d := &Dispatcher{
 		backoff:  100 * time.Millisecond,
 		maxFails: 3,
-		idle:     60 * time.Second,
 	}
 	for _, opt := range opts {
 		opt(d)
 	}
-	// A WithHTTPClient client serves every request the dispatcher makes:
-	// range streams and, through the per-cell backend, /v1/eval and
-	// /v1/curve. Without one each path keeps its own default (no timeout
-	// for range streams, the RemoteBackend's 30 s for single cells).
-	var ropts []eval.RemoteOption
-	if d.client != nil {
-		ropts = append(ropts, eval.WithHTTPClient(d.client))
-	} else {
-		d.client = &http.Client{}
-	}
-	rb, err := eval.NewRemoteBackend(addrs, ropts...)
+	rb, err := eval.NewRemoteBackend(addrs, d.ropts...)
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: %w", err)
 	}
@@ -436,7 +417,7 @@ type indexedRow struct {
 // run is the per-sweep state shared by the shard workers and the merger.
 type run struct {
 	d      *Dispatcher
-	spec   sweep.Spec
+	spec   json.RawMessage // the wire form every range request repeats
 	scens  []sweep.Scenario
 	keys   []string // salted cache keys, nil without a cache
 	ctx    context.Context
@@ -498,12 +479,16 @@ func (d *Dispatcher) dispatch(ctx context.Context, spec sweep.Spec, scens []swee
 	if len(cold) == 0 {
 		return nil // fully warm: nothing to dispatch
 	}
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		return fmt.Errorf("dispatch: encoding spec: %w", err)
+	}
 	remaining := len(cold)
 	d.queueDepth.Add(int64(len(cold)))
 	defer func() { d.queueDepth.Add(-int64(remaining)) }()
 
 	r := &run{
-		d: d, spec: spec, scens: scens, keys: keys,
+		d: d, spec: specJSON, scens: scens, keys: keys,
 		ctx: runCtx, cancel: cancel,
 		spanc: make(chan span, len(cold)),
 		resc:  make(chan indexedRow, len(cold)),
@@ -583,11 +568,12 @@ func (r *run) worker(addr string) {
 			r.d.setHealth(addr, ShardHealthy)
 			continue
 		}
-		var perm *permanentError
-		if errors.As(err, &perm) {
-			// A scenario-level verdict (or protocol breach): no shard
-			// will answer differently, so the sweep fails.
-			r.fail(perm.err)
+		holdOff, transient := eval.Transient(err)
+		if !transient {
+			// A scenario-level verdict, a request the shard rejects
+			// (version or configuration skew, not load) or a protocol
+			// breach: no shard will answer differently, so the sweep fails.
+			r.fail(err)
 			return
 		}
 		rest := remainder(sp, got)
@@ -606,34 +592,23 @@ func (r *run) worker(addr string) {
 			return
 		}
 		r.d.setHealth(addr, ShardBackoff)
-		delay := r.d.backoff << (fails - 1)
-		if delay > 5*time.Second {
-			delay = 5 * time.Second
-		}
-		if sleep(r.ctx, delay) != nil {
+		// The remainder is already back in the queue for the survivors;
+		// this shard sits out its backoff, or the hold-off it asked for.
+		delay := max(min(r.d.backoff<<(fails-1), 5*time.Second), holdOff)
+		select {
+		case <-time.After(delay):
+		case <-r.ctx.Done():
 			return
 		}
 	}
 }
 
-// partRequest is the wire form of POST /v1/sweep/part.
-type partRequest struct {
-	Spec  sweep.Spec `json:"spec"`
-	Start int        `json:"start"`
-	End   int        `json:"end"`
-}
-
-// permanentError marks failures no retry or steal can fix.
-type permanentError struct{ err error }
-
-func (e *permanentError) Error() string { return e.err.Error() }
-func (e *permanentError) Unwrap() error { return e.err }
-
-// dispatchSpan sends one range to addr and forwards its cells. It
-// returns the set of delivered indices alongside any error, so the
-// caller requeues exactly the remainder. Transient failures (connection
-// errors, 5xx, torn/short streams, watchdog expiry) come back as plain
-// errors; scenario verdicts and protocol breaches as permanentError.
+// dispatchSpan sends one range to addr — one attempt, through the fleet
+// transport — and forwards its cells. It returns the set of delivered
+// indices alongside any error, so the caller requeues exactly the
+// remainder; eval.Transient tells a shard failure (connection error,
+// 5xx/429, torn, short or stalled stream) from a scenario verdict or
+// protocol breach.
 func (r *run) dispatchSpan(addr string, sp span) (got map[int]bool, err error) {
 	r.d.batches.Add(1)
 	spanCtx, rspan := obs.StartSpanKeyed(r.ctx, "dispatch.range",
@@ -645,87 +620,27 @@ func (r *run) dispatchSpan(addr string, sp span) (got map[int]bool, err error) {
 		rspan.End(obs.String("shard", addr), obs.Int("start", sp.start),
 			obs.Int("end", sp.end), obs.Int("cells", len(got)))
 	}()
-	body, err := json.Marshal(partRequest{Spec: r.spec, Start: sp.start, End: sp.end})
+	body, err := json.Marshal(eval.PartRequest{Spec: r.spec, Start: sp.start, End: sp.end})
 	if err != nil {
-		return nil, &permanentError{fmt.Errorf("dispatch: encoding part request: %w", err)}
+		return nil, fmt.Errorf("dispatch: encoding part request: %w", err)
 	}
-	// The watchdog steals from shards that stall without dying: a stream
-	// idle past the bound has its request cancelled, which surfaces as a
-	// read error below and requeues the remainder.
-	reqCtx, cancelReq := context.WithCancel(spanCtx)
-	defer cancelReq()
-	var watchdog *time.Timer
-	if r.d.idle > 0 {
-		watchdog = time.AfterFunc(r.d.idle, cancelReq)
-		defer watchdog.Stop()
-	}
-	req, err := http.NewRequestWithContext(reqCtx, http.MethodPost, addr+"/v1/sweep/part", bytes.NewReader(body))
-	if err != nil {
-		return nil, &permanentError{fmt.Errorf("dispatch: %s: %w", addr, err)}
-	}
-	req.Header.Set("Content-Type", "application/json")
-	obs.Inject(reqCtx, req.Header)
-	resp, err := r.d.client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("dispatch: %s: %w", addr, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		err := fmt.Errorf("dispatch: %s: %s: %s", addr, resp.Status, bytes.TrimSpace(msg))
-		if resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests {
-			return nil, err
-		}
-		// The shard rejected a request the coordinator validated
-		// locally: version or configuration skew, not load.
-		return nil, &permanentError{err}
-	}
-	want := sp.end - sp.start
-	got = make(map[int]bool, want)
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var it eval.BatchItem
-		if derr := dec.Decode(&it); derr == io.EOF {
-			break
-		} else if derr != nil {
-			return got, fmt.Errorf("dispatch: %s: torn stream after %d of %d cell(s): %w", addr, len(got), want, derr)
-		}
-		if watchdog != nil {
-			watchdog.Reset(r.d.idle)
-		}
-		if it.Index < 0 {
-			if it.Error == "" {
-				continue // heartbeat: the shard is alive, a cell is just slow
-			}
-			return got, fmt.Errorf("dispatch: %s: shard failed mid-stream: %s", addr, it.Error)
-		}
-		if it.Index < sp.start || it.Index >= sp.end {
-			return got, &permanentError{fmt.Errorf("dispatch: %s: cell %d outside range [%d, %d)", addr, it.Index, sp.start, sp.end)}
-		}
+	got = make(map[int]bool, sp.end-sp.start)
+	err = r.d.rb.Stream(spanCtx, addr, "/v1/sweep/part", body, sp.start, sp.end, func(it *eval.BatchItem) error {
+		sc := r.scens[it.Index]
 		if it.Error != "" {
-			sc := r.scens[it.Index]
-			return got, &permanentError{fmt.Errorf("dispatch: scenario %d (%s, load %v): %s",
-				sc.Index, sc.CurveKey(), sc.Load.Value, it.Error)}
-		}
-		if it.Point == nil {
-			return got, &permanentError{fmt.Errorf("dispatch: %s: cell %d carries neither point nor error", addr, it.Index)}
-		}
-		if got[it.Index] {
-			continue
+			return fmt.Errorf("dispatch: scenario %d (%s, load %v): %s",
+				sc.Index, sc.CurveKey(), sc.Load.Value, it.Error)
 		}
 		got[it.Index] = true
-		sc := r.scens[it.Index]
 		if r.d.cache != nil {
 			r.d.cache.Put(r.keys[it.Index], *it.Point)
 		}
 		r.d.observe(r.ctx, r.keys[it.Index], *it.Point)
 		r.d.cells.Add(1)
 		r.resc <- indexedRow{idx: it.Index, row: sweep.Row{Scenario: sc, Cell: *it.Point}}
-	}
-	if len(got) < want {
-		return got, fmt.Errorf("dispatch: %s: short stream: %d of %d cell(s)", addr, len(got), want)
-	}
-	return got, nil
+		return nil
+	})
+	return got, err
 }
 
 // resolveCurves builds the grid's per-curve metadata in order of first
@@ -807,17 +722,5 @@ func emit(ctx context.Context, out chan<- sweep.PointResult, pr sweep.PointResul
 		return true
 	case <-ctx.Done():
 		return false
-	}
-}
-
-// sleep waits for d or until ctx ends, whichever comes first.
-func sleep(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -631,5 +632,228 @@ func TestCrossShardTraceStitching(t *testing.T) {
 	}
 	if names["eval.cell"] == 0 {
 		t.Error("no shard-side eval.cell spans made it into the trace")
+	}
+}
+
+// partRange decodes the index range of a /v1/sweep/part request body.
+func partRange(r *http.Request) (start, end int) {
+	var req eval.PartRequest
+	json.NewDecoder(r.Body).Decode(&req)
+	return req.Start, req.End
+}
+
+// TestDispatcherHonoursRetryAfter: a shard that answers a range with 429
+// and a Retry-After sits out the server's hint, not just the
+// dispatcher's own (here 1ms) backoff; the healthy shard steals the
+// requeued range meanwhile and the sweep completes equal to in-process.
+func TestDispatcherHonoursRetryAfter(t *testing.T) {
+	spec := modelOnlySpec()
+	local, err := sweep.NewRunner().Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	real := serve.New(serve.WithCache(sweep.NewCache()))
+	var mu sync.Mutex
+	var contacts []time.Time // range requests reaching the busy shard
+	busy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/sweep/part" {
+			mu.Lock()
+			contacts = append(contacts, time.Now())
+			first := len(contacts) == 1
+			mu.Unlock()
+			if first {
+				w.Header().Set("Retry-After", "1")
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(http.StatusTooManyRequests)
+				fmt.Fprint(w, `{"error":"busy, come back later"}`)
+				return
+			}
+		}
+		real.ServeHTTP(w, r)
+	}))
+	t.Cleanup(busy.Close)
+	// The healthy shard takes long enough per range that a busy shard
+	// ignoring the hint would be back for more well inside it.
+	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/sweep/part" {
+			time.Sleep(20 * time.Millisecond)
+		}
+		real.ServeHTTP(w, r)
+	}))
+	t.Cleanup(healthy.Close)
+
+	d := newDispatcher(t, []string{busy.URL, healthy.URL}, WithBatch(1), WithShardBackoff(time.Millisecond))
+	res, err := d.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffRows(t, local.Rows, res.Rows)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(contacts) == 0 {
+		t.Fatal("the busy shard was never offered a range")
+	}
+	for _, c := range contacts[1:] {
+		if gap := c.Sub(contacts[0]); gap < 900*time.Millisecond {
+			t.Errorf("busy shard contacted again %v after its 429, inside the 1s Retry-After", gap)
+		}
+	}
+	if st := d.Stats(); st.ShardFailures != 1 || st.Requeues != 1 {
+		t.Errorf("one 429 should cost one failure and one requeue: %+v", st)
+	}
+}
+
+// headersSent wraps a ResponseWriter whose status line is already on the
+// wire, so a handler chained behind a preamble can still stream its body.
+type headersSent struct{ http.ResponseWriter }
+
+func (headersSent) WriteHeader(int) {}
+func (h headersSent) Flush()        { h.ResponseWriter.(http.Flusher).Flush() }
+
+// TestStalledStreamIsStolen pins the idle watchdog under both consumers
+// of the transport's stream reader. One shard sends headers and one cell
+// and then hangs with the connection open; the other is alive but slow —
+// it heartbeats for longer than the idle bound before answering. Only
+// the watchdog's cancel gets a caller off the first shard, and only its
+// per-line reset keeps the second one from being cut off too.
+func TestStalledStreamIsStolen(t *testing.T) {
+	const idle = 200 * time.Millisecond
+	spec := modelOnlySpec()
+	scens, err := sweep.Expand(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := sweep.NewRunner().Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	isStream := func(path string) bool { return path == "/v1/batch" || path == "/v1/sweep/part" }
+
+	type fleet struct {
+		addrs                 []string
+		mu                    sync.Mutex
+		stallHits, slowHits   int
+		slowCells             int // cells the slow shard was asked for over /v1/sweep/part
+		stalledStart, stalled int // the stalled range, once one was taken
+	}
+	newFleet := func(t *testing.T) *fleet {
+		f := &fleet{}
+		release := make(chan struct{})
+		stall := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if !isStream(r.URL.Path) {
+				http.Error(w, "stalling shard", http.StatusServiceUnavailable)
+				return
+			}
+			idx := 0
+			f.mu.Lock()
+			f.stallHits++
+			if r.URL.Path == "/v1/sweep/part" {
+				start, end := partRange(r)
+				idx, f.stalledStart, f.stalled = start, start, end-start
+			}
+			f.mu.Unlock()
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			json.NewEncoder(w).Encode(eval.BatchItem{Index: idx, Point: &local.Rows[idx].Cell})
+			w.(http.Flusher).Flush()
+			select { // accepted, one cell delivered, then silence
+			case <-r.Context().Done():
+			case <-release:
+			}
+		}))
+		real := serve.New(serve.WithCache(sweep.NewCache()))
+		slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if !isStream(r.URL.Path) {
+				real.ServeHTTP(w, r)
+				return
+			}
+			body, _ := io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			f.mu.Lock()
+			f.slowHits++
+			if r.URL.Path == "/v1/sweep/part" {
+				var req eval.PartRequest
+				json.Unmarshal(body, &req)
+				f.slowCells += req.End - req.Start
+			}
+			f.mu.Unlock()
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			for lead := time.Now(); time.Since(lead) < 5*idle/2; time.Sleep(idle / 4) {
+				json.NewEncoder(w).Encode(eval.BatchItem{Index: -1})
+				w.(http.Flusher).Flush()
+			}
+			real.ServeHTTP(headersSent{w}, r)
+		}))
+		t.Cleanup(func() {
+			close(release)
+			stall.Close()
+			slow.Close()
+		})
+		f.addrs = []string{stall.URL, slow.URL}
+		return f
+	}
+
+	consumers := []struct {
+		name string
+		run  func(t *testing.T, ctx context.Context, f *fleet)
+	}{
+		{"EvaluateBatch", func(t *testing.T, ctx context.Context, f *fleet) {
+			b, err := eval.NewBatchBackend(f.addrs, eval.WithIdleTimeout(idle), eval.WithRetry(4, time.Millisecond))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pts, err := b.EvaluateBatch(ctx, scens)
+			if err != nil {
+				t.Fatalf("batch did not recover from the stalled shard: %v", err)
+			}
+			if len(pts) != len(scens) {
+				t.Fatalf("%d of %d cells", len(pts), len(scens))
+			}
+			for i, pt := range pts {
+				if math.Abs(pt.Model-local.Rows[i].Model) > 1e-9 {
+					t.Errorf("cell %d: model %v, want %v", i, pt.Model, local.Rows[i].Model)
+				}
+			}
+			f.mu.Lock()
+			defer f.mu.Unlock()
+			if f.stallHits != 1 || f.slowHits != 1 {
+				t.Errorf("want one stalled attempt then one full answer, saw %d and %d request(s)", f.stallHits, f.slowHits)
+			}
+		}},
+		{"Dispatcher", func(t *testing.T, ctx context.Context, f *fleet) {
+			withIdle := func(d *Dispatcher) { d.ropts = append(d.ropts, eval.WithIdleTimeout(idle)) }
+			d := newDispatcher(t, f.addrs, withIdle, WithBatch(6),
+				WithShardBackoff(time.Millisecond), WithMaxShardFailures(1))
+			var rows []sweep.Row
+			for pr := range d.Stream(ctx, spec) {
+				if pr.Err != nil {
+					t.Fatalf("sweep did not recover from the stalled shard: %v", pr.Err)
+				}
+				rows = append(rows, pr.Row)
+			}
+			diffRows(t, local.Rows, rows)
+			f.mu.Lock()
+			defer f.mu.Unlock()
+			if f.stalled == 0 {
+				t.Fatal("the stalling shard was never offered a range")
+			}
+			// The stalled range's one delivered cell is kept; exactly its
+			// remainder, plus the ranges nobody stalled on, goes to the
+			// slow shard.
+			if want := len(scens) - 1; f.slowCells != want {
+				t.Errorf("slow shard was asked for %d cell(s), want %d (everything but cell %d)", f.slowCells, want, f.stalledStart)
+			}
+			if st := d.Stats(); st.ShardFailures != 1 || st.Requeues != 1 || st.EjectedShards != 1 || st.Cells != int64(len(scens)) {
+				t.Errorf("want one failure, one requeued remainder, one ejection: %+v", st)
+			}
+		}},
+	}
+	for _, c := range consumers {
+		t.Run(c.name, func(t *testing.T) {
+			// A lost watchdog hangs the consumer; the deadline turns that
+			// into a failure instead of a stuck test binary.
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			c.run(t, ctx, newFleet(t))
+		})
 	}
 }

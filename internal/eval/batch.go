@@ -1,13 +1,10 @@
 package eval
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,8 +25,8 @@ import (
 // with Index < 0 and an Error reports a request-level failure
 // mid-stream (the NDJSON analogue of a 5xx after headers are gone); a
 // line with Index < 0 and no Error is a heartbeat — the server's "a
-// cell is still computing" keepalive, which clients skip (their idle
-// watchdogs reset on any decoded line).
+// cell is still computing" keepalive, which the transport skips (its idle
+// watchdog resets on any decoded line).
 type BatchItem struct {
 	// Index locates the cell: the scenario's position in the request
 	// array (/v1/batch) or in the expanded grid (/v1/sweep/part).
@@ -41,31 +38,29 @@ type BatchItem struct {
 	Error string `json:"error,omitempty"`
 }
 
+// PartRequest is the wire form of POST /v1/sweep/part, a slice of a
+// spec's deterministic grid: the full spec — as raw JSON, so the shard
+// can memoize its expansion on the exact bytes — plus the half-open
+// index range [Start, End) of the expanded grid to compute.
+type PartRequest struct {
+	Spec  json.RawMessage `json:"spec"`
+	Start int             `json:"start"`
+	End   int             `json:"end"`
+}
+
 // BatchBackend is a client-side Evaluator over the batched wire
 // protocol: concurrent Evaluate calls are coalesced into one /v1/batch
 // request per flush window, amortising the HTTP round trip that
 // dominates RemoteBackend's per-cell cost on cheap scenarios. A batch
 // flushes when it reaches the size bound or when the latency window
-// expires, whichever comes first; explicit batches go through
-// EvaluateBatch. Requests rotate round-robin across the configured
-// shards and transient failures (connection errors, 5xx, 429, torn or
-// short NDJSON streams) retry on the next shard with exponential
-// backoff. Safe for concurrent use.
-//
-// The backend shares its cache salt (CacheTag) with a RemoteBackend over
-// the same shard set: both report what the fleet computed, so cells are
-// interchangeable between the per-cell and batched transports.
+// (2ms after its first scenario arrives) expires, whichever comes first;
+// explicit batches go through EvaluateBatch. It is only the coalescer:
+// shard rotation, retries, the stream watchdog, the cache salt
+// (CacheTag), Curve and EvaluateBatch all belong to the RemoteBackend
+// it embeds, so cells are interchangeable between the per-cell and
+// batched transports. Safe for concurrent use.
 type BatchBackend struct {
-	addrs    []string
-	tag      string
-	client   *http.Client
-	maxBatch int
-	window   time.Duration
-	retries  int
-	backoff  time.Duration
-	idle     time.Duration
-	next     atomic.Uint64
-	rb       *RemoteBackend // single-shot calls: /v1/curve
+	*RemoteBackend
 
 	mu      sync.Mutex
 	pending []*batchCall
@@ -79,103 +74,24 @@ type batchCall struct {
 	done chan batchReply // buffered; the flusher never blocks on it
 }
 
+// batchReply is one decoded cell of a batch response.
 type batchReply struct {
 	pt  Point
 	err error
 }
 
-// BatchOption configures a BatchBackend.
-type BatchOption func(*BatchBackend)
-
-// WithBatchSize bounds how many scenarios one coalesced request may
-// carry (default 64).
-func WithBatchSize(n int) BatchOption {
-	return func(b *BatchBackend) {
-		if n > 0 {
-			b.maxBatch = n
-		}
-	}
-}
-
-// WithBatchWindow sets the latency window: a partial batch flushes this
-// long after its first scenario arrives (default 2ms).
-func WithBatchWindow(d time.Duration) BatchOption {
-	return func(b *BatchBackend) {
-		if d > 0 {
-			b.window = d
-		}
-	}
-}
-
-// WithBatchHTTPClient replaces the default HTTP client (no timeout:
-// batch responses stream for as long as their cells take; deadlines
-// belong to the caller's context).
-func WithBatchHTTPClient(c *http.Client) BatchOption {
-	return func(b *BatchBackend) { b.client = c }
-}
-
-// WithBatchRetry sets the per-batch attempt budget and base backoff
-// delay (doubled after every failed attempt).
-func WithBatchRetry(attempts int, backoff time.Duration) BatchOption {
-	return func(b *BatchBackend) { b.retries, b.backoff = attempts, backoff }
-}
-
-// WithBatchIdleTimeout sets the per-request progress watchdog: a shard
-// that accepts the connection but delivers no header or item for this
-// long is treated as failed and the batch retries on the next shard
-// (default 60s; 0 disables). This is the batched analogue of
-// RemoteBackend's client timeout — a flat deadline would kill long
-// legitimate streams, an idle bound only kills stalled ones.
-func WithBatchIdleTimeout(t time.Duration) BatchOption {
-	return func(b *BatchBackend) { b.idle = t }
-}
-
 // NewBatchBackend builds a batching backend over the given server
 // addresses ("host:port" or full URLs); at least one is required.
-func NewBatchBackend(addrs []string, opts ...BatchOption) (*BatchBackend, error) {
-	rb, err := NewRemoteBackend(addrs)
+func NewBatchBackend(addrs []string, opts ...RemoteOption) (*BatchBackend, error) {
+	rb, err := NewRemoteBackend(addrs, opts...)
 	if err != nil {
 		return nil, err
 	}
-	b := &BatchBackend{
-		addrs:    rb.Addrs(),
-		tag:      rb.CacheTag(),
-		client:   &http.Client{},
-		maxBatch: 64,
-		window:   2 * time.Millisecond,
-		backoff:  100 * time.Millisecond,
-		idle:     60 * time.Second,
-		rb:       rb,
-	}
-	for _, opt := range opts {
-		opt(b)
-	}
-	if b.retries <= 0 {
-		b.retries = 2 * len(b.addrs)
-		if b.retries < 3 {
-			b.retries = 3
-		}
-	}
-	return b, nil
+	return &BatchBackend{RemoteBackend: rb}, nil
 }
 
 // Name implements Evaluator.
 func (b *BatchBackend) Name() string { return "batch" }
-
-// CacheTag identifies the shard set for cache salting; it equals the
-// RemoteBackend tag for the same fleet, so the two transports share
-// cache lines.
-func (b *BatchBackend) CacheTag() string { return b.tag }
-
-// Addrs returns the normalized server addresses, in round-robin order.
-func (b *BatchBackend) Addrs() []string { return append([]string(nil), b.addrs...) }
-
-// Curve resolves per-curve metadata through /v1/curve, exactly as
-// RemoteBackend does, so batched sweeps keep model names and saturation
-// anchors.
-func (b *BatchBackend) Curve(ctx context.Context, sc Scenario) (CurveDesc, error) {
-	return b.rb.Curve(ctx, sc)
-}
 
 // Evaluate implements Evaluator by joining the current coalescing
 // window: the call parks until its batch flushes (size bound reached, or
@@ -259,7 +175,7 @@ func (b *BatchBackend) flush(batch []*batchCall) {
 			c.done <- batchReply{err: err}
 			continue
 		}
-		c.done <- batchReply{pt: items[i].pt, err: items[i].err}
+		c.done <- items[i]
 	}
 }
 
@@ -268,7 +184,7 @@ func (b *BatchBackend) flush(batch []*batchCall) {
 // empty batch is answered locally without touching the wire. Any
 // per-scenario failure fails the whole call; callers needing per-cell
 // outcomes drive the protocol through the dispatch coordinator instead.
-func (b *BatchBackend) EvaluateBatch(ctx context.Context, scs []Scenario) ([]Point, error) {
+func (b *RemoteBackend) EvaluateBatch(ctx context.Context, scs []Scenario) ([]Point, error) {
 	if len(scs) == 0 {
 		return nil, nil
 	}
@@ -286,126 +202,26 @@ func (b *BatchBackend) EvaluateBatch(ctx context.Context, scs []Scenario) ([]Poi
 	return pts, nil
 }
 
-// itemOut is one decoded cell of a batch response.
-type itemOut struct {
-	pt  Point
-	err error
-}
-
-// callBatch runs the retry loop for one batch: transient failures rotate
-// to the next shard with exponential backoff (stretched to Retry-After
-// when the server sends one, capped by the context's deadline), exactly
-// mirroring RemoteBackend.call.
-func (b *BatchBackend) callBatch(ctx context.Context, scs []Scenario) ([]itemOut, error) {
+// callBatch streams one batch through the retry loop and returns every
+// cell's outcome in request order. Per-scenario errors are the server's
+// verdict and permanent; a transient failure recomputes the whole batch
+// on the next shard, served mostly from the fleet's caches.
+func (b *RemoteBackend) callBatch(ctx context.Context, scs []Scenario) ([]batchReply, error) {
 	body, err := json.Marshal(scs)
 	if err != nil {
 		return nil, fmt.Errorf("eval: batch: encoding scenarios: %w", err)
 	}
-	var lastErr error
-	var retryAfter time.Duration
-	for attempt := 0; attempt < b.retries; attempt++ {
-		if attempt > 0 {
-			delay := b.backoff << (attempt - 1)
-			if retryAfter > delay {
-				delay = retryAfter
-			}
-			if deadline, ok := ctx.Deadline(); ok && time.Until(deadline) < delay {
-				return nil, fmt.Errorf("eval: batch: giving up after %d attempt(s): next retry in %v outlives the context: %w",
-					attempt, delay, lastErr)
-			}
-			if err := sleep(ctx, delay); err != nil {
-				return nil, err
-			}
-		}
-		addr := b.addrs[int(b.next.Add(1)-1)%len(b.addrs)]
-		items, retryable, after, err := b.postBatch(ctx, addr+"/v1/batch", body, len(scs))
-		if err == nil {
-			return items, nil
-		}
-		if !retryable {
-			return nil, err
-		}
-		lastErr, retryAfter = err, after
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-	}
-	return nil, fmt.Errorf("eval: batch: all %d attempts across %d shard(s) failed: %w",
-		b.retries, len(b.addrs), lastErr)
-}
-
-// postBatch performs one batched request and decodes its NDJSON stream.
-// Torn lines, short streams (fewer items than scenarios) and mid-stream
-// request-level errors are retryable — the next attempt recomputes the
-// batch, served mostly from the server's cache; per-scenario errors are
-// the server's verdict and permanent.
-func (b *BatchBackend) postBatch(ctx context.Context, url string, body []byte, n int) (items []itemOut, retryable bool, retryAfter time.Duration, err error) {
-	// The watchdog guards against a shard that accepts the connection
-	// and then stalls — without it, a coalesced batch would park every
-	// caller forever. Reset on each decoded item, so long streams of
-	// slow cells stay alive as long as they keep progressing.
-	reqCtx, cancelReq := context.WithCancel(ctx)
-	defer cancelReq()
-	var watchdog *time.Timer
-	if b.idle > 0 {
-		watchdog = time.AfterFunc(b.idle, cancelReq)
-		defer watchdog.Stop()
-	}
-	req, err := http.NewRequestWithContext(reqCtx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return nil, false, 0, fmt.Errorf("eval: batch: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	obs.Inject(ctx, req.Header)
-	resp, err := b.client.Do(req)
-	if err != nil {
-		return nil, true, 0, fmt.Errorf("eval: batch: %s: %w", url, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg := serverError(resp.Body)
-		err := fmt.Errorf("eval: batch: %s: %s%s", url, resp.Status, msg)
-		retryable := resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests
-		return nil, retryable, parseRetryAfter(resp), err
-	}
-	items = make([]itemOut, n)
-	got := make([]bool, n)
-	seen := 0
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var it BatchItem
-		if derr := dec.Decode(&it); derr == io.EOF {
-			break
-		} else if derr != nil {
-			return nil, true, 0, fmt.Errorf("eval: batch: %s: torn response stream after %d of %d item(s): %w", url, seen, n, derr)
-		}
-		if watchdog != nil {
-			watchdog.Reset(b.idle)
-		}
-		if it.Index < 0 {
-			if it.Error == "" {
-				continue // heartbeat: the shard is alive, a cell is just slow
-			}
-			return nil, true, 0, fmt.Errorf("eval: batch: %s: server failed mid-stream: %s", url, it.Error)
-		}
-		if it.Index >= n {
-			return nil, false, 0, fmt.Errorf("eval: batch: %s: item index %d out of range (batch of %d)", url, it.Index, n)
-		}
-		if !got[it.Index] {
-			got[it.Index] = true
-			seen++
-		}
+	items := make([]batchReply, len(scs))
+	err = b.Stream(ctx, "", "/v1/batch", body, 0, len(scs), func(it *BatchItem) error {
 		if it.Error != "" {
-			items[it.Index] = itemOut{err: errors.New(it.Error)}
-			continue
+			items[it.Index] = batchReply{err: errors.New(it.Error)}
+		} else {
+			items[it.Index] = batchReply{pt: *it.Point}
 		}
-		if it.Point == nil {
-			return nil, false, 0, fmt.Errorf("eval: batch: %s: item %d carries neither point nor error", url, it.Index)
-		}
-		items[it.Index] = itemOut{pt: *it.Point}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if seen < n {
-		return nil, true, 0, fmt.Errorf("eval: batch: %s: short response stream: %d of %d item(s)", url, seen, n)
-	}
-	return items, false, 0, nil
+	return items, nil
 }

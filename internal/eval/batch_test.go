@@ -51,13 +51,19 @@ func batchHandler(t *testing.T, requests *atomic.Int64, sizes *[]int, mu *sync.M
 	})
 }
 
-func newBatch(t *testing.T, addrs []string, opts ...BatchOption) *BatchBackend {
+func newBatch(t *testing.T, addrs []string, opts ...RemoteOption) *BatchBackend {
 	t.Helper()
 	b, err := NewBatchBackend(addrs, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// withWindow sets the coalescer's latency window (2ms by default, with
+// no exported option: no caller outside these tests ever tuned it).
+func withWindow(d time.Duration) RemoteOption {
+	return func(b *RemoteBackend) { b.window = d }
 }
 
 func loadScenario(v float64) Scenario {
@@ -76,7 +82,7 @@ func TestBatchBackendCoalescesConcurrentEvaluates(t *testing.T) {
 	srv := httptest.NewServer(batchHandler(t, &requests, &sizes, &mu, nil))
 	defer srv.Close()
 
-	b := newBatch(t, []string{srv.URL}, WithBatchWindow(50*time.Millisecond))
+	b := newBatch(t, []string{srv.URL}, withWindow(50*time.Millisecond))
 	const n = 8
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -112,7 +118,7 @@ func TestBatchBackendSizeBoundFlushes(t *testing.T) {
 	srv := httptest.NewServer(batchHandler(t, &requests, &sizes, &mu, nil))
 	defer srv.Close()
 
-	b := newBatch(t, []string{srv.URL}, WithBatchSize(2), WithBatchWindow(10*time.Second))
+	b := newBatch(t, []string{srv.URL}, WithBatchSize(2), withWindow(10*time.Second))
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -215,7 +221,7 @@ func TestEvaluateBatchTornStream(t *testing.T) {
 		}))
 	defer srv.Close()
 
-	b := newBatch(t, []string{srv.URL}, WithBatchRetry(2, time.Millisecond))
+	b := newBatch(t, []string{srv.URL}, WithRetry(2, time.Millisecond))
 	_, err := b.EvaluateBatch(context.Background(), []Scenario{loadScenario(0.01), loadScenario(0.02)})
 	if err == nil || !strings.Contains(err.Error(), "torn") {
 		t.Fatalf("want a torn-stream error, got %v", err)
@@ -242,7 +248,7 @@ func TestEvaluateBatchShortStreamRecovers(t *testing.T) {
 		}))
 	defer srv.Close()
 
-	b := newBatch(t, []string{srv.URL}, WithBatchRetry(3, time.Millisecond))
+	b := newBatch(t, []string{srv.URL}, WithRetry(3, time.Millisecond))
 	pts, err := b.EvaluateBatch(context.Background(), []Scenario{loadScenario(0.01), loadScenario(0.02)})
 	if err != nil {
 		t.Fatalf("short stream did not recover: %v", err)
@@ -270,7 +276,7 @@ func TestEvaluateBatchPerItemError(t *testing.T) {
 		}))
 	defer srv.Close()
 
-	b := newBatch(t, []string{srv.URL}, WithBatchRetry(3, time.Millisecond))
+	b := newBatch(t, []string{srv.URL}, WithRetry(3, time.Millisecond))
 	_, err := b.EvaluateBatch(context.Background(), []Scenario{loadScenario(0.01), loadScenario(0.02)})
 	if err == nil || !strings.Contains(err.Error(), "scenario 1") || !strings.Contains(err.Error(), "induced verdict") {
 		t.Fatalf("want the indexed verdict, got %v", err)
@@ -324,7 +330,7 @@ func TestBatchBackendFailsOverToHealthyShard(t *testing.T) {
 	healthy := httptest.NewServer(batchHandler(t, &requests, nil, nil, nil))
 	defer healthy.Close()
 
-	b := newBatch(t, []string{sick.URL, healthy.URL}, WithBatchRetry(4, time.Millisecond))
+	b := newBatch(t, []string{sick.URL, healthy.URL}, WithRetry(4, time.Millisecond))
 	pts, err := b.EvaluateBatch(context.Background(), []Scenario{loadScenario(0.04)})
 	if err != nil {
 		t.Fatalf("failover did not recover: %v", err)
@@ -365,7 +371,7 @@ func TestBatchBackendCallerCancellation(t *testing.T) {
 		}))
 	defer srv.Close()
 
-	b := newBatch(t, []string{srv.URL}, WithBatchWindow(time.Millisecond))
+	b := newBatch(t, []string{srv.URL}, withWindow(time.Millisecond))
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,14 +17,17 @@ import (
 	"repro/internal/obs"
 )
 
-// RemoteBackend is a client-side Evaluator: it answers scenarios by
-// calling the /v1/eval endpoint of one or more sweep servers (see
-// internal/serve and cmd/sweepd), so a local Runner can fan a grid out
-// to a fleet behind the exact same interface as AnalyticBackend and
-// SimBackend. Requests are sharded round-robin across the configured
-// addresses; transient failures (connection errors, 5xx responses) are
-// retried with exponential backoff, rotating to the next shard on every
-// attempt. Safe for concurrent use.
+// RemoteBackend is the fleet transport and a client-side Evaluator over
+// it: every request this module sends to a sweep server (see
+// internal/serve and cmd/sweepd) — per-cell /v1/eval and /v1/curve,
+// batched /v1/batch, the dispatch coordinator's /v1/sweep/part ranges and
+// cmd/plan's /v1/plan submission — is built, classified and retried
+// here, so a local Runner can fan a grid out to a fleet behind the exact
+// same interface as AnalyticBackend and SimBackend. Requests are sharded
+// round-robin across the configured addresses; transient failures
+// (connection errors, 5xx and 429 responses, torn, short or stalled
+// NDJSON streams) are retried with exponential backoff, rotating to the
+// next shard on every attempt. Safe for concurrent use.
 //
 // The backend also implements the curve describer used by sweep result
 // metadata (via /v1/curve) and CacheTag, so a cache shared between
@@ -35,16 +39,27 @@ type RemoteBackend struct {
 	next    atomic.Uint64
 	retries int
 	backoff time.Duration
+	single  time.Duration // flat bound on one single-shot request; 0 leaves it to the caller's client
+	idle    time.Duration // progress bound on one NDJSON stream
+
+	// Coalescer settings, read by BatchBackend only; they sit here so
+	// both constructors take one option type.
+	maxBatch int
+	window   time.Duration
 }
 
-// RemoteOption configures a RemoteBackend.
+// RemoteOption configures the fleet transport; NewRemoteBackend and
+// NewBatchBackend both take it.
 type RemoteOption func(*RemoteBackend)
 
-// WithHTTPClient replaces the default HTTP client (30 s timeout is the
-// default; simulation-heavy scenarios may need a laxer one — or a client
-// with no timeout at all, leaving deadlines to the Evaluate context).
+// WithHTTPClient replaces the default HTTP client, which carries no
+// timeout of its own (the transport bounds single-shot requests at 30 s
+// and streams by the idle watchdog). A caller-supplied client owns the
+// single-shot deadline through its Timeout — simulation-heavy scenarios
+// may need a laxer one, or none at all, leaving deadlines to the request
+// context; note that a Timeout also bounds whole streams.
 func WithHTTPClient(c *http.Client) RemoteOption {
-	return func(b *RemoteBackend) { b.client = c }
+	return func(b *RemoteBackend) { b.client, b.single = c, 0 }
 }
 
 // WithRetry sets the per-request attempt budget and the base backoff
@@ -53,13 +68,37 @@ func WithRetry(attempts int, backoff time.Duration) RemoteOption {
 	return func(b *RemoteBackend) { b.retries, b.backoff = attempts, backoff }
 }
 
+// WithIdleTimeout sets the stream progress watchdog: a shard that
+// accepts a /v1/batch or /v1/sweep/part request but delivers no header,
+// cell or heartbeat for this long is treated as failed — the batch
+// retries on the next shard, the dispatcher steals the range's remainder
+// (default 60s; 0 disables). A flat deadline would kill long legitimate
+// streams; an idle bound only kills stalled ones.
+func WithIdleTimeout(t time.Duration) RemoteOption {
+	return func(b *RemoteBackend) { b.idle = t }
+}
+
+// WithBatchSize bounds how many scenarios one coalesced BatchBackend
+// request may carry (default 64).
+func WithBatchSize(n int) RemoteOption {
+	return func(b *RemoteBackend) {
+		if n > 0 {
+			b.maxBatch = n
+		}
+	}
+}
+
 // NewRemoteBackend builds a backend over the given server addresses
 // ("host:port" or full "http://…" URLs). At least one address is
 // required; duplicates and empty entries are dropped.
 func NewRemoteBackend(addrs []string, opts ...RemoteOption) (*RemoteBackend, error) {
 	b := &RemoteBackend{
-		client:  &http.Client{Timeout: 30 * time.Second},
-		backoff: 100 * time.Millisecond,
+		client:   &http.Client{},
+		backoff:  100 * time.Millisecond,
+		single:   30 * time.Second,
+		idle:     60 * time.Second,
+		maxBatch: 64,
+		window:   2 * time.Millisecond,
 	}
 	b.addrs = normalizeAddrs(addrs)
 	if len(b.addrs) == 0 {
@@ -70,10 +109,7 @@ func NewRemoteBackend(addrs []string, opts ...RemoteOption) (*RemoteBackend, err
 		opt(b)
 	}
 	if b.retries <= 0 {
-		b.retries = 2 * len(b.addrs)
-		if b.retries < 3 {
-			b.retries = 3
-		}
+		b.retries = max(3, 2*len(b.addrs))
 	}
 	return b, nil
 }
@@ -128,11 +164,7 @@ func (b *RemoteBackend) Addrs() []string { return append([]string(nil), b.addrs.
 
 // Evaluate implements Evaluator: one /v1/eval round trip (with retries).
 func (b *RemoteBackend) Evaluate(ctx context.Context, sc Scenario) (Point, error) {
-	var pt Point
-	if err := b.call(ctx, "/v1/eval", sc, &pt); err != nil {
-		return Point{}, err
-	}
-	return pt, nil
+	return call[Point](ctx, b, "/v1/eval", sc)
 }
 
 // Curve implements the sweep engine's curve describer through /v1/curve,
@@ -140,84 +172,198 @@ func (b *RemoteBackend) Evaluate(ctx context.Context, sc Scenario) (Point, error
 // saturation anchor) as in-process ones. The caller's ctx bounds the
 // retries, so a cancelled sweep does not block in curve resolution.
 func (b *RemoteBackend) Curve(ctx context.Context, sc Scenario) (CurveDesc, error) {
-	var cd CurveDesc
-	if err := b.call(ctx, "/v1/curve", sc, &cd); err != nil {
-		return CurveDesc{}, err
-	}
-	return cd, nil
+	return call[CurveDesc](ctx, b, "/v1/curve", sc)
 }
 
-// call POSTs the scenario to path on the next shard, decoding the JSON
-// response into out. Connection errors, 5xx responses and 429s rotate to
-// the next shard and retry with exponential backoff — stretched to the
-// server's Retry-After when one is sent — and the retry budget is capped
-// by the request context as well as the attempt count: a delay that
-// cannot complete before the context's deadline is not slept at all. Any
-// other non-200 response is a permanent error carrying the server's
-// message.
-func (b *RemoteBackend) call(ctx context.Context, path string, sc Scenario, out any) error {
+// call answers one single-shot endpoint: the scenario is POSTed to path
+// under the retry loop and the JSON response decoded into a T.
+func call[T any](ctx context.Context, b *RemoteBackend, path string, sc Scenario) (T, error) {
+	var out T
 	body, err := json.Marshal(sc)
 	if err != nil {
-		return fmt.Errorf("eval: remote: encoding scenario: %w", err)
+		return out, fmt.Errorf("eval: remote: encoding scenario: %w", err)
 	}
-	var lastErr error
-	var retryAfter time.Duration
-	for attempt := 0; attempt < b.retries; attempt++ {
-		if attempt > 0 {
-			delay := b.backoff << (attempt - 1)
-			if retryAfter > delay {
-				delay = retryAfter
+	err = b.retry(ctx, func(addr string) error {
+		return b.post(ctx, addr+path, body, b.single, func(r io.Reader, _ func()) error {
+			out = *new(T) // a retried attempt starts from a clean value
+			if err := json.NewDecoder(r).Decode(&out); err != nil {
+				return &transientError{err: fmt.Errorf("eval: remote: %s: decoding response: %w", addr+path, err)}
 			}
+			return nil
+		})
+	})
+	return out, err
+}
+
+// Post sends body to path on the next shard, once, and hands the 200
+// response's body to consume — the door for endpoints whose answers are
+// not cells (cmd/plan's /v1/plan update stream). No retry and no
+// watchdog: such a stream is silent for as long as a search step takes,
+// so its deadline belongs to ctx.
+func (b *RemoteBackend) Post(ctx context.Context, path string, body []byte, consume func(io.Reader) error) error {
+	return b.post(ctx, b.nextAddr()+path, body, 0, func(r io.Reader, _ func()) error { return consume(r) })
+}
+
+// Stream POSTs body to path and hands the NDJSON BatchItem answer to fn,
+// one call per cell with an index in [lo, hi), each index at most once.
+// With shard empty the request runs under the retry loop, rotating
+// shards (fn then sees a retried attempt's cells again); with shard set
+// — one of Addrs — it is a single attempt against that shard, and the
+// caller decides what a failure means: Transient tells a shard's
+// failure from a verdict. An error from fn ends the stream and is
+// returned as is.
+func (b *RemoteBackend) Stream(ctx context.Context, shard, path string, body []byte, lo, hi int, fn func(*BatchItem) error) error {
+	attempt := func(addr string) error {
+		return b.post(ctx, addr+path, body, b.idle, func(r io.Reader, alive func()) error {
+			return readItems(r, alive, addr+path, lo, hi, fn)
+		})
+	}
+	if shard != "" {
+		return attempt(shard)
+	}
+	return b.retry(ctx, attempt)
+}
+
+// transientError marks a failure another shard or a later attempt may
+// not repeat, with the hold-off a 429/503 response asked for.
+type transientError struct {
+	err   error
+	after time.Duration
+}
+
+func (e *transientError) Error() string { return e.err.Error() }
+func (e *transientError) Unwrap() error { return e.err }
+
+// Transient reports whether err is a transport failure worth retrying —
+// a connection error, a 5xx or 429 response, a torn, short or stalled
+// stream — as opposed to a verdict no shard will answer differently,
+// and how long the server asked callers to hold off (zero without a
+// Retry-After).
+func Transient(err error) (holdOff time.Duration, ok bool) {
+	var te *transientError
+	if errors.As(err, &te) {
+		return te.after, true
+	}
+	return 0, false
+}
+
+// nextAddr rotates to the next shard.
+func (b *RemoteBackend) nextAddr() string {
+	return b.addrs[int(b.next.Add(1)-1)%len(b.addrs)]
+}
+
+// retry runs attempt against successive shards until it succeeds or
+// fails permanently. Transient failures rotate to the next shard and
+// retry with exponential backoff — stretched to the server's Retry-After
+// when one is sent — and the retry budget is capped by the request
+// context as well as the attempt count: a delay that cannot complete
+// before the context's deadline is not slept at all.
+func (b *RemoteBackend) retry(ctx context.Context, attempt func(addr string) error) error {
+	var last *transientError
+	for n := 0; n < b.retries; n++ {
+		if n > 0 {
+			delay := max(b.backoff<<(n-1), last.after)
 			if deadline, ok := ctx.Deadline(); ok && time.Until(deadline) < delay {
 				return fmt.Errorf("eval: remote: giving up after %d attempt(s): next retry in %v outlives the context: %w",
-					attempt, delay, lastErr)
+					n, delay, last.err)
 			}
 			if err := sleep(ctx, delay); err != nil {
 				return err
 			}
 		}
-		addr := b.addrs[int(b.next.Add(1)-1)%len(b.addrs)]
-		var retryable bool
-		retryable, retryAfter, err = b.post(ctx, addr+path, body, out)
-		if err == nil {
-			return nil
+		err := attempt(b.nextAddr())
+		if !errors.As(err, &last) {
+			return err // done, or a permanent failure
 		}
-		if !retryable {
-			return err
-		}
-		lastErr = err
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
 	}
 	return fmt.Errorf("eval: remote: all %d attempts across %d shard(s) failed: %w",
-		b.retries, len(b.addrs), lastErr)
+		b.retries, len(b.addrs), last.err)
 }
 
-// post performs one request; it reports whether a failure is retryable
-// and, for 429/503 responses, how long the server asked us to hold off.
-func (b *RemoteBackend) post(ctx context.Context, url string, body []byte, out any) (retryable bool, retryAfter time.Duration, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+// post performs one request and hands the 200 response's body to
+// consume. Connection errors, 5xx responses and 429s are transient (with
+// the server's Retry-After hold-off); any other non-200 response is a
+// permanent error carrying the server's message. A positive idle arms
+// the watchdog: the request is cancelled — a transient failure — unless
+// consume calls alive at least that often, which is what defends a
+// caller against a shard that accepts the connection and then hangs.
+func (b *RemoteBackend) post(ctx context.Context, url string, body []byte, idle time.Duration, consume func(r io.Reader, alive func()) error) error {
+	reqCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	alive := func() {}
+	if idle > 0 {
+		watchdog := time.AfterFunc(idle, cancel)
+		defer watchdog.Stop()
+		alive = func() { watchdog.Reset(idle) }
+	}
+	req, err := http.NewRequestWithContext(reqCtx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		return false, 0, fmt.Errorf("eval: remote: %w", err)
+		return fmt.Errorf("eval: remote: %w", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	obs.Inject(ctx, req.Header)
 	resp, err := b.client.Do(req)
 	if err != nil {
-		return true, 0, fmt.Errorf("eval: remote: %s: %w", url, err)
+		return &transientError{err: fmt.Errorf("eval: remote: %s: %w", url, err)}
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		msg := serverError(resp.Body)
-		err := fmt.Errorf("eval: remote: %s: %s%s", url, resp.Status, msg)
-		retryable := resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests
-		return retryable, parseRetryAfter(resp), err
+		err := fmt.Errorf("eval: remote: %s: %s%s", url, resp.Status, serverError(resp.Body))
+		if resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests {
+			return &transientError{err: err, after: parseRetryAfter(resp)}
+		}
+		return err
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return true, 0, fmt.Errorf("eval: remote: %s: decoding response: %w", url, err)
+	return consume(resp.Body, alive)
+}
+
+// readItems decodes one NDJSON BatchItem stream. Every decoded line —
+// heartbeats included, which are otherwise skipped — proves the shard
+// alive. Torn lines, mid-stream request-level errors and streams that
+// end short of hi-lo distinct cells are transient: the cells already
+// handed to fn stand, the rest can be recomputed elsewhere. An index
+// outside [lo, hi) or a cell carrying neither point nor error is a
+// protocol breach, permanent.
+func readItems(r io.Reader, alive func(), url string, lo, hi int, fn func(*BatchItem) error) error {
+	seen := make([]bool, hi-lo)
+	n := 0
+	dec := json.NewDecoder(r)
+	for {
+		var it BatchItem
+		if err := dec.Decode(&it); err == io.EOF {
+			break
+		} else if err != nil {
+			return &transientError{err: fmt.Errorf("eval: remote: %s: torn response stream after %d of %d item(s): %w", url, n, hi-lo, err)}
+		}
+		alive()
+		if it.Index < 0 {
+			if it.Error == "" {
+				continue // heartbeat: the shard is alive, a cell is just slow
+			}
+			return &transientError{err: fmt.Errorf("eval: remote: %s: server failed mid-stream: %s", url, it.Error)}
+		}
+		if it.Index < lo || it.Index >= hi {
+			return fmt.Errorf("eval: remote: %s: item index %d outside [%d, %d)", url, it.Index, lo, hi)
+		}
+		if it.Point == nil && it.Error == "" {
+			return fmt.Errorf("eval: remote: %s: item %d carries neither point nor error", url, it.Index)
+		}
+		if seen[it.Index-lo] {
+			continue
+		}
+		seen[it.Index-lo] = true
+		n++
+		if err := fn(&it); err != nil {
+			return err
+		}
 	}
-	return false, 0, nil
+	if n < hi-lo {
+		return &transientError{err: fmt.Errorf("eval: remote: %s: short response stream: %d of %d item(s)", url, n, hi-lo)}
+	}
+	return nil
 }
 
 // parseRetryAfter extracts the Retry-After header of a 429 or 503

@@ -108,15 +108,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.streamItems(w, r, scs, indices)
 }
 
-// partRequest is the wire form of a grid slice: the full spec plus the
-// half-open index range [start, end) of the expanded grid this shard
-// should compute.
-type partRequest struct {
-	Spec  json.RawMessage `json:"spec"`
-	Start int             `json:"start"`
-	End   int             `json:"end"`
-}
-
 // expansions memoizes recent grid expansions keyed by the spec's exact
 // wire bytes: a dispatched sweep sends the identical spec with every
 // range request, so the shard expands (and key-hashes) the grid once
@@ -173,7 +164,7 @@ func (s *Server) handlePart(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	var req partRequest
+	var req eval.PartRequest
 	if err := json.Unmarshal(data, &req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding part request: %w", err))
 		return

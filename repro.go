@@ -24,10 +24,13 @@
 //     (OpenStore), an HTTP serving front-end (ListenAndServe, cmd/sweepd)
 //     streaming NDJSON cells over Runner.Stream, and a RemoteBackend that
 //     fans grids out to a server fleet behind the same Evaluator
-//     interface (see docs/serve.md); and
+//     interface — it is the one fleet transport: every client below
+//     sends its requests through its retry loop, status classification
+//     and stream watchdog, configured by one RemoteOption set (see
+//     docs/serve.md); and
 //   - a distributed sweep scheduler (NewDispatcher): grids partition
 //     into contiguous ranges dispatched across the fleet over a batched
-//     wire protocol (NewBatchBackend speaks it cell-wise), with
+//     wire protocol (NewBatchBackend coalesces cells onto it), with
 //     cache-aware scheduling, work stealing and shard failover (see
 //     docs/dispatch.md); and
 //   - a capacity planner (Plan, PlanStream, cmd/plan, POST /v1/plan):
@@ -193,15 +196,14 @@ type (
 	// scenarios are answered by sweepd servers over HTTP, sharded
 	// round-robin with retry/backoff (see docs/serve.md).
 	RemoteBackend = eval.RemoteBackend
-	// RemoteOption configures a RemoteBackend.
+	// RemoteOption configures the fleet transport under RemoteBackend
+	// and BatchBackend alike.
 	RemoteOption = eval.RemoteOption
 	// BatchBackend is the batched-transport Evaluator: concurrent
 	// Evaluate calls coalesce into one /v1/batch request per flush
-	// window, amortising the per-cell HTTP round trip (see
-	// docs/dispatch.md).
+	// window, amortising the per-cell HTTP round trip; everything else
+	// is the RemoteBackend it embeds (see docs/dispatch.md).
 	BatchBackend = eval.BatchBackend
-	// BatchOption configures a BatchBackend.
-	BatchOption = eval.BatchOption
 	// Dispatcher is the distributed sweep scheduler: grids partition
 	// into contiguous ranges dispatched across a sweepd fleet, with
 	// cache-aware scheduling, work stealing and shard failover (see
@@ -390,8 +392,9 @@ func NewRemoteBackend(addrs []string, opts ...RemoteOption) (*RemoteBackend, err
 // NewBatchBackend returns an Evaluator speaking the batched wire
 // protocol to sweepd servers at the given addresses: concurrent
 // Evaluate calls coalesce into one request per flush window, and
-// explicit batches go through EvaluateBatch.
-func NewBatchBackend(addrs []string, opts ...BatchOption) (*BatchBackend, error) {
+// explicit batches go through EvaluateBatch. It takes the same options
+// as NewRemoteBackend.
+func NewBatchBackend(addrs []string, opts ...RemoteOption) (*BatchBackend, error) {
 	return eval.NewBatchBackend(addrs, opts...)
 }
 
