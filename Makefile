@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench serve-smoke dispatch-smoke plan-smoke workload-smoke obs-smoke bounds-smoke calib-smoke lint staticcheck fmt
+.PHONY: all build test allocs bench serve-smoke dispatch-smoke plan-smoke workload-smoke obs-smoke bounds-smoke calib-smoke lint staticcheck fmt
 
 all: lint build test
 
@@ -12,6 +12,13 @@ build:
 
 test:
 	$(GO) test -race ./...
+
+# Allocation budgets, without the race detector: under -race sync.Pool
+# deliberately drops a share of its Puts, so the exact-zero assertions
+# (Latency on a stable point, disabled spans, warm simulator runs) relax
+# there through internal/race's build-tagged constant; here they are exact.
+allocs:
+	$(GO) test -run 'Alloc' -count=1 ./internal/... .
 
 # One iteration per benchmark: keeps bench_test.go compiling and running
 # without turning CI into a measurement job.

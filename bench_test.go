@@ -19,6 +19,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/queueing"
 	"repro/internal/sim"
+	"repro/internal/solve"
 	"repro/internal/sweep"
 	"repro/internal/topology"
 )
@@ -100,12 +101,49 @@ func BenchmarkFatTreeModelClosedForm(b *testing.B) {
 	}
 }
 
+// BenchmarkFatTreeModelCoreGraph resolves the paper model's channel graph
+// two ways: rebuild declares a core.Model at λ₀ and resolves it (compile
+// and workspace per call — the BuildCoreModel/(*Model).Resolve wrappers),
+// compiled writes rates into the graph the model built once and resolves
+// from a pooled workspace (what Latency does for the ablation variants).
 func BenchmarkFatTreeModelCoreGraph(b *testing.B) {
-	m := analytic.MustFatTreeModel(1024, 16, core.Options{})
+	b.Run("rebuild", func(b *testing.B) {
+		m := analytic.MustFatTreeModel(1024, 16, core.Options{})
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := m.BuildCoreModel(0.002).Resolve(core.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("compiled", func(b *testing.B) {
+		// Spelling out the default solver options makes the options
+		// non-zero, which routes Latency through the graph instead of the
+		// closed form — same equations, same iterates as rebuild.
+		m := analytic.MustFatTreeModel(1024, 16, core.Options{FixedPoint: solve.DefaultFixedPointOptions()})
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := m.Latency(0.002); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkTorusLatency is one point of a cyclic channel graph (4-ary
+// 3-cube at 70% of saturation): the fixed point iterates, so this is the
+// solver's inner loop.
+func BenchmarkTorusLatency(b *testing.B) {
+	m := analytic.MustTorusModel(4, 3, 16, core.Options{})
+	sat, err := m.SaturationLoad()
+	if err != nil {
+		b.Fatal(err)
+	}
+	lambda := 0.7 * sat / 16
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cm := m.BuildCoreModel(0.002)
-		if _, err := cm.Resolve(core.Options{}); err != nil {
+		if _, err := m.Latency(lambda); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -164,6 +202,51 @@ func BenchmarkSweepTable2(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSweepModelGrid runs a model-only fat-tree grid over the four
+// ablation variants (1,536 cells) on a cached runner: cold is a fresh
+// runner and cache per iteration — expansion, curve set-up, model builds,
+// Eq. 26 searches and every cell — warm re-runs the grid on a runner
+// whose cache already holds it.
+func BenchmarkSweepModelGrid(b *testing.B) {
+	spec := sweep.Spec{
+		Topologies: []sweep.TopologySpec{{Family: sweep.FamilyBFT, Sizes: []int{16, 64, 256, 1024}}},
+		MsgFlits:   []int{8, 16, 32},
+		Variants: []sweep.Variant{
+			{Name: "paper"},
+			{Name: "no-blocking", NoBlockingCorrection: true},
+			{Name: "single-server", SingleServerGroups: true},
+			{Name: "pre-erratum", NoPairRateCorrection: true},
+		},
+		Loads: sweep.LoadSpec{Points: 32, MaxFrac: 0.98},
+	}
+	run := func(b *testing.B, r *sweep.Runner) int {
+		res, err := r.Run(context.Background(), spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return len(res.Rows)
+	}
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		cells := 0
+		for i := 0; i < b.N; i++ {
+			cells += run(b, sweep.NewRunner(sweep.WithCache(sweep.NewCache())))
+		}
+		b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "cells/s")
+	})
+	b.Run("warm", func(b *testing.B) {
+		r := sweep.NewRunner(sweep.WithCache(sweep.NewCache()))
+		run(b, r)
+		b.ReportAllocs()
+		b.ResetTimer()
+		cells := 0
+		for i := 0; i < b.N; i++ {
+			cells += run(b, r)
+		}
+		b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "cells/s")
+	})
 }
 
 // BenchmarkSweepExpand measures pure grid expansion: a 3×3×2×10 spec

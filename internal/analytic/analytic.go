@@ -4,6 +4,17 @@
 // must agree), the binary hypercube, and the unidirectional k-ary n-cube
 // (the "other networks" of §4). It also finds the saturation throughput by
 // the paper's operating-point condition x̄₀₁ = 1/λ₀ (Eq. 26).
+//
+// # What depends on λ₀
+//
+// A constructor builds everything the offered load does not touch — name,
+// D̄, routing probabilities, the compiled core.Graph, error labels — once.
+// An evaluation writes the per-class rates (Eq. 14/15 for the fat-tree,
+// flow conservation for the cubes) into a pooled core.Workspace and
+// resolves; the fat-tree's paper variant instead runs the closed-form
+// recurrences on stack arrays. A stable point allocates nothing, and the
+// rate expressions and solver arithmetic are those of a graph rebuilt per
+// call, so results are identical to the last bit (testdata/golden.txt).
 package analytic
 
 import (
@@ -11,8 +22,49 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/solve"
 )
+
+// Per-layer counters (rendered on /metrics by the serve layer), each
+// added to once per resolve or search.
+var (
+	fixedPointIters = obs.NewCounter("analytic_fixedpoint_iterations_total")
+	satSearches     = obs.NewCounter("analytic_saturation_searches_total")
+	satProbes       = obs.NewCounter("analytic_saturation_probes_total")
+)
+
+// resolve runs the bound workspace's fixed point and accounts for it.
+func resolve(ws *core.Workspace, opt core.Options) error {
+	err := ws.Resolve(opt)
+	fixedPointIters.Add(int64(ws.Iterations))
+	return err
+}
+
+// injLatency resolves the bound workspace and assembles Eq. 25 from the
+// injection class.
+func injLatency(ws *core.Workspace, opt core.Options, inj core.ClassID, avgDist float64) (Latency, error) {
+	if err := resolve(ws, opt); err != nil {
+		return Latency{}, err
+	}
+	return Latency{
+		Total:      ws.Wait[inj] + ws.ServiceTime[inj] + avgDist - 1,
+		WaitInj:    ws.Wait[inj],
+		ServiceInj: ws.ServiceTime[inj],
+		AvgDist:    avgDist,
+	}, nil
+}
+
+// withRates stamps the rates setRates computes at lambda0 onto a
+// structure-only core.Model.
+func withRates(cm *core.Model, setRates func([]float64, float64), lambda0 float64) *core.Model {
+	rates := make([]float64, len(cm.Classes))
+	setRates(rates, lambda0)
+	for i := range cm.Classes {
+		cm.Classes[i].PerLinkRate = rates[i]
+	}
+	return cm
+}
 
 // Latency is the model's prediction at one operating point.
 type Latency struct {
@@ -82,7 +134,13 @@ func Curve(m NetworkModel, loads []float64) ([]CurvePoint, error) {
 // unstable error. The result is in messages/cycle/processor; multiply by
 // MsgFlits for the Figure 3 axis.
 func SaturationLoad(serviceInj func(lambda0 float64) (float64, error)) (float64, error) {
+	probes := int64(0)
+	defer func() {
+		satSearches.Add(1)
+		satProbes.Add(probes)
+	}()
 	g := func(lambda0 float64) float64 {
+		probes++
 		x, err := serviceInj(lambda0)
 		if err != nil {
 			return math.Inf(1) // past stability: saturated for sure

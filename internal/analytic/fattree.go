@@ -14,12 +14,28 @@ import (
 // Eq. 12–25 directly; with ablation options set it evaluates the
 // equivalent channel-class graph through package core. Both paths are
 // cross-checked in tests.
+//
+// The constructor builds everything that does not depend on λ₀ (see the
+// package comment); a model is immutable and safe for concurrent use.
 type FatTreeModel struct {
 	numProc  int
 	n        int // log4(numProc)
 	msgFlits float64
 	opt      core.Options
+
+	name    string
+	avgDist float64
+	upProb  []float64 // upProb[l] = P↑_l, l = 0..n
+	graph   *core.Graph
+	// Unstable-error labels of the closed form, "<class>@<name>":
+	// downLabel[l] for down<l,l-1> (l = 1..n), upLabel[l] for up<l,l+1>.
+	downLabel, upLabel []string
 }
+
+// maxLevels bounds n = log4(N) so the closed form can keep its per-level
+// tables in fixed-size stack arrays: 4^31 is the largest power of four an
+// int holds.
+const maxLevels = 31
 
 // NewFatTreeModel creates a model for a butterfly fat-tree with numProc
 // processors (a power of four ≥ 4) and fixed messages of msgFlits flits.
@@ -28,13 +44,33 @@ func NewFatTreeModel(numProc int, msgFlits float64, opt core.Options) (*FatTreeM
 	for v := 1; v < numProc; v *= 4 {
 		n++
 	}
-	if numProc < 4 || 1<<(2*n) != numProc {
+	if numProc < 4 || n > maxLevels || 1<<(2*n) != numProc {
 		return nil, fmt.Errorf("analytic: fat-tree size %d is not a power of four >= 4", numProc)
 	}
 	if msgFlits <= 0 {
 		return nil, fmt.Errorf("analytic: message length %v must be positive", msgFlits)
 	}
-	return &FatTreeModel{numProc: numProc, n: n, msgFlits: msgFlits, opt: opt}, nil
+	m := &FatTreeModel{numProc: numProc, n: n, msgFlits: msgFlits, opt: opt,
+		name: fmt.Sprintf("bft-%d/s=%g", numProc, msgFlits)}
+	m.upProb = make([]float64, n+1)
+	for l := range m.upProb {
+		m.upProb[l] = (float64(numProc) - math.Pow(4, float64(l))) / (float64(numProc) - 1)
+	}
+	for l := 1; l <= n; l++ {
+		m.avgDist += float64(2*l) * 3 * math.Pow(4, float64(l-1))
+	}
+	m.avgDist /= float64(numProc - 1)
+	var err error
+	if m.graph, err = core.Compile(m.BuildCoreModel(0)); err != nil {
+		return nil, err
+	}
+	m.downLabel = make([]string, n+1)
+	m.upLabel = make([]string, n)
+	for l := 1; l <= n; l++ {
+		m.downLabel[l] = m.graph.Name(m.downID(l)) + "@" + m.name
+		m.upLabel[l-1] = m.graph.Name(m.upID(l-1)) + "@" + m.name
+	}
+	return m, nil
 }
 
 // MustFatTreeModel is NewFatTreeModel that panics on error.
@@ -47,9 +83,7 @@ func MustFatTreeModel(numProc int, msgFlits float64, opt core.Options) *FatTreeM
 }
 
 // Name implements NetworkModel.
-func (m *FatTreeModel) Name() string {
-	return fmt.Sprintf("bft-%d/s=%g", m.numProc, m.msgFlits)
-}
+func (m *FatTreeModel) Name() string { return m.name }
 
 // MsgFlits implements NetworkModel.
 func (m *FatTreeModel) MsgFlits() float64 { return m.msgFlits }
@@ -61,17 +95,14 @@ func (m *FatTreeModel) NumProcessors() int { return m.numProc }
 func (m *FatTreeModel) Levels() int { return m.n }
 
 // AvgDist implements NetworkModel; see topology.FatTree.AvgDistance.
-func (m *FatTreeModel) AvgDist() float64 {
-	num := 0.0
-	for l := 1; l <= m.n; l++ {
-		num += float64(2*l) * 3 * math.Pow(4, float64(l-1))
-	}
-	return num / float64(m.numProc-1)
-}
+func (m *FatTreeModel) AvgDist() float64 { return m.avgDist }
 
 // UpProb returns P↑_l = (4^n − 4^l)/(4^n − 1), the probability that a
 // message at a level-l switch must continue upward (Eq. 12).
 func (m *FatTreeModel) UpProb(l int) float64 {
+	if l >= 0 && l <= m.n {
+		return m.upProb[l]
+	}
 	n4 := float64(m.numProc)
 	return (n4 - math.Pow(4, float64(l))) / (n4 - 1)
 }
@@ -88,10 +119,22 @@ func (m *FatTreeModel) UpRate(l int, lambda0 float64) float64 {
 
 // Latency implements NetworkModel.
 func (m *FatTreeModel) Latency(lambda0 float64) (Latency, error) {
+	if lambda0 < 0 || math.IsNaN(lambda0) {
+		return Latency{}, fmt.Errorf("analytic: bad arrival rate %v", lambda0)
+	}
 	if m.opt == (core.Options{}) {
 		return m.closedForm(lambda0)
 	}
 	return m.latencyViaCore(lambda0)
+}
+
+// latencyViaCore writes the rates at λ₀ into the compiled channel graph,
+// resolves it and assembles Eq. 25 from the injection class.
+func (m *FatTreeModel) latencyViaCore(lambda0 float64) (Latency, error) {
+	ws := core.AcquireWorkspace()
+	defer ws.Release()
+	m.setRates(ws.Bind(m.graph), lambda0)
+	return injLatency(ws, m.opt, m.upID(0), m.avgDist)
 }
 
 // ServiceInj returns the injection-channel service time x̄₀₁(λ₀), the
@@ -114,87 +157,72 @@ func (m *FatTreeModel) SaturationLoad() (float64, error) {
 	return lambda0 * m.msgFlits, nil
 }
 
-// closedForm transcribes Eq. 12–25 with the published 2λ correction to
-// Eq. 21/23.
-func (m *FatTreeModel) closedForm(lambda0 float64) (Latency, error) {
-	if lambda0 < 0 || math.IsNaN(lambda0) {
-		return Latency{}, fmt.Errorf("analytic: bad arrival rate %v", lambda0)
+// ratio computes λa/λb for the blocking corrections; with no traffic at
+// all (λb = 0) the associated wait is 0, so any finite value works and 0
+// keeps the block factor at its no-information value of 1.
+func ratio(a, b float64) float64 {
+	if b <= 0 {
+		return 0
 	}
+	return a / b
+}
+
+// closedForm transcribes Eq. 12–25 with the published 2λ correction to
+// Eq. 21/23. Its per-level tables are fixed-size arrays on the stack, so
+// a stable point allocates nothing.
+func (m *FatTreeModel) closedForm(lambda0 float64) (Latency, error) {
 	n, s := m.n, m.msgFlits
 
-	lamUp := make([]float64, n) // lamUp[l] = λ_{l,l+1}
+	var lamUp [maxLevels]float64 // lamUp[l] = λ_{l,l+1}
 	for l := 0; l < n; l++ {
 		lamUp[l] = m.UpRate(l, lambda0)
 	}
 	lamDown := func(l int) float64 { return lamUp[l-1] } // λ_{l,l-1} = λ_{l-1,l}
 
-	fail := func(name string, lam, x float64, servers int) error {
-		return &core.UnstableError{
-			Class: fmt.Sprintf("%s@%s", name, m.Name()),
-			Rho:   queueing.Utilization(servers, lam*float64(servers), x),
-		}
-	}
-
-	// ratio computes λa/λb for the blocking corrections; with no traffic
-	// at all (λb = 0) the associated wait is 0, so any finite value works
-	// and 0 keeps the block factor at its no-information value of 1.
-	ratio := func(a, b float64) float64 {
-		if b <= 0 {
-			return 0
-		}
-		return a / b
-	}
-
 	// Downward channels, leaves up (Eq. 16–19).
-	xDown := make([]float64, n+1) // xDown[l] = x̄_{l,l-1}, 1 <= l <= n
-	wDown := make([]float64, n+1)
-	xDown[1] = s // Eq. 16: deterministic delivery at the destination
-	wDown[1] = queueing.WaitWormholeMG1(lamDown(1), xDown[1], s)
-	if math.IsInf(wDown[1], 1) {
-		return Latency{}, fail("down<1,0>", lamDown(1), xDown[1], 1)
-	}
-	for l := 2; l <= n; l++ {
-		block := clamp01(1 - ratio(lamDown(l), lamDown(l-1))/4) // Eq. 18
-		xDown[l] = xDown[l-1] + block*wDown[l-1]
+	var xDown, wDown [maxLevels + 1]float64 // xDown[l] = x̄_{l,l-1}, 1 <= l <= n
+	xDown[1] = s                            // Eq. 16: deterministic delivery at the destination
+	for l := 1; l <= n; l++ {
+		if l > 1 {
+			block := clamp01(1 - ratio(lamDown(l), lamDown(l-1))/4) // Eq. 18
+			xDown[l] = xDown[l-1] + block*wDown[l-1]
+		}
 		wDown[l] = queueing.WaitWormholeMG1(lamDown(l), xDown[l], s) // Eq. 19
 		if math.IsInf(wDown[l], 1) {
-			return Latency{}, fail(fmt.Sprintf("down<%d,%d>", l, l-1), lamDown(l), xDown[l], 1)
+			return Latency{}, &core.UnstableError{
+				Class: m.downLabel[l],
+				Rho:   queueing.Utilization(1, lamDown(l), xDown[l]),
+			}
 		}
 	}
 
 	// Upward channels, root down (Eq. 20–24).
-	xUp := make([]float64, n)
-	wUp := make([]float64, n)
-	{
-		l := n - 1                                          // channel <n-1, n> into the root switches
-		block := clamp01(1 - ratio(lamUp[l], lamDown(n))/3) // Eq. 20: 3 sibling children
-		xUp[l] = xDown[n] + block*wDown[n]
-		var err error
-		wUp[l], err = m.upWait(l, lamUp[l], xUp[l])
-		if err != nil {
-			return Latency{}, err
+	var xUp, wUp [maxLevels]float64
+	for l := n - 1; l >= 0; l-- {
+		if l == n-1 {
+			// Channel <n-1, n> into the root switches.
+			block := clamp01(1 - ratio(lamUp[l], lamDown(n))/3) // Eq. 20: 3 sibling children
+			xUp[l] = xDown[n] + block*wDown[n]
+		} else {
+			// Channel <l, l+1> arrives at a level-(l+1) switch (Eq. 22).
+			pUp := m.upProb[l+1]
+			pDown := 1 - pUp
+			blockUp := clamp01(1 - ratio(lamUp[l], lamUp[l+1])*pUp)
+			blockDown := clamp01(1 - ratio(lamUp[l], lamDown(l+1))*pDown/3)
+			xUp[l] = pUp*(xUp[l+1]+blockUp*wUp[l+1]) +
+				pDown*(xDown[l+1]+blockDown*wDown[l+1])
 		}
-	}
-	for l := n - 2; l >= 0; l-- {
-		// Channel <l, l+1> arrives at a level-(l+1) switch (Eq. 22).
-		pUp := m.UpProb(l + 1)
-		pDown := 1 - pUp
-		blockUp := clamp01(1 - ratio(lamUp[l], lamUp[l+1])*pUp)
-		blockDown := clamp01(1 - ratio(lamUp[l], lamDown(l+1))*pDown/3)
-		xUp[l] = pUp*(xUp[l+1]+blockUp*wUp[l+1]) +
-			pDown*(xDown[l+1]+blockDown*wDown[l+1])
 		var err error
-		wUp[l], err = m.upWait(l, lamUp[l], xUp[l])
-		if err != nil {
+		if wUp[l], err = m.upWait(l, lamUp[l], xUp[l]); err != nil {
 			return Latency{}, err
 		}
 	}
 
 	return Latency{
-		Total:      wUp[0] + xUp[0] + m.AvgDist() - 1, // Eq. 25
+		Total:      wUp[0] + xUp[0] + m.avgDist - 1, // Eq. 25
 		WaitInj:    wUp[0],
 		ServiceInj: xUp[0],
-		AvgDist:    m.AvgDist(),
+		AvgDist:    m.avgDist,
 	}, nil
 }
 
@@ -212,7 +240,7 @@ func (m *FatTreeModel) upWait(l int, lam, x float64) (float64, error) {
 	}
 	if math.IsInf(w, 1) {
 		return 0, &core.UnstableError{
-			Class: fmt.Sprintf("up<%d,%d>@%s", l, l+1, m.Name()),
+			Class: m.upLabel[l],
 			Rho:   queueing.Utilization(servers, float64(servers)*lam, x),
 		}
 	}
@@ -229,71 +257,62 @@ func clamp01(v float64) float64 {
 	return v
 }
 
+// Class layout of the channel graph: down<l,l-1> for l = 1..n, then
+// up<l,l+1> for l = 0..n-1 (up<0,1> is the injection channel).
+func (m *FatTreeModel) downID(l int) core.ClassID { return core.ClassID(l - 1) }   // l = 1..n
+func (m *FatTreeModel) upID(l int) core.ClassID   { return core.ClassID(m.n + l) } // l = 0..n-1
+
 // BuildCoreModel generates the equivalent channel-class graph for package
-// core. Class layout: down<l,l-1> for l = 1..n, then up<l,l+1> for
-// l = 0..n-1 (up<0,1> is the injection channel).
+// core at rate λ₀ (class layout above). Only the rates depend on λ₀: the
+// constructor compiles BuildCoreModel(0) once and evaluations write
+// setRates' rates into that graph instead of building a model per point.
 func (m *FatTreeModel) BuildCoreModel(lambda0 float64) *core.Model {
 	n := m.n
-	downID := func(l int) core.ClassID { return core.ClassID(l - 1) } // l = 1..n
-	upID := func(l int) core.ClassID { return core.ClassID(n + l) }   // l = 0..n-1
 	classes := make([]core.Class, 2*n)
-
 	for l := 1; l <= n; l++ {
 		c := core.Class{
-			Name:        fmt.Sprintf("down<%d,%d>", l, l-1),
-			Servers:     1,
-			PerLinkRate: m.UpRate(l-1, lambda0), // Eq. 15: λ_{l,l-1} = λ_{l-1,l}
+			Name:    fmt.Sprintf("down<%d,%d>", l, l-1),
+			Servers: 1,
 		}
 		if l == 1 {
 			c.Terminal = true // ejection channel, Eq. 16
 		} else {
 			// One of the 4 children of the level-(l-1) switch.
-			c.Out = []core.Transition{{To: downID(l - 1), Prob: 1, Groups: 4}}
+			c.Out = []core.Transition{{To: m.downID(l - 1), Prob: 1, Groups: 4}}
 		}
-		classes[downID(l)] = c
+		classes[m.downID(l)] = c
 	}
 	for l := 0; l < n; l++ {
 		c := core.Class{
-			Name:        fmt.Sprintf("up<%d,%d>", l, l+1),
-			Servers:     2,
-			PerLinkRate: m.UpRate(l, lambda0),
+			Name:    fmt.Sprintf("up<%d,%d>", l, l+1),
+			Servers: 2,
 		}
 		if l == 0 {
 			c.Servers = 1 // injection channel has no redundant twin
 		}
 		if l == n-1 {
 			// Arrives at a root switch: down to one of 3 siblings.
-			c.Out = []core.Transition{{To: downID(n), Prob: 1, Groups: 3}}
+			c.Out = []core.Transition{{To: m.downID(n), Prob: 1, Groups: 3}}
 		} else {
-			pUp := m.UpProb(l + 1)
+			pUp := m.upProb[l+1]
 			c.Out = []core.Transition{
-				{To: upID(l + 1), Prob: pUp, Groups: 1},
-				{To: downID(l + 1), Prob: 1 - pUp, Groups: 3},
+				{To: m.upID(l + 1), Prob: pUp, Groups: 1},
+				{To: m.downID(l + 1), Prob: 1 - pUp, Groups: 3},
 			}
 		}
-		classes[upID(l)] = c
+		classes[m.upID(l)] = c
 	}
-	return &core.Model{Classes: classes, MsgFlits: m.msgFlits}
+	return withRates(&core.Model{Classes: classes, MsgFlits: m.msgFlits}, m.setRates, lambda0)
 }
 
-// latencyViaCore resolves the generated channel graph and assembles
-// Eq. 25 from the injection class.
-func (m *FatTreeModel) latencyViaCore(lambda0 float64) (Latency, error) {
-	if lambda0 < 0 || math.IsNaN(lambda0) {
-		return Latency{}, fmt.Errorf("analytic: bad arrival rate %v", lambda0)
+// setRates writes the per-link rates of every class at λ₀ — the only
+// λ₀-dependent input of the channel graph.
+func (m *FatTreeModel) setRates(rates []float64, lambda0 float64) {
+	for l := 0; l < m.n; l++ {
+		rate := m.UpRate(l, lambda0)
+		rates[m.upID(l)] = rate
+		rates[m.downID(l+1)] = rate // Eq. 15: λ_{l+1,l} = λ_{l,l+1}
 	}
-	cm := m.BuildCoreModel(lambda0)
-	res, err := cm.Resolve(m.opt)
-	if err != nil {
-		return Latency{}, err
-	}
-	inj := cm.ClassByName("up<0,1>")
-	return Latency{
-		Total:      res.Wait[inj] + res.ServiceTime[inj] + m.AvgDist() - 1,
-		WaitInj:    res.Wait[inj],
-		ServiceInj: res.ServiceTime[inj],
-		AvgDist:    m.AvgDist(),
-	}, nil
 }
 
 // ChannelStat is one row of the per-channel-class report.
@@ -315,25 +334,22 @@ type ChannelStat struct {
 // ChannelStats resolves the channel graph and reports per-class service
 // times, waits and utilizations — the intermediate quantities of §3.3.
 func (m *FatTreeModel) ChannelStats(lambda0 float64) ([]ChannelStat, error) {
-	cm := m.BuildCoreModel(lambda0)
-	res, err := cm.Resolve(m.opt)
-	if err != nil {
+	ws := core.AcquireWorkspace()
+	defer ws.Release()
+	rates := ws.Bind(m.graph)
+	m.setRates(rates, lambda0)
+	if err := resolve(ws, m.opt); err != nil {
 		return nil, err
 	}
-	out := make([]ChannelStat, len(cm.Classes))
-	for i := range cm.Classes {
-		c := &cm.Classes[i]
-		servers := c.Servers
-		if servers < 1 {
-			servers = 1
-		}
+	out := make([]ChannelStat, len(rates))
+	for i := range out {
 		out[i] = ChannelStat{
-			Name:    c.Name,
-			Servers: servers,
-			Rate:    c.PerLinkRate,
-			Service: res.ServiceTime[i],
-			Wait:    res.Wait[i],
-			Rho:     res.Utilization[i],
+			Name:    m.graph.Name(core.ClassID(i)),
+			Servers: m.graph.Servers(core.ClassID(i)),
+			Rate:    rates[i],
+			Service: ws.ServiceTime[i],
+			Wait:    ws.Wait[i],
+			Rho:     ws.Utilization[i],
 		}
 	}
 	return out, nil

@@ -1,0 +1,149 @@
+package analytic
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.txt from the current code")
+
+// goldenVariants are the four ablation variants every sweep and bench
+// grid uses.
+var goldenVariants = []struct {
+	name string
+	opt  core.Options
+}{
+	{"paper", core.Options{}},
+	{"no-blocking", core.Options{NoBlockingCorrection: true}},
+	{"single-server", core.Options{SingleServerGroups: true}},
+	{"pre-erratum", core.Options{NoPairRateCorrection: true}},
+}
+
+// goldenFracs are the operating points, as fractions of each model's own
+// Eq. 26 saturation load: light, knee, up to 0.98 of saturation, and past
+// it (where the models must report the same unstable class and ρ).
+var goldenFracs = []float64{0, 0.1, 0.5, 0.9, 0.98, 1.02, 1.5, 4}
+
+type goldenModel interface {
+	NetworkModel
+	SaturationLoad() (float64, error)
+}
+
+func hexf(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
+
+// goldenErr renders an error as its unstable class and ρ, or its text.
+func goldenErr(err error) string {
+	var ue *core.UnstableError
+	if errors.As(err, &ue) {
+		return "unstable class=" + ue.Class + " rho=" + hexf(ue.Rho)
+	}
+	return "error " + err.Error()
+}
+
+// goldenDump renders every output of the analytic layer over bft,
+// hypercube and torus × the four variants in hex floats, so comparing the
+// text is comparing the bits.
+func goldenDump(t *testing.T) string {
+	var b strings.Builder
+	build := func(family string, size, k int, flits float64, opt core.Options) (goldenModel, error) {
+		switch family {
+		case "bft":
+			return NewFatTreeModel(size, flits, opt)
+		case "hypercube":
+			return NewHypercubeModel(size, flits, opt)
+		default:
+			return NewTorusModel(k, size, flits, opt)
+		}
+	}
+	instances := []struct {
+		family  string
+		size, k int
+	}{
+		{"bft", 4, 0}, {"bft", 16, 0}, {"bft", 64, 0}, {"bft", 1024, 0}, {"bft", 4096, 0},
+		{"hypercube", 1, 0}, {"hypercube", 3, 0}, {"hypercube", 6, 0}, {"hypercube", 8, 0},
+		{"torus", 1, 3}, {"torus", 2, 4}, {"torus", 3, 4}, {"torus", 2, 8}, {"torus", 3, 5},
+	}
+	for _, in := range instances {
+		for _, flits := range []float64{8, 32} {
+			for _, v := range goldenVariants {
+				m, err := build(in.family, in.size, in.k, flits, v.opt)
+				if err != nil {
+					t.Fatalf("%s-%d k=%d s=%v %s: %v", in.family, in.size, in.k, flits, v.name, err)
+				}
+				sat, err := m.SaturationLoad()
+				fmt.Fprintf(&b, "%s variant=%s dist=%s", m.Name(), v.name, hexf(m.AvgDist()))
+				if err != nil {
+					fmt.Fprintf(&b, " sat-error %v\n", err)
+					continue
+				}
+				fmt.Fprintf(&b, " sat=%s\n", hexf(sat))
+				for _, frac := range goldenFracs {
+					lambda0 := frac * sat / flits
+					fmt.Fprintf(&b, "  lambda0=%s", hexf(lambda0))
+					lat, err := m.Latency(lambda0)
+					if err != nil {
+						fmt.Fprintf(&b, " %s\n", goldenErr(err))
+					} else {
+						fmt.Fprintf(&b, " total=%s wait=%s service=%s dist=%s\n",
+							hexf(lat.Total), hexf(lat.WaitInj), hexf(lat.ServiceInj), hexf(lat.AvgDist))
+					}
+					ft, ok := m.(*FatTreeModel)
+					if !ok {
+						continue
+					}
+					stats, err := ft.ChannelStats(lambda0)
+					if err != nil {
+						fmt.Fprintf(&b, "    stats %s\n", goldenErr(err))
+						continue
+					}
+					for _, st := range stats {
+						fmt.Fprintf(&b, "    %s m=%d rate=%s service=%s wait=%s rho=%s\n",
+							st.Name, st.Servers, hexf(st.Rate), hexf(st.Service), hexf(st.Wait), hexf(st.Rho))
+					}
+				}
+			}
+		}
+	}
+	return b.String()
+}
+
+// TestGoldenBitIdentity pins Latency, ChannelStats, SaturationLoad and the
+// unstable verdicts to the outputs recorded at the commit before the
+// build-once channel graph: the compiled graph and the workspace must
+// not move a single bit. Regenerate with -update only when a change is
+// meant to move results (and then bump whatever invalidates the caches).
+func TestGoldenBitIdentity(t *testing.T) {
+	const path = "testdata/golden.txt"
+	got := goldenDump(t)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := string(data)
+	if got == want {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("golden line %d differs:\n got %s\nwant %s", i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("golden has %d lines, got %d", len(wl), len(gl))
+}

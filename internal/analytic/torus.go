@@ -28,6 +28,9 @@ type TorusModel struct {
 	numProc  int
 	msgFlits float64
 	opt      core.Options
+
+	name  string
+	graph *core.Graph
 }
 
 // NewTorusModel creates a model of a k-ary n-cube (k ≥ 2, dims ≥ 1) with
@@ -46,7 +49,13 @@ func NewTorusModel(k, dims int, msgFlits float64, opt core.Options) (*TorusModel
 	if msgFlits <= 0 {
 		return nil, fmt.Errorf("analytic: message length %v must be positive", msgFlits)
 	}
-	return &TorusModel{k: k, dims: dims, numProc: numProc, msgFlits: msgFlits, opt: opt}, nil
+	m := &TorusModel{k: k, dims: dims, numProc: numProc, msgFlits: msgFlits, opt: opt,
+		name: fmt.Sprintf("torus-%dary%dcube/s=%g", k, dims, msgFlits)}
+	var err error
+	if m.graph, err = core.Compile(m.BuildCoreModel(0)); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // MustTorusModel is NewTorusModel that panics on error.
@@ -59,9 +68,7 @@ func MustTorusModel(k, dims int, msgFlits float64, opt core.Options) *TorusModel
 }
 
 // Name implements NetworkModel.
-func (m *TorusModel) Name() string {
-	return fmt.Sprintf("torus-%dary%dcube/s=%g", m.k, m.dims, m.msgFlits)
-}
+func (m *TorusModel) Name() string { return m.name }
 
 // MsgFlits implements NetworkModel.
 func (m *TorusModel) MsgFlits() float64 { return m.msgFlits }
@@ -82,21 +89,35 @@ func (m *TorusModel) hopsPerDim() float64 {
 	return n * float64(m.k-1) / (2 * (n - 1))
 }
 
+// Class layout of the channel graph: [ej, link0..link_{dims-1}, inj].
+func (m *TorusModel) injID() core.ClassID { return core.ClassID(1 + m.dims) }
+
+// setRates writes the per-link rates of every class at λ₀: every node
+// injects and ejects λ₀, and every dimension link carries the
+// flow-conservation rate.
+func (m *TorusModel) setRates(rates []float64, lambda0 float64) {
+	link := lambda0 * m.hopsPerDim()
+	for i := range rates {
+		rates[i] = link
+	}
+	rates[0], rates[m.injID()] = lambda0, lambda0
+}
+
 // BuildCoreModel generates the channel-class graph at per-processor rate
-// lambda0. Class layout: [ej, link0..link_{dims-1}, inj].
+// lambda0 as a declarative core.Model (class layout above). The
+// constructor compiles BuildCoreModel(0) once; evaluations write setRates'
+// rates into that graph instead.
 func (m *TorusModel) BuildCoreModel(lambda0 float64) *core.Model {
 	dims := m.dims
 	k := float64(m.k)
 	ejID := core.ClassID(0)
 	linkID := func(d int) core.ClassID { return core.ClassID(1 + d) }
-	injID := core.ClassID(1 + dims)
 
 	classes := make([]core.Class, dims+2)
 	classes[ejID] = core.Class{
-		Name:        "eject",
-		Servers:     1,
-		PerLinkRate: lambda0,
-		Terminal:    true,
+		Name:     "eject",
+		Servers:  1,
+		Terminal: true,
 	}
 
 	// P(cross dim e as the next dimension | leaving dim d) spreads the
@@ -119,10 +140,9 @@ func (m *TorusModel) BuildCoreModel(lambda0 float64) *core.Model {
 		// probabilities summing to exactly 1 in floating point.
 		out = append(out, core.Transition{To: ejID, Prob: rest, Groups: 1})
 		classes[linkID(d)] = core.Class{
-			Name:        fmt.Sprintf("dim%d", d),
-			Servers:     1,
-			PerLinkRate: lambda0 * m.hopsPerDim(),
-			Out:         out,
+			Name:    fmt.Sprintf("dim%d", d),
+			Servers: 1,
+			Out:     out,
 		}
 	}
 
@@ -137,13 +157,12 @@ func (m *TorusModel) BuildCoreModel(lambda0 float64) *core.Model {
 		rest -= p
 	}
 	out = append(out, core.Transition{To: linkID(dims - 1), Prob: rest, Groups: 1})
-	classes[injID] = core.Class{
-		Name:        "inject",
-		Servers:     1,
-		PerLinkRate: lambda0,
-		Out:         out,
+	classes[m.injID()] = core.Class{
+		Name:    "inject",
+		Servers: 1,
+		Out:     out,
 	}
-	return &core.Model{Classes: classes, MsgFlits: m.msgFlits}
+	return withRates(&core.Model{Classes: classes, MsgFlits: m.msgFlits}, m.setRates, lambda0)
 }
 
 // Latency implements NetworkModel.
@@ -151,18 +170,10 @@ func (m *TorusModel) Latency(lambda0 float64) (Latency, error) {
 	if lambda0 < 0 || math.IsNaN(lambda0) {
 		return Latency{}, fmt.Errorf("analytic: bad arrival rate %v", lambda0)
 	}
-	cm := m.BuildCoreModel(lambda0)
-	res, err := cm.Resolve(m.opt)
-	if err != nil {
-		return Latency{}, err
-	}
-	inj := cm.ClassByName("inject")
-	return Latency{
-		Total:      res.Wait[inj] + res.ServiceTime[inj] + m.AvgDist() - 1,
-		WaitInj:    res.Wait[inj],
-		ServiceInj: res.ServiceTime[inj],
-		AvgDist:    m.AvgDist(),
-	}, nil
+	ws := core.AcquireWorkspace()
+	defer ws.Release()
+	m.setRates(ws.Bind(m.graph), lambda0)
+	return injLatency(ws, m.opt, m.injID(), m.AvgDist())
 }
 
 // ServiceInj returns x̄ at the injection channel for the saturation search.
@@ -197,6 +208,7 @@ func NewHypercubeModel(dims int, msgFlits float64, opt core.Options) (*Hypercube
 	if err != nil {
 		return nil, err
 	}
+	t.name = fmt.Sprintf("hcube-%d/s=%g", t.numProc, msgFlits)
 	return &HypercubeModel{TorusModel: *t}, nil
 }
 
@@ -207,9 +219,4 @@ func MustHypercubeModel(dims int, msgFlits float64, opt core.Options) *Hypercube
 		panic(err)
 	}
 	return m
-}
-
-// Name implements NetworkModel.
-func (m *HypercubeModel) Name() string {
-	return fmt.Sprintf("hcube-%d/s=%g", m.numProc, m.msgFlits)
 }

@@ -270,7 +270,7 @@ func (b *Backend) Evaluate(ctx context.Context, sc eval.Scenario) (eval.Point, e
 	if err := ctx.Err(); err != nil {
 		return eval.Point{}, err
 	}
-	_, span := obs.StartSpanKeyed(ctx, "bounds.eval", sc.Key())
+	_, span := obs.StartSpanFor(ctx, "bounds.eval", sc)
 	evalsTotal.Add(1)
 	pt := eval.NewPoint()
 	load, err := b.resolveLoad(sc)

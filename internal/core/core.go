@@ -35,12 +35,26 @@
 // The system is solved by damped fixed-point iteration, which handles both
 // acyclic graphs (tree networks resolve in a handful of sweeps) and cyclic
 // ones (k-ary n-cube classes that feed themselves).
+//
+// # Build once, resolve many
+//
+// Only the per-class rates depend on the offered load λ₀. Compile
+// validates everything else once — names, server counts, transitions,
+// which classes a transition targets — into an immutable Graph; a caller
+// then binds a reusable Workspace to it, writes the rates and calls
+// Resolve, which computes the rate-only blocking factors P(i|t) once and
+// the M/G/m wait once per targeted class per iteration, and allocates
+// nothing on a stable point. (*Model).Resolve is Compile plus a fresh
+// workspace — the same solver. Hoisting changes no iterate: the hoisted
+// factors are pure functions of values constant inside the loop, and
+// damping, tolerance, update order and every expression are unchanged.
 package core
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/queueing"
 	"repro/internal/solve"
@@ -214,53 +228,139 @@ func (t *Transition) groups() float64 {
 	return float64(t.Groups)
 }
 
-func (m *Model) cv2(x float64, opt Options) float64 {
-	switch opt.CV {
+// Graph is the rate-independent part of a Model, built once by Compile.
+// It is immutable and safe for concurrent use.
+type Graph struct {
+	msgFlits float64
+	classes  []Class // private copy: Servers normalised, PerLinkRate unused
+	// targeted marks the classes some transition points at — the only
+	// ones whose wait the iteration needs.
+	targeted []bool
+	// Class i's transitions own block[offset[i]:offset[i+1]] of a Workspace.
+	offset []int
+}
+
+// Compile validates the model (Validate, on whatever rates it carries)
+// and builds its Graph.
+func Compile(m *Model) (*Graph, error) {
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	n := len(m.Classes)
+	g := &Graph{msgFlits: m.MsgFlits, classes: make([]Class, n), targeted: make([]bool, n), offset: make([]int, n+1)}
+	for i, c := range m.Classes {
+		c.Servers, c.Out = c.servers(), append([]Transition(nil), c.Out...)
+		for _, t := range c.Out {
+			g.targeted[t.To] = true
+		}
+		g.classes[i], g.offset[i+1] = c, g.offset[i]+len(c.Out)
+	}
+	return g, nil
+}
+
+// Name returns the label of class i.
+func (g *Graph) Name(i ClassID) string { return g.classes[i].Name }
+
+// Servers returns the group size m of class i (at least 1).
+func (g *Graph) Servers(i ClassID) int { return g.classes[i].Servers }
+
+// Workspace is the reusable scratch and result storage of one Resolve:
+// Bind it to a graph, fill the returned rates, call Resolve and read the
+// result slices, which stay valid until the next Bind or Release. It may
+// serve graphs of different sizes in turn and carries nothing over from a
+// failed call. Not safe for concurrent use: take one per call from
+// AcquireWorkspace.
+type Workspace struct {
+	// ServiceTime, Wait and Utilization are x̄, W̄ and ρ per class after a
+	// successful Resolve (see Result).
+	ServiceTime, Wait, Utilization []float64
+	// Iterations is the number of fixed-point sweeps the last Resolve ran.
+	Iterations int
+
+	g     *Graph
+	opt   Options
+	buf   []float64 // backs every slice here
+	rates []float64
+	fx    []float64
+	qRate []float64 // the arrival rate the M/G/m formula is fed, per class
+	block []float64 // P(i|t) per transition
+}
+
+var workspaces = sync.Pool{New: func() any { return new(Workspace) }}
+
+// AcquireWorkspace returns a pooled workspace; Release hands it back.
+func AcquireWorkspace() *Workspace { return workspaces.Get().(*Workspace) }
+
+// Release returns the workspace to the pool. Its result slices must not be
+// used afterwards.
+func (ws *Workspace) Release() {
+	ws.g = nil
+	workspaces.Put(ws)
+}
+
+// Bind sizes the workspace for g and returns the per-link rate slice
+// (messages/cycle per class, the paper's λ) the caller must fill before
+// Resolve.
+func (ws *Workspace) Bind(g *Graph) []float64 {
+	n := len(g.classes)
+	if need := 6*n + g.offset[n]; cap(ws.buf) < need {
+		ws.buf = make([]float64, need)
+	}
+	rest := ws.buf
+	cut := func(k int) []float64 {
+		s := rest[:k:k]
+		rest = rest[k:]
+		return s
+	}
+	ws.g, ws.rates, ws.fx, ws.qRate = g, cut(n), cut(n), cut(n)
+	ws.ServiceTime, ws.Wait, ws.Utilization, ws.block = cut(n), cut(n), cut(n), cut(g.offset[n])
+	return ws.rates
+}
+
+func cv2(mode CVMode, x, msgFlits float64) float64 {
+	switch mode {
 	case CVDeterministic:
 		return queueing.CV2Deterministic
 	case CVExponential:
 		return queueing.CV2Exponential
 	default:
-		return queueing.CV2Wormhole(x, m.MsgFlits)
+		return queueing.CV2Wormhole(x, msgFlits)
 	}
 }
 
-// wait computes the group waiting time of class c given its current mean
-// service time x under the option set.
-func (m *Model) wait(c *Class, x float64, opt Options) float64 {
-	servers := c.servers()
-	if opt.SingleServerGroups {
-		return queueing.WaitMGm(1, c.PerLinkRate, x, m.cv2(x, opt))
+// wait is the group waiting time of class i at mean service time x under
+// the options Resolve decoded.
+func (ws *Workspace) wait(i int, x float64) float64 {
+	servers := ws.g.classes[i].Servers
+	if ws.opt.SingleServerGroups {
+		servers = 1
 	}
-	rate := float64(servers) * c.PerLinkRate
-	if opt.NoPairRateCorrection {
-		rate = c.PerLinkRate
-	}
-	return queueing.WaitMGm(servers, rate, x, m.cv2(x, opt))
+	return queueing.WaitMGm(servers, ws.qRate[i], x, cv2(ws.opt.CV, x, ws.g.msgFlits))
 }
 
-// blocking returns P(i|t) of Eq. 10, clamped to [0,1].
-func (m *Model) blocking(from *Class, t *Transition, opt Options) float64 {
+// blocking returns P(i|t) of Eq. 10, clamped to [0,1], for a transition
+// with per-group routing probability perGroup from a class with per-link
+// rate rateFrom into a class of `servers` links with per-link rate rateTo.
+func blocking(opt Options, rateFrom float64, servers int, rateTo, perGroup float64) float64 {
 	if opt.NoBlockingCorrection {
 		return 1
 	}
-	to := &m.Classes[t.To]
-	mj := float64(to.servers())
-	lambdaJ := mj * to.PerLinkRate
+	mj := float64(servers)
+	lambdaJ := mj * rateTo
 	if opt.SingleServerGroups {
 		// Each link of the pair is its own group: per-link rate and the
 		// per-group routing probability splits over servers*groups links.
 		mj = 1
-		lambdaJ = to.PerLinkRate
+		lambdaJ = rateTo
 	}
 	if lambdaJ <= 0 {
 		return 1
 	}
-	r := t.Prob / t.groups()
+	r := perGroup
 	if opt.SingleServerGroups {
-		r /= float64(to.servers())
+		r /= float64(servers)
 	}
-	p := 1 - mj*(from.PerLinkRate/lambdaJ)*r
+	p := 1 - mj*(rateFrom/lambdaJ)*r
 	if p < 0 {
 		return 0
 	}
@@ -270,107 +370,141 @@ func (m *Model) blocking(from *Class, t *Transition, opt Options) float64 {
 	return p
 }
 
-// Resolve computes service times and waiting times for every class at the
-// configured rates. It returns an *UnstableError (wrapping ErrUnstable)
-// when a channel is saturated.
-func (m *Model) Resolve(opt Options) (*Result, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
+// iterate is one application of Eq. 3/11: out = f(x).
+func (ws *Workspace) iterate(x, out []float64) {
+	g := ws.g
+	for j, targeted := range g.targeted {
+		if targeted {
+			ws.Wait[j] = ws.wait(j, x[j])
+		}
+	}
+	for i := range out {
+		c := &g.classes[i]
+		if c.Terminal {
+			out[i] = g.msgFlits
+			continue
+		}
+		var sum float64
+		for ti, block := range ws.block[g.offset[i]:g.offset[i+1]] {
+			t := &c.Out[ti]
+			sum += t.Prob * (x[t.To] + block*ws.Wait[t.To])
+		}
+		out[i] = sum
+	}
+}
+
+// Resolve computes service times and waiting times for every class of the
+// bound graph at the rates written into Bind's slice. It returns an
+// *UnstableError (wrapping ErrUnstable) when a channel is saturated; the
+// result slices are then meaningless.
+func (ws *Workspace) Resolve(opt Options) error {
+	g := ws.g
+	ws.opt, ws.Iterations = opt, 0
+	for i, rate := range ws.rates {
+		if rate < 0 || math.IsNaN(rate) {
+			return fmt.Errorf("core: class %s: bad rate %v", g.classes[i].Name, rate)
+		}
 	}
 	// Stability precheck on the raw transmission time: if a channel
 	// cannot even carry its load at x̄ = MsgFlits it can never stabilise.
-	for i := range m.Classes {
-		if err := m.checkStable(ClassID(i), m.MsgFlits, opt); err != nil {
-			return nil, err
+	for i := range ws.rates {
+		if err := ws.checkStable(i, g.msgFlits); err != nil {
+			return err
+		}
+	}
+	for i, rate := range ws.rates {
+		c := &g.classes[i]
+		ws.qRate[i] = rate
+		if !opt.SingleServerGroups && !opt.NoPairRateCorrection {
+			ws.qRate[i] = float64(c.Servers) * rate
+		}
+		for ti := range c.Out {
+			t := &c.Out[ti]
+			ws.block[g.offset[i]+ti] = blocking(opt, rate, g.classes[t.To].Servers, ws.rates[t.To], t.Prob/t.groups())
 		}
 	}
 
-	x0 := make([]float64, len(m.Classes))
-	for i := range x0 {
-		x0[i] = m.MsgFlits
-	}
-	iterate := func(x, out []float64) {
-		for i := range m.Classes {
-			c := &m.Classes[i]
-			if c.Terminal {
-				out[i] = m.MsgFlits
-				continue
-			}
-			var sum float64
-			for ti := range c.Out {
-				t := &c.Out[ti]
-				to := &m.Classes[t.To]
-				w := m.wait(to, x[t.To], opt)
-				sum += t.Prob * (x[t.To] + m.blocking(c, t, opt)*w)
-			}
-			out[i] = sum
-		}
+	x := ws.ServiceTime
+	for i := range x {
+		x[i] = g.msgFlits
 	}
 	fpOpt := opt.FixedPoint
 	if fpOpt.MaxIter == 0 && fpOpt.Tol == 0 && fpOpt.Damping == 0 {
 		fpOpt = solve.DefaultFixedPointOptions()
 	}
-	x, err := solve.FixedPoint(iterate, x0, fpOpt)
+	var err error
+	ws.Iterations, err = solve.FixedPointInPlace(ws.iterate, x, ws.fx, fpOpt)
 	if err != nil {
 		// Divergence means some queue has no steady state at this load.
-		return nil, m.firstUnstable(x, opt)
+		return ws.firstUnstable()
 	}
-	res := &Result{
-		ServiceTime: x,
-		Wait:        make([]float64, len(x)),
-		Utilization: make([]float64, len(x)),
-	}
-	for i := range m.Classes {
-		c := &m.Classes[i]
-		if err := m.checkStable(ClassID(i), x[i], opt); err != nil {
-			return nil, err
+	for i := range x {
+		if err := ws.checkStable(i, x[i]); err != nil {
+			return err
 		}
-		res.Wait[i] = m.wait(c, x[i], opt)
-		res.Utilization[i] = queueing.Utilization(c.servers(),
-			float64(c.servers())*c.PerLinkRate, x[i])
+		ws.Wait[i] = ws.wait(i, x[i])
+		servers := g.classes[i].Servers
+		ws.Utilization[i] = queueing.Utilization(servers, float64(servers)*ws.rates[i], x[i])
 	}
-	return res, nil
+	return nil
+}
+
+// utilization is the per-server ρ of class i at mean service time x, of
+// the queue the options model it as.
+func (ws *Workspace) utilization(i int, x float64) float64 {
+	servers := ws.g.classes[i].Servers
+	rate := float64(servers) * ws.rates[i]
+	if ws.opt.SingleServerGroups {
+		servers, rate = 1, ws.rates[i]
+	}
+	return queueing.Utilization(servers, rate, x)
 }
 
 // checkStable reports an *UnstableError if class i cannot carry its load
 // with mean service time x.
-func (m *Model) checkStable(i ClassID, x float64, opt Options) error {
-	c := &m.Classes[i]
-	servers := c.servers()
-	rate := float64(servers) * c.PerLinkRate
-	if opt.SingleServerGroups {
-		servers, rate = 1, c.PerLinkRate
-	}
-	rho := queueing.Utilization(servers, rate, x)
-	if rho >= 1 {
-		return &UnstableError{Class: c.Name, Rho: rho}
+func (ws *Workspace) checkStable(i int, x float64) error {
+	if rho := ws.utilization(i, x); rho >= 1 {
+		return &UnstableError{Class: ws.g.classes[i].Name, Rho: rho}
 	}
 	return nil
 }
 
 // firstUnstable builds the error for a diverged iteration, naming the most
 // loaded class.
-func (m *Model) firstUnstable(x []float64, opt Options) error {
+func (ws *Workspace) firstUnstable() error {
 	worst := &UnstableError{Class: "unknown", Rho: math.Inf(1)}
 	var maxRho float64 = -1
-	for i := range m.Classes {
-		c := &m.Classes[i]
-		servers := c.servers()
-		rate := float64(servers) * c.PerLinkRate
-		if opt.SingleServerGroups {
-			servers, rate = 1, c.PerLinkRate
-		}
-		xi := x[i]
+	for i, xi := range ws.ServiceTime {
 		if math.IsNaN(xi) || math.IsInf(xi, 0) {
-			xi = m.MsgFlits
+			xi = ws.g.msgFlits
 		}
-		rho := queueing.Utilization(servers, rate, xi)
-		if rho > maxRho {
+		if rho := ws.utilization(i, xi); rho > maxRho {
 			maxRho = rho
-			worst = &UnstableError{Class: c.Name, Rho: rho}
+			worst.Class, worst.Rho = ws.g.classes[i].Name, rho
 		}
 	}
 	return worst
+}
+
+// Resolve computes service times and waiting times for every class at the
+// configured rates. It returns an *UnstableError (wrapping ErrUnstable)
+// when a channel is saturated. It is Compile, Bind and Workspace.Resolve
+// in one call, for models built per operating point.
+func (m *Model) Resolve(opt Options) (*Result, error) {
+	g, err := Compile(m)
+	if err != nil {
+		return nil, err
+	}
+	// A workspace of its own: the Result keeps its slices.
+	ws := new(Workspace)
+	rates := ws.Bind(g)
+	for i := range m.Classes {
+		rates[i] = m.Classes[i].PerLinkRate
+	}
+	if err := ws.Resolve(opt); err != nil {
+		return nil, err
+	}
+	return &Result{ServiceTime: ws.ServiceTime, Wait: ws.Wait, Utilization: ws.Utilization}, nil
 }
 
 // BlockingProbability exposes P(i|t) of Eq. 10 for transition index ti of
@@ -379,7 +513,9 @@ func (m *Model) firstUnstable(x []float64, opt Options) error {
 // class. Used by the per-hop wait validation experiment.
 func (m *Model) BlockingProbability(from ClassID, ti int, opt Options) float64 {
 	c := &m.Classes[from]
-	return m.blocking(c, &c.Out[ti], opt)
+	t := &c.Out[ti]
+	to := &m.Classes[t.To]
+	return blocking(opt, c.PerLinkRate, to.servers(), to.PerLinkRate, t.Prob/t.groups())
 }
 
 // ClassByName returns the id of the named class, or -1.

@@ -284,17 +284,21 @@ func (d *Dispatcher) spanSize(n int) int {
 // off-grid bisection probes and certification simulations take this
 // path, and every cell warms the same store.
 func (d *Dispatcher) Evaluate(ctx context.Context, sc sweep.Scenario) (sweep.Cell, bool, error) {
-	key := d.salt + sc.Key()
+	// The salted key is built once, and only when something consumes it.
+	var key string
+	if d.cache != nil || d.calib != nil {
+		key = d.salt + sc.Key()
+	}
 	if d.cache != nil {
 		if cell, ok := d.cache.Get(key); ok {
 			d.cacheHits.Add(1)
-			_, span := obs.StartSpanKeyed(ctx, "dispatch.eval", sc.Key())
+			_, span := obs.StartSpanFor(ctx, "dispatch.eval", sc)
 			span.End(obs.Bool("cached", true))
 			d.observe(ctx, key, cell)
 			return cell, true, nil
 		}
 	}
-	evalCtx, span := obs.StartSpanKeyed(ctx, "dispatch.eval", sc.Key())
+	evalCtx, span := obs.StartSpanFor(ctx, "dispatch.eval", sc)
 	pt, err := d.rb.Evaluate(evalCtx, sc)
 	if err != nil {
 		span.End(obs.Bool("cached", false), obs.String("error", err.Error()))
@@ -314,14 +318,17 @@ func (d *Dispatcher) Evaluate(ctx context.Context, sc sweep.Scenario) (sweep.Cel
 // shards' /v1/curve — the drop-in distributed form of Runner.Run.
 func (d *Dispatcher) Run(ctx context.Context, spec sweep.Spec) (*sweep.Result, error) {
 	start := time.Now()
-	scens, err := sweep.Expand(spec)
+	scens, keys, err := sweep.ExpandKeyed(spec)
 	if err != nil {
 		return nil, err
 	}
 	ctx, span := obs.StartSpanKeyed(ctx, "dispatch.sweep", specTraceKey(spec))
 	defer func() { span.End() }()
 	span.SetAttr(obs.Int("cells", len(scens)))
-	curves, err := d.resolveCurves(ctx, scens)
+	// Curve metadata comes through the fleet's /v1/curve, with the
+	// transport's shard rotation and retry behind it — the same values an
+	// in-process run resolves from its analytic backend.
+	curves, err := sweep.ResolveCurves(ctx, scens, d.rb, 1)
 	if err != nil {
 		span.SetAttr(obs.String("error", err.Error()))
 		return nil, err
@@ -330,7 +337,7 @@ func (d *Dispatcher) Run(ctx context.Context, spec sweep.Spec) (*sweep.Result, e
 	// Rows land directly at their grid index — no per-row channel
 	// handoff, no reorder buffer; the deliver callback runs on the
 	// merger goroutine alone.
-	err = d.dispatch(ctx, spec, scens, func(idx int, row sweep.Row) bool {
+	err = d.dispatch(ctx, spec, scens, keys, func(idx int, row sweep.Row) bool {
 		res.Rows[idx] = row
 		if row.Cached {
 			res.CacheHits++
@@ -362,7 +369,7 @@ func (d *Dispatcher) Stream(ctx context.Context, spec sweep.Spec) <-chan sweep.P
 	out := make(chan sweep.PointResult)
 	go func() {
 		defer close(out)
-		scens, err := sweep.Expand(spec)
+		scens, keys, err := sweep.ExpandKeyed(spec)
 		if err != nil {
 			emit(ctx, out, sweep.PointResult{Err: err})
 			return
@@ -374,7 +381,7 @@ func (d *Dispatcher) Stream(ctx context.Context, spec sweep.Spec) <-chan sweep.P
 		// their predecessors.
 		next := 0
 		pending := make(map[int]sweep.Row)
-		err = d.dispatch(ctx, spec, scens, func(idx int, row sweep.Row) bool {
+		err = d.dispatch(ctx, spec, scens, keys, func(idx int, row sweep.Row) bool {
 			pending[idx] = row
 			for {
 				r, ok := pending[next]
@@ -419,7 +426,7 @@ type run struct {
 	d      *Dispatcher
 	spec   json.RawMessage // the wire form every range request repeats
 	scens  []sweep.Scenario
-	keys   []string // salted cache keys, nil without a cache
+	keys   []string // cache keys, salted when a cache or observer reads them
 	ctx    context.Context
 	cancel context.CancelFunc
 	spanc  chan span // cold ranges; capacity = cold cells, so requeue never blocks
@@ -446,21 +453,26 @@ func (r *run) err() error {
 	return r.failErr
 }
 
-// dispatch runs one sweep: cache pass, shard workers, merge. Rows reach
+// dispatch runs one sweep over the expanded grid (keys[i] is
+// scens[i].Key()): cache pass, shard workers, merge. Rows reach
 // the caller through deliver — always from this goroutine, in arrival
 // order (warm cells first); deliver returning false abandons the sweep
 // (the consumer is gone). The returned error is the sweep's terminal
 // failure, nil on completion, cancellation or abandonment.
-func (d *Dispatcher) dispatch(ctx context.Context, spec sweep.Spec, scens []sweep.Scenario, deliver func(int, sweep.Row) bool) error {
+func (d *Dispatcher) dispatch(ctx context.Context, spec sweep.Spec, scens []sweep.Scenario, keys []string, deliver func(int, sweep.Row) bool) error {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	// Cache pass: warm cells deliver immediately, cold indices become
-	// the work list. Keys are computed once here and reused when
-	// received cells are written back and observed for calibration.
-	keys := make([]string, len(scens))
-	for i, sc := range scens {
-		keys[i] = d.salt + sc.Key()
+	// the work list. The expansion's keys are salted once here — when a
+	// cache or an observer will read them — and reused when received
+	// cells are written back and observed for calibration.
+	if d.cache != nil || d.calib != nil {
+		salted := make([]string, len(keys))
+		for i, key := range keys {
+			salted[i] = d.salt + key
+		}
+		keys = salted
 	}
 	var cold []int
 	for i, sc := range scens {
@@ -641,36 +653,6 @@ func (r *run) dispatchSpan(addr string, sp span) (got map[int]bool, err error) {
 		return nil
 	})
 	return got, err
-}
-
-// resolveCurves builds the grid's per-curve metadata in order of first
-// appearance through the fleet's /v1/curve, with the RemoteBackend's
-// shard rotation and retry behind it — the same values an in-process
-// run resolves from its analytic backend.
-func (d *Dispatcher) resolveCurves(ctx context.Context, scens []sweep.Scenario) ([]sweep.CurveInfo, error) {
-	seen := make(map[string]bool)
-	var out []sweep.CurveInfo
-	for _, sc := range scens {
-		key := sc.CurveKey()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		cd, err := d.rb.Curve(ctx, sc)
-		if err != nil {
-			return nil, fmt.Errorf("dispatch: %s: %w", key, err)
-		}
-		info := sweep.CurveInfo{
-			Topology: sc.Topology, MsgFlits: sc.MsgFlits,
-			Policy: sc.Policy.String(), Variant: sc.Variant.Name,
-			Model: cd.Model, AvgDist: cd.AvgDist, SaturationLoad: cd.SaturationLoad,
-		}
-		if !sc.Workload.IsDefault() {
-			info.Workload = sc.Workload.Label()
-		}
-		out = append(out, info)
-	}
-	return out, nil
 }
 
 // partition splits the cold grid indices into contiguous spans of at

@@ -12,12 +12,14 @@ import (
 // AnalyticBackend evaluates scenarios with the paper's analytical model.
 // Models (and the Eq. 26 saturation searches anchoring fractional load
 // points) are memoized per topology instance, message length and variant,
-// so evaluating a whole curve builds its model once. The zero value is
-// not usable; construct with NewAnalyticBackend. Safe for concurrent use.
+// so evaluating a whole curve builds its model once and every anchor is
+// searched exactly once, however many goroutines touch a fresh curve at
+// the same moment. Lookups take only the shared side of the memo's lock.
+// The zero value is not usable; construct with NewAnalyticBackend. Safe
+// for concurrent use.
 type AnalyticBackend struct {
-	mu     sync.Mutex
-	models map[modelKey]Model
-	sats   map[modelKey]satEntry
+	mu     sync.RWMutex
+	curves map[modelKey]*curveEntry
 }
 
 type modelKey struct {
@@ -26,36 +28,71 @@ type modelKey struct {
 	variant core.Options
 }
 
-type satEntry struct {
-	load float64
-	err  error
+// curveEntry is one memoized model. base is the entry of the paper
+// variant of the same instance and message length (the entry itself for
+// the paper variant), whose saturation load anchors fractional loads.
+type curveEntry struct {
+	model Model
+	base  *curveEntry
+
+	satOnce sync.Once
+	sat     float64
+	satErr  error
 }
 
 // NewAnalyticBackend returns an empty backend.
 func NewAnalyticBackend() *AnalyticBackend {
-	return &AnalyticBackend{
-		models: make(map[modelKey]Model),
-		sats:   make(map[modelKey]satEntry),
-	}
+	return &AnalyticBackend{curves: make(map[modelKey]*curveEntry)}
 }
 
 // Name implements Evaluator.
 func (b *AnalyticBackend) Name() string { return "analytic" }
 
-// model returns the memoized model for the scenario's curve.
-func (b *AnalyticBackend) model(topo Topology, flits int, v Variant) (Model, error) {
-	key := modelKey{topo, flits, v.Options()}
+// entry returns the memoized model entry for the curve.
+func (b *AnalyticBackend) entry(topo Topology, flits int, opt core.Options) (*curveEntry, error) {
+	key := modelKey{topo, flits, opt}
+	b.mu.RLock()
+	e := b.curves[key]
+	b.mu.RUnlock()
+	if e != nil {
+		return e, nil
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if m, ok := b.models[key]; ok {
-		return m, nil
+	return b.entryLocked(key)
+}
+
+// entryLocked builds the entry for key (and its base) under the write
+// lock. Construction failures are not memoized.
+func (b *AnalyticBackend) entryLocked(key modelKey) (*curveEntry, error) {
+	if e := b.curves[key]; e != nil {
+		return e, nil
 	}
-	m, err := topo.NewModel(flits, v.Options())
+	m, err := key.topo.NewModel(key.flits, key.variant)
 	if err != nil {
 		return nil, err
 	}
-	b.models[key] = m
-	return m, nil
+	e := &curveEntry{model: m}
+	e.base = e
+	if key.variant != (core.Options{}) {
+		if e.base, err = b.entryLocked(modelKey{key.topo, key.flits, core.Options{}}); err != nil {
+			return nil, err
+		}
+	}
+	b.curves[key] = e
+	return e, nil
+}
+
+// saturation runs the entry's Eq. 26 search on first use — exactly once,
+// concurrent first callers wait for it — and returns the memoized load
+// (NaN with the search's error when it failed).
+func (e *curveEntry) saturation() (float64, error) {
+	e.satOnce.Do(func() {
+		if e.sat, e.satErr = e.model.SaturationLoad(); e.satErr != nil {
+			e.sat = math.NaN()
+		}
+	})
+	return e.sat, e.satErr
 }
 
 // SaturationLoad returns the memoized Eq. 26 saturation load of the
@@ -63,24 +100,24 @@ func (b *AnalyticBackend) model(topo Topology, flits int, v Variant) (Model, err
 // the anchor for fractional load points: variants are probed at the base
 // model's operating points so their curves stay comparable.
 func (b *AnalyticBackend) SaturationLoad(topo Topology, flits int) (float64, error) {
-	m, err := b.model(topo, flits, Variant{})
+	e, err := b.entry(topo, flits, core.Options{})
 	if err != nil {
 		return math.NaN(), err
 	}
-	key := modelKey{topo, flits, core.Options{}}
-	b.mu.Lock()
-	e, ok := b.sats[key]
-	b.mu.Unlock()
-	if !ok {
-		e.load, e.err = m.SaturationLoad()
-		if e.err != nil {
-			e.load = math.NaN()
-		}
-		b.mu.Lock()
-		b.sats[key] = e
-		b.mu.Unlock()
+	return e.saturation()
+}
+
+// resolveLoad maps the scenario's load point to absolute
+// flits/cycle/processor on its curve's entry.
+func (e *curveEntry) resolveLoad(sc Scenario) (float64, error) {
+	if !sc.Load.Frac {
+		return sc.Load.Value, nil
 	}
-	return e.load, e.err
+	sat, err := e.base.saturation()
+	if err != nil {
+		return math.NaN(), fmt.Errorf("saturation load (needed for fractional load points): %w", err)
+	}
+	return sat * sc.Load.Value, nil
 }
 
 // ResolveLoad implements LoadResolver: it maps the scenario's load point
@@ -90,11 +127,11 @@ func (b *AnalyticBackend) ResolveLoad(sc Scenario) (float64, error) {
 	if !sc.Load.Frac {
 		return sc.Load.Value, nil
 	}
-	sat, err := b.SaturationLoad(sc.Topology, sc.MsgFlits)
+	e, err := b.entry(sc.Topology, sc.MsgFlits, core.Options{})
 	if err != nil {
 		return math.NaN(), fmt.Errorf("saturation load (needed for fractional load points): %w", err)
 	}
-	return sat * sc.Load.Value, nil
+	return e.resolveLoad(sc)
 }
 
 // Curve describes the scenario's curve: model name, average distance,
@@ -103,12 +140,12 @@ func (b *AnalyticBackend) ResolveLoad(sc Scenario) (float64, error) {
 // context is unused here (the model is local and memoized) but part of
 // the describer contract, which remote implementations need.
 func (b *AnalyticBackend) Curve(ctx context.Context, sc Scenario) (CurveDesc, error) {
-	m, err := b.model(sc.Topology, sc.MsgFlits, sc.Variant)
+	e, err := b.entry(sc.Topology, sc.MsgFlits, sc.Variant.Options())
 	if err != nil {
 		return CurveDesc{}, err
 	}
-	sat, _ := b.SaturationLoad(sc.Topology, sc.MsgFlits)
-	return CurveDesc{Model: m.Name(), AvgDist: m.AvgDist(), SaturationLoad: sat}, nil
+	sat, _ := e.base.saturation()
+	return CurveDesc{Model: e.model.Name(), AvgDist: e.model.AvgDist(), SaturationLoad: sat}, nil
 }
 
 // Evaluate implements Evaluator: the model's latency prediction at the
@@ -117,11 +154,11 @@ func (b *AnalyticBackend) Evaluate(ctx context.Context, sc Scenario) (Point, err
 	if err := ctx.Err(); err != nil {
 		return Point{}, err
 	}
-	m, err := b.model(sc.Topology, sc.MsgFlits, sc.Variant)
+	e, err := b.entry(sc.Topology, sc.MsgFlits, sc.Variant.Options())
 	if err != nil {
 		return Point{}, err
 	}
-	load, err := b.ResolveLoad(sc)
+	load, err := e.resolveLoad(sc)
 	if err != nil {
 		return Point{}, err
 	}
@@ -135,7 +172,7 @@ func (b *AnalyticBackend) Evaluate(ctx context.Context, sc Scenario) (Point, err
 		pt.ModelNA = true
 		return pt, nil
 	}
-	lat, err := m.Latency(load / float64(sc.MsgFlits))
+	lat, err := e.model.Latency(load / float64(sc.MsgFlits))
 	switch {
 	case err == nil:
 		pt.Model = lat.Total

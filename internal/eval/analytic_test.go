@@ -1,0 +1,116 @@
+package eval
+
+import (
+	"context"
+	"sync"
+	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/race"
+	"repro/internal/workload"
+)
+
+// The analytic layer's Eq. 26 search counter (registered by package
+// analytic; NewCounter returns the existing one).
+var saturationSearches = obs.NewCounter("analytic_saturation_searches_total")
+
+// TestSaturationSearchedOnce: however many goroutines touch a fresh
+// curve at the same moment — through SaturationLoad, ResolveLoad, Curve
+// or Evaluate, on the base variant or an ablation — its anchor is
+// searched exactly once and everyone sees the same value.
+func TestSaturationSearchedOnce(t *testing.T) {
+	b := NewAnalyticBackend()
+	topo := Topology{Family: FamilyTorus, Size: 3, K: 4} // a slow search: the graph is cyclic
+	sc := Scenario{Topology: topo, MsgFlits: 16, Load: Load{Frac: true, Value: 0.5}}
+	ablated := sc
+	ablated.Variant = Variant{Name: "no-blocking", NoBlockingCorrection: true}
+
+	before := saturationSearches.Load()
+	const n = 16
+	loads := make([]float64, n)
+	errs := make([]error, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			switch i % 4 {
+			case 0:
+				var sat float64
+				sat, errs[i] = b.SaturationLoad(topo, 16)
+				loads[i] = sat * 0.5
+			case 1:
+				loads[i], errs[i] = b.ResolveLoad(sc)
+			case 2:
+				var pt Point
+				pt, errs[i] = b.Evaluate(context.Background(), ablated)
+				loads[i] = pt.LoadFlits
+			default:
+				var cd CurveDesc
+				cd, errs[i] = b.Curve(context.Background(), ablated)
+				loads[i] = cd.SaturationLoad * 0.5
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := range loads {
+		if errs[i] != nil {
+			t.Fatalf("goroutine %d: %v", i, errs[i])
+		}
+		if loads[i] != loads[0] || !(loads[i] > 0) {
+			t.Fatalf("goroutine %d resolved load %v, goroutine 0 %v", i, loads[i], loads[0])
+		}
+	}
+	if got := saturationSearches.Load() - before; got != 1 {
+		t.Errorf("%d goroutines on one fresh curve ran %d saturation searches, want 1", n, got)
+	}
+}
+
+// TestKeyAllocs: building a scenario key is one allocation — the string —
+// with or without the optional sim and variant fields.
+func TestKeyAllocs(t *testing.T) {
+	plain := bftScenario(false)
+	full := bftScenario(true)
+	full.Topology.Size = 4096
+	full.Variant = Variant{Name: "pre-erratum", NoPairRateCorrection: true}
+	full.Budget = Budget{Warmup: 30000, Measure: 200000, Seed: 1 << 40, DrainLimit: 12345, Precision: 0.05, Replicas: 4}
+	full.WithBounds = true
+	for _, sc := range []Scenario{plain, full} {
+		var n int
+		if got := testing.AllocsPerRun(200, func() { n += len(sc.Key()) }); got != 1 {
+			t.Errorf("Key() allocates %v times, want 1 (%s)", got, sc.Key())
+		}
+	}
+	// A workload key longer than the stack buffer still comes out whole.
+	long := plain
+	long.Workload = &workload.Spec{Trace: string(make([]byte, 300))}
+	if key := long.Key(); len(key) < 300 {
+		t.Errorf("long workload key truncated to %d bytes", len(key))
+	}
+}
+
+// TestAnalyticEvaluateAllocs: a memoized curve answers a cell without
+// allocating — model lookup, load anchor and latency included.
+func TestAnalyticEvaluateAllocs(t *testing.T) {
+	b := NewAnalyticBackend()
+	ctx := context.Background()
+	sc := bftScenario(false)
+	ablated := sc
+	ablated.Variant = Variant{Name: "single-server", SingleServerGroups: true}
+	for _, sc := range []Scenario{sc, ablated} {
+		if _, err := b.Evaluate(ctx, sc); err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(200, func() {
+			if _, err := b.Evaluate(ctx, sc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 0 && !race.Enabled {
+			t.Errorf("Evaluate on a memoized curve allocates %v times, want 0 (variant %q)", got, sc.Variant.Name)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package eval
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/analytic"
 	"repro/internal/core"
@@ -212,7 +211,8 @@ func (s Scenario) CurveKey() string {
 // calibration layer (internal/calib) mine a persistent store back into
 // scenario coordinates. It sits on every hot path — grid expansion
 // dedup, runner cache lookups, the dispatch coordinator's cache pass —
-// so it is assembled with strconv appends rather than fmt.
+// so it is assembled with strconv appends into one buffer rather than
+// with fmt: building a key is one allocation.
 //
 // Optional fields append only when set, so a key never carries
 // defaulted noise; floats use strconv's 'x' hex format, which
@@ -220,65 +220,66 @@ func (s Scenario) CurveKey() string {
 // readable (when Key returned a sha256 of this same layout) no longer
 // match and simply re-fill cold.
 func (s Scenario) Key() string {
-	var b strings.Builder
-	b.Grow(128)
-	b.WriteString("family=")
-	b.WriteString(s.Topology.Family)
-	b.WriteString(" size=")
-	b.WriteString(strconv.Itoa(s.Topology.Size))
-	b.WriteString(" k=")
-	b.WriteString(strconv.Itoa(s.Topology.K))
-	b.WriteString(" flits=")
-	b.WriteString(strconv.Itoa(s.MsgFlits))
-	b.WriteString(" policy=")
-	b.WriteString(s.Policy.String())
-	b.WriteString(" frac=")
-	b.WriteString(strconv.FormatBool(s.Load.Frac))
-	b.WriteString(" load=")
-	b.WriteString(strconv.FormatFloat(s.Load.Value, 'x', -1, 64))
+	// Assembled in one stack buffer: the returned string is the only
+	// allocation (a long workload key may spill the buffer to the heap).
+	var buf [256]byte
+	b := append(buf[:0], "family="...)
+	b = append(b, s.Topology.Family...)
+	b = append(b, " size="...)
+	b = strconv.AppendInt(b, int64(s.Topology.Size), 10)
+	b = append(b, " k="...)
+	b = strconv.AppendInt(b, int64(s.Topology.K), 10)
+	b = append(b, " flits="...)
+	b = strconv.AppendInt(b, int64(s.MsgFlits), 10)
+	b = append(b, " policy="...)
+	b = append(b, s.Policy.String()...)
+	b = append(b, " frac="...)
+	b = strconv.AppendBool(b, s.Load.Frac)
+	b = append(b, " load="...)
+	b = strconv.AppendFloat(b, s.Load.Value, 'x', -1, 64)
 	if !s.Variant.IsBase() {
-		b.WriteString(" variant=")
-		b.WriteString(strconv.FormatBool(s.Variant.NoBlockingCorrection))
-		b.WriteString(strconv.FormatBool(s.Variant.SingleServerGroups))
-		b.WriteString(strconv.FormatBool(s.Variant.NoPairRateCorrection))
+		b = append(b, " variant="...)
+		b = strconv.AppendBool(b, s.Variant.NoBlockingCorrection)
+		b = strconv.AppendBool(b, s.Variant.SingleServerGroups)
+		b = strconv.AppendBool(b, s.Variant.NoPairRateCorrection)
 	}
-	b.WriteString(" sim=")
-	b.WriteString(strconv.FormatBool(s.WithSim))
+	b = append(b, " sim="...)
+	b = strconv.AppendBool(b, s.WithSim)
 	if s.WithSim {
-		b.WriteString(" warmup=")
-		b.WriteString(strconv.Itoa(s.Budget.Warmup))
-		b.WriteString(" measure=")
-		b.WriteString(strconv.Itoa(s.Budget.Measure))
-		b.WriteString(" seed=")
-		b.WriteString(strconv.FormatUint(s.Seed(), 10))
+		b = append(b, " warmup="...)
+		b = strconv.AppendInt(b, int64(s.Budget.Warmup), 10)
+		b = append(b, " measure="...)
+		b = strconv.AppendInt(b, int64(s.Budget.Measure), 10)
+		b = append(b, " seed="...)
+		b = strconv.AppendUint(b, s.Seed(), 10)
 		if s.Budget.DrainLimit != 0 {
-			b.WriteString(" drain=")
-			b.WriteString(strconv.Itoa(s.Budget.DrainLimit))
+			b = append(b, " drain="...)
+			b = strconv.AppendInt(b, int64(s.Budget.DrainLimit), 10)
 		}
 		// The early-stopping and replica knobs change the measured result,
 		// so they belong in the key — but only when set, preserving the
 		// keys of every result persisted before the knobs existed.
 		if s.Budget.Precision > 0 {
-			b.WriteString(" prec=")
-			b.WriteString(strconv.FormatFloat(s.Budget.Precision, 'x', -1, 64))
+			b = append(b, " prec="...)
+			b = strconv.AppendFloat(b, s.Budget.Precision, 'x', -1, 64)
 		}
 		if s.Budget.Replicas > 1 {
-			b.WriteString(" reps=")
-			b.WriteString(strconv.Itoa(s.Budget.Replicas))
+			b = append(b, " reps="...)
+			b = strconv.AppendInt(b, int64(s.Budget.Replicas), 10)
 		}
 	}
 	// Appended only when non-default, preserving every pre-workload
 	// persisted key.
 	if wk := s.Workload.Canonical(); wk != "" {
-		b.WriteString(" workload=")
-		b.WriteString(wk)
+		b = append(b, " workload="...)
+		b = append(b, wk...)
 	}
 	// Appended only when set, preserving every pre-bounds persisted key;
 	// the bit distinguishes bound-carrying cache lines from plain ones,
 	// which is what lets spec-level backend selection share the default
 	// (unsalted) store.
 	if s.WithBounds {
-		b.WriteString(" bounds=true")
+		b = append(b, " bounds=true"...)
 	}
-	return b.String()
+	return string(b)
 }

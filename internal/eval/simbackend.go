@@ -152,7 +152,7 @@ func (b *SimBackend) Evaluate(ctx context.Context, sc Scenario) (pt Point, err e
 	if sc.Budget.Replicas > 1 {
 		opts = append(opts, sim.WithReplicas(sc.Budget.Replicas))
 	}
-	simCtx, span := obs.StartSpanKeyed(ctx, "sim.run", sc.Key())
+	simCtx, span := obs.StartSpanFor(ctx, "sim.run", sc)
 	res, err := b.pool.Run(simCtx, cfg, opts...)
 	if err != nil {
 		span.End(obs.String("error", err.Error()))

@@ -188,8 +188,8 @@ func TraceIDs(ctx context.Context) (trace, span string, ok bool) {
 
 // Enabled reports whether spans started from ctx will be recorded.
 func Enabled(ctx context.Context) bool {
-	tc, ok := ctx.Value(ctxKey{}).(traceCtx)
-	return ok && tc.tracer != nil
+	_, ok := recording(ctx)
+	return ok
 }
 
 // StartSpan starts a span named name as a child of the span carried by
@@ -199,7 +199,11 @@ func Enabled(ctx context.Context) bool {
 // should use StartSpanKeyed. Returns ctx unchanged and a nil span when
 // tracing is disabled.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	return startSpan(ctx, name, "", true)
+	tc, ok := recording(ctx)
+	if !ok {
+		return ctx, nil
+	}
+	return startSpan(ctx, tc, name, "#"+formatID(tc.tracer.seq.Add(1)))
 }
 
 // StartSpanKeyed starts a span whose ID is derived from (trace,
@@ -207,14 +211,34 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 // across runs and thread schedules as long as key is stable — e.g. a
 // scenario key for per-cell spans.
 func StartSpanKeyed(ctx context.Context, name, key string) (context.Context, *Span) {
-	return startSpan(ctx, name, key, false)
-}
-
-func startSpan(ctx context.Context, name, key string, seq bool) (context.Context, *Span) {
-	tc, ok := ctx.Value(ctxKey{}).(traceCtx)
-	if !ok || tc.tracer == nil {
+	tc, ok := recording(ctx)
+	if !ok {
 		return ctx, nil
 	}
+	return startSpan(ctx, tc, name, key)
+}
+
+// StartSpanFor is StartSpanKeyed for a caller that holds the keyed value
+// rather than its key: k.Key() is built only when the span will be
+// recorded, so an untraced hot path never pays for the key. It is generic
+// so that a struct-valued k (an eval.Scenario) is passed as itself, not
+// boxed into an interface.
+func StartSpanFor[K interface{ Key() string }](ctx context.Context, name string, k K) (context.Context, *Span) {
+	tc, ok := recording(ctx)
+	if !ok {
+		return ctx, nil
+	}
+	return startSpan(ctx, tc, name, k.Key())
+}
+
+// recording returns ctx's trace context when spans started from it are
+// recorded.
+func recording(ctx context.Context) (traceCtx, bool) {
+	tc, ok := ctx.Value(ctxKey{}).(traceCtx)
+	return tc, ok && tc.tracer != nil
+}
+
+func startSpan(ctx context.Context, tc traceCtx, name, key string) (context.Context, *Span) {
 	now := time.Now()
 	s := &Span{
 		t:      tc.tracer,
@@ -222,9 +246,6 @@ func startSpan(ctx context.Context, name, key string, seq bool) (context.Context
 		name:   name,
 		start:  now,
 		wallUS: now.UnixMicro(),
-	}
-	if seq {
-		key = "#" + formatID(tc.tracer.seq.Add(1))
 	}
 	if tc.trace == "" {
 		// Root span: the trace ID is the root's own ID, derived

@@ -36,6 +36,46 @@ func TestDisabledPathAllocFree(t *testing.T) {
 	}
 }
 
+// keyed is a struct-valued key holder shaped like eval.Scenario: big
+// enough that boxing it would allocate, with a Key that allocates.
+type keyed struct {
+	family string
+	size   [12]int
+	built  *int
+}
+
+func (k keyed) Key() string {
+	*k.built++
+	return k.family + strings.Repeat("x", k.size[0])
+}
+
+// StartSpanFor must not build the key, nor box the keyed value, when
+// tracing is off — and must produce StartSpanKeyed's span when it is on.
+func TestDisabledSpanAllocs(t *testing.T) {
+	built := 0
+	k := keyed{family: "family=bft size=", size: [12]int{3}, built: &built}
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(1000, func() {
+		c2, sp := StartSpanFor(ctx, "bounds.eval", k)
+		sp.End()
+		if c2 != ctx {
+			t.Fatal("disabled StartSpanFor must return ctx unchanged")
+		}
+	})
+	if allocs != 0 || built != 0 {
+		t.Fatalf("disabled StartSpanFor: %.1f allocs/op, %d keys built; want 0 and 0", allocs, built)
+	}
+
+	var buf bytes.Buffer
+	tr := NewTracer(&buf)
+	on := WithTracer(context.Background(), tr)
+	_, a := StartSpanFor(on, "bounds.eval", k)
+	_, b := StartSpanKeyed(on, "bounds.eval", k.Key())
+	if a.ID() == "" || a.ID() != b.ID() {
+		t.Fatalf("StartSpanFor id %q, StartSpanKeyed id %q", a.ID(), b.ID())
+	}
+}
+
 // The tracer owns no goroutines: heavy concurrent span traffic must
 // leave the goroutine count where it started.
 func TestTracerGoroutineLeakFree(t *testing.T) {

@@ -101,56 +101,64 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.add("sweep_batch_requests_total", 1)
 	s.metrics.add("sweep_batch_cells_total", int64(len(scs)))
-	indices := make([]int, len(scs))
+	indices, keys := make([]int, len(scs)), make([]string, len(scs))
 	for i := range scs {
-		indices[i] = i
+		indices[i], keys[i] = i, scs[i].Key()
 	}
-	s.streamItems(w, r, scs, indices)
+	s.streamItems(w, r, scs, keys, indices)
+}
+
+// expansion is one memoized grid: scenarios and their cache keys
+// (sweep.ExpandKeyed).
+type expansion struct {
+	scens []eval.Scenario
+	keys  []string
 }
 
 // expansions memoizes recent grid expansions keyed by the spec's exact
 // wire bytes: a dispatched sweep sends the identical spec with every
 // range request, so the shard expands (and key-hashes) the grid once
-// per sweep instead of once per range. Bounded FIFO — a handful of
-// concurrent sweeps at most.
+// per sweep instead of once per range, and every range evaluates its
+// cells under the keys the expansion already built. Bounded FIFO — a
+// handful of concurrent sweeps at most.
 type expansions struct {
 	mu      sync.Mutex
-	entries map[string][]eval.Scenario
+	entries map[string]expansion
 	order   []string
 }
 
 const expansionCacheCap = 8
 
-func (e *expansions) get(specJSON []byte) ([]eval.Scenario, error) {
+func (e *expansions) get(specJSON []byte) (expansion, error) {
 	key := string(specJSON)
 	e.mu.Lock()
-	if scens, ok := e.entries[key]; ok {
+	if grid, ok := e.entries[key]; ok {
 		e.mu.Unlock()
-		return scens, nil
+		return grid, nil
 	}
 	e.mu.Unlock()
 	spec, err := sweep.ParseSpec(specJSON)
 	if err != nil {
-		return nil, err
+		return expansion{}, err
 	}
-	scens, err := sweep.Expand(spec)
-	if err != nil {
-		return nil, err
+	var grid expansion
+	if grid.scens, grid.keys, err = sweep.ExpandKeyed(spec); err != nil {
+		return expansion{}, err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.entries == nil {
-		e.entries = make(map[string][]eval.Scenario)
+		e.entries = make(map[string]expansion)
 	}
 	if _, ok := e.entries[key]; !ok {
-		e.entries[key] = scens
+		e.entries[key] = grid
 		e.order = append(e.order, key)
 		if len(e.order) > expansionCacheCap {
 			delete(e.entries, e.order[0])
 			e.order = e.order[1:]
 		}
 	}
-	return scens, nil
+	return grid, nil
 }
 
 // handlePart evaluates one contiguous slice of a spec's deterministic
@@ -169,32 +177,32 @@ func (s *Server) handlePart(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding part request: %w", err))
 		return
 	}
-	scens, err := s.expansions.get(req.Spec)
+	grid, err := s.expansions.get(req.Spec)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.Start < 0 || req.End < req.Start || req.End > len(scens) {
+	if req.Start < 0 || req.End < req.Start || req.End > len(grid.scens) {
 		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("part range [%d, %d) out of bounds for a %d-cell grid", req.Start, req.End, len(scens)))
+			fmt.Errorf("part range [%d, %d) out of bounds for a %d-cell grid", req.Start, req.End, len(grid.scens)))
 		return
 	}
 	s.metrics.add("sweep_part_requests_total", 1)
 	s.metrics.add("sweep_part_cells_total", int64(req.End-req.Start))
-	slice := scens[req.Start:req.End]
+	slice := grid.scens[req.Start:req.End]
 	indices := make([]int, len(slice))
 	for i := range slice {
 		indices[i] = slice[i].Index
 	}
-	s.streamItems(w, r, slice, indices)
+	s.streamItems(w, r, slice, grid.keys[req.Start:req.End], indices)
 }
 
 // streamItems evaluates the scenarios on a bounded pool, writing one
 // BatchItem NDJSON line per cell as it completes (completion order),
 // flushed per row. indices[i] is the Index the i-th scenario's line
-// carries. Closing the connection cancels the remaining evaluations
-// through the request context.
-func (s *Server) streamItems(w http.ResponseWriter, r *http.Request, scens []eval.Scenario, indices []int) {
+// carries, keys[i] its Scenario.Key(). Closing the connection cancels the
+// remaining evaluations through the request context.
+func (s *Server) streamItems(w http.ResponseWriter, r *http.Request, scens []eval.Scenario, keys []string, indices []int) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Accel-Buffering", "no") // proxies must not buffer the stream
 	w.WriteHeader(http.StatusOK)
@@ -254,7 +262,7 @@ func (s *Server) streamItems(w http.ResponseWriter, r *http.Request, scens []eva
 				if ctx.Err() != nil {
 					continue
 				}
-				cell, _, err := s.runner.Evaluate(ctx, scens[i])
+				cell, _, err := s.runner.EvaluateKeyed(ctx, scens[i], keys[i])
 				if err != nil {
 					if ctx.Err() != nil {
 						continue // cancellation, not the scenario's fault

@@ -55,12 +55,6 @@ import (
 	"repro/internal/sweep"
 )
 
-// describer resolves per-curve metadata; the analytic backend implements
-// it.
-type describer interface {
-	Curve(context.Context, eval.Scenario) (eval.CurveDesc, error)
-}
-
 // Sweeper executes full sweep specs for /v1/sweep: the local Runner by
 // default, or — on a front-end server built with WithSweeper — the
 // dispatch coordinator, which schedules the grid across a shard fleet
@@ -76,7 +70,7 @@ type Server struct {
 	runner  *sweep.Runner
 	sweeper Sweeper
 	planner Planner
-	curves  describer
+	curves  sweep.CurveDescriber
 	cache   sweep.CacheStore
 	calib   *calib.Map
 	workers int
@@ -157,7 +151,7 @@ func New(opts ...Option) *Server {
 	// fallback, so memoized saturation searches persist across requests
 	// either way.
 	for _, be := range s.runner.Backends {
-		if d, ok := be.(describer); ok {
+		if d, ok := be.(sweep.CurveDescriber); ok {
 			s.curves = d
 			break
 		}

@@ -101,6 +101,17 @@ func DefaultFixedPointOptions() FixedPointOptions {
 // reports ErrNoConvergence immediately (the caller interprets this as an
 // unstable operating point).
 func FixedPoint(f func(x, out []float64), x0 []float64, opt FixedPointOptions) ([]float64, error) {
+	x := append([]float64(nil), x0...)
+	_, err := FixedPointInPlace(f, x, make([]float64, len(x)), opt)
+	return x, err
+}
+
+// FixedPointInPlace is FixedPoint on caller-owned storage: x holds the
+// starting point and is overwritten with the iterates (on a non-finite
+// component, the partially updated iterate in which it appeared), fx is
+// scratch of the same length. It allocates nothing and also returns the
+// number of iterations run.
+func FixedPointInPlace(f func(x, out []float64), x, fx []float64, opt FixedPointOptions) (int, error) {
 	if opt.Damping <= 0 || opt.Damping > 1 {
 		opt.Damping = 0.5
 	}
@@ -110,14 +121,12 @@ func FixedPoint(f func(x, out []float64), x0 []float64, opt FixedPointOptions) (
 	if opt.MaxIter <= 0 {
 		opt.MaxIter = 10_000
 	}
-	x := append([]float64(nil), x0...)
-	fx := make([]float64, len(x))
 	for it := 0; it < opt.MaxIter; it++ {
 		f(x, fx)
 		var delta float64
 		for i := range x {
 			if math.IsNaN(fx[i]) || math.IsInf(fx[i], 0) {
-				return x, ErrNoConvergence
+				return it + 1, ErrNoConvergence
 			}
 			nxt := (1-opt.Damping)*x[i] + opt.Damping*fx[i]
 			if d := math.Abs(nxt - x[i]); d > delta {
@@ -126,10 +135,10 @@ func FixedPoint(f func(x, out []float64), x0 []float64, opt FixedPointOptions) (
 			x[i] = nxt
 		}
 		if delta < opt.Tol {
-			return x, nil
+			return it + 1, nil
 		}
 	}
-	return x, ErrNoConvergence
+	return opt.MaxIter, ErrNoConvergence
 }
 
 // GrowToUnstable doubles x from start until pred(x) reports false (e.g.

@@ -36,8 +36,22 @@ const (
 // × loads, in declaration order, with exact duplicate cells (same cache
 // key) dropped on all but their first appearance.
 func Expand(s Spec) ([]Scenario, error) {
+	scens, _, err := ExpandKeyed(s)
+	return scens, err
+}
+
+// maxPresize caps how many cells ExpandKeyed reserves room for up front;
+// larger grids grow by appending.
+const maxPresize = 1 << 16
+
+// ExpandKeyed is Expand returning every scenario with its cache key:
+// keys[i] == scens[i].Key(). Deduplication has to build each key anyway;
+// handing them on lets the runner, the dispatcher and the shard-side
+// range handler address caches, spans and observers without building a
+// cell's key again.
+func ExpandKeyed(s Spec) (scens []Scenario, keys []string, err error) {
 	if err := s.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var loads []Load
 	if fr := s.Loads.fracs(); fr != nil {
@@ -49,8 +63,20 @@ func Expand(s Spec) ([]Scenario, error) {
 			loads = append(loads, Load{Value: f})
 		}
 	}
-	var out []Scenario
-	seen := make(map[string]bool)
+	policies := make([]sim.UpLinkPolicy, len(s.policies()))
+	for i, name := range s.policies() {
+		if policies[i], err = sim.ParsePolicy(name); err != nil {
+			return nil, nil, err
+		}
+	}
+	variants, workloads := s.variants(), s.workloads()
+	instances := 0
+	for _, ts := range s.Topologies {
+		instances += len(ts.Sizes)
+	}
+	n := min(instances*len(s.MsgFlits)*len(policies)*len(variants)*len(workloads)*len(loads), maxPresize)
+	scens, keys = make([]Scenario, 0, n), make([]string, 0, n)
+	seen := make(map[string]struct{}, n)
 	for _, ts := range s.Topologies {
 		topo := Topology{Family: ts.Family}
 		if ts.Family == FamilyTorus {
@@ -59,16 +85,12 @@ func Expand(s Spec) ([]Scenario, error) {
 		for _, size := range ts.Sizes {
 			topo.Size = size
 			for _, flits := range s.MsgFlits {
-				for _, polName := range s.policies() {
-					pol, err := sim.ParsePolicy(polName)
-					if err != nil {
-						return nil, err
-					}
-					for _, v := range s.variants() {
-						for _, wl := range s.workloads() {
+				for _, pol := range policies {
+					for _, v := range variants {
+						for _, wl := range workloads {
 							for li, load := range loads {
 								sc := Scenario{
-									Index:     len(out),
+									Index:     len(scens),
 									Topology:  topo,
 									MsgFlits:  flits,
 									Policy:    pol,
@@ -83,9 +105,10 @@ func Expand(s Spec) ([]Scenario, error) {
 									// of the grid carries the bit.
 									WithBounds: s.wantBounds(),
 								}
-								if key := sc.Key(); !seen[key] {
-									seen[key] = true
-									out = append(out, sc)
+								key := sc.Key()
+								if _, dup := seen[key]; !dup {
+									seen[key] = struct{}{}
+									scens, keys = append(scens, sc), append(keys, key)
 								}
 							}
 						}
@@ -94,5 +117,5 @@ func Expand(s Spec) ([]Scenario, error) {
 			}
 		}
 	}
-	return out, nil
+	return scens, keys, nil
 }

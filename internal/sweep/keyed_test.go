@@ -1,0 +1,245 @@
+package sweep
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"repro/internal/eval"
+	"repro/internal/obs"
+	"repro/internal/race"
+)
+
+// builtinKeyDigests pins Scenario.Key() bytes over every builtin grid:
+// cell count and sha256 of the newline-joined keys, recorded at the
+// commit before keys were assembled in one buffer. Persistent stores and
+// calibration maps are addressed by these bytes.
+var builtinKeyDigests = map[string]struct {
+	cells  int
+	sha256 string
+}{
+	"bursty":        {8, "7b7010f45e459187e06e867ee9909546dc7745d2f7fb398cf60e02a2f5901db4"},
+	"families":      {216, "0e6cff622ea364186de65dfca66ff0acea4a476f7cd44c7c6be95cfa7fba0eb5"},
+	"figure3":       {30, "dd6262bebad3fa120cdecfb298ec9e362e2624d87e3d4f9f56245e9c4572b213"},
+	"figure3-small": {8, "69aebb3a2b72591af0c78f2c7315b51c51b986bd4648e97bc9583235f32e7a2f"},
+	"hotspot":       {6, "dc0c6b745a384554ae90c9f66647a90968a0d0a57646d256d1fe0ee06c2d3e37"},
+	"policies":      {8, "67bf05b47f7d3a31ab9efe55f9dba3d105defe7a82399dfb729fc06b0cc8460f"},
+	"table2":        {27, "4d8b1ea1beaa662ed381f852abde88c0d76fb98cfee7d61f159b7dedb940869b"},
+}
+
+// TestExpandKeyedMatchesKey: over every builtin spec, ExpandKeyed's keys
+// are each scenario's own Key(), Expand returns the same scenarios, and
+// the key bytes are the pinned ones.
+func TestExpandKeyedMatchesKey(t *testing.T) {
+	names := Builtins()
+	if len(names) != len(builtinKeyDigests) {
+		t.Errorf("%d builtins, %d pinned digests: pin the new spec's keys", len(names), len(builtinKeyDigests))
+	}
+	for _, name := range names {
+		spec, err := Builtin(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scens, keys, err := ExpandKeyed(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := Expand(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(plain, scens) || len(keys) != len(scens) {
+			t.Fatalf("%s: Expand and ExpandKeyed disagree (%d vs %d scenarios, %d keys)", name, len(plain), len(scens), len(keys))
+		}
+		h := sha256.New()
+		for i, sc := range scens {
+			if keys[i] != sc.Key() {
+				t.Fatalf("%s cell %d: key %q, Key() %q", name, i, keys[i], sc.Key())
+			}
+			h.Write([]byte(keys[i]))
+			h.Write([]byte{'\n'})
+		}
+		want := builtinKeyDigests[name]
+		if got := fmt.Sprintf("%x", h.Sum(nil)); len(scens) != want.cells || got != want.sha256 {
+			t.Errorf("%s: %d cells, key digest %s; pinned %d cells, %s", name, len(scens), got, want.cells, want.sha256)
+		}
+	}
+}
+
+// modelGrid is a model-only fat-tree grid over the four ablation
+// variants, shaped like the bench's model-sweep workload.
+func modelGrid() Spec {
+	return Spec{
+		Name:       "model-grid",
+		Topologies: []TopologySpec{{Family: FamilyBFT, Sizes: []int{16, 64, 256, 1024}}},
+		MsgFlits:   []int{8, 16, 32},
+		Variants: []Variant{
+			{Name: "paper"},
+			{Name: "no-blocking", NoBlockingCorrection: true},
+			{Name: "single-server", SingleServerGroups: true},
+			{Name: "pre-erratum", NoPairRateCorrection: true},
+		},
+		Loads: LoadSpec{Points: 32, MaxFrac: 0.98},
+	}
+}
+
+// TestModelGridAllocBudget: a cold then a warm Run of a model grid on
+// one fresh runner with a cache — keys, expansion, curve set-up, model
+// builds, Eq. 26 searches, pool, cache and result all included — stays
+// within 6 allocations per cell. (It was 27 when every layer rebuilt its
+// keys and every λ₀ its channel graph.)
+func TestModelGridAllocBudget(t *testing.T) {
+	spec := modelGrid()
+	ctx := context.Background()
+	cells := 0
+	pass := func() {
+		r := NewRunner(WithCache(NewCache()), WithWorkers(2))
+		cold, err := r.Run(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := r.Run(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.CacheHits != len(warm.Rows) || cold.CacheHits != 0 {
+			t.Fatalf("cold run hit %d, warm run hit %d of %d", cold.CacheHits, warm.CacheHits, len(warm.Rows))
+		}
+		cells = len(cold.Rows) + len(warm.Rows)
+	}
+	pass()
+	perCell := testing.AllocsPerRun(5, pass) / float64(cells)
+	t.Logf("%.2f allocs/cell over %d cells", perCell, cells)
+	budget := 6.0
+	if race.Enabled {
+		budget = 12 // sync.Pool drops Puts under the detector
+	}
+	if perCell > budget {
+		t.Errorf("cold+warm model grid: %.2f allocs/cell, budget %v", perCell, budget)
+	}
+}
+
+// countingDescriber counts Curve calls on top of a real describer.
+type countingDescriber struct {
+	eval.Evaluator
+	desc  CurveDescriber
+	calls chan struct{}
+}
+
+func (c countingDescriber) Curve(ctx context.Context, sc eval.Scenario) (eval.CurveDesc, error) {
+	c.calls <- struct{}{}
+	return c.desc.Curve(ctx, sc)
+}
+
+// torusCurves is a model-only grid of many torus curves, each needing an
+// Eq. 26 search through the cyclic core graph.
+func torusCurves() Spec {
+	return Spec{
+		Name:       "torus-curves",
+		Topologies: []TopologySpec{{Family: FamilyTorus, Sizes: []int{2, 3}, K: 4}, {Family: FamilyHypercube, Sizes: []int{3, 5}}},
+		MsgFlits:   []int{8, 16, 32},
+		Variants:   []Variant{{Name: "paper"}, {Name: "no-blocking", NoBlockingCorrection: true}},
+		Loads:      LoadSpec{Fracs: []float64{0.2, 0.8}},
+	}
+}
+
+// TestCurvesCancelledBeforeAnySearch: a sweep whose ctx has already
+// ended returns ctx's error without describing a single curve — no
+// saturation search runs on a dead sweep's behalf.
+func TestCurvesCancelledBeforeAnySearch(t *testing.T) {
+	ab := eval.NewAnalyticBackend()
+	calls := make(chan struct{}, 64)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	before := saturationSearches.Load()
+	r := NewRunner(WithBackends(countingDescriber{Evaluator: ab, desc: ab, calls: calls}))
+	if _, err := r.Run(ctx, torusCurves()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run on a cancelled ctx = %v, want context.Canceled", err)
+	}
+	for range r.Stream(ctx, torusCurves()) {
+	}
+	if n := len(calls); n != 0 {
+		t.Errorf("%d curves described on a cancelled ctx, want 0", n)
+	}
+	if got := saturationSearches.Load() - before; got != 0 {
+		t.Errorf("%d saturation searches ran on a cancelled ctx, want 0", got)
+	}
+}
+
+// TestCurvesParallelEqualsSerial: curve metadata resolved on several
+// workers is the serial result, in first-appearance order.
+func TestCurvesParallelEqualsSerial(t *testing.T) {
+	scens, err := Expand(torusCurves())
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := ResolveCurves(context.Background(), scens, eval.NewAnalyticBackend(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(serial) != 24 {
+		t.Fatalf("%d curves, want 24", len(serial))
+	}
+	for i, c := range serial[:len(serial)-1] {
+		if next := serial[i+1]; c.Topology == next.Topology && c.MsgFlits == next.MsgFlits && c.Variant == next.Variant {
+			t.Fatalf("curve %d repeated: %+v", i, c)
+		}
+	}
+	for _, workers := range []int{2, 4, 64} {
+		parallel, err := ResolveCurves(context.Background(), scens, eval.NewAnalyticBackend(), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(parallel, serial) {
+			t.Errorf("%d workers resolve\n%+v\nserial resolves\n%+v", workers, parallel, serial)
+		}
+	}
+	res := mustRun(t, NewRunner(WithWorkers(4)), torusCurves())
+	if !reflect.DeepEqual(res.Curves, serial) {
+		t.Errorf("Run resolves\n%+v\nserial resolves\n%+v", res.Curves, serial)
+	}
+}
+
+// TestCurvesSpan: a traced sweep attributes curve resolution to a
+// sweep.curves child of sweep.run carrying the curve and search counts.
+func TestCurvesSpan(t *testing.T) {
+	var buf bytes.Buffer
+	tr := obs.NewTracer(&buf)
+	ctx := obs.WithTracer(context.Background(), tr)
+	mustRunCtx := func() {
+		if _, err := NewRunner().Run(ctx, torusCurves()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustRunCtx()
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.ReadEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var run, curves *obs.Event
+	for i := range events {
+		switch events[i].Name {
+		case "sweep.run":
+			run = &events[i]
+		case "sweep.curves":
+			curves = &events[i]
+		}
+	}
+	if run == nil || curves == nil {
+		t.Fatalf("spans: sweep.run %v, sweep.curves %v", run != nil, curves != nil)
+	}
+	if curves.Parent != run.Span {
+		t.Errorf("sweep.curves parent %q, want sweep.run %q", curves.Parent, run.Span)
+	}
+	// 24 curves over 12 (instance, message length) anchors.
+	if curves.Attrs["curves"] != 24.0 || curves.Attrs["saturation_searches"] != 12.0 {
+		t.Errorf("sweep.curves attrs = %v, want curves 24, saturation_searches 12", curves.Attrs)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bounds"
@@ -25,11 +26,14 @@ type Event struct {
 
 // Runner executes sweep specs over a list of Evaluator backends. The
 // zero value is ready to use: it sizes the pool to GOMAXPROCS and
-// builds the default backends (analytic, plus the simulator when the
-// spec asks for it); without a Cache, no results are memoized (a single
-// Run never revisits a cell — Expand deduplicates). Construct with
-// NewRunner to configure via functional options, or set the fields
-// directly.
+// evaluates with the default backends (analytic, plus the simulator and
+// the bound calculus when the spec asks for them); without a Cache, no
+// results are memoized (a single Run never revisits a cell — Expand
+// deduplicates). Construct with NewRunner to configure via functional
+// options, or set the fields directly — before the runner's first use,
+// which builds the default backends and the cache salt once and keeps
+// them, so models, Eq. 26 anchors and simulator networks carry over from
+// one call to the next. A Runner must not be copied after first use.
 type Runner struct {
 	// Workers bounds the worker pool; 0 defers to the spec, then to
 	// GOMAXPROCS.
@@ -54,6 +58,14 @@ type Runner struct {
 	// dedupe by key themselves and be safe for concurrent calls — cells
 	// arrive straight from the worker pool.
 	Calib CellObserver
+
+	// Built once by init: the default backend lists (nil with explicit
+	// Backends), indexed by which optional backends join the analytic
+	// model — bit 0 the simulator, bit 1 the bound calculus — and the
+	// cache salt.
+	once     sync.Once
+	defaults [4][]eval.Evaluator
+	salt     string
 }
 
 // CellObserver consumes completed cells as they land. internal/calib's
@@ -110,23 +122,37 @@ type PointResult struct {
 	Err error
 }
 
-// backends returns the runner's evaluator list, defaulting to the
-// analytic model plus — when the spec simulates — the flit-level
-// simulator anchored on it, plus — when the spec lists the "bounds"
-// backend — the worst-case bound calculus anchored the same way.
-func (r *Runner) backends(spec Spec) []eval.Evaluator {
+// init builds what the runner keeps across calls: the default backends
+// — the analytic model, the flit-level simulator anchored on it and the
+// worst-case bound calculus anchored the same way — unless Backends
+// replaces them, and the cache salt.
+func (r *Runner) init() {
+	r.once.Do(func() {
+		if r.Backends == nil {
+			ab := eval.NewAnalyticBackend()
+			sb, bb := eval.NewSimBackend(ab), bounds.New(ab)
+			r.defaults = [4][]eval.Evaluator{{ab}, {ab, sb}, {ab, bb}, {ab, sb, bb}}
+		}
+		r.salt = cacheSalt(r.Backends)
+	})
+}
+
+// backends returns the runner's evaluator list: Backends when set, else
+// the analytic model plus — when asked for — the simulator and the bound
+// calculus.
+func (r *Runner) backends(withSim, withBounds bool) []eval.Evaluator {
+	r.init()
 	if r.Backends != nil {
 		return r.Backends
 	}
-	ab := eval.NewAnalyticBackend()
-	out := []eval.Evaluator{ab}
-	if spec.withSim() {
-		out = append(out, eval.NewSimBackend(ab))
+	i := 0
+	if withSim {
+		i |= 1
 	}
-	if spec.wantBounds() {
-		out = append(out, bounds.New(ab))
+	if withBounds {
+		i |= 2
 	}
-	return out
+	return r.defaults[i]
 }
 
 // cacheSalt distinguishes cache lines produced by non-default backend
@@ -138,13 +164,13 @@ func (r *Runner) backends(spec Spec) []eval.Evaluator {
 // remote endpoint, …) should return a tag capturing that configuration.
 // The default list keeps unsalted keys, preserving cache sharing across
 // default runners.
-func (r *Runner) cacheSalt() string {
-	if r.Backends == nil {
+func cacheSalt(backends []eval.Evaluator) string {
+	if backends == nil {
 		return ""
 	}
 	type tagged interface{ CacheTag() string }
-	names := make([]string, len(r.Backends))
-	for i, be := range r.Backends {
+	names := make([]string, len(backends))
+	for i, be := range backends {
 		if tg, ok := be.(tagged); ok {
 			names[i] = tg.CacheTag()
 		} else {
@@ -152,6 +178,25 @@ func (r *Runner) cacheSalt() string {
 		}
 	}
 	return "backends=" + strings.Join(names, ",") + "|"
+}
+
+// salted reports whether cache lines differ from scenario keys: the
+// runner has a salt and a cache or observer that reads salted lines.
+func (r *Runner) salted() bool {
+	return r.salt != "" && (r.Cache != nil || r.Calib != nil)
+}
+
+// cacheKeys returns every scenario's cache line given its key: salted
+// copies, made once per run, or the keys themselves.
+func (r *Runner) cacheKeys(keys []string) []string {
+	if !r.salted() {
+		return keys
+	}
+	out := make([]string, len(keys))
+	for i, key := range keys {
+		out[i] = r.salt + key
+	}
+	return out
 }
 
 // workers returns the pool size for a grid of n scenarios. The bound is
@@ -178,16 +223,16 @@ type completion struct {
 	err error
 }
 
-// launch starts the worker pool for the expanded scenarios and returns
-// the completion stream. The returned channel is buffered for every
-// scenario, so workers and the cache feeder never block on a slow
-// consumer; it is closed once all workers have drained. Cancelling ctx
-// stops the pool promptly (in-flight simulations abort inside their
-// cycle loop).
-func (r *Runner) launch(ctx context.Context, spec Spec, scens []Scenario, backends []eval.Evaluator) <-chan completion {
+// launch starts the worker pool for the expanded scenarios (keys[i] is
+// scens[i].Key()) and returns the completion stream. The returned channel
+// is buffered for every scenario, so workers and the cache feeder never
+// block on a slow consumer; it is closed once all workers have drained.
+// Cancelling ctx stops the pool promptly (in-flight simulations abort
+// inside their cycle loop).
+func (r *Runner) launch(ctx context.Context, spec Spec, scens []Scenario, keys []string, backends []eval.Evaluator) <-chan completion {
 	out := make(chan completion, len(scens))
 	jobs := make(chan int)
-	salt := r.cacheSalt()
+	cacheKeys := r.cacheKeys(keys)
 	var wg sync.WaitGroup
 	for w := 0; w < r.workers(spec, len(scens)); w++ {
 		wg.Add(1)
@@ -199,7 +244,7 @@ func (r *Runner) launch(ctx context.Context, spec Spec, scens []Scenario, backen
 					out <- completion{row: Row{Scenario: sc}, err: err}
 					continue
 				}
-				cctx, span := obs.StartSpanKeyed(ctx, "eval.cell", sc.Key())
+				cctx, span := obs.StartSpanKeyed(ctx, "eval.cell", keys[i])
 				cell, err := evaluate(cctx, sc, backends)
 				if err != nil {
 					span.End(obs.Bool("cached", false), obs.String("error", err.Error()))
@@ -208,9 +253,9 @@ func (r *Runner) launch(ctx context.Context, spec Spec, scens []Scenario, backen
 				}
 				span.End(obs.Bool("cached", false))
 				if r.Cache != nil {
-					r.Cache.Put(salt+sc.Key(), cell)
+					r.Cache.Put(cacheKeys[i], cell)
 				}
-				r.observe(cctx, salt+sc.Key(), cell)
+				r.observe(cctx, cacheKeys[i], cell)
 				out <- completion{row: Row{Scenario: sc, Cell: cell}}
 			}
 		}()
@@ -219,10 +264,10 @@ func (r *Runner) launch(ctx context.Context, spec Spec, scens []Scenario, backen
 		defer close(out)
 		for i, sc := range scens {
 			if r.Cache != nil {
-				if cell, ok := r.Cache.Get(salt + sc.Key()); ok {
-					_, span := obs.StartSpanKeyed(ctx, "eval.cell", sc.Key())
+				if cell, ok := r.Cache.Get(cacheKeys[i]); ok {
+					_, span := obs.StartSpanKeyed(ctx, "eval.cell", keys[i])
 					span.End(obs.Bool("cached", true))
-					r.observe(ctx, salt+sc.Key(), cell)
+					r.observe(ctx, cacheKeys[i], cell)
 					out <- completion{row: Row{Scenario: sc, Cell: cell, Cached: true}}
 					continue
 				}
@@ -253,49 +298,48 @@ func evaluate(ctx context.Context, sc Scenario, backends []eval.Evaluator) (Cell
 	return cell, nil
 }
 
-// CacheKey returns the cache line a scenario occupies for this runner:
-// the scenario's own key prefixed with the runner's backend salt. It is
-// the key Evaluate, Run and Stream use, exposed so external cache
-// consumers (the serving layer, diagnostics) address the same lines.
-func (r *Runner) CacheKey(sc Scenario) string {
-	return r.cacheSalt() + sc.Key()
-}
-
 // Evaluate answers one scenario through the runner's cache and backends:
 // the single-cell form of Run, used by the serving layer's /v1/eval. It
 // reports whether the cell was served from cache; fresh cells are stored
 // before returning. The spec-dependent default backend list cannot be
 // inferred from a lone scenario, so a runner without explicit Backends
 // evaluates with the analytic model plus — when the scenario asks for
-// simulation — the simulator anchored on it.
+// them — the simulator and the bound calculus anchored on it.
 func (r *Runner) Evaluate(ctx context.Context, sc Scenario) (Cell, bool, error) {
-	key := r.CacheKey(sc)
+	return r.EvaluateKeyed(ctx, sc, sc.Key())
+}
+
+// EvaluateKeyed is Evaluate for a caller that already holds the
+// scenario's key (key == sc.Key(), as ExpandKeyed returns it): the key is
+// not built again for the cache line, the span or the observer.
+func (r *Runner) EvaluateKeyed(ctx context.Context, sc Scenario, key string) (Cell, bool, error) {
+	r.init()
+	cacheKey := key
+	if r.salted() {
+		cacheKey = r.salt + key
+	}
 	if r.Cache != nil {
-		if cell, ok := r.Cache.Get(key); ok {
-			_, span := obs.StartSpanKeyed(ctx, "eval.cell", sc.Key())
+		if cell, ok := r.Cache.Get(cacheKey); ok {
+			_, span := obs.StartSpanKeyed(ctx, "eval.cell", key)
 			span.End(obs.Bool("cached", true))
-			r.observe(ctx, key, cell)
+			r.observe(ctx, cacheKey, cell)
 			return cell, true, nil
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		return Cell{}, false, err
 	}
-	cctx, span := obs.StartSpanKeyed(ctx, "eval.cell", sc.Key())
-	spec := Spec{WithSim: sc.WithSim}
-	if sc.WithBounds {
-		spec.Backends = []string{BackendModel, BackendBounds}
-	}
-	cell, err := evaluate(cctx, sc, r.backends(spec))
+	cctx, span := obs.StartSpanKeyed(ctx, "eval.cell", key)
+	cell, err := evaluate(cctx, sc, r.backends(sc.WithSim, sc.WithBounds))
 	if err != nil {
 		span.End(obs.Bool("cached", false), obs.String("error", err.Error()))
 		return Cell{}, false, err
 	}
 	span.End(obs.Bool("cached", false))
 	if r.Cache != nil {
-		r.Cache.Put(key, cell)
+		r.Cache.Put(cacheKey, cell)
 	}
-	r.observe(cctx, key, cell)
+	r.observe(cctx, cacheKey, cell)
 	return cell, false, nil
 }
 
@@ -307,28 +351,25 @@ func (r *Runner) Evaluate(ctx context.Context, sc Scenario) (Cell, bool, error) 
 // cells completed before the cancellation are still in the cache.
 func (r *Runner) Run(ctx context.Context, spec Spec) (*Result, error) {
 	start := time.Now()
-	scens, err := Expand(spec)
+	scens, keys, err := ExpandKeyed(spec)
 	if err != nil {
 		return nil, err
 	}
 	ctx, span := obs.StartSpanKeyed(ctx, "sweep.run", specTraceKey(spec))
 	defer func() { span.End() }()
 	span.SetAttr(obs.Int("cells", len(scens)))
-	backends := r.backends(spec)
-	curves, order, err := resolveCurves(ctx, scens, backends)
+	backends := r.backends(spec.withSim(), spec.wantBounds())
+	curves, err := r.resolveCurves(ctx, spec, scens, backends)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Spec: spec, Rows: make([]Row, len(scens))}
-	for _, key := range order {
-		res.Curves = append(res.Curves, curves[key])
-	}
+	res := &Result{Spec: spec, Rows: make([]Row, len(scens)), Curves: curves}
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var firstErr error
 	done := 0
-	for c := range r.launch(runCtx, spec, scens, backends) {
+	for c := range r.launch(runCtx, spec, scens, keys, backends) {
 		if c.err != nil {
 			// Genuine scenario failures are reported with their cell;
 			// errors that merely reflect ctx ending (directly, or wrapped
@@ -387,7 +428,7 @@ func (r *Runner) Stream(ctx context.Context, spec Spec) <-chan PointResult {
 	out := make(chan PointResult)
 	go func() {
 		defer close(out)
-		scens, err := Expand(spec)
+		scens, keys, err := ExpandKeyed(spec)
 		if err != nil {
 			emit(ctx, out, PointResult{Err: err})
 			return
@@ -395,8 +436,8 @@ func (r *Runner) Stream(ctx context.Context, spec Spec) <-chan PointResult {
 		ctx, span := obs.StartSpanKeyed(ctx, "sweep.run", specTraceKey(spec))
 		defer func() { span.End() }()
 		span.SetAttr(obs.Int("cells", len(scens)))
-		backends := r.backends(spec)
-		if _, _, err := resolveCurves(ctx, scens, backends); err != nil {
+		backends := r.backends(spec.withSim(), spec.wantBounds())
+		if _, err := r.resolveCurves(ctx, spec, scens, backends); err != nil {
 			emit(ctx, out, PointResult{Err: err})
 			return
 		}
@@ -404,7 +445,7 @@ func (r *Runner) Stream(ctx context.Context, spec Spec) <-chan PointResult {
 		defer cancel()
 		done, total := 0, len(scens)
 		var streamErr error
-		for c := range r.launch(runCtx, spec, scens, backends) {
+		for c := range r.launch(runCtx, spec, scens, keys, backends) {
 			switch {
 			case c.err != nil:
 				// Scenario failures end the sweep; errors that merely
@@ -452,29 +493,44 @@ func emit(ctx context.Context, out chan<- PointResult, pr PointResult) bool {
 	}
 }
 
-// resolveCurves builds the per-curve metadata of the grid in order of
-// first appearance, asking the first backend that can describe curves
-// (the analytic backend, in the default list; the remote backend over
-// /v1/curve). ctx bounds remote describers so a cancelled sweep does
-// not stall in setup.
-func resolveCurves(ctx context.Context, scens []Scenario, backends []eval.Evaluator) (map[string]CurveInfo, []string, error) {
-	type describer interface {
-		Curve(context.Context, eval.Scenario) (eval.CurveDesc, error)
-	}
-	var desc describer
-	for _, be := range backends {
-		if d, ok := be.(describer); ok {
-			desc = d
-			break
-		}
-	}
-	curves := make(map[string]CurveInfo)
-	var order []string
-	for _, sc := range scens {
-		key := sc.CurveKey()
-		if _, ok := curves[key]; ok {
+// CurveDescriber is what curve resolution asks of a backend: the model
+// context (name, D̄, saturation anchor) of a scenario's curve. The
+// analytic backend answers locally, the remote backend over /v1/curve.
+type CurveDescriber interface {
+	Curve(context.Context, eval.Scenario) (eval.CurveDesc, error)
+}
+
+// sameCurve reports whether two scenarios certainly share a curve: every
+// field CurveKey reads is identical. Expansion emits a curve's load
+// points back to back, so comparing a cell with its predecessor finds
+// nearly every curve boundary without building a key.
+func sameCurve(a, b *Scenario) bool {
+	return a.Topology == b.Topology && a.MsgFlits == b.MsgFlits && a.Policy == b.Policy &&
+		a.Variant == b.Variant && a.Workload == b.Workload
+}
+
+// ResolveCurves builds the grid's per-curve metadata in order of first
+// appearance, asking desc (nil leaves the model fields NaN) on up to
+// `workers` goroutines — a first look at a curve may be an Eq. 26 search
+// or a network round trip. CurveKey is built once per curve. Once ctx has
+// ended no further curve is described and its error is returned as is.
+func ResolveCurves(ctx context.Context, scens []Scenario, desc CurveDescriber, workers int) ([]CurveInfo, error) {
+	var heads []int // first scenario of each distinct curve
+	var keys []string
+	seen := make(map[string]bool)
+	for i := range scens {
+		if i > 0 && sameCurve(&scens[i], &scens[i-1]) {
 			continue
 		}
+		if key := scens[i].CurveKey(); !seen[key] {
+			seen[key] = true
+			heads, keys = append(heads, i), append(keys, key)
+		}
+	}
+	infos := make([]CurveInfo, len(heads))
+	errs := make([]error, len(heads))
+	describe := func(i int) {
+		sc := &scens[heads[i]]
 		info := CurveInfo{
 			Topology: sc.Topology, MsgFlits: sc.MsgFlits,
 			Policy: sc.Policy.String(), Variant: sc.Variant.Name,
@@ -484,16 +540,61 @@ func resolveCurves(ctx context.Context, scens []Scenario, backends []eval.Evalua
 			info.Workload = sc.Workload.Label()
 		}
 		if desc != nil {
-			cd, err := desc.Curve(ctx, sc)
-			if err != nil {
-				return nil, nil, fmt.Errorf("sweep: %s: %w", key, err)
+			var cd eval.CurveDesc
+			if cd, errs[i] = desc.Curve(ctx, *sc); errs[i] != nil {
+				return
 			}
-			info.Model = cd.Model
-			info.AvgDist = cd.AvgDist
-			info.SaturationLoad = cd.SaturationLoad
+			info.Model, info.AvgDist, info.SaturationLoad = cd.Model, cd.AvgDist, cd.SaturationLoad
 		}
-		curves[key] = info
-		order = append(order, key)
+		infos[i] = info
 	}
-	return curves, order, nil
+	// Workers claim curves off a shared counter; results land at the
+	// curve's index, so the order never depends on scheduling.
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(max(workers, 1), len(heads)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(heads) && ctx.Err() == nil; i = int(next.Add(1)) - 1 {
+				describe(i)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("sweep: %s: %w", keys[i], err)
+		}
+	}
+	return infos, nil
 }
+
+// resolveCurves resolves the grid's curves on the runner's workers,
+// through the first backend that can describe curves (the analytic
+// backend, in the default list; the remote backend over /v1/curve), under
+// a sweep.curves span that makes the set-up share of a sweep attributable.
+func (r *Runner) resolveCurves(ctx context.Context, spec Spec, scens []Scenario, backends []eval.Evaluator) ([]CurveInfo, error) {
+	var desc CurveDescriber
+	for _, be := range backends {
+		if d, ok := be.(CurveDescriber); ok {
+			desc = d
+			break
+		}
+	}
+	ctx, span := obs.StartSpanKeyed(ctx, "sweep.curves", "")
+	before := saturationSearches.Load()
+	curves, err := ResolveCurves(ctx, scens, desc, r.workers(spec, len(scens)))
+	if span != nil { // untraced, the attrs are not even boxed
+		// A process-wide counter: exact unless another sweep searches at
+		// the same moment.
+		span.End(obs.Int("curves", len(curves)), obs.Int64("saturation_searches", saturationSearches.Load()-before))
+	}
+	return curves, err
+}
+
+// saturationSearches is the analytic layer's Eq. 26 search counter.
+var saturationSearches = obs.NewCounter("analytic_saturation_searches_total")

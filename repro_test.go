@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"net"
+	"net/http"
 	"testing"
 	"time"
 
@@ -215,6 +216,12 @@ func TestFacadeSweepService(t *testing.T) {
 		}
 	}
 
+	// Two workers dial in parallel; a dial that loses the race to a freed
+	// connection parks a never-used connection in the client's idle pool,
+	// which the server may not treat as idle for 5 s — longer than the
+	// grace below. Dropping the client's idle connections first keeps the
+	// shutdown about in-flight requests.
+	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatalf("graceful shutdown: %v", err)
