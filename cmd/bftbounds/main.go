@@ -17,9 +17,9 @@
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
-	"log"
+	"io"
 
 	"repro/internal/analytic"
 	"repro/internal/bounds"
@@ -29,22 +29,26 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
-	cliutil.Setup("bftbounds")
+func main() { cliutil.Main("bftbounds", run) }
+
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cliutil.Flags("bftbounds", stderr)
 	var (
-		n           = flag.Int("n", 64, "number of processors (power of four)")
-		flits       = flag.Float64("flits", 16, "message length in flits")
-		load        = flag.Float64("load", 0.02, "offered load (flits/cycle per processor)")
-		onfrac      = flag.Float64("onfrac", 0, "MMPP on-fraction in (0,1] (0 = steady Poisson sources)")
-		burstCycles = flag.Float64("burstcycles", 0, "MMPP mean burst length in cycles (with -onfrac)")
-		jsonOut     = flag.Bool("json", false, "emit the report as JSON instead of a table")
-		csv         = flag.Bool("csv", false, "emit the per-hop table as CSV")
+		n           = fs.Int("n", 64, "number of processors (power of four)")
+		flits       = fs.Float64("flits", 16, "message length in flits")
+		load        = fs.Float64("load", 0.02, "offered load (flits/cycle per processor)")
+		onfrac      = fs.Float64("onfrac", 0, "MMPP on-fraction in (0,1] (0 = steady Poisson sources)")
+		burstCycles = fs.Float64("burstcycles", 0, "MMPP mean burst length in cycles (with -onfrac)")
+		jsonOut     = fs.Bool("json", false, "emit the report as JSON instead of a table")
+		csv         = fs.Bool("csv", false, "emit the per-hop table as CSV")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	model, err := analytic.NewFatTreeModel(*n, *flits, core.Options{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	lambda0 := *load / *flits
 
@@ -57,31 +61,28 @@ func main() {
 			BurstCycles: *burstCycles,
 		}
 		if err := wl.Validate(); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	burst, ok := bounds.Envelope(wl, lambda0)
 	if !ok {
-		log.Fatalf("no deterministic (σ,ρ) envelope for workload %s", wl.Label())
+		return fmt.Errorf("no deterministic (σ,ρ) envelope for workload %s", wl.Label())
 	}
 
 	rep, err := bounds.Compute(model, lambda0, burst)
 	if err != nil {
-		log.Fatalf("load %.4f flits/cycle/PE: %v", *load, err)
+		return fmt.Errorf("load %.4f flits/cycle/PE: %w", *load, err)
 	}
 
 	if *jsonOut {
-		if err := cliutil.DumpJSON(rep); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return cliutil.DumpJSON(stdout, rep)
 	}
 
 	if !*csv {
-		fmt.Printf("butterfly fat-tree N=%d, s=%g flits, load=%.4f flits/cycle/PE (λ0=%.6g, per-source burst σ=%.3f msg)\n",
+		fmt.Fprintf(stdout, "butterfly fat-tree N=%d, s=%g flits, load=%.4f flits/cycle/PE (λ0=%.6g, per-source burst σ=%.3f msg)\n",
 			*n, *flits, *load, lambda0, rep.Burst)
-		fmt.Printf("  worst-case latency bound = %.3f cycles (mean model L is cmd/bftmodel's Eq. 25)\n", rep.Total)
-		fmt.Printf("  max per-hop backlog      = %.1f flits\n\n", rep.MaxBacklog)
+		fmt.Fprintf(stdout, "  worst-case latency bound = %.3f cycles (mean model L is cmd/bftmodel's Eq. 25)\n", rep.Total)
+		fmt.Fprintf(stdout, "  max per-hop backlog      = %.1f flits\n\n", rep.MaxBacklog)
 	}
 	tbl := &series.Table{Headers: []string{"hop", "m", "service x̄", "ρ", "sources", "σ (msg)", "delay", "backlog (flits)"}}
 	for _, h := range rep.Hops {
@@ -94,5 +95,6 @@ func main() {
 			fmt.Sprintf("%.3f", h.Delay),
 			fmt.Sprintf("%.1f", h.Backlog))
 	}
-	cliutil.Output(tbl, *csv)
+	cliutil.Output(stdout, tbl, *csv)
+	return nil
 }

@@ -12,67 +12,70 @@
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
-	"log"
-
-	"repro/internal/cliutil"
+	"io"
 
 	"repro/internal/analytic"
+	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/series"
 	"repro/internal/topology"
 )
 
-func main() {
-	cliutil.Setup("bftmodel")
+func main() { cliutil.Main("bftmodel", run) }
+
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cliutil.Flags("bftmodel", stderr)
 	var (
-		n       = flag.Int("n", 1024, "number of processors (power of four)")
-		flits   = flag.Float64("flits", 16, "message length in flits")
-		load    = flag.Float64("load", 0.02, "offered load (flits/cycle per processor)")
-		inspect = flag.Bool("inspect", false, "dump the switch wiring and exit")
-		sat     = flag.Bool("saturation", false, "solve Eq. 26 and exit")
+		n       = fs.Int("n", 1024, "number of processors (power of four)")
+		flits   = fs.Float64("flits", 16, "message length in flits")
+		load    = fs.Float64("load", 0.02, "offered load (flits/cycle per processor)")
+		inspect = fs.Bool("inspect", false, "dump the switch wiring and exit")
+		sat     = fs.Bool("saturation", false, "solve Eq. 26 and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *inspect {
 		ft, err := topology.NewFatTree(*n)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Print(ft.Describe())
-		return
+		fmt.Fprint(stdout, ft.Describe())
+		return nil
 	}
 
 	model, err := analytic.NewFatTreeModel(*n, *flits, core.Options{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *sat {
 		s, err := model.SaturationLoad()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("saturation: %.6f flits/cycle/PE (%.6f messages/cycle/PE)\n",
+		fmt.Fprintf(stdout, "saturation: %.6f flits/cycle/PE (%.6f messages/cycle/PE)\n",
 			s, s / *flits)
-		return
+		return nil
 	}
 
 	lambda0 := *load / *flits
 	lat, err := model.Latency(lambda0)
 	if err != nil {
-		log.Fatalf("load %.4f flits/cycle/PE: %v", *load, err)
+		return fmt.Errorf("load %.4f flits/cycle/PE: %w", *load, err)
 	}
-	fmt.Printf("butterfly fat-tree N=%d, s=%g flits, load=%.4f flits/cycle/PE (λ0=%.6g)\n",
+	fmt.Fprintf(stdout, "butterfly fat-tree N=%d, s=%g flits, load=%.4f flits/cycle/PE (λ0=%.6g)\n",
 		*n, *flits, *load, lambda0)
-	fmt.Printf("  average latency L      = %.3f cycles (Eq. 25)\n", lat.Total)
-	fmt.Printf("  injection wait  W(0,1) = %.3f cycles\n", lat.WaitInj)
-	fmt.Printf("  injection svc   x(0,1) = %.3f cycles\n", lat.ServiceInj)
-	fmt.Printf("  average distance D     = %.3f channels\n\n", lat.AvgDist)
+	fmt.Fprintf(stdout, "  average latency L      = %.3f cycles (Eq. 25)\n", lat.Total)
+	fmt.Fprintf(stdout, "  injection wait  W(0,1) = %.3f cycles\n", lat.WaitInj)
+	fmt.Fprintf(stdout, "  injection svc   x(0,1) = %.3f cycles\n", lat.ServiceInj)
+	fmt.Fprintf(stdout, "  average distance D     = %.3f channels\n\n", lat.AvgDist)
 
 	stats, err := model.ChannelStats(lambda0)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	tbl := &series.Table{Headers: []string{"class", "m", "rate λ", "service x̄", "wait W̄", "ρ"}}
 	for _, st := range stats {
@@ -83,5 +86,6 @@ func main() {
 			fmt.Sprintf("%.3f", st.Wait),
 			fmt.Sprintf("%.4f", st.Rho))
 	}
-	fmt.Print(tbl.String())
+	fmt.Fprint(stdout, tbl.String())
+	return nil
 }

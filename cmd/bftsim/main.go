@@ -22,35 +22,37 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
-	"log"
+	"io"
 
 	"repro/internal/cliutil"
-
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
-func main() {
-	cliutil.Setup("bftsim")
+func main() { cliutil.Main("bftsim", run) }
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cliutil.Flags("bftsim", stderr)
 	var (
-		n       = flag.Int("n", 1024, "number of processors (power of four)")
-		cube    = flag.Int("cube", 0, "simulate a binary hypercube of this many dimensions instead")
-		flits   = flag.Int("flits", 16, "message length in flits")
-		load    = flag.Float64("load", 0.02, "offered load (flits/cycle per processor)")
-		warmup  = flag.Int("warmup", 10000, "warmup cycles")
-		measure = flag.Int("measure", 50000, "measurement cycles")
-		seed    = flag.Uint64("seed", 1, "random seed")
-		policy  = flag.String("policy", "pairqueue", "up-link policy: pairqueue or randomfixed")
-		hist    = flag.Bool("hist", false, "collect a latency histogram and report percentiles")
-		prec    = flag.Float64("precision", 0, "stop early once the latency CI is within this relative half-width (0 = fixed window)")
-		reps    = flag.Int("replicas", 1, "independent replicas to run and pool")
-		wlJSON  = flag.String("workload", "", `workload spec as JSON, e.g. '{"process":"mmpp","on_frac":0.25,"burst_cycles":200}' (empty = steady uniform Poisson)`)
+		n       = fs.Int("n", 1024, "number of processors (power of four)")
+		cube    = fs.Int("cube", 0, "simulate a binary hypercube of this many dimensions instead")
+		flits   = fs.Int("flits", 16, "message length in flits")
+		load    = fs.Float64("load", 0.02, "offered load (flits/cycle per processor)")
+		warmup  = fs.Int("warmup", 10000, "warmup cycles")
+		measure = fs.Int("measure", 50000, "measurement cycles")
+		seed    = fs.Uint64("seed", 1, "random seed")
+		policy  = fs.String("policy", "pairqueue", "up-link policy: pairqueue or randomfixed")
+		hist    = fs.Bool("hist", false, "collect a latency histogram and report percentiles")
+		prec    = fs.Float64("precision", 0, "stop early once the latency CI is within this relative half-width (0 = fixed window)")
+		reps    = fs.Int("replicas", 1, "independent replicas to run and pool")
+		wlJSON  = fs.String("workload", "", `workload spec as JSON, e.g. '{"process":"mmpp","on_frac":0.25,"burst_cycles":200}' (empty = steady uniform Poisson)`)
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var net topology.Network
 	var err error
@@ -60,7 +62,7 @@ func main() {
 		net, err = topology.NewFatTree(*n)
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var pol sim.UpLinkPolicy
 	switch *policy {
@@ -69,7 +71,7 @@ func main() {
 	case "randomfixed":
 		pol = sim.RandomFixed
 	default:
-		log.Fatalf("unknown policy %q", *policy)
+		return fmt.Errorf("unknown policy %q", *policy)
 	}
 
 	cfg := sim.Config{
@@ -84,10 +86,10 @@ func main() {
 	if *wlJSON != "" {
 		var wl workload.Spec
 		if err := sweep.DecodeStrict([]byte(*wlJSON), &wl); err != nil {
-			log.Fatalf("decoding -workload: %v", err)
+			return fmt.Errorf("decoding -workload: %w", err)
 		}
 		if err := wl.Validate(); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		cfg.Workload = &wl
 	}
@@ -98,30 +100,31 @@ func main() {
 	if *reps > 1 {
 		opts = append(opts, sim.WithReplicas(*reps))
 	}
-	res, err := sim.Run(context.Background(), cfg, opts...)
+	res, err := sim.Run(ctx, cfg, opts...)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println(res.String())
-	fmt.Printf("  latency: mean=%.3f ±%.3f (95%% CI), min=%.1f, max=%.1f cycles\n",
+	fmt.Fprintln(stdout, res.String())
+	fmt.Fprintf(stdout, "  latency: mean=%.3f ±%.3f (95%% CI), min=%.1f, max=%.1f cycles\n",
 		res.LatencyMean, res.LatencyCI95, res.LatencyMin, res.LatencyMax)
 	if res.EarlyStopped || res.Replicas > 1 {
-		fmt.Printf("  effort: %d replicas, %d measured cycles, achieved precision %.4f\n",
+		fmt.Fprintf(stdout, "  effort: %d replicas, %d measured cycles, achieved precision %.4f\n",
 			res.Replicas, res.MeasuredCycles, res.Precision)
 	}
 	if *hist {
-		fmt.Printf("  percentiles: p50=%.1f p95=%.1f p99=%.1f cycles\n",
+		fmt.Fprintf(stdout, "  percentiles: p50=%.1f p95=%.1f p99=%.1f cycles\n",
 			res.LatencyP50, res.LatencyP95, res.LatencyP99)
 	}
-	fmt.Printf("  injection: wait=%.3f, service=%.3f cycles (model's W(0,1), x(0,1))\n",
+	fmt.Fprintf(stdout, "  injection: wait=%.3f, service=%.3f cycles (model's W(0,1), x(0,1))\n",
 		res.WaitInjMean, res.ServiceInjMean)
-	fmt.Printf("  throughput: %.5f delivered vs %.5f offered flits/cycle/PE\n",
+	fmt.Fprintf(stdout, "  throughput: %.5f delivered vs %.5f offered flits/cycle/PE\n",
 		res.ThroughputFlits, res.OfferedFlits)
-	fmt.Printf("  tracked messages: %d arrived, %d completed; mean source queue %.3f\n",
+	fmt.Fprintf(stdout, "  tracked messages: %d arrived, %d completed; mean source queue %.3f\n",
 		res.TrackedInjected, res.TrackedCompleted, res.MeanSourceQueue)
-	fmt.Println("  mean busy fraction by channel kind:")
+	fmt.Fprintln(stdout, "  mean busy fraction by channel kind:")
 	for kind, busy := range res.BusyByKind(net) {
-		fmt.Printf("    %-5v %.4f\n", kind, busy)
+		fmt.Fprintf(stdout, "    %-5v %.4f\n", kind, busy)
 	}
+	return nil
 }

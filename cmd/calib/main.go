@@ -8,8 +8,7 @@
 //
 // With -check the command gates instead of reporting: it exits non-zero
 // when the map is empty, carries a non-finite MAPE, or is stale against
-// the store (cells the map has not observed) — the calibration smoke's
-// freshness gate.
+// the store (cells the map has not observed) — the freshness gate.
 //
 // Usage:
 //
@@ -22,12 +21,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"flag"
+	"errors"
 	"fmt"
-	"log"
+	"io"
 	"math"
-	"os"
 	"text/tabwriter"
 	"time"
 
@@ -36,21 +33,25 @@ import (
 	"repro/internal/store"
 )
 
-func main() {
-	cliutil.Setup("calib")
+func main() { cliutil.Main("calib", run) }
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cliutil.Flags("calib", stderr)
 	var (
-		storeDir = flag.String("store", "", "persistent result store directory to mine (cmd/sweep -cache-dir)")
-		mapPath  = flag.String("map", "", "calibration map file to load and update (default <store>/calib-map.json)")
-		outPath  = flag.String("out", "", "where to save the updated map (default: the -map path)")
-		jsonOut  = flag.Bool("json", false, "emit the report plus mining stats as JSON")
-		check    = flag.Bool("check", false, "gate: non-zero exit when the map is empty, has a non-finite MAPE, or is stale against the store")
-		maxMAPE  = flag.Float64("max-mape", 0.1, "trust threshold annotated per region in the report")
-		minPairs = flag.Int("min-pairs", 3, "minimum pairs per region for a trust verdict")
+		storeDir = fs.String("store", "", "persistent result store directory to mine (cmd/sweep -cache-dir)")
+		mapPath  = fs.String("map", "", "calibration map file to load and update (default <store>/calib-map.json)")
+		outPath  = fs.String("out", "", "where to save the updated map (default: the -map path)")
+		jsonOut  = fs.Bool("json", false, "emit the report plus mining stats as JSON")
+		check    = fs.Bool("check", false, "gate: non-zero exit when the map is empty, has a non-finite MAPE, or is stale against the store")
+		maxMAPE  = fs.Float64("max-mape", 0.1, "trust threshold annotated per region in the report")
+		minPairs = fs.Int("min-pairs", 3, "minimum pairs per region for a trust verdict")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *storeDir == "" && *mapPath == "" {
-		log.Fatal("nothing to do: pass -store DIR to mine a store, or -map FILE to report a saved map")
+		return errors.New("nothing to do: pass -store DIR to mine a store, or -map FILE to report a saved map")
 	}
 	path := *mapPath
 	if path == "" {
@@ -63,7 +64,7 @@ func main() {
 
 	m, err := calib.LoadMap(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	var stale, added int
@@ -71,22 +72,21 @@ func main() {
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		defer st.Close()
+		defer st.Close() // only read
 		stale = m.Staleness(st)
 		start := time.Now()
-		added = m.Mine(context.Background(), st)
+		added = m.Mine(ctx, st)
 		mineSecs = time.Since(start).Seconds()
 		if err := m.Save(save); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
 	rep := m.Report()
 	if *check {
-		runCheck(rep, stale)
-		return
+		return runCheck(stdout, rep, stale)
 	}
 
 	if *jsonOut {
@@ -100,53 +100,50 @@ func main() {
 		if mineSecs > 0 {
 			out.PairsPerSec = float64(added) / mineSecs
 		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return cliutil.DumpJSON(stdout, out)
 	}
 
-	printReport(rep, stale, added, mineSecs, calib.Gate{MaxMAPE: *maxMAPE, MinPairs: *minPairs}, m)
+	printReport(stdout, rep, stale, added, mineSecs, calib.Gate{MaxMAPE: *maxMAPE, MinPairs: *minPairs}, m)
+	return nil
 }
 
 // runCheck is the -check gate: regions exist, every MAPE is finite, and
 // the map has observed every sim-carrying cell the store holds.
-func runCheck(rep calib.Report, stale int) {
+func runCheck(w io.Writer, rep calib.Report, stale int) error {
 	if len(rep.Regions) == 0 {
-		log.Fatal("calibration check failed: map has no regions (mine a with-sim store first)")
+		return errors.New("calibration check failed: map has no regions (mine a with-sim store first)")
 	}
 	for _, r := range rep.Regions {
 		if math.IsNaN(r.MAPE) || math.IsInf(r.MAPE, 0) {
-			log.Fatalf("calibration check failed: region %s has non-finite MAPE", r.Name)
+			return fmt.Errorf("calibration check failed: region %s has non-finite MAPE", r.Name)
 		}
 	}
 	if stale > 0 {
-		log.Fatalf("calibration check failed: %d store cell(s) not yet observed by the map", stale)
+		return fmt.Errorf("calibration check failed: %d store cell(s) not yet observed by the map", stale)
 	}
-	fmt.Printf("calibration ok: %d pair(s) across %d region(s), map fresh\n", rep.Pairs, len(rep.Regions))
+	fmt.Fprintf(w, "calibration ok: %d pair(s) across %d region(s), map fresh\n", rep.Pairs, len(rep.Regions))
+	return nil
 }
 
 // printReport renders the human-readable region table with the verdict
 // each region would get under the given gate.
-func printReport(rep calib.Report, stale, added int, mineSecs float64, gate calib.Gate, m *calib.Map) {
-	fmt.Printf("calibration map: %d pair(s) across %d region(s)", rep.Pairs, len(rep.Regions))
+func printReport(w io.Writer, rep calib.Report, stale, added int, mineSecs float64, gate calib.Gate, m *calib.Map) {
+	fmt.Fprintf(w, "calibration map: %d pair(s) across %d region(s)", rep.Pairs, len(rep.Regions))
 	if added > 0 {
-		fmt.Printf("; mined %d new pair(s) in %.0f ms", added, mineSecs*1e3)
+		fmt.Fprintf(w, "; mined %d new pair(s) in %.0f ms", added, mineSecs*1e3)
 	}
 	if stale > 0 {
-		fmt.Printf("; was %d cell(s) stale before mining", stale)
+		fmt.Fprintf(w, "; was %d cell(s) stale before mining", stale)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	if rep.WorstMAPE != nil {
-		fmt.Printf("worst region: %s (MAPE %.3g)\n", rep.WorstRegion, *rep.WorstMAPE)
+		fmt.Fprintf(w, "worst region: %s (MAPE %.3g)\n", rep.WorstRegion, *rep.WorstMAPE)
 	}
 	if len(rep.Regions) == 0 {
 		return
 	}
-	fmt.Println()
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(w)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "REGION\tPAIRS\tMAPE\tBIAS\tPEARSON\tMAXREL\tVERDICT")
 	for _, r := range rep.Regions {
 		verdict, _, _ := m.Verdict(r.Region, gate)

@@ -1,0 +1,125 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"math"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"repro/internal/calib"
+	"repro/internal/dispatch"
+	"repro/internal/serve"
+	"repro/internal/store"
+	"repro/internal/sweep"
+)
+
+// calibCLI calls run in-process the way main does, returning stdout.
+func calibCLI(args ...string) (string, error) {
+	var stdout, stderr bytes.Buffer
+	err := run(context.Background(), args, &stdout, &stderr)
+	return stdout.String(), err
+}
+
+// sweepInto runs a with-sim bft-64 grid (s=8 and s=16, fixed windows)
+// at the given saturation fractions over a 2-shard fleet into the
+// persistent store at dir, the way cmd/sweep -shards -cache-dir does:
+// the cells compute on the shards and land in the coordinator's store.
+func sweepInto(t *testing.T, dir string, fracs ...float64) {
+	t.Helper()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := make([]string, 2)
+	for i := range addrs {
+		srv := httptest.NewServer(serve.New(serve.WithCache(sweep.NewCache())))
+		defer srv.Close()
+		addrs[i] = srv.URL
+	}
+	d, err := dispatch.New(addrs, dispatch.WithCache(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := sweep.Spec{
+		Name:       "calib-mine",
+		Topologies: []sweep.TopologySpec{{Family: sweep.FamilyBFT, Sizes: []int{64}}},
+		MsgFlits:   []int{8, 16},
+		Loads:      sweep.LoadSpec{Fracs: fracs},
+		WithSim:    true,
+		Budget:     sweep.Budget{Warmup: 2000, Measure: 10000, Seed: 1},
+	}
+	if _, err := d.Run(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMineReportAndFreshnessGate: mining a with-sim store reports its
+// regions — the 50-75% pairqueue band the trust-gated plan operates in
+// among them — with finite MAPE; -check passes on the fresh map, fails
+// once the store holds cells the map has not observed, and passes
+// again after that run's own top-up.
+func TestMineReportAndFreshnessGate(t *testing.T) {
+	dir := t.TempDir()
+	// Two loads inside the 50-75% band, one below, one above.
+	sweepInto(t, dir, 0.3, 0.6, 0.7, 0.95)
+
+	out, err := calibCLI("-store", dir, "-json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		calib.Report
+		StaleCells int64 `json:"stale_cells"`
+		PairsAdded int64 `json:"pairs_added"`
+	}
+	if err := json.Unmarshal([]byte(out), &rep); err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	if rep.Pairs < 2 || rep.PairsAdded != rep.Pairs || rep.StaleCells < rep.Pairs {
+		t.Errorf("first mining: %d pair(s), %d added, %d stale before; want >= 2, all added, all stale", rep.Pairs, rep.PairsAdded, rep.StaleCells)
+	}
+	if len(rep.Regions) < 2 {
+		t.Errorf("%d region(s), want >= 2", len(rep.Regions))
+	}
+	found := false
+	for _, r := range rep.Regions {
+		found = found || r.Name == "bft-64/s=8/pairqueue/50-75%"
+		if math.IsNaN(r.MAPE) || math.IsInf(r.MAPE, 0) {
+			t.Errorf("region %s has non-finite MAPE", r.Name)
+		}
+	}
+	if !found {
+		t.Errorf("the plan's operating region was not mined:\n%s", out)
+	}
+
+	if out, err := calibCLI("-store", dir, "-check"); err != nil || !strings.Contains(out, "map fresh") {
+		t.Errorf("-check on a fresh map: %q, %v", out, err)
+	}
+	// The saved map reports without the store, as a table too.
+	if out, err := calibCLI("-map", calib.MapPath(dir)); err != nil || !strings.Contains(out, "bft-64/s=8/pairqueue/50-75%") {
+		t.Errorf("-map report: %v\n%s", err, out)
+	}
+
+	sweepInto(t, dir, 0.5) // lands while no observer is attached
+	if _, err := calibCLI("-store", dir, "-check"); err == nil || !strings.Contains(err.Error(), "not yet observed") {
+		t.Errorf("-check on a stale map: err = %v, want a staleness failure", err)
+	}
+	if _, err := calibCLI("-store", dir, "-check"); err != nil {
+		t.Errorf("-check after the top-up: %v", err)
+	}
+}
+
+func TestCheckRejectsEmptyMapAndNoInput(t *testing.T) {
+	if _, err := calibCLI("-store", t.TempDir(), "-check"); err == nil || !strings.Contains(err.Error(), "no regions") {
+		t.Errorf("-check on an empty store: err = %v", err)
+	}
+	if _, err := calibCLI(); err == nil || !strings.Contains(err.Error(), "nothing to do") {
+		t.Errorf("no arguments: err = %v", err)
+	}
+}

@@ -4,9 +4,9 @@
 // shard — and reports per-layer time, the critical path, cache hit
 // ratio, planner decision counts and per-shard skew. With -check it
 // validates well-formedness instead (every span parented, one root per
-// trace) and exits non-zero on a torn tree, which is how the obs smoke
-// gates cross-shard stitching. With -metrics it validates a /metrics
-// scrape as parseable Prometheus text. See docs/observability.md.
+// trace) and exits non-zero on a torn tree — the cross-shard stitching
+// gate. With -metrics it validates a /metrics scrape as parseable
+// Prometheus text. See docs/observability.md.
 //
 // Usage:
 //
@@ -19,68 +19,67 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
+	"context"
+	"errors"
 	"fmt"
 	"io"
-	"log"
 	"os"
 
 	"repro/internal/cliutil"
 	"repro/internal/obs"
 )
 
-func main() {
-	cliutil.Setup("obsreport")
+func main() { cliutil.Main("obsreport", run) }
+
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cliutil.Flags("obsreport", stderr)
 	var (
-		check   = flag.Bool("check", false, "validate trace well-formedness (stitched, single-rooted) and exit non-zero on failure")
-		jsonOut = flag.Bool("json", false, "emit the report as JSON instead of text")
-		metrics = flag.String("metrics", "", "validate this /metrics scrape as Prometheus text and exit")
+		check   = fs.Bool("check", false, "validate trace well-formedness (stitched, single-rooted) and exit non-zero on failure")
+		jsonOut = fs.Bool("json", false, "emit the report as JSON instead of text")
+		metrics = fs.String("metrics", "", "validate this /metrics scrape as Prometheus text and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *metrics != "" {
 		samples, err := parseMetricsFile(*metrics)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("metrics ok: %d sample(s)\n", len(samples))
-		return
+		fmt.Fprintf(stdout, "metrics ok: %d sample(s)\n", len(samples))
+		return nil
 	}
 
-	paths := flag.Args()
+	paths := fs.Args()
 	if len(paths) == 0 {
-		log.Fatal("no trace file given (pass one or more NDJSON files, or - for stdin)")
+		return errors.New("no trace file given (pass one or more NDJSON files, or - for stdin)")
 	}
 	var events []obs.Event
 	for _, path := range paths {
 		evs, err := readTrace(path)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		events = append(events, evs...)
 	}
 
 	if *check {
-		if err := obs.CheckForest(obs.BuildForest(events)); err != nil {
-			log.Fatal(err)
-		}
 		f := obs.BuildForest(events)
-		fmt.Printf("trace ok: %d trace(s), %d span(s), %d event(s), all stitched\n",
+		if err := obs.CheckForest(f); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "trace ok: %d trace(s), %d span(s), %d event(s), all stitched\n",
 			len(f.Traces), len(f.Nodes), len(events))
-		return
+		return nil
 	}
 
 	report := obs.Analyze(events)
 	if *jsonOut {
-		out, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(string(out))
-		return
+		return cliutil.DumpJSON(stdout, report)
 	}
-	report.Format(os.Stdout)
+	report.Format(stdout)
+	return nil
 }
 
 // readTrace reads one trace file's events; "-" reads stdin.

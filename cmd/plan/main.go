@@ -36,14 +36,11 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"flag"
+	"errors"
 	"fmt"
 	"io"
-	"log"
-	"math"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/calib"
 	"repro/internal/cliutil"
@@ -55,57 +52,57 @@ import (
 	"repro/internal/sweep"
 )
 
-func main() {
-	cliutil.Setup("plan")
+func main() { cliutil.Main("plan", run) }
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (rerr error) {
+	fs := cliutil.Flags("plan", stderr)
 	var (
-		specRef  = flag.String("spec", "", "spec file path or builtin:<name>")
-		list     = flag.Bool("list", false, "list built-in plan specs and exit")
-		dump     = flag.String("dumpspec", "", "print the named spec (file path or builtin:<name>) as JSON and exit")
-		jsonOut  = flag.Bool("json", false, "emit the result as JSON instead of a table")
-		stream   = flag.Bool("stream", false, "emit NDJSON: one update line per search event")
-		timeout  = flag.Duration("timeout", 0, "abort the search after this duration (0 = no deadline)")
-		quiet    = flag.Bool("quiet", false, "suppress progress output")
-		backend  = flag.String("backend", "", "override spec backends: comma-separated subset of model,sim,bounds (empty = spec's own; omitting sim skips certification)")
-		addr     = flag.String("addr", "", "submit the plan to this sweepd server's /v1/plan (thin client)")
-		shards   = flag.String("shards", "", "execute the search over these sweepd shard(s), comma-separated")
-		cacheDir = flag.String("cache-dir", "", "persist the probe cache to this directory (empty = in-memory)")
-		calibRef = flag.String("calib", "", "calibration map file (cmd/calib) for trust-gated certification; see docs/calibration.md")
-		benchOut = flag.String("bench-out", "", "write a candidates/sec benchmark summary JSON to this file")
-		traceOut = flag.String("trace-out", "", "write NDJSON span traces to this file (see docs/observability.md)")
+		specRef  = fs.String("spec", "", "spec file path or builtin:<name>")
+		list     = fs.Bool("list", false, "list built-in plan specs and exit")
+		dump     = fs.String("dumpspec", "", "print the named spec (file path or builtin:<name>) as JSON and exit")
+		jsonOut  = fs.Bool("json", false, "emit the result as JSON instead of a table")
+		stream   = fs.Bool("stream", false, "emit NDJSON: one update line per search event")
+		timeout  = fs.Duration("timeout", 0, "abort the search after this duration (0 = no deadline)")
+		quiet    = fs.Bool("quiet", false, "suppress progress output")
+		backend  = fs.String("backend", "", "override spec backends: comma-separated subset of model,sim,bounds (empty = spec's own; omitting sim skips certification)")
+		addr     = fs.String("addr", "", "submit the plan to this sweepd server's /v1/plan (thin client)")
+		shards   = fs.String("shards", "", "execute the search over these sweepd shard(s), comma-separated")
+		cacheDir = fs.String("cache-dir", "", "persist the probe cache to this directory (empty = in-memory)")
+		calibRef = fs.String("calib", "", "calibration map file (cmd/calib) for trust-gated certification; see docs/calibration.md")
+		traceOut = fs.String("trace-out", "", "write NDJSON span traces to this file (see docs/observability.md)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *addr != "" && *shards != "" {
-		log.Fatal("-addr and -shards are mutually exclusive: server-side search vs fleet-executed local search")
+		return errors.New("-addr and -shards are mutually exclusive: server-side search vs fleet-executed local search")
 	}
 
 	if *list {
 		for _, name := range plan.Builtins() {
 			s, _ := plan.Builtin(name)
-			fmt.Printf("%-20s %s\n", name, s.Description)
+			fmt.Fprintf(stdout, "%-20s %s\n", name, s.Description)
 		}
-		return
+		return nil
 	}
 	if *dump != "" {
 		spec, err := loadSpec(*dump)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		if err := cliutil.DumpJSON(spec); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return cliutil.DumpJSON(stdout, spec)
 	}
 	if *specRef == "" {
-		log.Fatal("no -spec given (try -spec builtin:bft-capacity, or -list)")
+		return errors.New("no -spec given (try -spec builtin:bft-capacity, or -list)")
 	}
 	spec, err := loadSpec(*specRef)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *backend != "" {
 		backends, err := cliutil.ParseBackends(*backend)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		// "sim" toggles frontier certification; "bounds" asks every
 		// refined candidate for its worst-case bound (a hard SLO in the
@@ -129,81 +126,90 @@ func main() {
 	var calibMap *calib.Map
 	if *calibRef != "" {
 		if *addr != "" {
-			log.Fatal("-calib does not apply with -addr: the trust gate runs in the search process (attach the map to the server instead)")
+			return errors.New("-calib does not apply with -addr: the trust gate runs in the search process (attach the map to the server instead)")
 		}
 		if _, err := os.Stat(*calibRef); err != nil {
-			log.Fatalf("-calib %s: %v (mine one with cmd/calib)", *calibRef, err)
+			return fmt.Errorf("-calib %s: %w (mine one with cmd/calib)", *calibRef, err)
 		}
 		if calibMap, err = calib.LoadMap(*calibRef); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if spec.Calibration == nil {
 			spec.Calibration = &plan.CalibSpec{} // defaults: MAPE ≤ 0.1, ≥ 3 pairs
 		}
 	}
 
-	ctx, cancel := cliutil.Context(*timeout)
+	ctx, cancel := cliutil.Context(ctx, *timeout)
 	defer cancel()
 
 	if *traceOut != "" {
 		tracer, closeTracer, err := cliutil.OpenTracer(*traceOut)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		defer func() {
-			if err := closeTracer(); err != nil {
-				log.Printf("closing trace: %v", err)
-			}
-		}()
+		defer cliutil.CloseInto(&rerr, "closing trace", closeTracer)
 		ctx = obs.WithTracer(ctx, tracer)
 	}
 
-	start := time.Now()
+	out := updateSink{stdout: stdout, stderr: stderr, stream: *stream, quiet: *quiet}
 	var res *plan.Result
 	if *addr != "" {
-		res, err = submit(ctx, *addr, spec, *stream, *quiet)
+		res, err = submit(ctx, *addr, spec, out)
 	} else {
-		res, err = runLocal(ctx, spec, *shards, *cacheDir, calibMap, *stream, *quiet)
+		res, err = runLocal(ctx, spec, *shards, *cacheDir, calibMap, out)
 	}
 	if err != nil {
-		log.Fatal(err)
-	}
-	if *benchOut != "" {
-		if err := writeBench(*benchOut, res, time.Since(start)); err != nil {
-			log.Fatal(err)
-		}
+		return err
 	}
 	if *stream {
-		return // updates already went to stdout
+		return nil // updates already went to stdout
 	}
 	if *jsonOut {
-		out, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(string(out))
-		return
+		return cliutil.DumpJSON(stdout, res)
 	}
-	fmt.Print(res.Summary())
-	fmt.Print(res.Table().String())
+	fmt.Fprint(stdout, res.Summary())
+	fmt.Fprint(stdout, res.Table().String())
+	return nil
+}
+
+// updateSink is where a search's update stream goes: NDJSON on stdout
+// with -stream, progress lines on stderr otherwise (unless -quiet).
+type updateSink struct {
+	stdout, stderr io.Writer
+	stream, quiet  bool
+}
+
+// take consumes one update, returning the final result when it is the
+// done update.
+func (o updateSink) take(u plan.Update) (*plan.Result, error) {
+	if u.Err != nil {
+		return nil, u.Err
+	}
+	if o.stream {
+		if err := json.NewEncoder(o.stdout).Encode(u); err != nil {
+			return nil, err
+		}
+	} else if !o.quiet {
+		progress(o.stderr, u)
+	}
+	if u.Phase == plan.PhaseDone {
+		return u.Result, nil
+	}
+	return nil, nil
 }
 
 // runLocal executes the search in this process, in-process or over a
 // shard fleet, consuming the update stream for progress/-stream.
-func runLocal(ctx context.Context, spec plan.Spec, shards, cacheDir string, calibMap *calib.Map, stream, quiet bool) (*plan.Result, error) {
+func runLocal(ctx context.Context, spec plan.Spec, shards, cacheDir string, calibMap *calib.Map, out updateSink) (res *plan.Result, rerr error) {
 	var cache sweep.CacheStore
 	if cacheDir != "" {
 		st, err := store.Open(cacheDir)
 		if err != nil {
 			return nil, err
 		}
-		defer func() {
-			if err := st.Close(); err != nil {
-				log.Printf("closing store: %v", err)
-			}
-		}()
-		if !quiet {
-			fmt.Fprintf(os.Stderr, "plan: store: %d cell(s) recovered from %s\n", st.Recovered(), cacheDir)
+		defer cliutil.CloseInto(&rerr, "closing store", st.Close)
+		if !out.quiet {
+			fmt.Fprintf(out.stderr, "plan: store: %d cell(s) recovered from %s\n", st.Recovered(), cacheDir)
 		}
 		cache = st
 	}
@@ -231,28 +237,20 @@ func runLocal(ctx context.Context, spec plan.Spec, shards, cacheDir string, cali
 		planner = plan.NewLocal(cache, popts...)
 	}
 
-	enc := json.NewEncoder(os.Stdout)
-	var res *plan.Result
 	for u := range planner.Stream(ctx, spec) {
-		if u.Err != nil {
-			return nil, u.Err
+		r, err := out.take(u)
+		if err != nil {
+			return nil, err
 		}
-		if stream {
-			if err := enc.Encode(u); err != nil {
-				return nil, err
-			}
-		} else if !quiet {
-			progress(u)
-		}
-		if u.Phase == plan.PhaseDone {
-			res = u.Result
+		if r != nil {
+			res = r
 		}
 	}
 	if res == nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return nil, fmt.Errorf("plan: stream ended without a result")
+		return nil, errors.New("plan: stream ended without a result")
 	}
 	return res, nil
 }
@@ -261,7 +259,7 @@ func runLocal(ctx context.Context, spec plan.Spec, shards, cacheDir string, cali
 // update stream. With a tracer on ctx the submission becomes a root
 // span whose IDs travel in the request headers, so the server's spans
 // stitch under it.
-func submit(ctx context.Context, addr string, spec plan.Spec, stream, quiet bool) (res *plan.Result, err error) {
+func submit(ctx context.Context, addr string, spec plan.Spec, out updateSink) (res *plan.Result, err error) {
 	name := spec.Name
 	if name == "" {
 		name = "anonymous"
@@ -281,7 +279,6 @@ func submit(ctx context.Context, addr string, spec plan.Spec, stream, quiet bool
 	if err != nil {
 		return nil, err
 	}
-	enc := json.NewEncoder(os.Stdout)
 	err = rb.Post(ctx, "/v1/plan", body, func(r io.Reader) error {
 		sc := bufio.NewScanner(r)
 		// The final done line carries the whole Result (every candidate),
@@ -292,18 +289,12 @@ func submit(ctx context.Context, addr string, spec plan.Spec, stream, quiet bool
 			if err := json.Unmarshal(sc.Bytes(), &u); err != nil {
 				return fmt.Errorf("bad update line: %w", err)
 			}
-			if u.Err != nil {
-				return u.Err
+			r, err := out.take(u)
+			if err != nil {
+				return err
 			}
-			if stream {
-				if err := enc.Encode(u); err != nil {
-					return err
-				}
-			} else if !quiet {
-				progress(u)
-			}
-			if u.Phase == plan.PhaseDone {
-				res = u.Result
+			if r != nil {
+				res = r
 			}
 		}
 		return sc.Err()
@@ -312,19 +303,19 @@ func submit(ctx context.Context, addr string, spec plan.Spec, stream, quiet bool
 		return nil, err
 	}
 	if res == nil {
-		return nil, fmt.Errorf("plan: server stream ended without a result")
+		return nil, errors.New("plan: server stream ended without a result")
 	}
 	return res, nil
 }
 
-// progress renders one update as a stderr progress line.
-func progress(u plan.Update) {
+// progress renders one update as a progress line.
+func progress(w io.Writer, u plan.Update) {
 	c := u.Candidate
 	switch u.Phase {
 	case plan.PhasePrune:
-		fmt.Fprintf(os.Stderr, "plan: prune   %-26s %s\n", c.Key(), c.PruneReason)
+		fmt.Fprintf(w, "plan: prune   %-26s %s\n", c.Key(), c.PruneReason)
 	case plan.PhaseRefine:
-		fmt.Fprintf(os.Stderr, "plan: refine  %-26s max_load=%.6f (%d probes)\n", c.Key(), c.MaxLoad, c.Probes)
+		fmt.Fprintf(w, "plan: refine  %-26s max_load=%.6f (%d probes)\n", c.Key(), c.MaxLoad, c.Probes)
 	case plan.PhaseCertify:
 		verdict := "certified"
 		if !c.Certified {
@@ -333,76 +324,11 @@ func progress(u plan.Update) {
 				verdict = c.CertifyNote
 			}
 		}
-		fmt.Fprintf(os.Stderr, "plan: certify %-26s sim=%.4f (%s)\n", c.Key(), c.Sim, verdict)
+		fmt.Fprintf(w, "plan: certify %-26s sim=%.4f (%s)\n", c.Key(), c.Sim, verdict)
 	case plan.PhaseFrontier:
-		fmt.Fprintf(os.Stderr, "plan: frontier %-25s cost=%.0f latency=%.4f max_load=%.6f\n",
+		fmt.Fprintf(w, "plan: frontier %-25s cost=%.0f latency=%.4f max_load=%.6f\n",
 			c.Key(), c.Cost, c.Latency, c.MaxLoad)
 	}
-}
-
-// writeBench records the planner's efficiency so CI can track it: how
-// fast candidates are resolved and how many simulator runs the
-// frontier-only certification saved against simulating every coarse
-// cell.
-func writeBench(path string, res *plan.Result, elapsed time.Duration) error {
-	s := res.Stats
-	// A hard-SLO (or -backend bounds) frontier carries worst-case
-	// bounds; a certified sim mean above its own bound is a violation of
-	// the calculus and CI gates on the count staying zero.
-	bounded, violations := 0, 0
-	for _, c := range res.Frontier {
-		if math.IsNaN(c.BoundMax) && !c.BoundNA {
-			continue
-		}
-		bounded++
-		if !math.IsNaN(c.Sim) && !math.IsNaN(c.BoundMax) && c.Sim > c.BoundMax {
-			violations++
-		}
-	}
-	summary := struct {
-		Name             string  `json:"name"`
-		Candidates       int     `json:"candidates"`
-		Frontier         int     `json:"frontier"`
-		Certified        int     `json:"certified"`
-		Bounded          int     `json:"bounded,omitempty"`
-		BoundViolations  int     `json:"bound_violations"`
-		AnalyticEvals    int     `json:"analytic_evals"`
-		SimEvals         int     `json:"sim_evals"`
-		SimEvalsSaved    int     `json:"sim_evals_saved_vs_grid"`
-		Trusted          int     `json:"trusted,omitempty"`
-		Escalated        int     `json:"escalated,omitempty"`
-		Uncalibrated     int     `json:"uncalibrated,omitempty"`
-		TrustSimSaved    int     `json:"sim_evals_saved_by_trust"`
-		ElapsedMS        int64   `json:"elapsed_ms"`
-		CandidatesPerSec float64 `json:"candidates_per_sec"`
-	}{
-		Name:            res.Spec.Name,
-		Candidates:      s.Candidates,
-		Frontier:        s.FrontierSize,
-		Certified:       s.Certified,
-		Bounded:         bounded,
-		BoundViolations: violations,
-		AnalyticEvals:   s.AnalyticEvals(),
-		SimEvals:        s.SimEvals,
-		// A sweep answering the same question simulates every coarse
-		// cell; the planner simulates only the frontier.
-		SimEvalsSaved: s.CoarseCells - s.SimEvals,
-		Trusted:       s.Trusted,
-		Escalated:     s.Escalated,
-		Uncalibrated:  s.Uncalibrated,
-		// Each trusted frontier member is one certification simulation
-		// the always-escalate baseline would have run.
-		TrustSimSaved: s.Trusted,
-		ElapsedMS:     elapsed.Milliseconds(),
-	}
-	if sec := elapsed.Seconds(); sec > 0 {
-		summary.CandidatesPerSec = float64(s.Candidates) / sec
-	}
-	data, err := json.MarshalIndent(summary, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // loadSpec resolves a -spec argument: "builtin:<name>" or a JSON file

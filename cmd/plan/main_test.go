@@ -1,0 +1,200 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+
+	"repro/internal/calib"
+	"repro/internal/obs"
+	"repro/internal/plan"
+	"repro/internal/serve"
+	"repro/internal/sweep"
+)
+
+// planCLI calls run in-process the way main does, returning stdout.
+func planCLI(args ...string) (string, error) {
+	var stdout, stderr bytes.Buffer
+	err := run(context.Background(), args, &stdout, &stderr)
+	return stdout.String(), err
+}
+
+// fleet starts n fresh sweep servers and returns their addresses.
+func fleet(t *testing.T, n int) []string {
+	t.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		srv := httptest.NewServer(serve.New(serve.WithCache(sweep.NewCache())))
+		t.Cleanup(srv.Close)
+		addrs[i] = srv.URL
+	}
+	return addrs
+}
+
+var elapsedLine = regexp.MustCompile(`(?m)^\s*"elapsed_ms": \d+,?\n`)
+
+// TestFleetMatchesLocal: the CI-sized capacity question and the
+// hard-SLO question print the same -json answer whether the search runs
+// in-process, over a 2-shard fleet (-shards) or inside a server
+// (-addr), wall clock aside — and the answer is a real one: a non-empty
+// frontier, every member sim-certified, fewer simulations than the
+// coarse grid has cells, and under a hard SLO every member bounded with
+// its measured mean under the guarantee.
+func TestFleetMatchesLocal(t *testing.T) {
+	for _, tc := range []struct {
+		spec    string
+		hardSLO bool
+	}{
+		{"builtin:bft-capacity-small", false},
+		{"builtin:cheapest-hard-sla", true},
+	} {
+		t.Run(tc.spec, func(t *testing.T) {
+			base := []string{"-spec", tc.spec, "-quiet", "-json"}
+			local, err := planCLI(base...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := elapsedLine.ReplaceAllString(local, "")
+			for _, mode := range [][]string{
+				{"-shards", strings.Join(fleet(t, 2), ",")},
+				{"-addr", fleet(t, 1)[0]},
+			} {
+				got, err := planCLI(append(base, mode...)...)
+				if err != nil {
+					t.Fatalf("%s: %v", mode[0], err)
+				}
+				if got = elapsedLine.ReplaceAllString(got, ""); got != want {
+					t.Errorf("%s diverged from the in-process search:\n--- in-process\n%s\n--- %s\n%s", mode[0], want, mode[0], got)
+				}
+			}
+
+			var res plan.Result
+			if err := json.Unmarshal([]byte(local), &res); err != nil {
+				t.Fatal(err)
+			}
+			s := res.Stats
+			if s.FrontierSize < 1 || len(res.Frontier) != s.FrontierSize {
+				t.Fatalf("frontier: %d member(s), stats say %d; want >= 1", len(res.Frontier), s.FrontierSize)
+			}
+			if s.Certified != s.FrontierSize {
+				t.Errorf("frontier not fully sim-certified: %d of %d", s.Certified, s.FrontierSize)
+			}
+			if s.CoarseCells-s.SimEvals < 1 {
+				t.Errorf("planner saved no simulations against the grid: %d coarse cells, %d sim evals", s.CoarseCells, s.SimEvals)
+			}
+			if !tc.hardSLO {
+				return
+			}
+			for _, c := range res.Frontier {
+				if c.BoundNA || math.IsNaN(c.BoundMax) {
+					t.Errorf("%s: hard-SLO frontier member carries no worst-case bound", c.Key())
+				} else if !(c.Sim <= c.BoundMax) {
+					t.Errorf("%s: certified sim mean %v above its worst-case bound %v", c.Key(), c.Sim, c.BoundMax)
+				}
+			}
+		})
+	}
+}
+
+// TestTrustGatedPlan: with -calib, the region the map has mined skips
+// its certification simulation ("trusted") while the unmined policy
+// escalates to the simulator, the verdict shows on the frontier, and
+// the plan.decision spans in -trace-out tally the same verdicts.
+func TestTrustGatedPlan(t *testing.T) {
+	// Mine pairqueue bft-64 s=8 around the plan's operating point
+	// (0.72x saturation, the 50-75% band); randomfixed stays unmined.
+	mine, err := sweep.ParseSpec([]byte(`{
+		"name": "calib-mine",
+		"topologies": [{"family": "bft", "sizes": [64]}],
+		"msg_flits": [8],
+		"loads": {"fracs": [0.55, 0.6, 0.65, 0.7]},
+		"with_sim": true,
+		"budget": {"warmup": 2000, "measure": 10000, "seed": 1}
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := calib.NewMap()
+	if _, err := sweep.NewRunner(sweep.WithCalibration(m)).Run(context.Background(), mine); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	mapPath, tracePath := filepath.Join(dir, "map.json"), filepath.Join(dir, "trace.ndjson")
+	if err := m.Save(mapPath); err != nil {
+		t.Fatal(err)
+	}
+
+	out, err := planCLI("-spec", "builtin:calibrated-capacity", "-calib", mapPath,
+		"-cache-dir", filepath.Join(dir, "store"), "-trace-out", tracePath, "-quiet", "-json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res plan.Result
+	if err := json.Unmarshal([]byte(out), &res); err != nil {
+		t.Fatal(err)
+	}
+	s := res.Stats
+	if s.Trusted < 1 || s.Escalated+s.Uncalibrated < 1 {
+		t.Fatalf("verdicts: %d trusted, %d escalated, %d uncalibrated; want the mined region trusted and the unmined one sent to the simulator\n%s",
+			s.Trusted, s.Escalated, s.Uncalibrated, out)
+	}
+	trusted := 0
+	for _, c := range res.Frontier {
+		if c.CalibVerdict == "trusted" {
+			trusted++
+		}
+	}
+	if trusted < 1 || !strings.Contains(out, `"calib_verdict": "trusted"`) {
+		t.Errorf("no trusted verdict on any frontier candidate:\n%s", out)
+	}
+
+	f, err := os.Open(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := obs.ReadEvents(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := obs.Analyze(events)
+	d := report.Decisions
+	if d["trusted"] != s.Trusted || d["escalated"] != s.Escalated || d["uncalibrated"] != s.Uncalibrated {
+		t.Errorf("trace decisions %v do not tally the result's %d trusted / %d escalated / %d uncalibrated",
+			d, s.Trusted, s.Escalated, s.Uncalibrated)
+	}
+	var text bytes.Buffer
+	report.Format(&text) // what obsreport prints
+	if want := fmt.Sprintf("trusted=%d", s.Trusted); !strings.Contains(text.String(), want) {
+		t.Errorf("obsreport's decisions line does not show %s:\n%s", want, text.String())
+	}
+}
+
+func TestFlagConflictsAreErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-spec", "builtin:bft-capacity-small", "-addr", "a:1", "-shards", "b:1"}, "mutually exclusive"},
+		{[]string{"-spec", "builtin:bft-capacity-small", "-addr", "a:1", "-calib", "map.json"}, "-calib does not apply with -addr"},
+		{[]string{"-spec", "builtin:bft-capacity-small", "-calib", filepath.Join(t.TempDir(), "absent.json")}, "mine one with cmd/calib"},
+		{[]string{"-spec", "builtin:no-such-plan"}, "no-such-plan"},
+		{nil, "no -spec given"},
+	} {
+		out, err := planCLI(tc.args...)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want one mentioning %q", tc.args, err, tc.want)
+		}
+		if out != "" {
+			t.Errorf("%v: a rejected invocation printed to stdout: %q", tc.args, out)
+		}
+	}
+}

@@ -22,34 +22,38 @@
 package main
 
 import (
-	"flag"
+	"context"
+	"errors"
 	"fmt"
-	"log"
-	"os"
+	"io"
 
 	"repro/internal/cliutil"
 	"repro/internal/exp"
 	"repro/internal/sweep"
 )
 
-func main() {
-	cliutil.Setup("reproduce")
+func main() { cliutil.Main("reproduce", run) }
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cliutil.Flags("reproduce", stderr)
 	var (
-		out      = flag.String("out", "results", "output directory")
-		full     = flag.Bool("full", false, "use the report-quality simulation budget")
-		scale    = flag.String("scale", "paper", "machine sizes: paper (N<=1024) or small (N<=256)")
-		seed     = flag.Uint64("seed", 1, "simulation seed")
-		timeout  = flag.Duration("timeout", 0, "abort the run after this duration (0 = no deadline)")
-		list     = flag.Bool("list", false, "list the experiments and exit")
-		only     = flag.String("only", "", "run only these experiment IDs (comma-separated) and print to stdout")
-		csvOut   = flag.Bool("csv", false, "with -only: emit CSV")
-		jsonOut  = flag.Bool("json", false, "with -only: emit JSON")
-		dump     = flag.Bool("dumpspec", false, "with -only: print the experiment's sweep spec as JSON and exit")
-		specFile = flag.String("spec", "", "with -only ID: run this spec (an edited -dumpspec file, or builtin:<name>) through the experiment's renderer")
+		out      = fs.String("out", "results", "output directory")
+		full     = fs.Bool("full", false, "use the report-quality simulation budget")
+		scale    = fs.String("scale", "paper", "machine sizes: paper (N<=1024) or small (N<=256)")
+		seed     = fs.Uint64("seed", 1, "simulation seed")
+		timeout  = fs.Duration("timeout", 0, "abort the run after this duration (0 = no deadline)")
+		list     = fs.Bool("list", false, "list the experiments and exit")
+		only     = fs.String("only", "", "run only these experiment IDs (comma-separated) and print to stdout")
+		csvOut   = fs.Bool("csv", false, "with -only: emit CSV")
+		jsonOut  = fs.Bool("json", false, "with -only: emit JSON")
+		dump     = fs.Bool("dumpspec", false, "with -only: print the experiment's sweep spec as JSON and exit")
+		specFile = fs.String("spec", "", "with -only ID: run this spec (an edited -dumpspec file, or builtin:<name>) through the experiment's renderer")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *scale != "paper" && *scale != "small" {
-		log.Fatalf("unknown scale %q", *scale)
+		return fmt.Errorf("unknown scale %q", *scale)
 	}
 	if *list {
 		for _, e := range exp.All {
@@ -57,55 +61,55 @@ func main() {
 			if e.Spec == nil {
 				kind = "bespoke"
 			}
-			fmt.Printf("%-6s %-15s %-11s %s\n", e.ID, e.Artifact+".txt", kind, e.Title)
+			fmt.Fprintf(stdout, "%-6s %-15s %-11s %s\n", e.ID, e.Artifact+".txt", kind, e.Title)
 		}
-		return
+		return nil
 	}
-	ctx, cancel := cliutil.Context(*timeout)
+	ctx, cancel := cliutil.Context(ctx, *timeout)
 	defer cancel()
 	budget := cliutil.Budget(*full, *seed)
 
 	if *only == "" {
 		if *csvOut || *jsonOut || *dump || *specFile != "" {
-			log.Fatal("-csv, -json, -dumpspec and -spec need -only")
+			return errors.New("-csv, -json, -dumpspec and -spec need -only")
 		}
 		summary, err := exp.RunAll(ctx, exp.RunAllConfig{
 			Dir:    *out,
 			Budget: budget,
 			Scale:  *scale,
-			Log:    os.Stderr,
+			Log:    stderr,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Print(summary)
-		fmt.Printf("\nartifacts written to %s/\n", *out)
-		return
+		fmt.Fprint(stdout, summary)
+		fmt.Fprintf(stdout, "\nartifacts written to %s/\n", *out)
+		return nil
 	}
 
 	ids, err := cliutil.ParseStrings(*only)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *specFile != "" && len(ids) != 1 {
-		log.Fatal("-spec needs exactly one -only ID")
+		return errors.New("-spec needs exactly one -only ID")
 	}
 	runner := sweep.NewRunner(sweep.WithCache(sweep.NewCache()))
 	for _, id := range ids {
 		e, err := exp.Lookup(id)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if *dump {
 			if e.Spec == nil {
-				log.Fatalf("%s is not sweep-backed: it has no spec", e.ID)
+				return fmt.Errorf("%s is not sweep-backed: it has no spec", e.ID)
 			}
 			spec, err := e.Spec(*scale, budget)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
-			if err := cliutil.DumpJSON(spec); err != nil {
-				log.Fatal(err)
+			if err := cliutil.DumpJSON(stdout, spec); err != nil {
+				return err
 			}
 			continue
 		}
@@ -119,17 +123,18 @@ func main() {
 			res, err = e.Run(ctx, runner, *scale, budget)
 		}
 		if err != nil {
-			log.Fatalf("%s: %v", e.ID, err)
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		switch {
 		case *jsonOut:
-			if err := cliutil.DumpJSON(res.JSON); err != nil {
-				log.Fatal(err)
+			if err := cliutil.DumpJSON(stdout, res.JSON); err != nil {
+				return err
 			}
 		case *csvOut:
-			fmt.Print(res.CSV)
+			fmt.Fprint(stdout, res.CSV)
 		default:
-			fmt.Print(res.Text)
+			fmt.Fprint(stdout, res.Text)
 		}
 	}
+	return nil
 }

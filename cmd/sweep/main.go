@@ -46,12 +46,10 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"flag"
+	"errors"
 	"fmt"
-	"log"
-	"os"
+	"io"
 	"strings"
-	"time"
 
 	"repro/internal/calib"
 	"repro/internal/cliutil"
@@ -79,81 +77,80 @@ func (s *specList) Set(v string) error {
 	return nil
 }
 
-func main() {
-	cliutil.Setup("sweep")
+func main() { cliutil.Main("sweep", run) }
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (rerr error) {
+	fs := cliutil.Flags("sweep", stderr)
 	var specs specList
-	flag.Var(&specs, "spec", "spec file path or builtin:<name>; repeat to run several sweeps against one cache")
+	fs.Var(&specs, "spec", "spec file path or builtin:<name>; repeat to run several sweeps against one cache")
 	var (
-		list     = flag.Bool("list", false, "list built-in specs and exit")
-		dump     = flag.String("dump", "", "print the named spec (file path or builtin:<name>) as JSON and exit")
-		jsonOut  = flag.Bool("json", false, "emit JSON instead of tables")
-		stream   = flag.Bool("stream", false, "emit NDJSON: one JSON line per cell as it completes")
-		timeout  = flag.Duration("timeout", 0, "abort the run after this duration (0 = no deadline)")
-		workers  = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		full     = flag.Bool("full", false, "override spec budgets with the report-quality budget")
-		seed     = flag.Uint64("seed", 0, "override spec seeds (0 keeps each spec's own)")
-		quiet    = flag.Bool("quiet", false, "suppress progress output")
-		backend  = flag.String("backend", "", "override spec backends: comma-separated subset of model,sim,bounds (empty = spec's own)")
-		benchOut = flag.String("bench-out", "", "write a points/sec benchmark summary JSON to this file")
-		addr     = flag.String("addr", "", "evaluate scenarios on these sweepd server(s), comma-separated (empty = in-process)")
-		shards   = flag.String("shards", "", "dispatch grid ranges across these sweepd shard(s), comma-separated (distributed scheduler)")
-		batch    = flag.Int("batch", 0, "with -addr: coalesce cells into batches of this size; with -shards: cells per dispatched range (0 = auto)")
-		cacheDir = flag.String("cache-dir", "", "persist the result cache to this directory (empty = in-memory)")
-		traceOut = flag.String("trace-out", "", "write NDJSON span traces to this file (see docs/observability.md)")
-		calibOut = flag.String("calib-out", "", "observe sim-carrying cells into a calibration map and save it to this file (see docs/calibration.md)")
+		list     = fs.Bool("list", false, "list built-in specs and exit")
+		dump     = fs.String("dump", "", "print the named spec (file path or builtin:<name>) as JSON and exit")
+		jsonOut  = fs.Bool("json", false, "emit JSON instead of tables")
+		stream   = fs.Bool("stream", false, "emit NDJSON: one JSON line per cell as it completes")
+		timeout  = fs.Duration("timeout", 0, "abort the run after this duration (0 = no deadline)")
+		workers  = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+		full     = fs.Bool("full", false, "override spec budgets with the report-quality budget")
+		seed     = fs.Uint64("seed", 0, "override spec seeds (0 keeps each spec's own)")
+		quiet    = fs.Bool("quiet", false, "suppress progress output")
+		backend  = fs.String("backend", "", "override spec backends: comma-separated subset of model,sim,bounds (empty = spec's own)")
+		addr     = fs.String("addr", "", "evaluate scenarios on these sweepd server(s), comma-separated (empty = in-process)")
+		shards   = fs.String("shards", "", "dispatch grid ranges across these sweepd shard(s), comma-separated (distributed scheduler)")
+		batch    = fs.Int("batch", 0, "with -addr: coalesce cells into batches of this size; with -shards: cells per dispatched range (0 = auto)")
+		cacheDir = fs.String("cache-dir", "", "persist the result cache to this directory (empty = in-memory)")
+		traceOut = fs.String("trace-out", "", "write NDJSON span traces to this file (see docs/observability.md)")
+		calibOut = fs.String("calib-out", "", "observe sim-carrying cells into a calibration map and save it to this file (see docs/calibration.md)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	var backends []string
 	if *backend != "" {
 		var err error
 		if backends, err = cliutil.ParseBackends(*backend); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	if *addr != "" && *shards != "" {
-		log.Fatal("-addr and -shards are mutually exclusive: per-cell/batched evaluation vs range dispatch")
+		return errors.New("-addr and -shards are mutually exclusive: per-cell/batched evaluation vs range dispatch")
 	}
 	if *batch != 0 && *addr == "" && *shards == "" {
-		log.Fatal("-batch needs -addr (batched transport) or -shards (range size); in-process runs do not batch")
+		return errors.New("-batch needs -addr (batched transport) or -shards (range size); in-process runs do not batch")
 	}
 	if *workers != 0 && *shards != "" {
-		log.Fatal("-workers does not apply with -shards: dispatch concurrency is one range stream per shard (bound range size with -batch)")
+		return errors.New("-workers does not apply with -shards: dispatch concurrency is one range stream per shard (bound range size with -batch)")
 	}
 
 	if *list {
 		for _, name := range sweep.Builtins() {
 			s, _ := sweep.Builtin(name)
-			fmt.Printf("%-16s %s\n", name, s.Description)
+			fmt.Fprintf(stdout, "%-16s %s\n", name, s.Description)
 		}
-		return
+		return nil
 	}
 	if *dump != "" {
 		spec, err := cliutil.LoadSpec(*dump)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		if err := cliutil.DumpJSON(spec); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return cliutil.DumpJSON(stdout, spec)
 	}
 	if len(specs) == 0 {
-		log.Fatal("no -spec given (try -spec builtin:figure3, or -list)")
+		return errors.New("no -spec given (try -spec builtin:figure3, or -list)")
 	}
 
-	ctx, cancel := cliutil.Context(*timeout)
+	ctx, cancel := cliutil.Context(ctx, *timeout)
 	defer cancel()
 
+	// The deferred closes below run on the failure paths too: a sweep
+	// that errors or hits -timeout still flushes its trace tail, syncs
+	// its store and saves its calibration map.
 	if *traceOut != "" {
 		tracer, closeTracer, err := cliutil.OpenTracer(*traceOut)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		defer func() {
-			if err := closeTracer(); err != nil {
-				log.Printf("closing trace: %v", err)
-			}
-		}()
+		defer cliutil.CloseInto(&rerr, "closing trace", closeTracer)
 		ctx = obs.WithTracer(ctx, tracer)
 	}
 
@@ -161,15 +158,11 @@ func main() {
 	if *cacheDir != "" {
 		st, err := store.Open(*cacheDir)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		defer func() {
-			if err := st.Close(); err != nil {
-				log.Printf("closing store: %v", err)
-			}
-		}()
+		defer cliutil.CloseInto(&rerr, "closing store", st.Close)
 		if !*quiet {
-			fmt.Fprintf(os.Stderr, "sweep: store: %d cell(s) recovered from %s\n",
+			fmt.Fprintf(stderr, "sweep: store: %d cell(s) recovered from %s\n",
 				st.Recovered(), *cacheDir)
 		}
 		cache = st
@@ -184,16 +177,18 @@ func main() {
 	if *calibOut != "" {
 		var err error
 		if calibMap, err = calib.LoadMap(*calibOut); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		defer func() {
+		defer cliutil.CloseInto(&rerr, "saving calibration map", func() error {
 			if err := calibMap.Save(*calibOut); err != nil {
-				log.Printf("saving calibration map: %v", err)
-			} else if !*quiet {
-				fmt.Fprintf(os.Stderr, "sweep: calibration: %d pair(s) saved to %s\n",
+				return err
+			}
+			if !*quiet {
+				fmt.Fprintf(stderr, "sweep: calibration: %d pair(s) saved to %s\n",
 					calibMap.Pairs(), *calibOut)
 			}
-		}()
+			return nil
+		})
 	}
 
 	var exec executor
@@ -201,7 +196,7 @@ func main() {
 	if *shards != "" {
 		addrs, err := cliutil.ParseStrings(*shards)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		dopts := []dispatch.Option{dispatch.WithBatch(*batch), dispatch.WithCache(cache)}
 		if calibMap != nil {
@@ -209,7 +204,7 @@ func main() {
 		}
 		disp, err = dispatch.New(addrs, dopts...)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		exec = disp
 	} else {
@@ -220,7 +215,7 @@ func main() {
 		if *addr != "" {
 			addrs, err := cliutil.ParseStrings(*addr)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			var be eval.Evaluator
 			if *batch > 0 {
@@ -229,7 +224,7 @@ func main() {
 				be, err = eval.NewRemoteBackend(addrs)
 			}
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			opts = append(opts, sweep.WithBackends(be))
 		}
@@ -240,20 +235,18 @@ func main() {
 				if ev.Cached {
 					tag = " [cached]"
 				}
-				fmt.Fprintf(os.Stderr, "sweep: %d/%d %s load=%.6g%s\n",
+				fmt.Fprintf(stderr, "sweep: %d/%d %s load=%.6g%s\n",
 					ev.Done, ev.Total, ev.Scenario.CurveKey(), ev.Scenario.Load.Value, tag)
 			}
 		}
 		exec = runner
 	}
 
-	start := time.Now()
 	var results []*sweep.Result
-	computed, cells := 0, 0
 	for _, ref := range specs {
 		spec, err := cliutil.LoadSpec(ref)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if len(backends) > 0 {
 			// -backend overrides the spec wholesale; with_sim follows the
@@ -275,103 +268,58 @@ func main() {
 			spec.Budget.Seed = *seed
 		}
 		if *stream {
-			n, fresh, err := streamSpec(ctx, exec, spec)
-			cells += n
-			computed += fresh
-			if err != nil {
-				log.Fatal(err)
+			if err := streamSpec(ctx, stdout, exec, spec); err != nil {
+				return err
 			}
 			continue
 		}
 		res, err := exec.Run(ctx, spec)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		results = append(results, res)
-		cells += len(res.Rows)
-		computed += res.CacheMisses
 		if !*quiet {
-			fmt.Fprintf(os.Stderr, "sweep: %s done: %d computed, %d cache hits\n",
+			fmt.Fprintf(stderr, "sweep: %s done: %d computed, %d cache hits\n",
 				displayName(spec), res.CacheMisses, res.CacheHits)
 		}
 	}
 	if disp != nil && !*quiet {
 		st := disp.Stats()
-		fmt.Fprintf(os.Stderr,
+		fmt.Fprintf(stderr,
 			"sweep: dispatch: %d cell(s) over %d range(s), %d cached, %d requeue(s), %d shard failure(s), %d ejected\n",
 			st.Cells, st.Batches, st.CacheHits, st.Requeues, st.ShardFailures, st.EjectedShards)
 	}
-	if *benchOut != "" {
-		if err := writeBench(*benchOut, specs, cells, computed, time.Since(start)); err != nil {
-			log.Fatal(err)
-		}
-	}
 	if *stream {
-		return
+		return nil
 	}
 
 	if *jsonOut {
-		out, err := json.MarshalIndent(results, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(string(out))
-		return
+		return cliutil.DumpJSON(stdout, results)
 	}
 	for i, res := range results {
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
-		fmt.Print(res.Summary())
-		fmt.Print(res.Table().String())
+		fmt.Fprint(stdout, res.Summary())
+		fmt.Fprint(stdout, res.Table().String())
 	}
+	return nil
 }
 
 // streamSpec runs one spec through the executor's Stream, printing each
 // cell as a JSON line the moment it completes (grid order under the
-// dispatcher, completion order in-process). It returns the number of
-// emitted cells and how many of those were freshly computed (not cache
-// hits).
-func streamSpec(ctx context.Context, exec executor, spec sweep.Spec) (cells, fresh int, err error) {
-	enc := json.NewEncoder(os.Stdout)
+// dispatcher, completion order in-process).
+func streamSpec(ctx context.Context, stdout io.Writer, exec executor, spec sweep.Spec) error {
+	enc := json.NewEncoder(stdout)
 	for pr := range exec.Stream(ctx, spec) {
 		if pr.Err != nil {
-			return cells, fresh, pr.Err
+			return pr.Err
 		}
 		if err := enc.Encode(pr.Row); err != nil {
-			return cells, fresh, err
-		}
-		cells++
-		if !pr.Row.Cached {
-			fresh++
+			return err
 		}
 	}
-	return cells, fresh, ctx.Err()
-}
-
-// writeBench records a small throughput summary so CI can track the
-// sweep engine's performance trajectory across PRs.
-func writeBench(path string, specs specList, cells, computed int, elapsed time.Duration) error {
-	summary := struct {
-		Specs        []string `json:"specs"`
-		Cells        int      `json:"cells"`
-		Computed     int      `json:"computed"`
-		ElapsedMS    int64    `json:"elapsed_ms"`
-		PointsPerSec float64  `json:"points_per_sec"`
-	}{
-		Specs:     specs,
-		Cells:     cells,
-		Computed:  computed,
-		ElapsedMS: elapsed.Milliseconds(),
-	}
-	if s := elapsed.Seconds(); s > 0 {
-		summary.PointsPerSec = float64(computed) / s
-	}
-	data, err := json.MarshalIndent(summary, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return ctx.Err()
 }
 
 func displayName(s sweep.Spec) string {

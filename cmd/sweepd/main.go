@@ -56,14 +56,13 @@ package main
 
 import (
 	"context"
-	"flag"
-	"log"
+	"errors"
+	"fmt"
+	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/pprof"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/calib"
@@ -74,42 +73,42 @@ import (
 	"repro/internal/sweep"
 )
 
-func main() {
-	cliutil.Setup("sweepd")
+func main() { cliutil.Main("sweepd", run) }
+
+func run(ctx context.Context, args []string, _, stderr io.Writer) (rerr error) {
+	fs := cliutil.Flags("sweepd", stderr)
 	var (
-		addr      = flag.String("addr", ":8713", "listen address")
-		cacheDir  = flag.String("cache-dir", "", "persist results to this directory (empty = in-memory only)")
-		maxBytes  = flag.Int64("cache-max-bytes", 0, "prune -cache-dir to this many bytes at startup, oldest cells first (0 = unbounded)")
-		pruneTick = flag.Duration("prune-interval", 0, "also re-prune -cache-dir to -cache-max-bytes this often while serving (0 = startup only)")
-		workers   = flag.Int("workers", 0, "worker pool bound per sweep (0 = GOMAXPROCS)")
-		grace     = flag.Duration("grace", 5*time.Second, "graceful-shutdown window for in-flight requests")
-		compact   = flag.Bool("compact", false, "compact -cache-dir into one segment and exit")
-		shardList = flag.String("shards", "", "front-end mode: dispatch /v1/sweep across these downstream sweepd shard(s), comma-separated")
-		batch     = flag.Int("batch", 0, "front-end mode: cells per dispatched range (0 = auto)")
-		traceOut  = flag.String("trace-out", "", "write NDJSON span traces to this file, flushed on shutdown")
-		logLevel  = flag.String("log-level", "info", "structured-log threshold: debug, info, warn or error (debug logs every request)")
-		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof on this separate address (never on the public mux)")
+		addr      = fs.String("addr", ":8713", "listen address")
+		cacheDir  = fs.String("cache-dir", "", "persist results to this directory (empty = in-memory only)")
+		maxBytes  = fs.Int64("cache-max-bytes", 0, "prune -cache-dir to this many bytes at startup, oldest cells first (0 = unbounded)")
+		pruneTick = fs.Duration("prune-interval", 0, "also re-prune -cache-dir to -cache-max-bytes this often while serving (0 = startup only)")
+		workers   = fs.Int("workers", 0, "worker pool bound per sweep (0 = GOMAXPROCS)")
+		grace     = fs.Duration("grace", 5*time.Second, "graceful-shutdown window for in-flight requests")
+		compact   = fs.Bool("compact", false, "compact -cache-dir into one segment and exit")
+		shardList = fs.String("shards", "", "front-end mode: dispatch /v1/sweep across these downstream sweepd shard(s), comma-separated")
+		batch     = fs.Int("batch", 0, "front-end mode: cells per dispatched range (0 = auto)")
+		traceOut  = fs.String("trace-out", "", "write NDJSON span traces to this file, flushed on shutdown")
+		logLevel  = fs.String("log-level", "info", "structured-log threshold: debug, info, warn or error (debug logs every request)")
+		debugAddr = fs.String("debug-addr", "", "serve net/http/pprof on this separate address (never on the public mux)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var level slog.Level
 	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
-		log.Fatalf("bad -log-level %q: %v", *logLevel, err)
+		return fmt.Errorf("bad -log-level %q: %w", *logLevel, err)
 	}
-	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
+	logger := slog.New(slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: level}))
 
 	var cache sweep.CacheStore = sweep.NewCache()
 	var calibMap *calib.Map
 	if *cacheDir != "" {
 		st, err := store.Open(*cacheDir)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		defer func() {
-			if err := st.Close(); err != nil {
-				logger.Error("closing store", "err", err)
-			}
-		}()
+		defer cliutil.CloseInto(&rerr, "closing store", st.Close)
 		if dropped := st.Dropped(); dropped > 0 {
 			logger.Warn("store recovery dropped corrupt lines", "dropped", dropped)
 		}
@@ -120,7 +119,7 @@ func main() {
 			// is safe alongside its own serving traffic.
 			evicted, err := st.Prune(*maxBytes)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			size, _ := st.DiskBytes()
 			logger.Info("store pruned", "bytes", size, "bound", *maxBytes,
@@ -133,14 +132,14 @@ func main() {
 				logger.Info("store auto-prune enabled", "interval", *pruneTick, "bound", *maxBytes)
 			}
 		} else if *pruneTick > 0 {
-			log.Fatal("-prune-interval needs -cache-max-bytes")
+			return errors.New("-prune-interval needs -cache-max-bytes")
 		}
 		if *compact {
 			if err := st.Compact(); err != nil {
-				log.Fatal(err)
+				return err
 			}
 			logger.Info("store compacted", "live", st.Len())
-			return
+			return nil
 		}
 		cache = st
 		// The calibration map lives next to the store segments: recover
@@ -149,25 +148,21 @@ func main() {
 		mapPath := calib.MapPath(*cacheDir)
 		m, err := calib.LoadMap(mapPath)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		if mined := m.Mine(context.Background(), st); mined > 0 {
+		if mined := m.Mine(ctx, st); mined > 0 {
 			logger.Info("calibration mined", "new_pairs", mined)
 		}
 		sum := m.Summary()
 		logger.Info("calibration map recovered", "pairs", sum.Pairs, "regions", sum.Regions)
-		defer func() {
-			if err := m.Save(mapPath); err != nil {
-				logger.Error("saving calibration map", "err", err)
-			}
-		}()
+		defer cliutil.CloseInto(&rerr, "saving calibration map", func() error { return m.Save(mapPath) })
 		calibMap = m
 	} else if *compact {
-		log.Fatal("-compact needs -cache-dir")
+		return errors.New("-compact needs -cache-dir")
 	} else if *maxBytes > 0 {
-		log.Fatal("-cache-max-bytes needs -cache-dir")
+		return errors.New("-cache-max-bytes needs -cache-dir")
 	} else if *pruneTick > 0 {
-		log.Fatal("-prune-interval needs -cache-dir")
+		return errors.New("-prune-interval needs -cache-dir")
 	}
 
 	opts := []serve.Option{
@@ -181,20 +176,16 @@ func main() {
 	if *traceOut != "" {
 		tracer, closeTracer, err := cliutil.OpenTracer(*traceOut)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		defer func() {
-			if err := closeTracer(); err != nil {
-				logger.Error("closing trace", "err", err)
-			}
-		}()
+		defer cliutil.CloseInto(&rerr, "closing trace", closeTracer)
 		opts = append(opts, serve.WithTracer(tracer))
 		logger.Info("tracing enabled", "file", *traceOut)
 	}
 	if *shardList != "" {
 		shards, err := cliutil.ParseStrings(*shardList)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		// One dispatcher backs both fronts — /v1/sweep via its Stream,
 		// /v1/plan via its Run/Evaluate engine surface (the server
@@ -209,7 +200,7 @@ func main() {
 		}
 		d, err := dispatch.New(shards, dopts...)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		logger.Info("front-end: dispatching sweeps and plans", "shards", len(d.Addrs()))
 		opts = append(opts, serve.WithSweeper(d))
@@ -225,25 +216,31 @@ func main() {
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		dbg := &http.Server{Addr: *debugAddr, Handler: mux}
+		defer dbg.Close()
 		go func() {
 			logger.Info("pprof listening", "addr", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, mux); err != nil {
+			if err := dbg.ListenAndServe(); err != http.ErrServerClosed {
 				logger.Error("pprof listener", "err", err)
 			}
 		}()
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	logger.Info("listening", "addr", *addr)
-	err := serve.ListenAndServe(ctx, *addr, *grace, opts...)
+	// Listening here rather than inside serve lets -addr :0 work: the
+	// record carries the address actually bound.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	logger.Info("listening", "addr", ln.Addr().String())
+	err = serve.Serve(ctx, ln, *grace, opts...)
 	if err != nil && ctx.Err() == nil {
-		log.Fatal(err)
+		return err
 	}
 	if err != nil {
 		logger.Warn("shutdown", "err", err)
 	} else {
 		logger.Info("shutdown: clean")
 	}
+	return nil
 }

@@ -1,0 +1,305 @@
+package main
+
+import (
+	"bufio"
+	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/calib"
+	"repro/internal/eval"
+	"repro/internal/obs"
+	"repro/internal/store"
+	"repro/internal/sweep"
+)
+
+var listening = regexp.MustCompile(`msg=listening addr=(\S+)`)
+
+// startDaemon runs the daemon in-process on an OS-chosen port and
+// returns the base URL it logged in its "listening" record — the only
+// way to learn it — plus a stop function that cancels the daemon's
+// context (what SIGTERM does under cliutil.Main) and returns run's
+// result.
+func startDaemon(t *testing.T, args ...string) (url string, stop func() error) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	logR, logW := io.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, append([]string{"-addr", "127.0.0.1:0"}, args...), io.Discard, logW)
+		logW.Close()
+	}()
+	addr := make(chan string, 1)
+	go func() {
+		sc := bufio.NewScanner(logR)
+		for sc.Scan() { // keeps draining after the address, so the daemon never blocks on its log
+			if m := listening.FindStringSubmatch(sc.Text()); m != nil {
+				addr <- m[1]
+			}
+		}
+		close(addr)
+	}()
+	stopped := false
+	stop = func() error {
+		stopped = true
+		cancel()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(30 * time.Second):
+			t.Fatal("daemon did not shut down")
+			return nil
+		}
+	}
+	t.Cleanup(func() {
+		if !stopped {
+			stop()
+		}
+	})
+	select {
+	case a, ok := <-addr:
+		if !ok {
+			t.Fatalf("daemon exited before listening: %v", <-done)
+		}
+		return "http://" + a, stop
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon never logged its listening record")
+		return "", nil
+	}
+}
+
+func getJSON(t *testing.T, url string, into any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %s", url, resp.Status)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+}
+
+// resultJSON renders a sweep result without its wall clock or cache
+// provenance, so two runs compare byte for byte.
+func resultJSON(t *testing.T, res *sweep.Result) string {
+	t.Helper()
+	cp := *res
+	cp.Elapsed, cp.CacheHits, cp.CacheMisses = 0, 0, 0
+	cp.Rows = append([]sweep.Row(nil), res.Rows...)
+	for i := range cp.Rows {
+		cp.Rows[i].Cached = false
+	}
+	out, err := json.Marshal(&cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+func remoteRun(t *testing.T, url string, spec sweep.Spec) *sweep.Result {
+	t.Helper()
+	rb, err := eval.NewRemoteBackend([]string{url})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sweep.NewRunner(sweep.WithBackends(rb)).Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// miningGrid is a with-sim bft-64 grid with two loads inside the
+// 50-75%-of-saturation band (the region the trust-gated builtin plan
+// operates in) plus one below and one above; fixed windows keep the
+// simulator deterministic.
+const miningGrid = `{
+	"name": "calib-mine",
+	"topologies": [{"family": "bft", "sizes": [64]}],
+	"msg_flits": [8, 16],
+	"loads": {"fracs": [0.3, 0.6, 0.7, 0.95]},
+	"with_sim": true,
+	"budget": {"warmup": 2000, "measure": 10000, "seed": 1}
+}`
+
+// TestDaemonEndToEnd drives one daemon with a persistent store and a
+// tracer through its whole life: figure3 over the wire equals the
+// in-process run, a warm rerun is served from the store, /metrics
+// parses and carries the engine, HTTP and calibration series, /v1/calib
+// agrees with a fresh miner over the same store, cancelling the
+// context shuts it down clean — map saved, trace flushed and
+// well-formed — and a restart recovers that map.
+func TestDaemonEndToEnd(t *testing.T) {
+	dir := t.TempDir()
+	cacheDir, tracePath := filepath.Join(dir, "store"), filepath.Join(dir, "trace.ndjson")
+	url, stop := startDaemon(t, "-cache-dir", cacheDir, "-trace-out", tracePath)
+
+	figure3, err := sweep.Builtin("figure3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := sweep.NewRunner().Run(context.Background(), figure3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := resultJSON(t, remoteRun(t, url, figure3)), resultJSON(t, local); got != want {
+		t.Errorf("figure3 through the daemon diverged from the in-process run:\n--- in-process\n%s\n--- daemon\n%s", want, got)
+	}
+
+	// A second client with a cold local cache: the daemon's store must
+	// answer the whole grid.
+	remoteRun(t, url, figure3)
+	var health struct {
+		CacheHits   int64 `json:"cache_hits"`
+		Calibration struct {
+			StaleCells *int `json:"stale_cells"`
+		} `json:"calibration"`
+	}
+	getJSON(t, url+"/healthz", &health)
+	if health.CacheHits < int64(len(local.Rows)) {
+		t.Errorf("warm rerun not served from the store: cache_hits=%d, want >= %d", health.CacheHits, len(local.Rows))
+	}
+
+	mine, err := sweep.ParseSpec([]byte(miningGrid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	remoteRun(t, url, mine)
+	const region = "bft-64/s=8/pairqueue/50-75%"
+
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, err := obs.ParseMetrics(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("/metrics does not parse: %v", err)
+	}
+	for _, want := range []string{"sim_runs_total", "sim_events_popped_total", "sweep_http_requests_total", `calib_mape{region="` + region + `"}`} {
+		found := false
+		for name := range samples {
+			found = found || strings.HasPrefix(name, want)
+		}
+		if !found {
+			t.Errorf("/metrics carries no %s series", want)
+		}
+	}
+
+	var served calib.Report
+	getJSON(t, url+"/v1/calib", &served)
+	getJSON(t, url+"/healthz", &health)
+	if health.Calibration.StaleCells == nil || *health.Calibration.StaleCells != 0 {
+		t.Errorf("/healthz calibration.stale_cells = %v, want 0", health.Calibration.StaleCells)
+	}
+
+	if err := stop(); err != nil {
+		t.Fatalf("run returned %v after its context was cancelled, want nil", err)
+	}
+
+	saved, err := calib.LoadMap(calib.MapPath(cacheDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(cacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	miner := calib.NewMap()
+	miner.Mine(context.Background(), st)
+	st.Close()
+	if served.Pairs < 2 || served.Pairs != miner.Pairs() || saved.Pairs() != miner.Pairs() {
+		t.Errorf("pairs: /v1/calib %d, calib-map.json %d, a fresh miner over the store %d; want equal and >= 2",
+			served.Pairs, saved.Pairs(), miner.Pairs())
+	}
+
+	f, err := os.Open(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := obs.ReadEvents(f)
+	if err != nil {
+		t.Fatalf("trace does not parse: %v", err)
+	}
+	if err := obs.CheckForest(obs.BuildForest(events)); err != nil {
+		t.Errorf("trace of %d event(s) is not well-formed: %v", len(events), err)
+	}
+
+	// A restart on the same directory recovers the map it saved.
+	url, _ = startDaemon(t, "-cache-dir", cacheDir)
+	var recovered calib.Report
+	getJSON(t, url+"/v1/calib", &recovered)
+	if recovered.Pairs != miner.Pairs() {
+		t.Errorf("restarted daemon serves %d pair(s), want the %d it saved", recovered.Pairs, miner.Pairs())
+	}
+}
+
+// TestFrontEndAnswersSweepIdentically: a daemon started with -shards
+// answers POST /v1/sweep with the same cells as a plain daemon — three
+// real daemons, every address read from a listening record.
+func TestFrontEndAnswersSweepIdentically(t *testing.T) {
+	shard1, _ := startDaemon(t)
+	shard2, _ := startDaemon(t)
+	front, _ := startDaemon(t, "-shards", shard1+","+shard2, "-batch", "3")
+	plain, _ := startDaemon(t)
+
+	spec, err := sweep.Builtin("figure3-small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := func(url string) []string {
+		resp, err := http.Post(url+"/v1/sweep", "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s/v1/sweep: %s, %v", url, resp.Status, err)
+		}
+		lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+		sort.Strings(lines) // a plain daemon streams in completion order
+		return lines
+	}
+	want, got := rows(plain), rows(front)
+	if len(want) != 8 || strings.Contains(want[0], `"error"`) {
+		t.Fatalf("plain daemon answered %d line(s), want the grid's 8 cells: %v", len(want), want)
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("front-end answer diverged:\n--- plain\n%s\n--- front-end\n%s", strings.Join(want, "\n"), strings.Join(got, "\n"))
+	}
+}
+
+func TestFlagErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-compact"}, "-compact needs -cache-dir"},
+		{[]string{"-cache-max-bytes", "1000"}, "-cache-max-bytes needs -cache-dir"},
+		{[]string{"-prune-interval", "1s"}, "-prune-interval needs -cache-dir"},
+		{[]string{"-log-level", "loud"}, "bad -log-level"},
+	} {
+		err := run(context.Background(), tc.args, io.Discard, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want one mentioning %q", tc.args, err, tc.want)
+		}
+	}
+}

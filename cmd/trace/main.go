@@ -28,9 +28,9 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"flag"
+	"errors"
 	"fmt"
-	"log"
+	"io"
 	"math/bits"
 	"os"
 	"time"
@@ -42,20 +42,21 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
-	cliutil.Setup("trace")
-	if len(os.Args) < 2 {
-		log.Fatal("usage: trace record|replay|stats [flags] (run 'trace <cmd> -h' for flags)")
+func main() { cliutil.Main("trace", run) }
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	if len(args) < 1 {
+		return errors.New("usage: trace record|replay|stats [flags] (run 'trace <cmd> -h' for flags)")
 	}
-	switch os.Args[1] {
+	switch args[0] {
 	case "record":
-		record(os.Args[2:])
+		return record(ctx, args[1:], stdout, stderr)
 	case "replay":
-		replay(os.Args[2:])
+		return replay(ctx, args[1:], stdout, stderr)
 	case "stats":
-		stats(os.Args[2:])
+		return stats(args[1:], stdout, stderr)
 	default:
-		log.Fatalf("unknown subcommand %q (want record, replay or stats)", os.Args[1])
+		return fmt.Errorf("unknown subcommand %q (want record, replay or stats)", args[0])
 	}
 }
 
@@ -67,31 +68,26 @@ type bench struct {
 	EventsPerSec float64 `json:"events_per_sec"`
 }
 
-func writeResult(path string, res *sim.Result) {
-	if path == "" {
-		return
-	}
-	// Canonical text form: %+v spells NaN literally, so bit-identity
-	// between a recording and its replay is a plain file diff.
-	if err := os.WriteFile(path, []byte(fmt.Sprintf("%+v\n", *res)), 0o644); err != nil {
-		log.Fatal(err)
-	}
-}
-
-func emit(jsonOut bool, b bench, res *sim.Result) {
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		if err := enc.Encode(b); err != nil {
-			log.Fatal(err)
+// finish writes the Result to -result-out (when given) and prints the
+// run: the timing line with -json, the Result otherwise.
+func finish(stdout io.Writer, resOut string, jsonOut bool, b bench, res *sim.Result) error {
+	if resOut != "" {
+		// Canonical text form: %+v spells NaN literally, so bit-identity
+		// between a recording and its replay is a plain file diff.
+		if err := os.WriteFile(resOut, []byte(fmt.Sprintf("%+v\n", *res)), 0o644); err != nil {
+			return err
 		}
-		return
 	}
-	fmt.Printf("%s: %d events in %.2fs (%.0f events/sec)\n", b.Mode, b.Events, b.ElapsedSec, b.EventsPerSec)
-	fmt.Println(res.String())
+	if jsonOut {
+		return json.NewEncoder(stdout).Encode(b)
+	}
+	fmt.Fprintf(stdout, "%s: %d events in %.2fs (%.0f events/sec)\n", b.Mode, b.Events, b.ElapsedSec, b.EventsPerSec)
+	fmt.Fprintln(stdout, res.String())
+	return nil
 }
 
-func record(args []string) {
-	fs := flag.NewFlagSet("trace record", flag.ExitOnError)
+func record(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cliutil.Flags("trace record", stderr)
 	var (
 		out     = fs.String("o", "", "output trace path (required)")
 		n       = fs.Int("n", 64, "number of processors (power of four)")
@@ -106,9 +102,11 @@ func record(args []string) {
 		resOut  = fs.String("result-out", "", "write the recording run's Result to this file")
 		jsonOut = fs.Bool("json", false, "print a machine-readable timing line instead of the Result")
 	)
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *out == "" {
-		log.Fatal("trace record: -o is required")
+		return errors.New("trace record: -o is required")
 	}
 
 	var net topology.Network
@@ -122,11 +120,11 @@ func record(args []string) {
 		family = "fattree"
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	pol, err := sim.ParsePolicy(*policy)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	cfg := sim.Config{
@@ -140,12 +138,12 @@ func record(args []string) {
 	if *wlJSON != "" {
 		var wl workload.Spec
 		if err := sweep.DecodeStrict([]byte(*wlJSON), &wl); err != nil {
-			log.Fatalf("decoding -workload: %v", err)
+			return fmt.Errorf("decoding -workload: %w", err)
 		}
 		cfg.Workload = &wl
 	}
 	if err := cfg.Validate(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	tr := &workload.Trace{Header: workload.TraceHeader{
@@ -166,24 +164,24 @@ func record(args []string) {
 	}
 
 	start := time.Now()
-	res, err := sim.Run(context.Background(), cfg)
+	res, err := sim.Run(ctx, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	elapsed := time.Since(start).Seconds()
 
 	f, err := os.Create(*out)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := workload.WriteTrace(f, tr); err != nil {
-		log.Fatal(err)
+		f.Close()
+		return err
 	}
 	if err := f.Close(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	writeResult(*resOut, res)
-	emit(*jsonOut, bench{
+	return finish(stdout, *resOut, *jsonOut, bench{
 		Mode: "record", Events: len(tr.Events),
 		ElapsedSec: elapsed, EventsPerSec: float64(len(tr.Events)) / elapsed,
 	}, res)
@@ -204,40 +202,41 @@ func netFromHeader(h workload.TraceHeader) (topology.Network, error) {
 	}
 }
 
-func loadTrace(path string) *workload.Trace {
+func loadTrace(path string) (*workload.Trace, error) {
 	if path == "" {
-		log.Fatal("-trace is required")
+		return nil, errors.New("-trace is required")
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	defer f.Close()
-	tr, err := workload.ReadTrace(f)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return tr
+	return workload.ReadTrace(f)
 }
 
-func replay(args []string) {
-	fs := flag.NewFlagSet("trace replay", flag.ExitOnError)
+func replay(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cliutil.Flags("trace replay", stderr)
 	var (
 		path    = fs.String("trace", "", "trace file to replay (required)")
 		resOut  = fs.String("result-out", "", "write the replayed Result to this file")
 		jsonOut = fs.Bool("json", false, "print a machine-readable timing line instead of the Result")
 	)
-	fs.Parse(args)
-	tr := loadTrace(*path)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	tr, err := loadTrace(*path)
+	if err != nil {
+		return err
+	}
 	h := tr.Header
 
 	net, err := netFromHeader(h)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	pol, err := sim.ParsePolicy(h.Policy)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cfg := sim.Config{
 		Net:           net,
@@ -252,33 +251,32 @@ func replay(args []string) {
 	}
 
 	start := time.Now()
-	res, err := sim.Run(context.Background(), cfg)
+	res, err := sim.Run(ctx, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	elapsed := time.Since(start).Seconds()
-	writeResult(*resOut, res)
-	emit(*jsonOut, bench{
+	return finish(stdout, *resOut, *jsonOut, bench{
 		Mode: "replay", Events: len(tr.Events),
 		ElapsedSec: elapsed, EventsPerSec: float64(len(tr.Events)) / elapsed,
 	}, res)
 }
 
-func stats(args []string) {
-	fs := flag.NewFlagSet("trace stats", flag.ExitOnError)
+func stats(args []string, stdout, stderr io.Writer) error {
+	fs := cliutil.Flags("trace stats", stderr)
 	var (
 		path = fs.String("trace", "", "trace file to summarise (required)")
 		top  = fs.Int("top", 8, "number of top destinations to list")
 	)
-	fs.Parse(args)
-	tr := loadTrace(*path)
-	out := struct {
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	tr, err := loadTrace(*path)
+	if err != nil {
+		return err
+	}
+	return cliutil.DumpJSON(stdout, struct {
 		Header workload.TraceHeader `json:"header"`
 		Stats  workload.TraceStats  `json:"stats"`
-	}{tr.Header, tr.Stats(*top)}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		log.Fatal(err)
-	}
+	}{tr.Header, tr.Stats(*top)})
 }

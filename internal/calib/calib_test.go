@@ -128,6 +128,33 @@ func TestObserveAccumulatesMetrics(t *testing.T) {
 	}
 }
 
+// One live observation — key parse, saturation lookup, region bucket,
+// accumulator update — has an allocation budget; the time per call is
+// the ledger's calib.observe_us.
+func TestObserveCellAllocs(t *testing.T) {
+	const budget = 4 // today's figure: the seen-set entry and the parsed key's strings
+	const runs = 1000
+	keys := make([]string, runs+1) // AllocsPerRun adds a warm-up call
+	var pt eval.Point
+	for i := range keys {
+		keys[i], pt = testCell(t, 0.6, i, 110, 100)
+	}
+	m := NewMap()
+	ctx := context.Background()
+	m.ObserveCell(ctx, keys[0], pt) // first cell of the region: memoizes saturation, creates the bucket
+	i := 0
+	allocs := testing.AllocsPerRun(runs-1, func() {
+		i++
+		m.ObserveCell(ctx, keys[i], pt)
+	})
+	if m.Pairs() != runs+1 {
+		t.Fatalf("%d of %d cells paired", m.Pairs(), runs+1)
+	}
+	if allocs > budget {
+		t.Errorf("ObserveCell allocates %.0f/op, budget %d", allocs, budget)
+	}
+}
+
 func TestObserveSplitsBandsAndPolicies(t *testing.T) {
 	m := NewMap()
 	ctx := context.Background()

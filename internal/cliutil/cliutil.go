@@ -1,17 +1,22 @@
 // Package cliutil holds the small helpers shared by the cmd/ binaries:
-// logger setup, comma-separated list parsing, experiment budget
-// selection, table-or-CSV output, spec loading and dumping, timeout
-// contexts, and trace-file tracers.
+// the one main shim, flag-set setup, comma-separated list parsing,
+// experiment budget selection, table-or-CSV output, spec loading and
+// dumping, timeout contexts, and trace-file tracers.
 package cliutil
 
 import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/obs"
@@ -19,30 +24,54 @@ import (
 	"repro/internal/sweep"
 )
 
-// Setup configures the standard logger the binaries share: no
-// timestamps, the binary's name as prefix.
-func Setup(name string) {
+// Main is every binary's main: it runs the binary's run function under
+// a context cancelled by SIGINT/SIGTERM and turns a returned error into
+// "name: err" on stderr and exit status 1. run parses args with its own
+// flag set (Flags), writes results to stdout and diagnostics to stderr,
+// and never exits the process itself — so its deferred flushes (trace
+// files, stores, calibration maps) run on every path, and tests call it
+// in-process.
+func Main(name string, run func(ctx context.Context, args []string, stdout, stderr io.Writer) error) {
 	log.SetFlags(0)
 	log.SetPrefix(name + ": ")
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	// The first signal cancels ctx; restoring the default disposition
+	// then lets a second one kill a run that is slow to unwind.
+	context.AfterFunc(ctx, stop)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Print(err)
+		os.Exit(1)
+	}
 }
 
-// Output writes the table to stdout, as CSV when csv is set.
-func Output(tbl *series.Table, csv bool) {
+// Flags returns a flag set whose Parse reports bad flags (and -h, as
+// flag.ErrHelp) as errors instead of exiting, with usage on stderr.
+func Flags(name string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs
+}
+
+// Output writes the table to w, as CSV when csv is set.
+func Output(w io.Writer, tbl *series.Table, csv bool) {
 	if csv {
-		fmt.Fprint(os.Stdout, tbl.CSV())
+		fmt.Fprint(w, tbl.CSV())
 		return
 	}
-	fmt.Print(tbl.String())
+	fmt.Fprint(w, tbl.String())
 }
 
-// DumpJSON pretty-prints v to stdout; the binaries use it for -dumpspec.
-func DumpJSON(v any) error {
+// DumpJSON pretty-prints v to w; the binaries use it for -json and
+// -dumpspec.
+func DumpJSON(w io.Writer, v any) error {
 	out, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	fmt.Println(string(out))
-	return nil
+	_, err = fmt.Fprintln(w, string(out))
+	return err
 }
 
 // LoadSpec resolves a -spec argument: "builtin:<name>" or the path of a
@@ -62,13 +91,13 @@ func LoadSpec(ref string) (sweep.Spec, error) {
 	return spec, nil
 }
 
-// Context returns a context honouring the -timeout convention: zero
+// Context derives a context honouring the -timeout convention: zero
 // means no deadline. The cancel func must always be called.
-func Context(timeout time.Duration) (context.Context, context.CancelFunc) {
+func Context(ctx context.Context, timeout time.Duration) (context.Context, context.CancelFunc) {
 	if timeout <= 0 {
-		return context.WithCancel(context.Background())
+		return context.WithCancel(ctx)
 	}
-	return context.WithTimeout(context.Background(), timeout)
+	return context.WithTimeout(ctx, timeout)
 }
 
 // ParseStrings parses a comma-separated string list such as
@@ -148,4 +177,14 @@ func Budget(full bool, seed uint64) sweep.Budget {
 	}
 	b.Seed = seed
 	return b
+}
+
+// CloseInto is the deferred-cleanup convention of the run functions:
+// it runs close and joins its error, labelled with what, into the
+// run's named result — so a failed flush of a trace, store or map
+// fails the run instead of being lost with the exit.
+func CloseInto(err *error, what string, close func() error) {
+	if cerr := close(); cerr != nil {
+		*err = errors.Join(*err, fmt.Errorf("%s: %w", what, cerr))
+	}
 }

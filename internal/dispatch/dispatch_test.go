@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -222,6 +223,61 @@ func TestCacheAwareScheduling(t *testing.T) {
 	}
 	if got := d.Stats(); got.CacheHits != int64(len(second.Rows)) {
 		t.Errorf("cache hits uncounted: %+v", got)
+	}
+}
+
+// TestRangeDispatchAmortisesRequests is why the range protocol exists,
+// as a count instead of a stopwatch: a cold grid of N >= 120 cells over
+// 3 shards costs the dispatcher at most 4 range requests per shard,
+// where the per-cell RemoteBackend pays one /v1/eval round trip per
+// cell. (The throughput this buys is the ledger's
+// eval.batch_cells_per_s against eval.remote_rtt_us.)
+func TestRangeDispatchAmortisesRequests(t *testing.T) {
+	var evals, parts atomic.Int64
+	addrs := make([]string, 3)
+	for i := range addrs {
+		shard := serve.New(serve.WithCache(sweep.NewCache()))
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch r.URL.Path {
+			case "/v1/eval":
+				evals.Add(1)
+			case "/v1/sweep/part":
+				parts.Add(1)
+			}
+			shard.ServeHTTP(w, r)
+		}))
+		t.Cleanup(srv.Close)
+		addrs[i] = srv.URL
+	}
+	spec := modelOnlySpec()
+	spec.Loads = sweep.LoadSpec{Points: 40, MaxFrac: 0.9}
+
+	d := newDispatcher(t, addrs)
+	res, err := d.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int64(len(res.Rows))
+	if n < 120 {
+		t.Fatalf("grid has %d cells, want >= 120", n)
+	}
+	if st := d.Stats(); st.Batches > 4*3 || st.Batches != parts.Load() || st.Cells != n {
+		t.Errorf("%d cold cells took %d range request(s) (%d seen by shards, %d cells back), want <= %d",
+			n, st.Batches, parts.Load(), st.Cells, 4*3)
+	}
+	if evals.Load() != 0 {
+		t.Errorf("dispatcher issued %d per-cell request(s)", evals.Load())
+	}
+
+	rb, err := eval.NewRemoteBackend(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sweep.NewRunner(sweep.WithBackends(rb)).Run(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	if evals.Load() != n {
+		t.Errorf("per-cell transport issued %d /v1/eval request(s) for %d cells", evals.Load(), n)
 	}
 }
 

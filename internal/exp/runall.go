@@ -38,10 +38,9 @@ func RunAll(ctx context.Context, cfg RunAllConfig) (string, error) {
 		return os.WriteFile(filepath.Join(cfg.Dir, name), []byte(content), 0o644)
 	}
 
-	// The sweep-backed experiments share one runner so their grids land
-	// in a common cache and progress streams to cfg.Log.
+	// The sweep-backed experiments share one runner (their grids do not
+	// overlap, so it carries no cache); progress streams to cfg.Log.
 	runner := sweep.NewRunner(
-		sweep.WithCache(sweep.NewCache()),
 		sweep.WithProgress(func(ev sweep.Event) {
 			if ev.Done == ev.Total || ev.Done%10 == 0 {
 				fmt.Fprintf(cfg.Log, "  sweep %d/%d cells (%s)\n",

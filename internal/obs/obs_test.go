@@ -3,12 +3,15 @@ package obs
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/race"
 )
 
 // Disabled tracing must cost nothing: no allocations, no goroutines,
@@ -73,6 +76,27 @@ func TestDisabledSpanAllocs(t *testing.T) {
 	_, b := StartSpanKeyed(on, "bounds.eval", k.Key())
 	if a.ID() == "" || a.ID() != b.ID() {
 		t.Fatalf("StartSpanFor id %q, StartSpanKeyed id %q", a.ID(), b.ID())
+	}
+}
+
+// An enabled keyed span — start, one attribute, end, encoded to the
+// tracer's writer — has an allocation budget. A wall-clock overhead
+// gate cannot resolve the box's run-to-run drift: what a span costs in
+// time is the ledger's obs.trace_overhead_pct; what it may allocate is
+// pinned here.
+func TestEnabledSpanAllocs(t *testing.T) {
+	budget := 11.0 // today's figure; make allocs checks it exactly
+	if race.Enabled {
+		budget += 4 // reads 13 under the detector; exactness is make allocs' job
+	}
+	on := WithTracer(context.Background(), NewTracer(io.Discard))
+	allocs := testing.AllocsPerRun(1000, func() {
+		_, sp := StartSpanKeyed(on, "eval.cell", "family=bft size=64 k=0 flits=16 policy=pairqueue frac=true load=0x1p-01")
+		sp.SetAttr(Bool("cached", false))
+		sp.End()
+	})
+	if allocs > budget {
+		t.Errorf("enabled keyed span allocates %.0f/op, budget %.0f", allocs, budget)
 	}
 }
 

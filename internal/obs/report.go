@@ -126,7 +126,8 @@ type PathStep struct {
 	Attrs map[string]any
 }
 
-// Report summarizes a trace forest for humans and smoke scripts.
+// Report summarizes a trace forest for humans, tests and the bench
+// ledger.
 type Report struct {
 	Traces      int
 	Spans       int
@@ -313,7 +314,7 @@ func usToString(us int64) string {
 	return strconv.FormatInt(us, 10) + "us"
 }
 
-// CheckForest validates well-formedness for smoke gates: at least one
+// CheckForest validates well-formedness (obsreport -check): at least one
 // span, no orphans (every parent present — shard trees stitched to the
 // coordinator's), and exactly one root per trace.
 func CheckForest(f *Forest) error {
@@ -339,7 +340,8 @@ func CheckForest(f *Forest) error {
 
 // ParseMetrics validates a Prometheus text-format exposition and
 // returns sample values keyed by the full sample line's name+labels.
-// Used by the obs smoke to prove /metrics stays machine-parseable.
+// obsreport -metrics and the daemon tests use it to prove /metrics
+// stays machine-parseable.
 func ParseMetrics(r io.Reader) (map[string]float64, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4<<20)

@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"runtime"
 	"runtime/debug"
@@ -464,21 +465,30 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(payload)
 }
 
-// ListenAndServe serves the API on addr until ctx is cancelled, then
-// shuts down gracefully: in-flight requests get grace to finish (their
-// streams keep draining), new connections are refused. A zero grace
-// defaults to 5 s.
+// ListenAndServe listens on addr and serves the API there (see Serve).
 func ListenAndServe(ctx context.Context, addr string, grace time.Duration, opts ...Option) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	return Serve(ctx, ln, grace, opts...)
+}
+
+// Serve serves the API on ln until ctx is cancelled, then shuts down
+// gracefully: in-flight requests get grace to finish (their streams
+// keep draining), new connections are refused. A zero grace defaults to
+// 5 s. It owns ln and closes it; a caller that listened on port 0 reads
+// the bound address from ln.Addr() before calling.
+func Serve(ctx context.Context, ln net.Listener, grace time.Duration, opts ...Option) error {
 	if grace <= 0 {
 		grace = 5 * time.Second
 	}
 	srv := &http.Server{
-		Addr:              addr,
 		Handler:           New(opts...),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
+	go func() { errc <- srv.Serve(ln) }()
 	select {
 	case err := <-errc:
 		return err

@@ -26,13 +26,12 @@
 //     fans grids out to a server fleet behind the same Evaluator
 //     interface — it is the one fleet transport: every client below
 //     sends its requests through its retry loop, status classification
-//     and stream watchdog, configured by one RemoteOption set (see
+//     and stream watchdog, configured by one eval.RemoteOption set (see
 //     docs/serve.md); and
 //   - a distributed sweep scheduler (NewDispatcher): grids partition
 //     into contiguous ranges dispatched across the fleet over a batched
-//     wire protocol (NewBatchBackend coalesces cells onto it), with
-//     cache-aware scheduling, work stealing and shard failover (see
-//     docs/dispatch.md); and
+//     wire protocol, with cache-aware scheduling, work stealing and
+//     shard failover (see docs/dispatch.md); and
 //   - a capacity planner (Plan, PlanStream, cmd/plan, POST /v1/plan):
 //     model-guided design-space optimization — coarse analytic prune,
 //     bisection to the saturation knee per candidate, Pareto frontier
@@ -52,7 +51,7 @@
 //     the sweep/dispatch/serve/sim layers over HTTP headers, engine and
 //     store counters folded into /metrics, planner decision traces, and
 //     structured request logging (see docs/observability.md); and
-//   - a calibration observatory (NewCalibMap, LoadCalibMap, cmd/calib):
+//   - a calibration observatory (internal/calib, cmd/calib):
 //     model-vs-sim error maps mined from the result store or fed live by
 //     sweeps, bucketed by region (topology, message length, policy,
 //     load band) with per-region MAPE/bias/correlation, persisted next
@@ -94,11 +93,9 @@ package repro
 import (
 	"context"
 	"io"
-	"log/slog"
 	"time"
 
 	"repro/internal/analytic"
-	"repro/internal/calib"
 	"repro/internal/core"
 	"repro/internal/dispatch"
 	"repro/internal/eval"
@@ -112,25 +109,9 @@ import (
 	"repro/internal/workload"
 )
 
-// Re-exported types. The aliases keep godoc for the full API in one
+// Re-exported types. The aliases keep godoc for the sampled API in one
 // place while the implementation stays in internal packages.
 type (
-	// FatTree is the butterfly fat-tree topology of §3.1.
-	FatTree = topology.FatTree
-	// Hypercube is a binary n-cube with e-cube routing.
-	Hypercube = topology.Hypercube
-	// Network is the topology contract consumed by the simulator.
-	Network = topology.Network
-
-	// FatTreeModel is the paper's analytical model of the fat-tree.
-	FatTreeModel = analytic.FatTreeModel
-	// HypercubeModel applies the general model to a binary hypercube.
-	HypercubeModel = analytic.HypercubeModel
-	// TorusModel applies the general model to a k-ary n-cube.
-	TorusModel = analytic.TorusModel
-	// Latency is a model prediction (total, injection wait/service, D̄).
-	Latency = analytic.Latency
-
 	// ModelOptions toggles the model's ingredients for ablations; the
 	// zero value is the paper's model.
 	ModelOptions = core.Options
@@ -142,13 +123,6 @@ type (
 	// UpLinkPolicy selects the simulator's up-link arbitration
 	// discipline.
 	UpLinkPolicy = sim.UpLinkPolicy
-	// SimOption configures a Simulate call (replicas, termination,
-	// histogram).
-	SimOption = sim.Option
-	// SimTermination is the CI-width early-stopping rule: a run may close
-	// its measurement window once the latency estimate's relative 95%
-	// half-width drops to RelHalfWidth.
-	SimTermination = sim.Termination
 
 	// WorkloadSpec declares a simulator workload: arrival process,
 	// per-source rate mix, destination pattern, or a recorded trace to
@@ -162,9 +136,6 @@ type (
 	// bit-identically (see cmd/trace and docs/workload.md).
 	WorkloadTrace = workload.Trace
 
-	// Budget scales simulation effort.
-	Budget = sweep.Budget
-
 	// Evaluator is the backend contract shared by the analytical model
 	// and the simulator: Evaluate(ctx, Scenario) -> Point. Custom
 	// backends plug into a SweepRunner via its Backends field.
@@ -174,105 +145,18 @@ type (
 	Scenario = eval.Scenario
 	// Point is one evaluated scenario; backends merge their halves.
 	Point = eval.Point
-	// Topology identifies one concrete network instance of a scenario.
+	// SweepTopology identifies one concrete network instance of a
+	// scenario.
 	SweepTopology = eval.Topology
-	// SweepVariant selects a model ablation for part of a grid.
-	SweepVariant = eval.Variant
 
-	// SweepSpec declares a scenario grid for the sweep engine (see
-	// docs/sweep.md); SweepRunner executes specs on a bounded worker
-	// pool against an optional SweepCache, producing a SweepResult.
-	SweepSpec   = sweep.Spec
+	// SweepRunner executes sweep specs (see docs/sweep.md) on a bounded
+	// worker pool against an optional SweepCacheStore, producing a
+	// SweepResult.
 	SweepRunner = sweep.Runner
 	SweepResult = sweep.Result
-	SweepCache  = sweep.Cache
 	// SweepCacheStore is the result-cache contract a SweepRunner
-	// consults; SweepCache and ResultStore both implement it.
+	// consults; NewSweepCache and OpenStore both return one.
 	SweepCacheStore = sweep.CacheStore
-	// SweepPoint is one streamed sweep cell (row or error).
-	SweepPoint = sweep.PointResult
-
-	// RemoteBackend is the client-side Evaluator of the sweep service:
-	// scenarios are answered by sweepd servers over HTTP, sharded
-	// round-robin with retry/backoff (see docs/serve.md).
-	RemoteBackend = eval.RemoteBackend
-	// RemoteOption configures the fleet transport under RemoteBackend
-	// and BatchBackend alike.
-	RemoteOption = eval.RemoteOption
-	// BatchBackend is the batched-transport Evaluator: concurrent
-	// Evaluate calls coalesce into one /v1/batch request per flush
-	// window, amortising the per-cell HTTP round trip; everything else
-	// is the RemoteBackend it embeds (see docs/dispatch.md).
-	BatchBackend = eval.BatchBackend
-	// Dispatcher is the distributed sweep scheduler: grids partition
-	// into contiguous ranges dispatched across a sweepd fleet, with
-	// cache-aware scheduling, work stealing and shard failover (see
-	// docs/dispatch.md). It mirrors SweepRunner's Run/Stream API.
-	Dispatcher = dispatch.Dispatcher
-	// DispatchOption configures a Dispatcher.
-	DispatchOption = dispatch.Option
-	// DispatchStats is a snapshot of a Dispatcher's scheduling counters.
-	DispatchStats = dispatch.Stats
-	// ResultStore is the persistent, content-addressed sweep result
-	// store: NDJSON segments on disk, a SweepCacheStore to runners.
-	ResultStore = store.Store
-	// ServeOption configures the sweep service (ListenAndServe).
-	ServeOption = serve.Option
-
-	// PlanSpec declares a capacity-planning question: a design space,
-	// an objective and constraints (see docs/plan.md).
-	PlanSpec = plan.Spec
-	// PlanResult is one executed plan: every candidate, the
-	// objective-ranked Pareto frontier, and search statistics.
-	PlanResult = plan.Result
-	// PlanCandidate is one design point, annotated by the search.
-	PlanCandidate = plan.Candidate
-	// PlanUpdate is one streamed search event (prune/refine/certify/
-	// frontier/done).
-	PlanUpdate = plan.Update
-	// Planner runs plan specs against an Engine; construct with
-	// NewPlanner or NewFleetPlanner.
-	Planner = plan.Planner
-	// PlanEngine is the evaluation surface a Planner searches: grid
-	// runs plus single-scenario probes. A SweepRunner satisfies it.
-	PlanEngine = plan.Engine
-	// PlanCostModel is the pluggable cost surface of the planner;
-	// register custom models with plan.RegisterCostModel.
-	PlanCostModel = plan.CostModel
-
-	// Tracer serializes completed spans as NDJSON trace events, one
-	// line per span, with deterministic scenario-keyed span IDs (see
-	// docs/observability.md).
-	Tracer = obs.Tracer
-	// TraceEvent is one completed span on the wire.
-	TraceEvent = obs.Event
-	// TraceSpan is one in-flight span; all methods are nil-safe.
-	TraceSpan = obs.Span
-	// TraceForest is a set of trace trees reassembled from events
-	// (BuildTraceForest), e.g. the concatenation of a coordinator's and
-	// every shard's trace files.
-	TraceForest = obs.Forest
-	// TraceReport summarizes a trace forest: per-layer time, critical
-	// path, cache hit ratio, planner decisions, per-shard skew.
-	TraceReport = obs.Report
-
-	// CalibMap accumulates model-vs-sim error statistics per region
-	// (topology, message length, policy, load band relative to model
-	// saturation); it satisfies the sweep engine's cell-observer
-	// contract, so it can be fed live or mined from a store (see
-	// docs/calibration.md).
-	CalibMap = calib.Map
-	// CalibRegion identifies one accuracy bucket of a CalibMap.
-	CalibRegion = calib.Region
-	// CalibReport is a CalibMap snapshot: every region's pair count,
-	// MAPE, bias, correlation and worst relative error.
-	CalibReport = calib.Report
-	// CalibGate is a trust threshold (max MAPE, min pairs) for
-	// region verdicts; the planner's calibration spec carries one.
-	CalibGate = calib.Gate
-	// PlanCalibSpec asks a plan search to trust-gate its certification
-	// sims against a calibration map (PlanSpec.Calibration).
-	PlanCalibSpec = plan.CalibSpec
 )
 
 // Simulator policies.
@@ -286,30 +170,30 @@ const (
 
 // NewFatTree builds a butterfly fat-tree with numProc processors (a power
 // of four ≥ 4).
-func NewFatTree(numProc int) (*FatTree, error) { return topology.NewFatTree(numProc) }
+func NewFatTree(numProc int) (*topology.FatTree, error) { return topology.NewFatTree(numProc) }
 
 // NewHypercube builds a binary hypercube with 2^dims processors.
-func NewHypercube(dims int) (*Hypercube, error) { return topology.NewHypercube(dims) }
+func NewHypercube(dims int) (*topology.Hypercube, error) { return topology.NewHypercube(dims) }
 
 // NewFatTreeModel creates the paper's fat-tree model (Eq. 12–26) for
 // numProc processors and fixed messages of msgFlits flits.
-func NewFatTreeModel(numProc int, msgFlits float64) (*FatTreeModel, error) {
+func NewFatTreeModel(numProc int, msgFlits float64) (*analytic.FatTreeModel, error) {
 	return analytic.NewFatTreeModel(numProc, msgFlits, core.Options{})
 }
 
 // NewFatTreeModelVariant creates a fat-tree model with ablation options.
-func NewFatTreeModelVariant(numProc int, msgFlits float64, opt ModelOptions) (*FatTreeModel, error) {
+func NewFatTreeModelVariant(numProc int, msgFlits float64, opt ModelOptions) (*analytic.FatTreeModel, error) {
 	return analytic.NewFatTreeModel(numProc, msgFlits, opt)
 }
 
 // NewHypercubeModel creates the general model's hypercube instance.
-func NewHypercubeModel(dims int, msgFlits float64) (*HypercubeModel, error) {
+func NewHypercubeModel(dims int, msgFlits float64) (*analytic.HypercubeModel, error) {
 	return analytic.NewHypercubeModel(dims, msgFlits, core.Options{})
 }
 
 // NewTorusModel creates the general model's unidirectional k-ary n-cube
 // instance.
-func NewTorusModel(k, dims int, msgFlits float64) (*TorusModel, error) {
+func NewTorusModel(k, dims int, msgFlits float64) (*analytic.TorusModel, error) {
 	return analytic.NewTorusModel(k, dims, msgFlits, core.Options{})
 }
 
@@ -318,25 +202,9 @@ func NewTorusModel(k, dims int, msgFlits float64) (*TorusModel, error) {
 // configure CI-width early stopping (WithSimTermination), independent
 // replicas (WithSimReplicas) and latency histograms (WithSimHistogram);
 // with no options the run is the classic fixed-window simulation.
-func Simulate(ctx context.Context, cfg SimConfig, opts ...SimOption) (*SimResult, error) {
+func Simulate(ctx context.Context, cfg SimConfig, opts ...sim.Option) (*SimResult, error) {
 	return sim.Run(ctx, cfg, opts...)
 }
-
-// SimulateContext is the pre-redesign name of Simulate.
-//
-// Deprecated: use Simulate — it is ctx-first now.
-func SimulateContext(ctx context.Context, cfg SimConfig) (*SimResult, error) {
-	return sim.Run(ctx, cfg)
-}
-
-// ReadWorkloadTrace parses an NDJSON arrival trace, validating it
-// strictly (monotone cycles, in-range endpoints, matching message
-// lengths).
-func ReadWorkloadTrace(r io.Reader) (*WorkloadTrace, error) { return workload.ReadTrace(r) }
-
-// WriteWorkloadTrace writes a trace in the canonical NDJSON form; equal
-// traces produce byte-identical files.
-func WriteWorkloadTrace(w io.Writer, tr *WorkloadTrace) error { return workload.WriteTrace(w, tr) }
 
 // NewAnalyticBackend returns the analytical-model Evaluator: memoized
 // models per topology/message length/variant, fractional loads anchored
@@ -353,49 +221,40 @@ func NewSimBackend(anchor eval.LoadResolver) *eval.SimBackend { return eval.NewS
 // simulations). For worker bounds, custom backends, progress streaming,
 // or a shared cache, use a SweepRunner directly (see sweep.NewRunner and
 // its functional options WithWorkers, WithCache, WithBackends).
-func Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, error) {
+func Sweep(ctx context.Context, spec sweep.Spec) (*SweepResult, error) {
 	return (&SweepRunner{}).Run(ctx, spec)
 }
 
 // SweepStream executes the grid and delivers each cell as it completes.
 // The channel closes when the sweep finishes or ctx is cancelled; errors
-// arrive as the final SweepPoint.
-func SweepStream(ctx context.Context, spec SweepSpec) <-chan SweepPoint {
+// arrive as the final point.
+func SweepStream(ctx context.Context, spec sweep.Spec) <-chan sweep.PointResult {
 	return (&SweepRunner{}).Stream(ctx, spec)
 }
 
 // ParseSweepSpec decodes and validates a JSON sweep spec.
-func ParseSweepSpec(data []byte) (SweepSpec, error) { return sweep.ParseSpec(data) }
+func ParseSweepSpec(data []byte) (sweep.Spec, error) { return sweep.ParseSpec(data) }
 
 // SweepBuiltin returns a built-in named sweep spec (the paper's grids);
 // sweep.Builtins lists the names.
-func SweepBuiltin(name string) (SweepSpec, error) { return sweep.Builtin(name) }
+func SweepBuiltin(name string) (sweep.Spec, error) { return sweep.Builtin(name) }
 
 // NewSweepCache returns an empty sweep result cache for sharing across
 // runners and specs.
-func NewSweepCache() *SweepCache { return sweep.NewCache() }
+func NewSweepCache() *sweep.Cache { return sweep.NewCache() }
 
 // OpenStore opens (creating if needed) a persistent sweep result store.
 // Pass it to a SweepRunner via sweep.WithCache — or to ListenAndServe
 // via serve.WithCache — and every computed cell survives process
 // restarts; see docs/serve.md for the on-disk layout.
-func OpenStore(dir string) (*ResultStore, error) { return store.Open(dir) }
+func OpenStore(dir string) (*store.Store, error) { return store.Open(dir) }
 
 // NewRemoteBackend returns an Evaluator that answers scenarios by
 // calling sweepd servers at the given addresses ("host:port" or full
 // URLs), sharded round-robin with retry and backoff. Plug it into a
 // SweepRunner via sweep.WithBackends to fan a local grid out to a fleet.
-func NewRemoteBackend(addrs []string, opts ...RemoteOption) (*RemoteBackend, error) {
+func NewRemoteBackend(addrs []string, opts ...eval.RemoteOption) (*eval.RemoteBackend, error) {
 	return eval.NewRemoteBackend(addrs, opts...)
-}
-
-// NewBatchBackend returns an Evaluator speaking the batched wire
-// protocol to sweepd servers at the given addresses: concurrent
-// Evaluate calls coalesce into one request per flush window, and
-// explicit batches go through EvaluateBatch. It takes the same options
-// as NewRemoteBackend.
-func NewBatchBackend(addrs []string, opts ...RemoteOption) (*BatchBackend, error) {
-	return eval.NewBatchBackend(addrs, opts...)
 }
 
 // NewDispatcher returns the distributed sweep scheduler over a sweepd
@@ -404,36 +263,27 @@ func NewBatchBackend(addrs []string, opts ...RemoteOption) (*BatchBackend, error
 // via dispatch.WithCache), steal work back from failed or slow shards,
 // and merge the streams in grid order. A 3-shard dispatched sweep is
 // cell-for-cell identical to an in-process run — shard deaths included.
-func NewDispatcher(addrs []string, opts ...DispatchOption) (*Dispatcher, error) {
+func NewDispatcher(addrs []string, opts ...dispatch.Option) (*dispatch.Dispatcher, error) {
 	return dispatch.New(addrs, opts...)
 }
-
-// ServeWithSweeper routes the service's /v1/sweep through the given
-// scheduler (normally a Dispatcher), turning the server into a fleet
-// front-end.
-func ServeWithSweeper(s serve.Sweeper) ServeOption { return serve.WithSweeper(s) }
 
 // ListenAndServe runs the sweep service (the library form of cmd/sweepd)
 // on addr until ctx is cancelled, then shuts down gracefully within
 // grace (0 picks a default). See docs/serve.md for the HTTP API.
-func ListenAndServe(ctx context.Context, addr string, grace time.Duration, opts ...ServeOption) error {
+func ListenAndServe(ctx context.Context, addr string, grace time.Duration, opts ...serve.Option) error {
 	return serve.ListenAndServe(ctx, addr, grace, opts...)
 }
 
-// ServeWithCache attaches a result cache — a SweepCache or a persistent
-// ResultStore — to the sweep service.
-func ServeWithCache(c SweepCacheStore) ServeOption { return serve.WithCache(c) }
-
-// ServeWithWorkers bounds the worker pool of every sweep the service
-// runs.
-func ServeWithWorkers(n int) ServeOption { return serve.WithWorkers(n) }
+// ServeWithCache attaches a result cache — NewSweepCache's or a
+// persistent OpenStore's — to the sweep service.
+func ServeWithCache(c SweepCacheStore) serve.Option { return serve.WithCache(c) }
 
 // Plan runs a capacity-planner search in-process: coarse analytic
 // prune, per-candidate bisection to the saturation knee, Pareto
 // frontier over (cost, latency, sustainable load), simulator
 // certification of the frontier. Cancelling ctx aborts the search —
 // probes and certification simulations included.
-func Plan(ctx context.Context, spec PlanSpec) (*PlanResult, error) {
+func Plan(ctx context.Context, spec plan.Spec) (*plan.Result, error) {
 	return plan.NewLocal(nil).Run(ctx, spec)
 }
 
@@ -442,108 +292,36 @@ func Plan(ctx context.Context, spec PlanSpec) (*PlanResult, error) {
 // frontier in rank order, and a final done update carrying the whole
 // result. Errors arrive as the final update; a cancelled ctx just
 // closes the channel.
-func PlanStream(ctx context.Context, spec PlanSpec) <-chan PlanUpdate {
+func PlanStream(ctx context.Context, spec plan.Spec) <-chan plan.Update {
 	return plan.NewLocal(nil).Stream(ctx, spec)
-}
-
-// NewPlanner builds a planner over a custom engine — any SweepRunner
-// (in-process, remote or batched backends) or a Dispatcher, which
-// satisfies the engine contract with Run + Evaluate.
-func NewPlanner(engine PlanEngine) *Planner { return plan.New(engine) }
-
-// NewFleetPlanner builds a planner whose searches execute on a sweepd
-// shard fleet: the coarse grid dispatches as contiguous ranges (work
-// stealing, failover) and the bisection probes rotate per-cell with
-// retry, all sharing the fleet-tagged cache lines of cache (nil for
-// none).
-func NewFleetPlanner(addrs []string, cache SweepCacheStore) (*Planner, error) {
-	var opts []DispatchOption
-	if cache != nil {
-		opts = append(opts, dispatch.WithCache(cache))
-	}
-	d, err := dispatch.New(addrs, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return plan.New(d), nil
 }
 
 // ParsePlanSpec decodes and validates a JSON plan spec; unknown fields
 // fail with a field-naming error.
-func ParsePlanSpec(data []byte) (PlanSpec, error) { return plan.ParseSpec(data) }
+func ParsePlanSpec(data []byte) (plan.Spec, error) { return plan.ParseSpec(data) }
 
 // PlanBuiltin returns a built-in named plan spec; plan.Builtins lists
 // the names.
-func PlanBuiltin(name string) (PlanSpec, error) { return plan.Builtin(name) }
-
-// ServeWithPlanner routes the service's /v1/plan through the given
-// planner (normally a fleet planner), turning the server into a
-// capacity-planning front-end.
-func ServeWithPlanner(p *Planner) ServeOption { return serve.WithPlanner(p) }
+func PlanBuiltin(name string) (plan.Spec, error) { return plan.Builtin(name) }
 
 // NewTracer returns a tracer writing NDJSON span events to w. Attach
 // it to a context with WithTracing and every instrumented layer under
 // that context — sweeps, dispatch, remote evaluation, the simulator,
 // the planner — records spans into one stitched trace.
-func NewTracer(w io.Writer) *Tracer { return obs.NewTracer(w) }
+func NewTracer(w io.Writer) *obs.Tracer { return obs.NewTracer(w) }
 
 // WithTracing returns a context starting new trace roots on t; pass it
 // to Sweep, Plan, a Dispatcher or a SweepRunner. A nil tracer returns
 // ctx unchanged.
-func WithTracing(ctx context.Context, t *Tracer) context.Context { return obs.WithTracer(ctx, t) }
+func WithTracing(ctx context.Context, t *obs.Tracer) context.Context { return obs.WithTracer(ctx, t) }
 
 // ServeWithTracer records the sweep service's request spans — stitched
 // to the calling client's trace via the X-Obs-Trace/X-Obs-Span headers
 // — and everything the engines run under them.
-func ServeWithTracer(t *Tracer) ServeOption { return serve.WithTracer(t) }
-
-// ServeWithLogger attaches a structured logger to the sweep service:
-// every request is logged with endpoint, status, duration, remote
-// address and — when traced — the trace ID (debug level for successes,
-// warn/error for HTTP errors).
-func ServeWithLogger(l *slog.Logger) ServeOption { return serve.WithLogger(l) }
+func ServeWithTracer(t *obs.Tracer) serve.Option { return serve.WithTracer(t) }
 
 // ReadTraceEvents parses a stream of NDJSON span events.
-func ReadTraceEvents(r io.Reader) ([]TraceEvent, error) { return obs.ReadEvents(r) }
-
-// BuildTraceForest reassembles span events into trace trees.
-func BuildTraceForest(events []TraceEvent) *TraceForest { return obs.BuildForest(events) }
-
-// AnalyzeTrace summarizes span events: per-layer time, the critical
-// path, cache hit ratio, planner decision counts, per-shard skew.
-func AnalyzeTrace(events []TraceEvent) *TraceReport { return obs.Analyze(events) }
-
-// CheckTraceForest validates well-formedness: at least one span, no
-// orphans, exactly one root per trace — the cross-shard stitching gate.
-func CheckTraceForest(f *TraceForest) error { return obs.CheckForest(f) }
-
-// NewCalibMap returns an empty calibration map. Attach it to a sweep
-// runner (sweep.WithCalibration), a dispatcher
-// (dispatch.WithCalibration) or the sweep service
-// (ServeWithCalibration) to observe cells live, or mine a store with
-// Map.Mine / cmd/calib.
-func NewCalibMap() *CalibMap { return calib.NewMap() }
-
-// LoadCalibMap loads a calibration map saved by Map.Save; a missing
-// file returns an empty map, so load-observe-save cycles compose.
-func LoadCalibMap(path string) (*CalibMap, error) { return calib.LoadMap(path) }
-
-// CalibMapPath is the conventional location of a store directory's
-// calibration map (storeDir/calib-map.json) — where cmd/calib and
-// sweepd -cache-dir read and write it.
-func CalibMapPath(storeDir string) string { return calib.MapPath(storeDir) }
-
-// ServeWithCalibration attaches a calibration map to the sweep
-// service: GET /v1/calib serves its region report, /healthz gains a
-// calibration block, /metrics gains the calib_mape gauges, and the
-// default runner and /v1/plan searches feed and consult it.
-func ServeWithCalibration(m *CalibMap) ServeOption { return serve.WithCalibration(m) }
-
-// QuickBudget and FullBudget are the standard simulation efforts.
-var (
-	QuickBudget = sweep.Quick
-	FullBudget  = sweep.Full
-)
+func ReadTraceEvents(r io.Reader) ([]obs.Event, error) { return obs.ReadEvents(r) }
 
 // DefaultSimTermination is the standard early-stopping rule: stop once
 // the latency estimate is within ±5% at 95% confidence.
@@ -551,13 +329,13 @@ var DefaultSimTermination = sim.DefaultTermination
 
 // WithSimReplicas runs n independent replicas of the simulation
 // (derived seeds, concurrent execution) and pools their statistics.
-func WithSimReplicas(n int) SimOption { return sim.WithReplicas(n) }
+func WithSimReplicas(n int) sim.Option { return sim.WithReplicas(n) }
 
 // WithSimTermination enables CI-width early stopping with the given
 // rule; the zero rule disables it.
-func WithSimTermination(t SimTermination) SimOption { return sim.WithTermination(t) }
+func WithSimTermination(t sim.Termination) sim.Option { return sim.WithTermination(t) }
 
 // WithSimHistogram collects a latency histogram over [0, max) cycles
 // (max = 0 picks a bound from the topology) and fills the result's
 // percentile fields.
-func WithSimHistogram(max float64) SimOption { return sim.WithHistogram(max) }
+func WithSimHistogram(max float64) sim.Option { return sim.WithHistogram(max) }
