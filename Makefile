@@ -35,6 +35,9 @@ lint:
 		echo "no shell scripts: end-to-end checks are Go tests (cmd/*/main_test.go), timings live in the bench/ ledger"; exit 1; }
 	@! grep -rl 'bench[-]out' --include='*.go' cmd | grep -v '_test\.go$$' || { \
 		echo "no benchmark-output flags: timings are recorded by go run ./bench, not by the binaries"; exit 1; }
+	@test -z "$$(grep -rl 'ObserveCell(' --include='*.go' internal cmd | grep -v '_test\.go$$' | grep -v '^internal/sweep/' | grep -vx 'internal/calib/calib.go')" && \
+	! grep -rlE '\.cache\.(Get|Put)\(' --include='*.go' internal/dispatch internal/serve | grep -v '_test\.go$$' || { \
+		echo "one cell path: the cache and the observer are fed by sweep.Runner only"; exit 1; }
 
 # staticcheck runs when the binary is available (CI installs it; locally
 # it is optional so the default toolchain stays sufficient).

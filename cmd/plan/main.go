@@ -224,14 +224,11 @@ func runLocal(ctx context.Context, spec plan.Spec, shards, cacheDir string, cali
 		if err != nil {
 			return nil, err
 		}
-		var dopts []dispatch.Option
-		if cache != nil {
-			dopts = append(dopts, dispatch.WithCache(cache))
-		}
-		engine, err := dispatch.New(addrs, dopts...)
+		engine, err := dispatch.New(addrs)
 		if err != nil {
 			return nil, err
 		}
+		engine.Cache = cache
 		planner = plan.New(engine, popts...)
 	} else {
 		planner = plan.NewLocal(cache, popts...)

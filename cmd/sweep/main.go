@@ -60,13 +60,6 @@ import (
 	"repro/internal/sweep"
 )
 
-// executor is what both execution engines — the local/remote-backed
-// sweep.Runner and the distributed dispatch.Dispatcher — offer the CLI.
-type executor interface {
-	Run(ctx context.Context, spec sweep.Spec) (*sweep.Result, error)
-	Stream(ctx context.Context, spec sweep.Spec) <-chan sweep.PointResult
-}
-
 // specList collects repeated -spec flags.
 type specList []string
 
@@ -191,55 +184,52 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (rerr err
 		})
 	}
 
-	var exec executor
+	// One engine whichever way cells are computed: in-process by default,
+	// on -addr's servers through a remote backend, or with -shards through
+	// the dispatcher's range scheduler — whose engine is the same
+	// sweep.Runner, streamed in grid order.
+	engine := sweep.NewRunner(sweep.WithWorkers(*workers))
+	cells := engine.Stream
 	var disp *dispatch.Dispatcher
-	if *shards != "" {
+	switch {
+	case *shards != "":
 		addrs, err := cliutil.ParseStrings(*shards)
 		if err != nil {
 			return err
 		}
-		dopts := []dispatch.Option{dispatch.WithBatch(*batch), dispatch.WithCache(cache)}
-		if calibMap != nil {
-			dopts = append(dopts, dispatch.WithCalibration(calibMap))
+		if disp, err = dispatch.New(addrs, dispatch.WithBatch(*batch)); err != nil {
+			return err
 		}
-		disp, err = dispatch.New(addrs, dopts...)
+		engine, cells = disp.Runner, disp.Stream
+	case *addr != "":
+		addrs, err := cliutil.ParseStrings(*addr)
 		if err != nil {
 			return err
 		}
-		exec = disp
-	} else {
-		opts := []sweep.Option{sweep.WithWorkers(*workers), sweep.WithCache(cache)}
-		if calibMap != nil {
-			opts = append(opts, sweep.WithCalibration(calibMap))
+		var be eval.Evaluator
+		if *batch > 0 {
+			be, err = eval.NewBatchBackend(addrs, eval.WithBatchSize(*batch))
+		} else {
+			be, err = eval.NewRemoteBackend(addrs)
 		}
-		if *addr != "" {
-			addrs, err := cliutil.ParseStrings(*addr)
-			if err != nil {
-				return err
-			}
-			var be eval.Evaluator
-			if *batch > 0 {
-				be, err = eval.NewBatchBackend(addrs, eval.WithBatchSize(*batch))
-			} else {
-				be, err = eval.NewRemoteBackend(addrs)
-			}
-			if err != nil {
-				return err
-			}
-			opts = append(opts, sweep.WithBackends(be))
+		if err != nil {
+			return err
 		}
-		runner := sweep.NewRunner(opts...)
-		if !*quiet && !*stream {
-			runner.Progress = func(ev sweep.Event) {
-				tag := ""
-				if ev.Cached {
-					tag = " [cached]"
-				}
-				fmt.Fprintf(stderr, "sweep: %d/%d %s load=%.6g%s\n",
-					ev.Done, ev.Total, ev.Scenario.CurveKey(), ev.Scenario.Load.Value, tag)
+		engine.Backends = []eval.Evaluator{be}
+	}
+	engine.Cache = cache
+	if calibMap != nil {
+		engine.Calib = calibMap
+	}
+	if !*quiet && !*stream {
+		engine.Progress = func(ev sweep.Event) {
+			tag := ""
+			if ev.Cached {
+				tag = " [cached]"
 			}
+			fmt.Fprintf(stderr, "sweep: %d/%d %s load=%.6g%s\n",
+				ev.Done, ev.Total, ev.Scenario.CurveKey(), ev.Scenario.Load.Value, tag)
 		}
-		exec = runner
 	}
 
 	var results []*sweep.Result
@@ -268,12 +258,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (rerr err
 			spec.Budget.Seed = *seed
 		}
 		if *stream {
-			if err := streamSpec(ctx, stdout, exec, spec); err != nil {
+			if err := streamSpec(ctx, stdout, cells(ctx, spec)); err != nil {
 				return err
 			}
 			continue
 		}
-		res, err := exec.Run(ctx, spec)
+		res, err := engine.Run(ctx, spec)
 		if err != nil {
 			return err
 		}
@@ -306,12 +296,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (rerr err
 	return nil
 }
 
-// streamSpec runs one spec through the executor's Stream, printing each
-// cell as a JSON line the moment it completes (grid order under the
-// dispatcher, completion order in-process).
-func streamSpec(ctx context.Context, stdout io.Writer, exec executor, spec sweep.Spec) error {
+// streamSpec prints one spec's stream, each cell as a JSON line the
+// moment it arrives (grid order under the dispatcher, completion order
+// in-process).
+func streamSpec(ctx context.Context, stdout io.Writer, cells <-chan sweep.PointResult) error {
 	enc := json.NewEncoder(stdout)
-	for pr := range exec.Stream(ctx, spec) {
+	for pr := range cells {
 		if pr.Err != nil {
 			return pr.Err
 		}

@@ -7,8 +7,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -21,9 +23,15 @@ import (
 
 // sweepCLI calls run in-process the way main does, returning stdout.
 func sweepCLI(args ...string) (string, error) {
+	stdout, _, err := sweepCLIBoth(args...)
+	return stdout, err
+}
+
+// sweepCLIBoth is sweepCLI returning stderr too.
+func sweepCLIBoth(args ...string) (string, string, error) {
 	var stdout, stderr bytes.Buffer
 	err := run(context.Background(), args, &stdout, &stderr)
-	return stdout.String(), err
+	return stdout.String(), stderr.String(), err
 }
 
 // fleet starts n fresh sweep servers and returns their addresses in
@@ -74,6 +82,48 @@ func TestTransportsMatchInProcess(t *testing.T) {
 				t.Errorf("diverged from the in-process run:\n--- in-process\n%s\n--- %s\n%s", want, tc.name, got)
 			}
 		})
+	}
+}
+
+// TestFleetRunPrintsProgress: progress lives on the engine, so a -shards
+// run narrates per cell exactly as a local one does — the same cells,
+// counted 1/N … N/N in completion order — and a repeated spec reports its
+// cells cached.
+func TestFleetRunPrintsProgress(t *testing.T) {
+	progress := regexp.MustCompile(`(?m)^sweep: (\d+)/8 (\S.* load=\S+)( \[cached\])?$`)
+	cells := func(stderr string) (fresh, cached []string) {
+		for i, m := range progress.FindAllStringSubmatch(stderr, -1) {
+			if want := i%8 + 1; m[1] != strconv.Itoa(want) {
+				t.Errorf("progress line %d counts %s/8, want %d/8", i, m[1], want)
+			}
+			if m[3] == "" {
+				fresh = append(fresh, m[2])
+			} else {
+				cached = append(cached, m[2])
+			}
+		}
+		sort.Strings(fresh)
+		sort.Strings(cached)
+		return fresh, cached
+	}
+	_, local, err := sweepCLIBoth("-spec", "builtin:figure3-small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := cells(local)
+	if len(want) != 8 {
+		t.Fatalf("local run printed %d progress line(s), want 8:\n%s", len(want), local)
+	}
+	_, fleetErr, err := sweepCLIBoth("-spec", "builtin:figure3-small", "-spec", "builtin:figure3-small", "-shards", fleet(t, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, cached := cells(fleetErr)
+	if !reflect.DeepEqual(fresh, want) || !reflect.DeepEqual(cached, want) {
+		t.Errorf("-shards progress differs from the local run's:\n--- local\n%s\n--- -shards (two passes)\n%s", local, fleetErr)
+	}
+	if !strings.Contains(fleetErr, "sweep: dispatch: 8 cell(s)") || !strings.Contains(fleetErr, "8 cached") {
+		t.Errorf("dispatch summary line missing or miscounted:\n%s", fleetErr)
 	}
 }
 

@@ -191,16 +191,15 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) (rerr error) {
 		// /v1/plan via its Run/Evaluate engine surface (the server
 		// detects it): one shard-health and backoff state, one counter
 		// set, one cache salt.
-		dopts := []dispatch.Option{dispatch.WithBatch(*batch), dispatch.WithCache(cache)}
-		if calibMap != nil {
-			// Front-end mode: cells computed on remote shards stream back
-			// through the dispatcher, so the front-end's map observes the
-			// whole fleet's sim results.
-			dopts = append(dopts, dispatch.WithCalibration(calibMap))
-		}
-		d, err := dispatch.New(shards, dopts...)
+		d, err := dispatch.New(shards, dispatch.WithBatch(*batch), dispatch.WithCache(cache))
 		if err != nil {
 			return err
+		}
+		if calibMap != nil {
+			// Front-end mode: cells computed on remote shards land in the
+			// dispatcher's engine, so the front-end's map observes the
+			// whole fleet's sim results.
+			d.Calib = calibMap
 		}
 		logger.Info("front-end: dispatching sweeps and plans", "shards", len(d.Addrs()))
 		opts = append(opts, serve.WithSweeper(d))

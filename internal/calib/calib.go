@@ -407,14 +407,6 @@ type Report struct {
 	WorstRegion string         `json:"worst_region,omitempty"`
 }
 
-// finitePtr maps non-finite values to nil so the report marshals.
-func finitePtr(v float64) *float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return nil
-	}
-	return &v
-}
-
 // Report snapshots the map's derived metrics.
 func (m *Map) Report() Report {
 	var rep Report
@@ -431,9 +423,9 @@ func (m *Map) Report() Report {
 			Pairs:          a.N,
 			MAPE:           a.mape(),
 			Bias:           a.bias(),
-			Pearson:        finitePtr(a.pearson()),
+			Pearson:        eval.Finite(a.pearson()),
 			MaxRelErr:      a.MaxRel,
-			BoundTightness: finitePtr(a.boundTightness()),
+			BoundTightness: eval.Finite(a.boundTightness()),
 		})
 	}
 	m.mu.Unlock()
@@ -445,7 +437,7 @@ func (m *Map) Report() Report {
 			rep.WorstRegion = r.Name
 		}
 	}
-	rep.WorstMAPE = finitePtr(worst)
+	rep.WorstMAPE = eval.Finite(worst)
 	return rep
 }
 

@@ -1,14 +1,16 @@
-// Package dispatch is the distributed sweep scheduler: a coordinator
-// that partitions a sweep.Spec's deterministic grid into contiguous
-// index ranges, dispatches each range to a worker shard over the batched
-// wire protocol (POST /v1/sweep/part — spec plus range in, NDJSON cells
-// out), and merges the per-shard streams back into one grid-ordered,
-// Stream-compatible result channel.
+// Package dispatch is the distributed sweep scheduler: the fleet
+// implementation of sweep.Scheduler. The grid engine (sweep.Runner) does
+// everything a sweep has in common — expansion, the cache pass and
+// write-back, the observer, progress, the result — and hands the cold
+// cells of the grid to this package, which partitions them into
+// contiguous index ranges and dispatches each range to a worker shard
+// over the batched wire protocol (POST /v1/sweep/part — spec plus range
+// in, NDJSON cells out).
 //
 // Scheduling is static range partitioning with work stealing on top: the
-// cold cells of the grid (the shared cache is consulted first, so warm
-// cells never cross the wire) are split into contiguous spans that sit
-// in a shared queue; every shard runs one puller. A shard that fails —
+// cold cells (the engine consults the shared cache first, so warm cells
+// never cross the wire) are split into contiguous spans that sit in a
+// shared queue; every shard runs one puller. A shard that fails —
 // connection error, 5xx, torn or short NDJSON stream, or a stream idle
 // past the watchdog — has the undelivered remainder of its span split
 // back into the queue, where any healthy shard steals it; the failing
@@ -27,6 +29,7 @@ package dispatch
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -40,23 +43,24 @@ import (
 
 // Dispatcher schedules sweeps across a shard fleet. Construct with New;
 // it is safe for concurrent use and reusable across sweeps (statistics
-// accumulate over its lifetime). It satisfies the serving layer's
-// Sweeper contract and mirrors sweep.Runner's Run/Stream/Evaluate API,
-// so it drops in anywhere a Runner does — including as the capacity
-// planner's engine (plan.Engine): Run carries the coarse grids,
-// Evaluate the per-cell probes, both on the fleet cache salt.
+// accumulate over its lifetime). It is a sweep.Runner — Run, Evaluate
+// and the Cache, Calib and Progress fields are the embedded engine's own
+// — whose one backend is the fleet client and whose Scheduler is the
+// dispatcher itself, so it drops in anywhere a Runner does, including as
+// the capacity planner's engine (plan.Engine): Run carries the coarse
+// grids as ranges, Evaluate the per-cell probes with shard rotation and
+// retry, both on the fleet cache salt that RemoteBackend and
+// BatchBackend clients of the same shard set share.
 type Dispatcher struct {
+	*sweep.Runner
 	addrs    []string
-	salt     string
 	batch    int
-	cache    sweep.CacheStore
-	calib    sweep.CellObserver
 	ropts    []eval.RemoteOption // transport settings, consumed by New
 	rb       *eval.RemoteBackend // the fleet transport: every request goes through it
 	backoff  time.Duration
 	maxFails int
 
-	cacheHits, cells, batches, requeues, failures, ejected atomic.Int64
+	batches, requeues, failures, ejected atomic.Int64
 
 	// queueDepth gauges backpressure: cold cells queued or in flight
 	// across every active sweep (grows at dispatch start, shrinks as
@@ -97,26 +101,16 @@ type Option func(*Dispatcher)
 // has granularity without per-range overhead dominating.
 func WithBatch(n int) Option { return func(d *Dispatcher) { d.batch = n } }
 
-// WithCache attaches the shared result cache consulted before
-// scheduling: warm cells are served locally and only cold cells are
-// dispatched; every streamed cell is written back. The cache lines are
-// salted with the fleet tag, shared with RemoteBackend and BatchBackend
-// clients of the same shard set.
-func WithCache(c sweep.CacheStore) Option { return func(d *Dispatcher) { d.cache = c } }
+// WithCache attaches the engine's shared result cache: warm cells are
+// served locally and only cold cells are dispatched; every streamed cell
+// is written back.
+func WithCache(c sweep.CacheStore) Option { return func(d *Dispatcher) { d.Cache = c } }
 
-// WithCalibration attaches a live calibration observer (the same
-// sweep.CellObserver contract the Runner takes): every cell the
-// dispatcher sees — warm from the cache or fresh off a shard — is fed
-// to it under its fleet-salted key, so a front-end dispatcher keeps the
-// calibration map current without re-mining the store.
-func WithCalibration(o sweep.CellObserver) Option { return func(d *Dispatcher) { d.calib = o } }
-
-// observe feeds one cell to the calibration observer, if any.
-func (d *Dispatcher) observe(ctx context.Context, key string, cell sweep.Cell) {
-	if d.calib != nil {
-		d.calib.ObserveCell(ctx, key, cell)
-	}
-}
+// WithCalibration attaches the engine's live calibration observer: every
+// cell the dispatcher sees — warm from the cache or fresh off a shard —
+// is fed to it under its fleet-salted key, so a front-end dispatcher
+// keeps the calibration map current without re-mining the store.
+func WithCalibration(o sweep.CellObserver) Option { return func(d *Dispatcher) { d.Calib = o } }
 
 // WithHTTPClient replaces the transport's default HTTP client on every
 // path — range streams, per-cell Evaluate and /v1/curve requests — with
@@ -152,6 +146,7 @@ func WithMaxShardFailures(n int) Option {
 // full URLs); at least one is required.
 func New(addrs []string, opts ...Option) (*Dispatcher, error) {
 	d := &Dispatcher{
+		Runner:   &sweep.Runner{},
 		backoff:  100 * time.Millisecond,
 		maxFails: 3,
 	}
@@ -164,10 +159,12 @@ func New(addrs []string, opts ...Option) (*Dispatcher, error) {
 	}
 	d.rb = rb
 	d.addrs = rb.Addrs()
-	// The same salt a Runner derives for a backend list holding one
-	// fleet client, so dispatched, per-cell remote and batched sweeps
-	// over the same shard set share cache lines.
-	d.salt = "backends=" + rb.CacheTag() + "|"
+	// One fleet client as the whole backend list gives the engine the
+	// salt every other client of this shard set derives, so dispatched,
+	// per-cell remote and batched sweeps share cache lines; it answers
+	// Evaluate's probes and describes Run's curves over /v1/curve.
+	d.Backends = []eval.Evaluator{rb}
+	d.Scheduler = d
 	d.health = make(map[string]ShardHealth, len(d.addrs))
 	for _, addr := range d.addrs {
 		d.health[addr] = ShardHealthy
@@ -180,19 +177,6 @@ func (d *Dispatcher) setHealth(addr string, h ShardHealth) {
 	d.healthMu.Lock()
 	d.health[addr] = h
 	d.healthMu.Unlock()
-}
-
-// Health returns the per-shard scheduling states as last observed. A
-// shard ejected from one sweep is retried fresh by the next; the map
-// reflects the most recent verdicts.
-func (d *Dispatcher) Health() map[string]string {
-	d.healthMu.Lock()
-	defer d.healthMu.Unlock()
-	out := make(map[string]string, len(d.health))
-	for addr, h := range d.health {
-		out[addr] = h.String()
-	}
-	return out
 }
 
 // HealthSummary counts shards per state — the /healthz and /metrics
@@ -239,9 +223,10 @@ type Stats struct {
 
 // Stats returns the dispatcher's lifetime counters.
 func (d *Dispatcher) Stats() Stats {
+	hits, fresh := d.Counts()
 	return Stats{
-		CacheHits:     d.cacheHits.Load(),
-		Cells:         d.cells.Load(),
+		CacheHits:     hits,
+		Cells:         fresh,
 		Batches:       d.batches.Load(),
 		Requeues:      d.requeues.Load(),
 		ShardFailures: d.failures.Load(),
@@ -253,13 +238,14 @@ func (d *Dispatcher) Stats() Stats {
 // serving layer's /metrics endpoint exports them with a sweep_dispatch_
 // prefix.
 func (d *Dispatcher) StatsMap() map[string]int64 {
+	st := d.Stats()
 	return map[string]int64{
-		"cache_hits_total":     d.cacheHits.Load(),
-		"cells_total":          d.cells.Load(),
-		"batches_total":        d.batches.Load(),
-		"requeues_total":       d.requeues.Load(),
-		"shard_failures_total": d.failures.Load(),
-		"ejected_shards_total": d.ejected.Load(),
+		"cache_hits_total":     st.CacheHits,
+		"cells_total":          st.Cells,
+		"batches_total":        st.Batches,
+		"requeues_total":       st.Requeues,
+		"shard_failures_total": st.ShardFailures,
+		"ejected_shards_total": st.EjectedShards,
 	}
 }
 
@@ -275,236 +261,87 @@ func (d *Dispatcher) spanSize(n int) int {
 	return per
 }
 
-// Evaluate answers one scenario through the fleet: the shared cache
-// first (same salted lines the dispatched sweeps use), then the
-// per-cell client with its shard rotation and retry. It reports
-// whether the cell was served from cache, mirroring Runner.Evaluate —
-// together with Run this makes the Dispatcher a complete engine for
-// the capacity planner (plan.Engine): coarse grids dispatch as ranges,
-// off-grid bisection probes and certification simulations take this
-// path, and every cell warms the same store.
-func (d *Dispatcher) Evaluate(ctx context.Context, sc sweep.Scenario) (sweep.Cell, bool, error) {
-	// The salted key is built once, and only when something consumes it.
-	var key string
-	if d.cache != nil || d.calib != nil {
-		key = d.salt + sc.Key()
-	}
-	if d.cache != nil {
-		if cell, ok := d.cache.Get(key); ok {
-			d.cacheHits.Add(1)
-			_, span := obs.StartSpanFor(ctx, "dispatch.eval", sc)
-			span.End(obs.Bool("cached", true))
-			d.observe(ctx, key, cell)
-			return cell, true, nil
-		}
-	}
-	evalCtx, span := obs.StartSpanFor(ctx, "dispatch.eval", sc)
-	pt, err := d.rb.Evaluate(evalCtx, sc)
-	if err != nil {
-		span.End(obs.Bool("cached", false), obs.String("error", err.Error()))
-		return eval.Point{}, false, err
-	}
-	span.End(obs.Bool("cached", false))
-	if d.cache != nil {
-		d.cache.Put(key, pt)
-	}
-	d.observe(ctx, key, pt)
-	d.cells.Add(1)
-	return pt, false, nil
-}
-
-// Run dispatches the spec across the fleet and returns the assembled
-// result, rows in expansion order, curve metadata resolved through the
-// shards' /v1/curve — the drop-in distributed form of Runner.Run.
-func (d *Dispatcher) Run(ctx context.Context, spec sweep.Spec) (*sweep.Result, error) {
-	start := time.Now()
-	scens, keys, err := sweep.ExpandKeyed(spec)
-	if err != nil {
-		return nil, err
-	}
-	ctx, span := obs.StartSpanKeyed(ctx, "dispatch.sweep", specTraceKey(spec))
-	defer func() { span.End() }()
-	span.SetAttr(obs.Int("cells", len(scens)))
-	// Curve metadata comes through the fleet's /v1/curve, with the
-	// transport's shard rotation and retry behind it — the same values an
-	// in-process run resolves from its analytic backend.
-	curves, err := sweep.ResolveCurves(ctx, scens, d.rb, 1)
-	if err != nil {
-		span.SetAttr(obs.String("error", err.Error()))
-		return nil, err
-	}
-	res := &sweep.Result{Spec: spec, Rows: make([]sweep.Row, len(scens)), Curves: curves}
-	// Rows land directly at their grid index — no per-row channel
-	// handoff, no reorder buffer; the deliver callback runs on the
-	// merger goroutine alone.
-	err = d.dispatch(ctx, spec, scens, keys, func(idx int, row sweep.Row) bool {
-		res.Rows[idx] = row
-		if row.Cached {
-			res.CacheHits++
-		} else {
-			res.CacheMisses++
-		}
-		return true
-	})
-	if err != nil {
-		span.SetAttr(obs.String("error", err.Error()))
-		return nil, err
-	}
-	span.SetAttr(obs.Int("cache_hits", res.CacheHits))
-	span.SetAttr(obs.Int("cache_misses", res.CacheMisses))
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
-
-// Stream dispatches the spec and delivers cells on the returned channel
-// in grid order (a reorder buffer holds back later cells until their
-// predecessors arrive, so consumers see the exact sequence an in-process
-// Run would report). The channel closes when the sweep finishes, fails
-// — the error arrives as the final element, mirroring Runner.Stream —
-// or ctx is cancelled.
+// Stream is the engine's Stream re-sequenced into grid order: a reorder
+// buffer holds back later cells until their predecessors arrive, so
+// consumers see the exact sequence a Run would report. (Local streams
+// stay in completion order.) The error element and cancellation keep the
+// engine's contract.
 func (d *Dispatcher) Stream(ctx context.Context, spec sweep.Spec) <-chan sweep.PointResult {
+	in := d.Runner.Stream(ctx, spec)
 	out := make(chan sweep.PointResult)
+	// Once ctx ends the engine's stream unwinds on its own; send only has
+	// to stop waiting for the consumer.
+	send := func(pr sweep.PointResult) bool {
+		select {
+		case out <- pr:
+			return true
+		case <-ctx.Done():
+			return false
+		}
+	}
 	go func() {
 		defer close(out)
-		scens, keys, err := sweep.ExpandKeyed(spec)
-		if err != nil {
-			emit(ctx, out, sweep.PointResult{Err: err})
-			return
-		}
-		ctx, span := obs.StartSpanKeyed(ctx, "dispatch.sweep", specTraceKey(spec))
-		defer func() { span.End() }()
-		span.SetAttr(obs.Int("cells", len(scens)))
-		// The reorder buffer: rows delivered out of grid order wait for
-		// their predecessors.
 		next := 0
-		pending := make(map[int]sweep.Row)
-		err = d.dispatch(ctx, spec, scens, keys, func(idx int, row sweep.Row) bool {
-			pending[idx] = row
-			for {
-				r, ok := pending[next]
-				if !ok {
-					return true
-				}
-				delete(pending, next)
-				if !emit(ctx, out, sweep.PointResult{Row: r}) {
-					return false
-				}
-				next++
+		pending := make(map[int]sweep.PointResult)
+		for pr := range in {
+			if pr.Err != nil {
+				send(pr) // the stream's final element
+				continue
 			}
-		})
-		if err != nil && ctx.Err() == nil {
-			span.SetAttr(obs.String("error", err.Error()))
-			emit(ctx, out, sweep.PointResult{Err: err})
+			pending[pr.Row.Scenario.Index] = pr
+			for head, ok := pending[next]; ok; head, ok = pending[next] {
+				delete(pending, next)
+				next++
+				if !send(head) {
+					return
+				}
+			}
 		}
 	}()
 	return out
 }
 
-// specTraceKey roots a dispatched sweep's trace at a stable key, so
-// repeated dispatches of the same named spec are diffable.
-func specTraceKey(spec sweep.Spec) string {
-	if spec.Name != "" {
-		return spec.Name
-	}
-	return "anonymous"
-}
-
 // span is a half-open range [start, end) of grid indices.
 type span struct{ start, end int }
 
-// indexedRow is one received cell travelling to the merger.
-type indexedRow struct {
-	idx int
-	row sweep.Row
-}
-
-// run is the per-sweep state shared by the shard workers and the merger.
+// run is the per-sweep state shared by the shard workers.
 type run struct {
-	d      *Dispatcher
-	spec   json.RawMessage // the wire form every range request repeats
-	scens  []sweep.Scenario
-	keys   []string // cache keys, salted when a cache or observer reads them
-	ctx    context.Context
-	cancel context.CancelFunc
-	spanc  chan span // cold ranges; capacity = cold cells, so requeue never blocks
-	resc   chan indexedRow
-
-	failMu  sync.Mutex
-	failErr error
+	d       *Dispatcher
+	spec    json.RawMessage // the wire form every range request repeats
+	g       *sweep.Grid
+	deliver func(int, sweep.Cell)
+	ctx     context.Context
+	fail    context.CancelCauseFunc // ends the run; the first cause is its terminal error
+	spanc   chan span               // cold ranges; capacity = cold cells, so requeue never blocks
+	// left counts the cold cells not yet delivered; whoever delivers the
+	// last one closes done.
+	left atomic.Int64
+	done chan struct{}
 }
 
-// fail records the sweep's terminal error (first one wins) and cancels
-// the run.
-func (r *run) fail(err error) {
-	r.failMu.Lock()
-	if r.failErr == nil {
-		r.failErr = err
-	}
-	r.failMu.Unlock()
-	r.cancel()
-}
-
-func (r *run) err() error {
-	r.failMu.Lock()
-	defer r.failMu.Unlock()
-	return r.failErr
-}
-
-// dispatch runs one sweep over the expanded grid (keys[i] is
-// scens[i].Key()): cache pass, shard workers, merge. Rows reach
-// the caller through deliver — always from this goroutine, in arrival
-// order (warm cells first); deliver returning false abandons the sweep
-// (the consumer is gone). The returned error is the sweep's terminal
-// failure, nil on completion, cancellation or abandonment.
-func (d *Dispatcher) dispatch(ctx context.Context, spec sweep.Spec, scens []sweep.Scenario, keys []string, deliver func(int, sweep.Row) bool) error {
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// Cache pass: warm cells deliver immediately, cold indices become
-	// the work list. The expansion's keys are salted once here — when a
-	// cache or an observer will read them — and reused when received
-	// cells are written back and observed for calibration.
-	if d.cache != nil || d.calib != nil {
-		salted := make([]string, len(keys))
-		for i, key := range keys {
-			salted[i] = d.salt + key
-		}
-		keys = salted
-	}
-	var cold []int
-	for i, sc := range scens {
-		if d.cache != nil {
-			if cell, ok := d.cache.Get(keys[i]); ok {
-				d.cacheHits.Add(1)
-				d.observe(ctx, keys[i], cell)
-				if !deliver(i, sweep.Row{Scenario: sc, Cell: cell, Cached: true}) {
-					return nil
-				}
-				continue
-			}
-		}
-		cold = append(cold, i)
-	}
-	if len(cold) == 0 {
-		return nil // fully warm: nothing to dispatch
-	}
-	specJSON, err := json.Marshal(spec)
+// Schedule implements sweep.Scheduler: it computes the grid's cold cells
+// on the fleet — range partition, one puller per shard, work stealing,
+// backoff and ejection — handing each cell to deliver as it comes off a
+// shard's stream. The returned error is the sweep's terminal failure: a
+// scenario's verdict, a protocol breach, or every shard ejected with
+// cells outstanding.
+func (d *Dispatcher) Schedule(ctx context.Context, g *sweep.Grid, cold []int, deliver func(int, sweep.Cell)) error {
+	ctx, dspan := obs.StartSpanKeyed(ctx, "dispatch.sweep", g.Spec.Name)
+	defer dspan.End(obs.Int("cells", len(cold)))
+	specJSON, err := json.Marshal(g.Spec)
 	if err != nil {
 		return fmt.Errorf("dispatch: encoding spec: %w", err)
 	}
-	remaining := len(cold)
-	d.queueDepth.Add(int64(len(cold)))
-	defer func() { d.queueDepth.Add(-int64(remaining)) }()
-
+	runCtx, fail := context.WithCancelCause(ctx)
 	r := &run{
-		d: d, spec: specJSON, scens: scens, keys: keys,
-		ctx: runCtx, cancel: cancel,
+		d: d, spec: specJSON, g: g, deliver: deliver,
+		ctx: runCtx, fail: fail,
 		spanc: make(chan span, len(cold)),
-		resc:  make(chan indexedRow, len(cold)),
+		done:  make(chan struct{}),
 	}
+	r.left.Store(int64(len(cold)))
+	d.queueDepth.Add(int64(len(cold)))
+	defer func() { d.queueDepth.Add(-r.left.Load()) }()
 	for _, sp := range partition(cold, d.spanSize(len(cold))) {
 		r.spanc <- sp
 	}
@@ -522,45 +359,22 @@ func (d *Dispatcher) dispatch(ctx context.Context, spec sweep.Spec, scens []swee
 		wg.Wait()
 		close(allDead)
 	}()
-	defer func() {
-		cancel()
-		<-allDead // no worker outlives the sweep
-	}()
 
-	for remaining > 0 && runCtx.Err() == nil {
-		select {
-		case ir := <-r.resc:
-			remaining--
-			d.queueDepth.Add(-1)
-			if !deliver(ir.idx, ir.row) {
-				return nil // consumer gone; deferred cancel unwinds the workers
-			}
-		case <-runCtx.Done():
-		case <-allDead:
-			// Workers send their rows before exiting, so everything
-			// delivered before the fleet died is already buffered in
-			// resc — drain it with priority before concluding; the last
-			// shard may have streamed every remaining cell and only then
-			// died short of a clean EOF.
-			for remaining > 0 {
-				select {
-				case ir := <-r.resc:
-					remaining--
-					d.queueDepth.Add(-1)
-					if !deliver(ir.idx, ir.row) {
-						return nil
-					}
-					continue
-				default:
-				}
-				break
-			}
-			if remaining > 0 {
-				r.fail(fmt.Errorf("dispatch: all %d shard(s) ejected with %d cell(s) outstanding", len(d.addrs), remaining))
-			}
+	select {
+	case <-r.done:
+	case <-runCtx.Done():
+	case <-allDead:
+		// Workers deliver before they exit, so the count is final: the
+		// last shard may have streamed every remaining cell and only then
+		// died short of a clean EOF.
+		if left := r.left.Load(); left > 0 {
+			fail(fmt.Errorf("dispatch: all %d shard(s) ejected with %d cell(s) outstanding", len(d.addrs), left))
 		}
 	}
-	return r.err()
+	err = context.Cause(runCtx) // nil unless the run failed or ctx ended
+	fail(nil)
+	<-allDead // no worker outlives the sweep
+	return err
 }
 
 // worker pulls ranges off the queue and dispatches them to one shard
@@ -638,18 +452,15 @@ func (r *run) dispatchSpan(addr string, sp span) (got map[int]bool, err error) {
 	}
 	got = make(map[int]bool, sp.end-sp.start)
 	err = r.d.rb.Stream(spanCtx, addr, "/v1/sweep/part", body, sp.start, sp.end, func(it *eval.BatchItem) error {
-		sc := r.scens[it.Index]
 		if it.Error != "" {
-			return fmt.Errorf("dispatch: scenario %d (%s, load %v): %s",
-				sc.Index, sc.CurveKey(), sc.Load.Value, it.Error)
+			return r.g.CellError(it.Index, errors.New(it.Error))
 		}
 		got[it.Index] = true
-		if r.d.cache != nil {
-			r.d.cache.Put(r.keys[it.Index], *it.Point)
+		r.deliver(it.Index, *it.Point)
+		r.d.queueDepth.Add(-1)
+		if r.left.Add(-1) == 0 {
+			close(r.done)
 		}
-		r.d.observe(r.ctx, r.keys[it.Index], *it.Point)
-		r.d.cells.Add(1)
-		r.resc <- indexedRow{idx: it.Index, row: sweep.Row{Scenario: sc, Cell: *it.Point}}
 		return nil
 	})
 	return got, err
@@ -691,18 +502,4 @@ func remainder(sp span, got map[int]bool) []span {
 		out = append(out, span{start, sp.end})
 	}
 	return out
-}
-
-// emit sends pr unless ctx has ended; it reports whether the consumer is
-// still listening.
-func emit(ctx context.Context, out chan<- sweep.PointResult, pr sweep.PointResult) bool {
-	if ctx.Err() != nil {
-		return false
-	}
-	select {
-	case out <- pr:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }

@@ -38,8 +38,10 @@ type pointWire struct {
 	BoundNA        bool     `json:"bound_na,omitempty"`
 }
 
-// finite returns v boxed, or nil when v is NaN or ±Inf.
-func finite(v float64) *float64 {
+// Finite returns v boxed, or nil — the wire's null — when v is NaN or
+// ±Inf: the one non-finite-to-null mapping under every JSON encoder in
+// the stack.
+func Finite(v float64) *float64 {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return nil
 	}
@@ -58,15 +60,15 @@ func unbox(v *float64, def float64) float64 {
 // saturation booleans keep the +Inf model case lossless.
 func (p Point) MarshalJSON() ([]byte, error) {
 	return json.Marshal(pointWire{
-		LoadFlits:      finite(p.LoadFlits),
-		Model:          finite(p.Model),
+		LoadFlits:      Finite(p.LoadFlits),
+		Model:          Finite(p.Model),
 		ModelSaturated: p.ModelSaturated,
 		ModelNA:        p.ModelNA,
-		Sim:            finite(p.Sim),
-		SimCI:          finite(p.SimCI),
+		Sim:            Finite(p.Sim),
+		SimCI:          Finite(p.SimCI),
 		SimSaturated:   p.SimSaturated,
-		SimPrecision:   finite(p.SimPrecision),
-		BoundMax:       finite(p.BoundMax),
+		SimPrecision:   Finite(p.SimPrecision),
+		BoundMax:       Finite(p.BoundMax),
 		BoundUnbounded: p.BoundUnbounded,
 		BoundNA:        p.BoundNA,
 	})
@@ -113,8 +115,8 @@ type curveWire struct {
 func (c CurveDesc) MarshalJSON() ([]byte, error) {
 	return json.Marshal(curveWire{
 		Model:          c.Model,
-		AvgDist:        finite(c.AvgDist),
-		SaturationLoad: finite(c.SaturationLoad),
+		AvgDist:        Finite(c.AvgDist),
+		SaturationLoad: Finite(c.SaturationLoad),
 	})
 }
 

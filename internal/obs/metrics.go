@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -57,16 +56,4 @@ func Counters() map[string]int64 {
 		out[name] = c.v.Load()
 	}
 	return out
-}
-
-// CounterNames returns the registered counter names in sorted order.
-func CounterNames() []string {
-	regMu.Lock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	regMu.Unlock()
-	sort.Strings(names)
-	return names
 }

@@ -172,14 +172,6 @@ type Update struct {
 
 // --- wire formats -----------------------------------------------------
 
-// finitePtr maps non-finite floats to nil, which is the wire's null.
-func finitePtr(v float64) *float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return nil
-	}
-	return &v
-}
-
 func fromPtr(v *float64) float64 {
 	if v == nil {
 		return math.NaN()
@@ -226,11 +218,11 @@ func (c Candidate) MarshalJSON() ([]byte, error) {
 		K:              c.Topology.K,
 		MsgFlits:       c.MsgFlits,
 		Policy:         c.Policy,
-		Cost:           finitePtr(c.Cost),
-		SaturationLoad: finitePtr(c.SaturationLoad),
-		MaxLoad:        finitePtr(c.MaxLoad),
-		OperatingLoad:  finitePtr(c.OperatingLoad),
-		ModelLatency:   finitePtr(c.Latency),
+		Cost:           eval.Finite(c.Cost),
+		SaturationLoad: eval.Finite(c.SaturationLoad),
+		MaxLoad:        eval.Finite(c.MaxLoad),
+		OperatingLoad:  eval.Finite(c.OperatingLoad),
+		ModelLatency:   eval.Finite(c.Latency),
 		Pruned:         c.Pruned,
 		PruneReason:    c.PruneReason,
 		Frontier:       c.Frontier,
@@ -239,15 +231,15 @@ func (c Candidate) MarshalJSON() ([]byte, error) {
 		SimSaturated:   c.SimSaturated,
 		Probes:         c.Probes,
 		CalibVerdict:   c.CalibVerdict,
-		CalibMAPE:      finitePtr(c.CalibMAPE),
+		CalibMAPE:      eval.Finite(c.CalibMAPE),
 		CalibPairs:     c.CalibPairs,
 	}
 	if !math.IsNaN(c.Sim) || c.SimSaturated {
-		jc.SimLatency = finitePtr(c.Sim)
-		jc.SimCI95 = finitePtr(c.SimCI)
+		jc.SimLatency = eval.Finite(c.Sim)
+		jc.SimCI95 = eval.Finite(c.SimCI)
 	}
 	if !math.IsNaN(c.BoundMax) || c.BoundNA {
-		jc.BoundMax = finitePtr(c.BoundMax)
+		jc.BoundMax = eval.Finite(c.BoundMax)
 		jc.BoundUnbounded = math.IsInf(c.BoundMax, 1)
 		jc.BoundNA = c.BoundNA
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"runtime"
 	"sync"
 	"time"
 
@@ -27,9 +26,10 @@ import (
 //	                     never cross the wire twice
 //
 // Both endpoints evaluate through the server's shared runner (memoized
-// backends, shared cache) on a bounded worker pool, and both cancel
-// through the request context: a coordinator that walks away mid-stream
-// aborts the slice's remaining cells inside their simulation loops.
+// backends, shared cache) on the runner's own bounded pool, and both
+// cancel through the request context: a coordinator that walks away
+// mid-stream aborts the slice's remaining cells inside their simulation
+// loops.
 
 // batchBodyLimit bounds a batched request body; scenario wire records
 // are ~200 bytes, so this admits tens of thousands of cells.
@@ -46,44 +46,85 @@ const flushTick = 25 * time.Millisecond
 // idle watchdogs can tell a stalled shard from a slow cell.
 const heartbeatTick = 10 * time.Second
 
-// tickFlusher starts the bounded-staleness flush goroutine shared by
-// every streaming handler: buffered rows are flushed within flushTick
-// of being encoded, and — when heartbeat is non-nil — a silent stream
-// emits a keepalive via heartbeat() every heartbeatTick. mu guards the
-// response writer and *dirty; heartbeat is called with mu held and must
-// leave *dirty true if it wrote. The returned stop function joins the
-// goroutine and must be called before the handler returns.
-func tickFlusher(flusher http.Flusher, mu *sync.Mutex, dirty *bool, heartbeat func()) (stop func()) {
-	stopc := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
+// ndjson is the one streaming response writer, under /v1/sweep,
+// /v1/batch, /v1/sweep/part and /v1/plan: one JSON line per write, safe
+// for concurrent writers, flushed to the client within flushTick of being
+// encoded.
+type ndjson struct {
+	mu    sync.Mutex // guards the response writer, lines and dirty
+	enc   *json.Encoder
+	lines int64 // payload lines written; error and keepalive lines are not counted
+	dirty bool  // encoded since the last flush
+	stopc chan struct{}
+	done  chan struct{}
+}
+
+// newNDJSON starts an NDJSON response on w. A non-nil heartbeat is the
+// keepalive line a stream silent for heartbeatTick (one slow cell
+// computing) emits, so a client-side idle watchdog can tell a slow cell
+// from a stalled shard. The handler must call close before it returns.
+func newNDJSON(w http.ResponseWriter, heartbeat any) *ndjson {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("X-Accel-Buffering", "no") // proxies must not buffer the stream
+	n := &ndjson{enc: json.NewEncoder(w), stopc: make(chan struct{}), done: make(chan struct{})}
+	flusher, ok := w.(http.Flusher)
+	if !ok {
+		close(n.done)
+		return n
+	}
 	go func() {
-		defer wg.Done()
+		defer close(n.done)
 		tick := time.NewTicker(flushTick)
 		defer tick.Stop()
 		quiet := time.Now()
 		for {
 			select {
 			case <-tick.C:
-				mu.Lock()
-				if !*dirty && heartbeat != nil && time.Since(quiet) >= heartbeatTick {
-					heartbeat()
+				n.mu.Lock()
+				if !n.dirty && heartbeat != nil && time.Since(quiet) >= heartbeatTick {
+					n.dirty = n.enc.Encode(heartbeat) == nil
 				}
-				if *dirty {
+				if n.dirty {
 					flusher.Flush()
-					*dirty = false
+					n.dirty = false
 					quiet = time.Now()
 				}
-				mu.Unlock()
-			case <-stopc:
+				n.mu.Unlock()
+			case <-n.stopc:
 				return
 			}
 		}
 	}()
-	return func() {
-		close(stopc)
-		wg.Wait()
+	return n
+}
+
+// write encodes v as the stream's next line; an error means the client
+// is gone.
+func (n *ndjson) write(v any) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	err := n.enc.Encode(v)
+	if err == nil {
+		n.lines++
+		n.dirty = true
 	}
+	return err
+}
+
+// fail ends the stream with err in-band — headers are long gone — as the
+// final {"error": …} line every streaming endpoint shares.
+func (n *ndjson) fail(err error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.enc.Encode(map[string]string{"error": err.Error()})
+}
+
+// close joins the flush goroutine and returns the payload line count;
+// whatever is still buffered goes out when the handler returns.
+func (n *ndjson) close() int64 {
+	close(n.stopc)
+	<-n.done
+	return n.lines
 }
 
 // handleBatch evaluates an explicit scenario list. An empty list is a
@@ -101,35 +142,28 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.add("sweep_batch_requests_total", 1)
 	s.metrics.add("sweep_batch_cells_total", int64(len(scs)))
-	indices, keys := make([]int, len(scs)), make([]string, len(scs))
+	keys := make([]string, len(scs))
 	for i := range scs {
-		indices[i], keys[i] = i, scs[i].Key()
+		keys[i] = scs[i].Key()
 	}
-	s.streamItems(w, r, scs, keys, indices)
+	s.streamItems(w, r, scs, keys, 0)
 }
 
-// expansion is one memoized grid: scenarios and their cache keys
-// (sweep.ExpandKeyed).
-type expansion struct {
-	scens []eval.Scenario
-	keys  []string
-}
-
-// expansions memoizes recent grid expansions keyed by the spec's exact
-// wire bytes: a dispatched sweep sends the identical spec with every
-// range request, so the shard expands (and key-hashes) the grid once
-// per sweep instead of once per range, and every range evaluates its
-// cells under the keys the expansion already built. Bounded FIFO — a
-// handful of concurrent sweeps at most.
+// expansions memoizes recent grid expansions (sweep.Grid: scenarios and
+// their cache keys) keyed by the spec's exact wire bytes: a dispatched
+// sweep sends the identical spec with every range request, so the shard
+// expands (and key-hashes) the grid once per sweep instead of once per
+// range, and every range evaluates its cells under the keys the expansion
+// already built. Bounded FIFO — a handful of concurrent sweeps at most.
 type expansions struct {
 	mu      sync.Mutex
-	entries map[string]expansion
+	entries map[string]*sweep.Grid
 	order   []string
 }
 
 const expansionCacheCap = 8
 
-func (e *expansions) get(specJSON []byte) (expansion, error) {
+func (e *expansions) get(specJSON []byte) (*sweep.Grid, error) {
 	key := string(specJSON)
 	e.mu.Lock()
 	if grid, ok := e.entries[key]; ok {
@@ -139,16 +173,16 @@ func (e *expansions) get(specJSON []byte) (expansion, error) {
 	e.mu.Unlock()
 	spec, err := sweep.ParseSpec(specJSON)
 	if err != nil {
-		return expansion{}, err
+		return nil, err
 	}
-	var grid expansion
-	if grid.scens, grid.keys, err = sweep.ExpandKeyed(spec); err != nil {
-		return expansion{}, err
+	grid := &sweep.Grid{Spec: spec}
+	if grid.Scens, grid.Keys, err = sweep.ExpandKeyed(spec); err != nil {
+		return nil, err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.entries == nil {
-		e.entries = make(map[string]expansion)
+		e.entries = make(map[string]*sweep.Grid)
 	}
 	if _, ok := e.entries[key]; !ok {
 		e.entries[key] = grid
@@ -182,107 +216,34 @@ func (s *Server) handlePart(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.Start < 0 || req.End < req.Start || req.End > len(grid.scens) {
+	if req.Start < 0 || req.End < req.Start || req.End > len(grid.Scens) {
 		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("part range [%d, %d) out of bounds for a %d-cell grid", req.Start, req.End, len(grid.scens)))
+			fmt.Errorf("part range [%d, %d) out of bounds for a %d-cell grid", req.Start, req.End, len(grid.Scens)))
 		return
 	}
 	s.metrics.add("sweep_part_requests_total", 1)
 	s.metrics.add("sweep_part_cells_total", int64(req.End-req.Start))
-	slice := grid.scens[req.Start:req.End]
-	indices := make([]int, len(slice))
-	for i := range slice {
-		indices[i] = slice[i].Index
-	}
-	s.streamItems(w, r, slice, grid.keys[req.Start:req.End], indices)
+	s.streamItems(w, r, grid.Scens[req.Start:req.End], grid.Keys[req.Start:req.End], req.Start)
 }
 
-// streamItems evaluates the scenarios on a bounded pool, writing one
-// BatchItem NDJSON line per cell as it completes (completion order),
-// flushed per row. indices[i] is the Index the i-th scenario's line
-// carries, keys[i] its Scenario.Key(). Closing the connection cancels the
-// remaining evaluations through the request context.
-func (s *Server) streamItems(w http.ResponseWriter, r *http.Request, scens []eval.Scenario, keys []string, indices []int) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no") // proxies must not buffer the stream
-	w.WriteHeader(http.StatusOK)
-	if len(scens) == 0 {
-		return
-	}
-	flusher, _ := w.(http.Flusher)
+// streamItems answers the scenarios through the runner's list path,
+// writing one BatchItem NDJSON line per cell as it completes (completion
+// order): the i-th scenario's line carries Index base+i, and keys[i] is
+// its Scenario.Key(). A cell's failure is that item's error, never the
+// stream's. Closing the connection cancels the remaining evaluations
+// through the request context.
+func (s *Server) streamItems(w http.ResponseWriter, r *http.Request, scens []eval.Scenario, keys []string, base int) {
+	out := newNDJSON(w, eval.BatchItem{Index: -1})
+	defer func() { s.metrics.add("sweep_stream_rows_total", out.close()) }()
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
-
-	var wmu sync.Mutex
-	enc := json.NewEncoder(w)
-	var rows int64
-	dirty := false
-	defer func() { s.metrics.add("sweep_stream_rows_total", rows) }()
-	write := func(it eval.BatchItem) {
-		wmu.Lock()
-		defer wmu.Unlock()
-		if ctx.Err() != nil {
-			return
+	s.runner.EvaluateList(ctx, scens, keys, func(i int, cell sweep.Cell, err error) {
+		it := eval.BatchItem{Index: base + i, Point: &cell}
+		if err != nil {
+			it = eval.BatchItem{Index: base + i, Error: err.Error()}
 		}
-		if err := enc.Encode(it); err != nil {
+		if out.write(it) != nil {
 			cancel() // client gone; stop the pool
-			return
 		}
-		rows++
-		dirty = true
-	}
-	// Bounded-staleness flush plus keepalives: rows reach the client
-	// within flushTick of completing, and a stream silent for
-	// heartbeatTick (one slow cell computing) emits a heartbeat line —
-	// index -1, no error — so the coordinator's idle watchdog can tell
-	// a slow cell from a stalled shard.
-	if flusher != nil {
-		stop := tickFlusher(flusher, &wmu, &dirty, func() {
-			if ctx.Err() == nil && enc.Encode(eval.BatchItem{Index: -1}) == nil {
-				dirty = true
-			}
-		})
-		defer stop()
-	}
-
-	workers := s.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(scens) {
-		workers = len(scens)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for n := 0; n < workers; n++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if ctx.Err() != nil {
-					continue
-				}
-				cell, _, err := s.runner.EvaluateKeyed(ctx, scens[i], keys[i])
-				if err != nil {
-					if ctx.Err() != nil {
-						continue // cancellation, not the scenario's fault
-					}
-					write(eval.BatchItem{Index: indices[i], Error: err.Error()})
-					continue
-				}
-				write(eval.BatchItem{Index: indices[i], Point: &cell})
-			}
-		}()
-	}
-	for i := range scens {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-		}
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	close(jobs)
-	wg.Wait()
+	})
 }

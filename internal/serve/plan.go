@@ -2,9 +2,7 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
-	"sync"
 
 	"repro/internal/plan"
 )
@@ -50,31 +48,14 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.add("sweep_plan_requests_total", 1)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no") // proxies must not buffer the stream
-	flusher, _ := w.(http.Flusher)
-	var wmu sync.Mutex
-	enc := json.NewEncoder(w)
-	var rows int64
-	dirty := false
-	defer func() { s.metrics.add("sweep_plan_stream_updates_total", rows) }()
-	if flusher != nil {
-		defer tickFlusher(flusher, &wmu, &dirty, nil)()
-	}
+	out := newNDJSON(w, nil)
+	defer func() { s.metrics.add("sweep_plan_stream_updates_total", out.close()) }()
 	for u := range s.planner.Stream(r.Context(), spec) {
-		wmu.Lock()
 		if u.Err != nil {
-			enc.Encode(map[string]string{"error": u.Err.Error()})
-			wmu.Unlock()
+			out.fail(u.Err)
 			return
 		}
-		err := enc.Encode(u)
-		if err == nil {
-			rows++
-			dirty = true
-		}
-		wmu.Unlock()
-		if err != nil {
+		if out.write(u) != nil {
 			return // client gone; request-ctx cancellation stops the search
 		}
 	}

@@ -45,7 +45,6 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"repro/internal/bounds"
@@ -94,10 +93,6 @@ func WithCache(c sweep.CacheStore) Option { return func(s *Server) { s.cache = c
 // WithWorkers bounds the worker pool of every sweep the server runs.
 func WithWorkers(n int) Option { return func(s *Server) { s.workers = n } }
 
-// WithRunner replaces the server's runner wholesale (custom backends,
-// progress hooks); WithCache and WithWorkers are ignored when set.
-func WithRunner(r *sweep.Runner) Option { return func(s *Server) { s.runner = r } }
-
 // WithTracer attaches an obs tracer: every request gets a span —
 // parented on the client's span when the request carries the
 // X-Obs-Trace/X-Obs-Span headers — and handlers propagate the trace
@@ -123,42 +118,27 @@ func WithCalibration(m *calib.Map) Option { return func(s *Server) { s.calib = m
 // while /v1/eval, /v1/batch and /v1/sweep/part keep answering locally.
 func WithSweeper(sw Sweeper) Option { return func(s *Server) { s.sweeper = sw } }
 
-// New builds the server. Unless WithRunner overrides it, the runner
-// evaluates with one memoized AnalyticBackend plus the simulator
-// anchored on it — shared across requests, so models, saturation
-// searches and simulator networks are built once per server instance,
-// not once per request.
+// New builds the server. Its runner evaluates with one memoized
+// AnalyticBackend plus the simulator and the bound calculus anchored on
+// it — shared across requests, so models, saturation searches and
+// simulator networks are built once per server instance, not once per
+// request — and /v1/curve answers from the same backend.
 func New(opts ...Option) *Server {
 	s := &Server{mux: http.NewServeMux(), started: time.Now(), metrics: newMetricsRegistry()}
 	for _, opt := range opts {
 		opt(s)
 	}
-	if s.runner == nil {
-		ab := eval.NewAnalyticBackend()
-		s.runner = sweep.NewRunner(
-			sweep.WithWorkers(s.workers),
-			sweep.WithBackends(ab, eval.NewSimBackend(ab), bounds.New(ab)),
-			sweep.WithCache(s.cache),
-		)
-	}
+	ab := eval.NewAnalyticBackend()
+	s.curves = ab
+	s.runner = sweep.NewRunner(
+		sweep.WithWorkers(s.workers),
+		sweep.WithBackends(ab, eval.NewSimBackend(ab), bounds.New(ab)),
+		sweep.WithCache(s.cache),
+	)
 	// A calibration map observes every sim-carrying cell the server's
-	// runner completes — unless a custom runner already carries its own
-	// observer, which wins.
-	if s.calib != nil && s.runner.Calib == nil {
+	// runner completes.
+	if s.calib != nil {
 		s.runner.Calib = s.calib
-	}
-	// /v1/curve answers from the runner's own describer when it has one
-	// (the default analytic backend), else from a server-lifetime
-	// fallback, so memoized saturation searches persist across requests
-	// either way.
-	for _, be := range s.runner.Backends {
-		if d, ok := be.(sweep.CurveDescriber); ok {
-			s.curves = d
-			break
-		}
-	}
-	if s.curves == nil {
-		s.curves = eval.NewAnalyticBackend()
 	}
 	if s.sweeper == nil {
 		s.sweeper = s.runner
@@ -251,37 +231,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no") // proxies must not buffer the stream
-	flusher, _ := w.(http.Flusher)
-	var wmu sync.Mutex
-	enc := json.NewEncoder(w)
-	var rows int64
-	dirty := false
-	defer func() { s.metrics.add("sweep_stream_rows_total", rows) }()
-	// Bounded-staleness flush (tickFlusher, shared with streamItems):
-	// rows reach the client within flushTick of completing; no
-	// heartbeats here — /v1/sweep consumers parse Row lines, not
+	// No heartbeats here: /v1/sweep consumers parse Row lines, not
 	// BatchItems.
-	if flusher != nil {
-		defer tickFlusher(flusher, &wmu, &dirty, nil)()
-	}
+	out := newNDJSON(w, nil)
+	defer func() { s.metrics.add("sweep_stream_rows_total", out.close()) }()
 	for pr := range s.sweeper.Stream(r.Context(), spec) {
-		wmu.Lock()
 		if pr.Err != nil {
-			// Headers are long gone; the error travels in-band as the
-			// final line, mirroring Stream's contract.
-			enc.Encode(map[string]string{"error": pr.Err.Error()})
-			wmu.Unlock()
+			out.fail(pr.Err) // mirrors Stream's contract: the error is the final line
 			return
 		}
-		err := enc.Encode(pr.Row)
-		if err == nil {
-			rows++
-			dirty = true
-		}
-		wmu.Unlock()
-		if err != nil {
+		if out.write(pr.Row) != nil {
 			return // client gone; request-ctx cancellation drains the pool
 		}
 	}

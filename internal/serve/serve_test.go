@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -671,4 +672,81 @@ func TestMetricsConcurrentScrapes(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// panicBackend panics on scenarios of one message length and answers the
+// rest like the analytic model.
+type panicBackend struct {
+	eval.Evaluator
+	flits int
+}
+
+func (b panicBackend) Evaluate(ctx context.Context, sc eval.Scenario) (eval.Point, error) {
+	if sc.MsgFlits == b.flits {
+		panic("boom")
+	}
+	return b.Evaluator.Evaluate(ctx, sc)
+}
+
+// TestBackendPanicCannotKillShard: a backend that panics on a cell costs
+// that cell — an error in the shape each endpoint reports cell failures
+// in — never the shard: every other cell of the request is answered, and
+// the server takes the next request.
+func TestBackendPanicCannotKillShard(t *testing.T) {
+	s := New()
+	s.runner.Backends = []eval.Evaluator{panicBackend{Evaluator: eval.NewAnalyticBackend(), flits: 13}}
+	srv := httptest.NewServer(s)
+	t.Cleanup(srv.Close)
+
+	scen := func(flits int) string {
+		return fmt.Sprintf(`{"topology":{"family":"bft","size":64},"msg_flits":%d,"load":{"value":0.01}}`, flits)
+	}
+	spec := `{"topologies":[{"family":"bft","sizes":[64]}],"msg_flits":[8,13,16],"loads":{"flits":[0.01]}}`
+	// itemsFailOnly asserts a three-cell BatchItem stream whose middle
+	// cell alone failed with the panic.
+	itemsFailOnly := func(t *testing.T, resp *http.Response) {
+		items := decodeItems(t, resp)
+		if len(items) != 3 {
+			t.Fatalf("%d item(s), want 3: %+v", len(items), items)
+		}
+		for idx, it := range items {
+			if idx == 1 {
+				if it.Point != nil || !strings.Contains(it.Error, "backend panic") {
+					t.Errorf("the panicking cell answered %+v, want a backend-panic error", it)
+				}
+			} else if it.Point == nil || it.Error != "" {
+				t.Errorf("cell %d caught its neighbour's panic: %+v", idx, it)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name, path, body string
+		check            func(*testing.T, *http.Response)
+	}{
+		{"eval", "/v1/eval", scen(13), func(t *testing.T, resp *http.Response) {
+			var payload map[string]string
+			json.NewDecoder(resp.Body).Decode(&payload)
+			if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(payload["error"], "backend panic") {
+				t.Errorf("status %s, payload %v; want 422 with a backend-panic error", resp.Status, payload)
+			}
+		}},
+		{"batch", "/v1/batch", "[" + scen(8) + "," + scen(13) + "," + scen(16) + "]", itemsFailOnly},
+		{"part", "/v1/sweep/part", `{"spec":` + spec + `,"start":0,"end":3}`, itemsFailOnly},
+		{"sweep", "/v1/sweep", spec, func(t *testing.T, resp *http.Response) {
+			body, _ := io.ReadAll(resp.Body)
+			lines := strings.Split(strings.TrimSpace(string(body)), "\n")
+			last := lines[len(lines)-1]
+			if resp.StatusCode != http.StatusOK || !strings.Contains(last, `"error"`) ||
+				!strings.Contains(last, "scenario 1 (") || !strings.Contains(last, "backend panic") {
+				t.Errorf("status %s, final line %q; want an in-band error naming scenario 1's panic", resp.Status, last)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.check(t, postJSON(t, srv.URL+tc.path, tc.body))
+			if resp := postJSON(t, srv.URL+"/v1/eval", scen(8)); resp.StatusCode != http.StatusOK {
+				t.Errorf("the shard answered the next request with %s", resp.Status)
+			}
+		})
+	}
 }

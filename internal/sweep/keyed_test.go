@@ -6,7 +6,9 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/eval"
@@ -241,5 +243,79 @@ func TestCurvesSpan(t *testing.T) {
 	// 24 curves over 12 (instance, message length) anchors.
 	if curves.Attrs["curves"] != 24.0 || curves.Attrs["saturation_searches"] != 12.0 {
 		t.Errorf("sweep.curves attrs = %v, want curves 24, saturation_searches 12", curves.Attrs)
+	}
+}
+
+// TestCurveCallsPerEntryPoint: curve metadata is Run's. Run describes
+// each curve once; Stream, which has nowhere to put the answer, describes
+// none — over a remote backend that is one /v1/curve round trip per curve
+// not made.
+func TestCurveCallsPerEntryPoint(t *testing.T) {
+	ab := eval.NewAnalyticBackend()
+	calls := make(chan struct{}, 64)
+	r := NewRunner(WithBackends(countingDescriber{Evaluator: ab, desc: ab, calls: calls}))
+	res := mustRun(t, r, torusCurves())
+	if n := len(calls); n != len(res.Curves) || n != 24 {
+		t.Errorf("Run made %d Curve call(s) for %d curve(s), want 24 each", n, len(res.Curves))
+	}
+	for len(calls) > 0 {
+		<-calls
+	}
+	rows := 0
+	for pr := range r.Stream(context.Background(), torusCurves()) {
+		if pr.Err != nil {
+			t.Fatal(pr.Err)
+		}
+		rows++
+	}
+	if rows != len(res.Rows) {
+		t.Errorf("Stream delivered %d row(s), want %d", rows, len(res.Rows))
+	}
+	if n := len(calls); n != 0 {
+		t.Errorf("Stream made %d Curve call(s), want 0", n)
+	}
+}
+
+// panicBackend panics on scenarios of one message length and answers the
+// rest like the analytic model.
+type panicBackend struct {
+	eval.Evaluator
+	flits int
+}
+
+func (b panicBackend) Evaluate(ctx context.Context, sc Scenario) (eval.Point, error) {
+	if sc.MsgFlits == b.flits {
+		panic("boom")
+	}
+	return b.Evaluator.Evaluate(ctx, sc)
+}
+
+// TestBackendPanicFailsTheCell: a backend that panics costs its cell, not
+// the process. Run fails naming the scenario and the cell's key; Evaluate
+// returns the error; the runner goes on answering other cells.
+func TestBackendPanicFailsTheCell(t *testing.T) {
+	spec := validSpec()
+	spec.WithSim = false
+	spec.MsgFlits = []int{8, 13}
+	spec.Loads = LoadSpec{Flits: []float64{0.01}}
+	scens, keys, err := ExpandKeyed(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(WithWorkers(1), WithBackends(panicBackend{Evaluator: eval.NewAnalyticBackend(), flits: 13}))
+	_, err = r.Run(context.Background(), spec)
+	if err == nil {
+		t.Fatal("Run succeeded over a panicking backend")
+	}
+	for _, want := range []string{"sweep: scenario 1 (", "backend panic", keys[1], "boom"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Run error %q does not mention %q", err, want)
+		}
+	}
+	if _, _, err := r.Evaluate(context.Background(), scens[1]); err == nil || !strings.Contains(err.Error(), "backend panic") {
+		t.Errorf("Evaluate over the panicking cell = %v, want a backend-panic error", err)
+	}
+	if cell, _, err := r.Evaluate(context.Background(), scens[0]); err != nil || math.IsNaN(cell.Model) {
+		t.Errorf("the runner stopped answering after a panic: %+v, %v", cell, err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/eval"
 	"repro/internal/series"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -244,13 +245,6 @@ type jsonResult struct {
 	ElapsedMS   int64       `json:"elapsed_ms"`
 }
 
-func finitePtr(v float64) *float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return nil
-	}
-	return &v
-}
-
 // MarshalJSON serialises the result with non-finite values mapped to
 // null (model saturation keeps its boolean marker).
 func (r *Result) MarshalJSON() ([]byte, error) {
@@ -264,8 +258,8 @@ func (r *Result) MarshalJSON() ([]byte, error) {
 	for _, c := range r.Curves {
 		out.Curves = append(out.Curves, jsonCurve{
 			CurveInfo:      c,
-			SaturationLoad: finitePtr(c.SaturationLoad),
-			AvgDist:        finitePtr(c.AvgDist),
+			SaturationLoad: eval.Finite(c.SaturationLoad),
+			AvgDist:        eval.Finite(c.AvgDist),
 		})
 	}
 	for _, row := range r.Rows {
@@ -283,11 +277,11 @@ func (r Row) jsonRow() jsonRow {
 		MsgFlits:       r.Scenario.MsgFlits,
 		Policy:         r.Scenario.Policy.String(),
 		Variant:        r.Scenario.Variant.Name,
-		LoadFlits:      finitePtr(r.LoadFlits),
-		ModelLatency:   finitePtr(r.Model),
+		LoadFlits:      eval.Finite(r.LoadFlits),
+		ModelLatency:   eval.Finite(r.Model),
 		ModelSaturated: r.ModelSaturated,
 		ModelNA:        r.ModelNA,
-		SimLatency:     finitePtr(r.Sim),
+		SimLatency:     eval.Finite(r.Sim),
 		SimSaturated:   r.SimSaturated,
 		Seed:           r.Scenario.Seed(),
 		Cached:         r.Cached,
@@ -296,10 +290,10 @@ func (r Row) jsonRow() jsonRow {
 		jr.Workload = r.Scenario.Workload
 	}
 	if !math.IsNaN(r.Sim) {
-		jr.SimCI95 = finitePtr(r.SimCI)
-		jr.SimPrecision = finitePtr(r.SimPrecision)
+		jr.SimCI95 = eval.Finite(r.SimCI)
+		jr.SimPrecision = eval.Finite(r.SimPrecision)
 	}
-	jr.BoundMax = finitePtr(r.BoundMax)
+	jr.BoundMax = eval.Finite(r.BoundMax)
 	jr.BoundUnbounded = r.BoundUnbounded
 	jr.BoundNA = r.BoundNA
 	return jr

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -24,16 +23,19 @@ type Event struct {
 	Cached      bool
 }
 
-// Runner executes sweep specs over a list of Evaluator backends. The
-// zero value is ready to use: it sizes the pool to GOMAXPROCS and
-// evaluates with the default backends (analytic, plus the simulator and
-// the bound calculus when the spec asks for them); without a Cache, no
-// results are memoized (a single Run never revisits a cell — Expand
-// deduplicates). Construct with NewRunner to configure via functional
-// options, or set the fields directly — before the runner's first use,
-// which builds the default backends and the cache salt once and keeps
-// them, so models, Eq. 26 anchors and simulator networks carry over from
-// one call to the next. A Runner must not be copied after first use.
+// Runner is the grid engine: every sweep in the stack — local, per-cell
+// remote, batched or dispatched across a fleet — is one Runner doing
+// expand → cache pass → schedule the cold cells → write back → observe →
+// hand rows to the caller, under Run, Stream and Evaluate. The zero
+// value is ready to use: it sizes the pool to GOMAXPROCS and evaluates
+// with the default backends (analytic, plus the simulator and the bound
+// calculus when the spec asks for them); without a Cache, no results are
+// memoized (a single Run never revisits a cell — Expand deduplicates).
+// Construct with NewRunner to configure via functional options, or set
+// the fields directly — before the runner's first use, which builds the
+// default backends and the cache salt once and keeps them, so models,
+// Eq. 26 anchors and simulator networks carry over from one call to the
+// next. A Runner must not be copied after first use.
 type Runner struct {
 	// Workers bounds the worker pool; 0 defers to the spec, then to
 	// GOMAXPROCS.
@@ -45,7 +47,7 @@ type Runner struct {
 	Cache CacheStore
 	// Progress, when non-nil, receives an Event per completed cell. It is
 	// called from a single goroutine (events arrive in completion order,
-	// never concurrently).
+	// warm cells first, never concurrently).
 	Progress func(Event)
 	// Backends, when non-nil, replaces the default evaluator list. Every
 	// scenario is offered to every backend in order and their points are
@@ -56,8 +58,13 @@ type Runner struct {
 	// cached alike) under its salted cache key, making the runner a live
 	// feed for the calibration map (internal/calib). Observers must
 	// dedupe by key themselves and be safe for concurrent calls — cells
-	// arrive straight from the worker pool.
+	// arrive straight from the scheduler's goroutines.
 	Calib CellObserver
+	// Scheduler, when non-nil, computes every grid's cold cells in place
+	// of the local worker pool. It is the seam a fleet plugs into, not a
+	// tuning knob: dispatch.New sets it, over a Runner whose one backend
+	// is the fleet client.
+	Scheduler Scheduler
 
 	// Built once by init: the default backend lists (nil with explicit
 	// Backends), indexed by which optional backends join the analytic
@@ -66,12 +73,15 @@ type Runner struct {
 	once     sync.Once
 	defaults [4][]eval.Evaluator
 	salt     string
+
+	// Lifetime cell counts: served from cache, computed fresh.
+	hits, fresh atomic.Int64
 }
 
 // CellObserver consumes completed cells as they land. internal/calib's
 // Map is the canonical implementation; the interface lives here so the
-// runner and the dispatcher can feed observations without depending on
-// the calibration layer.
+// runner can feed observations without depending on the calibration
+// layer.
 type CellObserver interface {
 	ObserveCell(ctx context.Context, key string, cell Cell)
 }
@@ -103,13 +113,6 @@ func WithProgress(f func(Event)) Option { return func(r *Runner) { r.Progress = 
 
 // WithCalibration attaches a live calibration observer.
 func WithCalibration(o CellObserver) Option { return func(r *Runner) { r.Calib = o } }
-
-// observe feeds one completed cell to the calibration observer, if any.
-func (r *Runner) observe(ctx context.Context, key string, cell Cell) {
-	if r.Calib != nil {
-		r.Calib.ObserveCell(ctx, key, cell)
-	}
-}
 
 // PointResult is one streamed cell: a completed row, or the error that
 // ended the sweep. A failing sweep delivers its error as the stream's
@@ -199,10 +202,10 @@ func (r *Runner) cacheKeys(keys []string) []string {
 	return out
 }
 
-// workers returns the pool size for a grid of n scenarios. The bound is
-// capped at n: a spec cannot demand more goroutines than it has cells —
-// specs can arrive from untrusted clients (the serving layer), and a
-// pool wider than the grid is waste even from trusted ones.
+// workers returns the pool size for n cells. The bound is capped at n: a
+// spec cannot demand more goroutines than it has cells — specs can arrive
+// from untrusted clients (the serving layer), and a pool wider than the
+// work is waste even from trusted ones.
 func (r *Runner) workers(spec Spec, n int) int {
 	w := runtime.GOMAXPROCS(0)
 	if r.Workers > 0 {
@@ -216,78 +219,103 @@ func (r *Runner) workers(spec Spec, n int) int {
 	return w
 }
 
-// completion is one finished cell travelling from the pool to the
-// consumer.
-type completion struct {
-	row Row
-	err error
+// Counts returns the runner's lifetime cell counts: cells served from
+// the cache, and cells computed fresh — by the pool, a Scheduler or
+// Evaluate — and landed.
+func (r *Runner) Counts() (hits, fresh int64) { return r.hits.Load(), r.fresh.Load() }
+
+// Grid is one expanded sweep as a Scheduler sees it: the spec and its
+// cells in expansion order, Keys[i] == Scens[i].Key().
+type Grid struct {
+	Spec  Spec
+	Scens []Scenario
+	Keys  []string
 }
 
-// launch starts the worker pool for the expanded scenarios (keys[i] is
-// scens[i].Key()) and returns the completion stream. The returned channel
-// is buffered for every scenario, so workers and the cache feeder never
-// block on a slow consumer; it is closed once all workers have drained.
-// Cancelling ctx stops the pool promptly (in-flight simulations abort
-// inside their cycle loop).
-func (r *Runner) launch(ctx context.Context, spec Spec, scens []Scenario, keys []string, backends []eval.Evaluator) <-chan completion {
-	out := make(chan completion, len(scens))
-	jobs := make(chan int)
-	cacheKeys := r.cacheKeys(keys)
+// CellError names the cell a failure belongs to; every scheduler reports
+// a per-cell failure through it, so a failing sweep reads the same
+// whichever way its cold cells were computed.
+func (g *Grid) CellError(i int, err error) error {
+	sc := &g.Scens[i]
+	return fmt.Errorf("sweep: scenario %d (%s, load %v): %w", sc.Index, sc.CurveKey(), sc.Load.Value, err)
+}
+
+// Scheduler computes the cold cells of an expanded grid — the one thing
+// a local sweep and a fleet sweep do differently. Schedule computes
+// g.Scens[i] for every i in cold and hands each result to deliver exactly
+// once, from any goroutine (deliver never blocks), returning when all are
+// delivered, when a cell fails (the CellError, first failure wins; no
+// further cell need be computed) or when ctx ends. Everything around it —
+// expansion, the cache pass before and the write-back after, the
+// observer, Progress, the result — is the Runner's. The local worker pool
+// is the default; internal/dispatch's range scheduler is the other.
+type Scheduler interface {
+	Schedule(ctx context.Context, g *Grid, cold []int, deliver func(i int, cell Cell)) error
+}
+
+// localPool is the default Scheduler: the runner's own bounded pool over
+// its backends.
+type localPool struct{ r *Runner }
+
+// Schedule implements Scheduler. Cancelling ctx stops the pool promptly:
+// no further cell is claimed and in-flight simulations abort inside their
+// cycle loop.
+func (p localPool) Schedule(ctx context.Context, g *Grid, cold []int, deliver func(int, Cell)) error {
+	backends := p.r.backends(g.Spec.withSim(), g.Spec.wantBounds())
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	each(ctx, p.r.workers(g.Spec, len(cold)), len(cold), func(k int) {
+		i := cold[k]
+		cell, err := compute(ctx, g.Scens[i], g.Keys[i], backends)
+		if err != nil {
+			cancel(g.CellError(i, err)) // fail fast; the first cause stands
+			return
+		}
+		deliver(i, cell)
+	})
+	return context.Cause(ctx)
+}
+
+// each calls fn(0) … fn(n-1) on up to `workers` goroutines — the one
+// bounded pool under sweeps, scenario lists and curve resolution. Workers
+// claim indices off a shared counter, so nothing about a result depends
+// on scheduling; once ctx has ended no further index is claimed. It
+// returns when every claimed call has.
+func each(ctx context.Context, workers, n int, fn func(i int)) {
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < r.workers(spec, len(scens)); w++ {
+	for w := 0; w < min(max(workers, 1), n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				sc := scens[i]
-				if err := ctx.Err(); err != nil {
-					out <- completion{row: Row{Scenario: sc}, err: err}
-					continue
-				}
-				cctx, span := obs.StartSpanKeyed(ctx, "eval.cell", keys[i])
-				cell, err := evaluate(cctx, sc, backends)
-				if err != nil {
-					span.End(obs.Bool("cached", false), obs.String("error", err.Error()))
-					out <- completion{row: Row{Scenario: sc}, err: err}
-					continue
-				}
-				span.End(obs.Bool("cached", false))
-				if r.Cache != nil {
-					r.Cache.Put(cacheKeys[i], cell)
-				}
-				r.observe(cctx, cacheKeys[i], cell)
-				out <- completion{row: Row{Scenario: sc, Cell: cell}}
+			for i := int(next.Add(1)) - 1; i < n && ctx.Err() == nil; i = int(next.Add(1)) - 1 {
+				fn(i)
 			}
 		}()
 	}
-	go func() {
-		defer close(out)
-		for i, sc := range scens {
-			if r.Cache != nil {
-				if cell, ok := r.Cache.Get(cacheKeys[i]); ok {
-					_, span := obs.StartSpanKeyed(ctx, "eval.cell", keys[i])
-					span.End(obs.Bool("cached", true))
-					r.observe(ctx, cacheKeys[i], cell)
-					out <- completion{row: Row{Scenario: sc, Cell: cell, Cached: true}}
-					continue
-				}
-			}
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				out <- completion{row: Row{Scenario: sc}, err: ctx.Err()}
-			}
-		}
-		close(jobs)
-		wg.Wait()
-	}()
-	return out
+	wg.Wait()
 }
 
-// evaluate offers the scenario to every backend and merges their points
-// into one cell.
-func evaluate(ctx context.Context, sc Scenario, backends []eval.Evaluator) (Cell, error) {
-	cell := eval.NewPoint()
+// compute evaluates one cold cell under its eval.cell span: the scenario
+// is offered to every backend and their points merge into one cell. A
+// backend that panics fails its cell, not the process — a request must
+// never be able to kill a shard.
+func compute(ctx context.Context, sc Scenario, key string, backends []eval.Evaluator) (cell Cell, err error) {
+	if err := ctx.Err(); err != nil {
+		return Cell{}, err
+	}
+	ctx, span := obs.StartSpanKeyed(ctx, "eval.cell", key)
+	defer func() {
+		if p := recover(); p != nil {
+			cell, err = Cell{}, fmt.Errorf("backend panic on cell %s: %v", key, p)
+		}
+		if err != nil {
+			span.End(obs.Bool("cached", false), obs.String("error", err.Error()))
+			return
+		}
+		span.End(obs.Bool("cached", false))
+	}()
+	cell = eval.NewPoint()
 	for _, be := range backends {
 		pt, err := be.Evaluate(ctx, sc)
 		if err != nil {
@@ -298,49 +326,191 @@ func evaluate(ctx context.Context, sc Scenario, backends []eval.Evaluator) (Cell
 	return cell, nil
 }
 
-// Evaluate answers one scenario through the runner's cache and backends:
-// the single-cell form of Run, used by the serving layer's /v1/eval. It
-// reports whether the cell was served from cache; fresh cells are stored
-// before returning. The spec-dependent default backend list cannot be
-// inferred from a lone scenario, so a runner without explicit Backends
-// evaluates with the analytic model plus — when the scenario asks for
-// them — the simulator and the bound calculus anchored on it.
-func (r *Runner) Evaluate(ctx context.Context, sc Scenario) (Cell, bool, error) {
-	return r.EvaluateKeyed(ctx, sc, sc.Key())
+// observe feeds one completed cell to the calibration observer, if any.
+func (r *Runner) observe(ctx context.Context, cacheKey string, cell Cell) {
+	if r.Calib != nil {
+		r.Calib.ObserveCell(ctx, cacheKey, cell)
+	}
 }
 
-// EvaluateKeyed is Evaluate for a caller that already holds the
-// scenario's key (key == sc.Key(), as ExpandKeyed returns it): the key is
-// not built again for the cache line, the span or the observer.
-func (r *Runner) EvaluateKeyed(ctx context.Context, sc Scenario, key string) (Cell, bool, error) {
+// hit serves one cell from the cache: the cached eval.cell span, the
+// observer feed. key is the scenario's key, cacheKey its salted line.
+func (r *Runner) hit(ctx context.Context, key, cacheKey string) (Cell, bool) {
+	if r.Cache == nil {
+		return Cell{}, false
+	}
+	cell, ok := r.Cache.Get(cacheKey)
+	if ok {
+		r.hits.Add(1)
+		_, span := obs.StartSpanKeyed(ctx, "eval.cell", key)
+		span.End(obs.Bool("cached", true))
+		r.observe(ctx, cacheKey, cell)
+	}
+	return cell, ok
+}
+
+// land takes one fresh cell in: the cache write-back, the observer feed.
+func (r *Runner) land(ctx context.Context, cacheKey string, cell Cell) {
+	if r.Cache != nil {
+		r.Cache.Put(cacheKey, cell)
+	}
+	r.observe(ctx, cacheKey, cell)
+	r.fresh.Add(1)
+}
+
+// Evaluate answers one scenario through the runner's cache and backends:
+// the single-cell form of Run, behind the serving layer's /v1/eval and
+// the capacity planner's probes. It reports whether the cell was served
+// from cache; fresh cells are stored before returning. The spec-dependent
+// default backend list cannot be inferred from a lone scenario, so a
+// runner without explicit Backends evaluates with the analytic model plus
+// — when the scenario asks for them — the simulator and the bound
+// calculus anchored on it.
+func (r *Runner) Evaluate(ctx context.Context, sc Scenario) (Cell, bool, error) {
+	return r.evaluate(ctx, sc, sc.Key())
+}
+
+// evaluate is Evaluate given the scenario's key (key == sc.Key(), as
+// ExpandKeyed returns it): the key is not built again for the cache line,
+// the span or the observer.
+func (r *Runner) evaluate(ctx context.Context, sc Scenario, key string) (Cell, bool, error) {
 	r.init()
 	cacheKey := key
 	if r.salted() {
 		cacheKey = r.salt + key
 	}
-	if r.Cache != nil {
-		if cell, ok := r.Cache.Get(cacheKey); ok {
-			_, span := obs.StartSpanKeyed(ctx, "eval.cell", key)
-			span.End(obs.Bool("cached", true))
-			r.observe(ctx, cacheKey, cell)
-			return cell, true, nil
+	if cell, ok := r.hit(ctx, key, cacheKey); ok {
+		return cell, true, nil
+	}
+	cell, err := compute(ctx, sc, key, r.backends(sc.WithSim, sc.WithBounds))
+	if err != nil {
+		return Cell{}, false, err
+	}
+	r.land(ctx, cacheKey, cell)
+	return cell, false, nil
+}
+
+// EvaluateList answers an explicit scenario list (keys[i] ==
+// scens[i].Key()) cell by cell through the cache and the runner's pool:
+// the list form of Evaluate, behind /v1/batch and /v1/sweep/part. Every
+// cell's outcome — its point, or its own error; one failure does not stop
+// the others — reaches fn as it completes, from the pool's goroutines, so
+// fn must be safe for concurrent calls. Cells that fail only because ctx
+// ended are not reported. It returns when every cell is answered or ctx
+// has ended.
+func (r *Runner) EvaluateList(ctx context.Context, scens []Scenario, keys []string, fn func(i int, cell Cell, err error)) {
+	each(ctx, r.workers(Spec{}, len(scens)), len(scens), func(i int) {
+		cell, _, err := r.evaluate(ctx, scens[i], keys[i])
+		if err != nil && ctx.Err() != nil {
+			return // cancellation, not the scenario's fault
+		}
+		fn(i, cell, err)
+	})
+}
+
+// landed is one fresh cell travelling from a scheduler's goroutine to the
+// sweep's consumer.
+type landed struct {
+	i    int
+	cell Cell
+}
+
+// sweep is the one grid path under Run and Stream: expand, root span,
+// cache pass, schedule the cold cells, write back, observe, account. Rows
+// reach the caller on this goroutine in completion order, warm cells
+// first: into res (which also asks for curve metadata) or through emit,
+// whose false return — the consumer is gone — abandons the sweep. The
+// returned error is the sweep's failure, or ctx's own error when ctx
+// ended first: a timeout is not any one scenario's fault.
+func (r *Runner) sweep(ctx context.Context, spec Spec, res *Result, emit func(Row) bool) (err error) {
+	scens, keys, err := ExpandKeyed(spec)
+	if err != nil {
+		return err
+	}
+	g := &Grid{Spec: spec, Scens: scens, Keys: keys}
+	ctx, span := obs.StartSpanKeyed(ctx, "sweep.run", specTraceKey(spec))
+	defer func() {
+		if err != nil {
+			span.SetAttr(obs.String("error", err.Error()))
+		}
+		span.End()
+	}()
+	span.SetAttr(obs.Int("cells", len(scens)))
+	r.init()
+	if res != nil {
+		if res.Curves, err = r.resolveCurves(ctx, g); err != nil {
+			return err
+		}
+		res.Rows = make([]Row, len(scens))
+	}
+	done := 0
+	finish := func(i int, cell Cell, cached bool) bool {
+		done++
+		row := Row{Scenario: scens[i], Cell: cell, Cached: cached}
+		if r.Progress != nil {
+			r.Progress(Event{Done: done, Total: len(scens), Scenario: row.Scenario, Cached: cached})
+		}
+		if res != nil {
+			res.Rows[i] = row
+			return true
+		}
+		return emit(row)
+	}
+
+	// Cache pass: warm cells complete here and now, cold indices become
+	// the scheduler's work list.
+	cacheKeys := r.cacheKeys(keys)
+	var cold []int
+	for i := range scens {
+		if cell, ok := r.hit(ctx, keys[i], cacheKeys[i]); ok {
+			if !finish(i, cell, true) {
+				return ctx.Err()
+			}
+			continue
+		}
+		if cold == nil {
+			cold = make([]int, 0, len(scens)-i)
+		}
+		cold = append(cold, i)
+	}
+	hits := done
+
+	if len(cold) > 0 {
+		sched := r.Scheduler
+		if sched == nil {
+			sched = localPool{r}
+		}
+		runCtx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		// Sized to the cold set, so a scheduler's deliver never blocks on
+		// a slow consumer.
+		out := make(chan landed, len(cold))
+		var schedErr error
+		go func() {
+			defer close(out)
+			schedErr = sched.Schedule(runCtx, g, cold, func(i int, cell Cell) {
+				r.land(ctx, cacheKeys[i], cell)
+				out <- landed{i, cell}
+			})
+		}()
+		for c := range out {
+			if runCtx.Err() == nil && !finish(c.i, c.cell, false) {
+				cancel() // consumer gone; the scheduler unwinds and closes out
+			}
+		}
+		if schedErr != nil && ctx.Err() == nil {
+			return schedErr
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return Cell{}, false, err
+		return err
 	}
-	cctx, span := obs.StartSpanKeyed(ctx, "eval.cell", key)
-	cell, err := evaluate(cctx, sc, r.backends(sc.WithSim, sc.WithBounds))
-	if err != nil {
-		span.End(obs.Bool("cached", false), obs.String("error", err.Error()))
-		return Cell{}, false, err
+	span.SetAttr(obs.Int("cache_hits", hits))
+	span.SetAttr(obs.Int("cache_misses", done-hits))
+	if res != nil {
+		res.CacheHits, res.CacheMisses = hits, done-hits
 	}
-	span.End(obs.Bool("cached", false))
-	if r.Cache != nil {
-		r.Cache.Put(cacheKey, cell)
-	}
-	r.observe(cctx, cacheKey, cell)
-	return cell, false, nil
+	return nil
 }
 
 // Run expands the spec and executes every scenario, returning rows in
@@ -351,57 +521,10 @@ func (r *Runner) EvaluateKeyed(ctx context.Context, sc Scenario, key string) (Ce
 // cells completed before the cancellation are still in the cache.
 func (r *Runner) Run(ctx context.Context, spec Spec) (*Result, error) {
 	start := time.Now()
-	scens, keys, err := ExpandKeyed(spec)
-	if err != nil {
+	res := &Result{Spec: spec}
+	if err := r.sweep(ctx, spec, res, nil); err != nil {
 		return nil, err
 	}
-	ctx, span := obs.StartSpanKeyed(ctx, "sweep.run", specTraceKey(spec))
-	defer func() { span.End() }()
-	span.SetAttr(obs.Int("cells", len(scens)))
-	backends := r.backends(spec.withSim(), spec.wantBounds())
-	curves, err := r.resolveCurves(ctx, spec, scens, backends)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Spec: spec, Rows: make([]Row, len(scens)), Curves: curves}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var firstErr error
-	done := 0
-	for c := range r.launch(runCtx, spec, scens, keys, backends) {
-		if c.err != nil {
-			// Genuine scenario failures are reported with their cell;
-			// errors that merely reflect ctx ending (directly, or wrapped
-			// by an aborted simulation) fall through to the ctx.Err()
-			// return below — a timeout is not any one scenario's fault.
-			if firstErr == nil && ctx.Err() == nil && !errors.Is(c.err, context.Canceled) {
-				firstErr = fmt.Errorf("sweep: scenario %d (%s, load %v): %w",
-					c.row.Scenario.Index, c.row.Scenario.CurveKey(), c.row.Scenario.Load.Value, c.err)
-			}
-			cancel() // fail fast; remaining cells drain as cancelled
-			continue
-		}
-		res.Rows[c.row.Scenario.Index] = c.row
-		done++
-		if c.row.Cached {
-			res.CacheHits++
-		} else {
-			res.CacheMisses++
-		}
-		if r.Progress != nil {
-			r.Progress(Event{Done: done, Total: len(scens), Scenario: c.row.Scenario, Cached: c.row.Cached})
-		}
-	}
-	if firstErr != nil {
-		span.SetAttr(obs.String("error", firstErr.Error()))
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	span.SetAttr(obs.Int("cache_hits", res.CacheHits))
-	span.SetAttr(obs.Int("cache_misses", res.CacheMisses))
 	res.Elapsed = time.Since(start)
 	return res, nil
 }
@@ -417,63 +540,24 @@ func specTraceKey(spec Spec) string {
 }
 
 // Stream expands the spec and delivers each cell on the returned channel
-// as it completes (completion order, not expansion order). The channel
-// closes when the sweep finishes, fails, or ctx is cancelled. A failure
-// is delivered as the final PointResult with Err set — guaranteed, as
-// long as the consumer keeps receiving until the channel closes.
-// Cancelling or timing out ctx instead closes the channel promptly with
-// no terminal error element (the consumer's own ctx is the signal) and
-// leaves no goroutines behind.
+// as it completes (completion order, not expansion order; curve metadata
+// is Run's, and is not resolved). The channel closes when the sweep
+// finishes, fails, or ctx is cancelled. A failure — a bad spec included —
+// is delivered as the final PointResult with Err set: guaranteed, as long
+// as the consumer keeps receiving until the channel closes. Cancelling or
+// timing out ctx instead closes the channel promptly with no terminal
+// error element (the consumer's own ctx is the signal) and leaves no
+// goroutines behind.
 func (r *Runner) Stream(ctx context.Context, spec Spec) <-chan PointResult {
 	out := make(chan PointResult)
 	go func() {
 		defer close(out)
-		scens, keys, err := ExpandKeyed(spec)
+		err := r.sweep(ctx, spec, nil, func(row Row) bool { return emit(ctx, out, PointResult{Row: row}) })
 		if err != nil {
-			emit(ctx, out, PointResult{Err: err})
-			return
-		}
-		ctx, span := obs.StartSpanKeyed(ctx, "sweep.run", specTraceKey(spec))
-		defer func() { span.End() }()
-		span.SetAttr(obs.Int("cells", len(scens)))
-		backends := r.backends(spec.withSim(), spec.wantBounds())
-		if _, err := r.resolveCurves(ctx, spec, scens, backends); err != nil {
-			emit(ctx, out, PointResult{Err: err})
-			return
-		}
-		runCtx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		done, total := 0, len(scens)
-		var streamErr error
-		for c := range r.launch(runCtx, spec, scens, keys, backends) {
-			switch {
-			case c.err != nil:
-				// Scenario failures end the sweep; errors that merely
-				// reflect ctx ending (directly, or wrapped by an aborted
-				// simulation) are cancellation, not failure — the close
-				// itself is the consumer's signal. By the time such a
-				// completion drains, ctx.Err() is already non-nil.
-				if streamErr == nil && ctx.Err() == nil && !errors.Is(c.err, context.Canceled) {
-					streamErr = fmt.Errorf("sweep: scenario %d (%s, load %v): %w",
-						c.row.Scenario.Index, c.row.Scenario.CurveKey(), c.row.Scenario.Load.Value, c.err)
-				}
-				cancel() // fail fast; keep draining the pool
-			case streamErr == nil:
-				done++
-				if r.Progress != nil {
-					r.Progress(Event{Done: done, Total: total, Scenario: c.row.Scenario, Cached: c.row.Cached})
-				}
-				if !emit(ctx, out, PointResult{Row: c.row}) {
-					cancel() // consumer gone; drain the pool and close
-				}
-			}
-		}
-		if streamErr != nil {
 			// While ctx is live this send blocks until the consumer takes
-			// it, so a consumer following the contract (receive until
-			// close) is guaranteed the error; once ctx has ended, close
-			// itself is the signal and emit gives up instead of leaking.
-			emit(ctx, out, PointResult{Err: streamErr})
+			// it; once ctx has ended, close itself is the signal and emit
+			// gives up instead of leaking.
+			emit(ctx, out, PointResult{Err: err})
 		}
 	}()
 	return out
@@ -548,20 +632,9 @@ func ResolveCurves(ctx context.Context, scens []Scenario, desc CurveDescriber, w
 		}
 		infos[i] = info
 	}
-	// Workers claim curves off a shared counter; results land at the
-	// curve's index, so the order never depends on scheduling.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < min(max(workers, 1), len(heads)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(heads) && ctx.Err() == nil; i = int(next.Add(1)) - 1 {
-				describe(i)
-			}
-		}()
-	}
-	wg.Wait()
+	// Results land at the curve's index, so the order never depends on
+	// scheduling.
+	each(ctx, workers, len(heads), describe)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -575,11 +648,11 @@ func ResolveCurves(ctx context.Context, scens []Scenario, desc CurveDescriber, w
 
 // resolveCurves resolves the grid's curves on the runner's workers,
 // through the first backend that can describe curves (the analytic
-// backend, in the default list; the remote backend over /v1/curve), under
-// a sweep.curves span that makes the set-up share of a sweep attributable.
-func (r *Runner) resolveCurves(ctx context.Context, spec Spec, scens []Scenario, backends []eval.Evaluator) ([]CurveInfo, error) {
+// backend, in the default list; the fleet client over /v1/curve), under a
+// sweep.curves span that makes the set-up share of a sweep attributable.
+func (r *Runner) resolveCurves(ctx context.Context, g *Grid) ([]CurveInfo, error) {
 	var desc CurveDescriber
-	for _, be := range backends {
+	for _, be := range r.backends(g.Spec.withSim(), g.Spec.wantBounds()) {
 		if d, ok := be.(CurveDescriber); ok {
 			desc = d
 			break
@@ -587,7 +660,7 @@ func (r *Runner) resolveCurves(ctx context.Context, spec Spec, scens []Scenario,
 	}
 	ctx, span := obs.StartSpanKeyed(ctx, "sweep.curves", "")
 	before := saturationSearches.Load()
-	curves, err := ResolveCurves(ctx, scens, desc, r.workers(spec, len(scens)))
+	curves, err := ResolveCurves(ctx, g.Scens, desc, r.workers(g.Spec, len(g.Scens)))
 	if span != nil { // untraced, the attrs are not even boxed
 		// A process-wide counter: exact unless another sweep searches at
 		// the same moment.

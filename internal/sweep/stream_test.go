@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"math"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -28,34 +27,6 @@ func collect(t *testing.T, ch <-chan PointResult, timeout time.Duration) []Point
 			out = append(out, pr)
 		case <-deadline:
 			t.Fatalf("stream did not close within %v (%d results so far)", timeout, len(out))
-		}
-	}
-}
-
-func TestStreamDeliversEveryCell(t *testing.T) {
-	spec := tinySpec()
-	run, err := (&Runner{Workers: 2}).Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed := collect(t, (&Runner{Workers: 2}).Stream(context.Background(), spec), time.Minute)
-	if len(streamed) != len(run.Rows) {
-		t.Fatalf("streamed %d cells, want %d", len(streamed), len(run.Rows))
-	}
-	rows := make([]Row, 0, len(streamed))
-	for _, pr := range streamed {
-		if pr.Err != nil {
-			t.Fatal(pr.Err)
-		}
-		rows = append(rows, pr.Row)
-	}
-	// Stream order is completion order; re-anchor on the grid index and
-	// compare cell for cell against Run.
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Scenario.Index < rows[j].Scenario.Index })
-	for i, row := range rows {
-		want := run.Rows[i]
-		if row.Scenario.Key() != want.Scenario.Key() || row.Model != want.Model || row.Sim != want.Sim {
-			t.Errorf("row %d differs: stream %+v vs run %+v", i, row.Cell, want.Cell)
 		}
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+
+	"repro/internal/workload"
 )
 
 // DecodeStrict decodes JSON into v (a pointer to a struct), rejecting
@@ -56,63 +58,10 @@ func unknownField(err error) (string, bool) {
 func namedFieldError(field string, known []string) error {
 	sort.Strings(known)
 	msg := fmt.Sprintf("unknown field %q", field)
-	if best, d := nearestField(field, known); best != "" && d <= (len(field)+2)/2 {
+	if best, d := workload.Nearest(field, known); best != "" && d <= (len(field)+2)/2 {
 		msg += fmt.Sprintf(" (did you mean %q?)", best)
 	}
 	return fmt.Errorf("%s; known fields: %s", msg, strings.Join(known, ", "))
-}
-
-// nearestField returns the known field with the smallest edit distance
-// to name, ignoring case and separators so "msgflits" matches
-// "msg_flits".
-func nearestField(name string, known []string) (string, int) {
-	canon := func(s string) string {
-		return strings.Map(func(r rune) rune {
-			if r == '_' || r == '-' {
-				return -1
-			}
-			return r
-		}, strings.ToLower(s))
-	}
-	best, bestDist := "", -1
-	for _, k := range known {
-		d := editDistance(canon(name), canon(k))
-		if bestDist < 0 || d < bestDist {
-			best, bestDist = k, d
-		}
-	}
-	return best, bestDist
-}
-
-// editDistance is the Levenshtein distance between a and b.
-func editDistance(a, b string) int {
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
 }
 
 // jsonFields collects the JSON field names reachable from t's struct

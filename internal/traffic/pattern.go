@@ -168,7 +168,7 @@ type Transpose struct{}
 
 // Dest implements Pattern.
 func (Transpose) Dest(src, n int, _ *RNG) int {
-	side := isqrt(n)
+	side := Isqrt(n)
 	if side*side != n {
 		panic("traffic: Transpose needs a square processor count")
 	}
@@ -179,7 +179,8 @@ func (Transpose) Dest(src, n int, _ *RNG) int {
 // Name implements Pattern.
 func (Transpose) Name() string { return "transpose" }
 
-func isqrt(n int) int {
+// Isqrt returns ⌊√n⌋ (0 for negative n).
+func Isqrt(n int) int {
 	if n < 0 {
 		return 0
 	}

@@ -201,16 +201,27 @@ func (s *Spec) hotSet() []int {
 	return out
 }
 
-// suggest returns a did-you-mean candidate from opts within edit
-// distance 2 of got, or "".
-func suggest(got string, opts []string) string {
-	best, bestDist := "", 3
-	for _, o := range opts {
-		if d := editDistance(got, o); d < bestDist {
-			best, bestDist = o, d
+// Nearest returns the member of known with the smallest edit
+// (Levenshtein) distance to name, and that distance — the one
+// did-you-mean search under every spec parser's error messages. Case and
+// the separators '_' and '-' are ignored, so "msgflits" matches
+// "msg_flits". With known empty it returns "", -1.
+func Nearest(name string, known []string) (best string, dist int) {
+	canon := func(s string) string {
+		return strings.Map(func(r rune) rune {
+			if r == '_' || r == '-' {
+				return -1
+			}
+			return r
+		}, strings.ToLower(s))
+	}
+	dist = -1
+	for _, k := range known {
+		if d := editDistance(canon(name), canon(k)); dist < 0 || d < dist {
+			best, dist = k, d
 		}
 	}
-	return best
+	return best, dist
 }
 
 func editDistance(a, b string) int {
@@ -226,27 +237,17 @@ func editDistance(a, b string) int {
 			if a[i-1] == b[j-1] {
 				cost = 0
 			}
-			cur[j] = min3(cur[j-1]+1, prev[j]+1, prev[j-1]+cost)
+			cur[j] = min(cur[j-1]+1, prev[j]+1, prev[j-1]+cost)
 		}
 		prev, cur = cur, prev
 	}
 	return prev[len(b)]
 }
 
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
-}
-
 func badEnum(field, got string, opts []string) error {
 	msg := fmt.Sprintf("workload: unknown %s %q (want one of %s)",
 		field, got, strings.Join(opts, ", "))
-	if hint := suggest(got, opts); hint != "" {
+	if hint, d := Nearest(got, opts); d >= 0 && d <= 2 {
 		msg += fmt.Sprintf("; did you mean %q?", hint)
 	}
 	return fmt.Errorf("%s", msg)
@@ -544,7 +545,7 @@ func (s *Spec) BuildPattern(n int, dist func(a, b int) int) (traffic.Pattern, er
 		}
 		return traffic.BitComplement{}, nil
 	case PatternTranspose:
-		if r := isqrt(n); r*r != n {
+		if r := traffic.Isqrt(n); r*r != n {
 			return nil, fmt.Errorf("workload: transpose needs a square processor count, got %d", n)
 		}
 		return traffic.Transpose{}, nil
@@ -553,17 +554,4 @@ func (s *Spec) BuildPattern(n int, dist func(a, b int) int) (traffic.Pattern, er
 			PatternUniform, PatternHotspot, PatternLocality,
 			PatternBitComplement, PatternTranspose})
 	}
-}
-
-func isqrt(n int) int {
-	if n < 0 {
-		return 0
-	}
-	x := n
-	y := (x + 1) / 2
-	for y < x {
-		x = y
-		y = (x + n/x) / 2
-	}
-	return x
 }
