@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/calib"
 	"repro/internal/cliutil"
@@ -86,7 +85,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (rerr err
 		return nil
 	}
 	if *dump != "" {
-		spec, err := loadSpec(*dump)
+		spec, err := cliutil.LoadSpec(*dump, plan.Builtin, plan.ParseSpec)
 		if err != nil {
 			return err
 		}
@@ -95,7 +94,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (rerr err
 	if *specRef == "" {
 		return errors.New("no -spec given (try -spec builtin:bft-capacity, or -list)")
 	}
-	spec, err := loadSpec(*specRef)
+	spec, err := cliutil.LoadSpec(*specRef, plan.Builtin, plan.ParseSpec)
 	if err != nil {
 		return err
 	}
@@ -326,21 +325,4 @@ func progress(w io.Writer, u plan.Update) {
 		fmt.Fprintf(w, "plan: frontier %-25s cost=%.0f latency=%.4f max_load=%.6f\n",
 			c.Key(), c.Cost, c.Latency, c.MaxLoad)
 	}
-}
-
-// loadSpec resolves a -spec argument: "builtin:<name>" or a JSON file
-// path.
-func loadSpec(ref string) (plan.Spec, error) {
-	if name, ok := strings.CutPrefix(ref, "builtin:"); ok {
-		return plan.Builtin(name)
-	}
-	data, err := os.ReadFile(ref)
-	if err != nil {
-		return plan.Spec{}, err
-	}
-	spec, err := plan.ParseSpec(data)
-	if err != nil {
-		return plan.Spec{}, fmt.Errorf("%s: %w", ref, err)
-	}
-	return spec, nil
 }

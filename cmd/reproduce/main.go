@@ -116,7 +116,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		var res exp.Output
 		if *specFile != "" {
 			var spec sweep.Spec
-			if spec, err = cliutil.LoadSpec(*specFile); err == nil {
+			if spec, err = cliutil.LoadSpec(*specFile, sweep.Builtin, sweep.ParseSpec); err == nil {
 				res, err = e.RunSpec(ctx, runner, spec)
 			}
 		} else {

@@ -122,7 +122,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (rerr err
 		return nil
 	}
 	if *dump != "" {
-		spec, err := cliutil.LoadSpec(*dump)
+		spec, err := cliutil.LoadSpec(*dump, sweep.Builtin, sweep.ParseSpec)
 		if err != nil {
 			return err
 		}
@@ -234,7 +234,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (rerr err
 
 	var results []*sweep.Result
 	for _, ref := range specs {
-		spec, err := cliutil.LoadSpec(ref)
+		spec, err := cliutil.LoadSpec(ref, sweep.Builtin, sweep.ParseSpec)
 		if err != nil {
 			return err
 		}

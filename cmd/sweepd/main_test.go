@@ -164,7 +164,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	var health struct {
 		CacheHits   int64 `json:"cache_hits"`
 		Calibration struct {
-			StaleCells *int `json:"stale_cells"`
+			Pairs int64 `json:"pairs"`
 		} `json:"calibration"`
 	}
 	getJSON(t, url+"/healthz", &health)
@@ -201,8 +201,10 @@ func TestDaemonEndToEnd(t *testing.T) {
 	var served calib.Report
 	getJSON(t, url+"/v1/calib", &served)
 	getJSON(t, url+"/healthz", &health)
-	if health.Calibration.StaleCells == nil || *health.Calibration.StaleCells != 0 {
-		t.Errorf("/healthz calibration.stale_cells = %v, want 0", health.Calibration.StaleCells)
+	// The probe reads the live map; that the map is current with the
+	// store is checked against a fresh miner below.
+	if health.Calibration.Pairs != served.Pairs {
+		t.Errorf("/healthz calibration.pairs = %d, /v1/calib reports %d", health.Calibration.Pairs, served.Pairs)
 	}
 
 	if err := stop(); err != nil {

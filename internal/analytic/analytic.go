@@ -34,6 +34,11 @@ var (
 	satProbes       = obs.NewCounter("analytic_saturation_probes_total")
 )
 
+// SaturationSearches returns how many Eq. 26 saturation searches this
+// process has run — the read other layers use to attribute a search to
+// their own work (a delta around a call).
+func SaturationSearches() int64 { return satSearches.Load() }
+
 // resolve runs the bound workspace's fixed point and accounts for it.
 func resolve(ws *core.Workspace, opt core.Options) error {
 	err := ws.Resolve(opt)

@@ -205,13 +205,6 @@ func (a *acc) boundTightness() float64 {
 	return a.SumBoundRel / float64(a.BoundN)
 }
 
-// Package-wide counters, folded into /metrics by internal/serve.
-var (
-	pairsTotal   = obs.NewCounter("calib_pairs_total")
-	regionsTotal = obs.NewCounter("calib_regions_total")
-	parseErrors  = obs.NewCounter("calib_parse_errors_total")
-)
-
 // Map is the calibration map: per-region accuracy accumulators plus the
 // set of cache keys already observed (so mining a store twice, or
 // mining a store that a live observer already walked, never
@@ -222,6 +215,7 @@ type Map struct {
 	regions map[Region]*acc
 	seen    map[string]struct{}
 	pairs   int64
+	badKeys int64 // observed keys eval.ParseKey rejected
 	sat     *eval.AnalyticBackend
 }
 
@@ -282,7 +276,7 @@ func (m *Map) observe(key string, pt eval.Point) (bool, string) {
 	m.seen[key] = struct{}{}
 	pk, err := eval.ParseKey(key)
 	if err != nil {
-		parseErrors.Add(1)
+		m.badKeys++
 		return false, ""
 	}
 	if !pairable(pt) {
@@ -297,11 +291,9 @@ func (m *Map) observe(key string, pt eval.Point) (bool, string) {
 	if !ok {
 		a = &acc{}
 		m.regions[r] = a
-		regionsTotal.Add(1)
 	}
 	a.add(pt.Model, pt.Sim, pt.BoundMax)
 	m.pairs++
-	pairsTotal.Add(1)
 	return true, r.String()
 }
 
@@ -439,6 +431,30 @@ func (m *Map) Report() Report {
 	}
 	rep.WorstMAPE = eval.Finite(worst)
 	return rep
+}
+
+// Collect implements obs.Collector with this map's numbers: how many
+// pairs and regions it holds (calib_pairs_total and calib_regions_total
+// are the same two figures under their counter names — a map only
+// grows), the keys it could not parse, and one calib_mape sample per
+// region, labelled with the region name.
+func (m *Map) Collect(emit func(obs.Sample)) {
+	if m == nil {
+		return
+	}
+	rep := m.Report()
+	m.mu.Lock()
+	badKeys := m.badKeys
+	m.mu.Unlock()
+	pairs, regions := float64(rep.Pairs), float64(len(rep.Regions))
+	emit(obs.Sample{Name: "calib_pairs_total", Kind: obs.KindCounter, Value: pairs})
+	emit(obs.Sample{Name: "calib_regions_total", Kind: obs.KindCounter, Value: regions})
+	emit(obs.Sample{Name: "calib_parse_errors_total", Kind: obs.KindCounter, Value: float64(badKeys)})
+	emit(obs.Sample{Name: "calib_pairs", Kind: obs.KindGauge, Value: pairs})
+	emit(obs.Sample{Name: "calib_regions", Kind: obs.KindGauge, Value: regions})
+	for _, r := range rep.Regions {
+		emit(obs.Sample{Name: "calib_mape", Kind: obs.KindGauge, Labels: obs.Label("region", r.Name), Value: r.MAPE})
+	}
 }
 
 // Summary is the compact health view of the map for /healthz.

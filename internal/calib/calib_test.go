@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/eval"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -298,7 +299,9 @@ func TestWriteMetrics(t *testing.T) {
 	k1, p1 := testCell(t, 0.6, 0, 110, 100)
 	m.Observe(context.Background(), k1, p1)
 	var b strings.Builder
-	m.WriteMetrics(&b)
+	if err := obs.WriteMetrics(&b, m); err != nil {
+		t.Fatal(err)
+	}
 	out := b.String()
 	for _, want := range []string{
 		"calib_pairs 1",

@@ -74,19 +74,20 @@ func DumpJSON(w io.Writer, v any) error {
 	return err
 }
 
-// LoadSpec resolves a -spec argument: "builtin:<name>" or the path of a
-// JSON sweep spec, decoded strictly and validated.
-func LoadSpec(ref string) (sweep.Spec, error) {
+// LoadSpec resolves a -spec argument: "builtin:<name>" through builtin,
+// or the path of a JSON spec file through parse (strict decode plus
+// validation). It serves both spec kinds — LoadSpec(ref, sweep.Builtin,
+// sweep.ParseSpec) and LoadSpec(ref, plan.Builtin, plan.ParseSpec).
+func LoadSpec[T any](ref string, builtin func(string) (T, error), parse func([]byte) (T, error)) (spec T, err error) {
 	if name, ok := strings.CutPrefix(ref, "builtin:"); ok {
-		return sweep.Builtin(name)
+		return builtin(name)
 	}
 	data, err := os.ReadFile(ref)
 	if err != nil {
-		return sweep.Spec{}, err
+		return spec, err
 	}
-	spec, err := sweep.ParseSpec(data)
-	if err != nil {
-		return sweep.Spec{}, fmt.Errorf("%s: %w", ref, err)
+	if spec, err = parse(data); err != nil {
+		return spec, fmt.Errorf("%s: %w", ref, err)
 	}
 	return spec, nil
 }

@@ -106,12 +106,6 @@ func WithBatch(n int) Option { return func(d *Dispatcher) { d.batch = n } }
 // is written back.
 func WithCache(c sweep.CacheStore) Option { return func(d *Dispatcher) { d.Cache = c } }
 
-// WithCalibration attaches the engine's live calibration observer: every
-// cell the dispatcher sees — warm from the cache or fresh off a shard —
-// is fed to it under its fleet-salted key, so a front-end dispatcher
-// keeps the calibration map current without re-mining the store.
-func WithCalibration(o sweep.CellObserver) Option { return func(d *Dispatcher) { d.Calib = o } }
-
 // WithHTTPClient replaces the transport's default HTTP client on every
 // path — range streams, per-cell Evaluate and /v1/curve requests — with
 // eval.WithHTTPClient's semantics.
@@ -179,28 +173,6 @@ func (d *Dispatcher) setHealth(addr string, h ShardHealth) {
 	d.healthMu.Unlock()
 }
 
-// HealthSummary counts shards per state — the /healthz and /metrics
-// fleet-health rollup.
-func (d *Dispatcher) HealthSummary() (healthy, backoff, ejected int) {
-	d.healthMu.Lock()
-	defer d.healthMu.Unlock()
-	for _, h := range d.health {
-		switch h {
-		case ShardBackoff:
-			backoff++
-		case ShardEjected:
-			ejected++
-		default:
-			healthy++
-		}
-	}
-	return healthy, backoff, ejected
-}
-
-// QueueDepth gauges dispatch backpressure: cold cells queued or in
-// flight across every active sweep.
-func (d *Dispatcher) QueueDepth() int64 { return d.queueDepth.Load() }
-
 // Addrs returns the normalized shard addresses.
 func (d *Dispatcher) Addrs() []string { return append([]string(nil), d.addrs...) }
 
@@ -234,19 +206,32 @@ func (d *Dispatcher) Stats() Stats {
 	}
 }
 
-// StatsMap renders the counters under stable snake_case names; the
-// serving layer's /metrics endpoint exports them with a sweep_dispatch_
-// prefix.
-func (d *Dispatcher) StatsMap() map[string]int64 {
+// Collect implements obs.Collector: the lifetime counters of Stats, the
+// shard-health rollup (shards per scheduling state) and the queue-depth
+// backpressure gauge — cold cells queued or in flight across every
+// active sweep. A front-end server exports them on /metrics and reads
+// its /healthz fleet block from the same samples.
+func (d *Dispatcher) Collect(emit func(obs.Sample)) {
 	st := d.Stats()
-	return map[string]int64{
-		"cache_hits_total":     st.CacheHits,
-		"cells_total":          st.Cells,
-		"batches_total":        st.Batches,
-		"requeues_total":       st.Requeues,
-		"shard_failures_total": st.ShardFailures,
-		"ejected_shards_total": st.EjectedShards,
+	count := func(name string, v int64) {
+		emit(obs.Sample{Name: "sweep_dispatch_" + name, Kind: obs.KindCounter, Value: float64(v)})
 	}
+	count("cache_hits_total", st.CacheHits)
+	count("cells_total", st.Cells)
+	count("batches_total", st.Batches)
+	count("requeues_total", st.Requeues)
+	count("shard_failures_total", st.ShardFailures)
+	count("ejected_shards_total", st.EjectedShards)
+	var states [ShardEjected + 1]int
+	d.healthMu.Lock()
+	for _, h := range d.health {
+		states[h]++
+	}
+	d.healthMu.Unlock()
+	for h, n := range states {
+		emit(obs.Sample{Name: "sweep_dispatch_shards_" + ShardHealth(h).String(), Kind: obs.KindGauge, Value: float64(n)})
+	}
+	emit(obs.Sample{Name: "sweep_dispatch_queue_depth", Kind: obs.KindGauge, Value: float64(d.queueDepth.Load())})
 }
 
 // spanSize returns the range bound for a cold set of n cells.

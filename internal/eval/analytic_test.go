@@ -5,14 +5,10 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/obs"
+	"repro/internal/analytic"
 	"repro/internal/race"
 	"repro/internal/workload"
 )
-
-// The analytic layer's Eq. 26 search counter (registered by package
-// analytic; NewCounter returns the existing one).
-var saturationSearches = obs.NewCounter("analytic_saturation_searches_total")
 
 // TestSaturationSearchedOnce: however many goroutines touch a fresh
 // curve at the same moment — through SaturationLoad, ResolveLoad, Curve
@@ -25,7 +21,7 @@ func TestSaturationSearchedOnce(t *testing.T) {
 	ablated := sc
 	ablated.Variant = Variant{Name: "no-blocking", NoBlockingCorrection: true}
 
-	before := saturationSearches.Load()
+	before := analytic.SaturationSearches()
 	const n = 16
 	loads := make([]float64, n)
 	errs := make([]error, n)
@@ -64,7 +60,7 @@ func TestSaturationSearchedOnce(t *testing.T) {
 			t.Fatalf("goroutine %d resolved load %v, goroutine 0 %v", i, loads[i], loads[0])
 		}
 	}
-	if got := saturationSearches.Load() - before; got != 1 {
+	if got := analytic.SaturationSearches() - before; got != 1 {
 		t.Errorf("%d goroutines on one fresh curve ran %d saturation searches, want 1", n, got)
 	}
 }

@@ -3,7 +3,6 @@ package plan
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/eval"
@@ -20,53 +19,19 @@ type CostModel interface {
 	Cost(topo eval.Topology, msgFlits int) (float64, error)
 }
 
-var (
-	costMu     sync.Mutex
-	costModels = map[string]CostModel{}
-)
-
-// RegisterCostModel adds a cost model to the registry, making it
-// addressable from specs by name. Registering a duplicate name is an
-// error (the builtins cannot be shadowed).
-func RegisterCostModel(m CostModel) error {
-	costMu.Lock()
-	defer costMu.Unlock()
-	if m == nil || m.Name() == "" {
-		return fmt.Errorf("plan: cost model must have a name")
-	}
-	if _, dup := costModels[m.Name()]; dup {
-		return fmt.Errorf("plan: cost model %q already registered", m.Name())
-	}
-	costModels[m.Name()] = m
-	return nil
-}
-
-// CostModels lists the registered cost model names, sorted.
-func CostModels() []string {
-	costMu.Lock()
-	defer costMu.Unlock()
-	names := make([]string, 0, len(costModels))
-	for n := range costModels {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+// builtinPorts is the one portCost instance: it memoizes per topology,
+// so every spec shares it.
+var builtinPorts = newPortCost()
 
 // costModel resolves a spec's cost model name.
 func costModel(name string) (CostModel, error) {
-	costMu.Lock()
-	defer costMu.Unlock()
-	m, ok := costModels[name]
-	if !ok {
-		names := make([]string, 0, len(costModels))
-		for n := range costModels {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		return nil, fmt.Errorf("plan: unknown cost model %q (have %v)", name, names)
+	switch name {
+	case "ports":
+		return builtinPorts, nil
+	case "processors":
+		return processorCost{}, nil
 	}
-	return m, nil
+	return nil, fmt.Errorf("plan: unknown cost model %q (have [ports processors])", name)
 }
 
 // cost applies the spec's weighting to the selected model.
@@ -144,14 +109,5 @@ func (processorCost) Cost(topo eval.Topology, msgFlits int) (float64, error) {
 		return math.Pow(float64(topo.K), float64(topo.Size)), nil
 	default:
 		return math.NaN(), fmt.Errorf("plan: unknown family %q", topo.Family)
-	}
-}
-
-func init() {
-	if err := RegisterCostModel(newPortCost()); err != nil {
-		panic(err)
-	}
-	if err := RegisterCostModel(processorCost{}); err != nil {
-		panic(err)
 	}
 }

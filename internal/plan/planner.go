@@ -37,18 +37,12 @@ type Engine interface {
 // Planner runs plan specs against an Engine. Construct with New; safe
 // for concurrent use (per-run state lives on the stack).
 type Planner struct {
-	engine   Engine
-	progress func(Update)
-	calib    *calib.Map
+	engine Engine
+	calib  *calib.Map
 }
 
 // Option configures a Planner.
 type Option func(*Planner)
-
-// WithProgress attaches a per-update callback (called from a single
-// goroutine, in emission order). Stream supersedes it for consumers
-// that want a channel.
-func WithProgress(f func(Update)) Option { return func(p *Planner) { p.progress = f } }
 
 // WithCalibration attaches the calibration map the trust gate consults
 // when a spec sets Calibration. Without a map (or for specs without
@@ -80,7 +74,7 @@ func NewLocal(cache sweep.CacheStore, opts ...Option) *Planner {
 
 // Run executes the plan and returns the assembled result.
 func (p *Planner) Run(ctx context.Context, spec Spec) (*Result, error) {
-	return p.run(ctx, spec, p.progress)
+	return p.run(ctx, spec, nil)
 }
 
 // Stream executes the plan and delivers progress updates on the
@@ -105,7 +99,7 @@ func (p *Planner) Stream(ctx context.Context, spec Spec) <-chan Update {
 				return false
 			}
 		}
-		res, err := p.run(ctx, spec, p.progress, emit)
+		res, err := p.run(ctx, spec, emit)
 		switch {
 		case err != nil:
 			if ctx.Err() == nil && !errors.Is(err, context.Canceled) {
@@ -123,10 +117,9 @@ func (p *Planner) Stream(ctx context.Context, spec Spec) <-chan Update {
 var errAbandoned = errors.New("plan: consumer gone")
 
 // run is the search: coarse prune grid, per-candidate bisection,
-// Pareto extraction, sim certification. progress (nillable) and emits
-// (each nillable) both observe updates; emits aborting the run by
-// returning false.
-func (p *Planner) run(ctx context.Context, spec Spec, progress func(Update), emits ...func(Update) bool) (res *Result, err error) {
+// Pareto extraction, sim certification. emit (nillable) observes every
+// update and aborts the run by returning false.
+func (p *Planner) run(ctx context.Context, spec Spec, emit func(Update) bool) (res *Result, err error) {
 	start := time.Now()
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -149,13 +142,8 @@ func (p *Planner) run(ctx context.Context, spec Spec, progress func(Update), emi
 		span.End()
 	}()
 	notify := func(u Update) error {
-		if progress != nil {
-			progress(u)
-		}
-		for _, emit := range emits {
-			if emit != nil && !emit(u) {
-				return errAbandoned
-			}
+		if emit != nil && !emit(u) {
+			return errAbandoned
 		}
 		return nil
 	}

@@ -88,9 +88,8 @@ type Constraints struct {
 
 // CostSpec selects and scales the cost model.
 type CostSpec struct {
-	// Model names a registered cost model: "ports" (default, total
-	// directed channels of the instance), "processors", or any model
-	// added with RegisterCostModel.
+	// Model names the cost model: "ports" (default, total directed
+	// channels of the instance) or "processors".
 	Model string `json:"model,omitempty"`
 	// Weight scales the model's raw value (default 1); Fixed adds a
 	// constant. Cost = Fixed + Weight * model(candidate).

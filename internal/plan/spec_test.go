@@ -144,11 +144,8 @@ func TestCostModels(t *testing.T) {
 		t.Errorf("weighted cost = %v (%v), want 138", c, err)
 	}
 
-	if _, err := costModel("nope"); err == nil {
-		t.Error("unknown cost model resolved")
-	}
-	if err := RegisterCostModel(newPortCost()); err == nil {
-		t.Error("duplicate registration accepted")
+	if _, err := costModel("nope"); err == nil || err.Error() != `plan: unknown cost model "nope" (have [ports processors])` {
+		t.Errorf("unknown cost model: err = %v", err)
 	}
 }
 

@@ -140,8 +140,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding scenario batch: %w", err))
 		return
 	}
-	s.metrics.add("sweep_batch_requests_total", 1)
-	s.metrics.add("sweep_batch_cells_total", int64(len(scs)))
+	s.traffic.add("sweep_batch_requests_total", 1)
+	s.traffic.add("sweep_batch_cells_total", int64(len(scs)))
 	keys := make([]string, len(scs))
 	for i := range scs {
 		keys[i] = scs[i].Key()
@@ -221,8 +221,8 @@ func (s *Server) handlePart(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("part range [%d, %d) out of bounds for a %d-cell grid", req.Start, req.End, len(grid.Scens)))
 		return
 	}
-	s.metrics.add("sweep_part_requests_total", 1)
-	s.metrics.add("sweep_part_cells_total", int64(req.End-req.Start))
+	s.traffic.add("sweep_part_requests_total", 1)
+	s.traffic.add("sweep_part_cells_total", int64(req.End-req.Start))
 	s.streamItems(w, r, grid.Scens[req.Start:req.End], grid.Keys[req.Start:req.End], req.Start)
 }
 
@@ -234,7 +234,7 @@ func (s *Server) handlePart(w http.ResponseWriter, r *http.Request) {
 // through the request context.
 func (s *Server) streamItems(w http.ResponseWriter, r *http.Request, scens []eval.Scenario, keys []string, base int) {
 	out := newNDJSON(w, eval.BatchItem{Index: -1})
-	defer func() { s.metrics.add("sweep_stream_rows_total", out.close()) }()
+	defer func() { s.traffic.add("sweep_stream_rows_total", out.close()) }()
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 	s.runner.EvaluateList(ctx, scens, keys, func(i int, cell sweep.Cell, err error) {

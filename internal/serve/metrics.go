@@ -1,68 +1,49 @@
 package serve
 
 import (
-	"fmt"
 	"log/slog"
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// This file is the observability surface of the sweep service: a
-// stdlib-only metrics registry rendered in the Prometheus text
-// exposition format on GET /metrics. Every registered endpoint gets a
-// request counter, an error counter (status >= 400) and a latency
-// histogram; the batched endpoints additionally count cells and streamed
-// rows, and a front-end running the dispatch coordinator contributes its
-// scheduler counters (see statsSource).
+// This file is the server's own share of the metrics surface: its
+// traffic statistics — per endpoint a request counter, an error counter
+// (status >= 400) and a latency histogram, plus the handlers' named
+// counters (batch cells, streamed rows, …) — described through
+// obs.Collector like every other component's numbers. GET /metrics
+// hands the server's collectors to obs.WriteMetrics, the one place
+// that knows the Prometheus text format.
 
 // latencyBuckets are the histogram's cumulative upper bounds, in
 // seconds; +Inf is implicit.
-var latencyBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
+var latencyBuckets = [...]float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
-// endpointStats aggregates one endpoint's traffic. Guarded by the
-// registry's mutex.
-type endpointStats struct {
+// endpoint aggregates one route's traffic.
+type endpoint struct {
+	path string
+
+	mu       sync.Mutex
 	requests int64
 	errors   int64
-	buckets  []int64 // one per latencyBuckets entry; cumulative on render
-	sum      float64 // total latency, seconds
+	buckets  [len(latencyBuckets)]int64 // per bucket; cumulative on Collect
+	sum      float64                    // total latency, seconds
 }
 
-// metricsRegistry collects per-endpoint traffic statistics plus named
-// scalar counters (batch cells, streamed rows, …).
-type metricsRegistry struct {
-	mu        sync.Mutex
-	endpoints map[string]*endpointStats
-	counters  map[string]int64
-}
-
-func newMetricsRegistry() *metricsRegistry {
-	return &metricsRegistry{
-		endpoints: make(map[string]*endpointStats),
-		counters:  make(map[string]int64),
-	}
-}
-
-// observe records one finished request.
-func (m *metricsRegistry) observe(path string, status int, elapsed time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ep := m.endpoints[path]
-	if ep == nil {
-		ep = &endpointStats{buckets: make([]int64, len(latencyBuckets))}
-		m.endpoints[path] = ep
-	}
+// observe records one finished request. It is the whole per-request
+// accounting cost, and allocates nothing.
+func (ep *endpoint) observe(status int, elapsed time.Duration) {
+	secs := elapsed.Seconds()
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
 	ep.requests++
 	if status >= 400 {
 		ep.errors++
 	}
-	secs := elapsed.Seconds()
 	ep.sum += secs
 	for i, ub := range latencyBuckets {
 		if secs <= ub {
@@ -72,73 +53,70 @@ func (m *metricsRegistry) observe(path string, status int, elapsed time.Duration
 	}
 }
 
-// add bumps a named scalar counter.
-func (m *metricsRegistry) add(name string, delta int64) {
-	m.mu.Lock()
-	m.counters[name] += delta
-	m.mu.Unlock()
+// traffic is the server's own obs.Collector: one endpoint per route —
+// registered by handle while the server is built, so the slice is
+// read-only once requests flow — and the handlers' named counters.
+type traffic struct {
+	endpoints []*endpoint // sorted by path
+
+	mu       sync.Mutex
+	counters map[string]int64
 }
 
-// render writes the registry in the Prometheus text format, endpoints,
-// counters and gauges in sorted order so the output is deterministic.
-func (m *metricsRegistry) render(w *strings.Builder, extra, gauges map[string]int64) {
-	m.mu.Lock()
-	paths := make([]string, 0, len(m.endpoints))
-	for p := range m.endpoints {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
+// endpoint registers a route's statistics slot.
+func (t *traffic) endpoint(path string) *endpoint {
+	ep := &endpoint{path: path}
+	t.endpoints = append(t.endpoints, ep)
+	sort.Slice(t.endpoints, func(i, j int) bool { return t.endpoints[i].path < t.endpoints[j].path })
+	return ep
+}
 
-	fmt.Fprintf(w, "# HELP sweep_http_requests_total Requests served, by endpoint.\n")
-	fmt.Fprintf(w, "# TYPE sweep_http_requests_total counter\n")
-	for _, p := range paths {
-		fmt.Fprintf(w, "sweep_http_requests_total{path=%q} %d\n", p, m.endpoints[p].requests)
+// add bumps a named counter.
+func (t *traffic) add(name string, delta int64) {
+	t.mu.Lock()
+	if t.counters == nil {
+		t.counters = make(map[string]int64)
 	}
-	fmt.Fprintf(w, "# HELP sweep_http_errors_total Requests answered with status >= 400, by endpoint.\n")
-	fmt.Fprintf(w, "# TYPE sweep_http_errors_total counter\n")
-	for _, p := range paths {
-		fmt.Fprintf(w, "sweep_http_errors_total{path=%q} %d\n", p, m.endpoints[p].errors)
-	}
-	fmt.Fprintf(w, "# HELP sweep_http_request_duration_seconds Request latency, by endpoint.\n")
-	fmt.Fprintf(w, "# TYPE sweep_http_request_duration_seconds histogram\n")
-	for _, p := range paths {
-		ep := m.endpoints[p]
+	t.counters[name] += delta
+	t.mu.Unlock()
+}
+
+// Collect implements obs.Collector. A route appears once it has served
+// a request and a named counter once its handler has run, so an idle
+// server's scrape carries no zero-valued traffic series.
+func (t *traffic) Collect(emit func(obs.Sample)) {
+	const duration = "sweep_http_request_duration_seconds"
+	for _, ep := range t.endpoints {
+		ep.mu.Lock()
+		n, errs, buckets, sum := ep.requests, ep.errors, ep.buckets, ep.sum
+		ep.mu.Unlock()
+		if n == 0 {
+			continue
+		}
+		path := obs.Label("path", ep.path)
+		emit(obs.Sample{Name: "sweep_http_requests_total", Kind: obs.KindCounter, Labels: path, Value: float64(n),
+			Help: "Requests served, by endpoint."})
+		emit(obs.Sample{Name: "sweep_http_errors_total", Kind: obs.KindCounter, Labels: path, Value: float64(errs),
+			Help: "Requests answered with status >= 400, by endpoint."})
 		var cum int64
 		for i, ub := range latencyBuckets {
-			cum += ep.buckets[i]
-			fmt.Fprintf(w, "sweep_http_request_duration_seconds_bucket{path=%q,le=%q} %d\n",
-				p, strconv.FormatFloat(ub, 'g', -1, 64), cum)
+			cum += buckets[i]
+			le := obs.Label("le", strconv.FormatFloat(ub, 'g', -1, 64))
+			emit(obs.Sample{Name: duration, Kind: obs.KindBucket, Labels: path + "," + le, Value: float64(cum),
+				Help: "Request latency, by endpoint."})
 		}
-		fmt.Fprintf(w, "sweep_http_request_duration_seconds_bucket{path=%q,le=\"+Inf\"} %d\n", p, ep.requests)
-		fmt.Fprintf(w, "sweep_http_request_duration_seconds_sum{path=%q} %g\n", p, ep.sum)
-		fmt.Fprintf(w, "sweep_http_request_duration_seconds_count{path=%q} %d\n", p, ep.requests)
+		emit(obs.Sample{Name: duration, Kind: obs.KindBucket, Labels: path + "," + obs.Label("le", "+Inf"), Value: float64(n)})
+		emit(obs.Sample{Name: duration, Kind: obs.KindSum, Labels: path, Value: sum})
+		emit(obs.Sample{Name: duration, Kind: obs.KindCount, Labels: path, Value: float64(n)})
 	}
-
-	names := make([]string, 0, len(m.counters)+len(extra))
-	merged := make(map[string]int64, len(m.counters)+len(extra))
-	for n, v := range m.counters {
-		merged[n] = v
-		names = append(names, n)
+	t.mu.Lock()
+	counters := make([]obs.Sample, 0, len(t.counters))
+	for name, v := range t.counters {
+		counters = append(counters, obs.Sample{Name: name, Kind: obs.KindCounter, Value: float64(v)})
 	}
-	m.mu.Unlock()
-	for n, v := range extra {
-		if _, dup := merged[n]; !dup {
-			names = append(names, n)
-		}
-		merged[n] = v
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", n, n, merged[n])
-	}
-
-	gnames := make([]string, 0, len(gauges))
-	for n := range gauges {
-		gnames = append(gnames, n)
-	}
-	sort.Strings(gnames)
-	for _, n := range gnames {
-		fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", n, n, gauges[n])
+	t.mu.Unlock()
+	for _, c := range counters {
+		emit(c)
 	}
 }
 
@@ -172,11 +150,13 @@ func (r *statusRecorder) Flush() {
 // span (parented on the client's span when trace headers arrive) and
 // the request-scoped structured log record. With no tracer, no logger
 // and no inbound trace headers the wrapper adds nothing to the hot
-// path beyond the existing metrics observation.
+// path beyond the endpoint's observe; the endpoint slot and the span
+// name are resolved here, once per route.
 func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
+	ep, spanName := s.traffic.endpoint(path), "serve:"+path
 	return func(w http.ResponseWriter, r *http.Request) {
 		ctx := obs.Extract(r.Context(), s.tracer, r.Header)
-		ctx, span := obs.StartSpan(ctx, "serve:"+path)
+		ctx, span := obs.StartSpan(ctx, spanName)
 		if ctx != r.Context() {
 			r = r.WithContext(ctx)
 		}
@@ -189,7 +169,7 @@ func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 		}
 		elapsed := time.Since(start)
 		span.End(obs.Int("status", status))
-		s.metrics.observe(path, status, elapsed)
+		ep.observe(status, elapsed)
 		if s.log != nil {
 			lvl := slog.LevelDebug
 			switch {
@@ -210,56 +190,11 @@ func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// statsSource is the optional counter surface of a sweeper: the dispatch
-// coordinator implements it, so a front-end server exports scheduler
-// counters (batches, requeues, ejections, …) alongside its own.
-type statsSource interface {
-	StatsMap() map[string]int64
-}
-
-// handleMetrics renders the registry in the Prometheus text format:
-// per-endpoint traffic, the server's own counters, the process-wide obs
-// counters (sim engine, store prune), dispatch scheduler counters, and
-// the gauge block (cache size, store disk usage, shard health, queue
-// depth).
+// handleMetrics renders every collector the server holds — its own
+// traffic, the process-wide library counters, and whichever of cache,
+// sweeper and calibration map describe themselves — in the Prometheus
+// text format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	extra := make(map[string]int64)
-	for name, v := range obs.Counters() {
-		extra[name] = v
-	}
-	if src, ok := s.sweeper.(statsSource); ok {
-		for name, v := range src.StatsMap() {
-			extra["sweep_dispatch_"+name] = v
-		}
-	}
-	gauges := make(map[string]int64)
-	if cs, ok := s.cache.(cacheStats); ok {
-		hits, misses := cs.Stats()
-		extra["sweep_cache_hits_total"] = hits
-		extra["sweep_cache_misses_total"] = misses
-		gauges["sweep_cache_cells"] = int64(cs.Len())
-	}
-	if sg, ok := s.cache.(storeGauges); ok {
-		if n, err := sg.DiskBytes(); err == nil {
-			gauges["sweep_store_disk_bytes"] = n
-		}
-		gauges["sweep_store_recovered_cells"] = int64(sg.Recovered())
-		gauges["sweep_store_dropped_lines"] = int64(sg.Dropped())
-	}
-	if hs, ok := s.sweeper.(healthSource); ok {
-		healthy, backoff, ejected := hs.HealthSummary()
-		gauges["sweep_dispatch_shards_healthy"] = int64(healthy)
-		gauges["sweep_dispatch_shards_backoff"] = int64(backoff)
-		gauges["sweep_dispatch_shards_ejected"] = int64(ejected)
-		gauges["sweep_dispatch_queue_depth"] = hs.QueueDepth()
-	}
-	var b strings.Builder
-	s.metrics.render(&b, extra, gauges)
-	// The calibration gauges are float-valued (per-region MAPE), so the
-	// map renders its own block after the int64 registry.
-	if s.calib != nil {
-		s.calib.WriteMetrics(&b)
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Write([]byte(b.String()))
+	obs.WriteMetrics(w, s.collectors...) // a write error means the scraper left
 }

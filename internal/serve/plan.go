@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"net/http"
 
 	"repro/internal/plan"
@@ -19,21 +18,10 @@ import (
 //	                the request context.
 //
 // The search runs on the server's planner: the shared local runner by
-// default (memoized backends, shared cache), or — on a front-end built
-// with WithPlanner — a fleet engine that shards the coarse grid across
+// default (memoized backends, shared cache), or — on a front-end whose
+// WithSweeper engine is a full plan.Engine, as the dispatch coordinator
+// is — that fleet engine, which shards the coarse grid across
 // downstream sweepd shards and probes them per-cell.
-
-// Planner executes plan specs for /v1/plan; *plan.Planner implements
-// it.
-type Planner interface {
-	Stream(ctx context.Context, spec plan.Spec) <-chan plan.Update
-}
-
-// WithPlanner routes /v1/plan through the given planner instead of the
-// default (a planner over the server's sweeper when it is a full
-// plan.Engine — the dispatch coordinator is — else over the local
-// runner). Use it for custom engines or progress hooks.
-func WithPlanner(p Planner) Option { return func(s *Server) { s.planner = p } }
 
 // handlePlan streams one capacity-planning search.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
@@ -47,9 +35,9 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.metrics.add("sweep_plan_requests_total", 1)
+	s.traffic.add("sweep_plan_requests_total", 1)
 	out := newNDJSON(w, nil)
-	defer func() { s.metrics.add("sweep_plan_stream_updates_total", out.close()) }()
+	defer func() { s.traffic.add("sweep_plan_stream_updates_total", out.close()) }()
 	for u := range s.planner.Stream(r.Context(), spec) {
 		if u.Err != nil {
 			out.fail(u.Err)

@@ -141,7 +141,7 @@ func TestPlanFrontEndFleetMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	front2 := newTestServer(t, WithPlanner(plan.New(d2)))
+	front2 := newTestServer(t, WithSweeper(d2))
 	killed := false
 	res2 := streamPlan(t, front2.URL, spec, func(u plan.Update) {
 		if !killed {

@@ -23,9 +23,10 @@
 //	                    (model-vs-sim accuracy per region; see
 //	                    internal/calib), when a map is attached
 //	GET  /healthz       liveness plus cache and calibration statistics
-//	GET  /metrics       Prometheus text metrics: per-endpoint request,
-//	                    error and latency histograms plus batch/dispatch
-//	                    counters (see metrics.go)
+//	GET  /metrics       Prometheus text metrics: obs.WriteMetrics over
+//	                    the server's collectors (its own traffic, see
+//	                    metrics.go; the library counters; the cache,
+//	                    dispatcher and calibration map it was given)
 //
 // A failing sweep delivers its error as the final NDJSON line,
 // {"error": …} — clients distinguish it from rows by the "error" key. The
@@ -69,15 +70,17 @@ type Server struct {
 	mux     *http.ServeMux
 	runner  *sweep.Runner
 	sweeper Sweeper
-	planner Planner
+	planner *plan.Planner
 	curves  sweep.CurveDescriber
 	cache   sweep.CacheStore
 	calib   *calib.Map
 	workers int
 	started time.Time
-	metrics *metricsRegistry
-	tracer  *obs.Tracer
-	log     *slog.Logger
+	traffic traffic
+	// collectors is everything GET /metrics renders and /healthz reads.
+	collectors []obs.Collector
+	tracer     *obs.Tracer
+	log        *slog.Logger
 	// expansions memoizes grid expansions across a dispatched sweep's
 	// /v1/sweep/part range requests.
 	expansions expansions
@@ -124,7 +127,7 @@ func WithSweeper(sw Sweeper) Option { return func(s *Server) { s.sweeper = sw } 
 // simulator networks are built once per server instance, not once per
 // request — and /v1/curve answers from the same backend.
 func New(opts ...Option) *Server {
-	s := &Server{mux: http.NewServeMux(), started: time.Now(), metrics: newMetricsRegistry()}
+	s := &Server{mux: http.NewServeMux(), started: time.Now()}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -143,20 +146,31 @@ func New(opts ...Option) *Server {
 	if s.sweeper == nil {
 		s.sweeper = s.runner
 	}
-	if s.planner == nil {
-		var popts []plan.Option
-		if s.calib != nil {
-			popts = append(popts, plan.WithCalibration(s.calib))
-		}
-		// A sweeper that is also a full plan engine (the dispatch
-		// coordinator: Run + Evaluate) carries /v1/plan too, so a fleet
-		// front-end configured only via WithSweeper plans over its
-		// fleet instead of silently searching locally.
-		if eng, ok := s.sweeper.(plan.Engine); ok {
-			s.planner = plan.New(eng, popts...)
-		} else {
-			s.planner = plan.New(s.runner, popts...)
-		}
+	var popts []plan.Option
+	if s.calib != nil {
+		popts = append(popts, plan.WithCalibration(s.calib))
+	}
+	// A sweeper that is also a full plan engine (the dispatch
+	// coordinator: Run + Evaluate) carries /v1/plan too, so a fleet
+	// front-end configured only via WithSweeper plans over its fleet
+	// instead of silently searching locally.
+	if eng, ok := s.sweeper.(plan.Engine); ok {
+		s.planner = plan.New(eng, popts...)
+	} else {
+		s.planner = plan.New(s.runner, popts...)
+	}
+	// The metrics surface: the server's own traffic and the process-wide
+	// library counters, plus each attached component that describes
+	// itself (sweep.Cache, store.Store, dispatch.Dispatcher, calib.Map).
+	s.collectors = []obs.Collector{&s.traffic, obs.Process}
+	if c, ok := s.cache.(obs.Collector); ok {
+		s.collectors = append(s.collectors, c)
+	}
+	if c, ok := s.sweeper.(obs.Collector); ok {
+		s.collectors = append(s.collectors, c)
+	}
+	if s.calib != nil {
+		s.collectors = append(s.collectors, s.calib)
 	}
 	s.handle("/v1/sweep", post(s.handleSweep))
 	s.handle("/v1/plan", post(s.handlePlan))
@@ -234,7 +248,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// No heartbeats here: /v1/sweep consumers parse Row lines, not
 	// BatchItems.
 	out := newNDJSON(w, nil)
-	defer func() { s.metrics.add("sweep_stream_rows_total", out.close()) }()
+	defer func() { s.traffic.add("sweep_stream_rows_total", out.close()) }()
 	for pr := range s.sweeper.Stream(r.Context(), spec) {
 		if pr.Err != nil {
 			out.fail(pr.Err) // mirrors Stream's contract: the error is the final line
@@ -327,30 +341,6 @@ func (s *Server) handleCalib(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(s.calib.Report())
 }
 
-// cacheStats is the optional statistics surface of a cache (both
-// sweep.Cache and store.Store provide it).
-type cacheStats interface {
-	Len() int
-	Stats() (hits, misses int64)
-}
-
-// storeGauges is the persistent store's extended surface (disk usage,
-// recovery and prune accounting); store.Store provides it.
-type storeGauges interface {
-	DiskBytes() (int64, error)
-	Recovered() int
-	Dropped() int
-	PrunedBytes() int64
-}
-
-// healthSource is the fleet-health surface of a sweeper: the dispatch
-// coordinator implements it, so a front-end reports shard health and
-// queue-depth backpressure on /healthz and /metrics.
-type healthSource interface {
-	HealthSummary() (healthy, backoff, ejected int)
-	QueueDepth() int64
-}
-
 // The module version (and VCS revision, when the binary was built from
 // a checkout), resolved once per process.
 var buildVersion, buildRevision = func() (version, revision string) {
@@ -384,23 +374,30 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if revision != "" {
 		payload["vcs_revision"] = revision
 	}
-	if cs, ok := s.cache.(cacheStats); ok {
-		hits, misses := cs.Stats()
-		payload["cache_cells"] = cs.Len()
-		payload["cache_hits"] = hits
-		payload["cache_misses"] = misses
-	}
-	if sg, ok := s.cache.(storeGauges); ok {
-		if n, err := sg.DiskBytes(); err == nil {
-			payload["store_disk_bytes"] = n
+	// The cache, store and fleet figures are the unlabelled samples of
+	// the same collectors /metrics renders; a key is present exactly
+	// when the component behind it is.
+	vals := make(map[string]float64)
+	for _, sm := range obs.Gather(s.collectors...) {
+		if sm.Labels == "" {
+			vals[sm.Name] = sm.Value
 		}
 	}
-	if hs, ok := s.sweeper.(healthSource); ok {
-		healthy, backoff, ejected := hs.HealthSummary()
-		payload["dispatch_shards"] = map[string]int{
-			"healthy": healthy, "backoff": backoff, "ejected": ejected,
+	if cells, ok := vals["sweep_cache_cells"]; ok {
+		payload["cache_cells"] = int64(cells)
+		payload["cache_hits"] = int64(vals["sweep_cache_hits_total"])
+		payload["cache_misses"] = int64(vals["sweep_cache_misses_total"])
+	}
+	if n, ok := vals["sweep_store_disk_bytes"]; ok {
+		payload["store_disk_bytes"] = int64(n)
+	}
+	if healthy, ok := vals["sweep_dispatch_shards_healthy"]; ok {
+		payload["dispatch_shards"] = map[string]int64{
+			"healthy": int64(healthy),
+			"backoff": int64(vals["sweep_dispatch_shards_backoff"]),
+			"ejected": int64(vals["sweep_dispatch_shards_ejected"]),
 		}
-		payload["dispatch_queue_depth"] = hs.QueueDepth()
+		payload["dispatch_queue_depth"] = int64(vals["sweep_dispatch_queue_depth"])
 	}
 	if s.calib != nil {
 		sum := s.calib.Summary()
@@ -411,12 +408,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		if sum.WorstMAPE != nil {
 			cal["worst_mape"] = *sum.WorstMAPE
 			cal["worst_region"] = sum.WorstRegion
-		}
-		// Staleness: cache cells the map has not observed yet (a cold
-		// map over a warm store, or cells landed through a path that
-		// bypassed the observer).
-		if src, ok := s.cache.(calib.Source); ok {
-			cal["stale_cells"] = s.calib.Staleness(src)
 		}
 		payload["calibration"] = cal
 	}

@@ -42,10 +42,6 @@ import (
 	"repro/internal/obs"
 )
 
-// storePrunedBytes counts record bytes evicted by Prune across every
-// Store in the process; the serve layer renders it on /metrics.
-var storePrunedBytes = obs.NewCounter("store_pruned_bytes_total")
-
 // segPattern matches segment files; the numeric component orders replay.
 const segPattern = "seg-*.ndjson"
 
@@ -248,12 +244,23 @@ func (s *Store) Recovered() int {
 	return s.recovered
 }
 
-// PrunedBytes returns how many record bytes Prune has evicted over
-// this Store instance's lifetime.
-func (s *Store) PrunedBytes() int64 {
+// Collect implements obs.Collector with this instance's numbers: the
+// series every result cache exports (hits, misses, live cells) and the
+// store's own disk, recovery and prune accounting.
+func (s *Store) Collect(emit func(obs.Sample)) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.prunedBytes
+	hits, misses, cells := s.hits, s.misses, len(s.index)
+	recovered, dropped, pruned := s.recovered, s.dropped, s.prunedBytes
+	s.mu.Unlock()
+	emit(obs.Sample{Name: "sweep_cache_hits_total", Kind: obs.KindCounter, Value: float64(hits)})
+	emit(obs.Sample{Name: "sweep_cache_misses_total", Kind: obs.KindCounter, Value: float64(misses)})
+	emit(obs.Sample{Name: "sweep_cache_cells", Kind: obs.KindGauge, Value: float64(cells)})
+	if n, err := s.DiskBytes(); err == nil {
+		emit(obs.Sample{Name: "sweep_store_disk_bytes", Kind: obs.KindGauge, Value: float64(n)})
+	}
+	emit(obs.Sample{Name: "sweep_store_recovered_cells", Kind: obs.KindGauge, Value: float64(recovered)})
+	emit(obs.Sample{Name: "sweep_store_dropped_lines", Kind: obs.KindGauge, Value: float64(dropped)})
+	emit(obs.Sample{Name: "store_pruned_bytes_total", Kind: obs.KindCounter, Value: float64(pruned)})
 }
 
 // Dropped returns how many corrupt or truncated lines recovery skipped.
@@ -422,7 +429,6 @@ func (s *Store) Prune(maxBytes int64) (evicted int, err error) {
 		n := int64(len(entries[i].line))
 		liveBytes -= n
 		s.prunedBytes += n
-		storePrunedBytes.Add(n)
 		delete(s.index, entries[i].key)
 		entries[i].line = nil
 		evicted++

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/eval"
+	"repro/internal/obs"
 )
 
 // Cell is the cached outcome of one scenario: the merged Point of every
@@ -95,4 +96,15 @@ func (c *Cache) Stats() (hits, misses int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
+}
+
+// Collect implements obs.Collector: the hit, miss and live-cell series
+// every result cache exports (store.Store emits the same three).
+func (c *Cache) Collect(emit func(obs.Sample)) {
+	c.mu.Lock()
+	hits, misses, cells := c.hits, c.misses, len(c.cells)
+	c.mu.Unlock()
+	emit(obs.Sample{Name: "sweep_cache_hits_total", Kind: obs.KindCounter, Value: float64(hits)})
+	emit(obs.Sample{Name: "sweep_cache_misses_total", Kind: obs.KindCounter, Value: float64(misses)})
+	emit(obs.Sample{Name: "sweep_cache_cells", Kind: obs.KindGauge, Value: float64(cells)})
 }

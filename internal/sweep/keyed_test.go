@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analytic"
 	"repro/internal/eval"
 	"repro/internal/obs"
 	"repro/internal/race"
@@ -157,7 +158,7 @@ func TestCurvesCancelledBeforeAnySearch(t *testing.T) {
 	calls := make(chan struct{}, 64)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	before := saturationSearches.Load()
+	before := analytic.SaturationSearches()
 	r := NewRunner(WithBackends(countingDescriber{Evaluator: ab, desc: ab, calls: calls}))
 	if _, err := r.Run(ctx, torusCurves()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run on a cancelled ctx = %v, want context.Canceled", err)
@@ -167,7 +168,7 @@ func TestCurvesCancelledBeforeAnySearch(t *testing.T) {
 	if n := len(calls); n != 0 {
 		t.Errorf("%d curves described on a cancelled ctx, want 0", n)
 	}
-	if got := saturationSearches.Load() - before; got != 0 {
+	if got := analytic.SaturationSearches() - before; got != 0 {
 		t.Errorf("%d saturation searches ran on a cancelled ctx, want 0", got)
 	}
 }
@@ -179,7 +180,7 @@ func TestCurvesParallelEqualsSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := ResolveCurves(context.Background(), scens, eval.NewAnalyticBackend(), 1)
+	serial, err := describeCurves(context.Background(), scens, eval.NewAnalyticBackend(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestCurvesParallelEqualsSerial(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{2, 4, 64} {
-		parallel, err := ResolveCurves(context.Background(), scens, eval.NewAnalyticBackend(), workers)
+		parallel, err := describeCurves(context.Background(), scens, eval.NewAnalyticBackend(), workers)
 		if err != nil {
 			t.Fatal(err)
 		}

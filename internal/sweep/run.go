@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/analytic"
 	"repro/internal/bounds"
 	"repro/internal/eval"
 	"repro/internal/obs"
@@ -593,12 +594,12 @@ func sameCurve(a, b *Scenario) bool {
 		a.Variant == b.Variant && a.Workload == b.Workload
 }
 
-// ResolveCurves builds the grid's per-curve metadata in order of first
+// describeCurves builds the grid's per-curve metadata in order of first
 // appearance, asking desc (nil leaves the model fields NaN) on up to
 // `workers` goroutines — a first look at a curve may be an Eq. 26 search
 // or a network round trip. CurveKey is built once per curve. Once ctx has
 // ended no further curve is described and its error is returned as is.
-func ResolveCurves(ctx context.Context, scens []Scenario, desc CurveDescriber, workers int) ([]CurveInfo, error) {
+func describeCurves(ctx context.Context, scens []Scenario, desc CurveDescriber, workers int) ([]CurveInfo, error) {
 	var heads []int // first scenario of each distinct curve
 	var keys []string
 	seen := make(map[string]bool)
@@ -659,15 +660,12 @@ func (r *Runner) resolveCurves(ctx context.Context, g *Grid) ([]CurveInfo, error
 		}
 	}
 	ctx, span := obs.StartSpanKeyed(ctx, "sweep.curves", "")
-	before := saturationSearches.Load()
-	curves, err := ResolveCurves(ctx, g.Scens, desc, r.workers(g.Spec, len(g.Scens)))
+	before := analytic.SaturationSearches()
+	curves, err := describeCurves(ctx, g.Scens, desc, r.workers(g.Spec, len(g.Scens)))
 	if span != nil { // untraced, the attrs are not even boxed
 		// A process-wide counter: exact unless another sweep searches at
 		// the same moment.
-		span.End(obs.Int("curves", len(curves)), obs.Int64("saturation_searches", saturationSearches.Load()-before))
+		span.End(obs.Int("curves", len(curves)), obs.Int64("saturation_searches", analytic.SaturationSearches()-before))
 	}
 	return curves, err
 }
-
-// saturationSearches is the analytic layer's Eq. 26 search counter.
-var saturationSearches = obs.NewCounter("analytic_saturation_searches_total")
