@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test allocs bench lint staticcheck fmt
+.PHONY: all build test allocs fuzz bench lint staticcheck fmt
 
 all: lint build test
 
@@ -19,6 +19,18 @@ test:
 # there through internal/race's build-tagged constant; here they are exact.
 allocs:
 	$(GO) test -run 'Alloc' -count=1 ./internal/... .
+
+# Every Fuzz* target in the module, 10 s each, starting from the seeds
+# its test adds (f.Add) and any testdata/fuzz corpus beside it. go test
+# takes one package and one target per -fuzz run, hence the loop; a
+# failure leaves its input under that package's testdata/fuzz to commit.
+fuzz:
+	@$(GO) test -list '^Fuzz' ./... | \
+	awk '/^Fuzz/ { names[++n] = $$1 } /^ok/ { for (i = 1; i <= n; i++) print $$2, names[i]; n = 0 }' | \
+	while read -r pkg target; do \
+		echo "fuzz $$pkg $$target"; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s "$$pkg" || exit 1; \
+	done
 
 # One iteration per benchmark: keeps bench_test.go compiling and running
 # without turning CI into a measurement job.

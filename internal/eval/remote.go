@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -211,7 +212,8 @@ func (b *RemoteBackend) Post(ctx context.Context, path string, body []byte, cons
 // — one of Addrs — it is a single attempt against that shard, and the
 // caller decides what a failure means: Transient tells a shard's
 // failure from a verdict. An error from fn ends the stream and is
-// returned as is.
+// returned as is. The item fn sees, and the Point behind it, may be
+// reused for the next line: fn copies what it keeps.
 func (b *RemoteBackend) Stream(ctx context.Context, shard, path string, body []byte, lo, hi int, fn func(*BatchItem) error) error {
 	attempt := func(addr string) error {
 		return b.post(ctx, addr+path, body, b.idle, func(r io.Reader, alive func()) error {
@@ -327,41 +329,101 @@ func (b *RemoteBackend) post(ctx context.Context, url string, body []byte, idle 
 // handed to fn stand, the rest can be recomputed elsewhere. An index
 // outside [lo, hi) or a cell carrying neither point nor error is a
 // protocol breach, permanent.
+//
+// Success lines in the canonical form (AppendItem) are scanned straight
+// out of the read buffer; the first line that is anything else — an
+// error, a heartbeat, another producer's formatting, a torn tail — hands
+// it and the rest of the stream to a json.Decoder, so what the stream may
+// contain and how each defect is classified are encoding/json's. On the
+// scan path fn sees the same *BatchItem, and the same Point behind it,
+// on every call: it must copy what it keeps (dispatch's deliver and
+// callBatch both do).
 func readItems(r io.Reader, alive func(), url string, lo, hi int, fn func(*BatchItem) error) error {
-	seen := make([]bool, hi-lo)
-	n := 0
+	s := itemStream{alive: alive, url: url, lo: lo, hi: hi, fn: fn, seen: make([]bool, hi-lo)}
+	br := bufio.NewReader(r)
+	var pt Point
+	it := BatchItem{Point: &pt}
+	for {
+		line, err := br.ReadSlice('\n')
+		if len(line) == 0 {
+			if err == io.EOF {
+				return s.end()
+			}
+			return s.torn(err)
+		}
+		var ok bool
+		if it.Index, ok = parseItem(line, &pt); !ok {
+			return s.decode(io.MultiReader(bytes.NewReader(bytes.Clone(line)), br))
+		}
+		if done, err := s.take(&it); done {
+			return err
+		}
+	}
+}
+
+// itemStream is the protocol state of one BatchItem stream, whichever
+// decoder feeds it.
+type itemStream struct {
+	alive  func()
+	url    string
+	lo, hi int
+	fn     func(*BatchItem) error
+	seen   []bool
+	n      int // distinct cells handed to fn
+}
+
+// decode is the encoding/json path: every line r still holds, through a
+// json.Decoder.
+func (s *itemStream) decode(r io.Reader) error {
 	dec := json.NewDecoder(r)
 	for {
 		var it BatchItem
 		if err := dec.Decode(&it); err == io.EOF {
-			break
+			return s.end()
 		} else if err != nil {
-			return &transientError{err: fmt.Errorf("eval: remote: %s: torn response stream after %d of %d item(s): %w", url, n, hi-lo, err)}
+			return s.torn(err)
 		}
-		alive()
-		if it.Index < 0 {
-			if it.Error == "" {
-				continue // heartbeat: the shard is alive, a cell is just slow
-			}
-			return &transientError{err: fmt.Errorf("eval: remote: %s: server failed mid-stream: %s", url, it.Error)}
-		}
-		if it.Index < lo || it.Index >= hi {
-			return fmt.Errorf("eval: remote: %s: item index %d outside [%d, %d)", url, it.Index, lo, hi)
-		}
-		if it.Point == nil && it.Error == "" {
-			return fmt.Errorf("eval: remote: %s: item %d carries neither point nor error", url, it.Index)
-		}
-		if seen[it.Index-lo] {
-			continue
-		}
-		seen[it.Index-lo] = true
-		n++
-		if err := fn(&it); err != nil {
+		if done, err := s.take(&it); done {
 			return err
 		}
 	}
-	if n < hi-lo {
-		return &transientError{err: fmt.Errorf("eval: remote: %s: short response stream: %d of %d item(s)", url, n, hi-lo)}
+}
+
+// take applies one decoded line; done ends the stream with err.
+func (s *itemStream) take(it *BatchItem) (done bool, err error) {
+	s.alive()
+	if it.Index < 0 {
+		if it.Error == "" {
+			return false, nil // heartbeat: the shard is alive, a cell is just slow
+		}
+		return true, &transientError{err: fmt.Errorf("eval: remote: %s: server failed mid-stream: %s", s.url, it.Error)}
+	}
+	if it.Index < s.lo || it.Index >= s.hi {
+		return true, fmt.Errorf("eval: remote: %s: item index %d outside [%d, %d)", s.url, it.Index, s.lo, s.hi)
+	}
+	if it.Point == nil && it.Error == "" {
+		return true, fmt.Errorf("eval: remote: %s: item %d carries neither point nor error", s.url, it.Index)
+	}
+	if s.seen[it.Index-s.lo] {
+		return false, nil
+	}
+	s.seen[it.Index-s.lo] = true
+	s.n++
+	if err := s.fn(it); err != nil {
+		return true, err
+	}
+	return false, nil
+}
+
+// torn is a stream that broke mid-line or stopped being JSON: transient.
+func (s *itemStream) torn(err error) error {
+	return &transientError{err: fmt.Errorf("eval: remote: %s: torn response stream after %d of %d item(s): %w", s.url, s.n, s.hi-s.lo, err)}
+}
+
+// end is the verdict at end of stream: short of hi-lo cells is transient.
+func (s *itemStream) end() error {
+	if s.n < s.hi-s.lo {
+		return &transientError{err: fmt.Errorf("eval: remote: %s: short response stream: %d of %d item(s)", s.url, s.n, s.hi-s.lo)}
 	}
 	return nil
 }

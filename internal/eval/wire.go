@@ -2,6 +2,7 @@ package eval
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 
@@ -15,34 +16,47 @@ import (
 // encoding/json cannot express the NaN/±Inf values a Point carries, so
 // non-finite fields map to null (with ModelSaturated keeping the +Inf
 // case lossless), and Scenario's Policy — an integer enum in memory —
-// travels by name. Marshal→Unmarshal round-trips are exact: Go's JSON
-// encoder emits the shortest float64 representation that parses back to
-// the identical bits, which is what lets a remote evaluation reproduce an
-// in-process one bit for bit.
+// travels by name. Marshal→Unmarshal round-trips are exact: a float64
+// travels as the shortest decimal that parses back to the identical bits,
+// which is what lets a remote evaluation reproduce an in-process one bit
+// for bit. Points are written by the codec in codec.go, which emits what
+// encoding/json would (pinned by FuzzPointCodec); the reflective struct
+// below only decodes what the codec's scanner does not recognise.
 
-// pointWire is Point with non-finite values mapped to null.
+// pointWire is Point as encoding/json decodes it: the fallback under
+// ParsePoint for any spelling but the canonical one.
 type pointWire struct {
-	LoadFlits      *float64 `json:"load_flits"`
+	LoadFlits      loadWire `json:"load_flits"`
 	Model          *float64 `json:"model"`
-	ModelSaturated bool     `json:"model_saturated,omitempty"`
-	ModelNA        bool     `json:"model_na,omitempty"`
-	Sim            *float64 `json:"sim,omitempty"`
-	SimCI          *float64 `json:"sim_ci,omitempty"`
-	SimSaturated   bool     `json:"sim_saturated,omitempty"`
-	SimPrecision   *float64 `json:"sim_precision,omitempty"`
-	// The bound fields are append-only additions: every one of them is
-	// omitted when unset, so a point without bounds marshals exactly as
-	// it did before they existed (pinned by TestPointWirePreBounds).
-	BoundMax       *float64 `json:"bound_max,omitempty"`
-	BoundUnbounded bool     `json:"bound_unbounded,omitempty"`
-	BoundNA        bool     `json:"bound_na,omitempty"`
+	ModelSaturated bool     `json:"model_saturated"`
+	ModelNA        bool     `json:"model_na"`
+	Sim            *float64 `json:"sim"`
+	SimCI          *float64 `json:"sim_ci"`
+	SimSaturated   bool     `json:"sim_saturated"`
+	SimPrecision   *float64 `json:"sim_precision"`
+	BoundMax       *float64 `json:"bound_max"`
+	BoundUnbounded bool     `json:"bound_unbounded"`
+	BoundNA        bool     `json:"bound_na"`
+}
+
+// loadWire is load_flits on the decode fallback. Every encoder writes
+// the key, null included, so its presence is what tells a point object
+// from an empty one ({} decodes without error); DecodePoint insists on it.
+type loadWire struct {
+	v       *float64
+	present bool
+}
+
+func (l *loadWire) UnmarshalJSON(data []byte) error {
+	l.present = true
+	return json.Unmarshal(data, &l.v)
 }
 
 // Finite returns v boxed, or nil — the wire's null — when v is NaN or
-// ±Inf: the one non-finite-to-null mapping under every JSON encoder in
-// the stack.
+// ±Inf: the one non-finite-to-null mapping under every reflective JSON
+// encoder in the stack.
 func Finite(v float64) *float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
+	if !finite(v) {
 		return nil
 	}
 	return &v
@@ -59,48 +73,60 @@ func unbox(v *float64, def float64) float64 {
 // MarshalJSON encodes the point with non-finite values as null; the
 // saturation booleans keep the +Inf model case lossless.
 func (p Point) MarshalJSON() ([]byte, error) {
-	return json.Marshal(pointWire{
-		LoadFlits:      Finite(p.LoadFlits),
-		Model:          Finite(p.Model),
-		ModelSaturated: p.ModelSaturated,
-		ModelNA:        p.ModelNA,
-		Sim:            Finite(p.Sim),
-		SimCI:          Finite(p.SimCI),
-		SimSaturated:   p.SimSaturated,
-		SimPrecision:   Finite(p.SimPrecision),
-		BoundMax:       Finite(p.BoundMax),
-		BoundUnbounded: p.BoundUnbounded,
-		BoundNA:        p.BoundNA,
-	})
+	return AppendPoint(make([]byte, 0, 128), p), nil
 }
 
 // UnmarshalJSON decodes the wire form: null fields come back as NaN,
 // except the model value of a saturated point, which comes back as +Inf
 // (what the in-process backend produced).
 func (p *Point) UnmarshalJSON(data []byte) error {
+	_, err := p.unmarshal(data)
+	return err
+}
+
+// DecodePoint is Point.UnmarshalJSON for a stored record: it also
+// rejects an object without the load_flits key every encoder writes, so
+// that {} or null is a corrupt record rather than an all-NaN cell.
+func DecodePoint(data []byte, p *Point) error {
+	hasLoad, err := p.unmarshal(data)
+	if err == nil && !hasLoad {
+		err = errors.New("eval: decoding point: no load_flits")
+	}
+	return err
+}
+
+// unmarshal decodes one point object — the scanner for the canonical
+// form, encoding/json for any other — and reports whether it carried its
+// load_flits key.
+func (p *Point) unmarshal(data []byte) (hasLoad bool, err error) {
+	if rest, ok := ParsePoint(data, p); ok && len(rest) == 0 {
+		return true, nil
+	}
+	return p.decode(data)
+}
+
+// decode is the encoding/json fallback under ParsePoint.
+func (p *Point) decode(data []byte) (hasLoad bool, err error) {
 	var w pointWire
 	if err := json.Unmarshal(data, &w); err != nil {
-		return err
+		return false, err
 	}
 	nan := math.NaN()
-	p.LoadFlits = unbox(w.LoadFlits, nan)
-	p.Model = unbox(w.Model, nan)
-	if w.ModelSaturated && w.Model == nil {
-		p.Model = math.Inf(1)
+	*p = Point{
+		LoadFlits:      unbox(w.LoadFlits.v, nan),
+		Model:          unbox(w.Model, nan),
+		ModelSaturated: w.ModelSaturated,
+		ModelNA:        w.ModelNA,
+		Sim:            unbox(w.Sim, nan),
+		SimCI:          unbox(w.SimCI, nan),
+		SimSaturated:   w.SimSaturated,
+		SimPrecision:   unbox(w.SimPrecision, nan),
+		BoundMax:       unbox(w.BoundMax, nan),
+		BoundUnbounded: w.BoundUnbounded,
+		BoundNA:        w.BoundNA,
 	}
-	p.ModelSaturated = w.ModelSaturated
-	p.ModelNA = w.ModelNA
-	p.Sim = unbox(w.Sim, nan)
-	p.SimCI = unbox(w.SimCI, nan)
-	p.SimSaturated = w.SimSaturated
-	p.SimPrecision = unbox(w.SimPrecision, nan)
-	p.BoundMax = unbox(w.BoundMax, nan)
-	if w.BoundUnbounded && w.BoundMax == nil {
-		p.BoundMax = math.Inf(1)
-	}
-	p.BoundUnbounded = w.BoundUnbounded
-	p.BoundNA = w.BoundNA
-	return nil
+	p.restoreInf()
+	return w.LoadFlits.present, nil
 }
 
 // curveWire is CurveDesc with non-finite values mapped to null.

@@ -8,7 +8,12 @@
 //
 // A store is a directory of append-only NDJSON segment files,
 // seg-000001.ndjson, seg-000002.ndjson, …; each line is one record
-// {"key": <salted cache key>, "point": <eval.Point wire JSON>}. Every
+// {"key":"<salted cache key>","point":<eval.Point wire JSON>}, written
+// without whitespace around eval.AppendPoint and read back by scanning
+// that exact form around eval.ParsePoint — the codec emits what
+// encoding/json would (pinned by FuzzPointCodec), so segments are
+// byte-identical to those of earlier versions, and a line in any other
+// JSON spelling still replays through encoding/json. Every
 // process appends to a fresh segment (existing segments are never
 // rewritten), so the format needs no locking beyond "one writer per
 // segment"; the in-memory index is rebuilt at Open by replaying every
@@ -22,13 +27,16 @@
 // Puts are appended with a single write syscall each (no fsync: an OS
 // crash may cost the tail, never correctness). Recovery is
 // corruption-tolerant: a line that does not parse — the truncated tail of
-// a crashed writer, a torn write — is dropped and counted, not fatal;
-// everything before and after it is kept. Compact folds all live cells
-// into one fresh segment and deletes the rest.
+// a crashed writer, a torn write — or that lacks a key or a point object
+// with its load_flits member (always written, even as null) is dropped
+// and counted, not fatal; everything before and after it is kept.
+// Compact folds all live cells into one fresh segment and deletes the
+// rest.
 package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -45,10 +53,73 @@ import (
 // segPattern matches segment files; the numeric component orders replay.
 const segPattern = "seg-*.ndjson"
 
-// record is one NDJSON line.
-type record struct {
-	Key   string     `json:"key"`
-	Point eval.Point `json:"point"`
+// appendRecord appends one record line, {"key":"…","point":{…}}\n, to
+// dst: the bytes encoding/json emits for the same record. Only a key
+// that needs escaping — none the repository builds — goes through it.
+func appendRecord(dst []byte, key string, pt eval.Point) []byte {
+	dst = append(dst, `{"key":`...)
+	if plainLen(key) == len(key) {
+		dst = append(append(append(dst, '"'), key...), '"')
+	} else {
+		quoted, _ := json.Marshal(key) // a string always marshals
+		dst = append(dst, quoted...)
+	}
+	dst = eval.AppendPoint(append(dst, `,"point":`...), pt)
+	return append(dst, "}\n"...)
+}
+
+// plainLen returns the length of s's longest prefix that a JSON string
+// holds verbatim under encoding/json's default escaping: printable ASCII
+// without the quote, the backslash and the HTML-sensitive <, > and &.
+func plainLen[T string | []byte](s T) int {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return i
+		}
+	}
+	return len(s)
+}
+
+// parseRecord decodes one record line into pt and returns its key; ok is
+// false for a line replay must drop. A line in the form appendRecord
+// writes (newline optional) is scanned in place; anything else is
+// encoding/json's to judge, and must still carry a non-empty key and a
+// point object with its load_flits member.
+func parseRecord(line []byte, pt *eval.Point) (key string, ok bool) {
+	if k, ok := scanRecord(line, pt); ok {
+		return string(k), len(k) > 0
+	}
+	return decodeRecord(line, pt)
+}
+
+// scanRecord is the scan path of parseRecord: the canonical form only.
+// key aliases line.
+func scanRecord(line []byte, pt *eval.Point) (key []byte, ok bool) {
+	b, ok := bytes.CutPrefix(line, []byte(`{"key":"`))
+	if !ok {
+		return nil, false
+	}
+	n := plainLen(b)
+	key = b[:n]
+	if b, ok = bytes.CutPrefix(b[n:], []byte(`","point":`)); !ok {
+		return nil, false
+	}
+	if b, ok = eval.ParsePoint(b, pt); !ok {
+		return nil, false
+	}
+	return key, string(b) == "}\n" || string(b) == "}"
+}
+
+// decodeRecord is the encoding/json path of parseRecord.
+func decodeRecord(line []byte, pt *eval.Point) (key string, ok bool) {
+	var rec struct {
+		Key   string          `json:"key"`
+		Point json.RawMessage `json:"point"`
+	}
+	if json.Unmarshal(line, &rec) != nil || rec.Key == "" {
+		return "", false
+	}
+	return rec.Key, eval.DecodePoint(rec.Point, pt) == nil
 }
 
 // Store is a persistent result cache. It implements sweep.CacheStore
@@ -97,31 +168,51 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// replay loads one segment into the index, dropping corrupt lines —
-// including arbitrarily long garbage runs, which must not abandon the
-// valid records after them. Only a real read error fails the open.
+// replay loads one segment into the index, dropping corrupt lines.
 func (s *Store) replay(path string) error {
+	dropped, err := eachRecord(path, func(key string, pt eval.Point, _ []byte) {
+		s.index[key] = pt
+	})
+	s.dropped += dropped
+	return err
+}
+
+// eachRecord calls fn for every valid record of the segment at path, in
+// file order, with the record's line (valid during the call only), and
+// returns how many lines it dropped as corrupt — arbitrarily long garbage
+// runs included, which must not abandon the valid records after them.
+// Only a real read error is an error.
+func eachRecord(path string, fn func(key string, pt eval.Point, line []byte)) (dropped int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return 0, fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 64*1024)
+	var long []byte // a line longer than r's buffer, assembled
 	for {
-		line, err := r.ReadBytes('\n')
+		line, err := r.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			long = append(long[:0], line...)
+			for err == bufio.ErrBufferFull {
+				line, err = r.ReadSlice('\n')
+				long = append(long, line...)
+			}
+			line = long
+		}
 		if len(line) > 0 {
-			var rec record
-			if jerr := json.Unmarshal(line, &rec); jerr != nil || rec.Key == "" {
-				s.dropped++
+			var pt eval.Point
+			if key, ok := parseRecord(line, &pt); ok {
+				fn(key, pt, line)
 			} else {
-				s.index[rec.Key] = rec.Point
+				dropped++
 			}
 		}
 		if err == io.EOF {
-			return nil
+			return dropped, nil
 		}
 		if err != nil {
-			return fmt.Errorf("store: reading %s: %w", path, err)
+			return dropped, fmt.Errorf("store: reading %s: %w", path, err)
 		}
 	}
 }
@@ -152,12 +243,12 @@ func (s *Store) Put(key string, pt eval.Point) {
 		return
 	}
 	s.index[key] = pt
-	s.append(record{Key: key, Point: pt})
+	s.append(key, pt)
 }
 
-// append writes one record line to the active segment, opening it first
-// if needed. Caller holds mu.
-func (s *Store) append(rec record) {
+// append writes one record line to the active segment — one write
+// syscall — opening it first if needed. Caller holds mu.
+func (s *Store) append(key string, pt eval.Point) {
 	if s.writeErr != nil {
 		return
 	}
@@ -167,13 +258,7 @@ func (s *Store) append(rec record) {
 			return
 		}
 	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		s.writeErr = fmt.Errorf("store: encoding record: %w", err)
-		return
-	}
-	s.buf = append(s.buf[:0], line...)
-	s.buf = append(s.buf, '\n')
+	s.buf = appendRecord(s.buf[:0], key, pt)
 	if _, err := s.seg.Write(s.buf); err != nil {
 		s.writeErr = fmt.Errorf("store: appending to %s: %w", s.segName, err)
 		return
@@ -306,9 +391,9 @@ func (s *Store) Compact() error {
 	}
 	sort.Strings(keys)
 	w := bufio.NewWriter(s.seg)
-	enc := json.NewEncoder(w)
 	for _, k := range keys {
-		if err := enc.Encode(record{Key: k, Point: s.index[k]}); err != nil {
+		s.buf = appendRecord(s.buf[:0], k, s.index[k])
+		if _, err := w.Write(s.buf); err != nil {
 			s.closeSegment()
 			return fmt.Errorf("store: compacting: %w", err)
 		}
@@ -388,37 +473,22 @@ func (s *Store) Prune(maxBytes int64) (evicted int, err error) {
 	latest := make(map[string]int)
 	var liveBytes int64
 	for _, path := range segs {
-		f, err := os.Open(path)
+		_, err := eachRecord(path, func(key string, _ eval.Point, line []byte) {
+			line = append(make([]byte, 0, len(line)+1), line...)
+			if line[len(line)-1] != '\n' {
+				line = append(line, '\n')
+			}
+			if i, dup := latest[key]; dup {
+				liveBytes -= int64(len(entries[i].line))
+				entries[i].line = nil
+			}
+			latest[key] = len(entries)
+			entries = append(entries, entry{key: key, line: line})
+			liveBytes += int64(len(line))
+		})
 		if err != nil {
-			return 0, fmt.Errorf("store: %w", err)
+			return 0, err
 		}
-		r := bufio.NewReaderSize(f, 64*1024)
-		for {
-			line, rerr := r.ReadBytes('\n')
-			if len(line) > 0 {
-				var rec record
-				if jerr := json.Unmarshal(line, &rec); jerr == nil && rec.Key != "" {
-					if line[len(line)-1] != '\n' {
-						line = append(line, '\n')
-					}
-					if i, dup := latest[rec.Key]; dup {
-						liveBytes -= int64(len(entries[i].line))
-						entries[i].line = nil
-					}
-					latest[rec.Key] = len(entries)
-					entries = append(entries, entry{key: rec.Key, line: line})
-					liveBytes += int64(len(line))
-				}
-			}
-			if rerr == io.EOF {
-				break
-			}
-			if rerr != nil {
-				f.Close()
-				return 0, fmt.Errorf("store: reading %s: %w", path, rerr)
-			}
-		}
-		f.Close()
 	}
 
 	// Evict oldest-first until the live set fits.

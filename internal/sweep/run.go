@@ -191,14 +191,29 @@ func (r *Runner) salted() bool {
 }
 
 // cacheKeys returns every scenario's cache line given its key: salted
-// copies, made once per run, or the keys themselves.
+// copies, made once per run, or the keys themselves. The copies are
+// slices of one backing string — one allocation for the grid instead of
+// one per cell; a cache that keeps any of them keeps it whole, which
+// costs nothing when it keeps the grid.
 func (r *Runner) cacheKeys(keys []string) []string {
 	if !r.salted() {
 		return keys
 	}
+	size := 0
+	for _, key := range keys {
+		size += len(r.salt) + len(key)
+	}
+	var all strings.Builder
+	all.Grow(size)
+	for _, key := range keys {
+		all.WriteString(r.salt)
+		all.WriteString(key)
+	}
+	backing := all.String()
 	out := make([]string, len(keys))
 	for i, key := range keys {
-		out[i] = r.salt + key
+		n := len(r.salt) + len(key)
+		out[i], backing = backing[:n], backing[n:]
 	}
 	return out
 }
