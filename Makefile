@@ -50,6 +50,8 @@ lint:
 	@test -z "$$(grep -rl 'ObserveCell(' --include='*.go' internal cmd | grep -v '_test\.go$$' | grep -v '^internal/sweep/' | grep -vx 'internal/calib/calib.go')" && \
 	! grep -rlE '\.cache\.(Get|Put)\(' --include='*.go' internal/dispatch internal/serve | grep -v '_test\.go$$' || { \
 		echo "one cell path: the cache and the observer are fed by sweep.Runner only"; exit 1; }
+	@test "$$(grep -rlE 'eval\.NewSimBackend\(|bounds\.New\(' --include='*.go' internal cmd | grep -v '_test\.go$$')" = internal/sweep/run.go || { \
+		echo "one built-in stack: analytic+sim+bounds is assembled in internal/sweep/run.go only"; exit 1; }
 	@test -z "$$(grep -rlE '# (TYPE|HELP)' --include='*.go' internal cmd | grep -v '_test\.go$$' | grep -v '^internal/obs/')" && \
 	test -z "$$(grep -rl 'obs\.NewCounter(' --include='*.go' internal cmd | grep -v '_test\.go$$' | grep -vE '^internal/(sim|analytic|bounds|obs)/')" || { \
 		echo "one metrics writer: Prometheus text is rendered by internal/obs only (components implement obs.Collector; obs.NewCounter is for the sim, analytic and bounds libraries)"; exit 1; }

@@ -1,0 +1,110 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/bounds"
+)
+
+// bftCLI calls run in-process the way main does, returning stdout.
+func bftCLI(args ...string) (string, error) {
+	var stdout, stderr bytes.Buffer
+	err := run(context.Background(), args, &stdout, &stderr)
+	return stdout.String(), err
+}
+
+var latencyLine = regexp.MustCompile(`average latency L\s+= ([0-9.]+) cycles \(Eq\. 25\)`)
+
+// modelLatency returns the Eq. 25 figure `bft model` printed in out.
+func modelLatency(t *testing.T, out string) float64 {
+	t.Helper()
+	m := latencyLine.FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no Eq. 25 line in:\n%s", out)
+	}
+	l, err := strconv.ParseFloat(m[1], 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// TestModel: one operating point prints the Eq. 25 decomposition and one
+// row per channel class — up and down at each of the log₄N levels.
+func TestModel(t *testing.T) {
+	out, err := bftCLI("model", "-n", "64")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l := modelLatency(t, out); l <= 16 {
+		t.Errorf("L = %v cycles at s = 16 flits: below the message length", l)
+	}
+	up, down := strings.Count(out, "\nup<"), strings.Count(out, "\ndown<")
+	if up != 3 || down != 3 {
+		t.Errorf("%d up and %d down class rows, want 3 and 3 (2·log₄64):\n%s", up, down, out)
+	}
+
+	for _, mode := range []string{"-saturation", "-inspect"} {
+		out, err := bftCLI("model", "-n", "64", mode)
+		if err != nil || out == "" {
+			t.Errorf("model %s: %q, %v", mode, out, err)
+		}
+		if latencyLine.MatchString(out) {
+			t.Errorf("model %s went on to evaluate a point:\n%s", mode, out)
+		}
+	}
+}
+
+// TestBoundsDominatesModel: the -json report decodes, and the guaranteed
+// worst case is no better than the mean the model predicts at that point.
+func TestBoundsDominatesModel(t *testing.T) {
+	out, err := bftCLI("bounds", "-n", "64", "-json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep bounds.Report
+	if err := json.Unmarshal([]byte(out), &rep); err != nil {
+		t.Fatalf("bounds -json: %v\n%s", err, out)
+	}
+	mean, err := bftCLI("model", "-n", "64")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l := modelLatency(t, mean); len(rep.Hops) == 0 || rep.Total < l {
+		t.Errorf("bound %v over %d hops, model mean %v: a worst case below the mean", rep.Total, len(rep.Hops), l)
+	}
+}
+
+func TestSim(t *testing.T) {
+	out, err := bftCLI("sim", "-n", "16", "-warmup", "200", "-measure", "1000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`(?m)^  latency: mean=[0-9.]+ `).MatchString(out) {
+		t.Errorf("no latency line in:\n%s", out)
+	}
+}
+
+// TestUsageErrors: what is wrong with the command line is named.
+func TestUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "usage: bft model|sim|bounds"},
+		{[]string{"latency"}, `unknown subcommand "latency"`},
+		{[]string{"sim", "-n", "16", "-workload", `{"proces":"mmpp"}`}, `unknown field "proces"`},
+		{[]string{"sim", "-flits", "2.5"}, "whole flits"},
+		{[]string{"sim", "-policy", "fifo"}, `unknown policy "fifo"`},
+	} {
+		if out, err := bftCLI(tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) || out != "" {
+			t.Errorf("bft %q: stdout %q, error %v; want an error naming %q", tc.args, out, err, tc.want)
+		}
+	}
+}

@@ -123,7 +123,7 @@ func TestTrustGatedPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := calib.NewMap()
-	if _, err := sweep.NewRunner(sweep.WithCalibration(m)).Run(context.Background(), mine); err != nil {
+	if _, err := (&sweep.Runner{Calib: m}).Run(context.Background(), mine); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()

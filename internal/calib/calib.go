@@ -8,9 +8,14 @@
 // A region is topology instance × message length × policy × workload ×
 // load band (relative to the model's saturation point). One cell
 // contributes one pair when both its model and sim sides are finite and
-// unsaturated; the derived seed, budget and backend salt deliberately
-// do not split regions, so replicated measurements of the same physical
-// question accumulate together.
+// unsaturated; the derived seed and budget deliberately do not split
+// regions, so replicated measurements of the same physical question
+// accumulate together. A cell is its scenario key: the same key seen
+// again under a backend salt (a fleet tag, an explicit backend list) is
+// the same measurement and pairs once. Only the paper's model is
+// calibrated — a sim-carrying cell of an ablation variant is observed
+// but never pairs, because the trust gate reads a region as the base
+// model's error.
 //
 // The map updates incrementally: every with-sim sweep cell and every
 // planner certification calls Observe (wired through sweep.CellObserver),
@@ -206,10 +211,10 @@ func (a *acc) boundTightness() float64 {
 }
 
 // Map is the calibration map: per-region accuracy accumulators plus the
-// set of cache keys already observed (so mining a store twice, or
-// mining a store that a live observer already walked, never
-// double-counts a pair). All methods are safe for concurrent use; a nil
-// *Map is a valid no-op observer.
+// set of scenario keys already observed (so mining a store twice, mining
+// a store that a live observer already walked, or meeting one cell under
+// two salts never double-counts a pair). All methods are safe for
+// concurrent use; a nil *Map is a valid no-op observer.
 type Map struct {
 	mu      sync.Mutex
 	regions map[Region]*acc
@@ -246,8 +251,9 @@ func pairable(pt eval.Point) bool {
 
 // Observe feeds one cache cell into the map and reports whether it
 // became a new calibration pair. Cells without simulator evidence
-// return immediately; sim-carrying cells are deduplicated by key, so
-// feeding the same store cell twice is harmless. Each sim-carrying
+// return immediately; sim-carrying cells are deduplicated by scenario
+// key (the cache line minus its backend salt), so feeding the same cell
+// twice, under whichever salts, is harmless. Each sim-carrying
 // observation emits a calib.observe span (when ctx carries a tracer)
 // whose attrs say which region the cell landed in and whether it
 // paired.
@@ -268,18 +274,19 @@ func (m *Map) Observe(ctx context.Context, key string, pt eval.Point) bool {
 // paired and the region name it resolved to ("" when the key did not
 // parse).
 func (m *Map) observe(key string, pt eval.Point) (bool, string) {
+	_, cell := eval.CutSalt(key)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, dup := m.seen[key]; dup {
+	if _, dup := m.seen[cell]; dup {
 		return false, ""
 	}
-	m.seen[key] = struct{}{}
-	pk, err := eval.ParseKey(key)
+	m.seen[cell] = struct{}{}
+	pk, err := eval.ParseKey(cell)
 	if err != nil {
 		m.badKeys++
 		return false, ""
 	}
-	if !pairable(pt) {
+	if !pairable(pt) || !pk.Variant.IsBase() {
 		return false, ""
 	}
 	rel := math.NaN()
@@ -339,8 +346,9 @@ func (m *Map) Staleness(src Source) int {
 		if !simCarrying(pt) {
 			return true
 		}
+		_, cell := eval.CutSalt(key)
 		m.mu.Lock()
-		_, ok := m.seen[key]
+		_, ok := m.seen[cell]
 		m.mu.Unlock()
 		if !ok {
 			stale++

@@ -3,6 +3,7 @@ package calib
 import (
 	"context"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -247,6 +248,84 @@ func TestMineAndStaleness(t *testing.T) {
 	}
 	if added := m.Mine(context.Background(), src); added != 1 {
 		t.Fatalf("top-up Mine added %d, want 1", added)
+	}
+}
+
+// TestOneCellUnderSeveralSaltsPairsOnce: a store that several front
+// doors wrote holds the same scenario under several backend salts — none
+// from a default runner, the built-in list's from an older daemon, a fleet
+// tag from a dispatcher. It is one measurement: it pairs once, Mine and
+// Staleness agree on that in whichever order the lines arrive, and a map
+// file saved with salted lines in its seen set reloads knowing them.
+func TestOneCellUnderSeveralSaltsPairsOnce(t *testing.T) {
+	key, pt := testCell(t, 0.6, 0, 110, 100)
+	salts := []string{"", "backends=analytic,sim,bounds|", "backends=remote(http://10.0.0.1:8713,http://10.0.0.2:8713)|"}
+	ctx := context.Background()
+	for first := range salts {
+		m := NewMap()
+		if !m.Observe(ctx, salts[first]+key, pt) {
+			t.Fatalf("first sighting under salt %q did not pair", salts[first])
+		}
+		src := sourceFunc(func(fn func(string, eval.Point) bool) {
+			for _, salt := range salts {
+				if !fn(salt+key, pt) {
+					return
+				}
+			}
+		})
+		if stale := m.Staleness(src); stale != 0 {
+			t.Errorf("seen under %q: staleness %d over the same cell's other salts, want 0", salts[first], stale)
+		}
+		if added := m.Mine(ctx, src); added != 0 || m.Pairs() != 1 {
+			t.Errorf("seen under %q: mining its other salts added %d pairs (total %d), want 0 (1)", salts[first], added, m.Pairs())
+		}
+		if reg := m.Report().Regions; len(reg) != 1 || reg[0].Pairs != 1 {
+			t.Errorf("seen under %q: regions %+v, want one region with one pair", salts[first], reg)
+		}
+	}
+
+	legacy := filepath.Join(t.TempDir(), MapFileName)
+	if err := os.WriteFile(legacy, []byte(`{"version":1,"pairs":1,"regions":[],"seen":["`+salts[1]+key+`"]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := LoadMap(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Observe(ctx, key, pt) {
+		t.Error("a map saved with the salted line re-paired the cell under its plain key")
+	}
+}
+
+// TestAblationVariantsDoNotCalibrate: the trust gate reads a region as
+// the paper's model's error, so a sim-carrying cell of an ablated model —
+// a spec may set with_sim on any variant — is observed (not stale, not a
+// parse error) but adds no pair to the base model's region.
+func TestAblationVariantsDoNotCalibrate(t *testing.T) {
+	key, pt := testCell(t, 0.6, 0, 150, 100)
+	ablated := strings.Replace(key, " sim=true", " variant=truefalsefalse sim=true", 1)
+	if pk, err := eval.ParseKey(ablated); err != nil || !pk.Variant.NoBlockingCorrection {
+		t.Fatalf("crafted key %q does not parse as an ablation variant: %+v, %v", ablated, pk, err)
+	}
+	m := NewMap()
+	ctx := context.Background()
+	if m.Observe(ctx, ablated, pt) {
+		t.Error("an ablation-variant cell paired")
+	}
+	if m.Pairs() != 0 || len(m.Report().Regions) != 0 {
+		t.Errorf("ablation-variant cell left %d pairs in %d regions, want none", m.Pairs(), len(m.Report().Regions))
+	}
+	src := sourceFunc(func(fn func(string, eval.Point) bool) { fn(ablated, pt) })
+	if stale := m.Staleness(src); stale != 0 {
+		t.Errorf("observed variant cell still counts as stale (%d)", stale)
+	}
+	// The base cell at the same coordinates is a different key and pairs.
+	base, good := testCell(t, 0.6, 0, 102, 100)
+	if !m.Observe(ctx, base, good) {
+		t.Error("base-variant cell did not pair beside its ablated twin")
+	}
+	if v, mape, pairs := m.Verdict(RegionFor(testTopo, 8, "pairqueue", "", 0.6), Gate{MaxMAPE: 0.1, MinPairs: 1}); v != VerdictTrusted || pairs != 1 {
+		t.Errorf("region verdict %q (mape %v, %d pairs), want trusted on the base cell alone", v, mape, pairs)
 	}
 }
 

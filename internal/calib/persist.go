@@ -100,7 +100,8 @@ func LoadMap(path string) (*Map, error) {
 		m.regions[rec.Region] = &a
 	}
 	for _, k := range f.Seen {
-		m.seen[k] = struct{}{}
+		_, cell := eval.CutSalt(k) // maps saved before dedup ignored the salt hold salted lines
+		m.seen[cell] = struct{}{}
 	}
 	return m, nil
 }

@@ -36,6 +36,21 @@ type ParsedKey struct {
 	WithBounds bool
 }
 
+// CutSalt splits a cache line into the backend salt it was stored under
+// ("backends=<tags>|"; empty for the lines a default runner writes) and
+// the Scenario.Key behind it. The same evaluated scenario may sit in a
+// store under several salts — a fleet tag, an explicit backend list — and
+// is one measurement under all of them; this is how the calibration layer
+// tells. A "backends=" prefix with no '|' terminator is not a salt.
+func CutSalt(line string) (salt, key string) {
+	if strings.HasPrefix(line, "backends=") {
+		if i := strings.IndexByte(line, '|'); i >= 0 {
+			return line[:i+1], line[i+1:]
+		}
+	}
+	return "", line
+}
+
 // ParseKey inverts Scenario.Key: it parses a cache-key string (optionally
 // carrying a backend salt prefix, as the runner and dispatcher store
 // them) back into the scenario coordinates that produced it. This is the
@@ -47,15 +62,8 @@ type ParsedKey struct {
 // rejected like any other non-key string.
 func ParseKey(key string) (ParsedKey, error) {
 	var p ParsedKey
-	rest := key
-	if strings.HasPrefix(rest, "backends=") {
-		i := strings.IndexByte(rest, '|')
-		if i < 0 {
-			return p, fmt.Errorf("eval: salted key %q has no '|' terminator", key)
-		}
-		p.Salt = rest[:i+1]
-		rest = rest[i+1:]
-	}
+	var rest string
+	p.Salt, rest = CutSalt(key)
 	toks := strings.Split(rest, " ")
 	tp := &tokenParser{toks: toks, key: key}
 

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/bounds"
 	"repro/internal/calib"
 	"repro/internal/eval"
 	"repro/internal/obs"
@@ -59,17 +58,11 @@ func New(engine Engine, opts ...Option) *Planner {
 	return p
 }
 
-// NewLocal builds an in-process planner: a sweep.Runner with the
-// memoized analytic backend, the simulator anchored on it, the
-// worst-case bounds backend (for hard-SLO constraints), and the given
-// cache (nil for none).
+// NewLocal builds an in-process planner: a default sweep.Runner (the
+// built-in model, simulator and bounds stack) over the given cache (nil
+// for none). Its cache lines are the ones cmd/sweep and sweepd write.
 func NewLocal(cache sweep.CacheStore, opts ...Option) *Planner {
-	ab := eval.NewAnalyticBackend()
-	r := sweep.NewRunner(
-		sweep.WithBackends(ab, eval.NewSimBackend(ab), bounds.New(ab)),
-		sweep.WithCache(cache),
-	)
-	return New(r, opts...)
+	return New(sweep.NewRunner(sweep.WithCache(cache)), opts...)
 }
 
 // Run executes the plan and returns the assembled result.

@@ -48,7 +48,6 @@ import (
 	"runtime/debug"
 	"time"
 
-	"repro/internal/bounds"
 	"repro/internal/calib"
 	"repro/internal/eval"
 	"repro/internal/obs"
@@ -71,7 +70,6 @@ type Server struct {
 	runner  *sweep.Runner
 	sweeper Sweeper
 	planner *plan.Planner
-	curves  sweep.CurveDescriber
 	cache   sweep.CacheStore
 	calib   *calib.Map
 	workers int
@@ -121,23 +119,18 @@ func WithCalibration(m *calib.Map) Option { return func(s *Server) { s.calib = m
 // while /v1/eval, /v1/batch and /v1/sweep/part keep answering locally.
 func WithSweeper(sw Sweeper) Option { return func(s *Server) { s.sweeper = sw } }
 
-// New builds the server. Its runner evaluates with one memoized
-// AnalyticBackend plus the simulator and the bound calculus anchored on
-// it — shared across requests, so models, saturation searches and
-// simulator networks are built once per server instance, not once per
-// request — and /v1/curve answers from the same backend.
+// New builds the server. Its runner is a default sweep.Runner: the
+// built-in stack, shared across requests — so models, saturation searches
+// and simulator networks are built once per server instance, not once per
+// request — writing the same unsalted cache lines cmd/sweep and cmd/plan
+// write, so the three share a store. /v1/curve answers from the same
+// runner.
 func New(opts ...Option) *Server {
 	s := &Server{mux: http.NewServeMux(), started: time.Now()}
 	for _, opt := range opts {
 		opt(s)
 	}
-	ab := eval.NewAnalyticBackend()
-	s.curves = ab
-	s.runner = sweep.NewRunner(
-		sweep.WithWorkers(s.workers),
-		sweep.WithBackends(ab, eval.NewSimBackend(ab), bounds.New(ab)),
-		sweep.WithCache(s.cache),
-	)
+	s.runner = sweep.NewRunner(sweep.WithWorkers(s.workers), sweep.WithCache(s.cache))
 	// A calibration map observes every sim-carrying cell the server's
 	// runner completes.
 	if s.calib != nil {
@@ -301,7 +294,7 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	cd, err := s.curves.Curve(r.Context(), sc)
+	cd, err := s.runner.Curve(r.Context(), sc)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return

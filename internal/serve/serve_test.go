@@ -281,8 +281,8 @@ func TestEvalRejectsBadScenarios(t *testing.T) {
 
 func TestCurveEndpoint(t *testing.T) {
 	srv := newTestServer(t)
-	resp := postJSON(t, srv.URL+"/v1/curve",
-		`{"topology":{"family":"bft","size":64},"msg_flits":8,"load":{"frac":true,"value":0.5}}`)
+	body := `{"topology":{"family":"bft","size":64},"msg_flits":8,"load":{"frac":true,"value":0.5}}`
+	resp := postJSON(t, srv.URL+"/v1/curve", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %s", resp.Status)
 	}
@@ -292,6 +292,15 @@ func TestCurveEndpoint(t *testing.T) {
 	}
 	if cd.Model == "" || math.IsNaN(cd.SaturationLoad) || cd.SaturationLoad <= 0 {
 		t.Errorf("bad curve description: %+v", cd)
+	}
+	// The handler asks the server's runner, whose describer is the
+	// analytic backend: same answer, field for field.
+	var sc eval.Scenario
+	if err := json.Unmarshal([]byte(body), &sc); err != nil {
+		t.Fatal(err)
+	}
+	if want, err := eval.NewAnalyticBackend().Curve(context.Background(), sc); err != nil || cd != want {
+		t.Errorf("/v1/curve answered %+v, the analytic backend %+v (%v)", cd, want, err)
 	}
 }
 

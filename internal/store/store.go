@@ -376,35 +376,42 @@ func (s *Store) Compact() error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	// The compacted data is written straight to the next segment number
-	// (O_EXCL, so a number claimed by someone else is never clobbered).
-	// Old segments are deleted only after a successful sync+close; a
-	// crash in between leaves a truncated or duplicate segment, both of
-	// which replay resolves (corrupt tails drop, later records win).
-	if err := s.openSegment(); err != nil {
-		return err
-	}
-	name := s.segName
 	keys := make([]string, 0, len(s.index))
 	for k := range s.index {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	w := bufio.NewWriter(s.seg)
-	for _, k := range keys {
-		s.buf = appendRecord(s.buf[:0], k, s.index[k])
-		if _, err := w.Write(s.buf); err != nil {
-			s.closeSegment()
-			return fmt.Errorf("store: compacting: %w", err)
+	return s.replaceSegments(old, "compacting", func(w *bufio.Writer) {
+		for _, k := range keys {
+			s.buf = appendRecord(s.buf[:0], k, s.index[k])
+			w.Write(s.buf)
 		}
+	})
+}
+
+// replaceSegments is the tail Compact and Prune share: write fills one
+// fresh segment, and once it is durable every segment in old is removed.
+// The data goes straight to the next segment number (O_EXCL, so a number
+// claimed by someone else is never clobbered), and old segments are
+// deleted only after a successful flush+sync+close; a crash in between
+// leaves a truncated or duplicate segment, both of which replay resolves
+// (corrupt tails drop, later records win). write may ignore the errors of
+// w: a bufio.Writer keeps its first one and Flush returns it. Caller
+// holds mu, with no segment open.
+func (s *Store) replaceSegments(old []string, doing string, write func(w *bufio.Writer)) error {
+	if err := s.openSegment(); err != nil {
+		return err
 	}
-	if err := w.Flush(); err != nil {
-		s.closeSegment()
-		return fmt.Errorf("store: compacting: %w", err)
+	name := s.segName
+	w := bufio.NewWriter(s.seg)
+	write(w)
+	err := w.Flush()
+	if err == nil {
+		err = s.seg.Sync()
 	}
-	if err := s.seg.Sync(); err != nil {
+	if err != nil {
 		s.closeSegment()
-		return fmt.Errorf("store: compacting: %w", err)
+		return fmt.Errorf("store: %s: %w", doing, err)
 	}
 	if err := s.closeSegment(); err != nil {
 		return err
@@ -504,44 +511,13 @@ func (s *Store) Prune(maxBytes int64) (evicted int, err error) {
 		evicted++
 	}
 
-	// Fold the survivors into one fresh segment, then drop every older
-	// one — the same crash-ordering Compact relies on: the new segment is
-	// synced before any deletion, and replay resolves a half-pruned
-	// directory (later records win, corrupt tails drop).
-	if err := s.openSegment(); err != nil {
-		return evicted, err
-	}
-	name := s.segName
-	w := bufio.NewWriter(s.seg)
-	for _, e := range entries {
-		if e.line == nil {
-			continue
+	// Fold the survivors into one fresh segment, their raw lines in write
+	// order, then drop every older one.
+	return evicted, s.replaceSegments(segs, "pruning", func(w *bufio.Writer) {
+		for _, e := range entries {
+			w.Write(e.line) // nil for an evicted or superseded record
 		}
-		if _, err := w.Write(e.line); err != nil {
-			s.closeSegment()
-			return evicted, fmt.Errorf("store: pruning: %w", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		s.closeSegment()
-		return evicted, fmt.Errorf("store: pruning: %w", err)
-	}
-	if err := s.seg.Sync(); err != nil {
-		s.closeSegment()
-		return evicted, fmt.Errorf("store: pruning: %w", err)
-	}
-	if err := s.closeSegment(); err != nil {
-		return evicted, err
-	}
-	for _, path := range segs {
-		if path == name {
-			continue
-		}
-		if err := os.Remove(path); err != nil {
-			return evicted, fmt.Errorf("store: removing %s: %w", path, err)
-		}
-	}
-	return evicted, nil
+	})
 }
 
 // DiskBytes reports the total size of the store's segment files.
@@ -650,12 +626,16 @@ func (s *Store) Close() error {
 	return s.closeSegment()
 }
 
-// samePoint compares two points bit for bit (NaN equal to NaN), so
-// re-Put of an identical cell can skip the disk append.
+// samePoint compares two points field by field (NaN equal to NaN), so
+// re-Put of an identical cell can skip the disk append — and of a cell
+// that differs anywhere cannot. TestRePutAppendsWhateverFieldChanged
+// walks eval.Point by reflection, so a new field cannot be missed here.
 func samePoint(a, b eval.Point) bool {
 	return floatSame(a.LoadFlits, b.LoadFlits) && floatSame(a.Model, b.Model) &&
 		floatSame(a.Sim, b.Sim) && floatSame(a.SimCI, b.SimCI) &&
-		a.ModelSaturated == b.ModelSaturated && a.SimSaturated == b.SimSaturated
+		floatSame(a.SimPrecision, b.SimPrecision) && floatSame(a.BoundMax, b.BoundMax) &&
+		a.ModelSaturated == b.ModelSaturated && a.ModelNA == b.ModelNA && a.SimSaturated == b.SimSaturated &&
+		a.BoundUnbounded == b.BoundUnbounded && a.BoundNA == b.BoundNA
 }
 
 func floatSame(a, b float64) bool {

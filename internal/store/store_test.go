@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -111,6 +112,55 @@ func TestStoreLastWriteWinsAndCompact(t *testing.T) {
 	defer re2.Close()
 	if re2.Recovered() != 3 {
 		t.Errorf("post-compaction reopen recovered %d, want 3", re2.Recovered())
+	}
+}
+
+// TestRePutAppendsWhateverFieldChanged: a second Put under the same key
+// is skipped only when the point is the same in every field. Each field
+// of eval.Point — found by reflection, so the next one added is covered
+// without touching this test — is perturbed in turn; the change must be
+// served by Get, land as a second record and survive a reopen.
+func TestRePutAppendsWhateverFieldChanged(t *testing.T) {
+	base := eval.Point{LoadFlits: 0.02, Model: 40, Sim: 41, SimCI: 0.5, SimPrecision: 0.0125, BoundMax: 100}
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		changed := base
+		switch f := reflect.ValueOf(&changed).Elem().Field(i); f.Kind() {
+		case reflect.Float64:
+			f.SetFloat(f.Float() * 2.5)
+		case reflect.Bool:
+			f.SetBool(!f.Bool())
+		default:
+			t.Fatalf("eval.Point.%s is a %s: teach this test (and samePoint) to compare it", name, f.Kind())
+		}
+		dir := t.TempDir()
+		s := mustOpen(t, dir)
+		s.Put("k", base)
+		s.Put("k", base) // identical: skipped
+		s.Put("k", changed)
+		if got, _ := s.Get("k"); !identical(got, changed) {
+			t.Errorf("%s: Get after re-Put = %+v, want %+v", name, got, changed)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		segs, _ := filepath.Glob(filepath.Join(dir, segPattern))
+		if len(segs) != 1 {
+			t.Fatalf("%s: %d segments, want 1", name, len(segs))
+		}
+		data, err := os.ReadFile(segs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(string(data), "\n"); n != 2 {
+			t.Errorf("%s: a re-Put that changes it left %d records on disk, want 2:\n%s", name, n, data)
+		}
+		re := mustOpen(t, dir)
+		if got, _ := re.Get("k"); !identical(got, viaWire(t, changed)) {
+			t.Errorf("%s: reopen recovered %+v, want %+v", name, got, viaWire(t, changed))
+		}
+		re.Close()
 	}
 }
 

@@ -126,6 +126,31 @@ func TestModelGridAllocBudget(t *testing.T) {
 	}
 }
 
+// TestOptOutAllocs: the built-in stack is one list for every cell, so a
+// model-only cell is offered to the simulator and the bound calculus too;
+// both decline it with the empty point and allocate nothing.
+func TestOptOutAllocs(t *testing.T) {
+	scens, err := Expand(modelGrid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, ctx := scens[0], context.Background()
+	stack := NewRunner().backends()
+	if len(stack) != 3 || stack[1].Name() != "sim" || stack[2].Name() != "bounds" {
+		t.Fatalf("built-in stack is %d backends, want analytic, sim, bounds", len(stack))
+	}
+	for _, be := range stack[1:] {
+		var pt eval.Point
+		got := testing.AllocsPerRun(200, func() { pt, err = be.Evaluate(ctx, sc) })
+		if err != nil || !math.IsNaN(pt.LoadFlits) || !math.IsNaN(pt.Sim) || !math.IsNaN(pt.BoundMax) || pt.BoundNA {
+			t.Fatalf("%s answered a cell that did not opt in: %+v, %v", be.Name(), pt, err)
+		}
+		if got != 0 {
+			t.Errorf("%s declines a model-only cell with %v allocations, want 0", be.Name(), got)
+		}
+	}
+}
+
 // countingDescriber counts Curve calls on top of a real describer.
 type countingDescriber struct {
 	eval.Evaluator

@@ -29,14 +29,14 @@ type Event struct {
 // expand → cache pass → schedule the cold cells → write back → observe →
 // hand rows to the caller, under Run, Stream and Evaluate. The zero
 // value is ready to use: it sizes the pool to GOMAXPROCS and evaluates
-// with the default backends (analytic, plus the simulator and the bound
-// calculus when the spec asks for them); without a Cache, no results are
-// memoized (a single Run never revisits a cell — Expand deduplicates).
-// Construct with NewRunner to configure via functional options, or set
-// the fields directly — before the runner's first use, which builds the
-// default backends and the cache salt once and keeps them, so models,
-// Eq. 26 anchors and simulator networks carry over from one call to the
-// next. A Runner must not be copied after first use.
+// with the built-in stack (the analytic model, the simulator and the
+// bound calculus; the last two answer only the cells that ask for them);
+// without a Cache, no results are memoized (a single Run never revisits a
+// cell — Expand deduplicates). Construct with NewRunner to configure via
+// functional options, or set the fields directly — before the runner's
+// first use, which builds the stack and the cache salt once and keeps
+// them, so models, Eq. 26 anchors and simulator networks carry over from
+// one call to the next. A Runner must not be copied after first use.
 type Runner struct {
 	// Workers bounds the worker pool; 0 defers to the spec, then to
 	// GOMAXPROCS.
@@ -50,16 +50,17 @@ type Runner struct {
 	// called from a single goroutine (events arrive in completion order,
 	// warm cells first, never concurrently).
 	Progress func(Event)
-	// Backends, when non-nil, replaces the default evaluator list. Every
-	// scenario is offered to every backend in order and their points are
-	// merged into one cell; backends skip the scenarios that do not
-	// concern them (the simulator skips cells with WithSim unset).
+	// Backends, when non-nil, replaces the built-in stack and salts every
+	// cache line with the list's names (see cacheSalt). Every scenario is
+	// offered to every backend in order and their points are merged into
+	// one cell; backends skip the scenarios that do not concern them (the
+	// simulator skips cells with WithSim unset).
 	Backends []eval.Evaluator
 	// Calib, when non-nil, receives every completed cell (fresh and
-	// cached alike) under its salted cache key, making the runner a live
-	// feed for the calibration map (internal/calib). Observers must
-	// dedupe by key themselves and be safe for concurrent calls — cells
-	// arrive straight from the scheduler's goroutines.
+	// cached alike) under its cache line, making the runner a live feed
+	// for the calibration map (internal/calib). Observers must dedupe by
+	// key themselves and be safe for concurrent calls — cells arrive
+	// straight from the scheduler's goroutines.
 	Calib CellObserver
 	// Scheduler, when non-nil, computes every grid's cold cells in place
 	// of the local worker pool. It is the seam a fleet plugs into, not a
@@ -67,13 +68,11 @@ type Runner struct {
 	// is the fleet client.
 	Scheduler Scheduler
 
-	// Built once by init: the default backend lists (nil with explicit
-	// Backends), indexed by which optional backends join the analytic
-	// model — bit 0 the simulator, bit 1 the bound calculus — and the
-	// cache salt.
-	once     sync.Once
-	defaults [4][]eval.Evaluator
-	salt     string
+	// Built once by init: the evaluator list (Backends, or the built-in
+	// stack) and the cache salt.
+	once  sync.Once
+	stack []eval.Evaluator
+	salt  string
 
 	// Lifetime cell counts: served from cache, computed fresh.
 	hits, fresh atomic.Int64
@@ -112,9 +111,6 @@ func WithBackends(b ...eval.Evaluator) Option { return func(r *Runner) { r.Backe
 // WithProgress attaches a per-cell completion callback.
 func WithProgress(f func(Event)) Option { return func(r *Runner) { r.Progress = f } }
 
-// WithCalibration attaches a live calibration observer.
-func WithCalibration(o CellObserver) Option { return func(r *Runner) { r.Calib = o } }
-
 // PointResult is one streamed cell: a completed row, or the error that
 // ended the sweep. A failing sweep delivers its error as the stream's
 // final element; a cancelled or expired context instead just closes the
@@ -126,37 +122,28 @@ type PointResult struct {
 	Err error
 }
 
-// init builds what the runner keeps across calls: the default backends
-// — the analytic model, the flit-level simulator anchored on it and the
-// worst-case bound calculus anchored the same way — unless Backends
-// replaces them, and the cache salt.
+// init builds what the runner keeps across calls: the evaluator list and
+// the cache salt. This is the one place the built-in stack is assembled
+// (make lint keeps it so): the analytic model, and the flit-level
+// simulator and the worst-case bound calculus anchored on it. The last
+// two answer a cell that did not opt in (WithSim, WithBounds) with the
+// empty point, so one list serves every cell.
 func (r *Runner) init() {
 	r.once.Do(func() {
-		if r.Backends == nil {
+		r.stack = r.Backends
+		if r.stack == nil {
 			ab := eval.NewAnalyticBackend()
-			sb, bb := eval.NewSimBackend(ab), bounds.New(ab)
-			r.defaults = [4][]eval.Evaluator{{ab}, {ab, sb}, {ab, bb}, {ab, sb, bb}}
+			r.stack = []eval.Evaluator{ab, eval.NewSimBackend(ab), bounds.New(ab)}
 		}
 		r.salt = cacheSalt(r.Backends)
 	})
 }
 
 // backends returns the runner's evaluator list: Backends when set, else
-// the analytic model plus — when asked for — the simulator and the bound
-// calculus.
-func (r *Runner) backends(withSim, withBounds bool) []eval.Evaluator {
+// the built-in stack.
+func (r *Runner) backends() []eval.Evaluator {
 	r.init()
-	if r.Backends != nil {
-		return r.Backends
-	}
-	i := 0
-	if withSim {
-		i |= 1
-	}
-	if withBounds {
-		i |= 2
-	}
-	return r.defaults[i]
+	return r.stack
 }
 
 // cacheSalt distinguishes cache lines produced by non-default backend
@@ -166,8 +153,9 @@ func (r *Runner) backends(withSim, withBounds bool) []eval.Evaluator {
 // or by CacheTag() when they implement it — a backend whose results
 // depend on configuration beyond its name (a custom LoadResolver, a
 // remote endpoint, …) should return a tag capturing that configuration.
-// The default list keeps unsalted keys, preserving cache sharing across
-// default runners.
+// The built-in stack keeps unsalted keys: every default runner (cmd/sweep,
+// cmd/plan, sweepd) reads and writes the same lines, so they share a
+// store.
 func cacheSalt(backends []eval.Evaluator) string {
 	if backends == nil {
 		return ""
@@ -277,7 +265,7 @@ type localPool struct{ r *Runner }
 // no further cell is claimed and in-flight simulations abort inside their
 // cycle loop.
 func (p localPool) Schedule(ctx context.Context, g *Grid, cold []int, deliver func(int, Cell)) error {
-	backends := p.r.backends(g.Spec.withSim(), g.Spec.wantBounds())
+	backends := p.r.backends()
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 	each(ctx, p.r.workers(g.Spec, len(cold)), len(cold), func(k int) {
@@ -377,11 +365,7 @@ func (r *Runner) land(ctx context.Context, cacheKey string, cell Cell) {
 // Evaluate answers one scenario through the runner's cache and backends:
 // the single-cell form of Run, behind the serving layer's /v1/eval and
 // the capacity planner's probes. It reports whether the cell was served
-// from cache; fresh cells are stored before returning. The spec-dependent
-// default backend list cannot be inferred from a lone scenario, so a
-// runner without explicit Backends evaluates with the analytic model plus
-// — when the scenario asks for them — the simulator and the bound
-// calculus anchored on it.
+// from cache; fresh cells are stored before returning.
 func (r *Runner) Evaluate(ctx context.Context, sc Scenario) (Cell, bool, error) {
 	return r.evaluate(ctx, sc, sc.Key())
 }
@@ -398,7 +382,7 @@ func (r *Runner) evaluate(ctx context.Context, sc Scenario, key string) (Cell, b
 	if cell, ok := r.hit(ctx, key, cacheKey); ok {
 		return cell, true, nil
 	}
-	cell, err := compute(ctx, sc, key, r.backends(sc.WithSim, sc.WithBounds))
+	cell, err := compute(ctx, sc, key, r.backends())
 	if err != nil {
 		return Cell{}, false, err
 	}
@@ -610,10 +594,10 @@ func sameCurve(a, b *Scenario) bool {
 }
 
 // describeCurves builds the grid's per-curve metadata in order of first
-// appearance, asking desc (nil leaves the model fields NaN) on up to
-// `workers` goroutines — a first look at a curve may be an Eq. 26 search
-// or a network round trip. CurveKey is built once per curve. Once ctx has
-// ended no further curve is described and its error is returned as is.
+// appearance, asking desc on up to `workers` goroutines — a first look at
+// a curve may be an Eq. 26 search or a network round trip. CurveKey is
+// built once per curve. Once ctx has ended no further curve is described
+// and its error is returned as is.
 func describeCurves(ctx context.Context, scens []Scenario, desc CurveDescriber, workers int) ([]CurveInfo, error) {
 	var heads []int // first scenario of each distinct curve
 	var keys []string
@@ -631,22 +615,18 @@ func describeCurves(ctx context.Context, scens []Scenario, desc CurveDescriber, 
 	errs := make([]error, len(heads))
 	describe := func(i int) {
 		sc := &scens[heads[i]]
-		info := CurveInfo{
+		var cd eval.CurveDesc
+		if cd, errs[i] = desc.Curve(ctx, *sc); errs[i] != nil {
+			return
+		}
+		infos[i] = CurveInfo{
 			Topology: sc.Topology, MsgFlits: sc.MsgFlits,
 			Policy: sc.Policy.String(), Variant: sc.Variant.Name,
-			AvgDist: math.NaN(), SaturationLoad: math.NaN(),
+			Model: cd.Model, AvgDist: cd.AvgDist, SaturationLoad: cd.SaturationLoad,
 		}
 		if !sc.Workload.IsDefault() {
-			info.Workload = sc.Workload.Label()
+			infos[i].Workload = sc.Workload.Label()
 		}
-		if desc != nil {
-			var cd eval.CurveDesc
-			if cd, errs[i] = desc.Curve(ctx, *sc); errs[i] != nil {
-				return
-			}
-			info.Model, info.AvgDist, info.SaturationLoad = cd.Model, cd.AvgDist, cd.SaturationLoad
-		}
-		infos[i] = info
 	}
 	// Results land at the curve's index, so the order never depends on
 	// scheduling.
@@ -662,21 +642,27 @@ func describeCurves(ctx context.Context, scens []Scenario, desc CurveDescriber, 
 	return infos, nil
 }
 
-// resolveCurves resolves the grid's curves on the runner's workers,
-// through the first backend that can describe curves (the analytic
-// backend, in the default list; the fleet client over /v1/curve), under a
-// sweep.curves span that makes the set-up share of a sweep attributable.
-func (r *Runner) resolveCurves(ctx context.Context, g *Grid) ([]CurveInfo, error) {
-	var desc CurveDescriber
-	for _, be := range r.backends(g.Spec.withSim(), g.Spec.wantBounds()) {
+// Curve describes the curve sc lies on through the first backend that
+// can (the analytic model, in the built-in stack; the fleet client over
+// /v1/curve); a list with no such backend leaves the model fields NaN.
+// It is what Run resolves curve metadata with and what the serving layer
+// answers /v1/curve from.
+func (r *Runner) Curve(ctx context.Context, sc Scenario) (eval.CurveDesc, error) {
+	for _, be := range r.backends() {
 		if d, ok := be.(CurveDescriber); ok {
-			desc = d
-			break
+			return d.Curve(ctx, sc)
 		}
 	}
+	return eval.CurveDesc{AvgDist: math.NaN(), SaturationLoad: math.NaN()}, nil
+}
+
+// resolveCurves resolves the grid's curves on the runner's workers under
+// a sweep.curves span that makes the set-up share of a sweep
+// attributable.
+func (r *Runner) resolveCurves(ctx context.Context, g *Grid) ([]CurveInfo, error) {
 	ctx, span := obs.StartSpanKeyed(ctx, "sweep.curves", "")
 	before := analytic.SaturationSearches()
-	curves, err := describeCurves(ctx, g.Scens, desc, r.workers(g.Spec, len(g.Scens)))
+	curves, err := describeCurves(ctx, g.Scens, r, r.workers(g.Spec, len(g.Scens)))
 	if span != nil { // untraced, the attrs are not even boxed
 		// A process-wide counter: exact unless another sweep searches at
 		// the same moment.
