@@ -55,6 +55,8 @@ lint:
 	@test -z "$$(grep -rlE '# (TYPE|HELP)' --include='*.go' internal cmd | grep -v '_test\.go$$' | grep -v '^internal/obs/')" && \
 	test -z "$$(grep -rl 'obs\.NewCounter(' --include='*.go' internal cmd | grep -v '_test\.go$$' | grep -vE '^internal/(sim|analytic|bounds|obs)/')" || { \
 		echo "one metrics writer: Prometheus text is rendered by internal/obs only (components implement obs.Collector; obs.NewCounter is for the sim, analytic and bounds libraries)"; exit 1; }
+	@! grep -nE 'e\.net\.(GroupOf|EjectsTo|Kind|Groups)\(' internal/sim/engine.go || { \
+		echo "the cycle loop reads topology.Tables: engine.go takes a network's structure from e.tab, not from interface calls per event"; exit 1; }
 
 # staticcheck runs when the binary is available (CI installs it; locally
 # it is optional so the default toolchain stays sufficient).

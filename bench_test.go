@@ -150,6 +150,7 @@ func BenchmarkTorusLatency(b *testing.B) {
 }
 
 func BenchmarkTopologyFatTree1024(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := topology.NewFatTree(1024); err != nil {
 			b.Fatal(err)

@@ -46,10 +46,12 @@ func tracedFleetRun(t *testing.T) (traces []string, scrape string) {
 	}
 	coord := open("coord.ndjson")
 	var addrs []string
+	var shards []*httptest.Server
 	for i := 1; i <= 2; i++ {
 		tracer := open(fmt.Sprintf("shard%d.ndjson", i))
 		srv := httptest.NewServer(serve.New(serve.WithCache(sweep.NewCache()), serve.WithTracer(tracer)))
 		t.Cleanup(srv.Close)
+		shards = append(shards, srv)
 		addrs = append(addrs, srv.URL)
 	}
 
@@ -79,6 +81,12 @@ func tracedFleetRun(t *testing.T) (traces []string, scrape string) {
 		t.Fatal(err)
 	}
 
+	// The coordinator is done with a range at its last cell, which can be
+	// before the shard has ended that request's span: wait for the
+	// handlers (Close does) before flushing the shards' files.
+	for _, srv := range shards {
+		srv.Close()
+	}
 	for _, closeTracer := range closers {
 		if err := closeTracer(); err != nil {
 			t.Fatal(err)

@@ -335,7 +335,31 @@ func (ws *Workspace) wait(i int, x float64) float64 {
 	if ws.opt.SingleServerGroups {
 		servers = 1
 	}
+	if servers == 1 && ws.opt.CV == CVWormhole {
+		return waitWormhole1(ws.qRate[i], x, ws.g.msgFlits)
+	}
 	return queueing.WaitMGm(servers, ws.qRate[i], x, cv2(ws.opt.CV, x, ws.g.msgFlits))
+}
+
+// waitWormhole1 is queueing.WaitMGm(1, lambda, x, queueing.CV2Wormhole(x, s)),
+// bit for bit: the single-server wormhole channel is what the fixed-point
+// sweeps of torus and hypercube graphs evaluate almost exclusively, and
+// with m = 1 the Erlang recurrences collapse to three divisions. Every
+// expression below keeps the shape those functions give it (only
+// multiplications and divisions by 1 are dropped), and anything but an
+// ordinary operating point goes to them.
+func waitWormhole1(lambda, x, s float64) float64 {
+	d := (x - s) / x
+	if !(lambda > 0 && x > 0 && s >= 0 && d*d >= 0) { // d is NaN at x = +Inf
+		return queueing.WaitMGm(1, lambda, x, queueing.CV2Wormhole(x, s))
+	}
+	a := lambda * x
+	if a >= 1 {
+		return math.Inf(1)
+	}
+	b := a / (1 + a)       // ErlangB(1, a)
+	c := b / (1 - a*(1-b)) // ErlangC(1, a)
+	return (1 + d*d) / 2 * (c * x / (1 - a))
 }
 
 // blocking returns P(i|t) of Eq. 10, clamped to [0,1], for a transition

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/queueing"
+	"repro/internal/traffic"
 )
 
 // twoHop builds the simplest nontrivial model: inject -> relay -> eject,
@@ -300,5 +301,47 @@ func TestSelfLoopFixedPoint(t *testing.T) {
 	want := 0.5*(x+pSelf*wSelf) + 0.5*(8+pEj*wEj)
 	if math.Abs(x-want) > 1e-6 {
 		t.Errorf("self-loop fixed point inconsistent: x=%v, recomputed %v", x, want)
+	}
+}
+
+// TestWaitWormhole1BitIdentical: the inlined single-server wormhole wait
+// is queueing.WaitMGm(1, …) on queueing.CV2Wormhole to the last bit — over
+// a seeded grid of operating points, at the boundaries the inline branches
+// on, and on every input it hands back to the general functions.
+func TestWaitWormhole1BitIdentical(t *testing.T) {
+	check := func(lambda, x, s float64) {
+		t.Helper()
+		got := waitWormhole1(lambda, x, s)
+		want := queueing.WaitMGm(1, lambda, x, queueing.CV2Wormhole(x, s))
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("waitWormhole1(%v, %v, %v) = %v (%#x), WaitMGm %v (%#x)",
+				lambda, x, s, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	rng := traffic.NewRNG(333)
+	for i := 0; i < 200_000; i++ {
+		s := float64(1 + rng.Intn(256))
+		x := s * (1 + 4*rng.Float64()*rng.Float64()) // x̄ ≥ s, mostly near it
+		a := rng.Float64() * 1.05                    // offered load, a few beyond saturation
+		check(a/x, x, s)
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	for _, s := range []float64{1, 16, 64} {
+		check(0, s, s)      // no traffic
+		check(0.01, s, s)   // no blocking downstream: deterministic service
+		check(0.01, s/2, s) // x̄ below s (a transient of the damped iteration)
+		check(1/s, s, s)    // a = 1
+		check(2/s, s, s)    // a > 1
+		check(math.Nextafter(1, 0)/s, s, s)
+		check(math.Nextafter(1/s, 0), s, s)
+		check(5e-324, s, s)    // a underflows
+		check(0.01, 5e-324, s) // d² overflows
+		for _, bad := range []float64{nan, inf, -inf, -1, 0} {
+			check(bad, s, s)
+			check(0.01, bad, s)
+			check(0.01, s, bad)
+			check(bad, bad, s)
+			check(bad, bad, bad)
+		}
 	}
 }

@@ -5,7 +5,10 @@ import (
 	"context"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -151,6 +154,8 @@ func (n *misdeliveringNet) EjectsTo(ch topology.ChannelID) int {
 	}
 	return p
 }
+
+func (n *misdeliveringNet) Tables() *topology.Tables { return topology.BuildTables(n) }
 
 // A request must not be able to kill or wedge a shard: a simulator panic
 // comes back as that cell's error, and the backend — whose pool must not
@@ -352,5 +357,60 @@ func TestScenarioKeyVariantSensitivity(t *testing.T) {
 	}
 	if base.CurveKey() == ablated.CurveKey() {
 		t.Error("variants must land on distinct curves")
+	}
+}
+
+// First touch of a topology builds it outside the backend's lock, once:
+// concurrent first callers all get the one network. A build that fails is
+// not remembered; a trace that fails to load is.
+func TestSimBackendMemoBuildsOnce(t *testing.T) {
+	sb := NewSimBackend(nil)
+	topo := Topology{Family: FamilyBFT, Size: 256}
+	nets := make([]topology.Network, 8)
+	var wg sync.WaitGroup
+	for i := range nets {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			net, err := sb.network(topo)
+			if err != nil {
+				t.Error(err)
+			}
+			nets[i] = net
+		}(i)
+	}
+	wg.Wait()
+	for i, net := range nets {
+		if net != nets[0] {
+			t.Fatalf("caller %d got its own network: the build ran more than once", i)
+		}
+	}
+	if again, _ := sb.network(topo); again != nets[0] {
+		t.Error("a later caller got a different network")
+	}
+	if len(sb.building) != 0 {
+		t.Errorf("%d finished builds still listed as in flight", len(sb.building))
+	}
+
+	bad := Topology{Family: FamilyBFT, Size: 5}
+	for i := 0; i < 2; i++ {
+		if _, err := sb.network(bad); err == nil {
+			t.Fatal("a 5-processor fat-tree was built")
+		}
+	}
+	if _, kept := sb.nets[bad]; kept || len(sb.building) != 0 {
+		t.Error("a failed network build was memoized")
+	}
+
+	missing := filepath.Join(t.TempDir(), "trace.ndjson")
+	_, first := sb.trace(missing)
+	if first == nil {
+		t.Fatal("a missing trace file loaded")
+	}
+	if err := os.WriteFile(missing, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, second := sb.trace(missing); second != first {
+		t.Errorf("trace load failure not memoized: %v, then %v", first, second)
 	}
 }

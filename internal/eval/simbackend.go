@@ -22,15 +22,27 @@ import (
 // their engines from one sim.Pool, so a long-lived backend simulates on
 // warm engines. Safe for concurrent use; the simulator checks ctx inside
 // its cycle loop.
+//
+// The lock covers the memo maps only: a network is built and a trace is
+// parsed outside it, once, with concurrent first callers of the same key
+// waiting for that one build while every other cell goes on.
 type SimBackend struct {
-	mu     sync.Mutex
-	nets   map[Topology]topology.Network
-	traces map[string]*traceEntry
-	anchor LoadResolver
-	pool   sim.Pool
+	mu       sync.Mutex
+	nets     map[Topology]topology.Network
+	building map[Topology]*netBuild // first builds in flight
+	traces   map[string]*traceEntry
+	anchor   LoadResolver
+	pool     sim.Pool
+}
+
+type netBuild struct {
+	once sync.Once
+	net  topology.Network
+	err  error
 }
 
 type traceEntry struct {
+	once  sync.Once
 	trace *workload.Trace
 	err   error
 }
@@ -51,38 +63,55 @@ func NewSimBackend(anchor LoadResolver) *SimBackend {
 // path fails each cell cheaply instead of re-reading the file.
 func (b *SimBackend) trace(path string) (*workload.Trace, error) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	if e, ok := b.traces[path]; ok {
-		return e.trace, e.err
+	e := b.traces[path]
+	if e == nil {
+		e = new(traceEntry)
+		b.traces[path] = e
 	}
-	e := &traceEntry{}
-	f, err := os.Open(path)
-	if err != nil {
-		e.err = fmt.Errorf("eval: opening trace: %w", err)
-	} else {
+	b.mu.Unlock()
+	e.once.Do(func() {
+		f, err := os.Open(path)
+		if err != nil {
+			e.err = fmt.Errorf("eval: opening trace: %w", err)
+			return
+		}
+		defer f.Close()
 		e.trace, e.err = workload.ReadTrace(f)
-		f.Close()
-	}
-	b.traces[path] = e
+	})
 	return e.trace, e.err
 }
 
 // Name implements Evaluator.
 func (b *SimBackend) Name() string { return "sim" }
 
-// network returns the memoized simulator topology for the instance.
+// network returns the memoized simulator topology for the instance. A
+// failed build is not memoized: its entry goes with it, and the next
+// caller builds again.
 func (b *SimBackend) network(topo Topology) (topology.Network, error) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	if n, ok := b.nets[topo]; ok {
+		b.mu.Unlock()
 		return n, nil
 	}
-	n, err := topo.NewNetwork()
-	if err != nil {
-		return nil, err
+	e := b.building[topo]
+	if e == nil {
+		e = new(netBuild)
+		if b.building == nil { // made on first use: a model-only backend never builds
+			b.building = make(map[Topology]*netBuild)
+		}
+		b.building[topo] = e
 	}
-	b.nets[topo] = n
-	return n, nil
+	b.mu.Unlock()
+	e.once.Do(func() {
+		e.net, e.err = topo.NewNetwork()
+		b.mu.Lock()
+		if e.err == nil {
+			b.nets[topo] = e.net
+		}
+		delete(b.building, topo)
+		b.mu.Unlock()
+	})
+	return e.net, e.err
 }
 
 // ResolveLoad implements LoadResolver, delegating fractions to the

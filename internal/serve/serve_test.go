@@ -531,6 +531,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		`sweep_batch_requests_total 1`,
 		`sweep_batch_cells_total 0`,
 		`# TYPE sweep_http_request_duration_seconds histogram`,
+		// The simulator's per-cycle work counters (process-wide).
+		`# TYPE sim_group_visits_total counter`,
+		`# TYPE sim_grants_total counter`,
+		`# TYPE sim_drain_steps_total counter`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)

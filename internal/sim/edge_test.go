@@ -177,3 +177,27 @@ func TestGroupPartitionRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// A worm far longer than its path spends most of its drain with nothing
+// moving but flit counters. That is still progress: the watchdog must not
+// mistake a lone long worm for a deadlock, however short its timeout.
+func TestLongDrainIsProgress(t *testing.T) {
+	cfg := Config{
+		Net:             topology.MustFatTree(16),
+		MsgFlits:        400,
+		Seed:            5,
+		WarmupCycles:    0,
+		MeasureCycles:   20000,
+		ProgressTimeout: 50,
+	}
+	cfg.Lambda0 = 0.00002
+	e := mustEngine(t, cfg)
+	e.debugChecks = true
+	res, err := e.run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TrackedCompleted == 0 {
+		t.Fatal("no message completed; the case exercises nothing")
+	}
+}

@@ -24,6 +24,9 @@ var (
 	simRunsCompleted = obs.NewCounter("sim_runs_total")
 	simEnginesBuilt  = obs.NewCounter("sim_engines_built_total")
 	simEnginesReused = obs.NewCounter("sim_engines_reused_total")
+	simGroupVisits   = obs.NewCounter("sim_group_visits_total")
+	simGrants        = obs.NewCounter("sim_grants_total")
+	simDrainSteps    = obs.NewCounter("sim_drain_steps_total")
 )
 
 type wormState uint8
@@ -54,7 +57,6 @@ type wormSoA struct {
 	consumed   []int32 // flits delivered to the destination PE
 	state      []wormState
 	tracked    []bool
-	drainFrom  []int64 // first cycle of post-head-arrival consumption
 	enqueuedAt []int64 // cycle the worm entered its current arbitration queue
 	next       []int32 // successor in that queue (see linkedQueues)
 
@@ -95,7 +97,6 @@ func (s *wormSoA) recycle(n, stride int) {
 	s.consumed = resized(s.consumed, n)[:0]
 	s.state = resized(s.state, n)[:0]
 	s.tracked = resized(s.tracked, n)[:0]
-	s.drainFrom = resized(s.drainFrom, n)[:0]
 	s.enqueuedAt = resized(s.enqueuedAt, n)[:0]
 	s.next = resized(s.next, n)[:0]
 	s.spare, s.used, s.stride = nil, 0, stride
@@ -129,7 +130,6 @@ func (s *wormSoA) grow() int32 {
 	s.consumed = append(s.consumed, 0)
 	s.state = append(s.state, stateRouting)
 	s.tracked = append(s.tracked, false)
-	s.drainFrom = append(s.drainFrom, 0)
 	s.enqueuedAt = append(s.enqueuedAt, 0)
 	s.next = append(s.next, 0)
 	return int32(len(s.src) - 1)
@@ -143,7 +143,7 @@ func (s *wormSoA) reset(id int32) {
 	s.tailIdx[id], s.injected[id], s.consumed[id] = 0, 0, 0
 	s.state[id] = stateRouting
 	s.tracked[id] = false
-	s.drainFrom[id], s.enqueuedAt[id] = 0, 0
+	s.enqueuedAt[id] = 0
 }
 
 func (s *wormSoA) len() int { return len(s.src) }
@@ -232,12 +232,36 @@ func arrBefore(a, b arrEvent) bool {
 	return a.cycle < b.cycle || (a.cycle == b.cycle && a.p < b.p)
 }
 
+// routeReq is a head that crossed a channel last cycle and asks for its
+// next hop this cycle. The group is worked out at the grant, while the
+// channel's routing record is hot, so the request phase only shuffles and
+// enqueues.
+type routeReq struct {
+	id int32
+	g  topology.GroupID
+}
+
+// drainer is a worm whose head has reached its destination. While flits
+// are still entering at the source its drain cycles move nothing but the
+// injected and consumed counters, so it sleeps through them: wake is the
+// first cycle on which its tail releases a channel, and the counters (and
+// the delivered-flit count) are settled then, or in finish if the run ends
+// first.
+type drainer struct {
+	id   int32
+	wake int64
+}
+
 type engine struct {
 	cfg    Config
 	net    topology.Network
-	groups [][]topology.ChannelID
 	nProc  int
 	sFlits int32
+
+	// tab is the network's flat structure (shared, read-only) and free the
+	// one mutable column on it: free channels per arbitration group.
+	tab  topology.Tables
+	free []int32
 
 	soa      wormSoA
 	freeList []int32
@@ -253,9 +277,13 @@ type engine struct {
 	pending   []topology.GroupID
 	inPending []bool
 
-	routeNow, routeNext []int32
-	draining            []int32
-	releases            []topology.ChannelID
+	routeNow, routeNext []routeReq
+	// draining lists the drainers in the order their heads arrived. Worms
+	// that finish in the same cycle arrived in the same cycle, so this one
+	// order is also the order BatchMeans sees completions in; it must not
+	// be split or re-sorted by wake time.
+	draining []drainer
+	releases []topology.ChannelID
 
 	sources []traffic.Source
 	srcSlab workload.SourceSlab
@@ -314,8 +342,11 @@ type engine struct {
 	lastProgress       int64
 
 	// Observability accumulators (flushed to the obs counters in finish).
-	obsPopped   int64
-	obsIdleSkip int64
+	obsPopped     int64
+	obsIdleSkip   int64
+	obsVisits     int64 // calls into grantGroup
+	obsGrants     int64
+	obsDrainSteps int64 // draining worms stepped
 
 	reused      bool // this run is on recycled storage (Pool)
 	debugChecks bool // same-package tests enable per-cycle invariants
@@ -341,14 +372,16 @@ func (e *engine) reset(cfg Config) error {
 	net := cfg.Net
 	nProc := net.NumProcessors()
 	nCh := net.NumChannels()
-	nGr := len(net.Groups())
+	tab := net.Tables()
+	nGr := len(tab.GroupOff) - 1
 	old := *e
 	*e = engine{
 		cfg:        cfg,
 		net:        net,
-		groups:     net.Groups(),
 		nProc:      nProc,
 		sFlits:     int32(cfg.MsgFlits),
+		tab:        *tab,
+		free:       resized(old.free, nGr),
 		soa:        old.soa,
 		freeList:   old.freeList[:0],
 		busy:       resized(old.busy, nCh),
@@ -375,6 +408,9 @@ func (e *engine) reset(cfg Config) error {
 		measStart:  int64(cfg.WarmupCycles),
 		measEnd:    int64(cfg.WarmupCycles + cfg.MeasureCycles),
 		lat:        *stats.NewBatchMeans(cfg.batchSize()),
+	}
+	for g := range e.free {
+		e.free[g] = tab.GroupOff[g+1] - tab.GroupOff[g]
 	}
 	diam := diameter(net)
 	e.soa.recycle(nProc, diam)
@@ -435,10 +471,11 @@ func (e *engine) reset(cfg Config) error {
 
 // release drops every reference to caller-owned memory — the config's
 // closures and trace, the sources and destination pattern built from
-// them, the network — so a parked engine pins nothing but its own slabs.
+// them, the network and its tables — so a parked engine pins nothing but
+// its own slabs.
 func (e *engine) release() {
 	e.cfg = Config{}
-	e.net, e.groups = nil, nil
+	e.net, e.tab = nil, topology.Tables{}
 	e.sources, e.pat = nil, nil
 	clear(e.destSrc)
 }
@@ -448,11 +485,19 @@ func (e *engine) release() {
 // cycle t with a < t, i.e. floor(a)+1 — the same eligibility the dense
 // engine's per-cycle PopBefore(t) scan implements.
 func (e *engine) scheduleArrival(p int) {
+	if ev, ok := e.nextArrival(p); ok {
+		e.heapPush(ev)
+	}
+}
+
+// nextArrival is processor p's next calendar entry; ok is false for a
+// source that never fires again (rate 0).
+func (e *engine) nextArrival(p int) (ev arrEvent, ok bool) {
 	a := e.sources[p].Peek()
 	if math.IsInf(a, 1) {
-		return // rate 0: the source never fires
+		return arrEvent{}, false
 	}
-	e.heapPush(arrEvent{cycle: int64(math.Floor(a)) + 1, p: int32(p)})
+	return arrEvent{cycle: int64(math.Floor(a)) + 1, p: int32(p)}, true
 }
 
 func (e *engine) heapPush(ev arrEvent) {
@@ -469,30 +514,37 @@ func (e *engine) heapPush(ev arrEvent) {
 	e.arrHeap = h
 }
 
-func (e *engine) heapPop() arrEvent {
+// heapPop removes the calendar's top.
+func (e *engine) heapPop() {
+	n := len(e.arrHeap) - 1
+	last := e.arrHeap[n]
+	e.arrHeap = e.arrHeap[:n]
+	if n > 0 {
+		e.heapReplaceTop(last)
+	}
+}
+
+// heapReplaceTop puts ev in the top's place and sifts it down. Keys are
+// unique (one entry per processor), so the order entries leave the
+// calendar in does not depend on how they are arranged inside it.
+func (e *engine) heapReplaceTop(ev arrEvent) {
 	h := e.arrHeap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < n && arrBefore(h[l], h[s]) {
-			s = l
-		}
-		if r < n && arrBefore(h[r], h[s]) {
-			s = r
-		}
-		if s == i {
+		c := 2*i + 1
+		if c >= len(h) {
 			break
 		}
-		h[i], h[s] = h[s], h[i]
-		i = s
+		if r := c + 1; r < len(h) && arrBefore(h[r], h[c]) {
+			c = r
+		}
+		if !arrBefore(h[c], ev) {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
-	e.arrHeap = h
-	return top
+	h[i] = ev
 }
 
 // ctxCheckMask sets how often the cycle loop polls the context: every 4096
@@ -594,7 +646,7 @@ func (e *engine) arrivals(t int64) {
 	limit := float64(t)
 	for len(e.arrHeap) > 0 && e.arrHeap[0].cycle <= t {
 		e.obsPopped++
-		p := int(e.heapPop().p)
+		p := int(e.arrHeap[0].p)
 		for {
 			a, ok := e.sources[p].PopBefore(limit)
 			if !ok {
@@ -618,7 +670,13 @@ func (e *engine) arrivals(t int64) {
 				e.trackedOutstanding++
 			}
 		}
-		e.scheduleArrival(p)
+		// p's next arrival takes p's place at the top and sinks from
+		// there: one sift instead of a pop's and a push's.
+		if ev, ok := e.nextArrival(p); ok {
+			e.heapReplaceTop(ev)
+		} else {
+			e.heapPop()
+		}
 		if !e.waitingInj[p] && !e.inInjReady[p] {
 			e.inInjReady[p] = true
 			e.injReady = append(e.injReady, int32(p))
@@ -652,8 +710,7 @@ func (e *engine) createWorm(p int, t int64) {
 	e.soa.arrival[id] = a
 	e.soa.state[id] = stateRouting
 	e.soa.tracked[id] = a >= float64(e.measStart) && a < float64(e.measEnd)
-	inj := e.net.InjectionChannel(p)
-	e.enqueue(e.net.GroupOf(inj), id, t)
+	e.enqueue(e.tab.GroupOf[e.net.InjectionChannel(p)], id, t)
 	e.waitingInj[p] = true
 	e.active++
 }
@@ -669,25 +726,46 @@ func (e *engine) alloc() int32 {
 }
 
 // drain advances consumption: one flit per cycle per worm whose head has
-// reached its destination.
+// reached its destination. Only worms with a tail channel to release are
+// stepped; the others sleep (see drainer).
 func (e *engine) drain(t int64) {
+	if len(e.draining) == 0 {
+		return
+	}
+	e.lastProgress = t // every drainer consumes a flit this cycle, asleep or not
 	kept := e.draining[:0]
-	for _, id := range e.draining {
-		if e.soa.drainFrom[id] > t {
-			kept = append(kept, id)
+	for _, d := range e.draining {
+		if d.wake > t {
+			kept = append(kept, d)
 			continue
+		}
+		e.obsDrainSteps++
+		id := d.id
+		if slept := e.sFlits - e.soa.injected[id]; slept > 0 {
+			// First step after sleeping through cycles [t-slept, t).
+			e.soa.injected[id] = e.sFlits
+			e.soa.consumed[id] += slept
+			e.flitsDelivered += e.measuredCycles(t-int64(slept), t)
 		}
 		e.soa.consumed[id]++
 		e.countFlit(t)
-		e.shift(id, t)
-		e.lastProgress = t
+		e.releaseTail(id, t)
 		if e.soa.consumed[id] >= e.sFlits {
 			e.finalize(id, t)
 		} else {
-			kept = append(kept, id)
+			kept = append(kept, d)
 		}
 	}
 	e.draining = kept
+}
+
+// measuredCycles counts the cycles of [from, to) inside the measurement
+// window. A sleeper's flits are counted here in arrears, against the
+// window as it stands now: early stopping only ever moves measEnd to the
+// cycle after the current one, so every cycle up to now is judged as it
+// was when it ran.
+func (e *engine) measuredCycles(from, to int64) int64 {
+	return max(0, min(to, e.measEnd)-max(from, e.measStart))
 }
 
 // requests enqueues worms whose heads reached a switch last cycle.
@@ -699,10 +777,8 @@ func (e *engine) requests(t int64) {
 		j := e.rng.Intn(i + 1)
 		rn[i], rn[j] = rn[j], rn[i]
 	}
-	for _, id := range rn {
-		path := e.soa.path[id]
-		g := e.net.NextGroup(path[len(path)-1], int(e.soa.dst[id]))
-		e.enqueue(g, id, t)
+	for _, r := range rn {
+		e.enqueue(r.g, r.id, t)
 	}
 }
 
@@ -710,7 +786,7 @@ func (e *engine) enqueue(g topology.GroupID, id int32, t int64) {
 	e.soa.enqueuedAt[id] = t
 	q := g
 	if e.cfg.Policy == RandomFixed {
-		members := e.groups[g]
+		members := e.tab.Group(g)
 		q = members[0]
 		if len(members) > 1 {
 			q = members[e.rng.Intn(len(members))]
@@ -724,11 +800,12 @@ func (e *engine) enqueue(g topology.GroupID, id int32, t int64) {
 }
 
 // grants walks every arbitration group with waiting worms and hands free
-// channels to queue heads (FCFS).
+// channels to queue heads (FCFS). A pending group always has a waiter, so
+// one with no free channel keeps its place without being looked into.
 func (e *engine) grants(t int64) {
 	kept := e.pending[:0]
 	for _, g := range e.pending {
-		if e.grantGroup(g, t) {
+		if e.free[g] == 0 || e.grantGroup(g, t) {
 			kept = append(kept, g)
 		} else {
 			e.inPending[g] = false
@@ -739,12 +816,13 @@ func (e *engine) grants(t int64) {
 
 // grantGroup returns true if the group still has waiters afterwards.
 func (e *engine) grantGroup(g topology.GroupID, t int64) bool {
-	members := e.groups[g]
+	e.obsVisits++
+	members := e.tab.Group(g)
 	if e.cfg.Policy == RandomFixed {
 		waiters := false
 		for _, ch := range members {
 			for !e.arbQ.empty(ch) && !e.busy[ch] {
-				e.grant(e.arbQ.pop(ch, e.soa.next), ch, t)
+				e.grant(e.arbQ.pop(ch, e.soa.next), ch, g, t)
 			}
 			if !e.arbQ.empty(ch) {
 				waiters = true
@@ -752,31 +830,26 @@ func (e *engine) grantGroup(g topology.GroupID, t int64) bool {
 		}
 		return waiters
 	}
-	for !e.arbQ.empty(g) {
-		ch := e.pickFree(members)
-		if ch < 0 {
-			break
+	for !e.arbQ.empty(g) && e.free[g] > 0 {
+		ch := members[0]
+		if len(members) > 1 {
+			ch = e.pickFree(members, e.free[g])
 		}
-		e.grant(e.arbQ.pop(g, e.soa.next), ch, t)
+		e.grant(e.arbQ.pop(g, e.soa.next), ch, g, t)
 	}
 	return !e.arbQ.empty(g)
 }
 
-// pickFree returns a uniformly random free member channel, or -1. Worms
-// "select an up-link randomly" when both are available (§3.1).
-func (e *engine) pickFree(members []topology.ChannelID) int32 {
-	n := 0
-	for _, ch := range members {
-		if !e.busy[ch] {
-			n++
-		}
-	}
-	if n == 0 {
-		return -1
-	}
+// pickFree returns a uniformly random one of the n > 0 free member
+// channels. Worms "select an up-link randomly" when both are available
+// (§3.1).
+func (e *engine) pickFree(members []topology.ChannelID, n int32) topology.ChannelID {
 	k := 0
 	if n > 1 {
-		k = e.rng.Intn(n)
+		k = e.rng.Intn(int(n))
+	}
+	if int(n) == len(members) {
+		return members[k]
 	}
 	for _, ch := range members {
 		if !e.busy[ch] {
@@ -786,12 +859,14 @@ func (e *engine) pickFree(members []topology.ChannelID) int32 {
 			k--
 		}
 	}
-	return -1 // unreachable
+	panic("sim: free-channel count out of step with the busy flags")
 }
 
-// grant advances a worm's head across channel ch during cycle t.
-func (e *engine) grant(id int32, ch topology.ChannelID, t int64) {
+// grant advances a worm's head across channel ch of group g during cycle t.
+func (e *engine) grant(id int32, ch topology.ChannelID, g topology.GroupID, t int64) {
+	e.obsGrants++
 	e.busy[ch] = true
+	e.free[g]--
 	e.acquiredAt[ch] = t
 	if obs := e.cfg.HopWaitObserver; obs != nil && t >= e.measStart && t < e.measEnd {
 		obs(ch, t-e.soa.enqueuedAt[id])
@@ -815,21 +890,23 @@ func (e *engine) grant(id int32, ch topology.ChannelID, t int64) {
 	e.soa.path[id] = append(e.soa.path[id], ch)
 	e.shift(id, t)
 	e.lastProgress = t
-	if p := e.net.EjectsTo(ch); p >= 0 {
-		if p != int(e.soa.dst[id]) {
-			panic(fmt.Sprintf("sim: worm for %d delivered to %d", e.soa.dst[id], p))
+	dst := e.soa.dst[id]
+	if p := e.tab.EjectsTo[ch]; p >= 0 {
+		if p != dst {
+			panic(fmt.Sprintf("sim: worm for %d delivered to %d", dst, p))
 		}
 		e.soa.consumed[id] = 1 // the head's traversal of the ejection channel
 		e.countFlit(t)
 		if e.soa.consumed[id] >= e.sFlits {
 			e.finalize(id, t)
 		} else {
+			// The flits still to enter at the source (none when the worm
+			// is shorter than its path) take one drain cycle each.
 			e.soa.state[id] = stateDraining
-			e.soa.drainFrom[id] = t + 1
-			e.draining = append(e.draining, id)
+			e.draining = append(e.draining, drainer{id: id, wake: t + 1 + int64(e.sFlits-e.soa.injected[id])})
 		}
 	} else {
-		e.routeNext = append(e.routeNext, id)
+		e.routeNext = append(e.routeNext, routeReq{id: id, g: e.net.NextGroup(ch, int(dst))})
 	}
 }
 
@@ -840,6 +917,11 @@ func (e *engine) shift(id int32, t int64) {
 		e.soa.injected[id]++
 		return
 	}
+	e.releaseTail(id, t)
+}
+
+// releaseTail is the shift of a worm whose flits are all in flight.
+func (e *engine) releaseTail(id int32, t int64) {
 	tail := e.soa.tailIdx[id]
 	ch := e.soa.path[id][tail]
 	if tail == 0 && e.soa.tracked[id] {
@@ -896,6 +978,7 @@ func (e *engine) scheduleRelease(ch topology.ChannelID, t int64) {
 func (e *engine) applyReleases() {
 	for _, ch := range e.releases {
 		e.busy[ch] = false
+		e.free[e.tab.GroupOf[ch]]++
 	}
 	e.releases = e.releases[:0]
 }
@@ -950,6 +1033,9 @@ func (e *engine) queueHalves() (first, second float64) {
 func (e *engine) finish(t int64) *Result {
 	simEventsPopped.Add(e.obsPopped)
 	simIdleSkipped.Add(e.obsIdleSkip)
+	simGroupVisits.Add(e.obsVisits)
+	simGrants.Add(e.obsGrants)
+	simDrainSteps.Add(e.obsDrainSteps)
 	simRunsCompleted.Add(1)
 	if e.reused {
 		simEnginesReused.Add(1)
@@ -959,6 +1045,13 @@ func (e *engine) finish(t int64) *Result {
 	if e.earlyStopped {
 		if saved := int64(e.cfg.WarmupCycles+e.cfg.MeasureCycles) - e.measEnd; saved > 0 {
 			simEarlySaved.Add(saved)
+		}
+	}
+	// Worms still asleep have delivered a flit in every cycle since their
+	// head arrived.
+	for _, d := range e.draining {
+		if slept := int64(e.sFlits - e.soa.injected[d.id]); slept > 0 {
+			e.flitsDelivered += e.measuredCycles(d.wake-slept, min(d.wake, t))
 		}
 	}
 	// Account channels still busy at the end of the run.
@@ -1016,6 +1109,14 @@ func (e *engine) finish(t int64) *Result {
 // checkInvariants asserts the rigid-worm conservation laws; it is enabled
 // by white-box tests and panics on violation.
 func (e *engine) checkInvariants(t int64) {
+	// A sleeper's counters stand where its head arrived; the inject-only
+	// cycles it has been through since, this one included, are owed.
+	owed := make(map[int32]int32)
+	for _, d := range e.draining {
+		if slept := e.sFlits - e.soa.injected[d.id]; slept > 0 {
+			owed[d.id] = slept - int32(d.wake-1-t)
+		}
+	}
 	held := make(map[topology.ChannelID]int32)
 	for id := 0; id < e.soa.len(); id++ {
 		if e.soa.state[id] == stateDone {
@@ -1033,7 +1134,9 @@ func (e *engine) checkInvariants(t int64) {
 			}
 			held[ch] = int32(id)
 		}
-		flits := int(e.soa.injected[id] - e.soa.consumed[id])
+		injected := e.soa.injected[id] + owed[int32(id)]
+		consumed := e.soa.consumed[id] + owed[int32(id)]
+		flits := int(injected - consumed)
 		switch e.soa.state[id] {
 		case stateRouting:
 			if nHeld != flits {
@@ -1046,17 +1149,27 @@ func (e *engine) checkInvariants(t int64) {
 					t, id, nHeld, flits))
 			}
 		}
-		if e.soa.injected[id] > e.sFlits || e.soa.consumed[id] > e.sFlits ||
-			e.soa.consumed[id] > e.soa.injected[id] {
+		if injected > e.sFlits || consumed > e.sFlits || consumed > injected {
 			panic(fmt.Sprintf("cycle %d: worm %d counters injected=%d consumed=%d",
-				t, id, e.soa.injected[id], e.soa.consumed[id]))
+				t, id, injected, consumed))
 		}
 	}
 	// Releases are applied before this check runs, so the busy set and
-	// the held set must match exactly.
+	// the held set must match exactly, and the free counters with them.
 	for ch, b := range e.busy {
 		if _, isHeld := held[topology.ChannelID(ch)]; b != isHeld {
 			panic(fmt.Sprintf("cycle %d: channel %d busy=%v held=%v", t, ch, b, isHeld))
+		}
+	}
+	for g, free := range e.free {
+		n := int32(0)
+		for _, ch := range e.tab.Group(topology.GroupID(g)) {
+			if !e.busy[ch] {
+				n++
+			}
+		}
+		if n != free {
+			panic(fmt.Sprintf("cycle %d: group %d counts %d free channels, %d are", t, g, free, n))
 		}
 	}
 }

@@ -37,6 +37,10 @@ func (n *faultyNet) EjectsTo(ch topology.ChannelID) int {
 	return p
 }
 
+// Tables rebuilds the tables through the overridden methods; the embedded
+// network's would route around the fault.
+func (n *faultyNet) Tables() *topology.Tables { return topology.BuildTables(n) }
+
 // reuseMatrix is the run matrix of the reuse tests: the reference
 // families plus every option and workload kind that adds engine state.
 func reuseMatrix(t *testing.T) []simCase {
@@ -190,9 +194,9 @@ func TestPoolConcurrent(t *testing.T) {
 }
 
 // TestPoolPinsNothing: a parked engine holds no reference to the caller's
-// closures, trace, sources or pattern, and a Result never aliases engine
-// memory — neither scribbling on a returned Result nor rerunning the
-// engine changes the other.
+// closures, trace, sources, pattern or network (tables included), and a
+// Result never aliases engine memory — neither scribbling on a returned
+// Result nor rerunning the engine changes the other.
 func TestPoolPinsNothing(t *testing.T) {
 	ctx := context.Background()
 	cfg := lightConfig(topology.MustFatTree(64), 16, 0.3, 1234)
@@ -218,6 +222,9 @@ func TestPoolPinsNothing(t *testing.T) {
 			e.cfg.Workload != nil || e.cfg.Net != nil || e.net != nil ||
 			e.sources != nil || e.pat != nil {
 			t.Errorf("parked engine still references its last run: cfg %+v sources %v pat %v", e.cfg, e.sources, e.pat)
+		}
+		if e.tab.GroupOf != nil || e.tab.EjectsTo != nil || e.tab.GroupOff != nil || e.tab.Members != nil {
+			t.Error("parked engine still holds the network's tables")
 		}
 		for i, d := range e.destSrc[:cap(e.destSrc)] {
 			if d != nil {

@@ -119,6 +119,43 @@ func referenceFamilies() []simCase {
 			Net: topology.MustFatTree(16), MsgFlits: 8, Seed: 1,
 			WarmupCycles: 100, MeasureCycles: 2000, Lambda0: 0,
 		}},
+		// Worms shorter than their path release tail channels while the
+		// head is still routing and have no inject-only drain cycles.
+		{name: "bft256-s3-short", cfg: Config{
+			Net: topology.MustFatTree(256), MsgFlits: 3, Seed: 6,
+			WarmupCycles: 500, MeasureCycles: 4000,
+		}.FlitLoad(0.03)},
+		{name: "hcube6-s2-short", cfg: Config{
+			Net: topology.MustHypercube(6), MsgFlits: 2, Seed: 13,
+			WarmupCycles: 500, MeasureCycles: 4000,
+		}.FlitLoad(0.05)},
+		// One flit: the head's ejection is the whole delivery; nothing drains.
+		{name: "bft64-s1", cfg: Config{
+			Net: topology.MustFatTree(64), MsgFlits: 1, Seed: 2,
+			WarmupCycles: 500, MeasureCycles: 5000,
+		}.FlitLoad(0.02)},
+		{name: "hcube6-randomfixed", cfg: Config{
+			Net: topology.MustHypercube(6), MsgFlits: 16, Seed: 19,
+			WarmupCycles: 1000, MeasureCycles: 5000, Policy: RandomFixed,
+		}.FlitLoad(0.05)},
+		// The paper's machine with long worms at 90 % of the model's
+		// saturation load (0.0391 flits/cycle/PE): most of a worm's drain is
+		// inject-only. Short windows — the dense reference is ~14× slower.
+		{name: "bft1024-s64-90pct", cfg: Config{
+			Net: topology.MustFatTree(1024), MsgFlits: 64, Seed: 1,
+			WarmupCycles: 1000, MeasureCycles: 4000,
+		}.FlitLoad(0.0352)},
+		// Saturated, and cut off at hardEnd with worms mid-drain: well past
+		// the window, and so soon after it that worms whose heads arrived
+		// inside it have not released a channel yet.
+		{name: "bft64-saturated-hardend", cfg: Config{
+			Net: topology.MustFatTree(64), MsgFlits: 16, Seed: 3,
+			WarmupCycles: 500, MeasureCycles: 3000, DrainLimit: 300,
+		}.FlitLoad(0.5)},
+		{name: "bft64-saturated-cutoff", cfg: Config{
+			Net: topology.MustFatTree(64), MsgFlits: 32, Seed: 3,
+			WarmupCycles: 500, MeasureCycles: 3000, DrainLimit: 4,
+		}.FlitLoad(0.5)},
 	}
 }
 

@@ -199,3 +199,56 @@ func TestWarmRunAllocs(t *testing.T) {
 	}
 	t.Logf("bft-1024 s=32: cold %v allocs/run, warm %v", cold, warm)
 }
+
+// TestEarlyStopPinned pins early-stopped runs bit for bit. RunReference
+// has no termination rule, so TestEventEngineMatchesReference cannot see
+// how the engine's accounting meets a measurement window that shrinks
+// under it; these values were captured from the engine as it stood before
+// the flat-table rewrite and must never move within a simulator epoch.
+func TestEarlyStopPinned(t *testing.T) {
+	bft64 := Config{
+		Net: topology.MustFatTree(64), MsgFlits: 16, Seed: 42,
+		WarmupCycles: 2000, MeasureCycles: 60000,
+	}
+	long := bft64
+	long.MsgFlits = 32 // run at 80 % of the model's saturation load, 0.160 flits/cycle/PE
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		opts []Option
+		// Float64bits of LatencyMean, LatencyCI95, ThroughputFlits,
+		// MeanSourceQueue; then Cycles, MeasuredCycles, TotalCompleted.
+		bits   [4]uint64
+		counts [3]int
+	}{
+		{name: "light", cfg: bft64.FlitLoad(0.01),
+			opts:   []Option{WithTermination(DefaultTermination)},
+			bits:   [4]uint64{0x40354284b20eb1be, 0x3fca7ddec4440597, 0x3f83b3b13b13b13b, 0x3f44dc8dc8dc8dc9},
+			counts: [3]int{18651, 16640, 727}},
+		{name: "80pct", cfg: long.FlitLoad(0.128),
+			opts:   []Option{WithTermination(DefaultTermination)},
+			bits:   [4]uint64{0x404ebf73196e5cfc, 0x400845f7c84542aa, 0x3fc0323555555555, 0x3fa17f8000000000},
+			counts: [3]int{14510, 12288, 3675}},
+		{name: "replicas-2", cfg: bft64.FlitLoad(0.08),
+			opts:   []Option{WithTermination(DefaultTermination), WithReplicas(2)},
+			bits:   [4]uint64{0x403a27480245fd06, 0x3fe92af272bd7a16, 0x3fb473c3c3c3c3c4, 0x3f87eb4b4b4b4b4b},
+			counts: [3]int{8431, 4352, 2666}},
+	} {
+		res, err := Run(context.Background(), tc.cfg, tc.opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !res.EarlyStopped {
+			t.Errorf("%s: the rule did not fire; the case pins nothing", tc.name)
+		}
+		bits := [4]uint64{
+			math.Float64bits(res.LatencyMean), math.Float64bits(res.LatencyCI95),
+			math.Float64bits(res.ThroughputFlits), math.Float64bits(res.MeanSourceQueue),
+		}
+		counts := [3]int{res.Cycles, res.MeasuredCycles, res.TotalCompleted}
+		if bits != tc.bits || counts != tc.counts {
+			t.Errorf("%s: got bits %#x counts %v, pinned bits %#x counts %v",
+				tc.name, bits, counts, tc.bits, tc.counts)
+		}
+	}
+}

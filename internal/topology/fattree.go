@@ -35,13 +35,27 @@ type FatTree struct {
 
 	// Per-channel data.
 	kind     []ChannelKind
-	fromSw   []int32 // source switch index, or -1 for injection channels
 	toSw     []int32 // destination switch index, or -1 for ejection channels
 	ejectsTo []int32 // destination processor for ejection channels, else -1
 	groupOf  []GroupID
-	groups   [][]ChannelID
+	hops     []hop // what NextGroup needs at the switch each channel leads to
 
 	injCh []ChannelID // per-processor injection channel
+
+	tab    *Tables
+	groups [][]ChannelID // views into tab.Members
+}
+
+// hop packs everything NextGroup reads into one record per channel, so a
+// routing decision is one load instead of a walk through the per-switch
+// arrays: the switch the channel leads to covers processor block blk at
+// granularity 2^shift (shift = 2·level; 0 marks an ejection channel),
+// reaches sub-block i through group down[i] and its parents through up.
+type hop struct {
+	shift int32
+	blk   int32
+	up    GroupID
+	down  [4]GroupID
 }
 
 // NewFatTree builds a butterfly fat-tree with numProc processors, which
@@ -53,7 +67,9 @@ func NewFatTree(numProc int) (*FatTree, error) {
 	}
 	t := &FatTree{n: n, numProc: numProc}
 
-	// Index switches level by level.
+	// Index switches level by level, and size the channel columns: every
+	// processor has an injection and an ejection channel, every switch
+	// below the top two up-links and the two down-links that mirror them.
 	offset := make([]int, n+2)
 	total := 0
 	for l := 1; l <= n; l++ {
@@ -61,6 +77,7 @@ func NewFatTree(numProc int) (*FatTree, error) {
 		total += t.switchesAtLevel(l)
 	}
 	offset[n+1] = total
+	numCh := 2*numProc + 4*offset[n]
 	t.level = make([]int32, total)
 	t.addr = make([]int32, total)
 	t.upGroup = make([]GroupID, total)
@@ -78,30 +95,35 @@ func NewFatTree(numProc int) (*FatTree, error) {
 	}
 	swIdx := func(l, a int) int { return offset[l] + a }
 
-	addChannel := func(kind ChannelKind, from, to int32, ejProc int32) ChannelID {
+	t.kind = make([]ChannelKind, 0, numCh)
+	t.toSw = make([]int32, 0, numCh)
+	t.ejectsTo = make([]int32, 0, numCh)
+	t.groupOf = make([]GroupID, 0, numCh)
+	// addChannel appends a channel to the group being formed (open);
+	// closeGroup ends that group, so a group is a run of consecutive
+	// channels.
+	open := GroupID(0)
+	addChannel := func(kind ChannelKind, to int32, ejProc int32) ChannelID {
 		id := ChannelID(len(t.kind))
 		t.kind = append(t.kind, kind)
-		t.fromSw = append(t.fromSw, from)
 		t.toSw = append(t.toSw, to)
 		t.ejectsTo = append(t.ejectsTo, ejProc)
-		t.groupOf = append(t.groupOf, None)
+		t.groupOf = append(t.groupOf, open)
 		return id
 	}
-	singleton := func(ch ChannelID) {
-		g := GroupID(len(t.groups))
-		t.groups = append(t.groups, []ChannelID{ch})
-		t.groupOf[ch] = g
+	closeGroup := func() GroupID {
+		open++
+		return open - 1
 	}
 
 	// Injection and ejection channels (processor <-> level-1 switches).
 	t.injCh = make([]ChannelID, numProc)
 	for p := 0; p < numProc; p++ {
 		s := swIdx(1, p/4)
-		inj := addChannel(KindInjection, -1, int32(s), -1)
-		t.injCh[p] = inj
-		singleton(inj)
-		ej := addChannel(KindEjection, int32(s), -1, int32(p))
-		singleton(ej)
+		t.injCh[p] = addChannel(KindInjection, int32(s), -1)
+		closeGroup()
+		ej := addChannel(KindEjection, -1, int32(p))
+		closeGroup()
 		sub := p & 3
 		if t.childCh[s][sub] != None {
 			return nil, fmt.Errorf("topology: duplicate child port %d on S(1,%d)", sub, p/4)
@@ -119,18 +141,14 @@ func NewFatTree(numProc int) (*FatTree, error) {
 			pa1 := base + (a+stride)%(1<<l)
 			childPort := a % (2 << l) / stride // ⌊(a mod 2^(l+1))/2^(l−1)⌋
 
-			up0 := addChannel(KindUp, int32(s), int32(swIdx(l+1, pa0)), -1)
-			up1 := addChannel(KindUp, int32(s), int32(swIdx(l+1, pa1)), -1)
-			g := GroupID(len(t.groups))
-			t.groups = append(t.groups, []ChannelID{up0, up1})
-			t.groupOf[up0] = g
-			t.groupOf[up1] = g
-			t.upGroup[s] = g
+			addChannel(KindUp, int32(swIdx(l+1, pa0)), -1)
+			addChannel(KindUp, int32(swIdx(l+1, pa1)), -1)
+			t.upGroup[s] = closeGroup()
 
 			for _, pa := range []int{pa0, pa1} {
 				ps := swIdx(l+1, pa)
-				down := addChannel(KindDown, int32(ps), int32(s), -1)
-				singleton(down)
+				down := addChannel(KindDown, int32(s), -1)
+				closeGroup()
 				if t.childCh[ps][childPort] != None {
 					return nil, fmt.Errorf("topology: duplicate child port %d on S(%d,%d)",
 						childPort, l+1, pa)
@@ -158,6 +176,25 @@ func NewFatTree(numProc int) (*FatTree, error) {
 			}
 		}
 	}
+
+	t.hops = make([]hop, numCh)
+	for ch, s := range t.toSw {
+		if s < 0 {
+			continue
+		}
+		h := &t.hops[ch]
+		h.shift = 2 * t.level[s]
+		h.blk = t.addr[s] >> (t.level[s] - 1)
+		h.up = t.upGroup[s]
+		for sub, down := range t.childCh[s] {
+			h.down[sub] = t.groupOf[down]
+		}
+	}
+	// The tables carry equal copies of the two per-channel columns read
+	// through the interface; keep one.
+	t.tab = BuildTables(t)
+	t.groupOf, t.ejectsTo = t.tab.GroupOf, t.tab.EjectsTo
+	t.groups = t.tab.Groups()
 	return t, nil
 }
 
@@ -219,27 +256,26 @@ func (t *FatTree) InjectionChannel(p int) ChannelID { return t.injCh[p] }
 // EjectsTo implements Network.
 func (t *FatTree) EjectsTo(ch ChannelID) int { return int(t.ejectsTo[ch]) }
 
+// Tables implements Network.
+func (t *FatTree) Tables() *Tables { return t.tab }
+
 // NextGroup implements Network. A worm whose head traversed cur sits at the
 // switch cur leads to; it goes down if dst lies in that switch's subtree
 // block (a unique child) and otherwise contends for the switch's up-link
 // pair.
 func (t *FatTree) NextGroup(cur ChannelID, dst int) GroupID {
-	s := t.toSw[cur]
-	if s < 0 {
+	h := &t.hops[cur]
+	if h.shift == 0 {
 		panic("topology: NextGroup called on an ejection channel")
 	}
-	l := int(t.level[s])
-	a := int(t.addr[s])
-	blk := a >> (l - 1)
-	if dst>>(2*l) == blk {
-		sub := dst >> (2 * (l - 1)) & 3
-		return t.groupOf[t.childCh[s][sub]]
+	if dst>>h.shift == int(h.blk) {
+		return h.down[dst>>(h.shift-2)&3]
 	}
-	g := t.upGroup[s]
-	if g == None {
+	if h.up == None {
+		l, a, _ := t.SwitchOf(cur)
 		panic(fmt.Sprintf("topology: no up-links at root switch S(%d,%d) for dst %d", l, a, dst))
 	}
-	return g
+	return h.up
 }
 
 // PathLen implements Network: a message whose lowest common subtree with

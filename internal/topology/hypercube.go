@@ -17,20 +17,25 @@ import (
 // single channel (the hypercube has no redundant outgoing links, so the
 // multi-server machinery degenerates to M/G/1 as the paper notes for
 // deterministic routing).
+//
+// Node v owns the dims+2 consecutive channels starting at v·(dims+2):
+// its injection channel, its ejection channel, then its link along each
+// dimension in turn. Group g is channel g. Everything but the tables the
+// simulator reads is therefore arithmetic on the channel ID.
 type Hypercube struct {
 	dims    int
 	numProc int
 
-	kind     []ChannelKind
-	ejectsTo []int32
-	groupOf  []GroupID
-	groups   [][]ChannelID
-	toNode   []int32 // node a channel leads to, or -1 for ejection channels
-
-	injCh  []ChannelID
-	linkCh [][]ChannelID // [node][dim] -> channel node -> node^“dim”
-	ejOf   []ChannelID   // per-node ejection channel
+	tab    *Tables
+	groups [][]ChannelID // views into tab.Members
 }
+
+// Slots of a node's channel block; slotLink+d is the link along dimension d.
+const (
+	slotInj = iota
+	slotEj
+	slotLink
+)
 
 // NewHypercube builds a binary hypercube with 2^dims processors,
 // 1 <= dims <= 20.
@@ -38,31 +43,9 @@ func NewHypercube(dims int) (*Hypercube, error) {
 	if dims < 1 || dims > 20 {
 		return nil, fmt.Errorf("topology: hypercube dims %d out of range [1,20]", dims)
 	}
-	n := 1 << dims
-	t := &Hypercube{dims: dims, numProc: n}
-	t.injCh = make([]ChannelID, n)
-	t.ejOf = make([]ChannelID, n)
-	t.linkCh = make([][]ChannelID, n)
-
-	add := func(kind ChannelKind, to int32, ej int32) ChannelID {
-		id := ChannelID(len(t.kind))
-		t.kind = append(t.kind, kind)
-		t.toNode = append(t.toNode, to)
-		t.ejectsTo = append(t.ejectsTo, ej)
-		g := GroupID(len(t.groups))
-		t.groups = append(t.groups, []ChannelID{id})
-		t.groupOf = append(t.groupOf, g)
-		return id
-	}
-
-	for v := 0; v < n; v++ {
-		t.injCh[v] = add(KindInjection, int32(v), -1)
-		t.ejOf[v] = add(KindEjection, -1, int32(v))
-		t.linkCh[v] = make([]ChannelID, dims)
-		for d := 0; d < dims; d++ {
-			t.linkCh[v][d] = add(KindLink, int32(v^(1<<d)), -1)
-		}
-	}
+	t := &Hypercube{dims: dims, numProc: 1 << dims}
+	t.tab = BuildTables(t)
+	t.groups = t.tab.Groups()
 	return t, nil
 }
 
@@ -85,36 +68,66 @@ func (t *Hypercube) Name() string { return fmt.Sprintf("hcube-%d", t.numProc) }
 func (t *Hypercube) NumProcessors() int { return t.numProc }
 
 // NumChannels implements Network.
-func (t *Hypercube) NumChannels() int { return len(t.kind) }
+func (t *Hypercube) NumChannels() int { return t.numProc * (t.dims + slotLink) }
 
 // Groups implements Network.
 func (t *Hypercube) Groups() [][]ChannelID { return t.groups }
 
+// Tables implements Network.
+func (t *Hypercube) Tables() *Tables { return t.tab }
+
 // GroupOf implements Network.
-func (t *Hypercube) GroupOf(ch ChannelID) GroupID { return t.groupOf[ch] }
+func (t *Hypercube) GroupOf(ch ChannelID) GroupID { return ch }
+
+// split returns the node that owns ch and ch's slot in that node's block.
+func (t *Hypercube) split(ch ChannelID) (node, slot int) {
+	stride := t.dims + slotLink
+	return int(ch) / stride, int(ch) % stride
+}
+
+func (t *Hypercube) channel(node, slot int) ChannelID {
+	return ChannelID(node*(t.dims+slotLink) + slot)
+}
 
 // Kind implements Network.
-func (t *Hypercube) Kind(ch ChannelID) ChannelKind { return t.kind[ch] }
+func (t *Hypercube) Kind(ch ChannelID) ChannelKind {
+	switch _, slot := t.split(ch); slot {
+	case slotInj:
+		return KindInjection
+	case slotEj:
+		return KindEjection
+	default:
+		return KindLink
+	}
+}
 
 // InjectionChannel implements Network.
-func (t *Hypercube) InjectionChannel(p int) ChannelID { return t.injCh[p] }
+func (t *Hypercube) InjectionChannel(p int) ChannelID { return t.channel(p, slotInj) }
 
 // EjectsTo implements Network.
-func (t *Hypercube) EjectsTo(ch ChannelID) int { return int(t.ejectsTo[ch]) }
+func (t *Hypercube) EjectsTo(ch ChannelID) int {
+	if v, slot := t.split(ch); slot == slotEj {
+		return v
+	}
+	return -1
+}
 
 // NextGroup implements Network with e-cube routing: correct the lowest
 // differing address bit, or eject when none remain.
 func (t *Hypercube) NextGroup(cur ChannelID, dst int) GroupID {
-	v := t.toNode[cur]
-	if v < 0 {
+	v, slot := t.split(cur)
+	switch slot {
+	case slotInj:
+	case slotEj:
 		panic("topology: NextGroup called on an ejection channel")
+	default:
+		v ^= 1 << (slot - slotLink) // the node the link leads to
 	}
-	diff := int(v) ^ dst
+	diff := v ^ dst
 	if diff == 0 {
-		return t.groupOf[t.ejOf[v]]
+		return t.channel(v, slotEj)
 	}
-	d := bits.TrailingZeros(uint(diff))
-	return t.groupOf[t.linkCh[v][d]]
+	return t.channel(v, slotLink+bits.TrailingZeros(uint(diff)))
 }
 
 // PathLen implements Network: Hamming distance plus the injection and

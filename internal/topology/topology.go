@@ -66,7 +66,8 @@ type Network interface {
 	// NumChannels returns the number of directed channels.
 	NumChannels() int
 	// Groups returns the arbitration groups; Groups()[g] lists the member
-	// channels of group g. The result is shared; callers must not modify.
+	// channels of group g in ascending order. The result is shared; callers
+	// must not modify.
 	Groups() [][]ChannelID
 	// GroupOf returns the arbitration group a channel belongs to.
 	GroupOf(ch ChannelID) GroupID
@@ -89,4 +90,78 @@ type Network interface {
 	// AvgDistance returns the mean of PathLen over uniformly random
 	// src != dst pairs (the paper's D̄).
 	AvgDistance() float64
+	// Tables returns the flat form of GroupOf, EjectsTo and Groups that
+	// the simulator's cycle loop reads instead of calling them per event.
+	// It is built with the network and shared; callers must not modify. A
+	// type that embeds a Network and overrides one of those methods must
+	// override Tables too (BuildTables on itself), or engines keep reading
+	// the inner network's.
+	Tables() *Tables
+}
+
+// Tables is a network's channel and group structure as arrays, built once
+// (BuildTables) and read by every engine that simulates the network.
+type Tables struct {
+	// GroupOf[ch] and EjectsTo[ch] are Network.GroupOf(ch) and
+	// Network.EjectsTo(ch).
+	GroupOf  []GroupID
+	EjectsTo []int32
+	// GroupOff and Members hold the arbitration groups in CSR form: the
+	// member channels of group g are Members[GroupOff[g]:GroupOff[g+1]],
+	// ascending.
+	GroupOff []int32
+	Members  []ChannelID
+}
+
+// BuildTables fills a network's tables through its GroupOf and EjectsTo
+// methods; group membership follows from GroupOf. Both constructors end
+// with it, and a wrapper that overrides either method calls it on itself.
+func BuildTables(net Network) *Tables {
+	nCh := net.NumChannels()
+	t := &Tables{
+		GroupOf:  make([]GroupID, nCh),
+		EjectsTo: make([]int32, nCh),
+		Members:  make([]ChannelID, nCh),
+	}
+	nGr := 0
+	for ch := range t.GroupOf {
+		g := net.GroupOf(ChannelID(ch))
+		t.GroupOf[ch] = g
+		t.EjectsTo[ch] = int32(net.EjectsTo(ChannelID(ch)))
+		nGr = max(nGr, int(g)+1)
+	}
+	// Counting sort of the channels by group: off[g] counts group g, then
+	// marks its end; filling from the last channel down walks each mark
+	// back to its group's start and leaves the members ascending.
+	off := make([]int32, nGr+1)
+	for _, g := range t.GroupOf {
+		off[g]++
+	}
+	for g := 1; g <= nGr; g++ {
+		off[g] += off[g-1]
+	}
+	for ch := nCh - 1; ch >= 0; ch-- {
+		g := t.GroupOf[ch]
+		off[g]--
+		t.Members[off[g]] = ChannelID(ch)
+	}
+	t.GroupOff = off
+	return t
+}
+
+// Group returns the member channels of group g: a view of Members,
+// capacity-limited so that an append cannot reach the next group's.
+func (t *Tables) Group(g GroupID) []ChannelID {
+	lo, hi := t.GroupOff[g], t.GroupOff[g+1]
+	return t.Members[lo:hi:hi]
+}
+
+// Groups returns every group's view, indexed by group: what
+// Network.Groups hands out.
+func (t *Tables) Groups() [][]ChannelID {
+	groups := make([][]ChannelID, len(t.GroupOff)-1)
+	for g := range groups {
+		groups[g] = t.Group(GroupID(g))
+	}
+	return groups
 }
