@@ -55,6 +55,9 @@ lint:
 	@test -z "$$(grep -rlE '# (TYPE|HELP)' --include='*.go' internal cmd | grep -v '_test\.go$$' | grep -v '^internal/obs/')" && \
 	test -z "$$(grep -rl 'obs\.NewCounter(' --include='*.go' internal cmd | grep -v '_test\.go$$' | grep -vE '^internal/(sim|analytic|bounds|obs)/')" || { \
 		echo "one metrics writer: Prometheus text is rendered by internal/obs only (components implement obs.Collector; obs.NewCounter is for the sim, analytic and bounds libraries)"; exit 1; }
+	@test -z "$$(grep -rl 'backends=' --include='*.go' . | grep -v '_test\.go$$' | grep -vx -e ./internal/sweep/run.go -e ./internal/eval/parsekey.go)" && \
+	test "$$(grep -rhE '^func \([^)]*\) CacheTag\(' --include='*.go' . | wc -l)" -le 1 || { \
+		echo "one key space: cache lines are Scenario.Key; only the custom-list view in internal/sweep/run.go may prefix one"; exit 1; }
 	@! grep -nE 'e\.net\.(GroupOf|EjectsTo|Kind|Groups)\(' internal/sim/engine.go || { \
 		echo "the cycle loop reads topology.Tables: engine.go takes a network's structure from e.tab, not from interface calls per event"; exit 1; }
 

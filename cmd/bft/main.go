@@ -282,7 +282,7 @@ func bound(args []string, stdout, stderr io.Writer) error {
 	if !*csv {
 		fmt.Fprintf(stdout, "butterfly fat-tree N=%d, s=%g flits, load=%.4f flits/cycle/PE (λ0=%.6g, per-source burst σ=%.3f msg)\n",
 			*n, *flits, *load, lambda0, rep.Burst)
-		fmt.Fprintf(stdout, "  worst-case latency bound = %.3f cycles (mean model L is cmd/bftmodel's Eq. 25)\n", rep.Total)
+		fmt.Fprintf(stdout, "  worst-case latency bound = %.3f cycles (mean model L is bft model's Eq. 25)\n", rep.Total)
 		fmt.Fprintf(stdout, "  max per-hop backlog      = %.1f flits\n\n", rep.MaxBacklog)
 	}
 	tbl := &series.Table{Headers: []string{"hop", "m", "service x̄", "ρ", "sources", "σ (msg)", "delay", "backlog (flits)"}}

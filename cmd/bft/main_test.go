@@ -91,6 +91,27 @@ func TestSim(t *testing.T) {
 	}
 }
 
+// TestOutputNamesNoFoldedBinary: bftmodel, bftsim and bftbounds are this
+// binary's subcommands now; nothing it prints sends a reader to them.
+func TestOutputNamesNoFoldedBinary(t *testing.T) {
+	for _, args := range [][]string{
+		{"model", "-n", "64"},
+		{"model", "-n", "64", "-saturation"},
+		{"model", "-n", "64", "-inspect"},
+		{"sim", "-n", "16", "-warmup", "200", "-measure", "1000", "-hist"},
+		{"bounds", "-n", "64"},
+		{"bounds", "-n", "64", "-json"},
+	} {
+		out, err := bftCLI(args...)
+		if err != nil || out == "" {
+			t.Fatalf("bft %q: %q, %v", args, out, err)
+		}
+		if m := regexp.MustCompile(`bft(model|sim|bounds)`).FindString(out); m != "" {
+			t.Errorf("bft %q names %s:\n%s", args, m, out)
+		}
+	}
+}
+
 // TestUsageErrors: what is wrong with the command line is named.
 func TestUsageErrors(t *testing.T) {
 	for _, tc := range []struct {

@@ -26,7 +26,8 @@
 // search runs in this process but every evaluation executes on the
 // named sweepd fleet: the coarse grid is dispatched as contiguous
 // ranges (work stealing, shard failover) and the bisection probes
-// rotate per-cell with retry, all warming the fleet-tagged cache lines.
+// rotate per-cell with retry, all warming the cache lines a local run
+// reads and writes.
 // With -addr the whole search runs inside the named server (or
 // front-end) via POST /v1/plan and this process just consumes the
 // update stream — the thin-client form.

@@ -127,6 +127,39 @@ func TestFleetRunPrintsProgress(t *testing.T) {
 	}
 }
 
+// TestResizedFleetKeepsItsStore: a cell is stored under Scenario.Key
+// whoever computed it, so a -cache-dir filled through two shards is all
+// hits through three other ones, and through no fleet at all.
+func TestResizedFleetKeepsItsStore(t *testing.T) {
+	dir := t.TempDir()
+	base := []string{"-spec", "builtin:figure3-small", "-quiet", "-cache-dir", dir}
+	out, err := sweepCLI(append(base, "-shards", fleet(t, 2))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "8 computed, 0 cached") {
+		t.Fatalf("a fresh directory did not compute the grid:\n%s", out)
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"three shards", []string{"-shards", fleet(t, 3)}},
+		{"one shard, per cell", []string{"-addr", fleet(t, 1)}},
+		{"in process", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out, err := sweepCLI(append(base, tc.args...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(out, "0 computed, 8 cached") {
+				t.Errorf("the two-shard fleet's cells were not all hits:\n%s", out)
+			}
+		})
+	}
+}
+
 func TestFlagConflictsAreErrors(t *testing.T) {
 	for _, tc := range []struct {
 		name string

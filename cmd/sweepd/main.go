@@ -190,7 +190,8 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) (rerr error) {
 		// One dispatcher backs both fronts — /v1/sweep via its Stream,
 		// /v1/plan via its Run/Evaluate engine surface (the server
 		// detects it): one shard-health and backoff state, one counter
-		// set, one cache salt.
+		// set — and, sharing the server's cache and its key space, one
+		// record per cell with /v1/eval.
 		d, err := dispatch.New(shards, dispatch.WithBatch(*batch), dispatch.WithCache(cache))
 		if err != nil {
 			return err

@@ -289,6 +289,64 @@ func TestFrontEndAnswersSweepIdentically(t *testing.T) {
 	}
 }
 
+// TestFrontEndEvalServesDispatchedCells: a front-end's dispatcher and its
+// own /v1/eval share one cache and one key space, so every cell a shard
+// computed for /v1/sweep is a hit for /v1/eval — the bytes the shard
+// itself answers, with nothing recomputed on the front-end.
+func TestFrontEndEvalServesDispatchedCells(t *testing.T) {
+	shard, _ := startDaemon(t)
+	front, _ := startDaemon(t, "-shards", shard)
+
+	spec, err := sweep.Builtin("figure3-small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(front+"/v1/sweep", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || strings.Contains(string(streamed), `"cached":true`) {
+		t.Fatalf("POST /v1/sweep: %s, %v; want eight freshly dispatched cells:\n%s", resp.Status, err, streamed)
+	}
+
+	scens, err := sweep.Expand(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ask := func(url string, sc sweep.Scenario) (point, xcache string) {
+		t.Helper()
+		probe, err := json.Marshal(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(url+"/v1/eval", "application/json", strings.NewReader(string(probe)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s/v1/eval: %s, %v", url, resp.Status, err)
+		}
+		return string(data), resp.Header.Get("X-Cache")
+	}
+	for _, sc := range scens {
+		got, xcache := ask(front, sc)
+		if xcache != "hit" {
+			t.Errorf("the front-end recomputed cell %d, which its dispatcher had stored (X-Cache %q)", sc.Index, xcache)
+		}
+		if want, _ := ask(shard, sc); got != want {
+			t.Errorf("cell %d: the front-end answers\n%s\nthe shard that computed it\n%s", sc.Index, got, want)
+		}
+	}
+}
+
 func TestFlagErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string

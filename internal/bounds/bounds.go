@@ -226,11 +226,6 @@ func New(anchor eval.LoadResolver) *Backend {
 // Name implements Evaluator.
 func (b *Backend) Name() string { return "bounds" }
 
-// CacheTag versions the calculus for store cache salting: runners that
-// pin explicit backend lists fold it into their cache salt, so a future
-// change to the bound construction invalidates exactly the bound lines.
-func (b *Backend) CacheTag() string { return "bounds" }
-
 // model returns the memoized base-variant model for the instance. The
 // calculus always bounds the paper's model — ablation variants change
 // the analytic side of a cell only.

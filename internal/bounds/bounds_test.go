@@ -185,9 +185,6 @@ func TestBackendEvaluate(t *testing.T) {
 	if got := b.Name(); got != "bounds" {
 		t.Fatalf("Name() = %q", got)
 	}
-	if got := b.CacheTag(); got != "bounds" {
-		t.Fatalf("CacheTag() = %q", got)
-	}
 	base := eval.Scenario{
 		Topology: eval.Topology{Family: eval.FamilyBFT, Size: 16},
 		MsgFlits: 8,

@@ -10,9 +10,11 @@
 // contributes one pair when both its model and sim sides are finite and
 // unsaturated; the derived seed and budget deliberately do not split
 // regions, so replicated measurements of the same physical question
-// accumulate together. A cell is its scenario key: the same key seen
-// again under a backend salt (a fleet tag, an explicit backend list) is
-// the same measurement and pairs once. Only the paper's model is
+// accumulate together. A cell is its scenario key, which is what every
+// runner feeds the map; a store may also hold the same key behind a
+// backend salt (a custom backend list's lines, and the fleet tags and
+// spelled-out built-in lists older versions wrote) — mined, it is the
+// same measurement and pairs once. Only the paper's model is
 // calibrated — a sim-carrying cell of an ablation variant is observed
 // but never pairs, because the trust gate reads a region as the base
 // model's error.
@@ -212,8 +214,8 @@ func (a *acc) boundTightness() float64 {
 
 // Map is the calibration map: per-region accuracy accumulators plus the
 // set of scenario keys already observed (so mining a store twice, mining
-// a store that a live observer already walked, or meeting one cell under
-// two salts never double-counts a pair). All methods are safe for
+// a store that a live observer already walked, or meeting one cell in a
+// store under two salts never double-counts a pair). All methods are safe for
 // concurrent use; a nil *Map is a valid no-op observer.
 type Map struct {
 	mu      sync.Mutex
@@ -252,8 +254,8 @@ func pairable(pt eval.Point) bool {
 // Observe feeds one cache cell into the map and reports whether it
 // became a new calibration pair. Cells without simulator evidence
 // return immediately; sim-carrying cells are deduplicated by scenario
-// key (the cache line minus its backend salt), so feeding the same cell
-// twice, under whichever salts, is harmless. Each sim-carrying
+// key — a stored line minus its backend salt, if Mine met one — so
+// feeding the same cell twice, under whichever salts, is harmless. Each sim-carrying
 // observation emits a calib.observe span (when ctx carries a tracer)
 // whose attrs say which region the cell landed in and whether it
 // paired.

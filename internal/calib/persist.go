@@ -100,7 +100,7 @@ func LoadMap(path string) (*Map, error) {
 		m.regions[rec.Region] = &a
 	}
 	for _, k := range f.Seen {
-		_, cell := eval.CutSalt(k) // maps saved before dedup ignored the salt hold salted lines
+		_, cell := eval.CutSalt(k) // maps saved while runners fed salted lines hold them
 		m.seen[cell] = struct{}{}
 	}
 	return m, nil

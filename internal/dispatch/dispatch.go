@@ -49,8 +49,7 @@ import (
 // dispatcher itself, so it drops in anywhere a Runner does, including as
 // the capacity planner's engine (plan.Engine): Run carries the coarse
 // grids as ranges, Evaluate the per-cell probes with shard rotation and
-// retry, both on the fleet cache salt that RemoteBackend and
-// BatchBackend clients of the same shard set share.
+// retry, both cached under Scenario.Key like any local run's cells.
 type Dispatcher struct {
 	*sweep.Runner
 	addrs    []string
@@ -153,10 +152,10 @@ func New(addrs []string, opts ...Option) (*Dispatcher, error) {
 	}
 	d.rb = rb
 	d.addrs = rb.Addrs()
-	// One fleet client as the whole backend list gives the engine the
-	// salt every other client of this shard set derives, so dispatched,
-	// per-cell remote and batched sweeps share cache lines; it answers
-	// Evaluate's probes and describes Run's curves over /v1/curve.
+	// The fleet client is the whole backend list: it answers Evaluate's
+	// probes and describes Run's curves over /v1/curve, and alone in a
+	// list it caches as the built-in stack does, so dispatched, per-cell
+	// remote, batched and in-process sweeps share cache lines.
 	d.Backends = []eval.Evaluator{rb}
 	d.Scheduler = d
 	d.health = make(map[string]ShardHealth, len(d.addrs))

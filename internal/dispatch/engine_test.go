@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/bounds"
+	"repro/internal/calib"
 	"repro/internal/eval"
 	"repro/internal/obs"
 	"repro/internal/sweep"
@@ -62,12 +63,11 @@ func (r *recorder) ObserveCell(_ context.Context, key string, _ sweep.Cell) {
 
 // engine is one way of building the grid engine for the contract: the
 // Runner, its public Stream (the dispatcher's re-sequences the Runner's
-// into grid order), the salt its cache lines must carry, and a hook that
-// settles the goroutines its transport keeps between requests.
+// into grid order), and a hook that settles the goroutines its transport
+// keeps between requests.
 type engine struct {
 	*sweep.Runner
 	stream func(context.Context, sweep.Spec) <-chan sweep.PointResult
-	salt   string
 	settle func()
 }
 
@@ -115,7 +115,9 @@ func drain(t *testing.T, ch <-chan sweep.PointResult, timeout time.Duration) (ro
 // three shards. Whatever computes the cold cells, everything around them
 // — rows, hit and miss accounting, cache lines, the observer feed, trace
 // spans, failure and cancellation — is the same code and must read the
-// same.
+// same. The local engine spells its backend list out, so its cache lines
+// go through the custom-list view; its observer is fed Scenario.Key all
+// the same.
 func TestEngineContract(t *testing.T) {
 	engines := []struct {
 		name string
@@ -125,14 +127,14 @@ func TestEngineContract(t *testing.T) {
 			ab := eval.NewAnalyticBackend()
 			backends := []eval.Evaluator{ab, eval.NewSimBackend(ab), bounds.New(ab)}
 			r := sweep.NewRunner(sweep.WithWorkers(2), sweep.WithBackends(backends...))
-			return engine{Runner: r, stream: r.Stream, salt: "backends=analytic,sim,bounds|", settle: func() {}}
+			return engine{Runner: r, stream: r.Stream, settle: func() {}}
 		}},
 		{"fleet", func(t *testing.T) engine {
 			addrs, _ := newFleet(t, 3)
 			tr := &http.Transport{}
 			t.Cleanup(tr.CloseIdleConnections)
 			d := newDispatcher(t, addrs, WithBatch(1), WithHTTPClient(&http.Client{Transport: tr}))
-			return engine{Runner: d.Runner, stream: d.Stream, salt: "backends=" + d.rb.CacheTag() + "|", settle: tr.CloseIdleConnections}
+			return engine{Runner: d.Runner, stream: d.Stream, settle: tr.CloseIdleConnections}
 		}},
 	}
 	for _, ec := range engines {
@@ -185,13 +187,13 @@ func TestEngineContract(t *testing.T) {
 					t.Errorf("warm pass made %d progress event(s), want %d cached ones counting to %d/%d", len(events), n, n, n)
 				}
 
-				// Once per cell per pass, under the salted line.
+				// Once per cell per pass, under Scenario.Key.
 				if len(seen.seen) != n {
 					t.Errorf("observer saw %d distinct key(s), want %d: %v", len(seen.seen), n, seen.seen)
 				}
 				for _, key := range keys {
-					if got := seen.seen[e.salt+key]; got != 2 {
-						t.Errorf("cell observed %d time(s) under its salted key over two passes, want 2: %s", got, e.salt+key)
+					if got := seen.seen[key]; got != 2 {
+						t.Errorf("cell observed %d time(s) under its key over two passes, want 2: %s", got, key)
 					}
 				}
 
@@ -220,8 +222,8 @@ func TestEngineContract(t *testing.T) {
 				if _, cached, err := e.Evaluate(ctx, probe); err != nil || !cached {
 					t.Errorf("a repeated probe missed the cache: cached=%v, err=%v", cached, err)
 				}
-				if seen.seen[e.salt+probe.Key()] != 2 {
-					t.Errorf("probe observed %d time(s) over two Evaluates, want 2", seen.seen[e.salt+probe.Key()])
+				if seen.seen[probe.Key()] != 2 {
+					t.Errorf("probe observed %d time(s) over two Evaluates, want 2", seen.seen[probe.Key()])
 				}
 			})
 
@@ -319,4 +321,68 @@ func TestEngineContract(t *testing.T) {
 			})
 		})
 	}
+
+	// A cell is Scenario.Key whoever computed it: a cache the fleet filled
+	// is all hits for a default local runner, and the reverse; and a
+	// calibration map fed by both, and by a third run that computes every
+	// cell over again the other way, counts each measurement once.
+	t.Run("one key space", func(t *testing.T) {
+		ctx := context.Background()
+		spec := contractSpec()
+		local := func(*testing.T) engine {
+			r := sweep.NewRunner(sweep.WithWorkers(2))
+			return engine{Runner: r, stream: r.Stream, settle: func() {}}
+		}
+		fleet := engines[1].new
+		for _, pair := range []struct {
+			name       string
+			fill, read func(*testing.T) engine
+		}{
+			{"fleet then local", fleet, local},
+			{"local then fleet", local, fleet},
+		} {
+			t.Run(pair.name, func(t *testing.T) {
+				cache, m := sweep.NewCache(), calib.NewMap()
+				filler := pair.fill(t)
+				filler.Cache, filler.Calib = cache, m
+				cold, err := filler.Run(ctx, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reader := pair.read(t)
+				reader.Cache, reader.Calib = cache, m
+				warm, err := reader.Run(ctx, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := len(cold.Rows)
+				if _, fresh := reader.Counts(); warm.CacheHits != n || warm.CacheMisses != 0 || fresh != 0 {
+					t.Errorf("%d hits, %d misses, %d fresh on the other engine's %d cells; want all hits", warm.CacheHits, warm.CacheMisses, fresh, n)
+				}
+				for i := range warm.Rows {
+					warm.Rows[i].Cached = false
+				}
+				if got, want := rowsJSON(t, warm.Rows), rowsJSON(t, cold.Rows); strings.Join(got, "\n") != strings.Join(want, "\n") {
+					t.Errorf("rows read back differ from the rows computed:\n%s\n---\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+				}
+				if cache.Len() != n {
+					t.Errorf("two engines left %d lines for %d cells", cache.Len(), n)
+				}
+				again := pair.read(t)
+				again.Calib = m
+				if _, err := again.Run(ctx, spec); err != nil {
+					t.Fatal(err)
+				}
+				pairable := 0
+				for _, row := range cold.Rows {
+					if row.Sim > 0 && !row.SimSaturated && !row.ModelSaturated {
+						pairable++
+					}
+				}
+				if pairable == 0 || m.Pairs() != int64(pairable) {
+					t.Errorf("the map holds %d pair(s) after %d measurements were computed one way, read back and computed the other way", m.Pairs(), pairable)
+				}
+			})
+		}
+	})
 }

@@ -55,10 +55,10 @@ type PartRequest struct {
 // flushes when it reaches the size bound or when the latency window
 // (2ms after its first scenario arrives) expires, whichever comes first;
 // explicit batches go through EvaluateBatch. It is only the coalescer:
-// shard rotation, retries, the stream watchdog, the cache salt
-// (CacheTag), Curve and EvaluateBatch all belong to the RemoteBackend
-// it embeds, so cells are interchangeable between the per-cell and
-// batched transports. Safe for concurrent use.
+// shard rotation, retries, the stream watchdog, CacheTag, Curve and
+// EvaluateBatch all belong to the RemoteBackend it embeds, so cells are
+// interchangeable between the per-cell and batched transports. Safe for
+// concurrent use.
 type BatchBackend struct {
 	*RemoteBackend
 

@@ -340,18 +340,14 @@ func TestBatchBackendFailsOverToHealthyShard(t *testing.T) {
 	}
 }
 
-// TestBatchBackendSharesFleetCacheTag: the batched and per-cell
-// transports over one fleet share cache lines; different fleets never
-// do.
+// TestBatchBackendSharesFleetCacheTag: the batched transport's tag is the
+// fleet client's it embeds — none — so batched, per-cell and in-process
+// sweeps share cache lines, whatever fleet answered.
 func TestBatchBackendSharesFleetCacheTag(t *testing.T) {
 	b := newBatch(t, []string{"hostb:1", "hosta:1"})
-	rb := newRemote(t, []string{"hosta:1", "hostb:1"})
-	if b.CacheTag() != rb.CacheTag() {
-		t.Errorf("transports over one fleet salt differently: %q vs %q", b.CacheTag(), rb.CacheTag())
-	}
-	other := newBatch(t, []string{"hosta:1"})
-	if other.CacheTag() == b.CacheTag() {
-		t.Error("different fleets share a tag")
+	rb := newRemote(t, []string{"hosta:1"})
+	if b.CacheTag() != "" || b.CacheTag() != rb.CacheTag() {
+		t.Errorf("transports tag their cells differently: %q vs %q", b.CacheTag(), rb.CacheTag())
 	}
 	if _, err := NewBatchBackend(nil); err == nil {
 		t.Error("empty address list accepted")

@@ -40,13 +40,12 @@ func refEncode(p Point) ([]byte, error) {
 }
 
 func (w refPoint) point() Point {
-	nan := math.NaN()
 	p := Point{
-		LoadFlits: unbox(w.LoadFlits, nan), Model: unbox(w.Model, nan),
+		LoadFlits: OrNaN(w.LoadFlits), Model: OrNaN(w.Model),
 		ModelSaturated: w.ModelSaturated, ModelNA: w.ModelNA,
-		Sim: unbox(w.Sim, nan), SimCI: unbox(w.SimCI, nan), SimSaturated: w.SimSaturated,
-		SimPrecision: unbox(w.SimPrecision, nan),
-		BoundMax:     unbox(w.BoundMax, nan), BoundUnbounded: w.BoundUnbounded, BoundNA: w.BoundNA,
+		Sim: OrNaN(w.Sim), SimCI: OrNaN(w.SimCI), SimSaturated: w.SimSaturated,
+		SimPrecision: OrNaN(w.SimPrecision),
+		BoundMax:     OrNaN(w.BoundMax), BoundUnbounded: w.BoundUnbounded, BoundNA: w.BoundNA,
 	}
 	if w.ModelSaturated && w.Model == nil {
 		p.Model = math.Inf(1)

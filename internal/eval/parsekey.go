@@ -12,10 +12,6 @@ import (
 // they cannot be recovered, and Budget.Seed holds the *derived* per-cell
 // seed (Scenario.Seed()), not the spec's base seed.
 type ParsedKey struct {
-	// Salt is the backend salt prefix ("backends=<tags>|") the key was
-	// stored under, empty for unsalted keys. It is preserved verbatim so
-	// Salt + Scenario-encoding re-assembles the stored key.
-	Salt string
 	// Topology, MsgFlits, Policy and Load identify the cell. Policy is
 	// the policy's String() form ("pairqueue", "randomfixed", …) because
 	// the key stores the name, not the enum value.
@@ -36,12 +32,15 @@ type ParsedKey struct {
 	WithBounds bool
 }
 
-// CutSalt splits a cache line into the backend salt it was stored under
-// ("backends=<tags>|"; empty for the lines a default runner writes) and
-// the Scenario.Key behind it. The same evaluated scenario may sit in a
-// store under several salts — a fleet tag, an explicit backend list — and
-// is one measurement under all of them; this is how the calibration layer
-// tells. A "backends=" prefix with no '|' terminator is not a salt.
+// CutSalt splits a stored cache line into the backend salt it was
+// written under ("backends=<names>|") and the Scenario.Key behind it; a
+// line without one is the key. Salted lines are what a custom backend
+// list writes (sweep.WithBackends) and what older versions wrote for a
+// fleet's cells ("backends=remote(<shards>)|") and for the built-in list
+// spelled out: the same evaluated scenario may sit in a store under
+// several of them and is one measurement under all — this is how the
+// calibration layer, the one reader of stored lines, tells. A "backends="
+// prefix with no '|' terminator is not a salt.
 func CutSalt(line string) (salt, key string) {
 	if strings.HasPrefix(line, "backends=") {
 		if i := strings.IndexByte(line, '|'); i >= 0 {
@@ -51,10 +50,10 @@ func CutSalt(line string) (salt, key string) {
 	return "", line
 }
 
-// ParseKey inverts Scenario.Key: it parses a cache-key string (optionally
-// carrying a backend salt prefix, as the runner and dispatcher store
-// them) back into the scenario coordinates that produced it. This is the
-// primitive the calibration layer mines the persistent store with.
+// ParseKey inverts Scenario.Key: it parses a key back into the scenario
+// coordinates that produced it. This is the primitive the calibration
+// layer mines the persistent store with (a stored line's salt, if any,
+// is cut off first — see CutSalt).
 //
 // Malformed input returns an error, never panics: store segments travel
 // between machines and across versions, so ParseKey treats its input as
@@ -62,10 +61,7 @@ func CutSalt(line string) (salt, key string) {
 // rejected like any other non-key string.
 func ParseKey(key string) (ParsedKey, error) {
 	var p ParsedKey
-	var rest string
-	p.Salt, rest = CutSalt(key)
-	toks := strings.Split(rest, " ")
-	tp := &tokenParser{toks: toks, key: key}
+	tp := &tokenParser{toks: strings.Split(key, " "), key: key}
 
 	var err error
 	if p.Topology.Family, err = tp.str("family"); err != nil {

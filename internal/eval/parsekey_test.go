@@ -9,16 +9,18 @@ import (
 	"repro/internal/workload"
 )
 
-// TestParseKeyRoundTrip drives ParseKey over the cross product of every
-// optional spelling Key can emit — salts, variants, budget knobs,
-// workloads, bounds, fractional and absolute loads — and checks the
-// recovered coordinates against the scenario that produced the key.
+// TestParseKeyRoundTrip drives CutSalt and ParseKey over the cross product
+// of every optional spelling a stored line can carry — salts, variants,
+// budget knobs, workloads, bounds, fractional and absolute loads: the
+// salt comes off whole, what is left is the scenario's key to the byte,
+// and the coordinates recovered from it are the scenario's.
 func TestParseKeyRoundTrip(t *testing.T) {
 	salts := []string{
 		"",
 		"backends=bounds|",
 		"backends=analytic,sim|",
 		"backends=fleet-2,batch|",
+		"backends=remote(http://10.0.0.1:8713,http://10.0.0.2:8713)|",
 	}
 	budgets := []Budget{
 		{Warmup: 4000, Measure: 20000, Seed: 1},
@@ -86,13 +88,19 @@ func TestParseKeyRoundTrip(t *testing.T) {
 
 func checkRoundTrip(t *testing.T, salt string, sc Scenario) {
 	t.Helper()
-	key := salt + sc.Key()
+	line := salt + sc.Key()
+	cut, key := CutSalt(line)
+	if cut != salt || key != sc.Key() {
+		t.Fatalf("CutSalt(%q) = %q, %q; want %q, %q", line, cut, key, salt, sc.Key())
+	}
 	p, err := ParseKey(key)
 	if err != nil {
 		t.Fatalf("ParseKey(%q): %v", key, err)
 	}
-	if p.Salt != salt {
-		t.Fatalf("key %q: salt %q, want %q", key, p.Salt, salt)
+	if salt != "" {
+		if _, err := ParseKey(line); err == nil {
+			t.Fatalf("ParseKey(%q) accepted a salted line: a key is a Scenario.Key", line)
+		}
 	}
 	if p.Topology != sc.Topology {
 		t.Fatalf("key %q: topology %+v, want %+v", key, p.Topology, sc.Topology)
@@ -185,8 +193,11 @@ func TestParseKeyMalformed(t *testing.T) {
 	}
 }
 
-// FuzzParseKey asserts ParseKey never panics and that whenever it
-// accepts a salted key, the salt plus remainder re-assembles the input.
+// FuzzParseKey reads an arbitrary stored line the way the calibration
+// layer does — CutSalt, then ParseKey on what is left — and asserts that
+// neither panics, that salt plus key re-assembles the line, that a salt is
+// exactly a "backends=" prefix up to its first '|' (a prefix without one is
+// not a salt), and that no accepted key still carries a salt.
 func FuzzParseKey(f *testing.F) {
 	seeds := []string{
 		"",
@@ -204,13 +215,19 @@ func FuzzParseKey(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
-	f.Fuzz(func(t *testing.T, key string) {
-		p, err := ParseKey(key)
-		if err != nil {
-			return
+	f.Fuzz(func(t *testing.T, line string) {
+		salt, key := CutSalt(line)
+		if salt+key != line {
+			t.Fatalf("CutSalt(%q) = %q, %q: does not re-assemble", line, salt, key)
 		}
-		if !strings.HasPrefix(key, p.Salt) {
-			t.Fatalf("ParseKey(%q): salt %q is not a prefix", key, p.Salt)
+		if salted := strings.HasPrefix(line, "backends=") && strings.Contains(line, "|"); salted != (salt != "") {
+			t.Fatalf("CutSalt(%q): salt %q", line, salt)
+		}
+		if salt != "" && strings.IndexByte(salt, '|') != len(salt)-1 {
+			t.Fatalf("CutSalt(%q): salt %q does not end at its first '|'", line, salt)
+		}
+		if _, err := ParseKey(key); err == nil && !strings.HasPrefix(key, "family=") {
+			t.Fatalf("ParseKey(%q) accepted something that is not a Scenario.Key", key)
 		}
 	})
 }

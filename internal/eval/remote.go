@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -31,11 +30,10 @@ import (
 // next shard on every attempt. Safe for concurrent use.
 //
 // The backend also implements the curve describer used by sweep result
-// metadata (via /v1/curve) and CacheTag, so a cache shared between
-// runners pointed at different server sets never mixes their cells.
+// metadata (via /v1/curve), and CacheTag: a cell a fleet computed is the
+// cell the built-in stack computes, so it is cached as one.
 type RemoteBackend struct {
 	addrs   []string // normalized base URLs, in round-robin order
-	tag     string   // cache salt: the sorted shard set
 	client  *http.Client
 	next    atomic.Uint64
 	retries int
@@ -105,7 +103,6 @@ func NewRemoteBackend(addrs []string, opts ...RemoteOption) (*RemoteBackend, err
 	if len(b.addrs) == 0 {
 		return nil, fmt.Errorf("eval: remote backend needs at least one server address")
 	}
-	b.tag = fleetTag(b.addrs)
 	for _, opt := range opts {
 		opt(b)
 	}
@@ -140,25 +137,14 @@ func normalizeAddrs(addrs []string) []string {
 	return out
 }
 
-// fleetTag is the cache salt shared by every client of one server fleet:
-// the sorted shard set. Cells are keyed by which servers computed them,
-// not by which transport fetched them, so a per-cell RemoteBackend, a
-// coalescing BatchBackend and the dispatch coordinator pointed at the
-// same fleet all warm each other's cache lines.
-func fleetTag(normalized []string) string {
-	sorted := append([]string(nil), normalized...)
-	sort.Strings(sorted)
-	return "remote(" + strings.Join(sorted, ",") + ")"
-}
-
 // Name implements Evaluator.
 func (b *RemoteBackend) Name() string { return "remote" }
 
-// CacheTag identifies the backend's configuration for cache salting: two
-// remote backends share cache lines only when they point at the same
-// shard set (order-insensitively — the rotation order does not change
-// what a server answers).
-func (b *RemoteBackend) CacheTag() string { return b.tag }
+// CacheTag tells a sweep runner whose only backend this is to cache under
+// plain Scenario.Key, as a default runner does: every shard answers with
+// the one built-in stack (serve.New builds a default sweep.Runner), and
+// which shards answered, or how many, is no part of a cell.
+func (b *RemoteBackend) CacheTag() string { return "" }
 
 // Addrs returns the normalized server addresses, in round-robin order.
 func (b *RemoteBackend) Addrs() []string { return append([]string(nil), b.addrs...) }

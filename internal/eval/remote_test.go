@@ -240,18 +240,19 @@ func TestRemoteBackendHonoursContext(t *testing.T) {
 	}
 }
 
+// TestRemoteBackendCacheTag: a fleet client tags its cells with nothing —
+// which shards answer, in what order, is no part of a cell, so a runner
+// over it caches as the built-in stack does — and its shard list is
+// normalized: scheme added, duplicates dropped, rotation order kept, an
+// empty one rejected.
 func TestRemoteBackendCacheTag(t *testing.T) {
-	a := newRemote(t, []string{"hostb:1", "hosta:1"})
-	b := newRemote(t, []string{"hosta:1", "hostb:1"})
-	if a.CacheTag() != b.CacheTag() {
-		t.Errorf("shard order should not change the tag: %q vs %q", a.CacheTag(), b.CacheTag())
-	}
+	a := newRemote(t, []string{"hostb:1", " hosta:1/", "http://hostb:1"})
 	c := newRemote(t, []string{"hosta:1"})
-	if c.CacheTag() == a.CacheTag() {
-		t.Error("different shard sets share a tag")
+	if a.CacheTag() != "" || c.CacheTag() != "" {
+		t.Errorf("a fleet client tags its cells: %q, %q", a.CacheTag(), c.CacheTag())
 	}
-	if !strings.Contains(a.CacheTag(), "hosta:1") || !strings.Contains(a.CacheTag(), "hostb:1") {
-		t.Errorf("tag does not name the shard set: %q", a.CacheTag())
+	if got := a.Addrs(); len(got) != 2 || got[0] != "http://hostb:1" || got[1] != "http://hosta:1" {
+		t.Errorf("address normalization: %v", got)
 	}
 	if got := c.Addrs(); len(got) != 1 || got[0] != "http://hosta:1" {
 		t.Errorf("address normalization: %v", got)

@@ -54,7 +54,7 @@ func (l *loadWire) UnmarshalJSON(data []byte) error {
 
 // Finite returns v boxed, or nil — the wire's null — when v is NaN or
 // ±Inf: the one non-finite-to-null mapping under every reflective JSON
-// encoder in the stack.
+// encoder in the stack. OrNaN is its inverse under every decoder.
 func Finite(v float64) *float64 {
 	if !finite(v) {
 		return nil
@@ -62,10 +62,11 @@ func Finite(v float64) *float64 {
 	return &v
 }
 
-// unbox returns *v, or def when v is null.
-func unbox(v *float64, def float64) float64 {
+// OrNaN returns *v, or NaN when v is the wire's null. (An infinity that
+// went out as null comes back through the flag that travelled beside it.)
+func OrNaN(v *float64) float64 {
 	if v == nil {
-		return def
+		return math.NaN()
 	}
 	return *v
 }
@@ -111,17 +112,16 @@ func (p *Point) decode(data []byte) (hasLoad bool, err error) {
 	if err := json.Unmarshal(data, &w); err != nil {
 		return false, err
 	}
-	nan := math.NaN()
 	*p = Point{
-		LoadFlits:      unbox(w.LoadFlits.v, nan),
-		Model:          unbox(w.Model, nan),
+		LoadFlits:      OrNaN(w.LoadFlits.v),
+		Model:          OrNaN(w.Model),
 		ModelSaturated: w.ModelSaturated,
 		ModelNA:        w.ModelNA,
-		Sim:            unbox(w.Sim, nan),
-		SimCI:          unbox(w.SimCI, nan),
+		Sim:            OrNaN(w.Sim),
+		SimCI:          OrNaN(w.SimCI),
 		SimSaturated:   w.SimSaturated,
-		SimPrecision:   unbox(w.SimPrecision, nan),
-		BoundMax:       unbox(w.BoundMax, nan),
+		SimPrecision:   OrNaN(w.SimPrecision),
+		BoundMax:       OrNaN(w.BoundMax),
 		BoundUnbounded: w.BoundUnbounded,
 		BoundNA:        w.BoundNA,
 	}
@@ -152,10 +152,9 @@ func (c *CurveDesc) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	nan := math.NaN()
 	c.Model = w.Model
-	c.AvgDist = unbox(w.AvgDist, nan)
-	c.SaturationLoad = unbox(w.SaturationLoad, nan)
+	c.AvgDist = OrNaN(w.AvgDist)
+	c.SaturationLoad = OrNaN(w.SaturationLoad)
 	return nil
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/analytic"
 	"repro/internal/core"
+	"repro/internal/eval"
 	"repro/internal/series"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -144,18 +145,12 @@ func HopWaits(ctx context.Context, numProc, msgFlits int, load float64, b sweep.
 // MarshalJSON encodes the row with non-finite waits as null (a class
 // can lack a model-side blend or simulator samples).
 func (r HopWaitRow) MarshalJSON() ([]byte, error) {
-	finite := func(v float64) *float64 {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil
-		}
-		return &v
-	}
 	return json.Marshal(struct {
 		Class      string   `json:"class"`
 		ModelWait  *float64 `json:"model_wait"`
 		SimWait    *float64 `json:"sim_wait"`
 		SimSamples int64    `json:"sim_samples"`
-	}{r.Class, finite(r.ModelWait), finite(r.SimWait), r.SimSamples})
+	}{r.Class, eval.Finite(r.ModelWait), eval.Finite(r.SimWait), r.SimSamples})
 }
 
 // hopWaitsEntry is V1 in the experiment table: 16-flit messages on the

@@ -23,8 +23,8 @@ import (
 // directly (in-process, per-cell remote or batched backends), and so
 // does dispatch.Dispatcher — the distributed form over a sweepd fleet:
 // grids dispatch as contiguous ranges, probes rotate per-cell with
-// retry, one shared cache salt, so every search warms the fleet's
-// store.
+// retry, and both cache under Scenario.Key as the in-process form does,
+// so every search warms the one store.
 type Engine interface {
 	// Run executes a full sweep spec (the coarse prune grid).
 	Run(ctx context.Context, spec sweep.Spec) (*sweep.Result, error)

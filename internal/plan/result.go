@@ -172,13 +172,6 @@ type Update struct {
 
 // --- wire formats -----------------------------------------------------
 
-func fromPtr(v *float64) float64 {
-	if v == nil {
-		return math.NaN()
-	}
-	return *v
-}
-
 // jsonCandidate flattens a Candidate; non-finite floats become null.
 type jsonCandidate struct {
 	Topology       string   `json:"topology"`
@@ -257,24 +250,24 @@ func (c *Candidate) UnmarshalJSON(data []byte) error {
 		Topology:       eval.Topology{Family: jc.Family, Size: jc.Size, K: jc.K},
 		MsgFlits:       jc.MsgFlits,
 		Policy:         jc.Policy,
-		Cost:           fromPtr(jc.Cost),
-		SaturationLoad: fromPtr(jc.SaturationLoad),
-		MaxLoad:        fromPtr(jc.MaxLoad),
-		OperatingLoad:  fromPtr(jc.OperatingLoad),
-		Latency:        fromPtr(jc.ModelLatency),
+		Cost:           eval.OrNaN(jc.Cost),
+		SaturationLoad: eval.OrNaN(jc.SaturationLoad),
+		MaxLoad:        eval.OrNaN(jc.MaxLoad),
+		OperatingLoad:  eval.OrNaN(jc.OperatingLoad),
+		Latency:        eval.OrNaN(jc.ModelLatency),
 		Pruned:         jc.Pruned,
 		PruneReason:    jc.PruneReason,
 		Frontier:       jc.Frontier,
 		Certified:      jc.Certified,
 		CertifyNote:    jc.CertifyNote,
-		Sim:            fromPtr(jc.SimLatency),
-		SimCI:          fromPtr(jc.SimCI95),
+		Sim:            eval.OrNaN(jc.SimLatency),
+		SimCI:          eval.OrNaN(jc.SimCI95),
 		SimSaturated:   jc.SimSaturated,
-		BoundMax:       fromPtr(jc.BoundMax),
+		BoundMax:       eval.OrNaN(jc.BoundMax),
 		BoundNA:        jc.BoundNA,
 		Probes:         jc.Probes,
 		CalibVerdict:   jc.CalibVerdict,
-		CalibMAPE:      fromPtr(jc.CalibMAPE),
+		CalibMAPE:      eval.OrNaN(jc.CalibMAPE),
 		CalibPairs:     jc.CalibPairs,
 	}
 	if jc.BoundUnbounded && jc.BoundMax == nil {

@@ -9,18 +9,20 @@ import (
 	"testing"
 
 	"repro/internal/calib"
+	"repro/internal/dispatch"
 	"repro/internal/plan"
 	"repro/internal/store"
 	"repro/internal/sweep"
 )
 
 // TestOneDirectoryThreeFrontDoors: cmd/sweep, sweepd and cmd/plan all
-// evaluate through a default sweep.Runner, so a cell is one unsalted
-// Scenario.Key record whichever of them computed it. A store directory
-// filled through the sweep door is all hits through the daemon's door —
-// nothing recomputed, nothing appended, and a map mined from it counts
-// each measurement once, not once per salt — and a plan's coarse grid is
-// all hits on the cells a sweep already wrote.
+// evaluate through a default sweep.Runner, so a cell is one Scenario.Key
+// record whichever of them computed it. A store directory filled through
+// the sweep door is all hits through the daemon's door — nothing
+// recomputed, nothing appended, and a map mined from it counts each
+// measurement once — through a fleet coordinator's (the fourth door:
+// -shards on any of the three), which sends its shards nothing, and a
+// plan's coarse grid is all hits on the cells a sweep already wrote.
 func TestOneDirectoryThreeFrontDoors(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -78,12 +80,16 @@ func TestOneDirectoryThreeFrontDoors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	st.Range(func(key string, _ sweep.Cell) bool {
-		if strings.HasPrefix(key, "backends=") {
-			t.Errorf("a default runner wrote a salted line: %s", key)
-		}
-		return true
-	})
+	plainLines := func(door string) {
+		t.Helper()
+		st.Range(func(key string, _ sweep.Cell) bool {
+			if strings.HasPrefix(key, "backends=") {
+				t.Errorf("%s wrote a salted line: %s", door, key)
+			}
+			return true
+		})
+	}
+	plainLines("a default runner")
 	cells := st.Len()
 	bytes, err := st.DiskBytes()
 	if err != nil {
@@ -136,6 +142,26 @@ func TestOneDirectoryThreeFrontDoors(t *testing.T) {
 		t.Errorf("/healthz calibration.pairs = %d for %d measurements", health.Calibration.Pairs, pairable)
 	}
 
+	// Door four: a coordinator over two shards on the same directory, as
+	// cmd/sweep -shards -cache-dir or a front-end sweepd -shards run it.
+	d, err := dispatch.New([]string{newTestServer(t).URL, newTestServer(t).URL}, dispatch.WithCache(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dispatched, err := d.Run(ctx, figure3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dispatched.CacheHits != len(res.Rows) || d.Stats().Cells != 0 {
+		t.Errorf("the coordinator hit %d of %d stored cells and had its shards compute %d", dispatched.CacheHits, len(res.Rows), d.Stats().Cells)
+	}
+	if n := st.Len(); n != cells {
+		t.Errorf("dispatching a stored grid grew the store from %d to %d cells", cells, n)
+	}
+	if n, err := st.DiskBytes(); err != nil || n != bytes {
+		t.Errorf("dispatching a stored grid grew the directory from %d to %d bytes (%v)", bytes, n, err)
+	}
+
 	// Door three: cmd/plan -cache-dir.
 	planned, err := plan.NewLocal(st).Run(ctx, capacity)
 	if err != nil {
@@ -144,4 +170,5 @@ func TestOneDirectoryThreeFrontDoors(t *testing.T) {
 	if s := planned.Stats; s.CoarseCells != len(grid.Rows) || s.CoarseCacheHits != s.CoarseCells {
 		t.Errorf("plan hit %d of its %d coarse cells; the sweep had stored all %d", s.CoarseCacheHits, s.CoarseCells, len(grid.Rows))
 	}
+	plainLines("one of the four doors")
 }

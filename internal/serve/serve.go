@@ -122,8 +122,8 @@ func WithSweeper(sw Sweeper) Option { return func(s *Server) { s.sweeper = sw } 
 // New builds the server. Its runner is a default sweep.Runner: the
 // built-in stack, shared across requests — so models, saturation searches
 // and simulator networks are built once per server instance, not once per
-// request — writing the same unsalted cache lines cmd/sweep and cmd/plan
-// write, so the three share a store. /v1/curve answers from the same
+// request — writing the cache lines cmd/sweep and cmd/plan write, with or
+// without a fleet, so they all share a store. /v1/curve answers from the same
 // runner.
 func New(opts ...Option) *Server {
 	s := &Server{mux: http.NewServeMux(), started: time.Now()}

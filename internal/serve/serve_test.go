@@ -111,56 +111,46 @@ func modelOnlySpec() sweep.Spec {
 	}
 }
 
-// TestTwoRemotesNeverShareCells is the salting regression: a cache
-// shared between runners whose RemoteBackends point at different
-// addresses must keep their cells apart — the servers could be
-// configured differently.
-func TestTwoRemotesNeverShareCells(t *testing.T) {
+// TestTwoFleetsShareCells: which servers answered is no part of a cell —
+// every shard runs the one built-in stack — so a cache filled through one
+// fleet is all hits through another, with the rows the first computed.
+func TestTwoFleetsShareCells(t *testing.T) {
 	srvA := newTestServer(t)
 	srvB := newTestServer(t)
 	shared := sweep.NewCache()
 	spec := modelOnlySpec()
+	run := func(addr string) *sweep.Result {
+		t.Helper()
+		rb, err := eval.NewRemoteBackend([]string{addr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sweep.NewRunner(sweep.WithCache(shared), sweep.WithBackends(rb)).Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
 
-	rbA, err := eval.NewRemoteBackend([]string{srvA.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resA, err := sweep.NewRunner(sweep.WithCache(shared), sweep.WithBackends(rbA)).
-		Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resA := run(srvA.URL)
 	if resA.CacheMisses != len(resA.Rows) {
 		t.Fatalf("first run should miss everywhere: %+v", resA)
 	}
-
-	rbB, err := eval.NewRemoteBackend([]string{srvB.URL})
-	if err != nil {
-		t.Fatal(err)
+	resB := run(srvB.URL)
+	if resB.CacheHits != len(resB.Rows) {
+		t.Errorf("a remote at %s recomputed cells cached from %s (%d/%d hits)",
+			srvB.URL, srvA.URL, resB.CacheHits, len(resB.Rows))
 	}
-	resB, err := sweep.NewRunner(sweep.WithCache(shared), sweep.WithBackends(rbB)).
-		Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
+	for i := range resB.Rows {
+		resB.Rows[i].Cached = false
 	}
-	if resB.CacheHits != 0 {
-		t.Errorf("a remote at %s served cells cached from %s (%d hits)",
-			srvB.URL, srvA.URL, resB.CacheHits)
+	got, _ := json.Marshal(resB.Rows)
+	want, _ := json.Marshal(resA.Rows)
+	if string(got) != string(want) {
+		t.Errorf("rows served from the other fleet's cells differ:\n%s\n---\n%s", got, want)
 	}
-
-	// The same shard set again — in any order — must hit.
-	rbA2, err := eval.NewRemoteBackend([]string{srvA.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resA2, err := sweep.NewRunner(sweep.WithCache(shared), sweep.WithBackends(rbA2)).
-		Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resA2.CacheHits != len(resA2.Rows) {
-		t.Errorf("identical shard set should be fully cached: %d/%d hits",
-			resA2.CacheHits, len(resA2.Rows))
+	if shared.Len() != len(resA.Rows) {
+		t.Errorf("two fleets left %d lines for %d cells", shared.Len(), len(resA.Rows))
 	}
 }
 

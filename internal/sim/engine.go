@@ -556,7 +556,6 @@ const ctxCheckMask = 1<<12 - 1
 func (e *engine) run(ctx context.Context) (*Result, error) {
 	e.hardEnd = e.measEnd + int64(e.cfg.drainLimit())
 	timeout := int64(e.cfg.progressTimeout())
-	checkEvery := e.term.checkEvery()
 	t := int64(0)
 	for iter := int64(0); ; t, iter = t+1, iter+1 {
 		if t >= e.measEnd && (e.trackedOutstanding == 0 || t >= e.hardEnd) {
@@ -611,7 +610,7 @@ func (e *engine) run(ctx context.Context) (*Result, error) {
 			e.checkInvariants(t)
 		}
 		if e.term.Enabled() && t >= e.measStart && t < e.measEnd &&
-			(t-e.measStart+1)%checkEvery == 0 {
+			(t-e.measStart+1)%termCheckEvery == 0 {
 			e.qChecks = append(e.qChecks, e.queueIntegral)
 			if e.ciConverged() {
 				e.measEnd = t + 1
@@ -626,14 +625,14 @@ func (e *engine) run(ctx context.Context) (*Result, error) {
 // ciConverged evaluates the termination rule against the latency batch
 // means accumulated so far.
 func (e *engine) ciConverged() bool {
-	if e.lat.Batches() < e.term.minBatches() {
+	if e.lat.Batches() < termMinBatches {
 		return false
 	}
 	mean := e.lat.Mean()
 	if !(mean > 0) {
 		return false
 	}
-	hw := e.lat.HalfWidth(e.term.confidence())
+	hw := e.lat.HalfWidth(termConfidence)
 	return !math.IsNaN(hw) && hw <= e.term.RelHalfWidth*mean
 }
 
@@ -1005,7 +1004,7 @@ func (e *engine) queueHalves() (first, second float64) {
 		return 0, 0
 	}
 	mid := m / 2
-	ce := float64(e.term.checkEvery())
+	const ce = float64(termCheckEvery)
 	var cumAtMid float64
 	if len(e.qChecks) == 0 {
 		cumAtMid = total * mid / m

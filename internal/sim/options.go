@@ -6,25 +6,28 @@ import (
 )
 
 // Termination is the CI-width early-stopping rule: once at least
-// MinBatches latency batches have completed and the batch-means confidence
-// interval at the given Confidence is within RelHalfWidth of the running
-// mean, the measurement window closes at the end of the current cycle and
-// the run proceeds straight to draining. A zero RelHalfWidth disables the
-// rule, reproducing the fixed-cycle run bit-for-bit.
+// termMinBatches latency batches have completed and the 95% batch-means
+// confidence interval is within RelHalfWidth of the running mean, the
+// measurement window closes at the end of the current cycle and the run
+// proceeds straight to draining. A zero RelHalfWidth disables the rule,
+// reproducing the fixed-cycle run bit-for-bit.
 type Termination struct {
 	// RelHalfWidth is the target confidence half-width as a fraction of
 	// the latency mean (0.05 = ±5%). <= 0 disables early stopping.
 	RelHalfWidth float64
-	// Confidence is the CI level; 0 means 0.95.
-	Confidence float64
-	// MinBatches is the minimum number of completed latency batches
-	// before the rule may fire; 0 means 10.
-	MinBatches int
-	// CheckEvery is the cycle stride between rule evaluations; 0 means
-	// 256. The rule is cheap but not free (a t-quantile lookup and a
-	// variance read), so it is not evaluated every cycle.
-	CheckEvery int
 }
+
+const (
+	// termConfidence is the rule's CI level.
+	termConfidence = 0.95
+	// termMinBatches is the number of completed latency batches before
+	// the rule may fire.
+	termMinBatches = 10
+	// termCheckEvery is the cycle stride between rule evaluations. The
+	// rule is cheap but not free (a t-quantile lookup and a variance
+	// read), so it is not evaluated every cycle.
+	termCheckEvery = 256
+)
 
 // DefaultTermination is the precision used by the fleet when a caller asks
 // for "default precision": a 95% CI within ±5% of the mean.
@@ -33,54 +36,21 @@ var DefaultTermination = Termination{RelHalfWidth: 0.05}
 // Enabled reports whether the rule is active.
 func (t Termination) Enabled() bool { return t.RelHalfWidth > 0 }
 
-func (t Termination) confidence() float64 {
-	if t.Confidence > 0 {
-		return t.Confidence
-	}
-	return 0.95
-}
-
-func (t Termination) minBatches() int64 {
-	if t.MinBatches > 0 {
-		return int64(t.MinBatches)
-	}
-	return 10
-}
-
-func (t Termination) checkEvery() int64 {
-	if t.CheckEvery > 0 {
-		return int64(t.CheckEvery)
-	}
-	return 256
-}
-
 func (t Termination) validate() error {
 	if math.IsNaN(t.RelHalfWidth) || math.IsInf(t.RelHalfWidth, 0) || t.RelHalfWidth < 0 {
 		return fmt.Errorf("sim: Termination.RelHalfWidth = %v, must be finite and >= 0", t.RelHalfWidth)
-	}
-	if t.Confidence < 0 || t.Confidence >= 1 || math.IsNaN(t.Confidence) {
-		return fmt.Errorf("sim: Termination.Confidence = %v, must be in [0, 1)", t.Confidence)
-	}
-	if t.MinBatches < 0 {
-		return fmt.Errorf("sim: Termination.MinBatches = %d, must be >= 0", t.MinBatches)
-	}
-	if t.CheckEvery < 0 {
-		return fmt.Errorf("sim: Termination.CheckEvery = %d, must be >= 0", t.CheckEvery)
 	}
 	return nil
 }
 
 // Option configures a Run beyond its Config, in the same functional-option
 // style as sweep.NewRunner. Options cover the statistical machinery layered
-// on top of the deterministic core: replica fan-out, early stopping, and
-// result instrumentation.
+// on top of the deterministic core: replica fan-out and early stopping.
 type Option func(*runOptions)
 
 type runOptions struct {
 	replicas int
 	term     Termination
-	hist     bool
-	histMax  float64
 }
 
 // WithReplicas runs n independent replicas of the simulation concurrently
@@ -98,17 +68,6 @@ func WithTermination(t Termination) Option {
 	return func(o *runOptions) { o.term = t }
 }
 
-// WithHistogram collects a latency histogram over tracked messages and
-// fills the Result's percentile fields, like Config.LatencyHistogram.
-// histMax bounds the histogram range in cycles; 0 picks the same
-// 50×(MsgFlits + diameter) default as Config.HistMax.
-func WithHistogram(histMax float64) Option {
-	return func(o *runOptions) {
-		o.hist = true
-		o.histMax = histMax
-	}
-}
-
 func buildOptions(opts []Option) (runOptions, error) {
 	var o runOptions
 	for _, opt := range opts {
@@ -122,9 +81,6 @@ func buildOptions(opts []Option) (runOptions, error) {
 	}
 	if err := o.term.validate(); err != nil {
 		return o, err
-	}
-	if o.histMax < 0 || math.IsNaN(o.histMax) {
-		return o, fmt.Errorf("sim: WithHistogram(%v), must be >= 0", o.histMax)
 	}
 	return o, nil
 }

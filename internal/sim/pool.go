@@ -75,7 +75,7 @@ func (p *Pool) park(ctx context.Context, engines []*engine) {
 // bit-identical to the pre-event-driven engine (RunReference); options add
 // the statistical machinery on top: WithTermination for CI-width early
 // stopping, WithReplicas for concurrent independent replicas merged by
-// pooled batch means, WithHistogram for latency percentiles.
+// pooled batch means.
 //
 // The cycle loop checks ctx periodically, so a cancelled context aborts
 // mid-simulation (not just between runs) with an error wrapping ctx.Err().
@@ -97,12 +97,6 @@ func (p *Pool) Run(ctx context.Context, cfg Config, opts ...Option) (*Result, er
 	o, err := buildOptions(opts)
 	if err != nil {
 		return nil, err
-	}
-	if o.hist {
-		cfg.LatencyHistogram = true
-		if o.histMax > 0 {
-			cfg.HistMax = o.histMax
-		}
 	}
 	term := o.term
 	if o.replicas > 1 {

@@ -51,6 +51,8 @@ func reuseMatrix(t *testing.T) []simCase {
 		WarmupCycles: 1000, MeasureCycles: 4000,
 	}.FlitLoad(0.03)
 
+	hist := base
+	hist.LatencyHistogram = true
 	long := base
 	long.MeasureCycles = 60000
 	mmpp := base
@@ -64,7 +66,7 @@ func reuseMatrix(t *testing.T) []simCase {
 	replay.Trace = tr
 
 	return append(cases,
-		simCase{name: "with-histogram", cfg: base, opts: []Option{WithHistogram(0)}},
+		simCase{name: "with-histogram", cfg: hist},
 		simCase{name: "with-termination", cfg: long, opts: []Option{WithTermination(DefaultTermination)}},
 		simCase{name: "with-replicas-3", cfg: base, opts: []Option{WithReplicas(3)}},
 		simCase{name: "mmpp", cfg: mmpp},

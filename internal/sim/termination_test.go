@@ -57,7 +57,7 @@ func TestTerminationStopsEarly(t *testing.T) {
 
 // TestTerminationZeroVariance: with a degenerate zero-variance latency
 // series the half-width is exactly zero, and the rule must fire at the
-// first check after MinBatches — not divide by zero or wait forever.
+// first check after termMinBatches — not divide by zero or wait forever.
 func TestTerminationZeroVariance(t *testing.T) {
 	cfg := Config{
 		Net: topology.MustFatTree(16), MsgFlits: 4, Seed: 1,
@@ -72,7 +72,7 @@ func TestTerminationZeroVariance(t *testing.T) {
 		t.Fatalf("zero-variance half-width = %v, want 0", hw)
 	}
 	if !e.ciConverged() {
-		t.Error("rule must fire on a zero-variance series past MinBatches")
+		t.Error("rule must fire on a zero-variance series past termMinBatches")
 	}
 }
 
@@ -94,10 +94,10 @@ func TestTerminationTooFewObservations(t *testing.T) {
 	if e.ciConverged() {
 		t.Error("rule fired with zero completed batches")
 	}
-	// One full batch is still below MinBatches.
+	// One full batch is still below termMinBatches.
 	e.lat.Add(10)
 	if e.ciConverged() {
-		t.Error("rule fired below MinBatches")
+		t.Error("rule fired below termMinBatches")
 	}
 }
 

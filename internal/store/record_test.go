@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/calib"
 	"repro/internal/eval"
 	"repro/internal/race"
 )
@@ -125,6 +127,76 @@ func TestParentSegmentInterop(t *testing.T) {
 		}
 		if line := appendRecord(nil, k, pts[i]); string(line) != string(ref)+"\n" {
 			t.Errorf("appendRecord(%q)\n got  %s want %s", k, line, ref)
+		}
+	}
+}
+
+// TestParentFleetLinesStayReadable: the parent's segment holds fleet cells
+// under the "backends=remote(<shards>)|" salt no runner writes or asks for
+// any more. They are never hit again, and nothing migrates them: the
+// segment still opens whole, the calibration layer still mines the
+// measurements behind the salt — once each, whatever a live run under the
+// plain key has already fed it — and Prune evicts them oldest-first like
+// any other record.
+func TestParentFleetLinesStayReadable(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "parent-seg-000001.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "seg-000001.ndjson"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := mustOpen(t, dir)
+	defer s.Close()
+	keys, pts := parentCells()
+	if s.Recovered() != len(keys) || s.Dropped() != 0 {
+		t.Fatalf("recovered %d dropped %d, want %d/0", s.Recovered(), s.Dropped(), len(keys))
+	}
+
+	ctx := context.Background()
+	var legacy, measured int
+	m := calib.NewMap()
+	for i, line := range keys {
+		_, key, ok := strings.Cut(line, "|")
+		if !ok || !strings.HasPrefix(line, "backends=remote(") {
+			continue
+		}
+		legacy++
+		if _, ok := s.Get(key); ok {
+			t.Errorf("a legacy fleet line answers for the plain key %q", key)
+		}
+		p := viaWire(t, pts[i])
+		if p.ModelSaturated || p.ModelNA || p.SimSaturated || math.IsInf(p.Model, 0) || !(p.Sim > 0) {
+			continue // not a model-vs-sim pair
+		}
+		// The first measurement has also been made live, under its key.
+		if measured == 0 && !m.Observe(ctx, key, p) {
+			t.Errorf("the plain key %q did not pair", key)
+		}
+		measured++
+	}
+	if legacy != 17 || measured < 2 {
+		t.Fatalf("the parent segment holds %d legacy fleet line(s), %d of them usable measurements", legacy, measured)
+	}
+	if added := m.Mine(ctx, s); added != measured-1 || m.Staleness(s) != 0 {
+		t.Errorf("mining added %d pair(s) beside the one fed live and left %d stale, want %d and 0", added, m.Staleness(s), measured-1)
+	}
+
+	before, err := s.DiskBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	evicted, err := s.Prune(before / 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if evicted == 0 || evicted >= len(keys) {
+		t.Fatalf("halving the bound evicted %d of %d cells", evicted, len(keys))
+	}
+	for i, key := range keys {
+		if _, ok := s.Get(key); ok != (i >= evicted) {
+			t.Errorf("record %d (%q): live=%v after the %d oldest were evicted", i, key, ok, evicted)
 		}
 	}
 }

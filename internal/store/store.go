@@ -1,6 +1,6 @@
 // Package store persists sweep results across process restarts: a
-// content-addressed result store holding one eval.Point per backend-salted
-// cache key, implementing the sweep engine's CacheStore contract so a
+// content-addressed result store holding one eval.Point per cache key
+// (Scenario.Key), implementing the sweep engine's CacheStore contract so a
 // Runner opened with WithCache(store) transparently serves cells computed
 // by earlier processes (or other machines sharing the directory).
 //
@@ -8,7 +8,7 @@
 //
 // A store is a directory of append-only NDJSON segment files,
 // seg-000001.ndjson, seg-000002.ndjson, …; each line is one record
-// {"key":"<salted cache key>","point":<eval.Point wire JSON>}, written
+// {"key":"<cache key>","point":<eval.Point wire JSON>}, written
 // without whitespace around eval.AppendPoint and read back by scanning
 // that exact form around eval.ParsePoint — the codec emits what
 // encoding/json would (pinned by FuzzPointCodec), so segments are
@@ -18,9 +18,9 @@
 // rewritten), so the format needs no locking beyond "one writer per
 // segment"; the in-memory index is rebuilt at Open by replaying every
 // segment in name order, later records winning. Results are
-// content-addressed — the key hashes every result-affecting input of a
-// scenario plus the runner's backend salt — so replaying is insensitive
-// to which process or sweep produced a record.
+// content-addressed — the key spells out every result-affecting input of
+// a scenario — so replaying is insensitive to which process, shard or
+// sweep produced a record.
 //
 // # Durability and recovery
 //

@@ -12,7 +12,7 @@ import (
 type Cell = eval.Point
 
 // CacheStore is the result-cache contract a Runner consults: Get the
-// cell stored under a (salted) scenario key, Put a freshly computed one.
+// cell stored under a scenario key, Put a freshly computed one.
 // Implementations must be safe for concurrent use; both methods may be
 // called from every worker of a pool. Cache is the in-memory
 // implementation; store.Store (internal/store) persists cells across
@@ -23,11 +23,11 @@ type CacheStore interface {
 }
 
 // Cache is a concurrency-safe in-memory result cache keyed by
-// Scenario.Key (prefixed with a backend salt for runners using
-// WithBackends — see Runner.cacheSalt). A cache can be shared across
-// Runners and specs: any cell of an overlapping grid is computed once
-// per process. Sharing assumes backends with equal names (or CacheTag
-// values) are equivalently configured.
+// Scenario.Key. A cache can be shared across Runners and specs: any cell
+// of an overlapping grid is computed once per process, by this process or
+// by a fleet. A runner with a custom backend list (WithBackends) keeps its
+// cells apart under a prefix naming the list — see cacheSalt — which
+// assumes custom backends with equal names are equivalently configured.
 type Cache struct {
 	mu     sync.Mutex
 	cells  map[string]Cell

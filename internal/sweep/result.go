@@ -326,13 +326,6 @@ func (r *Row) UnmarshalJSON(data []byte) error {
 	if err != nil {
 		return fmt.Errorf("sweep: decoding row: %w", err)
 	}
-	nan := math.NaN()
-	fromPtr := func(v *float64) float64 {
-		if v == nil {
-			return nan
-		}
-		return *v
-	}
 	*r = Row{
 		Scenario: Scenario{
 			Topology: Topology{Family: jr.Family, Size: jr.Size, K: jr.K},
@@ -343,15 +336,15 @@ func (r *Row) UnmarshalJSON(data []byte) error {
 			Workload: jr.Workload,
 		},
 		Cell: Cell{
-			LoadFlits:      fromPtr(jr.LoadFlits),
-			Model:          fromPtr(jr.ModelLatency),
+			LoadFlits:      eval.OrNaN(jr.LoadFlits),
+			Model:          eval.OrNaN(jr.ModelLatency),
 			ModelSaturated: jr.ModelSaturated,
 			ModelNA:        jr.ModelNA,
-			Sim:            fromPtr(jr.SimLatency),
-			SimCI:          fromPtr(jr.SimCI95),
+			Sim:            eval.OrNaN(jr.SimLatency),
+			SimCI:          eval.OrNaN(jr.SimCI95),
 			SimSaturated:   jr.SimSaturated,
-			SimPrecision:   fromPtr(jr.SimPrecision),
-			BoundMax:       fromPtr(jr.BoundMax),
+			SimPrecision:   eval.OrNaN(jr.SimPrecision),
+			BoundMax:       eval.OrNaN(jr.BoundMax),
 			BoundUnbounded: jr.BoundUnbounded,
 			BoundNA:        jr.BoundNA,
 		},

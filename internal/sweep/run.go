@@ -34,30 +34,33 @@ type Event struct {
 // without a Cache, no results are memoized (a single Run never revisits a
 // cell — Expand deduplicates). Construct with NewRunner to configure via
 // functional options, or set the fields directly — before the runner's
-// first use, which builds the stack and the cache salt once and keeps
-// them, so models, Eq. 26 anchors and simulator networks carry over from
-// one call to the next. A Runner must not be copied after first use.
+// first use, which builds the stack once and keeps it, so models, Eq. 26
+// anchors and simulator networks carry over from one call to the next. A
+// Runner must not be copied after first use.
 type Runner struct {
 	// Workers bounds the worker pool; 0 defers to the spec, then to
 	// GOMAXPROCS.
 	Workers int
 	// Cache, when non-nil, is consulted before and filled after every
-	// scenario. Scenario keys capture every result-affecting input, so a
-	// cache may safely outlive any one spec — or, with a persistent
-	// CacheStore such as internal/store's, the process itself.
+	// scenario, under Scenario.Key. Scenario keys capture every
+	// result-affecting input, so a cache may safely outlive any one spec —
+	// or, with a persistent CacheStore such as internal/store's, the
+	// process itself — and whoever computed a cell (this process, a shard,
+	// a whole fleet) wrote the same line.
 	Cache CacheStore
 	// Progress, when non-nil, receives an Event per completed cell. It is
 	// called from a single goroutine (events arrive in completion order,
 	// warm cells first, never concurrently).
 	Progress func(Event)
-	// Backends, when non-nil, replaces the built-in stack and salts every
-	// cache line with the list's names (see cacheSalt). Every scenario is
-	// offered to every backend in order and their points are merged into
-	// one cell; backends skip the scenarios that do not concern them (the
-	// simulator skips cells with WithSim unset).
+	// Backends, when non-nil, replaces the built-in stack; a custom list
+	// reads and writes the cache through a view that prefixes every line
+	// with the list's names (see cacheSalt). Every scenario is offered to
+	// every backend in order and their points are merged into one cell;
+	// backends skip the scenarios that do not concern them (the simulator
+	// skips cells with WithSim unset).
 	Backends []eval.Evaluator
 	// Calib, when non-nil, receives every completed cell (fresh and
-	// cached alike) under its cache line, making the runner a live feed
+	// cached alike) under its Scenario.Key, making the runner a live feed
 	// for the calibration map (internal/calib). Observers must dedupe by
 	// key themselves and be safe for concurrent calls — cells arrive
 	// straight from the scheduler's goroutines.
@@ -69,10 +72,11 @@ type Runner struct {
 	Scheduler Scheduler
 
 	// Built once by init: the evaluator list (Backends, or the built-in
-	// stack) and the cache salt.
+	// stack) and the cache as the runner reads and writes it (Cache, or a
+	// custom list's view of it).
 	once  sync.Once
 	stack []eval.Evaluator
-	salt  string
+	cache CacheStore
 
 	// Lifetime cell counts: served from cache, computed fresh.
 	hits, fresh atomic.Int64
@@ -123,19 +127,21 @@ type PointResult struct {
 }
 
 // init builds what the runner keeps across calls: the evaluator list and
-// the cache salt. This is the one place the built-in stack is assembled
-// (make lint keeps it so): the analytic model, and the flit-level
-// simulator and the worst-case bound calculus anchored on it. The last
-// two answer a cell that did not opt in (WithSim, WithBounds) with the
-// empty point, so one list serves every cell.
+// its view of the cache. This is the one place the built-in stack is
+// assembled (make lint keeps it so): the analytic model, and the
+// flit-level simulator and the worst-case bound calculus anchored on it.
+// The last two answer a cell that did not opt in (WithSim, WithBounds)
+// with the empty point, so one list serves every cell.
 func (r *Runner) init() {
 	r.once.Do(func() {
-		r.stack = r.Backends
+		r.stack, r.cache = r.Backends, r.Cache
 		if r.stack == nil {
 			ab := eval.NewAnalyticBackend()
 			r.stack = []eval.Evaluator{ab, eval.NewSimBackend(ab), bounds.New(ab)}
 		}
-		r.salt = cacheSalt(r.Backends)
+		if salt := cacheSalt(r.Backends); salt != "" && r.Cache != nil {
+			r.cache = saltedCache{r.Cache, salt}
+		}
 	})
 }
 
@@ -146,65 +152,40 @@ func (r *Runner) backends() []eval.Evaluator {
 	return r.stack
 }
 
-// cacheSalt distinguishes cache lines produced by non-default backend
-// lists: Scenario.Key hashes only the scenario, so a cache shared
-// between runners with different Backends (WithBackends) must not serve
-// one backend's cells as another's. Backends are identified by Name(),
-// or by CacheTag() when they implement it — a backend whose results
-// depend on configuration beyond its name (a custom LoadResolver, a
-// remote endpoint, …) should return a tag capturing that configuration.
-// The built-in stack keeps unsalted keys: every default runner (cmd/sweep,
-// cmd/plan, sweepd) reads and writes the same lines, so they share a
-// store.
+// cacheSalt is the prefix a custom backend list's cache lines carry,
+// "backends=<names>|", or "" for the lists that answer as the built-in
+// stack does: none, and the fleet client alone — it says so with an empty
+// CacheTag, since every shard runs this very stack, so cmd/sweep, cmd/plan
+// and sweepd write one line per cell whether they compute it themselves or
+// have a fleet do it. Scenario.Key names only the scenario, so any other
+// list (WithBackends, the extension point) must not have its cells served
+// as the built-in stack's, nor another list's.
 func cacheSalt(backends []eval.Evaluator) string {
 	if backends == nil {
 		return ""
 	}
-	type tagged interface{ CacheTag() string }
+	if len(backends) == 1 {
+		if tg, ok := backends[0].(interface{ CacheTag() string }); ok && tg.CacheTag() == "" {
+			return ""
+		}
+	}
 	names := make([]string, len(backends))
 	for i, be := range backends {
-		if tg, ok := be.(tagged); ok {
-			names[i] = tg.CacheTag()
-		} else {
-			names[i] = be.Name()
-		}
+		names[i] = be.Name()
 	}
 	return "backends=" + strings.Join(names, ",") + "|"
 }
 
-// salted reports whether cache lines differ from scenario keys: the
-// runner has a salt and a cache or observer that reads salted lines.
-func (r *Runner) salted() bool {
-	return r.salt != "" && (r.Cache != nil || r.Calib != nil)
+// saltedCache is a custom backend list's view of a shared cache: the
+// same store, every line under the list's salt. Everything else in the
+// runner — spans, the observer, schedulers — sees Scenario.Key only.
+type saltedCache struct {
+	store CacheStore
+	salt  string
 }
 
-// cacheKeys returns every scenario's cache line given its key: salted
-// copies, made once per run, or the keys themselves. The copies are
-// slices of one backing string — one allocation for the grid instead of
-// one per cell; a cache that keeps any of them keeps it whole, which
-// costs nothing when it keeps the grid.
-func (r *Runner) cacheKeys(keys []string) []string {
-	if !r.salted() {
-		return keys
-	}
-	size := 0
-	for _, key := range keys {
-		size += len(r.salt) + len(key)
-	}
-	var all strings.Builder
-	all.Grow(size)
-	for _, key := range keys {
-		all.WriteString(r.salt)
-		all.WriteString(key)
-	}
-	backing := all.String()
-	out := make([]string, len(keys))
-	for i, key := range keys {
-		n := len(r.salt) + len(key)
-		out[i], backing = backing[:n], backing[n:]
-	}
-	return out
-}
+func (c saltedCache) Get(key string) (Cell, bool) { return c.store.Get(c.salt + key) }
+func (c saltedCache) Put(key string, cell Cell)   { c.store.Put(c.salt+key, cell) }
 
 // workers returns the pool size for n cells. The bound is capped at n: a
 // spec cannot demand more goroutines than it has cells — specs can arrive
@@ -331,34 +312,34 @@ func compute(ctx context.Context, sc Scenario, key string, backends []eval.Evalu
 }
 
 // observe feeds one completed cell to the calibration observer, if any.
-func (r *Runner) observe(ctx context.Context, cacheKey string, cell Cell) {
+func (r *Runner) observe(ctx context.Context, key string, cell Cell) {
 	if r.Calib != nil {
-		r.Calib.ObserveCell(ctx, cacheKey, cell)
+		r.Calib.ObserveCell(ctx, key, cell)
 	}
 }
 
 // hit serves one cell from the cache: the cached eval.cell span, the
-// observer feed. key is the scenario's key, cacheKey its salted line.
-func (r *Runner) hit(ctx context.Context, key, cacheKey string) (Cell, bool) {
-	if r.Cache == nil {
+// observer feed.
+func (r *Runner) hit(ctx context.Context, key string) (Cell, bool) {
+	if r.cache == nil {
 		return Cell{}, false
 	}
-	cell, ok := r.Cache.Get(cacheKey)
+	cell, ok := r.cache.Get(key)
 	if ok {
 		r.hits.Add(1)
 		_, span := obs.StartSpanKeyed(ctx, "eval.cell", key)
 		span.End(obs.Bool("cached", true))
-		r.observe(ctx, cacheKey, cell)
+		r.observe(ctx, key, cell)
 	}
 	return cell, ok
 }
 
 // land takes one fresh cell in: the cache write-back, the observer feed.
-func (r *Runner) land(ctx context.Context, cacheKey string, cell Cell) {
-	if r.Cache != nil {
-		r.Cache.Put(cacheKey, cell)
+func (r *Runner) land(ctx context.Context, key string, cell Cell) {
+	if r.cache != nil {
+		r.cache.Put(key, cell)
 	}
-	r.observe(ctx, cacheKey, cell)
+	r.observe(ctx, key, cell)
 	r.fresh.Add(1)
 }
 
@@ -375,18 +356,14 @@ func (r *Runner) Evaluate(ctx context.Context, sc Scenario) (Cell, bool, error) 
 // the span or the observer.
 func (r *Runner) evaluate(ctx context.Context, sc Scenario, key string) (Cell, bool, error) {
 	r.init()
-	cacheKey := key
-	if r.salted() {
-		cacheKey = r.salt + key
-	}
-	if cell, ok := r.hit(ctx, key, cacheKey); ok {
+	if cell, ok := r.hit(ctx, key); ok {
 		return cell, true, nil
 	}
 	cell, err := compute(ctx, sc, key, r.backends())
 	if err != nil {
 		return Cell{}, false, err
 	}
-	r.land(ctx, cacheKey, cell)
+	r.land(ctx, key, cell)
 	return cell, false, nil
 }
 
@@ -459,10 +436,9 @@ func (r *Runner) sweep(ctx context.Context, spec Spec, res *Result, emit func(Ro
 
 	// Cache pass: warm cells complete here and now, cold indices become
 	// the scheduler's work list.
-	cacheKeys := r.cacheKeys(keys)
 	var cold []int
 	for i := range scens {
-		if cell, ok := r.hit(ctx, keys[i], cacheKeys[i]); ok {
+		if cell, ok := r.hit(ctx, keys[i]); ok {
 			if !finish(i, cell, true) {
 				return ctx.Err()
 			}
@@ -489,7 +465,7 @@ func (r *Runner) sweep(ctx context.Context, spec Spec, res *Result, emit func(Ro
 		go func() {
 			defer close(out)
 			schedErr = sched.Schedule(runCtx, g, cold, func(i int, cell Cell) {
-				r.land(ctx, cacheKeys[i], cell)
+				r.land(ctx, keys[i], cell)
 				out <- landed{i, cell}
 			})
 		}()

@@ -356,3 +356,46 @@ func TestCacheSaltsCustomBackends(t *testing.T) {
 		t.Errorf("identical custom runner should hit its own cache line (%d hits)", again.CacheHits)
 	}
 }
+
+// observerFunc adapts a function to CellObserver.
+type observerFunc func(key string)
+
+func (f observerFunc) ObserveCell(_ context.Context, key string, _ Cell) { f(key) }
+
+// TestCustomListLineIsItsNamesThenTheKey pins the one salted form left:
+// a custom list's cell sits in a shared cache under "backends=<names>|"
+// followed by Scenario.Key — Run's and Evaluate's alike — while the
+// observer, like everything else outside the cache view, is fed the key.
+func TestCustomListLineIsItsNamesThenTheKey(t *testing.T) {
+	spec := validSpec()
+	spec.WithSim = false
+	spec.Loads = LoadSpec{Flits: []float64{0.01}}
+	cache := NewCache()
+	var observed []string
+	r := NewRunner(WithCache(cache), WithBackends(constBackend{latency: 42}, constBackend{latency: 7}))
+	r.Calib = observerFunc(func(key string) { observed = append(observed, key) })
+	res, err := r.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := res.Rows[0].Scenario
+	probe.Load.Value = 0.02
+	if _, _, err := r.Evaluate(context.Background(), probe); err != nil {
+		t.Fatal(err)
+	}
+	const runLine = "backends=const,const|family=bft size=16 k=0 flits=4 policy=pairqueue frac=false load=0x1.47ae147ae147bp-07 sim=false"
+	want := map[string]bool{runLine: true, "backends=const,const|" + probe.Key(): true}
+	cache.Range(func(line string, _ Cell) bool {
+		if !want[line] {
+			t.Errorf("unexpected cache line %q", line)
+		}
+		delete(want, line)
+		return true
+	})
+	for line := range want {
+		t.Errorf("no cache line %q", line)
+	}
+	if len(observed) != 2 || observed[0] != res.Rows[0].Scenario.Key() || observed[1] != probe.Key() {
+		t.Errorf("observer fed %q, want the two scenario keys", observed)
+	}
+}

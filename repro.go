@@ -199,9 +199,10 @@ func NewTorusModel(k, dims int, msgFlits float64) (*analytic.TorusModel, error) 
 
 // Simulate runs the flit-level wormhole simulator. The simulator checks
 // ctx inside its cycle loop, so cancellation aborts mid-run. Options
-// configure CI-width early stopping (WithSimTermination), independent
-// replicas (WithSimReplicas) and latency histograms (WithSimHistogram);
-// with no options the run is the classic fixed-window simulation.
+// configure CI-width early stopping (WithSimTermination) and independent
+// replicas (WithSimReplicas); with no options the run is the classic
+// fixed-window simulation. Latency percentiles are asked for in the
+// config (SimConfig.LatencyHistogram).
 func Simulate(ctx context.Context, cfg SimConfig, opts ...sim.Option) (*SimResult, error) {
 	return sim.Run(ctx, cfg, opts...)
 }
@@ -334,8 +335,3 @@ func WithSimReplicas(n int) sim.Option { return sim.WithReplicas(n) }
 // WithSimTermination enables CI-width early stopping with the given
 // rule; the zero rule disables it.
 func WithSimTermination(t sim.Termination) sim.Option { return sim.WithTermination(t) }
-
-// WithSimHistogram collects a latency histogram over [0, max) cycles
-// (max = 0 picks a bound from the topology) and fills the result's
-// percentile fields.
-func WithSimHistogram(max float64) sim.Option { return sim.WithHistogram(max) }
