@@ -15,9 +15,8 @@
 //	sweep -spec builtin:figure3 -spec builtin:figure3   # 2nd run: all cached
 //	sweep -list                                  # show built-in specs
 //	sweep -dump builtin:table2                   # print a spec as JSON
-//	sweep -spec builtin:figure3 -addr :8713      # evaluate on a sweepd server
-//	sweep -spec builtin:figure3 -addr :8713 -batch 32   # batched transport
-//	sweep -spec builtin:figure3 -shards :8713,:8714,:8715   # dispatch ranges
+//	sweep -spec builtin:figure3 -shards :8713    # evaluate on a sweepd server
+//	sweep -spec builtin:figure3 -shards :8713,:8714,:8715   # … or on a fleet
 //	sweep -spec builtin:figure3 -cache-dir d     # persistent result store
 //	sweep -spec builtin:figure3 -backend model,bounds   # add worst-case bounds
 //	sweep -spec builtin:figure3 -trace-out t.ndjson   # NDJSON span trace
@@ -29,18 +28,15 @@
 // finishes. -timeout wires a deadline into the sweep's context — the
 // simulator aborts mid-cycle-loop when it expires.
 //
-// With -addr the grid is still expanded (and cached) locally, but every
-// cell is evaluated by the named sweepd server(s) — comma-separate
-// addresses to shard round-robin across a fleet; adding -batch switches
-// to the batched transport, coalescing concurrent cells into one
-// request per flush window. With -shards the distributed scheduler
-// takes over instead: the grid is partitioned into contiguous ranges,
-// each range dispatched whole to a shard (specs cross the wire, cells
-// do not), failed or slow shards' remainders are stolen by the
-// survivors, and the merged rows come back in grid order (see
-// docs/dispatch.md; -batch then bounds the range size). With -cache-dir
-// the result cache is a persistent store: a rerun in a fresh process
-// serves every previously computed cell from disk.
+// With -shards the grid is still expanded (and cached) locally, but its
+// cold cells are computed by the named sweepd server(s) — one address is
+// a fleet of one: the grid is partitioned into contiguous ranges, each
+// range dispatched whole to a shard (specs cross the wire, cells do
+// not), failed or slow shards' remainders are stolen by the survivors,
+// and the merged rows come back in grid order (see docs/dispatch.md;
+// -batch bounds the range size). With -cache-dir the result cache is a
+// persistent store: a rerun in a fresh process serves every previously
+// computed cell from disk.
 package main
 
 import (
@@ -54,7 +50,6 @@ import (
 	"repro/internal/calib"
 	"repro/internal/cliutil"
 	"repro/internal/dispatch"
-	"repro/internal/eval"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/sweep"
@@ -87,9 +82,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (rerr err
 		seed     = fs.Uint64("seed", 0, "override spec seeds (0 keeps each spec's own)")
 		quiet    = fs.Bool("quiet", false, "suppress progress output")
 		backend  = fs.String("backend", "", "override spec backends: comma-separated subset of model,sim,bounds (empty = spec's own)")
-		addr     = fs.String("addr", "", "evaluate scenarios on these sweepd server(s), comma-separated (empty = in-process)")
-		shards   = fs.String("shards", "", "dispatch grid ranges across these sweepd shard(s), comma-separated (distributed scheduler)")
-		batch    = fs.Int("batch", 0, "with -addr: coalesce cells into batches of this size; with -shards: cells per dispatched range (0 = auto)")
+		shards   = fs.String("shards", "", "dispatch grid ranges across these sweepd server(s), comma-separated (empty = in-process)")
+		batch    = fs.Int("batch", 0, "with -shards: cells per dispatched range (0 = auto)")
 		cacheDir = fs.String("cache-dir", "", "persist the result cache to this directory (empty = in-memory)")
 		traceOut = fs.String("trace-out", "", "write NDJSON span traces to this file (see docs/observability.md)")
 		calibOut = fs.String("calib-out", "", "observe sim-carrying cells into a calibration map and save it to this file (see docs/calibration.md)")
@@ -104,11 +98,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (rerr err
 			return err
 		}
 	}
-	if *addr != "" && *shards != "" {
-		return errors.New("-addr and -shards are mutually exclusive: per-cell/batched evaluation vs range dispatch")
-	}
-	if *batch != 0 && *addr == "" && *shards == "" {
-		return errors.New("-batch needs -addr (batched transport) or -shards (range size); in-process runs do not batch")
+	if *batch != 0 && *shards == "" {
+		return errors.New("-batch needs -shards (it bounds the dispatched range size); in-process runs do not batch")
 	}
 	if *workers != 0 && *shards != "" {
 		return errors.New("-workers does not apply with -shards: dispatch concurrency is one range stream per shard (bound range size with -batch)")
@@ -185,14 +176,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (rerr err
 	}
 
 	// One engine whichever way cells are computed: in-process by default,
-	// on -addr's servers through a remote backend, or with -shards through
-	// the dispatcher's range scheduler — whose engine is the same
-	// sweep.Runner, streamed in grid order.
+	// or with -shards through the dispatcher's range scheduler — whose
+	// engine is the same sweep.Runner, streamed in grid order.
 	engine := sweep.NewRunner(sweep.WithWorkers(*workers))
 	cells := engine.Stream
 	var disp *dispatch.Dispatcher
-	switch {
-	case *shards != "":
+	if *shards != "" {
 		addrs, err := cliutil.ParseStrings(*shards)
 		if err != nil {
 			return err
@@ -201,21 +190,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (rerr err
 			return err
 		}
 		engine, cells = disp.Runner, disp.Stream
-	case *addr != "":
-		addrs, err := cliutil.ParseStrings(*addr)
-		if err != nil {
-			return err
-		}
-		var be eval.Evaluator
-		if *batch > 0 {
-			be, err = eval.NewBatchBackend(addrs, eval.WithBatchSize(*batch))
-		} else {
-			be, err = eval.NewRemoteBackend(addrs)
-		}
-		if err != nil {
-			return err
-		}
-		engine.Backends = []eval.Evaluator{be}
 	}
 	engine.Cache = cache
 	if calibMap != nil {

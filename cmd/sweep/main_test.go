@@ -35,7 +35,7 @@ func sweepCLIBoth(args ...string) (string, string, error) {
 }
 
 // fleet starts n fresh sweep servers and returns their addresses in
-// -addr/-shards form.
+// -shards form.
 func fleet(t *testing.T, n int) string {
 	t.Helper()
 	addrs := make([]string, n)
@@ -50,8 +50,9 @@ func fleet(t *testing.T, n int) string {
 var elapsedLine = regexp.MustCompile(`(?m)^\s*"elapsed_ms": \d+,?\n`)
 
 // TestTransportsMatchInProcess: every way the flags can route a grid —
-// in-process, per-cell -addr, batched -addr, -shards with and without a
-// range bound — prints the same -json document, wall clock aside. (The
+// in-process, -shards over one server (a fleet of one) and over three,
+// with and without a range bound — prints the same -json document, wall
+// clock aside. (The
 // library-level figure3 parity is TestRemoteParityFigure3 and
 // TestDispatchedFigure3MatchesInProcess; this pins the flag wiring.)
 func TestTransportsMatchInProcess(t *testing.T) {
@@ -68,8 +69,7 @@ func TestTransportsMatchInProcess(t *testing.T) {
 		name string
 		args []string
 	}{
-		{"addr", []string{"-addr", fleet(t, 3)}},
-		{"addr-batch", []string{"-addr", fleet(t, 3), "-batch", "4"}},
+		{"one-shard", []string{"-shards", fleet(t, 1)}},
 		{"shards", []string{"-shards", fleet(t, 3)}},
 		{"shards-batch", []string{"-shards", fleet(t, 3), "-batch", "3"}},
 	} {
@@ -145,7 +145,7 @@ func TestResizedFleetKeepsItsStore(t *testing.T) {
 		args []string
 	}{
 		{"three shards", []string{"-shards", fleet(t, 3)}},
-		{"one shard, per cell", []string{"-addr", fleet(t, 1)}},
+		{"one shard", []string{"-shards", fleet(t, 1)}},
 		{"in process", nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -166,8 +166,8 @@ func TestFlagConflictsAreErrors(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"addr+shards", []string{"-spec", "builtin:figure3-small", "-addr", "a:1", "-shards", "b:1"}, "mutually exclusive"},
-		{"batch alone", []string{"-spec", "builtin:figure3-small", "-batch", "8"}, "-batch needs"},
+		{"addr+shards", []string{"-spec", "builtin:figure3-small", "-addr", "a:1", "-shards", "b:1"}, "flag provided but not defined: -addr"},
+		{"batch alone", []string{"-spec", "builtin:figure3-small", "-batch", "8"}, "-batch needs -shards"},
 		{"workers+shards", []string{"-spec", "builtin:figure3-small", "-shards", "b:1", "-workers", "2"}, "-workers does not apply"},
 		{"no spec", nil, "no -spec given"},
 		{"bad backend", []string{"-spec", "builtin:figure3-small", "-backend", "oracle"}, "unknown backend"},

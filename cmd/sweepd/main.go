@@ -1,7 +1,7 @@
 // Command sweepd is the sweep service daemon: a long-running HTTP server
 // over the Evaluator backends, so sweeps and single-scenario evaluations
-// can be submitted by thin clients (cmd/sweep -addr, curl, or a fleet of
-// eval.RemoteBackend shards) while models, saturation searches and
+// can be submitted by thin clients (cmd/sweep -shards, cmd/plan -addr,
+// curl, or an eval.RemoteBackend in a program) while models, saturation searches and
 // simulator networks stay memoized in one process. With -cache-dir every
 // computed cell is also persisted to an append-only result store and
 // survives restarts.

@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"os/signal"
 	"strings"
@@ -26,14 +25,12 @@ import (
 
 // Main is every binary's main: it runs the binary's run function under
 // a context cancelled by SIGINT/SIGTERM and turns a returned error into
-// "name: err" on stderr and exit status 1. run parses args with its own
+// "name: err" on stderr (see message) and exit status 1. run parses args with its own
 // flag set (Flags), writes results to stdout and diagnostics to stderr,
 // and never exits the process itself — so its deferred flushes (trace
 // files, stores, calibration maps) run on every path, and tests call it
 // in-process.
 func Main(name string, run func(ctx context.Context, args []string, stdout, stderr io.Writer) error) {
-	log.SetFlags(0)
-	log.SetPrefix(name + ": ")
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	// The first signal cancels ctx; restoring the default disposition
 	// then lets a second one kill a run that is slow to unwind.
@@ -41,9 +38,19 @@ func Main(name string, run func(ctx context.Context, args []string, stdout, stde
 	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
 	stop()
 	if err != nil && !errors.Is(err, flag.ErrHelp) {
-		log.Print(err)
+		fmt.Fprintln(os.Stderr, message(name, err))
 		os.Exit(1)
 	}
+}
+
+// message is a failed run's stderr line, "name: err". Errors raised by
+// the package a binary is named after already start with that name
+// ("sweep: unknown builtin spec …"); it is printed once.
+func message(name string, err error) string {
+	if msg := err.Error(); strings.HasPrefix(msg, name+": ") {
+		return msg
+	}
+	return name + ": " + err.Error()
 }
 
 // Flags returns a flag set whose Parse reports bad flags (and -h, as
@@ -104,7 +111,7 @@ func Context(ctx context.Context, timeout time.Duration) (context.Context, conte
 // ParseStrings parses a comma-separated string list such as
 // "hosta:8713, hostb:8713", trimming whitespace and dropping empty
 // entries; it is the decoder behind list-valued flags like cmd/sweep's
-// -addr.
+// -shards.
 func ParseStrings(s string) ([]string, error) {
 	parts := strings.Split(s, ",")
 	out := make([]string, 0, len(parts))

@@ -1,9 +1,32 @@
 package cliutil
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 )
+
+// TestMessagePrintsTheNameOnce: a failure is reported as "name: err",
+// and an error its own package already prefixed with the binary's name
+// is not prefixed again.
+func TestMessagePrintsTheNameOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		err  error
+		want string
+	}{
+		{"sweep", errors.New(`sweep: unknown builtin spec "nope"`), `sweep: unknown builtin spec "nope"`},
+		{"plan", fmt.Errorf("plan: space: %w", errors.New("sweep: spec has no topologies")), "plan: space: sweep: spec has no topologies"},
+		{"plan", errors.New("sweep: spec has no topologies"), "plan: sweep: spec has no topologies"},
+		{"sweep", errors.New("no -spec given"), "sweep: no -spec given"},
+		{"sweep", errors.New("sweeping: not the name"), "sweep: sweeping: not the name"},
+	} {
+		if got := message(tc.name, tc.err); got != tc.want {
+			t.Errorf("message(%q, %q) = %q, want %q", tc.name, tc.err, got, tc.want)
+		}
+	}
+}
 
 func TestParseStrings(t *testing.T) {
 	got, err := ParseStrings(" hosta:8713, hostb:8713 ,")

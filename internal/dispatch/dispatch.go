@@ -154,8 +154,8 @@ func New(addrs []string, opts ...Option) (*Dispatcher, error) {
 	d.addrs = rb.Addrs()
 	// The fleet client is the whole backend list: it answers Evaluate's
 	// probes and describes Run's curves over /v1/curve, and alone in a
-	// list it caches as the built-in stack does, so dispatched, per-cell
-	// remote, batched and in-process sweeps share cache lines.
+	// list it caches as the built-in stack does, so dispatched and
+	// in-process sweeps share cache lines.
 	d.Backends = []eval.Evaluator{rb}
 	d.Scheduler = d
 	d.health = make(map[string]ShardHealth, len(d.addrs))

@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -51,7 +52,7 @@ func batchHandler(t *testing.T, requests *atomic.Int64, sizes *[]int, mu *sync.M
 	})
 }
 
-func newBatch(t *testing.T, addrs []string, opts ...RemoteOption) *BatchBackend {
+func newBatch(t *testing.T, addrs []string, opts ...RemoteOption) *RemoteBackend {
 	t.Helper()
 	b, err := NewBatchBackend(addrs, opts...)
 	if err != nil {
@@ -60,38 +61,31 @@ func newBatch(t *testing.T, addrs []string, opts ...RemoteOption) *BatchBackend 
 	return b
 }
 
-// withWindow sets the coalescer's latency window (2ms by default, with
-// no exported option: no caller outside these tests ever tuned it).
-func withWindow(d time.Duration) RemoteOption {
-	return func(b *RemoteBackend) { b.window = d }
-}
-
 func loadScenario(v float64) Scenario {
 	sc := bftScenario(false)
 	sc.Load = Load{Value: v}
 	return sc
 }
 
-// TestBatchBackendCoalescesConcurrentEvaluates: concurrent Evaluate
-// calls inside one latency window travel as a single request, and every
-// caller gets its own cell back.
+// TestBatchBackendCoalescesConcurrentEvaluates: the client holds no
+// batching state to share — concurrent EvaluateBatch calls on one client
+// travel as one request each, and every caller gets its own cells back.
 func TestBatchBackendCoalescesConcurrentEvaluates(t *testing.T) {
 	var requests atomic.Int64
-	var sizes []int
-	var mu sync.Mutex
-	srv := httptest.NewServer(batchHandler(t, &requests, &sizes, &mu, nil))
+	srv := httptest.NewServer(batchHandler(t, &requests, nil, nil, nil))
 	defer srv.Close()
 
-	b := newBatch(t, []string{srv.URL}, withWindow(50*time.Millisecond))
+	b := newBatch(t, []string{srv.URL})
 	const n = 8
 	var wg sync.WaitGroup
 	errs := make([]error, n)
-	pts := make([]Point, n)
+	pts := make([][]Point, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			pts[i], errs[i] = b.Evaluate(context.Background(), loadScenario(float64(i+1)/100))
+			pts[i], errs[i] = b.EvaluateBatch(context.Background(),
+				[]Scenario{loadScenario(float64(i+1) / 100), loadScenario(float64(i+1) / 50)})
 		}(i)
 	}
 	wg.Wait()
@@ -100,17 +94,18 @@ func TestBatchBackendCoalescesConcurrentEvaluates(t *testing.T) {
 			t.Fatalf("caller %d: %v", i, errs[i])
 		}
 		want := float64(i+1) / 100 * 10
-		if math.Abs(pts[i].Model-want) > 1e-12 {
-			t.Errorf("caller %d got someone else's cell: model %v, want %v", i, pts[i].Model, want)
+		if len(pts[i]) != 2 || math.Abs(pts[i][0].Model-want) > 1e-12 || math.Abs(pts[i][1].Model-2*want) > 1e-12 {
+			t.Errorf("caller %d got someone else's cells: %+v, want models %v and %v", i, pts[i], want, 2*want)
 		}
 	}
-	if requests.Load() != 1 {
-		t.Errorf("%d concurrent evaluates took %d requests, want 1 coalesced batch", n, requests.Load())
+	if requests.Load() != n {
+		t.Errorf("%d concurrent batches took %d requests, want one each", n, requests.Load())
 	}
 }
 
-// TestBatchBackendSizeBoundFlushes: reaching the size bound flushes
-// immediately, without waiting out the latency window.
+// TestBatchBackendSizeBoundFlushes: an explicit list travels whole — the
+// client has no size bound to split it at, so 200 scenarios are one
+// request.
 func TestBatchBackendSizeBoundFlushes(t *testing.T) {
 	var requests atomic.Int64
 	var sizes []int
@@ -118,27 +113,22 @@ func TestBatchBackendSizeBoundFlushes(t *testing.T) {
 	srv := httptest.NewServer(batchHandler(t, &requests, &sizes, &mu, nil))
 	defer srv.Close()
 
-	b := newBatch(t, []string{srv.URL}, WithBatchSize(2), withWindow(10*time.Second))
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := b.Evaluate(context.Background(), loadScenario(float64(i+1)/100)); err != nil {
-				t.Error(err)
-			}
-		}(i)
+	const n = 200
+	scs := make([]Scenario, n)
+	for i := range scs {
+		scs[i] = loadScenario(float64(i+1) / 1000)
 	}
-	wg.Wait()
-	if requests.Load() != 2 {
-		t.Errorf("4 evaluates with size bound 2 took %d requests, want 2", requests.Load())
+	pts, err := newBatch(t, []string{srv.URL}).EvaluateBatch(context.Background(), scs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != n || math.Abs(pts[n-1].Model-float64(n)/100) > 1e-12 {
+		t.Errorf("list mangled: %d cells, last model %v", len(pts), pts[len(pts)-1].Model)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	for _, s := range sizes {
-		if s != 2 {
-			t.Errorf("batch sizes %v, want all 2", sizes)
-		}
+	if len(sizes) != 1 || sizes[0] != n {
+		t.Errorf("%d scenarios travelled as requests of %v, want one of %d", n, sizes, n)
 	}
 }
 
@@ -340,49 +330,57 @@ func TestBatchBackendFailsOverToHealthyShard(t *testing.T) {
 	}
 }
 
-// TestBatchBackendSharesFleetCacheTag: the batched transport's tag is the
-// fleet client's it embeds — none — so batched, per-cell and in-process
-// sweeps share cache lines, whatever fleet answered.
+// TestBatchBackendSharesFleetCacheTag: the deprecated constructor returns
+// the fleet client itself, so its tag is the client's — none — and an
+// empty address list is rejected the same way.
 func TestBatchBackendSharesFleetCacheTag(t *testing.T) {
 	b := newBatch(t, []string{"hostb:1", "hosta:1"})
 	rb := newRemote(t, []string{"hosta:1"})
 	if b.CacheTag() != "" || b.CacheTag() != rb.CacheTag() {
-		t.Errorf("transports tag their cells differently: %q vs %q", b.CacheTag(), rb.CacheTag())
+		t.Errorf("constructors tag their cells differently: %q vs %q", b.CacheTag(), rb.CacheTag())
 	}
 	if _, err := NewBatchBackend(nil); err == nil {
 		t.Error("empty address list accepted")
 	}
 }
 
-// TestBatchBackendCallerCancellation: a caller abandoning its Evaluate
-// returns promptly with its context's error; the batch itself is not
-// poisoned for the rest.
+// TestBatchBackendCallerCancellation: cancelling an EvaluateBatch whose
+// shard has gone quiet returns the context's error promptly, and the
+// client answers the next call.
 func TestBatchBackendCallerCancellation(t *testing.T) {
 	release := make(chan struct{})
 	var requests atomic.Int64
 	srv := httptest.NewServer(batchHandler(t, &requests, nil, nil,
 		func(w http.ResponseWriter, n int64, scs []Scenario) bool {
-			<-release
+			if n == 1 {
+				<-release
+			}
 			return false
 		}))
 	defer srv.Close()
+	defer close(release)
 
-	b := newBatch(t, []string{srv.URL}, withWindow(time.Millisecond))
+	b := newBatch(t, []string{srv.URL})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := b.Evaluate(ctx, loadScenario(0.01))
+		_, err := b.EvaluateBatch(ctx, []Scenario{loadScenario(0.01)})
 		done <- err
 	}()
-	var err error
+	for requests.Load() == 0 {
+		time.Sleep(time.Millisecond) // cancel mid-request, not before it
+	}
 	cancel()
 	select {
-	case err = <-done:
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled batch returned %v, want the context's error", err)
+		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled caller never returned")
 	}
-	if err == nil {
-		t.Fatal("cancelled caller got a cell")
+	pts, err := b.EvaluateBatch(context.Background(), []Scenario{loadScenario(0.02)})
+	if err != nil || len(pts) != 1 || math.Abs(pts[0].Model-0.2) > 1e-12 {
+		t.Fatalf("client unusable after a cancelled call: %+v, %v", pts, err)
 	}
-	close(release)
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -267,6 +268,40 @@ func TestTopologyConstructorsRejectUnknownFamily(t *testing.T) {
 	}
 	if _, err := (Topology{Family: FamilyTorus, Size: 3, K: 4}).NewNetwork(); err == nil {
 		t.Error("the torus should have no simulator topology")
+	}
+}
+
+// TestSimulatedNetworkIsCapped: a network above MaxSimProcessors is
+// refused by arithmetic, before NewNetwork builds anything; the cap is
+// inclusive, and the model takes any size it always did.
+func TestSimulatedNetworkIsCapped(t *testing.T) {
+	for _, tc := range []struct {
+		topo Topology
+		ok   bool
+	}{
+		{Topology{Family: FamilyBFT, Size: 65536}, true},
+		{Topology{Family: FamilyBFT, Size: 262144}, false},
+		{Topology{Family: FamilyBFT, Size: 67108864}, false},
+		{Topology{Family: FamilyHypercube, Size: 16}, true},
+		{Topology{Family: FamilyHypercube, Size: 17}, false},
+		{Topology{Family: FamilyHypercube, Size: 1 << 40}, false},
+	} {
+		err := tc.topo.CheckSimSize()
+		if tc.ok != (err == nil) {
+			t.Errorf("%s: CheckSimSize = %v, want ok=%v", tc.topo, err, tc.ok)
+		}
+		if !tc.ok {
+			if !strings.Contains(err.Error(), "limit is 65536 processors") {
+				t.Errorf("%s: error does not name the limit: %v", tc.topo, err)
+			}
+			start := time.Now()
+			if _, nerr := tc.topo.NewNetwork(); nerr == nil || nerr.Error() != err.Error() || time.Since(start) > time.Second {
+				t.Errorf("%s: NewNetwork = %v after %v, want CheckSimSize's refusal at once", tc.topo, nerr, time.Since(start))
+			}
+		}
+	}
+	if _, err := (Topology{Family: FamilyBFT, Size: 67108864}).NewModel(8, core.Options{}); err != nil {
+		t.Errorf("the model lost bft-67108864: %v", err)
 	}
 }
 

@@ -40,15 +40,9 @@ type RemoteBackend struct {
 	backoff time.Duration
 	single  time.Duration // flat bound on one single-shot request; 0 leaves it to the caller's client
 	idle    time.Duration // progress bound on one NDJSON stream
-
-	// Coalescer settings, read by BatchBackend only; they sit here so
-	// both constructors take one option type.
-	maxBatch int
-	window   time.Duration
 }
 
-// RemoteOption configures the fleet transport; NewRemoteBackend and
-// NewBatchBackend both take it.
+// RemoteOption configures the fleet transport.
 type RemoteOption func(*RemoteBackend)
 
 // WithHTTPClient replaces the default HTTP client, which carries no
@@ -77,27 +71,15 @@ func WithIdleTimeout(t time.Duration) RemoteOption {
 	return func(b *RemoteBackend) { b.idle = t }
 }
 
-// WithBatchSize bounds how many scenarios one coalesced BatchBackend
-// request may carry (default 64).
-func WithBatchSize(n int) RemoteOption {
-	return func(b *RemoteBackend) {
-		if n > 0 {
-			b.maxBatch = n
-		}
-	}
-}
-
 // NewRemoteBackend builds a backend over the given server addresses
 // ("host:port" or full "http://…" URLs). At least one address is
 // required; duplicates and empty entries are dropped.
 func NewRemoteBackend(addrs []string, opts ...RemoteOption) (*RemoteBackend, error) {
 	b := &RemoteBackend{
-		client:   &http.Client{},
-		backoff:  100 * time.Millisecond,
-		single:   30 * time.Second,
-		idle:     60 * time.Second,
-		maxBatch: 64,
-		window:   2 * time.Millisecond,
+		client:  &http.Client{},
+		backoff: 100 * time.Millisecond,
+		single:  30 * time.Second,
+		idle:    60 * time.Second,
 	}
 	b.addrs = normalizeAddrs(addrs)
 	if len(b.addrs) == 0 {
@@ -114,9 +96,9 @@ func NewRemoteBackend(addrs []string, opts ...RemoteOption) (*RemoteBackend, err
 
 // normalizeAddrs cleans a server address list: entries are trimmed,
 // given an http:// scheme when they carry none, stripped of trailing
-// slashes, and deduplicated; empties are dropped. Every fleet client
-// (RemoteBackend, BatchBackend, the dispatch coordinator) normalizes the
-// same way, so equal fleets compare equal.
+// slashes, and deduplicated; empties are dropped. The dispatch
+// coordinator builds its shard list from Addrs, so equal fleets compare
+// equal.
 func normalizeAddrs(addrs []string) []string {
 	var out []string
 	seen := make(map[string]bool)

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 
 	"repro/internal/analytic"
@@ -58,8 +59,30 @@ func (t Topology) NewModel(msgFlits int, opt core.Options) (Model, error) {
 	}
 }
 
+// MaxSimProcessors caps the network the simulator is asked to build:
+// bft-65536, the 16-cube. A network's tables grow with its processor
+// count, so an unbounded size in a request is an unbounded allocation.
+const MaxSimProcessors = 1 << 16
+
+// CheckSimSize reports whether the instance is too large to simulate.
+// It costs arithmetic only: specs and servers call it before anything
+// is built. Model-only evaluation is not bound by it.
+func (t Topology) CheckSimSize() error {
+	over := t.Size > MaxSimProcessors
+	if t.Family == FamilyHypercube {
+		over = t.Size > bits.TrailingZeros(MaxSimProcessors)
+	}
+	if over {
+		return fmt.Errorf("eval: %s is too large to simulate: the limit is %d processors", t, MaxSimProcessors)
+	}
+	return nil
+}
+
 // NewNetwork builds the simulator topology for the instance.
 func (t Topology) NewNetwork() (topology.Network, error) {
+	if err := t.CheckSimSize(); err != nil {
+		return nil, err
+	}
 	switch t.Family {
 	case FamilyBFT:
 		return topology.NewFatTree(t.Size)

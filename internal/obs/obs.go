@@ -167,16 +167,6 @@ func withRemote(ctx context.Context, t *Tracer, trace, span string) context.Cont
 	return context.WithValue(ctx, ctxKey{}, traceCtx{tracer: t, trace: trace, span: span})
 }
 
-// CopyTrace returns dst carrying src's trace context, if any. Batching
-// layers use it when their request context must outlive any single
-// caller but should still join the first traced caller's trace.
-func CopyTrace(dst, src context.Context) context.Context {
-	if tc, ok := src.Value(ctxKey{}).(traceCtx); ok {
-		return context.WithValue(dst, ctxKey{}, tc)
-	}
-	return dst
-}
-
 // TraceIDs reports the trace and span IDs carried by ctx, if any.
 func TraceIDs(ctx context.Context) (trace, span string, ok bool) {
 	tc, ok := ctx.Value(ctxKey{}).(traceCtx)

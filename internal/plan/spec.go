@@ -306,6 +306,21 @@ func (s *Spec) Validate() error {
 			return err
 		}
 	}
+	// Certification simulates the frontier and the default "ports" cost
+	// reads its count off a built network, so either one sizes the
+	// candidates as simulated networks (the torus has none to build).
+	if !s.SkipCertify || s.Cost.Model == "" || s.Cost.Model == "ports" {
+		for i, t := range s.Space.Topologies {
+			if t.Family == eval.FamilyTorus {
+				continue
+			}
+			for _, n := range t.Sizes {
+				if err := (eval.Topology{Family: t.Family, Size: n}).CheckSimSize(); err != nil {
+					return fmt.Errorf("plan: space: topologies[%d]: %w", i, err)
+				}
+			}
+		}
+	}
 	if s.Cost.Weight < 0 {
 		return fmt.Errorf("plan: cost weight must be >= 0, got %v", s.Cost.Weight)
 	}

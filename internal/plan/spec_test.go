@@ -80,6 +80,11 @@ func TestValidateErrors(t *testing.T) {
 		{"unordered fracs", func(s *Spec) { s.Search.PruneFracs = []float64{0.5, 0.25} }, "increasing"},
 		{"bad tolerance", func(s *Spec) { s.Search.Tolerance = 2 }, "tolerance"},
 		{"bad operating frac", func(s *Spec) { s.Search.OperatingFrac = 1.5 }, "operating_frac"},
+		{"network too large to certify", func(s *Spec) { s.Space.Topologies[0].Sizes = []int{262144} }, "limit is 65536 processors"},
+		{"network too large to cost", func(s *Spec) {
+			s.SkipCertify = true
+			s.Space.Topologies[0].Sizes = []int{262144}
+		}, "limit is 65536 processors"},
 	}
 	for _, tc := range cases {
 		s := validSpec()
@@ -92,6 +97,12 @@ func TestValidateErrors(t *testing.T) {
 	s := validSpec()
 	if err := s.Validate(); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
+	}
+	// Model-only planning with a closed-form cost builds no network.
+	s.SkipCertify, s.Cost.Model = true, "processors"
+	s.Space.Topologies[0].Sizes = []int{262144}
+	if err := s.Validate(); err != nil {
+		t.Errorf("model-only plan over bft-262144 rejected: %v", err)
 	}
 }
 

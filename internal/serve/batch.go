@@ -158,12 +158,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding scenario batch: %w", err))
 		return
 	}
-	s.traffic.add("sweep_batch_requests_total", 1)
-	s.traffic.add("sweep_batch_cells_total", int64(len(scs)))
 	keys := make([]string, len(scs))
 	for i := range scs {
+		// Sized before anything is built, like a spec: an oversized
+		// network is the request's fault, not one cell's.
+		if scs[i].WithSim {
+			if err := scs[i].Topology.CheckSimSize(); err != nil {
+				httpError(w, http.StatusBadRequest, fmt.Errorf("scenario %d: %w", i, err))
+				return
+			}
+		}
 		keys[i] = scs[i].Key()
 	}
+	s.traffic.add("sweep_batch_requests_total", 1)
+	s.traffic.add("sweep_batch_cells_total", int64(len(scs)))
 	s.streamItems(w, r, scs, keys, 0)
 }
 

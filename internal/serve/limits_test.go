@@ -1,0 +1,79 @@
+package serve
+
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/eval"
+	"repro/internal/sweep"
+)
+
+// TestOversizedRequestCannotKillShard: a request is sized before
+// anything is built from it. A few hundred bytes asking for more than
+// sweep.MaxCells cells, or for a simulated network above
+// eval.MaxSimProcessors, get a 4xx naming the limit at once on every
+// evaluating endpoint, and the shard keeps serving. (Without the checks
+// the first allocates the load axis and the second the network's tables,
+// and an out-of-memory exit is not a panic a handler can recover. The
+// sizes here are a small multiple of the limits rather than the billions
+// a hostile body would carry, so a regression fails this test instead of
+// taking the machine's memory with it.)
+func TestOversizedRequestCannotKillShard(t *testing.T) {
+	srv := newTestServer(t, WithCache(sweep.NewCache()))
+
+	cells := fmt.Sprintf("more than %d cells", sweep.MaxCells)
+	procs := fmt.Sprintf("limit is %d processors", eval.MaxSimProcessors)
+	const (
+		manyCells = `{"topologies":[{"family":"bft","sizes":[16]}],"msg_flits":[8],
+			"loads":{"points":2097152,"max_frac":0.9}}`
+		hugeNet = `{"topologies":[{"family":"bft","sizes":[262144]}],"msg_flits":[8],
+			"loads":{"fracs":[0.5]},"with_sim":true,"budget":{"warmup":10,"measure":100,"seed":1}}`
+		hugeCell = `{"topology":{"family":"bft","size":262144},"msg_flits":8,"load":{"value":0.01},
+			"with_sim":true,"budget":{"warmup":10,"measure":100,"seed":1}}`
+		hugeCube = `{"topology":{"family":"hypercube","size":18},"msg_flits":8,"load":{"value":0.01},
+			"with_sim":true,"budget":{"warmup":10,"measure":100,"seed":1}}`
+	)
+	client := &http.Client{Timeout: time.Second}
+	for _, tc := range []struct {
+		name, path, body, want string
+	}{
+		{"sweep cells", "/v1/sweep", manyCells, cells},
+		{"sweep network", "/v1/sweep", hugeNet, procs},
+		{"part cells", "/v1/sweep/part", `{"spec":` + manyCells + `,"start":0,"end":1}`, cells},
+		{"part network", "/v1/sweep/part", `{"spec":` + hugeNet + `,"start":0,"end":1}`, procs},
+		{"batch network", "/v1/batch", `[` + hugeCell + `]`, procs},
+		{"eval network", "/v1/eval", hugeCell, procs},
+		{"eval hypercube", "/v1/eval", hugeCube, procs},
+		{"plan network", "/v1/plan", `{"space":{"topologies":[{"family":"bft","sizes":[262144]}],"msg_flits":[16]},
+			"objective":"max-load"}`, procs},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := client.Post(srv.URL+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatalf("no answer within a second: %v", err)
+			}
+			defer resp.Body.Close()
+			var payload struct {
+				Error string `json:"error"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
+				t.Fatalf("status %s, body is no error payload: %v", resp.Status, err)
+			}
+			if resp.StatusCode < 400 || resp.StatusCode > 499 || !strings.Contains(payload.Error, tc.want) {
+				t.Errorf("status %s, error %q; want a 4xx naming %q", resp.Status, payload.Error, tc.want)
+			}
+			health, err := client.Get(srv.URL + "/healthz")
+			if err != nil {
+				t.Fatalf("shard gone after the request: %v", err)
+			}
+			health.Body.Close()
+			if health.StatusCode != http.StatusOK {
+				t.Errorf("/healthz answers %s after the request", health.Status)
+			}
+		})
+	}
+}

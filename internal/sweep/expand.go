@@ -70,11 +70,7 @@ func ExpandKeyed(s Spec) (scens []Scenario, keys []string, err error) {
 		}
 	}
 	variants, workloads := s.variants(), s.workloads()
-	instances := 0
-	for _, ts := range s.Topologies {
-		instances += len(ts.Sizes)
-	}
-	n := min(instances*len(s.MsgFlits)*len(policies)*len(variants)*len(workloads)*len(loads), maxPresize)
+	n := min(s.cells(), maxPresize)
 	scens, keys = make([]Scenario, 0, n), make([]string, 0, n)
 	seen := make(map[string]struct{}, n)
 	for _, ts := range s.Topologies {

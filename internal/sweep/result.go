@@ -308,8 +308,8 @@ func (r Row) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes a row from the flattened NDJSON line format, so
-// clients of a streamed sweep (cmd/sweep -addr, consumers of sweepd's
-// /v1/sweep) recover typed rows. The line carries the identity and
+// clients of a streamed sweep (consumers of cmd/sweep -stream and of
+// sweepd's /v1/sweep) recover typed rows. The line carries the identity and
 // outcome of a cell, not its full execution recipe: the scenario's
 // topology, message length, policy, variant name, derived seed and every
 // measured value round-trip exactly (null ↔ NaN, saturation markers ↔

@@ -180,6 +180,31 @@ func (l *LoadSpec) fracs() []float64 {
 	return nil
 }
 
+// MaxCells caps a spec's expanded grid. Validate counts the cells from
+// the axis lengths before anything is expanded, so a request's size is
+// known — and refused — while it is still a few hundred bytes.
+const MaxCells = 1 << 20
+
+// cells is the size of the expanded grid before duplicate cells are
+// dropped — the product of the axes, loads.points included — or
+// MaxCells+1 when it is larger than that (the product itself may not fit
+// an int).
+func (s *Spec) cells() int {
+	loads := max(len(s.Loads.Flits), len(s.Loads.Fracs), s.Loads.Points)
+	n := 0
+	for _, t := range s.Topologies {
+		n += len(t.Sizes)
+	}
+	// An empty policy, variant or workload list stands for its one default.
+	for _, axis := range []int{len(s.MsgFlits), max(len(s.Policies), 1), max(len(s.Variants), 1), max(len(s.Workloads), 1), loads} {
+		if axis > 0 && n > MaxCells/axis {
+			return MaxCells + 1
+		}
+		n *= axis
+	}
+	return n
+}
+
 // Validate reports the first problem with the spec.
 func (s *Spec) Validate() error {
 	if len(s.Backends) > 0 {
@@ -226,6 +251,11 @@ func (s *Spec) Validate() error {
 		for _, n := range t.Sizes {
 			if n < 1 {
 				return fmt.Errorf("sweep: topologies[%d] (%s): bad size %d", i, t.Family, n)
+			}
+			if s.withSim() {
+				if err := (Topology{Family: t.Family, Size: n}).CheckSimSize(); err != nil {
+					return fmt.Errorf("sweep: topologies[%d]: %w", i, err)
+				}
 			}
 		}
 	}
@@ -287,6 +317,9 @@ func (s *Spec) Validate() error {
 	}
 	if modes != 1 {
 		return fmt.Errorf("sweep: loads must set exactly one of flits, fracs, or points/max_frac (got %d forms)", modes)
+	}
+	if s.cells() > MaxCells {
+		return fmt.Errorf("sweep: spec %q expands to more than %d cells, the limit per spec; split the grid", s.Name, MaxCells)
 	}
 	for _, v := range append(append([]float64{}, s.Loads.Flits...), s.Loads.Fracs...) {
 		if v <= 0 {

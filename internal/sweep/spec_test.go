@@ -129,6 +129,22 @@ func TestValidateErrors(t *testing.T) {
 		{"colliding variant options", func(s *Spec) {
 			s.Variants = []Variant{{Name: "a"}, {Name: "b"}}
 		}, "identical options"},
+		{"too many cells", func(s *Spec) {
+			s.WithSim = false
+			s.Loads = LoadSpec{Points: MaxCells + 1, MaxFrac: 0.9}
+		}, "1048576 cells, the limit"},
+		{"cell count overflows int", func(s *Spec) {
+			s.WithSim = false
+			s.MsgFlits = make([]int, 1<<12)
+			for i := range s.MsgFlits {
+				s.MsgFlits[i] = i + 1
+			}
+			s.Loads = LoadSpec{Points: 1 << 62, MaxFrac: 0.9}
+		}, "the limit"},
+		{"simulated fat-tree too large", func(s *Spec) { s.Topologies[0].Sizes = []int{16, 262144} }, "limit is 65536 processors"},
+		{"simulated hypercube too large", func(s *Spec) {
+			s.Topologies[0] = TopologySpec{Family: FamilyHypercube, Sizes: []int{17}}
+		}, "limit is 65536 processors"},
 		{"variant sim without spec sim", func(s *Spec) {
 			s.WithSim = false
 			s.Budget = Budget{}
@@ -144,6 +160,31 @@ func TestValidateErrors(t *testing.T) {
 				t.Errorf("want error containing %q, got %v", tc.want, err)
 			}
 		})
+	}
+}
+
+// TestValidateAcceptsTheLimits: the caps are inclusive, and the network
+// cap binds simulated grids only.
+func TestValidateAcceptsTheLimits(t *testing.T) {
+	for name, mut := range map[string]func(*Spec){
+		"MaxCells model-only cells": func(s *Spec) {
+			s.WithSim = false
+			s.MsgFlits = []int{4, 8}
+			s.Loads = LoadSpec{Points: MaxCells / 2, MaxFrac: 0.9}
+		},
+		"simulated bft-65536 and 16-cube": func(s *Spec) {
+			s.Topologies = []TopologySpec{{Family: FamilyBFT, Sizes: []int{65536}}, {Family: FamilyHypercube, Sizes: []int{16}}}
+		},
+		"model-only bft-67108864": func(s *Spec) {
+			s.WithSim = false
+			s.Topologies[0].Sizes = []int{67108864}
+		},
+	} {
+		s := validSpec()
+		mut(&s)
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s: rejected: %v", name, err)
+		}
 	}
 }
 
