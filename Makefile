@@ -58,6 +58,9 @@ lint:
 	@test -z "$$(grep -rl 'backends=' --include='*.go' . | grep -v '_test\.go$$' | grep -vx -e ./internal/sweep/run.go -e ./internal/eval/parsekey.go)" && \
 	test "$$(grep -rhE '^func \([^)]*\) CacheTag\(' --include='*.go' . | wc -l)" -le 1 || { \
 		echo "one key space: cache lines are Scenario.Key; only the custom-list view in internal/sweep/run.go may prefix one"; exit 1; }
+	@test -z "$$(grep -rlE '"(family| (size|k|flits|policy|frac|load|variant|sim|warmup|measure|seed|drain|prec|reps|workload|bounds))=' --include='*.go' . | grep -v '_test\.go$$' | grep -vx -e ./internal/eval/scenario.go -e ./internal/eval/parsekey.go)" && \
+	test -z "$$(grep -rl 'eval\.ParseKey(' --include='*.go' . | grep -v '_test\.go$$' | grep -v '^\./internal/calib/')" || { \
+		echo "one key grammar: the key's field literals appear only in internal/eval/scenario.go (appendKey writes them) and parsekey.go (ParseKey reads them back), and eval.ParseKey is called from internal/calib only"; exit 1; }
 	@test "$$(grep -rl 'NewBatchBackend(' --include='*.go' internal cmd | grep -v '_test\.go$$')" = internal/eval/batch.go && \
 	test -z "$$(grep -rl 'eval\.NewRemoteBackend(' --include='*.go' internal cmd examples repro.go | grep -v '_test\.go$$' | grep -vx -e internal/dispatch/dispatch.go -e cmd/plan/main.go -e repro.go)" || { \
 		echo "one fleet door: grids reach a fleet through internal/dispatch (the fleet client is built there, by cmd/plan -addr and by the repro facade only; NewBatchBackend is a deprecated alias for the frozen bench/)"; exit 1; }

@@ -283,19 +283,19 @@ func (m *Map) observe(key string, pt eval.Point) (bool, string) {
 		return false, ""
 	}
 	m.seen[cell] = struct{}{}
-	pk, err := eval.ParseKey(cell)
+	sc, wk, err := eval.ParseKey(cell)
 	if err != nil {
 		m.badKeys++
 		return false, ""
 	}
-	if !pairable(pt) || !pk.Variant.IsBase() {
+	if !pairable(pt) || !sc.Variant.IsBase() {
 		return false, ""
 	}
 	rel := math.NaN()
-	if sat, err := m.sat.SaturationLoad(pk.Topology, pk.MsgFlits); err == nil && sat > 0 && !math.IsNaN(pt.LoadFlits) {
+	if sat, err := m.sat.SaturationLoad(sc.Topology, sc.MsgFlits); err == nil && sat > 0 && !math.IsNaN(pt.LoadFlits) {
 		rel = pt.LoadFlits / sat
 	}
-	r := RegionFor(pk.Topology, pk.MsgFlits, pk.Policy, pk.Workload, rel)
+	r := RegionFor(sc.Topology, sc.MsgFlits, sc.Policy.String(), wk, rel)
 	a, ok := m.regions[r]
 	if !ok {
 		a = &acc{}

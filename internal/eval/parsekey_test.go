@@ -93,52 +93,40 @@ func checkRoundTrip(t *testing.T, salt string, sc Scenario) {
 	if cut != salt || key != sc.Key() {
 		t.Fatalf("CutSalt(%q) = %q, %q; want %q, %q", line, cut, key, salt, sc.Key())
 	}
-	p, err := ParseKey(key)
+	got, wk, err := ParseKey(key)
 	if err != nil {
 		t.Fatalf("ParseKey(%q): %v", key, err)
 	}
 	if salt != "" {
-		if _, err := ParseKey(line); err == nil {
+		if _, _, err := ParseKey(line); err == nil {
 			t.Fatalf("ParseKey(%q) accepted a salted line: a key is a Scenario.Key", line)
 		}
 	}
-	if p.Topology != sc.Topology {
-		t.Fatalf("key %q: topology %+v, want %+v", key, p.Topology, sc.Topology)
-	}
-	if p.MsgFlits != sc.MsgFlits {
-		t.Fatalf("key %q: flits %d, want %d", key, p.MsgFlits, sc.MsgFlits)
-	}
-	if p.Policy != sc.Policy.String() {
-		t.Fatalf("key %q: policy %q, want %q", key, p.Policy, sc.Policy.String())
-	}
-	if p.Load != sc.Load {
-		t.Fatalf("key %q: load %+v, want %+v", key, p.Load, sc.Load)
-	}
-	wantVar := Variant{
-		NoBlockingCorrection: sc.Variant.NoBlockingCorrection,
-		SingleServerGroups:   sc.Variant.SingleServerGroups,
-		NoPairRateCorrection: sc.Variant.NoPairRateCorrection,
-	}
-	if p.Variant != wantVar {
-		t.Fatalf("key %q: variant %+v, want %+v", key, p.Variant, wantVar)
-	}
-	if p.WithSim != sc.WithSim {
-		t.Fatalf("key %q: sim %v, want %v", key, p.WithSim, sc.WithSim)
+	// What a key carries comes back; what it does not (Index, LoadIndex,
+	// the variant's name and sim flag, a model-only budget) comes back
+	// zero, and Budget.Seed is the derived seed.
+	want := Scenario{
+		Topology: sc.Topology,
+		MsgFlits: sc.MsgFlits,
+		Policy:   sc.Policy,
+		Load:     sc.Load,
+		Variant: Variant{
+			NoBlockingCorrection: sc.Variant.NoBlockingCorrection,
+			SingleServerGroups:   sc.Variant.SingleServerGroups,
+			NoPairRateCorrection: sc.Variant.NoPairRateCorrection,
+		},
+		WithSim:    sc.WithSim,
+		WithBounds: sc.WithBounds,
 	}
 	if sc.WithSim {
-		want := sc.Budget
-		want.Seed = sc.Seed() // keys carry the derived seed
-		if p.Budget != want {
-			t.Fatalf("key %q: budget %+v, want %+v", key, p.Budget, want)
-		}
-	} else if p.Budget != (Budget{}) {
-		t.Fatalf("key %q: model-only key recovered budget %+v", key, p.Budget)
+		want.Budget = sc.Budget
+		want.Budget.Seed = sc.Seed()
 	}
-	if p.Workload != sc.Workload.Canonical() {
-		t.Fatalf("key %q: workload %q, want %q", key, p.Workload, sc.Workload.Canonical())
+	if got != want {
+		t.Fatalf("key %q: scenario %+v, want %+v", key, got, want)
 	}
-	if p.WithBounds != sc.WithBounds {
-		t.Fatalf("key %q: bounds %v, want %v", key, p.WithBounds, sc.WithBounds)
+	if wk != sc.Workload.Canonical() {
+		t.Fatalf("key %q: workload %q, want %q", key, wk, sc.Workload.Canonical())
 	}
 }
 
@@ -151,12 +139,12 @@ func TestParseKeyLoadValueExact(t *testing.T) {
 			MsgFlits: 8,
 			Load:     Load{Value: v},
 		}
-		p, err := ParseKey(sc.Key())
+		got, _, err := ParseKey(sc.Key())
 		if err != nil {
 			t.Fatalf("ParseKey: %v", err)
 		}
-		if math.Float64bits(p.Load.Value) != math.Float64bits(v) {
-			t.Errorf("load %v: recovered %v (bits differ)", v, p.Load.Value)
+		if math.Float64bits(got.Load.Value) != math.Float64bits(v) {
+			t.Errorf("load %v: recovered %v (bits differ)", v, got.Load.Value)
 		}
 	}
 }
@@ -183,9 +171,15 @@ func TestParseKeyMalformed(t *testing.T) {
 		"backends=bounds family=bft size=4", // salt without terminator
 		"backends=|",
 		"size=4 family=bft k=0 flits=8 policy=pairqueue frac=false load=0x1p-03 sim=false", // out of order
+		// Spellings the parser can read but Key never writes.
+		"family=bft size=+4 k=0 flits=8 policy=pairqueue frac=false load=0x1p-03 sim=false",
+		"family=bft size=4 k=0 flits=8 policy=pairqueue frac=false load=0.125 sim=false",
+		"family=bft size=4 k=0 flits=8 policy=pairqueue frac=false load=0x1.0p-01 sim=false",
+		"family=bft size=4 size=4 k=0 flits=8 policy=pairqueue frac=false load=0x1p-03 sim=false",
+		"family=bft size=4 k=0 flits=8 policy=pairqueue frac=false load=0x1p-03 variant=truefalsetruex sim=false",
 	}
 	for _, key := range cases {
-		if _, err := ParseKey(key); err == nil {
+		if _, _, err := ParseKey(key); err == nil {
 			t.Errorf("ParseKey(%q): expected error, got none", key)
 		} else if key != "" && !strings.Contains(err.Error(), "eval:") {
 			t.Errorf("ParseKey(%q): error %v lacks package prefix", key, err)
@@ -197,7 +191,8 @@ func TestParseKeyMalformed(t *testing.T) {
 // layer does — CutSalt, then ParseKey on what is left — and asserts that
 // neither panics, that salt plus key re-assembles the line, that a salt is
 // exactly a "backends=" prefix up to its first '|' (a prefix without one is
-// not a salt), and that no accepted key still carries a salt.
+// not a salt), and that every accepted key is what appendKey writes for
+// the scenario and workload ParseKey returned.
 func FuzzParseKey(f *testing.F) {
 	seeds := []string{
 		"",
@@ -226,8 +221,10 @@ func FuzzParseKey(f *testing.F) {
 		if salt != "" && strings.IndexByte(salt, '|') != len(salt)-1 {
 			t.Fatalf("CutSalt(%q): salt %q does not end at its first '|'", line, salt)
 		}
-		if _, err := ParseKey(key); err == nil && !strings.HasPrefix(key, "family=") {
-			t.Fatalf("ParseKey(%q) accepted something that is not a Scenario.Key", key)
+		if sc, wk, err := ParseKey(key); err == nil {
+			if again := string(sc.appendKey(nil, wk)); again != key {
+				t.Fatalf("ParseKey(%q) accepted a key appendKey writes as %q", key, again)
+			}
 		}
 	})
 }

@@ -229,13 +229,15 @@ func (s Scenario) CurveKey() string {
 // Key returns the scenario's cache key: a readable, canonical encoding
 // of every field that influences its result (and nothing else — Index
 // and the variant's cosmetic name are excluded, so the same cell
-// reached from different specs hits the same cache line). The key is
-// deliberately not hashed: ParseKey inverts it, which is what lets the
-// calibration layer (internal/calib) mine a persistent store back into
-// scenario coordinates. It sits on every hot path — grid expansion
-// dedup, runner cache lookups, the dispatch coordinator's cache pass —
-// so it is assembled with strconv appends into one buffer rather than
-// with fmt: building a key is one allocation.
+// reached from different specs hits the same cache line). appendKey is
+// the key grammar, written once: ParseKey accepts exactly the strings it
+// writes, which is what lets the calibration layer (internal/calib) mine
+// a persistent store back into scenario coordinates. Key sits on every
+// hot path — grid expansion dedup, runner cache lookups, the dispatch
+// coordinator's cache pass — so it is assembled with strconv appends
+// into one stack buffer rather than with fmt: the returned string is
+// the only allocation (a long workload key may spill the buffer to the
+// heap).
 //
 // Optional fields append only when set, so a key never carries
 // defaulted noise; floats use strconv's 'x' hex format, which
@@ -243,10 +245,14 @@ func (s Scenario) CurveKey() string {
 // readable (when Key returned a sha256 of this same layout) no longer
 // match and simply re-fill cold.
 func (s Scenario) Key() string {
-	// Assembled in one stack buffer: the returned string is the only
-	// allocation (a long workload key may spill the buffer to the heap).
 	var buf [256]byte
-	b := append(buf[:0], "family="...)
+	return string(s.appendKey(buf[:0], s.Workload.Canonical()))
+}
+
+// appendKey appends the scenario's key to b, with workload standing for
+// the workload's canonical form ("" for the default workload).
+func (s *Scenario) appendKey(b []byte, workload string) []byte {
+	b = append(b, "family="...)
 	b = append(b, s.Topology.Family...)
 	b = append(b, " size="...)
 	b = strconv.AppendInt(b, int64(s.Topology.Size), 10)
@@ -293,9 +299,9 @@ func (s Scenario) Key() string {
 	}
 	// Appended only when non-default, preserving every pre-workload
 	// persisted key.
-	if wk := s.Workload.Canonical(); wk != "" {
+	if workload != "" {
 		b = append(b, " workload="...)
-		b = append(b, wk...)
+		b = append(b, workload...)
 	}
 	// Appended only when set, preserving every pre-bounds persisted key;
 	// the bit distinguishes bound-carrying cache lines from plain ones,
@@ -304,5 +310,5 @@ func (s Scenario) Key() string {
 	if s.WithBounds {
 		b = append(b, " bounds=true"...)
 	}
-	return string(b)
+	return b
 }

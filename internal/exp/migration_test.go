@@ -92,7 +92,7 @@ func checkMatchesReference(t *testing.T, id string, edit func(*sweep.Spec)) {
 	t.Helper()
 	sw, _ := runEntry(t, id, edit)
 	want := reference(t, sw.Spec)
-	got := byCurve(sw)
+	got := sw.ByCurve()
 	if len(got) != len(want) {
 		t.Fatalf("curves: %d vs %d", len(got), len(want))
 	}

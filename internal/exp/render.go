@@ -9,23 +9,8 @@ import (
 	"repro/internal/sweep"
 )
 
-// The renderers read an executed sweep directly: rows arrive in expansion
-// order (loads innermost), so the rows of sw.Curves[i] are the i-th run
-// of len(Rows)/len(Curves) consecutive rows.
-
-// byCurve splits the result's rows into one slice per curve, aligned
-// with sw.Curves.
-func byCurve(sw *sweep.Result) [][]sweep.Row {
-	if len(sw.Curves) == 0 {
-		return nil
-	}
-	n := len(sw.Rows) / len(sw.Curves)
-	out := make([][]sweep.Row, len(sw.Curves))
-	for i := range out {
-		out[i] = sw.Rows[i*n : (i+1)*n]
-	}
-	return out
-}
+// The renderers read an executed sweep directly: sw.ByCurve()[i] holds
+// the rows of sw.Curves[i], in load order.
 
 func tableOutput(tbl *series.Table, note string, json any) Output {
 	return Output{Text: tbl.String(), CSV: tbl.CSV(), Note: note, JSON: json}
@@ -42,7 +27,7 @@ func renderFigure3(sw *sweep.Result) Output {
 		"mean |err| vs sim", "max |err| vs sim"}}
 	var plotted, columns []*series.Series
 	var ymax float64
-	for i, rows := range byCurve(sw) {
+	for i, rows := range sw.ByCurve() {
 		c := sw.Curves[i]
 		label := fmt.Sprintf("%d-flit", c.MsgFlits)
 		mk := markers[i%len(markers)]
@@ -128,7 +113,7 @@ func renderGrid(sw *sweep.Result) Output {
 func renderSaturation(sw *sweep.Result) Output {
 	tbl := &series.Table{Headers: []string{
 		"N", "flits", "model sat (flits/cyc/PE)", "sim sustains", "sim saturates by"}}
-	for i, rows := range byCurve(sw) {
+	for i, rows := range sw.ByCurve() {
 		c := sw.Curves[i]
 		stable, saturated := math.NaN(), math.NaN()
 		for _, r := range rows {
@@ -153,7 +138,7 @@ func renderSaturation(sw *sweep.Result) Output {
 // simulation reference (+Inf where a variant predicts saturation below
 // that load).
 func renderAblations(sw *sweep.Result) Output {
-	curves := byCurve(sw)
+	curves := sw.ByCurve()
 	headers := []string{"flits/cyc/PE", "simulation"}
 	for _, c := range sw.Curves {
 		headers = append(headers, c.Variant)

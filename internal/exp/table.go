@@ -253,14 +253,19 @@ func hypercubeSpec(scale string, b sweep.Budget) (sweep.Spec, error) {
 // TorusRow is one load point of experiment X2.
 type TorusRow struct {
 	LoadFlits float64 `json:"load_flits"`
-	// Hypercube and Torus are the two models' latencies.
+	// Hypercube is the hypercube's closed-form latency, Torus the k = 2
+	// torus model's.
 	Hypercube float64 `json:"hypercube_latency"`
 	Torus     float64 `json:"torus_latency"`
 }
 
-// torusConsistency is X2: the k-ary n-cube model at k = 2 must agree
-// with the hypercube model at every probed load. It is model-only, so
-// the budget and ctx go unused.
+// torusConsistency is X2: the k-ary n-cube model at k = 2, resolved on
+// its channel graph, must agree with the hypercube's closed-form
+// backward sweep (HypercubeModel.ClosedForm) — an independent
+// implementation of the same equations — at every probed load. (The
+// hypercube model's Latency is the k = 2 torus itself, so comparing the
+// two would compare a model with itself.) It is model-only, so the
+// budget and ctx go unused.
 func torusConsistency(_ context.Context, scale string, _ sweep.Budget) (Output, error) {
 	dims, flits := gridOf(scale).dims, 16.0
 	hc, err := analytic.NewHypercubeModel(dims, flits, core.Options{})
@@ -275,11 +280,11 @@ func torusConsistency(_ context.Context, scale string, _ sweep.Budget) (Output, 
 	if err != nil {
 		return Output{}, err
 	}
-	tbl := &series.Table{Headers: []string{"flits/cyc/PE", "hypercube L", "2-ary torus L", "diff"}}
+	tbl := &series.Table{Headers: []string{"flits/cyc/PE", "hypercube closed-form L", "2-ary torus L", "diff"}}
 	var maxDiff float64
 	var rows []TorusRow
 	for _, load := range loads {
-		a, err := hc.Latency(load / flits)
+		a, err := hc.ClosedForm(load / flits)
 		if err != nil {
 			return Output{}, err
 		}

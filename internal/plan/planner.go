@@ -262,17 +262,13 @@ type candidate struct {
 // seed builds the candidate list from the coarse grid: cost, saturation
 // anchor, feasibility bracket, prune verdicts.
 func (p *Planner) seed(d Spec, grid *sweep.Result) ([]candidate, error) {
-	slo := d.Constraints.MaxLatency
-	wslo := d.Constraints.MaxWorstCaseLatency
-	feasibleRow := func(r sweep.Row) bool {
-		if r.ModelSaturated || math.IsNaN(r.Model) || (slo > 0 && r.Model > slo) {
-			return false
-		}
-		return wslo <= 0 || (!r.BoundNA && !r.BoundUnbounded && !math.IsNaN(r.BoundMax) && r.BoundMax <= wslo)
+	runs := grid.ByCurve()
+	if len(runs) != len(grid.Curves) {
+		return nil, fmt.Errorf("plan: coarse grid has %d curves but %d runs of rows", len(grid.Curves), len(runs))
 	}
 	nan := math.NaN()
 	var cands []candidate
-	for _, ci := range grid.Curves {
+	for i, ci := range grid.Curves {
 		pol, err := sim.ParsePolicy(ci.Policy)
 		if err != nil {
 			return nil, err
@@ -297,25 +293,20 @@ func (p *Planner) seed(d Spec, grid *sweep.Result) ([]candidate, error) {
 		c.Cost = cost
 		entry := candidate{c: c, policy: pol, loBracket: nan, hiBracket: nan}
 
-		// Candidate.Key deliberately matches sweep's curve key format, so
-		// it addresses the candidate's coarse rows directly.
-		rows := grid.CurvePoints(c.Key())
-		if len(rows) == 0 {
-			return nil, fmt.Errorf("plan: no coarse rows for candidate %s", c.Key())
-		}
-		// Feasibility is monotone in load (latency only grows), so the
-		// rows split into a feasible prefix and an infeasible suffix.
+		// Feasibility is monotone in load, so the curve's rows split into
+		// a feasible prefix and an infeasible suffix.
+		rows := runs[i]
 		first := len(rows)
-		for i, r := range rows {
-			if !feasibleRow(r) {
-				first = i
+		for j, r := range rows {
+			if !d.feasible(r.Cell) {
+				first = j
 				break
 			}
 		}
 		switch {
 		case d.Constraints.MaxCost > 0 && c.Cost > d.Constraints.MaxCost:
 			prune(c, fmt.Sprintf("cost %.4g exceeds max_cost %.4g", c.Cost, d.Constraints.MaxCost))
-		case wslo > 0 && rows[0].BoundNA:
+		case d.Constraints.MaxWorstCaseLatency > 0 && rows[0].BoundNA:
 			c.BoundNA = true
 			prune(c, "no worst-case bound for this topology/workload (max_worstcase_latency requires one)")
 		case first == 0:
@@ -334,6 +325,19 @@ func (p *Planner) seed(d Spec, grid *sweep.Result) ([]candidate, error) {
 func prune(c *Candidate, reason string) {
 	c.Pruned = true
 	c.PruneReason = reason
+}
+
+// feasible reports whether a point meets the spec's constraints: a
+// stable model latency within max_latency and, under a hard SLO, a
+// finite worst-case bound within max_worstcase_latency. Both grow with
+// load (the bound's burst, utilization and service all do), so the
+// coarse rows split at one boundary and the refinement bisects it.
+func (s Spec) feasible(pt eval.Point) bool {
+	slo, wslo := s.Constraints.MaxLatency, s.Constraints.MaxWorstCaseLatency
+	if pt.ModelSaturated || math.IsNaN(pt.Model) || (slo > 0 && pt.Model > slo) {
+		return false
+	}
+	return wslo <= 0 || (!pt.BoundNA && !pt.BoundUnbounded && !math.IsNaN(pt.BoundMax) && pt.BoundMax <= wslo)
 }
 
 // planTraceKey names the plan's root span: the spec name when one is
@@ -473,19 +477,9 @@ func (p *Planner) refineOne(ctx context.Context, d Spec, e *candidate) error {
 		}
 		return pt, true
 	}
-	slo := d.Constraints.MaxLatency
-	wslo := d.Constraints.MaxWorstCaseLatency
-	feasible := func(pt eval.Point) bool {
-		if pt.ModelSaturated || math.IsNaN(pt.Model) || (slo > 0 && pt.Model > slo) {
-			return false
-		}
-		// The bound is monotone in load (burst, utilization and service
-		// all grow with it), so the hard SLO bisects like the soft one.
-		return wslo <= 0 || (!pt.BoundNA && !pt.BoundUnbounded && !math.IsNaN(pt.BoundMax) && pt.BoundMax <= wslo)
-	}
 	feasibleAt := func(load float64) bool {
 		pt, ok := probe(load)
-		return ok && feasible(pt)
+		return ok && d.feasible(pt)
 	}
 
 	lo, hi := e.loBracket, e.hiBracket
@@ -538,7 +532,7 @@ func (p *Planner) refineOne(ctx context.Context, d Spec, e *candidate) error {
 			if !ok {
 				return math.Inf(1)
 			}
-			if feasible(pt) {
+			if d.feasible(pt) {
 				return -1
 			}
 			return 1
@@ -573,7 +567,7 @@ func (p *Planner) refineOne(ctx context.Context, d Spec, e *candidate) error {
 		}
 		return ctx.Err()
 	}
-	if !feasible(pt) {
+	if !d.feasible(pt) {
 		if pinned {
 			// min_load sits within the bisection tolerance of the true
 			// boundary, on its wrong side: the candidate cannot actually
@@ -593,7 +587,7 @@ func (p *Planner) refineOne(ctx context.Context, d Spec, e *candidate) error {
 			}
 			return ctx.Err()
 		}
-		if !feasible(pt) {
+		if !d.feasible(pt) {
 			return fmt.Errorf("operating point %.6g infeasible below the located knee %.6g", op, maxLoad)
 		}
 	}

@@ -70,10 +70,9 @@ type Candidate struct {
 	CalibPairs   int
 }
 
-// Key identifies the candidate, e.g. "bft-256/s=16/pairqueue". The
-// format deliberately matches sweep's curve key (Scenario.CurveKey for
-// a base-variant cell), so a candidate addresses its own rows in a
-// coarse-grid sweep.Result directly.
+// Key labels the candidate in traces, errors and tie-breaks, e.g.
+// "bft-256/s=16/pairqueue". It addresses nothing: the planner finds a
+// candidate's coarse rows by position (sweep.Result.ByCurve).
 func (c Candidate) Key() string {
 	return c.Topology.String() + "/s=" + strconv.Itoa(c.MsgFlits) + "/" + c.Policy
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -38,7 +39,9 @@ func identical(a, b eval.Point) bool {
 // segment written by the last commit whose store went through
 // encoding/json (these same Puts, in this order): the float forms where
 // encoding/json changes shape, every flag combination, and keys that
-// need escaping.
+// need escaping. Its fleet keys were re-spelled in the load values
+// Scenario.Key writes once ParseKey accepted only those, and the segment
+// re-written by the commit before that change — same codec, same bytes.
 func parentCells() (keys []string, pts []eval.Point) {
 	floats := []float64{
 		0, math.Copysign(0, -1), 0.04, 88.125, 1e-6, 1e-7, 9.999e-7, 1e20, 1e21,
@@ -53,7 +56,8 @@ func parentCells() (keys []string, pts []eval.Point) {
 	}
 	for i, v := range floats {
 		w := floats[(i+5)%len(floats)]
-		add(fmt.Sprintf("backends=remote(http://127.0.0.1:8080,http://127.0.0.1:8081)|family=bft size=1024 k=0 flits=16 policy=pairqueue frac=true load=0x1.%xp-01 sim=false", i),
+		add("backends=remote(http://127.0.0.1:8080,http://127.0.0.1:8081)|family=bft size=1024 k=0 flits=16 policy=pairqueue frac=true load="+
+			strconv.FormatFloat(0.5+float64(i)/64, 'x', -1, 64)+" sim=false",
 			flag(eval.Point{LoadFlits: v, Model: w, Sim: w, SimCI: v, SimPrecision: w, BoundMax: v}, i))
 	}
 	for flags := 0; flags < 32; flags++ {

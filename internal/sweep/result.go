@@ -63,12 +63,17 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// CurvePoints returns the rows of one curve, in load order.
-func (r *Result) CurvePoints(curveKey string) []Row {
-	var out []Row
-	for _, row := range r.Rows {
-		if row.Scenario.CurveKey() == curveKey {
-			out = append(out, row)
+// ByCurve splits the rows into one run per curve, in load order:
+// ByCurve()[i] holds the rows of Curves[i]. Expansion emits a curve's
+// load points back to back, and a run ends where sameCurve ends it — the
+// boundary describeCurves draws Curves at.
+func (r *Result) ByCurve() [][]Row {
+	var out [][]Row
+	start := 0
+	for i := 1; i <= len(r.Rows); i++ {
+		if i == len(r.Rows) || !sameCurve(&r.Rows[i].Scenario, &r.Rows[i-1].Scenario) {
+			out = append(out, r.Rows[start:i])
+			start = i
 		}
 	}
 	return out

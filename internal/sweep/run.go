@@ -560,31 +560,28 @@ type CurveDescriber interface {
 	Curve(context.Context, eval.Scenario) (eval.CurveDesc, error)
 }
 
-// sameCurve reports whether two scenarios certainly share a curve: every
-// field CurveKey reads is identical. Expansion emits a curve's load
-// points back to back, so comparing a cell with its predecessor finds
-// nearly every curve boundary without building a key.
+// sameCurve reports whether two scenarios lie on one curve: every field
+// CurveKey reads is identical. Expansion emits a curve's load points
+// back to back — the workload axis shares one *workload.Spec per entry,
+// and Validate refuses two variants or workloads that would collapse
+// into one curve — so comparing a cell with its predecessor finds every
+// curve boundary without building a key.
 func sameCurve(a, b *Scenario) bool {
 	return a.Topology == b.Topology && a.MsgFlits == b.MsgFlits && a.Policy == b.Policy &&
 		a.Variant == b.Variant && a.Workload == b.Workload
 }
 
-// describeCurves builds the grid's per-curve metadata in order of first
-// appearance, asking desc on up to `workers` goroutines — a first look at
-// a curve may be an Eq. 26 search or a network round trip. CurveKey is
-// built once per curve. Once ctx has ended no further curve is described
-// and its error is returned as is.
+// describeCurves builds the grid's per-curve metadata, one CurveInfo per
+// run of sameCurve scenarios (Result.ByCurve cuts the rows at the same
+// boundaries), asking desc on up to `workers` goroutines — a first look
+// at a curve may be an Eq. 26 search or a network round trip. Once ctx
+// has ended no further curve is described and its error is returned as
+// is.
 func describeCurves(ctx context.Context, scens []Scenario, desc CurveDescriber, workers int) ([]CurveInfo, error) {
-	var heads []int // first scenario of each distinct curve
-	var keys []string
-	seen := make(map[string]bool)
+	var heads []int // first scenario of each curve
 	for i := range scens {
-		if i > 0 && sameCurve(&scens[i], &scens[i-1]) {
-			continue
-		}
-		if key := scens[i].CurveKey(); !seen[key] {
-			seen[key] = true
-			heads, keys = append(heads, i), append(keys, key)
+		if i == 0 || !sameCurve(&scens[i], &scens[i-1]) {
+			heads = append(heads, i)
 		}
 	}
 	infos := make([]CurveInfo, len(heads))
@@ -612,7 +609,7 @@ func describeCurves(ctx context.Context, scens []Scenario, desc CurveDescriber, 
 	}
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("sweep: %s: %w", keys[i], err)
+			return nil, fmt.Errorf("sweep: %s: %w", scens[heads[i]].CurveKey(), err)
 		}
 	}
 	return infos, nil

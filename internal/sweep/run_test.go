@@ -6,6 +6,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 // tinySpec is a simulation-backed grid small enough for unit tests.
@@ -254,14 +256,43 @@ func TestResultRenderings(t *testing.T) {
 	}
 }
 
+// TestCurvePoints: Result.ByCurve cuts the rows into one run per entry of
+// Curves, on a grid whose policy, variant and workload axes all split
+// curves, and every run is its curve's load points in load order.
 func TestCurvePoints(t *testing.T) {
-	res := mustRun(t, &Runner{}, tinySpec())
-	key := res.Rows[0].Scenario.CurveKey()
-	pts := res.CurvePoints(key)
-	if len(pts) != 2 {
-		t.Fatalf("curve %s has %d points, want 2", key, len(pts))
+	res := mustRun(t, &Runner{}, Spec{
+		Topologies: []TopologySpec{{Family: FamilyBFT, Sizes: []int{16}}},
+		MsgFlits:   []int{4, 8},
+		Policies:   []string{"pairqueue", "randomfixed"},
+		Variants:   []Variant{{Name: "paper"}, {Name: "no-blocking", NoBlockingCorrection: true}},
+		Workloads: []workload.Spec{
+			{Name: "steady"},
+			{Name: "burst", Process: workload.ProcessMMPP, OnFrac: 0.25, BurstCycles: 200},
+		},
+		Loads: LoadSpec{Fracs: []float64{0.2, 0.5, 0.8}},
+	})
+	runs := res.ByCurve()
+	if len(runs) != 2*2*2*2 || len(runs) != len(res.Curves) {
+		t.Fatalf("%d runs for %d curves, want 16 of each", len(runs), len(res.Curves))
 	}
-	if pts[0].LoadFlits >= pts[1].LoadFlits {
-		t.Error("curve points out of load order")
+	for i, rows := range runs {
+		c := res.Curves[i]
+		if len(rows) != 3 {
+			t.Fatalf("curve %d has %d points, want 3", i, len(rows))
+		}
+		for j, row := range rows {
+			sc := row.Scenario
+			wl := ""
+			if !sc.Workload.IsDefault() {
+				wl = sc.Workload.Label()
+			}
+			if sc.Topology != c.Topology || sc.MsgFlits != c.MsgFlits || sc.Policy.String() != c.Policy ||
+				sc.Variant.Name != c.Variant || wl != c.Workload {
+				t.Errorf("curve %d (%+v) holds row %s", i, c, sc.CurveKey())
+			}
+			if sc.LoadIndex != j {
+				t.Errorf("curve %d point %d has load index %d: out of load order", i, j, sc.LoadIndex)
+			}
+		}
 	}
 }
