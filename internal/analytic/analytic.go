@@ -39,7 +39,9 @@ var (
 // their own work (a delta around a call).
 func SaturationSearches() int64 { return satSearches.Load() }
 
-// resolve runs the bound workspace's fixed point and accounts for it.
+// resolve resolves the bound workspace and counts its sweeps: one for an
+// acyclic graph's ordered pass, the iterations of a cyclic one's fixed
+// point.
 func resolve(ws *core.Workspace, opt core.Options) error {
 	err := ws.Resolve(opt)
 	fixedPointIters.Add(int64(ws.Iterations))

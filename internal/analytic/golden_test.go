@@ -4,6 +4,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -115,10 +116,9 @@ func goldenDump(t *testing.T) string {
 }
 
 // TestGoldenBitIdentity pins Latency, ChannelStats, SaturationLoad and the
-// unstable verdicts to the outputs recorded at the commit before the
-// build-once channel graph: the compiled graph and the workspace must
-// not move a single bit. Regenerate with -update only when a change is
-// meant to move results (and then bump whatever invalidates the caches).
+// unstable verdicts bit for bit. Regenerate with -update only when a
+// change is meant to move results, keep the previous file beside it, and
+// check the move against it the way TestGoldenAgreesWithFixedPoint does.
 func TestGoldenBitIdentity(t *testing.T) {
 	const path = "testdata/golden.txt"
 	got := goldenDump(t)
@@ -146,4 +146,80 @@ func TestGoldenBitIdentity(t *testing.T) {
 		}
 	}
 	t.Fatalf("golden has %d lines, got %d", len(wl), len(gl))
+}
+
+// TestGoldenAgreesWithFixedPoint bounds what resolving acyclic graphs in
+// one ordered pass moved, against testdata/golden-fixedpoint.txt, the
+// outputs of the damped fixed point it replaced: every saturation load
+// and header is unchanged, the stable/unstable verdict matches line by
+// line, every stable number agrees to 1e-9 relative (the fixed point's
+// tolerance is 1e-10 absolute), and every torus line — the cyclic graphs,
+// still solved by the fixed point — is unchanged. Unstable lines may name
+// another class and ρ: the fixed point reported the most-loaded class of
+// the iterate it diverged on, the ordered pass the first class it finds
+// saturated.
+func TestGoldenAgreesWithFixedPoint(t *testing.T) {
+	read := func(path string) []string {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Split(string(data), "\n")
+	}
+	now, old := read("testdata/golden.txt"), read("testdata/golden-fixedpoint.txt")
+	if len(now) != len(old) {
+		t.Fatalf("golden has %d lines, the fixed point's %d", len(now), len(old))
+	}
+	var cyclic bool
+	var maxRel float64
+	movedUnstable := 0
+	for i := range now {
+		line, was := now[i], old[i]
+		if !strings.HasPrefix(line, " ") {
+			cyclic = strings.HasPrefix(line, "torus-")
+		}
+		if line == was {
+			continue
+		}
+		unstable := strings.Contains(line, " unstable ")
+		switch {
+		case cyclic || !strings.HasPrefix(line, " "):
+			t.Errorf("line %d moved:\n got %s\nwant %s", i+1, line, was)
+		case unstable != strings.Contains(was, " unstable "):
+			t.Errorf("line %d changed its verdict:\n got %s\nwant %s", i+1, line, was)
+		case unstable:
+			movedUnstable++
+		default:
+			rel, err := goldenLineRelDiff(line, was)
+			if err != nil || rel > 1e-9 {
+				t.Errorf("line %d moved by %g relative (%v):\n got %s\nwant %s", i+1, rel, err, line, was)
+			}
+			maxRel = math.Max(maxRel, rel)
+		}
+	}
+	t.Logf("stable numbers moved by at most %.3g relative; %d unstable lines name another class or ρ", maxRel, movedUnstable)
+}
+
+// goldenLineRelDiff is the largest relative difference between the
+// hex-float values of two golden lines whose other tokens are equal.
+func goldenLineRelDiff(a, b string) (float64, error) {
+	at, bt := strings.Fields(a), strings.Fields(b)
+	if len(at) != len(bt) {
+		return math.Inf(1), fmt.Errorf("%d fields, want %d", len(at), len(bt))
+	}
+	var worst float64
+	for i := range at {
+		ak, av, _ := strings.Cut(at[i], "=")
+		bk, bv, _ := strings.Cut(bt[i], "=")
+		x, errA := strconv.ParseFloat(av, 64)
+		y, errB := strconv.ParseFloat(bv, 64)
+		if ak != bk || errA != nil || errB != nil {
+			if at[i] != bt[i] {
+				return math.Inf(1), fmt.Errorf("field %q, want %q", at[i], bt[i])
+			}
+			continue
+		}
+		worst = math.Max(worst, relDiff(x, y))
+	}
+	return worst, nil
 }

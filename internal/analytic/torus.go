@@ -17,8 +17,9 @@ import (
 // per dimension d (a physical link per node per dimension). For k > 2 the
 // dimension-d class feeds itself (a worm may take several hops in the same
 // dimension), which makes the channel graph cyclic and exercises the
-// fixed-point path of the solver; at k = 2 the self-loop probability is
-// zero and the model reduces exactly to the hypercube case.
+// fixed-point path of the solver; at k = 2 there is no self-loop, the
+// graph is acyclic and resolves in one ordered pass, and the model reduces
+// exactly to the hypercube case.
 //
 // Transition probabilities treat per-dimension hop counts as independent
 // uniform draws on {0..k−1}; rates use the exact flow-conservation value

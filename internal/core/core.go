@@ -32,22 +32,26 @@
 // actually blocked by worms from *other* input links rather than by its
 // own occupancy. Terminal (ejection) classes have x̄ = MsgFlits (Eq. 16).
 //
-// The system is solved by damped fixed-point iteration, which handles both
-// acyclic graphs (tree networks resolve in a handful of sweeps) and cyclic
-// ones (k-ary n-cube classes that feed themselves).
+// How the system is solved follows from the graph. When no class can
+// reach itself — the fat-tree, the hypercube, every tree network — Compile
+// records a topological order with every class after the classes it
+// targets, and Resolve walks it once, ejection channels first, exactly as
+// the paper resolves service times backwards: each class sees its
+// targets' final x̄ and W̄, so one pass is the solution and the first
+// class found saturated is the verdict. A graph with a cycle (k-ary
+// n-cube classes that feed themselves) is solved by damped fixed-point
+// iteration from x̄ = MsgFlits.
 //
 // # Build once, resolve many
 //
 // Only the per-class rates depend on the offered load λ₀. Compile
 // validates everything else once — names, server counts, transitions,
-// which classes a transition targets — into an immutable Graph; a caller
-// then binds a reusable Workspace to it, writes the rates and calls
-// Resolve, which computes the rate-only blocking factors P(i|t) once and
-// the M/G/m wait once per targeted class per iteration, and allocates
-// nothing on a stable point. (*Model).Resolve is Compile plus a fresh
-// workspace — the same solver. Hoisting changes no iterate: the hoisted
-// factors are pure functions of values constant inside the loop, and
-// damping, tolerance, update order and every expression are unchanged.
+// which classes a transition targets, the order — into an immutable
+// Graph; a caller then binds a reusable Workspace to it, writes the rates
+// and calls Resolve, which computes the rate-only blocking factors P(i|t)
+// once and the M/G/m wait once per class in the ordered pass, or once per
+// targeted class per iteration, and allocates nothing on a stable point.
+// (*Model).Resolve is Compile plus a fresh workspace — the same solver.
 package core
 
 import (
@@ -126,8 +130,6 @@ type Options struct {
 	NoPairRateCorrection bool
 	// CV selects the C²b approximation.
 	CV CVMode
-	// FixedPoint overrides the solver options; zero value uses defaults.
-	FixedPoint solve.FixedPointOptions
 }
 
 // Model is a channel-class graph plus workload parameters.
@@ -238,6 +240,10 @@ type Graph struct {
 	targeted []bool
 	// Class i's transitions own block[offset[i]:offset[i+1]] of a Workspace.
 	offset []int
+	// order lists every class after all the classes it targets, ejection
+	// channels first, when no class can reach itself; it is nil when the
+	// graph has a cycle, self-loops included. It shares offset's array.
+	order []int
 }
 
 // Compile validates the model (Validate, on whatever rates it carries)
@@ -247,7 +253,14 @@ func Compile(m *Model) (*Graph, error) {
 		return nil, err
 	}
 	n := len(m.Classes)
-	g := &Graph{msgFlits: m.MsgFlits, classes: make([]Class, n), targeted: make([]bool, n), offset: make([]int, n+1)}
+	ints := make([]int, 2*n+1)
+	g := &Graph{msgFlits: m.MsgFlits, classes: make([]Class, n), targeted: make([]bool, n), offset: ints[:n+1]}
+	// The sort keeps its per-class state in offset[1:] until the loop
+	// below writes the offsets over it.
+	sorter := topoSort{classes: m.Classes, state: ints[1 : n+1], order: ints[n+1 : n+1]}
+	if sorter.placeAll() {
+		g.order = sorter.order
+	}
 	for i, c := range m.Classes {
 		c.Servers, c.Out = c.servers(), append([]Transition(nil), c.Out...)
 		for _, t := range c.Out {
@@ -256,6 +269,49 @@ func Compile(m *Model) (*Graph, error) {
 		g.classes[i], g.offset[i+1] = c, g.offset[i]+len(c.Out)
 	}
 	return g, nil
+}
+
+// topoSort orders classes targets first by a depth-first post-order over
+// the transitions: a class is placed once every class it targets is.
+type topoSort struct {
+	classes []Class
+	state   []int // per class, zeroed: unseen, onPath or placed
+	order   []int // appended to in place; cap(order) ≥ len(classes)
+}
+
+const (
+	onPath = 1 + iota
+	placed
+)
+
+// placeAll places every class and reports whether the graph is acyclic.
+func (s *topoSort) placeAll() bool {
+	for i := range s.classes {
+		if !s.place(ClassID(i)) {
+			return false
+		}
+	}
+	return true
+}
+
+// place places class i after its targets; it reports false if a cycle
+// runs through the path that reached it.
+func (s *topoSort) place(i ClassID) bool {
+	switch s.state[i] {
+	case onPath:
+		return false
+	case placed:
+		return true
+	}
+	s.state[i] = onPath
+	for _, t := range s.classes[i].Out {
+		if !s.place(t.To) {
+			return false
+		}
+	}
+	s.state[i] = placed
+	s.order = append(s.order, int(i))
+	return true
 }
 
 // Name returns the label of class i.
@@ -274,7 +330,9 @@ type Workspace struct {
 	// ServiceTime, Wait and Utilization are x̄, W̄ and ρ per class after a
 	// successful Resolve (see Result).
 	ServiceTime, Wait, Utilization []float64
-	// Iterations is the number of fixed-point sweeps the last Resolve ran.
+	// Iterations is the number of sweeps the last Resolve ran over the
+	// classes: 1 for an acyclic graph's ordered pass, the fixed-point
+	// iteration count for a cyclic one.
 	Iterations int
 
 	g     *Graph
@@ -394,26 +452,31 @@ func blocking(opt Options, rateFrom float64, servers int, rateTo, perGroup float
 	return p
 }
 
+// service is Eq. 3/11 for class i: its mean service time given the
+// targets' service times x and the waits in ws.Wait.
+func (ws *Workspace) service(i int, x []float64) float64 {
+	g := ws.g
+	c := &g.classes[i]
+	if c.Terminal {
+		return g.msgFlits
+	}
+	var sum float64
+	for ti, block := range ws.block[g.offset[i]:g.offset[i+1]] {
+		t := &c.Out[ti]
+		sum += t.Prob * (x[t.To] + block*ws.Wait[t.To])
+	}
+	return sum
+}
+
 // iterate is one application of Eq. 3/11: out = f(x).
 func (ws *Workspace) iterate(x, out []float64) {
-	g := ws.g
-	for j, targeted := range g.targeted {
+	for j, targeted := range ws.g.targeted {
 		if targeted {
 			ws.Wait[j] = ws.wait(j, x[j])
 		}
 	}
 	for i := range out {
-		c := &g.classes[i]
-		if c.Terminal {
-			out[i] = g.msgFlits
-			continue
-		}
-		var sum float64
-		for ti, block := range ws.block[g.offset[i]:g.offset[i+1]] {
-			t := &c.Out[ti]
-			sum += t.Prob * (x[t.To] + block*ws.Wait[t.To])
-		}
-		out[i] = sum
+		out[i] = ws.service(i, x)
 	}
 }
 
@@ -429,13 +492,6 @@ func (ws *Workspace) Resolve(opt Options) error {
 			return fmt.Errorf("core: class %s: bad rate %v", g.classes[i].Name, rate)
 		}
 	}
-	// Stability precheck on the raw transmission time: if a channel
-	// cannot even carry its load at x̄ = MsgFlits it can never stabilise.
-	for i := range ws.rates {
-		if err := ws.checkStable(i, g.msgFlits); err != nil {
-			return err
-		}
-	}
 	for i, rate := range ws.rates {
 		c := &g.classes[i]
 		ws.qRate[i] = rate
@@ -447,17 +503,23 @@ func (ws *Workspace) Resolve(opt Options) error {
 			ws.block[g.offset[i]+ti] = blocking(opt, rate, g.classes[t.To].Servers, ws.rates[t.To], t.Prob/t.groups())
 		}
 	}
+	if g.order != nil {
+		return ws.resolveOrdered()
+	}
 
+	// Stability precheck on the raw transmission time: if a channel
+	// cannot even carry its load at x̄ = MsgFlits it can never stabilise.
+	for i := range ws.rates {
+		if err := ws.checkStable(i, g.msgFlits); err != nil {
+			return err
+		}
+	}
 	x := ws.ServiceTime
 	for i := range x {
 		x[i] = g.msgFlits
 	}
-	fpOpt := opt.FixedPoint
-	if fpOpt.MaxIter == 0 && fpOpt.Tol == 0 && fpOpt.Damping == 0 {
-		fpOpt = solve.DefaultFixedPointOptions()
-	}
 	var err error
-	ws.Iterations, err = solve.FixedPointInPlace(ws.iterate, x, ws.fx, fpOpt)
+	ws.Iterations, err = solve.FixedPointInPlace(ws.iterate, x, ws.fx, solve.DefaultFixedPointOptions())
 	if err != nil {
 		// Divergence means some queue has no steady state at this load.
 		return ws.firstUnstable()
@@ -466,11 +528,35 @@ func (ws *Workspace) Resolve(opt Options) error {
 		if err := ws.checkStable(i, x[i]); err != nil {
 			return err
 		}
-		ws.Wait[i] = ws.wait(i, x[i])
-		servers := g.classes[i].Servers
-		ws.Utilization[i] = queueing.Utilization(servers, float64(servers)*ws.rates[i], x[i])
+		ws.finish(i)
 	}
 	return nil
+}
+
+// resolveOrdered solves an acyclic graph in one pass over g.order: every
+// class is resolved after its targets, so Eq. 3/11 reads their final x̄
+// and W̄. The first class that cannot carry its load is the verdict; a
+// NaN utilisation counts as saturated, so no non-finite wait reaches an
+// upstream class.
+func (ws *Workspace) resolveOrdered() error {
+	ws.Iterations = 1
+	for _, i := range ws.g.order {
+		x := ws.service(i, ws.ServiceTime)
+		if rho := ws.utilization(i, x); !(rho < 1) {
+			return &UnstableError{Class: ws.g.classes[i].Name, Rho: rho}
+		}
+		ws.ServiceTime[i] = x
+		ws.finish(i)
+	}
+	return nil
+}
+
+// finish records W̄ and ρ of class i at its resolved service time.
+func (ws *Workspace) finish(i int) {
+	x := ws.ServiceTime[i]
+	ws.Wait[i] = ws.wait(i, x)
+	servers := ws.g.classes[i].Servers
+	ws.Utilization[i] = queueing.Utilization(servers, float64(servers)*ws.rates[i], x)
 }
 
 // utilization is the per-server ρ of class i at mean service time x, of

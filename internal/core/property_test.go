@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/solve"
 	"repro/internal/traffic"
 )
 
@@ -75,6 +76,87 @@ func TestPropertyServiceTimeAtLeastTransmission(t *testing.T) {
 			}
 			if res.Utilization[i] < 0 || res.Utilization[i] >= 1 {
 				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// The ordered pass is the fixed point: on a random acyclic model, under
+// the paper's options and every ablation, one pass gives the service
+// times and waits the damped iteration converges to (within its 1e-10
+// tolerance, so to 1e-9 relative), in one sweep.
+func TestPropertyOrderedPassIsTheFixedPoint(t *testing.T) {
+	variants := []Options{
+		{},
+		{NoBlockingCorrection: true},
+		{SingleServerGroups: true},
+		{NoPairRateCorrection: true},
+		{CV: CVExponential},
+	}
+	rel := func(a, b float64) float64 {
+		if a == b {
+			return 0
+		}
+		return math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b))
+	}
+	var ws Workspace
+	f := func(seed uint64) bool {
+		m := randomLayeredModel(seed)
+		g, err := Compile(m)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		if g.order == nil {
+			t.Logf("seed %d: no order for an acyclic model", seed)
+			return false
+		}
+		n := len(m.Classes)
+		for _, opt := range variants {
+			rates := ws.Bind(g)
+			for i := range m.Classes {
+				rates[i] = m.Classes[i].PerLinkRate
+			}
+			err := ws.Resolve(opt)
+			if ws.Iterations != 1 {
+				t.Logf("seed %d %+v: %d sweeps", seed, opt, ws.Iterations)
+				return false
+			}
+			x := append([]float64(nil), ws.ServiceTime...)
+			w := append([]float64(nil), ws.Wait...)
+			// The damped iteration over the same blocking factors and
+			// queue rates, from the start the cyclic path uses; an
+			// ablation may saturate, and then both must say so.
+			damped := make([]float64, n)
+			for i := range damped {
+				damped[i] = m.MsgFlits
+			}
+			_, dampedErr := solve.FixedPointInPlace(ws.iterate, damped, make([]float64, n), solve.DefaultFixedPointOptions())
+			for i := range damped {
+				if dampedErr == nil {
+					dampedErr = ws.checkStable(i, damped[i])
+				}
+			}
+			if (err == nil) != (dampedErr == nil) {
+				t.Logf("seed %d %+v: ordered pass %v, fixed point %v", seed, opt, err, dampedErr)
+				return false
+			}
+			if err != nil {
+				continue
+			}
+			for i := range damped {
+				if d := rel(x[i], damped[i]); d > 1e-9 {
+					t.Logf("seed %d %+v class %d: x̄ %v ordered, %v damped (%g)", seed, opt, i, x[i], damped[i], d)
+					return false
+				}
+				if d := rel(w[i], ws.wait(i, damped[i])); d > 1e-9 {
+					t.Logf("seed %d %+v class %d: W̄ %v ordered, %v damped (%g)", seed, opt, i, w[i], ws.wait(i, damped[i]), d)
+					return false
+				}
 			}
 		}
 		return true

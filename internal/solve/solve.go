@@ -80,7 +80,7 @@ func BisectContext(ctx context.Context, f func(float64) float64, lo, hi, xtol fl
 	return lo + (hi-lo)/2, nil
 }
 
-// FixedPointOptions configures FixedPoint.
+// FixedPointOptions configures FixedPointInPlace.
 type FixedPointOptions struct {
 	// Damping in (0, 1]: x' = (1-d)*x + d*f(x). 1 means undamped.
 	Damping float64
@@ -95,22 +95,13 @@ func DefaultFixedPointOptions() FixedPointOptions {
 	return FixedPointOptions{Damping: 0.5, Tol: 1e-10, MaxIter: 10_000}
 }
 
-// FixedPoint iterates x <- (1-d) x + d f(x) starting from x0 until the
-// max-norm change is below Tol. It returns the final iterate. The slice x0
-// is not modified. If any component becomes non-finite the iteration
-// reports ErrNoConvergence immediately (the caller interprets this as an
-// unstable operating point).
-func FixedPoint(f func(x, out []float64), x0 []float64, opt FixedPointOptions) ([]float64, error) {
-	x := append([]float64(nil), x0...)
-	_, err := FixedPointInPlace(f, x, make([]float64, len(x)), opt)
-	return x, err
-}
-
-// FixedPointInPlace is FixedPoint on caller-owned storage: x holds the
-// starting point and is overwritten with the iterates (on a non-finite
-// component, the partially updated iterate in which it appeared), fx is
-// scratch of the same length. It allocates nothing and also returns the
-// number of iterations run.
+// FixedPointInPlace iterates x <- (1-d) x + d f(x) until the max-norm
+// change is below Tol, on caller-owned storage: x holds the starting point
+// and is overwritten with the iterates, fx is scratch of the same length.
+// If any component of f(x) is non-finite the iteration stops at once with
+// ErrNoConvergence (the caller interprets this as an unstable operating
+// point), leaving in x the partially updated iterate in which it
+// appeared. It allocates nothing and returns the number of iterations run.
 func FixedPointInPlace(f func(x, out []float64), x, fx []float64, opt FixedPointOptions) (int, error) {
 	if opt.Damping <= 0 || opt.Damping > 1 {
 		opt.Damping = 0.5
