@@ -64,6 +64,9 @@ lint:
 	@test "$$(grep -rl 'NewBatchBackend(' --include='*.go' internal cmd | grep -v '_test\.go$$')" = internal/eval/batch.go && \
 	test -z "$$(grep -rl 'eval\.NewRemoteBackend(' --include='*.go' internal cmd examples repro.go | grep -v '_test\.go$$' | grep -vx -e internal/dispatch/dispatch.go -e cmd/plan/main.go -e repro.go)" || { \
 		echo "one fleet door: grids reach a fleet through internal/dispatch (the fleet client is built there, by cmd/plan -addr and by the repro facade only; NewBatchBackend is a deprecated alias for the frozen bench/)"; exit 1; }
+	@! grep -nE '^func \([a-z]* ?\*?(FatTreeModel|TorusModel)\) (Latency|ServiceInj|SaturationLoad|ChannelStats|Name|MsgFlits|AvgDist|BuildCoreModel|setRates)\(' internal/analytic/*.go && \
+	test -z "$$(grep -rlE '^type (NetworkModel|HypercubeModel)[[:space:]]' --include='*.go' . | grep -v '_test\.go$$')" || { \
+		echo "one analytic model: Latency, ServiceInj, SaturationLoad, ChannelStats, Name, MsgFlits, AvgDist and BuildCoreModel are declared on analytic.Model only (FatTreeModel and TorusModel embed it and give their rates as perLink), and no NetworkModel or HypercubeModel type is declared"; exit 1; }
 	@! grep -nE 'e\.net\.(GroupOf|EjectsTo|Kind|Groups)\(' internal/sim/engine.go || { \
 		echo "the cycle loop reads topology.Tables: engine.go takes a network's structure from e.tab, not from interface calls per event"; exit 1; }
 

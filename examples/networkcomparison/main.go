@@ -16,11 +16,6 @@ func main() {
 	log.SetFlags(0)
 	const msgFlits = 16
 
-	type entry struct {
-		name  string
-		model analytic.NetworkModel
-		sat   func() (float64, error)
-	}
 	configs := []struct {
 		procs int
 		dims  int
@@ -42,8 +37,8 @@ func main() {
 			log.Fatal(err)
 		}
 		row := []string{fmt.Sprintf("%d", c.procs)}
-		for _, m := range []analytic.NetworkModel{ftm, hcm} {
-			sat, err := satOf(m)
+		for _, m := range []*analytic.Model{&ftm.Model, &hcm.Model} {
+			sat, err := m.SaturationLoad()
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -60,9 +55,4 @@ func main() {
 	fmt.Println("fat-tree's thins out — but the fat-tree pays for it with 6-port switches")
 	fmt.Println("instead of routers whose degree grows with log N (the area-universality")
 	fmt.Println("trade-off that motivates fat-trees in the first place).")
-}
-
-func satOf(m analytic.NetworkModel) (float64, error) {
-	type saturator interface{ SaturationLoad() (float64, error) }
-	return m.(saturator).SaturationLoad()
 }

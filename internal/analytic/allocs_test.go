@@ -21,10 +21,10 @@ func allocBudget(exact float64) float64 {
 // closed form and through the compiled graph alike.
 func TestLatencyAllocs(t *testing.T) {
 	for _, v := range goldenVariants {
-		models := []goldenModel{
-			MustFatTreeModel(1024, 16, v.opt),
-			MustHypercubeModel(8, 16, v.opt),
-			MustTorusModel(4, 3, 16, v.opt),
+		models := []*Model{
+			&MustFatTreeModel(1024, 16, v.opt).Model,
+			&MustHypercubeModel(8, 16, v.opt).Model,
+			&MustTorusModel(4, 3, 16, v.opt).Model,
 		}
 		for _, m := range models {
 			sat, err := m.SaturationLoad()

@@ -2,19 +2,24 @@
 // concrete networks: the butterfly fat-tree (the paper's §3, Eq. 12–26,
 // in both a closed-form transcription and a generated channel graph that
 // must agree), the binary hypercube, and the unidirectional k-ary n-cube
-// (the "other networks" of §4). It also finds the saturation throughput by
-// the paper's operating-point condition x̄₀₁ = 1/λ₀ (Eq. 26).
+// (the "other networks" of §4). Every network is one Model: a compiled
+// channel-class graph, its injection class, and the per-link rate of each
+// class per unit λ₀. Model answers the latency (Eq. 25), the saturation
+// throughput by the paper's operating-point condition x̄₀₁ = 1/λ₀ (Eq. 26)
+// and the per-class report; FatTreeModel and TorusModel embed it and add
+// only what is particular to their family.
 //
 // # What depends on λ₀
 //
 // A constructor builds everything the offered load does not touch — name,
 // D̄, routing probabilities, the compiled core.Graph, error labels — once.
-// An evaluation writes the per-class rates (Eq. 14/15 for the fat-tree,
-// flow conservation for the cubes) into a pooled core.Workspace and
-// resolves; the fat-tree's paper variant instead runs the closed-form
-// recurrences on stack arrays. A stable point allocates nothing, and the
-// rate expressions and solver arithmetic are those of a graph rebuilt per
-// call, so results are identical to the last bit (testdata/golden.txt).
+// Every family's rates are linear in λ₀, so an evaluation writes
+// λ₀·perLink (Eq. 14/15 for the fat-tree, flow conservation for the
+// cubes) into a pooled core.Workspace and resolves; the fat-tree's paper
+// variant instead runs the closed-form recurrences on stack arrays. A
+// stable point allocates nothing, and the rate expressions and solver
+// arithmetic are those of a graph rebuilt per call, so results are
+// identical to the last bit (testdata/golden.txt).
 package analytic
 
 import (
@@ -39,40 +44,6 @@ var (
 // their own work (a delta around a call).
 func SaturationSearches() int64 { return satSearches.Load() }
 
-// resolve resolves the bound workspace and counts its sweeps: one for an
-// acyclic graph's ordered pass, the iterations of a cyclic one's fixed
-// point.
-func resolve(ws *core.Workspace, opt core.Options) error {
-	err := ws.Resolve(opt)
-	fixedPointIters.Add(int64(ws.Iterations))
-	return err
-}
-
-// injLatency resolves the bound workspace and assembles Eq. 25 from the
-// injection class.
-func injLatency(ws *core.Workspace, opt core.Options, inj core.ClassID, avgDist float64) (Latency, error) {
-	if err := resolve(ws, opt); err != nil {
-		return Latency{}, err
-	}
-	return Latency{
-		Total:      ws.Wait[inj] + ws.ServiceTime[inj] + avgDist - 1,
-		WaitInj:    ws.Wait[inj],
-		ServiceInj: ws.ServiceTime[inj],
-		AvgDist:    avgDist,
-	}, nil
-}
-
-// withRates stamps the rates setRates computes at lambda0 onto a
-// structure-only core.Model.
-func withRates(cm *core.Model, setRates func([]float64, float64), lambda0 float64) *core.Model {
-	rates := make([]float64, len(cm.Classes))
-	setRates(rates, lambda0)
-	for i := range cm.Classes {
-		cm.Classes[i].PerLinkRate = rates[i]
-	}
-	return cm
-}
-
 // Latency is the model's prediction at one operating point.
 type Latency struct {
 	// Total is the average message latency L in cycles (Eq. 25).
@@ -85,62 +56,97 @@ type Latency struct {
 	AvgDist float64
 }
 
-// CurvePoint is one point of a latency-vs-load curve.
-type CurvePoint struct {
-	// LoadFlits is the offered load in flits/cycle/processor (the paper's
-	// Figure 3 x-axis).
-	LoadFlits float64
-	// Lambda0 is the equivalent message rate per processor.
-	Lambda0 float64
-	// Latency is the predicted average latency; +Inf past saturation.
-	Latency float64
-	// Saturated reports whether the model declared this point unstable.
-	Saturated bool
+// Model is one network instance of the general model (§2). It is
+// immutable and safe for concurrent use; FatTreeModel and TorusModel
+// build it.
+type Model struct {
+	name     string
+	msgFlits float64
+	avgDist  float64
+	opt      core.Options
+	classes  []core.Class // the graph's structure; every PerLinkRate is 0
+	graph    *core.Graph
+	inj      core.ClassID // the injection class, which Eq. 25 and Eq. 26 read
+	perLink  []float64    // perLink[i] is class i's per-link rate at λ₀ = 1
+	// closed, when set, answers Latency in place of the graph: the
+	// fat-tree's closed form for the paper variant.
+	closed *FatTreeModel
 }
 
-// NetworkModel is the common surface of the per-topology analytical
-// models.
-type NetworkModel interface {
-	// Name identifies the model instance, e.g. "bft-1024/s=16".
-	Name() string
-	// MsgFlits returns the configured message length.
-	MsgFlits() float64
-	// Latency predicts the average latency at per-processor message rate
-	// lambda0; it returns an error wrapping core.ErrUnstable past
-	// saturation.
-	Latency(lambda0 float64) (Latency, error)
-	// AvgDist returns D̄ in channels.
-	AvgDist() float64
-}
-
-// Curve evaluates a model on the given flit loads (flits/cycle/processor),
-// marking saturated points instead of failing.
-func Curve(m NetworkModel, loads []float64) ([]CurvePoint, error) {
-	out := make([]CurvePoint, 0, len(loads))
-	for _, load := range loads {
-		lambda0 := load / m.MsgFlits()
-		pt := CurvePoint{LoadFlits: load, Lambda0: lambda0}
-		lat, err := m.Latency(lambda0)
-		switch {
-		case err == nil:
-			pt.Latency = lat.Total
-		case core.IsUnstable(err):
-			pt.Latency = math.Inf(1)
-			pt.Saturated = true
-		default:
-			return nil, fmt.Errorf("analytic: curve at load %v: %w", load, err)
-		}
-		out = append(out, pt)
+// init compiles the channel graph and fills in the model.
+func (m *Model) init(name string, msgFlits, avgDist float64, opt core.Options,
+	classes []core.Class, inj core.ClassID, perLink []float64) error {
+	g, err := core.Compile(&core.Model{Classes: classes, MsgFlits: msgFlits})
+	if err != nil {
+		return err
 	}
-	return out, nil
+	*m = Model{name: name, msgFlits: msgFlits, avgDist: avgDist, opt: opt,
+		classes: classes, graph: g, inj: inj, perLink: perLink}
+	return nil
+}
+
+// Name identifies the model instance, e.g. "bft-1024/s=16".
+func (m *Model) Name() string { return m.name }
+
+// MsgFlits returns the configured message length.
+func (m *Model) MsgFlits() float64 { return m.msgFlits }
+
+// AvgDist returns D̄, the average path length in channels.
+func (m *Model) AvgDist() float64 { return m.avgDist }
+
+// Latency predicts the average latency at per-processor message rate
+// lambda0; it returns an error wrapping core.ErrUnstable past saturation.
+func (m *Model) Latency(lambda0 float64) (Latency, error) {
+	if lambda0 < 0 || math.IsNaN(lambda0) {
+		return Latency{}, fmt.Errorf("analytic: bad arrival rate %v", lambda0)
+	}
+	if m.closed != nil {
+		return m.closed.closedForm(lambda0)
+	}
+	return m.graphLatency(lambda0)
+}
+
+// graphLatency resolves the channel graph at λ₀ and assembles Eq. 25 from
+// the injection class.
+func (m *Model) graphLatency(lambda0 float64) (Latency, error) {
+	ws := core.AcquireWorkspace()
+	defer ws.Release()
+	if err := m.resolve(ws, lambda0); err != nil {
+		return Latency{}, err
+	}
+	return Latency{
+		Total:      ws.Wait[m.inj] + ws.ServiceTime[m.inj] + m.avgDist - 1,
+		WaitInj:    ws.Wait[m.inj],
+		ServiceInj: ws.ServiceTime[m.inj],
+		AvgDist:    m.avgDist,
+	}, nil
+}
+
+// resolve binds ws to the graph, writes the rates at λ₀ and resolves,
+// counting the sweeps: one for an acyclic graph's ordered pass, the
+// iterations of a cyclic one's fixed point.
+func (m *Model) resolve(ws *core.Workspace, lambda0 float64) error {
+	rates := ws.Bind(m.graph)
+	for i, r := range m.perLink {
+		rates[i] = lambda0 * r
+	}
+	err := ws.Resolve(m.opt)
+	fixedPointIters.Add(int64(ws.Iterations))
+	return err
+}
+
+// ServiceInj returns the injection-channel service time x̄₀₁(λ₀), the
+// quantity whose crossing with 1/λ₀ defines saturation (Eq. 26).
+func (m *Model) ServiceInj(lambda0 float64) (float64, error) {
+	lat, err := m.Latency(lambda0)
+	return lat.ServiceInj, err
 }
 
 // SaturationLoad finds the paper's maximum-throughput operating point
 // (Eq. 26): the smallest per-processor message rate λ₀ where the source
-// service time x̄₀₁ reaches 1/λ₀. serviceInj must return x̄₀₁(λ₀) or an
-// unstable error. The result is in messages/cycle/processor; multiply by
-// MsgFlits for the Figure 3 axis.
-func SaturationLoad(serviceInj func(lambda0 float64) (float64, error)) (float64, error) {
+// service time x̄₀₁ reaches 1/λ₀. The result is in flits/cycle/processor,
+// the Figure 3 axis.
+func (m *Model) SaturationLoad() (float64, error) {
 	probes := int64(0)
 	defer func() {
 		satSearches.Add(1)
@@ -148,7 +154,7 @@ func SaturationLoad(serviceInj func(lambda0 float64) (float64, error)) (float64,
 	}()
 	g := func(lambda0 float64) float64 {
 		probes++
-		x, err := serviceInj(lambda0)
+		x, err := m.ServiceInj(lambda0)
 		if err != nil {
 			return math.Inf(1) // past stability: saturated for sure
 		}
@@ -162,11 +168,64 @@ func SaturationLoad(serviceInj func(lambda0 float64) (float64, error)) (float64,
 	}
 	if stable == 0 {
 		// Even the smallest probe saturates; report it as the bound.
-		return unstable, nil
+		return unstable * m.msgFlits, nil
 	}
 	root, err := solve.Bisect(g, stable, unstable, stable*1e-9, 200)
 	if err != nil {
 		return 0, fmt.Errorf("analytic: saturation bisection: %w", err)
 	}
-	return root, nil
+	return root * m.msgFlits, nil
+}
+
+// BuildCoreModel returns the channel-class graph at rate λ₀ as a
+// declarative core.Model, each class's rate λ₀·perLink. The model shares
+// its transition slices with m and must not modify them.
+func (m *Model) BuildCoreModel(lambda0 float64) *core.Model {
+	classes := make([]core.Class, len(m.classes))
+	for i, c := range m.classes {
+		c.PerLinkRate = lambda0 * m.perLink[i]
+		classes[i] = c
+	}
+	return &core.Model{Classes: classes, MsgFlits: m.msgFlits}
+}
+
+// ChannelStat is one row of the per-channel-class report.
+type ChannelStat struct {
+	// Name is the class label, e.g. "up<1,2>".
+	Name string
+	// Servers is the group size m.
+	Servers int
+	// Rate is the per-link message rate λ.
+	Rate float64
+	// Service is the resolved mean service time x̄.
+	Service float64
+	// Wait is the group mean waiting time W̄.
+	Wait float64
+	// Rho is the per-server utilization.
+	Rho float64
+}
+
+// ChannelStats resolves the channel graph and reports per-class service
+// times, waits and utilizations — the intermediate quantities of §3.3 —
+// indexed by class. It returns an error wrapping core.ErrUnstable past
+// saturation.
+func (m *Model) ChannelStats(lambda0 float64) ([]ChannelStat, error) {
+	ws := core.AcquireWorkspace()
+	defer ws.Release()
+	if err := m.resolve(ws, lambda0); err != nil {
+		return nil, err
+	}
+	out := make([]ChannelStat, len(m.perLink))
+	for i := range out {
+		id := core.ClassID(i)
+		out[i] = ChannelStat{
+			Name:    m.graph.Name(id),
+			Servers: m.graph.Servers(id),
+			Rate:    lambda0 * m.perLink[i],
+			Service: ws.ServiceTime[i],
+			Wait:    ws.Wait[i],
+			Rho:     ws.Utilization[i],
+		}
+	}
+	return out, nil
 }

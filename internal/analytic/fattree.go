@@ -10,23 +10,20 @@ import (
 )
 
 // FatTreeModel is the paper's analytical model of the butterfly fat-tree
-// (§3). With the zero Options it evaluates the closed-form recurrences
-// Eq. 12–25 directly; with ablation options set it evaluates the
-// equivalent channel-class graph through package core. Both paths are
-// cross-checked in tests.
+// (§3). It embeds the Model every network shares and adds the fat-tree's
+// own facts: the routing probabilities, the rates per level, the class
+// layout and the closed-form recurrences Eq. 12–25, which answer Latency
+// for the paper variant (zero Options); an ablation variant answers from
+// the equivalent channel-class graph through package core. Both paths
+// are cross-checked in tests.
 //
 // The constructor builds everything that does not depend on λ₀ (see the
 // package comment); a model is immutable and safe for concurrent use.
 type FatTreeModel struct {
-	numProc  int
-	n        int // log4(numProc)
-	msgFlits float64
-	opt      core.Options
-
-	name    string
-	avgDist float64
+	Model
+	numProc int
+	n       int       // log4(numProc)
 	upProb  []float64 // upProb[l] = P↑_l, l = 0..n
-	graph   *core.Graph
 	// Unstable-error labels of the closed form, "<class>@<name>":
 	// downLabel[l] for down<l,l-1> (l = 1..n), upLabel[l] for up<l,l+1>.
 	downLabel, upLabel []string
@@ -50,25 +47,29 @@ func NewFatTreeModel(numProc int, msgFlits float64, opt core.Options) (*FatTreeM
 	if msgFlits <= 0 {
 		return nil, fmt.Errorf("analytic: message length %v must be positive", msgFlits)
 	}
-	m := &FatTreeModel{numProc: numProc, n: n, msgFlits: msgFlits, opt: opt,
-		name: fmt.Sprintf("bft-%d/s=%g", numProc, msgFlits)}
+	m := &FatTreeModel{numProc: numProc, n: n}
 	m.upProb = make([]float64, n+1)
 	for l := range m.upProb {
 		m.upProb[l] = (float64(numProc) - math.Pow(4, float64(l))) / (float64(numProc) - 1)
 	}
+	var avgDist float64
 	for l := 1; l <= n; l++ {
-		m.avgDist += float64(2*l) * 3 * math.Pow(4, float64(l-1))
+		avgDist += float64(2*l) * 3 * math.Pow(4, float64(l-1))
 	}
-	m.avgDist /= float64(numProc - 1)
-	var err error
-	if m.graph, err = core.Compile(m.BuildCoreModel(0)); err != nil {
+	avgDist /= float64(numProc - 1)
+	classes, perLink := m.channels()
+	name := fmt.Sprintf("bft-%d/s=%g", numProc, msgFlits)
+	if err := m.init(name, msgFlits, avgDist, opt, classes, m.upID(0), perLink); err != nil {
 		return nil, err
 	}
 	m.downLabel = make([]string, n+1)
 	m.upLabel = make([]string, n)
 	for l := 1; l <= n; l++ {
-		m.downLabel[l] = m.graph.Name(m.downID(l)) + "@" + m.name
-		m.upLabel[l-1] = m.graph.Name(m.upID(l-1)) + "@" + m.name
+		m.downLabel[l] = m.graph.Name(m.downID(l)) + "@" + name
+		m.upLabel[l-1] = m.graph.Name(m.upID(l-1)) + "@" + name
+	}
+	if opt == (core.Options{}) {
+		m.closed = m
 	}
 	return m, nil
 }
@@ -82,20 +83,11 @@ func MustFatTreeModel(numProc int, msgFlits float64, opt core.Options) *FatTreeM
 	return m
 }
 
-// Name implements NetworkModel.
-func (m *FatTreeModel) Name() string { return m.name }
-
-// MsgFlits implements NetworkModel.
-func (m *FatTreeModel) MsgFlits() float64 { return m.msgFlits }
-
 // NumProcessors returns the configured machine size.
 func (m *FatTreeModel) NumProcessors() int { return m.numProc }
 
 // Levels returns n = log4(N).
 func (m *FatTreeModel) Levels() int { return m.n }
-
-// AvgDist implements NetworkModel; see topology.FatTree.AvgDistance.
-func (m *FatTreeModel) AvgDist() float64 { return m.avgDist }
 
 // UpProb returns P↑_l = (4^n − 4^l)/(4^n − 1), the probability that a
 // message at a level-l switch must continue upward (Eq. 12).
@@ -115,46 +107,6 @@ func (m *FatTreeModel) UpRate(l int, lambda0 float64) float64 {
 		return lambda0
 	}
 	return lambda0 * m.UpProb(l) * float64(int(1)<<l)
-}
-
-// Latency implements NetworkModel.
-func (m *FatTreeModel) Latency(lambda0 float64) (Latency, error) {
-	if lambda0 < 0 || math.IsNaN(lambda0) {
-		return Latency{}, fmt.Errorf("analytic: bad arrival rate %v", lambda0)
-	}
-	if m.opt == (core.Options{}) {
-		return m.closedForm(lambda0)
-	}
-	return m.latencyViaCore(lambda0)
-}
-
-// latencyViaCore writes the rates at λ₀ into the compiled channel graph,
-// resolves it and assembles Eq. 25 from the injection class.
-func (m *FatTreeModel) latencyViaCore(lambda0 float64) (Latency, error) {
-	ws := core.AcquireWorkspace()
-	defer ws.Release()
-	m.setRates(ws.Bind(m.graph), lambda0)
-	return injLatency(ws, m.opt, m.upID(0), m.avgDist)
-}
-
-// ServiceInj returns the injection-channel service time x̄₀₁(λ₀), the
-// quantity whose crossing with 1/λ₀ defines saturation (Eq. 26).
-func (m *FatTreeModel) ServiceInj(lambda0 float64) (float64, error) {
-	lat, err := m.Latency(lambda0)
-	if err != nil {
-		return 0, err
-	}
-	return lat.ServiceInj, nil
-}
-
-// SaturationLoad returns the maximum sustainable load in
-// flits/cycle/processor (Eq. 26).
-func (m *FatTreeModel) SaturationLoad() (float64, error) {
-	lambda0, err := SaturationLoad(m.ServiceInj)
-	if err != nil {
-		return 0, err
-	}
-	return lambda0 * m.msgFlits, nil
 }
 
 // ratio computes λa/λb for the blocking corrections; with no traffic at
@@ -262,13 +214,13 @@ func clamp01(v float64) float64 {
 func (m *FatTreeModel) downID(l int) core.ClassID { return core.ClassID(l - 1) }   // l = 1..n
 func (m *FatTreeModel) upID(l int) core.ClassID   { return core.ClassID(m.n + l) } // l = 0..n-1
 
-// BuildCoreModel generates the equivalent channel-class graph for package
-// core at rate λ₀ (class layout above). Only the rates depend on λ₀: the
-// constructor compiles BuildCoreModel(0) once and evaluations write
-// setRates' rates into that graph instead of building a model per point.
-func (m *FatTreeModel) BuildCoreModel(lambda0 float64) *core.Model {
+// channels generates the equivalent channel-class graph for package core
+// (the layout above) and each class's per-link rate at λ₀ = 1: Eq. 14
+// for an up channel, mirrored down by Eq. 15, λ_{l+1,l} = λ_{l,l+1}.
+func (m *FatTreeModel) channels() ([]core.Class, []float64) {
 	n := m.n
 	classes := make([]core.Class, 2*n)
+	perLink := make([]float64, 2*n)
 	for l := 1; l <= n; l++ {
 		c := core.Class{
 			Name:    fmt.Sprintf("down<%d,%d>", l, l-1),
@@ -281,6 +233,7 @@ func (m *FatTreeModel) BuildCoreModel(lambda0 float64) *core.Model {
 			c.Out = []core.Transition{{To: m.downID(l - 1), Prob: 1, Groups: 4}}
 		}
 		classes[m.downID(l)] = c
+		perLink[m.downID(l)] = m.UpRate(l-1, 1)
 	}
 	for l := 0; l < n; l++ {
 		c := core.Class{
@@ -301,58 +254,23 @@ func (m *FatTreeModel) BuildCoreModel(lambda0 float64) *core.Model {
 			}
 		}
 		classes[m.upID(l)] = c
+		perLink[m.upID(l)] = m.UpRate(l, 1)
 	}
-	return withRates(&core.Model{Classes: classes, MsgFlits: m.msgFlits}, m.setRates, lambda0)
+	return classes, perLink
 }
 
-// setRates writes the per-link rates of every class at λ₀ — the only
-// λ₀-dependent input of the channel graph.
-func (m *FatTreeModel) setRates(rates []float64, lambda0 float64) {
+// LongestRoute returns the classes of the longest route, injection to
+// ejection: up<0,1> … up<n-1,n>, then down<n,n-1> … down<1,0>. They
+// index ChannelStats' rows.
+func (m *FatTreeModel) LongestRoute() []core.ClassID {
+	route := make([]core.ClassID, 0, 2*m.n)
 	for l := 0; l < m.n; l++ {
-		rate := m.UpRate(l, lambda0)
-		rates[m.upID(l)] = rate
-		rates[m.downID(l+1)] = rate // Eq. 15: λ_{l+1,l} = λ_{l,l+1}
+		route = append(route, m.upID(l))
 	}
-}
-
-// ChannelStat is one row of the per-channel-class report.
-type ChannelStat struct {
-	// Name is the class label, e.g. "up<1,2>".
-	Name string
-	// Servers is the group size m.
-	Servers int
-	// Rate is the per-link message rate λ.
-	Rate float64
-	// Service is the resolved mean service time x̄.
-	Service float64
-	// Wait is the group mean waiting time W̄.
-	Wait float64
-	// Rho is the per-server utilization.
-	Rho float64
-}
-
-// ChannelStats resolves the channel graph and reports per-class service
-// times, waits and utilizations — the intermediate quantities of §3.3.
-func (m *FatTreeModel) ChannelStats(lambda0 float64) ([]ChannelStat, error) {
-	ws := core.AcquireWorkspace()
-	defer ws.Release()
-	rates := ws.Bind(m.graph)
-	m.setRates(rates, lambda0)
-	if err := resolve(ws, m.opt); err != nil {
-		return nil, err
+	for l := m.n; l >= 1; l-- {
+		route = append(route, m.downID(l))
 	}
-	out := make([]ChannelStat, len(rates))
-	for i := range out {
-		out[i] = ChannelStat{
-			Name:    m.graph.Name(core.ClassID(i)),
-			Servers: m.graph.Servers(core.ClassID(i)),
-			Rate:    rates[i],
-			Service: ws.ServiceTime[i],
-			Wait:    ws.Wait[i],
-			Rho:     ws.Utilization[i],
-		}
-	}
-	return out, nil
+	return route
 }
 
 // Topology materialises the matching topology.FatTree (for simulation).

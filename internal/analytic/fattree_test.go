@@ -118,7 +118,7 @@ func TestFatTreeClosedFormMatchesCoreGraph(t *testing.T) {
 			for _, frac := range []float64{0.1, 0.3, 0.5, 0.7, 0.85} {
 				lambda0 := frac * sat / s
 				cf, err1 := m.closedForm(lambda0)
-				cg, err2 := m.latencyViaCore(lambda0)
+				cg, err2 := m.graphLatency(lambda0)
 				if err1 != nil || err2 != nil {
 					t.Fatalf("N=%d s=%v frac=%v: closed err=%v, core err=%v",
 						n, s, frac, err1, err2)
@@ -166,7 +166,7 @@ func FuzzClosedFormMatchesGraph(f *testing.F) {
 		}
 		lambda0 := frac * sat / s
 		cf, errC := m.closedForm(lambda0)
-		cg, errG := m.latencyViaCore(lambda0)
+		cg, errG := m.graphLatency(lambda0)
 		if (errC == nil) != (errG == nil) {
 			t.Fatalf("%s at %v× saturation: closed form %v, graph %v", m.Name(), frac, errC, errG)
 		}
@@ -414,41 +414,13 @@ func TestFatTreeSmallestMachineN4(t *testing.T) {
 	// Cross-check against the core graph at several loads.
 	for _, l0 := range []float64{0.001, 0.01, 0.02} {
 		cf, err1 := m.closedForm(l0)
-		cg, err2 := m.latencyViaCore(l0)
+		cg, err2 := m.graphLatency(l0)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("λ0=%v: %v / %v", l0, err1, err2)
 		}
 		if relDiff(cf.Total, cg.Total) > 1e-12 {
 			t.Errorf("λ0=%v: closed %v vs core %v", l0, cf.Total, cg.Total)
 		}
-	}
-}
-
-func TestCurveHelper(t *testing.T) {
-	m := MustFatTreeModel(64, 16, core.Options{})
-	sat, err := m.SaturationLoad()
-	if err != nil {
-		t.Fatal(err)
-	}
-	loads := []float64{0.2 * sat, 0.6 * sat, 1.5 * sat}
-	pts, err := Curve(m, loads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	if pts[0].Saturated || pts[1].Saturated {
-		t.Error("points below saturation marked saturated")
-	}
-	if !pts[2].Saturated || !math.IsInf(pts[2].Latency, 1) {
-		t.Error("point above saturation not marked")
-	}
-	if pts[0].Latency >= pts[1].Latency {
-		t.Error("curve not increasing")
-	}
-	if pts[1].Lambda0 != loads[1]/16 {
-		t.Errorf("lambda0 conversion wrong: %v", pts[1].Lambda0)
 	}
 }
 

@@ -32,11 +32,6 @@ var goldenVariants = []struct {
 // it (where the models must report the same unstable class and ρ).
 var goldenFracs = []float64{0, 0.1, 0.5, 0.9, 0.98, 1.02, 1.5, 4}
 
-type goldenModel interface {
-	NetworkModel
-	SaturationLoad() (float64, error)
-}
-
 func hexf(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
 
 // goldenErr renders an error as its unstable class and ρ, or its text.
@@ -53,14 +48,14 @@ func goldenErr(err error) string {
 // text is comparing the bits.
 func goldenDump(t *testing.T) string {
 	var b strings.Builder
-	build := func(family string, size, k int, flits float64, opt core.Options) (goldenModel, error) {
+	build := func(family string, size, k int, flits float64, opt core.Options) *Model {
 		switch family {
 		case "bft":
-			return NewFatTreeModel(size, flits, opt)
+			return &MustFatTreeModel(size, flits, opt).Model
 		case "hypercube":
-			return NewHypercubeModel(size, flits, opt)
+			return &MustHypercubeModel(size, flits, opt).Model
 		default:
-			return NewTorusModel(k, size, flits, opt)
+			return &MustTorusModel(k, size, flits, opt).Model
 		}
 	}
 	instances := []struct {
@@ -74,10 +69,7 @@ func goldenDump(t *testing.T) string {
 	for _, in := range instances {
 		for _, flits := range []float64{8, 32} {
 			for _, v := range goldenVariants {
-				m, err := build(in.family, in.size, in.k, flits, v.opt)
-				if err != nil {
-					t.Fatalf("%s-%d k=%d s=%v %s: %v", in.family, in.size, in.k, flits, v.name, err)
-				}
+				m := build(in.family, in.size, in.k, flits, v.opt)
 				sat, err := m.SaturationLoad()
 				fmt.Fprintf(&b, "%s variant=%s dist=%s", m.Name(), v.name, hexf(m.AvgDist()))
 				if err != nil {
@@ -95,11 +87,10 @@ func goldenDump(t *testing.T) string {
 						fmt.Fprintf(&b, " total=%s wait=%s service=%s dist=%s\n",
 							hexf(lat.Total), hexf(lat.WaitInj), hexf(lat.ServiceInj), hexf(lat.AvgDist))
 					}
-					ft, ok := m.(*FatTreeModel)
-					if !ok {
+					if in.family != "bft" {
 						continue
 					}
-					stats, err := ft.ChannelStats(lambda0)
+					stats, err := m.ChannelStats(lambda0)
 					if err != nil {
 						fmt.Fprintf(&b, "    stats %s\n", goldenErr(err))
 						continue

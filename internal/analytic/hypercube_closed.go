@@ -8,13 +8,14 @@ import (
 	"repro/internal/queueing"
 )
 
-// ClosedForm evaluates the hypercube model by a direct backward sweep over
-// dimensions (the channel graph is acyclic for e-cube routing), giving a
-// second, independent implementation of the same equations the generic
-// solver resolves in its ordered pass. Tests require the two to agree to
-// round-off, mirroring the fat-tree's closed-form/graph cross-check. Only
-// the paper model (zero Options) is supported.
-func (m *HypercubeModel) ClosedForm(lambda0 float64) (Latency, error) {
+// ClosedForm evaluates the hypercube (the k = 2 torus) by a direct
+// backward sweep over dimensions (the channel graph is acyclic for e-cube
+// routing), giving a second, independent implementation of the same
+// equations the generic solver resolves in its ordered pass. Tests
+// require the two to agree to round-off, mirroring the fat-tree's
+// closed-form/graph cross-check. Only the paper model (zero Options) is
+// supported.
+func (m *TorusModel) ClosedForm(lambda0 float64) (Latency, error) {
 	if m.k != 2 {
 		return Latency{}, fmt.Errorf("analytic: ClosedForm requires k=2, have %d", m.k)
 	}

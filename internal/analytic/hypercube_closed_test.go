@@ -59,9 +59,7 @@ func TestHypercubeClosedFormGuards(t *testing.T) {
 	if _, err := ablated.ClosedForm(0.001); err == nil {
 		t.Error("accepted ablation options")
 	}
-	torus := MustTorusModel(4, 2, 16, core.Options{})
-	hm := HypercubeModel{TorusModel: *torus}
-	if _, err := hm.ClosedForm(0.001); err == nil {
+	if _, err := MustTorusModel(4, 2, 16, core.Options{}).ClosedForm(0.001); err == nil {
 		t.Error("accepted k != 2")
 	}
 }

@@ -24,19 +24,29 @@ import (
 // Transition probabilities treat per-dimension hop counts as independent
 // uniform draws on {0..k−1}; rates use the exact flow-conservation value
 // E[hops per dim | dst ≠ src] = N(k−1) / (2(N−1)).
+//
+// TorusModel embeds the Model every network shares; at k = 2 it also
+// carries the hypercube's closed form (ClosedForm).
 type TorusModel struct {
-	k, dims  int
-	numProc  int
-	msgFlits float64
-	opt      core.Options
-
-	name  string
-	graph *core.Graph
+	Model
+	k, dims int
+	numProc int
 }
 
 // NewTorusModel creates a model of a k-ary n-cube (k ≥ 2, dims ≥ 1) with
 // fixed messages of msgFlits flits. Sizes above 2^30 nodes are rejected.
 func NewTorusModel(k, dims int, msgFlits float64, opt core.Options) (*TorusModel, error) {
+	return newTorusModel(k, dims, msgFlits, opt, false)
+}
+
+// NewHypercubeModel creates the binary-hypercube special case (k = 2) with
+// 2^dims processors, matching the network simulated by internal/sim and
+// studied by Draper & Ghosh; it is named "hcube-N/s=…".
+func NewHypercubeModel(dims int, msgFlits float64, opt core.Options) (*TorusModel, error) {
+	return newTorusModel(2, dims, msgFlits, opt, true)
+}
+
+func newTorusModel(k, dims int, msgFlits float64, opt core.Options, hypercube bool) (*TorusModel, error) {
 	if k < 2 || dims < 1 {
 		return nil, fmt.Errorf("analytic: torus k=%d dims=%d out of range", k, dims)
 	}
@@ -50,10 +60,18 @@ func NewTorusModel(k, dims int, msgFlits float64, opt core.Options) (*TorusModel
 	if msgFlits <= 0 {
 		return nil, fmt.Errorf("analytic: message length %v must be positive", msgFlits)
 	}
-	m := &TorusModel{k: k, dims: dims, numProc: numProc, msgFlits: msgFlits, opt: opt,
-		name: fmt.Sprintf("torus-%dary%dcube/s=%g", k, dims, msgFlits)}
-	var err error
-	if m.graph, err = core.Compile(m.BuildCoreModel(0)); err != nil {
+	m := &TorusModel{k: k, dims: dims, numProc: numProc}
+	var name string
+	if hypercube {
+		name = fmt.Sprintf("hcube-%d/s=%g", numProc, msgFlits)
+	} else {
+		name = fmt.Sprintf("torus-%dary%dcube/s=%g", k, dims, msgFlits)
+	}
+	// D̄: dims·E[hops per dim | dst≠src] plus the injection and ejection
+	// channels.
+	avgDist := float64(dims)*m.hopsPerDim() + 2
+	classes, perLink := m.channels()
+	if err := m.init(name, msgFlits, avgDist, opt, classes, m.injID(), perLink); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -68,20 +86,17 @@ func MustTorusModel(k, dims int, msgFlits float64, opt core.Options) *TorusModel
 	return m
 }
 
-// Name implements NetworkModel.
-func (m *TorusModel) Name() string { return m.name }
-
-// MsgFlits implements NetworkModel.
-func (m *TorusModel) MsgFlits() float64 { return m.msgFlits }
+// MustHypercubeModel is NewHypercubeModel that panics on error.
+func MustHypercubeModel(dims int, msgFlits float64, opt core.Options) *TorusModel {
+	m, err := NewHypercubeModel(dims, msgFlits, opt)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
 
 // NumProcessors returns k^dims.
 func (m *TorusModel) NumProcessors() int { return m.numProc }
-
-// AvgDist implements NetworkModel: dims·E[hops per dim | dst≠src] plus the
-// injection and ejection channels.
-func (m *TorusModel) AvgDist() float64 {
-	return float64(m.dims)*m.hopsPerDim() + 2
-}
 
 // hopsPerDim is E[hops in one dimension | dst != src]
 // = N(k−1)/(2(N−1)).
@@ -93,33 +108,24 @@ func (m *TorusModel) hopsPerDim() float64 {
 // Class layout of the channel graph: [ej, link0..link_{dims-1}, inj].
 func (m *TorusModel) injID() core.ClassID { return core.ClassID(1 + m.dims) }
 
-// setRates writes the per-link rates of every class at λ₀: every node
-// injects and ejects λ₀, and every dimension link carries the
-// flow-conservation rate.
-func (m *TorusModel) setRates(rates []float64, lambda0 float64) {
-	link := lambda0 * m.hopsPerDim()
-	for i := range rates {
-		rates[i] = link
-	}
-	rates[0], rates[m.injID()] = lambda0, lambda0
-}
-
-// BuildCoreModel generates the channel-class graph at per-processor rate
-// lambda0 as a declarative core.Model (class layout above). The
-// constructor compiles BuildCoreModel(0) once; evaluations write setRates'
-// rates into that graph instead.
-func (m *TorusModel) BuildCoreModel(lambda0 float64) *core.Model {
+// channels generates the channel-class graph as core classes (layout
+// above) and each class's per-link rate at λ₀ = 1: every node injects and
+// ejects λ₀, and every dimension link carries the flow-conservation rate
+// λ₀·E[hops per dim].
+func (m *TorusModel) channels() ([]core.Class, []float64) {
 	dims := m.dims
 	k := float64(m.k)
 	ejID := core.ClassID(0)
 	linkID := func(d int) core.ClassID { return core.ClassID(1 + d) }
 
 	classes := make([]core.Class, dims+2)
+	perLink := make([]float64, dims+2)
 	classes[ejID] = core.Class{
 		Name:     "eject",
 		Servers:  1,
 		Terminal: true,
 	}
+	perLink[ejID] = 1
 
 	// P(cross dim e as the next dimension | leaving dim d) spreads the
 	// residual probability geometrically over higher dimensions.
@@ -145,6 +151,7 @@ func (m *TorusModel) BuildCoreModel(lambda0 float64) *core.Model {
 			Servers: 1,
 			Out:     out,
 		}
+		perLink[linkID(d)] = m.hopsPerDim()
 	}
 
 	// Injection: first corrected dimension is the lowest with a nonzero
@@ -163,61 +170,6 @@ func (m *TorusModel) BuildCoreModel(lambda0 float64) *core.Model {
 		Servers: 1,
 		Out:     out,
 	}
-	return withRates(&core.Model{Classes: classes, MsgFlits: m.msgFlits}, m.setRates, lambda0)
-}
-
-// Latency implements NetworkModel.
-func (m *TorusModel) Latency(lambda0 float64) (Latency, error) {
-	if lambda0 < 0 || math.IsNaN(lambda0) {
-		return Latency{}, fmt.Errorf("analytic: bad arrival rate %v", lambda0)
-	}
-	ws := core.AcquireWorkspace()
-	defer ws.Release()
-	m.setRates(ws.Bind(m.graph), lambda0)
-	return injLatency(ws, m.opt, m.injID(), m.AvgDist())
-}
-
-// ServiceInj returns x̄ at the injection channel for the saturation search.
-func (m *TorusModel) ServiceInj(lambda0 float64) (float64, error) {
-	lat, err := m.Latency(lambda0)
-	if err != nil {
-		return 0, err
-	}
-	return lat.ServiceInj, nil
-}
-
-// SaturationLoad returns the maximum sustainable load in
-// flits/cycle/processor (Eq. 26 applied to the torus instance).
-func (m *TorusModel) SaturationLoad() (float64, error) {
-	lambda0, err := SaturationLoad(m.ServiceInj)
-	if err != nil {
-		return 0, err
-	}
-	return lambda0 * m.msgFlits, nil
-}
-
-// HypercubeModel is the binary-hypercube special case (k = 2) of
-// TorusModel, matching the network simulated by internal/sim and studied
-// by Draper & Ghosh.
-type HypercubeModel struct {
-	TorusModel
-}
-
-// NewHypercubeModel creates a hypercube model with 2^dims processors.
-func NewHypercubeModel(dims int, msgFlits float64, opt core.Options) (*HypercubeModel, error) {
-	t, err := NewTorusModel(2, dims, msgFlits, opt)
-	if err != nil {
-		return nil, err
-	}
-	t.name = fmt.Sprintf("hcube-%d/s=%g", t.numProc, msgFlits)
-	return &HypercubeModel{TorusModel: *t}, nil
-}
-
-// MustHypercubeModel is NewHypercubeModel that panics on error.
-func MustHypercubeModel(dims int, msgFlits float64, opt core.Options) *HypercubeModel {
-	m, err := NewHypercubeModel(dims, msgFlits, opt)
-	if err != nil {
-		panic(err)
-	}
-	return m
+	perLink[m.injID()] = 1
+	return classes, perLink
 }

@@ -96,7 +96,7 @@ type HopBound struct {
 	Name string `json:"name"`
 	// Servers is the group size m, Service the resolved mean service
 	// time x̄ (cycles), Rho the per-server utilization — all from the
-	// model's channel graph (analytic.ChannelStats).
+	// model's channel graph (analytic.Model.ChannelStats).
 	Servers int     `json:"servers"`
 	Service float64 `json:"service"`
 	Rho     float64 `json:"rho"`
@@ -137,15 +137,11 @@ func Compute(m *analytic.FatTreeModel, lambda0, burst float64) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	n := m.Levels()
-	numProc := m.NumProcessors()
-	// Class layout (BuildCoreModel): down<l,l-1> at index l-1 for
-	// l = 1..n, up<l,l+1> at index n+l for l = 0..n-1. The longest
-	// route climbs every up stage and descends every down stage.
-	route := make([]analytic.ChannelStat, 0, 2*n)
-	sources := make([]int, 0, 2*n)
+	// The longest route climbs every up stage, then descends every down
+	// stage.
+	route, n := m.LongestRoute(), m.Levels()
+	sources := make([]int, 0, len(route))
 	for l := 0; l < n; l++ {
-		route = append(route, stats[n+l])
 		if l == 0 {
 			// The injection channel carries its own source only.
 			sources = append(sources, 1)
@@ -155,18 +151,18 @@ func Compute(m *analytic.FatTreeModel, lambda0, burst float64) (Report, error) {
 		}
 	}
 	for l := n; l >= 1; l-- {
-		route = append(route, stats[l-1])
 		// Everything outside the 4^{l-1}-processor destination subtree
 		// can converge on the down channel.
 		sub := 1
 		for i := 1; i < l; i++ {
 			sub *= 4
 		}
-		sources = append(sources, numProc-sub)
+		sources = append(sources, m.NumProcessors()-sub)
 	}
-	rep := Report{Lambda0: lambda0, Burst: burst, Hops: make([]HopBound, 0, 2*n)}
+	rep := Report{Lambda0: lambda0, Burst: burst, Hops: make([]HopBound, 0, len(route))}
 	acc := 0.0 // accumulated delay bound along the route
-	for i, st := range route {
+	for i, id := range route {
+		st := stats[id]
 		if st.Rho >= 1 || math.IsNaN(st.Rho) {
 			return Report{}, &core.UnstableError{Class: st.Name, Rho: st.Rho}
 		}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/analytic"
 	"repro/internal/core"
 )
 
@@ -32,7 +33,7 @@ type modelKey struct {
 // variant of the same instance and message length (the entry itself for
 // the paper variant), whose saturation load anchors fractional loads.
 type curveEntry struct {
-	model Model
+	model *analytic.Model
 	base  *curveEntry
 
 	satOnce sync.Once

@@ -4,9 +4,11 @@
 // policy, load) — so both are exposed behind one interface.
 //
 // An Evaluator turns a Scenario into a Point. AnalyticBackend answers
-// from the closed-form model of package analytic, SimBackend from the
-// cycle-driven simulator of package sim; future backends (bound calculi,
-// remote shards, learned surrogates) plug in behind the same contract.
+// from the model of package analytic (the fat-tree's closed form for the
+// paper variant; the channel graph for the torus, the hypercube and every
+// ablation), SimBackend from the cycle-driven simulator of package sim;
+// future backends (bound calculi, remote shards, learned surrogates) plug
+// in behind the same contract.
 // The sweep engine (package sweep) composes a list of Evaluators over a
 // declarative scenario grid and merges their Points into cells.
 //

@@ -271,6 +271,76 @@ func TestTopologyConstructorsRejectUnknownFamily(t *testing.T) {
 	}
 }
 
+// TestEveryFamilyReportsChannelStats: every family's model reports its
+// per-class stats. Below saturation the injection row carries the
+// latency's own W̄₀₁ and x̄₀₁ — exactly where Latency resolves the graph,
+// to round-off where it is the fat-tree's closed form — and past
+// saturation ChannelStats refuses as Latency does.
+func TestEveryFamilyReportsChannelStats(t *testing.T) {
+	variants := []Variant{
+		{Name: "paper"},
+		{Name: "no-blocking", NoBlockingCorrection: true},
+		{Name: "single-server", SingleServerGroups: true},
+		{Name: "pre-erratum", NoPairRateCorrection: true},
+	}
+	for _, tc := range []struct {
+		topo Topology
+		inj  string
+	}{
+		{Topology{Family: FamilyBFT, Size: 64}, "up<0,1>"},
+		{Topology{Family: FamilyHypercube, Size: 6}, "inject"},
+		{Topology{Family: FamilyTorus, Size: 3, K: 4}, "inject"},
+	} {
+		for _, v := range variants {
+			m, err := tc.topo.NewModel(16, v.Options())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sat, err := m.SaturationLoad()
+			if err != nil {
+				t.Fatalf("%s %s: %v", m.Name(), v.Name, err)
+			}
+			tol := 0.0
+			if tc.topo.Family == FamilyBFT && v.IsBase() {
+				tol = 1e-12
+			}
+			lambda0 := 0.5 * sat / m.MsgFlits()
+			lat, err := m.Latency(lambda0)
+			if err != nil {
+				t.Fatalf("%s %s: %v", m.Name(), v.Name, err)
+			}
+			stats, err := m.ChannelStats(lambda0)
+			if err != nil {
+				t.Fatalf("%s %s: %v", m.Name(), v.Name, err)
+			}
+			found := false
+			for _, st := range stats {
+				if st.Name != tc.inj {
+					continue
+				}
+				found = true
+				if relDiff(st.Wait, lat.WaitInj) > tol || relDiff(st.Service, lat.ServiceInj) > tol {
+					t.Errorf("%s %s: %s row W̄=%v x̄=%v, Latency W̄₀₁=%v x̄₀₁=%v",
+						m.Name(), v.Name, st.Name, st.Wait, st.Service, lat.WaitInj, lat.ServiceInj)
+				}
+			}
+			if !found {
+				t.Errorf("%s %s: no %s row in %d stats", m.Name(), v.Name, tc.inj, len(stats))
+			}
+			if _, err := m.ChannelStats(1.5 * sat / m.MsgFlits()); !errors.Is(err, core.ErrUnstable) {
+				t.Errorf("%s %s: ChannelStats at 1.5× saturation: %v, want ErrUnstable", m.Name(), v.Name, err)
+			}
+		}
+	}
+}
+
+func relDiff(a, b float64) float64 {
+	if a == b {
+		return 0
+	}
+	return math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b))
+}
+
 // TestSimulatedNetworkIsCapped: a network above MaxSimProcessors is
 // refused by arithmetic, before NewNetwork builds anything; the cap is
 // inclusive, and the model takes any size it always did.

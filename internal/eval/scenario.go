@@ -46,17 +46,29 @@ func (t Topology) String() string {
 
 // NewModel builds the analytical model for the instance with the given
 // ablation options.
-func (t Topology) NewModel(msgFlits int, opt core.Options) (Model, error) {
+func (t Topology) NewModel(msgFlits int, opt core.Options) (*analytic.Model, error) {
+	var (
+		ft  *analytic.FatTreeModel
+		tm  *analytic.TorusModel
+		err error
+	)
 	switch t.Family {
 	case FamilyBFT:
-		return analytic.NewFatTreeModel(t.Size, float64(msgFlits), opt)
+		if ft, err = analytic.NewFatTreeModel(t.Size, float64(msgFlits), opt); err == nil {
+			return &ft.Model, nil
+		}
 	case FamilyHypercube:
-		return analytic.NewHypercubeModel(t.Size, float64(msgFlits), opt)
+		if tm, err = analytic.NewHypercubeModel(t.Size, float64(msgFlits), opt); err == nil {
+			return &tm.Model, nil
+		}
 	case FamilyTorus:
-		return analytic.NewTorusModel(t.K, t.Size, float64(msgFlits), opt)
+		if tm, err = analytic.NewTorusModel(t.K, t.Size, float64(msgFlits), opt); err == nil {
+			return &tm.Model, nil
+		}
 	default:
-		return nil, fmt.Errorf("eval: unknown family %q", t.Family)
+		err = fmt.Errorf("eval: unknown family %q", t.Family)
 	}
+	return nil, err
 }
 
 // MaxSimProcessors caps the network the simulator is asked to build:
@@ -91,13 +103,6 @@ func (t Topology) NewNetwork() (topology.Network, error) {
 	default:
 		return nil, fmt.Errorf("eval: family %q has no simulator topology", t.Family)
 	}
-}
-
-// Model is the analytical surface an evaluation needs: latency prediction
-// plus the saturation operating point that anchors fractional loads.
-type Model interface {
-	analytic.NetworkModel
-	SaturationLoad() (float64, error)
 }
 
 // Budget scales the simulation effort of a scenario.

@@ -44,7 +44,7 @@ func (p ComparisonPoint) RelErr() float64 {
 
 // LoadsUpTo returns `points` evenly spaced loads in (0, frac·saturation]
 // for the given model (flits/cycle/processor).
-func LoadsUpTo(m interface{ SaturationLoad() (float64, error) }, points int, frac float64) ([]float64, error) {
+func LoadsUpTo(m *analytic.Model, points int, frac float64) ([]float64, error) {
 	sat, err := m.SaturationLoad()
 	if err != nil {
 		return nil, err
@@ -65,7 +65,7 @@ func LoadsUpTo(m interface{ SaturationLoad() (float64, error) }, points int, fra
 // simulation (model-only curves). The budget's Precision and Replicas
 // knobs map to the simulator's CI-width early stopping and
 // independent-replica options.
-func CompareCurve(model analytic.NetworkModel, net topology.Network, flits int,
+func CompareCurve(model *analytic.Model, net topology.Network, flits int,
 	loads []float64, b sweep.Budget, policy sim.UpLinkPolicy) ([]ComparisonPoint, error) {
 
 	var opts []sim.Option

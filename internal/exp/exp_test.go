@@ -46,7 +46,7 @@ func runEntry(t *testing.T, id string, edit func(*sweep.Spec)) (*sweep.Result, O
 
 func TestLoadsUpTo(t *testing.T) {
 	m := analytic.MustFatTreeModel(64, 16, core.Options{})
-	loads, err := LoadsUpTo(m, 5, 0.9)
+	loads, err := LoadsUpTo(&m.Model, 5, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestLoadsUpTo(t *testing.T) {
 
 func TestCompareCurveModelOnly(t *testing.T) {
 	m := analytic.MustFatTreeModel(64, 16, core.Options{})
-	pts, err := CompareCurve(m, nil, 16, []float64{0.02, 0.05}, tiny, sim.PairQueue)
+	pts, err := CompareCurve(&m.Model, nil, 16, []float64{0.02, 0.05}, tiny, sim.PairQueue)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestCompareCurveWithSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := CompareCurve(m, net, 8, []float64{0.4 * sat}, tiny, sim.PairQueue)
+	pts, err := CompareCurve(&m.Model, net, 8, []float64{0.4 * sat}, tiny, sim.PairQueue)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestCompareCurveWithSim(t *testing.T) {
 func TestCompareCurveMarksModelSaturation(t *testing.T) {
 	m := analytic.MustFatTreeModel(64, 16, core.Options{})
 	sat, _ := m.SaturationLoad()
-	pts, err := CompareCurve(m, nil, 16, []float64{2 * sat}, tiny, sim.PairQueue)
+	pts, err := CompareCurve(&m.Model, nil, 16, []float64{2 * sat}, tiny, sim.PairQueue)
 	if err != nil {
 		t.Fatal(err)
 	}

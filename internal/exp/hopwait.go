@@ -93,11 +93,11 @@ func HopWaits(ctx context.Context, numProc, msgFlits int, load float64, b sweep.
 	}
 
 	// Model side: blend P(i|j)·W̄ⱼ over the incoming flows of each class.
-	cm := model.BuildCoreModel(lambda0)
-	res, err := cm.Resolve(core.Options{})
+	stats, err := model.ChannelStats(lambda0)
 	if err != nil {
 		return nil, err
 	}
+	cm := model.BuildCoreModel(lambda0) // the transitions BlockingProbability reads
 	links := map[string]float64{}
 	for ch := topology.ChannelID(0); ch < topology.ChannelID(ft.NumChannels()); ch++ {
 		links[FatTreeClassOf(ft, ch)]++
@@ -117,7 +117,7 @@ func HopWaits(ctx context.Context, numProc, msgFlits int, load float64, b sweep.
 			}
 			flow := flowBase * t.Prob
 			p := cm.BlockingProbability(core.ClassID(i), ti, core.Options{})
-			bl.num += flow * p * res.Wait[t.To]
+			bl.num += flow * p * stats[t.To].Wait
 			bl.den += flow
 		}
 	}

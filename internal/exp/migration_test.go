@@ -40,20 +40,19 @@ func reference(t *testing.T, spec sweep.Spec) []refCurve {
 			end++
 		}
 		flits := float64(first.MsgFlits)
-		var base interface{ SaturationLoad() (float64, error) }
-		var model analytic.NetworkModel
+		var base, model *analytic.Model
 		var net topology.Network
 		switch first.Topology.Family {
 		case sweep.FamilyBFT:
-			base = analytic.MustFatTreeModel(first.Topology.Size, flits, core.Options{})
-			model = analytic.MustFatTreeModel(first.Topology.Size, flits, first.Variant.Options())
+			base = &analytic.MustFatTreeModel(first.Topology.Size, flits, core.Options{}).Model
+			model = &analytic.MustFatTreeModel(first.Topology.Size, flits, first.Variant.Options()).Model
 			net = topology.MustFatTree(first.Topology.Size)
 		case sweep.FamilyHypercube:
 			m, err := analytic.NewHypercubeModel(first.Topology.Size, flits, first.Variant.Options())
 			if err != nil {
 				t.Fatal(err)
 			}
-			base, model = m, m
+			base, model = &m.Model, &m.Model
 			if net, err = topology.NewHypercube(first.Topology.Size); err != nil {
 				t.Fatal(err)
 			}

@@ -177,7 +177,7 @@ func saturationSpec(scale string, b sweep.Budget) (sweep.Spec, error) {
 // pinLoads fixes the spec's loads at `points` absolute values up to frac
 // of the model's saturation load, so every curve of the grid (variants,
 // policies) is probed at identical operating points.
-func pinLoads(spec sweep.Spec, m interface{ SaturationLoad() (float64, error) }, points int, frac float64) (sweep.Spec, error) {
+func pinLoads(spec sweep.Spec, m *analytic.Model, points int, frac float64) (sweep.Spec, error) {
 	loads, err := LoadsUpTo(m, points, frac)
 	if err != nil {
 		return sweep.Spec{}, err
@@ -209,7 +209,7 @@ func ablationSpec(scale string, b sweep.Budget) (sweep.Spec, error) {
 		},
 		WithSim: true,
 		Budget:  b,
-	}, base, 6, 0.9)
+	}, &base.Model, 6, 0.9)
 }
 
 // policySpec is A3: one curve simulated under both up-link arbitration
@@ -229,7 +229,7 @@ func policySpec(scale string, b sweep.Budget) (sweep.Spec, error) {
 		Policies:    []string{"pairqueue", "randomfixed"},
 		WithSim:     true,
 		Budget:      b,
-	}, model, 4, 0.85)
+	}, &model.Model, 4, 0.85)
 }
 
 // hypercubeSpec is X1: the general model applied to a binary hypercube,
@@ -247,7 +247,7 @@ func hypercubeSpec(scale string, b sweep.Budget) (sweep.Spec, error) {
 		MsgFlits:    []int{flits},
 		WithSim:     true,
 		Budget:      b,
-	}, model, 6, 0.85)
+	}, &model.Model, 6, 0.85)
 }
 
 // TorusRow is one load point of experiment X2.
@@ -261,7 +261,7 @@ type TorusRow struct {
 
 // torusConsistency is X2: the k-ary n-cube model at k = 2, resolved on
 // its channel graph, must agree with the hypercube's closed-form
-// backward sweep (HypercubeModel.ClosedForm) — an independent
+// backward sweep (TorusModel.ClosedForm) — an independent
 // implementation of the same equations — at every probed load. (The
 // hypercube model's Latency is the k = 2 torus itself, so comparing the
 // two would compare a model with itself.) It is model-only, so the
@@ -276,7 +276,7 @@ func torusConsistency(_ context.Context, scale string, _ sweep.Budget) (Output, 
 	if err != nil {
 		return Output{}, err
 	}
-	loads, err := LoadsUpTo(hc, 6, 0.9)
+	loads, err := LoadsUpTo(&hc.Model, 6, 0.9)
 	if err != nil {
 		return Output{}, err
 	}

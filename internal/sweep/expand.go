@@ -17,8 +17,6 @@ type (
 	Variant = eval.Variant
 	// Scenario is one fully determined cell of a sweep grid.
 	Scenario = eval.Scenario
-	// Model is the analytical surface a sweep needs.
-	Model = eval.Model
 	// Budget scales the simulation effort of every scenario in a spec.
 	Budget = eval.Budget
 )

@@ -186,8 +186,9 @@ func NewFatTreeModelVariant(numProc int, msgFlits float64, opt ModelOptions) (*a
 	return analytic.NewFatTreeModel(numProc, msgFlits, opt)
 }
 
-// NewHypercubeModel creates the general model's hypercube instance.
-func NewHypercubeModel(dims int, msgFlits float64) (*analytic.HypercubeModel, error) {
+// NewHypercubeModel creates the general model's hypercube instance: the
+// k = 2 torus, named "hcube-N/s=…".
+func NewHypercubeModel(dims int, msgFlits float64) (*analytic.TorusModel, error) {
 	return analytic.NewHypercubeModel(dims, msgFlits, core.Options{})
 }
 
