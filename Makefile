@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: all build test allocs fuzz bench lint staticcheck fmt
+.PHONY: all build test allocs fuzz bench examples lint staticcheck fmt
 
-all: lint build test
+all: lint build test examples
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,16 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 
+# Every program under examples/ runs to completion; a non-zero exit
+# fails the target. They are the checked answer to "how do I call this
+# from Go", so they must keep building and running against the packages
+# they import.
+examples:
+	@for d in examples/*/; do \
+		echo "run $$d"; \
+		$(GO) run "./$$d" > /dev/null || exit 1; \
+	done
+
 lint:
 	$(GO) vet ./...
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -62,8 +72,10 @@ lint:
 	test -z "$$(grep -rl 'eval\.ParseKey(' --include='*.go' . | grep -v '_test\.go$$' | grep -v '^\./internal/calib/')" || { \
 		echo "one key grammar: the key's field literals appear only in internal/eval/scenario.go (appendKey writes them) and parsekey.go (ParseKey reads them back), and eval.ParseKey is called from internal/calib only"; exit 1; }
 	@test "$$(grep -rl 'NewBatchBackend(' --include='*.go' internal cmd | grep -v '_test\.go$$')" = internal/eval/batch.go && \
-	test -z "$$(grep -rl 'eval\.NewRemoteBackend(' --include='*.go' internal cmd examples repro.go | grep -v '_test\.go$$' | grep -vx -e internal/dispatch/dispatch.go -e cmd/plan/main.go -e repro.go)" || { \
-		echo "one fleet door: grids reach a fleet through internal/dispatch (the fleet client is built there, by cmd/plan -addr and by the repro facade only; NewBatchBackend is a deprecated alias for the frozen bench/)"; exit 1; }
+	test -z "$$(grep -rl 'eval\.NewRemoteBackend(' --include='*.go' internal cmd examples | grep -v '_test\.go$$' | grep -vx -e internal/dispatch/dispatch.go -e cmd/plan/main.go)" || { \
+		echo "one fleet door: grids reach a fleet through internal/dispatch (the fleet client is built there and by cmd/plan -addr only; NewBatchBackend is a deprecated alias for the frozen bench/)"; exit 1; }
+	@test -z "$$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go')" || { \
+		echo "one API surface: no non-test Go file at the module root; callers import the internal/ package that owns each entry point (see examples/)"; exit 1; }
 	@! grep -nE '^func \([a-z]* ?\*?(FatTreeModel|TorusModel)\) (Latency|ServiceInj|SaturationLoad|ChannelStats|Name|MsgFlits|AvgDist|BuildCoreModel|setRates)\(' internal/analytic/*.go && \
 	test -z "$$(grep -rlE '^type (NetworkModel|HypercubeModel)[[:space:]]' --include='*.go' . | grep -v '_test\.go$$')" || { \
 		echo "one analytic model: Latency, ServiceInj, SaturationLoad, ChannelStats, Name, MsgFlits, AvgDist and BuildCoreModel are declared on analytic.Model only (FatTreeModel and TorusModel embed it and give their rates as perLink), and no NetworkModel or HypercubeModel type is declared"; exit 1; }

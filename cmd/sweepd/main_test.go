@@ -139,8 +139,8 @@ const miningGrid = `{
 // in-process run, a warm rerun is served from the store, /metrics
 // parses and carries the engine, HTTP and calibration series, /v1/calib
 // agrees with a fresh miner over the same store, cancelling the
-// context shuts it down clean — map saved, trace flushed and
-// well-formed — and a restart recovers that map.
+// context shuts it down clean — every cell in the store, map saved,
+// trace flushed and well-formed — and a restart recovers that map.
 func TestDaemonEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	cacheDir, tracePath := filepath.Join(dir, "store"), filepath.Join(dir, "trace.ndjson")
@@ -176,7 +176,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remoteRun(t, url, mine)
+	mined := remoteRun(t, url, mine)
 	const region = "bft-64/s=8/pairqueue/50-75%"
 
 	resp, err := http.Get(url + "/metrics")
@@ -218,6 +218,9 @@ func TestDaemonEndToEnd(t *testing.T) {
 	st, err := store.Open(cacheDir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got, want := st.Len(), len(local.Rows)+len(mined.Rows); got != want {
+		t.Errorf("the store reopened with %d cell(s), want the %d the daemon computed", got, want)
 	}
 	miner := calib.NewMap()
 	miner.Mine(context.Background(), st)

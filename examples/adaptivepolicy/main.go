@@ -10,7 +10,10 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
+	"repro/internal/analytic"
+	"repro/internal/core"
+	"repro/internal/sim"
+	"repro/internal/topology"
 )
 
 func main() {
@@ -19,7 +22,7 @@ func main() {
 		numProc  = 256
 		msgFlits = 16
 	)
-	model, err := repro.NewFatTreeModel(numProc, msgFlits)
+	model, err := analytic.NewFatTreeModel(numProc, msgFlits, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -27,7 +30,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ft, err := repro.NewFatTree(numProc)
+	ft, err := topology.NewFatTree(numProc)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,8 +41,8 @@ func main() {
 
 	for _, frac := range []float64{0.3, 0.5, 0.7, 0.85} {
 		load := frac * sat
-		run := func(policy repro.UpLinkPolicy) *repro.SimResult {
-			res, err := repro.Simulate(context.Background(), repro.SimConfig{
+		run := func(policy sim.UpLinkPolicy) *sim.Result {
+			res, err := sim.Run(context.Background(), sim.Config{
 				Net:           ft,
 				MsgFlits:      msgFlits,
 				Seed:          7,
@@ -52,8 +55,8 @@ func main() {
 			}
 			return res
 		}
-		pair := run(repro.PairQueue)
-		fixed := run(repro.RandomFixed)
+		pair := run(sim.PairQueue)
+		fixed := run(sim.RandomFixed)
 		fmt.Printf("%-12.4f  %8.2f ± %-6.2f  %8.2f ± %-6.2f  +%.1f%%\n",
 			load,
 			pair.LatencyMean, pair.LatencyCI95,

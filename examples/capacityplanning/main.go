@@ -14,7 +14,7 @@ import (
 	"log"
 	"time"
 
-	"repro"
+	"repro/internal/plan"
 )
 
 func main() {
@@ -22,13 +22,13 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	spec, err := repro.PlanBuiltin("bft-capacity")
+	spec, err := plan.Builtin("bft-capacity")
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("%s\n%s\n\n", spec.Name, spec.Description)
-	res, err := repro.Plan(ctx, spec)
+	res, err := plan.NewLocal(nil).Run(ctx, spec)
 	if err != nil {
 		log.Fatal(err)
 	}

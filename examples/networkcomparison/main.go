@@ -8,8 +8,8 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
 	"repro/internal/analytic"
+	"repro/internal/core"
 )
 
 func main() {
@@ -28,11 +28,11 @@ func main() {
 		"N", "L(0.3sat)", "sat fl/cyc", "L(0.3sat)", "sat fl/cyc")
 
 	for _, c := range configs {
-		ftm, err := repro.NewFatTreeModel(c.procs, msgFlits)
+		ftm, err := analytic.NewFatTreeModel(c.procs, msgFlits, core.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		hcm, err := repro.NewHypercubeModel(c.dims, msgFlits)
+		hcm, err := analytic.NewHypercubeModel(c.dims, msgFlits, core.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

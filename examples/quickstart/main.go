@@ -9,7 +9,10 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
+	"repro/internal/analytic"
+	"repro/internal/core"
+	"repro/internal/sim"
+	"repro/internal/topology"
 )
 
 func main() {
@@ -21,7 +24,7 @@ func main() {
 	)
 
 	// 1. Analytical model (paper §3, Eq. 12–26).
-	model, err := repro.NewFatTreeModel(numProc, msgFlits)
+	model, err := analytic.NewFatTreeModel(numProc, msgFlits, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,19 +43,19 @@ func main() {
 	fmt.Printf("model: saturation at %.4f flits/cycle/PE\n", sat)
 
 	// 3. Flit-level simulation under the paper's assumptions.
-	ft, err := repro.NewFatTree(numProc)
+	ft, err := topology.NewFatTree(numProc)
 	if err != nil {
 		log.Fatal(err)
 	}
 	// The termination option lets the run stop as soon as the estimate
 	// is tight enough; MeasureCycles is then just a ceiling.
-	res, err := repro.Simulate(context.Background(), repro.SimConfig{
+	res, err := sim.Run(context.Background(), sim.Config{
 		Net:           ft,
 		MsgFlits:      msgFlits,
 		Seed:          1,
 		WarmupCycles:  5000,
 		MeasureCycles: 30000,
-	}.FlitLoad(load), repro.WithSimTermination(repro.DefaultSimTermination))
+	}.FlitLoad(load), sim.WithTermination(sim.DefaultTermination))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -408,15 +408,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(payload)
 }
 
-// ListenAndServe listens on addr and serves the API there (see Serve).
-func ListenAndServe(ctx context.Context, addr string, grace time.Duration, opts ...Option) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return Serve(ctx, ln, grace, opts...)
-}
-
 // Serve serves the API on ln until ctx is cancelled, then shuts down
 // gracefully: in-flight requests get grace to finish (their streams
 // keep draining), new connections are refused. A zero grace defaults to

@@ -103,11 +103,6 @@ type Config struct {
 	DrainLimit int
 	// Policy is the up-link arbitration policy.
 	Policy UpLinkPolicy
-	// BatchSize for batch-means confidence intervals; 0 means 64.
-	BatchSize int
-	// ProgressTimeout aborts with ErrDeadlock if no worm advances for
-	// this many consecutive cycles while work is pending; 0 means 50000.
-	ProgressTimeout int
 	// HopWaitObserver, when non-nil, is called once per channel grant
 	// inside the measurement window with the granted channel and the
 	// number of cycles the worm waited in that channel's arbitration
@@ -117,11 +112,8 @@ type Config struct {
 	HopWaitObserver func(ch topology.ChannelID, wait int64)
 	// LatencyHistogram, when true, collects a latency histogram over
 	// tracked messages and fills the Result's percentile fields. The
-	// histogram spans [0, HistMax) cycles; HistMax = 0 picks
-	// 50×(MsgFlits + diameter) as an upper bound.
+	// histogram spans [0, 50×(MsgFlits + diameter)) cycles.
 	LatencyHistogram bool
-	// HistMax is the histogram's upper bound in cycles (see above).
-	HistMax float64
 	// Workload, when non-nil, selects the declarative workload — arrival
 	// process, per-source rate mix, destination pattern — built by
 	// internal/workload. nil (or the zero Spec) is the paper's steady
@@ -151,6 +143,22 @@ func (c Config) FlitLoad(load float64) Config {
 	return c
 }
 
+// The run's fixed statistical and watchdog settings.
+const (
+	// batchSize is the batch length of the batch-means confidence
+	// interval (Result.LatencyCI95) and of the termination rule.
+	batchSize = 64
+	// progressTimeout is the deadlock watchdog: a run aborts with
+	// ErrDeadlock after this many consecutive cycles in which no worm
+	// advances while work is pending.
+	progressTimeout = 50000
+	// histBins is the bin count of the latency histogram, and histReach
+	// its upper bound in units of MsgFlits + diameter — far above any
+	// stable-mode latency.
+	histBins  = 1024
+	histReach = 50
+)
+
 // ErrDeadlock is returned when the progress watchdog fires. The paper's
 // networks are deadlock-free under shortest-path routing, so this always
 // indicates a configuration or implementation fault rather than an
@@ -159,9 +167,10 @@ var ErrDeadlock = errors.New("sim: no progress; routing deadlock or watchdog mis
 
 // Validate reports the first problem that would make the run misbehave:
 // a nil network, a non-positive message length, a negative/NaN/infinite
-// rate, zero or negative windows, an unknown policy, or negative tuning
-// knobs. Run rejects invalid configs with the same errors; Validate lets
-// callers fail before committing to a run.
+// rate, zero or negative windows, an unknown policy, a negative drain
+// limit, or a workload or trace that does not fit. Run rejects invalid
+// configs with the same errors; Validate lets callers fail before
+// committing to a run.
 func (c *Config) Validate() error {
 	if c.Net == nil {
 		return errors.New("sim: Config.Net is nil")
@@ -180,15 +189,6 @@ func (c *Config) Validate() error {
 	}
 	if c.DrainLimit < 0 {
 		return fmt.Errorf("sim: DrainLimit = %d, must be >= 0", c.DrainLimit)
-	}
-	if c.BatchSize < 0 {
-		return fmt.Errorf("sim: BatchSize = %d, must be >= 0", c.BatchSize)
-	}
-	if c.ProgressTimeout < 0 {
-		return fmt.Errorf("sim: ProgressTimeout = %d, must be >= 0", c.ProgressTimeout)
-	}
-	if c.HistMax < 0 || math.IsNaN(c.HistMax) {
-		return fmt.Errorf("sim: HistMax = %v, must be >= 0", c.HistMax)
 	}
 	if err := c.Workload.Validate(); err != nil {
 		return err
@@ -215,23 +215,6 @@ func (c *Config) drainLimit() int {
 	return 2*(c.WarmupCycles+c.MeasureCycles) + 10000
 }
 
-func (c *Config) batchSize() int {
-	if c.BatchSize > 0 {
-		return c.BatchSize
-	}
-	return 64
-}
-
-func (c *Config) progressTimeout() int {
-	if c.ProgressTimeout > 0 {
-		return c.ProgressTimeout
-	}
-	return 50000
-}
-
-// histBins is the bin count of the latency histogram.
-const histBins = 1024
-
 // diameter returns the longest shortest path from processor 0, in
 // channels — the network's diameter on the vertex-symmetric topologies
 // the repo builds.
@@ -243,16 +226,6 @@ func diameter(net topology.Network) int {
 		}
 	}
 	return diam
-}
-
-// histMax resolves the histogram upper bound: HistMax when positive,
-// otherwise a generous 50×(MsgFlits + diameter) — far above any
-// stable-mode latency.
-func (c *Config) histMax(diam int) float64 {
-	if c.HistMax > 0 {
-		return c.HistMax
-	}
-	return 50 * float64(c.MsgFlits+diam)
 }
 
 func (c *Config) pattern() traffic.Pattern {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/topology"
 	"repro/internal/traffic"
+	"repro/internal/workload"
 )
 
 // Single-flit messages exercise the corner where a worm's tail releases a
@@ -180,17 +181,23 @@ func TestGroupPartitionRoundTrip(t *testing.T) {
 
 // A worm far longer than its path spends most of its drain with nothing
 // moving but flit counters. That is still progress: the watchdog must not
-// mistake a lone long worm for a deadlock, however short its timeout.
+// mistake a lone long worm for a deadlock, even one whose drain outlasts
+// the watchdog's timeout. The worm is the only arrival of a replayed
+// trace, so nothing else advances while it drains.
 func TestLongDrainIsProgress(t *testing.T) {
+	const flits = progressTimeout + 10000
 	cfg := Config{
-		Net:             topology.MustFatTree(16),
-		MsgFlits:        400,
-		Seed:            5,
-		WarmupCycles:    0,
-		MeasureCycles:   20000,
-		ProgressTimeout: 50,
+		Net:           topology.MustFatTree(16),
+		MsgFlits:      flits,
+		Seed:          5,
+		WarmupCycles:  0,
+		MeasureCycles: 1000,
+		DrainLimit:    2 * progressTimeout,
+		Trace: &workload.Trace{
+			Header: workload.TraceHeader{Size: 16, MsgFlits: flits},
+			Events: []workload.TraceEvent{{Src: 0, Dst: 15, Cycle: 0.5, MsgFlits: flits}},
+		},
 	}
-	cfg.Lambda0 = 0.00002
 	e := mustEngine(t, cfg)
 	e.debugChecks = true
 	res, err := e.run(context.Background())

@@ -269,7 +269,6 @@ type engine struct {
 
 	busy       []bool
 	acquiredAt []int64
-	busyInMeas []int64
 
 	// arbQ holds the arbitration FIFOs, one per group (PairQueue) or per
 	// channel (RandomFixed), threaded through soa.next.
@@ -325,11 +324,9 @@ type engine struct {
 	hardEnd      int64
 	earlyStopped bool
 
-	lat                stats.BatchMeans
-	latAll             stats.Stream
-	latHist            *stats.Histogram
-	wInj, xInj         stats.Stream
-	flitsDelivered     int64
+	// tally holds what the measurement window accumulates; finish and
+	// mergeReplicas derive a Result's measured fields from it.
+	tally
 	queueFirstHalf     float64
 	queueSecondHalf    float64
 	qChecks            []float64 // cumulative queueIntegral at check strides (termination mode)
@@ -338,7 +335,6 @@ type engine struct {
 	trackedOutstanding int
 	totalCompleted     int
 	totalQueued        int
-	queueIntegral      float64
 	lastProgress       int64
 
 	// Observability accumulators (flushed to the obs counters in finish).
@@ -386,7 +382,6 @@ func (e *engine) reset(cfg Config) error {
 		freeList:   old.freeList[:0],
 		busy:       resized(old.busy, nCh),
 		acquiredAt: resized(old.acquiredAt, nCh),
-		busyInMeas: resized(old.busyInMeas, nCh),
 		arbQ:       old.arbQ,
 		pending:    old.pending[:0],
 		inPending:  resized(old.inPending, nGr),
@@ -407,7 +402,10 @@ func (e *engine) reset(cfg Config) error {
 		qChecks:    old.qChecks[:0],
 		measStart:  int64(cfg.WarmupCycles),
 		measEnd:    int64(cfg.WarmupCycles + cfg.MeasureCycles),
-		lat:        *stats.NewBatchMeans(cfg.batchSize()),
+		tally: tally{
+			lat:        *stats.NewBatchMeans(batchSize),
+			busyInMeas: resized(old.busyInMeas, nCh),
+		},
 	}
 	for g := range e.free {
 		e.free[g] = tab.GroupOff[g+1] - tab.GroupOff[g]
@@ -422,7 +420,7 @@ func (e *engine) reset(cfg Config) error {
 	e.srcQ.recycle(nProc)
 	e.arr.recycle()
 	if cfg.LatencyHistogram {
-		e.latHist = stats.NewHistogram(0, cfg.histMax(diam), histBins)
+		e.latHist = stats.NewHistogram(0, histReach*float64(cfg.MsgFlits+diam), histBins)
 	}
 	var master traffic.RNG
 	master.Seed(cfg.Seed)
@@ -555,7 +553,6 @@ const ctxCheckMask = 1<<12 - 1
 
 func (e *engine) run(ctx context.Context) (*Result, error) {
 	e.hardEnd = e.measEnd + int64(e.cfg.drainLimit())
-	timeout := int64(e.cfg.progressTimeout())
 	t := int64(0)
 	for iter := int64(0); ; t, iter = t+1, iter+1 {
 		if t >= e.measEnd && (e.trackedOutstanding == 0 || t >= e.hardEnd) {
@@ -587,7 +584,7 @@ func (e *engine) run(ctx context.Context) (*Result, error) {
 					break // idle and the window is over: done
 				}
 			}
-		} else if t-e.lastProgress > timeout {
+		} else if t-e.lastProgress > progressTimeout {
 			return nil, fmt.Errorf("%w (cycle %d, %d worms active)", ErrDeadlock, t, e.active)
 		}
 		e.arrivals(t)
@@ -1061,47 +1058,27 @@ func (e *engine) finish(t int64) *Result {
 	}
 	e.applyReleases()
 
-	meas := float64(e.measEnd - e.measStart)
 	res := &Result{
 		Name:             e.net.Name(),
-		LatencyMean:      e.latAll.Mean(),
-		LatencyCI95:      e.lat.HalfWidth(0.95),
-		LatencyMin:       e.latAll.Min(),
-		LatencyMax:       e.latAll.Max(),
-		WaitInjMean:      e.wInj.Mean(),
-		ServiceInjMean:   e.xInj.Mean(),
-		ThroughputFlits:  float64(e.flitsDelivered) / (meas * float64(e.nProc)),
 		OfferedFlits:     e.cfg.Lambda0 * float64(e.cfg.MsgFlits),
 		TrackedInjected:  e.trackedArrived,
 		TrackedCompleted: e.trackedCompleted,
 		TotalCompleted:   e.totalCompleted,
 		Cycles:           int(t),
-		MeanSourceQueue:  e.queueIntegral / (meas * float64(e.nProc)),
-		ChannelBusy:      make([]float64, len(e.busyInMeas)),
 		Replicas:         1,
-		MeasuredCycles:   int(e.measEnd - e.measStart),
 		EarlyStopped:     e.earlyStopped,
 	}
+	e.fill(res, e.measEnd-e.measStart, e.nProc)
 	// A run is saturated when tracked messages were left unfinished, when
 	// delivery fell visibly short of the offer, or when source queues
 	// kept growing through the measurement window.
 	firstHalf, secondHalf := e.queueHalves()
-	half := meas / 2 * float64(e.nProc)
+	half := float64(e.measEnd-e.measStart) / 2 * float64(e.nProc)
 	queueA := firstHalf / half
 	queueB := secondHalf / half
 	res.Saturated = e.trackedOutstanding > 0 ||
 		(res.OfferedFlits > 0 && res.ThroughputFlits < 0.9*res.OfferedFlits) ||
 		queueB > 1.5*queueA+2
-	res.Precision = relPrecision(res.LatencyCI95, res.LatencyMean)
-	res.LatencyP50, res.LatencyP95, res.LatencyP99 = math.NaN(), math.NaN(), math.NaN()
-	if e.latHist != nil && e.latHist.Total() > 0 {
-		res.LatencyP50 = e.latHist.Quantile(0.50)
-		res.LatencyP95 = e.latHist.Quantile(0.95)
-		res.LatencyP99 = e.latHist.Quantile(0.99)
-	}
-	for ch, b := range e.busyInMeas {
-		res.ChannelBusy[ch] = float64(b) / meas
-	}
 	return res
 }
 

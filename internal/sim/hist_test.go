@@ -57,22 +57,3 @@ func TestLatencyPercentilesDisabledByDefault(t *testing.T) {
 		t.Errorf("p50 = %v without opting in, want NaN", res.LatencyP50)
 	}
 }
-
-func TestLatencyHistogramExplicitBound(t *testing.T) {
-	cfg := Config{
-		Net:              topology.MustFatTree(16),
-		MsgFlits:         8,
-		Seed:             3,
-		WarmupCycles:     200,
-		MeasureCycles:    4000,
-		LatencyHistogram: true,
-		HistMax:          64,
-	}.FlitLoad(0.02)
-	res, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LatencyP50 <= 0 || res.LatencyP50 > 64 {
-		t.Errorf("p50 = %v outside configured range", res.LatencyP50)
-	}
-}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -188,39 +189,21 @@ func runReplicas(ctx context.Context, engines []*engine) (*Result, error) {
 	return res, nil
 }
 
-// mergeReplicas pools the replica accumulators into one Result: batch
-// means and sample streams are merged exactly (stats.Stream/BatchMeans
-// parallel reduction), counts are summed, and rates are re-derived from
-// the pooled totals weighted by each replica's actual measured window.
+// mergeReplicas pools the replica tallies into one Result: batch means
+// and sample streams are merged exactly (stats.Stream/BatchMeans parallel
+// reduction), counts are summed, and rates are re-derived from the pooled
+// totals over the replicas' summed measured windows.
 func mergeReplicas(engines []*engine, results []*Result) *Result {
 	first := engines[0]
-	pooled := first.lat
-	latAll := first.latAll
-	wInj := first.wInj
-	xInj := first.xInj
-	hist := first.latHist
-	flits := first.flitsDelivered
-	measSum := first.measEnd - first.measStart
-	queueInt := first.queueIntegral
-	busy := make([]int64, len(first.busyInMeas))
-	copy(busy, first.busyInMeas)
+	pooled := first.tally
+	pooled.busyInMeas = slices.Clone(first.busyInMeas)
+	measured := first.measEnd - first.measStart
 
 	res := *results[0]
 	for r := 1; r < len(engines); r++ {
 		e := engines[r]
-		pooled.Merge(&e.lat)
-		latAll.Merge(&e.latAll)
-		wInj.Merge(&e.wInj)
-		xInj.Merge(&e.xInj)
-		if hist != nil && e.latHist != nil {
-			hist.Merge(e.latHist)
-		}
-		flits += e.flitsDelivered
-		measSum += e.measEnd - e.measStart
-		queueInt += e.queueIntegral
-		for ch := range busy {
-			busy[ch] += e.busyInMeas[ch]
-		}
+		pooled.merge(&e.tally)
+		measured += e.measEnd - e.measStart
 		res.TrackedInjected += results[r].TrackedInjected
 		res.TrackedCompleted += results[r].TrackedCompleted
 		res.TotalCompleted += results[r].TotalCompleted
@@ -228,28 +211,7 @@ func mergeReplicas(engines []*engine, results []*Result) *Result {
 		res.Saturated = res.Saturated || results[r].Saturated
 		res.EarlyStopped = res.EarlyStopped || results[r].EarlyStopped
 	}
-
-	meas := float64(measSum)
-	nProc := float64(first.nProc)
-	res.LatencyMean = latAll.Mean()
-	res.LatencyCI95 = pooled.HalfWidth(0.95)
-	res.LatencyMin = latAll.Min()
-	res.LatencyMax = latAll.Max()
-	res.WaitInjMean = wInj.Mean()
-	res.ServiceInjMean = xInj.Mean()
-	res.ThroughputFlits = float64(flits) / (meas * nProc)
-	res.MeanSourceQueue = queueInt / (meas * nProc)
-	res.ChannelBusy = make([]float64, len(busy))
-	for ch := range busy {
-		res.ChannelBusy[ch] = float64(busy[ch]) / meas
-	}
+	pooled.fill(&res, measured, first.nProc)
 	res.Replicas = len(engines)
-	res.MeasuredCycles = int(measSum)
-	res.Precision = relPrecision(res.LatencyCI95, res.LatencyMean)
-	if hist != nil && hist.Total() > 0 {
-		res.LatencyP50 = hist.Quantile(0.50)
-		res.LatencyP95 = hist.Quantile(0.95)
-		res.LatencyP99 = hist.Quantile(0.99)
-	}
 	return &res
 }

@@ -135,7 +135,9 @@ func TestPoolReuseBitIdentical(t *testing.T) {
 	parked = len(p.free)
 	stuck := cases[0].cfg
 	stuck.Net = &faultyNet{Network: stuck.Net, selfLoop: true}
-	stuck.ProgressTimeout = 500
+	// The drain limit outlasts the watchdog, so the run ends in
+	// ErrDeadlock rather than at its hard end.
+	stuck.DrainLimit = 2 * progressTimeout
 	if _, err := p.Run(ctx, stuck); !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("deadlocked run: err = %v, want ErrDeadlock", err)
 	}

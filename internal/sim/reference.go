@@ -147,10 +147,10 @@ func newRefEngine(cfg Config) (*refEngine, error) {
 		waitingInj: make([]bool, nProc),
 		measStart:  int64(cfg.WarmupCycles),
 		measEnd:    int64(cfg.WarmupCycles + cfg.MeasureCycles),
-		lat:        stats.NewBatchMeans(cfg.batchSize()),
+		lat:        stats.NewBatchMeans(batchSize),
 	}
 	if cfg.LatencyHistogram {
-		e.latHist = stats.NewHistogram(0, cfg.histMax(diameter(net)), histBins)
+		e.latHist = stats.NewHistogram(0, histReach*float64(cfg.MsgFlits+diameter(net)), histBins)
 	}
 	master := traffic.NewRNG(cfg.Seed)
 	e.rng = master.Split(streamShuffle)
@@ -167,7 +167,6 @@ func newRefEngine(cfg Config) (*refEngine, error) {
 
 func (e *refEngine) run(ctx context.Context) (*Result, error) {
 	hardEnd := e.measEnd + int64(e.cfg.drainLimit())
-	timeout := int64(e.cfg.progressTimeout())
 	t := int64(0)
 	for ; ; t++ {
 		if t >= e.measEnd && (e.trackedOutstanding == 0 || t >= hardEnd) {
@@ -178,7 +177,7 @@ func (e *refEngine) run(ctx context.Context) (*Result, error) {
 				return nil, fmt.Errorf("sim: aborted at cycle %d: %w", t, err)
 			}
 		}
-		if e.active > 0 && t-e.lastProgress > timeout {
+		if e.active > 0 && t-e.lastProgress > progressTimeout {
 			return nil, fmt.Errorf("%w (cycle %d, %d worms active)", ErrDeadlock, t, e.active)
 		}
 		e.arrivals(t)

@@ -70,6 +70,65 @@ type Result struct {
 	Precision float64
 }
 
+// tally is what a run accumulates over its measurement window: the
+// latency, injection-wait and injection-service samples, the delivered
+// flits, the source-queue integral and each channel's busy cycles. An
+// engine fills one; replicas merge theirs.
+type tally struct {
+	lat            stats.BatchMeans
+	latAll         stats.Stream
+	latHist        *stats.Histogram
+	wInj, xInj     stats.Stream
+	flitsDelivered int64
+	queueIntegral  float64
+	busyInMeas     []int64
+}
+
+// merge pools o into t: sample streams and batch means exactly, the
+// histogram bin by bin, counts and integrals summed.
+func (t *tally) merge(o *tally) {
+	t.lat.Merge(&o.lat)
+	t.latAll.Merge(&o.latAll)
+	t.wInj.Merge(&o.wInj)
+	t.xInj.Merge(&o.xInj)
+	if t.latHist != nil && o.latHist != nil {
+		t.latHist.Merge(o.latHist)
+	}
+	t.flitsDelivered += o.flitsDelivered
+	t.queueIntegral += o.queueIntegral
+	for ch, b := range o.busyInMeas {
+		t.busyInMeas[ch] += b
+	}
+}
+
+// fill sets res's measured fields — latency statistics and percentiles,
+// injection wait and service, throughput, source queue, channel busy
+// fractions, MeasuredCycles and Precision — from the tally over measured
+// cycles on nProc processors.
+func (t *tally) fill(res *Result, measured int64, nProc int) {
+	meas := float64(measured)
+	res.LatencyMean = t.latAll.Mean()
+	res.LatencyCI95 = t.lat.HalfWidth(0.95)
+	res.LatencyMin = t.latAll.Min()
+	res.LatencyMax = t.latAll.Max()
+	res.WaitInjMean = t.wInj.Mean()
+	res.ServiceInjMean = t.xInj.Mean()
+	res.ThroughputFlits = float64(t.flitsDelivered) / (meas * float64(nProc))
+	res.MeanSourceQueue = t.queueIntegral / (meas * float64(nProc))
+	res.ChannelBusy = make([]float64, len(t.busyInMeas))
+	for ch, b := range t.busyInMeas {
+		res.ChannelBusy[ch] = float64(b) / meas
+	}
+	res.MeasuredCycles = int(measured)
+	res.Precision = relPrecision(res.LatencyCI95, res.LatencyMean)
+	res.LatencyP50, res.LatencyP95, res.LatencyP99 = math.NaN(), math.NaN(), math.NaN()
+	if t.latHist != nil && t.latHist.Total() > 0 {
+		res.LatencyP50 = t.latHist.Quantile(0.50)
+		res.LatencyP95 = t.latHist.Quantile(0.95)
+		res.LatencyP99 = t.latHist.Quantile(0.99)
+	}
+}
+
 // relPrecision derives the relative CI half-width, guarding the degenerate
 // cases (no samples, zero mean).
 func relPrecision(ci, mean float64) float64 {

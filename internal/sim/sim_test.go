@@ -375,13 +375,12 @@ func TestHotspotTrafficRuns(t *testing.T) {
 
 func TestDeadlockWatchdogDoesNotFireOnIdle(t *testing.T) {
 	cfg := Config{
-		Net:             topology.MustFatTree(16),
-		MsgFlits:        8,
-		Lambda0:         0,
-		Seed:            1,
-		WarmupCycles:    0,
-		MeasureCycles:   60000, // longer than the watchdog timeout
-		ProgressTimeout: 1000,
+		Net:           topology.MustFatTree(16),
+		MsgFlits:      8,
+		Lambda0:       0,
+		Seed:          1,
+		WarmupCycles:  0,
+		MeasureCycles: 60000, // longer than the watchdog timeout
 	}
 	if _, err := Run(context.Background(), cfg); err != nil {
 		t.Fatalf("idle run tripped the watchdog: %v", err)

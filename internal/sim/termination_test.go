@@ -61,11 +61,11 @@ func TestTerminationStopsEarly(t *testing.T) {
 func TestTerminationZeroVariance(t *testing.T) {
 	cfg := Config{
 		Net: topology.MustFatTree(16), MsgFlits: 4, Seed: 1,
-		WarmupCycles: 0, MeasureCycles: 1000, BatchSize: 4,
+		WarmupCycles: 0, MeasureCycles: 1000,
 	}
 	e := mustEngine(t, cfg)
 	e.term = Termination{RelHalfWidth: 0.05}
-	for i := 0; i < 100; i++ {
+	for i := 0; i < termMinBatches*batchSize; i++ {
 		e.lat.Add(21.5) // constant series: batch means all equal
 	}
 	if hw := e.lat.HalfWidth(0.95); hw != 0 {
