@@ -81,6 +81,9 @@ lint:
 		echo "one analytic model: Latency, ServiceInj, SaturationLoad, ChannelStats, Name, MsgFlits, AvgDist and BuildCoreModel are declared on analytic.Model only (FatTreeModel and TorusModel embed it and give their rates as perLink), and no NetworkModel or HypercubeModel type is declared"; exit 1; }
 	@! grep -nE 'e\.net\.(GroupOf|EjectsTo|Kind|Groups)\(' internal/sim/engine.go || { \
 		echo "the cycle loop reads topology.Tables: engine.go takes a network's structure from e.tab, not from interface calls per event"; exit 1; }
+	@test -z "$$(grep -rlE 'calib-map|LoadMap\(|MapPath\(|func \(m \*Map\) Save' --include='*.go' . | grep -v '_test\.go$$')" && \
+	! grep -lE '^[[:space:]]*(import[[:space:]]+)?"os"$$' $$(find internal/calib -name '*.go' ! -name '*_test.go') || { \
+		echo "one calibration record: the result store is the record; a calibration map is mined from it in memory and never saved or loaded (internal/calib does not import os)"; exit 1; }
 
 # staticcheck runs when the binary is available (CI installs it; locally
 # it is optional so the default toolchain stays sufficient).

@@ -3,20 +3,18 @@
 // carries both an analytic prediction and a simulator measurement
 // becomes a calibration pair, bucketed by topology, message length,
 // policy, workload and load band (see internal/calib and
-// docs/calibration.md). The map persists as calib-map.json next to the
-// store segments, so repeated runs only mine cells the map has not seen.
+// docs/calibration.md). The map is mined afresh on every run and never
+// saved: the store is the record, so cells that landed since the last
+// run show up in the next report.
 //
 // With -check the command gates instead of reporting: it exits non-zero
-// when the map is empty, carries a non-finite MAPE, or is stale against
-// the store (cells the map has not observed) — the freshness gate.
+// when the mined map is empty or carries a non-finite MAPE.
 //
 // Usage:
 //
-//	calib -store DIR                 # mine DIR, report, save DIR/calib-map.json
-//	calib -store DIR -json           # the report plus mining stats as JSON
-//	calib -store DIR -check          # freshness/coverage gate (no output on ok)
-//	calib -store DIR -out map.json   # save the map elsewhere
-//	calib -map map.json -json        # report a saved map without a store
+//	calib -store DIR                 # mine DIR and report
+//	calib -store DIR -json           # the report plus mining time as JSON
+//	calib -store DIR -check          # coverage gate (one line on ok)
 package main
 
 import (
@@ -39,77 +37,51 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := cliutil.Flags("calib", stderr)
 	var (
 		storeDir = fs.String("store", "", "persistent result store directory to mine (cmd/sweep -cache-dir)")
-		mapPath  = fs.String("map", "", "calibration map file to load and update (default <store>/calib-map.json)")
-		outPath  = fs.String("out", "", "where to save the updated map (default: the -map path)")
-		jsonOut  = fs.Bool("json", false, "emit the report plus mining stats as JSON")
-		check    = fs.Bool("check", false, "gate: non-zero exit when the map is empty, has a non-finite MAPE, or is stale against the store")
-		maxMAPE  = fs.Float64("max-mape", 0.1, "trust threshold annotated per region in the report")
-		minPairs = fs.Int("min-pairs", 3, "minimum pairs per region for a trust verdict")
+		jsonOut  = fs.Bool("json", false, "emit the report plus mining time as JSON")
+		check    = fs.Bool("check", false, "gate: non-zero exit when the mined map is empty or has a non-finite MAPE")
+		maxMAPE  = fs.Float64("max-mape", calib.DefaultGate.MaxMAPE, "trust threshold annotated per region in the report")
+		minPairs = fs.Int("min-pairs", calib.DefaultGate.MinPairs, "minimum pairs per region for a trust verdict")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	if *storeDir == "" && *mapPath == "" {
-		return errors.New("nothing to do: pass -store DIR to mine a store, or -map FILE to report a saved map")
-	}
-	path := *mapPath
-	if path == "" {
-		path = calib.MapPath(*storeDir)
-	}
-	save := *outPath
-	if save == "" {
-		save = path
+	if *storeDir == "" {
+		return errors.New("nothing to do: pass -store DIR to mine a store")
 	}
 
-	m, err := calib.LoadMap(path)
+	st, err := store.Open(*storeDir)
 	if err != nil {
 		return err
 	}
-
-	var stale, added int
-	var mineSecs float64
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir)
-		if err != nil {
-			return err
-		}
-		defer st.Close() // only read
-		stale = m.Staleness(st)
-		start := time.Now()
-		added = m.Mine(ctx, st)
-		mineSecs = time.Since(start).Seconds()
-		if err := m.Save(save); err != nil {
-			return err
-		}
-	}
+	defer st.Close() // only read
+	m := calib.NewMap()
+	start := time.Now()
+	m.Mine(ctx, st)
+	mineSecs := time.Since(start).Seconds()
 
 	rep := m.Report()
 	if *check {
-		return runCheck(stdout, rep, stale)
+		return runCheck(stdout, rep)
 	}
 
 	if *jsonOut {
 		out := struct {
 			calib.Report
-			StaleCells  int     `json:"stale_cells"`
-			PairsAdded  int     `json:"pairs_added"`
 			MineMS      float64 `json:"mine_ms"`
 			PairsPerSec float64 `json:"pairs_per_sec,omitempty"`
-		}{Report: rep, StaleCells: stale, PairsAdded: added, MineMS: mineSecs * 1e3}
+		}{Report: rep, MineMS: mineSecs * 1e3}
 		if mineSecs > 0 {
-			out.PairsPerSec = float64(added) / mineSecs
+			out.PairsPerSec = float64(rep.Pairs) / mineSecs
 		}
 		return cliutil.DumpJSON(stdout, out)
 	}
 
-	printReport(stdout, rep, stale, added, mineSecs, calib.Gate{MaxMAPE: *maxMAPE, MinPairs: *minPairs}, m)
+	printReport(stdout, rep, mineSecs, calib.Gate{MaxMAPE: *maxMAPE, MinPairs: *minPairs}, m)
 	return nil
 }
 
-// runCheck is the -check gate: regions exist, every MAPE is finite, and
-// the map has observed every sim-carrying cell the store holds.
-func runCheck(w io.Writer, rep calib.Report, stale int) error {
+// runCheck is the -check gate: regions exist and every MAPE is finite.
+func runCheck(w io.Writer, rep calib.Report) error {
 	if len(rep.Regions) == 0 {
 		return errors.New("calibration check failed: map has no regions (mine a with-sim store first)")
 	}
@@ -118,24 +90,15 @@ func runCheck(w io.Writer, rep calib.Report, stale int) error {
 			return fmt.Errorf("calibration check failed: region %s has non-finite MAPE", r.Name)
 		}
 	}
-	if stale > 0 {
-		return fmt.Errorf("calibration check failed: %d store cell(s) not yet observed by the map", stale)
-	}
-	fmt.Fprintf(w, "calibration ok: %d pair(s) across %d region(s), map fresh\n", rep.Pairs, len(rep.Regions))
+	fmt.Fprintf(w, "calibration ok: %d pair(s) across %d region(s)\n", rep.Pairs, len(rep.Regions))
 	return nil
 }
 
 // printReport renders the human-readable region table with the verdict
 // each region would get under the given gate.
-func printReport(w io.Writer, rep calib.Report, stale, added int, mineSecs float64, gate calib.Gate, m *calib.Map) {
-	fmt.Fprintf(w, "calibration map: %d pair(s) across %d region(s)", rep.Pairs, len(rep.Regions))
-	if added > 0 {
-		fmt.Fprintf(w, "; mined %d new pair(s) in %.0f ms", added, mineSecs*1e3)
-	}
-	if stale > 0 {
-		fmt.Fprintf(w, "; was %d cell(s) stale before mining", stale)
-	}
-	fmt.Fprintln(w)
+func printReport(w io.Writer, rep calib.Report, mineSecs float64, gate calib.Gate, m *calib.Map) {
+	fmt.Fprintf(w, "calibration map: %d pair(s) across %d region(s), mined in %.0f ms\n",
+		rep.Pairs, len(rep.Regions), mineSecs*1e3)
 	if rep.WorstMAPE != nil {
 		fmt.Fprintf(w, "worst region: %s (MAPE %.3g)\n", rep.WorstRegion, *rep.WorstMAPE)
 	}

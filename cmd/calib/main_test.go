@@ -59,59 +59,48 @@ func sweepInto(t *testing.T, dir string, fracs ...float64) {
 	}
 }
 
-// TestMineReportAndFreshnessGate: mining a with-sim store reports its
-// regions — the 50-75% pairqueue band the trust-gated plan operates in
-// among them — with finite MAPE; -check passes on the fresh map, fails
-// once the store holds cells the map has not observed, and passes
-// again after that run's own top-up.
-func TestMineReportAndFreshnessGate(t *testing.T) {
-	dir := t.TempDir()
-	// Two loads inside the 50-75% band, one below, one above.
-	sweepInto(t, dir, 0.3, 0.6, 0.7, 0.95)
-
+// reportJSON runs calib -store dir -json and decodes its report.
+func reportJSON(t *testing.T, dir string) calib.Report {
+	t.Helper()
 	out, err := calibCLI("-store", dir, "-json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep struct {
-		calib.Report
-		StaleCells int64 `json:"stale_cells"`
-		PairsAdded int64 `json:"pairs_added"`
-	}
+	var rep calib.Report
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
-	if rep.Pairs < 2 || rep.PairsAdded != rep.Pairs || rep.StaleCells < rep.Pairs {
-		t.Errorf("first mining: %d pair(s), %d added, %d stale before; want >= 2, all added, all stale", rep.Pairs, rep.PairsAdded, rep.StaleCells)
+	return rep
+}
+
+// TestMineReportAndCheck: mining a with-sim store reports its regions —
+// the 50-75% pairqueue band the trust-gated plan operates in among them
+// — with finite MAPE, as JSON and as a table; -check passes; and cells
+// that land in the store later show up in the next run's report.
+func TestMineReportAndCheck(t *testing.T) {
+	dir := t.TempDir()
+	// Two loads inside the 50-75% band, one below, one above.
+	sweepInto(t, dir, 0.3, 0.6, 0.7, 0.95)
+
+	rep := reportJSON(t, dir)
+	if rep.Pairs < 2 || len(rep.Regions) < 2 {
+		t.Errorf("first mining: %d pair(s) across %d region(s), want >= 2 of each", rep.Pairs, len(rep.Regions))
 	}
-	if len(rep.Regions) < 2 {
-		t.Errorf("%d region(s), want >= 2", len(rep.Regions))
-	}
-	found := false
 	for _, r := range rep.Regions {
-		found = found || r.Name == "bft-64/s=8/pairqueue/50-75%"
 		if math.IsNaN(r.MAPE) || math.IsInf(r.MAPE, 0) {
 			t.Errorf("region %s has non-finite MAPE", r.Name)
 		}
 	}
-	if !found {
-		t.Errorf("the plan's operating region was not mined:\n%s", out)
+	if out, err := calibCLI("-store", dir); err != nil || !strings.Contains(out, "bft-64/s=8/pairqueue/50-75%") {
+		t.Errorf("the plan's operating region is not in the report: %v\n%s", err, out)
+	}
+	if out, err := calibCLI("-store", dir, "-check"); err != nil || !strings.Contains(out, "calibration ok") {
+		t.Errorf("-check on a mined store: %q, %v", out, err)
 	}
 
-	if out, err := calibCLI("-store", dir, "-check"); err != nil || !strings.Contains(out, "map fresh") {
-		t.Errorf("-check on a fresh map: %q, %v", out, err)
-	}
-	// The saved map reports without the store, as a table too.
-	if out, err := calibCLI("-map", calib.MapPath(dir)); err != nil || !strings.Contains(out, "bft-64/s=8/pairqueue/50-75%") {
-		t.Errorf("-map report: %v\n%s", err, out)
-	}
-
-	sweepInto(t, dir, 0.5) // lands while no observer is attached
-	if _, err := calibCLI("-store", dir, "-check"); err == nil || !strings.Contains(err.Error(), "not yet observed") {
-		t.Errorf("-check on a stale map: err = %v, want a staleness failure", err)
-	}
-	if _, err := calibCLI("-store", dir, "-check"); err != nil {
-		t.Errorf("-check after the top-up: %v", err)
+	sweepInto(t, dir, 0.5) // lands while no calib run is looking
+	if next := reportJSON(t, dir); next.Pairs <= rep.Pairs {
+		t.Errorf("after a later sweep the report holds %d pair(s), want more than the %d before", next.Pairs, rep.Pairs)
 	}
 }
 

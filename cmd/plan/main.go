@@ -19,7 +19,7 @@
 //	plan -spec builtin:bft-capacity -addr :8713  # submit to a server's /v1/plan
 //	plan -spec builtin:bft-capacity -cache-dir d # persistent probe cache
 //	plan -spec builtin:bft-capacity -trace-out t.ndjson   # NDJSON span trace
-//	plan -spec builtin:calibrated-capacity -calib map.json
+//	plan -spec builtin:calibrated-capacity -cache-dir d
 //	                                             # trust-gated certification
 //
 // Progress streams to stderr; results go to stdout. With -shards the
@@ -31,6 +31,11 @@
 // With -addr the whole search runs inside the named server (or
 // front-end) via POST /v1/plan and this process just consumes the
 // update stream — the thin-client form.
+//
+// A spec with a "calibration" section is trust-gated against the
+// calibration map mined from -cache-dir when the search starts (see
+// docs/calibration.md); without -cache-dir every region is
+// uncalibrated and certification simulates as usual.
 package main
 
 import (
@@ -40,7 +45,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/calib"
 	"repro/internal/cliutil"
@@ -67,8 +71,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (rerr err
 		backend  = fs.String("backend", "", "override spec backends: comma-separated subset of model,sim,bounds (empty = spec's own; omitting sim skips certification)")
 		addr     = fs.String("addr", "", "submit the plan to this sweepd server's /v1/plan (thin client)")
 		shards   = fs.String("shards", "", "execute the search over these sweepd shard(s), comma-separated")
-		cacheDir = fs.String("cache-dir", "", "persist the probe cache to this directory (empty = in-memory)")
-		calibRef = fs.String("calib", "", "calibration map file (cmd/calib) for trust-gated certification; see docs/calibration.md")
+		cacheDir = fs.String("cache-dir", "", "persist the probe cache to this directory, and trust-gate a calibration spec on what it holds (empty = in-memory)")
 		traceOut = fs.String("trace-out", "", "write NDJSON span traces to this file (see docs/observability.md)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -118,27 +121,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (rerr err
 		}
 	}
 
-	// -calib loads a mined calibration map and turns on trust-gated
-	// certification: regions the map shows the model is accurate in skip
-	// their certification sim. The gate runs inside the search process,
-	// so it composes with -shards but not -addr (attach a map to the
-	// server via serve.WithCalibration instead).
-	var calibMap *calib.Map
-	if *calibRef != "" {
-		if *addr != "" {
-			return errors.New("-calib does not apply with -addr: the trust gate runs in the search process (attach the map to the server instead)")
-		}
-		if _, err := os.Stat(*calibRef); err != nil {
-			return fmt.Errorf("-calib %s: %w (mine one with cmd/calib)", *calibRef, err)
-		}
-		if calibMap, err = calib.LoadMap(*calibRef); err != nil {
-			return err
-		}
-		if spec.Calibration == nil {
-			spec.Calibration = &plan.CalibSpec{} // defaults: MAPE ≤ 0.1, ≥ 3 pairs
-		}
-	}
-
 	ctx, cancel := cliutil.Context(ctx, *timeout)
 	defer cancel()
 
@@ -156,7 +138,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (rerr err
 	if *addr != "" {
 		res, err = submit(ctx, *addr, spec, out)
 	} else {
-		res, err = runLocal(ctx, spec, *shards, *cacheDir, calibMap, out)
+		res, err = runLocal(ctx, spec, *shards, *cacheDir, out)
 	}
 	if err != nil {
 		return err
@@ -199,9 +181,11 @@ func (o updateSink) take(u plan.Update) (*plan.Result, error) {
 }
 
 // runLocal executes the search in this process, in-process or over a
-// shard fleet, consuming the update stream for progress/-stream.
-func runLocal(ctx context.Context, spec plan.Spec, shards, cacheDir string, calibMap *calib.Map, out updateSink) (res *plan.Result, rerr error) {
+// shard fleet, consuming the update stream for progress/-stream. A
+// calibration spec over a store is gated by the map mined from it.
+func runLocal(ctx context.Context, spec plan.Spec, shards, cacheDir string, out updateSink) (res *plan.Result, rerr error) {
 	var cache sweep.CacheStore
+	var popts []plan.Option
 	if cacheDir != "" {
 		st, err := store.Open(cacheDir)
 		if err != nil {
@@ -212,12 +196,13 @@ func runLocal(ctx context.Context, spec plan.Spec, shards, cacheDir string, cali
 			fmt.Fprintf(out.stderr, "plan: store: %d cell(s) recovered from %s\n", st.Recovered(), cacheDir)
 		}
 		cache = st
+		if spec.Calibration != nil {
+			m := calib.NewMap()
+			m.Mine(ctx, st)
+			popts = append(popts, plan.WithCalibration(m))
+		}
 	}
 
-	var popts []plan.Option
-	if calibMap != nil {
-		popts = append(popts, plan.WithCalibration(calibMap))
-	}
 	var planner *plan.Planner
 	if shards != "" {
 		addrs, err := cliutil.ParseStrings(shards)

@@ -13,10 +13,10 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/calib"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/serve"
+	"repro/internal/store"
 	"repro/internal/sweep"
 )
 
@@ -104,10 +104,11 @@ func TestFleetMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestTrustGatedPlan: with -calib, the region the map has mined skips
-// its certification simulation ("trusted") while the unmined policy
-// escalates to the simulator, the verdict shows on the frontier, and
-// the plan.decision spans in -trace-out tally the same verdicts.
+// TestTrustGatedPlan: over a -cache-dir store holding a with-sim grid,
+// the region the store covers skips its certification simulation
+// ("trusted") while the unmined policy escalates to the simulator, the
+// verdict shows on the frontier, and the plan.decision spans in
+// -trace-out tally the same verdicts.
 func TestTrustGatedPlan(t *testing.T) {
 	// Mine pairqueue bft-64 s=8 around the plan's operating point
 	// (0.72x saturation, the 50-75% band); randomfixed stays unmined.
@@ -122,18 +123,21 @@ func TestTrustGatedPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := calib.NewMap()
-	if _, err := (&sweep.Runner{Calib: m}).Run(context.Background(), mine); err != nil {
+	dir := t.TempDir()
+	storeDir, tracePath := filepath.Join(dir, "store"), filepath.Join(dir, "trace.ndjson")
+	st, err := store.Open(storeDir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	mapPath, tracePath := filepath.Join(dir, "map.json"), filepath.Join(dir, "trace.ndjson")
-	if err := m.Save(mapPath); err != nil {
+	if _, err := sweep.NewRunner(sweep.WithCache(st)).Run(context.Background(), mine); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	out, err := planCLI("-spec", "builtin:calibrated-capacity", "-calib", mapPath,
-		"-cache-dir", filepath.Join(dir, "store"), "-trace-out", tracePath, "-quiet", "-json")
+	out, err := planCLI("-spec", "builtin:calibrated-capacity",
+		"-cache-dir", storeDir, "-trace-out", tracePath, "-quiet", "-json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +188,6 @@ func TestFlagConflictsAreErrors(t *testing.T) {
 		want string
 	}{
 		{[]string{"-spec", "builtin:bft-capacity-small", "-addr", "a:1", "-shards", "b:1"}, "mutually exclusive"},
-		{[]string{"-spec", "builtin:bft-capacity-small", "-addr", "a:1", "-calib", "map.json"}, "-calib does not apply with -addr"},
-		{[]string{"-spec", "builtin:bft-capacity-small", "-calib", filepath.Join(t.TempDir(), "absent.json")}, "mine one with cmd/calib"},
 		{[]string{"-spec", "builtin:no-such-plan"}, "no-such-plan"},
 		{nil, "no -spec given"},
 	} {

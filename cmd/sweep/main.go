@@ -20,7 +20,6 @@
 //	sweep -spec builtin:figure3 -cache-dir d     # persistent result store
 //	sweep -spec builtin:figure3 -backend model,bounds   # add worst-case bounds
 //	sweep -spec builtin:figure3 -trace-out t.ndjson   # NDJSON span trace
-//	sweep -spec s.json -calib-out map.json       # mine sim cells into a calibration map
 //
 // Progress streams to stderr; results go to stdout. With -stream each
 // cell is emitted as one JSON line the moment it completes (completion
@@ -47,7 +46,6 @@ import (
 	"io"
 	"strings"
 
-	"repro/internal/calib"
 	"repro/internal/cliutil"
 	"repro/internal/dispatch"
 	"repro/internal/obs"
@@ -86,7 +84,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (rerr err
 		batch    = fs.Int("batch", 0, "with -shards: cells per dispatched range (0 = auto)")
 		cacheDir = fs.String("cache-dir", "", "persist the result cache to this directory (empty = in-memory)")
 		traceOut = fs.String("trace-out", "", "write NDJSON span traces to this file (see docs/observability.md)")
-		calibOut = fs.String("calib-out", "", "observe sim-carrying cells into a calibration map and save it to this file (see docs/calibration.md)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -127,8 +124,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (rerr err
 	defer cancel()
 
 	// The deferred closes below run on the failure paths too: a sweep
-	// that errors or hits -timeout still flushes its trace tail, syncs
-	// its store and saves its calibration map.
+	// that errors or hits -timeout still flushes its trace tail and syncs
+	// its store.
 	if *traceOut != "" {
 		tracer, closeTracer, err := cliutil.OpenTracer(*traceOut)
 		if err != nil {
@@ -154,27 +151,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (rerr err
 		cache = sweep.NewCache()
 	}
 
-	// With -calib-out every sim-carrying cell the run touches (fresh or
-	// cached) is observed into a calibration map, loaded from the target
-	// file so repeated runs accumulate, and saved back on exit.
-	var calibMap *calib.Map
-	if *calibOut != "" {
-		var err error
-		if calibMap, err = calib.LoadMap(*calibOut); err != nil {
-			return err
-		}
-		defer cliutil.CloseInto(&rerr, "saving calibration map", func() error {
-			if err := calibMap.Save(*calibOut); err != nil {
-				return err
-			}
-			if !*quiet {
-				fmt.Fprintf(stderr, "sweep: calibration: %d pair(s) saved to %s\n",
-					calibMap.Pairs(), *calibOut)
-			}
-			return nil
-		})
-	}
-
 	// One engine whichever way cells are computed: in-process by default,
 	// or with -shards through the dispatcher's range scheduler — whose
 	// engine is the same sweep.Runner, streamed in grid order.
@@ -192,9 +168,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (rerr err
 		engine, cells = disp.Runner, disp.Stream
 	}
 	engine.Cache = cache
-	if calibMap != nil {
-		engine.Calib = calibMap
-	}
 	if !*quiet && !*stream {
 		engine.Progress = func(ev sweep.Event) {
 			tag := ""

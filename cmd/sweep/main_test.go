@@ -224,9 +224,8 @@ func TestStreamEmitsExactlyTheGrid(t *testing.T) {
 // TestFailedRunKeepsItsEvidence: a sweep that fails mid-grid or hits
 // -timeout still returns through its deferred closes — the trace ends
 // on a complete line and holds the sweep.run span (the tracer buffers
-// up to 64 KB, so an exit that skipped the close would cut it), the
-// calibration map is saved, and the store reopens with every cell that
-// completed.
+// up to 64 KB, so an exit that skipped the close would cut it), and the
+// store reopens with every cell that completed.
 func TestFailedRunKeepsItsEvidence(t *testing.T) {
 	// Two bft-64 cells complete, then the first bft-16 cell fails inside
 	// the simulator: node 40 does not exist on 16 processors.
@@ -253,8 +252,8 @@ func TestFailedRunKeepsItsEvidence(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			trace, calibMap, cache := filepath.Join(dir, "trace.ndjson"), filepath.Join(dir, "map.json"), filepath.Join(dir, "store")
-			_, err := sweepCLI(append(tc.args, "-quiet", "-trace-out", trace, "-calib-out", calibMap, "-cache-dir", cache)...)
+			trace, cache := filepath.Join(dir, "trace.ndjson"), filepath.Join(dir, "store")
+			_, err := sweepCLI(append(tc.args, "-quiet", "-trace-out", trace, "-cache-dir", cache)...)
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("err = %v, want one mentioning %q", err, tc.wantErr)
 			}
@@ -276,10 +275,6 @@ func TestFailedRunKeepsItsEvidence(t *testing.T) {
 			}
 			if !found {
 				t.Errorf("trace of %d event(s) has no sweep.run span", len(events))
-			}
-
-			if _, err := os.Stat(calibMap); err != nil {
-				t.Errorf("calibration map was not saved: %v", err)
 			}
 
 			st, err := store.Open(cache)

@@ -27,11 +27,11 @@
 // (model-vs-sim calibration report, with -cache-dir), GET /healthz,
 // GET /metrics (Prometheus text).
 //
-// With -cache-dir the daemon also maintains a calibration map
-// (calib-map.json next to the store segments, see docs/calibration.md):
-// recovered and topped up from the store at startup, fed live by every
-// sim-carrying cell the daemon computes, persisted on shutdown, and
-// served on /v1/calib, /healthz and /metrics.
+// With -cache-dir the daemon also keeps a calibration map (see
+// docs/calibration.md): mined from the store at startup, after any
+// prune, fed live by every sim-carrying cell the daemon computes, and
+// served on /v1/calib, /healthz and /metrics. It is never written to
+// disk; the store is the record.
 //
 // With -shards the daemon becomes a fleet front-end: POST /v1/sweep
 // requests are scheduled across the named downstream sweepd shards by
@@ -142,21 +142,12 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) (rerr error) {
 			return nil
 		}
 		cache = st
-		// The calibration map lives next to the store segments: recover
-		// it, top it up from any cells that landed while the daemon was
-		// down, feed it live while serving, and persist it on shutdown.
-		mapPath := calib.MapPath(*cacheDir)
-		m, err := calib.LoadMap(mapPath)
-		if err != nil {
-			return err
-		}
-		if mined := m.Mine(ctx, st); mined > 0 {
-			logger.Info("calibration mined", "new_pairs", mined)
-		}
-		sum := m.Summary()
-		logger.Info("calibration map recovered", "pairs", sum.Pairs, "regions", sum.Regions)
-		defer cliutil.CloseInto(&rerr, "saving calibration map", func() error { return m.Save(mapPath) })
-		calibMap = m
+		// The calibration map is a view of the store: mined from what it
+		// holds now, then fed live while serving.
+		calibMap = calib.NewMap()
+		calibMap.Mine(ctx, st)
+		sum := calibMap.Summary()
+		logger.Info("calibration mined", "pairs", sum.Pairs, "regions", sum.Regions)
 	} else if *compact {
 		return errors.New("-compact needs -cache-dir")
 	} else if *maxBytes > 0 {

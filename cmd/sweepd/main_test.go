@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -139,8 +140,8 @@ const miningGrid = `{
 // in-process run, a warm rerun is served from the store, /metrics
 // parses and carries the engine, HTTP and calibration series, /v1/calib
 // agrees with a fresh miner over the same store, cancelling the
-// context shuts it down clean — every cell in the store, map saved,
-// trace flushed and well-formed — and a restart recovers that map.
+// context shuts it down clean — every cell in the store, trace flushed
+// and well-formed — and a restart mines the same map from the store.
 func TestDaemonEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	cacheDir, tracePath := filepath.Join(dir, "store"), filepath.Join(dir, "trace.ndjson")
@@ -211,23 +212,12 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("run returned %v after its context was cancelled, want nil", err)
 	}
 
-	saved, err := calib.LoadMap(calib.MapPath(cacheDir))
-	if err != nil {
-		t.Fatal(err)
+	cells, pairs, _ := storeEvidence(t, cacheDir)
+	if want := len(local.Rows) + len(mined.Rows); cells != want {
+		t.Errorf("the store reopened with %d cell(s), want the %d the daemon computed", cells, want)
 	}
-	st, err := store.Open(cacheDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := st.Len(), len(local.Rows)+len(mined.Rows); got != want {
-		t.Errorf("the store reopened with %d cell(s), want the %d the daemon computed", got, want)
-	}
-	miner := calib.NewMap()
-	miner.Mine(context.Background(), st)
-	st.Close()
-	if served.Pairs < 2 || served.Pairs != miner.Pairs() || saved.Pairs() != miner.Pairs() {
-		t.Errorf("pairs: /v1/calib %d, calib-map.json %d, a fresh miner over the store %d; want equal and >= 2",
-			served.Pairs, saved.Pairs(), miner.Pairs())
+	if served.Pairs < 2 || served.Pairs != pairs {
+		t.Errorf("pairs: /v1/calib %d, a fresh miner over the store %d; want equal and >= 2", served.Pairs, pairs)
 	}
 
 	f, err := os.Open(tracePath)
@@ -243,12 +233,62 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Errorf("trace of %d event(s) is not well-formed: %v", len(events), err)
 	}
 
-	// A restart on the same directory recovers the map it saved.
+	// A restart on the same directory mines the same map from the store.
 	url, _ = startDaemon(t, "-cache-dir", cacheDir)
 	var recovered calib.Report
 	getJSON(t, url+"/v1/calib", &recovered)
-	if recovered.Pairs != miner.Pairs() {
-		t.Errorf("restarted daemon serves %d pair(s), want the %d it saved", recovered.Pairs, miner.Pairs())
+	if recovered.Pairs != pairs {
+		t.Errorf("restarted daemon serves %d pair(s), want the %d its store holds", recovered.Pairs, pairs)
+	}
+}
+
+// storeEvidence opens the store at dir once the daemon that owns it has
+// stopped, and returns its live cells, the pairs a fresh calibration map
+// mines from it, and its size on disk.
+func storeEvidence(t *testing.T, dir string) (cells int, pairs int64, bytes int64) {
+	t.Helper()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	m := calib.NewMap()
+	m.Mine(context.Background(), st)
+	if bytes, err = st.DiskBytes(); err != nil {
+		t.Fatal(err)
+	}
+	return st.Len(), m.Pairs(), bytes
+}
+
+// TestCalibrationForgetsPrunedCells: the calibration map is mined from
+// the store at startup, so a restart that prunes sim-carrying cells
+// serves exactly the pairs that survived — evicted cells stop counting.
+func TestCalibrationForgetsPrunedCells(t *testing.T) {
+	cacheDir := filepath.Join(t.TempDir(), "store")
+	url, stop := startDaemon(t, "-cache-dir", cacheDir)
+	mine, err := sweep.ParseSpec([]byte(miningGrid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	remoteRun(t, url, mine)
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	cells, pairs, size := storeEvidence(t, cacheDir)
+
+	url, stop = startDaemon(t, "-cache-dir", cacheDir, "-cache-max-bytes", strconv.FormatInt(size/2, 10))
+	var served calib.Report
+	getJSON(t, url+"/v1/calib", &served)
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	left, survived, _ := storeEvidence(t, cacheDir)
+	if left >= cells || survived >= pairs || survived < 1 {
+		t.Fatalf("the prune kept %d of %d cell(s) and %d of %d pair(s); want some of each evicted and a pair left", left, cells, survived, pairs)
+	}
+	if served.Pairs != survived {
+		t.Errorf("after the prune /v1/calib serves %d pair(s); a fresh miner over the pruned store finds %d (%d before the prune)",
+			served.Pairs, survived, pairs)
 	}
 }
 

@@ -19,7 +19,9 @@
 // but never pairs, because the trust gate reads a region as the base
 // model's error.
 //
-// The map updates incrementally: every with-sim sweep cell and every
+// A map lives in memory only: the result store is the record. A process
+// with a store builds one with NewMap, Mines the store at start, and
+// keeps it current as cells land — every with-sim sweep cell and every
 // planner certification calls Observe (wired through sweep.CellObserver),
 // traced as calib.observe spans and counted by calib_pairs_total /
 // calib_regions_total. The planner consumes the map through Verdict,
@@ -122,34 +124,38 @@ func RegionFor(topo eval.Topology, msgFlits int, policy, wkload string, rel floa
 	}
 }
 
-// Gate is the trust threshold Verdict grades a region against.
+// Gate is the trust threshold Verdict grades a region against. It is
+// also a plan spec's "calibration" section, where a zero field takes
+// DefaultGate's value.
 type Gate struct {
 	// MaxMAPE is the largest mean absolute percentage error (fractional,
 	// 0.1 = 10%) a trusted region may carry.
-	MaxMAPE float64 `json:"max_mape"`
+	MaxMAPE float64 `json:"max_mape,omitempty"`
 	// MinPairs is the fewest pairs a region needs before its MAPE is
 	// considered evidence at all.
-	MinPairs int `json:"min_pairs"`
+	MinPairs int `json:"min_pairs,omitempty"`
 }
 
+// DefaultGate trusts a region at MAPE ≤ 0.1 over at least 3 pairs.
+var DefaultGate = Gate{MaxMAPE: 0.1, MinPairs: 3}
+
 // acc is one region's raw accumulator state. Every field is a running
-// sum (or count, or max) over finite values, so the derived metrics can
-// keep accumulating after a Save/Load round trip; all fields stay
-// finite by construction, keeping the persisted form plain JSON.
+// sum (or count, or max) over finite values, so the derived metrics
+// update in O(1) per pair.
 type acc struct {
-	N         int     `json:"n"`
-	SumAbsRel float64 `json:"sum_abs_rel"`
-	SumRel    float64 `json:"sum_rel"`
-	SumM      float64 `json:"sum_m"`
-	SumS      float64 `json:"sum_s"`
-	SumMM     float64 `json:"sum_mm"`
-	SumSS     float64 `json:"sum_ss"`
-	SumMS     float64 `json:"sum_ms"`
-	MaxRel    float64 `json:"max_rel"`
+	N         int
+	SumAbsRel float64
+	SumRel    float64
+	SumM      float64
+	SumS      float64
+	SumMM     float64
+	SumSS     float64
+	SumMS     float64
+	MaxRel    float64
 	// BoundN / SumBoundRel track bound tightness (BoundMax / sim) over
 	// the subset of pairs that also carried a finite worst-case bound.
-	BoundN      int     `json:"bound_n,omitempty"`
-	SumBoundRel float64 `json:"sum_bound_rel,omitempty"`
+	BoundN      int
+	SumBoundRel float64
 }
 
 func (a *acc) add(model, sim, boundMax float64) {
@@ -213,10 +219,11 @@ func (a *acc) boundTightness() float64 {
 }
 
 // Map is the calibration map: per-region accuracy accumulators plus the
-// set of scenario keys already observed (so mining a store twice, mining
-// a store that a live observer already walked, or meeting one cell in a
-// store under two salts never double-counts a pair). All methods are safe for
-// concurrent use; a nil *Map is a valid no-op observer.
+// set of scenario keys already observed in this process (so mining a
+// store twice, mining a store that a live observer already walked, or
+// meeting one cell in a store under two salts never double-counts a
+// pair). All methods are safe for concurrent use; a nil *Map is a valid
+// no-op observer.
 type Map struct {
 	mu      sync.Mutex
 	regions map[Region]*acc
@@ -320,9 +327,9 @@ type Source interface {
 }
 
 // Mine walks src and observes every cell, returning how many new pairs
-// it added. Already-observed keys are skipped, so Mine is an idempotent
-// top-up: run it after opening a store to fold in cells that landed
-// while no observer was attached.
+// it added. Already-observed keys are skipped, so Mine is idempotent:
+// run it when a store opens, and live observation keeps the map current
+// from there.
 func (m *Map) Mine(ctx context.Context, src Source) (added int) {
 	if m == nil {
 		return 0
@@ -334,30 +341,6 @@ func (m *Map) Mine(ctx context.Context, src Source) (added int) {
 		return true
 	})
 	return added
-}
-
-// Staleness counts the sim-carrying cells in src the map has not yet
-// observed. Zero means the map is current with the source; a positive
-// count means Mine would fold in that many more observations.
-func (m *Map) Staleness(src Source) int {
-	if m == nil {
-		return 0
-	}
-	stale := 0
-	src.Range(func(key string, pt eval.Point) bool {
-		if !simCarrying(pt) {
-			return true
-		}
-		_, cell := eval.CutSalt(key)
-		m.mu.Lock()
-		_, ok := m.seen[cell]
-		m.mu.Unlock()
-		if !ok {
-			stale++
-		}
-		return true
-	})
-	return stale
 }
 
 // Verdict grades a region against a gate: VerdictTrusted when it has at

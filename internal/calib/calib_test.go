@@ -3,8 +3,6 @@ package calib
 import (
 	"context"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -214,7 +212,12 @@ func TestVerdict(t *testing.T) {
 	}
 }
 
-func TestMineAndStaleness(t *testing.T) {
+// sourceFunc adapts a plain range function to Source.
+type sourceFunc func(fn func(key string, pt eval.Point) bool)
+
+func (f sourceFunc) Range(fn func(key string, pt eval.Point) bool) { f(fn) }
+
+func TestMineIsIdempotent(t *testing.T) {
 	cells := map[string]eval.Point{}
 	k1, p1 := testCell(t, 0.6, 0, 110, 100)
 	k2, p2 := testCell(t, 0.7, 1, 95, 100)
@@ -228,24 +231,15 @@ func TestMineAndStaleness(t *testing.T) {
 	})
 
 	m := NewMap()
-	if stale := m.Staleness(src); stale != 2 {
-		t.Fatalf("staleness before mining = %d, want 2", stale)
-	}
 	if added := m.Mine(context.Background(), src); added != 2 {
 		t.Fatalf("Mine added %d, want 2", added)
-	}
-	if stale := m.Staleness(src); stale != 0 {
-		t.Fatalf("staleness after mining = %d, want 0", stale)
 	}
 	if added := m.Mine(context.Background(), src); added != 0 {
 		t.Fatalf("re-Mine added %d, want 0 (idempotent)", added)
 	}
-	// A new sim cell lands in the source: the map is stale until re-mined.
+	// A new sim cell lands in the source: the next Mine folds in just it.
 	k3, p3 := testCell(t, 0.65, 2, 105, 100)
 	cells[k3] = p3
-	if stale := m.Staleness(src); stale != 1 {
-		t.Fatalf("staleness after new cell = %d, want 1", stale)
-	}
 	if added := m.Mine(context.Background(), src); added != 1 {
 		t.Fatalf("top-up Mine added %d, want 1", added)
 	}
@@ -254,9 +248,8 @@ func TestMineAndStaleness(t *testing.T) {
 // TestOneCellUnderSeveralSaltsPairsOnce: a store that several front
 // doors wrote holds the same scenario under several backend salts — none
 // from a default runner, the built-in list's from an older daemon, a fleet
-// tag from a dispatcher. It is one measurement: it pairs once, Mine and
-// Staleness agree on that in whichever order the lines arrive, and a map
-// file saved with salted lines in its seen set reloads knowing them.
+// tag from a dispatcher. It is one measurement: it pairs once, in
+// whichever order the lines arrive.
 func TestOneCellUnderSeveralSaltsPairsOnce(t *testing.T) {
 	key, pt := testCell(t, 0.6, 0, 110, 100)
 	salts := []string{"", "backends=analytic,sim,bounds|", "backends=remote(http://10.0.0.1:8713,http://10.0.0.2:8713)|"}
@@ -273,9 +266,6 @@ func TestOneCellUnderSeveralSaltsPairsOnce(t *testing.T) {
 				}
 			}
 		})
-		if stale := m.Staleness(src); stale != 0 {
-			t.Errorf("seen under %q: staleness %d over the same cell's other salts, want 0", salts[first], stale)
-		}
 		if added := m.Mine(ctx, src); added != 0 || m.Pairs() != 1 {
 			t.Errorf("seen under %q: mining its other salts added %d pairs (total %d), want 0 (1)", salts[first], added, m.Pairs())
 		}
@@ -283,24 +273,12 @@ func TestOneCellUnderSeveralSaltsPairsOnce(t *testing.T) {
 			t.Errorf("seen under %q: regions %+v, want one region with one pair", salts[first], reg)
 		}
 	}
-
-	legacy := filepath.Join(t.TempDir(), MapFileName)
-	if err := os.WriteFile(legacy, []byte(`{"version":1,"pairs":1,"regions":[],"seen":["`+salts[1]+key+`"]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	re, err := LoadMap(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.Observe(ctx, key, pt) {
-		t.Error("a map saved with the salted line re-paired the cell under its plain key")
-	}
 }
 
 // TestAblationVariantsDoNotCalibrate: the trust gate reads a region as
 // the paper's model's error, so a sim-carrying cell of an ablated model —
-// a spec may set with_sim on any variant — is observed (not stale, not a
-// parse error) but adds no pair to the base model's region.
+// a spec may set with_sim on any variant — is observed (seen, not a parse
+// error) but adds no pair to the base model's region.
 func TestAblationVariantsDoNotCalibrate(t *testing.T) {
 	key, pt := testCell(t, 0.6, 0, 150, 100)
 	ablated := strings.Replace(key, " sim=true", " variant=truefalsefalse sim=true", 1)
@@ -315,9 +293,8 @@ func TestAblationVariantsDoNotCalibrate(t *testing.T) {
 	if m.Pairs() != 0 || len(m.Report().Regions) != 0 {
 		t.Errorf("ablation-variant cell left %d pairs in %d regions, want none", m.Pairs(), len(m.Report().Regions))
 	}
-	src := sourceFunc(func(fn func(string, eval.Point) bool) { fn(ablated, pt) })
-	if stale := m.Staleness(src); stale != 0 {
-		t.Errorf("observed variant cell still counts as stale (%d)", stale)
+	if _, seen := m.seen[ablated]; !seen || m.badKeys != 0 {
+		t.Errorf("ablation-variant cell: seen %v, %d parse error(s); want seen and none", seen, m.badKeys)
 	}
 	// The base cell at the same coordinates is a different key and pairs.
 	base, good := testCell(t, 0.6, 0, 102, 100)
@@ -326,50 +303,6 @@ func TestAblationVariantsDoNotCalibrate(t *testing.T) {
 	}
 	if v, mape, pairs := m.Verdict(RegionFor(testTopo, 8, "pairqueue", "", 0.6), Gate{MaxMAPE: 0.1, MinPairs: 1}); v != VerdictTrusted || pairs != 1 {
 		t.Errorf("region verdict %q (mape %v, %d pairs), want trusted on the base cell alone", v, mape, pairs)
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	m := NewMap()
-	ctx := context.Background()
-	k1, p1 := testCell(t, 0.6, 0, 110, 100)
-	k2, p2 := testCell(t, 0.8, 1, 95, 100)
-	m.Observe(ctx, k1, p1)
-	m.Observe(ctx, k2, p2)
-
-	path := filepath.Join(t.TempDir(), MapFileName)
-	if err := m.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	re, err := LoadMap(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.Pairs() != 2 {
-		t.Fatalf("reloaded pairs = %d, want 2", re.Pairs())
-	}
-	// Dedup state survives: re-observing an old cell is a no-op…
-	if re.Observe(ctx, k1, p1) {
-		t.Error("reloaded map re-paired an already-seen key")
-	}
-	// …and accumulation continues where it left off.
-	k3, p3 := testCell(t, 0.65, 2, 120, 100)
-	if !re.Observe(ctx, k3, p3) {
-		t.Error("reloaded map refused a fresh cell")
-	}
-	rep := re.Report()
-	if rep.Pairs != 3 {
-		t.Fatalf("pairs after reload+observe = %d, want 3", rep.Pairs)
-	}
-	for _, r := range rep.Regions {
-		if r.Band == "50-75%" && r.Pairs != 2 {
-			t.Errorf("50-75%% band has %d pairs after reload, want 2", r.Pairs)
-		}
-	}
-	// Fresh-map load from a missing path.
-	empty, err := LoadMap(filepath.Join(t.TempDir(), "nope.json"))
-	if err != nil || empty.Pairs() != 0 {
-		t.Fatalf("LoadMap(missing) = %v pairs, err %v; want empty map", empty.Pairs(), err)
 	}
 }
 

@@ -28,8 +28,7 @@ import (
 // "name: err" on stderr (see message) and exit status 1. run parses args with its own
 // flag set (Flags), writes results to stdout and diagnostics to stderr,
 // and never exits the process itself — so its deferred flushes (trace
-// files, stores, calibration maps) run on every path, and tests call it
-// in-process.
+// files, stores) run on every path, and tests call it in-process.
 func Main(name string, run func(ctx context.Context, args []string, stdout, stderr io.Writer) error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	// The first signal cancels ctx; restoring the default disposition

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/calib"
 	"repro/internal/sweep"
 	"repro/internal/workload"
 )
@@ -100,7 +101,7 @@ var builtins = map[string]Spec{
 		},
 		Objective:   ObjectiveMaxLoad,
 		Constraints: Constraints{MaxUtilization: 0.8},
-		Calibration: &CalibSpec{MaxMAPE: 0.25, MinPairs: 2},
+		Calibration: &calib.Gate{MaxMAPE: 0.25, MinPairs: 2},
 	},
 	// families-frontier compares topology families model-only (the
 	// torus has no simulator): lowest latency at a common required

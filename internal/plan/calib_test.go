@@ -55,7 +55,7 @@ func calibPlanSpec() Spec {
 		},
 		Objective:   ObjectiveMaxLoad,
 		Constraints: Constraints{MaxUtilization: 0.8},
-		Calibration: &CalibSpec{MaxMAPE: 0.1, MinPairs: 2},
+		Calibration: &calib.Gate{MaxMAPE: 0.1, MinPairs: 2},
 		Budget:      eval.Budget{Warmup: 500, Measure: 2000, Seed: 1},
 	}
 }

@@ -688,8 +688,7 @@ func (p *Planner) certify(ctx context.Context, d Spec, frontier []*candidate, re
 		if d.Calibration != nil {
 			region := calib.RegionFor(c.Topology, c.MsgFlits, c.Policy,
 				d.Workload.Canonical(), c.OperatingLoad/c.SaturationLoad)
-			gate := calib.Gate{MaxMAPE: d.Calibration.MaxMAPE, MinPairs: d.Calibration.MinPairs}
-			verdict, mape, pairs := p.calib.Verdict(region, gate)
+			verdict, mape, pairs := p.calib.Verdict(region, *d.Calibration)
 			c.CalibVerdict, c.CalibMAPE, c.CalibPairs = verdict, mape, pairs
 			traceDecision(ctx, c, verdict, region.String())
 			switch verdict {

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/calib"
 	"repro/internal/eval"
 	"repro/internal/sim"
 	"repro/internal/sweep"
@@ -162,18 +163,9 @@ type Spec struct {
 	// thin coverage run it as uncalibrated; every verdict is recorded on
 	// the candidate and its plan.decision span. Requires a calibration
 	// map on the planner (WithCalibration); without one every region is
-	// uncalibrated and the gate changes nothing.
-	Calibration *CalibSpec `json:"calibration,omitempty"`
-}
-
-// CalibSpec tunes the calibration trust gate (Spec.Calibration).
-type CalibSpec struct {
-	// MaxMAPE is the largest region MAPE (fractional, 0.1 = 10%) the
-	// planner will trust without a certification sim; 0 defaults to 0.1.
-	MaxMAPE float64 `json:"max_mape,omitempty"`
-	// MinPairs is the fewest calibration pairs a region needs before its
-	// MAPE counts as evidence; 0 defaults to 3.
-	MinPairs int `json:"min_pairs,omitempty"`
+	// uncalibrated and the gate changes nothing. A zero field takes
+	// calib.DefaultGate's value.
+	Calibration *calib.Gate `json:"calibration,omitempty"`
 }
 
 // defaultPruneFracs spans each candidate's curve and includes one point
@@ -228,10 +220,10 @@ func (s Spec) withDefaults() Spec {
 	if s.Calibration != nil {
 		cal := *s.Calibration
 		if cal.MaxMAPE == 0 {
-			cal.MaxMAPE = 0.1
+			cal.MaxMAPE = calib.DefaultGate.MaxMAPE
 		}
 		if cal.MinPairs == 0 {
-			cal.MinPairs = 3
+			cal.MinPairs = calib.DefaultGate.MinPairs
 		}
 		s.Calibration = &cal
 	}

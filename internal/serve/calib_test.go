@@ -56,7 +56,7 @@ func (c *rangeCounter) Range(fn func(key string, cell sweep.Cell) bool) {
 // TestCalibEndpoint pins the /v1/calib report, the /healthz calibration
 // block and the calib_* gauge block on /metrics for a server carrying a
 // calibration map — and that the liveness probe stays O(1): it never
-// walks the cache (staleness is cmd/calib -check's question).
+// walks the cache.
 func TestCalibEndpoint(t *testing.T) {
 	m := seedCalibMap(t)
 	cache := &rangeCounter{Cache: sweep.NewCache()}

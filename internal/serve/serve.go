@@ -109,8 +109,8 @@ func WithLogger(l *slog.Logger) Option { return func(s *Server) { s.log = l } }
 // WithCalibration attaches a calibration map: the server's runner feeds
 // it every sim-carrying cell it completes, the default planner trust-
 // gates certification against it, and the map surfaces on /v1/calib,
-// /healthz and /metrics. The caller owns persistence (calib.LoadMap /
-// Map.Save around the server's lifetime).
+// /healthz and /metrics. The map lives in memory only; a caller with a
+// store Mines it into the map before serving (cmd/sweepd -cache-dir).
 func WithCalibration(m *calib.Map) Option { return func(s *Server) { s.calib = m } }
 
 // WithSweeper routes /v1/sweep through the given scheduler instead of
