@@ -72,8 +72,11 @@ lint:
 	test -z "$$(grep -rl 'eval\.ParseKey(' --include='*.go' . | grep -v '_test\.go$$' | grep -v '^\./internal/calib/')" || { \
 		echo "one key grammar: the key's field literals appear only in internal/eval/scenario.go (appendKey writes them) and parsekey.go (ParseKey reads them back), and eval.ParseKey is called from internal/calib only"; exit 1; }
 	@test "$$(grep -rl 'NewBatchBackend(' --include='*.go' internal cmd | grep -v '_test\.go$$')" = internal/eval/batch.go && \
-	test -z "$$(grep -rl 'eval\.NewRemoteBackend(' --include='*.go' internal cmd examples | grep -v '_test\.go$$' | grep -vx -e internal/dispatch/dispatch.go -e cmd/plan/main.go)" || { \
-		echo "one fleet door: grids reach a fleet through internal/dispatch (the fleet client is built there and by cmd/plan -addr only; NewBatchBackend is a deprecated alias for the frozen bench/)"; exit 1; }
+	test -z "$$(grep -rl 'eval\.NewRemoteBackend(' --include='*.go' internal cmd examples | grep -v '_test\.go$$' | grep -vx internal/dispatch/dispatch.go)" || { \
+		echo "one fleet door: grids reach a fleet through internal/dispatch (the fleet client is built in internal/dispatch/dispatch.go only; NewBatchBackend is a deprecated alias for the frozen bench/)"; exit 1; }
+	@test -z "$$(grep -lE '"repro/internal/(plan|dispatch)"' $$(find internal/serve -name '*.go' ! -name '*_test.go'))" && \
+	test -z "$$(grep -rl '"/v1/plan"' --include='*.go' . | grep -v '_test\.go$$')" || { \
+		echo "a sweepd is a shard: internal/serve answers from its local runner (no internal/plan or internal/dispatch import) and there is no /v1/plan; the process that asks coordinates its fleet"; exit 1; }
 	@test -z "$$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go')" || { \
 		echo "one API surface: no non-test Go file at the module root; callers import the internal/ package that owns each entry point (see examples/)"; exit 1; }
 	@! grep -nE '^func \([a-z]* ?\*?(FatTreeModel|TorusModel)\) (Latency|ServiceInj|SaturationLoad|ChannelStats|Name|MsgFlits|AvgDist|BuildCoreModel|setRates)\(' internal/analytic/*.go && \

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"text/tabwriter"
 	"time"
 
@@ -47,6 +48,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if *storeDir == "" {
 		return errors.New("nothing to do: pass -store DIR to mine a store")
+	}
+	// store.Open creates a missing directory; a report only reads one.
+	if _, err := os.Stat(*storeDir); err != nil {
+		return fmt.Errorf("-store: %w", err)
 	}
 
 	st, err := store.Open(*storeDir)

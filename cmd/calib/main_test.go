@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"math"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -110,5 +114,24 @@ func TestCheckRejectsEmptyMapAndNoInput(t *testing.T) {
 	}
 	if _, err := calibCLI(); err == nil || !strings.Contains(err.Error(), "nothing to do") {
 		t.Errorf("no arguments: err = %v", err)
+	}
+}
+
+// TestMissingStoreIsAnError: a -store path that does not exist is a
+// mistyped path, not an empty store — the run fails naming it and leaves
+// no directory behind.
+func TestMissingStoreIsAnError(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "no-such-store")
+	for _, args := range [][]string{{"-store", dir}, {"-store", dir, "-check"}} {
+		out, err := calibCLI(args...)
+		if err == nil || !strings.Contains(err.Error(), dir) {
+			t.Errorf("%v: err = %v, want one naming %s", args, err, dir)
+		}
+		if out != "" {
+			t.Errorf("%v: a rejected invocation printed a report: %q", args, out)
+		}
+		if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("%v: the run left %s behind (stat: %v)", args, dir, err)
+		}
 	}
 }

@@ -16,21 +16,17 @@
 //	plan -dumpspec builtin:cheapest-sla          # print a spec as JSON
 //	plan -spec builtin:bft-capacity -shards :8713,:8714
 //	                                             # search over a sweepd fleet
-//	plan -spec builtin:bft-capacity -addr :8713  # submit to a server's /v1/plan
 //	plan -spec builtin:bft-capacity -cache-dir d # persistent probe cache
 //	plan -spec builtin:bft-capacity -trace-out t.ndjson   # NDJSON span trace
 //	plan -spec builtin:calibrated-capacity -cache-dir d
 //	                                             # trust-gated certification
 //
-// Progress streams to stderr; results go to stdout. With -shards the
-// search runs in this process but every evaluation executes on the
+// Progress streams to stderr; results go to stdout. The search always
+// runs in this process. With -shards every evaluation executes on the
 // named sweepd fleet: the coarse grid is dispatched as contiguous
 // ranges (work stealing, shard failover) and the bisection probes
 // rotate per-cell with retry, all warming the cache lines a local run
 // reads and writes.
-// With -addr the whole search runs inside the named server (or
-// front-end) via POST /v1/plan and this process just consumes the
-// update stream — the thin-client form.
 //
 // A spec with a "calibration" section is trust-gated against the
 // calibration map mined from -cache-dir when the search starts (see
@@ -39,7 +35,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -49,7 +44,6 @@ import (
 	"repro/internal/calib"
 	"repro/internal/cliutil"
 	"repro/internal/dispatch"
-	"repro/internal/eval"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/store"
@@ -69,16 +63,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (rerr err
 		timeout  = fs.Duration("timeout", 0, "abort the search after this duration (0 = no deadline)")
 		quiet    = fs.Bool("quiet", false, "suppress progress output")
 		backend  = fs.String("backend", "", "override spec backends: comma-separated subset of model,sim,bounds (empty = spec's own; omitting sim skips certification)")
-		addr     = fs.String("addr", "", "submit the plan to this sweepd server's /v1/plan (thin client)")
 		shards   = fs.String("shards", "", "execute the search over these sweepd shard(s), comma-separated")
 		cacheDir = fs.String("cache-dir", "", "persist the probe cache to this directory, and trust-gate a calibration spec on what it holds (empty = in-memory)")
 		traceOut = fs.String("trace-out", "", "write NDJSON span traces to this file (see docs/observability.md)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *addr != "" && *shards != "" {
-		return errors.New("-addr and -shards are mutually exclusive: server-side search vs fleet-executed local search")
 	}
 
 	if *list {
@@ -134,12 +124,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (rerr err
 	}
 
 	out := updateSink{stdout: stdout, stderr: stderr, stream: *stream, quiet: *quiet}
-	var res *plan.Result
-	if *addr != "" {
-		res, err = submit(ctx, *addr, spec, out)
-	} else {
-		res, err = runLocal(ctx, spec, *shards, *cacheDir, out)
-	}
+	res, err := search(ctx, spec, *shards, *cacheDir, out)
 	if err != nil {
 		return err
 	}
@@ -161,29 +146,10 @@ type updateSink struct {
 	stream, quiet  bool
 }
 
-// take consumes one update, returning the final result when it is the
-// done update.
-func (o updateSink) take(u plan.Update) (*plan.Result, error) {
-	if u.Err != nil {
-		return nil, u.Err
-	}
-	if o.stream {
-		if err := json.NewEncoder(o.stdout).Encode(u); err != nil {
-			return nil, err
-		}
-	} else if !o.quiet {
-		progress(o.stderr, u)
-	}
-	if u.Phase == plan.PhaseDone {
-		return u.Result, nil
-	}
-	return nil, nil
-}
-
-// runLocal executes the search in this process, in-process or over a
-// shard fleet, consuming the update stream for progress/-stream. A
+// search executes the plan in this process, its evaluations local or on
+// a shard fleet, consuming the update stream for progress/-stream. A
 // calibration spec over a store is gated by the map mined from it.
-func runLocal(ctx context.Context, spec plan.Spec, shards, cacheDir string, out updateSink) (res *plan.Result, rerr error) {
+func search(ctx context.Context, spec plan.Spec, shards, cacheDir string, out updateSink) (res *plan.Result, rerr error) {
 	var cache sweep.CacheStore
 	var popts []plan.Option
 	if cacheDir != "" {
@@ -219,13 +185,20 @@ func runLocal(ctx context.Context, spec plan.Spec, shards, cacheDir string, out 
 		planner = plan.NewLocal(cache, popts...)
 	}
 
+	enc := json.NewEncoder(out.stdout)
 	for u := range planner.Stream(ctx, spec) {
-		r, err := out.take(u)
-		if err != nil {
-			return nil, err
+		if u.Err != nil {
+			return nil, u.Err
 		}
-		if r != nil {
-			res = r
+		if out.stream {
+			if err := enc.Encode(u); err != nil {
+				return nil, err
+			}
+		} else if !out.quiet {
+			progress(out.stderr, u)
+		}
+		if u.Phase == plan.PhaseDone {
+			res = u.Result
 		}
 	}
 	if res == nil {
@@ -233,59 +206,6 @@ func runLocal(ctx context.Context, spec plan.Spec, shards, cacheDir string, out 
 			return nil, err
 		}
 		return nil, errors.New("plan: stream ended without a result")
-	}
-	return res, nil
-}
-
-// submit posts the spec to a server's /v1/plan and consumes the NDJSON
-// update stream. With a tracer on ctx the submission becomes a root
-// span whose IDs travel in the request headers, so the server's spans
-// stitch under it.
-func submit(ctx context.Context, addr string, spec plan.Spec, out updateSink) (res *plan.Result, err error) {
-	name := spec.Name
-	if name == "" {
-		name = "anonymous"
-	}
-	ctx, span := obs.StartSpanKeyed(ctx, "plan.submit", name)
-	defer func() {
-		if err != nil {
-			span.SetAttr(obs.String("error", err.Error()))
-		}
-		span.End()
-	}()
-	rb, err := eval.NewRemoteBackend([]string{addr})
-	if err != nil {
-		return nil, err
-	}
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return nil, err
-	}
-	err = rb.Post(ctx, "/v1/plan", body, func(r io.Reader) error {
-		sc := bufio.NewScanner(r)
-		// The final done line carries the whole Result (every candidate),
-		// so the line cap must scale to large design spaces, not row size.
-		sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
-		for sc.Scan() {
-			var u plan.Update
-			if err := json.Unmarshal(sc.Bytes(), &u); err != nil {
-				return fmt.Errorf("bad update line: %w", err)
-			}
-			r, err := out.take(u)
-			if err != nil {
-				return err
-			}
-			if r != nil {
-				res = r
-			}
-		}
-		return sc.Err()
-	})
-	if err != nil {
-		return nil, err
-	}
-	if res == nil {
-		return nil, errors.New("plan: server stream ended without a result")
 	}
 	return res, nil
 }

@@ -42,9 +42,9 @@ func fleet(t *testing.T, n int) []string {
 var elapsedLine = regexp.MustCompile(`(?m)^\s*"elapsed_ms": \d+,?\n`)
 
 // TestFleetMatchesLocal: the CI-sized capacity question and the
-// hard-SLO question print the same -json answer whether the search runs
-// in-process, over a 2-shard fleet (-shards) or inside a server
-// (-addr), wall clock aside — and the answer is a real one: a non-empty
+// hard-SLO question print the same -json answer whether the search's
+// evaluations run in-process or over a 2-shard fleet (-shards), wall
+// clock aside — and the answer is a real one: a non-empty
 // frontier, every member sim-certified, fewer simulations than the
 // coarse grid has cells, and under a hard SLO every member bounded with
 // its measured mean under the guarantee.
@@ -63,17 +63,12 @@ func TestFleetMatchesLocal(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := elapsedLine.ReplaceAllString(local, "")
-			for _, mode := range [][]string{
-				{"-shards", strings.Join(fleet(t, 2), ",")},
-				{"-addr", fleet(t, 1)[0]},
-			} {
-				got, err := planCLI(append(base, mode...)...)
-				if err != nil {
-					t.Fatalf("%s: %v", mode[0], err)
-				}
-				if got = elapsedLine.ReplaceAllString(got, ""); got != want {
-					t.Errorf("%s diverged from the in-process search:\n--- in-process\n%s\n--- %s\n%s", mode[0], want, mode[0], got)
-				}
+			got, err := planCLI(append(base, "-shards", strings.Join(fleet(t, 2), ","))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got = elapsedLine.ReplaceAllString(got, ""); got != want {
+				t.Errorf("-shards diverged from the in-process search:\n--- in-process\n%s\n--- -shards\n%s", want, got)
 			}
 
 			var res plan.Result
@@ -187,7 +182,7 @@ func TestFlagConflictsAreErrors(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-spec", "builtin:bft-capacity-small", "-addr", "a:1", "-shards", "b:1"}, "mutually exclusive"},
+		{[]string{"-spec", "builtin:bft-capacity-small", "-addr", "a:1"}, "flag provided but not defined: -addr"},
 		{[]string{"-spec", "builtin:no-such-plan"}, "no-such-plan"},
 		{nil, "no -spec given"},
 	} {

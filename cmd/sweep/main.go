@@ -32,10 +32,11 @@
 // a fleet of one: the grid is partitioned into contiguous ranges, each
 // range dispatched whole to a shard (specs cross the wire, cells do
 // not), failed or slow shards' remainders are stolen by the survivors,
-// and the merged rows come back in grid order (see docs/dispatch.md;
-// -batch bounds the range size). With -cache-dir the result cache is a
-// persistent store: a rerun in a fresh process serves every previously
-// computed cell from disk.
+// and the result is the one an in-process run reports (see
+// docs/dispatch.md; -batch bounds the range size). This process
+// coordinates the fleet; the servers are plain shards. With -cache-dir
+// the result cache is a persistent store: a rerun in a fresh process
+// serves every previously computed cell from disk.
 package main
 
 import (
@@ -153,9 +154,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (rerr err
 
 	// One engine whichever way cells are computed: in-process by default,
 	// or with -shards through the dispatcher's range scheduler — whose
-	// engine is the same sweep.Runner, streamed in grid order.
+	// engine is the same sweep.Runner.
 	engine := sweep.NewRunner(sweep.WithWorkers(*workers))
-	cells := engine.Stream
 	var disp *dispatch.Dispatcher
 	if *shards != "" {
 		addrs, err := cliutil.ParseStrings(*shards)
@@ -165,7 +165,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (rerr err
 		if disp, err = dispatch.New(addrs, dispatch.WithBatch(*batch)); err != nil {
 			return err
 		}
-		engine, cells = disp.Runner, disp.Stream
+		engine = disp.Runner
 	}
 	engine.Cache = cache
 	if !*quiet && !*stream {
@@ -205,7 +205,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (rerr err
 			spec.Budget.Seed = *seed
 		}
 		if *stream {
-			if err := streamSpec(ctx, stdout, cells(ctx, spec)); err != nil {
+			if err := streamSpec(ctx, stdout, engine.Stream(ctx, spec)); err != nil {
 				return err
 			}
 			continue
@@ -244,8 +244,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (rerr err
 }
 
 // streamSpec prints one spec's stream, each cell as a JSON line the
-// moment it arrives (grid order under the dispatcher, completion order
-// in-process).
+// moment it arrives, in completion order.
 func streamSpec(ctx context.Context, stdout io.Writer, cells <-chan sweep.PointResult) error {
 	enc := json.NewEncoder(stdout)
 	for pr := range cells {

@@ -1,10 +1,12 @@
-// Command sweepd is the sweep service daemon: a long-running HTTP server
-// over the Evaluator backends, so sweeps and single-scenario evaluations
-// can be submitted by thin clients (cmd/sweep -shards, cmd/plan -addr,
-// curl, or an eval.RemoteBackend in a program) while models, saturation searches and
-// simulator networks stay memoized in one process. With -cache-dir every
-// computed cell is also persisted to an append-only result store and
-// survives restarts.
+// Command sweepd is the sweep service daemon, and every sweepd is a
+// shard: a long-running HTTP server over the Evaluator backends that
+// answers sweeps, grid ranges and single-scenario evaluations from its
+// own runner, while models, saturation searches and simulator networks
+// stay memoized in one process. A fleet of them is coordinated by the
+// process that asks (cmd/sweep -shards, cmd/plan -shards, or a
+// dispatch.Dispatcher in a program); curl and an eval.RemoteBackend
+// talk to one directly. With -cache-dir every computed cell is also
+// persisted to an append-only result store and survives restarts.
 //
 // Usage:
 //
@@ -15,13 +17,11 @@
 //	sweepd -cache-dir d -cache-max-bytes 64000000 -prune-interval 10m
 //	                                        # …and keep it bounded while serving
 //	sweepd -compact -cache-dir d            # compact the store and exit
-//	sweepd -shards :8714,:8715,:8716        # front-end: dispatch sweeps
 //	sweepd -trace-out trace.ndjson          # NDJSON span traces
 //	sweepd -log-level debug                 # structured logs, every request
 //	sweepd -debug-addr 127.0.0.1:6060       # pprof on a separate listener
 //
 // Endpoints (see docs/serve.md): POST /v1/sweep (NDJSON stream),
-// POST /v1/plan (capacity-planner searches, see docs/plan.md),
 // POST /v1/batch and POST /v1/sweep/part (batched wire protocol),
 // POST /v1/eval, POST /v1/curve, GET /v1/builtins, GET /v1/calib
 // (model-vs-sim calibration report, with -cache-dir), GET /healthz,
@@ -32,14 +32,6 @@
 // prune, fed live by every sim-carrying cell the daemon computes, and
 // served on /v1/calib, /healthz and /metrics. It is never written to
 // disk; the store is the record.
-//
-// With -shards the daemon becomes a fleet front-end: POST /v1/sweep
-// requests are scheduled across the named downstream sweepd shards by
-// the dispatch coordinator (contiguous grid ranges out, merged NDJSON
-// back — see docs/dispatch.md; -batch bounds the range size) and
-// POST /v1/plan searches run over the same fleet (coarse grids
-// dispatched, refinement probes rotated per-cell), while the other
-// endpoints keep answering locally.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: new connections are
 // refused, in-flight streams get -grace to finish, then connections are
@@ -67,7 +59,6 @@ import (
 
 	"repro/internal/calib"
 	"repro/internal/cliutil"
-	"repro/internal/dispatch"
 	"repro/internal/serve"
 	"repro/internal/store"
 	"repro/internal/sweep"
@@ -85,8 +76,6 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) (rerr error) {
 		workers   = fs.Int("workers", 0, "worker pool bound per sweep (0 = GOMAXPROCS)")
 		grace     = fs.Duration("grace", 5*time.Second, "graceful-shutdown window for in-flight requests")
 		compact   = fs.Bool("compact", false, "compact -cache-dir into one segment and exit")
-		shardList = fs.String("shards", "", "front-end mode: dispatch /v1/sweep across these downstream sweepd shard(s), comma-separated")
-		batch     = fs.Int("batch", 0, "front-end mode: cells per dispatched range (0 = auto)")
 		traceOut  = fs.String("trace-out", "", "write NDJSON span traces to this file, flushed on shutdown")
 		logLevel  = fs.String("log-level", "info", "structured-log threshold: debug, info, warn or error (debug logs every request)")
 		debugAddr = fs.String("debug-addr", "", "serve net/http/pprof on this separate address (never on the public mux)")
@@ -172,29 +161,6 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) (rerr error) {
 		defer cliutil.CloseInto(&rerr, "closing trace", closeTracer)
 		opts = append(opts, serve.WithTracer(tracer))
 		logger.Info("tracing enabled", "file", *traceOut)
-	}
-	if *shardList != "" {
-		shards, err := cliutil.ParseStrings(*shardList)
-		if err != nil {
-			return err
-		}
-		// One dispatcher backs both fronts — /v1/sweep via its Stream,
-		// /v1/plan via its Run/Evaluate engine surface (the server
-		// detects it): one shard-health and backoff state, one counter
-		// set — and, sharing the server's cache and its key space, one
-		// record per cell with /v1/eval.
-		d, err := dispatch.New(shards, dispatch.WithBatch(*batch), dispatch.WithCache(cache))
-		if err != nil {
-			return err
-		}
-		if calibMap != nil {
-			// Front-end mode: cells computed on remote shards land in the
-			// dispatcher's engine, so the front-end's map observes the
-			// whole fleet's sim results.
-			d.Calib = calibMap
-		}
-		logger.Info("front-end: dispatching sweeps and plans", "shards", len(d.Addrs()))
-		opts = append(opts, serve.WithSweeper(d))
 	}
 
 	if *debugAddr != "" {

@@ -9,13 +9,13 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/calib"
+	"repro/internal/dispatch"
 	"repro/internal/eval"
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -292,72 +292,53 @@ func TestCalibrationForgetsPrunedCells(t *testing.T) {
 	}
 }
 
-// TestFrontEndAnswersSweepIdentically: a daemon started with -shards
-// answers POST /v1/sweep with the same cells as a plain daemon — three
-// real daemons, every address read from a listening record.
-func TestFrontEndAnswersSweepIdentically(t *testing.T) {
-	shard1, _ := startDaemon(t)
-	shard2, _ := startDaemon(t)
-	front, _ := startDaemon(t, "-shards", shard1+","+shard2, "-batch", "3")
-	plain, _ := startDaemon(t)
-
+// dispatchFigure3Small starts two real daemons, every address read from
+// a listening record, and has a dispatcher in this process — the front
+// end, since every sweepd is a shard — take figure3-small to them in
+// ranges of three. It returns the shards, the grid, the dispatched result
+// and the in-process one.
+func dispatchFigure3Small(t *testing.T) (shards []string, spec sweep.Spec, res, local *sweep.Result) {
+	t.Helper()
+	shards = make([]string, 2)
+	for i := range shards {
+		shards[i], _ = startDaemon(t)
+	}
 	spec, err := sweep.Builtin("figure3-small")
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := json.Marshal(spec)
+	if local, err = sweep.NewRunner().Run(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	d, err := dispatch.New(shards, dispatch.WithBatch(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := func(url string) []string {
-		resp, err := http.Post(url+"/v1/sweep", "application/json", strings.NewReader(string(body)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST %s/v1/sweep: %s, %v", url, resp.Status, err)
-		}
-		lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-		sort.Strings(lines) // a plain daemon streams in completion order
-		return lines
+	if res, err = d.Run(context.Background(), spec); err != nil {
+		t.Fatal(err)
 	}
-	want, got := rows(plain), rows(front)
-	if len(want) != 8 || strings.Contains(want[0], `"error"`) {
-		t.Fatalf("plain daemon answered %d line(s), want the grid's 8 cells: %v", len(want), want)
+	if st := d.Stats(); st.Cells != int64(len(local.Rows)) || st.ShardFailures != 0 {
+		t.Fatalf("the fleet computed %d of %d cells with %d failure(s)", st.Cells, len(local.Rows), st.ShardFailures)
 	}
-	if strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Errorf("front-end answer diverged:\n--- plain\n%s\n--- front-end\n%s", strings.Join(want, "\n"), strings.Join(got, "\n"))
+	return shards, spec, res, local
+}
+
+// TestFrontEndAnswersSweepIdentically: the process that asks coordinates
+// the fleet, and two daemons serving it as shards answer figure3-small
+// as the in-process run does.
+func TestFrontEndAnswersSweepIdentically(t *testing.T) {
+	_, _, res, local := dispatchFigure3Small(t)
+	if got, want := resultJSON(t, res), resultJSON(t, local); got != want {
+		t.Errorf("figure3-small over two daemons diverged from the in-process run:\n--- in-process\n%s\n--- shards\n%s", want, got)
 	}
 }
 
-// TestFrontEndEvalServesDispatchedCells: a front-end's dispatcher and its
-// own /v1/eval share one cache and one key space, so every cell a shard
-// computed for /v1/sweep is a hit for /v1/eval — the bytes the shard
-// itself answers, with nothing recomputed on the front-end.
+// TestFrontEndEvalServesDispatchedCells: a shard's range cells and its
+// /v1/eval share one cache and key space, so each dispatched cell is a
+// hit on exactly the shard that computed it, and the other shard,
+// computing it afresh, answers the same bytes.
 func TestFrontEndEvalServesDispatchedCells(t *testing.T) {
-	shard, _ := startDaemon(t)
-	front, _ := startDaemon(t, "-shards", shard)
-
-	spec, err := sweep.Builtin("figure3-small")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(front+"/v1/sweep", "application/json", strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK || strings.Contains(string(streamed), `"cached":true`) {
-		t.Fatalf("POST /v1/sweep: %s, %v; want eight freshly dispatched cells:\n%s", resp.Status, err, streamed)
-	}
-
+	shards, spec, _, _ := dispatchFigure3Small(t)
 	scens, err := sweep.Expand(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -380,12 +361,13 @@ func TestFrontEndEvalServesDispatchedCells(t *testing.T) {
 		return string(data), resp.Header.Get("X-Cache")
 	}
 	for _, sc := range scens {
-		got, xcache := ask(front, sc)
-		if xcache != "hit" {
-			t.Errorf("the front-end recomputed cell %d, which its dispatcher had stored (X-Cache %q)", sc.Index, xcache)
+		first, hit1 := ask(shards[0], sc)
+		second, hit2 := ask(shards[1], sc)
+		if (hit1 == "hit") == (hit2 == "hit") {
+			t.Errorf("cell %d: X-Cache %q and %q on the two shards, want a hit on exactly the one that computed it", sc.Index, hit1, hit2)
 		}
-		if want, _ := ask(shard, sc); got != want {
-			t.Errorf("cell %d: the front-end answers\n%s\nthe shard that computed it\n%s", sc.Index, got, want)
+		if first != second {
+			t.Errorf("cell %d: the shards answer\n%s\nand\n%s", sc.Index, first, second)
 		}
 	}
 }
@@ -399,6 +381,9 @@ func TestFlagErrors(t *testing.T) {
 		{[]string{"-cache-max-bytes", "1000"}, "-cache-max-bytes needs -cache-dir"},
 		{[]string{"-prune-interval", "1s"}, "-prune-interval needs -cache-dir"},
 		{[]string{"-log-level", "loud"}, "bad -log-level"},
+		// A sweepd is a shard: there is no front-end mode to configure.
+		{[]string{"-shards", "a:1"}, "flag provided but not defined: -shards"},
+		{[]string{"-batch", "3"}, "flag provided but not defined: -batch"},
 	} {
 		err := run(context.Background(), tc.args, io.Discard, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

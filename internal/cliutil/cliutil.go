@@ -188,8 +188,9 @@ func Budget(full bool, seed uint64) sweep.Budget {
 
 // CloseInto is the deferred-cleanup convention of the run functions:
 // it runs close and joins its error, labelled with what, into the
-// run's named result — so a failed flush of a trace, store or map
-// fails the run instead of being lost with the exit.
+// run's named result — so a failed flush of a trace or store fails the
+// run instead of being lost with the exit. (A calibration map has no
+// flush: it is mined from the store in memory and never written.)
 func CloseInto(err *error, what string, close func() error) {
 	if cerr := close(); cerr != nil {
 		*err = errors.Join(*err, fmt.Errorf("%s: %w", what, cerr))

@@ -5,7 +5,9 @@
 // cells of the grid to this package, which partitions them into
 // contiguous index ranges and dispatches each range to a worker shard
 // over the batched wire protocol (POST /v1/sweep/part — spec plus range
-// in, NDJSON cells out).
+// in, NDJSON cells out). It runs in the process that asks (cmd/sweep
+// -shards, cmd/plan -shards, a program of your own); a shard is a plain
+// sweepd and never coordinates.
 //
 // Scheduling is static range partitioning with work stealing on top: the
 // cold cells (the engine consults the shared cache first, so warm cells
@@ -43,10 +45,11 @@ import (
 
 // Dispatcher schedules sweeps across a shard fleet. Construct with New;
 // it is safe for concurrent use and reusable across sweeps (statistics
-// accumulate over its lifetime). It is a sweep.Runner — Run, Evaluate
-// and the Cache, Calib and Progress fields are the embedded engine's own
-// — whose one backend is the fleet client and whose Scheduler is the
-// dispatcher itself, so it drops in anywhere a Runner does, including as
+// accumulate over its lifetime). It is a sweep.Runner — Run, Stream
+// (completion order, as every stream is), Evaluate and the Cache, Calib
+// and Progress fields are the embedded engine's own — whose one backend
+// is the fleet client and whose Scheduler is the dispatcher itself, so
+// it drops in anywhere a Runner does, including as
 // the capacity planner's engine (plan.Engine): Run carries the coarse
 // grids as ranges, Evaluate the per-cell probes with shard rotation and
 // retry, both cached under Scenario.Key like any local run's cells.
@@ -60,36 +63,6 @@ type Dispatcher struct {
 	maxFails int
 
 	batches, requeues, failures, ejected atomic.Int64
-
-	// queueDepth gauges backpressure: cold cells queued or in flight
-	// across every active sweep (grows at dispatch start, shrinks as
-	// cells deliver). healthMu guards the per-shard health states.
-	queueDepth atomic.Int64
-	healthMu   sync.Mutex
-	health     map[string]ShardHealth
-}
-
-// ShardHealth is one shard's scheduling state as last observed.
-type ShardHealth int
-
-const (
-	// ShardHealthy marks a shard whose last range dispatch succeeded.
-	ShardHealthy ShardHealth = iota
-	// ShardBackoff marks a shard sitting out a failure backoff.
-	ShardBackoff
-	// ShardEjected marks a shard dropped for the rest of a sweep.
-	ShardEjected
-)
-
-// String renders the state for /healthz payloads.
-func (h ShardHealth) String() string {
-	switch h {
-	case ShardBackoff:
-		return "backoff"
-	case ShardEjected:
-		return "ejected"
-	}
-	return "healthy"
 }
 
 // Option configures a Dispatcher.
@@ -158,22 +131,8 @@ func New(addrs []string, opts ...Option) (*Dispatcher, error) {
 	// in-process sweeps share cache lines.
 	d.Backends = []eval.Evaluator{rb}
 	d.Scheduler = d
-	d.health = make(map[string]ShardHealth, len(d.addrs))
-	for _, addr := range d.addrs {
-		d.health[addr] = ShardHealthy
-	}
 	return d, nil
 }
-
-// setHealth records a shard's latest scheduling state.
-func (d *Dispatcher) setHealth(addr string, h ShardHealth) {
-	d.healthMu.Lock()
-	d.health[addr] = h
-	d.healthMu.Unlock()
-}
-
-// Addrs returns the normalized shard addresses.
-func (d *Dispatcher) Addrs() []string { return append([]string(nil), d.addrs...) }
 
 // Stats is a snapshot of the dispatcher's lifetime counters.
 type Stats struct {
@@ -205,34 +164,6 @@ func (d *Dispatcher) Stats() Stats {
 	}
 }
 
-// Collect implements obs.Collector: the lifetime counters of Stats, the
-// shard-health rollup (shards per scheduling state) and the queue-depth
-// backpressure gauge — cold cells queued or in flight across every
-// active sweep. A front-end server exports them on /metrics and reads
-// its /healthz fleet block from the same samples.
-func (d *Dispatcher) Collect(emit func(obs.Sample)) {
-	st := d.Stats()
-	count := func(name string, v int64) {
-		emit(obs.Sample{Name: "sweep_dispatch_" + name, Kind: obs.KindCounter, Value: float64(v)})
-	}
-	count("cache_hits_total", st.CacheHits)
-	count("cells_total", st.Cells)
-	count("batches_total", st.Batches)
-	count("requeues_total", st.Requeues)
-	count("shard_failures_total", st.ShardFailures)
-	count("ejected_shards_total", st.EjectedShards)
-	var states [ShardEjected + 1]int
-	d.healthMu.Lock()
-	for _, h := range d.health {
-		states[h]++
-	}
-	d.healthMu.Unlock()
-	for h, n := range states {
-		emit(obs.Sample{Name: "sweep_dispatch_shards_" + ShardHealth(h).String(), Kind: obs.KindGauge, Value: float64(n)})
-	}
-	emit(obs.Sample{Name: "sweep_dispatch_queue_depth", Kind: obs.KindGauge, Value: float64(d.queueDepth.Load())})
-}
-
 // spanSize returns the range bound for a cold set of n cells.
 func (d *Dispatcher) spanSize(n int) int {
 	if d.batch > 0 {
@@ -243,46 +174,6 @@ func (d *Dispatcher) spanSize(n int) int {
 		per = 1
 	}
 	return per
-}
-
-// Stream is the engine's Stream re-sequenced into grid order: a reorder
-// buffer holds back later cells until their predecessors arrive, so
-// consumers see the exact sequence a Run would report. (Local streams
-// stay in completion order.) The error element and cancellation keep the
-// engine's contract.
-func (d *Dispatcher) Stream(ctx context.Context, spec sweep.Spec) <-chan sweep.PointResult {
-	in := d.Runner.Stream(ctx, spec)
-	out := make(chan sweep.PointResult)
-	// Once ctx ends the engine's stream unwinds on its own; send only has
-	// to stop waiting for the consumer.
-	send := func(pr sweep.PointResult) bool {
-		select {
-		case out <- pr:
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}
-	go func() {
-		defer close(out)
-		next := 0
-		pending := make(map[int]sweep.PointResult)
-		for pr := range in {
-			if pr.Err != nil {
-				send(pr) // the stream's final element
-				continue
-			}
-			pending[pr.Row.Scenario.Index] = pr
-			for head, ok := pending[next]; ok; head, ok = pending[next] {
-				delete(pending, next)
-				next++
-				if !send(head) {
-					return
-				}
-			}
-		}
-	}()
-	return out
 }
 
 // span is a half-open range [start, end) of grid indices.
@@ -324,8 +215,6 @@ func (d *Dispatcher) Schedule(ctx context.Context, g *sweep.Grid, cold []int, de
 		done:  make(chan struct{}),
 	}
 	r.left.Store(int64(len(cold)))
-	d.queueDepth.Add(int64(len(cold)))
-	defer func() { d.queueDepth.Add(-r.left.Load()) }()
 	for _, sp := range partition(cold, d.spanSize(len(cold))) {
 		r.spanc <- sp
 	}
@@ -375,7 +264,6 @@ func (r *run) worker(addr string) {
 		got, err := r.dispatchSpan(addr, sp)
 		if err == nil {
 			fails = 0
-			r.d.setHealth(addr, ShardHealthy)
 			continue
 		}
 		holdOff, transient := eval.Transient(err)
@@ -398,10 +286,8 @@ func (r *run) worker(addr string) {
 		r.d.failures.Add(1)
 		if fails >= r.d.maxFails {
 			r.d.ejected.Add(1)
-			r.d.setHealth(addr, ShardEjected)
 			return
 		}
-		r.d.setHealth(addr, ShardBackoff)
 		// The remainder is already back in the queue for the survivors;
 		// this shard sits out its backoff, or the hold-off it asked for.
 		delay := max(min(r.d.backoff<<(fails-1), 5*time.Second), holdOff)
@@ -441,7 +327,6 @@ func (r *run) dispatchSpan(addr string, sp span) (got map[int]bool, err error) {
 		}
 		got[it.Index] = true
 		r.deliver(it.Index, *it.Point)
-		r.d.queueDepth.Add(-1)
 		if r.left.Add(-1) == 0 {
 			close(r.done)
 		}

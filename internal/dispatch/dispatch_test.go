@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/eval"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/serve"
 	"repro/internal/sweep"
 )
@@ -152,21 +153,23 @@ func TestDispatchedFigure3SurvivesShardKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []sweep.Row
-	killed := false
+	// The stream arrives in completion order; each row takes its grid
+	// position, so a lost cell shows up in diffRows and a doubled one in
+	// the count.
+	rows := make([]sweep.Row, len(local.Rows))
+	delivered := 0
 	for pr := range d.Stream(context.Background(), spec) {
 		if pr.Err != nil {
 			t.Fatal(pr.Err)
 		}
-		if pr.Row.Scenario.Index != len(rows) {
-			t.Fatalf("stream out of grid order: got index %d at position %d", pr.Row.Scenario.Index, len(rows))
-		}
-		rows = append(rows, pr.Row)
-		if !killed && len(rows) == 3 {
-			killed = true
+		rows[pr.Row.Scenario.Index] = pr.Row
+		if delivered++; delivered == 3 {
 			srvs[2].CloseClientConnections()
 			srvs[2].Close()
 		}
+	}
+	if delivered != len(local.Rows) {
+		t.Errorf("the stream delivered %d row(s) for %d cells", delivered, len(local.Rows))
 	}
 	diffRows(t, local.Rows, rows)
 	st := d.Stats()
@@ -240,27 +243,6 @@ func TestRangeDispatchAmortisesRequests(t *testing.T) {
 	}
 	if evals.Load() != n {
 		t.Errorf("per-cell transport issued %d /v1/eval request(s) for %d cells", evals.Load(), n)
-	}
-}
-
-// TestStreamDeliversGridOrder pins the reorder buffer: dispatched cells
-// arrive on the stream in exact expansion order even though shards
-// complete them out of order.
-func TestStreamDeliversGridOrder(t *testing.T) {
-	addrs, _ := newFleet(t, 3)
-	d := newDispatcher(t, addrs, WithBatch(1)) // maximal interleaving
-	want := 0
-	for pr := range d.Stream(context.Background(), modelOnlySpec()) {
-		if pr.Err != nil {
-			t.Fatal(pr.Err)
-		}
-		if pr.Row.Scenario.Index != want {
-			t.Fatalf("position %d delivered index %d", want, pr.Row.Scenario.Index)
-		}
-		want++
-	}
-	if want != 12 {
-		t.Fatalf("streamed %d rows, want 12", want)
 	}
 }
 
@@ -504,6 +486,65 @@ func TestDispatcherEvaluate(t *testing.T) {
 	// sweep already warmed: the two paths share one salt.
 	if _, cached, _ := d.Evaluate(context.Background(), res.Rows[1].Scenario); !cached {
 		t.Error("dispatched sweep's cell missed the cache via Evaluate")
+	}
+}
+
+// TestPlanSurvivesShardKill is the planner's failover pin, on the one
+// path a fleet is coordinated: plan.New over a dispatcher, in the
+// process that asks, with one of its two shards killed after the first
+// update. The dispatcher steals the dead shard's ranges and the probe
+// client rotates away from it; the frontier must equal the in-process
+// search's byte for byte.
+func TestPlanSurvivesShardKill(t *testing.T) {
+	spec := plan.Spec{
+		Name: "shard-kill",
+		Space: plan.Space{
+			Topologies: []sweep.TopologySpec{{Family: sweep.FamilyBFT, Sizes: []int{16, 64}}},
+			MsgFlits:   []int{8, 16},
+		},
+		Objective:   plan.ObjectiveMaxLoad,
+		Constraints: plan.Constraints{MaxLatency: 40},
+		Search:      plan.Search{OperatingFrac: 0.5},
+		Budget:      eval.Budget{Warmup: 500, Measure: 3000, Seed: 1},
+	}
+	frontierJSON := func(res *plan.Result) string {
+		t.Helper()
+		data, err := json.Marshal(res.Frontier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	local, err := plan.NewLocal(nil).Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	addrs, srvs := newFleet(t, 2)
+	d := newDispatcher(t, addrs, WithShardBackoff(5*time.Millisecond))
+	var res *plan.Result
+	killed := false
+	for u := range plan.New(d).Stream(context.Background(), spec) {
+		if u.Err != nil {
+			t.Fatal(u.Err)
+		}
+		if !killed {
+			killed = true
+			srvs[1].CloseClientConnections()
+			srvs[1].Close()
+		}
+		if u.Phase == plan.PhaseDone {
+			res = u.Result
+		}
+	}
+	if !killed || res == nil {
+		t.Fatalf("the search ended without updates or a result (killed %v)", killed)
+	}
+	if len(local.Frontier) == 0 {
+		t.Fatal("the in-process search found no frontier to compare against")
+	}
+	if got, want := frontierJSON(res), frontierJSON(local); got != want {
+		t.Errorf("frontier changed after a mid-search shard kill:\nfleet: %s\nlocal: %s", got, want)
 	}
 }
 
@@ -823,12 +864,12 @@ func TestStalledStreamIsStolen(t *testing.T) {
 			withIdle := func(d *Dispatcher) { d.ropts = append(d.ropts, eval.WithIdleTimeout(idle)) }
 			d := newDispatcher(t, f.addrs, withIdle, WithBatch(6),
 				WithShardBackoff(time.Millisecond), WithMaxShardFailures(1))
-			var rows []sweep.Row
+			rows := make([]sweep.Row, len(local.Rows))
 			for pr := range d.Stream(ctx, spec) {
 				if pr.Err != nil {
 					t.Fatalf("sweep did not recover from the stalled shard: %v", pr.Err)
 				}
-				rows = append(rows, pr.Row)
+				rows[pr.Row.Scenario.Index] = pr.Row
 			}
 			diffRows(t, local.Rows, rows)
 			f.mu.Lock()

@@ -62,12 +62,10 @@ func (r *recorder) ObserveCell(_ context.Context, key string, _ sweep.Cell) {
 }
 
 // engine is one way of building the grid engine for the contract: the
-// Runner, its public Stream (the dispatcher's re-sequences the Runner's
-// into grid order), and a hook that settles the goroutines its transport
-// keeps between requests.
+// Runner and a hook that settles the goroutines its transport keeps
+// between requests.
 type engine struct {
 	*sweep.Runner
-	stream func(context.Context, sweep.Spec) <-chan sweep.PointResult
 	settle func()
 }
 
@@ -127,14 +125,14 @@ func TestEngineContract(t *testing.T) {
 			ab := eval.NewAnalyticBackend()
 			backends := []eval.Evaluator{ab, eval.NewSimBackend(ab), bounds.New(ab)}
 			r := sweep.NewRunner(sweep.WithWorkers(2), sweep.WithBackends(backends...))
-			return engine{Runner: r, stream: r.Stream, settle: func() {}}
+			return engine{Runner: r, settle: func() {}}
 		}},
 		{"fleet", func(t *testing.T) engine {
 			addrs, _ := newFleet(t, 3)
 			tr := &http.Transport{}
 			t.Cleanup(tr.CloseIdleConnections)
 			d := newDispatcher(t, addrs, WithBatch(1), WithHTTPClient(&http.Client{Transport: tr}))
-			return engine{Runner: d.Runner, stream: d.Stream, settle: tr.CloseIdleConnections}
+			return engine{Runner: d.Runner, settle: tr.CloseIdleConnections}
 		}},
 	}
 	for _, ec := range engines {
@@ -232,7 +230,7 @@ func TestEngineContract(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rows, last := drain(t, ec.new(t).stream(ctx, spec), time.Minute)
+				rows, last := drain(t, ec.new(t).Stream(ctx, spec), time.Minute)
 				if last != nil {
 					t.Fatal(last)
 				}
@@ -248,7 +246,7 @@ func TestEngineContract(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rows, last := drain(t, ec.new(t).stream(ctx, bad), time.Minute)
+				rows, last := drain(t, ec.new(t).Stream(ctx, bad), time.Minute)
 				if last == nil {
 					t.Fatalf("stream of an unbuildable grid ended without an error (%d rows)", len(rows))
 				}
@@ -276,7 +274,7 @@ func TestEngineContract(t *testing.T) {
 				before := runtime.NumGoroutine()
 				cctx, cancel := context.WithCancel(ctx)
 				defer cancel()
-				ch := e.stream(cctx, slowSpec())
+				ch := e.Stream(cctx, slowSpec())
 				select {
 				case pr, ok := <-ch:
 					if ok && pr.Err != nil {
@@ -331,7 +329,7 @@ func TestEngineContract(t *testing.T) {
 		spec := contractSpec()
 		local := func(*testing.T) engine {
 			r := sweep.NewRunner(sweep.WithWorkers(2))
-			return engine{Runner: r, stream: r.Stream, settle: func() {}}
+			return engine{Runner: r, settle: func() {}}
 		}
 		fleet := engines[1].new
 		for _, pair := range []struct {

@@ -18,10 +18,10 @@ import (
 )
 
 // RemoteBackend is the fleet transport and a client-side Evaluator over
-// it: every request this module sends to a sweep server (see
+// it: every request this module sends to a sweep shard (see
 // internal/serve and cmd/sweepd) — per-cell /v1/eval and /v1/curve,
-// batched /v1/batch, the dispatch coordinator's /v1/sweep/part ranges and
-// cmd/plan's /v1/plan submission — is built, classified and retried
+// batched /v1/batch and the dispatch coordinator's /v1/sweep/part
+// ranges, each one asking for cells — is built, classified and retried
 // here, so a local Runner can fan a grid out to a fleet behind the exact
 // same interface as AnalyticBackend and SimBackend. Requests are sharded
 // round-robin across the configured addresses; transient failures
@@ -162,15 +162,6 @@ func call[T any](ctx context.Context, b *RemoteBackend, path string, sc Scenario
 		})
 	})
 	return out, err
-}
-
-// Post sends body to path on the next shard, once, and hands the 200
-// response's body to consume — the door for endpoints whose answers are
-// not cells (cmd/plan's /v1/plan update stream). No retry and no
-// watchdog: such a stream is silent for as long as a search step takes,
-// so its deadline belongs to ctx.
-func (b *RemoteBackend) Post(ctx context.Context, path string, body []byte, consume func(io.Reader) error) error {
-	return b.post(ctx, b.nextAddr()+path, body, 0, func(r io.Reader, _ func()) error { return consume(r) })
 }
 
 // Stream POSTs body to path and hands the NDJSON BatchItem answer to fn,

@@ -239,7 +239,7 @@ func (c Candidate) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes the flattened wire form (null ↔ NaN), so
-// clients of a streamed plan recover typed candidates.
+// readers of a plan's JSON output recover typed candidates.
 func (c *Candidate) UnmarshalJSON(data []byte) error {
 	var jc jsonCandidate
 	if err := json.Unmarshal(data, &jc); err != nil {
@@ -286,7 +286,7 @@ type jsonResult struct {
 }
 
 // MarshalJSON serialises the result (spec reduced to its labels; a
-// client that needs the full spec already has it — it posted it).
+// reader that needs the full spec already has it — it asked the question).
 func (r *Result) MarshalJSON() ([]byte, error) {
 	return json.Marshal(jsonResult{
 		Name:        r.Spec.Name,
@@ -315,7 +315,7 @@ func (r *Result) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// jsonUpdate is the NDJSON line of POST /v1/plan.
+// jsonUpdate is the NDJSON line of cmd/plan -stream.
 type jsonUpdate struct {
 	Phase     string     `json:"phase,omitempty"`
 	Candidate *Candidate `json:"candidate,omitempty"`
@@ -331,19 +331,6 @@ func (u Update) MarshalJSON() ([]byte, error) {
 		ju.Error = u.Err.Error()
 	}
 	return json.Marshal(ju)
-}
-
-// UnmarshalJSON decodes a streamed update line.
-func (u *Update) UnmarshalJSON(data []byte) error {
-	var ju jsonUpdate
-	if err := json.Unmarshal(data, &ju); err != nil {
-		return fmt.Errorf("plan: decoding update: %w", err)
-	}
-	*u = Update{Phase: ju.Phase, Candidate: ju.Candidate, Result: ju.Result}
-	if ju.Error != "" {
-		u.Err = fmt.Errorf("%s", ju.Error)
-	}
-	return nil
 }
 
 // --- rendering --------------------------------------------------------

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -212,26 +213,32 @@ func TestCandidateWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUpdateWire pins the cmd/plan -stream line: the phase and the
+// candidate in its flattened wire form, or the error in-band under
+// "error" and nothing else.
 func TestUpdateWire(t *testing.T) {
 	u := Update{Phase: PhaseRefine, Candidate: &Candidate{Policy: "pairqueue", Topology: eval.Topology{Family: "bft", Size: 64}}}
 	data, err := json.Marshal(u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got Update
-	if err := json.Unmarshal(data, &got); err != nil {
+	var line struct {
+		Phase     string     `json:"phase"`
+		Candidate *Candidate `json:"candidate"`
+	}
+	if err := json.Unmarshal(data, &line); err != nil {
 		t.Fatal(err)
 	}
-	if got.Phase != PhaseRefine || got.Candidate == nil || got.Candidate.Topology.Size != 64 {
-		t.Errorf("update round trip: %+v", got)
+	if line.Phase != PhaseRefine || line.Candidate == nil || line.Candidate.Topology.Size != 64 {
+		t.Errorf("update line %s decodes as %+v", data, line)
 	}
 
-	var ue Update
-	if err := json.Unmarshal([]byte(`{"error":"boom"}`), &ue); err != nil {
+	data, err = json.Marshal(Update{Err: errors.New("boom")})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if ue.Err == nil || ue.Err.Error() != "boom" {
-		t.Errorf("error line decoded as %+v", ue)
+	if string(data) != `{"error":"boom"}` {
+		t.Errorf("error update encodes as %s", data)
 	}
 }
 

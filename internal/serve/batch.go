@@ -48,7 +48,7 @@ const flushTick = 25 * time.Millisecond
 const heartbeatTick = 10 * time.Second
 
 // ndjson is the one streaming response writer, under /v1/sweep,
-// /v1/batch, /v1/sweep/part and /v1/plan: one JSON line per write, safe
+// /v1/batch and /v1/sweep/part: one JSON line per write, safe
 // for concurrent writers, flushed to the client within flushTick of being
 // encoded.
 type ndjson struct {

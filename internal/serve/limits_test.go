@@ -48,8 +48,6 @@ func TestOversizedRequestCannotKillShard(t *testing.T) {
 		{"batch network", "/v1/batch", `[` + hugeCell + `]`, procs},
 		{"eval network", "/v1/eval", hugeCell, procs},
 		{"eval hypercube", "/v1/eval", hugeCube, procs},
-		{"plan network", "/v1/plan", `{"space":{"topologies":[{"family":"bft","sizes":[262144]}],"msg_flits":[16]},
-			"objective":"max-load"}`, procs},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := client.Post(srv.URL+tc.path, "application/json", strings.NewReader(tc.body))

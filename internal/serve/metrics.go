@@ -191,9 +191,9 @@ func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 }
 
 // handleMetrics renders every collector the server holds — its own
-// traffic, the process-wide library counters, and whichever of cache,
-// sweeper and calibration map describe themselves — in the Prometheus
-// text format.
+// traffic, the process-wide library counters, and whichever of cache
+// and calibration map describe themselves — in the Prometheus text
+// format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	obs.WriteMetrics(w, s.collectors...) // a write error means the scraper left

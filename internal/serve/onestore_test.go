@@ -143,7 +143,7 @@ func TestOneDirectoryThreeFrontDoors(t *testing.T) {
 	}
 
 	// Door four: a coordinator over two shards on the same directory, as
-	// cmd/sweep -shards -cache-dir or a front-end sweepd -shards run it.
+	// cmd/sweep -shards -cache-dir or cmd/plan -shards -cache-dir run it.
 	d, err := dispatch.New([]string{newTestServer(t).URL, newTestServer(t).URL}, dispatch.WithCache(st))
 	if err != nil {
 		t.Fatal(err)

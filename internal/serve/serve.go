@@ -1,7 +1,9 @@
-// Package serve is the HTTP front-end over the sweep engine: a long-lived
-// server process (cmd/sweepd) owns the memoized Evaluator backends and —
-// optionally — a persistent result store, while thin clients submit work
-// over HTTP. It exposes:
+// Package serve is the shard: the HTTP service over one local sweep
+// engine. A long-lived server process (cmd/sweepd) owns the memoized
+// Evaluator backends and — optionally — a persistent result store, and
+// answers every request from that one runner; a fleet is coordinated by
+// the process that asks (internal/dispatch), never by a server. It
+// exposes:
 //
 //	POST /v1/sweep      full sweep.Spec in → NDJSON stream of rows out,
 //	                    one line per cell as it completes (sweep.Row
@@ -25,8 +27,8 @@
 //	GET  /healthz       liveness plus cache and calibration statistics
 //	GET  /metrics       Prometheus text metrics: obs.WriteMetrics over
 //	                    the server's collectors (its own traffic, see
-//	                    metrics.go; the library counters; the cache,
-//	                    dispatcher and calibration map it was given)
+//	                    metrics.go; the library counters; the cache and
+//	                    calibration map it was given)
 //
 // A failing sweep delivers its error as the final NDJSON line,
 // {"error": …} — clients distinguish it from rows by the "error" key. The
@@ -51,25 +53,14 @@ import (
 	"repro/internal/calib"
 	"repro/internal/eval"
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/sweep"
 )
-
-// Sweeper executes full sweep specs for /v1/sweep: the local Runner by
-// default, or — on a front-end server built with WithSweeper — the
-// dispatch coordinator, which schedules the grid across a shard fleet
-// and merges the streams back (internal/dispatch implements it).
-type Sweeper interface {
-	Stream(ctx context.Context, spec sweep.Spec) <-chan sweep.PointResult
-}
 
 // Server handles the sweep-service HTTP API. Construct with New; it
 // implements http.Handler.
 type Server struct {
 	mux     *http.ServeMux
 	runner  *sweep.Runner
-	sweeper Sweeper
-	planner *plan.Planner
 	cache   sweep.CacheStore
 	calib   *calib.Map
 	workers int
@@ -107,66 +98,38 @@ func WithTracer(t *obs.Tracer) Option { return func(s *Server) { s.tracer = t } 
 func WithLogger(l *slog.Logger) Option { return func(s *Server) { s.log = l } }
 
 // WithCalibration attaches a calibration map: the server's runner feeds
-// it every sim-carrying cell it completes, the default planner trust-
-// gates certification against it, and the map surfaces on /v1/calib,
-// /healthz and /metrics. The map lives in memory only; a caller with a
-// store Mines it into the map before serving (cmd/sweepd -cache-dir).
+// it every sim-carrying cell it completes, and the map surfaces on
+// /v1/calib, /healthz and /metrics. The map lives in memory only; a
+// caller with a store Mines it into the map before serving (cmd/sweepd
+// -cache-dir).
 func WithCalibration(m *calib.Map) Option { return func(s *Server) { s.calib = m } }
-
-// WithSweeper routes /v1/sweep through the given scheduler instead of
-// the local runner: a front-end sweepd built over the dispatch
-// coordinator accepts whole specs and fans them out to its shard fleet,
-// while /v1/eval, /v1/batch and /v1/sweep/part keep answering locally.
-func WithSweeper(sw Sweeper) Option { return func(s *Server) { s.sweeper = sw } }
 
 // New builds the server. Its runner is a default sweep.Runner: the
 // built-in stack, shared across requests — so models, saturation searches
 // and simulator networks are built once per server instance, not once per
 // request — writing the cache lines cmd/sweep and cmd/plan write, with or
-// without a fleet, so they all share a store. /v1/curve answers from the same
-// runner.
+// without a fleet, so they all share a store. Every endpoint answers from
+// that runner.
 func New(opts ...Option) *Server {
 	s := &Server{mux: http.NewServeMux(), started: time.Now()}
 	for _, opt := range opts {
 		opt(s)
 	}
 	s.runner = sweep.NewRunner(sweep.WithWorkers(s.workers), sweep.WithCache(s.cache))
-	// A calibration map observes every sim-carrying cell the server's
-	// runner completes.
-	if s.calib != nil {
-		s.runner.Calib = s.calib
-	}
-	if s.sweeper == nil {
-		s.sweeper = s.runner
-	}
-	var popts []plan.Option
-	if s.calib != nil {
-		popts = append(popts, plan.WithCalibration(s.calib))
-	}
-	// A sweeper that is also a full plan engine (the dispatch
-	// coordinator: Run + Evaluate) carries /v1/plan too, so a fleet
-	// front-end configured only via WithSweeper plans over its fleet
-	// instead of silently searching locally.
-	if eng, ok := s.sweeper.(plan.Engine); ok {
-		s.planner = plan.New(eng, popts...)
-	} else {
-		s.planner = plan.New(s.runner, popts...)
-	}
 	// The metrics surface: the server's own traffic and the process-wide
 	// library counters, plus each attached component that describes
-	// itself (sweep.Cache, store.Store, dispatch.Dispatcher, calib.Map).
+	// itself (sweep.Cache, store.Store, calib.Map).
 	s.collectors = []obs.Collector{&s.traffic, obs.Process}
 	if c, ok := s.cache.(obs.Collector); ok {
 		s.collectors = append(s.collectors, c)
 	}
-	if c, ok := s.sweeper.(obs.Collector); ok {
-		s.collectors = append(s.collectors, c)
-	}
+	// A calibration map observes every sim-carrying cell the server's
+	// runner completes.
 	if s.calib != nil {
+		s.runner.Calib = s.calib
 		s.collectors = append(s.collectors, s.calib)
 	}
 	s.handle("/v1/sweep", post(s.handleSweep))
-	s.handle("/v1/plan", post(s.handlePlan))
 	s.handle("/v1/batch", post(s.handleBatch))
 	s.handle("/v1/sweep/part", post(s.handlePart))
 	s.handle("/v1/eval", post(s.handleEval))
@@ -242,7 +205,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// BatchItems.
 	out := newNDJSON(w, nil)
 	defer func() { s.traffic.add("sweep_stream_rows_total", out.close()) }()
-	for pr := range s.sweeper.Stream(r.Context(), spec) {
+	for pr := range s.runner.Stream(r.Context(), spec) {
 		if pr.Err != nil {
 			out.fail(pr.Err) // mirrors Stream's contract: the error is the final line
 			return
@@ -367,9 +330,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if revision != "" {
 		payload["vcs_revision"] = revision
 	}
-	// The cache, store and fleet figures are the unlabelled samples of
-	// the same collectors /metrics renders; a key is present exactly
-	// when the component behind it is.
+	// The cache and store figures are the unlabelled samples of the same
+	// collectors /metrics renders; a key is present exactly when the
+	// component behind it is.
 	vals := make(map[string]float64)
 	for _, sm := range obs.Gather(s.collectors...) {
 		if sm.Labels == "" {
@@ -383,14 +346,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if n, ok := vals["sweep_store_disk_bytes"]; ok {
 		payload["store_disk_bytes"] = int64(n)
-	}
-	if healthy, ok := vals["sweep_dispatch_shards_healthy"]; ok {
-		payload["dispatch_shards"] = map[string]int64{
-			"healthy": int64(healthy),
-			"backoff": int64(vals["sweep_dispatch_shards_backoff"]),
-			"ejected": int64(vals["sweep_dispatch_shards_ejected"]),
-		}
-		payload["dispatch_queue_depth"] = int64(vals["sweep_dispatch_queue_depth"])
 	}
 	if s.calib != nil {
 		sum := s.calib.Summary()

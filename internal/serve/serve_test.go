@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dispatch"
 	"repro/internal/eval"
 	"repro/internal/obs"
 	"repro/internal/sweep"
@@ -532,55 +531,29 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestFrontEndSweeperFansOut: a server built with WithSweeper routes
-// /v1/sweep through the dispatch coordinator — whole specs in, shard
-// fleet behind — and the streamed rows match a local run; /metrics
-// exports the scheduler's counters.
-func TestFrontEndSweeperFansOut(t *testing.T) {
-	shardA := newTestServer(t)
-	shardB := newTestServer(t)
-	d, err := dispatch.New([]string{shardA.URL, shardB.URL})
+// TestHealthzVersionInfo pins the build/version satellite: /healthz
+// reports the Go toolchain and module version alongside cache stats.
+func TestHealthzVersionInfo(t *testing.T) {
+	srv := newTestServer(t, WithCache(sweep.NewCache()))
+	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	front := newTestServer(t, WithSweeper(d))
-
-	spec := modelOnlySpec()
-	local, err := sweep.NewRunner().Run(context.Background(), spec)
-	if err != nil {
+	defer resp.Body.Close()
+	var health map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
 		t.Fatal(err)
 	}
-	body, _ := json.Marshal(spec)
-	resp := postJSON(t, front.URL+"/v1/sweep", string(body))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %s", resp.Status)
+	gv, _ := health["go_version"].(string)
+	if !strings.HasPrefix(gv, "go") {
+		t.Errorf("go_version = %q", gv)
 	}
-	var rows []sweep.Row
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		var row sweep.Row
-		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
-			t.Fatalf("bad NDJSON line: %v\n%s", err, sc.Text())
-		}
-		rows = append(rows, row)
+	mv, _ := health["module_version"].(string)
+	if mv == "" {
+		t.Errorf("module_version missing: %+v", health)
 	}
-	if len(rows) != len(local.Rows) {
-		t.Fatalf("front-end streamed %d rows, want %d", len(rows), len(local.Rows))
-	}
-	for i := range rows {
-		if math.Float64bits(rows[i].Model) != math.Float64bits(local.Rows[i].Model) {
-			t.Errorf("row %d drifted through the front end: %v vs %v", i, rows[i].Model, local.Rows[i].Model)
-		}
-	}
-
-	mresp, err := http.Get(front.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	data, _ := io.ReadAll(mresp.Body)
-	if !strings.Contains(string(data), "sweep_dispatch_cells_total") {
-		t.Errorf("front-end /metrics missing dispatcher counters:\n%s", data)
+	if _, ok := health["cache_cells"]; !ok {
+		t.Errorf("cache stats lost from healthz: %+v", health)
 	}
 }
 

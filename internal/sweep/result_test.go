@@ -13,7 +13,7 @@ import (
 // TestRowJSONRoundTrip pins the NDJSON line format: every row a sweep
 // can produce marshals to bytes that unmarshal back into a row whose
 // re-marshalling is byte-identical — the property that lets a remote
-// client (cmd/sweep -addr, /v1/sweep consumers) relay or re-render a
+// client (cmd/sweep -stream, /v1/sweep consumers) relay or re-render a
 // stream without drift.
 func TestRowJSONRoundTrip(t *testing.T) {
 	res, err := (&Runner{Workers: 2}).Run(context.Background(), tinySpec())
