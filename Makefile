@@ -62,6 +62,8 @@ lint:
 		echo "one cell path: the cache and the observer are fed by sweep.Runner only"; exit 1; }
 	@test "$$(grep -rlE 'eval\.NewSimBackend\(|bounds\.New\(' --include='*.go' internal cmd | grep -v '_test\.go$$')" = internal/sweep/run.go || { \
 		echo "one built-in stack: analytic+sim+bounds is assembled in internal/sweep/run.go only"; exit 1; }
+	@! grep -nE 'analytic\.(New|Must)[A-Za-z]*Model\(|\.NewModel\(' $$(find internal/bounds -name '*.go' ! -name '*_test.go') || { \
+		echo "one model memo per stack: internal/bounds composes over the paper model the AnalyticBackend beside it memoizes (PaperModel) and builds none"; exit 1; }
 	@test -z "$$(grep -rlE '# (TYPE|HELP)' --include='*.go' internal cmd | grep -v '_test\.go$$' | grep -v '^internal/obs/')" && \
 	test -z "$$(grep -rl 'obs\.NewCounter(' --include='*.go' internal cmd | grep -v '_test\.go$$' | grep -vE '^internal/(sim|analytic|bounds|obs)/')" || { \
 		echo "one metrics writer: Prometheus text is rendered by internal/obs only (components implement obs.Collector; obs.NewCounter is for the sim, analytic and bounds libraries)"; exit 1; }

@@ -120,7 +120,7 @@ func BenchmarkFatTreeModelCoreGraph(b *testing.B) {
 		m := analytic.MustFatTreeModel(1024, 16, core.Options{})
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := m.ChannelStats(0.002); err != nil {
+			if _, err := m.ChannelStats(nil, 0.002); err != nil {
 				b.Fatal(err)
 			}
 		}

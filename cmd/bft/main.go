@@ -126,7 +126,7 @@ func model(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "  injection svc   x(0,1) = %.3f cycles\n", lat.ServiceInj)
 	fmt.Fprintf(stdout, "  average distance D     = %.3f channels\n\n", lat.AvgDist)
 
-	stats, err := model.ChannelStats(lambda0)
+	stats, err := model.ChannelStats(nil, lambda0)
 	if err != nil {
 		return err
 	}

@@ -32,8 +32,9 @@ import (
 )
 
 // Per-layer counters (rendered on /metrics by the serve layer), each
-// added to once per resolve or search.
+// added to once per model build, resolve or search.
 var (
+	modelsBuilt     = obs.NewCounter("analytic_models_built_total")
 	fixedPointIters = obs.NewCounter("analytic_fixedpoint_iterations_total")
 	satSearches     = obs.NewCounter("analytic_saturation_searches_total")
 	satProbes       = obs.NewCounter("analytic_saturation_probes_total")
@@ -43,6 +44,10 @@ var (
 // process has run — the read other layers use to attribute a search to
 // their own work (a delta around a call).
 func SaturationSearches() int64 { return satSearches.Load() }
+
+// ModelsBuilt returns how many models this process has built, read the
+// same way as SaturationSearches.
+func ModelsBuilt() int64 { return modelsBuilt.Load() }
 
 // Latency is the model's prediction at one operating point.
 type Latency struct {
@@ -82,6 +87,7 @@ func (m *Model) init(name string, msgFlits, avgDist float64, opt core.Options,
 	}
 	*m = Model{name: name, msgFlits: msgFlits, avgDist: avgDist, opt: opt,
 		classes: classes, graph: g, inj: inj, perLink: perLink}
+	modelsBuilt.Add(1)
 	return nil
 }
 
@@ -205,27 +211,27 @@ type ChannelStat struct {
 	Rho float64
 }
 
-// ChannelStats resolves the channel graph and reports per-class service
+// ChannelStats resolves the channel graph and appends per-class service
 // times, waits and utilizations — the intermediate quantities of §3.3 —
-// indexed by class. It returns an error wrapping core.ErrUnstable past
-// saturation.
-func (m *Model) ChannelStats(lambda0 float64) ([]ChannelStat, error) {
+// to dst, one row per class in class order, and returns the extended
+// slice; with room in dst it allocates nothing. It returns dst unchanged
+// and an error wrapping core.ErrUnstable past saturation.
+func (m *Model) ChannelStats(dst []ChannelStat, lambda0 float64) ([]ChannelStat, error) {
 	ws := core.AcquireWorkspace()
 	defer ws.Release()
 	if err := m.resolve(ws, lambda0); err != nil {
-		return nil, err
+		return dst, err
 	}
-	out := make([]ChannelStat, len(m.perLink))
-	for i := range out {
+	for i, r := range m.perLink {
 		id := core.ClassID(i)
-		out[i] = ChannelStat{
+		dst = append(dst, ChannelStat{
 			Name:    m.graph.Name(id),
 			Servers: m.graph.Servers(id),
-			Rate:    lambda0 * m.perLink[i],
+			Rate:    lambda0 * r,
 			Service: ws.ServiceTime[i],
 			Wait:    ws.Wait[i],
 			Rho:     ws.Utilization[i],
-		}
+		})
 	}
-	return out, nil
+	return dst, nil
 }

@@ -59,14 +59,14 @@ func NewFatTreeModel(numProc int, msgFlits float64, opt core.Options) (*FatTreeM
 	avgDist /= float64(numProc - 1)
 	classes, perLink := m.channels()
 	name := fmt.Sprintf("bft-%d/s=%g", numProc, msgFlits)
-	if err := m.init(name, msgFlits, avgDist, opt, classes, m.upID(0), perLink); err != nil {
+	if err := m.init(name, msgFlits, avgDist, opt, classes, upID(n, 0), perLink); err != nil {
 		return nil, err
 	}
 	m.downLabel = make([]string, n+1)
 	m.upLabel = make([]string, n)
 	for l := 1; l <= n; l++ {
-		m.downLabel[l] = m.graph.Name(m.downID(l)) + "@" + name
-		m.upLabel[l-1] = m.graph.Name(m.upID(l-1)) + "@" + name
+		m.downLabel[l] = m.graph.Name(downID(l)) + "@" + name
+		m.upLabel[l-1] = m.graph.Name(upID(n, l-1)) + "@" + name
 	}
 	if opt == (core.Options{}) {
 		m.closed = m
@@ -209,10 +209,11 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-// Class layout of the channel graph: down<l,l-1> for l = 1..n, then
-// up<l,l+1> for l = 0..n-1 (up<0,1> is the injection channel).
-func (m *FatTreeModel) downID(l int) core.ClassID { return core.ClassID(l - 1) }   // l = 1..n
-func (m *FatTreeModel) upID(l int) core.ClassID   { return core.ClassID(m.n + l) } // l = 0..n-1
+// Class layout of the channel graph of an n-level fat tree: down<l,l-1>
+// for l = 1..n, then up<l,l+1> for l = 0..n-1 (up<0,1> is the injection
+// channel).
+func downID(l int) core.ClassID  { return core.ClassID(l - 1) } // l = 1..n
+func upID(n, l int) core.ClassID { return core.ClassID(n + l) } // l = 0..n-1
 
 // channels generates the equivalent channel-class graph for package core
 // (the layout above) and each class's per-link rate at λ₀ = 1: Eq. 14
@@ -230,10 +231,10 @@ func (m *FatTreeModel) channels() ([]core.Class, []float64) {
 			c.Terminal = true // ejection channel, Eq. 16
 		} else {
 			// One of the 4 children of the level-(l-1) switch.
-			c.Out = []core.Transition{{To: m.downID(l - 1), Prob: 1, Groups: 4}}
+			c.Out = []core.Transition{{To: downID(l - 1), Prob: 1, Groups: 4}}
 		}
-		classes[m.downID(l)] = c
-		perLink[m.downID(l)] = m.UpRate(l-1, 1)
+		classes[downID(l)] = c
+		perLink[downID(l)] = m.UpRate(l-1, 1)
 	}
 	for l := 0; l < n; l++ {
 		c := core.Class{
@@ -245,32 +246,28 @@ func (m *FatTreeModel) channels() ([]core.Class, []float64) {
 		}
 		if l == n-1 {
 			// Arrives at a root switch: down to one of 3 siblings.
-			c.Out = []core.Transition{{To: m.downID(n), Prob: 1, Groups: 3}}
+			c.Out = []core.Transition{{To: downID(n), Prob: 1, Groups: 3}}
 		} else {
 			pUp := m.upProb[l+1]
 			c.Out = []core.Transition{
-				{To: m.upID(l + 1), Prob: pUp, Groups: 1},
-				{To: m.downID(l + 1), Prob: 1 - pUp, Groups: 3},
+				{To: upID(n, l+1), Prob: pUp, Groups: 1},
+				{To: downID(l + 1), Prob: 1 - pUp, Groups: 3},
 			}
 		}
-		classes[m.upID(l)] = c
-		perLink[m.upID(l)] = m.UpRate(l, 1)
+		classes[upID(n, l)] = c
+		perLink[upID(n, l)] = m.UpRate(l, 1)
 	}
 	return classes, perLink
 }
 
-// LongestRoute returns the classes of the longest route, injection to
-// ejection: up<0,1> … up<n-1,n>, then down<n,n-1> … down<1,0>. They
-// index ChannelStats' rows.
-func (m *FatTreeModel) LongestRoute() []core.ClassID {
-	route := make([]core.ClassID, 0, 2*m.n)
-	for l := 0; l < m.n; l++ {
-		route = append(route, m.upID(l))
+// FatTreeRoute returns the class of hop h, h = 0..2n-1, of the longest
+// route in an n-level fat tree, injection to ejection: up<h,h+1> while
+// h < n, then down<2n-h,2n-h-1>. It indexes ChannelStats' rows.
+func FatTreeRoute(n, h int) core.ClassID {
+	if h < n {
+		return upID(n, h)
 	}
-	for l := m.n; l >= 1; l-- {
-		route = append(route, m.downID(l))
-	}
-	return route
+	return downID(2*n - h)
 }
 
 // Topology materialises the matching topology.FatTree (for simulation).

@@ -356,7 +356,7 @@ func TestFatTreeAblationsShiftTheModel(t *testing.T) {
 
 func TestFatTreeChannelStats(t *testing.T) {
 	m := MustFatTreeModel(64, 16, core.Options{})
-	stats, err := m.ChannelStats(0.002)
+	stats, err := m.ChannelStats(nil, 0.002)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestFatTreeChannelStats(t *testing.T) {
 		}
 	}
 	// Unstable load must error.
-	if _, err := m.ChannelStats(10); !errors.Is(err, core.ErrUnstable) {
+	if _, err := m.ChannelStats(nil, 10); !errors.Is(err, core.ErrUnstable) {
 		t.Errorf("ChannelStats at absurd load: %v, want ErrUnstable", err)
 	}
 }

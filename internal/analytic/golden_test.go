@@ -90,7 +90,7 @@ func goldenDump(t *testing.T) string {
 					if in.family != "bft" {
 						continue
 					}
-					stats, err := m.ChannelStats(lambda0)
+					stats, err := m.ChannelStats(nil, lambda0)
 					if err != nil {
 						fmt.Fprintf(&b, "    stats %s\n", goldenErr(err))
 						continue

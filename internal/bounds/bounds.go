@@ -35,7 +35,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
+	"math/bits"
 
 	"repro/internal/analytic"
 	"repro/internal/core"
@@ -130,126 +130,92 @@ type Report struct {
 // It returns the model's own instability error (core.IsUnstable) when
 // the rate is outside the stability region.
 func Compute(m *analytic.FatTreeModel, lambda0, burst float64) (Report, error) {
-	if burst < 1 || math.IsNaN(burst) || math.IsInf(burst, 0) {
-		return Report{}, fmt.Errorf("bounds: per-source burst must be >= 1 message, got %v", burst)
-	}
-	stats, err := m.ChannelStats(lambda0)
-	if err != nil {
+	rep := Report{Lambda0: lambda0, Burst: burst, Hops: make([]HopBound, 0, 2*m.Levels())}
+	if err := rep.compose(&m.Model, m.Levels()); err != nil {
 		return Report{}, err
 	}
-	// The longest route climbs every up stage, then descends every down
-	// stage.
-	route, n := m.LongestRoute(), m.Levels()
-	sources := make([]int, 0, len(route))
-	for l := 0; l < n; l++ {
-		if l == 0 {
-			// The injection channel carries its own source only.
-			sources = append(sources, 1)
-		} else {
-			// 2^{l+1} processors route up through each level-l pair.
-			sources = append(sources, 1<<(l+1))
-		}
+	return rep, nil
+}
+
+// compose fills in Total and MaxBacklog from Lambda0 and Burst, composing
+// the longest route of m, the paper model of an n-level fat tree. It
+// appends each hop's derivation to Hops unless Hops is nil, so a caller
+// wanting only the totals allocates nothing.
+func (r *Report) compose(m *analytic.Model, n int) error {
+	if r.Burst < 1 || math.IsNaN(r.Burst) || math.IsInf(r.Burst, 0) {
+		return fmt.Errorf("bounds: per-source burst must be >= 1 message, got %v", r.Burst)
 	}
-	for l := n; l >= 1; l-- {
-		// Everything outside the 4^{l-1}-processor destination subtree
-		// can converge on the down channel.
-		sub := 1
-		for i := 1; i < l; i++ {
-			sub *= 4
-		}
-		sources = append(sources, m.NumProcessors()-sub)
+	var buf [64]analytic.ChannelStat // 2n rows, for every n a fat-tree model accepts
+	stats, err := m.ChannelStats(buf[:0], r.Lambda0)
+	if err != nil {
+		return err
 	}
-	rep := Report{Lambda0: lambda0, Burst: burst, Hops: make([]HopBound, 0, len(route))}
 	acc := 0.0 // accumulated delay bound along the route
-	for i, id := range route {
-		st := stats[id]
+	for h := 0; h < 2*n; h++ {
+		st := stats[analytic.FatTreeRoute(n, h)]
 		if st.Rho >= 1 || math.IsNaN(st.Rho) {
-			return Report{}, &core.UnstableError{Class: st.Name, Rho: st.Rho}
+			return &core.UnstableError{Class: st.Name, Rho: st.Rho}
+		}
+		var sources int
+		switch {
+		case h == 0:
+			// The injection channel carries its own source only.
+			sources = 1
+		case h < n:
+			// 2^{l+1} processors route up through each level-l pair, l = h.
+			sources = 1 << (h + 1)
+		default:
+			// Everything outside the 4^{l-1}-processor destination subtree
+			// can converge on down<l,l-1>, l = 2n-h.
+			sources = 1<<(2*n) - 1<<(2*(2*n-h-1))
 		}
 		groupRate := float64(st.Servers) * st.Rate // messages/cycle
 		// Aggregate burst: each contributing source's envelope burst,
 		// inflated by the burstiness its traffic accumulated clearing
 		// the upstream hops (output envelope σ' = σ + ρ·D per hop).
-		sigma := float64(sources[i])*burst + groupRate*acc
+		sigma := float64(sources)*r.Burst + groupRate*acc
 		// Rate-latency service with one residual service time of
 		// latency; the burst clears at the capacity the sustained rate
 		// leaves free.
 		delay := st.Service + sigma*st.Service/(float64(st.Servers)*(1-st.Rho))
 		backlog := (sigma + groupRate*delay) * m.MsgFlits()
-		rep.Hops = append(rep.Hops, HopBound{
-			Name:    st.Name,
-			Servers: st.Servers,
-			Service: st.Service,
-			Rho:     st.Rho,
-			Sources: sources[i],
-			Sigma:   sigma,
-			Delay:   delay,
-			Backlog: backlog,
-		})
+		if r.Hops != nil {
+			r.Hops = append(r.Hops, HopBound{
+				Name:    st.Name,
+				Servers: st.Servers,
+				Service: st.Service,
+				Rho:     st.Rho,
+				Sources: sources,
+				Sigma:   sigma,
+				Delay:   delay,
+				Backlog: backlog,
+			})
+		}
 		acc += delay
-		if backlog > rep.MaxBacklog {
-			rep.MaxBacklog = backlog
+		if backlog > r.MaxBacklog {
+			r.MaxBacklog = backlog
 		}
 	}
-	rep.Total = acc
-	return rep, nil
+	r.Total = acc
+	return nil
 }
 
 // Backend answers scenarios with the worst-case bound calculus: the
-// third Evaluator next to the analytic model and the simulator. Models
-// are memoized per instance; fractional load points are resolved
-// through the anchor (normally the AnalyticBackend of the same sweep,
-// so bounds are probed at identical absolute loads). Scenarios with
-// WithBounds unset are answered with an empty Point. Safe for
-// concurrent use.
+// third Evaluator next to the analytic model and the simulator. It keeps
+// no models of its own: it composes over the paper model the
+// AnalyticBackend of the same stack memoizes, and resolves fractional
+// load points through it, so bounds are probed at identical absolute
+// loads. Scenarios with WithBounds unset are answered with an empty
+// Point. Safe for concurrent use.
 type Backend struct {
-	mu     sync.Mutex
-	models map[modelKey]*analytic.FatTreeModel
-	anchor eval.LoadResolver
+	ab *eval.AnalyticBackend
 }
 
-type modelKey struct {
-	size  int
-	flits int
-}
-
-// New returns a backend resolving fractional loads through anchor. A
-// nil anchor restricts the backend to absolute load points.
-func New(anchor eval.LoadResolver) *Backend {
-	return &Backend{models: make(map[modelKey]*analytic.FatTreeModel), anchor: anchor}
-}
+// New returns a backend reading its models and load anchors from ab.
+func New(ab *eval.AnalyticBackend) *Backend { return &Backend{ab: ab} }
 
 // Name implements Evaluator.
 func (b *Backend) Name() string { return "bounds" }
-
-// model returns the memoized base-variant model for the instance. The
-// calculus always bounds the paper's model — ablation variants change
-// the analytic side of a cell only.
-func (b *Backend) model(size, flits int) (*analytic.FatTreeModel, error) {
-	key := modelKey{size, flits}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if m, ok := b.models[key]; ok {
-		return m, nil
-	}
-	m, err := analytic.NewFatTreeModel(size, float64(flits), core.Options{})
-	if err != nil {
-		return nil, err
-	}
-	b.models[key] = m
-	return m, nil
-}
-
-// resolveLoad maps the scenario's load to absolute flits/cycle/processor.
-func (b *Backend) resolveLoad(sc eval.Scenario) (float64, error) {
-	if !sc.Load.Frac {
-		return sc.Load.Value, nil
-	}
-	if b.anchor == nil {
-		return math.NaN(), fmt.Errorf("bounds: fractional load %v needs an anchor backend", sc.Load.Value)
-	}
-	return b.anchor.ResolveLoad(sc)
-}
 
 // Evaluate implements Evaluator: the guaranteed worst-case latency at
 // the scenario's operating point, +Inf (BoundUnbounded) past stability,
@@ -264,7 +230,7 @@ func (b *Backend) Evaluate(ctx context.Context, sc eval.Scenario) (eval.Point, e
 	_, span := obs.StartSpanFor(ctx, "bounds.eval", sc)
 	evalsTotal.Add(1)
 	pt := eval.NewPoint()
-	load, err := b.resolveLoad(sc)
+	load, err := b.ab.ResolveLoad(sc)
 	if err != nil {
 		span.End(obs.String("outcome", "error"))
 		return eval.Point{}, err
@@ -278,13 +244,14 @@ func (b *Backend) Evaluate(ctx context.Context, sc eval.Scenario) (eval.Point, e
 		span.End(obs.String("outcome", "na"))
 		return pt, nil
 	}
-	m, err := b.model(sc.Topology.Size, sc.MsgFlits)
+	m, err := b.ab.PaperModel(sc.Topology, sc.MsgFlits)
 	if err != nil {
 		span.End(obs.String("outcome", "error"))
 		return eval.Point{}, err
 	}
-	rep, err := Compute(m, lambda0, env)
-	switch {
+	levels := bits.TrailingZeros(uint(sc.Topology.Size)) / 2 // log4 N: the model exists, so N is a power of four
+	rep := Report{Lambda0: lambda0, Burst: env}
+	switch err := rep.compose(m, levels); {
 	case err == nil:
 		pt.BoundMax = rep.Total
 		span.End(obs.String("outcome", "bounded"), obs.Float("bound", rep.Total))

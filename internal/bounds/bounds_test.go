@@ -9,6 +9,7 @@ import (
 	"repro/internal/bounds"
 	"repro/internal/core"
 	"repro/internal/eval"
+	"repro/internal/race"
 	"repro/internal/sweep"
 	"repro/internal/workload"
 )
@@ -171,6 +172,73 @@ func TestBoundDominatesSim(t *testing.T) {
 	}
 	if bounded == 0 {
 		t.Fatal("no bounded cells — the grid never exercised the calculus")
+	}
+}
+
+// TestBackendEvaluateAllocs: on a warm backend a bounded cell and a
+// bound_na cell allocate nothing — the composition reads its stats into a
+// stack buffer, keeps no hop rows, and the untraced span boxes no
+// attribute.
+func TestBackendEvaluateAllocs(t *testing.T) {
+	ctx := context.Background()
+	b := bounds.New(eval.NewAnalyticBackend())
+	bounded := eval.Scenario{
+		Topology:   eval.Topology{Family: eval.FamilyBFT, Size: 1024},
+		MsgFlits:   16,
+		Load:       eval.Load{Frac: true, Value: 0.5},
+		WithBounds: true,
+	}
+	na := bounded
+	na.Topology = eval.Topology{Family: eval.FamilyHypercube, Size: 6}
+	for _, c := range []struct {
+		name string
+		sc   eval.Scenario
+		want func(eval.Point) bool
+	}{
+		{"bounded", bounded, func(pt eval.Point) bool { return !math.IsNaN(pt.BoundMax) && !pt.BoundUnbounded }},
+		{"bound_na", na, func(pt eval.Point) bool { return pt.BoundNA }},
+	} {
+		if pt, err := b.Evaluate(ctx, c.sc); err != nil || !c.want(pt) {
+			t.Fatalf("%s: %+v, %v", c.name, pt, err)
+		}
+		budget := 0.0
+		if race.Enabled {
+			budget = 16 // sync.Pool drops Puts under the detector
+		}
+		got := testing.AllocsPerRun(200, func() {
+			if _, err := b.Evaluate(ctx, c.sc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > budget {
+			t.Errorf("%s cell: Evaluate allocates %v times, want %v", c.name, got, budget)
+		}
+	}
+}
+
+// TestModelBoundsRunBuildsEachModelOnce: the calculus composes over the
+// AnalyticBackend's memoized paper model, so a model,bounds run builds
+// one model per fat-tree curve and no second copy for the bounds.
+func TestModelBoundsRunBuildsEachModelOnce(t *testing.T) {
+	spec := sweep.Spec{
+		Name:       "bounds-models",
+		Topologies: []sweep.TopologySpec{{Family: sweep.FamilyBFT, Sizes: []int{16, 64, 256}}},
+		MsgFlits:   []int{16, 32},
+		Loads:      sweep.LoadSpec{Fracs: []float64{0.2, 0.5, 0.8}},
+		Backends:   []string{sweep.BackendModel, sweep.BackendBounds},
+	}
+	before := analytic.ModelsBuilt()
+	res, err := sweep.NewRunner().Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res.Rows {
+		if math.IsNaN(r.BoundMax) || r.BoundNA {
+			t.Fatalf("%s: no bound: %+v", r.Scenario.Key(), r.Cell)
+		}
+	}
+	if got, want := analytic.ModelsBuilt()-before, int64(3*2); got != want {
+		t.Errorf("a model,bounds run over %d fat-tree curves built %d models, want %d", want, got, want)
 	}
 }
 

@@ -108,6 +108,17 @@ func (b *AnalyticBackend) SaturationLoad(topo Topology, flits int) (float64, err
 	return e.saturation()
 }
 
+// PaperModel returns the memoized base (paper) model for the given
+// instance and message length — the one SaturationLoad searches, and the
+// one the bounds calculus composes over, so a stack builds it once.
+func (b *AnalyticBackend) PaperModel(topo Topology, flits int) (*analytic.Model, error) {
+	e, err := b.entry(topo, flits, core.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return e.model, nil
+}
+
 // resolveLoad maps the scenario's load point to absolute
 // flits/cycle/processor on its curve's entry.
 func (e *curveEntry) resolveLoad(sc Scenario) (float64, error) {

@@ -309,7 +309,7 @@ func TestEveryFamilyReportsChannelStats(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", m.Name(), v.Name, err)
 			}
-			stats, err := m.ChannelStats(lambda0)
+			stats, err := m.ChannelStats(nil, lambda0)
 			if err != nil {
 				t.Fatalf("%s %s: %v", m.Name(), v.Name, err)
 			}
@@ -327,7 +327,7 @@ func TestEveryFamilyReportsChannelStats(t *testing.T) {
 			if !found {
 				t.Errorf("%s %s: no %s row in %d stats", m.Name(), v.Name, tc.inj, len(stats))
 			}
-			if _, err := m.ChannelStats(1.5 * sat / m.MsgFlits()); !errors.Is(err, core.ErrUnstable) {
+			if _, err := m.ChannelStats(nil, 1.5*sat/m.MsgFlits()); !errors.Is(err, core.ErrUnstable) {
 				t.Errorf("%s %s: ChannelStats at 1.5× saturation: %v, want ErrUnstable", m.Name(), v.Name, err)
 			}
 		}
@@ -341,7 +341,7 @@ func relDiff(a, b float64) float64 {
 	return math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b))
 }
 
-// TestSimulatedNetworkIsCapped: a network above MaxSimProcessors is
+// TestSimulatedNetworkIsCapped: a network above topology.MaxProcessors is
 // refused by arithmetic, before NewNetwork builds anything; the cap is
 // inclusive, and the model takes any size it always did.
 func TestSimulatedNetworkIsCapped(t *testing.T) {

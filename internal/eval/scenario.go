@@ -71,21 +71,16 @@ func (t Topology) NewModel(msgFlits int, opt core.Options) (*analytic.Model, err
 	return nil, err
 }
 
-// MaxSimProcessors caps the network the simulator is asked to build:
-// bft-65536, the 16-cube. A network's tables grow with its processor
-// count, so an unbounded size in a request is an unbounded allocation.
-const MaxSimProcessors = 1 << 16
-
 // CheckSimSize reports whether the instance is too large to simulate.
 // It costs arithmetic only: specs and servers call it before anything
 // is built. Model-only evaluation is not bound by it.
 func (t Topology) CheckSimSize() error {
-	over := t.Size > MaxSimProcessors
+	over := t.Size > topology.MaxProcessors
 	if t.Family == FamilyHypercube {
-		over = t.Size > bits.TrailingZeros(MaxSimProcessors)
+		over = t.Size > bits.TrailingZeros(topology.MaxProcessors)
 	}
 	if over {
-		return fmt.Errorf("eval: %s is too large to simulate: the limit is %d processors", t, MaxSimProcessors)
+		return fmt.Errorf("eval: %s is too large to simulate: the limit is %d processors", t, topology.MaxProcessors)
 	}
 	return nil
 }

@@ -93,7 +93,7 @@ func HopWaits(ctx context.Context, numProc, msgFlits int, load float64, b sweep.
 	}
 
 	// Model side: blend P(i|j)·W̄ⱼ over the incoming flows of each class.
-	stats, err := model.ChannelStats(lambda0)
+	stats, err := model.ChannelStats(nil, lambda0)
 	if err != nil {
 		return nil, err
 	}

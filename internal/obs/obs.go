@@ -89,36 +89,71 @@ func (t *Tracer) emit(ev *Event) {
 	t.mu.Unlock()
 }
 
-// Attr is one typed key/value pair attached to a span.
+// Attr is one typed key/value pair attached to a span. Its value is
+// held unboxed, so building an attr allocates nothing; it is boxed only
+// when a recording span stores it.
 type Attr struct {
-	Key   string
-	Value any
+	Key  string
+	kind attrKind
+	num  uint64 // int64 bits, float64 bits, or bool as 0/1
+	str  string
 }
 
+type attrKind uint8
+
+const (
+	kindNil attrKind = iota
+	kindString
+	kindInt
+	kindBool
+	kindFloat
+)
+
 // String returns a string-valued attr.
-func String(k, v string) Attr { return Attr{Key: k, Value: v} }
+func String(k, v string) Attr { return Attr{Key: k, kind: kindString, str: v} }
 
 // Int returns an int-valued attr.
-func Int(k string, v int) Attr { return Attr{Key: k, Value: v} }
+func Int(k string, v int) Attr { return Int64(k, int64(v)) }
 
 // Int64 returns an int64-valued attr.
-func Int64(k string, v int64) Attr { return Attr{Key: k, Value: v} }
+func Int64(k string, v int64) Attr { return Attr{Key: k, kind: kindInt, num: uint64(v)} }
 
 // Bool returns a bool-valued attr.
-func Bool(k string, v bool) Attr { return Attr{Key: k, Value: v} }
+func Bool(k string, v bool) Attr {
+	a := Attr{Key: k, kind: kindBool}
+	if v {
+		a.num = 1
+	}
+	return a
+}
 
 // Float returns a float-valued attr. NaN becomes nil and infinities
 // become "+Inf"/"-Inf" strings so the event always marshals.
 func Float(k string, v float64) Attr {
 	switch {
 	case math.IsNaN(v):
-		return Attr{Key: k, Value: nil}
+		return Attr{Key: k}
 	case math.IsInf(v, 1):
-		return Attr{Key: k, Value: "+Inf"}
+		return String(k, "+Inf")
 	case math.IsInf(v, -1):
-		return Attr{Key: k, Value: "-Inf"}
+		return String(k, "-Inf")
 	}
-	return Attr{Key: k, Value: v}
+	return Attr{Key: k, kind: kindFloat, num: math.Float64bits(v)}
+}
+
+// value boxes the attr's value for a recorded event.
+func (a Attr) value() any {
+	switch a.kind {
+	case kindString:
+		return a.str
+	case kindInt:
+		return int64(a.num)
+	case kindBool:
+		return a.num != 0
+	case kindFloat:
+		return math.Float64frombits(a.num)
+	}
+	return nil
 }
 
 // Span is one in-flight span. All methods are safe on a nil receiver,
@@ -272,7 +307,7 @@ func (s *Span) SetAttr(a Attr) {
 		if s.attrs == nil {
 			s.attrs = make(map[string]any)
 		}
-		s.attrs[a.Key] = a.Value
+		s.attrs[a.Key] = a.value()
 	}
 	s.mu.Unlock()
 }
@@ -294,7 +329,7 @@ func (s *Span) End(attrs ...Attr) {
 		s.attrs = make(map[string]any, len(attrs))
 	}
 	for _, a := range attrs {
-		s.attrs[a.Key] = a.Value
+		s.attrs[a.Key] = a.value()
 	}
 	ev := &Event{
 		Trace:   s.trace,

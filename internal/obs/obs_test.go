@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"strings"
@@ -30,12 +31,51 @@ func TestDisabledPathAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("disabled span path allocates %.1f/op, want 0", allocs)
 	}
+	// Attribute values are boxed only when a recording span stores them:
+	// a string, an int past the runtime's small-integer cache, an int64
+	// and a float cost nothing on an untraced span or context.
+	outcome := strings.Repeat("bounded", 1)
+	allocs = testing.AllocsPerRun(1000, func() {
+		c2, sp := StartSpanKeyed(ctx, "bounds.eval", "family=bft size=64")
+		sp.SetAttr(String("outcome", outcome))
+		sp.SetAttr(Int("cycles", 4096))
+		Annotate(c2, Int64("probes", 1<<40), Float("bound", 1234.5), String("outcome", outcome))
+		sp.End(String("outcome", outcome), Int("cycles", 4096), Int64("probes", 1<<40), Float("bound", 1234.5))
+	})
+	if allocs != 0 {
+		t.Fatalf("disabled span attrs allocate %.1f/op, want 0", allocs)
+	}
 	h := http.Header{}
 	allocs = testing.AllocsPerRun(1000, func() {
 		Inject(ctx, h)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled Inject allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// A recorded span carries every attr kind as its JSON value, with the
+// NaN and infinity rules applied.
+func TestAttrValuesRecorded(t *testing.T) {
+	var buf bytes.Buffer
+	tr := NewTracer(&buf)
+	_, sp := StartSpan(WithTracer(context.Background(), tr), "attrs")
+	sp.End(String("s", "x"), Int("i", 4096), Int64("i64", -1<<40), Bool("b", true), Bool("nb", false),
+		Float("f", 1234.5), Float("nan", math.NaN()), Float("inf", math.Inf(1)), Float("ninf", math.Inf(-1)))
+	events, err := ReadEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]any{"s": "x", "i": 4096.0, "i64": -float64(1 << 40), "b": true, "nb": false,
+		"f": 1234.5, "nan": nil, "inf": "+Inf", "ninf": "-Inf"}
+	got := events[0].Attrs
+	if len(got) != len(want) {
+		t.Fatalf("attrs = %v, want %v", got, want)
+	}
+	for k, v := range want {
+		if g, ok := got[k]; !ok || g != v {
+			t.Errorf("attr %s = %v, want %v", k, g, v)
+		}
 	}
 }
 

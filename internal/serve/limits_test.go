@@ -8,14 +8,14 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/eval"
 	"repro/internal/sweep"
+	"repro/internal/topology"
 )
 
 // TestOversizedRequestCannotKillShard: a request is sized before
 // anything is built from it. A few hundred bytes asking for more than
 // sweep.MaxCells cells, or for a simulated network above
-// eval.MaxSimProcessors, get a 4xx naming the limit at once on every
+// topology.MaxProcessors, get a 4xx naming the limit at once on every
 // evaluating endpoint, and the shard keeps serving. (Without the checks
 // the first allocates the load axis and the second the network's tables,
 // and an out-of-memory exit is not a panic a handler can recover. The
@@ -26,7 +26,7 @@ func TestOversizedRequestCannotKillShard(t *testing.T) {
 	srv := newTestServer(t, WithCache(sweep.NewCache()))
 
 	cells := fmt.Sprintf("more than %d cells", sweep.MaxCells)
-	procs := fmt.Sprintf("limit is %d processors", eval.MaxSimProcessors)
+	procs := fmt.Sprintf("limit is %d processors", topology.MaxProcessors)
 	const (
 		manyCells = `{"topologies":[{"family":"bft","sizes":[16]}],"msg_flits":[8],
 			"loads":{"points":2097152,"max_frac":0.9}}`

@@ -116,7 +116,7 @@ func TestChannelUtilizationMatchesModel(t *testing.T) {
 	}
 	const numProc, flits, load = 64, 16, 0.02
 	model := analytic.MustFatTreeModel(numProc, flits, core.Options{})
-	stats, err := model.ChannelStats(load / flits)
+	stats, err := model.ChannelStats(nil, load/flits)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,6 +24,13 @@ type GroupID = int32
 // None marks the absence of a channel or group.
 const None int32 = -1
 
+// MaxProcessors caps the network the simulator is asked to build:
+// bft-65536, the 16-cube. A network's tables, and a replayed trace's
+// per-source state, grow with its processor count, so an unbounded size
+// in a request or a trace header is an unbounded allocation; callers
+// check it before anything is built.
+const MaxProcessors = 1 << 16
+
 // ChannelKind classifies a channel for reporting and for the analytical
 // model's per-class rates.
 type ChannelKind uint8

@@ -8,6 +8,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/topology"
 	"repro/internal/traffic"
 )
 
@@ -96,9 +97,10 @@ func WriteTrace(w io.Writer, tr *Trace) error {
 	return bw.Flush()
 }
 
-// ReadTrace parses an NDJSON trace and validates it: version, source and
-// destination ranges, non-negative cycles, and per-source monotone
-// arrival times.
+// ReadTrace parses an NDJSON trace and validates it: version, a size
+// the simulator can build (checked before anything is sized from it),
+// source and destination ranges, non-negative cycles, and per-source
+// monotone arrival times.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -118,6 +120,9 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	}
 	if h.Size < 2 || h.MsgFlits < 1 {
 		return nil, fmt.Errorf("workload: bad trace header: size=%d msg_flits=%d", h.Size, h.MsgFlits)
+	}
+	if h.Size > topology.MaxProcessors {
+		return nil, fmt.Errorf("workload: trace size %d is too large to simulate: the limit is %d processors", h.Size, topology.MaxProcessors)
 	}
 	lastBySrc := make([]float64, h.Size)
 	for i := range lastBySrc {

@@ -2,9 +2,13 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/topology"
 )
 
 func sampleTrace() *Trace {
@@ -101,6 +105,63 @@ func TestReadTraceRejectsCorruptInput(t *testing.T) {
 	if _, err := ReadTrace(strings.NewReader(nonMonotone)); err == nil || !strings.Contains(err.Error(), "monotone") {
 		t.Errorf("non-monotone source arrivals: err = %v", err)
 	}
+}
+
+// oversizedHeader is a 74-byte trace naming a 2^40-processor network.
+// Sizing the per-source state from it asks the runtime for 8 TiB, which
+// kills the process outright, past any recover in the caller.
+const oversizedHeader = `{"trace_version":1,"family":"fattree","size":1099511627776,"msg_flits":16}`
+
+// A trace header naming a network above topology.MaxProcessors is
+// refused before anything is sized from it.
+func TestReadTraceRejectsOversizedHeader(t *testing.T) {
+	_, err := ReadTrace(strings.NewReader(oversizedHeader))
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("limit is %d processors", topology.MaxProcessors)) {
+		t.Fatalf("oversized header: err = %v, want the processor limit", err)
+	}
+	at := fmt.Sprintf(`{"trace_version":1,"family":"fattree","size":%d,"msg_flits":16}`, topology.MaxProcessors)
+	if _, err := ReadTrace(strings.NewReader(at)); err != nil {
+		t.Fatalf("a header at the limit: %v", err)
+	}
+}
+
+// FuzzReadTrace: any input either is refused, or parses into a trace
+// that WriteTrace and ReadTrace carry through unchanged.
+func FuzzReadTrace(f *testing.F) {
+	recorded, err := os.ReadFile("testdata/recorded.ndjson")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(recorded)
+	f.Add([]byte(oversizedHeader))
+	var sample bytes.Buffer
+	if err := WriteTrace(&sample, sampleTrace()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sample.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, tr); err != nil {
+			t.Fatalf("WriteTrace of a parsed trace: %v", err)
+		}
+		back, err := ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("ReadTrace of a written trace: %v\n%s", err, buf.Bytes())
+		}
+		if back.Header != tr.Header || len(back.Events) != len(tr.Events) {
+			t.Fatalf("round trip moved the trace: header %+v → %+v, %d → %d events",
+				tr.Header, back.Header, len(tr.Events), len(back.Events))
+		}
+		for i := range tr.Events {
+			if back.Events[i] != tr.Events[i] {
+				t.Fatalf("round trip moved event %d: %+v → %+v", i, tr.Events[i], back.Events[i])
+			}
+		}
+	})
 }
 
 func TestTraceSourcesReplayInOrder(t *testing.T) {
