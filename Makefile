@@ -79,6 +79,9 @@ lint:
 	@test -z "$$(grep -lE '"repro/internal/(plan|dispatch)"' $$(find internal/serve -name '*.go' ! -name '*_test.go'))" && \
 	test -z "$$(grep -rl '"/v1/plan"' --include='*.go' . | grep -v '_test\.go$$')" || { \
 		echo "a sweepd is a shard: internal/serve answers from its local runner (no internal/plan or internal/dispatch import) and there is no /v1/plan; the process that asks coordinates its fleet"; exit 1; }
+	@! grep -nE '^func \([a-z]* ?\*?RemoteBackend\) Curve\(' $$(find internal/eval -name '*.go' ! -name '*_test.go') && \
+	test "$$(grep -rl '"/v1/curve"' --include='*.go' internal cmd examples | grep -v '_test\.go$$' | sort | tr '\n' ' ')" = "internal/eval/remote.go internal/serve/serve.go " || { \
+		echo "one curve request per grid: a grid's curve context is one /v1/curve request over its spec (RemoteBackend.Curves, answered by internal/serve's handler); RemoteBackend describes no single curve"; exit 1; }
 	@test -z "$$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go')" || { \
 		echo "one API surface: no non-test Go file at the module root; callers import the internal/ package that owns each entry point (see examples/)"; exit 1; }
 	@! grep -nE '^func \([a-z]* ?\*?(FatTreeModel|TorusModel)\) (Latency|ServiceInj|SaturationLoad|ChannelStats|Name|MsgFlits|AvgDist|BuildCoreModel|setRates)\(' internal/analytic/*.go && \

@@ -23,9 +23,11 @@
 //
 // Endpoints (see docs/serve.md): POST /v1/sweep (NDJSON stream),
 // POST /v1/batch and POST /v1/sweep/part (batched wire protocol),
-// POST /v1/eval, POST /v1/curve, GET /v1/builtins, GET /v1/calib
-// (model-vs-sim calibration report, with -cache-dir), GET /healthz,
-// GET /metrics (Prometheus text).
+// POST /v1/eval, POST /v1/curve (a grid's spec in, every curve's model
+// context out), GET /v1/builtins, GET /v1/calib (model-vs-sim
+// calibration report, with -cache-dir), GET /healthz, GET /metrics
+// (Prometheus text). A coordinator asks /v1/curve in the same spec form
+// as /v1/sweep/part, so coordinators and shards upgrade together.
 //
 // With -cache-dir the daemon also keeps a calibration map (see
 // docs/calibration.md): mined from the store at startup, after any

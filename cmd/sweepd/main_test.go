@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/calib"
 	"repro/internal/dispatch"
-	"repro/internal/eval"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/sweep"
@@ -109,13 +108,16 @@ func resultJSON(t *testing.T, res *sweep.Result) string {
 	return string(out)
 }
 
+// remoteRun sweeps spec on the daemon at url through the one fleet door:
+// a dispatcher with no cache of its own, so every cell and the grid's
+// curve context come from the daemon.
 func remoteRun(t *testing.T, url string, spec sweep.Spec) *sweep.Result {
 	t.Helper()
-	rb, err := eval.NewRemoteBackend([]string{url})
+	d, err := dispatch.New([]string{url})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sweep.NewRunner(sweep.WithBackends(rb)).Run(context.Background(), spec)
+	res, err := d.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

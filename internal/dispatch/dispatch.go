@@ -5,7 +5,9 @@
 // cells of the grid to this package, which partitions them into
 // contiguous index ranges and dispatches each range to a worker shard
 // over the batched wire protocol (POST /v1/sweep/part — spec plus range
-// in, NDJSON cells out). It runs in the process that asks (cmd/sweep
+// in, NDJSON cells out); a Run's curve context is one more request with
+// the same spec (POST /v1/curve), whatever the cache holds. It runs in
+// the process that asks (cmd/sweep
 // -shards, cmd/plan -shards, a program of your own); a shard is a plain
 // sweepd and never coordinates.
 //
@@ -126,9 +128,9 @@ func New(addrs []string, opts ...Option) (*Dispatcher, error) {
 	d.rb = rb
 	d.addrs = rb.Addrs()
 	// The fleet client is the whole backend list: it answers Evaluate's
-	// probes and describes Run's curves over /v1/curve, and alone in a
-	// list it caches as the built-in stack does, so dispatched and
-	// in-process sweeps share cache lines.
+	// probes, and alone in a list it caches as the built-in stack does,
+	// so dispatched and in-process sweeps share cache lines. Run's cells
+	// and curves are the dispatcher's, as the runner's Scheduler.
 	d.Backends = []eval.Evaluator{rb}
 	d.Scheduler = d
 	return d, nil
@@ -248,6 +250,27 @@ func (d *Dispatcher) Schedule(ctx context.Context, g *sweep.Grid, cold []int, de
 	fail(nil)
 	<-allDead // no worker outlives the sweep
 	return err
+}
+
+// Curves implements sweep.Scheduler: the grid's curve context in one
+// /v1/curve request carrying the spec, through the transport's retry
+// loop (shard rotation, backoff, Retry-After, bounded by ctx). One shard
+// answers every curve on its own pool; a model's verdict on a curve is
+// permanent and names the curve. An answer of any other length than
+// heads is a protocol breach, permanent too.
+func (d *Dispatcher) Curves(ctx context.Context, g *sweep.Grid, heads []int) ([]eval.CurveDesc, error) {
+	specJSON, err := json.Marshal(g.Spec)
+	if err != nil {
+		return nil, fmt.Errorf("dispatch: encoding spec: %w", err)
+	}
+	descs, err := d.rb.Curves(ctx, specJSON)
+	if err != nil {
+		return nil, fmt.Errorf("dispatch: curves: %w", err)
+	}
+	if len(descs) != len(heads) {
+		return nil, fmt.Errorf("dispatch: curves: the fleet described %d curve(s) of a %d-curve grid", len(descs), len(heads))
+	}
+	return descs, nil
 }
 
 // worker pulls ranges off the queue and dispatches them to one shard

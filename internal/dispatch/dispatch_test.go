@@ -193,12 +193,13 @@ func modelOnlySpec() sweep.Spec {
 
 // TestRangeDispatchAmortisesRequests is why the range protocol exists,
 // as a count instead of a stopwatch: a cold grid of N >= 120 cells over
-// 3 shards costs the dispatcher at most 4 range requests per shard,
-// where the per-cell RemoteBackend pays one /v1/eval round trip per
-// cell. (The throughput this buys is the ledger's
+// 3 shards costs the dispatcher at most 4 range requests per shard and
+// one curve request, where the per-cell RemoteBackend pays one /v1/eval
+// round trip per cell (and, describing no curve, leaves curve context to
+// the dispatcher). (The throughput this buys is the ledger's
 // eval.batch_cells_per_s against eval.remote_rtt_us.)
 func TestRangeDispatchAmortisesRequests(t *testing.T) {
-	var evals, parts atomic.Int64
+	var evals, parts, curves atomic.Int64
 	addrs := make([]string, 3)
 	for i := range addrs {
 		shard := serve.New(serve.WithCache(sweep.NewCache()))
@@ -208,6 +209,8 @@ func TestRangeDispatchAmortisesRequests(t *testing.T) {
 				evals.Add(1)
 			case "/v1/sweep/part":
 				parts.Add(1)
+			case "/v1/curve":
+				curves.Add(1)
 			}
 			shard.ServeHTTP(w, r)
 		}))
@@ -230,8 +233,8 @@ func TestRangeDispatchAmortisesRequests(t *testing.T) {
 		t.Errorf("%d cold cells took %d range request(s) (%d seen by shards, %d cells back), want <= %d",
 			n, st.Batches, parts.Load(), st.Cells, 4*3)
 	}
-	if evals.Load() != 0 {
-		t.Errorf("dispatcher issued %d per-cell request(s)", evals.Load())
+	if evals.Load() != 0 || curves.Load() != 1 {
+		t.Errorf("dispatcher issued %d per-cell and %d curve request(s), want 0 and 1", evals.Load(), curves.Load())
 	}
 
 	rb, err := eval.NewRemoteBackend(addrs)
@@ -241,8 +244,8 @@ func TestRangeDispatchAmortisesRequests(t *testing.T) {
 	if _, err := sweep.NewRunner(sweep.WithBackends(rb)).Run(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
-	if evals.Load() != n {
-		t.Errorf("per-cell transport issued %d /v1/eval request(s) for %d cells", evals.Load(), n)
+	if evals.Load() != n || curves.Load() != 1 {
+		t.Errorf("per-cell transport issued %d /v1/eval request(s) for %d cells and %d curve request(s), want none", evals.Load(), n, curves.Load()-1)
 	}
 }
 

@@ -19,19 +19,21 @@ import (
 
 // RemoteBackend is the fleet transport and a client-side Evaluator over
 // it: every request this module sends to a sweep shard (see
-// internal/serve and cmd/sweepd) — per-cell /v1/eval and /v1/curve,
-// batched /v1/batch and the dispatch coordinator's /v1/sweep/part
-// ranges, each one asking for cells — is built, classified and retried
-// here, so a local Runner can fan a grid out to a fleet behind the exact
-// same interface as AnalyticBackend and SimBackend. Requests are sharded
+// internal/serve and cmd/sweepd) — per-cell /v1/eval, batched /v1/batch,
+// and the dispatch coordinator's /v1/sweep/part ranges and one
+// /v1/curve request per grid — is built, classified and retried here, so
+// a local Runner can fan a grid out to a fleet behind the exact same
+// interface as AnalyticBackend and SimBackend. Requests are sharded
 // round-robin across the configured addresses; transient failures
 // (connection errors, 5xx and 429 responses, torn, short or stalled
 // NDJSON streams) are retried with exponential backoff, rotating to the
 // next shard on every attempt. Safe for concurrent use.
 //
-// The backend also implements the curve describer used by sweep result
-// metadata (via /v1/curve), and CacheTag: a cell a fleet computed is the
-// cell the built-in stack computes, so it is cached as one.
+// The backend describes no single curve: a grid's curves are one
+// /v1/curve request over the grid's spec (Curves), which a coordinator
+// and its shards must therefore speak alike — they upgrade together.
+// CacheTag says a cell a fleet computed is the cell the built-in stack
+// computes, so it is cached as one.
 type RemoteBackend struct {
 	addrs   []string // normalized base URLs, in round-robin order
 	client  *http.Client
@@ -133,26 +135,28 @@ func (b *RemoteBackend) Addrs() []string { return append([]string(nil), b.addrs.
 
 // Evaluate implements Evaluator: one /v1/eval round trip (with retries).
 func (b *RemoteBackend) Evaluate(ctx context.Context, sc Scenario) (Point, error) {
-	return call[Point](ctx, b, "/v1/eval", sc)
-}
-
-// Curve implements the sweep engine's curve describer through /v1/curve,
-// so remote sweeps carry the same per-curve metadata (model name, D̄,
-// saturation anchor) as in-process ones. The caller's ctx bounds the
-// retries, so a cancelled sweep does not block in curve resolution.
-func (b *RemoteBackend) Curve(ctx context.Context, sc Scenario) (CurveDesc, error) {
-	return call[CurveDesc](ctx, b, "/v1/curve", sc)
-}
-
-// call answers one single-shot endpoint: the scenario is POSTed to path
-// under the retry loop and the JSON response decoded into a T.
-func call[T any](ctx context.Context, b *RemoteBackend, path string, sc Scenario) (T, error) {
-	var out T
 	body, err := json.Marshal(sc)
 	if err != nil {
-		return out, fmt.Errorf("eval: remote: encoding scenario: %w", err)
+		return Point{}, fmt.Errorf("eval: remote: encoding scenario: %w", err)
 	}
-	err = b.retry(ctx, func(addr string) error {
+	return call[Point](ctx, b, "/v1/eval", body)
+}
+
+// Curves asks the fleet for a grid's curve context in one /v1/curve round
+// trip (with retries): spec is the grid's sweep spec — the bytes a
+// /v1/sweep/part request carries as its spec — and the answer is one
+// CurveDesc (model name, D̄, saturation anchor) per curve, in grid order.
+// The caller's ctx bounds the retries, so a cancelled sweep does not
+// block in curve resolution.
+func (b *RemoteBackend) Curves(ctx context.Context, spec []byte) ([]CurveDesc, error) {
+	return call[[]CurveDesc](ctx, b, "/v1/curve", spec)
+}
+
+// call answers one single-shot endpoint: body is POSTed to path under the
+// retry loop and the JSON response decoded into a T.
+func call[T any](ctx context.Context, b *RemoteBackend, path string, body []byte) (T, error) {
+	var out T
+	err := b.retry(ctx, func(addr string) error {
 		return b.post(ctx, addr+path, body, b.single, func(r io.Reader, _ func()) error {
 			out = *new(T) // a retried attempt starts from a clean value
 			if err := json.NewDecoder(r).Decode(&out); err != nil {

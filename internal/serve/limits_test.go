@@ -16,7 +16,8 @@ import (
 // anything is built from it. A few hundred bytes asking for more than
 // sweep.MaxCells cells, or for a simulated network above
 // topology.MaxProcessors, get a 4xx naming the limit at once on every
-// evaluating endpoint, and the shard keeps serving. (Without the checks
+// endpoint that evaluates or describes curves, and the shard keeps
+// serving. (Without the checks
 // the first allocates the load axis and the second the network's tables,
 // and an out-of-memory exit is not a panic a handler can recover. The
 // sizes here are a small multiple of the limits rather than the billions
@@ -48,6 +49,12 @@ func TestOversizedRequestCannotKillShard(t *testing.T) {
 		{"batch network", "/v1/batch", `[` + hugeCell + `]`, procs},
 		{"eval network", "/v1/eval", hugeCell, procs},
 		{"eval hypercube", "/v1/eval", hugeCube, procs},
+		{"curve cells", "/v1/curve", manyCells, cells},
+		{"curve network", "/v1/curve", hugeNet, procs},
+		// The body before /v1/curve took a spec: one scenario, refused
+		// as the spec it is not, never decoded into some other grid.
+		{"curve scenario", "/v1/curve", `{"topology":{"family":"bft","size":64},"msg_flits":8,"load":{"frac":true,"value":0.5}}`,
+			`unknown field "topology"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := client.Post(srv.URL+tc.path, "application/json", strings.NewReader(tc.body))
@@ -61,8 +68,14 @@ func TestOversizedRequestCannotKillShard(t *testing.T) {
 			if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
 				t.Fatalf("status %s, body is no error payload: %v", resp.Status, err)
 			}
-			if resp.StatusCode < 400 || resp.StatusCode > 499 || !strings.Contains(payload.Error, tc.want) {
-				t.Errorf("status %s, error %q; want a 4xx naming %q", resp.Status, payload.Error, tc.want)
+			// A request that sizes a grid is refused whole (400); /v1/eval
+			// refuses its one cell as that cell's verdict (422).
+			code := http.StatusBadRequest
+			if tc.path == "/v1/eval" {
+				code = http.StatusUnprocessableEntity
+			}
+			if resp.StatusCode != code || !strings.Contains(payload.Error, tc.want) {
+				t.Errorf("status %s, error %q; want %d naming %q", resp.Status, payload.Error, code, tc.want)
 			}
 			health, err := client.Get(srv.URL + "/healthz")
 			if err != nil {

@@ -18,8 +18,8 @@
 //	                    the slice locally (dispatch coordinator protocol)
 //	POST /v1/eval       one eval.Scenario in → one eval.Point out; the
 //	                    endpoint behind eval.RemoteBackend
-//	POST /v1/curve      one eval.Scenario in → its eval.CurveDesc (model
-//	                    name, D̄, saturation anchor)
+//	POST /v1/curve      sweep.Spec in → one eval.CurveDesc (model name,
+//	                    D̄, saturation anchor) per curve, in grid order
 //	GET  /v1/builtins   the built-in spec registry (name + description)
 //	GET  /v1/calib      the calibration map's full region report
 //	                    (model-vs-sim accuracy per region; see
@@ -71,7 +71,7 @@ type Server struct {
 	tracer     *obs.Tracer
 	log        *slog.Logger
 	// expansions memoizes grid expansions across a dispatched sweep's
-	// /v1/sweep/part range requests.
+	// /v1/curve and /v1/sweep/part requests.
 	expansions expansions
 }
 
@@ -244,26 +244,26 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(cell)
 }
 
-// handleCurve describes one scenario's curve (model name, D̄, saturation
-// anchor) so remote sweeps carry the same metadata as in-process ones.
+// handleCurve describes every curve of a grid (model name, D̄, saturation
+// anchor), expanding the spec through the memo its ranges share.
 func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 	data, err := readBody(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	var sc eval.Scenario
-	if err := json.Unmarshal(data, &sc); err != nil {
+	grid, err := s.expansions.get(data)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	cd, err := s.runner.Curve(r.Context(), sc)
+	curves, err := s.runner.Curves(r.Context(), grid)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(cd)
+	json.NewEncoder(w).Encode(curves)
 }
 
 // handleBuiltins lists the built-in spec registry.

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dispatch"
 	"repro/internal/eval"
 	"repro/internal/obs"
 	"repro/internal/sweep"
@@ -47,9 +48,10 @@ func postJSON(t *testing.T, url string, body string) *http.Response {
 }
 
 // TestRemoteParityFigure3 is the serving subsystem's central pin: the
-// paper's Figure 3 grid evaluated through a RemoteBackend against a live
-// server matches the in-process run — models to 1e-9, simulator cells
-// bit for bit, curve metadata included.
+// paper's Figure 3 grid evaluated cell by cell through a RemoteBackend
+// against a live server matches the in-process run — models to 1e-9,
+// simulator cells bit for bit — and so does its curve metadata, asked of
+// the server through a dispatcher.
 func TestRemoteParityFigure3(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure3 grid in -short mode")
@@ -88,11 +90,25 @@ func TestRemoteParityFigure3(t *testing.T) {
 			t.Errorf("row %d: cell metadata drifted:\n  local  %+v\n  remote %+v", i, lr.Cell, rr.Cell)
 		}
 	}
-	if len(remote.Curves) != len(local.Curves) {
-		t.Fatalf("curve counts differ: remote %d, local %d", len(remote.Curves), len(local.Curves))
+	// Curve context is a grid's, asked of the fleet in one request by the
+	// one fleet door.
+	d, err := dispatch.New([]string{srv.URL})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range local.Curves {
-		lc, rc := local.Curves[i], remote.Curves[i]
+	g := &sweep.Grid{Spec: spec}
+	if g.Scens, g.Keys, err = sweep.ExpandKeyed(spec); err != nil {
+		t.Fatal(err)
+	}
+	curves, err := d.Runner.Curves(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(curves) != len(local.Curves) {
+		t.Fatalf("curve counts differ: remote %d, local %d", len(curves), len(local.Curves))
+	}
+	for i, lc := range local.Curves {
+		rc := curves[i]
 		if lc.Model != rc.Model || math.Float64bits(lc.SaturationLoad) != math.Float64bits(rc.SaturationLoad) ||
 			math.Float64bits(lc.AvgDist) != math.Float64bits(rc.AvgDist) {
 			t.Errorf("curve %d drifted: %+v vs %+v", i, lc, rc)
@@ -268,28 +284,63 @@ func TestEvalRejectsBadScenarios(t *testing.T) {
 	}
 }
 
+// TestCurveEndpoint: /v1/curve takes a grid's spec — the bytes a range
+// request carries as its spec — and answers one CurveDesc per curve, in
+// grid order, field for field what an in-process Run resolves. A curve
+// the model rejects is the request's 422, naming the curve.
 func TestCurveEndpoint(t *testing.T) {
 	srv := newTestServer(t)
-	body := `{"topology":{"family":"bft","size":64},"msg_flits":8,"load":{"frac":true,"value":0.5}}`
-	resp := postJSON(t, srv.URL+"/v1/curve", body)
+	spec := sweep.Spec{
+		Name: "curves",
+		Topologies: []sweep.TopologySpec{
+			{Family: sweep.FamilyBFT, Sizes: []int{16, 64}},
+			{Family: sweep.FamilyTorus, Sizes: []int{2}, K: 4},
+		},
+		MsgFlits: []int{8, 16},
+		Variants: []sweep.Variant{{Name: "paper"}, {Name: "no-blocking", NoBlockingCorrection: true}},
+		Loads:    sweep.LoadSpec{Fracs: []float64{0.3, 0.6}},
+	}
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := postJSON(t, srv.URL+"/v1/curve", string(body))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %s", resp.Status)
 	}
-	var cd eval.CurveDesc
-	if err := json.NewDecoder(resp.Body).Decode(&cd); err != nil {
+	var got []eval.CurveDesc
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
-	if cd.Model == "" || math.IsNaN(cd.SaturationLoad) || cd.SaturationLoad <= 0 {
-		t.Errorf("bad curve description: %+v", cd)
-	}
-	// The handler asks the server's runner, whose describer is the
-	// analytic backend: same answer, field for field.
-	var sc eval.Scenario
-	if err := json.Unmarshal([]byte(body), &sc); err != nil {
+	local, err := sweep.NewRunner().Run(context.Background(), spec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if want, err := eval.NewAnalyticBackend().Curve(context.Background(), sc); err != nil || cd != want {
-		t.Errorf("/v1/curve answered %+v, the analytic backend %+v (%v)", cd, want, err)
+	if len(got) != len(local.Curves) || len(got) != 12 {
+		t.Fatalf("/v1/curve answered %d curve(s), the grid has %d, want 12", len(got), len(local.Curves))
+	}
+	for i, c := range local.Curves {
+		if got[i].Model != c.Model || math.Float64bits(got[i].AvgDist) != math.Float64bits(c.AvgDist) ||
+			math.Float64bits(got[i].SaturationLoad) != math.Float64bits(c.SaturationLoad) {
+			t.Errorf("curve %d: /v1/curve answered %+v, in-process %+v", i, got[i], c)
+		}
+	}
+
+	bad := modelOnlySpec()
+	bad.Topologies[0].Sizes = []int{16, 5} // 5 is not a power of four
+	body, err = json.Marshal(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp = postJSON(t, srv.URL+"/v1/curve", string(body))
+	var payload struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(payload.Error, "bft-5/s=4") {
+		t.Errorf("a curve the model rejects: status %s, error %q; want 422 naming bft-5/s=4", resp.Status, payload.Error)
 	}
 }
 

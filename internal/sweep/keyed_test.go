@@ -201,24 +201,20 @@ func TestCurvesCancelledBeforeAnySearch(t *testing.T) {
 // TestCurvesParallelEqualsSerial: curve metadata resolved on several
 // workers is the serial result, in first-appearance order.
 func TestCurvesParallelEqualsSerial(t *testing.T) {
-	scens, err := Expand(torusCurves())
-	if err != nil {
+	g := &Grid{Spec: torusCurves()}
+	var err error
+	if g.Scens, g.Keys, err = ExpandKeyed(g.Spec); err != nil {
 		t.Fatal(err)
 	}
-	serial, err := describeCurves(context.Background(), scens, eval.NewAnalyticBackend(), 1)
+	serial, err := NewRunner(WithWorkers(1)).Curves(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(serial) != 24 {
 		t.Fatalf("%d curves, want 24", len(serial))
 	}
-	for i, c := range serial[:len(serial)-1] {
-		if next := serial[i+1]; c.Topology == next.Topology && c.MsgFlits == next.MsgFlits && c.Variant == next.Variant {
-			t.Fatalf("curve %d repeated: %+v", i, c)
-		}
-	}
 	for _, workers := range []int{2, 4, 64} {
-		parallel, err := describeCurves(context.Background(), scens, eval.NewAnalyticBackend(), workers)
+		parallel, err := NewRunner(WithWorkers(workers)).Curves(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,8 +223,18 @@ func TestCurvesParallelEqualsSerial(t *testing.T) {
 		}
 	}
 	res := mustRun(t, NewRunner(WithWorkers(4)), torusCurves())
-	if !reflect.DeepEqual(res.Curves, serial) {
-		t.Errorf("Run resolves\n%+v\nserial resolves\n%+v", res.Curves, serial)
+	if len(res.Curves) != len(serial) {
+		t.Fatalf("Run resolves %d curves, serial %d", len(res.Curves), len(serial))
+	}
+	for i, c := range res.Curves {
+		if got := (eval.CurveDesc{Model: c.Model, AvgDist: c.AvgDist, SaturationLoad: c.SaturationLoad}); got != serial[i] {
+			t.Errorf("Run resolves curve %d as %+v, serial as %+v", i, got, serial[i])
+		}
+		if i > 0 {
+			if prev := res.Curves[i-1]; c.Topology == prev.Topology && c.MsgFlits == prev.MsgFlits && c.Variant == prev.Variant {
+				t.Fatalf("curve %d repeated: %+v", i, c)
+			}
+		}
 	}
 }
 
@@ -274,8 +280,7 @@ func TestCurvesSpan(t *testing.T) {
 
 // TestCurveCallsPerEntryPoint: curve metadata is Run's. Run describes
 // each curve once; Stream, which has nowhere to put the answer, describes
-// none — over a remote backend that is one /v1/curve round trip per curve
-// not made.
+// none — over a fleet, the grid's /v1/curve round trip is not made.
 func TestCurveCallsPerEntryPoint(t *testing.T) {
 	ab := eval.NewAnalyticBackend()
 	calls := make(chan struct{}, 64)

@@ -66,7 +66,7 @@ type Result struct {
 // ByCurve splits the rows into one run per curve, in load order:
 // ByCurve()[i] holds the rows of Curves[i]. Expansion emits a curve's
 // load points back to back, and a run ends where sameCurve ends it — the
-// boundary describeCurves draws Curves at.
+// boundary curve resolution draws Curves at.
 func (r *Result) ByCurve() [][]Row {
 	var out [][]Row
 	start := 0

@@ -65,10 +65,10 @@ type Runner struct {
 	// key themselves and be safe for concurrent calls — cells arrive
 	// straight from the scheduler's goroutines.
 	Calib CellObserver
-	// Scheduler, when non-nil, computes every grid's cold cells in place
-	// of the local worker pool. It is the seam a fleet plugs into, not a
-	// tuning knob: dispatch.New sets it, over a Runner whose one backend
-	// is the fleet client.
+	// Scheduler, when non-nil, computes every grid's cold cells and
+	// describes its curves in place of the local worker pool. It is the
+	// seam a fleet plugs into, not a tuning knob: dispatch.New sets it,
+	// over a Runner whose one backend is the fleet client.
 	Scheduler Scheduler
 
 	// Built once by init: the evaluator list (Backends, or the built-in
@@ -225,22 +225,34 @@ func (g *Grid) CellError(i int, err error) error {
 	return fmt.Errorf("sweep: scenario %d (%s, load %v): %w", sc.Index, sc.CurveKey(), sc.Load.Value, err)
 }
 
-// Scheduler computes the cold cells of an expanded grid — the one thing
-// a local sweep and a fleet sweep do differently. Schedule computes
-// g.Scens[i] for every i in cold and hands each result to deliver exactly
-// once, from any goroutine (deliver never blocks), returning when all are
-// delivered, when a cell fails (the CellError, first failure wins; no
-// further cell need be computed) or when ctx ends. Everything around it —
-// expansion, the cache pass before and the write-back after, the
-// observer, Progress, the result — is the Runner's. The local worker pool
-// is the default; internal/dispatch's range scheduler is the other.
+// Scheduler is where a grid's work is done — the one thing a local sweep
+// and a fleet sweep do differently. Schedule computes g.Scens[i] for
+// every i in cold and hands each result to deliver exactly once, from any
+// goroutine (deliver never blocks), returning when all are delivered,
+// when a cell fails (the CellError, first failure wins; no further cell
+// need be computed) or when ctx ends. Curves describes the grid's curves,
+// heads[j] being the first scenario of the j-th: one eval.CurveDesc per
+// head, in order, or an error naming the curve the model rejects.
+// Everything around them — expansion, the cache pass before and the
+// write-back after, the observer, Progress, the result — is the Runner's.
+// The local worker pool is the default; internal/dispatch's fleet
+// scheduler is the other.
 type Scheduler interface {
 	Schedule(ctx context.Context, g *Grid, cold []int, deliver func(i int, cell Cell)) error
+	Curves(ctx context.Context, g *Grid, heads []int) ([]eval.CurveDesc, error)
 }
 
 // localPool is the default Scheduler: the runner's own bounded pool over
 // its backends.
 type localPool struct{ r *Runner }
+
+// scheduler returns the runner's Scheduler, or its local pool.
+func (r *Runner) scheduler() Scheduler {
+	if r.Scheduler != nil {
+		return r.Scheduler
+	}
+	return localPool{r}
+}
 
 // Schedule implements Scheduler. Cancelling ctx stops the pool promptly:
 // no further cell is claimed and in-flight simulations abort inside their
@@ -452,10 +464,7 @@ func (r *Runner) sweep(ctx context.Context, spec Spec, res *Result, emit func(Ro
 	hits := done
 
 	if len(cold) > 0 {
-		sched := r.Scheduler
-		if sched == nil {
-			sched = localPool{r}
-		}
+		sched := r.scheduler()
 		runCtx, cancel := context.WithCancel(ctx)
 		defer cancel()
 		// Sized to the cold set, so a scheduler's deliver never blocks on
@@ -553,9 +562,10 @@ func emit(ctx context.Context, out chan<- PointResult, pr PointResult) bool {
 	}
 }
 
-// CurveDescriber is what curve resolution asks of a backend: the model
-// context (name, D̄, saturation anchor) of a scenario's curve. The
-// analytic backend answers locally, the remote backend over /v1/curve.
+// CurveDescriber is what the local pool asks of a backend to resolve
+// curves: the model context (name, D̄, saturation anchor) of a
+// scenario's curve. The analytic backend is one; a fleet answers a whole
+// grid's curves at once instead (Scheduler.Curves).
 type CurveDescriber interface {
 	Curve(context.Context, eval.Scenario) (eval.CurveDesc, error)
 }
@@ -571,75 +581,97 @@ func sameCurve(a, b *Scenario) bool {
 		a.Variant == b.Variant && a.Workload == b.Workload
 }
 
-// describeCurves builds the grid's per-curve metadata, one CurveInfo per
-// run of sameCurve scenarios (Result.ByCurve cuts the rows at the same
-// boundaries), asking desc on up to `workers` goroutines — a first look
-// at a curve may be an Eq. 26 search or a network round trip. Once ctx
-// has ended no further curve is described and its error is returned as
-// is.
-func describeCurves(ctx context.Context, scens []Scenario, desc CurveDescriber, workers int) ([]CurveInfo, error) {
-	var heads []int // first scenario of each curve
+// curveHeads returns the first scenario of each curve: one index per run
+// of sameCurve scenarios (Result.ByCurve cuts the rows at the same
+// boundaries). The boundaries are counted first, so the slice is one
+// allocation, not one per doubling.
+func curveHeads(scens []Scenario) []int {
+	n := 0
+	for i := range scens {
+		if i == 0 || !sameCurve(&scens[i], &scens[i-1]) {
+			n++
+		}
+	}
+	heads := make([]int, 0, n)
 	for i := range scens {
 		if i == 0 || !sameCurve(&scens[i], &scens[i-1]) {
 			heads = append(heads, i)
 		}
 	}
-	infos := make([]CurveInfo, len(heads))
-	errs := make([]error, len(heads))
-	describe := func(i int) {
-		sc := &scens[heads[i]]
-		var cd eval.CurveDesc
-		if cd, errs[i] = desc.Curve(ctx, *sc); errs[i] != nil {
-			return
-		}
-		infos[i] = CurveInfo{
-			Topology: sc.Topology, MsgFlits: sc.MsgFlits,
-			Policy: sc.Policy.String(), Variant: sc.Variant.Name,
-			Model: cd.Model, AvgDist: cd.AvgDist, SaturationLoad: cd.SaturationLoad,
-		}
-		if !sc.Workload.IsDefault() {
-			infos[i].Workload = sc.Workload.Label()
+	return heads
+}
+
+// Curves implements Scheduler: each head is described on the pool —
+// a first look at a curve may be an Eq. 26 search — through the first
+// backend that can (the analytic model, in the built-in stack); a list
+// with no such backend leaves the model fields NaN. Descriptions land at
+// the curve's index, so the order never depends on scheduling. Once ctx
+// has ended no further curve is described and its error is returned as
+// is.
+func (p localPool) Curves(ctx context.Context, g *Grid, heads []int) ([]eval.CurveDesc, error) {
+	descs := make([]eval.CurveDesc, len(heads))
+	var desc CurveDescriber
+	for _, be := range p.r.backends() {
+		if d, ok := be.(CurveDescriber); ok {
+			desc = d
+			break
 		}
 	}
-	// Results land at the curve's index, so the order never depends on
-	// scheduling.
-	each(ctx, workers, len(heads), describe)
+	if desc == nil {
+		for i := range descs {
+			descs[i] = eval.CurveDesc{AvgDist: math.NaN(), SaturationLoad: math.NaN()}
+		}
+		return descs, nil
+	}
+	errs := make([]error, len(heads))
+	each(ctx, p.r.workers(g.Spec, len(g.Scens)), len(heads), func(i int) {
+		descs[i], errs[i] = desc.Curve(ctx, g.Scens[heads[i]])
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("sweep: %s: %w", scens[heads[i]].CurveKey(), err)
+			return nil, fmt.Errorf("sweep: %s: %w", g.Scens[heads[i]].CurveKey(), err)
 		}
 	}
-	return infos, nil
+	return descs, nil
 }
 
-// Curve describes the curve sc lies on through the first backend that
-// can (the analytic model, in the built-in stack; the fleet client over
-// /v1/curve); a list with no such backend leaves the model fields NaN.
-// It is what Run resolves curve metadata with and what the serving layer
-// answers /v1/curve from.
-func (r *Runner) Curve(ctx context.Context, sc Scenario) (eval.CurveDesc, error) {
-	for _, be := range r.backends() {
-		if d, ok := be.(CurveDescriber); ok {
-			return d.Curve(ctx, sc)
-		}
-	}
-	return eval.CurveDesc{AvgDist: math.NaN(), SaturationLoad: math.NaN()}, nil
+// Curves describes every curve of g — one eval.CurveDesc per curve, in
+// grid order — through the runner's Scheduler. It is what a shard answers
+// /v1/curve with.
+func (r *Runner) Curves(ctx context.Context, g *Grid) ([]eval.CurveDesc, error) {
+	r.init()
+	return r.scheduler().Curves(ctx, g, curveHeads(g.Scens))
 }
 
-// resolveCurves resolves the grid's curves on the runner's workers under
-// a sweep.curves span that makes the set-up share of a sweep
-// attributable.
+// resolveCurves builds the grid's per-curve metadata under a
+// sweep.curves span that makes the set-up share of a sweep attributable.
 func (r *Runner) resolveCurves(ctx context.Context, g *Grid) ([]CurveInfo, error) {
 	ctx, span := obs.StartSpanKeyed(ctx, "sweep.curves", "")
 	before := analytic.SaturationSearches()
-	curves, err := describeCurves(ctx, g.Scens, r, r.workers(g.Spec, len(g.Scens)))
+	heads := curveHeads(g.Scens)
+	descs, err := r.scheduler().Curves(ctx, g, heads)
+	var infos []CurveInfo
+	if err == nil {
+		infos = make([]CurveInfo, len(heads))
+		for i, h := range heads {
+			sc, cd := &g.Scens[h], &descs[i]
+			infos[i] = CurveInfo{
+				Topology: sc.Topology, MsgFlits: sc.MsgFlits,
+				Policy: sc.Policy.String(), Variant: sc.Variant.Name,
+				Model: cd.Model, AvgDist: cd.AvgDist, SaturationLoad: cd.SaturationLoad,
+			}
+			if !sc.Workload.IsDefault() {
+				infos[i].Workload = sc.Workload.Label()
+			}
+		}
+	}
 	if span != nil { // untraced, the attrs are not even boxed
 		// A process-wide counter: exact unless another sweep searches at
 		// the same moment.
-		span.End(obs.Int("curves", len(curves)), obs.Int64("saturation_searches", analytic.SaturationSearches()-before))
+		span.End(obs.Int("curves", len(infos)), obs.Int64("saturation_searches", analytic.SaturationSearches()-before))
 	}
-	return curves, err
+	return infos, err
 }

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"encoding/json"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -237,4 +238,64 @@ func TestBuiltinReturnsIsolatedCopy(t *testing.T) {
 	if b.Topologies[0].Sizes[0] != 1024 || b.MsgFlits[0] != 16 || b.Loads.Points != 10 {
 		t.Errorf("mutating a Builtin result corrupted the registry: %+v", b)
 	}
+}
+
+// FuzzParseSpec is strict spec decoding under attack: whatever the bytes,
+// ParseSpec returns an error or a spec and never panics, and a spec it
+// accepts re-marshals to bytes it accepts again, expanding to the same
+// cells under the same keys — a shard keys its expansion memo on the
+// bytes a coordinator marshals, and both must mean one grid.
+func FuzzParseSpec(f *testing.F) {
+	for _, name := range Builtins() {
+		s, err := Builtin(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		data, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, body := range []string{
+		// The request-size limits: too many cells, a network too large to
+		// simulate, the scenario body /v1/curve took before specs.
+		`{"topologies":[{"family":"bft","sizes":[16]}],"msg_flits":[8],"loads":{"points":2097152,"max_frac":0.9}}`,
+		`{"topologies":[{"family":"bft","sizes":[262144]}],"msg_flits":[8],"loads":{"fracs":[0.5]},"with_sim":true,"budget":{"warmup":10,"measure":100,"seed":1}}`,
+		`{"topology":{"family":"bft","size":64},"msg_flits":8,"load":{"frac":true,"value":0.5}}`,
+		`{"topologies":[{"family":"torus","sizes":[2,3],"k":4}],"msg_flits":[8],"variants":[{"name":"a"},{"name":"b","no_blocking_correction":true}],"loads":{"flits":[0.01]}}`,
+		`{"topologies":[{"family":"bft","sizes":[16]}],"msg_flits":[8],"workloads":[{"name":"hot","pattern":"hotspot","hot":[0],"hot_frac":0.3}],"loads":{"fracs":[0.5]}}`,
+		`{`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		again, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("accepted spec does not marshal: %v", err)
+		}
+		s2, err := ParseSpec(again)
+		if err != nil {
+			t.Fatalf("accepted spec re-marshals to\n%s\nwhich ParseSpec refuses: %v", again, err)
+		}
+		// The keys of a large grid cost memory, not coverage.
+		if s.cells() > 1<<12 {
+			return
+		}
+		_, keys, err := ExpandKeyed(s)
+		if err != nil {
+			t.Fatalf("accepted spec does not expand: %v", err)
+		}
+		_, keys2, err := ExpandKeyed(s2)
+		if err != nil {
+			t.Fatalf("re-parsed spec does not expand: %v", err)
+		}
+		if !slices.Equal(keys, keys2) {
+			t.Fatalf("re-marshalled spec expands to other cells:\n%q\nvs\n%q", keys, keys2)
+		}
+	})
 }
