@@ -82,6 +82,9 @@ lint:
 	@! grep -nE '^func \([a-z]* ?\*?RemoteBackend\) Curve\(' $$(find internal/eval -name '*.go' ! -name '*_test.go') && \
 	test "$$(grep -rl '"/v1/curve"' --include='*.go' internal cmd examples | grep -v '_test\.go$$' | sort | tr '\n' ' ')" = "internal/eval/remote.go internal/serve/serve.go " || { \
 		echo "one curve request per grid: a grid's curve context is one /v1/curve request over its spec (RemoteBackend.Curves, answered by internal/serve's handler); RemoteBackend describes no single curve"; exit 1; }
+	@test -z "$$(grep -rlE '"/v1/(sweep|builtins)"' --include='*.go' internal cmd examples | grep -v '_test\.go$$')" && \
+	! grep -nE '^func \([a-z]* ?\*?Row\) UnmarshalJSON\(' $$(find internal/sweep -name '*.go' ! -name '*_test.go') || { \
+		echo "one grid stream: a shard streams a grid as /v1/sweep/part BatchItems (a spec with no range is the whole grid); there is no /v1/sweep or /v1/builtins, and sweep.Row is written (cmd/sweep -stream), never decoded"; exit 1; }
 	@test -z "$$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go')" || { \
 		echo "one API surface: no non-test Go file at the module root; callers import the internal/ package that owns each entry point (see examples/)"; exit 1; }
 	@! grep -nE '^func \([a-z]* ?\*?(FatTreeModel|TorusModel)\) (Latency|ServiceInj|SaturationLoad|ChannelStats|Name|MsgFlits|AvgDist|BuildCoreModel|setRates)\(' internal/analytic/*.go && \

@@ -21,10 +21,11 @@
 //	sweepd -log-level debug                 # structured logs, every request
 //	sweepd -debug-addr 127.0.0.1:6060       # pprof on a separate listener
 //
-// Endpoints (see docs/serve.md): POST /v1/sweep (NDJSON stream),
-// POST /v1/batch and POST /v1/sweep/part (batched wire protocol),
-// POST /v1/eval, POST /v1/curve (a grid's spec in, every curve's model
-// context out), GET /v1/builtins, GET /v1/calib (model-vs-sim
+// Endpoints (see docs/serve.md): POST /v1/sweep/part (a grid's spec and
+// an optional index range in, its cells out as an NDJSON stream; the
+// spec alone streams the whole grid), POST /v1/batch (an explicit
+// scenario list, same stream), POST /v1/eval, POST /v1/curve (a grid's
+// spec in, every curve's model context out), GET /v1/calib (model-vs-sim
 // calibration report, with -cache-dir), GET /healthz, GET /metrics
 // (Prometheus text). A coordinator asks /v1/curve in the same spec form
 // as /v1/sweep/part, so coordinators and shards upgrade together.

@@ -295,9 +295,9 @@ func TestCalibrationForgetsPrunedCells(t *testing.T) {
 }
 
 // dispatchFigure3Small starts two real daemons, every address read from
-// a listening record, and has a dispatcher in this process — the front
-// end, since every sweepd is a shard — take figure3-small to them in
-// ranges of three. It returns the shards, the grid, the dispatched result
+// a listening record, and has a dispatcher in this process — the process
+// that asks coordinates, since every sweepd is a shard — take
+// figure3-small to them in ranges of three. It returns the shards, the grid, the dispatched result
 // and the in-process one.
 func dispatchFigure3Small(t *testing.T) (shards []string, spec sweep.Spec, res, local *sweep.Result) {
 	t.Helper()
@@ -325,21 +325,21 @@ func dispatchFigure3Small(t *testing.T) (shards []string, spec sweep.Spec, res, 
 	return shards, spec, res, local
 }
 
-// TestFrontEndAnswersSweepIdentically: the process that asks coordinates
+// TestDispatchedGridEqualsInProcess: the process that asks coordinates
 // the fleet, and two daemons serving it as shards answer figure3-small
 // as the in-process run does.
-func TestFrontEndAnswersSweepIdentically(t *testing.T) {
+func TestDispatchedGridEqualsInProcess(t *testing.T) {
 	_, _, res, local := dispatchFigure3Small(t)
 	if got, want := resultJSON(t, res), resultJSON(t, local); got != want {
 		t.Errorf("figure3-small over two daemons diverged from the in-process run:\n--- in-process\n%s\n--- shards\n%s", want, got)
 	}
 }
 
-// TestFrontEndEvalServesDispatchedCells: a shard's range cells and its
+// TestDispatchedCellsAreEvalHits: a shard's range cells and its
 // /v1/eval share one cache and key space, so each dispatched cell is a
 // hit on exactly the shard that computed it, and the other shard,
 // computing it afresh, answers the same bytes.
-func TestFrontEndEvalServesDispatchedCells(t *testing.T) {
+func TestDispatchedCellsAreEvalHits(t *testing.T) {
 	shards, spec, _, _ := dispatchFigure3Small(t)
 	scens, err := sweep.Expand(spec)
 	if err != nil {

@@ -36,7 +36,9 @@ type BatchItem struct {
 // PartRequest is the wire form of POST /v1/sweep/part, a slice of a
 // spec's deterministic grid: the full spec — as raw JSON, so the shard
 // can memoize its expansion on the exact bytes — plus the half-open
-// index range [Start, End) of the expanded grid to compute.
+// index range [Start, End) of the expanded grid to compute. A zero End
+// is the grid's end, so a request carrying only the spec streams the
+// whole grid.
 type PartRequest struct {
 	Spec  json.RawMessage `json:"spec"`
 	Start int             `json:"start"`

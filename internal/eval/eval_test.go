@@ -341,28 +341,40 @@ func relDiff(a, b float64) float64 {
 	return math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b))
 }
 
-// TestSimulatedNetworkIsCapped: a network above topology.MaxProcessors is
-// refused by arithmetic, before NewNetwork builds anything; the cap is
+// TestSimulatedNetworkIsCapped: a network above topology.MaxProcessors,
+// or replicas whose engines together simulate more processors than that,
+// is refused by arithmetic, before NewNetwork builds anything; the cap is
 // inclusive, and the model takes any size it always did.
 func TestSimulatedNetworkIsCapped(t *testing.T) {
 	for _, tc := range []struct {
-		topo Topology
-		ok   bool
+		topo     Topology
+		replicas int
+		ok       bool
 	}{
-		{Topology{Family: FamilyBFT, Size: 65536}, true},
-		{Topology{Family: FamilyBFT, Size: 262144}, false},
-		{Topology{Family: FamilyBFT, Size: 67108864}, false},
-		{Topology{Family: FamilyHypercube, Size: 16}, true},
-		{Topology{Family: FamilyHypercube, Size: 17}, false},
-		{Topology{Family: FamilyHypercube, Size: 1 << 40}, false},
+		{Topology{Family: FamilyBFT, Size: 65536}, 0, true},
+		{Topology{Family: FamilyBFT, Size: 262144}, 1, false},
+		{Topology{Family: FamilyBFT, Size: 67108864}, 0, false},
+		{Topology{Family: FamilyHypercube, Size: 16}, 1, true},
+		{Topology{Family: FamilyHypercube, Size: 17}, 0, false},
+		{Topology{Family: FamilyHypercube, Size: 1 << 40}, 0, false},
+		{Topology{Family: FamilyBFT, Size: 16384}, 4, true},
+		{Topology{Family: FamilyBFT, Size: 16384}, 8, false},
+		{Topology{Family: FamilyBFT, Size: 16}, 4096, true},
+		{Topology{Family: FamilyBFT, Size: 16}, 1_000_000_000, false},
+		{Topology{Family: FamilyHypercube, Size: 14}, 4, true},
+		{Topology{Family: FamilyHypercube, Size: 14}, 5, false},
+		{Topology{Family: FamilyHypercube, Size: 4}, math.MaxInt, false},
 	} {
-		err := tc.topo.CheckSimSize()
+		err := tc.topo.CheckSimSize(tc.replicas)
 		if tc.ok != (err == nil) {
-			t.Errorf("%s: CheckSimSize = %v, want ok=%v", tc.topo, err, tc.ok)
+			t.Errorf("%s × %d: CheckSimSize = %v, want ok=%v", tc.topo, tc.replicas, err, tc.ok)
 		}
 		if !tc.ok {
 			if !strings.Contains(err.Error(), "limit is 65536 processors") {
-				t.Errorf("%s: error does not name the limit: %v", tc.topo, err)
+				t.Errorf("%s × %d: error does not name the limit: %v", tc.topo, tc.replicas, err)
+			}
+			if tc.replicas > 1 {
+				continue // the network alone fits; NewNetwork builds it
 			}
 			start := time.Now()
 			if _, nerr := tc.topo.NewNetwork(); nerr == nil || nerr.Error() != err.Error() || time.Since(start) > time.Second {

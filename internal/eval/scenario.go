@@ -71,23 +71,30 @@ func (t Topology) NewModel(msgFlits int, opt core.Options) (*analytic.Model, err
 	return nil, err
 }
 
-// CheckSimSize reports whether the instance is too large to simulate.
-// It costs arithmetic only: specs and servers call it before anything
-// is built. Model-only evaluation is not bound by it.
-func (t Topology) CheckSimSize() error {
-	over := t.Size > topology.MaxProcessors
+// CheckSimSize reports whether the instance, simulated as replicas
+// concurrent replicas (zero or one: a single run), is too large to
+// simulate: every replica builds its own engine, so the bound is on
+// replicas × processors. It costs arithmetic only: specs and servers
+// call it before anything is built. Model-only evaluation is not bound
+// by it.
+func (t Topology) CheckSimSize(replicas int) error {
+	limit := topology.MaxProcessors / max(replicas, 1)
+	over := t.Size > limit
 	if t.Family == FamilyHypercube {
-		over = t.Size > bits.TrailingZeros(topology.MaxProcessors)
+		over = t.Size > bits.Len(uint(limit))-1 // 2^Size processors
 	}
-	if over {
-		return fmt.Errorf("eval: %s is too large to simulate: the limit is %d processors", t, topology.MaxProcessors)
+	switch {
+	case !over:
+		return nil
+	case replicas > 1:
+		return fmt.Errorf("eval: %d replicas of %s are too large to simulate: the limit is %d processors", replicas, t, topology.MaxProcessors)
 	}
-	return nil
+	return fmt.Errorf("eval: %s is too large to simulate: the limit is %d processors", t, topology.MaxProcessors)
 }
 
 // NewNetwork builds the simulator topology for the instance.
 func (t Topology) NewNetwork() (topology.Network, error) {
-	if err := t.CheckSimSize(); err != nil {
+	if err := t.CheckSimSize(1); err != nil {
 		return nil, err
 	}
 	switch t.Family {

@@ -324,7 +324,7 @@ type jsonUpdate struct {
 }
 
 // MarshalJSON serialises the update as one NDJSON-able object; errors
-// travel in-band under the "error" key, mirroring /v1/sweep framing.
+// travel in-band under the "error" key.
 func (u Update) MarshalJSON() ([]byte, error) {
 	ju := jsonUpdate{Phase: u.Phase, Candidate: u.Candidate, Result: u.Result}
 	if u.Err != nil {

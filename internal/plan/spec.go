@@ -307,7 +307,7 @@ func (s *Spec) Validate() error {
 				continue
 			}
 			for _, n := range t.Sizes {
-				if err := (eval.Topology{Family: t.Family, Size: n}).CheckSimSize(); err != nil {
+				if err := (eval.Topology{Family: t.Family, Size: n}).CheckSimSize(s.Budget.Replicas); err != nil {
 					return fmt.Errorf("plan: space: topologies[%d]: %w", i, err)
 				}
 			}

@@ -82,6 +82,7 @@ func TestValidateErrors(t *testing.T) {
 		{"bad tolerance", func(s *Spec) { s.Search.Tolerance = 2 }, "tolerance"},
 		{"bad operating frac", func(s *Spec) { s.Search.OperatingFrac = 1.5 }, "operating_frac"},
 		{"network too large to certify", func(s *Spec) { s.Space.Topologies[0].Sizes = []int{262144} }, "limit is 65536 processors"},
+		{"too many certification replicas", func(s *Spec) { s.Budget.Replicas = 1 << 30 }, "limit is 65536 processors"},
 		{"network too large to cost", func(s *Spec) {
 			s.SkipCertify = true
 			s.Space.Topologies[0].Sizes = []int{262144}

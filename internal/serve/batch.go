@@ -24,7 +24,9 @@ import (
 //	                     cells of the spec's expanded grid in [a, b),
 //	                     same NDJSON framing with grid indices; the
 //	                     shard re-derives its slice locally, so cells
-//	                     never cross the wire twice
+//	                     never cross the wire twice. A zero (absent) end
+//	                     is the grid's end: {"spec": …} alone streams
+//	                     the whole grid
 //
 // Both endpoints evaluate through the server's shared runner (memoized
 // backends, shared cache) on the runner's own bounded pool, and both
@@ -42,31 +44,28 @@ const batchBodyLimit = 16 << 20
 // writes per second instead of one per row.
 const flushTick = 25 * time.Millisecond
 
-// heartbeatTick is how long a batched stream may stay silent (no cell
-// completed) before the server emits a keepalive line, so client-side
-// idle watchdogs can tell a stalled shard from a slow cell.
+// heartbeatTick is how long a stream may stay silent (no cell
+// completed) before the server emits a keepalive line, {"index":-1}, so
+// a client-side idle watchdog can tell a slow cell from a stalled shard.
 const heartbeatTick = 10 * time.Second
 
-// ndjson is the one streaming response writer, under /v1/sweep,
-// /v1/batch and /v1/sweep/part: one JSON line per write, safe
-// for concurrent writers, flushed to the client within flushTick of being
-// encoded.
+// ndjson is the one streaming response writer, under /v1/batch and
+// /v1/sweep/part: one BatchItem line per write, safe for concurrent
+// writers, flushed to the client within flushTick of being encoded.
 type ndjson struct {
 	mu    sync.Mutex // guards the response writer, buf, lines and dirty
 	w     io.Writer
 	enc   *json.Encoder // on w
 	buf   []byte        // writeItem's line, reused
-	lines int64         // payload lines written; error and keepalive lines are not counted
+	lines int64         // cell lines written; keepalive lines are not counted
 	dirty bool          // encoded since the last flush
 	stopc chan struct{}
 	done  chan struct{}
 }
 
-// newNDJSON starts an NDJSON response on w. A non-nil heartbeat is the
-// keepalive line a stream silent for heartbeatTick (one slow cell
-// computing) emits, so a client-side idle watchdog can tell a slow cell
-// from a stalled shard. The handler must call close before it returns.
-func newNDJSON(w http.ResponseWriter, heartbeat any) *ndjson {
+// newNDJSON starts an NDJSON response on w. The handler must call close
+// before it returns.
+func newNDJSON(w http.ResponseWriter) *ndjson {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Accel-Buffering", "no") // proxies must not buffer the stream
 	n := &ndjson{w: w, enc: json.NewEncoder(w), stopc: make(chan struct{}), done: make(chan struct{})}
@@ -84,8 +83,8 @@ func newNDJSON(w http.ResponseWriter, heartbeat any) *ndjson {
 			select {
 			case <-tick.C:
 				n.mu.Lock()
-				if !n.dirty && heartbeat != nil && time.Since(quiet) >= heartbeatTick {
-					n.dirty = n.enc.Encode(heartbeat) == nil
+				if !n.dirty && time.Since(quiet) >= heartbeatTick {
+					n.dirty = n.enc.Encode(eval.BatchItem{Index: -1}) == nil
 				}
 				if n.dirty {
 					flusher.Flush()
@@ -129,14 +128,6 @@ func (n *ndjson) writeItem(index int, pt eval.Point) error {
 	return err
 }
 
-// fail ends the stream with err in-band — headers are long gone — as the
-// final {"error": …} line every streaming endpoint shares.
-func (n *ndjson) fail(err error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.enc.Encode(map[string]string{"error": err.Error()})
-}
-
 // close joins the flush goroutine and returns the payload line count;
 // whatever is still buffered goes out when the handler returns.
 func (n *ndjson) close() int64 {
@@ -163,7 +154,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// Sized before anything is built, like a spec: an oversized
 		// network is the request's fault, not one cell's.
 		if scs[i].WithSim {
-			if err := scs[i].Topology.CheckSimSize(); err != nil {
+			if err := scs[i].Topology.CheckSimSize(scs[i].Budget.Replicas); err != nil {
 				httpError(w, http.StatusBadRequest, fmt.Errorf("scenario %d: %w", i, err))
 				return
 			}
@@ -222,10 +213,11 @@ func (e *expansions) get(specJSON []byte) (*sweep.Grid, error) {
 }
 
 // handlePart evaluates one contiguous slice of a spec's deterministic
-// grid. The spec travels whole and the shard re-expands it locally —
-// expansion is deterministic, so coordinator and shard agree on every
-// cell without any scenario crossing the wire (and the expansion is
-// memoized across the sweep's range requests).
+// grid — the whole grid when the request names no end. The spec travels
+// whole and the shard re-expands it locally — expansion is
+// deterministic, so coordinator and shard agree on every cell without
+// any scenario crossing the wire (and the expansion is memoized across
+// the sweep's range requests).
 func (s *Server) handlePart(w http.ResponseWriter, r *http.Request) {
 	data, err := readBody(r)
 	if err != nil {
@@ -241,6 +233,9 @@ func (s *Server) handlePart(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
+	}
+	if req.End == 0 {
+		req.End = len(grid.Scens)
 	}
 	if req.Start < 0 || req.End < req.Start || req.End > len(grid.Scens) {
 		httpError(w, http.StatusBadRequest,
@@ -259,7 +254,7 @@ func (s *Server) handlePart(w http.ResponseWriter, r *http.Request) {
 // stream's. Closing the connection cancels the remaining evaluations
 // through the request context.
 func (s *Server) streamItems(w http.ResponseWriter, r *http.Request, scens []eval.Scenario, keys []string, base int) {
-	out := newNDJSON(w, eval.BatchItem{Index: -1})
+	out := newNDJSON(w)
 	defer func() { s.traffic.add("sweep_stream_rows_total", out.close()) }()
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()

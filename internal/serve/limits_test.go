@@ -15,13 +15,14 @@ import (
 // TestOversizedRequestCannotKillShard: a request is sized before
 // anything is built from it. A few hundred bytes asking for more than
 // sweep.MaxCells cells, or for a simulated network above
-// topology.MaxProcessors, get a 4xx naming the limit at once on every
-// endpoint that evaluates or describes curves, and the shard keeps
-// serving. (Without the checks
-// the first allocates the load axis and the second the network's tables,
-// and an out-of-memory exit is not a panic a handler can recover. The
-// sizes here are a small multiple of the limits rather than the billions
-// a hostile body would carry, so a regression fails this test instead of
+// topology.MaxProcessors — alone or as replicas, each of which builds an
+// engine as large as the network — get a 4xx naming the limit at once on
+// every endpoint that evaluates or describes curves, and the shard keeps
+// serving. (Without the checks the first allocates the load axis, the
+// second the network's tables and the third the replicas' engines, and
+// an out-of-memory exit is not a panic a handler can recover. The sizes
+// here are a small multiple of the limits rather than the billions a
+// hostile body would carry, so a regression fails this test instead of
 // taking the machine's memory with it.)
 func TestOversizedRequestCannotKillShard(t *testing.T) {
 	srv := newTestServer(t, WithCache(sweep.NewCache()))
@@ -37,22 +38,31 @@ func TestOversizedRequestCannotKillShard(t *testing.T) {
 			"with_sim":true,"budget":{"warmup":10,"measure":100,"seed":1}}`
 		hugeCube = `{"topology":{"family":"hypercube","size":18},"msg_flits":8,"load":{"value":0.01},
 			"with_sim":true,"budget":{"warmup":10,"measure":100,"seed":1}}`
+		// Twice the limit in eight replicas of a network that fits alone.
+		manyReplicas = `{"topologies":[{"family":"bft","sizes":[16384]}],"msg_flits":[8],
+			"loads":{"fracs":[0.5]},"with_sim":true,"budget":{"warmup":10,"measure":100,"seed":1,"replicas":8}}`
+		replicaCell = `{"topology":{"family":"bft","size":16384},"msg_flits":8,"load":{"value":0.01},
+			"with_sim":true,"budget":{"warmup":10,"measure":100,"seed":1,"replicas":8}}`
 	)
 	client := &http.Client{Timeout: time.Second}
 	for _, tc := range []struct {
 		name, path, body, want string
 	}{
-		{"sweep cells", "/v1/sweep", manyCells, cells},
-		{"sweep network", "/v1/sweep", hugeNet, procs},
+		// The whole-grid form of the part stream: a spec and no range.
+		{"sweep cells", "/v1/sweep/part", `{"spec":` + manyCells + `}`, cells},
+		{"sweep network", "/v1/sweep/part", `{"spec":` + hugeNet + `}`, procs},
 		{"part cells", "/v1/sweep/part", `{"spec":` + manyCells + `,"start":0,"end":1}`, cells},
 		{"part network", "/v1/sweep/part", `{"spec":` + hugeNet + `,"start":0,"end":1}`, procs},
+		{"part replicas", "/v1/sweep/part", `{"spec":` + manyReplicas + `,"start":0,"end":1}`, procs},
 		{"batch network", "/v1/batch", `[` + hugeCell + `]`, procs},
+		{"batch replicas", "/v1/batch", `[` + replicaCell + `]`, procs},
 		{"eval network", "/v1/eval", hugeCell, procs},
+		{"eval replicas", "/v1/eval", replicaCell, procs},
 		{"eval hypercube", "/v1/eval", hugeCube, procs},
 		{"curve cells", "/v1/curve", manyCells, cells},
 		{"curve network", "/v1/curve", hugeNet, procs},
-		// The body before /v1/curve took a spec: one scenario, refused
-		// as the spec it is not, never decoded into some other grid.
+		// A scenario body is refused as the spec it is not, never decoded
+		// into some other grid.
 		{"curve scenario", "/v1/curve", `{"topology":{"family":"bft","size":64},"msg_flits":8,"load":{"frac":true,"value":0.5}}`,
 			`unknown field "topology"`},
 	} {

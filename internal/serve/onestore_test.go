@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -102,22 +101,14 @@ func TestOneDirectoryThreeFrontDoors(t *testing.T) {
 	m.Mine(ctx, st)
 	srv := newTestServer(t, WithCache(st), WithCalibration(m))
 	body, _ := json.Marshal(figure3)
-	resp := postJSON(t, srv.URL+"/v1/sweep", string(body))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/sweep: %s", resp.Status)
+	items := decodeItems(t, postJSON(t, srv.URL+"/v1/sweep/part", `{"spec":`+string(body)+`}`))
+	if len(items) != len(res.Rows) {
+		t.Errorf("streamed %d cells, want %d", len(items), len(res.Rows))
 	}
-	rows := 0
-	for sc := bufio.NewScanner(resp.Body); sc.Scan(); rows++ {
-		var row sweep.Row
-		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
-			t.Fatalf("bad NDJSON line: %v\n%s", err, sc.Text())
+	for idx, it := range items {
+		if it.Point == nil {
+			t.Errorf("cell %d failed: %s", idx, it.Error)
 		}
-		if !row.Cached {
-			t.Errorf("the daemon recomputed a cell the sweep had stored: %s", sc.Text())
-		}
-	}
-	if rows != len(res.Rows) {
-		t.Errorf("streamed %d rows, want %d", rows, len(res.Rows))
 	}
 	if n := st.Len(); n != cells {
 		t.Errorf("serving a stored grid grew the store from %d to %d cells", cells, n)
@@ -131,12 +122,17 @@ func TestOneDirectoryThreeFrontDoors(t *testing.T) {
 	}
 	defer hz.Body.Close()
 	var health struct {
+		CacheHits   int `json:"cache_hits"`
+		CacheMisses int `json:"cache_misses"`
 		Calibration struct {
 			Pairs int `json:"pairs"`
 		} `json:"calibration"`
 	}
 	if err := json.NewDecoder(hz.Body).Decode(&health); err != nil {
 		t.Fatal(err)
+	}
+	if health.CacheMisses != 0 || health.CacheHits != len(res.Rows) {
+		t.Errorf("the daemon missed %d and hit %d of the %d cells the sweep had stored", health.CacheMisses, health.CacheHits, len(res.Rows))
 	}
 	if health.Calibration.Pairs != pairable {
 		t.Errorf("/healthz calibration.pairs = %d for %d measurements", health.Calibration.Pairs, pairable)

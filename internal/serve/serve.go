@@ -5,22 +5,17 @@
 // the process that asks (internal/dispatch), never by a server. It
 // exposes:
 //
-//	POST /v1/sweep      full sweep.Spec in → NDJSON stream of rows out,
-//	                    one line per cell as it completes (sweep.Row
-//	                    wire format), flushed within flushTick of
-//	                    completion; the request context cancels the
-//	                    sweep on disconnect
+//	POST /v1/sweep/part spec + optional grid index range in → those
+//	                    cells out as NDJSON BatchItems, one line per
+//	                    cell as it completes; the shard re-derives the
+//	                    grid locally, and a request with no end streams
+//	                    the whole grid (see batch.go)
 //	POST /v1/batch      JSON array of scenarios in → NDJSON BatchItem
-//	                    stream out (batched form of /v1/eval; see
-//	                    batch.go)
-//	POST /v1/sweep/part spec + grid index range in → that slice's cells
-//	                    out as NDJSON BatchItems; the shard re-derives
-//	                    the slice locally (dispatch coordinator protocol)
+//	                    stream out (batched form of /v1/eval)
 //	POST /v1/eval       one eval.Scenario in → one eval.Point out; the
 //	                    endpoint behind eval.RemoteBackend
 //	POST /v1/curve      sweep.Spec in → one eval.CurveDesc (model name,
 //	                    D̄, saturation anchor) per curve, in grid order
-//	GET  /v1/builtins   the built-in spec registry (name + description)
 //	GET  /v1/calib      the calibration map's full region report
 //	                    (model-vs-sim accuracy per region; see
 //	                    internal/calib), when a map is attached
@@ -30,11 +25,11 @@
 //	                    metrics.go; the library counters; the cache and
 //	                    calibration map it was given)
 //
-// A failing sweep delivers its error as the final NDJSON line,
-// {"error": …} — clients distinguish it from rows by the "error" key. The
-// server shares one Runner (and therefore one backend set and one cache)
-// across all requests, so repeated and overlapping work is served from
-// cache; with a persistent store attached, across restarts too.
+// A cell that fails is that cell's {"index":N,"error":…} line; the
+// stream goes on. The server shares one Runner (and therefore one
+// backend set and one cache) across all requests, so repeated and
+// overlapping work is served from cache; with a persistent store
+// attached, across restarts too.
 package serve
 
 import (
@@ -129,12 +124,10 @@ func New(opts ...Option) *Server {
 		s.runner.Calib = s.calib
 		s.collectors = append(s.collectors, s.calib)
 	}
-	s.handle("/v1/sweep", post(s.handleSweep))
 	s.handle("/v1/batch", post(s.handleBatch))
 	s.handle("/v1/sweep/part", post(s.handlePart))
 	s.handle("/v1/eval", post(s.handleEval))
 	s.handle("/v1/curve", post(s.handleCurve))
-	s.handle("/v1/builtins", get(s.handleBuiltins))
 	s.handle("/v1/calib", get(s.handleCalib))
 	s.handle("/healthz", get(s.handleHealthz))
 	s.handle("/metrics", get(s.handleMetrics))
@@ -185,37 +178,6 @@ func readBodyN(r *http.Request, n int64) ([]byte, error) {
 	return data, nil
 }
 
-// handleSweep streams a sweep: spec in, NDJSON rows out as they
-// complete. Closing the connection cancels the sweep through the request
-// context — in-flight simulations abort inside their cycle loops and the
-// worker pool unwinds; cells completed before the disconnect stay in the
-// server's cache.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	data, err := readBody(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	spec, err := sweep.ParseSpec(data)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	// No heartbeats here: /v1/sweep consumers parse Row lines, not
-	// BatchItems.
-	out := newNDJSON(w, nil)
-	defer func() { s.traffic.add("sweep_stream_rows_total", out.close()) }()
-	for pr := range s.runner.Stream(r.Context(), spec) {
-		if pr.Err != nil {
-			out.fail(pr.Err) // mirrors Stream's contract: the error is the final line
-			return
-		}
-		if out.write(pr.Row) != nil {
-			return // client gone; request-ctx cancellation drains the pool
-		}
-	}
-}
-
 // handleEval answers one scenario: the endpoint behind RemoteBackend.
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	data, err := readBody(r)
@@ -264,24 +226,6 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(curves)
-}
-
-// handleBuiltins lists the built-in spec registry.
-func (s *Server) handleBuiltins(w http.ResponseWriter, r *http.Request) {
-	type entry struct {
-		Name        string `json:"name"`
-		Description string `json:"description"`
-	}
-	out := make([]entry, 0, 8)
-	for _, name := range sweep.Builtins() {
-		spec, err := sweep.Builtin(name)
-		if err != nil {
-			continue
-		}
-		out = append(out, entry{Name: name, Description: spec.Description})
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(out)
 }
 
 // handleCalib serves the calibration map's full region report: per-

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -169,44 +170,60 @@ func TestTwoFleetsShareCells(t *testing.T) {
 	}
 }
 
-// TestSweepStreamsNDJSON pins the /v1/sweep framing: one row per line as
-// cells complete, decodable with sweep.Row's wire format.
-func TestSweepStreamsNDJSON(t *testing.T) {
-	srv := newTestServer(t)
-	spec, _ := json.Marshal(modelOnlySpec())
-	resp := postJSON(t, srv.URL+"/v1/sweep", string(spec))
+// partLines posts a /v1/sweep/part body and returns the stream's lines
+// keyed by grid index, failing on a status other than 200, a line that
+// is no BatchItem, or an index answered twice.
+func partLines(t *testing.T, url, body string) map[int]string {
+	t.Helper()
+	resp := postJSON(t, url+"/v1/sweep/part", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %s", resp.Status)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("Content-Type %q", ct)
-	}
-	var rows []sweep.Row
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		var row sweep.Row
-		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
+	lines := make(map[int]string)
+	for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
+		var it eval.BatchItem
+		if err := json.Unmarshal(sc.Bytes(), &it); err != nil {
 			t.Fatalf("bad NDJSON line: %v\n%s", err, sc.Text())
 		}
-		rows = append(rows, row)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("streamed %d rows, want 4", len(rows))
-	}
-	for _, row := range rows {
-		if math.IsNaN(row.Model) || row.Model <= 0 {
-			t.Errorf("streamed row without model value: %+v", row.Cell)
+		if _, dup := lines[it.Index]; dup {
+			t.Fatalf("grid index %d answered twice", it.Index)
 		}
+		lines[it.Index] = sc.Text()
+	}
+	return lines
+}
+
+// TestSweepStreamsNDJSON pins the one grid stream: a /v1/sweep/part
+// request carrying only the spec answers every grid index exactly once,
+// as NDJSON BatchItems in completion order, and its lines are byte for
+// byte those of the explicit [0, n) range.
+func TestSweepStreamsNDJSON(t *testing.T) {
+	srv := newTestServer(t)
+	specJSON, _ := json.Marshal(modelOnlySpec())
+	whole := partLines(t, srv.URL, `{"spec":`+string(specJSON)+`}`)
+	if len(whole) != 4 {
+		t.Fatalf("streamed %d cells, want 4", len(whole))
+	}
+	for idx, line := range whole {
+		var it eval.BatchItem
+		json.Unmarshal([]byte(line), &it)
+		if idx < 0 || idx >= 4 || it.Point == nil || math.IsNaN(it.Point.Model) || it.Point.Model <= 0 {
+			t.Errorf("streamed line without a model value: %s", line)
+		}
+	}
+	ranged := partLines(t, srv.URL, `{"spec":`+string(specJSON)+`,"start":0,"end":4}`)
+	if !maps.Equal(whole, ranged) {
+		t.Errorf("the whole-grid stream differs from [0, 4):\n%v\n%v", whole, ranged)
 	}
 }
 
 func TestSweepRejectsBadSpec(t *testing.T) {
 	srv := newTestServer(t)
-	resp := postJSON(t, srv.URL+"/v1/sweep", `{"topologies":[]}`)
+	resp := postJSON(t, srv.URL+"/v1/sweep/part", `{"spec":{"topologies":[]}}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid spec: status %s", resp.Status)
 	}
-	resp = postJSON(t, srv.URL+"/v1/sweep", `{"no_such_field":1}`)
+	resp = postJSON(t, srv.URL+"/v1/sweep/part", `{"spec":{"no_such_field":1}}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field: status %s", resp.Status)
 	}
@@ -218,28 +235,30 @@ func TestSweepRejectsBadSpec(t *testing.T) {
 	}
 }
 
-// TestSweepMidStreamFailure pins the in-band error contract: a scenario
-// that fails after streaming began arrives as a final {"error": …} line.
+// TestSweepMidStreamFailure pins the per-item error contract: cells that
+// fail after streaming began arrive as their own {"index":N,"error":…}
+// lines, and every other cell of the grid is still answered.
 func TestSweepMidStreamFailure(t *testing.T) {
 	srv := newTestServer(t)
 	spec := modelOnlySpec()
 	spec.Topologies[0].Sizes = []int{16, 5} // 5 is not a power of four
 	body, _ := json.Marshal(spec)
-	resp := postJSON(t, srv.URL+"/v1/sweep", string(body))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %s (mid-stream failures cannot change it)", resp.Status)
+	resp := postJSON(t, srv.URL+"/v1/sweep/part", `{"spec":`+string(body)+`}`)
+	items := decodeItems(t, resp) // status 200: mid-stream failures cannot change it
+	if len(items) != 8 {
+		t.Fatalf("%d item(s), want all 8 cells", len(items))
 	}
-	var sawError bool
-	sc := bufio.NewScanner(resp.Body)
-	var last string
-	for sc.Scan() {
-		last = sc.Text()
+	failed := 0
+	for idx, it := range items {
+		switch {
+		case it.Error != "" && it.Point == nil && strings.Contains(it.Error, "size 5"):
+			failed++
+		case it.Error != "" || it.Point == nil:
+			t.Errorf("cell %d: %+v", idx, it)
+		}
 	}
-	if strings.Contains(last, `"error"`) {
-		sawError = true
-	}
-	if !sawError {
-		t.Errorf("stream ended without an error line; last = %s", last)
+	if failed != 4 {
+		t.Errorf("%d cell(s) failed, want the 4 bft-5 cells", failed)
 	}
 }
 
@@ -344,51 +363,32 @@ func TestCurveEndpoint(t *testing.T) {
 	}
 }
 
-func TestBuiltinsAndHealthz(t *testing.T) {
-	srv := newTestServer(t, WithCache(sweep.NewCache()))
-	resp, err := http.Get(srv.URL + "/v1/builtins")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var entries []struct{ Name, Description string }
-	if err := json.NewDecoder(resp.Body).Decode(&entries); err != nil {
-		t.Fatal(err)
-	}
-	names := map[string]bool{}
-	for _, e := range entries {
-		names[e.Name] = true
-	}
-	if !names["figure3"] || !names["table2"] {
-		t.Errorf("builtins incomplete: %+v", entries)
-	}
-
-	hz, err := http.Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hz.Body.Close()
-	var health map[string]any
-	if err := json.NewDecoder(hz.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	if health["status"] != "ok" {
-		t.Errorf("healthz: %+v", health)
-	}
-	if _, ok := health["cache_cells"]; !ok {
-		t.Errorf("healthz missing cache stats: %+v", health)
-	}
-}
-
+// TestMethodGate: a route answers the wrong method with 405; a path the
+// shard does not serve — the grid stream is /v1/sweep/part, and a shard
+// lists no builtins — answers 404.
 func TestMethodGate(t *testing.T) {
 	srv := newTestServer(t)
-	resp, err := http.Get(srv.URL + "/v1/sweep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/sweep: status %s", resp.Status)
+	for _, tc := range []struct {
+		method, path string
+		code         int
+	}{
+		{http.MethodGet, "/v1/sweep/part", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/healthz", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/v1/sweep", http.StatusNotFound},
+		{http.MethodGet, "/v1/builtins", http.StatusNotFound},
+	} {
+		req, err := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.code {
+			t.Errorf("%s %s: status %s, want %d", tc.method, tc.path, resp.Status, tc.code)
+		}
 	}
 }
 
@@ -582,8 +582,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestHealthzVersionInfo pins the build/version satellite: /healthz
-// reports the Go toolchain and module version alongside cache stats.
+// TestHealthzVersionInfo pins /healthz: liveness, the Go toolchain and
+// module version, and the cache stats beside them.
 func TestHealthzVersionInfo(t *testing.T) {
 	srv := newTestServer(t, WithCache(sweep.NewCache()))
 	resp, err := http.Get(srv.URL + "/healthz")
@@ -594,6 +594,9 @@ func TestHealthzVersionInfo(t *testing.T) {
 	var health map[string]any
 	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
 		t.Fatal(err)
+	}
+	if health["status"] != "ok" {
+		t.Errorf("healthz: %+v", health)
 	}
 	gv, _ := health["go_version"].(string)
 	if !strings.HasPrefix(gv, "go") {
@@ -627,7 +630,7 @@ func TestSweepClientDisconnectLeaksNoGoroutines(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/sweep", strings.NewReader(string(body)))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/sweep/part", strings.NewReader(`{"spec":`+string(body)+`}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -759,15 +762,7 @@ func TestBackendPanicCannotKillShard(t *testing.T) {
 		}},
 		{"batch", "/v1/batch", "[" + scen(8) + "," + scen(13) + "," + scen(16) + "]", itemsFailOnly},
 		{"part", "/v1/sweep/part", `{"spec":` + spec + `,"start":0,"end":3}`, itemsFailOnly},
-		{"sweep", "/v1/sweep", spec, func(t *testing.T, resp *http.Response) {
-			body, _ := io.ReadAll(resp.Body)
-			lines := strings.Split(strings.TrimSpace(string(body)), "\n")
-			last := lines[len(lines)-1]
-			if resp.StatusCode != http.StatusOK || !strings.Contains(last, `"error"`) ||
-				!strings.Contains(last, "scenario 1 (") || !strings.Contains(last, "backend panic") {
-				t.Errorf("status %s, final line %q; want an in-band error naming scenario 1's panic", resp.Status, last)
-			}
-		}},
+		{"sweep", "/v1/sweep/part", `{"spec":` + spec + `}`, itemsFailOnly},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.check(t, postJSON(t, srv.URL+tc.path, tc.body))

@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/json"
 	"net/http"
-	"strings"
 	"testing"
 
 	"repro/internal/sweep"
@@ -35,7 +33,7 @@ func TestMalformedWorkloadCannotKillShard(t *testing.T) {
 		  "loads":{"flits":[0.01]}}`,
 	}
 	for i, body := range badSweeps {
-		resp := postJSON(t, srv.URL+"/v1/sweep", body)
+		resp := postJSON(t, srv.URL+"/v1/sweep/part", `{"spec":`+body+`}`)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("bad sweep %d: status %s, want 400", i, resp.Status)
 		}
@@ -65,9 +63,10 @@ func TestMalformedWorkloadCannotKillShard(t *testing.T) {
 }
 
 // TestWorkloadSweepStreamsModelNA pins the wire contract of workload
-// cells: a bursty sweep streamed over /v1/sweep carries model_na and the
-// full workload spec on every non-default row, and clients reconstruct
-// them through sweep.Row's UnmarshalJSON.
+// cells: a bursty grid streamed over /v1/sweep/part marks every cell of
+// its non-default workload model_na, and the workload itself, which
+// travels in the spec, is the one the grid's expansion carries at that
+// index.
 func TestWorkloadSweepStreamsModelNA(t *testing.T) {
 	srv := newTestServer(t)
 	spec := `{
@@ -76,76 +75,39 @@ func TestWorkloadSweepStreamsModelNA(t *testing.T) {
 		"msg_flits":[8],
 		"workloads":[{"name":"steady"},{"name":"burst","process":"mmpp","on_frac":0.25,"burst_cycles":100}],
 		"loads":{"flits":[0.01]}}`
-	resp := postJSON(t, srv.URL+"/v1/sweep", spec)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %s", resp.Status)
+	parsed, err := sweep.ParseSpec([]byte(spec))
+	if err != nil {
+		t.Fatal(err)
 	}
-	var rows []sweep.Row
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		var row sweep.Row
-		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
-			t.Fatalf("bad NDJSON line: %v\n%s", err, sc.Text())
-		}
-		rows = append(rows, row)
+	scens, err := sweep.Expand(parsed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("streamed %d rows, want 2", len(rows))
+	items := decodeItems(t, postJSON(t, srv.URL+"/v1/sweep/part", `{"spec":`+spec+`}`))
+	if len(items) != 2 || len(scens) != 2 {
+		t.Fatalf("streamed %d cells of a %d-cell grid, want 2", len(items), len(scens))
 	}
 	var sawDefault, sawBurst bool
-	for _, row := range rows {
-		if row.Scenario.Workload.IsDefault() {
+	for idx, it := range items {
+		if it.Point == nil {
+			t.Fatalf("cell %d failed: %s", idx, it.Error)
+		}
+		if w := scens[idx].Workload; w.IsDefault() {
 			sawDefault = true
-			if row.ModelNA {
-				t.Errorf("steady row marked model_na: %+v", row.Cell)
+			if it.Point.ModelNA {
+				t.Errorf("steady cell marked model_na: %+v", it.Point)
 			}
 		} else {
 			sawBurst = true
-			if !row.ModelNA {
-				t.Errorf("bursty row not marked model_na: %+v", row.Cell)
+			if !it.Point.ModelNA {
+				t.Errorf("bursty cell not marked model_na: %+v", it.Point)
 			}
-			if got := row.Scenario.Workload.Canonical(); got != "mmpp(0.25,100)/uniform/uniform" {
-				t.Errorf("workload did not survive the wire: %q", got)
+			if got := w.Canonical(); got != "mmpp(0.25,100)/uniform/uniform" {
+				t.Errorf("bursty cell's workload is %q", got)
 			}
 		}
 	}
 	if !sawDefault || !sawBurst {
-		t.Errorf("missing rows: default=%v burst=%v", sawDefault, sawBurst)
-	}
-}
-
-// TestBuiltinsListWorkloadSpecs checks the registry surface: the
-// workload-bearing builtins are listed with descriptions over
-// GET /v1/builtins.
-func TestBuiltinsListWorkloadSpecs(t *testing.T) {
-	srv := newTestServer(t)
-	resp, err := http.Get(srv.URL + "/v1/builtins")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var entries []struct {
-		Name        string `json:"name"`
-		Description string `json:"description"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&entries); err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]bool{"bursty": false, "hotspot": false}
-	for _, e := range entries {
-		if _, ok := want[e.Name]; ok {
-			want[e.Name] = true
-			if e.Description == "" {
-				t.Errorf("builtin %q has no description", e.Name)
-			}
-			if e.Name == "bursty" && !strings.Contains(strings.ToLower(e.Description), "mmpp") {
-				t.Errorf("bursty description does not name the process: %q", e.Description)
-			}
-		}
-	}
-	for name, seen := range want {
-		if !seen {
-			t.Errorf("builtin %q missing from /v1/builtins", name)
-		}
+		t.Errorf("missing cells: default=%v burst=%v", sawDefault, sawBurst)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/topology"
 )
 
 // Pool recycles engines between runs: a finished engine is parked and the
@@ -101,6 +102,10 @@ func (p *Pool) Run(ctx context.Context, cfg Config, opts ...Option) (*Result, er
 	}
 	term := o.term
 	if o.replicas > 1 {
+		// Every replica builds its own engine, as large as the network.
+		if n := cfg.Net.NumProcessors(); o.replicas > topology.MaxProcessors/max(n, 1) {
+			return nil, fmt.Errorf("sim: %d replicas of %d processors are too large to simulate: the limit is %d processors", o.replicas, n, topology.MaxProcessors)
+		}
 		if cfg.Trace != nil {
 			return nil, errors.New("sim: trace replay is a single deterministic run; replicas > 1 is not meaningful")
 		}

@@ -171,6 +171,27 @@ func TestPoolReuseBitIdentical(t *testing.T) {
 	}
 }
 
+// TestReplicasAreCapped: replicas whose engines together would simulate
+// more than topology.MaxProcessors processors are refused before any
+// engine is built, so a replica count alone cannot exhaust memory; the
+// cap is inclusive.
+func TestReplicasAreCapped(t *testing.T) {
+	ft, err := topology.NewFatTree(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p Pool
+	for _, replicas := range []int{topology.MaxProcessors/16 + 1, 1_000_000_000} {
+		_, err := p.Run(context.Background(), lightConfig(ft, 8, 0.01, 1), WithReplicas(replicas))
+		if err == nil || !strings.Contains(err.Error(), "limit is 65536 processors") {
+			t.Errorf("%d replicas of bft-16: err = %v, want the processor limit", replicas, err)
+		}
+	}
+	if len(p.free) != 0 {
+		t.Errorf("a refused run left %d engine(s) in the pool", len(p.free))
+	}
+}
+
 // TestPoolConcurrent runs one pool from four goroutines, each walking the
 // matrix from a different offset, so engines migrate between goroutines
 // and shapes; run under -race.

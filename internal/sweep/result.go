@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/eval"
 	"repro/internal/series"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -305,61 +304,8 @@ func (r Row) jsonRow() jsonRow {
 }
 
 // MarshalJSON serialises one row in the same flattened shape the Result
-// uses, with non-finite values mapped to null. It is the line format of
-// cmd/sweep's NDJSON streaming output and of the serving layer's
-// POST /v1/sweep response.
+// uses, with non-finite values mapped to null: the line format of
+// cmd/sweep's NDJSON streaming output.
 func (r Row) MarshalJSON() ([]byte, error) {
 	return json.Marshal(r.jsonRow())
-}
-
-// UnmarshalJSON decodes a row from the flattened NDJSON line format, so
-// clients of a streamed sweep (consumers of cmd/sweep -stream and of
-// sweepd's /v1/sweep) recover typed rows. The line carries the identity and
-// outcome of a cell, not its full execution recipe: the scenario's
-// topology, message length, policy, variant name, derived seed and every
-// measured value round-trip exactly (null ↔ NaN, saturation markers ↔
-// +Inf), while the load form (fraction vs absolute) and budget windows —
-// absent from the wire — come back zero, with the derived seed parked in
-// Budget.Seed. Marshal∘Unmarshal is therefore the identity on the wire
-// bytes, not on the in-memory Row.
-func (r *Row) UnmarshalJSON(data []byte) error {
-	var jr jsonRow
-	if err := json.Unmarshal(data, &jr); err != nil {
-		return fmt.Errorf("sweep: decoding row: %w", err)
-	}
-	pol, err := sim.ParsePolicy(jr.Policy)
-	if err != nil {
-		return fmt.Errorf("sweep: decoding row: %w", err)
-	}
-	*r = Row{
-		Scenario: Scenario{
-			Topology: Topology{Family: jr.Family, Size: jr.Size, K: jr.K},
-			MsgFlits: jr.MsgFlits,
-			Policy:   pol,
-			Variant:  Variant{Name: jr.Variant},
-			Budget:   Budget{Seed: jr.Seed},
-			Workload: jr.Workload,
-		},
-		Cell: Cell{
-			LoadFlits:      eval.OrNaN(jr.LoadFlits),
-			Model:          eval.OrNaN(jr.ModelLatency),
-			ModelSaturated: jr.ModelSaturated,
-			ModelNA:        jr.ModelNA,
-			Sim:            eval.OrNaN(jr.SimLatency),
-			SimCI:          eval.OrNaN(jr.SimCI95),
-			SimSaturated:   jr.SimSaturated,
-			SimPrecision:   eval.OrNaN(jr.SimPrecision),
-			BoundMax:       eval.OrNaN(jr.BoundMax),
-			BoundUnbounded: jr.BoundUnbounded,
-			BoundNA:        jr.BoundNA,
-		},
-		Cached: jr.Cached,
-	}
-	if jr.ModelSaturated && jr.ModelLatency == nil {
-		r.Model = math.Inf(1)
-	}
-	if jr.BoundUnbounded && jr.BoundMax == nil {
-		r.BoundMax = math.Inf(1)
-	}
-	return nil
 }

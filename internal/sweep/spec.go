@@ -253,7 +253,7 @@ func (s *Spec) Validate() error {
 				return fmt.Errorf("sweep: topologies[%d] (%s): bad size %d", i, t.Family, n)
 			}
 			if s.withSim() {
-				if err := (Topology{Family: t.Family, Size: n}).CheckSimSize(); err != nil {
+				if err := (Topology{Family: t.Family, Size: n}).CheckSimSize(s.Budget.Replicas); err != nil {
 					return fmt.Errorf("sweep: topologies[%d]: %w", i, err)
 				}
 			}

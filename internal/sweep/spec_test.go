@@ -2,10 +2,13 @@ package sweep
 
 import (
 	"encoding/json"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 func validSpec() Spec {
@@ -146,6 +149,7 @@ func TestValidateErrors(t *testing.T) {
 		{"simulated hypercube too large", func(s *Spec) {
 			s.Topologies[0] = TopologySpec{Family: FamilyHypercube, Sizes: []int{17}}
 		}, "limit is 65536 processors"},
+		{"too many replicas", func(s *Spec) { s.Budget.Replicas = 1 << 30 }, "limit is 65536 processors"},
 		{"variant sim without spec sim", func(s *Spec) {
 			s.WithSim = false
 			s.Budget = Budget{}
@@ -240,6 +244,30 @@ func TestBuiltinReturnsIsolatedCopy(t *testing.T) {
 	}
 }
 
+// TestBuiltinsListWorkloadSpecs checks the registry surface cmd/sweep
+// -list prints: the paper grids and the workload-bearing grids are listed,
+// every builtin carries a description, and bursty's names its process.
+func TestBuiltinsListWorkloadSpecs(t *testing.T) {
+	names := Builtins()
+	for _, want := range []string{"figure3", "table2", "bursty", "hotspot"} {
+		if !slices.Contains(names, want) {
+			t.Errorf("builtin %q missing from %v", want, names)
+		}
+	}
+	for _, name := range names {
+		s, err := Builtin(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Description == "" {
+			t.Errorf("builtin %q has no description", name)
+		}
+		if name == "bursty" && !strings.Contains(strings.ToLower(s.Description), "mmpp") {
+			t.Errorf("bursty description does not name the process: %q", s.Description)
+		}
+	}
+}
+
 // FuzzParseSpec is strict spec decoding under attack: whatever the bytes,
 // ParseSpec returns an error or a spec and never panics, and a spec it
 // accepts re-marshals to bytes it accepts again, expanding to the same
@@ -296,6 +324,61 @@ func FuzzParseSpec(f *testing.F) {
 		}
 		if !slices.Equal(keys, keys2) {
 			t.Fatalf("re-marshalled spec expands to other cells:\n%q\nvs\n%q", keys, keys2)
+		}
+	})
+}
+
+// FuzzWorkloadSpec is the workload axis under attack: whatever the bytes,
+// a workload.Spec that strict decoding and Validate accept can be keyed,
+// labelled, spread over a small network's sources and given a destination
+// pattern without panicking (an error is a fine answer: sizes are checked
+// when a network is known), and its canonical key — the cache key's
+// workload field — survives a marshal/decode round trip.
+func FuzzWorkloadSpec(f *testing.F) {
+	for _, name := range Builtins() {
+		s, err := Builtin(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, w := range s.Workloads {
+			data, err := json.Marshal(w)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data)
+		}
+	}
+	for _, body := range []string{
+		`{"process":"gamma","shape":0.5,"mix":"ramp","ramp_ratio":4,"pattern":"locality","decay":0.5}`,
+		`{"process":"weibull","shape":2,"mix":"topk","mix_k":3,"mix_frac":0.6,"pattern":"transpose"}`,
+		`{"pattern":"hotspot","hot":[15,3,3],"hot_frac":1}`,
+		`{"pattern":"bitcomplement"}`,
+		`{"name":"replay","trace":"t.ndjson"}`,
+		`{"process":"gamm","shape":2}`,
+	} {
+		f.Add([]byte(body))
+	}
+	const n = 16
+	dist := func(a, b int) int { return 2 * bits.Len(uint(a^b)) }
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var w workload.Spec
+		if DecodeStrict(data, &w) != nil || w.Validate() != nil {
+			return
+		}
+		key := w.Canonical()
+		_ = w.Label()
+		w.Rates(n, 0.01)
+		w.BuildPattern(n, dist)
+		again, err := json.Marshal(&w)
+		if err != nil {
+			t.Fatalf("accepted workload does not marshal: %v", err)
+		}
+		var back workload.Spec
+		if err := DecodeStrict(again, &back); err != nil {
+			t.Fatalf("accepted workload re-marshals to\n%s\nwhich strict decoding refuses: %v", again, err)
+		}
+		if got := back.Canonical(); got != key {
+			t.Fatalf("round trip moved the canonical key: %q → %q\n%s", key, got, again)
 		}
 	})
 }
