@@ -67,9 +67,12 @@ lint:
 	@test -z "$$(grep -rlE '# (TYPE|HELP)' --include='*.go' internal cmd | grep -v '_test\.go$$' | grep -v '^internal/obs/')" && \
 	test -z "$$(grep -rl 'obs\.NewCounter(' --include='*.go' internal cmd | grep -v '_test\.go$$' | grep -vE '^internal/(sim|analytic|bounds|obs)/')" || { \
 		echo "one metrics writer: Prometheus text is rendered by internal/obs only (components implement obs.Collector; obs.NewCounter is for the sim, analytic and bounds libraries)"; exit 1; }
-	@test -z "$$(grep -rl 'backends=' --include='*.go' . | grep -v '_test\.go$$' | grep -vx -e ./internal/sweep/run.go -e ./internal/eval/parsekey.go)" && \
-	test "$$(grep -rhE '^func \([^)]*\) CacheTag\(' --include='*.go' . | wc -l)" -le 1 || { \
-		echo "one key space: cache lines are Scenario.Key; only the custom-list view in internal/sweep/run.go may prefix one"; exit 1; }
+	@test -z "$$(grep -rl 'backends=' --include='*.go' . | grep -v '_test\.go$$' | grep -vx ./internal/eval/parsekey.go)" && \
+	! grep -rnE '^func \([^)]*\) CacheTag\(' --include='*.go' . || { \
+		echo "one key space: a cache line is Scenario.Key, never prefixed (a runner with a custom backend list is not cached); backends= salts on old lines are only read back, in internal/eval/parsekey.go, and no CacheTag is declared"; exit 1; }
+	@! grep -nE '(\.Backends|WithBackends\()' $$(find internal/dispatch -name '*.go' ! -name '*_test.go') && \
+	! grep -nE '^func \([a-z]* ?\*?RemoteBackend\) Name\(' $$(find internal/eval -name '*.go' ! -name '*_test.go') || { \
+		echo "a fleet is a Scheduler: a fleet reaches a sweep.Runner only as its Scheduler (internal/dispatch sets no Backends), and eval.RemoteBackend is a transport, not an Evaluator (it declares no Name)"; exit 1; }
 	@test -z "$$(grep -rlE '"(family| (size|k|flits|policy|frac|load|variant|sim|warmup|measure|seed|drain|prec|reps|workload|bounds))=' --include='*.go' . | grep -v '_test\.go$$' | grep -vx -e ./internal/eval/scenario.go -e ./internal/eval/parsekey.go)" && \
 	test -z "$$(grep -rl 'eval\.ParseKey(' --include='*.go' . | grep -v '_test\.go$$' | grep -v '^\./internal/calib/')" || { \
 		echo "one key grammar: the key's field literals appear only in internal/eval/scenario.go (appendKey writes them) and parsekey.go (ParseKey reads them back), and eval.ParseKey is called from internal/calib only"; exit 1; }
@@ -83,8 +86,9 @@ lint:
 	test "$$(grep -rl '"/v1/curve"' --include='*.go' internal cmd examples | grep -v '_test\.go$$' | sort | tr '\n' ' ')" = "internal/eval/remote.go internal/serve/serve.go " || { \
 		echo "one curve request per grid: a grid's curve context is one /v1/curve request over its spec (RemoteBackend.Curves, answered by internal/serve's handler); RemoteBackend describes no single curve"; exit 1; }
 	@test -z "$$(grep -rlE '"/v1/(sweep|builtins)"' --include='*.go' internal cmd examples | grep -v '_test\.go$$')" && \
-	! grep -nE '^func \([a-z]* ?\*?Row\) UnmarshalJSON\(' $$(find internal/sweep -name '*.go' ! -name '*_test.go') || { \
-		echo "one grid stream: a shard streams a grid as /v1/sweep/part BatchItems (a spec with no range is the whole grid); there is no /v1/sweep or /v1/builtins, and sweep.Row is written (cmd/sweep -stream), never decoded"; exit 1; }
+	! grep -nE '^func \([a-z]* ?\*?Row\) UnmarshalJSON\(' $$(find internal/sweep -name '*.go' ! -name '*_test.go') && \
+	! grep -nE '^func \([a-z]* ?\*?(Candidate|Result)\) UnmarshalJSON\(' $$(find internal/plan -name '*.go' ! -name '*_test.go') || { \
+		echo "one grid stream: a shard streams a grid as /v1/sweep/part BatchItems (a spec with no range is the whole grid); there is no /v1/sweep or /v1/builtins, and sweep.Row (cmd/sweep -stream), plan.Candidate and plan.Result (cmd/plan -json, -stream) are written, never decoded"; exit 1; }
 	@test -z "$$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go')" || { \
 		echo "one API surface: no non-test Go file at the module root; callers import the internal/ package that owns each entry point (see examples/)"; exit 1; }
 	@! grep -nE '^func \([a-z]* ?\*?(FatTreeModel|TorusModel)\) (Latency|ServiceInj|SaturationLoad|ChannelStats|Name|MsgFlits|AvgDist|BuildCoreModel|setRates)\(' internal/analytic/*.go && \

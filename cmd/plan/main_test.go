@@ -39,6 +39,22 @@ func fleet(t *testing.T, n int) []string {
 	return addrs
 }
 
+// planJSON is what these tests read of a plan's -json output: the
+// result's stats and, per frontier member, its wire fields (null is nil).
+type planJSON struct {
+	Frontier []struct {
+		Topology       string   `json:"topology"`
+		MsgFlits       int      `json:"msg_flits"`
+		Policy         string   `json:"policy"`
+		Sim            *float64 `json:"sim_latency"`
+		BoundMax       *float64 `json:"bound_max"`
+		BoundUnbounded bool     `json:"bound_unbounded"`
+		BoundNA        bool     `json:"bound_na"`
+		CalibVerdict   string   `json:"calib_verdict"`
+	} `json:"frontier"`
+	Stats plan.Stats `json:"stats"`
+}
+
 var elapsedLine = regexp.MustCompile(`(?m)^\s*"elapsed_ms": \d+,?\n`)
 
 // TestFleetMatchesLocal: the CI-sized capacity question and the
@@ -71,7 +87,7 @@ func TestFleetMatchesLocal(t *testing.T) {
 				t.Errorf("-shards diverged from the in-process search:\n--- in-process\n%s\n--- -shards\n%s", want, got)
 			}
 
-			var res plan.Result
+			var res planJSON
 			if err := json.Unmarshal([]byte(local), &res); err != nil {
 				t.Fatal(err)
 			}
@@ -88,11 +104,22 @@ func TestFleetMatchesLocal(t *testing.T) {
 			if !tc.hardSLO {
 				return
 			}
+			orNaN := func(v *float64) float64 {
+				if v == nil {
+					return math.NaN()
+				}
+				return *v
+			}
 			for _, c := range res.Frontier {
-				if c.BoundNA || math.IsNaN(c.BoundMax) {
-					t.Errorf("%s: hard-SLO frontier member carries no worst-case bound", c.Key())
-				} else if !(c.Sim <= c.BoundMax) {
-					t.Errorf("%s: certified sim mean %v above its worst-case bound %v", c.Key(), c.Sim, c.BoundMax)
+				key := fmt.Sprintf("%s/s=%d/%s", c.Topology, c.MsgFlits, c.Policy)
+				sim, bound := orNaN(c.Sim), orNaN(c.BoundMax)
+				if c.BoundUnbounded {
+					bound = math.Inf(1)
+				}
+				if c.BoundNA || math.IsNaN(bound) {
+					t.Errorf("%s: hard-SLO frontier member carries no worst-case bound", key)
+				} else if !(sim <= bound) {
+					t.Errorf("%s: certified sim mean %v above its worst-case bound %v", key, sim, bound)
 				}
 			}
 		})
@@ -136,7 +163,7 @@ func TestTrustGatedPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var res plan.Result
+	var res planJSON
 	if err := json.Unmarshal([]byte(out), &res); err != nil {
 		t.Fatal(err)
 	}

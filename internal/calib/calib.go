@@ -12,9 +12,9 @@
 // regions, so replicated measurements of the same physical question
 // accumulate together. A cell is its scenario key, which is what every
 // runner feeds the map; a store may also hold the same key behind a
-// backend salt (a custom backend list's lines, and the fleet tags and
-// spelled-out built-in lists older versions wrote) — mined, it is the
-// same measurement and pairs once. Only the paper's model is
+// backend salt (the custom backend lists, fleet tags and spelled-out
+// built-in lists older versions wrote) — mined, it is the same
+// measurement and pairs once. Only the paper's model is
 // calibrated — a sim-carrying cell of an ablation variant is observed
 // but never pairs, because the trust gate reads a region as the base
 // model's error.

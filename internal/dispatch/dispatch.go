@@ -6,10 +6,12 @@
 // contiguous index ranges and dispatches each range to a worker shard
 // over the batched wire protocol (POST /v1/sweep/part — spec plus range
 // in, NDJSON cells out); a Run's curve context is one more request with
-// the same spec (POST /v1/curve), whatever the cache holds. It runs in
-// the process that asks (cmd/sweep
-// -shards, cmd/plan -shards, a program of your own); a shard is a plain
-// sweepd and never coordinates.
+// the same spec (POST /v1/curve), whatever the cache holds, and a cold
+// cell Evaluate asks for alone is one POST /v1/eval. The Scheduler is
+// the fleet's only way into the engine: the Runner keeps no fleet
+// backend. It runs in the process that asks (cmd/sweep -shards, cmd/plan
+// -shards, a program of your own); a shard is a plain sweepd and never
+// coordinates.
 //
 // Scheduling is static range partitioning with work stealing on top: the
 // cold cells (the engine consults the shared cache first, so warm cells
@@ -49,12 +51,12 @@ import (
 // it is safe for concurrent use and reusable across sweeps (statistics
 // accumulate over its lifetime). It is a sweep.Runner — Run, Stream
 // (completion order, as every stream is), Evaluate and the Cache, Calib
-// and Progress fields are the embedded engine's own — whose one backend
-// is the fleet client and whose Scheduler is the dispatcher itself, so
-// it drops in anywhere a Runner does, including as
-// the capacity planner's engine (plan.Engine): Run carries the coarse
+// and Progress fields are the embedded engine's own — whose Scheduler is
+// the dispatcher itself, so it drops in anywhere a Runner does, including
+// as the capacity planner's engine (plan.Engine): Run carries the coarse
 // grids as ranges, Evaluate the per-cell probes with shard rotation and
-// retry, both cached under Scenario.Key like any local run's cells.
+// retry (Compute), both cached under Scenario.Key like any local run's
+// cells.
 type Dispatcher struct {
 	*sweep.Runner
 	addrs    []string
@@ -127,11 +129,6 @@ func New(addrs []string, opts ...Option) (*Dispatcher, error) {
 	}
 	d.rb = rb
 	d.addrs = rb.Addrs()
-	// The fleet client is the whole backend list: it answers Evaluate's
-	// probes, and alone in a list it caches as the built-in stack does,
-	// so dispatched and in-process sweeps share cache lines. Run's cells
-	// and curves are the dispatcher's, as the runner's Scheduler.
-	d.Backends = []eval.Evaluator{rb}
 	d.Scheduler = d
 	return d, nil
 }
@@ -250,6 +247,15 @@ func (d *Dispatcher) Schedule(ctx context.Context, g *sweep.Grid, cold []int, de
 	fail(nil)
 	<-allDead // no worker outlives the sweep
 	return err
+}
+
+// Compute implements sweep.Scheduler: one cell outside a grid — an
+// Evaluate probe — in one /v1/eval request through the transport's retry
+// loop (shard rotation, backoff, Retry-After, bounded by ctx). Every
+// shard runs the built-in stack, so the answer is the cell an in-process
+// runner computes and the engine caches it under plain Scenario.Key.
+func (d *Dispatcher) Compute(ctx context.Context, sc sweep.Scenario) (sweep.Cell, error) {
+	return d.rb.Evaluate(ctx, sc)
 }
 
 // Curves implements sweep.Scheduler: the grid's curve context in one

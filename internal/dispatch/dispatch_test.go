@@ -194,9 +194,8 @@ func modelOnlySpec() sweep.Spec {
 // TestRangeDispatchAmortisesRequests is why the range protocol exists,
 // as a count instead of a stopwatch: a cold grid of N >= 120 cells over
 // 3 shards costs the dispatcher at most 4 range requests per shard and
-// one curve request, where the per-cell RemoteBackend pays one /v1/eval
-// round trip per cell (and, describing no curve, leaves curve context to
-// the dispatcher). (The throughput this buys is the ledger's
+// one curve request, where the fleet client's per-cell Evaluate pays one
+// /v1/eval round trip per cell. (The throughput this buys is the ledger's
 // eval.batch_cells_per_s against eval.remote_rtt_us.)
 func TestRangeDispatchAmortisesRequests(t *testing.T) {
 	var evals, parts, curves atomic.Int64
@@ -241,8 +240,10 @@ func TestRangeDispatchAmortisesRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sweep.NewRunner(sweep.WithBackends(rb)).Run(context.Background(), spec); err != nil {
-		t.Fatal(err)
+	for _, row := range res.Rows {
+		if _, err := rb.Evaluate(context.Background(), row.Scenario); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if evals.Load() != n || curves.Load() != 1 {
 		t.Errorf("per-cell transport issued %d /v1/eval request(s) for %d cells and %d curve request(s), want none", evals.Load(), n, curves.Load()-1)

@@ -13,9 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bounds"
 	"repro/internal/calib"
-	"repro/internal/eval"
 	"repro/internal/obs"
 	"repro/internal/sweep"
 )
@@ -113,19 +111,14 @@ func drain(t *testing.T, ch <-chan sweep.PointResult, timeout time.Duration) (ro
 // three shards. Whatever computes the cold cells, everything around them
 // — rows, hit and miss accounting, cache lines, the observer feed, trace
 // spans, failure and cancellation — is the same code and must read the
-// same. The local engine spells its backend list out, so its cache lines
-// go through the custom-list view; its observer is fed Scenario.Key all
-// the same.
+// same.
 func TestEngineContract(t *testing.T) {
 	engines := []struct {
 		name string
 		new  func(t *testing.T) engine
 	}{
 		{"local", func(t *testing.T) engine {
-			ab := eval.NewAnalyticBackend()
-			backends := []eval.Evaluator{ab, eval.NewSimBackend(ab), bounds.New(ab)}
-			r := sweep.NewRunner(sweep.WithWorkers(2), sweep.WithBackends(backends...))
-			return engine{Runner: r, settle: func() {}}
+			return engine{Runner: sweep.NewRunner(sweep.WithWorkers(2)), settle: func() {}}
 		}},
 		{"fleet", func(t *testing.T) engine {
 			addrs, _ := newFleet(t, 3)
@@ -327,11 +320,7 @@ func TestEngineContract(t *testing.T) {
 	t.Run("one key space", func(t *testing.T) {
 		ctx := context.Background()
 		spec := contractSpec()
-		local := func(*testing.T) engine {
-			r := sweep.NewRunner(sweep.WithWorkers(2))
-			return engine{Runner: r, settle: func() {}}
-		}
-		fleet := engines[1].new
+		local, fleet := engines[0].new, engines[1].new
 		for _, pair := range []struct {
 			name       string
 			fill, read func(*testing.T) engine

@@ -330,20 +330,6 @@ func TestBatchBackendFailsOverToHealthyShard(t *testing.T) {
 	}
 }
 
-// TestBatchBackendSharesFleetCacheTag: the deprecated constructor returns
-// the fleet client itself, so its tag is the client's — none — and an
-// empty address list is rejected the same way.
-func TestBatchBackendSharesFleetCacheTag(t *testing.T) {
-	b := newBatch(t, []string{"hostb:1", "hosta:1"})
-	rb := newRemote(t, []string{"hosta:1"})
-	if b.CacheTag() != "" || b.CacheTag() != rb.CacheTag() {
-		t.Errorf("constructors tag their cells differently: %q vs %q", b.CacheTag(), rb.CacheTag())
-	}
-	if _, err := NewBatchBackend(nil); err == nil {
-		t.Error("empty address list accepted")
-	}
-}
-
 // TestBatchBackendCallerCancellation: cancelling an EvaluateBatch whose
 // shard has gone quiet returns the context's error promptly, and the
 // client answers the next call.

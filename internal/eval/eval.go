@@ -7,10 +7,12 @@
 // from the model of package analytic (the fat-tree's closed form for the
 // paper variant; the channel graph for the torus, the hypercube and every
 // ablation), SimBackend from the cycle-driven simulator of package sim;
-// future backends (bound calculi, remote shards, learned surrogates) plug
-// in behind the same contract.
+// the bound calculus of package bounds is the third, and future backends
+// (learned surrogates) plug in behind the same contract.
 // The sweep engine (package sweep) composes a list of Evaluators over a
-// declarative scenario grid and merges their Points into cells.
+// declarative scenario grid and merges their Points into cells. A fleet
+// of shards is no Evaluator: RemoteBackend is its transport, and it
+// reaches the engine as a sweep.Scheduler (package dispatch).
 //
 // Backends are safe for concurrent use and honour context cancellation:
 // SimBackend checks the context inside the simulator's cycle loop, so a

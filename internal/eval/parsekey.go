@@ -12,13 +12,13 @@ import (
 
 // CutSalt splits a stored cache line into the backend salt it was
 // written under ("backends=<names>|") and the Scenario.Key behind it; a
-// line without one is the key. Salted lines are what a custom backend
-// list writes (sweep.WithBackends) and what older versions wrote for a
-// fleet's cells ("backends=remote(<shards>)|") and for the built-in list
-// spelled out: the same evaluated scenario may sit in a store under
-// several of them and is one measurement under all — this is how the
-// calibration layer, the one reader of stored lines, tells. A "backends="
-// prefix with no '|' terminator is not a salt.
+// line without one is the key. No runner writes salted lines any more;
+// older versions did, for a custom backend list (sweep.WithBackends), a
+// fleet's cells ("backends=remote(<shards>)|") and the built-in list
+// spelled out, and stores keep them: the same evaluated scenario may sit
+// in a store under several of them and is one measurement under all —
+// this is how the calibration layer, the one reader of stored lines,
+// tells. A "backends=" prefix with no '|' terminator is not a salt.
 func CutSalt(line string) (salt, key string) {
 	if strings.HasPrefix(line, "backends=") {
 		if i := strings.IndexByte(line, '|'); i >= 0 {

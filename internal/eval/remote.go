@@ -17,23 +17,20 @@ import (
 	"repro/internal/obs"
 )
 
-// RemoteBackend is the fleet transport and a client-side Evaluator over
-// it: every request this module sends to a sweep shard (see
-// internal/serve and cmd/sweepd) — per-cell /v1/eval, batched /v1/batch,
-// and the dispatch coordinator's /v1/sweep/part ranges and one
-// /v1/curve request per grid — is built, classified and retried here, so
-// a local Runner can fan a grid out to a fleet behind the exact same
-// interface as AnalyticBackend and SimBackend. Requests are sharded
-// round-robin across the configured addresses; transient failures
-// (connection errors, 5xx and 429 responses, torn, short or stalled
-// NDJSON streams) are retried with exponential backoff, rotating to the
-// next shard on every attempt. Safe for concurrent use.
+// RemoteBackend is the fleet transport: every request this module sends
+// to a sweep shard (see internal/serve and cmd/sweepd) — per-cell
+// /v1/eval, batched /v1/batch, and the dispatch coordinator's
+// /v1/sweep/part ranges and one /v1/curve request per grid — is built,
+// classified and retried here. It is not an Evaluator: a fleet reaches a
+// sweep.Runner only as its Scheduler (internal/dispatch). Requests are
+// sharded round-robin across the configured addresses; transient
+// failures (connection errors, 5xx and 429 responses, torn, short or
+// stalled NDJSON streams) are retried with exponential backoff, rotating
+// to the next shard on every attempt. Safe for concurrent use.
 //
 // The backend describes no single curve: a grid's curves are one
 // /v1/curve request over the grid's spec (Curves), which a coordinator
 // and its shards must therefore speak alike — they upgrade together.
-// CacheTag says a cell a fleet computed is the cell the built-in stack
-// computes, so it is cached as one.
 type RemoteBackend struct {
 	addrs   []string // normalized base URLs, in round-robin order
 	client  *http.Client
@@ -121,19 +118,11 @@ func normalizeAddrs(addrs []string) []string {
 	return out
 }
 
-// Name implements Evaluator.
-func (b *RemoteBackend) Name() string { return "remote" }
-
-// CacheTag tells a sweep runner whose only backend this is to cache under
-// plain Scenario.Key, as a default runner does: every shard answers with
-// the one built-in stack (serve.New builds a default sweep.Runner), and
-// which shards answered, or how many, is no part of a cell.
-func (b *RemoteBackend) CacheTag() string { return "" }
-
 // Addrs returns the normalized server addresses, in round-robin order.
 func (b *RemoteBackend) Addrs() []string { return append([]string(nil), b.addrs...) }
 
-// Evaluate implements Evaluator: one /v1/eval round trip (with retries).
+// Evaluate answers one scenario in one /v1/eval round trip (with
+// retries): the cell the shard's built-in stack computes.
 func (b *RemoteBackend) Evaluate(ctx context.Context, sc Scenario) (Point, error) {
 	body, err := json.Marshal(sc)
 	if err != nil {
@@ -212,22 +201,23 @@ func Transient(err error) (holdOff time.Duration, ok bool) {
 	return 0, false
 }
 
-// nextAddr rotates to the next shard.
-func (b *RemoteBackend) nextAddr() string {
-	return b.addrs[int(b.next.Add(1)-1)%len(b.addrs)]
-}
-
 // retry runs attempt against successive shards until it succeeds or
-// fails permanently. Transient failures rotate to the next shard and
-// retry with exponential backoff — stretched to the server's Retry-After
-// when one is sent — and the retry budget is capped by the request
-// context as well as the attempt count: a delay that cannot complete
-// before the context's deadline is not slept at all.
+// fails permanently. Calls start round-robin across the fleet, and each
+// transient failure moves the call on to its next shard, so its attempts
+// visit every shard before any twice. Retries back off exponentially,
+// stretched to a Retry-After only when the attempt goes back to the shard
+// that sent it: one shard's hold-off never delays another. The retry
+// budget is capped by the request context as well as the attempt count:
+// a delay that cannot complete before the context's deadline is not
+// slept at all.
 func (b *RemoteBackend) retry(ctx context.Context, attempt func(addr string) error) error {
 	var last *transientError
+	var holds map[string]time.Time // per shard, the end of the hold-off it asked for
+	first := b.next.Add(1) - 1
 	for n := 0; n < b.retries; n++ {
+		addr := b.addrs[(first+uint64(n))%uint64(len(b.addrs))]
 		if n > 0 {
-			delay := max(b.backoff<<(n-1), last.after)
+			delay := max(b.backoff<<(n-1), time.Until(holds[addr]))
 			if deadline, ok := ctx.Deadline(); ok && time.Until(deadline) < delay {
 				return fmt.Errorf("eval: remote: giving up after %d attempt(s): next retry in %v outlives the context: %w",
 					n, delay, last.err)
@@ -236,9 +226,15 @@ func (b *RemoteBackend) retry(ctx context.Context, attempt func(addr string) err
 				return err
 			}
 		}
-		err := attempt(b.nextAddr())
+		err := attempt(addr)
 		if !errors.As(err, &last) {
 			return err // done, or a permanent failure
+		}
+		if last.after > 0 {
+			if holds == nil {
+				holds = make(map[string]time.Time)
+			}
+			holds[addr] = time.Now().Add(last.after)
 		}
 		if ctx.Err() != nil {
 			return ctx.Err()

@@ -195,6 +195,38 @@ func TestRemoteBackendHonoursRetryAfter(t *testing.T) {
 	}
 }
 
+// TestRetryAfterHoldsOnlyItsShard: one shard's Retry-After holds off
+// only the attempts that go back to it. A fresh client asks shard A
+// first; A answers 503 with Retry-After: 60, and the retry rotates to
+// the healthy B after the plain backoff instead of waiting out A's
+// minute — or, under a 5 s deadline, giving up without trying B.
+func TestRetryAfterHoldsOnlyItsShard(t *testing.T) {
+	var aHits, bHits atomic.Int64
+	srvA := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		aHits.Add(1)
+		w.Header().Set("Retry-After", "60")
+		http.Error(w, "busy", http.StatusServiceUnavailable)
+	}))
+	defer srvA.Close()
+	srvB := httptest.NewServer(evalHandler(t, 9, &bHits, nil))
+	defer srvB.Close()
+
+	rb := newRemote(t, []string{srvA.URL, srvB.URL})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	pt, err := rb.Evaluate(ctx, bftScenario(false))
+	if err != nil {
+		t.Fatalf("a healthy shard went untried: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("B answered after %v; A's Retry-After delayed the attempt on B", elapsed)
+	}
+	if pt.Model != 9 || aHits.Load() != 1 || bHits.Load() != 1 {
+		t.Errorf("model %v from %d A and %d B attempt(s), want 9 from one each", pt.Model, aHits.Load(), bHits.Load())
+	}
+}
+
 // TestRemoteBackendRetryBudgetCappedByContext: a Retry-After the request
 // context cannot afford aborts the retry loop immediately instead of
 // sleeping into a guaranteed deadline miss.
@@ -240,17 +272,12 @@ func TestRemoteBackendHonoursContext(t *testing.T) {
 	}
 }
 
-// TestRemoteBackendCacheTag: a fleet client tags its cells with nothing —
-// which shards answer, in what order, is no part of a cell, so a runner
-// over it caches as the built-in stack does — and its shard list is
-// normalized: scheme added, duplicates dropped, rotation order kept, an
-// empty one rejected.
-func TestRemoteBackendCacheTag(t *testing.T) {
+// TestRemoteBackendNormalizesAddrs: a fleet client's shard list is
+// normalized — scheme added, duplicates dropped, rotation order kept —
+// and an empty one is rejected.
+func TestRemoteBackendNormalizesAddrs(t *testing.T) {
 	a := newRemote(t, []string{"hostb:1", " hosta:1/", "http://hostb:1"})
 	c := newRemote(t, []string{"hosta:1"})
-	if a.CacheTag() != "" || c.CacheTag() != "" {
-		t.Errorf("a fleet client tags its cells: %q, %q", a.CacheTag(), c.CacheTag())
-	}
 	if got := a.Addrs(); len(got) != 2 || got[0] != "http://hostb:1" || got[1] != "http://hosta:1" {
 		t.Errorf("address normalization: %v", got)
 	}

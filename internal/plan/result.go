@@ -238,43 +238,6 @@ func (c Candidate) MarshalJSON() ([]byte, error) {
 	return json.Marshal(jc)
 }
 
-// UnmarshalJSON decodes the flattened wire form (null ↔ NaN), so
-// readers of a plan's JSON output recover typed candidates.
-func (c *Candidate) UnmarshalJSON(data []byte) error {
-	var jc jsonCandidate
-	if err := json.Unmarshal(data, &jc); err != nil {
-		return fmt.Errorf("plan: decoding candidate: %w", err)
-	}
-	*c = Candidate{
-		Topology:       eval.Topology{Family: jc.Family, Size: jc.Size, K: jc.K},
-		MsgFlits:       jc.MsgFlits,
-		Policy:         jc.Policy,
-		Cost:           eval.OrNaN(jc.Cost),
-		SaturationLoad: eval.OrNaN(jc.SaturationLoad),
-		MaxLoad:        eval.OrNaN(jc.MaxLoad),
-		OperatingLoad:  eval.OrNaN(jc.OperatingLoad),
-		Latency:        eval.OrNaN(jc.ModelLatency),
-		Pruned:         jc.Pruned,
-		PruneReason:    jc.PruneReason,
-		Frontier:       jc.Frontier,
-		Certified:      jc.Certified,
-		CertifyNote:    jc.CertifyNote,
-		Sim:            eval.OrNaN(jc.SimLatency),
-		SimCI:          eval.OrNaN(jc.SimCI95),
-		SimSaturated:   jc.SimSaturated,
-		BoundMax:       eval.OrNaN(jc.BoundMax),
-		BoundNA:        jc.BoundNA,
-		Probes:         jc.Probes,
-		CalibVerdict:   jc.CalibVerdict,
-		CalibMAPE:      eval.OrNaN(jc.CalibMAPE),
-		CalibPairs:     jc.CalibPairs,
-	}
-	if jc.BoundUnbounded && jc.BoundMax == nil {
-		c.BoundMax = math.Inf(1)
-	}
-	return nil
-}
-
 type jsonResult struct {
 	Name        string      `json:"name"`
 	Description string      `json:"description,omitempty"`
@@ -297,22 +260,6 @@ func (r *Result) MarshalJSON() ([]byte, error) {
 		Stats:       r.Stats,
 		ElapsedMS:   r.Elapsed.Milliseconds(),
 	})
-}
-
-// UnmarshalJSON decodes a result from the wire form.
-func (r *Result) UnmarshalJSON(data []byte) error {
-	var jr jsonResult
-	if err := json.Unmarshal(data, &jr); err != nil {
-		return fmt.Errorf("plan: decoding result: %w", err)
-	}
-	*r = Result{
-		Spec:       Spec{Name: jr.Name, Description: jr.Description, Objective: jr.Objective},
-		Candidates: jr.Candidates,
-		Frontier:   jr.Frontier,
-		Stats:      jr.Stats,
-		Elapsed:    time.Duration(jr.ElapsedMS) * time.Millisecond,
-	}
-	return nil
 }
 
 // jsonUpdate is the NDJSON line of cmd/plan -stream.

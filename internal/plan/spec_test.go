@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/eval"
 	"repro/internal/sweep"
@@ -162,8 +163,13 @@ func TestCostModels(t *testing.T) {
 	}
 }
 
-func TestCandidateWireRoundTrip(t *testing.T) {
-	c := Candidate{
+// TestCandidateWireBytes pins the -json form of a candidate and of a
+// result byte for byte: the wire form is written (cmd/plan -json and
+// -stream), never decoded, so its exact bytes are the contract. Non-finite
+// floats travel as null, or drop out where the field is optional.
+func TestCandidateWireBytes(t *testing.T) {
+	nan := math.NaN()
+	certified := Candidate{
 		Topology:       eval.Topology{Family: eval.FamilyBFT, Size: 256},
 		MsgFlits:       16,
 		Policy:         "pairqueue",
@@ -176,41 +182,46 @@ func TestCandidateWireRoundTrip(t *testing.T) {
 		Certified:      true,
 		Sim:            41.9,
 		SimCI:          0.8,
+		BoundMax:       nan,
 		Probes:         27,
+		CalibMAPE:      nan,
 	}
-	data, err := json.Marshal(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Candidate
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got != c {
-		t.Errorf("round trip mangled the candidate:\n got %+v\nwant %+v", got, c)
-	}
-
-	// NaN fields travel as null and come back NaN.
-	nan := math.NaN()
-	c2 := Candidate{
+	pruned := Candidate{
 		Topology: eval.Topology{Family: eval.FamilyBFT, Size: 64}, MsgFlits: 16,
 		Policy: "pairqueue", Cost: 1, SaturationLoad: nan, MaxLoad: nan,
 		OperatingLoad: nan, Latency: nan, Sim: nan, SimCI: nan,
+		BoundMax: math.Inf(1), CalibMAPE: nan,
 		Pruned: true, PruneReason: "infeasible",
 	}
-	data, err = json.Marshal(c2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(data), "NaN") {
-		t.Fatalf("NaN leaked into the wire: %s", data)
-	}
-	var got2 Candidate
-	if err := json.Unmarshal(data, &got2); err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsNaN(got2.MaxLoad) || !math.IsNaN(got2.Sim) || !got2.Pruned {
-		t.Errorf("NaN round trip mangled the candidate: %+v", got2)
+	const prunedJSON = `{"topology":"bft-64","family":"bft","size":64,"msg_flits":16,"policy":"pairqueue","cost":1,` +
+		`"saturation_load":null,"max_load":null,"operating_load":null,"model_latency":null,` +
+		`"pruned":true,"prune_reason":"infeasible","bound_unbounded":true}`
+	for _, tc := range []struct {
+		name string
+		v    any
+		want string
+	}{
+		{"certified", certified, `{"topology":"bft-256","family":"bft","size":256,"msg_flits":16,"policy":"pairqueue",` +
+			`"cost":832,"saturation_load":0.0789,"max_load":0.0789,"operating_load":0.071,"model_latency":42.5,` +
+			`"frontier":true,"certified":true,"sim_latency":41.9,"sim_ci95":0.8,"probes":27}`},
+		{"NaN to null", pruned, prunedJSON},
+		{"result", &Result{
+			Spec:       Spec{Name: "n", Objective: ObjectiveMaxLoad},
+			Candidates: []Candidate{pruned},
+			Frontier:   []Candidate{},
+			Stats:      Stats{Candidates: 1, Pruned: 1},
+			Elapsed:    1500 * time.Millisecond,
+		}, `{"name":"n","objective":"max-load","candidates":[` + prunedJSON + `],"frontier":[],` +
+			`"stats":{"candidates":1,"pruned":1,"refined":0,"frontier_size":0,"certified":0,` +
+			`"coarse_cells":0,"coarse_cache_hits":0,"probes":0,"sim_evals":0},"elapsed_ms":1500}`},
+	} {
+		got, err := json.Marshal(tc.v)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("%s: wire form\n got %s\nwant %s", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -223,15 +234,10 @@ func TestUpdateWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var line struct {
-		Phase     string     `json:"phase"`
-		Candidate *Candidate `json:"candidate"`
-	}
-	if err := json.Unmarshal(data, &line); err != nil {
-		t.Fatal(err)
-	}
-	if line.Phase != PhaseRefine || line.Candidate == nil || line.Candidate.Topology.Size != 64 {
-		t.Errorf("update line %s decodes as %+v", data, line)
+	if want := `{"phase":"refine","candidate":{"topology":"bft-64","family":"bft","size":64,"msg_flits":0,` +
+		`"policy":"pairqueue","cost":0,"saturation_load":0,"max_load":0,"operating_load":0,"model_latency":0,` +
+		`"sim_latency":0,"sim_ci95":0,"bound_max":0,"calib_mape":0}}`; string(data) != want {
+		t.Errorf("update line\n got %s\nwant %s", data, want)
 	}
 
 	data, err = json.Marshal(Update{Err: errors.New("boom")})

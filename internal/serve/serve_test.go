@@ -29,15 +29,6 @@ func newTestServer(t *testing.T, opts ...Option) *httptest.Server {
 	return srv
 }
 
-func remoteRunner(t *testing.T, srv *httptest.Server) (*sweep.Runner, *eval.RemoteBackend) {
-	t.Helper()
-	rb, err := eval.NewRemoteBackend([]string{srv.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sweep.NewRunner(sweep.WithBackends(rb)), rb
-}
-
 func postJSON(t *testing.T, url string, body string) *http.Response {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))
@@ -49,10 +40,11 @@ func postJSON(t *testing.T, url string, body string) *http.Response {
 }
 
 // TestRemoteParityFigure3 is the serving subsystem's central pin: the
-// paper's Figure 3 grid evaluated cell by cell through a RemoteBackend
-// against a live server matches the in-process run — models to 1e-9,
-// simulator cells bit for bit — and so does its curve metadata, asked of
-// the server through a dispatcher.
+// paper's Figure 3 grid evaluated cell by cell (one /v1/eval each,
+// through a dispatcher's Evaluate) against a live server matches the
+// in-process run — models to 1e-9, simulator cells bit for bit — and so
+// does its curve metadata, asked of the server through the same
+// dispatcher.
 func TestRemoteParityFigure3(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure3 grid in -short mode")
@@ -68,17 +60,29 @@ func TestRemoteParityFigure3(t *testing.T) {
 	}
 
 	srv := newTestServer(t, WithCache(sweep.NewCache()))
-	runner, _ := remoteRunner(t, srv)
-	remote, err := runner.Run(context.Background(), spec)
+	d, err := dispatch.New([]string{srv.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if len(remote.Rows) != len(local.Rows) {
-		t.Fatalf("row counts differ: remote %d, local %d", len(remote.Rows), len(local.Rows))
+	g := &sweep.Grid{Spec: spec}
+	if g.Scens, g.Keys, err = sweep.ExpandKeyed(spec); err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Scens) != len(local.Rows) {
+		t.Fatalf("row counts differ: remote %d, local %d", len(g.Scens), len(local.Rows))
+	}
+	remote := make([]sweep.Row, len(g.Scens))
+	errs := make([]error, len(g.Scens))
+	d.EvaluateList(context.Background(), g.Scens, g.Keys, func(i int, cell sweep.Cell, err error) {
+		remote[i], errs[i] = sweep.Row{Scenario: g.Scens[i], Cell: cell}, err
+	})
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("cell %d: %v", i, err)
+		}
 	}
 	for i := range local.Rows {
-		lr, rr := local.Rows[i], remote.Rows[i]
+		lr, rr := local.Rows[i], remote[i]
 		if math.Abs(lr.Model-rr.Model) > 1e-9 {
 			t.Errorf("row %d: model drifted across the wire: %v vs %v", i, lr.Model, rr.Model)
 		}
@@ -93,14 +97,6 @@ func TestRemoteParityFigure3(t *testing.T) {
 	}
 	// Curve context is a grid's, asked of the fleet in one request by the
 	// one fleet door.
-	d, err := dispatch.New([]string{srv.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := &sweep.Grid{Spec: spec}
-	if g.Scens, g.Keys, err = sweep.ExpandKeyed(spec); err != nil {
-		t.Fatal(err)
-	}
 	curves, err := d.Runner.Curves(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
@@ -137,11 +133,11 @@ func TestTwoFleetsShareCells(t *testing.T) {
 	spec := modelOnlySpec()
 	run := func(addr string) *sweep.Result {
 		t.Helper()
-		rb, err := eval.NewRemoteBackend([]string{addr})
+		d, err := dispatch.New([]string{addr}, dispatch.WithCache(shared))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sweep.NewRunner(sweep.WithCache(shared), sweep.WithBackends(rb)).Run(context.Background(), spec)
+		res, err := d.Run(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -290,24 +289,9 @@ func TestStoreConcurrentPuts(t *testing.T) {
 	}
 }
 
-// countingBackend wraps the analytic backend, counting evaluations — the
-// instrument behind the restart-persistence pin.
-type countingBackend struct {
-	*eval.AnalyticBackend
-	calls atomic.Int64
-}
-
-func (b *countingBackend) Evaluate(ctx context.Context, sc eval.Scenario) (eval.Point, error) {
-	b.calls.Add(1)
-	return b.AnalyticBackend.Evaluate(ctx, sc)
-}
-
-// Name keeps both runner generations on the same cache salt.
-func (b *countingBackend) Name() string { return "analytic" }
-
 // TestRunnerServesFullGridFromStoreAfterRestart pins the cross-restart
 // contract: a second Runner opened on the same directory serves the full
-// grid from store hits, with zero backend evaluations.
+// grid from store hits and computes no cell.
 func TestRunnerServesFullGridFromStoreAfterRestart(t *testing.T) {
 	dir := t.TempDir()
 	spec := sweep.Spec{
@@ -318,31 +302,29 @@ func TestRunnerServesFullGridFromStoreAfterRestart(t *testing.T) {
 	}
 
 	first := mustOpen(t, dir)
-	be1 := &countingBackend{AnalyticBackend: eval.NewAnalyticBackend()}
-	res1, err := sweep.NewRunner(sweep.WithCache(first), sweep.WithBackends(be1)).
-		Run(context.Background(), spec)
+	r1 := sweep.NewRunner(sweep.WithCache(first))
+	res1, err := r1.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if be1.calls.Load() == 0 || res1.CacheHits != 0 {
-		t.Fatalf("first run: %d calls, %d hits", be1.calls.Load(), res1.CacheHits)
+	if hits, fresh := r1.Counts(); fresh != int64(len(res1.Rows)) || hits != 0 {
+		t.Fatalf("first run: %d fresh, %d hits over %d rows", fresh, hits, len(res1.Rows))
 	}
 	if err := first.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// "Restart": a fresh store on the same directory, a fresh runner, a
-	// fresh backend. Everything must come from disk.
+	// "Restart": a fresh store on the same directory and a fresh runner.
+	// Everything must come from disk.
 	second := mustOpen(t, dir)
 	defer second.Close()
-	be2 := &countingBackend{AnalyticBackend: eval.NewAnalyticBackend()}
-	res2, err := sweep.NewRunner(sweep.WithCache(second), sweep.WithBackends(be2)).
-		Run(context.Background(), spec)
+	r2 := sweep.NewRunner(sweep.WithCache(second))
+	res2, err := r2.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := be2.calls.Load(); got != 0 {
-		t.Errorf("restarted runner evaluated %d cells; want 0 (all from store)", got)
+	if hits, fresh := r2.Counts(); fresh != 0 || hits != int64(len(res2.Rows)) {
+		t.Errorf("restarted runner computed %d cell(s) and hit %d of %d; want all from store", fresh, hits, len(res2.Rows))
 	}
 	if res2.CacheHits != len(res2.Rows) || res2.CacheMisses != 0 {
 		t.Errorf("restarted run: hits=%d misses=%d over %d rows",

@@ -25,9 +25,8 @@ type CacheStore interface {
 // Cache is a concurrency-safe in-memory result cache keyed by
 // Scenario.Key. A cache can be shared across Runners and specs: any cell
 // of an overlapping grid is computed once per process, by this process or
-// by a fleet. A runner with a custom backend list (WithBackends) keeps its
-// cells apart under a prefix naming the list — see cacheSalt — which
-// assumes custom backends with equal names are equivalently configured.
+// by a fleet. A runner with a custom backend list (WithBackends) does not
+// consult its cache at all.
 type Cache struct {
 	mu     sync.Mutex
 	cells  map[string]Cell

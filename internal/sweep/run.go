@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,40 +23,41 @@ type Event struct {
 	Cached      bool
 }
 
-// Runner is the grid engine: every sweep in the stack — local, per-cell
-// remote, batched or dispatched across a fleet — is one Runner doing
-// expand → cache pass → schedule the cold cells → write back → observe →
-// hand rows to the caller, under Run, Stream and Evaluate. The zero
-// value is ready to use: it sizes the pool to GOMAXPROCS and evaluates
-// with the built-in stack (the analytic model, the simulator and the
-// bound calculus; the last two answer only the cells that ask for them);
-// without a Cache, no results are memoized (a single Run never revisits a
-// cell — Expand deduplicates). Construct with NewRunner to configure via
-// functional options, or set the fields directly — before the runner's
-// first use, which builds the stack once and keeps it, so models, Eq. 26
-// anchors and simulator networks carry over from one call to the next. A
-// Runner must not be copied after first use.
+// Runner is the grid engine: every sweep in the stack — local or
+// dispatched across a fleet — is one Runner doing expand → cache pass →
+// schedule the cold cells → write back → observe → hand rows to the
+// caller, under Run, Stream and Evaluate. The zero value is ready to
+// use: it sizes the pool to GOMAXPROCS and evaluates with the built-in
+// stack (the analytic model, the simulator and the bound calculus; the
+// last two answer only the cells that ask for them); without a Cache, no
+// results are memoized (a single Run never revisits a cell — Expand
+// deduplicates). Construct with NewRunner to configure via functional
+// options, or set the fields directly — before the runner's first use,
+// which builds the stack once and keeps it, so models, Eq. 26 anchors and
+// simulator networks carry over from one call to the next. A Runner must
+// not be copied after first use.
 type Runner struct {
 	// Workers bounds the worker pool; 0 defers to the spec, then to
 	// GOMAXPROCS.
 	Workers int
 	// Cache, when non-nil, is consulted before and filled after every
-	// scenario, under Scenario.Key. Scenario keys capture every
-	// result-affecting input, so a cache may safely outlive any one spec —
-	// or, with a persistent CacheStore such as internal/store's, the
-	// process itself — and whoever computed a cell (this process, a shard,
-	// a whole fleet) wrote the same line.
+	// scenario, under Scenario.Key — unless Backends is set: a custom list
+	// is never cached. Scenario keys capture every result-affecting input,
+	// so a cache may safely outlive any one spec — or, with a persistent
+	// CacheStore such as internal/store's, the process itself — and
+	// whoever computed a cell (this process, a shard, a whole fleet) wrote
+	// the same line.
 	Cache CacheStore
 	// Progress, when non-nil, receives an Event per completed cell. It is
 	// called from a single goroutine (events arrive in completion order,
 	// warm cells first, never concurrently).
 	Progress func(Event)
-	// Backends, when non-nil, replaces the built-in stack; a custom list
-	// reads and writes the cache through a view that prefixes every line
-	// with the list's names (see cacheSalt). Every scenario is offered to
-	// every backend in order and their points are merged into one cell;
-	// backends skip the scenarios that do not concern them (the simulator
-	// skips cells with WithSim unset).
+	// Backends, when non-nil, replaces the built-in stack — for tests and
+	// measurement harnesses. Every scenario is offered to every backend in
+	// order and their points are merged into one cell; backends skip the
+	// scenarios that do not concern them (the simulator skips cells with
+	// WithSim unset). A runner with a custom list never consults Cache, so
+	// no cell of such a list is ever served as the built-in stack's.
 	Backends []eval.Evaluator
 	// Calib, when non-nil, receives every completed cell (fresh and
 	// cached alike) under its Scenario.Key, making the runner a live feed
@@ -65,18 +65,15 @@ type Runner struct {
 	// key themselves and be safe for concurrent calls — cells arrive
 	// straight from the scheduler's goroutines.
 	Calib CellObserver
-	// Scheduler, when non-nil, computes every grid's cold cells and
-	// describes its curves in place of the local worker pool. It is the
-	// seam a fleet plugs into, not a tuning knob: dispatch.New sets it,
-	// over a Runner whose one backend is the fleet client.
+	// Scheduler, when non-nil, computes every cold cell — a grid's, and
+	// Evaluate's one at a time — and describes grid curves in place of
+	// the local worker pool. It is the one seam a fleet plugs into, not a
+	// tuning knob: dispatch.New sets it.
 	Scheduler Scheduler
 
-	// Built once by init: the evaluator list (Backends, or the built-in
-	// stack) and the cache as the runner reads and writes it (Cache, or a
-	// custom list's view of it).
+	// Built once by backends: Backends, or the built-in stack.
 	once  sync.Once
 	stack []eval.Evaluator
-	cache CacheStore
 
 	// Lifetime cell counts: served from cache, computed fresh.
 	hits, fresh atomic.Int64
@@ -109,7 +106,8 @@ func WithWorkers(n int) Option { return func(r *Runner) { r.Workers = n } }
 // persistent store (internal/store), or any other CacheStore.
 func WithCache(c CacheStore) Option { return func(r *Runner) { r.Cache = c } }
 
-// WithBackends replaces the default evaluator list.
+// WithBackends replaces the default evaluator list; the runner then
+// consults no cache (see Runner.Backends).
 func WithBackends(b ...eval.Evaluator) Option { return func(r *Runner) { r.Backends = b } }
 
 // WithProgress attaches a per-cell completion callback.
@@ -126,66 +124,26 @@ type PointResult struct {
 	Err error
 }
 
-// init builds what the runner keeps across calls: the evaluator list and
-// its view of the cache. This is the one place the built-in stack is
-// assembled (make lint keeps it so): the analytic model, and the
+// backends returns the runner's evaluator list, built on first use:
+// Backends when set, else the built-in stack. This is the one place that
+// stack is assembled (make lint keeps it so): the analytic model, and the
 // flit-level simulator and the worst-case bound calculus anchored on it.
 // The last two answer a cell that did not opt in (WithSim, WithBounds)
 // with the empty point, so one list serves every cell.
-func (r *Runner) init() {
+func (r *Runner) backends() []eval.Evaluator {
 	r.once.Do(func() {
-		r.stack, r.cache = r.Backends, r.Cache
+		r.stack = r.Backends
 		if r.stack == nil {
 			ab := eval.NewAnalyticBackend()
 			r.stack = []eval.Evaluator{ab, eval.NewSimBackend(ab), bounds.New(ab)}
 		}
-		if salt := cacheSalt(r.Backends); salt != "" && r.Cache != nil {
-			r.cache = saltedCache{r.Cache, salt}
-		}
 	})
-}
-
-// backends returns the runner's evaluator list: Backends when set, else
-// the built-in stack.
-func (r *Runner) backends() []eval.Evaluator {
-	r.init()
 	return r.stack
 }
 
-// cacheSalt is the prefix a custom backend list's cache lines carry,
-// "backends=<names>|", or "" for the lists that answer as the built-in
-// stack does: none, and the fleet client alone — it says so with an empty
-// CacheTag, since every shard runs this very stack, so cmd/sweep, cmd/plan
-// and sweepd write one line per cell whether they compute it themselves or
-// have a fleet do it. Scenario.Key names only the scenario, so any other
-// list (WithBackends, the extension point) must not have its cells served
-// as the built-in stack's, nor another list's.
-func cacheSalt(backends []eval.Evaluator) string {
-	if backends == nil {
-		return ""
-	}
-	if len(backends) == 1 {
-		if tg, ok := backends[0].(interface{ CacheTag() string }); ok && tg.CacheTag() == "" {
-			return ""
-		}
-	}
-	names := make([]string, len(backends))
-	for i, be := range backends {
-		names[i] = be.Name()
-	}
-	return "backends=" + strings.Join(names, ",") + "|"
-}
-
-// saltedCache is a custom backend list's view of a shared cache: the
-// same store, every line under the list's salt. Everything else in the
-// runner — spans, the observer, schedulers — sees Scenario.Key only.
-type saltedCache struct {
-	store CacheStore
-	salt  string
-}
-
-func (c saltedCache) Get(key string) (Cell, bool) { return c.store.Get(c.salt + key) }
-func (c saltedCache) Put(key string, cell Cell)   { c.store.Put(c.salt+key, cell) }
+// caches reports whether the runner reads and writes Cache: it has one,
+// and answers with the built-in stack (or a Scheduler running it).
+func (r *Runner) caches() bool { return r.Cache != nil && r.Backends == nil }
 
 // workers returns the pool size for n cells. The bound is capped at n: a
 // spec cannot demand more goroutines than it has cells — specs can arrive
@@ -225,20 +183,23 @@ func (g *Grid) CellError(i int, err error) error {
 	return fmt.Errorf("sweep: scenario %d (%s, load %v): %w", sc.Index, sc.CurveKey(), sc.Load.Value, err)
 }
 
-// Scheduler is where a grid's work is done — the one thing a local sweep
-// and a fleet sweep do differently. Schedule computes g.Scens[i] for
+// Scheduler is where cold cells are computed — the one thing a local
+// runner and a fleet do differently. Schedule computes g.Scens[i] for
 // every i in cold and hands each result to deliver exactly once, from any
 // goroutine (deliver never blocks), returning when all are delivered,
 // when a cell fails (the CellError, first failure wins; no further cell
-// need be computed) or when ctx ends. Curves describes the grid's curves,
-// heads[j] being the first scenario of the j-th: one eval.CurveDesc per
-// head, in order, or an error naming the curve the model rejects.
-// Everything around them — expansion, the cache pass before and the
-// write-back after, the observer, Progress, the result — is the Runner's.
+// need be computed) or when ctx ends. Compute answers one cold cell
+// outside a grid (Evaluate's, EvaluateList's). Curves describes the
+// grid's curves, heads[j] being the first scenario of the j-th: one
+// eval.CurveDesc per head, in order, or an error naming the curve the
+// model rejects. Everything around them — expansion, the cache pass
+// before and the write-back after, each cold cell's eval.cell span and
+// panic guard, the observer, Progress, the result — is the Runner's.
 // The local worker pool is the default; internal/dispatch's fleet
 // scheduler is the other.
 type Scheduler interface {
 	Schedule(ctx context.Context, g *Grid, cold []int, deliver func(i int, cell Cell)) error
+	Compute(ctx context.Context, sc Scenario) (Cell, error)
 	Curves(ctx context.Context, g *Grid, heads []int) ([]eval.CurveDesc, error)
 }
 
@@ -258,12 +219,11 @@ func (r *Runner) scheduler() Scheduler {
 // no further cell is claimed and in-flight simulations abort inside their
 // cycle loop.
 func (p localPool) Schedule(ctx context.Context, g *Grid, cold []int, deliver func(int, Cell)) error {
-	backends := p.r.backends()
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 	each(ctx, p.r.workers(g.Spec, len(cold)), len(cold), func(k int) {
 		i := cold[k]
-		cell, err := compute(ctx, g.Scens[i], g.Keys[i], backends)
+		cell, err := compute(ctx, p, g.Scens[i], g.Keys[i])
 		if err != nil {
 			cancel(g.CellError(i, err)) // fail fast; the first cause stands
 			return
@@ -293,11 +253,24 @@ func each(ctx context.Context, workers, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// compute evaluates one cold cell under its eval.cell span: the scenario
-// is offered to every backend and their points merge into one cell. A
-// backend that panics fails its cell, not the process — a request must
-// never be able to kill a shard.
-func compute(ctx context.Context, sc Scenario, key string, backends []eval.Evaluator) (cell Cell, err error) {
+// Compute implements Scheduler: the scenario is offered to every backend
+// and their points merge into one cell.
+func (p localPool) Compute(ctx context.Context, sc Scenario) (Cell, error) {
+	cell := eval.NewPoint()
+	for _, be := range p.r.backends() {
+		pt, err := be.Evaluate(ctx, sc)
+		if err != nil {
+			return Cell{}, fmt.Errorf("%s: %w", be.Name(), err)
+		}
+		cell = cell.Merge(pt)
+	}
+	return cell, nil
+}
+
+// compute answers one cold cell through sched.Compute under its eval.cell
+// span. A backend that panics fails its cell, not the process — a request
+// must never be able to kill a shard.
+func compute(ctx context.Context, sched Scheduler, sc Scenario, key string) (cell Cell, err error) {
 	if err := ctx.Err(); err != nil {
 		return Cell{}, err
 	}
@@ -312,15 +285,7 @@ func compute(ctx context.Context, sc Scenario, key string, backends []eval.Evalu
 		}
 		span.End(obs.Bool("cached", false))
 	}()
-	cell = eval.NewPoint()
-	for _, be := range backends {
-		pt, err := be.Evaluate(ctx, sc)
-		if err != nil {
-			return Cell{}, fmt.Errorf("%s: %w", be.Name(), err)
-		}
-		cell = cell.Merge(pt)
-	}
-	return cell, nil
+	return sched.Compute(ctx, sc)
 }
 
 // observe feeds one completed cell to the calibration observer, if any.
@@ -333,10 +298,10 @@ func (r *Runner) observe(ctx context.Context, key string, cell Cell) {
 // hit serves one cell from the cache: the cached eval.cell span, the
 // observer feed.
 func (r *Runner) hit(ctx context.Context, key string) (Cell, bool) {
-	if r.cache == nil {
+	if !r.caches() {
 		return Cell{}, false
 	}
-	cell, ok := r.cache.Get(key)
+	cell, ok := r.Cache.Get(key)
 	if ok {
 		r.hits.Add(1)
 		_, span := obs.StartSpanKeyed(ctx, "eval.cell", key)
@@ -348,17 +313,18 @@ func (r *Runner) hit(ctx context.Context, key string) (Cell, bool) {
 
 // land takes one fresh cell in: the cache write-back, the observer feed.
 func (r *Runner) land(ctx context.Context, key string, cell Cell) {
-	if r.cache != nil {
-		r.cache.Put(key, cell)
+	if r.caches() {
+		r.Cache.Put(key, cell)
 	}
 	r.observe(ctx, key, cell)
 	r.fresh.Add(1)
 }
 
-// Evaluate answers one scenario through the runner's cache and backends:
-// the single-cell form of Run, behind the serving layer's /v1/eval and
-// the capacity planner's probes. It reports whether the cell was served
-// from cache; fresh cells are stored before returning.
+// Evaluate answers one scenario through the runner's cache and its
+// Scheduler's Compute: the single-cell form of Run, behind the serving
+// layer's /v1/eval and the capacity planner's probes. It reports whether
+// the cell was served from cache; fresh cells are stored before
+// returning.
 func (r *Runner) Evaluate(ctx context.Context, sc Scenario) (Cell, bool, error) {
 	return r.evaluate(ctx, sc, sc.Key())
 }
@@ -367,11 +333,10 @@ func (r *Runner) Evaluate(ctx context.Context, sc Scenario) (Cell, bool, error) 
 // ExpandKeyed returns it): the key is not built again for the cache line,
 // the span or the observer.
 func (r *Runner) evaluate(ctx context.Context, sc Scenario, key string) (Cell, bool, error) {
-	r.init()
 	if cell, ok := r.hit(ctx, key); ok {
 		return cell, true, nil
 	}
-	cell, err := compute(ctx, sc, key, r.backends())
+	cell, err := compute(ctx, r.scheduler(), sc, key)
 	if err != nil {
 		return Cell{}, false, err
 	}
@@ -425,7 +390,6 @@ func (r *Runner) sweep(ctx context.Context, spec Spec, res *Result, emit func(Ro
 		span.End()
 	}()
 	span.SetAttr(obs.Int("cells", len(scens)))
-	r.init()
 	if res != nil {
 		if res.Curves, err = r.resolveCurves(ctx, g); err != nil {
 			return err
@@ -642,7 +606,6 @@ func (p localPool) Curves(ctx context.Context, g *Grid, heads []int) ([]eval.Cur
 // grid order — through the runner's Scheduler. It is what a shard answers
 // /v1/curve with.
 func (r *Runner) Curves(ctx context.Context, g *Grid) ([]eval.CurveDesc, error) {
-	r.init()
 	return r.scheduler().Curves(ctx, g, curveHeads(g.Scens))
 }
 

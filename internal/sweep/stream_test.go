@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -320,82 +321,54 @@ func TestWithBackendsReplacesDefaults(t *testing.T) {
 	}
 }
 
-// TestCacheSaltsCustomBackends pins that a cache shared between runners
-// with different backend lists never serves one backend's cells as
-// another's.
-func TestCacheSaltsCustomBackends(t *testing.T) {
-	spec := validSpec()
-	spec.WithSim = false
-	spec.Loads = LoadSpec{Flits: []float64{0.01}}
-	cache := NewCache()
-	custom, err := NewRunner(WithCache(cache), WithBackends(constBackend{latency: 42})).
-		Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if custom.Rows[0].Model != 42 {
-		t.Fatalf("custom backend value: %v", custom.Rows[0].Model)
-	}
-	def, err := NewRunner(WithCache(cache)).Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def.CacheHits != 0 {
-		t.Errorf("default runner hit the custom backend's cache line (%d hits)", def.CacheHits)
-	}
-	if def.Rows[0].Model == 42 {
-		t.Error("default runner returned the custom backend's latency")
-	}
-	// Same backend list again: now it may (must) hit.
-	again, err := NewRunner(WithCache(cache), WithBackends(constBackend{latency: 42})).
-		Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.CacheHits != 1 {
-		t.Errorf("identical custom runner should hit its own cache line (%d hits)", again.CacheHits)
-	}
+// countingCache is a Cache that counts the calls a runner makes on it.
+type countingCache struct {
+	*Cache
+	gets, puts atomic.Int64
 }
 
-// observerFunc adapts a function to CellObserver.
-type observerFunc func(key string)
+func (c *countingCache) Get(key string) (Cell, bool) {
+	c.gets.Add(1)
+	return c.Cache.Get(key)
+}
 
-func (f observerFunc) ObserveCell(_ context.Context, key string, _ Cell) { f(key) }
+func (c *countingCache) Put(key string, cell Cell) {
+	c.puts.Add(1)
+	c.Cache.Put(key, cell)
+}
 
-// TestCustomListLineIsItsNamesThenTheKey pins the one salted form left:
-// a custom list's cell sits in a shared cache under "backends=<names>|"
-// followed by Scenario.Key — Run's and Evaluate's alike — while the
-// observer, like everything else outside the cache view, is fed the key.
-func TestCustomListLineIsItsNamesThenTheKey(t *testing.T) {
+// TestCustomListIsNeverCached pins that a custom backend list never
+// touches the runner's Cache — no Get, no Put, from Run or Evaluate — so
+// its cells cannot be served as the built-in stack's: a default runner on
+// the same cache then computes every cell fresh.
+func TestCustomListIsNeverCached(t *testing.T) {
 	spec := validSpec()
 	spec.WithSim = false
-	spec.Loads = LoadSpec{Flits: []float64{0.01}}
-	cache := NewCache()
-	var observed []string
-	r := NewRunner(WithCache(cache), WithBackends(constBackend{latency: 42}, constBackend{latency: 7}))
-	r.Calib = observerFunc(func(key string) { observed = append(observed, key) })
-	res, err := r.Run(context.Background(), spec)
+	spec.Loads = LoadSpec{Flits: []float64{0.01, 0.02}}
+	cache := &countingCache{Cache: NewCache()}
+	custom := NewRunner(WithCache(cache), WithBackends(constBackend{latency: 42}))
+	res, err := custom.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := res.Rows[0].Scenario
-	probe.Load.Value = 0.02
-	if _, _, err := r.Evaluate(context.Background(), probe); err != nil {
+	if _, cached, err := custom.Evaluate(context.Background(), res.Rows[0].Scenario); err != nil || cached {
+		t.Fatalf("custom Evaluate: cached=%v, err=%v", cached, err)
+	}
+	if g, p := cache.gets.Load(), cache.puts.Load(); g != 0 || p != 0 {
+		t.Errorf("a custom list made %d Get and %d Put call(s) on the cache, want none", g, p)
+	}
+
+	def := NewRunner(WithCache(cache))
+	res, err = def.Run(context.Background(), spec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	const runLine = "backends=const,const|family=bft size=16 k=0 flits=4 policy=pairqueue frac=false load=0x1.47ae147ae147bp-07 sim=false"
-	want := map[string]bool{runLine: true, "backends=const,const|" + probe.Key(): true}
-	cache.Range(func(line string, _ Cell) bool {
-		if !want[line] {
-			t.Errorf("unexpected cache line %q", line)
-		}
-		delete(want, line)
-		return true
-	})
-	for line := range want {
-		t.Errorf("no cache line %q", line)
+	if hits, fresh := def.Counts(); hits != 0 || fresh != int64(len(res.Rows)) {
+		t.Errorf("default runner after a custom list: %d hit(s), %d fresh of %d cells", hits, fresh, len(res.Rows))
 	}
-	if len(observed) != 2 || observed[0] != res.Rows[0].Scenario.Key() || observed[1] != probe.Key() {
-		t.Errorf("observer fed %q, want the two scenario keys", observed)
+	for _, row := range res.Rows {
+		if row.Model == 42 {
+			t.Errorf("default runner returned the custom backend's latency: %+v", row.Cell)
+		}
 	}
 }
