@@ -89,6 +89,9 @@ lint:
 	! grep -nE '^func \([a-z]* ?\*?Row\) UnmarshalJSON\(' $$(find internal/sweep -name '*.go' ! -name '*_test.go') && \
 	! grep -nE '^func \([a-z]* ?\*?(Candidate|Result)\) UnmarshalJSON\(' $$(find internal/plan -name '*.go' ! -name '*_test.go') || { \
 		echo "one grid stream: a shard streams a grid as /v1/sweep/part BatchItems (a spec with no range is the whole grid); there is no /v1/sweep or /v1/builtins, and sweep.Row (cmd/sweep -stream), plan.Candidate and plan.Result (cmd/plan -json, -stream) are written, never decoded"; exit 1; }
+	@test -z "$$(grep -rlF '.Key()' --include='*.go' internal/sweep internal/dispatch internal/serve | grep -v '_test\.go$$' | grep -vx -e internal/sweep/run.go -e internal/serve/batch.go)" && \
+	test "$$(grep -rlF '.AppendKey(' --include='*.go' . | grep -v '_test\.go$$')" = ./internal/sweep/expand.go || { \
+		echo "keys are built once per grid: ExpandKeyed writes a grid's keys through Scenario.AppendKey (called from internal/sweep/expand.go only) and hands them on; Scenario.Key() is called in internal/sweep only by run.go (Runner.Evaluate, one cell), in internal/serve only by batch.go (a scenario list), never in internal/dispatch"; exit 1; }
 	@test -z "$$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go')" || { \
 		echo "one API surface: no non-test Go file at the module root; callers import the internal/ package that owns each entry point (see examples/)"; exit 1; }
 	@! grep -nE '^func \([a-z]* ?\*?(FatTreeModel|TorusModel)\) (Latency|ServiceInj|SaturationLoad|ChannelStats|Name|MsgFlits|AvgDist|BuildCoreModel|setRates)\(' internal/analytic/*.go && \

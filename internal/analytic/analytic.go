@@ -12,7 +12,9 @@
 // # What depends on λ₀
 //
 // A constructor builds everything the offered load does not touch — name,
-// D̄, routing probabilities, the compiled core.Graph, error labels — once.
+// D̄, routing probabilities, the compiled core.Graph — once, in a fixed
+// number of allocations whatever the network's size: every class name is
+// a slice of one string and every transition list a slice of one slab.
 // Every family's rates are linear in λ₀, so an evaluation writes
 // λ₀·perLink (Eq. 14/15 for the fat-tree, flow conservation for the
 // cubes) into a pooled core.Workspace and resolves; the fat-tree's paper
@@ -20,11 +22,22 @@
 // stable point allocates nothing, and the rate expressions and solver
 // arithmetic are those of a graph rebuilt per call, so results are
 // identical to the last bit (testdata/golden.txt).
+//
+// # Errors are built on the error path
+//
+// An unstable point's *core.UnstableError, with its label (the fat-tree
+// closed form's "<class>@<model>"), is built only when Latency,
+// ChannelStats or Resolve returns it. Predict reports saturation as a
+// flag instead (core.Workspace.Stable, and the closed form's saturation
+// value), so neither a sweep cell past saturation nor the Eq. 26 search,
+// which probes past it on every other bisection step, allocates.
 package analytic
 
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -91,6 +104,39 @@ func (m *Model) init(name string, msgFlits, avgDist float64, opt core.Options,
 	return nil
 }
 
+// modelName finishes a model's name: b holds the instance, e.g.
+// "bft-1024", and the message length follows as "/s=" and fmt's %g.
+func modelName(b []byte, msgFlits float64) string {
+	return string(strconv.AppendFloat(append(b, "/s="...), msgFlits, 'g', -1, 64))
+}
+
+// className writes prefix, the integers joined by commas, and suffix into
+// b and returns the name as a slice of b's buffer. A family grows b to
+// hold all its names first, so the names of a model share one allocation.
+func className(b *strings.Builder, prefix, suffix string, ints ...int) string {
+	start := b.Len()
+	b.WriteString(prefix)
+	var digits [20]byte
+	for i, v := range ints {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.Write(strconv.AppendInt(digits[:0], int64(v), 10))
+	}
+	b.WriteString(suffix)
+	return b.String()[start:]
+}
+
+// saturation is the verdict of a closed-form evaluation: the first class
+// found saturated and its per-server utilisation, or class stable.
+type saturation struct {
+	class core.ClassID
+	rho   float64
+}
+
+// stable is saturation's class on a stable point.
+const stable core.ClassID = -1
+
 // Name identifies the model instance, e.g. "bft-1024/s=16".
 func (m *Model) Name() string { return m.name }
 
@@ -107,7 +153,11 @@ func (m *Model) Latency(lambda0 float64) (Latency, error) {
 		return Latency{}, fmt.Errorf("analytic: bad arrival rate %v", lambda0)
 	}
 	if m.closed != nil {
-		return m.closed.closedForm(lambda0)
+		lat, sat := m.closed.closedForm(lambda0)
+		if sat.class != stable {
+			return Latency{}, &core.UnstableError{Class: m.graph.Name(sat.class) + "@" + m.name, Rho: sat.rho}
+		}
+		return lat, nil
 	}
 	return m.graphLatency(lambda0)
 }
@@ -117,28 +167,70 @@ func (m *Model) Latency(lambda0 float64) (Latency, error) {
 func (m *Model) graphLatency(lambda0 float64) (Latency, error) {
 	ws := core.AcquireWorkspace()
 	defer ws.Release()
-	if err := m.resolve(ws, lambda0); err != nil {
+	if err := m.Resolve(ws, lambda0); err != nil {
 		return Latency{}, err
 	}
+	return m.latencyOf(ws), nil
+}
+
+// latencyOf assembles Eq. 25 from the injection class of a resolved
+// workspace.
+func (m *Model) latencyOf(ws *core.Workspace) Latency {
 	return Latency{
 		Total:      ws.Wait[m.inj] + ws.ServiceTime[m.inj] + m.avgDist - 1,
 		WaitInj:    ws.Wait[m.inj],
 		ServiceInj: ws.ServiceTime[m.inj],
 		AvgDist:    m.avgDist,
-	}, nil
+	}
 }
 
-// resolve binds ws to the graph, writes the rates at λ₀ and resolves,
-// counting the sweeps: one for an acyclic graph's ordered pass, the
-// iterations of a cyclic one's fixed point.
-func (m *Model) resolve(ws *core.Workspace, lambda0 float64) error {
+// Predict is Latency for callers that take saturation for an answer
+// rather than a failure — a sweep cell's +Inf, a probe of the Eq. 26
+// search: past saturation it reports saturated and builds no error value,
+// so no operating point allocates. Its error reports a bad arrival rate
+// only.
+func (m *Model) Predict(lambda0 float64) (lat Latency, saturated bool, err error) {
+	if lambda0 < 0 || math.IsNaN(lambda0) {
+		return Latency{}, false, fmt.Errorf("analytic: bad arrival rate %v", lambda0)
+	}
+	if m.closed != nil {
+		lat, sat := m.closed.closedForm(lambda0)
+		return lat, sat.class != stable, nil
+	}
+	ws := core.AcquireWorkspace()
+	defer ws.Release()
+	m.bind(ws, lambda0)
+	ok, err := ws.Stable(m.opt)
+	fixedPointIters.Add(int64(ws.Iterations))
+	if err != nil || !ok {
+		return Latency{}, err == nil, err
+	}
+	return m.latencyOf(ws), false, nil
+}
+
+// Graph returns the model's compiled channel-class graph.
+func (m *Model) Graph() *core.Graph { return m.graph }
+
+// Resolve binds ws to the model's channel graph, writes every class's
+// rate at λ₀ and resolves it under the model's options: ws then holds the
+// per-class quantities ChannelStats reports, and the blocking factors
+// (core.Workspace.Blocking). It returns an error wrapping
+// core.ErrUnstable past saturation.
+func (m *Model) Resolve(ws *core.Workspace, lambda0 float64) error {
+	m.bind(ws, lambda0)
+	err := ws.Resolve(m.opt)
+	fixedPointIters.Add(int64(ws.Iterations))
+	return err
+}
+
+// bind binds ws to the graph and writes the rates at λ₀. Resolve and
+// Predict count the sweeps that follow: one for an acyclic graph's
+// ordered pass, the iterations of a cyclic one's fixed point.
+func (m *Model) bind(ws *core.Workspace, lambda0 float64) {
 	rates := ws.Bind(m.graph)
 	for i, r := range m.perLink {
 		rates[i] = lambda0 * r
 	}
-	err := ws.Resolve(m.opt)
-	fixedPointIters.Add(int64(ws.Iterations))
-	return err
 }
 
 // ServiceInj returns the injection-channel service time x̄₀₁(λ₀), the
@@ -160,11 +252,11 @@ func (m *Model) SaturationLoad() (float64, error) {
 	}()
 	g := func(lambda0 float64) float64 {
 		probes++
-		x, err := m.ServiceInj(lambda0)
-		if err != nil {
+		lat, saturated, err := m.Predict(lambda0)
+		if saturated || err != nil {
 			return math.Inf(1) // past stability: saturated for sure
 		}
-		return lambda0*x - 1
+		return lambda0*lat.ServiceInj - 1
 	}
 	stable, unstable, ok := solve.GrowToUnstable(func(l float64) bool {
 		return g(l) < 0
@@ -219,7 +311,7 @@ type ChannelStat struct {
 func (m *Model) ChannelStats(dst []ChannelStat, lambda0 float64) ([]ChannelStat, error) {
 	ws := core.AcquireWorkspace()
 	defer ws.Release()
-	if err := m.resolve(ws, lambda0); err != nil {
+	if err := m.Resolve(ws, lambda0); err != nil {
 		return dst, err
 	}
 	for i, r := range m.perLink {

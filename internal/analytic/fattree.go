@@ -3,6 +3,8 @@ package analytic
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/queueing"
@@ -24,9 +26,6 @@ type FatTreeModel struct {
 	numProc int
 	n       int       // log4(numProc)
 	upProb  []float64 // upProb[l] = P↑_l, l = 0..n
-	// Unstable-error labels of the closed form, "<class>@<name>":
-	// downLabel[l] for down<l,l-1> (l = 1..n), upLabel[l] for up<l,l+1>.
-	downLabel, upLabel []string
 }
 
 // maxLevels bounds n = log4(N) so the closed form can keep its per-level
@@ -58,15 +57,10 @@ func NewFatTreeModel(numProc int, msgFlits float64, opt core.Options) (*FatTreeM
 	}
 	avgDist /= float64(numProc - 1)
 	classes, perLink := m.channels()
-	name := fmt.Sprintf("bft-%d/s=%g", numProc, msgFlits)
+	var buf [64]byte
+	name := modelName(strconv.AppendInt(append(buf[:0], "bft-"...), int64(numProc), 10), msgFlits)
 	if err := m.init(name, msgFlits, avgDist, opt, classes, upID(n, 0), perLink); err != nil {
 		return nil, err
-	}
-	m.downLabel = make([]string, n+1)
-	m.upLabel = make([]string, n)
-	for l := 1; l <= n; l++ {
-		m.downLabel[l] = m.graph.Name(downID(l)) + "@" + name
-		m.upLabel[l-1] = m.graph.Name(upID(n, l-1)) + "@" + name
 	}
 	if opt == (core.Options{}) {
 		m.closed = m
@@ -120,9 +114,10 @@ func ratio(a, b float64) float64 {
 }
 
 // closedForm transcribes Eq. 12–25 with the published 2λ correction to
-// Eq. 21/23. Its per-level tables are fixed-size arrays on the stack, so
-// a stable point allocates nothing.
-func (m *FatTreeModel) closedForm(lambda0 float64) (Latency, error) {
+// Eq. 21/23. Its per-level tables are fixed-size arrays on the stack, and
+// past saturation it returns the saturated class and its ρ as a value, so
+// no point allocates: Latency builds the error only when it returns one.
+func (m *FatTreeModel) closedForm(lambda0 float64) (Latency, saturation) {
 	n, s := m.n, m.msgFlits
 
 	var lamUp [maxLevels]float64 // lamUp[l] = λ_{l,l+1}
@@ -141,10 +136,7 @@ func (m *FatTreeModel) closedForm(lambda0 float64) (Latency, error) {
 		}
 		wDown[l] = queueing.WaitWormholeMG1(lamDown(l), xDown[l], s) // Eq. 19
 		if math.IsInf(wDown[l], 1) {
-			return Latency{}, &core.UnstableError{
-				Class: m.downLabel[l],
-				Rho:   queueing.Utilization(1, lamDown(l), xDown[l]),
-			}
+			return Latency{}, saturation{downID(l), queueing.Utilization(1, lamDown(l), xDown[l])}
 		}
 	}
 
@@ -164,9 +156,9 @@ func (m *FatTreeModel) closedForm(lambda0 float64) (Latency, error) {
 			xUp[l] = pUp*(xUp[l+1]+blockUp*wUp[l+1]) +
 				pDown*(xDown[l+1]+blockDown*wDown[l+1])
 		}
-		var err error
-		if wUp[l], err = m.upWait(l, lamUp[l], xUp[l]); err != nil {
-			return Latency{}, err
+		var sat saturation
+		if wUp[l], sat = m.upWait(l, lamUp[l], xUp[l]); sat.class != stable {
+			return Latency{}, sat
 		}
 	}
 
@@ -175,13 +167,13 @@ func (m *FatTreeModel) closedForm(lambda0 float64) (Latency, error) {
 		WaitInj:    wUp[0],
 		ServiceInj: xUp[0],
 		AvgDist:    m.avgDist,
-	}, nil
+	}, saturation{class: stable}
 }
 
 // upWait applies Eq. 21/23/24: the injection channel (l = 0) is a single
 // server; every other up channel is half of a two-server pair fed the
 // combined rate 2λ (published correction).
-func (m *FatTreeModel) upWait(l int, lam, x float64) (float64, error) {
+func (m *FatTreeModel) upWait(l int, lam, x float64) (float64, saturation) {
 	var w float64
 	servers := 2
 	if l == 0 {
@@ -191,12 +183,9 @@ func (m *FatTreeModel) upWait(l int, lam, x float64) (float64, error) {
 		w = queueing.WaitWormholeMGm(2, 2*lam, x, m.msgFlits) // Eq. 21/23
 	}
 	if math.IsInf(w, 1) {
-		return 0, &core.UnstableError{
-			Class: m.upLabel[l],
-			Rho:   queueing.Utilization(servers, float64(servers)*lam, x),
-		}
+		return 0, saturation{upID(m.n, l), queueing.Utilization(servers, float64(servers)*lam, x)}
 	}
-	return w, nil
+	return w, saturation{class: stable}
 }
 
 func clamp01(v float64) float64 {
@@ -218,42 +207,54 @@ func upID(n, l int) core.ClassID { return core.ClassID(n + l) } // l = 0..n-1
 // channels generates the equivalent channel-class graph for package core
 // (the layout above) and each class's per-link rate at λ₀ = 1: Eq. 14
 // for an up channel, mirrored down by Eq. 15, λ_{l+1,l} = λ_{l,l+1}.
+// Every class name is a slice of one string and every transition list a
+// slice of one slab, so the graph costs the same few allocations at any
+// size.
 func (m *FatTreeModel) channels() ([]core.Class, []float64) {
 	n := m.n
 	classes := make([]core.Class, 2*n)
 	perLink := make([]float64, 2*n)
+	// n-1 down classes with one transition, up<n-1,n> with one, n-1 up
+	// classes with two.
+	out := make([]core.Transition, 0, 3*n-2)
+	var names strings.Builder
+	names.Grow(2 * n * len("down<31,30>"))
 	for l := 1; l <= n; l++ {
 		c := core.Class{
-			Name:    fmt.Sprintf("down<%d,%d>", l, l-1),
+			Name:    className(&names, "down<", ">", l, l-1),
 			Servers: 1,
 		}
 		if l == 1 {
 			c.Terminal = true // ejection channel, Eq. 16
 		} else {
 			// One of the 4 children of the level-(l-1) switch.
-			c.Out = []core.Transition{{To: downID(l - 1), Prob: 1, Groups: 4}}
+			start := len(out)
+			out = append(out, core.Transition{To: downID(l - 1), Prob: 1, Groups: 4})
+			c.Out = out[start:len(out):len(out)]
 		}
 		classes[downID(l)] = c
 		perLink[downID(l)] = m.UpRate(l-1, 1)
 	}
 	for l := 0; l < n; l++ {
 		c := core.Class{
-			Name:    fmt.Sprintf("up<%d,%d>", l, l+1),
+			Name:    className(&names, "up<", ">", l, l+1),
 			Servers: 2,
 		}
 		if l == 0 {
 			c.Servers = 1 // injection channel has no redundant twin
 		}
+		start := len(out)
 		if l == n-1 {
 			// Arrives at a root switch: down to one of 3 siblings.
-			c.Out = []core.Transition{{To: downID(n), Prob: 1, Groups: 3}}
+			out = append(out, core.Transition{To: downID(n), Prob: 1, Groups: 3})
 		} else {
 			pUp := m.upProb[l+1]
-			c.Out = []core.Transition{
-				{To: upID(n, l+1), Prob: pUp, Groups: 1},
-				{To: downID(l + 1), Prob: 1 - pUp, Groups: 3},
-			}
+			out = append(out,
+				core.Transition{To: upID(n, l+1), Prob: pUp, Groups: 1},
+				core.Transition{To: downID(l + 1), Prob: 1 - pUp, Groups: 3},
+			)
 		}
+		c.Out = out[start:len(out):len(out)]
 		classes[upID(n, l)] = c
 		perLink[upID(n, l)] = m.UpRate(l, 1)
 	}

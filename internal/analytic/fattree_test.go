@@ -105,7 +105,8 @@ func TestFatTreeAvgDistMatchesTopology(t *testing.T) {
 // the generated channel-class graph must produce identical latencies. The
 // graph is acyclic, so core resolves it in one ordered pass with the
 // closed form's own expressions; they differ only in how the 1/3 of a
-// sibling fan-out is rounded.
+// sibling fan-out is rounded. (The paper variant's Latency is the closed
+// form.)
 func TestFatTreeClosedFormMatchesCoreGraph(t *testing.T) {
 	for _, n := range []int{4, 16, 64, 256, 1024} {
 		for _, s := range []float64{16, 32, 64} {
@@ -117,7 +118,7 @@ func TestFatTreeClosedFormMatchesCoreGraph(t *testing.T) {
 			}
 			for _, frac := range []float64{0.1, 0.3, 0.5, 0.7, 0.85} {
 				lambda0 := frac * sat / s
-				cf, err1 := m.closedForm(lambda0)
+				cf, err1 := m.Latency(lambda0)
 				cg, err2 := m.graphLatency(lambda0)
 				if err1 != nil || err2 != nil {
 					t.Fatalf("N=%d s=%v frac=%v: closed err=%v, core err=%v",
@@ -165,7 +166,7 @@ func FuzzClosedFormMatchesGraph(f *testing.F) {
 			t.Fatal(err)
 		}
 		lambda0 := frac * sat / s
-		cf, errC := m.closedForm(lambda0)
+		cf, errC := m.Latency(lambda0)
 		cg, errG := m.graphLatency(lambda0)
 		if (errC == nil) != (errG == nil) {
 			t.Fatalf("%s at %v× saturation: closed form %v, graph %v", m.Name(), frac, errC, errG)
@@ -413,7 +414,7 @@ func TestFatTreeSmallestMachineN4(t *testing.T) {
 	}
 	// Cross-check against the core graph at several loads.
 	for _, l0 := range []float64{0.001, 0.01, 0.02} {
-		cf, err1 := m.closedForm(l0)
+		cf, err1 := m.Latency(l0)
 		cg, err2 := m.graphLatency(l0)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("λ0=%v: %v / %v", l0, err1, err2)

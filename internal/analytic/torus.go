@@ -3,6 +3,8 @@ package analytic
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"repro/internal/core"
 )
@@ -61,12 +63,16 @@ func newTorusModel(k, dims int, msgFlits float64, opt core.Options, hypercube bo
 		return nil, fmt.Errorf("analytic: message length %v must be positive", msgFlits)
 	}
 	m := &TorusModel{k: k, dims: dims, numProc: numProc}
-	var name string
+	var buf [64]byte
+	b := buf[:0]
 	if hypercube {
-		name = fmt.Sprintf("hcube-%d/s=%g", numProc, msgFlits)
+		b = strconv.AppendInt(append(b, "hcube-"...), int64(numProc), 10)
 	} else {
-		name = fmt.Sprintf("torus-%dary%dcube/s=%g", k, dims, msgFlits)
+		b = strconv.AppendInt(append(b, "torus-"...), int64(k), 10)
+		b = strconv.AppendInt(append(b, "ary"...), int64(dims), 10)
+		b = append(b, "cube"...)
 	}
+	name := modelName(b, msgFlits)
 	// D̄: dims·E[hops per dim | dst≠src] plus the injection and ejection
 	// channels.
 	avgDist := float64(dims)*m.hopsPerDim() + 2
@@ -111,7 +117,8 @@ func (m *TorusModel) injID() core.ClassID { return core.ClassID(1 + m.dims) }
 // channels generates the channel-class graph as core classes (layout
 // above) and each class's per-link rate at λ₀ = 1: every node injects and
 // ejects λ₀, and every dimension link carries the flow-conservation rate
-// λ₀·E[hops per dim].
+// λ₀·E[hops per dim]. As for the fat-tree, the names share one string and
+// the transition lists one slab.
 func (m *TorusModel) channels() ([]core.Class, []float64) {
 	dims := m.dims
 	k := float64(m.k)
@@ -120,6 +127,15 @@ func (m *TorusModel) channels() ([]core.Class, []float64) {
 
 	classes := make([]core.Class, dims+2)
 	perLink := make([]float64, dims+2)
+	// Dimension d moves to each higher dimension or ejects, and for k > 2
+	// may stay; injection enters one of the dims dimensions.
+	transitions := dims*(dims+1)/2 + dims
+	if m.k > 2 {
+		transitions += dims
+	}
+	out := make([]core.Transition, 0, transitions)
+	var names strings.Builder
+	names.Grow(dims * len("dim1000000000"))
 	classes[ejID] = core.Class{
 		Name:     "eject",
 		Servers:  1,
@@ -130,7 +146,7 @@ func (m *TorusModel) channels() ([]core.Class, []float64) {
 	// P(cross dim e as the next dimension | leaving dim d) spreads the
 	// residual probability geometrically over higher dimensions.
 	for d := 0; d < dims; d++ {
-		var out []core.Transition
+		start := len(out)
 		leave := 2 / k // P(this was the last hop in dim d)
 		if m.k == 2 {
 			leave = 1
@@ -147,16 +163,16 @@ func (m *TorusModel) channels() ([]core.Class, []float64) {
 		// probabilities summing to exactly 1 in floating point.
 		out = append(out, core.Transition{To: ejID, Prob: rest, Groups: 1})
 		classes[linkID(d)] = core.Class{
-			Name:    fmt.Sprintf("dim%d", d),
+			Name:    className(&names, "dim", "", d),
 			Servers: 1,
-			Out:     out,
+			Out:     out[start:len(out):len(out)],
 		}
 		perLink[linkID(d)] = m.hopsPerDim()
 	}
 
 	// Injection: first corrected dimension is the lowest with a nonzero
 	// hop count; normalised over dst != src.
-	var out []core.Transition
+	start := len(out)
 	norm := 1 - math.Pow(1/k, float64(dims))
 	rest := 1.0
 	for d := 0; d < dims-1; d++ {
@@ -168,7 +184,7 @@ func (m *TorusModel) channels() ([]core.Class, []float64) {
 	classes[m.injID()] = core.Class{
 		Name:    "inject",
 		Servers: 1,
-		Out:     out,
+		Out:     out[start:len(out):len(out)],
 	}
 	perLink[m.injID()] = 1
 	return classes, perLink

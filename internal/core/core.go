@@ -252,7 +252,10 @@ func Compile(m *Model) (*Graph, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	n := len(m.Classes)
+	n, transitions := len(m.Classes), 0
+	for i := range m.Classes {
+		transitions += len(m.Classes[i].Out)
+	}
 	ints := make([]int, 2*n+1)
 	g := &Graph{msgFlits: m.MsgFlits, classes: make([]Class, n), targeted: make([]bool, n), offset: ints[:n+1]}
 	// The sort keeps its per-class state in offset[1:] until the loop
@@ -261,12 +264,16 @@ func Compile(m *Model) (*Graph, error) {
 	if sorter.placeAll() {
 		g.order = sorter.order
 	}
+	// Every class's transitions are copied into one slab, in class order:
+	// class i's are slab[offset[i]:offset[i+1]].
+	slab := make([]Transition, 0, transitions)
 	for i, c := range m.Classes {
-		c.Servers, c.Out = c.servers(), append([]Transition(nil), c.Out...)
+		slab = append(slab, c.Out...)
+		c.Servers, c.Out = c.servers(), slab[g.offset[i]:len(slab):len(slab)]
 		for _, t := range c.Out {
 			g.targeted[t.To] = true
 		}
-		g.classes[i], g.offset[i+1] = c, g.offset[i]+len(c.Out)
+		g.classes[i], g.offset[i+1] = c, len(slab)
 	}
 	return g, nil
 }
@@ -314,8 +321,15 @@ func (s *topoSort) place(i ClassID) bool {
 	return true
 }
 
+// Len returns the number of classes.
+func (g *Graph) Len() int { return len(g.classes) }
+
 // Name returns the label of class i.
 func (g *Graph) Name(i ClassID) string { return g.classes[i].Name }
+
+// Out returns the transitions of class i. The slice is the graph's own
+// and must not be modified.
+func (g *Graph) Out(i ClassID) []Transition { return g.classes[i].Out }
 
 // Servers returns the group size m of class i (at least 1).
 func (g *Graph) Servers(i ClassID) int { return g.classes[i].Servers }
@@ -342,6 +356,11 @@ type Workspace struct {
 	fx    []float64
 	qRate []float64 // the arrival rate the M/G/m formula is fed, per class
 	block []float64 // P(i|t) per transition
+	// sat and satRho are the verdict of the last Stable that found a
+	// channel saturated: the class (-1 when a diverged iteration named
+	// none) and its per-server utilisation.
+	sat    int
+	satRho float64
 }
 
 var workspaces = sync.Pool{New: func() any { return new(Workspace) }}
@@ -373,6 +392,18 @@ func (ws *Workspace) Bind(g *Graph) []float64 {
 	ws.g, ws.rates, ws.fx, ws.qRate = g, cut(n), cut(n), cut(n)
 	ws.ServiceTime, ws.Wait, ws.Utilization, ws.block = cut(n), cut(n), cut(n), cut(g.offset[n])
 	return ws.rates
+}
+
+// Rate returns the per-link rate of class i the caller wrote after Bind.
+func (ws *Workspace) Rate(i ClassID) float64 { return ws.rates[i] }
+
+// Blocking returns P(i|t) of Eq. 10 for each transition t of class i, in
+// the order of the graph's Out(i): the factor by which the model scales
+// the target group's M/G/m wait for worms arriving from class i. It is
+// valid after a Resolve or Stable of the bound graph, which compute it
+// from the rates before anything can saturate.
+func (ws *Workspace) Blocking(i ClassID) []float64 {
+	return ws.block[ws.g.offset[i]:ws.g.offset[i+1]]
 }
 
 func cv2(mode CVMode, x, msgFlits float64) float64 {
@@ -485,11 +516,26 @@ func (ws *Workspace) iterate(x, out []float64) {
 // *UnstableError (wrapping ErrUnstable) when a channel is saturated; the
 // result slices are then meaningless.
 func (ws *Workspace) Resolve(opt Options) error {
+	if stable, err := ws.Stable(opt); stable || err != nil {
+		return err
+	}
+	name := "unknown"
+	if ws.sat >= 0 {
+		name = ws.g.classes[ws.sat].Name
+	}
+	return &UnstableError{Class: name, Rho: ws.satRho}
+}
+
+// Stable is Resolve for callers that need only the verdict, such as the
+// Eq. 26 search that probes past saturation: a saturated channel makes it
+// return false and builds no error value, so it allocates nothing. The
+// error reports a bad rate only.
+func (ws *Workspace) Stable(opt Options) (bool, error) {
 	g := ws.g
 	ws.opt, ws.Iterations = opt, 0
 	for i, rate := range ws.rates {
 		if rate < 0 || math.IsNaN(rate) {
-			return fmt.Errorf("core: class %s: bad rate %v", g.classes[i].Name, rate)
+			return false, fmt.Errorf("core: class %s: bad rate %v", g.classes[i].Name, rate)
 		}
 	}
 	for i, rate := range ws.rates {
@@ -504,14 +550,14 @@ func (ws *Workspace) Resolve(opt Options) error {
 		}
 	}
 	if g.order != nil {
-		return ws.resolveOrdered()
+		return ws.resolveOrdered(), nil
 	}
 
 	// Stability precheck on the raw transmission time: if a channel
 	// cannot even carry its load at x̄ = MsgFlits it can never stabilise.
 	for i := range ws.rates {
-		if err := ws.checkStable(i, g.msgFlits); err != nil {
-			return err
+		if !ws.checkStable(i, g.msgFlits) {
+			return false, nil
 		}
 	}
 	x := ws.ServiceTime
@@ -522,15 +568,16 @@ func (ws *Workspace) Resolve(opt Options) error {
 	ws.Iterations, err = solve.FixedPointInPlace(ws.iterate, x, ws.fx, solve.DefaultFixedPointOptions())
 	if err != nil {
 		// Divergence means some queue has no steady state at this load.
-		return ws.firstUnstable()
+		ws.firstUnstable()
+		return false, nil
 	}
 	for i := range x {
-		if err := ws.checkStable(i, x[i]); err != nil {
-			return err
+		if !ws.checkStable(i, x[i]) {
+			return false, nil
 		}
 		ws.finish(i)
 	}
-	return nil
+	return true, nil
 }
 
 // resolveOrdered solves an acyclic graph in one pass over g.order: every
@@ -538,17 +585,18 @@ func (ws *Workspace) Resolve(opt Options) error {
 // and W̄. The first class that cannot carry its load is the verdict; a
 // NaN utilisation counts as saturated, so no non-finite wait reaches an
 // upstream class.
-func (ws *Workspace) resolveOrdered() error {
+func (ws *Workspace) resolveOrdered() bool {
 	ws.Iterations = 1
 	for _, i := range ws.g.order {
 		x := ws.service(i, ws.ServiceTime)
 		if rho := ws.utilization(i, x); !(rho < 1) {
-			return &UnstableError{Class: ws.g.classes[i].Name, Rho: rho}
+			ws.sat, ws.satRho = i, rho
+			return false
 		}
 		ws.ServiceTime[i] = x
 		ws.finish(i)
 	}
-	return nil
+	return true
 }
 
 // finish records W̄ and ρ of class i at its resolved service time.
@@ -570,19 +618,20 @@ func (ws *Workspace) utilization(i int, x float64) float64 {
 	return queueing.Utilization(servers, rate, x)
 }
 
-// checkStable reports an *UnstableError if class i cannot carry its load
-// with mean service time x.
-func (ws *Workspace) checkStable(i int, x float64) error {
+// checkStable reports whether class i can carry its load with mean
+// service time x, recording the verdict when it cannot.
+func (ws *Workspace) checkStable(i int, x float64) bool {
 	if rho := ws.utilization(i, x); rho >= 1 {
-		return &UnstableError{Class: ws.g.classes[i].Name, Rho: rho}
+		ws.sat, ws.satRho = i, rho
+		return false
 	}
-	return nil
+	return true
 }
 
-// firstUnstable builds the error for a diverged iteration, naming the most
-// loaded class.
-func (ws *Workspace) firstUnstable() error {
-	worst := &UnstableError{Class: "unknown", Rho: math.Inf(1)}
+// firstUnstable records the verdict of a diverged iteration, naming the
+// most loaded class.
+func (ws *Workspace) firstUnstable() {
+	ws.sat, ws.satRho = -1, math.Inf(1)
 	var maxRho float64 = -1
 	for i, xi := range ws.ServiceTime {
 		if math.IsNaN(xi) || math.IsInf(xi, 0) {
@@ -590,10 +639,9 @@ func (ws *Workspace) firstUnstable() error {
 		}
 		if rho := ws.utilization(i, xi); rho > maxRho {
 			maxRho = rho
-			worst.Class, worst.Rho = ws.g.classes[i].Name, rho
+			ws.sat, ws.satRho = i, rho
 		}
 	}
-	return worst
 }
 
 // Resolve computes service times and waiting times for every class at the
@@ -615,17 +663,6 @@ func (m *Model) Resolve(opt Options) (*Result, error) {
 		return nil, err
 	}
 	return &Result{ServiceTime: ws.ServiceTime, Wait: ws.Wait, Utilization: ws.Utilization}, nil
-}
-
-// BlockingProbability exposes P(i|t) of Eq. 10 for transition index ti of
-// class from, under the given options — the factor by which the model
-// scales the target group's M/G/m wait for worms arriving from that
-// class. Used by the per-hop wait validation experiment.
-func (m *Model) BlockingProbability(from ClassID, ti int, opt Options) float64 {
-	c := &m.Classes[from]
-	t := &c.Out[ti]
-	to := &m.Classes[t.To]
-	return blocking(opt, c.PerLinkRate, to.servers(), to.PerLinkRate, t.Prob/t.groups())
 }
 
 // ClassByName returns the id of the named class, or -1.

@@ -184,15 +184,15 @@ func (b *AnalyticBackend) Evaluate(ctx context.Context, sc Scenario) (Point, err
 		pt.ModelNA = true
 		return pt, nil
 	}
-	lat, err := e.model.Latency(load / float64(sc.MsgFlits))
+	lat, saturated, err := e.model.Predict(load / float64(sc.MsgFlits))
 	switch {
-	case err == nil:
-		pt.Model = lat.Total
-	case core.IsUnstable(err):
+	case err != nil:
+		return Point{}, err
+	case saturated:
 		pt.Model = math.Inf(1)
 		pt.ModelSaturated = true
 	default:
-		return Point{}, err
+		pt.Model = lat.Total
 	}
 	return pt, nil
 }

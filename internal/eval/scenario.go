@@ -256,6 +256,12 @@ func (s Scenario) Key() string {
 	return string(s.appendKey(buf[:0], s.Workload.Canonical()))
 }
 
+// AppendKey appends the scenario's key to b, with workload standing for
+// s.Workload.Canonical(), which a grid computes once per workload rather
+// than once per cell. It is the key writer Key uses: sweep.ExpandKeyed
+// writes a grid's keys through it into shared chunks.
+func (s *Scenario) AppendKey(b []byte, workload string) []byte { return s.appendKey(b, workload) }
+
 // appendKey appends the scenario's key to b, with workload standing for
 // the workload's canonical form ("" for the default workload).
 func (s *Scenario) appendKey(b []byte, workload string) []byte {

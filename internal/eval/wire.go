@@ -210,6 +210,10 @@ func (s *Scenario) UnmarshalJSON(data []byte) error {
 	if err != nil {
 		return fmt.Errorf("eval: decoding scenario: %w", err)
 	}
+	// A workload that Validate refuses could forge another cell's key.
+	if err := w.Workload.Validate(); err != nil {
+		return fmt.Errorf("eval: decoding scenario: %w", err)
+	}
 	*s = Scenario{
 		Index:      w.Index,
 		Topology:   w.Topology,

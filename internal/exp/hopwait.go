@@ -92,39 +92,41 @@ func HopWaits(ctx context.Context, numProc, msgFlits int, load float64, b sweep.
 		return nil, err
 	}
 
-	// Model side: blend P(i|j)·W̄ⱼ over the incoming flows of each class.
-	stats, err := model.ChannelStats(nil, lambda0)
-	if err != nil {
+	// Model side: blend P(i|j)·W̄ⱼ over the incoming flows of each class,
+	// reading the transitions from the compiled graph and the rates, waits
+	// and blocking factors from one resolved workspace.
+	ws := core.AcquireWorkspace()
+	defer ws.Release()
+	if err := model.Resolve(ws, lambda0); err != nil {
 		return nil, err
 	}
-	cm := model.BuildCoreModel(lambda0) // the transitions BlockingProbability reads
+	g := model.Graph()
 	links := map[string]float64{}
 	for ch := topology.ChannelID(0); ch < topology.ChannelID(ft.NumChannels()); ch++ {
 		links[FatTreeClassOf(ft, ch)]++
 	}
 	type blend struct{ num, den float64 }
 	blends := map[string]*blend{}
-	for i := range cm.Classes {
-		from := &cm.Classes[i]
-		flowBase := from.PerLinkRate * links[from.Name]
-		for ti := range from.Out {
-			t := &from.Out[ti]
-			to := cm.Classes[t.To].Name
+	for i := 0; i < g.Len(); i++ {
+		from := core.ClassID(i)
+		flowBase := ws.Rate(from) * links[g.Name(from)]
+		block := ws.Blocking(from)
+		for ti, t := range g.Out(from) {
+			to := g.Name(t.To)
 			bl := blends[to]
 			if bl == nil {
 				bl = &blend{}
 				blends[to] = bl
 			}
 			flow := flowBase * t.Prob
-			p := cm.BlockingProbability(core.ClassID(i), ti, core.Options{})
-			bl.num += flow * p * stats[t.To].Wait
+			bl.num += flow * block[ti] * ws.Wait[t.To]
 			bl.den += flow
 		}
 	}
 
 	var rows []HopWaitRow
-	for i := range cm.Classes {
-		name := cm.Classes[i].Name
+	for i := 0; i < g.Len(); i++ {
+		name := g.Name(core.ClassID(i))
 		if name == "up<0,1>" {
 			continue // source-queue semantics differ; see doc comment
 		}

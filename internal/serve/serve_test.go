@@ -288,6 +288,42 @@ func TestEvalEndpointAndCacheHit(t *testing.T) {
 	}
 }
 
+// TestEvalErrorText pins /v1/eval's answers to cells the model rejects or
+// finds saturated, byte for byte, as they were while the models built
+// their error labels up front: a model error is the request's 422, a
+// saturated point a 200 with a null model.
+func TestEvalErrorText(t *testing.T) {
+	srv := newTestServer(t)
+	for _, c := range []struct {
+		body string
+		code int
+		want string
+	}{
+		{`{"topology":{"family":"mesh","size":64},"msg_flits":8,"load":{"value":0.01}}`,
+			422, `{"error":"analytic: eval: unknown family \"mesh\""}` + "\n"},
+		{`{"topology":{"family":"bft","size":5},"msg_flits":8,"load":{"value":0.01}}`,
+			422, `{"error":"analytic: analytic: fat-tree size 5 is not a power of four \u003e= 4"}` + "\n"},
+		{`{"topology":{"family":"bft","size":64},"msg_flits":8,"load":{"value":-0.5}}`,
+			422, `{"error":"analytic: analytic: bad arrival rate -0.0625"}` + "\n"},
+		{`{"topology":{"family":"hypercube","size":6},"msg_flits":8,"load":{"value":-0.5}}`,
+			422, `{"error":"analytic: analytic: bad arrival rate -0.0625"}` + "\n"},
+		{`{"topology":{"family":"bft","size":64},"msg_flits":16,"load":{"value":0.9}}`,
+			200, `{"load_flits":0.9,"model":null,"model_saturated":true}` + "\n"},
+		{`{"topology":{"family":"torus","size":3,"k":4},"msg_flits":16,"load":{"value":0.9},"variant":{"no_blocking_correction":true}}`,
+			200, `{"load_flits":0.9,"model":null,"model_saturated":true}` + "\n"},
+	} {
+		resp := postJSON(t, srv.URL+"/v1/eval", c.body)
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != c.code || string(got) != c.want {
+			t.Errorf("%s: %d %q, want %d %q", c.body, resp.StatusCode, got, c.code, c.want)
+		}
+	}
+}
+
 func TestEvalRejectsBadScenarios(t *testing.T) {
 	srv := newTestServer(t)
 	if resp := postJSON(t, srv.URL+"/v1/eval", `{"policy":"lifo"}`); resp.StatusCode != http.StatusBadRequest {

@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"strings"
+
 	"repro/internal/eval"
 	"repro/internal/sim"
 )
@@ -42,11 +44,41 @@ func Expand(s Spec) ([]Scenario, error) {
 // larger grids grow by appending.
 const maxPresize = 1 << 16
 
-// ExpandKeyed is Expand returning every scenario with its cache key:
-// keys[i] == scens[i].Key(). Deduplication has to build each key anyway;
+// keyChunk is the size of the chunks ExpandKeyed cuts a grid's keys from:
+// a few dozen keys share each allocation.
+const keyChunk = 4 << 10
+
+// keyArena hands out strings cut from fixed strings.Builder chunks. A
+// Builder only ever appends, so a string cut from its buffer stays valid
+// and unchanged when the chunk is written on or abandoned; a retained key
+// pins at most its own chunk.
+type keyArena struct {
+	chunk strings.Builder
+}
+
+// cut copies key into the current chunk and returns it as a slice of the
+// chunk. A key that does not fit opens a new chunk of keyChunk bytes, or of
+// about what the remaining keys need, each about as long as this one, when
+// that is less; a key longer than keyChunk gets a chunk of its own size.
+func (a *keyArena) cut(key []byte, remaining int) string {
+	if a.chunk.Cap()-a.chunk.Len() < len(key) {
+		a.chunk = strings.Builder{}
+		a.chunk.Grow(max(len(key), min(keyChunk, remaining*len(key))))
+	}
+	start := a.chunk.Len()
+	a.chunk.Write(key)
+	return a.chunk.String()[start:]
+}
+
+// ExpandKeyed is Expand returning every scenario with its cache key, the
+// bytes Scenario.Key returns. Deduplication has to build each key anyway;
 // handing them on lets the runner, the dispatcher and the shard-side
 // range handler address caches, spans and observers without building a
-// cell's key again.
+// cell's key again. Each key is written by Scenario.AppendKey into a
+// scratch buffer, looked up there, and only a new one is copied into
+// keyChunk-sized chunks, so a grid's keys cost a few allocations rather
+// than one per cell, and a workload's canonical form is computed once per
+// workload.
 func ExpandKeyed(s Spec) (scens []Scenario, keys []string, err error) {
 	if err := s.Validate(); err != nil {
 		return nil, nil, err
@@ -68,9 +100,20 @@ func ExpandKeyed(s Spec) (scens []Scenario, keys []string, err error) {
 		}
 	}
 	variants, workloads := s.variants(), s.workloads()
-	n := min(s.cells(), maxPresize)
+	canonical := make([]string, len(workloads))
+	for i, wl := range workloads {
+		canonical[i] = wl.Canonical()
+	}
+	cells := s.cells()
+	n := min(cells, maxPresize)
 	scens, keys = make([]Scenario, 0, n), make([]string, 0, n)
 	seen := make(map[string]struct{}, n)
+	var (
+		arena   keyArena
+		scratch [256]byte
+		key     = scratch[:0]
+		visited = 0
+	)
 	for _, ts := range s.Topologies {
 		topo := Topology{Family: ts.Family}
 		if ts.Family == FamilyTorus {
@@ -81,7 +124,7 @@ func ExpandKeyed(s Spec) (scens []Scenario, keys []string, err error) {
 			for _, flits := range s.MsgFlits {
 				for _, pol := range policies {
 					for _, v := range variants {
-						for _, wl := range workloads {
+						for wi, wl := range workloads {
 							for li, load := range loads {
 								sc := Scenario{
 									Index:     len(scens),
@@ -99,10 +142,12 @@ func ExpandKeyed(s Spec) (scens []Scenario, keys []string, err error) {
 									// of the grid carries the bit.
 									WithBounds: s.wantBounds(),
 								}
-								key := sc.Key()
-								if _, dup := seen[key]; !dup {
-									seen[key] = struct{}{}
-									scens, keys = append(scens, sc), append(keys, key)
+								visited++
+								key = sc.AppendKey(key[:0], canonical[wi])
+								if _, dup := seen[string(key)]; !dup {
+									k := arena.cut(key, cells-visited+1)
+									seen[k] = struct{}{}
+									scens, keys = append(scens, sc), append(keys, k)
 								}
 							}
 						}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/obs"
 	"repro/internal/race"
+	"repro/internal/workload"
 )
 
 // builtinKeyDigests pins Scenario.Key() bytes over every builtin grid:
@@ -93,8 +95,9 @@ func modelGrid() Spec {
 // TestModelGridAllocBudget: a cold then a warm Run of a model grid on
 // one fresh runner with a cache — keys, expansion, curve set-up, model
 // builds, Eq. 26 searches, pool, cache and result all included — stays
-// within 6 allocations per cell. (It was 27 when every layer rebuilt its
-// keys and every λ₀ its channel graph.)
+// within 1 allocation per cell. (It was 27 when every layer rebuilt its
+// keys and every λ₀ its channel graph, and 1.8 while every cell's key
+// was its own allocation and every model's class names and labels theirs.)
 func TestModelGridAllocBudget(t *testing.T) {
 	spec := modelGrid()
 	ctx := context.Background()
@@ -117,12 +120,149 @@ func TestModelGridAllocBudget(t *testing.T) {
 	pass()
 	perCell := testing.AllocsPerRun(5, pass) / float64(cells)
 	t.Logf("%.2f allocs/cell over %d cells", perCell, cells)
-	budget := 6.0
+	budget := 1.0
 	if race.Enabled {
 		budget = 12 // sync.Pool drops Puts under the detector
 	}
 	if perCell > budget {
 		t.Errorf("cold+warm model grid: %.2f allocs/cell, budget %v", perCell, budget)
+	}
+}
+
+// benchModelGrid is the bench's model-sweep grid: 2,560 cells.
+func benchModelGrid() Spec {
+	spec := modelGrid()
+	spec.Topologies[0].Sizes = []int{16, 64, 256, 1024, 4096}
+	spec.MsgFlits = []int{8, 16, 32, 64}
+	return spec
+}
+
+// TestExpandKeyedAllocs: a grid's keys are cut from keyChunk-sized chunks,
+// so expanding 2,560 cells allocates ⌈key bytes / keyChunk⌉ chunks (one
+// more where the last chunk's estimate falls short) plus a constant for
+// the grid — scenario and key slices, the dedup map, the axes — instead of
+// one key per cell.
+func TestExpandKeyedAllocs(t *testing.T) {
+	spec := benchModelGrid()
+	_, keys, err := ExpandKeyed(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytes := 0
+	for _, k := range keys {
+		bytes += len(k)
+	}
+	chunks := (bytes + keyChunk - 1) / keyChunk
+	got := testing.AllocsPerRun(10, func() {
+		if _, _, err := ExpandKeyed(spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d cells, %d key bytes, %d chunks: %v allocations", len(keys), bytes, chunks, got)
+	if len(keys) != 2560 {
+		t.Fatalf("%d cells, want 2560", len(keys))
+	}
+	if budget := float64(chunks + 1 + 32); got > budget {
+		t.Errorf("expanding %d cells allocates %v times, budget %v (%d chunks + 1 + 32)", len(keys), got, budget, chunks)
+	}
+}
+
+// TestExpandKeyedChunkBoundaries: keys cut from chunks are the keys
+// Scenario.Key writes, wherever a chunk ends — keys that straddle a
+// chunk's end open the next one, a key longer than a chunk gets one of
+// its own — and a duplicate cell whose first appearance lies in an
+// earlier chunk is still dropped.
+func TestExpandKeyedChunkBoundaries(t *testing.T) {
+	check := func(name string, spec Spec) ([]Scenario, []string) {
+		t.Helper()
+		scens, keys, err := ExpandKeyed(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		bytes := 0
+		for i, sc := range scens {
+			if want := sc.Key(); keys[i] != want {
+				t.Fatalf("%s cell %d: key %q, want %q", name, i, keys[i], want)
+			}
+			if seen[keys[i]] {
+				t.Fatalf("%s cell %d: duplicate key %q survived", name, i, keys[i])
+			}
+			seen[keys[i]] = true
+			bytes += len(keys[i])
+		}
+		if bytes < 3*keyChunk {
+			t.Fatalf("%s: %d key bytes cross too few chunk ends to test", name, bytes)
+		}
+		return scens, keys
+	}
+
+	// Straddling: keys of varying length (the loads' hex digits vary)
+	// run through many chunks.
+	grid := modelGrid()
+	check("model grid", grid)
+
+	// A duplicated size repeats every cell of the first, long after the
+	// chunks holding them are full.
+	dup := modelGrid()
+	dup.Topologies[0].Sizes = append(dup.Topologies[0].Sizes, dup.Topologies[0].Sizes[0])
+	scens, keys := check("duplicated size", dup)
+	_, want, err := ExpandKeyed(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(keys, want) || len(scens) != len(want) {
+		t.Errorf("duplicated size: %d cells, want the %d of the grid without it", len(keys), len(want))
+	}
+
+	// A trace path longer than a chunk, between two default workloads'
+	// worth of short keys.
+	long := modelGrid()
+	long.Topologies[0].Sizes = []int{16}
+	long.Workloads = []workload.Spec{{}, {Name: "replay", Trace: strings.Repeat("t", keyChunk+100) + ".ndjson"}, {Pattern: workload.PatternTranspose}}
+	_, keys = check("long trace", long)
+	longest := 0
+	for _, k := range keys {
+		longest = max(longest, len(k))
+	}
+	if longest <= keyChunk {
+		t.Errorf("longest key %d bytes, want one longer than a %d-byte chunk", longest, keyChunk)
+	}
+}
+
+// TestTraceKeyCannotForgeBoundsBit: the key grammar separates fields by
+// spaces, so a trace path ending in " bounds=true" would give a plain
+// cell the key of the shorter path's bounds-carrying cell — the cache
+// would serve one for the other and ParseKey would read back the wrong
+// scenario. Validate refuses whitespace and control characters in a
+// trace path, at every door a workload comes in by.
+func TestTraceKeyCannotForgeBoundsBit(t *testing.T) {
+	base := Scenario{Topology: Topology{Family: FamilyBFT, Size: 16}, MsgFlits: 16, Load: Load{Value: 0.1}}
+	for _, path := range []string{"t.ndjson bounds=true", "t.ndjson\tbounds=true", "a b.ndjson", "t.ndjson\n", "t\u00a0.ndjson", "t\x00.ndjson"} {
+		forged := workload.Spec{Trace: path}
+		if err := forged.Validate(); err == nil {
+			t.Errorf("workload.Spec.Validate accepts trace path %q", path)
+		}
+		spec := modelGrid()
+		spec.Workloads = []workload.Spec{forged}
+		if err := spec.Validate(); err == nil {
+			t.Errorf("sweep Spec.Validate accepts trace path %q", path)
+		}
+		wire, err := json.Marshal(Scenario{Topology: base.Topology, MsgFlits: 16, Load: base.Load, Workload: &forged})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sc Scenario
+		if err := json.Unmarshal(wire, &sc); err == nil {
+			t.Errorf("a wire scenario with trace path %q decodes", path)
+		}
+	}
+	// The collision the rule prevents.
+	plain, bounded := base, base
+	plain.Workload = &workload.Spec{Trace: "t.ndjson bounds=true"}
+	bounded.Workload, bounded.WithBounds = &workload.Spec{Trace: "t.ndjson"}, true
+	if plain.Key() != bounded.Key() {
+		t.Fatalf("keys %q and %q differ: the grammar changed, revisit this test", plain.Key(), bounded.Key())
 	}
 }
 

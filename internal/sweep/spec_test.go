@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/eval"
 	"repro/internal/workload"
 )
 
@@ -332,8 +333,10 @@ func FuzzParseSpec(f *testing.F) {
 // a workload.Spec that strict decoding and Validate accept can be keyed,
 // labelled, spread over a small network's sources and given a destination
 // pattern without panicking (an error is a fine answer: sizes are checked
-// when a network is known), and its canonical key — the cache key's
-// workload field — survives a marshal/decode round trip.
+// when a network is known), its canonical key — the cache key's
+// workload field — survives a marshal/decode round trip, and a cell's key
+// with that workload reads back (eval.ParseKey) as that very cell, with or
+// without the bounds bit: no workload can forge another cell's key.
 func FuzzWorkloadSpec(f *testing.F) {
 	for _, name := range Builtins() {
 		s, err := Builtin(name)
@@ -354,6 +357,7 @@ func FuzzWorkloadSpec(f *testing.F) {
 		`{"pattern":"hotspot","hot":[15,3,3],"hot_frac":1}`,
 		`{"pattern":"bitcomplement"}`,
 		`{"name":"replay","trace":"t.ndjson"}`,
+		`{"trace":"t.ndjson bounds=true"}`,
 		`{"process":"gamm","shape":2}`,
 	} {
 		f.Add([]byte(body))
@@ -379,6 +383,14 @@ func FuzzWorkloadSpec(f *testing.F) {
 		}
 		if got := back.Canonical(); got != key {
 			t.Fatalf("round trip moved the canonical key: %q → %q\n%s", key, got, again)
+		}
+		for _, bounds := range []bool{false, true} {
+			sc := Scenario{Topology: Topology{Family: FamilyBFT, Size: n}, MsgFlits: 16, Load: Load{Value: 0.1}, Workload: &w, WithBounds: bounds}
+			cell := sc.Key()
+			got, wk, err := eval.ParseKey(cell)
+			if err != nil || got.WithBounds != bounds || wk != key || got.Topology != sc.Topology || got.Load != sc.Load {
+				t.Fatalf("key %q reads back as bounds=%v workload=%q %+v (%v), not its own cell", cell, got.WithBounds, wk, got.Topology, err)
+			}
 		}
 	})
 }

@@ -19,6 +19,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"repro/internal/traffic"
 )
@@ -263,6 +264,13 @@ func (s *Spec) Validate() error {
 	if s.Trace != "" {
 		if s.Process != "" || s.Mix != "" || s.Pattern != "" {
 			return fmt.Errorf("workload: trace %q cannot be combined with process/mix/pattern fields", s.Trace)
+		}
+		// The path ends a cell's cache key, whose fields are separated by
+		// spaces: a path ending in a space and the bounds field would
+		// otherwise forge the key of the shorter path's bounds-carrying
+		// cell.
+		if strings.IndexFunc(s.Trace, func(r rune) bool { return unicode.IsSpace(r) || unicode.IsControl(r) }) >= 0 {
+			return fmt.Errorf("workload: trace path %q contains whitespace or a control character", s.Trace)
 		}
 		return nil
 	}
