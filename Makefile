@@ -89,9 +89,10 @@ lint:
 	! grep -nE '^func \([a-z]* ?\*?Row\) UnmarshalJSON\(' $$(find internal/sweep -name '*.go' ! -name '*_test.go') && \
 	! grep -nE '^func \([a-z]* ?\*?(Candidate|Result)\) UnmarshalJSON\(' $$(find internal/plan -name '*.go' ! -name '*_test.go') || { \
 		echo "one grid stream: a shard streams a grid as /v1/sweep/part BatchItems (a spec with no range is the whole grid); there is no /v1/sweep or /v1/builtins, and sweep.Row (cmd/sweep -stream), plan.Candidate and plan.Result (cmd/plan -json, -stream) are written, never decoded"; exit 1; }
-	@test -z "$$(grep -rlF '.Key()' --include='*.go' internal/sweep internal/dispatch internal/serve | grep -v '_test\.go$$' | grep -vx -e internal/sweep/run.go -e internal/serve/batch.go)" && \
-	test "$$(grep -rlF '.AppendKey(' --include='*.go' . | grep -v '_test\.go$$')" = ./internal/sweep/expand.go || { \
-		echo "keys are built once per grid: ExpandKeyed writes a grid's keys through Scenario.AppendKey (called from internal/sweep/expand.go only) and hands them on; Scenario.Key() is called in internal/sweep only by run.go (Runner.Evaluate, one cell), in internal/serve only by batch.go (a scenario list), never in internal/dispatch"; exit 1; }
+	@test -z "$$(grep -rlF '.Key()' --include='*.go' internal/sweep internal/dispatch internal/serve internal/store | grep -v '_test\.go$$' | grep -vx internal/sweep/run.go)" && \
+	test "$$(grep -rlF '.AppendCurveKey(' --include='*.go' . | grep -v '_test\.go$$' | sort | tr '\n' ' ')" = "./internal/sweep/expand.go ./internal/sweep/run.go " && \
+	test "$$(grep -rlF 'AppendJoinKey(' --include='*.go' . | grep -v '_test\.go$$' | sort | tr '\n' ' ')" = "./internal/eval/scenario.go ./internal/store/store.go ./internal/sweep/cache.go ./internal/sweep/run.go " || { \
+		echo "keys are built once per curve: a grid's curve keys are written by Scenario.AppendCurveKey in internal/sweep/expand.go (and, for Runner.Evaluate's one cell, run.go) and a cell is its curve key and eval.Token; a cell's full key is joined (eval.AppendJoinKey) only where it leaves the process: run.go (a traced span, the observer, an error), cache.go (Cache.Range) and internal/store/store.go (a store line); Scenario.Key() is called in internal/sweep, dispatch, serve and store only by run.go"; exit 1; }
 	@test -z "$$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go')" || { \
 		echo "one API surface: no non-test Go file at the module root; callers import the internal/ package that owns each entry point (see examples/)"; exit 1; }
 	@! grep -nE '^func \([a-z]* ?\*?(FatTreeModel|TorusModel)\) (Latency|ServiceInj|SaturationLoad|ChannelStats|Name|MsgFlits|AvgDist|BuildCoreModel|setRates)\(' internal/analytic/*.go && \

@@ -263,8 +263,8 @@ func (d *Dispatcher) Compute(ctx context.Context, sc sweep.Scenario) (sweep.Cell
 // loop (shard rotation, backoff, Retry-After, bounded by ctx). One shard
 // answers every curve on its own pool; a model's verdict on a curve is
 // permanent and names the curve. An answer of any other length than
-// heads is a protocol breach, permanent too.
-func (d *Dispatcher) Curves(ctx context.Context, g *sweep.Grid, heads []int) ([]eval.CurveDesc, error) {
+// g.Curves is a protocol breach, permanent too.
+func (d *Dispatcher) Curves(ctx context.Context, g *sweep.Grid) ([]eval.CurveDesc, error) {
 	specJSON, err := json.Marshal(g.Spec)
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: encoding spec: %w", err)
@@ -273,8 +273,8 @@ func (d *Dispatcher) Curves(ctx context.Context, g *sweep.Grid, heads []int) ([]
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: curves: %w", err)
 	}
-	if len(descs) != len(heads) {
-		return nil, fmt.Errorf("dispatch: curves: the fleet described %d curve(s) of a %d-curve grid", len(descs), len(heads))
+	if len(descs) != len(g.Curves) {
+		return nil, fmt.Errorf("dispatch: curves: the fleet described %d curve(s) of a %d-curve grid", len(descs), len(g.Curves))
 	}
 	return descs, nil
 }

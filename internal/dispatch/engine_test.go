@@ -132,9 +132,13 @@ func TestEngineContract(t *testing.T) {
 		t.Run(ec.name, func(t *testing.T) {
 			ctx := context.Background()
 			spec := contractSpec()
-			_, keys, err := sweep.ExpandKeyed(spec)
+			scens, err := sweep.Expand(spec)
 			if err != nil {
 				t.Fatal(err)
+			}
+			keys := make([]string, len(scens))
+			for i := range scens {
+				keys[i] = scens[i].Key()
 			}
 
 			t.Run("cold then warm", func(t *testing.T) {

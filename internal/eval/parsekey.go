@@ -100,7 +100,7 @@ func ParseKey(key string) (sc Scenario, workload string, err error) {
 		return Scenario{}, "", fmt.Errorf("eval: key %q: no family", key)
 	}
 	var buf [256]byte
-	if string(sc.appendKey(buf[:0], workload)) != key {
+	if string(sc.appendKey(buf[:0], workload, false)) != key {
 		return Scenario{}, "", fmt.Errorf("eval: key %q is not a Scenario.Key", key)
 	}
 	return sc, workload, nil

@@ -222,7 +222,7 @@ func FuzzParseKey(f *testing.F) {
 			t.Fatalf("CutSalt(%q): salt %q does not end at its first '|'", line, salt)
 		}
 		if sc, wk, err := ParseKey(key); err == nil {
-			if again := string(sc.appendKey(nil, wk)); again != key {
+			if again := string(sc.appendKey(nil, wk, false)); again != key {
 				t.Fatalf("ParseKey(%q) accepted a key appendKey writes as %q", key, again)
 			}
 		}

@@ -2,8 +2,10 @@ package eval
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"strconv"
+	"strings"
 
 	"repro/internal/analytic"
 	"repro/internal/core"
@@ -239,12 +241,12 @@ func (s Scenario) CurveKey() string {
 // reached from different specs hits the same cache line). appendKey is
 // the key grammar, written once: ParseKey accepts exactly the strings it
 // writes, which is what lets the calibration layer (internal/calib) mine
-// a persistent store back into scenario coordinates. Key sits on every
-// hot path — grid expansion dedup, runner cache lookups, the dispatch
-// coordinator's cache pass — so it is assembled with strconv appends
-// into one stack buffer rather than with fmt: the returned string is
-// the only allocation (a long workload key may spill the buffer to the
-// heap).
+// a persistent store back into scenario coordinates. It is assembled
+// with strconv appends into one stack buffer rather than with fmt: the
+// returned string is the only allocation (a long workload key may spill
+// the buffer to the heap). A grid never builds it per cell: it keys a
+// curve once (AppendCurveKey) and each cell by its Token, and joins the
+// two (AppendJoinKey) only where a cell's key leaves the process.
 //
 // Optional fields append only when set, so a key never carries
 // defaulted noise; floats use strconv's 'x' hex format, which
@@ -253,18 +255,40 @@ func (s Scenario) CurveKey() string {
 // match and simply re-fill cold.
 func (s Scenario) Key() string {
 	var buf [256]byte
-	return string(s.appendKey(buf[:0], s.Workload.Canonical()))
+	return string(s.appendKey(buf[:0], s.Workload.Canonical(), false))
 }
 
-// AppendKey appends the scenario's key to b, with workload standing for
-// s.Workload.Canonical(), which a grid computes once per workload rather
-// than once per cell. It is the key writer Key uses: sweep.ExpandKeyed
-// writes a grid's keys through it into shared chunks.
-func (s *Scenario) AppendKey(b []byte, workload string) []byte { return s.appendKey(b, workload) }
+// AppendCurveKey appends the scenario's curve key to b: its Key with the
+// load= and seed= values left empty, so every cell of one curve shares
+// it. workload stands for s.Workload.Canonical(), which a grid computes
+// once per workload rather than once per curve.
+func (s *Scenario) AppendCurveKey(b []byte, workload string) []byte {
+	return s.appendKey(b, workload, true)
+}
+
+// Token is a cell's place on its curve: the two values a curve key leaves
+// empty. Load holds the load value's bits; Seed the derived simulation
+// seed (Scenario.Seed, which the key spells rather than the load index it
+// comes from), zero on a curve without the simulator. A curve key and a
+// token are a cell's key, split: AppendJoinKey and SplitKey convert.
+type Token struct {
+	Load, Seed uint64
+}
+
+// Token returns the scenario's cell token.
+func (s *Scenario) Token() Token {
+	t := Token{Load: math.Float64bits(s.Load.Value)}
+	if s.WithSim {
+		t.Seed = s.Seed()
+	}
+	return t
+}
 
 // appendKey appends the scenario's key to b, with workload standing for
-// the workload's canonical form ("" for the default workload).
-func (s *Scenario) appendKey(b []byte, workload string) []byte {
+// the workload's canonical form ("" for the default workload) — or, with
+// curve set, its curve key: the same bytes with the load= and seed=
+// values left empty.
+func (s *Scenario) appendKey(b []byte, workload string, curve bool) []byte {
 	b = append(b, "family="...)
 	b = append(b, s.Topology.Family...)
 	b = append(b, " size="...)
@@ -278,7 +302,9 @@ func (s *Scenario) appendKey(b []byte, workload string) []byte {
 	b = append(b, " frac="...)
 	b = strconv.AppendBool(b, s.Load.Frac)
 	b = append(b, " load="...)
-	b = strconv.AppendFloat(b, s.Load.Value, 'x', -1, 64)
+	if !curve {
+		b = strconv.AppendFloat(b, s.Load.Value, 'x', -1, 64)
+	}
 	if !s.Variant.IsBase() {
 		b = append(b, " variant="...)
 		b = strconv.AppendBool(b, s.Variant.NoBlockingCorrection)
@@ -293,7 +319,9 @@ func (s *Scenario) appendKey(b []byte, workload string) []byte {
 		b = append(b, " measure="...)
 		b = strconv.AppendInt(b, int64(s.Budget.Measure), 10)
 		b = append(b, " seed="...)
-		b = strconv.AppendUint(b, s.Seed(), 10)
+		if !curve {
+			b = strconv.AppendUint(b, s.Seed(), 10)
+		}
 		if s.Budget.DrainLimit != 0 {
 			b = append(b, " drain="...)
 			b = strconv.AppendInt(b, int64(s.Budget.DrainLimit), 10)
@@ -324,4 +352,121 @@ func (s *Scenario) appendKey(b []byte, workload string) []byte {
 		b = append(b, " bounds=true"...)
 	}
 	return b
+}
+
+// curveFields returns where a curve key's two empty values go: the offset
+// just past its load= (-1 for a string with none) and just past its seed=
+// (-1 on a curve without the simulator). The fields before load= hold no
+// "load=", so the search needs no field's leading space — keys are full
+// of spaces, which makes a space-led search slow.
+func curveFields(curve string) (load, seed int) {
+	load = strings.Index(curve, "load=")
+	if load < 0 {
+		return -1, -1
+	}
+	load += len("load=")
+	if seed = seedField(curve[load:]); seed >= 0 {
+		seed += load
+	}
+	return load, seed
+}
+
+// seedField returns the offset just past the seed= of a key's tail that
+// follows the load value, or -1 when the tail's sim field is not true: the
+// first "sim=" there is the sim field, and no field between it and seed=
+// holds "seed=".
+func seedField(tail string) int {
+	i := strings.Index(tail, "sim=")
+	if i < 0 || !strings.HasPrefix(tail[i+len("sim="):], "true") {
+		return -1
+	}
+	j := strings.Index(tail[i:], "seed=")
+	if j < 0 {
+		return -1
+	}
+	return i + j + len("seed=")
+}
+
+// cutValue splits a field's value off the rest of a key.
+func cutValue(s string) (val, rest string) {
+	if i := strings.IndexByte(s, ' '); i >= 0 {
+		return s[:i], s[i:]
+	}
+	return s, ""
+}
+
+// AppendJoinKey appends to b the key of the cell t on the curve whose
+// curve key is curve: the scenario's Key, byte for byte. A string with no
+// load= field is no curve key, and is appended as it is.
+func AppendJoinKey(b []byte, curve string, t Token) []byte {
+	load, seed := curveFields(curve)
+	if load < 0 {
+		return append(b, curve...)
+	}
+	b = strconv.AppendFloat(append(b, curve[:load]...), math.Float64frombits(t.Load), 'x', -1, 64)
+	if seed < 0 {
+		return append(b, curve[load:]...)
+	}
+	b = strconv.AppendUint(append(b, curve[load:seed]...), t.Seed, 10)
+	return append(b, curve[seed:]...)
+}
+
+// SplitKey inverts AppendJoinKey: it appends key's curve key to b and
+// returns it with the cell's token. ok is false for a string
+// AppendJoinKey would not write back byte for byte — no load= field, or
+// a load or seed value in a non-canonical spelling — and b is then
+// returned unchanged.
+func SplitKey(b []byte, key string) (curve []byte, t Token, ok bool) {
+	load := strings.Index(key, "load=")
+	if load < 0 {
+		return b, Token{}, false
+	}
+	load += len("load=")
+	val, rest := cutValue(key[load:])
+	f, err := strconv.ParseFloat(val, 64)
+	var num [32]byte
+	if err != nil || string(strconv.AppendFloat(num[:0], f, 'x', -1, 64)) != val {
+		return b, Token{}, false
+	}
+	t.Load = math.Float64bits(f)
+	curve = append(b, key[:load]...)
+	// rest is the curve key's tail too: the join finds seed= where this does.
+	if seed := seedField(rest); seed >= 0 {
+		val, after := cutValue(rest[seed:])
+		if t.Seed, err = strconv.ParseUint(val, 10, 64); err != nil || string(strconv.AppendUint(num[:0], t.Seed, 10)) != val {
+			return b, Token{}, false
+		}
+		curve = append(curve, rest[:seed]...)
+		rest = after
+	}
+	return append(curve, rest...), t, true
+}
+
+// KeyArena hands out strings cut from fixed strings.Builder chunks, so
+// keys that live as long as a grid or an index cost a few allocations
+// rather than one each. A Builder only ever appends, so a string cut from
+// its buffer stays valid and unchanged when the chunk is written on or
+// abandoned; a retained key pins at most its own chunk. The zero value is
+// ready to use.
+type KeyArena struct {
+	chunk strings.Builder
+}
+
+// KeyChunk is the size of a KeyArena's chunks: a few dozen keys share
+// each allocation.
+const KeyChunk = 4 << 10
+
+// Cut copies key into the current chunk and returns it as a slice of the
+// chunk. A key that does not fit opens a new chunk of KeyChunk bytes, or
+// of about what the remaining keys need, each about as long as this one,
+// when that is less; a key longer than KeyChunk gets a chunk of its own
+// size.
+func (a *KeyArena) Cut(key []byte, remaining int) string {
+	if a.chunk.Cap()-a.chunk.Len() < len(key) {
+		a.chunk = strings.Builder{}
+		a.chunk.Grow(max(len(key), min(KeyChunk, remaining*len(key))))
+	}
+	start := a.chunk.Len()
+	a.chunk.Write(key)
+	return a.chunk.String()[start:]
 }

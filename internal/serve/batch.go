@@ -149,7 +149,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding scenario batch: %w", err))
 		return
 	}
-	keys := make([]string, len(scs))
 	for i := range scs {
 		// Sized before anything is built, like a spec: an oversized
 		// network is the request's fault, not one cell's.
@@ -159,18 +158,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		keys[i] = scs[i].Key()
 	}
 	s.traffic.add("sweep_batch_requests_total", 1)
 	s.traffic.add("sweep_batch_cells_total", int64(len(scs)))
-	s.streamItems(w, r, scs, keys, 0)
+	s.streamItems(w, r, sweep.ListGrid(scs), 0, len(scs))
 }
 
 // expansions memoizes recent grid expansions (sweep.Grid: scenarios and
-// their cache keys) keyed by the spec's exact wire bytes: a dispatched
+// their curves' keys) keyed by the spec's exact wire bytes: a dispatched
 // sweep sends the identical spec with every range request, so the shard
-// expands (and key-hashes) the grid once per sweep instead of once per
-// range, and every range evaluates its cells under the keys the expansion
+// expands (and keys) the grid once per sweep instead of once per range,
+// and every range evaluates its cells under the curve keys the expansion
 // already built. Bounded FIFO — a handful of concurrent sweeps at most.
 type expansions struct {
 	mu      sync.Mutex
@@ -192,8 +190,8 @@ func (e *expansions) get(specJSON []byte) (*sweep.Grid, error) {
 	if err != nil {
 		return nil, err
 	}
-	grid := &sweep.Grid{Spec: spec}
-	if grid.Scens, grid.Keys, err = sweep.ExpandKeyed(spec); err != nil {
+	grid, err := sweep.ExpandGrid(spec)
+	if err != nil {
 		return nil, err
 	}
 	e.mu.Lock()
@@ -244,25 +242,24 @@ func (s *Server) handlePart(w http.ResponseWriter, r *http.Request) {
 	}
 	s.traffic.add("sweep_part_requests_total", 1)
 	s.traffic.add("sweep_part_cells_total", int64(req.End-req.Start))
-	s.streamItems(w, r, grid.Scens[req.Start:req.End], grid.Keys[req.Start:req.End], req.Start)
+	s.streamItems(w, r, grid, req.Start, req.End)
 }
 
-// streamItems answers the scenarios through the runner's list path,
-// writing one BatchItem NDJSON line per cell as it completes (completion
-// order): the i-th scenario's line carries Index base+i, and keys[i] is
-// its Scenario.Key(). A cell's failure is that item's error, never the
-// stream's. Closing the connection cancels the remaining evaluations
-// through the request context.
-func (s *Server) streamItems(w http.ResponseWriter, r *http.Request, scens []eval.Scenario, keys []string, base int) {
+// streamItems answers the cells [lo, hi) of grid through the runner's
+// list path, writing one BatchItem NDJSON line per cell as it completes
+// (completion order): cell i's line carries Index i. A cell's failure is
+// that item's error, never the stream's. Closing the connection cancels
+// the remaining evaluations through the request context.
+func (s *Server) streamItems(w http.ResponseWriter, r *http.Request, grid *sweep.Grid, lo, hi int) {
 	out := newNDJSON(w)
 	defer func() { s.traffic.add("sweep_stream_rows_total", out.close()) }()
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
-	s.runner.EvaluateList(ctx, scens, keys, func(i int, cell sweep.Cell, err error) {
+	s.runner.EvaluateList(ctx, grid, lo, hi, func(i int, cell sweep.Cell, err error) {
 		if err != nil {
-			err = out.write(eval.BatchItem{Index: base + i, Error: err.Error()})
+			err = out.write(eval.BatchItem{Index: i, Error: err.Error()})
 		} else {
-			err = out.writeItem(base+i, cell)
+			err = out.writeItem(i, cell)
 		}
 		if err != nil {
 			cancel() // client gone; stop the pool

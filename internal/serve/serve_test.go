@@ -64,8 +64,8 @@ func TestRemoteParityFigure3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := &sweep.Grid{Spec: spec}
-	if g.Scens, g.Keys, err = sweep.ExpandKeyed(spec); err != nil {
+	g, err := sweep.ExpandGrid(spec)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(g.Scens) != len(local.Rows) {
@@ -73,7 +73,7 @@ func TestRemoteParityFigure3(t *testing.T) {
 	}
 	remote := make([]sweep.Row, len(g.Scens))
 	errs := make([]error, len(g.Scens))
-	d.EvaluateList(context.Background(), g.Scens, g.Keys, func(i int, cell sweep.Cell, err error) {
+	d.EvaluateList(context.Background(), g, 0, len(g.Scens), func(i int, cell sweep.Cell, err error) {
 		remote[i], errs[i] = sweep.Row{Scenario: g.Scens[i], Cell: cell}, err
 	})
 	for i, err := range errs {

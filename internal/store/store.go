@@ -24,8 +24,9 @@
 //
 // # Durability and recovery
 //
-// Puts are appended with a single write syscall each (no fsync: an OS
-// crash may cost the tail, never correctness). Recovery is
+// A put — one cell, or the new cells of one curve — is appended with a
+// single write syscall (no fsync: an OS crash may cost the tail, never
+// correctness). Recovery is
 // corruption-tolerant: a line that does not parse — the truncated tail of
 // a crashed writer, a torn write — or that lacks a key or a point object
 // with its load_flits member (always written, even as null) is dropped
@@ -123,14 +124,18 @@ func decodeRecord(line []byte, pt *eval.Point) (key string, ok bool) {
 }
 
 // Store is a persistent result cache. It implements sweep.CacheStore
-// (Get/Put) and is safe for concurrent use by one process; concurrent
-// processes may share a directory as long as each uses its own Store
-// (each writes a distinct segment).
+// (GetCurve/PutCurve) over an index of full keys, joining each cell's key
+// from its curve key and token — into a scratch buffer to look one up,
+// into an arena for a new index entry — and is safe for concurrent use
+// by one process; concurrent processes may share a directory as long as
+// each uses its own Store (each writes a distinct segment).
 type Store struct {
 	mu           sync.Mutex
 	dir          string
 	index        map[string]eval.Point
-	seg          *os.File // active segment, opened lazily on first Put
+	key          []byte        // a joined key, looked up
+	keys         eval.KeyArena // the keys of new index entries
+	seg          *os.File      // active segment, opened lazily on first Put
 	segName      string
 	nextSeg      int // numeric suffix the active segment will take
 	buf          []byte
@@ -217,7 +222,45 @@ func eachRecord(path string, fn func(key string, pt eval.Point, line []byte)) (d
 	}
 }
 
-// Get returns the cell stored under key, counting a hit or miss.
+// GetCurve implements sweep.CacheStore: each cell's key is joined into a
+// scratch buffer and looked up, counting a hit or miss.
+func (s *Store) GetCurve(curve string, tokens []eval.Token, cells []eval.Point, found []bool) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	hits := 0
+	for i, t := range tokens {
+		s.key = eval.AppendJoinKey(s.key[:0], curve, t)
+		if cells[i], found[i] = s.index[string(s.key)]; found[i] {
+			hits++
+		}
+	}
+	s.hits += int64(hits)
+	s.misses += int64(len(tokens) - hits)
+	return hits
+}
+
+// PutCurve implements sweep.CacheStore: Put for each cell of one curve,
+// whose new records reach the active segment in one write.
+func (s *Store) PutCurve(curve string, tokens []eval.Token, cells []eval.Point) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.buf = s.buf[:0]
+	n := 0
+	for i, t := range tokens {
+		s.key = eval.AppendJoinKey(s.key[:0], curve, t)
+		if old, ok := s.index[string(s.key)]; ok && samePoint(old, cells[i]) {
+			continue
+		}
+		key := s.keys.Cut(s.key, len(tokens)-i)
+		s.index[key] = cells[i]
+		s.buf = appendRecord(s.buf, key, cells[i])
+		n++
+	}
+	s.write(n)
+}
+
+// Get returns the cell stored under a full key (Scenario.Key), counting a
+// hit or miss.
 func (s *Store) Get(key string) (eval.Point, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -230,12 +273,12 @@ func (s *Store) Get(key string) (eval.Point, bool) {
 	return pt, ok
 }
 
-// Put stores a cell under key and appends it to the active segment. A
-// key already holding the identical point is not re-appended (reopening
-// a store under a warm runner must not grow segments). Write failures
-// are remembered and surfaced by Close/Flush — Put itself never fails,
-// matching the CacheStore contract; the in-memory cell stays valid
-// either way.
+// Put stores a cell under a full key and appends it to the active
+// segment. A key already holding the identical point is not re-appended
+// (reopening a store under a warm runner must not grow segments). Write
+// failures are remembered and surfaced by Close/Flush — Put itself never
+// fails, matching the CacheStore contract; the in-memory cell stays
+// valid either way.
 func (s *Store) Put(key string, pt eval.Point) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -243,13 +286,14 @@ func (s *Store) Put(key string, pt eval.Point) {
 		return
 	}
 	s.index[key] = pt
-	s.append(key, pt)
+	s.buf = appendRecord(s.buf[:0], key, pt)
+	s.write(1)
 }
 
-// append writes one record line to the active segment — one write
+// write appends buf's n record lines to the active segment — one write
 // syscall — opening it first if needed. Caller holds mu.
-func (s *Store) append(key string, pt eval.Point) {
-	if s.writeErr != nil {
+func (s *Store) write(n int) {
+	if n == 0 || s.writeErr != nil {
 		return
 	}
 	if s.seg == nil {
@@ -258,12 +302,11 @@ func (s *Store) append(key string, pt eval.Point) {
 			return
 		}
 	}
-	s.buf = appendRecord(s.buf[:0], key, pt)
 	if _, err := s.seg.Write(s.buf); err != nil {
 		s.writeErr = fmt.Errorf("store: appending to %s: %w", s.segName, err)
 		return
 	}
-	s.appended++
+	s.appended += int64(n)
 }
 
 // openSegment creates the next segment file. Caller holds mu.

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -36,9 +38,28 @@ var builtinKeyDigests = map[string]struct {
 	"table2":        {27, "4d8b1ea1beaa662ed381f852abde88c0d76fb98cfee7d61f159b7dedb940869b"},
 }
 
-// TestExpandKeyedMatchesKey: over every builtin spec, ExpandKeyed's keys
-// are each scenario's own Key(), Expand returns the same scenarios, and
-// the key bytes are the pinned ones.
+// expandKeys expands spec and joins every cell's key from its curve's key
+// and its token, as a key leaving the process is built.
+func expandKeys(t testing.TB, spec Spec) (*Grid, []string) {
+	t.Helper()
+	g, err := ExpandGrid(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, len(g.Scens))
+	for _, c := range g.Curves {
+		for i := c.Start; i < c.End; i++ {
+			keys[i] = string(eval.AppendJoinKey(nil, c.Key, g.Scens[i].Token()))
+		}
+	}
+	return g, keys
+}
+
+// TestExpandKeyedMatchesKey: over every builtin spec, the keys joined
+// from ExpandGrid's curve keys and the cells' tokens are each scenario's
+// own Key(), the curves partition the cells in order, each under the
+// curve key its cells write, Expand returns the same scenarios, and the
+// key bytes are the pinned ones.
 func TestExpandKeyedMatchesKey(t *testing.T) {
 	names := Builtins()
 	if len(names) != len(builtinKeyDigests) {
@@ -49,16 +70,29 @@ func TestExpandKeyedMatchesKey(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scens, keys, err := ExpandKeyed(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g, keys := expandKeys(t, spec)
+		scens := g.Scens
 		plain, err := Expand(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(plain, scens) || len(keys) != len(scens) {
-			t.Fatalf("%s: Expand and ExpandKeyed disagree (%d vs %d scenarios, %d keys)", name, len(plain), len(scens), len(keys))
+		if !reflect.DeepEqual(plain, scens) {
+			t.Fatalf("%s: Expand and ExpandGrid disagree (%d vs %d scenarios)", name, len(plain), len(scens))
+		}
+		next := 0
+		for _, c := range g.Curves {
+			if c.Start != next || c.End <= c.Start {
+				t.Fatalf("%s: curve [%d, %d) after cell %d", name, c.Start, c.End, next)
+			}
+			for i := c.Start; i < c.End; i++ {
+				if own := string(scens[i].AppendCurveKey(nil, scens[i].Workload.Canonical())); own != c.Key {
+					t.Fatalf("%s cell %d: curve key %q, its curve's %q", name, i, own, c.Key)
+				}
+			}
+			next = c.End
+		}
+		if next != len(scens) {
+			t.Fatalf("%s: curves end at cell %d of %d", name, next, len(scens))
 		}
 		h := sha256.New()
 		for i, sc := range scens {
@@ -95,9 +129,11 @@ func modelGrid() Spec {
 // TestModelGridAllocBudget: a cold then a warm Run of a model grid on
 // one fresh runner with a cache — keys, expansion, curve set-up, model
 // builds, Eq. 26 searches, pool, cache and result all included — stays
-// within 1 allocation per cell. (It was 27 when every layer rebuilt its
-// keys and every λ₀ its channel graph, and 1.8 while every cell's key
-// was its own allocation and every model's class names and labels theirs.)
+// within 1 allocation and 650 bytes per cell. (It was 27 allocations when
+// every layer rebuilt its keys and every λ₀ its channel graph, and 1.8
+// while every cell's key was its own allocation and every model's class
+// names and labels theirs; 816 bytes while every cell had a key, a dedup
+// entry and a cache map entry of its own, where a curve now has them.)
 func TestModelGridAllocBudget(t *testing.T) {
 	spec := modelGrid()
 	ctx := context.Background()
@@ -119,13 +155,26 @@ func TestModelGridAllocBudget(t *testing.T) {
 	}
 	pass()
 	perCell := testing.AllocsPerRun(5, pass) / float64(cells)
-	t.Logf("%.2f allocs/cell over %d cells", perCell, cells)
-	budget := 1.0
+	const passes = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < passes; i++ {
+		pass()
+	}
+	runtime.ReadMemStats(&after)
+	bytesPerCell := float64(after.TotalAlloc-before.TotalAlloc) / float64(passes*cells)
+	t.Logf("%.2f allocs/cell, %.0f B/cell over %d cells", perCell, bytesPerCell, cells)
+	budget, bytesBudget := 1.0, 650.0
 	if race.Enabled {
-		budget = 12 // sync.Pool drops Puts under the detector
+		// sync.Pool drops Puts under the detector, whose instrumentation
+		// allocates besides.
+		budget, bytesBudget = 12, math.Inf(1)
 	}
 	if perCell > budget {
 		t.Errorf("cold+warm model grid: %.2f allocs/cell, budget %v", perCell, budget)
+	}
+	if bytesPerCell > bytesBudget {
+		t.Errorf("cold+warm model grid: %.0f B/cell, budget %v", bytesPerCell, bytesBudget)
 	}
 }
 
@@ -137,51 +186,52 @@ func benchModelGrid() Spec {
 	return spec
 }
 
-// TestExpandKeyedAllocs: a grid's keys are cut from keyChunk-sized chunks,
-// so expanding 2,560 cells allocates ⌈key bytes / keyChunk⌉ chunks (one
+// TestExpandKeyedAllocs: a grid keys its curves, not its cells, and cuts
+// the curve keys from eval.KeyChunk-sized chunks, so expanding 2,560
+// cells on 80 curves allocates ⌈curve-key bytes / KeyChunk⌉ chunks (one
 // more where the last chunk's estimate falls short) plus a constant for
-// the grid — scenario and key slices, the dedup map, the axes — instead of
-// one key per cell.
+// the grid — the scenario and curve slices, the curve dedup map, the axes
+// — whatever the number of loads per curve.
 func TestExpandKeyedAllocs(t *testing.T) {
-	spec := benchModelGrid()
-	_, keys, err := ExpandKeyed(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bytes := 0
-	for _, k := range keys {
-		bytes += len(k)
-	}
-	chunks := (bytes + keyChunk - 1) / keyChunk
-	got := testing.AllocsPerRun(10, func() {
-		if _, _, err := ExpandKeyed(spec); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("%d cells, %d key bytes, %d chunks: %v allocations", len(keys), bytes, chunks, got)
-	if len(keys) != 2560 {
-		t.Fatalf("%d cells, want 2560", len(keys))
-	}
-	if budget := float64(chunks + 1 + 32); got > budget {
-		t.Errorf("expanding %d cells allocates %v times, budget %v (%d chunks + 1 + 32)", len(keys), got, budget, chunks)
-	}
-}
-
-// TestExpandKeyedChunkBoundaries: keys cut from chunks are the keys
-// Scenario.Key writes, wherever a chunk ends — keys that straddle a
-// chunk's end open the next one, a key longer than a chunk gets one of
-// its own — and a duplicate cell whose first appearance lies in an
-// earlier chunk is still dropped.
-func TestExpandKeyedChunkBoundaries(t *testing.T) {
-	check := func(name string, spec Spec) ([]Scenario, []string) {
-		t.Helper()
-		scens, keys, err := ExpandKeyed(spec)
+	for _, points := range []int{32, 128} {
+		spec := benchModelGrid()
+		spec.Loads.Points = points
+		g, err := ExpandGrid(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen := map[string]bool{}
 		bytes := 0
-		for i, sc := range scens {
+		for _, c := range g.Curves {
+			bytes += len(c.Key)
+		}
+		chunks := (bytes + eval.KeyChunk - 1) / eval.KeyChunk
+		got := testing.AllocsPerRun(10, func() {
+			if _, err := ExpandGrid(spec); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d cells on %d curves, %d curve-key bytes, %d chunks: %v allocations", len(g.Scens), len(g.Curves), bytes, chunks, got)
+		if len(g.Curves) != 80 || len(g.Scens) != 80*points {
+			t.Fatalf("%d cells on %d curves, want %d on 80", len(g.Scens), len(g.Curves), 80*points)
+		}
+		if budget := float64(chunks + 1 + 16); got > budget {
+			t.Errorf("expanding %d curves allocates %v times, budget %v (%d chunks + 1 + 16)", len(g.Curves), got, budget, chunks)
+		}
+	}
+}
+
+// TestExpandKeyedChunkBoundaries: curve keys cut from chunks are the
+// curve keys a curve's cells write, and join into the keys Scenario.Key
+// writes, wherever a chunk ends — keys that straddle a chunk's end open
+// the next one, a key longer than a chunk gets one of its own — and a
+// duplicate curve whose first appearance lies in an earlier chunk is
+// still dropped.
+func TestExpandKeyedChunkBoundaries(t *testing.T) {
+	check := func(name string, spec Spec) ([]Scenario, []string) {
+		t.Helper()
+		g, keys := expandKeys(t, spec)
+		seen := map[string]bool{}
+		for i, sc := range g.Scens {
 			if want := sc.Key(); keys[i] != want {
 				t.Fatalf("%s cell %d: key %q, want %q", name, i, keys[i], want)
 			}
@@ -189,44 +239,49 @@ func TestExpandKeyedChunkBoundaries(t *testing.T) {
 				t.Fatalf("%s cell %d: duplicate key %q survived", name, i, keys[i])
 			}
 			seen[keys[i]] = true
-			bytes += len(keys[i])
 		}
-		if bytes < 3*keyChunk {
-			t.Fatalf("%s: %d key bytes cross too few chunk ends to test", name, bytes)
+		bytes := 0
+		for _, c := range g.Curves {
+			if own := string(g.Scens[c.Start].AppendCurveKey(nil, g.Scens[c.Start].Workload.Canonical())); own != c.Key {
+				t.Fatalf("%s: curve key %q, its first cell's %q", name, c.Key, own)
+			}
+			bytes += len(c.Key)
 		}
-		return scens, keys
+		if bytes < 3*eval.KeyChunk {
+			t.Fatalf("%s: %d curve-key bytes cross too few chunk ends to test", name, bytes)
+		}
+		return g.Scens, keys
 	}
 
-	// Straddling: keys of varying length (the loads' hex digits vary)
-	// run through many chunks.
+	// Straddling: curve keys of varying length (sizes and message lengths
+	// of one to four digits) run through many chunks.
 	grid := modelGrid()
+	grid.MsgFlits = []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 1024}
+	grid.Loads = LoadSpec{Points: 3, MaxFrac: 0.9}
 	check("model grid", grid)
 
-	// A duplicated size repeats every cell of the first, long after the
+	// A duplicated size repeats every curve of the first, long after the
 	// chunks holding them are full.
-	dup := modelGrid()
-	dup.Topologies[0].Sizes = append(dup.Topologies[0].Sizes, dup.Topologies[0].Sizes[0])
+	dup := grid
+	dup.Topologies = []TopologySpec{{Family: FamilyBFT, Sizes: append(slices.Clone(grid.Topologies[0].Sizes), grid.Topologies[0].Sizes[0])}}
 	scens, keys := check("duplicated size", dup)
-	_, want, err := ExpandKeyed(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, want := expandKeys(t, grid)
 	if !reflect.DeepEqual(keys, want) || len(scens) != len(want) {
 		t.Errorf("duplicated size: %d cells, want the %d of the grid without it", len(keys), len(want))
 	}
 
 	// A trace path longer than a chunk, between two default workloads'
 	// worth of short keys.
-	long := modelGrid()
-	long.Topologies[0].Sizes = []int{16}
-	long.Workloads = []workload.Spec{{}, {Name: "replay", Trace: strings.Repeat("t", keyChunk+100) + ".ndjson"}, {Pattern: workload.PatternTranspose}}
+	long := grid
+	long.Topologies = []TopologySpec{{Family: FamilyBFT, Sizes: []int{16}}}
+	long.Workloads = []workload.Spec{{}, {Name: "replay", Trace: strings.Repeat("t", eval.KeyChunk+100) + ".ndjson"}, {Pattern: workload.PatternTranspose}}
 	_, keys = check("long trace", long)
 	longest := 0
 	for _, k := range keys {
 		longest = max(longest, len(k))
 	}
-	if longest <= keyChunk {
-		t.Errorf("longest key %d bytes, want one longer than a %d-byte chunk", longest, keyChunk)
+	if longest <= eval.KeyChunk {
+		t.Errorf("longest key %d bytes, want one longer than a %d-byte chunk", longest, eval.KeyChunk)
 	}
 }
 
@@ -341,9 +396,8 @@ func TestCurvesCancelledBeforeAnySearch(t *testing.T) {
 // TestCurvesParallelEqualsSerial: curve metadata resolved on several
 // workers is the serial result, in first-appearance order.
 func TestCurvesParallelEqualsSerial(t *testing.T) {
-	g := &Grid{Spec: torusCurves()}
-	var err error
-	if g.Scens, g.Keys, err = ExpandKeyed(g.Spec); err != nil {
+	g, err := ExpandGrid(torusCurves())
+	if err != nil {
 		t.Fatal(err)
 	}
 	serial, err := NewRunner(WithWorkers(1)).Curves(context.Background(), g)
@@ -469,7 +523,7 @@ func TestBackendPanicFailsTheCell(t *testing.T) {
 	spec.WithSim = false
 	spec.MsgFlits = []int{8, 13}
 	spec.Loads = LoadSpec{Flits: []float64{0.01}}
-	scens, keys, err := ExpandKeyed(spec)
+	scens, err := Expand(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +532,7 @@ func TestBackendPanicFailsTheCell(t *testing.T) {
 	if err == nil {
 		t.Fatal("Run succeeded over a panicking backend")
 	}
-	for _, want := range []string{"sweep: scenario 1 (", "backend panic", keys[1], "boom"} {
+	for _, want := range []string{"sweep: scenario 1 (", "backend panic", scens[1].Key(), "boom"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("Run error %q does not mention %q", err, want)
 		}

@@ -60,20 +60,18 @@ type Result struct {
 	CacheHits, CacheMisses int
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
+
+	// curves are the grid's curves, whose cells Rows holds.
+	curves []Curve
 }
 
 // ByCurve splits the rows into one run per curve, in load order:
-// ByCurve()[i] holds the rows of Curves[i]. Expansion emits a curve's
-// load points back to back, and a run ends where sameCurve ends it — the
-// boundary curve resolution draws Curves at.
+// ByCurve()[i] holds the rows of Curves[i], the cells of the grid's i-th
+// curve.
 func (r *Result) ByCurve() [][]Row {
-	var out [][]Row
-	start := 0
-	for i := 1; i <= len(r.Rows); i++ {
-		if i == len(r.Rows) || !sameCurve(&r.Rows[i].Scenario, &r.Rows[i-1].Scenario) {
-			out = append(out, r.Rows[start:i])
-			start = i
-		}
+	out := make([][]Row, len(r.curves))
+	for i, c := range r.curves {
+		out[i] = r.Rows[c.Start:c.End]
 	}
 	return out
 }

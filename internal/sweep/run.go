@@ -26,7 +26,10 @@ type Event struct {
 // Runner is the grid engine: every sweep in the stack — local or
 // dispatched across a fleet — is one Runner doing expand → cache pass →
 // schedule the cold cells → write back → observe → hand rows to the
-// caller, under Run, Stream and Evaluate. The zero value is ready to
+// caller, under Run, Stream and Evaluate. A curve is its unit of cache
+// work: a grid is expanded into curves, each looked up in one GetCurve
+// and written back in one PutCurve, and a cell's full key is joined only
+// where one leaves the process. The zero value is ready to
 // use: it sizes the pool to GOMAXPROCS and evaluates with the built-in
 // stack (the analytic model, the simulator and the bound calculus; the
 // last two answer only the cells that ask for them); without a Cache, no
@@ -40,13 +43,15 @@ type Runner struct {
 	// Workers bounds the worker pool; 0 defers to the spec, then to
 	// GOMAXPROCS.
 	Workers int
-	// Cache, when non-nil, is consulted before and filled after every
-	// scenario, under Scenario.Key — unless Backends is set: a custom list
-	// is never cached. Scenario keys capture every result-affecting input,
-	// so a cache may safely outlive any one spec — or, with a persistent
-	// CacheStore such as internal/store's, the process itself — and
-	// whoever computed a cell (this process, a shard, a whole fleet) wrote
-	// the same line.
+	// Cache, when non-nil, is consulted and filled a curve at a time —
+	// one GetCurve per curve before the cold cells are scheduled, one
+	// PutCurve when the last cold cell of a curve lands, and, when a call
+	// fails or is cancelled, one more for each curve it left partial —
+	// unless Backends is set: a custom list is never cached. A curve key
+	// and a token capture every result-affecting input, so a cache may
+	// safely outlive any one spec — or, with a persistent CacheStore such
+	// as internal/store's, the process itself — and whoever computed a
+	// cell (this process, a shard, a whole fleet) wrote the same line.
 	Cache CacheStore
 	// Progress, when non-nil, receives an Event per completed cell. It is
 	// called from a single goroutine (events arrive in completion order,
@@ -60,7 +65,8 @@ type Runner struct {
 	// no cell of such a list is ever served as the built-in stack's.
 	Backends []eval.Evaluator
 	// Calib, when non-nil, receives every completed cell (fresh and
-	// cached alike) under its Scenario.Key, making the runner a live feed
+	// cached alike) under its Scenario.Key — joined for it, from the
+	// cell's curve key and token — making the runner a live feed
 	// for the calibration map (internal/calib). Observers must dedupe by
 	// key themselves and be safe for concurrent calls — cells arrive
 	// straight from the scheduler's goroutines.
@@ -167,14 +173,6 @@ func (r *Runner) workers(spec Spec, n int) int {
 // Evaluate — and landed.
 func (r *Runner) Counts() (hits, fresh int64) { return r.hits.Load(), r.fresh.Load() }
 
-// Grid is one expanded sweep as a Scheduler sees it: the spec and its
-// cells in expansion order, Keys[i] == Scens[i].Key().
-type Grid struct {
-	Spec  Spec
-	Scens []Scenario
-	Keys  []string
-}
-
 // CellError names the cell a failure belongs to; every scheduler reports
 // a per-cell failure through it, so a failing sweep reads the same
 // whichever way its cold cells were computed.
@@ -189,10 +187,9 @@ func (g *Grid) CellError(i int, err error) error {
 // goroutine (deliver never blocks), returning when all are delivered,
 // when a cell fails (the CellError, first failure wins; no further cell
 // need be computed) or when ctx ends. Compute answers one cold cell
-// outside a grid (Evaluate's, EvaluateList's). Curves describes the
-// grid's curves, heads[j] being the first scenario of the j-th: one
-// eval.CurveDesc per head, in order, or an error naming the curve the
-// model rejects. Everything around them — expansion, the cache pass
+// outside a grid (Evaluate's). Curves describes the grid's curves: one
+// eval.CurveDesc per g.Curves entry, in order, or an error naming the
+// curve the model rejects. Everything around them — expansion, the cache pass
 // before and the write-back after, each cold cell's eval.cell span and
 // panic guard, the observer, Progress, the result — is the Runner's.
 // The local worker pool is the default; internal/dispatch's fleet
@@ -200,7 +197,7 @@ func (g *Grid) CellError(i int, err error) error {
 type Scheduler interface {
 	Schedule(ctx context.Context, g *Grid, cold []int, deliver func(i int, cell Cell)) error
 	Compute(ctx context.Context, sc Scenario) (Cell, error)
-	Curves(ctx context.Context, g *Grid, heads []int) ([]eval.CurveDesc, error)
+	Curves(ctx context.Context, g *Grid) ([]eval.CurveDesc, error)
 }
 
 // localPool is the default Scheduler: the runner's own bounded pool over
@@ -223,7 +220,7 @@ func (p localPool) Schedule(ctx context.Context, g *Grid, cold []int, deliver fu
 	defer cancel(nil)
 	each(ctx, p.r.workers(g.Spec, len(cold)), len(cold), func(k int) {
 		i := cold[k]
-		cell, err := compute(ctx, p, g.Scens[i], g.Keys[i])
+		cell, err := compute(ctx, p, g.cellKey(i))
 		if err != nil {
 			cancel(g.CellError(i, err)) // fail fast; the first cause stands
 			return
@@ -267,17 +264,42 @@ func (p localPool) Compute(ctx context.Context, sc Scenario) (Cell, error) {
 	return cell, nil
 }
 
+// cellKey is a cell's key, unbuilt: its scenario and its curve's key,
+// joined (eval.AppendJoinKey) only where the key leaves the process — a
+// traced span, the observer, an error message.
+type cellKey struct {
+	sc    *Scenario
+	curve string // "" when the curve's key was never built
+}
+
+// cellKey returns cell i's unbuilt key.
+func (g *Grid) cellKey(i int) cellKey {
+	return cellKey{&g.Scens[i], g.Curves[g.curveOf(i)].Key}
+}
+
+// Key returns the cell's full key, Scenario.Key.
+func (k cellKey) Key() string {
+	if k.curve == "" {
+		return k.sc.Key()
+	}
+	var buf [256]byte
+	return string(eval.AppendJoinKey(buf[:0], k.curve, k.sc.Token()))
+}
+
 // compute answers one cold cell through sched.Compute under its eval.cell
 // span. A backend that panics fails its cell, not the process — a request
 // must never be able to kill a shard.
-func compute(ctx context.Context, sched Scheduler, sc Scenario, key string) (cell Cell, err error) {
+func compute(ctx context.Context, sched Scheduler, k cellKey) (cell Cell, err error) {
 	if err := ctx.Err(); err != nil {
 		return Cell{}, err
 	}
-	ctx, span := obs.StartSpanKeyed(ctx, "eval.cell", key)
+	var span *obs.Span
+	if obs.Enabled(ctx) {
+		ctx, span = obs.StartSpanKeyed(ctx, "eval.cell", k.Key())
+	}
 	defer func() {
 		if p := recover(); p != nil {
-			cell, err = Cell{}, fmt.Errorf("backend panic on cell %s: %v", key, p)
+			cell, err = Cell{}, fmt.Errorf("backend panic on cell %s: %v", k.Key(), p)
 		}
 		if err != nil {
 			span.End(obs.Bool("cached", false), obs.String("error", err.Error()))
@@ -285,103 +307,278 @@ func compute(ctx context.Context, sched Scheduler, sc Scenario, key string) (cel
 		}
 		span.End(obs.Bool("cached", false))
 	}()
-	return sched.Compute(ctx, sc)
+	return sched.Compute(ctx, *k.sc)
 }
 
 // observe feeds one completed cell to the calibration observer, if any.
-func (r *Runner) observe(ctx context.Context, key string, cell Cell) {
+func (r *Runner) observe(ctx context.Context, k cellKey, cell Cell) {
 	if r.Calib != nil {
-		r.Calib.ObserveCell(ctx, key, cell)
+		r.Calib.ObserveCell(ctx, k.Key(), cell)
 	}
 }
 
-// hit serves one cell from the cache: the cached eval.cell span, the
-// observer feed.
-func (r *Runner) hit(ctx context.Context, key string) (Cell, bool) {
-	if !r.caches() {
-		return Cell{}, false
-	}
-	cell, ok := r.Cache.Get(key)
-	if ok {
-		r.hits.Add(1)
-		_, span := obs.StartSpanKeyed(ctx, "eval.cell", key)
-		span.End(obs.Bool("cached", true))
-		r.observe(ctx, key, cell)
-	}
-	return cell, ok
-}
-
-// land takes one fresh cell in: the cache write-back, the observer feed.
-func (r *Runner) land(ctx context.Context, key string, cell Cell) {
-	if r.caches() {
-		r.Cache.Put(key, cell)
-	}
-	r.observe(ctx, key, cell)
+// land accounts one fresh cell: the observer feed, the count.
+func (r *Runner) land(ctx context.Context, k cellKey, cell Cell) {
+	r.observe(ctx, k, cell)
 	r.fresh.Add(1)
 }
+
+// served accounts one cell served from the cache: the cached eval.cell
+// span, the observer feed.
+func (r *Runner) served(ctx context.Context, k cellKey, cell Cell) {
+	if obs.Enabled(ctx) {
+		_, span := obs.StartSpanKeyed(ctx, "eval.cell", k.Key())
+		span.End(obs.Bool("cached", true))
+	}
+	r.observe(ctx, k, cell)
+}
+
+// probe is Evaluate's scratch for its one-cell GetCurve and PutCurve,
+// pooled: a slice of a local array would escape through the interface
+// call, and a one-cell probe must cost no more than its key.
+type probe struct {
+	tok   [1]eval.Token
+	cell  [1]Cell
+	found [1]bool
+}
+
+var probes = sync.Pool{New: func() any { return new(probe) }}
 
 // Evaluate answers one scenario through the runner's cache and its
 // Scheduler's Compute: the single-cell form of Run, behind the serving
 // layer's /v1/eval and the capacity planner's probes. It reports whether
-// the cell was served from cache; fresh cells are stored before
-// returning.
+// the cell was served from cache; a fresh cell is stored, as a one-cell
+// PutCurve, before returning. The curve key is built only when the
+// runner caches.
 func (r *Runner) Evaluate(ctx context.Context, sc Scenario) (Cell, bool, error) {
-	return r.evaluate(ctx, sc, sc.Key())
-}
-
-// evaluate is Evaluate given the scenario's key (key == sc.Key(), as
-// ExpandKeyed returns it): the key is not built again for the cache line,
-// the span or the observer.
-func (r *Runner) evaluate(ctx context.Context, sc Scenario, key string) (Cell, bool, error) {
-	if cell, ok := r.hit(ctx, key); ok {
-		return cell, true, nil
+	var (
+		curve string // kept out of k: passed to the cache, it would take &sc to the heap
+		pr    *probe
+	)
+	if r.caches() {
+		var buf [256]byte
+		curve = string(sc.AppendCurveKey(buf[:0], sc.Workload.Canonical()))
+		pr = probes.Get().(*probe)
+		defer probes.Put(pr)
+		pr.tok[0] = sc.Token()
+		if r.Cache.GetCurve(curve, pr.tok[:], pr.cell[:], pr.found[:]) > 0 {
+			r.hits.Add(1)
+			r.served(ctx, cellKey{&sc, curve}, pr.cell[0])
+			return pr.cell[0], true, nil
+		}
 	}
-	cell, err := compute(ctx, r.scheduler(), sc, key)
+	k := cellKey{&sc, curve}
+	cell, err := compute(ctx, r.scheduler(), k)
 	if err != nil {
 		return Cell{}, false, err
 	}
-	r.land(ctx, key, cell)
+	if pr != nil {
+		pr.cell[0] = cell
+		r.Cache.PutCurve(curve, pr.tok[:], pr.cell[:])
+	}
+	r.land(ctx, k, cell)
 	return cell, false, nil
 }
 
-// EvaluateList answers an explicit scenario list (keys[i] ==
-// scens[i].Key()) cell by cell through the cache and the runner's pool:
-// the list form of Evaluate, behind /v1/batch and /v1/sweep/part. Every
-// cell's outcome — its point, or its own error; one failure does not stop
-// the others — reaches fn as it completes, from the pool's goroutines, so
-// fn must be safe for concurrent calls. Cells that fail only because ctx
-// ended are not reported. It returns when every cell is answered or ctx
-// has ended.
-func (r *Runner) EvaluateList(ctx context.Context, scens []Scenario, keys []string, fn func(i int, cell Cell, err error)) {
-	each(ctx, r.workers(Spec{}, len(scens)), len(scens), func(i int) {
-		cell, _, err := r.evaluate(ctx, scens[i], keys[i])
-		if err != nil && ctx.Err() != nil {
-			return // cancellation, not the scenario's fault
+// EvaluateList answers the cells [lo, hi) of g — an expanded grid's, or
+// an explicit list's (ListGrid) — through the cache, a curve at a time,
+// and the runner's pool: the list form of Evaluate, behind /v1/batch and
+// /v1/sweep/part. Every cell's outcome — its point, or its own error; one
+// failure does not stop the others — reaches fn as fn(i, …) with i its
+// grid index, cached cells first, fresh ones as they complete, from the
+// pool's goroutines, so fn must be safe for concurrent calls. Cells that
+// fail only because ctx ended are not reported. It returns when every
+// cell is answered or ctx has ended, with every landed cell written back.
+func (r *Runner) EvaluateList(ctx context.Context, g *Grid, lo, hi int, fn func(i int, cell Cell, err error)) {
+	var (
+		p    *pass // nil when the runner does not cache: every cell is cold
+		cold []int
+		n    = hi - lo
+	)
+	if r.caches() {
+		p = r.newPass(g, lo, hi)
+		cold, _ = p.lookup(ctx, func(i int, cell Cell) bool {
+			fn(i, cell, nil)
+			return true
+		})
+		n = len(cold)
+	}
+	sched := r.scheduler()
+	each(ctx, r.workers(Spec{}, n), n, func(k int) {
+		i := lo + k
+		if p != nil {
+			i = cold[k]
 		}
-		fn(i, cell, err)
+		ck := g.cellKey(i)
+		cell, err := compute(ctx, sched, ck)
+		if err != nil {
+			if ctx.Err() == nil { // else cancellation, not the scenario's fault
+				fn(i, Cell{}, err)
+			}
+			return
+		}
+		if p != nil {
+			p.land(ctx, i, cell)
+		} else {
+			r.land(ctx, ck, cell)
+		}
+		fn(i, cell, nil)
 	})
+	if p != nil {
+		p.flush()
+	}
 }
 
-// landed is one fresh cell travelling from a scheduler's goroutine to the
-// sweep's consumer.
-type landed struct {
-	i    int
-	cell Cell
+// pass is one Runner call's cache traffic over the cells [lo, hi) of a
+// grid, a curve at a time. lookup takes each curve's cached cells in one
+// GetCurve. land holds each fresh cell in the pass's slab, and the landing
+// that completes a curve's cold cells puts them in one PutCurve; flush
+// puts what a failed or cancelled call left of its partial curves, so a
+// cell that landed is cached whatever happens to the rest of its curve.
+type pass struct {
+	r      *Runner
+	g      *Grid
+	lo, hi int
+	c0     int        // the curve holding cell lo
+	cache  CacheStore // nil when the runner does not cache
+
+	// Scratch one curve long: lookup's, then, under mu, put's.
+	toks  []eval.Token
+	cells []Cell
+	found []bool
+
+	// slab[i-lo] holds cell i once it has landed (set by lookup when
+	// cells are cold), and landed[i-lo] says so; left[c-c0] counts the
+	// cold cells of curve c yet to land.
+	slab   []Cell
+	landed []bool
+	left   []atomic.Int32
+	mu     sync.Mutex
+}
+
+// newPass prepares a pass over the cells [lo, hi) of g.
+func (r *Runner) newPass(g *Grid, lo, hi int) *pass {
+	p := &pass{r: r, g: g, lo: lo, hi: hi}
+	if !r.caches() || lo == hi {
+		return p
+	}
+	p.cache, p.c0 = r.Cache, g.curveOf(lo)
+	longest := 0
+	for c := p.c0; c < len(g.Curves) && g.Curves[c].Start < hi; c++ {
+		longest = max(longest, min(g.Curves[c].End, hi)-max(g.Curves[c].Start, lo))
+	}
+	p.toks, p.cells = make([]eval.Token, longest), make([]Cell, longest)
+	flags := make([]bool, longest+hi-lo)
+	p.found, p.landed = flags[:longest], flags[longest:]
+	return p
+}
+
+// lookup is the cache pass: it hands every cached cell to hit, in grid
+// order, and returns the cold indices, ascending. A false return from hit
+// — the consumer is gone — ends the pass, and lookup reports ok false.
+func (p *pass) lookup(ctx context.Context, hit func(i int, cell Cell) bool) (cold []int, ok bool) {
+	g := p.g
+	if p.cache == nil {
+		cold = make([]int, p.hi-p.lo)
+		for k := range cold {
+			cold[k] = p.lo + k
+		}
+		p.slab = make([]Cell, p.hi-p.lo)
+		return cold, true
+	}
+	for c := p.c0; c < len(g.Curves) && g.Curves[c].Start < p.hi; c++ {
+		cv := &g.Curves[c]
+		start := max(cv.Start, p.lo)
+		n := min(cv.End, p.hi) - start
+		for j := 0; j < n; j++ {
+			p.toks[j] = g.Scens[start+j].Token()
+		}
+		hits := p.cache.GetCurve(cv.Key, p.toks[:n], p.cells[:n], p.found[:n])
+		p.r.hits.Add(int64(hits))
+		for j := 0; j < n; j++ {
+			i := start + j
+			if !p.found[j] {
+				if cold == nil {
+					cold = make([]int, 0, p.hi-i)
+				}
+				cold = append(cold, i)
+				continue
+			}
+			p.r.served(ctx, cellKey{&g.Scens[i], cv.Key}, p.cells[j])
+			if !hit(i, p.cells[j]) {
+				return nil, false
+			}
+		}
+	}
+	if len(cold) > 0 {
+		p.slab = make([]Cell, p.hi-p.lo)
+		p.left = make([]atomic.Int32, g.curveOf(p.hi-1)-p.c0+1)
+		for _, i := range cold {
+			p.left[g.curveOf(i)-p.c0].Add(1)
+		}
+	}
+	return cold, true
+}
+
+// land takes one fresh cell in: into the slab, to the observer, and —
+// with the last cold cell of its curve — into the cache with the rest of
+// the curve. Safe for concurrent calls on distinct cells.
+func (p *pass) land(ctx context.Context, i int, cell Cell) {
+	c := p.g.curveOf(i)
+	p.slab[i-p.lo] = cell
+	p.r.land(ctx, cellKey{&p.g.Scens[i], p.g.Curves[c].Key}, cell)
+	if p.cache == nil {
+		return
+	}
+	p.landed[i-p.lo] = true
+	if p.left[c-p.c0].Add(-1) == 0 {
+		p.mu.Lock()
+		p.put(c)
+		p.mu.Unlock()
+	}
+}
+
+// flush puts the landed cells of every curve the pass left partial. It
+// runs once every landing has returned.
+func (p *pass) flush() {
+	for k := range p.left {
+		if p.left[k].Load() > 0 {
+			p.put(p.c0 + k)
+		}
+	}
+}
+
+// put stores the landed cells of curve c in one PutCurve. The caller
+// holds mu, or is the only goroutine left.
+func (p *pass) put(c int) {
+	cv := &p.g.Curves[c]
+	n := 0
+	for i := max(cv.Start, p.lo); i < min(cv.End, p.hi); i++ {
+		if p.landed[i-p.lo] {
+			p.toks[n], p.cells[n] = p.g.Scens[i].Token(), p.slab[i-p.lo]
+			n++
+		}
+	}
+	if n > 0 {
+		p.cache.PutCurve(cv.Key, p.toks[:n], p.cells[:n])
+	}
 }
 
 // sweep is the one grid path under Run and Stream: expand, root span,
 // cache pass, schedule the cold cells, write back, observe, account. Rows
 // reach the caller on this goroutine in completion order, warm cells
 // first: into res (which also asks for curve metadata) or through emit,
-// whose false return — the consumer is gone — abandons the sweep. The
-// returned error is the sweep's failure, or ctx's own error when ctx
-// ended first: a timeout is not any one scenario's fault.
+// whose false return — the consumer is gone — abandons the sweep. A cold
+// cell lands on the scheduler's goroutine and travels here as its index,
+// its point waiting in the pass's slab. The returned error is the
+// sweep's failure, or ctx's own error when ctx ended first: a timeout is
+// not any one scenario's fault.
 func (r *Runner) sweep(ctx context.Context, spec Spec, res *Result, emit func(Row) bool) (err error) {
-	scens, keys, err := ExpandKeyed(spec)
+	g, err := ExpandGrid(spec)
 	if err != nil {
 		return err
 	}
-	g := &Grid{Spec: spec, Scens: scens, Keys: keys}
+	scens := g.Scens
 	ctx, span := obs.StartSpanKeyed(ctx, "sweep.run", specTraceKey(spec))
 	defer func() {
 		if err != nil {
@@ -394,7 +591,7 @@ func (r *Runner) sweep(ctx context.Context, spec Spec, res *Result, emit func(Ro
 		if res.Curves, err = r.resolveCurves(ctx, g); err != nil {
 			return err
 		}
-		res.Rows = make([]Row, len(scens))
+		res.Rows, res.curves = make([]Row, len(scens)), g.Curves
 	}
 	done := 0
 	finish := func(i int, cell Cell, cached bool) bool {
@@ -412,18 +609,10 @@ func (r *Runner) sweep(ctx context.Context, spec Spec, res *Result, emit func(Ro
 
 	// Cache pass: warm cells complete here and now, cold indices become
 	// the scheduler's work list.
-	var cold []int
-	for i := range scens {
-		if cell, ok := r.hit(ctx, keys[i]); ok {
-			if !finish(i, cell, true) {
-				return ctx.Err()
-			}
-			continue
-		}
-		if cold == nil {
-			cold = make([]int, 0, len(scens)-i)
-		}
-		cold = append(cold, i)
+	p := r.newPass(g, 0, len(scens))
+	cold, ok := p.lookup(ctx, func(i int, cell Cell) bool { return finish(i, cell, true) })
+	if !ok {
+		return ctx.Err()
 	}
 	hits := done
 
@@ -433,20 +622,21 @@ func (r *Runner) sweep(ctx context.Context, spec Spec, res *Result, emit func(Ro
 		defer cancel()
 		// Sized to the cold set, so a scheduler's deliver never blocks on
 		// a slow consumer.
-		out := make(chan landed, len(cold))
+		out := make(chan int, len(cold))
 		var schedErr error
 		go func() {
 			defer close(out)
 			schedErr = sched.Schedule(runCtx, g, cold, func(i int, cell Cell) {
-				r.land(ctx, keys[i], cell)
-				out <- landed{i, cell}
+				p.land(ctx, i, cell)
+				out <- i
 			})
 		}()
-		for c := range out {
-			if runCtx.Err() == nil && !finish(c.i, c.cell, false) {
+		for i := range out {
+			if runCtx.Err() == nil && !finish(i, p.slab[i], false) {
 				cancel() // consumer gone; the scheduler unwinds and closes out
 			}
 		}
+		p.flush()
 		if schedErr != nil && ctx.Err() == nil {
 			return schedErr
 		}
@@ -467,7 +657,9 @@ func (r *Runner) sweep(ctx context.Context, spec Spec, res *Result, emit func(Ro
 // scenario derives its seed from the spec seed and its own curve
 // position, never from scheduling. Cancelling ctx aborts the sweep —
 // including simulations already in flight — and returns ctx's error;
-// cells completed before the cancellation are still in the cache.
+// cells completed before the cancellation or a failure are still in the
+// cache: a curve is written back when its last cold cell lands, and the
+// landed cells of a curve left unfinished before Run returns.
 func (r *Runner) Run(ctx context.Context, spec Spec) (*Result, error) {
 	start := time.Now()
 	res := &Result{Spec: spec}
@@ -534,46 +726,15 @@ type CurveDescriber interface {
 	Curve(context.Context, eval.Scenario) (eval.CurveDesc, error)
 }
 
-// sameCurve reports whether two scenarios lie on one curve: every field
-// CurveKey reads is identical. Expansion emits a curve's load points
-// back to back — the workload axis shares one *workload.Spec per entry,
-// and Validate refuses two variants or workloads that would collapse
-// into one curve — so comparing a cell with its predecessor finds every
-// curve boundary without building a key.
-func sameCurve(a, b *Scenario) bool {
-	return a.Topology == b.Topology && a.MsgFlits == b.MsgFlits && a.Policy == b.Policy &&
-		a.Variant == b.Variant && a.Workload == b.Workload
-}
-
-// curveHeads returns the first scenario of each curve: one index per run
-// of sameCurve scenarios (Result.ByCurve cuts the rows at the same
-// boundaries). The boundaries are counted first, so the slice is one
-// allocation, not one per doubling.
-func curveHeads(scens []Scenario) []int {
-	n := 0
-	for i := range scens {
-		if i == 0 || !sameCurve(&scens[i], &scens[i-1]) {
-			n++
-		}
-	}
-	heads := make([]int, 0, n)
-	for i := range scens {
-		if i == 0 || !sameCurve(&scens[i], &scens[i-1]) {
-			heads = append(heads, i)
-		}
-	}
-	return heads
-}
-
-// Curves implements Scheduler: each head is described on the pool —
+// Curves implements Scheduler: each curve is described on the pool —
 // a first look at a curve may be an Eq. 26 search — through the first
 // backend that can (the analytic model, in the built-in stack); a list
 // with no such backend leaves the model fields NaN. Descriptions land at
 // the curve's index, so the order never depends on scheduling. Once ctx
 // has ended no further curve is described and its error is returned as
 // is.
-func (p localPool) Curves(ctx context.Context, g *Grid, heads []int) ([]eval.CurveDesc, error) {
-	descs := make([]eval.CurveDesc, len(heads))
+func (p localPool) Curves(ctx context.Context, g *Grid) ([]eval.CurveDesc, error) {
+	descs := make([]eval.CurveDesc, len(g.Curves))
 	var desc CurveDescriber
 	for _, be := range p.r.backends() {
 		if d, ok := be.(CurveDescriber); ok {
@@ -587,16 +748,16 @@ func (p localPool) Curves(ctx context.Context, g *Grid, heads []int) ([]eval.Cur
 		}
 		return descs, nil
 	}
-	errs := make([]error, len(heads))
-	each(ctx, p.r.workers(g.Spec, len(g.Scens)), len(heads), func(i int) {
-		descs[i], errs[i] = desc.Curve(ctx, g.Scens[heads[i]])
+	errs := make([]error, len(g.Curves))
+	each(ctx, p.r.workers(g.Spec, len(g.Scens)), len(g.Curves), func(i int) {
+		descs[i], errs[i] = desc.Curve(ctx, g.Scens[g.Curves[i].Start])
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("sweep: %s: %w", g.Scens[heads[i]].CurveKey(), err)
+			return nil, fmt.Errorf("sweep: %s: %w", g.Scens[g.Curves[i].Start].CurveKey(), err)
 		}
 	}
 	return descs, nil
@@ -606,7 +767,7 @@ func (p localPool) Curves(ctx context.Context, g *Grid, heads []int) ([]eval.Cur
 // grid order — through the runner's Scheduler. It is what a shard answers
 // /v1/curve with.
 func (r *Runner) Curves(ctx context.Context, g *Grid) ([]eval.CurveDesc, error) {
-	return r.scheduler().Curves(ctx, g, curveHeads(g.Scens))
+	return r.scheduler().Curves(ctx, g)
 }
 
 // resolveCurves builds the grid's per-curve metadata under a
@@ -614,13 +775,12 @@ func (r *Runner) Curves(ctx context.Context, g *Grid) ([]eval.CurveDesc, error) 
 func (r *Runner) resolveCurves(ctx context.Context, g *Grid) ([]CurveInfo, error) {
 	ctx, span := obs.StartSpanKeyed(ctx, "sweep.curves", "")
 	before := analytic.SaturationSearches()
-	heads := curveHeads(g.Scens)
-	descs, err := r.scheduler().Curves(ctx, g, heads)
+	descs, err := r.scheduler().Curves(ctx, g)
 	var infos []CurveInfo
 	if err == nil {
-		infos = make([]CurveInfo, len(heads))
-		for i, h := range heads {
-			sc, cd := &g.Scens[h], &descs[i]
+		infos = make([]CurveInfo, len(g.Curves))
+		for i, c := range g.Curves {
+			sc, cd := &g.Scens[c.Start], &descs[i]
 			infos[i] = CurveInfo{
 				Topology: sc.Topology, MsgFlits: sc.MsgFlits,
 				Policy: sc.Policy.String(), Variant: sc.Variant.Name,

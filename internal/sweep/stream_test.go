@@ -327,14 +327,14 @@ type countingCache struct {
 	gets, puts atomic.Int64
 }
 
-func (c *countingCache) Get(key string) (Cell, bool) {
+func (c *countingCache) GetCurve(curve string, tokens []eval.Token, cells []Cell, found []bool) int {
 	c.gets.Add(1)
-	return c.Cache.Get(key)
+	return c.Cache.GetCurve(curve, tokens, cells, found)
 }
 
-func (c *countingCache) Put(key string, cell Cell) {
+func (c *countingCache) PutCurve(curve string, tokens []eval.Token, cells []Cell) {
 	c.puts.Add(1)
-	c.Cache.Put(key, cell)
+	c.Cache.PutCurve(curve, tokens, cells)
 }
 
 // TestCustomListIsNeverCached pins that a custom backend list never
@@ -355,7 +355,7 @@ func TestCustomListIsNeverCached(t *testing.T) {
 		t.Fatalf("custom Evaluate: cached=%v, err=%v", cached, err)
 	}
 	if g, p := cache.gets.Load(), cache.puts.Load(); g != 0 || p != 0 {
-		t.Errorf("a custom list made %d Get and %d Put call(s) on the cache, want none", g, p)
+		t.Errorf("a custom list made %d GetCurve and %d PutCurve call(s) on the cache, want none", g, p)
 	}
 
 	def := NewRunner(WithCache(cache))
