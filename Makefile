@@ -93,6 +93,12 @@ lint:
 	test "$$(grep -rlF '.AppendCurveKey(' --include='*.go' . | grep -v '_test\.go$$' | sort | tr '\n' ' ')" = "./internal/sweep/expand.go ./internal/sweep/run.go " && \
 	test "$$(grep -rlF 'AppendJoinKey(' --include='*.go' . | grep -v '_test\.go$$' | sort | tr '\n' ' ')" = "./internal/eval/scenario.go ./internal/store/store.go ./internal/sweep/cache.go ./internal/sweep/run.go " || { \
 		echo "keys are built once per curve: a grid's curve keys are written by Scenario.AppendCurveKey in internal/sweep/expand.go (and, for Runner.Evaluate's one cell, run.go) and a cell is its curve key and eval.Token; a cell's full key is joined (eval.AppendJoinKey) only where it leaves the process: run.go (a traced span, the observer, an error), cache.go (Cache.Range) and internal/store/store.go (a store line); Scenario.Key() is called in internal/sweep, dispatch, serve and store only by run.go"; exit 1; }
+	@# The one exception: TestCurveVerdictIsFinal (internal/dispatch/curves_test.go)
+	@# answers /v1/curve with a list of the wrong length, a protocol breach that must
+	@# fail the Run; the harness injects only faults a run must survive.
+	@test -z "$$(grep -rl '"repro/internal/fleettest"' --include='*.go' . | grep -v '_test\.go$$')" && \
+	test "$$(grep -rF 'http.HandlerFunc(' --include='*_test.go' internal/dispatch internal/eval | cut -d: -f1)" = internal/dispatch/curves_test.go || { \
+		echo "one fault harness: a fleet is broken on purpose through internal/fleettest's schedule (imported by _test.go files only), not by a bespoke http.HandlerFunc server in internal/dispatch or internal/eval tests"; exit 1; }
 	@test -z "$$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go')" || { \
 		echo "one API surface: no non-test Go file at the module root; callers import the internal/ package that owns each entry point (see examples/)"; exit 1; }
 	@! grep -nE '^func \([a-z]* ?\*?(FatTreeModel|TorusModel)\) (Latency|ServiceInj|SaturationLoad|ChannelStats|Name|MsgFlits|AvgDist|BuildCoreModel|setRates)\(' internal/analytic/*.go && \

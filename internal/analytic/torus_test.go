@@ -210,3 +210,43 @@ func TestTorusHopsPerDimExact(t *testing.T) {
 		t.Errorf("hopsPerDim = %v, enumeration gives %v", m.hopsPerDim(), want)
 	}
 }
+
+// TestSaturationCausePerFamily pins what SaturationLoad reports for each
+// family, probed just below the reported point, at (1 − 10⁻⁶) of it. On
+// the fat-tree and the hypercube it is the Eq. 26 crossing: λ₀·x̄₀₁ has
+// reached 1 (0.999 and 1.000). On a k-ary n-cube with k >= 3 the channel
+// graph is cyclic, and the reported point is where its fixed point stops
+// converging, well short of the crossing: λ₀·x̄₀₁ reads 0.37 (4-ary
+// 3-cube), 0.61 (3-ary 3-cube), 0.14 (8-ary 2-cube) and 0.064 (16-ary
+// 2-cube).
+func TestSaturationCausePerFamily(t *testing.T) {
+	const s = 16
+	var opt core.Options
+	cases := []struct {
+		name     string
+		m        *Model
+		crossing bool // the reported point is the Eq. 26 crossing
+	}{
+		{"bft-1024", &MustFatTreeModel(1024, s, opt).Model, true},
+		{"6-cube", &MustHypercubeModel(6, s, opt).Model, true},
+		{"4-ary 3-cube", &MustTorusModel(4, 3, s, opt).Model, false},
+		{"3-ary 3-cube", &MustTorusModel(3, 3, s, opt).Model, false},
+		{"8-ary 2-cube", &MustTorusModel(8, 2, s, opt).Model, false},
+		{"16-ary 2-cube", &MustTorusModel(16, 2, s, opt).Model, false},
+	}
+	for _, c := range cases {
+		sat, err := c.m.SaturationLoad()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		lambda := (1 - 1e-6) * sat / s
+		lat, saturated, err := c.m.Predict(lambda)
+		if err != nil || saturated {
+			t.Fatalf("%s: just below the reported point the model is saturated (%v, %v)", c.name, saturated, err)
+		}
+		prod := lambda * lat.ServiceInj
+		if c.crossing && prod < 0.99 || !c.crossing && prod > 0.7 {
+			t.Errorf("%s: λ₀·x̄₀₁ = %.3f just below the reported saturation; want >= 0.99 at an Eq. 26 crossing, <= 0.7 where the fixed point stops converging", c.name, prod)
+		}
+	}
+}

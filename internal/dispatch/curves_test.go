@@ -3,14 +3,13 @@ package dispatch
 import (
 	"context"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
+	"repro/internal/fleettest"
 	"repro/internal/race"
 	"repro/internal/sweep"
 	"repro/internal/workload"
@@ -36,40 +35,6 @@ func manyCurvesSpec() sweep.Spec {
 	}
 }
 
-// count returns how many requests for path the transport has carried.
-func (c *countingTransport) count(path string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.paths[path]
-}
-
-// countingClient is a dispatcher option whose client counts every
-// request by path, failed attempts included.
-func countingClient() (*countingTransport, Option) {
-	ct := &countingTransport{paths: map[string]int{}}
-	return ct, WithHTTPClient(&http.Client{Transport: ct})
-}
-
-// sameFloat is float equality with NaN equal to NaN.
-func sameFloat(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }
-
-// diffCurves asserts dispatched curve metadata equals the in-process
-// run's, field by field.
-func diffCurves(t *testing.T, local, got []sweep.CurveInfo) {
-	t.Helper()
-	if len(got) != len(local) {
-		t.Fatalf("curve counts differ: dispatched %d, local %d", len(got), len(local))
-	}
-	for i, l := range local {
-		g := got[i]
-		if g.Topology != l.Topology || g.MsgFlits != l.MsgFlits || g.Policy != l.Policy ||
-			g.Variant != l.Variant || g.Workload != l.Workload || g.Model != l.Model ||
-			!sameFloat(g.SaturationLoad, l.SaturationLoad) || !sameFloat(g.AvgDist, l.AvgDist) {
-			t.Errorf("curve %d drifted:\n  local      %+v\n  dispatched %+v", i, l, g)
-		}
-	}
-}
-
 // TestRunAsksForCurvesOnce: a dispatched Run asks the fleet for its
 // grid's curve context in one /v1/curve request, cold and warm alike —
 // the warm Run, every cell a coordinator cache hit, makes no other
@@ -83,48 +48,24 @@ func TestRunAsksForCurvesOnce(t *testing.T) {
 	if len(local.Curves) != 24 {
 		t.Fatalf("grid has %d curves, want 24", len(local.Curves))
 	}
-	addrs, _ := newFleet(t, 2)
-	cache := sweep.NewCache()
+	fl := fleettest.New(t, fleettest.Schedule{Shards: 2})
+	d := faultDispatcher(t, fl, WithCache(sweep.NewCache()))
 	for _, pass := range []string{"cold", "warm"} {
-		ct, client := countingClient()
-		d := newDispatcher(t, addrs, WithCache(cache), client)
+		fl.SetPhase(pass)
 		res, err := d.Run(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("%s run: %v", pass, err)
 		}
 		diffRows(t, local.Rows, res.Rows)
-		diffCurves(t, local.Curves, res.Curves)
-		if n := ct.count("/v1/curve"); n != 1 {
+		if got, want := fmt.Sprint(res.Curves), fmt.Sprint(local.Curves); got != want {
+			t.Errorf("%s run's curves drifted:\n  local      %s\n  dispatched %s", pass, want, got)
+		}
+		if n := fl.Count(pass, -1, "curve"); n != 1 {
 			t.Errorf("%s run made %d /v1/curve request(s) for %d curves, want 1", pass, n, len(res.Curves))
 		}
-		if pass == "warm" {
-			if res.CacheHits != len(res.Rows) || ct.count("/v1/sweep/part") != 0 {
-				t.Errorf("warm run: %d/%d hits, %d range request(s); want all hits and none", res.CacheHits, len(res.Rows), ct.count("/v1/sweep/part"))
-			}
+		if parts := fl.Count(pass, -1, "sweep/part"); pass == "warm" && (res.CacheHits != len(res.Rows) || parts != 0) {
+			t.Errorf("warm run: %d/%d hits, %d range request(s); want all hits and none", res.CacheHits, len(res.Rows), parts)
 		}
-	}
-}
-
-// TestCurveRequestFailsOver: the curve request rides the transport's
-// retry loop, so a dead first shard costs one refused attempt, and the
-// next shard answers.
-func TestCurveRequestFailsOver(t *testing.T) {
-	spec := manyCurvesSpec()
-	local, err := sweep.NewRunner().Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs, srvs := newFleet(t, 2)
-	srvs[0].Close()
-	ct, client := countingClient()
-	d := newDispatcher(t, addrs, client, WithShardBackoff(time.Millisecond), WithMaxShardFailures(1))
-	res, err := d.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatalf("Run did not survive a dead first shard: %v", err)
-	}
-	diffCurves(t, local.Curves, res.Curves)
-	if n := ct.count("/v1/curve"); n != 2 {
-		t.Errorf("%d /v1/curve attempt(s), want 2: one refused by the dead shard, one answered", n)
 	}
 }
 
@@ -133,16 +74,15 @@ func TestCurveRequestFailsOver(t *testing.T) {
 // differently — before any cell is dispatched. An answer of the wrong
 // length is a protocol breach, final too.
 func TestCurveVerdictIsFinal(t *testing.T) {
-	addrs, _ := newFleet(t, 3)
-	ct, client := countingClient()
-	d := newDispatcher(t, addrs, client)
+	fl := fleettest.New(t, fleettest.Schedule{Shards: 3})
+	d := faultDispatcher(t, fl)
 	spec := modelOnlySpec()
 	spec.Topologies[0].Sizes = []int{16, 5} // 5 is not a power of four
 	_, err := d.Run(context.Background(), spec)
 	if err == nil || !strings.Contains(err.Error(), "bft-5/s=4") {
 		t.Fatalf("Run over a curve the model rejects = %v, want an error naming bft-5/s=4", err)
 	}
-	if n, parts := ct.count("/v1/curve"), ct.count("/v1/sweep/part"); n != 1 || parts != 0 {
+	if n, parts := fl.Count("", -1, "curve"), fl.Count("", -1, "sweep/part"); n != 1 || parts != 0 {
 		t.Errorf("the verdict took %d /v1/curve and %d range request(s), want 1 and 0", n, parts)
 	}
 

@@ -319,7 +319,7 @@ func (r *run) worker(addr string) {
 		}
 		// The remainder is already back in the queue for the survivors;
 		// this shard sits out its backoff, or the hold-off it asked for.
-		delay := max(min(r.d.backoff<<(fails-1), 5*time.Second), holdOff)
+		delay := max(eval.Backoff(r.d.backoff, fails), holdOff)
 		select {
 		case <-time.After(delay):
 		case <-r.ctx.Done():

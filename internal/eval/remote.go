@@ -55,7 +55,7 @@ func WithHTTPClient(c *http.Client) RemoteOption {
 }
 
 // WithRetry sets the per-request attempt budget and the base backoff
-// delay (doubled after every failed attempt).
+// delay (doubled after every failed attempt, capped at 5 s; see Backoff).
 func WithRetry(attempts int, backoff time.Duration) RemoteOption {
 	return func(b *RemoteBackend) { b.retries, b.backoff = attempts, backoff }
 }
@@ -217,7 +217,7 @@ func (b *RemoteBackend) retry(ctx context.Context, attempt func(addr string) err
 	for n := 0; n < b.retries; n++ {
 		addr := b.addrs[(first+uint64(n))%uint64(len(b.addrs))]
 		if n > 0 {
-			delay := max(b.backoff<<(n-1), time.Until(holds[addr]))
+			delay := max(Backoff(b.backoff, n), time.Until(holds[addr]))
 			if deadline, ok := ctx.Deadline(); ok && time.Until(deadline) < delay {
 				return fmt.Errorf("eval: remote: giving up after %d attempt(s): next retry in %v outlives the context: %w",
 					n, delay, last.err)
@@ -242,6 +242,22 @@ func (b *RemoteBackend) retry(ctx context.Context, attempt func(addr string) err
 	}
 	return fmt.Errorf("eval: remote: all %d attempts across %d shard(s) failed: %w",
 		b.retries, len(b.addrs), last.err)
+}
+
+// maxBackoff caps every retry delay Backoff computes.
+const maxBackoff = 5 * time.Second
+
+// Backoff is the one exponential backoff rule of the fleet's clients:
+// the delay before retry n (n >= 1) is base doubled n-1 times, capped at
+// 5 s, so it never decreases in n and never wraps, however long a run of
+// failures grows. RemoteBackend's retry loop and the dispatcher's shard
+// workers both sleep it.
+func Backoff(base time.Duration, n int) time.Duration {
+	d := base
+	for i := 1; i < n && d < maxBackoff; i++ {
+		d *= 2
+	}
+	return min(d, maxBackoff)
 }
 
 // post performs one request and hands the 200 response's body to
