@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"sync"
 	"testing"
@@ -313,10 +314,15 @@ func checkPuts(t *testing.T, cache *countingCache, keys []string, s fleettest.Sc
 }
 
 // FuzzFleet is the fault property over schedule bytes (see runSchedule),
-// seeded with every named schedule.
+// seeded with every named schedule — but for the ones a named test runs
+// through the property (namedExpectations) when it is not fuzzing, as
+// those tests check all it would.
 func FuzzFleet(f *testing.F) {
+	fuzzing := flag.Lookup("test.fuzz").Value.String() != ""
 	for _, name := range fleettest.Names() {
-		f.Add(fleettest.Named(name))
+		if _, named := namedExpectations[name]; fuzzing || !named {
+			f.Add(fleettest.Named(name))
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) { runSchedule(t, data) })
 }
@@ -328,6 +334,71 @@ func expectCounts(t *testing.T, o faultOutcome, phase string, want [3]int64) {
 	if got := o.counts[phase]; got != want {
 		t.Errorf("%s phase: requeues, shard failures, ejections = %v, want %v", phase, got, want)
 	}
+}
+
+// namedExpectations are, per named schedule that a test below runs
+// through the property, the expectations the invariants leave to it.
+var namedExpectations = map[string]func(*testing.T, faultOutcome){
+	// A shard that tears its streams mid-line loses its ranges to the
+	// healthy one.
+	"torn-stream": func(t *testing.T, o faultOutcome) { expectCounts(t, o, "model", [3]int64{1, 1, 1}) },
+	// A shard answering a range with 429 Retry-After: 1 sits out the
+	// second it asked for, not just the 1 ms backoff, while the other
+	// shard takes the range.
+	"retry-after": func(t *testing.T, o faultOutcome) {
+		expectCounts(t, o, "model", [3]int64{1, 1, 0})
+		if gap, ok := o.fleet.Gap("model", 0, "sweep/part"); ok && gap < 900*time.Millisecond {
+			t.Errorf("shard 0 was offered a range %v after its 429, inside its 1 s Retry-After", gap)
+		}
+	},
+	// The idle watchdog under both consumers of the stream reader: only
+	// its cancel gets a caller off the shard that went silent, and only
+	// its per-line reset keeps the heartbeating one from being cut off
+	// too.
+	"stalled-stream": func(t *testing.T, o faultOutcome) {
+		t.Run("Dispatcher", func(t *testing.T) {
+			// The stalled range's delivered cell is kept and only its
+			// remainder requeued: invariant 2 would see the cell twice.
+			expectCounts(t, o, "model", [3]int64{1, 1, 1})
+		})
+		t.Run("EvaluateBatch", func(t *testing.T) {
+			if a, b := o.fleet.Count("batch", 0, "batch"), o.fleet.Count("batch", 1, "batch"); a != 1 || b != 1 {
+				t.Errorf("want one stalled attempt then one full answer, saw %d and %d request(s)", a, b)
+			}
+		})
+	},
+	// Keepalive lines are transparent, before a range's first cell or
+	// between a batch's cells, even when they run past the idle bound.
+	"heartbeats": func(t *testing.T, o faultOutcome) {
+		for _, phase := range []string{"model", "sim"} {
+			expectCounts(t, o, phase, [3]int64{})
+		}
+		if n := o.fleet.Count("batch", 0, "batch"); n != 1 {
+			t.Errorf("heartbeats cost the batch %d request(s), want 1", n)
+		}
+	},
+	// The curve request rides the transport's retry loop, so a dead first
+	// shard costs one refused attempt.
+	"curve-failover": func(t *testing.T, o faultOutcome) {
+		if a, b := o.fleet.Count("model", 0, "curve"), o.fleet.Count("model", 1, "curve"); a != 1 || b != 1 {
+			t.Errorf("%d and %d /v1/curve attempt(s), want one refused and one answered", a, b)
+		}
+	},
+	// The killed shard saw two cell requests: it died mid-search.
+	"plan-kill-shard-0": func(t *testing.T, o faultOutcome) { expectKilledMidSearch(t, o, 0) },
+	"plan-kill-shard-1": func(t *testing.T, o faultOutcome) { expectKilledMidSearch(t, o, 1) },
+}
+
+func expectKilledMidSearch(t *testing.T, o faultOutcome, shard int) {
+	if n := o.fleet.Count("plan", shard, "eval"); n < 2 {
+		t.Errorf("shard %d saw %d cell request(s): the search ended before it died", shard, n)
+	}
+}
+
+// runNamed runs the named schedule through the property and checks its
+// expectations.
+func runNamed(t *testing.T, name string) {
+	namedExpectations[name](t, runSchedule(t, fleettest.Named(name)))
 }
 
 // TestDispatchedFigure3SurvivesShardKill pins the failover guarantee on
@@ -365,74 +436,21 @@ func TestDispatchedFigure3SurvivesShardKill(t *testing.T) {
 	}
 }
 
-// TestTornStreamStolenByHealthyShard: a shard that tears its streams
-// mid-line loses its ranges to the healthy one.
-func TestTornStreamStolenByHealthyShard(t *testing.T) {
-	o := runSchedule(t, fleettest.Named("torn-stream"))
-	expectCounts(t, o, "model", [3]int64{1, 1, 1})
-}
+func TestTornStreamStolenByHealthyShard(t *testing.T) { runNamed(t, "torn-stream") }
 
-// TestDispatcherHonoursRetryAfter: a shard answering a range with 429
-// Retry-After: 1 sits out the second it asked for, not just the 1 ms
-// backoff, while the other shard takes the range.
-func TestDispatcherHonoursRetryAfter(t *testing.T) {
-	o := runSchedule(t, fleettest.Named("retry-after"))
-	expectCounts(t, o, "model", [3]int64{1, 1, 0})
-	if gap, ok := o.fleet.Gap("model", 0, "sweep/part"); ok && gap < 900*time.Millisecond {
-		t.Errorf("shard 0 was offered a range %v after its 429, inside its 1 s Retry-After", gap)
-	}
-}
+func TestDispatcherHonoursRetryAfter(t *testing.T) { runNamed(t, "retry-after") }
 
-// TestStalledStreamIsStolen pins the idle watchdog under both consumers
-// of the stream reader: only its cancel gets a caller off the shard that
-// went silent, and only its per-line reset keeps the heartbeating one
-// from being cut off too.
-func TestStalledStreamIsStolen(t *testing.T) {
-	o := runSchedule(t, fleettest.Named("stalled-stream"))
-	t.Run("Dispatcher", func(t *testing.T) {
-		// The stalled range's delivered cell is kept and only its
-		// remainder requeued: invariant 2 would see the cell twice.
-		expectCounts(t, o, "model", [3]int64{1, 1, 1})
-	})
-	t.Run("EvaluateBatch", func(t *testing.T) {
-		if a, b := o.fleet.Count("batch", 0, "batch"), o.fleet.Count("batch", 1, "batch"); a != 1 || b != 1 {
-			t.Errorf("want one stalled attempt then one full answer, saw %d and %d request(s)", a, b)
-		}
-	})
-}
+func TestStalledStreamIsStolen(t *testing.T) { runNamed(t, "stalled-stream") }
 
-// TestDispatcherSkipsHeartbeats: keepalive lines are transparent, before
-// a range's first cell or between a batch's cells, even when they run
-// past the idle bound.
-func TestDispatcherSkipsHeartbeats(t *testing.T) {
-	o := runSchedule(t, fleettest.Named("heartbeats"))
-	for _, phase := range []string{"model", "sim"} {
-		expectCounts(t, o, phase, [3]int64{})
-	}
-	if n := o.fleet.Count("batch", 0, "batch"); n != 1 {
-		t.Errorf("heartbeats cost the batch %d request(s), want 1", n)
-	}
-}
+func TestDispatcherSkipsHeartbeats(t *testing.T) { runNamed(t, "heartbeats") }
 
-// TestCurveRequestFailsOver: the curve request rides the transport's
-// retry loop, so a dead first shard costs one refused attempt.
-func TestCurveRequestFailsOver(t *testing.T) {
-	o := runSchedule(t, fleettest.Named("curve-failover"))
-	if a, b := o.fleet.Count("model", 0, "curve"), o.fleet.Count("model", 1, "curve"); a != 1 || b != 1 {
-		t.Errorf("%d and %d /v1/curve attempt(s), want one refused and one answered", a, b)
-	}
-}
+func TestCurveRequestFailsOver(t *testing.T) { runNamed(t, "curve-failover") }
 
 // TestPlanSurvivesShardKill is the planner's failover pin: whichever of
 // the two shards dies mid-search, the frontier equals the in-process
 // search's.
 func TestPlanSurvivesShardKill(t *testing.T) {
-	for k, name := range []string{"plan-kill-shard-0", "plan-kill-shard-1"} {
-		t.Run(name, func(t *testing.T) {
-			o := runSchedule(t, fleettest.Named(name))
-			if n := o.fleet.Count("plan", k, "eval"); n < 2 {
-				t.Errorf("shard %d saw %d cell request(s): the search ended before it died", k, n)
-			}
-		})
+	for _, name := range []string{"plan-kill-shard-0", "plan-kill-shard-1"} {
+		t.Run(name, func(t *testing.T) { runNamed(t, name) })
 	}
 }

@@ -121,10 +121,12 @@ func TestRemoteBackendRoundRobinSharding(t *testing.T) {
 	expectCounts(t, fl, evalRoute, 3, 3)
 }
 
+// TestRemoteBackendRetriesTransientFailures: two 500s in a row on the
+// only shard cost two of its three attempts.
 func TestRemoteBackendRetriesTransientFailures(t *testing.T) {
-	fl, rb := remote(t, named("remote-retry"))
+	fl, rb := remote(t, named("remote-retry"), eval.WithRetry(3, time.Millisecond))
 	evaluate(t, context.Background(), rb, scenario(0.5))
-	expectCounts(t, fl, evalRoute, 2)
+	expectCounts(t, fl, evalRoute, 3)
 }
 
 // TestRemoteBackendPermanentErrorNotRetried: a shard's verdict on a

@@ -52,7 +52,7 @@ type Kind byte
 // The faults, in schedule-letter order ("rbcshkt").
 const (
 	Refuse  Kind = iota // r: refuse the connection
-	Busy                // b: answer 503 or 429, with or without a Retry-After
+	Busy                // b: answer 500, 503 or 429, with or without a Retry-After
 	Cut                 // c: end the response after some lines, short or torn
 	Stall               // s: go silent after some lines, past the idle bound
 	Slow                // h: heartbeat past the idle bound after some lines, then answer
@@ -67,8 +67,8 @@ var routes = [...]string{"sweep/part", "curve", "eval", "batch"}
 // Fault is what happens to a shard's Nth request on Route (every request
 // when Nth is 0). Arg depends on Kind:
 //
-//	Busy     0–3 answer 503, 4–7 429; Arg%4 picks the Retry-After:
-//	         none, 0 s, 1 s, 1 h
+//	Busy     0–3 answer 503, 4–7 429, 8–9 500; Arg%4 picks the
+//	         Retry-After: none, 0 s, 1 s, 1 h (a 500's is not read)
 //	Cut      after Arg/2 lines; an odd Arg tears the next line in half
 //	Stall    after Arg lines
 //	Slow     after Arg lines
@@ -107,10 +107,11 @@ type Schedule struct {
 // Decoding keeps every run finishable. A single answer (curve, eval) has
 // no idle bound, so a stall or heartbeat there tears it instead; a
 // heartbeat stretch hits one request, never every one. The survivor is
-// never killed or held off for an hour, and it fails at most one request:
-// none when one failure ejects a shard or when another shard holds off
-// for an hour — a retry loop coming back to the survivor would then find
-// the held shard first.
+// never killed or held off for an hour, and it fails fewer requests than
+// eject a shard, at most one unless it is the only shard (a retry loop's
+// attempts visit every shard twice, or the only one three times), and
+// none when another shard holds off for an hour — a retry loop coming
+// back to the survivor would then find the held shard first.
 func Decode(data []byte) Schedule {
 	data = bytes.ReplaceAll(data, []byte{' '}, nil)
 	var h [5]byte
@@ -118,9 +119,9 @@ func Decode(data []byte) Schedule {
 	s := Schedule{Plan: letter(h[0], "gp") == 1, Shards: pick(h[1], 1, 3), Batch: pick(h[2], 0, 4), MaxFails: pick(h[3], 1, 3)}
 	s.Survivor = pick(h[4], 0, 2) % s.Shards
 	var faults []Fault
-	allowed := 1
-	if s.MaxFails == 1 {
-		allowed = 0
+	allowed := s.MaxFails - 1
+	if s.Shards > 1 {
+		allowed = min(allowed, 1)
 	}
 	for rest := data[min(len(data), 5):]; len(rest) >= 5 && len(faults) < MaxFaults; rest = rest[5:] {
 		f := Fault{Shard: pick(rest[0], 0, 2) % s.Shards, Route: routes[letter(rest[1], "pceb")],
@@ -389,7 +390,9 @@ func (f *Fleet) RoundTrip(req *http.Request) (*http.Response, error) {
 		f.done()
 		req.Body.Close()
 		code, h := http.StatusServiceUnavailable, http.Header{"Content-Type": {"application/json"}}
-		if flt.Arg%8 >= 4 {
+		if flt.Arg >= 8 {
+			code = http.StatusInternalServerError
+		} else if flt.Arg >= 4 {
 			code = http.StatusTooManyRequests
 		}
 		if hold := flt.hold(); hold >= 0 {
