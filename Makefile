@@ -93,6 +93,10 @@ lint:
 	test "$$(grep -rlF '.AppendCurveKey(' --include='*.go' . | grep -v '_test\.go$$' | sort | tr '\n' ' ')" = "./internal/sweep/expand.go ./internal/sweep/run.go " && \
 	test "$$(grep -rlF 'AppendJoinKey(' --include='*.go' . | grep -v '_test\.go$$' | sort | tr '\n' ' ')" = "./internal/eval/scenario.go ./internal/store/store.go ./internal/sweep/cache.go ./internal/sweep/run.go " || { \
 		echo "keys are built once per curve: a grid's curve keys are written by Scenario.AppendCurveKey in internal/sweep/expand.go (and, for Runner.Evaluate's one cell, run.go) and a cell is its curve key and eval.Token; a cell's full key is joined (eval.AppendJoinKey) only where it leaves the process: run.go (a traced span, the observer, an error), cache.go (Cache.Range) and internal/store/store.go (a store line); Scenario.Key() is called in internal/sweep, dispatch, serve and store only by run.go"; exit 1; }
+	@test -z "$$(awk '/^type Grid struct/,/^}/' $$(find internal/sweep -name '*.go' ! -name '*_test.go') | grep -E '\[\](eval\.)?Scenario\b')" && \
+	test "$$(grep -nE '\.Evaluate\(|EvaluateEach\(' $$(find internal/sweep -name '*.go' ! -name '*_test.go') | wc -l)" = 1 && \
+	grep -qE '^		n, err = eval\.EvaluateEach\(ctx, be, seg\)$$' internal/sweep/run.go || { \
+		echo "a curve is the unit of work: sweep.Grid holds each cell's Scenario once, in its Rows, and declares no per-cell scenario slice beside them; in internal/sweep a backend's per-cell Evaluate is reached only from the one adapter (evaluate in run.go, through eval.EvaluateEach), for a backend that does not answer curves (eval.CurveEvaluator)"; exit 1; }
 	@# The one exception: TestCurveVerdictIsFinal (internal/dispatch/curves_test.go)
 	@# answers /v1/curve with a list of the wrong length, a protocol breach that must
 	@# fail the Run; the harness injects only faults a run must survive.

@@ -190,6 +190,28 @@ func (m *Model) latencyOf(ws *core.Workspace) Latency {
 // so no operating point allocates. Its error reports a bad arrival rate
 // only.
 func (m *Model) Predict(lambda0 float64) (lat Latency, saturated bool, err error) {
+	p := m.Predictor()
+	defer p.Done()
+	return p.Predict(lambda0)
+}
+
+// Predictor predicts operating points of one model in turn — a curve's
+// loads, the probes of a saturation search — on one workspace, acquired
+// on first use (a closed form needs none), and counts their fixed-point
+// iterations once, in Done. Each prediction binds the workspace afresh,
+// so it is bit for bit the one Predict makes alone.
+type Predictor struct {
+	m     *Model
+	ws    *core.Workspace
+	iters int64
+}
+
+// Predictor returns a Predictor over m; call Done when finished.
+func (m *Model) Predictor() Predictor { return Predictor{m: m} }
+
+// Predict is Model.Predict on the predictor's workspace.
+func (p *Predictor) Predict(lambda0 float64) (lat Latency, saturated bool, err error) {
+	m := p.m
 	if lambda0 < 0 || math.IsNaN(lambda0) {
 		return Latency{}, false, fmt.Errorf("analytic: bad arrival rate %v", lambda0)
 	}
@@ -197,15 +219,25 @@ func (m *Model) Predict(lambda0 float64) (lat Latency, saturated bool, err error
 		lat, sat := m.closed.closedForm(lambda0)
 		return lat, sat.class != stable, nil
 	}
-	ws := core.AcquireWorkspace()
-	defer ws.Release()
-	m.bind(ws, lambda0)
-	ok, err := ws.Stable(m.opt)
-	fixedPointIters.Add(int64(ws.Iterations))
+	if p.ws == nil {
+		p.ws = core.AcquireWorkspace()
+	}
+	m.bind(p.ws, lambda0)
+	ok, err := p.ws.Stable(m.opt)
+	p.iters += int64(p.ws.Iterations)
 	if err != nil || !ok {
 		return Latency{}, err == nil, err
 	}
-	return m.latencyOf(ws), false, nil
+	return m.latencyOf(p.ws), false, nil
+}
+
+// Done releases the workspace and counts the iterations.
+func (p *Predictor) Done() {
+	if p.ws != nil {
+		fixedPointIters.Add(p.iters)
+		p.ws.Release()
+		p.ws, p.iters = nil, 0
+	}
 }
 
 // Graph returns the model's compiled channel-class graph.
@@ -246,13 +278,15 @@ func (m *Model) ServiceInj(lambda0 float64) (float64, error) {
 // the Figure 3 axis.
 func (m *Model) SaturationLoad() (float64, error) {
 	probes := int64(0)
+	pr := m.Predictor() // one workspace for every probe
 	defer func() {
+		pr.Done()
 		satSearches.Add(1)
 		satProbes.Add(probes)
 	}()
 	g := func(lambda0 float64) float64 {
 		probes++
-		lat, saturated, err := m.Predict(lambda0)
+		lat, saturated, err := pr.Predict(lambda0)
 		if saturated || err != nil {
 			return math.Inf(1) // past stability: saturated for sure
 		}

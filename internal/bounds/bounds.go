@@ -217,6 +217,16 @@ func New(ab *eval.AnalyticBackend) *Backend { return &Backend{ab: ab} }
 // Name implements Evaluator.
 func (b *Backend) Name() string { return "bounds" }
 
+// EvaluateCurve implements eval.CurveEvaluator: a curve that did not opt
+// in (WithBounds unset) is answered at once, with nothing to merge; a
+// bounded one is a run of Evaluate calls.
+func (b *Backend) EvaluateCurve(ctx context.Context, cells eval.Cells) (int, error) {
+	if sc, _ := cells.Cell(0); !sc.WithBounds {
+		return cells.Len(), nil
+	}
+	return eval.EvaluateEach(ctx, b, cells)
+}
+
 // Evaluate implements Evaluator: the guaranteed worst-case latency at
 // the scenario's operating point, +Inf (BoundUnbounded) past stability,
 // BoundNA where the calculus does not apply.

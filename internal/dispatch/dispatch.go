@@ -180,13 +180,13 @@ type span struct{ start, end int }
 
 // run is the per-sweep state shared by the shard workers.
 type run struct {
-	d       *Dispatcher
-	spec    json.RawMessage // the wire form every range request repeats
-	g       *sweep.Grid
-	deliver func(int, sweep.Cell)
-	ctx     context.Context
-	fail    context.CancelCauseFunc // ends the run; the first cause is its terminal error
-	spanc   chan span               // cold ranges; capacity = cold cells, so requeue never blocks
+	d     *Dispatcher
+	spec  json.RawMessage // the wire form every range request repeats
+	g     *sweep.Grid
+	land  func(lo, hi int)
+	ctx   context.Context
+	fail  context.CancelCauseFunc // ends the run; the first cause is its terminal error
+	spanc chan span               // cold ranges; capacity = cold cells, so requeue never blocks
 	// left counts the cold cells not yet delivered; whoever delivers the
 	// last one closes done.
 	left atomic.Int64
@@ -195,26 +195,26 @@ type run struct {
 
 // Schedule implements sweep.Scheduler: it computes the grid's cold cells
 // on the fleet — range partition, one puller per shard, work stealing,
-// backoff and ejection — handing each cell to deliver as it comes off a
-// shard's stream. The returned error is the sweep's terminal failure: a
-// scenario's verdict, a protocol breach, or every shard ejected with
-// cells outstanding.
-func (d *Dispatcher) Schedule(ctx context.Context, g *sweep.Grid, cold []int, deliver func(int, sweep.Cell)) error {
+// backoff and ejection — writing each cell into its row and landing it
+// as it comes off a shard's stream. The returned error is the sweep's
+// terminal failure: a scenario's verdict, a protocol breach, or every
+// shard ejected with cells outstanding.
+func (d *Dispatcher) Schedule(ctx context.Context, g *sweep.Grid, cold int, land func(lo, hi int)) error {
 	ctx, dspan := obs.StartSpanKeyed(ctx, "dispatch.sweep", g.Spec.Name)
-	defer dspan.End(obs.Int("cells", len(cold)))
+	defer dspan.End(obs.Int("cells", cold))
 	specJSON, err := json.Marshal(g.Spec)
 	if err != nil {
 		return fmt.Errorf("dispatch: encoding spec: %w", err)
 	}
 	runCtx, fail := context.WithCancelCause(ctx)
 	r := &run{
-		d: d, spec: specJSON, g: g, deliver: deliver,
+		d: d, spec: specJSON, g: g, land: land,
 		ctx: runCtx, fail: fail,
-		spanc: make(chan span, len(cold)),
+		spanc: make(chan span, cold),
 		done:  make(chan struct{}),
 	}
-	r.left.Store(int64(len(cold)))
-	for _, sp := range partition(cold, d.spanSize(len(cold))) {
+	r.left.Store(int64(cold))
+	for _, sp := range partition(g, d.spanSize(cold)) {
 		r.spanc <- sp
 	}
 
@@ -355,7 +355,8 @@ func (r *run) dispatchSpan(addr string, sp span) (got map[int]bool, err error) {
 			return r.g.CellError(it.Index, errors.New(it.Error))
 		}
 		got[it.Index] = true
-		r.deliver(it.Index, *it.Point)
+		r.g.Rows[it.Index].Cell = *it.Point
+		r.land(it.Index, it.Index+1)
 		if r.left.Add(-1) == 0 {
 			close(r.done)
 		}
@@ -364,18 +365,22 @@ func (r *run) dispatchSpan(addr string, sp span) (got map[int]bool, err error) {
 	return got, err
 }
 
-// partition splits the cold grid indices into contiguous spans of at
-// most size cells each: consecutive indices group into runs (cache hits
-// punch holes in the grid), runs split at the size bound.
-func partition(cold []int, size int) []span {
+// partition splits the grid's cold rows (Cached false) into contiguous
+// spans of at most size cells each: consecutive cold rows group into runs
+// (cache hits punch holes in the grid), runs split at the size bound.
+func partition(g *sweep.Grid, size int) []span {
 	var spans []span
-	for i := 0; i < len(cold); {
-		j := i
-		for j+1 < len(cold) && cold[j+1] == cold[j]+1 && j+1-i < size {
+	for i := 0; i < len(g.Rows); {
+		if g.Rows[i].Cached {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(g.Rows) && !g.Rows[j].Cached && j-i < size {
 			j++
 		}
-		spans = append(spans, span{cold[i], cold[j] + 1})
-		i = j + 1
+		spans = append(spans, span{i, j})
+		i = j
 	}
 	return spans
 }

@@ -220,6 +220,19 @@ func TestScenarioErrorFailsTheSweep(t *testing.T) {
 	}
 }
 
+// coldGrid is a grid of n rows, cold (Cached false) at the indices cold
+// and served elsewhere.
+func coldGrid(n int, cold []int) *sweep.Grid {
+	g := &sweep.Grid{Rows: make([]sweep.Row, n)}
+	for i := range g.Rows {
+		g.Rows[i].Cached = true
+	}
+	for _, i := range cold {
+		g.Rows[i].Cached = false
+	}
+	return g
+}
+
 func TestPartition(t *testing.T) {
 	cases := []struct {
 		cold []int
@@ -233,7 +246,7 @@ func TestPartition(t *testing.T) {
 		{[]int{5}, 1, []span{{5, 6}}},
 	}
 	for _, c := range cases {
-		got := partition(c.cold, c.size)
+		got := partition(coldGrid(8, c.cold), c.size)
 		if len(got) != len(c.want) {
 			t.Errorf("partition(%v, %d) = %v, want %v", c.cold, c.size, got, c.want)
 			continue
@@ -245,7 +258,7 @@ func TestPartition(t *testing.T) {
 			}
 		}
 	}
-	for _, sp := range partition([]int{0, 1, 2, 3, 4, 5, 6}, 3) {
+	for _, sp := range partition(coldGrid(7, []int{0, 1, 2, 3, 4, 5, 6}), 3) {
 		if sp.end-sp.start > 3 {
 			t.Errorf("span %v exceeds the size bound", sp)
 		}

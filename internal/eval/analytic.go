@@ -121,7 +121,7 @@ func (b *AnalyticBackend) PaperModel(topo Topology, flits int) (*analytic.Model,
 
 // resolveLoad maps the scenario's load point to absolute
 // flits/cycle/processor on its curve's entry.
-func (e *curveEntry) resolveLoad(sc Scenario) (float64, error) {
+func (e *curveEntry) resolveLoad(sc *Scenario) (float64, error) {
 	if !sc.Load.Frac {
 		return sc.Load.Value, nil
 	}
@@ -143,7 +143,7 @@ func (b *AnalyticBackend) ResolveLoad(sc Scenario) (float64, error) {
 	if err != nil {
 		return math.NaN(), fmt.Errorf("saturation load (needed for fractional load points): %w", err)
 	}
-	return e.resolveLoad(sc)
+	return e.resolveLoad(&sc)
 }
 
 // Curve describes the scenario's curve: model name, average distance,
@@ -170,6 +170,37 @@ func (b *AnalyticBackend) Evaluate(ctx context.Context, sc Scenario) (Point, err
 	if err != nil {
 		return Point{}, err
 	}
+	pr := e.model.Predictor()
+	defer pr.Done()
+	return e.point(&pr, &sc)
+}
+
+// EvaluateCurve implements CurveEvaluator: the curve's entry is looked
+// up once and every load is predicted on one workspace.
+func (b *AnalyticBackend) EvaluateCurve(ctx context.Context, cells Cells) (int, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	sc, _ := cells.Cell(0)
+	e, err := b.entry(sc.Topology, sc.MsgFlits, sc.Variant.Options())
+	if err != nil {
+		return 0, err
+	}
+	pr := e.model.Predictor()
+	defer pr.Done()
+	for j, n := 0, cells.Len(); j < n; j++ {
+		sc, pt := cells.Cell(j)
+		q, err := e.point(&pr, sc)
+		if err != nil {
+			return j, err
+		}
+		*pt = pt.Merge(q)
+	}
+	return cells.Len(), nil
+}
+
+// point answers one cell of the entry's curve on pr.
+func (e *curveEntry) point(pr *analytic.Predictor, sc *Scenario) (Point, error) {
 	load, err := e.resolveLoad(sc)
 	if err != nil {
 		return Point{}, err
@@ -184,7 +215,7 @@ func (b *AnalyticBackend) Evaluate(ctx context.Context, sc Scenario) (Point, err
 		pt.ModelNA = true
 		return pt, nil
 	}
-	lat, saturated, err := e.model.Predict(load / float64(sc.MsgFlits))
+	lat, saturated, err := pr.Predict(load / float64(sc.MsgFlits))
 	switch {
 	case err != nil:
 		return Point{}, err

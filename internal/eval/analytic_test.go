@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -107,6 +108,57 @@ func TestAnalyticEvaluateAllocs(t *testing.T) {
 		})
 		if got != 0 && !race.Enabled {
 			t.Errorf("Evaluate on a memoized curve allocates %v times, want 0 (variant %q)", got, sc.Variant.Name)
+		}
+	}
+}
+
+// curveCells is a run of cells over two slices.
+type curveCells struct {
+	scens []Scenario
+	pts   []Point
+}
+
+func (c *curveCells) Len() int { return len(c.scens) }
+
+func (c *curveCells) Cell(j int) (*Scenario, *Point) { return &c.scens[j], &c.pts[j] }
+
+// TestAnalyticCurveAllocs: a memoized curve answers 32 loads in one call
+// without allocating — one model lookup, one workspace, every latency —
+// and each cell is the one Evaluate answers alone.
+func TestAnalyticCurveAllocs(t *testing.T) {
+	b := NewAnalyticBackend()
+	ctx := context.Background()
+	for _, v := range []Variant{{}, {Name: "single-server", SingleServerGroups: true}} {
+		cells := &curveCells{scens: make([]Scenario, 32), pts: make([]Point, 32)}
+		for j := range cells.scens {
+			sc := bftScenario(false)
+			sc.Variant, sc.Index, sc.LoadIndex = v, j, j
+			sc.Load = Load{Frac: true, Value: 1.2 * float64(j+1) / 32} // the last few saturate
+			cells.scens[j] = sc
+		}
+		answer := func() {
+			for j := range cells.pts {
+				cells.pts[j] = NewPoint()
+			}
+			if n, err := b.EvaluateCurve(ctx, cells); n != 32 || err != nil {
+				t.Fatalf("EvaluateCurve = %d, %v", n, err)
+			}
+		}
+		answer()
+		for j, sc := range cells.scens {
+			want, err := b.Evaluate(ctx, sc)
+			// %v spells every float exactly, NaN as NaN.
+			if err != nil || fmt.Sprintf("%v", want) != fmt.Sprintf("%v", cells.pts[j]) {
+				t.Fatalf("variant %q cell %d: curve %+v, Evaluate %+v, %v", v.Name, j, cells.pts[j], want, err)
+			}
+		}
+		got := testing.AllocsPerRun(100, answer)
+		budget := 0.0
+		if race.Enabled {
+			budget = 2 // sync.Pool drops the workspace's Put under the detector
+		}
+		if got > budget {
+			t.Errorf("a 32-load curve allocates %v times, want %v (variant %q)", got, budget, v.Name)
 		}
 	}
 }

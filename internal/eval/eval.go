@@ -37,6 +37,44 @@ type Evaluator interface {
 	Evaluate(ctx context.Context, sc Scenario) (Point, error)
 }
 
+// CurveEvaluator is an Evaluator that answers a run of cells of one
+// curve in one call — the sweep engine's unit of work — so that what the
+// cells share (a model lookup, a workspace, an opt-out) is paid once per
+// run, not once per cell. The engine drives a backend without it one
+// Evaluate per cell.
+type CurveEvaluator interface {
+	Evaluator
+	// EvaluateCurve answers cells.Cell(j) for j = 0, 1, … in turn, each
+	// exactly as Evaluate would, merging the answer into the cell's point
+	// (Point.Merge). It returns how many cells it answered: all of them,
+	// or those before the one whose error it returns. The run is never
+	// empty.
+	EvaluateCurve(ctx context.Context, cells Cells) (int, error)
+}
+
+// Cells is a run of cells of one curve: their scenarios share one curve
+// key (Scenario.AppendCurveKey) and differ only in their load and grid
+// position.
+type Cells interface {
+	Len() int
+	// Cell returns cell j's scenario and the point answers merge into.
+	Cell(j int) (*Scenario, *Point)
+}
+
+// EvaluateEach answers cells one be.Evaluate call at a time: the
+// EvaluateCurve of a backend with nothing to share across a run.
+func EvaluateEach(ctx context.Context, be Evaluator, cells Cells) (int, error) {
+	for j, n := 0, cells.Len(); j < n; j++ {
+		sc, pt := cells.Cell(j)
+		q, err := be.Evaluate(ctx, *sc)
+		if err != nil {
+			return j, err
+		}
+		*pt = pt.Merge(q)
+	}
+	return cells.Len(), nil
+}
+
 // Point is one evaluated scenario. Fields a backend does not produce
 // stay NaN; Merge folds the points of several backends into one cell.
 type Point struct {

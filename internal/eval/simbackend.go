@@ -126,6 +126,16 @@ func (b *SimBackend) ResolveLoad(sc Scenario) (float64, error) {
 	return b.anchor.ResolveLoad(sc)
 }
 
+// EvaluateCurve implements CurveEvaluator: a curve that did not opt in
+// (WithSim unset) is answered at once, with nothing to merge; a simulated
+// one is a run of Evaluate calls.
+func (b *SimBackend) EvaluateCurve(ctx context.Context, cells Cells) (int, error) {
+	if sc, _ := cells.Cell(0); !sc.WithSim {
+		return cells.Len(), nil
+	}
+	return EvaluateEach(ctx, b, cells)
+}
+
 // Evaluate implements Evaluator: one deterministic simulation run at the
 // scenario's derived seed. Budget.Precision and Budget.Replicas map to
 // the simulator's early-stopping and replica options; the achieved

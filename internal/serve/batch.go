@@ -233,11 +233,11 @@ func (s *Server) handlePart(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.End == 0 {
-		req.End = len(grid.Scens)
+		req.End = len(grid.Rows)
 	}
-	if req.Start < 0 || req.End < req.Start || req.End > len(grid.Scens) {
+	if req.Start < 0 || req.End < req.Start || req.End > len(grid.Rows) {
 		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("part range [%d, %d) out of bounds for a %d-cell grid", req.Start, req.End, len(grid.Scens)))
+			fmt.Errorf("part range [%d, %d) out of bounds for a %d-cell grid", req.Start, req.End, len(grid.Rows)))
 		return
 	}
 	s.traffic.add("sweep_part_requests_total", 1)

@@ -68,13 +68,13 @@ func TestRemoteParityFigure3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Scens) != len(local.Rows) {
-		t.Fatalf("row counts differ: remote %d, local %d", len(g.Scens), len(local.Rows))
+	if len(g.Rows) != len(local.Rows) {
+		t.Fatalf("row counts differ: remote %d, local %d", len(g.Rows), len(local.Rows))
 	}
-	remote := make([]sweep.Row, len(g.Scens))
-	errs := make([]error, len(g.Scens))
-	d.EvaluateList(context.Background(), g, 0, len(g.Scens), func(i int, cell sweep.Cell, err error) {
-		remote[i], errs[i] = sweep.Row{Scenario: g.Scens[i], Cell: cell}, err
+	remote := make([]sweep.Row, len(g.Rows))
+	errs := make([]error, len(g.Rows))
+	d.EvaluateList(context.Background(), g, 0, len(g.Rows), func(i int, cell sweep.Cell, err error) {
+		remote[i], errs[i] = sweep.Row{Scenario: g.Rows[i].Scenario, Cell: cell}, err
 	})
 	for i, err := range errs {
 		if err != nil {

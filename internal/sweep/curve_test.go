@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/eval"
@@ -76,7 +77,7 @@ func FuzzCurveKey(f *testing.F) {
 		}
 		for _, c := range g.Curves {
 			for i := c.Start; i < c.End; i++ {
-				sc := &g.Scens[i]
+				sc := &g.Rows[i].Scenario
 				key, tok := sc.Key(), sc.Token()
 				if joined := string(eval.AppendJoinKey(nil, c.Key, tok)); joined != key {
 					t.Fatalf("cell %d: curve key %q joined with %+v is\n%q, Key() is\n%q", i, c.Key, tok, joined, key)
@@ -162,8 +163,11 @@ type stopScheduler struct {
 	cancel context.CancelFunc
 }
 
-func (s stopScheduler) Schedule(ctx context.Context, g *Grid, cold []int, deliver func(int, Cell)) error {
-	for _, i := range cold {
+func (s stopScheduler) Schedule(ctx context.Context, g *Grid, _ int, land func(lo, hi int)) error {
+	for i := range g.Rows {
+		if g.Rows[i].Cached {
+			continue
+		}
 		if i == s.stopAt {
 			if s.cancel != nil {
 				s.cancel()
@@ -171,11 +175,12 @@ func (s stopScheduler) Schedule(ctx context.Context, g *Grid, cold []int, delive
 			}
 			return g.CellError(i, errors.New("planted failure"))
 		}
-		cell, err := s.Compute(ctx, g.Scens[i])
+		cell, err := s.Compute(ctx, g.Rows[i].Scenario)
 		if err != nil {
 			return g.CellError(i, err)
 		}
-		deliver(i, cell)
+		g.Rows[i].Cell = cell
+		land(i, i+1)
 	}
 	return nil
 }
@@ -184,8 +189,29 @@ func (s stopScheduler) Schedule(ctx context.Context, g *Grid, cold []int, delive
 // part-way through a curve still caches every cell that landed before it
 // ended, the landed part of the unfinished curve included (the promise
 // of Run's doc comment), and none that did not land. A write-back that
-// put a curve only once it was complete would lose the partial one.
+// put a curve only once it was complete would lose the partial one. So
+// does a curve answered in one call that panics on its fifth cell: the
+// four before it are cached.
 func TestLandedCellsSurvivePartialCurve(t *testing.T) {
+	t.Run("panicked", func(t *testing.T) {
+		spec := oneCurve()
+		scens, err := Expand(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := NewCache()
+		r := NewRunner(WithCache(cache))
+		r.Scheduler = localPool{NewRunner(WithBackends(curvePanic{eval.NewAnalyticBackend()}))}
+		if _, err := r.Run(context.Background(), spec); err == nil || !strings.Contains(err.Error(), "backend panic on cell "+scens[4].Key()) {
+			t.Fatalf("Run = %v, want the fifth cell's backend panic", err)
+		}
+		for i, sc := range scens {
+			if _, ok := cache.Get(sc.Key()); ok != (i < 4) {
+				t.Errorf("cell %d: cached %v after a panic on cell 4", i, ok)
+			}
+		}
+	})
+
 	spec := modelGrid()
 	spec.Topologies[0].Sizes = []int{16, 64}
 	spec.MsgFlits, spec.Variants = []int{16}, nil

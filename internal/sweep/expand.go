@@ -41,11 +41,17 @@ func Expand(s Spec) ([]Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	return g.Scens, nil
+	scens := make([]Scenario, len(g.Rows))
+	for i := range g.Rows {
+		scens[i] = g.Rows[i].Scenario
+	}
+	return scens, nil
 }
 
-// Grid is one expanded sweep: the spec, its cells in expansion order, and
-// its curves. A curve is a run of cells sharing one curve key
+// Grid is one expanded sweep: the spec, its rows in expansion order, and
+// its curves. Each cell's Scenario is written once, into its row, and a
+// Run answers the cell in place: the rows a Run returns are the grid's.
+// A curve is a run of cells sharing one curve key
 // (Scenario.AppendCurveKey) and differing only in their eval.Token, so a
 // cell's key is its curve's key joined with its token
 // (eval.AppendJoinKey) — the one form a cell's key takes inside the
@@ -53,11 +59,11 @@ func Expand(s Spec) ([]Scenario, error) {
 // leaves it.
 type Grid struct {
 	Spec   Spec
-	Scens  []Scenario
+	Rows   []Row
 	Curves []Curve
 }
 
-// Curve is one curve of a Grid: the cells Scens[Start:End], under the
+// Curve is one curve of a Grid: the cells Rows[Start:End], under the
 // curve key Key.
 type Curve struct {
 	Key        string
@@ -73,8 +79,8 @@ func (g *Grid) curveOf(i int) int {
 // larger grids grow by appending.
 const maxPresize = 1 << 16
 
-// ExpandGrid is Expand returning the Grid: the scenarios with their
-// curves, each curve's key written once by Scenario.AppendCurveKey and
+// ExpandGrid is Expand returning the Grid: the rows, each holding its
+// scenario and nothing else yet, with their curves, each curve's key written once by Scenario.AppendCurveKey and
 // cut from a few shared chunks (eval.KeyArena). Deduplication runs in two
 // steps, and neither builds a cell's key: a curve whose key an earlier
 // curve has is dropped whole (every curve of a grid has the same load
@@ -112,7 +118,7 @@ func ExpandGrid(s Spec) (*Grid, error) {
 	curves := s.cells() / len(loads)
 	g := &Grid{
 		Spec:   s,
-		Scens:  make([]Scenario, 0, min(s.cells(), maxPresize)),
+		Rows:   make([]Row, 0, min(s.cells(), maxPresize)),
 		Curves: make([]Curve, 0, min(curves, maxPresize)),
 	}
 	seen := make(map[string]struct{}, min(curves, maxPresize))
@@ -151,16 +157,16 @@ func ExpandGrid(s Spec) (*Grid, error) {
 							if _, dup := seen[string(key)]; dup {
 								continue
 							}
-							c := Curve{Key: arena.Cut(key, curves-visited+1), Start: len(g.Scens)}
+							c := Curve{Key: arena.Cut(key, curves-visited+1), Start: len(g.Rows)}
 							seen[c.Key] = struct{}{}
 							for li, load := range loads {
 								if repeat != nil && repeat[li] && !sc.WithSim {
 									continue
 								}
-								sc.Index, sc.Load, sc.LoadIndex = len(g.Scens), load, li
-								g.Scens = append(g.Scens, sc)
+								sc.Index, sc.Load, sc.LoadIndex = len(g.Rows), load, li
+								g.Rows = append(g.Rows, Row{Scenario: sc})
 							}
-							c.End = len(g.Scens)
+							c.End = len(g.Rows)
 							g.Curves = append(g.Curves, c)
 						}
 					}
@@ -207,12 +213,13 @@ func repeatedLoads(loads []Load) []bool {
 // a curve key is one curve. The list is taken as it is, duplicates and
 // all.
 func ListGrid(scens []Scenario) *Grid {
-	g := &Grid{Scens: scens}
+	g := &Grid{Rows: make([]Row, len(scens))}
 	var (
 		arena   eval.KeyArena
 		scratch [256]byte
 	)
 	for i := range scens {
+		g.Rows[i].Scenario = scens[i]
 		key := scens[i].AppendCurveKey(scratch[:0], scens[i].Workload.Canonical())
 		if n := len(g.Curves); n > 0 && g.Curves[n-1].Key == string(key) {
 			g.Curves[n-1].End++

@@ -187,3 +187,12 @@ func TestTopologyString(t *testing.T) {
 		}
 	}
 }
+
+// scenarios returns the grid's scenarios, row by row.
+func scenarios(g *Grid) []Scenario {
+	scens := make([]Scenario, len(g.Rows))
+	for i := range g.Rows {
+		scens[i] = g.Rows[i].Scenario
+	}
+	return scens
+}

@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/analytic"
@@ -46,10 +47,10 @@ func expandKeys(t testing.TB, spec Spec) (*Grid, []string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := make([]string, len(g.Scens))
+	keys := make([]string, len(g.Rows))
 	for _, c := range g.Curves {
 		for i := c.Start; i < c.End; i++ {
-			keys[i] = string(eval.AppendJoinKey(nil, c.Key, g.Scens[i].Token()))
+			keys[i] = string(eval.AppendJoinKey(nil, c.Key, g.Rows[i].Scenario.Token()))
 		}
 	}
 	return g, keys
@@ -71,7 +72,7 @@ func TestExpandKeyedMatchesKey(t *testing.T) {
 			t.Fatal(err)
 		}
 		g, keys := expandKeys(t, spec)
-		scens := g.Scens
+		scens := scenarios(g)
 		plain, err := Expand(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -129,11 +130,13 @@ func modelGrid() Spec {
 // TestModelGridAllocBudget: a cold then a warm Run of a model grid on
 // one fresh runner with a cache — keys, expansion, curve set-up, model
 // builds, Eq. 26 searches, pool, cache and result all included — stays
-// within 1 allocation and 650 bytes per cell. (It was 27 allocations when
+// within 1 allocation and 450 bytes per cell. (It was 27 allocations when
 // every layer rebuilt its keys and every λ₀ its channel graph, and 1.8
 // while every cell's key was its own allocation and every model's class
 // names and labels theirs; 816 bytes while every cell had a key, a dedup
-// entry and a cache map entry of its own, where a curve now has them.)
+// entry and a cache map entry of its own, where a curve now has them;
+// about 580 while a Run copied every scenario from the grid into its rows
+// and held its cold cells in a slab, where a cell now lands in its row.)
 func TestModelGridAllocBudget(t *testing.T) {
 	spec := modelGrid()
 	ctx := context.Background()
@@ -164,7 +167,7 @@ func TestModelGridAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytesPerCell := float64(after.TotalAlloc-before.TotalAlloc) / float64(passes*cells)
 	t.Logf("%.2f allocs/cell, %.0f B/cell over %d cells", perCell, bytesPerCell, cells)
-	budget, bytesBudget := 1.0, 650.0
+	budget, bytesBudget := 1.0, 450.0
 	if race.Enabled {
 		// sync.Pool drops Puts under the detector, whose instrumentation
 		// allocates besides.
@@ -210,9 +213,9 @@ func TestExpandKeyedAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%d cells on %d curves, %d curve-key bytes, %d chunks: %v allocations", len(g.Scens), len(g.Curves), bytes, chunks, got)
-		if len(g.Curves) != 80 || len(g.Scens) != 80*points {
-			t.Fatalf("%d cells on %d curves, want %d on 80", len(g.Scens), len(g.Curves), 80*points)
+		t.Logf("%d cells on %d curves, %d curve-key bytes, %d chunks: %v allocations", len(g.Rows), len(g.Curves), bytes, chunks, got)
+		if len(g.Curves) != 80 || len(g.Rows) != 80*points {
+			t.Fatalf("%d cells on %d curves, want %d on 80", len(g.Rows), len(g.Curves), 80*points)
 		}
 		if budget := float64(chunks + 1 + 16); got > budget {
 			t.Errorf("expanding %d curves allocates %v times, budget %v (%d chunks + 1 + 16)", len(g.Curves), got, budget, chunks)
@@ -231,7 +234,7 @@ func TestExpandKeyedChunkBoundaries(t *testing.T) {
 		t.Helper()
 		g, keys := expandKeys(t, spec)
 		seen := map[string]bool{}
-		for i, sc := range g.Scens {
+		for i, sc := range scenarios(g) {
 			if want := sc.Key(); keys[i] != want {
 				t.Fatalf("%s cell %d: key %q, want %q", name, i, keys[i], want)
 			}
@@ -242,7 +245,7 @@ func TestExpandKeyedChunkBoundaries(t *testing.T) {
 		}
 		bytes := 0
 		for _, c := range g.Curves {
-			if own := string(g.Scens[c.Start].AppendCurveKey(nil, g.Scens[c.Start].Workload.Canonical())); own != c.Key {
+			if own := string(g.Rows[c.Start].Scenario.AppendCurveKey(nil, g.Rows[c.Start].Scenario.Workload.Canonical())); own != c.Key {
 				t.Fatalf("%s: curve key %q, its first cell's %q", name, c.Key, own)
 			}
 			bytes += len(c.Key)
@@ -250,7 +253,7 @@ func TestExpandKeyedChunkBoundaries(t *testing.T) {
 		if bytes < 3*eval.KeyChunk {
 			t.Fatalf("%s: %d curve-key bytes cross too few chunk ends to test", name, bytes)
 		}
-		return g.Scens, keys
+		return scenarios(g), keys
 	}
 
 	// Straddling: curve keys of varying length (sizes and message lengths
@@ -515,10 +518,69 @@ func (b panicBackend) Evaluate(ctx context.Context, sc Scenario) (eval.Point, er
 	return b.Evaluator.Evaluate(ctx, sc)
 }
 
+// curvePanic answers curves a cell at a time through the analytic model
+// and panics on the fifth load of every curve.
+type curvePanic struct{ *eval.AnalyticBackend }
+
+func (b curvePanic) EvaluateCurve(ctx context.Context, cells eval.Cells) (int, error) {
+	for j := 0; j < cells.Len(); j++ {
+		sc, pt := cells.Cell(j)
+		if sc.LoadIndex == 4 {
+			panic("boom")
+		}
+		q, err := b.AnalyticBackend.Evaluate(ctx, *sc)
+		if err != nil {
+			return j, err
+		}
+		*pt = pt.Merge(q)
+	}
+	return cells.Len(), nil
+}
+
+// oneCurve is a model-only grid of one 32-load curve.
+func oneCurve() Spec {
+	spec := modelGrid()
+	spec.Topologies[0].Sizes = []int{16}
+	spec.MsgFlits, spec.Variants = []int{16}, nil
+	return spec
+}
+
 // TestBackendPanicFailsTheCell: a backend that panics costs its cell, not
 // the process. Run fails naming the scenario and the cell's key; Evaluate
-// returns the error; the runner goes on answering other cells.
+// returns the error; the runner goes on answering other cells. A backend
+// that answers a curve in one call and panics mid-curve fails exactly the
+// cell it was answering: Run names that cell, and EvaluateList answers
+// every other cell of the curve.
 func TestBackendPanicFailsTheCell(t *testing.T) {
+	t.Run("mid-curve", func(t *testing.T) {
+		spec := oneCurve()
+		g, err := ExpandGrid(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := g.Rows[4].Scenario.Key()
+		r := NewRunner(WithWorkers(2), WithBackends(curvePanic{eval.NewAnalyticBackend()}))
+		_, err = r.Run(context.Background(), spec)
+		if want := "sweep: scenario 4 (" + g.Rows[4].Scenario.CurveKey() + ", load "; err == nil || !strings.HasPrefix(err.Error(), want) ||
+			!strings.HasSuffix(err.Error(), "): backend panic on cell "+key+": boom") {
+			t.Errorf("Run = %v, want the fifth cell's backend panic", err)
+		}
+		var answered, failed atomic.Int32
+		r.EvaluateList(context.Background(), g, 0, len(g.Rows), func(i int, cell Cell, err error) {
+			switch {
+			case err != nil && i == 4 && err.Error() == "backend panic on cell "+key+": boom":
+				failed.Add(1)
+			case err == nil && i != 4 && !math.IsNaN(cell.Model):
+				answered.Add(1)
+			default:
+				t.Errorf("cell %d: %+v, %v", i, cell, err)
+			}
+		})
+		if answered.Load() != 31 || failed.Load() != 1 {
+			t.Errorf("EvaluateList answered %d cells and failed %d, want 31 and the fifth", answered.Load(), failed.Load())
+		}
+	})
+
 	spec := validSpec()
 	spec.WithSim = false
 	spec.MsgFlits = []int{8, 13}

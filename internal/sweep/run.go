@@ -26,10 +26,13 @@ type Event struct {
 // Runner is the grid engine: every sweep in the stack — local or
 // dispatched across a fleet — is one Runner doing expand → cache pass →
 // schedule the cold cells → write back → observe → hand rows to the
-// caller, under Run, Stream and Evaluate. A curve is its unit of cache
-// work: a grid is expanded into curves, each looked up in one GetCurve
-// and written back in one PutCurve, and a cell's full key is joined only
-// where one leaves the process. The zero value is ready to
+// caller, under Run, Stream and Evaluate. A curve is its unit of work: a
+// grid is expanded into curves, each looked up in one GetCurve and
+// written back in one PutCurve; the local pool claims a model-only
+// curve's cold cells whole and each backend answers them in one call
+// (eval.CurveEvaluator); a cell is answered in place, in its row of the
+// grid; and a cell's full key is joined only where one leaves the
+// process. The zero value is ready to
 // use: it sizes the pool to GOMAXPROCS and evaluates with the built-in
 // stack (the analytic model, the simulator and the bound calculus; the
 // last two answer only the cells that ask for them); without a Cache, no
@@ -59,9 +62,10 @@ type Runner struct {
 	Progress func(Event)
 	// Backends, when non-nil, replaces the built-in stack — for tests and
 	// measurement harnesses. Every scenario is offered to every backend in
-	// order and their points are merged into one cell; backends skip the
-	// scenarios that do not concern them (the simulator skips cells with
-	// WithSim unset). A runner with a custom list never consults Cache, so
+	// order — a curve's run of cells in one call to a backend that
+	// answers curves, else one Evaluate per cell — and their points are
+	// merged into one cell; backends skip the scenarios that do not
+	// concern them (the simulator skips cells with WithSim unset). A runner with a custom list never consults Cache, so
 	// no cell of such a list is ever served as the built-in stack's.
 	Backends []eval.Evaluator
 	// Calib, when non-nil, receives every completed cell (fresh and
@@ -177,25 +181,27 @@ func (r *Runner) Counts() (hits, fresh int64) { return r.hits.Load(), r.fresh.Lo
 // a per-cell failure through it, so a failing sweep reads the same
 // whichever way its cold cells were computed.
 func (g *Grid) CellError(i int, err error) error {
-	sc := &g.Scens[i]
+	sc := &g.Rows[i].Scenario
 	return fmt.Errorf("sweep: scenario %d (%s, load %v): %w", sc.Index, sc.CurveKey(), sc.Load.Value, err)
 }
 
 // Scheduler is where cold cells are computed — the one thing a local
-// runner and a fleet do differently. Schedule computes g.Scens[i] for
-// every i in cold and hands each result to deliver exactly once, from any
-// goroutine (deliver never blocks), returning when all are delivered,
-// when a cell fails (the CellError, first failure wins; no further cell
-// need be computed) or when ctx ends. Compute answers one cold cell
-// outside a grid (Evaluate's). Curves describes the grid's curves: one
-// eval.CurveDesc per g.Curves entry, in order, or an error naming the
-// curve the model rejects. Everything around them — expansion, the cache pass
-// before and the write-back after, each cold cell's eval.cell span and
-// panic guard, the observer, Progress, the result — is the Runner's.
-// The local worker pool is the default; internal/dispatch's fleet
-// scheduler is the other.
+// runner and a fleet do differently. Schedule computes the cold rows of
+// g — cold of them, the rows the cache pass did not serve (Cached false)
+// — in place: it writes each one's Cell, then hands land a run of
+// consecutive cold rows [lo, hi) of one curve it has written. Each cold
+// row lands exactly once, from any goroutine (land never blocks).
+// Schedule returns when every cold row has landed, when a cell fails (the
+// CellError, first failure wins; no further cell need be computed) or
+// when ctx ends. Compute answers one cold cell outside a grid
+// (Evaluate's). Curves describes the grid's curves: one eval.CurveDesc
+// per g.Curves entry, in order, or an error naming the curve the model
+// rejects. Everything around them — expansion, the cache pass before and
+// the write-back after, the observer, Progress, the result — is the
+// Runner's. The local worker pool is the default; internal/dispatch's
+// fleet scheduler is the other.
 type Scheduler interface {
-	Schedule(ctx context.Context, g *Grid, cold []int, deliver func(i int, cell Cell)) error
+	Schedule(ctx context.Context, g *Grid, cold int, land func(lo, hi int)) error
 	Compute(ctx context.Context, sc Scenario) (Cell, error)
 	Curves(ctx context.Context, g *Grid) ([]eval.CurveDesc, error)
 }
@@ -215,26 +221,25 @@ func (r *Runner) scheduler() Scheduler {
 // Schedule implements Scheduler. Cancelling ctx stops the pool promptly:
 // no further cell is claimed and in-flight simulations abort inside their
 // cycle loop.
-func (p localPool) Schedule(ctx context.Context, g *Grid, cold []int, deliver func(int, Cell)) error {
+func (p localPool) Schedule(ctx context.Context, g *Grid, cold int, land func(lo, hi int)) error {
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
-	each(ctx, p.r.workers(g.Spec, len(cold)), len(cold), func(k int) {
-		i := cold[k]
-		cell, err := compute(ctx, p, g.cellKey(i))
-		if err != nil {
+	c := &claims{
+		sched: p, g: g, hi: len(g.Rows), land: land,
+		fail: func(i int, err error) bool {
 			cancel(g.CellError(i, err)) // fail fast; the first cause stands
-			return
-		}
-		deliver(i, cell)
-	})
+			return false
+		},
+	}
+	c.run(ctx, p.r.workers(g.Spec, cold))
 	return context.Cause(ctx)
 }
 
-// each calls fn(0) … fn(n-1) on up to `workers` goroutines — the one
-// bounded pool under sweeps, scenario lists and curve resolution. Workers
-// claim indices off a shared counter, so nothing about a result depends
-// on scheduling; once ctx has ended no further index is claimed. It
-// returns when every claimed call has.
+// each calls fn(0) … fn(n-1) on up to `workers` goroutines — the bounded
+// pool under curve resolution. Workers claim indices off a shared
+// counter, so nothing about a result depends on scheduling; once ctx has
+// ended no further index is claimed. It returns when every claimed call
+// has.
 func each(ctx context.Context, workers, n int, fn func(i int)) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -250,18 +255,263 @@ func each(ctx context.Context, workers, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Compute implements Scheduler: the scenario is offered to every backend
-// and their points merge into one cell.
-func (p localPool) Compute(ctx context.Context, sc Scenario) (Cell, error) {
-	cell := eval.NewPoint()
-	for _, be := range p.r.backends() {
-		pt, err := be.Evaluate(ctx, sc)
-		if err != nil {
-			return Cell{}, fmt.Errorf("%s: %w", be.Name(), err)
-		}
-		cell = cell.Merge(pt)
+// claims is one pass of a pool over the cold cells of [lo, hi) of a grid,
+// a claim at a time. On the local pool, an untraced run claims a
+// model-only curve's cold cells whole and answers each run of
+// consecutive cold cells in it as one segment: one call per backend
+// (answer), one landing. Any other cell is claimed by itself and answered
+// through compute, under its own eval.cell span: a simulated curve's — a
+// simulation is long, and a curve claimed whole would run its loads in
+// series however many workers wait — every cell of a traced run, and
+// every cell of a fleet's.
+type claims struct {
+	sched  Scheduler
+	g      *Grid
+	lo, hi int
+	// slab and warm are EvaluateList's, over a grid shared between calls:
+	// cell i is answered into slab[i-lo], and warm[i-lo] is set when it
+	// was served from cache (warm is nil when nothing was). When slab is
+	// nil the cells are Run's own, answered in place, and a served row is
+	// Cached.
+	slab []Cell
+	warm []bool
+	// land takes a run of answered cells in; fail takes a cell's error
+	// and says whether to claim on.
+	land func(lo, hi int)
+	fail func(i int, err error) bool
+
+	// local is the runner whose backends answer a segment: the local
+	// pool's, nil on a fleet, whose cells each go through compute.
+	local  *Runner
+	traced bool
+	next   atomic.Int64
+}
+
+// run claims on `workers` goroutines, the caller's among them, until the
+// cells run out, ctx ends or fail says stop.
+func (c *claims) run(ctx context.Context, workers int) {
+	if lp, ok := c.sched.(localPool); ok {
+		c.local = lp.r
 	}
-	return cell, nil
+	c.traced = obs.Enabled(ctx)
+	c.next.Store(int64(c.lo))
+	workers = max(workers, 1)
+	segs := make([]segment, workers)
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func(seg *segment) {
+			defer wg.Done()
+			c.work(ctx, seg)
+		}(&segs[w])
+	}
+	c.work(ctx, &segs[0])
+	wg.Wait()
+}
+
+// work is one worker: claim, answer, land, until there is nothing left.
+func (c *claims) work(ctx context.Context, seg *segment) {
+	for ctx.Err() == nil {
+		lo, hi, cv, ok := c.claim()
+		if !ok {
+			return
+		}
+		for i := lo; i < hi; {
+			if !c.cold(i) {
+				i++
+				continue
+			}
+			j := i + 1
+			for j < hi && c.cold(j) {
+				j++
+			}
+			if !c.answer(ctx, seg, cv, i, j) {
+				return
+			}
+			i = j
+		}
+	}
+}
+
+// claim takes the next claim off the shared counter: the cells [lo, hi)
+// of curve cv.
+func (c *claims) claim() (lo, hi, cv int, ok bool) {
+	for {
+		i := int(c.next.Load())
+		if i >= c.hi {
+			return 0, 0, 0, false
+		}
+		cv = c.g.curveOf(i)
+		end := i + 1
+		if c.whole(cv) {
+			end = min(c.g.Curves[cv].End, c.hi)
+		}
+		if c.next.CompareAndSwap(int64(i), int64(end)) {
+			return i, end, cv, true
+		}
+	}
+}
+
+// whole reports whether curve cv is claimed whole.
+func (c *claims) whole(cv int) bool {
+	return c.local != nil && !c.traced && !c.g.Rows[c.g.Curves[cv].Start].Scenario.WithSim
+}
+
+// cold reports whether cell i was left for the pool.
+func (c *claims) cold(i int) bool {
+	if c.slab == nil {
+		return !c.g.Rows[i].Cached
+	}
+	return c.warm == nil || !c.warm[i-c.lo]
+}
+
+// answer computes the cold cells [lo, hi) of curve cv and lands them; a
+// cell that fails goes to fail, and the cells after it are answered on
+// unless fail says stop, which answer reports.
+func (c *claims) answer(ctx context.Context, seg *segment, cv, lo, hi int) bool {
+	for lo < hi {
+		var (
+			n   int
+			err error
+		)
+		if hi-lo == 1 && !c.whole(cv) {
+			var cell Cell
+			if cell, err = compute(ctx, c.sched, c.g.cellKey(lo)); err == nil {
+				*c.point(lo) = cell
+				n = 1
+			}
+		} else {
+			*seg = segment{rows: c.g.Rows[lo:hi], curve: c.g.Curves[cv].Key}
+			if c.slab != nil {
+				seg.slab = c.slab[lo-c.lo : hi-c.lo]
+			}
+			n, err = c.local.answer(ctx, seg)
+		}
+		if n > 0 {
+			c.land(lo, lo+n)
+		}
+		if err == nil {
+			return true
+		}
+		if !c.fail(lo+n, err) {
+			return false
+		}
+		lo += n + 1
+	}
+	return true
+}
+
+// point returns where cell i's answer goes.
+func (c *claims) point(i int) *Cell {
+	if c.slab != nil {
+		return &c.slab[i-c.lo]
+	}
+	return &c.g.Rows[i].Cell
+}
+
+// segment is a run of consecutive cells of one curve answered in one call
+// per backend (eval.Cells): cell j's scenario is rows[j]'s, and its point
+// rows[j].Cell, in place — or, over a grid shared between calls
+// (EvaluateList's), slab[j].
+type segment struct {
+	rows  []Row
+	slab  []Cell
+	curve string // the curve's key; "" when it was never built
+	cur   int    // the cell last handed out: the one a panic fails
+}
+
+// Len implements eval.Cells.
+func (s *segment) Len() int { return len(s.rows) }
+
+// Cell implements eval.Cells.
+func (s *segment) Cell(j int) (*Scenario, *eval.Point) {
+	s.cur = j
+	if s.slab != nil {
+		return &s.rows[j].Scenario, &s.slab[j]
+	}
+	return &s.rows[j].Scenario, &s.rows[j].Cell
+}
+
+// trim cuts the segment to its first n cells.
+func (s *segment) trim(n int) {
+	s.rows = s.rows[:n]
+	if s.slab != nil {
+		s.slab = s.slab[:n]
+	}
+}
+
+// answer computes the cells of seg on the runner's backends in turn,
+// merging each backend's points into them. It returns how many leading
+// cells are complete: all of them, or those before the cell whose error
+// it returns — every backend after the one that failed answers only
+// those.
+func (r *Runner) answer(ctx context.Context, seg *segment) (int, error) {
+	for j := range seg.rows {
+		_, pt := seg.Cell(j)
+		*pt = eval.NewPoint()
+	}
+	var failed error
+	for _, be := range r.backends() {
+		if len(seg.rows) == 0 {
+			break
+		}
+		if n, err := evaluate(ctx, be, seg); err != nil {
+			seg.trim(n)
+			failed = err
+		}
+	}
+	return len(seg.rows), failed
+}
+
+// evaluate is where a backend meets a segment: in one call when it
+// answers curves (eval.CurveEvaluator), else in the one adapter loop,
+// eval.EvaluateEach, a cell at a time (make lint keeps it the only one in
+// this package). A backend that panics fails the cell it was answering,
+// not the process — a request must never be able to kill a shard.
+func evaluate(ctx context.Context, be eval.Evaluator, seg *segment) (n int, err error) {
+	seg.cur = 0
+	defer func() {
+		if p := recover(); p != nil {
+			k := cellKey{&seg.rows[seg.cur].Scenario, seg.curve}
+			n, err = seg.cur, fmt.Errorf("backend panic on cell %s: %v", k.Key(), p)
+		}
+	}()
+	if ce, ok := be.(eval.CurveEvaluator); ok {
+		n, err = ce.EvaluateCurve(ctx, seg)
+	} else {
+		n, err = eval.EvaluateEach(ctx, be, seg)
+	}
+	if err != nil {
+		err = fmt.Errorf("%s: %w", be.Name(), err)
+	}
+	return n, err
+}
+
+// probe is the scratch of a one-cell call, pooled: Evaluate's GetCurve
+// and PutCurve, and Compute's one-row segment. A slice of a local array
+// would escape through the interface call, and a one-cell probe must
+// cost no more than its key.
+type probe struct {
+	tok   [1]eval.Token
+	cell  [1]Cell
+	found [1]bool
+	row   [1]Row
+	seg   segment
+}
+
+var probes = sync.Pool{New: func() any { return new(probe) }}
+
+// Compute implements Scheduler: the scenario is one segment, offered to
+// every backend, and their points merge into one cell.
+func (p localPool) Compute(ctx context.Context, sc Scenario) (Cell, error) {
+	pr := probes.Get().(*probe)
+	defer probes.Put(pr)
+	pr.row[0].Scenario = sc
+	pr.seg = segment{rows: pr.row[:]}
+	if _, err := p.r.answer(ctx, &pr.seg); err != nil {
+		return Cell{}, err
+	}
+	return pr.row[0].Cell, nil
 }
 
 // cellKey is a cell's key, unbuilt: its scenario and its curve's key,
@@ -274,7 +524,7 @@ type cellKey struct {
 
 // cellKey returns cell i's unbuilt key.
 func (g *Grid) cellKey(i int) cellKey {
-	return cellKey{&g.Scens[i], g.Curves[g.curveOf(i)].Key}
+	return cellKey{&g.Rows[i].Scenario, g.Curves[g.curveOf(i)].Key}
 }
 
 // Key returns the cell's full key, Scenario.Key.
@@ -287,8 +537,7 @@ func (k cellKey) Key() string {
 }
 
 // compute answers one cold cell through sched.Compute under its eval.cell
-// span. A backend that panics fails its cell, not the process — a request
-// must never be able to kill a shard.
+// span. A Compute that panics fails its cell, not the process.
 func compute(ctx context.Context, sched Scheduler, k cellKey) (cell Cell, err error) {
 	if err := ctx.Err(); err != nil {
 		return Cell{}, err
@@ -333,17 +582,6 @@ func (r *Runner) served(ctx context.Context, k cellKey, cell Cell) {
 	r.observe(ctx, k, cell)
 }
 
-// probe is Evaluate's scratch for its one-cell GetCurve and PutCurve,
-// pooled: a slice of a local array would escape through the interface
-// call, and a one-cell probe must cost no more than its key.
-type probe struct {
-	tok   [1]eval.Token
-	cell  [1]Cell
-	found [1]bool
-}
-
-var probes = sync.Pool{New: func() any { return new(probe) }}
-
 // Evaluate answers one scenario through the runner's cache and its
 // Scheduler's Compute: the single-cell form of Run, behind the serving
 // layer's /v1/eval and the capacity planner's probes. It reports whether
@@ -382,59 +620,55 @@ func (r *Runner) Evaluate(ctx context.Context, sc Scenario) (Cell, bool, error) 
 
 // EvaluateList answers the cells [lo, hi) of g — an expanded grid's, or
 // an explicit list's (ListGrid) — through the cache, a curve at a time,
-// and the runner's pool: the list form of Evaluate, behind /v1/batch and
-// /v1/sweep/part. Every cell's outcome — its point, or its own error; one
-// failure does not stop the others — reaches fn as fn(i, …) with i its
-// grid index, cached cells first, fresh ones as they complete, from the
-// pool's goroutines, so fn must be safe for concurrent calls. Cells that
-// fail only because ctx ended are not reported. It returns when every
-// cell is answered or ctx has ended, with every landed cell written back.
+// and the runner's pool, claiming as Run's does: the list form of
+// Evaluate, behind /v1/batch and /v1/sweep/part. g may be shared between
+// concurrent calls (a shard memoizes its grids): its rows are only read,
+// and the cells are answered into a slab the length of the range. Every
+// cell's outcome — its point, or its own error; one failure does not
+// stop the others, not even on its own curve — reaches fn as fn(i, …)
+// with i its grid index, cached cells first, fresh ones as they complete,
+// from the pool's goroutines, so fn must be safe for concurrent calls.
+// Cells that fail only because ctx ended are not reported. It returns
+// when every cell is answered or ctx has ended, with every landed cell
+// written back.
 func (r *Runner) EvaluateList(ctx context.Context, g *Grid, lo, hi int, fn func(i int, cell Cell, err error)) {
-	var (
-		p    *pass // nil when the runner does not cache: every cell is cold
-		cold []int
-		n    = hi - lo
-	)
-	if r.caches() {
-		p = r.newPass(g, lo, hi)
-		cold, _ = p.lookup(ctx, func(i int, cell Cell) bool {
-			fn(i, cell, nil)
-			return true
-		})
-		n = len(cold)
+	if lo >= hi {
+		return
 	}
-	sched := r.scheduler()
-	each(ctx, r.workers(Spec{}, n), n, func(k int) {
-		i := lo + k
-		if p != nil {
-			i = cold[k]
-		}
-		ck := g.cellKey(i)
-		cell, err := compute(ctx, sched, ck)
-		if err != nil {
+	p := r.newPass(g, lo, hi, true)
+	cold, _ := p.lookup(ctx, func(i int, cell Cell) bool {
+		fn(i, cell, nil)
+		return true
+	})
+	if cold == 0 {
+		return
+	}
+	c := &claims{
+		sched: r.scheduler(), g: g, lo: lo, hi: hi, slab: p.slab, warm: p.warm,
+		land: func(a, b int) {
+			p.land(ctx, a, b)
+			for i := a; i < b; i++ {
+				fn(i, p.slab[i-lo], nil)
+			}
+		},
+		fail: func(i int, err error) bool {
 			if ctx.Err() == nil { // else cancellation, not the scenario's fault
 				fn(i, Cell{}, err)
 			}
-			return
-		}
-		if p != nil {
-			p.land(ctx, i, cell)
-		} else {
-			r.land(ctx, ck, cell)
-		}
-		fn(i, cell, nil)
-	})
-	if p != nil {
-		p.flush()
+			return true
+		},
 	}
+	c.run(ctx, r.workers(Spec{}, cold))
+	p.flush()
 }
 
 // pass is one Runner call's cache traffic over the cells [lo, hi) of a
 // grid, a curve at a time. lookup takes each curve's cached cells in one
-// GetCurve. land holds each fresh cell in the pass's slab, and the landing
-// that completes a curve's cold cells puts them in one PutCurve; flush
-// puts what a failed or cancelled call left of its partial curves, so a
-// cell that landed is cached whatever happens to the rest of its curve.
+// GetCurve. land takes a run of fresh cells of one curve in, and the
+// landing that completes a curve's cold cells puts them in one PutCurve;
+// flush puts what a failed or cancelled call left of its partial curves,
+// so a cell that landed is cached whatever happens to the rest of its
+// curve.
 type pass struct {
 	r      *Runner
 	g      *Grid
@@ -442,23 +676,30 @@ type pass struct {
 	c0     int        // the curve holding cell lo
 	cache  CacheStore // nil when the runner does not cache
 
+	// slab and warm are EvaluateList's (see claims); nil for Run, whose
+	// cells land in the grid's rows and whose served rows are Cached.
+	slab []Cell
+	warm []bool
+
 	// Scratch one curve long: lookup's, then, under mu, put's.
 	toks  []eval.Token
 	cells []Cell
 	found []bool
 
-	// slab[i-lo] holds cell i once it has landed (set by lookup when
-	// cells are cold), and landed[i-lo] says so; left[c-c0] counts the
-	// cold cells of curve c yet to land.
-	slab   []Cell
+	// landed[i-lo] says cell i has landed; left[c-c0] counts the cold
+	// cells of curve c yet to land.
 	landed []bool
 	left   []atomic.Int32
 	mu     sync.Mutex
 }
 
-// newPass prepares a pass over the cells [lo, hi) of g.
-func (r *Runner) newPass(g *Grid, lo, hi int) *pass {
+// newPass prepares a pass over the cells [lo, hi) of g; list asks for
+// EvaluateList's slab.
+func (r *Runner) newPass(g *Grid, lo, hi int, list bool) *pass {
 	p := &pass{r: r, g: g, lo: lo, hi: hi}
+	if list {
+		p.slab = make([]Cell, hi-lo)
+	}
 	if !r.caches() || lo == hi {
 		return p
 	}
@@ -468,70 +709,89 @@ func (r *Runner) newPass(g *Grid, lo, hi int) *pass {
 		longest = max(longest, min(g.Curves[c].End, hi)-max(g.Curves[c].Start, lo))
 	}
 	p.toks, p.cells = make([]eval.Token, longest), make([]Cell, longest)
-	flags := make([]bool, longest+hi-lo)
-	p.found, p.landed = flags[:longest], flags[longest:]
+	n := hi - lo
+	if list {
+		n *= 2
+	}
+	flags := make([]bool, longest+n)
+	p.found, p.landed = flags[:longest], flags[longest:longest+hi-lo]
+	if list {
+		p.warm = flags[longest+hi-lo:]
+	}
 	return p
 }
 
-// lookup is the cache pass: it hands every cached cell to hit, in grid
-// order, and returns the cold indices, ascending. A false return from hit
-// — the consumer is gone — ends the pass, and lookup reports ok false.
-func (p *pass) lookup(ctx context.Context, hit func(i int, cell Cell) bool) (cold []int, ok bool) {
+// lookup is the cache pass: it serves every cached cell — into its row,
+// Cached, or, over a shared grid, marking it warm — and hands it to hit,
+// in grid order, and returns how many cells are cold. A false return from
+// hit — the consumer is gone — ends the pass, and lookup reports ok
+// false.
+func (p *pass) lookup(ctx context.Context, hit func(i int, cell Cell) bool) (cold int, ok bool) {
 	g := p.g
 	if p.cache == nil {
-		cold = make([]int, p.hi-p.lo)
-		for k := range cold {
-			cold[k] = p.lo + k
-		}
-		p.slab = make([]Cell, p.hi-p.lo)
-		return cold, true
+		return p.hi - p.lo, true
 	}
 	for c := p.c0; c < len(g.Curves) && g.Curves[c].Start < p.hi; c++ {
 		cv := &g.Curves[c]
 		start := max(cv.Start, p.lo)
 		n := min(cv.End, p.hi) - start
 		for j := 0; j < n; j++ {
-			p.toks[j] = g.Scens[start+j].Token()
+			p.toks[j] = g.Rows[start+j].Scenario.Token()
 		}
 		hits := p.cache.GetCurve(cv.Key, p.toks[:n], p.cells[:n], p.found[:n])
 		p.r.hits.Add(int64(hits))
-		for j := 0; j < n; j++ {
-			i := start + j
+		if hits < n {
+			if p.left == nil {
+				p.left = make([]atomic.Int32, g.curveOf(p.hi-1)-p.c0+1)
+			}
+			p.left[c-p.c0].Store(int32(n - hits))
+			cold += n - hits
+		}
+		for j := 0; j < n && hits > 0; j++ {
 			if !p.found[j] {
-				if cold == nil {
-					cold = make([]int, 0, p.hi-i)
-				}
-				cold = append(cold, i)
 				continue
 			}
-			p.r.served(ctx, cellKey{&g.Scens[i], cv.Key}, p.cells[j])
-			if !hit(i, p.cells[j]) {
-				return nil, false
+			i := start + j
+			if p.warm != nil {
+				p.warm[i-p.lo] = true
+			} else {
+				g.Rows[i].Cell, g.Rows[i].Cached = p.cells[j], true
 			}
-		}
-	}
-	if len(cold) > 0 {
-		p.slab = make([]Cell, p.hi-p.lo)
-		p.left = make([]atomic.Int32, g.curveOf(p.hi-1)-p.c0+1)
-		for _, i := range cold {
-			p.left[g.curveOf(i)-p.c0].Add(1)
+			p.r.served(ctx, cellKey{&g.Rows[i].Scenario, cv.Key}, p.cells[j])
+			if !hit(i, p.cells[j]) {
+				return 0, false
+			}
 		}
 	}
 	return cold, true
 }
 
-// land takes one fresh cell in: into the slab, to the observer, and —
-// with the last cold cell of its curve — into the cache with the rest of
-// the curve. Safe for concurrent calls on distinct cells.
-func (p *pass) land(ctx context.Context, i int, cell Cell) {
-	c := p.g.curveOf(i)
-	p.slab[i-p.lo] = cell
-	p.r.land(ctx, cellKey{&p.g.Scens[i], p.g.Curves[c].Key}, cell)
+// cell returns landed cell i.
+func (p *pass) cell(i int) *Cell {
+	if p.slab != nil {
+		return &p.slab[i-p.lo]
+	}
+	return &p.g.Rows[i].Cell
+}
+
+// land takes the fresh cells [lo, hi) of one curve in: to the observer,
+// and — with the last cold cells of their curve — into the cache with the
+// rest of the curve. Safe for concurrent calls on distinct cells.
+func (p *pass) land(ctx context.Context, lo, hi int) {
+	c := p.g.curveOf(lo)
+	if p.r.Calib != nil {
+		for i := lo; i < hi; i++ {
+			p.r.observe(ctx, cellKey{&p.g.Rows[i].Scenario, p.g.Curves[c].Key}, *p.cell(i))
+		}
+	}
+	p.r.fresh.Add(int64(hi - lo))
 	if p.cache == nil {
 		return
 	}
-	p.landed[i-p.lo] = true
-	if p.left[c-p.c0].Add(-1) == 0 {
+	for i := lo; i < hi; i++ {
+		p.landed[i-p.lo] = true
+	}
+	if p.left[c-p.c0].Add(-int32(hi-lo)) == 0 {
 		p.mu.Lock()
 		p.put(c)
 		p.mu.Unlock()
@@ -555,7 +815,7 @@ func (p *pass) put(c int) {
 	n := 0
 	for i := max(cv.Start, p.lo); i < min(cv.End, p.hi); i++ {
 		if p.landed[i-p.lo] {
-			p.toks[n], p.cells[n] = p.g.Scens[i].Token(), p.slab[i-p.lo]
+			p.toks[n], p.cells[n] = p.g.Rows[i].Scenario.Token(), *p.cell(i)
 			n++
 		}
 	}
@@ -564,13 +824,17 @@ func (p *pass) put(c int) {
 	}
 }
 
+// landing is a run of landed rows, [lo, hi).
+type landing struct{ lo, hi int32 }
+
 // sweep is the one grid path under Run and Stream: expand, root span,
-// cache pass, schedule the cold cells, write back, observe, account. Rows
-// reach the caller on this goroutine in completion order, warm cells
-// first: into res (which also asks for curve metadata) or through emit,
-// whose false return — the consumer is gone — abandons the sweep. A cold
-// cell lands on the scheduler's goroutine and travels here as its index,
-// its point waiting in the pass's slab. The returned error is the
+// cache pass, schedule the cold cells, write back, observe, account. Every
+// cell is answered in its own row of the grid, and the grid's rows are
+// Run's result. A caller that takes the rows one by one — emit (Stream's)
+// or Progress — gets them on this goroutine in completion order, warm
+// cells first; emit's false return — the consumer is gone — abandons the
+// sweep. The scheduler's landings reach this goroutine as spans of rows
+// on a channel, opened only for such a caller. The returned error is the
 // sweep's failure, or ctx's own error when ctx ended first: a timeout is
 // not any one scenario's fault.
 func (r *Runner) sweep(ctx context.Context, spec Spec, res *Result, emit func(Row) bool) (err error) {
@@ -578,7 +842,7 @@ func (r *Runner) sweep(ctx context.Context, spec Spec, res *Result, emit func(Ro
 	if err != nil {
 		return err
 	}
-	scens := g.Scens
+	rows := g.Rows
 	ctx, span := obs.StartSpanKeyed(ctx, "sweep.run", specTraceKey(spec))
 	defer func() {
 		if err != nil {
@@ -586,54 +850,59 @@ func (r *Runner) sweep(ctx context.Context, spec Spec, res *Result, emit func(Ro
 		}
 		span.End()
 	}()
-	span.SetAttr(obs.Int("cells", len(scens)))
+	span.SetAttr(obs.Int("cells", len(rows)))
 	if res != nil {
 		if res.Curves, err = r.resolveCurves(ctx, g); err != nil {
 			return err
 		}
-		res.Rows, res.curves = make([]Row, len(scens)), g.Curves
+		res.Rows, res.curves = rows, g.Curves
 	}
 	done := 0
-	finish := func(i int, cell Cell, cached bool) bool {
+	finish := func(i int) bool {
 		done++
-		row := Row{Scenario: scens[i], Cell: cell, Cached: cached}
+		row := &rows[i]
 		if r.Progress != nil {
-			r.Progress(Event{Done: done, Total: len(scens), Scenario: row.Scenario, Cached: cached})
+			r.Progress(Event{Done: done, Total: len(rows), Scenario: row.Scenario, Cached: row.Cached})
 		}
-		if res != nil {
-			res.Rows[i] = row
-			return true
-		}
-		return emit(row)
+		return emit == nil || emit(*row)
 	}
 
-	// Cache pass: warm cells complete here and now, cold indices become
-	// the scheduler's work list.
-	p := r.newPass(g, 0, len(scens))
-	cold, ok := p.lookup(ctx, func(i int, cell Cell) bool { return finish(i, cell, true) })
+	// Cache pass: warm cells complete here and now, the cold ones are the
+	// scheduler's work.
+	p := r.newPass(g, 0, len(rows), false)
+	cold, ok := p.lookup(ctx, func(i int, _ Cell) bool { return finish(i) })
 	if !ok {
 		return ctx.Err()
 	}
 	hits := done
 
-	if len(cold) > 0 {
+	if cold > 0 {
 		sched := r.scheduler()
-		runCtx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		// Sized to the cold set, so a scheduler's deliver never blocks on
-		// a slow consumer.
-		out := make(chan int, len(cold))
 		var schedErr error
-		go func() {
-			defer close(out)
-			schedErr = sched.Schedule(runCtx, g, cold, func(i int, cell Cell) {
-				p.land(ctx, i, cell)
-				out <- i
-			})
-		}()
-		for i := range out {
-			if runCtx.Err() == nil && !finish(i, p.slab[i], false) {
-				cancel() // consumer gone; the scheduler unwinds and closes out
+		if emit == nil && r.Progress == nil {
+			// Nobody takes rows one by one: they land in place and the
+			// landings need no hand-over.
+			schedErr = sched.Schedule(ctx, g, cold, func(lo, hi int) { p.land(ctx, lo, hi) })
+			done += cold
+		} else {
+			runCtx, cancel := context.WithCancel(ctx)
+			defer cancel()
+			// Sized to the cold rows, so a landing never blocks on a slow
+			// consumer.
+			out := make(chan landing, cold)
+			go func() {
+				defer close(out)
+				schedErr = sched.Schedule(runCtx, g, cold, func(lo, hi int) {
+					p.land(ctx, lo, hi)
+					out <- landing{int32(lo), int32(hi)}
+				})
+			}()
+			for s := range out {
+				for i := int(s.lo); i < int(s.hi) && runCtx.Err() == nil; i++ {
+					if !finish(i) {
+						cancel() // consumer gone; the scheduler unwinds and closes out
+					}
+				}
 			}
 		}
 		p.flush()
@@ -653,9 +922,11 @@ func (r *Runner) sweep(ctx context.Context, spec Spec, res *Result, emit func(Ro
 }
 
 // Run expands the spec and executes every scenario, returning rows in
-// expansion order. Results are independent of the worker count: each
-// scenario derives its seed from the spec seed and its own curve
-// position, never from scheduling. Cancelling ctx aborts the sweep —
+// expansion order: the grid's own rows, each cell answered in place.
+// Results are independent of the worker count and of how cells were
+// claimed: each scenario derives its seed from the spec seed and its own
+// curve position, never from scheduling, and a curve answered in one
+// call answers each cell as Evaluate would alone. Cancelling ctx aborts the sweep —
 // including simulations already in flight — and returns ctx's error;
 // cells completed before the cancellation or a failure are still in the
 // cache: a curve is written back when its last cold cell lands, and the
@@ -749,15 +1020,15 @@ func (p localPool) Curves(ctx context.Context, g *Grid) ([]eval.CurveDesc, error
 		return descs, nil
 	}
 	errs := make([]error, len(g.Curves))
-	each(ctx, p.r.workers(g.Spec, len(g.Scens)), len(g.Curves), func(i int) {
-		descs[i], errs[i] = desc.Curve(ctx, g.Scens[g.Curves[i].Start])
+	each(ctx, p.r.workers(g.Spec, len(g.Rows)), len(g.Curves), func(i int) {
+		descs[i], errs[i] = desc.Curve(ctx, g.Rows[g.Curves[i].Start].Scenario)
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("sweep: %s: %w", g.Scens[g.Curves[i].Start].CurveKey(), err)
+			return nil, fmt.Errorf("sweep: %s: %w", g.Rows[g.Curves[i].Start].Scenario.CurveKey(), err)
 		}
 	}
 	return descs, nil
@@ -780,7 +1051,7 @@ func (r *Runner) resolveCurves(ctx context.Context, g *Grid) ([]CurveInfo, error
 	if err == nil {
 		infos = make([]CurveInfo, len(g.Curves))
 		for i, c := range g.Curves {
-			sc, cd := &g.Scens[c.Start], &descs[i]
+			sc, cd := &g.Rows[c.Start].Scenario, &descs[i]
 			infos[i] = CurveInfo{
 				Topology: sc.Topology, MsgFlits: sc.MsgFlits,
 				Policy: sc.Policy.String(), Variant: sc.Variant.Name,

@@ -179,8 +179,9 @@ func TestRunAbsoluteLoadsAndModelSaturation(t *testing.T) {
 func TestRunRejectsBadTopologySize(t *testing.T) {
 	s := tinySpec()
 	s.Topologies[0].Sizes = []int{5} // not a power of four
-	if _, err := (&Runner{}).Run(context.Background(), s); err == nil {
-		t.Error("accepted a 5-processor fat-tree")
+	_, err := (&Runner{}).Run(context.Background(), s)
+	if want := "sweep: bft-5/s=4/pairqueue: analytic: fat-tree size 5 is not a power of four >= 4"; err == nil || err.Error() != want {
+		t.Errorf("Run = %v, want %q", err, want)
 	}
 }
 
