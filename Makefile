@@ -93,6 +93,9 @@ lint:
 	test "$$(grep -rlF '.AppendCurveKey(' --include='*.go' . | grep -v '_test\.go$$' | sort | tr '\n' ' ')" = "./internal/sweep/expand.go ./internal/sweep/run.go " && \
 	test "$$(grep -rlF 'AppendJoinKey(' --include='*.go' . | grep -v '_test\.go$$' | sort | tr '\n' ' ')" = "./internal/eval/scenario.go ./internal/store/store.go ./internal/sweep/cache.go ./internal/sweep/run.go " || { \
 		echo "keys are built once per curve: a grid's curve keys are written by Scenario.AppendCurveKey in internal/sweep/expand.go (and, for Runner.Evaluate's one cell, run.go) and a cell is its curve key and eval.Token; a cell's full key is joined (eval.AppendJoinKey) only where it leaves the process: run.go (a traced span, the observer, an error), cache.go (Cache.Range) and internal/store/store.go (a store line); Scenario.Key() is called in internal/sweep, dispatch, serve and store only by run.go"; exit 1; }
+	@! grep -nE 'map\[string\]eval\.Point|KeyArena' $$(find internal/store -name '*.go' ! -name '*_test.go') && \
+	test "$$(grep -rlF 'Name: "sweep_cache_' --include='*.go' . | grep -v '_test\.go$$')" = ./internal/sweep/cache.go || { \
+		echo "one cell index: a store's live cells are its sweep.Cache and the store keeps only its segment log (non-test internal/store declares no map[string]eval.Point and names no KeyArena), and the sweep_cache_* series are written in internal/sweep/cache.go only"; exit 1; }
 	@test -z "$$(awk '/^type Grid struct/,/^}/' $$(find internal/sweep -name '*.go' ! -name '*_test.go') | grep -E '\[\](eval\.)?Scenario\b')" && \
 	test "$$(grep -nE '\.Evaluate\(|EvaluateEach\(' $$(find internal/sweep -name '*.go' ! -name '*_test.go') | wc -l)" = 1 && \
 	grep -qE '^		n, err = eval\.EvaluateEach\(ctx, be, seg\)$$' internal/sweep/run.go || { \

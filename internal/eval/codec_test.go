@@ -56,17 +56,6 @@ func (w refPoint) point() Point {
 	return p
 }
 
-// samePoints compares every field bit for bit, NaN equal to NaN.
-func samePoints(a, b Point) bool {
-	eq := func(x, y float64) bool {
-		return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
-	}
-	return eq(a.LoadFlits, b.LoadFlits) && eq(a.Model, b.Model) && eq(a.Sim, b.Sim) &&
-		eq(a.SimCI, b.SimCI) && eq(a.SimPrecision, b.SimPrecision) && eq(a.BoundMax, b.BoundMax) &&
-		a.ModelSaturated == b.ModelSaturated && a.ModelNA == b.ModelNA && a.SimSaturated == b.SimSaturated &&
-		a.BoundUnbounded == b.BoundUnbounded && a.BoundNA == b.BoundNA
-}
-
 // codecFloats are the values where encoding/json's float form changes
 // shape — the 'f'/'e' cutoffs, the exponent clean-up, the subnormal and
 // largest magnitudes, signed zero, the non-finite trio — plus the bench
@@ -110,7 +99,7 @@ func checkCodec(t *testing.T, p Point, raw []byte) {
 	if err := json.Unmarshal(got, &ref); err != nil {
 		t.Fatalf("reference decode of %s: %v", got, err)
 	}
-	if !samePoints(back, ref.point()) {
+	if !Same(back, ref.point()) {
 		t.Fatalf("ParsePoint(%s) = %+v, encoding/json says %+v", got, back, ref.point())
 	}
 
@@ -125,11 +114,11 @@ func checkCodec(t *testing.T, p Point, raw []byte) {
 	if err := json.Unmarshal(obj, &ref); err != nil {
 		t.Fatalf("ParsePoint accepted %q, encoding/json rejects it: %v", obj, err)
 	}
-	if !samePoints(scanned, ref.point()) {
+	if !Same(scanned, ref.point()) {
 		t.Fatalf("ParsePoint(%q) = %+v, encoding/json says %+v", obj, scanned, ref.point())
 	}
 	var viaFallback Point
-	if _, err := viaFallback.decode(obj); err != nil || !samePoints(scanned, viaFallback) {
+	if _, err := viaFallback.decode(obj); err != nil || !Same(scanned, viaFallback) {
 		t.Fatalf("ParsePoint(%q) = %+v, the fallback says %+v (err %v)", obj, scanned, viaFallback, err)
 	}
 }
@@ -285,7 +274,7 @@ func checkItemStream(t *testing.T, stream []byte) {
 	if err := json.Unmarshal(stream, &ref); err != nil {
 		t.Fatalf("parseItem accepted %q, encoding/json rejects it: %v", stream, err)
 	}
-	if ref.Index != index || ref.Error != "" || ref.Point == nil || !samePoints(pt, ref.Point.point()) {
+	if ref.Index != index || ref.Error != "" || ref.Point == nil || !Same(pt, ref.Point.point()) {
 		t.Fatalf("parseItem(%q) = %d %+v, encoding/json says %+v %+v", stream, index, pt, ref, ref.Point)
 	}
 }
@@ -320,7 +309,7 @@ func TestItemLinePrefixesRejected(t *testing.T) {
 		value := line[:len(line)-1] // the newline is the separator, not the value
 		var pt Point
 		for _, whole := range [][]byte{line, value} {
-			if index, ok := parseItem(whole, &pt); !ok || index != 5 || !samePoints(pt, p.viaWire()) {
+			if index, ok := parseItem(whole, &pt); !ok || index != 5 || !Same(pt, p.viaWire()) {
 				t.Fatalf("parseItem(%q) = %d, %v, %+v", whole, index, ok, pt)
 			}
 		}
@@ -367,7 +356,7 @@ func TestWireItemAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("parseItem: %v allocs, want 0", n)
 	}
-	if !samePoints(back, p) {
+	if !Same(back, p) {
 		t.Errorf("round trip changed the point: %+v → %+v", p, back)
 	}
 }

@@ -119,6 +119,17 @@ func NewPoint() Point {
 	return Point{LoadFlits: nan, Model: nan, Sim: nan, SimCI: nan, SimPrecision: nan, BoundMax: nan}
 }
 
+// Same reports whether a and b are the same point: every field equal bit
+// for bit, any NaN equal to any other. It is the identity a cache and a
+// store use to tell a changed cell from a re-put of the one they hold.
+func Same(a, b Point) bool {
+	eq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) || x != x && y != y }
+	return eq(a.LoadFlits, b.LoadFlits) && eq(a.Model, b.Model) && eq(a.Sim, b.Sim) &&
+		eq(a.SimCI, b.SimCI) && eq(a.SimPrecision, b.SimPrecision) && eq(a.BoundMax, b.BoundMax) &&
+		a.ModelSaturated == b.ModelSaturated && a.ModelNA == b.ModelNA && a.SimSaturated == b.SimSaturated &&
+		a.BoundUnbounded == b.BoundUnbounded && a.BoundNA == b.BoundNA
+}
+
 // Merge folds q into p: any field q actually produced (non-NaN, or a
 // set saturation marker) overrides p's. Backends never contradict each
 // other on LoadFlits — both resolve it from the same scenario.

@@ -28,18 +28,6 @@ func bftScenario(withSim bool) Scenario {
 	return sc
 }
 
-// samePoint compares two points field by field with NaN == NaN.
-func samePoint(a, b Point) bool {
-	eq := func(x, y float64) bool {
-		return math.Float64bits(x) == math.Float64bits(y)
-	}
-	return eq(a.LoadFlits, b.LoadFlits) && eq(a.Model, b.Model) &&
-		a.ModelSaturated == b.ModelSaturated &&
-		eq(a.Sim, b.Sim) && eq(a.SimCI, b.SimCI) &&
-		a.SimSaturated == b.SimSaturated &&
-		eq(a.SimPrecision, b.SimPrecision)
-}
-
 func TestPointMerge(t *testing.T) {
 	model := NewPoint()
 	model.LoadFlits, model.Model = 0.02, 31.5
@@ -52,7 +40,7 @@ func TestPointMerge(t *testing.T) {
 	}
 	// Merging an empty point must change nothing (SimPrecision stays NaN
 	// throughout, so the comparison must be NaN-aware).
-	if again := got.Merge(NewPoint()); !samePoint(again, got) {
+	if again := got.Merge(NewPoint()); !Same(again, got) {
 		t.Errorf("empty merge perturbed the point: %+v vs %+v", again, got)
 	}
 	// A saturated-but-NaN sim still carries its marker.
@@ -191,7 +179,7 @@ func TestSimBackendSurvivesSimulatorPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !samePoint(got, want) {
+	if !Same(got, want) {
 		t.Errorf("healthy cell after a panic: got %+v, want %+v", got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/bits"
@@ -375,12 +376,12 @@ func curveFields(curve string) (load, seed int) {
 // follows the load value, or -1 when the tail's sim field is not true: the
 // first "sim=" there is the sim field, and no field between it and seed=
 // holds "seed=".
-func seedField(tail string) int {
-	i := strings.Index(tail, "sim=")
-	if i < 0 || !strings.HasPrefix(tail[i+len("sim="):], "true") {
+func seedField[K string | []byte](tail K) int {
+	i := index(tail, "sim=")
+	if i < 0 || string(tail[i:min(len(tail), i+len("sim=true"))]) != "sim=true" {
 		return -1
 	}
-	j := strings.Index(tail[i:], "seed=")
+	j := index(tail[i:], "seed=")
 	if j < 0 {
 		return -1
 	}
@@ -388,11 +389,22 @@ func seedField(tail string) int {
 }
 
 // cutValue splits a field's value off the rest of a key.
-func cutValue(s string) (val, rest string) {
-	if i := strings.IndexByte(s, ' '); i >= 0 {
+func cutValue[K string | []byte](s K) (val, rest K) {
+	if i := index(s, " "); i >= 0 {
 		return s[:i], s[i:]
 	}
-	return s, ""
+	return s, s[len(s):]
+}
+
+// index is strings.Index for a key held as a string or as bytes.
+func index[K string | []byte](s K, sub string) int {
+	switch s := any(s).(type) {
+	case string:
+		return strings.Index(s, sub)
+	case []byte:
+		return bytes.Index(s, []byte(sub))
+	}
+	panic("unreachable")
 }
 
 // AppendJoinKey appends to b the key of the cell t on the curve whose
@@ -415,17 +427,17 @@ func AppendJoinKey(b []byte, curve string, t Token) []byte {
 // returns it with the cell's token. ok is false for a string
 // AppendJoinKey would not write back byte for byte — no load= field, or
 // a load or seed value in a non-canonical spelling — and b is then
-// returned unchanged.
-func SplitKey(b []byte, key string) (curve []byte, t Token, ok bool) {
-	load := strings.Index(key, "load=")
+// returned unchanged. The key may be a record's bytes, read in place.
+func SplitKey[K string | []byte](b []byte, key K) (curve []byte, t Token, ok bool) {
+	load := index(key, "load=")
 	if load < 0 {
 		return b, Token{}, false
 	}
 	load += len("load=")
 	val, rest := cutValue(key[load:])
-	f, err := strconv.ParseFloat(val, 64)
+	f, err := strconv.ParseFloat(string(val), 64)
 	var num [32]byte
-	if err != nil || string(strconv.AppendFloat(num[:0], f, 'x', -1, 64)) != val {
+	if err != nil || string(strconv.AppendFloat(num[:0], f, 'x', -1, 64)) != string(val) {
 		return b, Token{}, false
 	}
 	t.Load = math.Float64bits(f)
@@ -433,40 +445,11 @@ func SplitKey(b []byte, key string) (curve []byte, t Token, ok bool) {
 	// rest is the curve key's tail too: the join finds seed= where this does.
 	if seed := seedField(rest); seed >= 0 {
 		val, after := cutValue(rest[seed:])
-		if t.Seed, err = strconv.ParseUint(val, 10, 64); err != nil || string(strconv.AppendUint(num[:0], t.Seed, 10)) != val {
+		if t.Seed, err = strconv.ParseUint(string(val), 10, 64); err != nil || string(strconv.AppendUint(num[:0], t.Seed, 10)) != string(val) {
 			return b, Token{}, false
 		}
 		curve = append(curve, rest[:seed]...)
 		rest = after
 	}
 	return append(curve, rest...), t, true
-}
-
-// KeyArena hands out strings cut from fixed strings.Builder chunks, so
-// keys that live as long as a grid or an index cost a few allocations
-// rather than one each. A Builder only ever appends, so a string cut from
-// its buffer stays valid and unchanged when the chunk is written on or
-// abandoned; a retained key pins at most its own chunk. The zero value is
-// ready to use.
-type KeyArena struct {
-	chunk strings.Builder
-}
-
-// KeyChunk is the size of a KeyArena's chunks: a few dozen keys share
-// each allocation.
-const KeyChunk = 4 << 10
-
-// Cut copies key into the current chunk and returns it as a slice of the
-// chunk. A key that does not fit opens a new chunk of KeyChunk bytes, or
-// of about what the remaining keys need, each about as long as this one,
-// when that is less; a key longer than KeyChunk gets a chunk of its own
-// size.
-func (a *KeyArena) Cut(key []byte, remaining int) string {
-	if a.chunk.Cap()-a.chunk.Len() < len(key) {
-		a.chunk = strings.Builder{}
-		a.chunk.Grow(max(len(key), min(KeyChunk, remaining*len(key))))
-	}
-	start := a.chunk.Len()
-	a.chunk.Write(key)
-	return a.chunk.String()[start:]
 }

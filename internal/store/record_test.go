@@ -15,6 +15,7 @@ import (
 	"repro/internal/calib"
 	"repro/internal/eval"
 	"repro/internal/race"
+	"repro/internal/sweep"
 )
 
 // refRecord is the reflective record the codec replaced: appendRecord
@@ -22,17 +23,6 @@ import (
 type refRecord struct {
 	Key   string     `json:"key"`
 	Point eval.Point `json:"point"`
-}
-
-// identical compares every field bit for bit, NaN equal to NaN.
-func identical(a, b eval.Point) bool {
-	eq := func(x, y float64) bool {
-		return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
-	}
-	return eq(a.LoadFlits, b.LoadFlits) && eq(a.Model, b.Model) && eq(a.Sim, b.Sim) &&
-		eq(a.SimCI, b.SimCI) && eq(a.SimPrecision, b.SimPrecision) && eq(a.BoundMax, b.BoundMax) &&
-		a.ModelSaturated == b.ModelSaturated && a.ModelNA == b.ModelNA && a.SimSaturated == b.SimSaturated &&
-		a.BoundUnbounded == b.BoundUnbounded && a.BoundNA == b.BoundNA
 }
 
 // parentCells is the content of testdata/parent-seg-000001.ndjson, a
@@ -104,7 +94,7 @@ func TestParentSegmentInterop(t *testing.T) {
 	}
 	for i, k := range keys {
 		got, ok := s.Get(k)
-		if !ok || !identical(got, viaWire(t, pts[i])) {
+		if !ok || !eval.Same(got, viaWire(t, pts[i])) {
 			t.Errorf("parent cell %q replayed as %+v (found %v), want %+v", k, got, ok, viaWire(t, pts[i]))
 		}
 	}
@@ -277,7 +267,7 @@ func checkRecord(t *testing.T, line []byte) {
 		}
 		return
 	}
-	if !refOK || refKey != string(key) || !identical(scanned, decoded) {
+	if !refOK || refKey != string(key) || !eval.Same(scanned, decoded) {
 		t.Fatalf("scanRecord(%q) = %q %+v, encoding/json says %v %q %+v", line, key, scanned, refOK, refKey, decoded)
 	}
 	var ref struct {
@@ -318,7 +308,7 @@ func TestRecordScanMatchesEncodingJSON(t *testing.T) {
 		line := appendRecord(nil, k, pts[i])
 		checkRecord(t, line)
 		var p eval.Point
-		if got, ok := parseRecord(line, &p); !ok || got != k || !identical(p, viaWire(t, pts[i])) {
+		if got, ok := parseRecord(line, &p); !ok || string(got) != k || !eval.Same(p, viaWire(t, pts[i])) {
 			t.Errorf("parseRecord(%q) = %q, %v, %+v", line, got, ok, p)
 		}
 	}
@@ -360,7 +350,7 @@ func TestRecordLinePrefixesRejected(t *testing.T) {
 			}
 		}
 		for _, whole := range [][]byte{line, value} {
-			if key, ok := parseRecord(whole, &p); !ok || key != keys[i] {
+			if key, ok := parseRecord(whole, &p); !ok || string(key) != keys[i] {
 				t.Errorf("parseRecord(%q) = %q, %v", whole, key, ok)
 			}
 		}
@@ -368,8 +358,10 @@ func TestRecordLinePrefixesRejected(t *testing.T) {
 }
 
 // TestStoreRecordAllocs is the store's allocation budget: building a
-// record line into the reused buffer allocates nothing, and replay
-// allocates once per record — the key's string.
+// record line into the reused buffer allocates nothing, and replaying the
+// segment a Runner writes for the bench's model grid — 80 curves of 32
+// loads — allocates per curve, not per record: at most 0.3 allocations
+// per record, Open's own included (a key string per record cost 1.02).
 func TestStoreRecordAllocs(t *testing.T) {
 	keys, pts := parentCells()
 	key, p := keys[3], pts[3]
@@ -378,29 +370,40 @@ func TestStoreRecordAllocs(t *testing.T) {
 		t.Errorf("appendRecord into a reused buffer: %v allocs, want 0", n)
 	}
 
-	const records = 512
+	spec := sweep.Spec{
+		Name:       "bench-model",
+		Topologies: []sweep.TopologySpec{{Family: sweep.FamilyBFT, Sizes: []int{16, 64, 256, 1024, 4096}}},
+		MsgFlits:   []int{8, 16, 32, 64},
+		Variants: []sweep.Variant{
+			{Name: "paper"},
+			{Name: "no-blocking", NoBlockingCorrection: true},
+			{Name: "single-server", SingleServerGroups: true},
+			{Name: "pre-erratum", NoPairRateCorrection: true},
+		},
+		Loads: sweep.LoadSpec{Points: 32, MaxFrac: 0.98},
+	}
 	dir := t.TempDir()
 	w := mustOpen(t, dir)
-	for i := 0; i < records; i++ {
-		w.Put(fmt.Sprintf("%s#%d", key, i), p)
+	res, err := sweep.NewRunner(sweep.WithCache(w)).Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "seg-000001.ndjson")
-	s := &Store{index: make(map[string]eval.Point, 2*records)}
-	if err := s.replay(path); err != nil || len(s.index) != records {
-		t.Fatalf("replay: %v, %d cells", err, len(s.index))
+	records := len(res.Rows)
+	if records != 80*32 {
+		t.Fatalf("the grid has %d cells, want 80 curves of 32", records)
 	}
-	// Per replay: the file, the reader's buffer, the callback — then one
-	// string per record.
-	const fixed = 8
-	n := testing.AllocsPerRun(20, func() {
-		if err := s.replay(path); err != nil {
-			t.Fatal(err)
+	n := testing.AllocsPerRun(5, func() {
+		s, err := Open(dir)
+		if err != nil || s.Len() != records || s.Dropped() != 0 {
+			t.Fatalf("replay: %v, %d cells, %d dropped", err, s.Len(), s.Dropped())
 		}
+		s.Close()
 	})
-	if n > records+fixed && !race.Enabled {
-		t.Errorf("replay of %d records: %v allocs, want at most one per record (+%d per segment)", records, n, fixed)
+	t.Logf("replay of %d records: %v allocs, %.3f per record", records, n, n/float64(records))
+	if n > 0.3*float64(records) && !race.Enabled {
+		t.Errorf("replay of %d records: %v allocs, want at most 0.3 per record", records, n)
 	}
 }

@@ -13,14 +13,14 @@
 // that exact form around eval.ParsePoint — the codec emits what
 // encoding/json would (pinned by FuzzPointCodec), so segments are
 // byte-identical to those of earlier versions, and a line in any other
-// JSON spelling still replays through encoding/json. Every
-// process appends to a fresh segment (existing segments are never
-// rewritten), so the format needs no locking beyond "one writer per
-// segment"; the in-memory index is rebuilt at Open by replaying every
-// segment in name order, later records winning. Results are
-// content-addressed — the key spells out every result-affecting input of
-// a scenario — so replaying is insensitive to which process, shard or
-// sweep produced a record.
+// JSON spelling still replays through encoding/json. Every process
+// appends to a fresh segment (existing segments are never rewritten), so
+// the format needs no locking beyond "one writer per segment". The live
+// cells are one sweep.Cache, rebuilt at Open by replaying every segment
+// in name order, later records winning; the store itself keeps only the
+// log. Results are content-addressed — the key spells out every
+// result-affecting input of a scenario — so replaying is insensitive to
+// which process, shard or sweep produced a record.
 //
 // # Durability and recovery
 //
@@ -49,6 +49,7 @@ import (
 
 	"repro/internal/eval"
 	"repro/internal/obs"
+	"repro/internal/sweep"
 )
 
 // segPattern matches segment files; the numeric component orders replay.
@@ -57,12 +58,12 @@ const segPattern = "seg-*.ndjson"
 // appendRecord appends one record line, {"key":"…","point":{…}}\n, to
 // dst: the bytes encoding/json emits for the same record. Only a key
 // that needs escaping — none the repository builds — goes through it.
-func appendRecord(dst []byte, key string, pt eval.Point) []byte {
+func appendRecord[K string | []byte](dst []byte, key K, pt eval.Point) []byte {
 	dst = append(dst, `{"key":`...)
 	if plainLen(key) == len(key) {
 		dst = append(append(append(dst, '"'), key...), '"')
 	} else {
-		quoted, _ := json.Marshal(key) // a string always marshals
+		quoted, _ := json.Marshal(string(key)) // a string always marshals
 		dst = append(dst, quoted...)
 	}
 	dst = eval.AppendPoint(append(dst, `,"point":`...), pt)
@@ -83,14 +84,15 @@ func plainLen[T string | []byte](s T) int {
 
 // parseRecord decodes one record line into pt and returns its key; ok is
 // false for a line replay must drop. A line in the form appendRecord
-// writes (newline optional) is scanned in place; anything else is
-// encoding/json's to judge, and must still carry a non-empty key and a
-// point object with its load_flits member.
-func parseRecord(line []byte, pt *eval.Point) (key string, ok bool) {
+// writes (newline optional) is scanned in place, its key a slice of line;
+// anything else is encoding/json's to judge, and must still carry a
+// non-empty key and a point object with its load_flits member.
+func parseRecord(line []byte, pt *eval.Point) (key []byte, ok bool) {
 	if k, ok := scanRecord(line, pt); ok {
-		return string(k), len(k) > 0
+		return k, len(k) > 0
 	}
-	return decodeRecord(line, pt)
+	k, ok := decodeRecord(line, pt)
+	return []byte(k), ok
 }
 
 // scanRecord is the scan path of parseRecord: the canonical form only.
@@ -123,28 +125,26 @@ func decodeRecord(line []byte, pt *eval.Point) (key string, ok bool) {
 	return rec.Key, eval.DecodePoint(rec.Point, pt) == nil
 }
 
-// Store is a persistent result cache. It implements sweep.CacheStore
-// (GetCurve/PutCurve) over an index of full keys, joining each cell's key
-// from its curve key and token — into a scratch buffer to look one up,
-// into an arena for a new index entry — and is safe for concurrent use
-// by one process; concurrent processes may share a directory as long as
-// each uses its own Store (each writes a distinct segment).
+// Store is a persistent result cache: a sweep.Cache holding the live
+// cells, and the segment log its changes are appended to and replayed
+// from. It implements sweep.CacheStore and is safe for concurrent use by
+// one process; processes may share a directory, each with its own Store
+// (each writes a distinct segment).
 type Store struct {
-	mu           sync.Mutex
-	dir          string
-	index        map[string]eval.Point
-	key          []byte        // a joined key, looked up
-	keys         eval.KeyArena // the keys of new index entries
-	seg          *os.File      // active segment, opened lazily on first Put
-	segName      string
-	nextSeg      int // numeric suffix the active segment will take
-	buf          []byte
-	writeErr     error
-	hits, misses int64
-	appended     int64
-	dropped      int
-	recovered    int
-	prunedBytes  int64
+	// cells is not embedded: a change reaches it only with its record.
+	cells *sweep.Cache
+	// dir, dropped and recovered are set by Open.
+	dir                string
+	dropped, recovered int
+	// mu orders the changes to cells with their records, and guards the
+	// fields below.
+	mu          sync.Mutex
+	seg         *os.File // active segment, opened lazily on first Put
+	segName     string
+	nextSeg     int // numeric suffix the active segment will take
+	buf         []byte
+	writeErr    error
+	prunedBytes int64
 }
 
 // Open opens (creating if needed) the store directory and replays its
@@ -154,12 +154,11 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, index: make(map[string]eval.Point), nextSeg: 1}
-	segs, err := filepath.Glob(filepath.Join(dir, segPattern))
+	s := &Store{cells: sweep.NewCache(), dir: dir, nextSeg: 1}
+	segs, _, err := s.segments()
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return nil, err
 	}
-	sort.Strings(segs)
 	for _, path := range segs {
 		if err := s.replay(path); err != nil {
 			return nil, err
@@ -169,14 +168,27 @@ func Open(dir string) (*Store, error) {
 			s.nextSeg = n + 1
 		}
 	}
-	s.recovered = len(s.index)
+	s.recovered = s.cells.Len()
 	return s, nil
 }
 
-// replay loads one segment into the index, dropping corrupt lines.
+// replay loads one segment into the cache, dropping corrupt lines. Each
+// key is split where it lies in its line, and a put writes a curve's
+// records together, so a curve key is copied once per run of records on
+// its curve, not once per record.
 func (s *Store) replay(path string) error {
-	dropped, err := eachRecord(path, func(key string, pt eval.Point, _ []byte) {
-		s.index[key] = pt
+	var buf []byte
+	curve := ""
+	dropped, err := eachRecord(path, func(key []byte, pt eval.Point, _ []byte) {
+		c, t, ok := eval.SplitKey(buf[:0], key)
+		if buf = c; !ok {
+			s.cells.Put(string(key), pt)
+			return
+		}
+		if string(c) != curve {
+			curve = string(c)
+		}
+		s.cells.PutCurve(curve, []eval.Token{t}, []eval.Point{pt})
 	})
 	s.dropped += dropped
 	return err
@@ -187,7 +199,7 @@ func (s *Store) replay(path string) error {
 // returns how many lines it dropped as corrupt — arbitrarily long garbage
 // runs included, which must not abandon the valid records after them.
 // Only a real read error is an error.
-func eachRecord(path string, fn func(key string, pt eval.Point, line []byte)) (dropped int, err error) {
+func eachRecord(path string, fn func(key []byte, pt eval.Point, line []byte)) (dropped int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, fmt.Errorf("store: %w", err)
@@ -222,72 +234,45 @@ func eachRecord(path string, fn func(key string, pt eval.Point, line []byte)) (d
 	}
 }
 
-// GetCurve implements sweep.CacheStore: each cell's key is joined into a
-// scratch buffer and looked up, counting a hit or miss.
+// GetCurve implements sweep.CacheStore.
 func (s *Store) GetCurve(curve string, tokens []eval.Token, cells []eval.Point, found []bool) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	hits := 0
-	for i, t := range tokens {
-		s.key = eval.AppendJoinKey(s.key[:0], curve, t)
-		if cells[i], found[i] = s.index[string(s.key)]; found[i] {
-			hits++
-		}
-	}
-	s.hits += int64(hits)
-	s.misses += int64(len(tokens) - hits)
-	return hits
+	return s.cells.GetCurve(curve, tokens, cells, found)
 }
 
-// PutCurve implements sweep.CacheStore: Put for each cell of one curve,
-// whose new records reach the active segment in one write.
+// PutCurve implements sweep.CacheStore: the curve's cells go into the
+// cache, and the records of those that changed reach the active segment
+// in one write.
 func (s *Store) PutCurve(curve string, tokens []eval.Token, cells []eval.Point) {
+	var flags [64]bool // a curve of more cells spills to the heap
+	changed := append(flags[:0], make([]bool, len(tokens))...)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	n := s.cells.PutCurveChanged(curve, tokens, cells, changed)
+	var key [256]byte
 	s.buf = s.buf[:0]
-	n := 0
-	for i, t := range tokens {
-		s.key = eval.AppendJoinKey(s.key[:0], curve, t)
-		if old, ok := s.index[string(s.key)]; ok && samePoint(old, cells[i]) {
-			continue
+	for i, ok := range changed {
+		if ok {
+			s.buf = appendRecord(s.buf, eval.AppendJoinKey(key[:0], curve, tokens[i]), cells[i])
 		}
-		key := s.keys.Cut(s.key, len(tokens)-i)
-		s.index[key] = cells[i]
-		s.buf = appendRecord(s.buf, key, cells[i])
-		n++
 	}
 	s.write(n)
 }
 
 // Get returns the cell stored under a full key (Scenario.Key), counting a
 // hit or miss.
-func (s *Store) Get(key string) (eval.Point, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	pt, ok := s.index[key]
-	if ok {
-		s.hits++
-	} else {
-		s.misses++
-	}
-	return pt, ok
-}
+func (s *Store) Get(key string) (eval.Point, bool) { return s.cells.Get(key) }
 
-// Put stores a cell under a full key and appends it to the active
-// segment. A key already holding the identical point is not re-appended
-// (reopening a store under a warm runner must not grow segments). Write
-// failures are remembered and surfaced by Close/Flush — Put itself never
-// fails, matching the CacheStore contract; the in-memory cell stays
-// valid either way.
+// Put stores a cell under a full key and appends its record to the
+// active segment, unless the key holds the same point (eval.Same) already:
+// a warm runner on a reopened store must not grow it. Put never fails, as
+// the CacheStore contract has it; a write error waits for Close or Flush.
 func (s *Store) Put(key string, pt eval.Point) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old, ok := s.index[key]; ok && samePoint(old, pt) {
-		return
+	if s.cells.Put(key, pt) {
+		s.buf = appendRecord(s.buf[:0], key, pt)
+		s.write(1)
 	}
-	s.index[key] = pt
-	s.buf = appendRecord(s.buf[:0], key, pt)
-	s.write(1)
 }
 
 // write appends buf's n record lines to the active segment — one write
@@ -304,9 +289,7 @@ func (s *Store) write(n int) {
 	}
 	if _, err := s.seg.Write(s.buf); err != nil {
 		s.writeErr = fmt.Errorf("store: appending to %s: %w", s.segName, err)
-		return
 	}
-	s.appended += int64(n)
 }
 
 // openSegment creates the next segment file. Caller holds mu.
@@ -327,76 +310,37 @@ func (s *Store) openSegment() error {
 }
 
 // Len returns the number of live cells.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.index)
-}
+func (s *Store) Len() int { return s.cells.Len() }
 
-// Range calls fn for every live cell until fn returns false. It
-// snapshots the index under the lock and iterates the snapshot with the
-// lock released, so fn may itself call Store methods (Get, Put, even
-// Prune) without deadlocking, and concurrent writers are never blocked
-// behind a slow consumer. The snapshot is consistent at the instant it
-// was taken: cells put or pruned while fn runs may or may not be seen.
-// Iteration order is unspecified.
-func (s *Store) Range(fn func(key string, pt eval.Point) bool) {
-	type cell struct {
-		key string
-		pt  eval.Point
-	}
-	s.mu.Lock()
-	snap := make([]cell, 0, len(s.index))
-	for k, p := range s.index {
-		snap = append(snap, cell{k, p})
-	}
-	s.mu.Unlock()
-	for _, c := range snap {
-		if !fn(c.key, c.pt) {
-			return
-		}
-	}
-}
+// Range calls fn for every live cell until fn returns false, as
+// sweep.Cache.Range does: fn runs on a snapshot with no lock held, so it
+// may call Store methods itself. Iteration order is unspecified.
+func (s *Store) Range(fn func(key string, pt eval.Point) bool) { s.cells.Range(fn) }
 
 // Stats returns the lifetime hit and miss counts of this Store instance.
-func (s *Store) Stats() (hits, misses int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hits, s.misses
-}
+func (s *Store) Stats() (hits, misses int64) { return s.cells.Stats() }
 
 // Recovered returns how many cells Open replayed from disk.
-func (s *Store) Recovered() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.recovered
-}
+func (s *Store) Recovered() int { return s.recovered }
 
-// Collect implements obs.Collector with this instance's numbers: the
-// series every result cache exports (hits, misses, live cells) and the
-// store's own disk, recovery and prune accounting.
+// Collect implements obs.Collector with this instance's numbers: its
+// cache's series (hits, misses, live cells), then the store's own disk,
+// recovery and prune accounting.
 func (s *Store) Collect(emit func(obs.Sample)) {
+	s.cells.Collect(emit)
 	s.mu.Lock()
-	hits, misses, cells := s.hits, s.misses, len(s.index)
-	recovered, dropped, pruned := s.recovered, s.dropped, s.prunedBytes
+	pruned := s.prunedBytes
 	s.mu.Unlock()
-	emit(obs.Sample{Name: "sweep_cache_hits_total", Kind: obs.KindCounter, Value: float64(hits)})
-	emit(obs.Sample{Name: "sweep_cache_misses_total", Kind: obs.KindCounter, Value: float64(misses)})
-	emit(obs.Sample{Name: "sweep_cache_cells", Kind: obs.KindGauge, Value: float64(cells)})
 	if n, err := s.DiskBytes(); err == nil {
 		emit(obs.Sample{Name: "sweep_store_disk_bytes", Kind: obs.KindGauge, Value: float64(n)})
 	}
-	emit(obs.Sample{Name: "sweep_store_recovered_cells", Kind: obs.KindGauge, Value: float64(recovered)})
-	emit(obs.Sample{Name: "sweep_store_dropped_lines", Kind: obs.KindGauge, Value: float64(dropped)})
+	emit(obs.Sample{Name: "sweep_store_recovered_cells", Kind: obs.KindGauge, Value: float64(s.recovered)})
+	emit(obs.Sample{Name: "sweep_store_dropped_lines", Kind: obs.KindGauge, Value: float64(s.dropped)})
 	emit(obs.Sample{Name: "store_pruned_bytes_total", Kind: obs.KindCounter, Value: float64(pruned)})
 }
 
 // Dropped returns how many corrupt or truncated lines recovery skipped.
-func (s *Store) Dropped() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
+func (s *Store) Dropped() int { return s.dropped }
 
 // Compact folds every live cell into one fresh segment and removes all
 // older segments, reclaiming the space of superseded and duplicate
@@ -415,18 +359,23 @@ func (s *Store) Compact() error {
 	if err := s.closeSegment(); err != nil {
 		return err
 	}
-	old, err := filepath.Glob(filepath.Join(s.dir, segPattern))
+	old, _, err := s.segments()
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return err
 	}
-	keys := make([]string, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
+	type cell struct {
+		key string
+		pt  eval.Point
 	}
-	sort.Strings(keys)
+	var live []cell
+	s.cells.Range(func(key string, pt eval.Point) bool {
+		live = append(live, cell{key, pt})
+		return true
+	})
+	sort.Slice(live, func(i, j int) bool { return live[i].key < live[j].key })
 	return s.replaceSegments(old, "compacting", func(w *bufio.Writer) {
-		for _, k := range keys {
-			s.buf = appendRecord(s.buf[:0], k, s.index[k])
+		for _, c := range live {
+			s.buf = appendRecord(s.buf[:0], c.key, c.pt)
 			w.Write(s.buf)
 		}
 	})
@@ -476,7 +425,7 @@ func (s *Store) replaceSegments(old []string, doing string, write func(w *bufio.
 // superseded duplicates away), then, while still over the bound, drops
 // live records oldest-write-first; survivors are folded into one fresh
 // segment and every older segment is removed. Evicted keys disappear
-// from the in-memory index too, so a pruned store keeps serving exactly
+// from the in-memory cells too, so a pruned store keeps serving exactly
 // its surviving cells and recomputed ones are simply re-appended.
 //
 // Prune returns how many live cells were evicted (0 when the store
@@ -496,18 +445,9 @@ func (s *Store) Prune(maxBytes int64) (evicted int, err error) {
 	if err := s.closeSegment(); err != nil {
 		return 0, err
 	}
-	segs, err := filepath.Glob(filepath.Join(s.dir, segPattern))
+	segs, total, err := s.segments()
 	if err != nil {
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	sort.Strings(segs)
-	var total int64
-	for _, path := range segs {
-		fi, err := os.Stat(path)
-		if err != nil {
-			return 0, fmt.Errorf("store: %w", err)
-		}
-		total += fi.Size()
+		return 0, err
 	}
 	if total <= maxBytes {
 		return 0, nil
@@ -523,11 +463,12 @@ func (s *Store) Prune(maxBytes int64) (evicted int, err error) {
 	latest := make(map[string]int)
 	var liveBytes int64
 	for _, path := range segs {
-		_, err := eachRecord(path, func(key string, _ eval.Point, line []byte) {
+		_, err := eachRecord(path, func(k []byte, _ eval.Point, line []byte) {
 			line = append(make([]byte, 0, len(line)+1), line...)
 			if line[len(line)-1] != '\n' {
 				line = append(line, '\n')
 			}
+			key := string(k)
 			if i, dup := latest[key]; dup {
 				liveBytes -= int64(len(entries[i].line))
 				entries[i].line = nil
@@ -549,7 +490,7 @@ func (s *Store) Prune(maxBytes int64) (evicted int, err error) {
 		n := int64(len(entries[i].line))
 		liveBytes -= n
 		s.prunedBytes += n
-		delete(s.index, entries[i].key)
+		s.cells.Delete(entries[i].key)
 		entries[i].line = nil
 		evicted++
 	}
@@ -567,19 +508,25 @@ func (s *Store) Prune(maxBytes int64) (evicted int, err error) {
 func (s *Store) DiskBytes() (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	segs, err := filepath.Glob(filepath.Join(s.dir, segPattern))
-	if err != nil {
-		return 0, fmt.Errorf("store: %w", err)
+	_, size, err := s.segments()
+	return size, err
+}
+
+// segments returns the store's segment files in replay order and their
+// total size.
+func (s *Store) segments() (segs []string, size int64, err error) {
+	if segs, err = filepath.Glob(filepath.Join(s.dir, segPattern)); err != nil {
+		return nil, 0, fmt.Errorf("store: %w", err)
 	}
-	var total int64
+	sort.Strings(segs)
 	for _, path := range segs {
 		fi, err := os.Stat(path)
 		if err != nil {
-			return 0, fmt.Errorf("store: %w", err)
+			return nil, 0, fmt.Errorf("store: %w", err)
 		}
-		total += fi.Size()
+		size += fi.Size()
 	}
-	return total, nil
+	return segs, size, nil
 }
 
 // StartAutoPrune launches a background goroutine that keeps the store's
@@ -667,20 +614,4 @@ func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.closeSegment()
-}
-
-// samePoint compares two points field by field (NaN equal to NaN), so
-// re-Put of an identical cell can skip the disk append — and of a cell
-// that differs anywhere cannot. TestRePutAppendsWhateverFieldChanged
-// walks eval.Point by reflection, so a new field cannot be missed here.
-func samePoint(a, b eval.Point) bool {
-	return floatSame(a.LoadFlits, b.LoadFlits) && floatSame(a.Model, b.Model) &&
-		floatSame(a.Sim, b.Sim) && floatSame(a.SimCI, b.SimCI) &&
-		floatSame(a.SimPrecision, b.SimPrecision) && floatSame(a.BoundMax, b.BoundMax) &&
-		a.ModelSaturated == b.ModelSaturated && a.ModelNA == b.ModelNA && a.SimSaturated == b.SimSaturated &&
-		a.BoundUnbounded == b.BoundUnbounded && a.BoundNA == b.BoundNA
-}
-
-func floatSame(a, b float64) bool {
-	return a == b || (a != a && b != b)
 }

@@ -61,7 +61,7 @@ func TestStoreRoundTripAcrossReopen(t *testing.T) {
 		if !ok {
 			t.Fatalf("key %s lost across reopen", k)
 		}
-		if !samePoint(got, want) {
+		if !eval.Same(got, want) {
 			t.Errorf("key %s changed across reopen:\n  in  %+v\n  out %+v", k, want, got)
 		}
 	}
@@ -115,10 +115,11 @@ func TestStoreLastWriteWinsAndCompact(t *testing.T) {
 }
 
 // TestRePutAppendsWhateverFieldChanged: a second Put under the same key
-// is skipped only when the point is the same in every field. Each field
-// of eval.Point — found by reflection, so the next one added is covered
-// without touching this test — is perturbed in turn; the change must be
-// served by Get, land as a second record and survive a reopen.
+// is skipped only when the point is the same in every field (eval.Same).
+// Each field of eval.Point — found by reflection, so the next one added
+// is covered without touching this test — is perturbed in turn; a
+// sweep.Cache must report the change, and a Store must serve it from
+// Get, land it as a second record and keep it across a reopen.
 func TestRePutAppendsWhateverFieldChanged(t *testing.T) {
 	base := eval.Point{LoadFlits: 0.02, Model: 40, Sim: 41, SimCI: 0.5, SimPrecision: 0.0125, BoundMax: 100}
 	typ := reflect.TypeOf(base)
@@ -131,14 +132,21 @@ func TestRePutAppendsWhateverFieldChanged(t *testing.T) {
 		case reflect.Bool:
 			f.SetBool(!f.Bool())
 		default:
-			t.Fatalf("eval.Point.%s is a %s: teach this test (and samePoint) to compare it", name, f.Kind())
+			t.Fatalf("eval.Point.%s is a %s: teach this test (and eval.Same) to compare it", name, f.Kind())
+		}
+		// A key outside the grammar, and a cell on a curve.
+		for _, key := range []string{"k", "family=bft size=16 k=0 flits=4 policy=pairqueue frac=true load=0x1p-01 sim=false"} {
+			c := sweep.NewCache()
+			if !c.Put(key, base) || c.Put(key, base) || !c.Put(key, changed) {
+				t.Errorf("%s: a cache's Put under %q did not report exactly the new cell and the change", name, key)
+			}
 		}
 		dir := t.TempDir()
 		s := mustOpen(t, dir)
 		s.Put("k", base)
 		s.Put("k", base) // identical: skipped
 		s.Put("k", changed)
-		if got, _ := s.Get("k"); !identical(got, changed) {
+		if got, _ := s.Get("k"); !eval.Same(got, changed) {
 			t.Errorf("%s: Get after re-Put = %+v, want %+v", name, got, changed)
 		}
 		if err := s.Close(); err != nil {
@@ -156,7 +164,7 @@ func TestRePutAppendsWhateverFieldChanged(t *testing.T) {
 			t.Errorf("%s: a re-Put that changes it left %d records on disk, want 2:\n%s", name, n, data)
 		}
 		re := mustOpen(t, dir)
-		if got, _ := re.Get("k"); !identical(got, viaWire(t, changed)) {
+		if got, _ := re.Get("k"); !eval.Same(got, viaWire(t, changed)) {
 			t.Errorf("%s: reopen recovered %+v, want %+v", name, got, viaWire(t, changed))
 		}
 		re.Close()
@@ -331,7 +339,7 @@ func TestRunnerServesFullGridFromStoreAfterRestart(t *testing.T) {
 			res2.CacheHits, res2.CacheMisses, len(res2.Rows))
 	}
 	for i := range res1.Rows {
-		if !samePoint(res1.Rows[i].Cell, res2.Rows[i].Cell) {
+		if !eval.Same(res1.Rows[i].Cell, res2.Rows[i].Cell) {
 			t.Errorf("row %d drifted across restart:\n  %+v\n  %+v",
 				i, res1.Rows[i].Cell, res2.Rows[i].Cell)
 		}

@@ -16,11 +16,11 @@ type Cell = eval.Point
 // at a time: GetCurve looks up cells of one curve — its curve key
 // (Scenario.AppendCurveKey) and the cells' tokens (eval.Token) — and
 // PutCurve stores freshly computed ones. The pair is a cell's key, split:
-// eval.AppendJoinKey rebuilds Scenario.Key from it, and a store that
-// keeps full keys joins them itself. Implementations must be safe for
-// concurrent use; both methods may be called from every worker of a pool.
-// Cache is the in-memory implementation; store.Store (internal/store)
-// persists cells across process restarts behind the same contract.
+// eval.AppendJoinKey rebuilds Scenario.Key from it. Implementations must
+// be safe for concurrent use; both methods may be called from every
+// worker of a pool. Cache is the in-memory implementation; store.Store
+// (internal/store) keeps its cells in one and logs their changes to disk,
+// so they survive process restarts.
 type CacheStore interface {
 	// GetCurve sets found[i], and cells[i] when found, for every
 	// tokens[i] on the curve, and returns how many it found.
@@ -95,13 +95,24 @@ func (s *curveSlots) find(t eval.Token, hint int) int {
 	return -1
 }
 
-// put stores cell under t, hint as for find; room is how many more cells
-// the caller is about to put, so a curve's slots grow once per batch. It
-// reports whether t is new to the curve.
-func (s *curveSlots) put(t eval.Token, cell Cell, hint, room int) bool {
+// put stores cell under t on the curve s — in its first slot when the
+// curve is fresh — with hint as for find and room how many more cells the
+// caller is about to put, so a curve's slots grow once per batch. It
+// counts a cell new to the cache and reports whether the cell changed:
+// new, or not the same (eval.Same) as the one it replaces.
+func (c *Cache) put(s *curveSlots, fresh bool, t eval.Token, cell Cell, hint, room int) bool {
+	if fresh {
+		s.first = slot{t, cell}
+		c.cells++
+		return true
+	}
 	if j := s.find(t, hint); j >= 0 {
-		s.slot(j).cell = cell
-		return false
+		sl := s.slot(j)
+		if eval.Same(sl.cell, cell) {
+			return false
+		}
+		sl.cell = cell
+		return true
 	}
 	if len(s.more) == cap(s.more) {
 		s.more = slices.Grow(s.more, room)
@@ -116,6 +127,7 @@ func (s *curveSlots) put(t eval.Token, cell Cell, hint, room int) bool {
 			s.at[s.slot(j).tok] = int32(j)
 		}
 	}
+	c.cells++
 	return true
 }
 
@@ -147,37 +159,40 @@ func (c *Cache) GetCurve(curve string, tokens []eval.Token, cells []Cell, found 
 
 // PutCurve implements CacheStore.
 func (c *Cache) PutCurve(curve string, tokens []eval.Token, cells []Cell) {
-	if len(tokens) == 0 {
-		return
-	}
+	c.PutCurveChanged(curve, tokens, cells, nil)
+}
+
+// PutCurveChanged is PutCurve reporting what changed: it sets changed[i],
+// when changed is not nil, for every cells[i] that is new or not the same
+// as the cell it replaces, and returns how many were.
+func (c *Cache) PutCurveChanged(curve string, tokens []eval.Token, cells []Cell, changed []bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s, ok := c.curves[curve]
-	i := 0
 	if !ok {
-		s = curveSlots{key: curve, first: slot{tokens[0], cells[0]}}
-		c.cells++
-		i++
+		s.key = curve
 	}
-	for ; i < len(tokens); i++ {
-		if s.put(tokens[i], cells[i], i, len(tokens)-i) {
-			c.cells++
+	n := 0
+	for i, t := range tokens {
+		if c.put(&s, !ok && i == 0, t, cells[i], i, len(tokens)-i) {
+			if n++; changed != nil {
+				changed[i] = true
+			}
 		}
 	}
-	c.curves[s.key] = s
+	if n > 0 {
+		c.curves[s.key] = s
+	}
+	return n
 }
 
 // Get returns the cell cached under a full key (Scenario.Key), counting a
 // hit or miss: the one-cell GetCurve, for callers that hold a joined key.
-func (c *Cache) Get(key string) (Cell, bool) {
+func (c *Cache) Get(key string) (cell Cell, ok bool) {
 	var buf [256]byte
 	curve, t, split := eval.SplitKey(buf[:0], key)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var (
-		cell Cell
-		ok   bool
-	)
 	if !split {
 		cell, ok = c.loose[key]
 	} else if s, has := c.curves[string(curve)]; has {
@@ -193,39 +208,67 @@ func (c *Cache) Get(key string) (Cell, bool) {
 	return cell, ok
 }
 
-// Put stores a cell under a full key: the one-cell PutCurve.
-func (c *Cache) Put(key string, cell Cell) {
+// Put stores a cell under a full key, the one-cell PutCurve, and reports
+// whether it changed.
+func (c *Cache) Put(key string, cell Cell) bool {
+	var buf [256]byte
+	if curve, t, split := eval.SplitKey(buf[:0], key); split {
+		return c.PutCurveChanged(string(curve), []eval.Token{t}, []Cell{cell}, nil) > 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	old, ok := c.loose[key]
+	if !ok {
+		c.cells++
+	} else if eval.Same(old, cell) {
+		return false
+	}
+	if c.loose == nil {
+		c.loose = make(map[string]Cell)
+	}
+	c.loose[key] = cell
+	return true
+}
+
+// Delete drops the cell cached under a full key, if there is one.
+func (c *Cache) Delete(key string) {
 	var buf [256]byte
 	curve, t, split := eval.SplitKey(buf[:0], key)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !split {
-		if c.loose == nil {
-			c.loose = make(map[string]Cell)
+		if _, ok := c.loose[key]; ok {
+			delete(c.loose, key)
+			c.cells--
 		}
-		if _, ok := c.loose[key]; !ok {
-			c.cells++
-		}
-		c.loose[key] = cell
 		return
 	}
 	s, ok := c.curves[string(curve)]
-	if !ok {
-		s = curveSlots{key: string(curve), first: slot{t, cell}}
-		c.cells++
-	} else if s.put(t, cell, 0, 1) {
-		c.cells++
+	j := s.find(t, 0)
+	if !ok || j < 0 {
+		return
 	}
+	c.cells--
+	last := s.len() - 1
+	if last == 0 {
+		delete(c.curves, s.key)
+		return
+	}
+	// The curve's last cell takes the deleted one's slot.
+	if s.at != nil {
+		s.at[s.slot(last).tok] = int32(j)
+		delete(s.at, t)
+	}
+	*s.slot(j) = *s.slot(last)
+	s.more = s.more[:last-1]
 	c.curves[s.key] = s
 }
 
 // Range calls fn for every cached cell under its full key until fn
-// returns false, matching store.Store.Range: the cells are snapshotted
-// (and their keys joined) under the lock and fn runs with the lock
-// released, so callbacks may re-enter the cache and concurrent Puts
-// never block behind a slow consumer. Iteration order is unspecified.
-// Both in-memory caches and persistent stores therefore satisfy
-// calib.Source.
+// returns false: the cells are snapshotted (and their keys joined) under
+// the lock and fn runs with the lock released, so callbacks may re-enter
+// the cache and concurrent Puts never block behind a slow consumer.
+// Iteration order is unspecified.
 func (c *Cache) Range(fn func(key string, cell Cell) bool) {
 	type kv struct {
 		key  string
@@ -266,8 +309,8 @@ func (c *Cache) Stats() (hits, misses int64) {
 	return c.hits, c.misses
 }
 
-// Collect implements obs.Collector: the hit, miss and live-cell series
-// every result cache exports (store.Store emits the same three).
+// Collect implements obs.Collector: the hit, miss and live-cell series of
+// a result cache — of a store.Store too, whose cells live in a Cache.
 func (c *Cache) Collect(emit func(obs.Sample)) {
 	c.mu.Lock()
 	hits, misses, cells := c.hits, c.misses, c.cells

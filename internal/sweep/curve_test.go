@@ -309,3 +309,70 @@ func TestCacheSlots(t *testing.T) {
 		t.Errorf("Range saw %d cells, want %d", seen, n+1)
 	}
 }
+
+// TestCacheDelete: Delete drops exactly the cell under a full key — first,
+// middle or last on its curve, on a scanned curve and an indexed one, or
+// a key outside the grammar — and a curve whose last cell goes is gone,
+// ready to be put afresh; a key the cache does not hold changes nothing.
+func TestCacheDelete(t *testing.T) {
+	c := NewCache()
+	want := map[string]float64{}
+	put := func(key string, model float64) {
+		cell := eval.NewPoint()
+		cell.Model = model
+		c.Put(key, cell)
+		want[key] = model
+	}
+	key := func(size string, i int) string {
+		return string(eval.AppendJoinKey(nil, "family=bft size="+size+" k=0 flits=4 policy=pairqueue frac=true load= sim=false",
+			eval.Token{Load: math.Float64bits(float64(i+1) / 128)}))
+	}
+	var long, short []string // an indexed curve and a scanned one
+	for i := 0; i < 40; i++ {
+		long = append(long, key("64", i))
+		put(long[i], float64(i))
+		if i < 5 {
+			short = append(short, key("16", i))
+			put(short[i], float64(i))
+		}
+	}
+	put("not a key", -1)
+	check := func(when string) {
+		t.Helper()
+		if c.Len() != len(want) {
+			t.Fatalf("%s: Len %d, want %d", when, c.Len(), len(want))
+		}
+		seen := 0
+		c.Range(func(key string, cell Cell) bool {
+			if model, ok := want[key]; !ok || cell.Model != model {
+				t.Fatalf("%s: Range gives %q holding %v; want %v, %v", when, key, cell.Model, model, ok)
+			}
+			seen++
+			return true
+		})
+		if seen != len(want) {
+			t.Fatalf("%s: Range saw %d cells, want %d", when, seen, len(want))
+		}
+		for _, key := range append(append([]string{"not a key"}, long...), short...) {
+			model, live := want[key]
+			if cell, ok := c.Get(key); ok != live || ok && cell.Model != model {
+				t.Fatalf("%s: Get(%q) = %v, %v; want %v, %v", when, key, cell.Model, ok, model, live)
+			}
+		}
+	}
+	del := func(key string) {
+		c.Delete(key)
+		delete(want, key)
+		check("deleting " + key)
+	}
+	for _, i := range []int{0, 39, 17, 1, 38} {
+		del(long[i])
+	}
+	del(long[0]) // again: a no-op
+	for _, i := range []int{4, 0, 2, 1, 3} {
+		del(short[i])
+	}
+	del("not a key")
+	put(short[2], 99) // the emptied curve, afresh
+	check("putting the emptied curve again")
+}

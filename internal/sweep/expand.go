@@ -3,6 +3,7 @@ package sweep
 import (
 	"math"
 	"sort"
+	"strings"
 
 	"repro/internal/eval"
 	"repro/internal/sim"
@@ -81,7 +82,7 @@ const maxPresize = 1 << 16
 
 // ExpandGrid is Expand returning the Grid: the rows, each holding its
 // scenario and nothing else yet, with their curves, each curve's key written once by Scenario.AppendCurveKey and
-// cut from a few shared chunks (eval.KeyArena). Deduplication runs in two
+// cut from a few shared chunks (keyArena). Deduplication runs in two
 // steps, and neither builds a cell's key: a curve whose key an earlier
 // curve has is dropped whole (every curve of a grid has the same load
 // axis, and whether it simulates is in its key, so it repeats that
@@ -123,7 +124,7 @@ func ExpandGrid(s Spec) (*Grid, error) {
 	}
 	seen := make(map[string]struct{}, min(curves, maxPresize))
 	var (
-		arena   eval.KeyArena
+		arena   keyArena
 		scratch [256]byte
 		visited = 0
 	)
@@ -157,7 +158,7 @@ func ExpandGrid(s Spec) (*Grid, error) {
 							if _, dup := seen[string(key)]; dup {
 								continue
 							}
-							c := Curve{Key: arena.Cut(key, curves-visited+1), Start: len(g.Rows)}
+							c := Curve{Key: arena.cut(key, curves-visited+1), Start: len(g.Rows)}
 							seen[c.Key] = struct{}{}
 							for li, load := range loads {
 								if repeat != nil && repeat[li] && !sc.WithSim {
@@ -215,7 +216,7 @@ func repeatedLoads(loads []Load) []bool {
 func ListGrid(scens []Scenario) *Grid {
 	g := &Grid{Rows: make([]Row, len(scens))}
 	var (
-		arena   eval.KeyArena
+		arena   keyArena
 		scratch [256]byte
 	)
 	for i := range scens {
@@ -225,7 +226,35 @@ func ListGrid(scens []Scenario) *Grid {
 			g.Curves[n-1].End++
 			continue
 		}
-		g.Curves = append(g.Curves, Curve{Key: arena.Cut(key, len(scens)-i), Start: i, End: i + 1})
+		g.Curves = append(g.Curves, Curve{Key: arena.cut(key, len(scens)-i), Start: i, End: i + 1})
 	}
 	return g
+}
+
+// keyArena hands out strings cut from fixed strings.Builder chunks, so
+// the curve keys of a grid cost a few allocations rather than one each.
+// A Builder only ever appends, so a string cut from its buffer stays
+// valid and unchanged when the chunk is written on or abandoned; a
+// retained key pins at most its own chunk. The zero value is ready to use.
+type keyArena struct {
+	chunk strings.Builder
+}
+
+// keyChunk is the size of a keyArena's chunks: a few dozen keys share
+// each allocation.
+const keyChunk = 4 << 10
+
+// cut copies key into the current chunk and returns it as a slice of the
+// chunk. A key that does not fit opens a new chunk of keyChunk bytes, or
+// of about what the remaining keys need, each about as long as this one,
+// when that is less; a key longer than keyChunk gets a chunk of its own
+// size.
+func (a *keyArena) cut(key []byte, remaining int) string {
+	if a.chunk.Cap()-a.chunk.Len() < len(key) {
+		a.chunk = strings.Builder{}
+		a.chunk.Grow(max(len(key), min(keyChunk, remaining*len(key))))
+	}
+	start := a.chunk.Len()
+	a.chunk.Write(key)
+	return a.chunk.String()[start:]
 }

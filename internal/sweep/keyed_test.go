@@ -190,8 +190,8 @@ func benchModelGrid() Spec {
 }
 
 // TestExpandKeyedAllocs: a grid keys its curves, not its cells, and cuts
-// the curve keys from eval.KeyChunk-sized chunks, so expanding 2,560
-// cells on 80 curves allocates ⌈curve-key bytes / KeyChunk⌉ chunks (one
+// the curve keys from keyChunk-sized chunks, so expanding 2,560
+// cells on 80 curves allocates ⌈curve-key bytes / keyChunk⌉ chunks (one
 // more where the last chunk's estimate falls short) plus a constant for
 // the grid — the scenario and curve slices, the curve dedup map, the axes
 // — whatever the number of loads per curve.
@@ -207,7 +207,7 @@ func TestExpandKeyedAllocs(t *testing.T) {
 		for _, c := range g.Curves {
 			bytes += len(c.Key)
 		}
-		chunks := (bytes + eval.KeyChunk - 1) / eval.KeyChunk
+		chunks := (bytes + keyChunk - 1) / keyChunk
 		got := testing.AllocsPerRun(10, func() {
 			if _, err := ExpandGrid(spec); err != nil {
 				t.Fatal(err)
@@ -250,7 +250,7 @@ func TestExpandKeyedChunkBoundaries(t *testing.T) {
 			}
 			bytes += len(c.Key)
 		}
-		if bytes < 3*eval.KeyChunk {
+		if bytes < 3*keyChunk {
 			t.Fatalf("%s: %d curve-key bytes cross too few chunk ends to test", name, bytes)
 		}
 		return scenarios(g), keys
@@ -277,14 +277,14 @@ func TestExpandKeyedChunkBoundaries(t *testing.T) {
 	// worth of short keys.
 	long := grid
 	long.Topologies = []TopologySpec{{Family: FamilyBFT, Sizes: []int{16}}}
-	long.Workloads = []workload.Spec{{}, {Name: "replay", Trace: strings.Repeat("t", eval.KeyChunk+100) + ".ndjson"}, {Pattern: workload.PatternTranspose}}
+	long.Workloads = []workload.Spec{{}, {Name: "replay", Trace: strings.Repeat("t", keyChunk+100) + ".ndjson"}, {Pattern: workload.PatternTranspose}}
 	_, keys = check("long trace", long)
 	longest := 0
 	for _, k := range keys {
 		longest = max(longest, len(k))
 	}
-	if longest <= eval.KeyChunk {
-		t.Errorf("longest key %d bytes, want one longer than a %d-byte chunk", longest, eval.KeyChunk)
+	if longest <= keyChunk {
+		t.Errorf("longest key %d bytes, want one longer than a %d-byte chunk", longest, keyChunk)
 	}
 }
 
