@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test allocs fuzz bench examples lint staticcheck fmt
+.PHONY: all build test allocs fuzz bench examples lint lines staticcheck fmt
 
 all: lint build test examples
 
@@ -116,6 +116,13 @@ lint:
 	@test -z "$$(grep -rlE 'calib-map|LoadMap\(|MapPath\(|func \(m \*Map\) Save' --include='*.go' . | grep -v '_test\.go$$')" && \
 	! grep -lE '^[[:space:]]*(import[[:space:]]+)?"os"$$' $$(find internal/calib -name '*.go' ! -name '*_test.go') || { \
 		echo "one calibration record: the result store is the record; a calibration map is mined from it in memory and never saved or loaded (internal/calib does not import os)"; exit 1; }
+	@! grep -nE 'RunReference|refEngine|fifo\[' $$(find internal/sim -name '*.go' ! -name '*_test.go') || { \
+		echo "one simulator: internal/sim has one engine, pinned by result digests and checked by conservation laws (pinned_test.go, conservation_test.go); the dense reference engine (RunReference, refEngine, fifo[T]) stays deleted"; exit 1; }
+
+# The size every change reports: non-test Go lines outside bench/. CI
+# prints it; it is not a gate.
+lines:
+	@echo "$$(find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' -exec cat {} + | wc -l) non-test Go lines outside bench/"
 
 # staticcheck runs when the binary is available (CI installs it; locally
 # it is optional so the default toolchain stays sufficient).

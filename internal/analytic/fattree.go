@@ -271,6 +271,26 @@ func FatTreeRoute(n, h int) core.ClassID {
 	return downID(2*n - h)
 }
 
+// FatTreeClassOf maps a physical channel to its analytical class name
+// ("up<l,l+1>" / "down<l,l-1>"), the key that joins simulator
+// measurements to model quantities such as ChannelStats' rows.
+func FatTreeClassOf(ft *topology.FatTree, ch topology.ChannelID) string {
+	switch ft.Kind(ch) {
+	case topology.KindInjection:
+		return "up<0,1>"
+	case topology.KindEjection:
+		return "down<1,0>"
+	case topology.KindUp:
+		l, _, _ := ft.SwitchOf(ch)
+		return fmt.Sprintf("up<%d,%d>", l-1, l)
+	case topology.KindDown:
+		l, _, _ := ft.SwitchOf(ch)
+		return fmt.Sprintf("down<%d,%d>", l+1, l)
+	default:
+		return "?"
+	}
+}
+
 // Topology materialises the matching topology.FatTree (for simulation).
 func (m *FatTreeModel) Topology() *topology.FatTree {
 	return topology.MustFatTree(m.numProc)

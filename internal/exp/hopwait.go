@@ -17,26 +17,6 @@ import (
 	"repro/internal/traffic"
 )
 
-// FatTreeClassOf maps a physical channel to its analytical class name
-// ("up<l,l+1>" / "down<l,l-1>"), the key that joins simulator
-// measurements to model quantities.
-func FatTreeClassOf(ft *topology.FatTree, ch topology.ChannelID) string {
-	switch ft.Kind(ch) {
-	case topology.KindInjection:
-		return "up<0,1>"
-	case topology.KindEjection:
-		return "down<1,0>"
-	case topology.KindUp:
-		l, _, _ := ft.SwitchOf(ch)
-		return fmt.Sprintf("up<%d,%d>", l-1, l)
-	case topology.KindDown:
-		l, _, _ := ft.SwitchOf(ch)
-		return fmt.Sprintf("down<%d,%d>", l+1, l)
-	default:
-		return "?"
-	}
-}
-
 // HopWaitRow is one row of experiment V1: the per-channel-class
 // arbitration wait, measured in simulation against the model's
 // flow-weighted prediction Σ P(i|j)·W̄ⱼ (Eq. 9/10).
@@ -79,7 +59,7 @@ func HopWaits(ctx context.Context, numProc, msgFlits int, load float64, b sweep.
 		WarmupCycles:  b.Warmup,
 		MeasureCycles: b.Measure,
 		HopWaitObserver: func(ch topology.ChannelID, wait int64) {
-			name := FatTreeClassOf(ft, ch)
+			name := analytic.FatTreeClassOf(ft, ch)
 			s := agg[name]
 			if s == nil {
 				s = &stats.Stream{}
@@ -103,7 +83,7 @@ func HopWaits(ctx context.Context, numProc, msgFlits int, load float64, b sweep.
 	g := model.Graph()
 	links := map[string]float64{}
 	for ch := topology.ChannelID(0); ch < topology.ChannelID(ft.NumChannels()); ch++ {
-		links[FatTreeClassOf(ft, ch)]++
+		links[analytic.FatTreeClassOf(ft, ch)]++
 	}
 	type blend struct{ num, den float64 }
 	blends := map[string]*blend{}

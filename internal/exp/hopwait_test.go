@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/analytic"
 	"repro/internal/sweep"
 	"repro/internal/topology"
 )
@@ -13,7 +14,7 @@ func TestFatTreeClassOf(t *testing.T) {
 	ft := topology.MustFatTree(64)
 	counts := map[string]int{}
 	for ch := topology.ChannelID(0); ch < topology.ChannelID(ft.NumChannels()); ch++ {
-		counts[FatTreeClassOf(ft, ch)]++
+		counts[analytic.FatTreeClassOf(ft, ch)]++
 	}
 	want := map[string]int{
 		"up<0,1>":   64, // injection

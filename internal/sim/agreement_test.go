@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-
 	"math"
 	"testing"
 
@@ -130,20 +129,7 @@ func TestChannelUtilizationMatchesModel(t *testing.T) {
 	}
 	byClass := map[string]*agg{}
 	for ch := 0; ch < net.NumChannels(); ch++ {
-		id := topology.ChannelID(ch)
-		var name string
-		switch net.Kind(id) {
-		case topology.KindInjection:
-			name = "up<0,1>"
-		case topology.KindEjection:
-			name = "down<1,0>"
-		case topology.KindUp:
-			l, _, _ := net.SwitchOf(id)
-			name = upName(l - 1)
-		case topology.KindDown:
-			l, _, _ := net.SwitchOf(id)
-			name = downName(l + 1)
-		}
+		name := analytic.FatTreeClassOf(net, topology.ChannelID(ch))
 		a := byClass[name]
 		if a == nil {
 			a = &agg{}
@@ -162,28 +148,6 @@ func TestChannelUtilizationMatchesModel(t *testing.T) {
 			t.Errorf("%s: model rho=%.4f, sim busy=%.4f", st.Name, st.Rho, simRho)
 		}
 	}
-}
-
-func upName(l int) string {
-	return "up<" + itoa(l) + "," + itoa(l+1) + ">"
-}
-
-func downName(l int) string {
-	return "down<" + itoa(l) + "," + itoa(l-1) + ">"
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }
 
 // The simulated saturation point must bracket the model's prediction:

@@ -73,8 +73,8 @@ func (p *Pool) park(ctx context.Context, engines []*engine) {
 }
 
 // Run simulates the configured system and returns the measured result.
-// Without options the run is bit-deterministic for a given Config and
-// bit-identical to the pre-event-driven engine (RunReference); options add
+// Without options the run is bit-deterministic for a given Config (the
+// pinned digests of TestResultDigestsPinned hold it); options add
 // the statistical machinery on top: WithTermination for CI-width early
 // stopping, WithReplicas for concurrent independent replicas merged by
 // pooled batch means.

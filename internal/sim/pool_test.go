@@ -41,10 +41,10 @@ func (n *faultyNet) EjectsTo(ch topology.ChannelID) int {
 // network's would route around the fault.
 func (n *faultyNet) Tables() *topology.Tables { return topology.BuildTables(n) }
 
-// reuseMatrix is the run matrix of the reuse tests: the reference
+// reuseMatrix is the run matrix of the reuse tests: the pinned
 // families plus every option and workload kind that adds engine state.
 func reuseMatrix(t *testing.T) []simCase {
-	cases := referenceFamilies()
+	cases := pinnedFamilies()
 	bft64 := topology.MustFatTree(64)
 	base := Config{
 		Net: bft64, MsgFlits: 16, Seed: 42,

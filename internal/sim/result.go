@@ -42,8 +42,12 @@ type Result struct {
 	Saturated bool
 	// Cycles is the total number of simulated cycles.
 	Cycles int
-	// MeanSourceQueue is the time-average number of queued messages per
-	// PE (including the one being injected) over the measurement window.
+	// MeanSourceQueue is the time-average number of messages per PE
+	// waiting at their source over the measurement window. A message
+	// arriving at a counts from cycle ⌊a⌋+1, when it is taken in, through
+	// the cycle of its injection grant, and no longer while it is being
+	// injected. Under Poisson arrivals Little's law makes it
+	// λ₀·(WaitInjMean + ½).
 	MeanSourceQueue float64
 	// LatencyP50, LatencyP95 and LatencyP99 are latency percentiles of
 	// tracked messages, estimated from a histogram when

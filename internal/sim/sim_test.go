@@ -54,53 +54,6 @@ func TestZeroLoadProducesNoTraffic(t *testing.T) {
 	}
 }
 
-// At very light load every message sails through unblocked, so every
-// tracked latency must lie within the discretisation band around
-// s + D - 1 for its own path, and the mean must approach s + D̄ - 1.
-func TestUnloadedLatencyMatchesTheory(t *testing.T) {
-	for _, tc := range []struct {
-		net   topology.Network
-		flits int
-	}{
-		{topology.MustFatTree(64), 16},
-		{topology.MustFatTree(256), 32},
-		{topology.MustHypercube(6), 16},
-	} {
-		cfg := Config{
-			Net:           tc.net,
-			MsgFlits:      tc.flits,
-			Seed:          7,
-			WarmupCycles:  500,
-			MeasureCycles: 20000,
-		}
-		cfg.Lambda0 = 0.00002 // light enough that contention is negligible
-		res, err := Run(context.Background(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.TrackedCompleted < 3 {
-			t.Fatalf("%s: too few samples (%d)", tc.net.Name(), res.TrackedCompleted)
-		}
-		want := float64(tc.flits) + tc.net.AvgDistance() - 1
-		// Mean within the half-cycle discretisation plus sampling noise.
-		if math.Abs(res.LatencyMean-want) > 2.5 {
-			t.Errorf("%s: unloaded latency %v, want ~%v", tc.net.Name(), res.LatencyMean, want)
-		}
-		// Every sample is at least its minimum possible latency.
-		minPossible := float64(tc.flits) + 2 - 1 // shortest path has 2 channels
-		if res.LatencyMin < minPossible {
-			t.Errorf("%s: latency %v below physical minimum %v", tc.net.Name(), res.LatencyMin, minPossible)
-		}
-		if res.Saturated {
-			t.Errorf("%s: light load reported saturated", tc.net.Name())
-		}
-		// Injection channel service must be exactly s with no blocking.
-		if math.Abs(res.ServiceInjMean-float64(tc.flits)) > 0.01 {
-			t.Errorf("%s: unloaded x̄01 = %v, want %v", tc.net.Name(), res.ServiceInjMean, tc.flits)
-		}
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	cfg := lightConfig(topology.MustFatTree(64), 16, 0.02, 99)
 	a, err := Run(context.Background(), cfg)
@@ -122,38 +75,6 @@ func TestDeterminism(t *testing.T) {
 	}
 	if a.LatencyMean == c.LatencyMean && a.TotalCompleted == c.TotalCompleted {
 		t.Error("different seeds produced identical runs")
-	}
-}
-
-// White-box: run with per-cycle conservation checks enabled at a load high
-// enough to cause real blocking, on both topologies and both policies.
-func TestInvariantsUnderLoad(t *testing.T) {
-	for _, policy := range []UpLinkPolicy{PairQueue, RandomFixed} {
-		cfg := Config{
-			Net:           topology.MustFatTree(64),
-			MsgFlits:      8,
-			Seed:          3,
-			WarmupCycles:  500,
-			MeasureCycles: 3000,
-			Policy:        policy,
-		}.FlitLoad(0.05)
-		e := mustEngine(t, cfg)
-		e.debugChecks = true
-		if _, err := e.run(context.Background()); err != nil {
-			t.Fatalf("policy %v: %v", policy, err)
-		}
-	}
-	cfg := Config{
-		Net:           topology.MustHypercube(5),
-		MsgFlits:      8,
-		Seed:          4,
-		WarmupCycles:  500,
-		MeasureCycles: 3000,
-	}.FlitLoad(0.08)
-	e := mustEngine(t, cfg)
-	e.debugChecks = true
-	if _, err := e.run(context.Background()); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -302,40 +223,6 @@ func TestStringersAndHelpers(t *testing.T) {
 	res := Result{Name: "x", LatencyMean: 1, OfferedFlits: 0.1}
 	if res.String() == "" {
 		t.Error("empty result string")
-	}
-}
-
-func TestFIFOQueue(t *testing.T) {
-	var q fifo[int32]
-	if !q.empty() || q.len() != 0 {
-		t.Fatal("new queue not empty")
-	}
-	for i := int32(0); i < 1000; i++ {
-		q.push(i)
-	}
-	for i := int32(0); i < 1000; i++ {
-		if q.empty() {
-			t.Fatal("queue drained early")
-		}
-		if v := q.pop(); v != i {
-			t.Fatalf("pop = %d, want %d (FIFO order)", v, i)
-		}
-	}
-	if !q.empty() {
-		t.Fatal("queue should be empty")
-	}
-	// Interleaved push/pop exercises the compaction path.
-	for round := 0; round < 200; round++ {
-		for i := int32(0); i < 7; i++ {
-			q.push(int32(round)*7 + i)
-		}
-		for i := 0; i < 5; i++ {
-			q.pop()
-		}
-	}
-	want := int32(200 * (7 - 5))
-	if int32(q.len()) != want {
-		t.Fatalf("len = %d, want %d", q.len(), want)
 	}
 }
 

@@ -200,11 +200,12 @@ func TestWarmRunAllocs(t *testing.T) {
 	t.Logf("bft-1024 s=32: cold %v allocs/run, warm %v", cold, warm)
 }
 
-// TestEarlyStopPinned pins early-stopped runs bit for bit. RunReference
-// has no termination rule, so TestEventEngineMatchesReference cannot see
-// how the engine's accounting meets a measurement window that shrinks
-// under it; these values were captured from the engine as it stood before
-// the flat-table rewrite and must never move within a simulator epoch.
+// TestEarlyStopPinned pins early-stopped runs bit for bit. The pinned
+// families' digests (TestResultDigestsPinned) are of fixed-window runs, so
+// they cannot see how the engine's accounting meets a measurement window
+// that shrinks under it; these values were captured from the engine as it
+// stood before the flat-table rewrite and must never move within a
+// simulator epoch.
 func TestEarlyStopPinned(t *testing.T) {
 	bft64 := Config{
 		Net: topology.MustFatTree(64), MsgFlits: 16, Seed: 42,
