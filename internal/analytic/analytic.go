@@ -2,24 +2,34 @@
 // concrete networks: the butterfly fat-tree (the paper's §3, Eq. 12–26,
 // in both a closed-form transcription and a generated channel graph that
 // must agree), the binary hypercube, and the unidirectional k-ary n-cube
-// (the "other networks" of §4). Every network is one Model: a compiled
-// channel-class graph, its injection class, and the per-link rate of each
-// class per unit λ₀. Model answers the latency (Eq. 25), the saturation
-// throughput by the paper's operating-point condition x̄₀₁ = 1/λ₀ (Eq. 26)
-// and the per-class report; FatTreeModel and TorusModel embed it and add
-// only what is particular to their family.
+// (the "other networks" of §4). Every network is a compiled channel-class
+// graph, its injection class, and the per-link rate of each class per
+// unit λ₀; a Model is a view of one at a message length and variant. Model
+// answers the latency (Eq. 25), the saturation throughput by the paper's
+// operating-point condition x̄₀₁ = 1/λ₀ (Eq. 26) and the per-class report;
+// FatTreeModel and TorusModel embed it and add only what is particular to
+// their family.
 //
-// # What depends on λ₀
+// # What depends on λ₀, on s and on the variant
 //
-// A constructor builds everything the offered load does not touch — name,
-// D̄, routing probabilities, the compiled core.Graph — once, in a fixed
-// number of allocations whatever the network's size: every class name is
-// a slice of one string and every transition list a slice of one slab.
-// Every family's rates are linear in λ₀, so an evaluation writes
-// λ₀·perLink (Eq. 14/15 for the fat-tree, flow conservation for the
-// cubes) into a pooled core.Workspace and resolves; the fat-tree's paper
-// variant instead runs the closed-form recurrences on stack arrays. A
-// stable point allocates nothing, and the rate expressions and solver
+// A network is what none of them touch: the channel classes and routing
+// probabilities, the per-link rates at λ₀ = 1, D̄, the compiled
+// core.Graph and the fat-tree's closed-form tables (n, P↑ₗ). A
+// constructor builds it once, in a fixed number of allocations whatever
+// the network's size: every class name is a slice of one string and every
+// transition list a slice of one slab. A Model is a view of a network: its
+// name, its message length s and its variant (core.Options), nothing
+// else; View takes another view of a built network for one allocation,
+// the name, and is bit for bit the model the constructor would build
+// (FuzzModelView). The message length enters only where the paper's
+// equations put it — the terminal service time (Eq. 16) and the wormhole
+// C²b (Eq. 5) — so it is bound into the workspace with the rates, and
+// the variant only chooses how a group is solved. Every family's rates
+// are linear in λ₀, so an evaluation writes λ₀·perLink (Eq. 14/15 for the
+// fat-tree, flow conservation for the cubes) into a pooled
+// core.Workspace bound to the graph and s, and resolves; the fat-tree's
+// paper variant instead runs the closed-form recurrences on stack arrays.
+// A stable point allocates nothing, and the rate expressions and solver
 // arithmetic are those of a graph rebuilt per call, so results are
 // identical to the last bit (testdata/golden.txt).
 //
@@ -74,40 +84,100 @@ type Latency struct {
 	AvgDist float64
 }
 
-// Model is one network instance of the general model (§2). It is
-// immutable and safe for concurrent use; FatTreeModel and TorusModel
-// build it.
+// Model is one network instance of the general model (§2) at one message
+// length and variant: a light view — name, message length, options — over
+// the network every view of that instance shares. It is immutable and
+// safe for concurrent use; FatTreeModel and TorusModel build it, and View
+// takes another view of a network already built.
 type Model struct {
+	net      *network
 	name     string
 	msgFlits float64
-	avgDist  float64
 	opt      core.Options
-	classes  []core.Class // the graph's structure; every PerLinkRate is 0
-	graph    *core.Graph
-	inj      core.ClassID // the injection class, which Eq. 25 and Eq. 26 read
-	perLink  []float64    // perLink[i] is class i's per-link rate at λ₀ = 1
 	// closed, when set, answers Latency in place of the graph: the
 	// fat-tree's closed form for the paper variant.
-	closed *FatTreeModel
+	closed bool
 }
 
-// init compiles the channel graph and fills in the model.
-func (m *Model) init(name string, msgFlits, avgDist float64, opt core.Options,
-	classes []core.Class, inj core.ClassID, perLink []float64) error {
-	g, err := core.Compile(&core.Model{Classes: classes, MsgFlits: msgFlits})
+// network is what every view of one network instance shares: everything
+// that depends on neither λ₀, the message length nor the variant. A
+// constructor builds it once, in a fixed number of allocations whatever
+// the network's size; it is immutable and safe for concurrent use.
+type network struct {
+	family  family
+	numProc int
+	k, dims int // the torus radix and dimension count; 0 for the fat-tree
+	avgDist float64
+	classes []core.Class // the graph's structure; every PerLinkRate is 0
+	graph   *core.Graph
+	inj     core.ClassID // the injection class, which Eq. 25 and Eq. 26 read
+	perLink []float64    // perLink[i] is class i's per-link rate at λ₀ = 1
+	// n and upProb are the fat-tree's closed-form tables: n = log4 N and
+	// upProb[l] = P↑_l (Eq. 12), l = 0..n. upProb is nil for the cubes.
+	n      int
+	upProb []float64
+}
+
+// family selects how a network names itself.
+type family int
+
+const (
+	familyFatTree family = iota
+	familyHypercube
+	familyTorus
+)
+
+// init compiles the channel graph and fills in the rest of the network.
+func (net *network) init(avgDist float64, classes []core.Class, inj core.ClassID, perLink []float64) error {
+	g, err := core.Compile(classes)
 	if err != nil {
 		return err
 	}
-	*m = Model{name: name, msgFlits: msgFlits, avgDist: avgDist, opt: opt,
-		classes: classes, graph: g, inj: inj, perLink: perLink}
+	net.avgDist, net.classes, net.graph, net.inj, net.perLink = avgDist, classes, g, inj, perLink
 	modelsBuilt.Add(1)
 	return nil
 }
 
-// modelName finishes a model's name: b holds the instance, e.g.
-// "bft-1024", and the message length follows as "/s=" and fmt's %g.
-func modelName(b []byte, msgFlits float64) string {
-	return string(strconv.AppendFloat(append(b, "/s="...), msgFlits, 'g', -1, 64))
+// view is the network's model for messages of msgFlits flits under opt.
+// Its name, e.g. "bft-1024/s=16", is the instance's and fmt's %g of the
+// message length; it is the view's one allocation.
+func (net *network) view(msgFlits float64, opt core.Options) Model {
+	var buf [64]byte
+	b := buf[:0]
+	switch net.family {
+	case familyFatTree:
+		b = strconv.AppendInt(append(b, "bft-"...), int64(net.numProc), 10)
+	case familyHypercube:
+		b = strconv.AppendInt(append(b, "hcube-"...), int64(net.numProc), 10)
+	default:
+		b = strconv.AppendInt(append(b, "torus-"...), int64(net.k), 10)
+		b = strconv.AppendInt(append(b, "ary"...), int64(net.dims), 10)
+		b = append(b, "cube"...)
+	}
+	b = strconv.AppendFloat(append(b, "/s="...), msgFlits, 'g', -1, 64)
+	return Model{net: net, name: string(b), msgFlits: msgFlits, opt: opt,
+		closed: net.family == familyFatTree && opt == (core.Options{})}
+}
+
+// checkMsgFlits rejects a message length that is not positive.
+func checkMsgFlits(msgFlits float64) error {
+	if !(msgFlits > 0) {
+		return fmt.Errorf("analytic: message length %v must be positive", msgFlits)
+	}
+	return nil
+}
+
+// View returns the model of m's network for messages of msgFlits flits
+// under opt: bit for bit what the family's constructor returns for the
+// same instance, message length and options, sharing m's classes, rates,
+// compiled graph, D̄ and closed-form tables instead of building them
+// again. It is the one way to take another view of a built network, and
+// it allocates only the view's name.
+func (m *Model) View(msgFlits float64, opt core.Options) (Model, error) {
+	if err := checkMsgFlits(msgFlits); err != nil {
+		return Model{}, err
+	}
+	return m.net.view(msgFlits, opt), nil
 }
 
 // className writes prefix, the integers joined by commas, and suffix into
@@ -144,7 +214,7 @@ func (m *Model) Name() string { return m.name }
 func (m *Model) MsgFlits() float64 { return m.msgFlits }
 
 // AvgDist returns D̄, the average path length in channels.
-func (m *Model) AvgDist() float64 { return m.avgDist }
+func (m *Model) AvgDist() float64 { return m.net.avgDist }
 
 // Latency predicts the average latency at per-processor message rate
 // lambda0; it returns an error wrapping core.ErrUnstable past saturation.
@@ -152,10 +222,10 @@ func (m *Model) Latency(lambda0 float64) (Latency, error) {
 	if lambda0 < 0 || math.IsNaN(lambda0) {
 		return Latency{}, fmt.Errorf("analytic: bad arrival rate %v", lambda0)
 	}
-	if m.closed != nil {
-		lat, sat := m.closed.closedForm(lambda0)
+	if m.closed {
+		lat, sat := m.closedForm(lambda0)
 		if sat.class != stable {
-			return Latency{}, &core.UnstableError{Class: m.graph.Name(sat.class) + "@" + m.name, Rho: sat.rho}
+			return Latency{}, &core.UnstableError{Class: m.net.graph.Name(sat.class) + "@" + m.name, Rho: sat.rho}
 		}
 		return lat, nil
 	}
@@ -176,11 +246,12 @@ func (m *Model) graphLatency(lambda0 float64) (Latency, error) {
 // latencyOf assembles Eq. 25 from the injection class of a resolved
 // workspace.
 func (m *Model) latencyOf(ws *core.Workspace) Latency {
+	inj := m.net.inj
 	return Latency{
-		Total:      ws.Wait[m.inj] + ws.ServiceTime[m.inj] + m.avgDist - 1,
-		WaitInj:    ws.Wait[m.inj],
-		ServiceInj: ws.ServiceTime[m.inj],
-		AvgDist:    m.avgDist,
+		Total:      ws.Wait[inj] + ws.ServiceTime[inj] + m.net.avgDist - 1,
+		WaitInj:    ws.Wait[inj],
+		ServiceInj: ws.ServiceTime[inj],
+		AvgDist:    m.net.avgDist,
 	}
 }
 
@@ -215,8 +286,8 @@ func (p *Predictor) Predict(lambda0 float64) (lat Latency, saturated bool, err e
 	if lambda0 < 0 || math.IsNaN(lambda0) {
 		return Latency{}, false, fmt.Errorf("analytic: bad arrival rate %v", lambda0)
 	}
-	if m.closed != nil {
-		lat, sat := m.closed.closedForm(lambda0)
+	if m.closed {
+		lat, sat := m.closedForm(lambda0)
 		return lat, sat.class != stable, nil
 	}
 	if p.ws == nil {
@@ -241,7 +312,7 @@ func (p *Predictor) Done() {
 }
 
 // Graph returns the model's compiled channel-class graph.
-func (m *Model) Graph() *core.Graph { return m.graph }
+func (m *Model) Graph() *core.Graph { return m.net.graph }
 
 // Resolve binds ws to the model's channel graph, writes every class's
 // rate at λ₀ and resolves it under the model's options: ws then holds the
@@ -255,12 +326,13 @@ func (m *Model) Resolve(ws *core.Workspace, lambda0 float64) error {
 	return err
 }
 
-// bind binds ws to the graph and writes the rates at λ₀. Resolve and
-// Predict count the sweeps that follow: one for an acyclic graph's
-// ordered pass, the iterations of a cyclic one's fixed point.
+// bind binds ws to the graph and the message length and writes the rates
+// at λ₀. Resolve and Predict count the sweeps that follow: one for an
+// acyclic graph's ordered pass, the iterations of a cyclic one's fixed
+// point.
 func (m *Model) bind(ws *core.Workspace, lambda0 float64) {
-	rates := ws.Bind(m.graph)
-	for i, r := range m.perLink {
+	rates := ws.Bind(m.net.graph, m.msgFlits)
+	for i, r := range m.net.perLink {
 		rates[i] = lambda0 * r
 	}
 }
@@ -313,9 +385,9 @@ func (m *Model) SaturationLoad() (float64, error) {
 // declarative core.Model, each class's rate λ₀·perLink. The model shares
 // its transition slices with m and must not modify them.
 func (m *Model) BuildCoreModel(lambda0 float64) *core.Model {
-	classes := make([]core.Class, len(m.classes))
-	for i, c := range m.classes {
-		c.PerLinkRate = lambda0 * m.perLink[i]
+	classes := make([]core.Class, len(m.net.classes))
+	for i, c := range m.net.classes {
+		c.PerLinkRate = lambda0 * m.net.perLink[i]
 		classes[i] = c
 	}
 	return &core.Model{Classes: classes, MsgFlits: m.msgFlits}
@@ -348,11 +420,12 @@ func (m *Model) ChannelStats(dst []ChannelStat, lambda0 float64) ([]ChannelStat,
 	if err := m.Resolve(ws, lambda0); err != nil {
 		return dst, err
 	}
-	for i, r := range m.perLink {
+	g := m.net.graph
+	for i, r := range m.net.perLink {
 		id := core.ClassID(i)
 		dst = append(dst, ChannelStat{
-			Name:    m.graph.Name(id),
-			Servers: m.graph.Servers(id),
+			Name:    g.Name(id),
+			Servers: g.Servers(id),
 			Rate:    lambda0 * r,
 			Service: ws.ServiceTime[i],
 			Wait:    ws.Wait[i],

@@ -3,7 +3,6 @@ package analytic
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -12,20 +11,19 @@ import (
 )
 
 // FatTreeModel is the paper's analytical model of the butterfly fat-tree
-// (§3). It embeds the Model every network shares and adds the fat-tree's
-// own facts: the routing probabilities, the rates per level, the class
-// layout and the closed-form recurrences Eq. 12–25, which answer Latency
-// for the paper variant (zero Options); an ablation variant answers from
-// the equivalent channel-class graph through package core. Both paths
-// are cross-checked in tests.
+// (§3). It embeds the Model every network shares, whose network carries
+// the fat-tree's own facts: the routing probabilities, the rates per
+// level, the class layout and the tables of the closed-form recurrences
+// Eq. 12–25, which answer Latency for the paper variant (zero Options);
+// an ablation variant answers from the equivalent channel-class graph
+// through package core. Both paths are cross-checked in tests.
 //
-// The constructor builds everything that does not depend on λ₀ (see the
-// package comment); a model is immutable and safe for concurrent use.
+// The constructor builds everything that does not depend on λ₀, the
+// message length or the variant (see the package comment) once; a model
+// is immutable and safe for concurrent use.
 type FatTreeModel struct {
 	Model
-	numProc int
-	n       int       // log4(numProc)
-	upProb  []float64 // upProb[l] = P↑_l, l = 0..n
+	own network // the network Model.net points at
 }
 
 // maxLevels bounds n = log4(N) so the closed form can keep its per-level
@@ -43,28 +41,26 @@ func NewFatTreeModel(numProc int, msgFlits float64, opt core.Options) (*FatTreeM
 	if numProc < 4 || n > maxLevels || 1<<(2*n) != numProc {
 		return nil, fmt.Errorf("analytic: fat-tree size %d is not a power of four >= 4", numProc)
 	}
-	if msgFlits <= 0 {
-		return nil, fmt.Errorf("analytic: message length %v must be positive", msgFlits)
+	if err := checkMsgFlits(msgFlits); err != nil {
+		return nil, err
 	}
-	m := &FatTreeModel{numProc: numProc, n: n}
-	m.upProb = make([]float64, n+1)
-	for l := range m.upProb {
-		m.upProb[l] = (float64(numProc) - math.Pow(4, float64(l))) / (float64(numProc) - 1)
+	m := &FatTreeModel{}
+	net := &m.own
+	net.family, net.numProc, net.n = familyFatTree, numProc, n
+	net.upProb = make([]float64, n+1)
+	for l := range net.upProb {
+		net.upProb[l] = (float64(numProc) - math.Pow(4, float64(l))) / (float64(numProc) - 1)
 	}
 	var avgDist float64
 	for l := 1; l <= n; l++ {
 		avgDist += float64(2*l) * 3 * math.Pow(4, float64(l-1))
 	}
 	avgDist /= float64(numProc - 1)
-	classes, perLink := m.channels()
-	var buf [64]byte
-	name := modelName(strconv.AppendInt(append(buf[:0], "bft-"...), int64(numProc), 10), msgFlits)
-	if err := m.init(name, msgFlits, avgDist, opt, classes, upID(n, 0), perLink); err != nil {
+	classes, perLink := net.fatTreeChannels()
+	if err := net.init(avgDist, classes, upID(n, 0), perLink); err != nil {
 		return nil, err
 	}
-	if opt == (core.Options{}) {
-		m.closed = m
-	}
+	m.Model = net.view(msgFlits, opt)
 	return m, nil
 }
 
@@ -78,29 +74,33 @@ func MustFatTreeModel(numProc int, msgFlits float64, opt core.Options) *FatTreeM
 }
 
 // NumProcessors returns the configured machine size.
-func (m *FatTreeModel) NumProcessors() int { return m.numProc }
+func (m *FatTreeModel) NumProcessors() int { return m.net.numProc }
 
 // Levels returns n = log4(N).
-func (m *FatTreeModel) Levels() int { return m.n }
+func (m *FatTreeModel) Levels() int { return m.net.n }
 
 // UpProb returns P↑_l = (4^n − 4^l)/(4^n − 1), the probability that a
 // message at a level-l switch must continue upward (Eq. 12).
-func (m *FatTreeModel) UpProb(l int) float64 {
-	if l >= 0 && l <= m.n {
-		return m.upProb[l]
+func (m *FatTreeModel) UpProb(l int) float64 { return m.net.upProbAt(l) }
+
+func (net *network) upProbAt(l int) float64 {
+	if l >= 0 && l <= net.n {
+		return net.upProb[l]
 	}
-	n4 := float64(m.numProc)
+	n4 := float64(net.numProc)
 	return (n4 - math.Pow(4, float64(l))) / (n4 - 1)
 }
 
 // UpRate returns λ_{l,l+1}, the per-link message rate of an up channel
 // from level l (Eq. 14), with λ_{0,1} = λ₀. Down rates mirror up rates
 // (Eq. 15): λ_{l+1,l} = λ_{l,l+1}.
-func (m *FatTreeModel) UpRate(l int, lambda0 float64) float64 {
+func (m *FatTreeModel) UpRate(l int, lambda0 float64) float64 { return m.net.upRate(l, lambda0) }
+
+func (net *network) upRate(l int, lambda0 float64) float64 {
 	if l == 0 {
 		return lambda0
 	}
-	return lambda0 * m.UpProb(l) * float64(int(1)<<l)
+	return lambda0 * net.upProbAt(l) * float64(int(1)<<l)
 }
 
 // ratio computes λa/λb for the blocking corrections; with no traffic at
@@ -114,15 +114,17 @@ func ratio(a, b float64) float64 {
 }
 
 // closedForm transcribes Eq. 12–25 with the published 2λ correction to
-// Eq. 21/23. Its per-level tables are fixed-size arrays on the stack, and
-// past saturation it returns the saturated class and its ρ as a value, so
-// no point allocates: Latency builds the error only when it returns one.
-func (m *FatTreeModel) closedForm(lambda0 float64) (Latency, saturation) {
-	n, s := m.n, m.msgFlits
+// Eq. 21/23 on a fat-tree's network. Its per-level tables are fixed-size
+// arrays on the stack, and past saturation it returns the saturated class
+// and its ρ as a value, so no point allocates: Latency builds the error
+// only when it returns one.
+func (m *Model) closedForm(lambda0 float64) (Latency, saturation) {
+	net := m.net
+	n, s := net.n, m.msgFlits
 
 	var lamUp [maxLevels]float64 // lamUp[l] = λ_{l,l+1}
 	for l := 0; l < n; l++ {
-		lamUp[l] = m.UpRate(l, lambda0)
+		lamUp[l] = net.upRate(l, lambda0)
 	}
 	lamDown := func(l int) float64 { return lamUp[l-1] } // λ_{l,l-1} = λ_{l-1,l}
 
@@ -149,7 +151,7 @@ func (m *FatTreeModel) closedForm(lambda0 float64) (Latency, saturation) {
 			xUp[l] = xDown[n] + block*wDown[n]
 		} else {
 			// Channel <l, l+1> arrives at a level-(l+1) switch (Eq. 22).
-			pUp := m.upProb[l+1]
+			pUp := net.upProb[l+1]
 			pDown := 1 - pUp
 			blockUp := clamp01(1 - ratio(lamUp[l], lamUp[l+1])*pUp)
 			blockDown := clamp01(1 - ratio(lamUp[l], lamDown(l+1))*pDown/3)
@@ -163,17 +165,17 @@ func (m *FatTreeModel) closedForm(lambda0 float64) (Latency, saturation) {
 	}
 
 	return Latency{
-		Total:      wUp[0] + xUp[0] + m.avgDist - 1, // Eq. 25
+		Total:      wUp[0] + xUp[0] + net.avgDist - 1, // Eq. 25
 		WaitInj:    wUp[0],
 		ServiceInj: xUp[0],
-		AvgDist:    m.avgDist,
+		AvgDist:    net.avgDist,
 	}, saturation{class: stable}
 }
 
 // upWait applies Eq. 21/23/24: the injection channel (l = 0) is a single
 // server; every other up channel is half of a two-server pair fed the
 // combined rate 2λ (published correction).
-func (m *FatTreeModel) upWait(l int, lam, x float64) (float64, saturation) {
+func (m *Model) upWait(l int, lam, x float64) (float64, saturation) {
 	var w float64
 	servers := 2
 	if l == 0 {
@@ -183,7 +185,7 @@ func (m *FatTreeModel) upWait(l int, lam, x float64) (float64, saturation) {
 		w = queueing.WaitWormholeMGm(2, 2*lam, x, m.msgFlits) // Eq. 21/23
 	}
 	if math.IsInf(w, 1) {
-		return 0, saturation{upID(m.n, l), queueing.Utilization(servers, float64(servers)*lam, x)}
+		return 0, saturation{upID(m.net.n, l), queueing.Utilization(servers, float64(servers)*lam, x)}
 	}
 	return w, saturation{class: stable}
 }
@@ -204,14 +206,14 @@ func clamp01(v float64) float64 {
 func downID(l int) core.ClassID  { return core.ClassID(l - 1) } // l = 1..n
 func upID(n, l int) core.ClassID { return core.ClassID(n + l) } // l = 0..n-1
 
-// channels generates the equivalent channel-class graph for package core
-// (the layout above) and each class's per-link rate at λ₀ = 1: Eq. 14
-// for an up channel, mirrored down by Eq. 15, λ_{l+1,l} = λ_{l,l+1}.
-// Every class name is a slice of one string and every transition list a
-// slice of one slab, so the graph costs the same few allocations at any
-// size.
-func (m *FatTreeModel) channels() ([]core.Class, []float64) {
-	n := m.n
+// fatTreeChannels generates the equivalent channel-class graph for
+// package core (the layout above) and each class's per-link rate at
+// λ₀ = 1: Eq. 14 for an up channel, mirrored down by Eq. 15,
+// λ_{l+1,l} = λ_{l,l+1}. Every class name is a slice of one string and
+// every transition list a slice of one slab, so the graph costs the same
+// few allocations at any size.
+func (net *network) fatTreeChannels() ([]core.Class, []float64) {
+	n := net.n
 	classes := make([]core.Class, 2*n)
 	perLink := make([]float64, 2*n)
 	// n-1 down classes with one transition, up<n-1,n> with one, n-1 up
@@ -233,7 +235,7 @@ func (m *FatTreeModel) channels() ([]core.Class, []float64) {
 			c.Out = out[start:len(out):len(out)]
 		}
 		classes[downID(l)] = c
-		perLink[downID(l)] = m.UpRate(l-1, 1)
+		perLink[downID(l)] = net.upRate(l-1, 1)
 	}
 	for l := 0; l < n; l++ {
 		c := core.Class{
@@ -248,7 +250,7 @@ func (m *FatTreeModel) channels() ([]core.Class, []float64) {
 			// Arrives at a root switch: down to one of 3 siblings.
 			out = append(out, core.Transition{To: downID(n), Prob: 1, Groups: 3})
 		} else {
-			pUp := m.upProb[l+1]
+			pUp := net.upProb[l+1]
 			out = append(out,
 				core.Transition{To: upID(n, l+1), Prob: pUp, Groups: 1},
 				core.Transition{To: downID(l + 1), Prob: 1 - pUp, Groups: 3},
@@ -256,7 +258,7 @@ func (m *FatTreeModel) channels() ([]core.Class, []float64) {
 		}
 		c.Out = out[start:len(out):len(out)]
 		classes[upID(n, l)] = c
-		perLink[upID(n, l)] = m.UpRate(l, 1)
+		perLink[upID(n, l)] = net.upRate(l, 1)
 	}
 	return classes, perLink
 }
@@ -293,5 +295,5 @@ func FatTreeClassOf(ft *topology.FatTree, ch topology.ChannelID) string {
 
 // Topology materialises the matching topology.FatTree (for simulation).
 func (m *FatTreeModel) Topology() *topology.FatTree {
-	return topology.MustFatTree(m.numProc)
+	return topology.MustFatTree(m.net.numProc)
 }

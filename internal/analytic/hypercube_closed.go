@@ -16,8 +16,9 @@ import (
 // closed-form/graph cross-check. Only the paper model (zero Options) is
 // supported.
 func (m *TorusModel) ClosedForm(lambda0 float64) (Latency, error) {
-	if m.k != 2 {
-		return Latency{}, fmt.Errorf("analytic: ClosedForm requires k=2, have %d", m.k)
+	net := m.net
+	if net.k != 2 {
+		return Latency{}, fmt.Errorf("analytic: ClosedForm requires k=2, have %d", net.k)
 	}
 	if m.opt != (core.Options{}) {
 		return Latency{}, fmt.Errorf("analytic: ClosedForm supports only the paper model")
@@ -25,9 +26,9 @@ func (m *TorusModel) ClosedForm(lambda0 float64) (Latency, error) {
 	if lambda0 < 0 || math.IsNaN(lambda0) {
 		return Latency{}, fmt.Errorf("analytic: bad arrival rate %v", lambda0)
 	}
-	n := m.dims
+	n := net.dims
 	s := m.msgFlits
-	nProc := float64(m.numProc)
+	nProc := float64(net.numProc)
 	lamLink := lambda0 * nProc / (2 * (nProc - 1))
 
 	fail := func(name string, lam, x float64) error {

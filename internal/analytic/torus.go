@@ -3,7 +3,6 @@ package analytic
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -31,8 +30,7 @@ import (
 // carries the hypercube's closed form (ClosedForm).
 type TorusModel struct {
 	Model
-	k, dims int
-	numProc int
+	own network // the network Model.net points at
 }
 
 // NewTorusModel creates a model of a k-ary n-cube (k ≥ 2, dims ≥ 1) with
@@ -59,27 +57,23 @@ func newTorusModel(k, dims int, msgFlits float64, opt core.Options, hypercube bo
 		}
 		numProc *= k
 	}
-	if msgFlits <= 0 {
-		return nil, fmt.Errorf("analytic: message length %v must be positive", msgFlits)
-	}
-	m := &TorusModel{k: k, dims: dims, numProc: numProc}
-	var buf [64]byte
-	b := buf[:0]
-	if hypercube {
-		b = strconv.AppendInt(append(b, "hcube-"...), int64(numProc), 10)
-	} else {
-		b = strconv.AppendInt(append(b, "torus-"...), int64(k), 10)
-		b = strconv.AppendInt(append(b, "ary"...), int64(dims), 10)
-		b = append(b, "cube"...)
-	}
-	name := modelName(b, msgFlits)
-	// D̄: dims·E[hops per dim | dst≠src] plus the injection and ejection
-	// channels.
-	avgDist := float64(dims)*m.hopsPerDim() + 2
-	classes, perLink := m.channels()
-	if err := m.init(name, msgFlits, avgDist, opt, classes, m.injID(), perLink); err != nil {
+	if err := checkMsgFlits(msgFlits); err != nil {
 		return nil, err
 	}
+	m := &TorusModel{}
+	net := &m.own
+	net.family, net.k, net.dims, net.numProc = familyTorus, k, dims, numProc
+	if hypercube {
+		net.family = familyHypercube
+	}
+	// D̄: dims·E[hops per dim | dst≠src] plus the injection and ejection
+	// channels.
+	avgDist := float64(dims)*net.hopsPerDim() + 2
+	classes, perLink := net.torusChannels()
+	if err := net.init(avgDist, classes, net.injID(), perLink); err != nil {
+		return nil, err
+	}
+	m.Model = net.view(msgFlits, opt)
 	return m, nil
 }
 
@@ -102,26 +96,26 @@ func MustHypercubeModel(dims int, msgFlits float64, opt core.Options) *TorusMode
 }
 
 // NumProcessors returns k^dims.
-func (m *TorusModel) NumProcessors() int { return m.numProc }
+func (m *TorusModel) NumProcessors() int { return m.net.numProc }
 
 // hopsPerDim is E[hops in one dimension | dst != src]
 // = N(k−1)/(2(N−1)).
-func (m *TorusModel) hopsPerDim() float64 {
-	n := float64(m.numProc)
-	return n * float64(m.k-1) / (2 * (n - 1))
+func (net *network) hopsPerDim() float64 {
+	n := float64(net.numProc)
+	return n * float64(net.k-1) / (2 * (n - 1))
 }
 
 // Class layout of the channel graph: [ej, link0..link_{dims-1}, inj].
-func (m *TorusModel) injID() core.ClassID { return core.ClassID(1 + m.dims) }
+func (net *network) injID() core.ClassID { return core.ClassID(1 + net.dims) }
 
-// channels generates the channel-class graph as core classes (layout
+// torusChannels generates the channel-class graph as core classes (layout
 // above) and each class's per-link rate at λ₀ = 1: every node injects and
 // ejects λ₀, and every dimension link carries the flow-conservation rate
 // λ₀·E[hops per dim]. As for the fat-tree, the names share one string and
 // the transition lists one slab.
-func (m *TorusModel) channels() ([]core.Class, []float64) {
-	dims := m.dims
-	k := float64(m.k)
+func (net *network) torusChannels() ([]core.Class, []float64) {
+	dims := net.dims
+	k := float64(net.k)
 	ejID := core.ClassID(0)
 	linkID := func(d int) core.ClassID { return core.ClassID(1 + d) }
 
@@ -130,7 +124,7 @@ func (m *TorusModel) channels() ([]core.Class, []float64) {
 	// Dimension d moves to each higher dimension or ejects, and for k > 2
 	// may stay; injection enters one of the dims dimensions.
 	transitions := dims*(dims+1)/2 + dims
-	if m.k > 2 {
+	if net.k > 2 {
 		transitions += dims
 	}
 	out := make([]core.Transition, 0, transitions)
@@ -148,7 +142,7 @@ func (m *TorusModel) channels() ([]core.Class, []float64) {
 	for d := 0; d < dims; d++ {
 		start := len(out)
 		leave := 2 / k // P(this was the last hop in dim d)
-		if m.k == 2 {
+		if net.k == 2 {
 			leave = 1
 		} else {
 			out = append(out, core.Transition{To: linkID(d), Prob: 1 - 2/k, Groups: 1})
@@ -167,7 +161,7 @@ func (m *TorusModel) channels() ([]core.Class, []float64) {
 			Servers: 1,
 			Out:     out[start:len(out):len(out)],
 		}
-		perLink[linkID(d)] = m.hopsPerDim()
+		perLink[linkID(d)] = net.hopsPerDim()
 	}
 
 	// Injection: first corrected dimension is the lowest with a nonzero
@@ -181,11 +175,11 @@ func (m *TorusModel) channels() ([]core.Class, []float64) {
 		rest -= p
 	}
 	out = append(out, core.Transition{To: linkID(dims - 1), Prob: rest, Groups: 1})
-	classes[m.injID()] = core.Class{
+	classes[net.injID()] = core.Class{
 		Name:    "inject",
 		Servers: 1,
 		Out:     out[start:len(out):len(out)],
 	}
-	perLink[m.injID()] = 1
+	perLink[net.injID()] = 1
 	return classes, perLink
 }

@@ -206,8 +206,8 @@ func TestTorusHopsPerDimExact(t *testing.T) {
 		}
 	}
 	want := sum / float64(count)
-	if math.Abs(m.hopsPerDim()-want) > 1e-12 {
-		t.Errorf("hopsPerDim = %v, enumeration gives %v", m.hopsPerDim(), want)
+	if math.Abs(m.net.hopsPerDim()-want) > 1e-12 {
+		t.Errorf("hopsPerDim = %v, enumeration gives %v", m.net.hopsPerDim(), want)
 	}
 }
 

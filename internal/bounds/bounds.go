@@ -1,11 +1,22 @@
-// Package bounds computes guaranteed worst-case latency and backlog
-// bounds for the paper's butterfly fat-tree, in the style of the
-// network calculus of Cruz and its wormhole extensions (Farhi & Gaujal,
-// arXiv:1007.4853; Giroudot & Mifdaoui, arXiv:1911.02430): every source
-// is constrained by a (σ, ρ) arrival envelope, every switch stage
-// offers a rate-latency service curve, and the per-message bound is the
-// composition of per-hop worst-case delays along the longest
-// deterministic route, with output burstiness propagated hop to hop.
+// Package bounds computes worst-case latency and backlog bounds for the
+// paper's butterfly fat-tree, in the style of the network calculus of
+// Cruz and its wormhole extensions (Farhi & Gaujal, arXiv:1007.4853;
+// Giroudot & Mifdaoui, arXiv:1911.02430): every source is constrained by
+// a (σ, ρ) arrival envelope, every switch stage offers a rate-latency
+// service curve, and the per-message bound is the composition of per-hop
+// worst-case delays along the longest deterministic route, with output
+// burstiness propagated hop to hop.
+//
+// # What the bound is
+//
+// It is the network-calculus bound under those assumptions, not a
+// guarantee on the traffic the model and the simulator run. Its service
+// curves are built on the model's *mean* service times x̄, not on
+// worst-case ones; and a Poisson source conforms to no finite envelope
+// (its bursts are unbounded), so the σ = 1 message Envelope gives the
+// paper's steady workload is a modelling choice. What the construction
+// does promise is stated below: the bound dominates the model's mean at
+// every stable point, and is finite exactly where the model is stable.
 //
 // The construction is deliberately conservative so that the bound
 // *provably dominates* the analytic mean of package analytic at every
@@ -119,7 +130,10 @@ type Report struct {
 	Burst   float64 `json:"burst"`
 	// Hops is the longest route's composition, injection to ejection.
 	Hops []HopBound `json:"hops"`
-	// Total is the guaranteed worst-case end-to-end latency (cycles).
+	// Total is the end-to-end latency bound (cycles): the network-calculus
+	// worst case under the (σ, ρ) envelope Burst, composed over the
+	// model's mean service times — not a guarantee for Poisson traffic
+	// (see the package comment).
 	Total float64 `json:"total"`
 	// MaxBacklog is the largest per-hop backlog bound (flits).
 	MaxBacklog float64 `json:"max_backlog"`
@@ -227,9 +241,11 @@ func (b *Backend) EvaluateCurve(ctx context.Context, cells eval.Cells) (int, err
 	return eval.EvaluateEach(ctx, b, cells)
 }
 
-// Evaluate implements Evaluator: the guaranteed worst-case latency at
-// the scenario's operating point, +Inf (BoundUnbounded) past stability,
-// BoundNA where the calculus does not apply.
+// Evaluate implements Evaluator: the network-calculus latency bound at
+// the scenario's operating point (under the workload's (σ, ρ) envelope,
+// on the model's mean service times; see the package comment), +Inf
+// (BoundUnbounded) past stability, BoundNA where the calculus does not
+// apply.
 func (b *Backend) Evaluate(ctx context.Context, sc eval.Scenario) (eval.Point, error) {
 	if !sc.WithBounds {
 		return eval.NewPoint(), nil

@@ -44,11 +44,13 @@
 //
 // # Build once, resolve many
 //
-// Only the per-class rates depend on the offered load λ₀. Compile
-// validates everything else once — names, server counts, transitions,
-// which classes a transition targets, the order — into an immutable
-// Graph; a caller then binds a reusable Workspace to it, writes the rates
-// and calls Resolve, which computes the rate-only blocking factors P(i|t)
+// Only the per-class rates depend on the offered load λ₀, and only the
+// terminal service time and the wormhole C²b on the message length s.
+// Compile validates everything else once — names, server counts,
+// transitions, which classes a transition targets, the order — into an
+// immutable Graph that serves every s; a caller then binds a reusable
+// Workspace to it and a message length, writes the rates and calls
+// Resolve, which computes the rate-only blocking factors P(i|t)
 // once and the M/G/m wait once per class in the ordered pass, or once per
 // targeted class per iteration, and allocates nothing on a stable point.
 // (*Model).Resolve is Compile plus a fresh workspace — the same solver.
@@ -176,14 +178,20 @@ func (e *UnstableError) Unwrap() error { return ErrUnstable }
 // network (errors.Is on ErrUnstable anywhere in the chain).
 func IsUnstable(err error) bool { return errors.Is(err, ErrUnstable) }
 
-// Validate checks structural invariants: transition probabilities sum to 1
-// on non-terminal classes, terminal classes have no transitions, rates and
-// server counts are sane.
+// Validate checks the message length and the classes' structural
+// invariants (see Compile).
 func (m *Model) Validate() error {
 	if m.MsgFlits <= 0 {
 		return fmt.Errorf("core: MsgFlits = %v, must be positive", m.MsgFlits)
 	}
-	for i, c := range m.Classes {
+	return validateClasses(m.Classes)
+}
+
+// validateClasses checks structural invariants: transition probabilities
+// sum to 1 on non-terminal classes, terminal classes have no transitions,
+// rates and server counts are sane.
+func validateClasses(classes []Class) error {
+	for i, c := range classes {
 		if c.PerLinkRate < 0 || math.IsNaN(c.PerLinkRate) {
 			return fmt.Errorf("core: class %s: bad rate %v", c.Name, c.PerLinkRate)
 		}
@@ -198,7 +206,7 @@ func (m *Model) Validate() error {
 		}
 		var sum float64
 		for _, t := range c.Out {
-			if t.To < 0 || int(t.To) >= len(m.Classes) {
+			if t.To < 0 || int(t.To) >= len(classes) {
 				return fmt.Errorf("core: class %s: transition to unknown class %d", c.Name, t.To)
 			}
 			if t.Prob < 0 || t.Prob > 1+1e-12 {
@@ -230,11 +238,12 @@ func (t *Transition) groups() float64 {
 	return float64(t.Groups)
 }
 
-// Graph is the rate-independent part of a Model, built once by Compile.
-// It is immutable and safe for concurrent use.
+// Graph is the structure of a Model — its classes and transitions, and
+// neither rates nor message length — built once by Compile. It is
+// immutable and safe for concurrent use; one graph serves every message
+// length and load (Workspace.Bind takes both).
 type Graph struct {
-	msgFlits float64
-	classes  []Class // private copy: Servers normalised, PerLinkRate unused
+	classes []Class // private copy: Servers normalised, PerLinkRate unused
 	// targeted marks the classes some transition points at — the only
 	// ones whose wait the iteration needs.
 	targeted []bool
@@ -246,28 +255,30 @@ type Graph struct {
 	order []int
 }
 
-// Compile validates the model (Validate, on whatever rates it carries)
-// and builds its Graph.
-func Compile(m *Model) (*Graph, error) {
-	if err := m.Validate(); err != nil {
+// Compile validates the classes' structure (transition probabilities sum
+// to 1 on non-terminal classes, terminal classes have no transitions,
+// server counts and whatever rates they carry are sane) and builds their
+// Graph.
+func Compile(classes []Class) (*Graph, error) {
+	if err := validateClasses(classes); err != nil {
 		return nil, err
 	}
-	n, transitions := len(m.Classes), 0
-	for i := range m.Classes {
-		transitions += len(m.Classes[i].Out)
+	n, transitions := len(classes), 0
+	for i := range classes {
+		transitions += len(classes[i].Out)
 	}
 	ints := make([]int, 2*n+1)
-	g := &Graph{msgFlits: m.MsgFlits, classes: make([]Class, n), targeted: make([]bool, n), offset: ints[:n+1]}
+	g := &Graph{classes: make([]Class, n), targeted: make([]bool, n), offset: ints[:n+1]}
 	// The sort keeps its per-class state in offset[1:] until the loop
 	// below writes the offsets over it.
-	sorter := topoSort{classes: m.Classes, state: ints[1 : n+1], order: ints[n+1 : n+1]}
+	sorter := topoSort{classes: classes, state: ints[1 : n+1], order: ints[n+1 : n+1]}
 	if sorter.placeAll() {
 		g.order = sorter.order
 	}
 	// Every class's transitions are copied into one slab, in class order:
 	// class i's are slab[offset[i]:offset[i+1]].
 	slab := make([]Transition, 0, transitions)
-	for i, c := range m.Classes {
+	for i, c := range classes {
 		slab = append(slab, c.Out...)
 		c.Servers, c.Out = c.servers(), slab[g.offset[i]:len(slab):len(slab)]
 		for _, t := range c.Out {
@@ -335,10 +346,10 @@ func (g *Graph) Out(i ClassID) []Transition { return g.classes[i].Out }
 func (g *Graph) Servers(i ClassID) int { return g.classes[i].Servers }
 
 // Workspace is the reusable scratch and result storage of one Resolve:
-// Bind it to a graph, fill the returned rates, call Resolve and read the
-// result slices, which stay valid until the next Bind or Release. It may
-// serve graphs of different sizes in turn and carries nothing over from a
-// failed call. Not safe for concurrent use: take one per call from
+// Bind it to a graph and a message length, fill the returned rates, call
+// Resolve and read the result slices, which stay valid until the next Bind
+// or Release. It may serve graphs of different sizes and message lengths
+// in turn and carries nothing over from a failed call. Not safe for concurrent use: take one per call from
 // AcquireWorkspace.
 type Workspace struct {
 	// ServiceTime, Wait and Utilization are x̄, W̄ and ρ per class after a
@@ -349,13 +360,14 @@ type Workspace struct {
 	// iteration count for a cyclic one.
 	Iterations int
 
-	g     *Graph
-	opt   Options
-	buf   []float64 // backs every slice here
-	rates []float64
-	fx    []float64
-	qRate []float64 // the arrival rate the M/G/m formula is fed, per class
-	block []float64 // P(i|t) per transition
+	g        *Graph
+	msgFlits float64 // s, bound with the rates: the terminal x̄ and the wormhole C²b
+	opt      Options
+	buf      []float64 // backs every slice here
+	rates    []float64
+	fx       []float64
+	qRate    []float64 // the arrival rate the M/G/m formula is fed, per class
+	block    []float64 // P(i|t) per transition
 	// sat and satRho are the verdict of the last Stable that found a
 	// channel saturated: the class (-1 when a diverged iteration named
 	// none) and its per-server utilisation.
@@ -375,10 +387,10 @@ func (ws *Workspace) Release() {
 	workspaces.Put(ws)
 }
 
-// Bind sizes the workspace for g and returns the per-link rate slice
-// (messages/cycle per class, the paper's λ) the caller must fill before
-// Resolve.
-func (ws *Workspace) Bind(g *Graph) []float64 {
+// Bind sizes the workspace for g with messages of msgFlits flits and
+// returns the per-link rate slice (messages/cycle per class, the paper's
+// λ) the caller must fill before Resolve.
+func (ws *Workspace) Bind(g *Graph, msgFlits float64) []float64 {
 	n := len(g.classes)
 	if need := 6*n + g.offset[n]; cap(ws.buf) < need {
 		ws.buf = make([]float64, need)
@@ -389,7 +401,8 @@ func (ws *Workspace) Bind(g *Graph) []float64 {
 		rest = rest[k:]
 		return s
 	}
-	ws.g, ws.rates, ws.fx, ws.qRate = g, cut(n), cut(n), cut(n)
+	ws.g, ws.msgFlits = g, msgFlits
+	ws.rates, ws.fx, ws.qRate = cut(n), cut(n), cut(n)
 	ws.ServiceTime, ws.Wait, ws.Utilization, ws.block = cut(n), cut(n), cut(n), cut(g.offset[n])
 	return ws.rates
 }
@@ -425,9 +438,9 @@ func (ws *Workspace) wait(i int, x float64) float64 {
 		servers = 1
 	}
 	if servers == 1 && ws.opt.CV == CVWormhole {
-		return waitWormhole1(ws.qRate[i], x, ws.g.msgFlits)
+		return waitWormhole1(ws.qRate[i], x, ws.msgFlits)
 	}
-	return queueing.WaitMGm(servers, ws.qRate[i], x, cv2(ws.opt.CV, x, ws.g.msgFlits))
+	return queueing.WaitMGm(servers, ws.qRate[i], x, cv2(ws.opt.CV, x, ws.msgFlits))
 }
 
 // waitWormhole1 is queueing.WaitMGm(1, lambda, x, queueing.CV2Wormhole(x, s)),
@@ -489,7 +502,7 @@ func (ws *Workspace) service(i int, x []float64) float64 {
 	g := ws.g
 	c := &g.classes[i]
 	if c.Terminal {
-		return g.msgFlits
+		return ws.msgFlits
 	}
 	var sum float64
 	for ti, block := range ws.block[g.offset[i]:g.offset[i+1]] {
@@ -529,10 +542,13 @@ func (ws *Workspace) Resolve(opt Options) error {
 // Stable is Resolve for callers that need only the verdict, such as the
 // Eq. 26 search that probes past saturation: a saturated channel makes it
 // return false and builds no error value, so it allocates nothing. The
-// error reports a bad rate only.
+// error reports a bad message length or rate only.
 func (ws *Workspace) Stable(opt Options) (bool, error) {
 	g := ws.g
 	ws.opt, ws.Iterations = opt, 0
+	if !(ws.msgFlits > 0) {
+		return false, fmt.Errorf("core: MsgFlits = %v, must be positive", ws.msgFlits)
+	}
 	for i, rate := range ws.rates {
 		if rate < 0 || math.IsNaN(rate) {
 			return false, fmt.Errorf("core: class %s: bad rate %v", g.classes[i].Name, rate)
@@ -556,13 +572,13 @@ func (ws *Workspace) Stable(opt Options) (bool, error) {
 	// Stability precheck on the raw transmission time: if a channel
 	// cannot even carry its load at x̄ = MsgFlits it can never stabilise.
 	for i := range ws.rates {
-		if !ws.checkStable(i, g.msgFlits) {
+		if !ws.checkStable(i, ws.msgFlits) {
 			return false, nil
 		}
 	}
 	x := ws.ServiceTime
 	for i := range x {
-		x[i] = g.msgFlits
+		x[i] = ws.msgFlits
 	}
 	var err error
 	ws.Iterations, err = solve.FixedPointInPlace(ws.iterate, x, ws.fx, solve.DefaultFixedPointOptions())
@@ -635,7 +651,7 @@ func (ws *Workspace) firstUnstable() {
 	var maxRho float64 = -1
 	for i, xi := range ws.ServiceTime {
 		if math.IsNaN(xi) || math.IsInf(xi, 0) {
-			xi = ws.g.msgFlits
+			xi = ws.msgFlits
 		}
 		if rho := ws.utilization(i, xi); rho > maxRho {
 			maxRho = rho
@@ -649,13 +665,13 @@ func (ws *Workspace) firstUnstable() {
 // when a channel is saturated. It is Compile, Bind and Workspace.Resolve
 // in one call, for models built per operating point.
 func (m *Model) Resolve(opt Options) (*Result, error) {
-	g, err := Compile(m)
+	g, err := Compile(m.Classes)
 	if err != nil {
 		return nil, err
 	}
 	// A workspace of its own: the Result keeps its slices.
 	ws := new(Workspace)
-	rates := ws.Bind(g)
+	rates := ws.Bind(g, m.MsgFlits)
 	for i := range m.Classes {
 		rates[i] = m.Classes[i].PerLinkRate
 	}

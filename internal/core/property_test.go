@@ -106,7 +106,7 @@ func TestPropertyOrderedPassIsTheFixedPoint(t *testing.T) {
 	var ws Workspace
 	f := func(seed uint64) bool {
 		m := randomLayeredModel(seed)
-		g, err := Compile(m)
+		g, err := Compile(m.Classes)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -117,7 +117,7 @@ func TestPropertyOrderedPassIsTheFixedPoint(t *testing.T) {
 		}
 		n := len(m.Classes)
 		for _, opt := range variants {
-			rates := ws.Bind(g)
+			rates := ws.Bind(g, m.MsgFlits)
 			for i := range m.Classes {
 				rates[i] = m.Classes[i].PerLinkRate
 			}

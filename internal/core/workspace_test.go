@@ -32,11 +32,11 @@ func chain(n int, lambda, flits float64, cyclic bool) *Model {
 
 // resolveVia resolves m through ws and copies the outcome out.
 func resolveVia(ws *Workspace, m *Model, opt Options) (*Result, error) {
-	g, err := Compile(m)
+	g, err := Compile(m.Classes)
 	if err != nil {
 		return nil, err
 	}
-	rates := ws.Bind(g)
+	rates := ws.Bind(g, m.MsgFlits)
 	for i := range m.Classes {
 		rates[i] = m.Classes[i].PerLinkRate
 	}
@@ -88,13 +88,13 @@ func TestWorkspaceReuse(t *testing.T) {
 func TestResolveAllocs(t *testing.T) {
 	for _, cyclic := range []bool{true, false} {
 		m := chain(9, 0.01, 16, cyclic)
-		g, err := Compile(m)
+		g, err := Compile(m.Classes)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var ws Workspace
 		run := func() {
-			rates := ws.Bind(g)
+			rates := ws.Bind(g, m.MsgFlits)
 			for i := range m.Classes {
 				rates[i] = m.Classes[i].PerLinkRate
 			}
@@ -119,7 +119,7 @@ func TestCompileAllocs(t *testing.T) {
 	for _, cyclic := range []bool{true, false} {
 		m := chain(9, 0.01, 16, cyclic)
 		got := testing.AllocsPerRun(100, func() {
-			if _, err := Compile(m); err != nil {
+			if _, err := Compile(m.Classes); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -138,7 +138,7 @@ func TestCompileOrder(t *testing.T) {
 		acyclic = append(acyclic, randomLayeredModel(seed))
 	}
 	for k, m := range acyclic {
-		g, err := Compile(m)
+		g, err := Compile(m.Classes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestCompileOrder(t *testing.T) {
 		{Name: "b", Out: []Transition{{To: 1, Prob: 0.5}, {To: 0, Prob: 0.5}}},
 	}}
 	for k, m := range []*Model{chain(2, 0, 16, true), chain(12, 0, 16, true), twoCycle} {
-		g, err := Compile(m)
+		g, err := Compile(m.Classes)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,16 +11,22 @@ import (
 )
 
 // AnalyticBackend evaluates scenarios with the paper's analytical model.
-// Models (and the Eq. 26 saturation searches anchoring fractional load
-// points) are memoized per topology instance, message length and variant,
-// so evaluating a whole curve builds its model once and every anchor is
-// searched exactly once, however many goroutines touch a fresh curve at
-// the same moment. Lookups take only the shared side of the memo's lock.
-// The zero value is not usable; construct with NewAnalyticBackend. Safe
-// for concurrent use.
+// It builds one network per topology instance — the channel-class graph,
+// its rates, D̄ and closed-form tables, which depend on neither the
+// message length nor the variant — and takes every curve's model, one per
+// message length and variant, as a view of it (analytic.Model.View). The
+// Eq. 26 saturation searches anchoring fractional load points are
+// memoized per instance and message length, on the paper view. However
+// many goroutines touch a fresh curve at the same moment, a network is
+// built once and every anchor is searched exactly once; lookups take only
+// the shared side of the memo's lock. The zero value is not usable;
+// construct with NewAnalyticBackend. Safe for concurrent use.
 type AnalyticBackend struct {
-	mu     sync.RWMutex
-	curves map[modelKey]*curveEntry
+	mu sync.RWMutex
+	// networks holds, per instance, the model its network was built
+	// with: the source of every view, never itself a curve's model.
+	networks map[Topology]*analytic.Model
+	curves   map[modelKey]*curveEntry
 }
 
 type modelKey struct {
@@ -29,11 +35,11 @@ type modelKey struct {
 	variant core.Options
 }
 
-// curveEntry is one memoized model. base is the entry of the paper
+// curveEntry is one memoized view. base is the entry of the paper
 // variant of the same instance and message length (the entry itself for
 // the paper variant), whose saturation load anchors fractional loads.
 type curveEntry struct {
-	model *analytic.Model
+	model analytic.Model
 	base  *curveEntry
 
 	satOnce sync.Once
@@ -43,7 +49,7 @@ type curveEntry struct {
 
 // NewAnalyticBackend returns an empty backend.
 func NewAnalyticBackend() *AnalyticBackend {
-	return &AnalyticBackend{curves: make(map[modelKey]*curveEntry)}
+	return &AnalyticBackend{networks: make(map[Topology]*analytic.Model), curves: make(map[modelKey]*curveEntry)}
 }
 
 // Name implements Evaluator.
@@ -63,17 +69,27 @@ func (b *AnalyticBackend) entry(topo Topology, flits int, opt core.Options) (*cu
 	return b.entryLocked(key)
 }
 
-// entryLocked builds the entry for key (and its base) under the write
-// lock. Construction failures are not memoized.
+// entryLocked takes the view for key (and its base) of the instance's
+// network under the write lock, building the network on first use — the
+// memo's one model build. Failures are not memoized.
 func (b *AnalyticBackend) entryLocked(key modelKey) (*curveEntry, error) {
 	if e := b.curves[key]; e != nil {
 		return e, nil
 	}
-	m, err := key.topo.NewModel(key.flits, key.variant)
+	net := b.networks[key.topo]
+	if net == nil {
+		m, err := key.topo.NewModel(key.flits, key.variant)
+		if err != nil {
+			return nil, err
+		}
+		net = m
+		b.networks[key.topo] = net
+	}
+	view, err := net.View(float64(key.flits), key.variant)
 	if err != nil {
 		return nil, err
 	}
-	e := &curveEntry{model: m}
+	e := &curveEntry{model: view}
 	e.base = e
 	if key.variant != (core.Options{}) {
 		if e.base, err = b.entryLocked(modelKey{key.topo, key.flits, core.Options{}}); err != nil {
@@ -108,15 +124,16 @@ func (b *AnalyticBackend) SaturationLoad(topo Topology, flits int) (float64, err
 	return e.saturation()
 }
 
-// PaperModel returns the memoized base (paper) model for the given
+// PaperModel returns the memoized base (paper) view for the given
 // instance and message length — the one SaturationLoad searches, and the
-// one the bounds calculus composes over, so a stack builds it once.
+// one the bounds calculus composes over, so a stack builds its network
+// once.
 func (b *AnalyticBackend) PaperModel(topo Topology, flits int) (*analytic.Model, error) {
 	e, err := b.entry(topo, flits, core.Options{})
 	if err != nil {
 		return nil, err
 	}
-	return e.model, nil
+	return &e.model, nil
 }
 
 // resolveLoad maps the scenario's load point to absolute

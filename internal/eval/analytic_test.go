@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/analytic"
+	"repro/internal/core"
 	"repro/internal/race"
 	"repro/internal/workload"
 )
@@ -160,5 +161,48 @@ func TestAnalyticCurveAllocs(t *testing.T) {
 		if got > budget {
 			t.Errorf("a 32-load curve allocates %v times, want %v (variant %q)", got, budget, v.Name)
 		}
+	}
+}
+
+// TestCurveEntryAllocs: the backend builds a network once per topology
+// and takes each (message length, variant) curve as a view of it, so a
+// new curve on a network already built costs at most 2 allocations — its
+// entry and its model's name — whether it is a paper curve or an
+// ablation beside one.
+func TestCurveEntryAllocs(t *testing.T) {
+	b := NewAnalyticBackend()
+	topo := Topology{Family: FamilyBFT, Size: 1024}
+	ablation := Variant{Name: "single-server", SingleServerGroups: true}.Options()
+	if _, err := b.entry(topo, 1, core.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	built := analytic.ModelsBuilt()
+	for _, tc := range []struct {
+		name string
+		add  func(flits int) error
+	}{
+		{"paper", func(flits int) error {
+			_, err := b.entry(topo, flits, core.Options{})
+			return err
+		}},
+		{"ablation", func(flits int) error {
+			_, err := b.entry(topo, flits, ablation)
+			return err
+		}},
+	} {
+		flits := 2
+		got := testing.AllocsPerRun(100, func() {
+			if err := tc.add(flits); err != nil {
+				t.Fatal(err)
+			}
+			flits++
+		})
+		t.Logf("a new %s curve: %v allocations", tc.name, got)
+		if got > 2 && !race.Enabled {
+			t.Errorf("a new %s curve on a built network allocates %v times, want at most 2", tc.name, got)
+		}
+	}
+	if got := analytic.ModelsBuilt() - built; got != 0 {
+		t.Errorf("new curves on a built network built %d models, want 0", got)
 	}
 }

@@ -99,10 +99,12 @@ type Point struct {
 	// estimate is degenerate. With Budget.Precision set it records how
 	// tight the early-stopped run actually got.
 	SimPrecision float64
-	// BoundMax is the guaranteed worst-case latency from the
-	// network-calculus bounds backend (package bounds); +Inf when the
-	// scenario's utilization exceeds the stability region (no finite
-	// bound exists), NaN when no bounds backend ran.
+	// BoundMax is the latency bound of the network-calculus bounds
+	// backend (package bounds): the worst case under a (σ, ρ) arrival
+	// envelope, composed over the model's mean service times — not a
+	// guarantee for Poisson traffic, which fits no finite envelope. +Inf
+	// when the scenario's utilization exceeds the stability region (no
+	// finite bound exists), NaN when no bounds backend ran.
 	BoundMax float64
 	// BoundUnbounded marks the +Inf case for JSON-safe serialisation,
 	// mirroring ModelSaturated.

@@ -199,7 +199,9 @@ type Scenario struct {
 	WithSim bool   `json:"with_sim"`
 	Budget  Budget `json:"budget"`
 	// WithBounds asks the network-calculus bounds backend (package
-	// bounds) for a guaranteed worst-case latency on this cell; like
+	// bounds) for a latency bound on this cell (the worst case under a
+	// (σ, ρ) envelope on the model's mean service times; see
+	// Point.BoundMax); like
 	// WithSim for the simulator, the bounds backend skips scenarios
 	// that did not opt in.
 	WithBounds bool `json:"with_bounds,omitempty"`

@@ -69,9 +69,11 @@ type Constraints struct {
 	// MaxLatency is the latency SLO in cycles: the model latency at the
 	// operating point must not exceed it. 0 means unconstrained.
 	MaxLatency float64 `json:"max_latency,omitempty"`
-	// MaxWorstCaseLatency is the hard SLO in cycles: the guaranteed
-	// worst-case latency (the network-calculus bound of package bounds)
-	// at the operating point must not exceed it. Candidates whose
+	// MaxWorstCaseLatency is the hard SLO in cycles: the
+	// network-calculus latency bound of package bounds at the operating
+	// point must not exceed it. The bound is the worst case under a
+	// (σ, ρ) envelope on the model's mean service times, not a guarantee
+	// for Poisson traffic (see eval.Point.BoundMax). Candidates whose
 	// workload or family admits no bound (BoundNA) are pruned — a hard
 	// SLO cannot be certified without one. 0 means unconstrained.
 	MaxWorstCaseLatency float64 `json:"max_worstcase_latency,omitempty"`

@@ -46,7 +46,9 @@ func (t Termination) validate() error {
 // Option configures a Run beyond its Config, in the same functional-option
 // style as sweep.NewRunner. Options cover the statistical machinery layered
 // on top of the deterministic core: replica fan-out and early stopping.
-type Option func(*runOptions)
+// An option maps the options so far to the next, by value, so a Run's
+// options stay on its stack.
+type Option func(runOptions) runOptions
 
 type runOptions struct {
 	replicas int
@@ -58,20 +60,20 @@ type runOptions struct {
 // n <= 1 means a single replica, which is bit-identical to not passing the
 // option at all.
 func WithReplicas(n int) Option {
-	return func(o *runOptions) { o.replicas = n }
+	return func(o runOptions) runOptions { o.replicas = n; return o }
 }
 
 // WithTermination enables CI-width early stopping. Pass DefaultTermination
 // for the fleet's default precision, or a zero Termination to explicitly
 // disable the rule.
 func WithTermination(t Termination) Option {
-	return func(o *runOptions) { o.term = t }
+	return func(o runOptions) runOptions { o.term = t; return o }
 }
 
 func buildOptions(opts []Option) (runOptions, error) {
 	var o runOptions
 	for _, opt := range opts {
-		opt(&o)
+		o = opt(o)
 	}
 	if o.replicas < 0 {
 		return o, fmt.Errorf("sim: WithReplicas(%d), must be >= 0", o.replicas)

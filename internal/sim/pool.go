@@ -55,7 +55,7 @@ func (p *Pool) engine(cfg Config, term Termination) (*engine, error) {
 
 // park describes the finished engines on the caller's span, then takes
 // them back.
-func (p *Pool) park(ctx context.Context, engines []*engine) {
+func (p *Pool) park(ctx context.Context, engines ...*engine) {
 	if obs.Enabled(ctx) {
 		reused, highWater := true, 0
 		for _, e := range engines {
@@ -120,6 +120,21 @@ func (p *Pool) Run(ctx context.Context, cfg Config, opts ...Option) (*Result, er
 			term.RelHalfWidth *= math.Sqrt(float64(o.replicas))
 		}
 	}
+	if o.replicas == 1 {
+		// One replica needs no engine list: a warm run allocates only its
+		// Result.
+		cfg.Seed = ReplicaSeed(cfg.Seed, 0)
+		e, err := p.engine(cfg, term)
+		if err != nil {
+			return nil, err
+		}
+		res, err := e.run(ctx)
+		if err != nil {
+			return nil, err
+		}
+		p.park(ctx, e)
+		return res, nil
+	}
 	engines := make([]*engine, o.replicas)
 	for r := range engines {
 		rcfg := cfg
@@ -128,16 +143,11 @@ func (p *Pool) Run(ctx context.Context, cfg Config, opts ...Option) (*Result, er
 			return nil, err
 		}
 	}
-	var res *Result
-	if len(engines) == 1 {
-		res, err = engines[0].run(ctx)
-	} else {
-		res, err = runReplicas(ctx, engines)
-	}
+	res, err := runReplicas(ctx, engines)
 	if err != nil {
 		return nil, err
 	}
-	p.park(ctx, engines)
+	p.park(ctx, engines...)
 	return res, nil
 }
 

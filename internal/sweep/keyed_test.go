@@ -189,6 +189,25 @@ func benchModelGrid() Spec {
 	return spec
 }
 
+// TestModelGridNetworkAllocs: a model-only Run of the bench's model grid
+// — 5 sizes × 4 message lengths × 4 variants, 80 curves — builds one
+// network per size and takes every curve's model as a view of it.
+func TestModelGridNetworkAllocs(t *testing.T) {
+	spec := benchModelGrid()
+	spec.Loads.Points = 4
+	before := analytic.ModelsBuilt()
+	res, err := NewRunner().Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(res.Curves); got != 80 {
+		t.Fatalf("the grid has %d curves, want 80", got)
+	}
+	if got, want := analytic.ModelsBuilt()-before, int64(5); got != want {
+		t.Errorf("a Run over 80 curves on 5 fat-trees built %d models, want %d", got, want)
+	}
+}
+
 // TestExpandKeyedAllocs: a grid keys its curves, not its cells, and cuts
 // the curve keys from keyChunk-sized chunks, so expanding 2,560
 // cells on 80 curves allocates ⌈curve-key bytes / keyChunk⌉ chunks (one

@@ -26,6 +26,7 @@ import (
 type FatTree struct {
 	n       int // N = 4^n
 	numProc int
+	name    lazyName
 
 	// Per-switch data, indexed by switchIndex.
 	level   []int32
@@ -233,7 +234,7 @@ func (t *FatTree) Levels() int { return t.n }
 func (t *FatTree) SwitchesAtLevel(l int) int { return t.switchesAtLevel(l) }
 
 // Name implements Network.
-func (t *FatTree) Name() string { return fmt.Sprintf("bft-%d", t.numProc) }
+func (t *FatTree) Name() string { return t.name.get("bft-", t.numProc) }
 
 // NumProcessors implements Network.
 func (t *FatTree) NumProcessors() int { return t.numProc }

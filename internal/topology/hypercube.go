@@ -25,6 +25,7 @@ import (
 type Hypercube struct {
 	dims    int
 	numProc int
+	name    lazyName
 
 	tab    *Tables
 	groups [][]ChannelID // views into tab.Members
@@ -62,7 +63,7 @@ func MustHypercube(dims int) *Hypercube {
 func (t *Hypercube) Dims() int { return t.dims }
 
 // Name implements Network.
-func (t *Hypercube) Name() string { return fmt.Sprintf("hcube-%d", t.numProc) }
+func (t *Hypercube) Name() string { return t.name.get("hcube-", t.numProc) }
 
 // NumProcessors implements Network.
 func (t *Hypercube) NumProcessors() int { return t.numProc }

@@ -11,7 +11,11 @@
 // models with an M/G/2 queue — while every other channel is a group of one.
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"sync"
+)
 
 // ChannelID identifies a directed channel. IDs are dense in
 // [0, NumChannels).
@@ -171,4 +175,17 @@ func (t *Tables) Groups() [][]ChannelID {
 		groups[g] = t.Group(GroupID(g))
 	}
 	return groups
+}
+
+// lazyName is a network's name, "<prefix><processors>", built on the
+// first Name call and kept: a simulator Result reads it on every run, and
+// a build keeps its fixed count of arrays.
+type lazyName struct {
+	once sync.Once
+	s    string
+}
+
+func (n *lazyName) get(prefix string, numProc int) string {
+	n.once.Do(func() { n.s = prefix + strconv.Itoa(numProc) })
+	return n.s
 }
