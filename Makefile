@@ -121,6 +121,8 @@ lint:
 		echo "one calibration record: the result store is the record; a calibration map is mined from it in memory and never saved or loaded (internal/calib does not import os)"; exit 1; }
 	@! grep -nE 'RunReference|refEngine|fifo\[' $$(find internal/sim -name '*.go' ! -name '*_test.go') || { \
 		echo "one simulator: internal/sim has one engine, pinned by result digests and checked by conservation laws (pinned_test.go, conservation_test.go); the dense reference engine (RunReference, refEngine, fifo[T]) stays deleted"; exit 1; }
+	@test -z "$$(grep -rlE 'FixedPointInPlace|FixedPointOptions' --include='*.go' . | grep -v '_test\.go$$')" || { \
+		echo "one fixed-point kernel: a cyclic channel graph is solved by core.Workspace's fused damped kernel only (damped in internal/core/core.go, checked bit for bit by FuzzCyclicKernel against the old generic loop kept in kernel_test.go); internal/solve brackets and declares no generic fixed-point solver (FixedPointInPlace, FixedPointOptions)"; exit 1; }
 
 # The size every change reports: non-test Go lines outside bench/. CI
 # prints it; it is not a gate.

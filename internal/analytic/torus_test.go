@@ -250,3 +250,63 @@ func TestSaturationCausePerFamily(t *testing.T) {
 		}
 	}
 }
+
+// TestTorusSaturationSearchPinned pins the Eq. 26 search on the bench's
+// four torus curves: the saturation load to the last bit, the damped
+// sweeps the search runs (the analytic_fixedpoint_iterations_total delta)
+// and its probes. Any change to the sweep path fails here until the values
+// are regenerated for a new solver epoch.
+func TestTorusSaturationSearchPinned(t *testing.T) {
+	for _, c := range []struct {
+		k, dims        int
+		flits          float64
+		sat            float64
+		sweeps, probes int64
+	}{
+		{4, 3, 16, 0.14976534028320315, 173_271, 50},
+		{4, 3, 32, 0.14976525043945316, 174_882, 49},
+		{4, 4, 16, 0.13074221547851567, 167_246, 50},
+		{4, 4, 32, 0.13074214819335941, 168_147, 49},
+	} {
+		m := MustTorusModel(c.k, c.dims, c.flits, core.Options{})
+		sweeps, probes := fixedPointIters.Load(), satProbes.Load()
+		sat, err := m.SaturationLoad()
+		if err != nil {
+			t.Fatalf("%s: %v", m.Name(), err)
+		}
+		sweeps, probes = fixedPointIters.Load()-sweeps, satProbes.Load()-probes
+		if math.Float64bits(sat) != math.Float64bits(c.sat) || sweeps != c.sweeps || probes != c.probes {
+			t.Errorf("%s: saturation %v after %d sweeps in %d probes, pinned %v, %d, %d",
+				m.Name(), sat, sweeps, probes, c.sat, c.sweeps, c.probes)
+		}
+	}
+}
+
+// TestCyclicSaturationIsTheSweepBudget: on a cyclic channel graph the
+// saturation the Eq. 26 search reports is where the damped iteration
+// first needs more than its sweep budget. A hair below it the iteration
+// still converges, in nearly the whole budget; a hair above it runs the
+// whole budget out and is declared unstable. The point is the budget's
+// boundary, not a property of the model.
+func TestCyclicSaturationIsTheSweepBudget(t *testing.T) {
+	const budget = 10_000
+	ws := core.AcquireWorkspace()
+	defer ws.Release()
+	for _, c := range []struct{ k, dims int }{{4, 2}, {4, 3}, {4, 4}, {3, 3}, {8, 2}, {16, 2}} {
+		m := MustTorusModel(c.k, c.dims, 16, core.Options{})
+		sat, err := m.SaturationLoad()
+		if err != nil {
+			t.Fatalf("%s: %v", m.Name(), err)
+		}
+		m.bind(ws, sat*(1-1e-8)/m.msgFlits)
+		if stable, err := ws.Stable(m.opt); !stable || err != nil || ws.Iterations < budget*99/100 {
+			t.Errorf("%s just below saturation: stable=%v (%v) after %d sweeps, want convergence within the last 1%% of the budget",
+				m.Name(), stable, err, ws.Iterations)
+		}
+		m.bind(ws, sat*(1+1e-8)/m.msgFlits)
+		if stable, err := ws.Stable(m.opt); stable || err != nil || ws.Iterations != budget {
+			t.Errorf("%s just above saturation: stable=%v (%v) after %d sweeps, want unstable at exactly %d",
+				m.Name(), stable, err, ws.Iterations, budget)
+		}
+	}
+}

@@ -67,14 +67,14 @@ var builtins = map[string]Spec{
 		Constraints: Constraints{MinLoad: 0.05, MaxLatency: 50},
 	},
 	// cheapest-hard-sla is the hard-real-time variant of cheapest-sla:
-	// the cheapest fat-tree whose *guaranteed worst case* — the
-	// network-calculus bound, not the mean — stays inside the deadline
-	// at the required load. Frontier members are certified against both
+	// the cheapest fat-tree whose network-calculus bound — under a (σ, ρ)
+	// envelope on the model's mean service times, not a guarantee for
+	// Poisson traffic — stays inside the deadline at the required load. Frontier members are certified against both
 	// the sim mean and the bound (a mean above the bound voids the
 	// certificate).
 	"cheapest-hard-sla": {
 		Name:        "cheapest-hard-sla",
-		Description: "Cheapest fat-tree with a guaranteed worst-case latency under 3000 cycles at 0.02 flits/cyc/PE",
+		Description: "Cheapest fat-tree with a network-calculus latency bound under 3000 cycles at 0.02 flits/cyc/PE",
 		Space: Space{
 			Topologies: []sweep.TopologySpec{{Family: sweep.FamilyBFT, Sizes: []int{16, 64}}},
 			MsgFlits:   []int{8, 16},

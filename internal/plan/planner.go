@@ -734,7 +734,7 @@ func (p *Planner) certify(ctx context.Context, d Spec, frontier []*candidate, re
 			c.CertifyNote = "workload " + d.Workload.Label()
 		}
 		if c.Certified && d.wantBounds() && !math.IsNaN(pt.BoundMax) && c.Sim > pt.BoundMax {
-			// A measured mean above the guaranteed worst case means the
+			// A measured mean above the network-calculus bound means the
 			// bound (or the model behind it) is wrong for this candidate;
 			// a hard-SLO frontier must not carry it as certified.
 			c.Certified = false

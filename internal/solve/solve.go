@@ -1,7 +1,6 @@
-// Package solve provides the small numerical routines the analytical model
-// needs: bracketed bisection (for the saturation condition, paper Eq. 26)
-// and damped fixed-point iteration (for cyclic channel graphs such as
-// k-ary n-cube instances of the general model).
+// Package solve brackets and bisects roots (GrowToUnstable, Bisect,
+// BisectContext) for the saturation condition (paper Eq. 26) and the
+// capacity planner. Cyclic channel graphs are solved in package core.
 package solve
 
 import (
@@ -12,10 +11,6 @@ import (
 
 // ErrNoBracket is returned when a root is not bracketed by the interval.
 var ErrNoBracket = errors.New("solve: interval does not bracket a root")
-
-// ErrNoConvergence is returned when an iteration fails to converge within
-// its budget.
-var ErrNoConvergence = errors.New("solve: iteration did not converge")
 
 // Bisect finds x in [lo, hi] with f(x) = 0 to within xtol, assuming f is
 // monotone enough that f(lo) and f(hi) have opposite signs. +Inf counts as
@@ -78,58 +73,6 @@ func BisectContext(ctx context.Context, f func(float64) float64, lo, hi, xtol fl
 		}
 	}
 	return lo + (hi-lo)/2, nil
-}
-
-// FixedPointOptions configures FixedPointInPlace.
-type FixedPointOptions struct {
-	// Damping in (0, 1]: x' = (1-d)*x + d*f(x). 1 means undamped.
-	Damping float64
-	// Tol is the max-norm convergence tolerance on successive iterates.
-	Tol float64
-	// MaxIter bounds the number of iterations.
-	MaxIter int
-}
-
-// DefaultFixedPointOptions are suitable for the channel-graph models.
-func DefaultFixedPointOptions() FixedPointOptions {
-	return FixedPointOptions{Damping: 0.5, Tol: 1e-10, MaxIter: 10_000}
-}
-
-// FixedPointInPlace iterates x <- (1-d) x + d f(x) until the max-norm
-// change is below Tol, on caller-owned storage: x holds the starting point
-// and is overwritten with the iterates, fx is scratch of the same length.
-// If any component of f(x) is non-finite the iteration stops at once with
-// ErrNoConvergence (the caller interprets this as an unstable operating
-// point), leaving in x the partially updated iterate in which it
-// appeared. It allocates nothing and returns the number of iterations run.
-func FixedPointInPlace(f func(x, out []float64), x, fx []float64, opt FixedPointOptions) (int, error) {
-	if opt.Damping <= 0 || opt.Damping > 1 {
-		opt.Damping = 0.5
-	}
-	if opt.Tol <= 0 {
-		opt.Tol = 1e-10
-	}
-	if opt.MaxIter <= 0 {
-		opt.MaxIter = 10_000
-	}
-	for it := 0; it < opt.MaxIter; it++ {
-		f(x, fx)
-		var delta float64
-		for i := range x {
-			if math.IsNaN(fx[i]) || math.IsInf(fx[i], 0) {
-				return it + 1, ErrNoConvergence
-			}
-			nxt := (1-opt.Damping)*x[i] + opt.Damping*fx[i]
-			if d := math.Abs(nxt - x[i]); d > delta {
-				delta = d
-			}
-			x[i] = nxt
-		}
-		if delta < opt.Tol {
-			return it + 1, nil
-		}
-	}
-	return opt.MaxIter, ErrNoConvergence
 }
 
 // GrowToUnstable doubles x from start until pred(x) reports false (e.g.

@@ -162,88 +162,6 @@ func TestBisectContextAlreadyCancelled(t *testing.T) {
 	}
 }
 
-func TestFixedPointLinear(t *testing.T) {
-	// x = 0.5x + 1 has fixed point 2.
-	f := func(x, out []float64) { out[0] = 0.5*x[0] + 1 }
-	got, err := fixedPoint(f, []float64{0}, DefaultFixedPointOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got[0]-2) > 1e-8 {
-		t.Errorf("fixed point = %v, want 2", got[0])
-	}
-}
-
-func TestFixedPointVector(t *testing.T) {
-	// x0 = 0.3 x1 + 1; x1 = 0.3 x0 + 2 -> x0 = (1 + 0.6)/(1-0.09), x1 = ...
-	f := func(x, out []float64) {
-		out[0] = 0.3*x[1] + 1
-		out[1] = 0.3*x[0] + 2
-	}
-	got, err := fixedPoint(f, []float64{0, 0}, DefaultFixedPointOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want0 := (1 + 0.3*2) / (1 - 0.09)
-	want1 := 0.3*want0 + 2
-	if math.Abs(got[0]-want0) > 1e-7 || math.Abs(got[1]-want1) > 1e-7 {
-		t.Errorf("fixed point = %v, want [%v %v]", got, want0, want1)
-	}
-}
-
-func TestFixedPointDivergence(t *testing.T) {
-	f := func(x, out []float64) { out[0] = 2*x[0] + 1 }
-	opt := DefaultFixedPointOptions()
-	opt.MaxIter = 100
-	if _, err := fixedPoint(f, []float64{1}, opt); err != ErrNoConvergence {
-		t.Errorf("err = %v, want ErrNoConvergence", err)
-	}
-}
-
-func TestFixedPointInfinityAborts(t *testing.T) {
-	f := func(x, out []float64) { out[0] = math.Inf(1) }
-	if _, err := fixedPoint(f, []float64{1}, DefaultFixedPointOptions()); err != ErrNoConvergence {
-		t.Errorf("err = %v, want ErrNoConvergence", err)
-	}
-}
-
-// TestFixedPointInPlacePartialIterate: an iteration stopped by a
-// non-finite component leaves the partially updated iterate in x — the
-// components before it moved, the rest did not — and counts the sweep.
-func TestFixedPointInPlacePartialIterate(t *testing.T) {
-	f := func(x, out []float64) {
-		out[0] = x[0] + 1
-		out[1] = math.Inf(1)
-		out[2] = 0
-	}
-	x := []float64{1, 2, 3}
-	it, err := FixedPointInPlace(f, x, make([]float64, 3), DefaultFixedPointOptions())
-	if err != ErrNoConvergence || it != 1 {
-		t.Fatalf("(%d, %v), want (1, ErrNoConvergence)", it, err)
-	}
-	if want := []float64{1.5, 2, 3}; x[0] != want[0] || x[1] != want[1] || x[2] != want[2] {
-		t.Errorf("x = %v, want %v", x, want)
-	}
-}
-
-func TestFixedPointBadOptionsFallBack(t *testing.T) {
-	f := func(x, out []float64) { out[0] = 0.5*x[0] + 1 }
-	got, err := fixedPoint(f, []float64{0}, FixedPointOptions{Damping: -1, Tol: -1, MaxIter: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got[0]-2) > 1e-8 {
-		t.Errorf("fixed point = %v, want 2", got[0])
-	}
-}
-
-// fixedPoint runs FixedPointInPlace from a copy of x0.
-func fixedPoint(f func(x, out []float64), x0 []float64, opt FixedPointOptions) ([]float64, error) {
-	x := append([]float64(nil), x0...)
-	_, err := FixedPointInPlace(f, x, make([]float64, len(x)), opt)
-	return x, err
-}
-
 func TestGrowToUnstable(t *testing.T) {
 	// Stable below 0.37.
 	stable, unstable, ok := GrowToUnstable(func(x float64) bool { return x < 0.37 }, 0.001, 0)
