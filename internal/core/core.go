@@ -41,9 +41,14 @@
 // class found saturated is the verdict. A graph with a cycle (k-ary
 // n-cube classes that feed themselves) is solved by damped Jacobi sweeps
 // x ← ½·x + ½·f(x) from x̄ = MsgFlits to a max-norm change below 1e-10 in
-// one fused kernel, which computes a terminal class's wait once per solve
-// (its x̄ never moves). A non-finite sweep, or 10,000 sweeps without
-// converging, is divergence, and the verdict names the most loaded class.
+// one fused kernel. A sweep redoes only what the last one moved: the wait
+// of a targeted class whose x̄ changed bits, and the sum of a class that
+// changed or targets one that did. Anything else would reproduce its own
+// bits and add 0 to the change, so the skip is the same arithmetic; on a
+// torus the higher dimensions settle within a few hundred sweeps and only
+// dimension 0 and injection keep moving. A non-finite sweep, or 10,000
+// sweeps without converging, is divergence, and the verdict names the
+// most loaded class.
 // That budget is where a cyclic graph saturates: on a k ≥ 3 torus the
 // iteration converges in 9,980–10,000 sweeps just below the load the
 // Eq. 26 search reports and runs the budget out just above it.
@@ -58,8 +63,8 @@
 // Workspace to it and a message length, writes the rates and calls
 // Resolve, which computes the rate-only blocking factors P(i|t)
 // once and the M/G/m wait once per class in the ordered pass, or once per
-// targeted non-terminal class per sweep, and allocates nothing on a
-// stable point.
+// targeted class that moved per sweep, and allocates nothing on a stable
+// point once the workspace has grown to the graph.
 // (*Model).Resolve is Compile plus a fresh workspace — the same solver.
 package core
 
@@ -374,6 +379,12 @@ type Workspace struct {
 	fx       []float64
 	qRate    []float64 // the arrival rate the M/G/m formula is fed, per class
 	block    []float64 // P(i|t) per transition
+	// The cyclic kernel's per-class scratch, carved from ibuf: movedAt[i]
+	// is the last sweep in which class i's x̄ changed bits (0 for the
+	// start), live and waits the classes whose sum and whose wait the next
+	// sweep recomputes.
+	ibuf                 []int
+	movedAt, live, waits []int
 	// sat and satRho are the verdict of the last Stable that found a
 	// channel saturated: the class (-1 when a diverged iteration named
 	// none) and its per-server utilisation.
@@ -529,22 +540,31 @@ const damping, tolerance, maxSweeps = 0.5, 1e-10, 10_000
 // damped runs the cyclic fixed point in ServiceTime, reporting convergence
 // and counting sweeps in Iterations. A non-finite sum stops the update
 // where it appears, leaving the partial iterate firstUnstable reads.
+//
+// A sweep recomputes only what the last one changed: the wait of a
+// targeted class whose x̄ moved, and the sum and update of a class that
+// moved or targets one that did. Moving is judged by the bits, so a class
+// left out would have reproduced its own x̄ bit for bit and added 0 to
+// the change: skipping it is the same arithmetic. The classes to redo are
+// walked from the lists relist builds, rebuilt when the moved set changes.
 func (ws *Workspace) damped() bool {
 	g, s, n := ws.g, ws.msgFlits, len(ws.g.classes)
-	classes, targeted, offset := g.classes[:n], g.targeted[:n], g.offset[:n+1]
+	classes, offset := g.classes[:n], g.offset[:n+1]
 	x, fx, w, q, block := ws.ServiceTime[:n], ws.fx[:n], ws.Wait[:n], ws.qRate[:n], ws.block
-	for i := range x {
-		x[i] = s
+	if cap(ws.ibuf) < 3*n {
+		ws.ibuf = make([]int, 3*n)
 	}
+	movedAt := ws.ibuf[:n:n]
+	ws.movedAt, ws.live, ws.waits = movedAt, ws.ibuf[n:n:2*n], ws.ibuf[2*n:2*n:3*n]
+	for i := range x {
+		x[i], movedAt[i] = s, 0
+	}
+	ws.relist(0)
 	wormhole, single := ws.opt.CV == CVWormhole, ws.opt.SingleServerGroups
-	hoist := (1-damping)*s+damping*s == s // false only for some subnormal s
 	for sweep := 1; sweep <= maxSweeps; sweep++ {
 		ws.Iterations = sweep
-		for j := range classes {
+		for _, j := range ws.waits {
 			c := &classes[j]
-			if !targeted[j] || c.Terminal && hoist && sweep > 1 {
-				continue
-			}
 			xj := x[j]
 			if wormhole && (c.Servers == 1 || single) {
 				// waitWormhole1 inlined (s > 0 here), critical divisions first.
@@ -557,7 +577,7 @@ func (ws *Workspace) damped() bool {
 			}
 			w[j] = ws.wait(j, xj)
 		}
-		for i := range classes {
+		for _, i := range ws.live {
 			c := &classes[i]
 			if c.Terminal {
 				fx[i] = s
@@ -573,7 +593,9 @@ func (ws *Workspace) damped() bool {
 			fx[i] = sum
 		}
 		var delta float64
-		for i, f := range fx {
+		changed := false
+		for _, i := range ws.live {
+			f := fx[i]
 			if math.IsNaN(f) || math.IsInf(f, 0) {
 				return false
 			}
@@ -581,13 +603,47 @@ func (ws *Workspace) damped() bool {
 			if d := math.Abs(nxt - x[i]); d > delta {
 				delta = d
 			}
+			moved := math.Float64bits(nxt) != math.Float64bits(x[i])
+			if moved != (movedAt[i] == sweep-1) {
+				changed = true
+			}
+			if moved {
+				movedAt[i] = sweep
+			}
 			x[i] = nxt
 		}
 		if delta < tolerance {
 			return true
 		}
+		if changed {
+			ws.relist(sweep)
+		}
 	}
 	return false
+}
+
+// relist rebuilds, after the given sweep, the lists of what the next one
+// recomputes: the waits of the targeted classes that moved in it, and the
+// sums of the classes that moved or target one that did, in class order.
+func (ws *Workspace) relist(sweep int) {
+	g, movedAt := ws.g, ws.movedAt
+	live, waits := ws.live[:0], ws.waits[:0]
+	for i := range g.classes {
+		hot := movedAt[i] == sweep
+		if hot && g.targeted[i] {
+			waits = append(waits, i)
+		}
+		for _, t := range g.classes[i].Out {
+			if hot {
+				break
+			}
+			hot = movedAt[t.To] == sweep
+		}
+		if hot {
+			live = append(live, i)
+		}
+	}
+	ws.live, ws.waits = live, waits
 }
 
 // Resolve computes service times and waiting times for every class of the

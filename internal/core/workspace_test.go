@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/race"
+	"repro/internal/traffic"
 )
 
 // chain builds inject -> hop_{n-1} -> … -> hop_1 -> eject, so graphs of
@@ -84,30 +85,40 @@ func TestWorkspaceReuse(t *testing.T) {
 }
 
 // TestResolveAllocs: a stable point on a bound, already-sized workspace
-// allocates nothing, through the damped fixed point and the ordered pass.
+// allocates nothing, through the ordered pass and through the damped fixed
+// point, whose lists of live classes are the workspace's own scratch
+// whatever the graph's size: a cyclic chain, a torus-shaped graph and a
+// cyclic graph of 70 classes.
 func TestResolveAllocs(t *testing.T) {
-	for _, cyclic := range []bool{true, false} {
-		m := chain(9, 0.01, 16, cyclic)
-		g, err := Compile(m.Classes)
+	for _, c := range []struct {
+		name string
+		m    *Model
+	}{
+		{"cyclic chain", chain(9, 0.01, 16, true)},
+		{"acyclic chain", chain(9, 0.01, 16, false)},
+		{"torus-shaped", atLoad(torusShapedModel(traffic.NewRNG(1), 4, 16), 0.3)},
+		{"70 classes", atLoad(randomCyclicGraph(traffic.NewRNG(70), 2, 70, 16), 0.01)},
+	} {
+		g, err := Compile(c.m.Classes)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var ws Workspace
 		run := func() {
-			rates := ws.Bind(g, m.MsgFlits)
-			for i := range m.Classes {
-				rates[i] = m.Classes[i].PerLinkRate
+			rates := ws.Bind(g, c.m.MsgFlits)
+			for i := range c.m.Classes {
+				rates[i] = c.m.Classes[i].PerLinkRate
 			}
 			if err := ws.Resolve(Options{}); err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", c.name, err)
 			}
 		}
 		run()
 		if got := testing.AllocsPerRun(100, run); got != 0 && !race.Enabled {
-			t.Errorf("cyclic=%v: Resolve on a warm workspace allocates %v times, want 0", cyclic, got)
+			t.Errorf("%s: Resolve on a warm workspace allocates %v times, want 0", c.name, got)
 		}
-		if cyclic && ws.Iterations < 2 || !cyclic && ws.Iterations != 1 {
-			t.Errorf("cyclic=%v: Iterations = %d, want a cyclic graph to iterate and an acyclic one to take 1 pass", cyclic, ws.Iterations)
+		if cyclic := g.order == nil; cyclic && ws.Iterations < 2 || !cyclic && ws.Iterations != 1 {
+			t.Errorf("%s: Iterations = %d, want a cyclic graph to iterate and an acyclic one to take 1 pass", c.name, ws.Iterations)
 		}
 	}
 }

@@ -77,23 +77,16 @@ func EvaluateEach(ctx context.Context, be Evaluator, cells Cells) (int, error) {
 
 // Point is one evaluated scenario. Fields a backend does not produce
 // stay NaN; Merge folds the points of several backends into one cell.
+// The flags follow the six values, which packs a point into 56 bytes;
+// the wire and store forms fix their own field order (AppendPoint).
 type Point struct {
 	// LoadFlits is the resolved absolute load (flits/cycle/processor).
 	LoadFlits float64
 	// Model is the predicted latency; +Inf when the model saturates.
 	Model float64
-	// ModelSaturated marks the +Inf case for JSON-safe serialisation.
-	ModelSaturated bool
-	// ModelNA marks a scenario outside the model's assumptions (any
-	// non-default workload): the analytic backend resolved the load but
-	// deliberately left Model NaN rather than answering with a
-	// steady-state number that does not apply.
-	ModelNA bool
 	// Sim is the measured latency (NaN when simulation was skipped),
 	// SimCI the 95% batch-means half-width.
 	Sim, SimCI float64
-	// SimSaturated reports the simulator could not sustain the load.
-	SimSaturated bool
 	// SimPrecision is the achieved relative CI half-width of the latency
 	// estimate (SimCI / Sim); NaN when simulation was skipped or the
 	// estimate is degenerate. With Budget.Precision set it records how
@@ -106,8 +99,18 @@ type Point struct {
 	// when the scenario's utilization exceeds the stability region (no
 	// finite bound exists), NaN when no bounds backend ran.
 	BoundMax float64
-	// BoundUnbounded marks the +Inf case for JSON-safe serialisation,
-	// mirroring ModelSaturated.
+	// ModelSaturated marks the +Inf model case for JSON-safe
+	// serialisation.
+	ModelSaturated bool
+	// ModelNA marks a scenario outside the model's assumptions (any
+	// non-default workload): the analytic backend resolved the load but
+	// deliberately left Model NaN rather than answering with a
+	// steady-state number that does not apply.
+	ModelNA bool
+	// SimSaturated reports the simulator could not sustain the load.
+	SimSaturated bool
+	// BoundUnbounded marks the +Inf bound case for JSON-safe
+	// serialisation, mirroring ModelSaturated.
 	BoundUnbounded bool
 	// BoundNA marks a scenario outside the bound calculus' assumptions
 	// (non-fat-tree family, or a workload process with no (σ,ρ)

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+	"unsafe"
 
+	"repro/internal/eval"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -54,6 +56,29 @@ func TestRowJSONRoundTrip(t *testing.T) {
 		}
 		if string(got) != tc.want {
 			t.Errorf("row %d: marshalled\n  %s\nwant\n  %s", i, got, tc.want)
+		}
+	}
+}
+
+// TestRowSize pins the in-memory size of a grid row on 64-bit platforms:
+// a point keeps its five flags after its six values (56 bytes) and a
+// scenario its two backend switches side by side (168), so that a row is
+// 232 bytes, not the 256 the interleaved layouts padded it to. The wire
+// and store forms do not depend on field order.
+func TestRowSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"eval.Point", unsafe.Sizeof(eval.Point{}), 56},
+		{"eval.Scenario", unsafe.Sizeof(eval.Scenario{}), 168},
+		{"sweep.Row", unsafe.Sizeof(Row{}), 232},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
 		}
 	}
 }
