@@ -124,6 +124,10 @@ lint:
 		echo "one simulator: internal/sim has one engine, pinned by result digests and checked by conservation laws (pinned_test.go, conservation_test.go); the dense reference engine (RunReference, refEngine, fifo[T]) stays deleted"; exit 1; }
 	@test -z "$$(grep -rlE 'FixedPointInPlace|FixedPointOptions' --include='*.go' . | grep -v '_test\.go$$')" || { \
 		echo "one fixed-point kernel: a cyclic channel graph is solved by core.Workspace's fused damped kernel only (damped in internal/core/core.go, checked bit for bit by FuzzCyclicKernel against the old generic loop kept in kernel_test.go); internal/solve brackets and declares no generic fixed-point solver (FixedPointInPlace, FixedPointOptions)"; exit 1; }
+	@h="$$(awk '/^func \(s \*Server\) handleEval\(/,/^}/' internal/serve/serve.go)"; \
+	e="$$(awk '/^func \(b \*RemoteBackend\) Evaluate\(/,/^}/' internal/eval/remote.go)"; \
+	test -n "$$h" && test -n "$$e" && ! printf '%s\n%s\n' "$$h" "$$e" | grep -n 'json\.' || { \
+		echo "one cell on the wire: a /v1/eval scenario and its point cross the wire through internal/eval's codec (AppendScenario and readPoint in RemoteBackend.Evaluate, DecodeScenario and AppendPoint in internal/serve's handleEval), whose encoding/json fall-through lives behind those calls; neither body names json."; exit 1; }
 
 # The size every change reports: non-test Go lines outside bench/. CI
 # prints it; it is not a gate.

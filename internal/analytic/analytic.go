@@ -364,8 +364,15 @@ func (m *Model) SaturationLoad() (float64, error) {
 		}
 		return lambda0*lat.ServiceInj - 1
 	}
+	var gStable, gUnstable float64 // g at the bracket's ends, which bisection reuses
 	stable, unstable, ok := solve.GrowToUnstable(func(l float64) bool {
-		return g(l) < 0
+		v := g(l)
+		if v < 0 {
+			gStable = v
+			return true
+		}
+		gUnstable = v
+		return false
 	}, 1e-7, 64)
 	if !ok {
 		return 0, fmt.Errorf("analytic: no saturation found (network never saturates below rate 2^64*1e-7?)")
@@ -374,7 +381,7 @@ func (m *Model) SaturationLoad() (float64, error) {
 		// Even the smallest probe saturates; report it as the bound.
 		return unstable * m.msgFlits, nil
 	}
-	root, err := solve.Bisect(g, stable, unstable, stable*1e-9, 200)
+	root, err := solve.BisectBracket(g, stable, unstable, gStable, gUnstable, stable*1e-9, 200)
 	if err != nil {
 		return 0, fmt.Errorf("analytic: saturation bisection: %w", err)
 	}

@@ -122,13 +122,45 @@ func normalizeAddrs(addrs []string) []string {
 func (b *RemoteBackend) Addrs() []string { return append([]string(nil), b.addrs...) }
 
 // Evaluate answers one scenario in one /v1/eval round trip (with
-// retries): the cell the shard's built-in stack computes.
+// retries): the cell the shard's built-in stack computes. The scenario
+// travels as AppendScenario writes it and the shard's canonical answer is
+// scanned by ParsePoint (readPoint), so a probe builds no reflective
+// encoder or decoder on this side of the wire.
 func (b *RemoteBackend) Evaluate(ctx context.Context, sc Scenario) (Point, error) {
-	body, err := json.Marshal(sc)
+	body, err := AppendScenario(make([]byte, 0, 256), &sc)
 	if err != nil {
 		return Point{}, fmt.Errorf("eval: remote: encoding scenario: %w", err)
 	}
-	return call[Point](ctx, b, "/v1/eval", body)
+	var p Point
+	err = b.retry(ctx, func(addr string) error {
+		url := addr + "/v1/eval"
+		return b.post(ctx, url, body, b.single, func(r io.Reader, _ func()) error {
+			return readPoint(r, &p, url)
+		})
+	})
+	if err != nil {
+		return Point{}, err
+	}
+	return p, nil
+}
+
+// readPoint reads a /v1/eval answer into p. The canonical answer — what
+// AppendPoint writes and a newline — is scanned; any other body goes to
+// decodeReply, which reads its first JSON value as encoding/json does.
+func readPoint(r io.Reader, p *Point, url string) error {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return &transientError{err: fmt.Errorf("eval: remote: %s: decoding response: %w", url, err)}
+	}
+	if rest, ok := ParsePoint(data, p); ok && (len(rest) == 0 || string(rest) == "\n") {
+		return nil
+	}
+	var q Point // the fallback's own: p stays off the heap on the scan path
+	if err := decodeReply(bytes.NewReader(data), &q, url); err != nil {
+		return err
+	}
+	*p = q
+	return nil
 }
 
 // Curves asks the fleet for a grid's curve context in one /v1/curve round
@@ -138,23 +170,25 @@ func (b *RemoteBackend) Evaluate(ctx context.Context, sc Scenario) (Point, error
 // The caller's ctx bounds the retries, so a cancelled sweep does not
 // block in curve resolution.
 func (b *RemoteBackend) Curves(ctx context.Context, spec []byte) ([]CurveDesc, error) {
-	return call[[]CurveDesc](ctx, b, "/v1/curve", spec)
-}
-
-// call answers one single-shot endpoint: body is POSTed to path under the
-// retry loop and the JSON response decoded into a T.
-func call[T any](ctx context.Context, b *RemoteBackend, path string, body []byte) (T, error) {
-	var out T
+	var out []CurveDesc
 	err := b.retry(ctx, func(addr string) error {
-		return b.post(ctx, addr+path, body, b.single, func(r io.Reader, _ func()) error {
-			out = *new(T) // a retried attempt starts from a clean value
-			if err := json.NewDecoder(r).Decode(&out); err != nil {
-				return &transientError{err: fmt.Errorf("eval: remote: %s: decoding response: %w", addr+path, err)}
-			}
-			return nil
+		url := addr + "/v1/curve"
+		return b.post(ctx, url, spec, b.single, func(r io.Reader, _ func()) error {
+			out = nil // a retried attempt starts from a clean value
+			return decodeReply(r, &out, url)
 		})
 	})
 	return out, err
+}
+
+// decodeReply decodes the first JSON value of a single-shot endpoint's
+// answer into v. A body that does not hold one is transient: another
+// shard, or a later attempt, may answer whole.
+func decodeReply(r io.Reader, v any, url string) error {
+	if err := json.NewDecoder(r).Decode(v); err != nil {
+		return &transientError{err: fmt.Errorf("eval: remote: %s: decoding response: %w", url, err)}
+	}
+	return nil
 }
 
 // Stream POSTs body to path and hands the NDJSON BatchItem answer to fn,

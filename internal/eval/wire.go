@@ -19,9 +19,11 @@ import (
 // travels by name. Marshal→Unmarshal round-trips are exact: a float64
 // travels as the shortest decimal that parses back to the identical bits,
 // which is what lets a remote evaluation reproduce an in-process one bit
-// for bit. Points are written by the codec in codec.go, which emits what
-// encoding/json would (pinned by FuzzPointCodec); the reflective struct
-// below only decodes what the codec's scanner does not recognise.
+// for bit. Points and scenarios are written by the codec in codec.go,
+// which emits what encoding/json would (pinned by FuzzPointCodec and
+// FuzzScenarioCodec); the reflective structs below decode only what the
+// codec's scanners do not recognise, and write only the scenarios
+// AppendScenario leaves to encoding/json.
 
 // pointWire is Point as encoding/json decodes it: the fallback under
 // ParsePoint for any spelling but the canonical one.
@@ -158,7 +160,10 @@ func (c *CurveDesc) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// scenarioWire is Scenario with the policy enum travelling by name.
+// scenarioWire is Scenario as encoding/json writes and reads it, the
+// policy enum travelling by name: the reference AppendScenario's bytes
+// are pinned to (FuzzScenarioCodec) and the decoder under ParseScenario
+// for any spelling but the canonical one.
 type scenarioWire struct {
 	Index      int            `json:"index"`
 	Topology   Topology       `json:"topology"`
@@ -173,8 +178,8 @@ type scenarioWire struct {
 	WithBounds bool           `json:"with_bounds,omitempty"`
 }
 
-// MarshalJSON encodes the scenario for the wire, policy by name.
-func (s Scenario) MarshalJSON() ([]byte, error) {
+// wire is s as the reflective wire struct carries it.
+func (s *Scenario) wire() scenarioWire {
 	w := scenarioWire{
 		Index:      s.Index,
 		Topology:   s.Topology,
@@ -196,12 +201,43 @@ func (s Scenario) MarshalJSON() ([]byte, error) {
 	if !s.Workload.IsDefault() {
 		w.Workload = s.Workload
 	}
-	return json.Marshal(w)
+	return w
 }
 
-// UnmarshalJSON decodes the wire form; an absent policy means the
-// default (pairqueue), an unknown one is an error.
+// MarshalJSON encodes the scenario for the wire (AppendScenario), policy
+// by name.
+func (s Scenario) MarshalJSON() ([]byte, error) {
+	return AppendScenario(make([]byte, 0, 256), &s)
+}
+
+// UnmarshalJSON decodes the wire form — the scanner for the canonical
+// form, encoding/json for any other; an absent policy means the default
+// (pairqueue), an unknown one is an error.
 func (s *Scenario) UnmarshalJSON(data []byte) error {
+	if ParseScenario(data, s) {
+		return nil
+	}
+	return s.decode(data)
+}
+
+// DecodeScenario is json.Unmarshal(data, sc) — the same scenario, the
+// same error — with the canonical form scanned first, so a request body
+// that is one canonical scenario (what RemoteBackend.Evaluate sends to
+// /v1/eval) never reaches encoding/json.
+func DecodeScenario(data []byte, sc *Scenario) error {
+	if ParseScenario(data, sc) {
+		return nil
+	}
+	var w Scenario // the fallback's own: sc stays off the heap on the scan path
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	*sc = w
+	return nil
+}
+
+// decode is the encoding/json fallback under ParseScenario.
+func (s *Scenario) decode(data []byte) error {
 	var w scenarioWire
 	if err := json.Unmarshal(data, &w); err != nil {
 		return fmt.Errorf("eval: decoding scenario: %w", err)

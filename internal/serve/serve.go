@@ -178,7 +178,11 @@ func readBodyN(r *http.Request, n int64) ([]byte, error) {
 	return data, nil
 }
 
-// handleEval answers one scenario: the endpoint behind RemoteBackend.
+// handleEval answers one scenario: the endpoint behind
+// RemoteBackend.Evaluate. A canonical body (eval.AppendScenario's) is
+// scanned and any other decoded by encoding/json (eval.DecodeScenario),
+// and the cell goes back as eval.AppendPoint writes it, one line in one
+// Write: the bytes json.Encoder would write.
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	data, err := readBody(r)
 	if err != nil {
@@ -186,7 +190,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var sc eval.Scenario
-	if err := json.Unmarshal(data, &sc); err != nil {
+	if err := eval.DecodeScenario(data, &sc); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -203,7 +207,8 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	if cached {
 		w.Header().Set("X-Cache", "hit")
 	}
-	json.NewEncoder(w).Encode(cell)
+	// sc holds no bytes of the body, so its buffer takes the answer.
+	w.Write(append(eval.AppendPoint(data[:0], cell), '\n'))
 }
 
 // handleCurve describes every curve of a grid (model name, D̄, saturation

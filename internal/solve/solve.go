@@ -1,6 +1,7 @@
 // Package solve brackets and bisects roots (GrowToUnstable, Bisect,
-// BisectContext) for the saturation condition (paper Eq. 26) and the
-// capacity planner. Cyclic channel graphs are solved in package core.
+// BisectContext, BisectBracket) for the saturation condition (paper
+// Eq. 26) and the capacity planner. Cyclic channel graphs are solved in
+// package core.
 package solve
 
 import (
@@ -27,26 +28,46 @@ func Bisect(f func(float64) float64, lo, hi, xtol float64, maxIter int) (float64
 // stops promptly — mid-solve, not at the next bracket — and returns the
 // context's error.
 func BisectContext(ctx context.Context, f func(float64) float64, lo, hi, xtol float64, maxIter int) (float64, error) {
+	flo, err := evalAt(ctx, f, lo)
+	if err != nil {
+		return 0, err
+	}
+	fhi, err := evalAt(ctx, f, hi)
+	if err != nil {
+		return 0, err
+	}
+	return bisect(ctx, f, lo, hi, flo, fhi, xtol, maxIter)
+}
+
+// BisectBracket is Bisect over a bracket whose ends the caller has
+// already evaluated, flo = f(lo) and fhi = f(hi) — as GrowToUnstable's
+// caller has — so neither end is evaluated again. The result is
+// Bisect's, bit for bit.
+func BisectBracket(f func(float64) float64, lo, hi, flo, fhi, xtol float64, maxIter int) (float64, error) {
+	return bisect(context.Background(), f, lo, hi, nanToInf(flo), nanToInf(fhi), xtol, maxIter)
+}
+
+// evalAt evaluates f at x unless ctx is done.
+func evalAt(ctx context.Context, f func(float64) float64, x float64) (float64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	return nanToInf(f(x)), nil
+}
+
+// nanToInf counts NaN as +Inf: past the stable region.
+func nanToInf(v float64) float64 {
+	if math.IsNaN(v) {
+		return math.Inf(1)
+	}
+	return v
+}
+
+// bisect halves [lo, hi], whose ends evaluate to flo and fhi, until it
+// is narrower than xtol.
+func bisect(ctx context.Context, f func(float64) float64, lo, hi, flo, fhi, xtol float64, maxIter int) (float64, error) {
 	if maxIter <= 0 {
 		maxIter = 200
-	}
-	eval := func(x float64) (float64, error) {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		v := f(x)
-		if math.IsNaN(v) {
-			return math.Inf(1), nil
-		}
-		return v, nil
-	}
-	flo, err := eval(lo)
-	if err != nil {
-		return 0, err
-	}
-	fhi, err := eval(hi)
-	if err != nil {
-		return 0, err
 	}
 	if flo == 0 {
 		return lo, nil
@@ -59,7 +80,7 @@ func BisectContext(ctx context.Context, f func(float64) float64, lo, hi, xtol fl
 	}
 	for i := 0; i < maxIter && hi-lo > xtol; i++ {
 		mid := lo + (hi-lo)/2
-		fm, err := eval(mid)
+		fm, err := evalAt(ctx, f, mid)
 		if err != nil {
 			return 0, err
 		}

@@ -186,3 +186,37 @@ func TestGrowToUnstableNeverFails(t *testing.T) {
 		t.Error("expected ok=false when predicate never fails")
 	}
 }
+
+// TestBisectBracketReusesTheEnds: handed the objective's values at the
+// bracket's ends, BisectBracket returns Bisect's root bit for bit and
+// evaluates the objective exactly twice less; a NaN end counts as +Inf
+// there too.
+func TestBisectBracketReusesTheEnds(t *testing.T) {
+	for _, c := range []struct {
+		f      func(float64) float64
+		lo, hi float64
+	}{
+		{func(x float64) float64 { return x*x - 2 }, 0, 2},
+		{func(x float64) float64 { return x - 1 }, 0, 1},
+		{func(x float64) float64 {
+			if x > 0.7 {
+				return math.NaN()
+			}
+			return x - 0.5
+		}, 0.1, 0.8},
+		{func(x float64) float64 { return 1 }, 0, 1},
+	} {
+		calls := 0
+		counted := func(x float64) float64 { calls++; return c.f(x) }
+		want, wantErr := Bisect(counted, c.lo, c.hi, 1e-12, 0)
+		full := calls
+		calls = 0
+		got, err := BisectBracket(counted, c.lo, c.hi, c.f(c.lo), c.f(c.hi), 1e-12, 0)
+		if math.Float64bits(got) != math.Float64bits(want) || !errors.Is(err, wantErr) {
+			t.Errorf("[%v, %v]: BisectBracket = %v, %v; Bisect = %v, %v", c.lo, c.hi, got, err, want, wantErr)
+		}
+		if calls != full-2 {
+			t.Errorf("[%v, %v]: %d evaluations, want %d (Bisect's %d less the two ends)", c.lo, c.hi, calls, full-2, full)
+		}
+	}
+}
