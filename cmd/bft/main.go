@@ -228,8 +228,8 @@ func simulate(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	fmt.Fprintf(stdout, "  tracked messages: %d arrived, %d completed; mean source queue %.3f\n",
 		res.TrackedInjected, res.TrackedCompleted, res.MeanSourceQueue)
 	fmt.Fprintln(stdout, "  mean busy fraction by channel kind:")
-	for kind, busy := range res.BusyByKind(net) {
-		fmt.Fprintf(stdout, "    %-5v %.4f\n", kind, busy)
+	for _, kb := range res.BusyByKind(net) {
+		fmt.Fprintf(stdout, "    %-5v %.4f\n", kb.Kind, kb.Busy)
 	}
 	return nil
 }

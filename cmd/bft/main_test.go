@@ -91,6 +91,35 @@ func TestSim(t *testing.T) {
 	}
 }
 
+var kindRow = regexp.MustCompile(`(?m)^    (\S+) +[0-9.]+$`)
+
+// TestSimKindRows: the busy-fraction rows that end `bft sim` list the
+// network's channel kinds in ChannelKind order, run after run.
+func TestSimKindRows(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-n", "16"}, "inj ej up down"},
+		{[]string{"-n", "64"}, "inj ej up down"},
+		{[]string{"-n", "16", "-policy", "randomfixed"}, "inj ej up down"},
+		{[]string{"-cube", "3"}, "inj ej link"},
+		{[]string{"-cube", "4"}, "inj ej link"},
+	} {
+		out, err := bftCLI(append([]string{"sim", "-warmup", "200", "-measure", "1000"}, tc.args...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var kinds []string
+		for _, m := range kindRow.FindAllStringSubmatch(out, -1) {
+			kinds = append(kinds, m[1])
+		}
+		if got := strings.Join(kinds, " "); got != tc.want {
+			t.Errorf("bft sim %q: kind rows %q, want %q:\n%s", tc.args, got, tc.want, out)
+		}
+	}
+}
+
 // TestOutputNamesNoFoldedBinary: bftmodel, bftsim and bftbounds are this
 // binary's subcommands now; nothing it prints sends a reader to them.
 func TestOutputNamesNoFoldedBinary(t *testing.T) {

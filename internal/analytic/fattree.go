@@ -277,7 +277,7 @@ func FatTreeRoute(n, h int) core.ClassID {
 // ("up<l,l+1>" / "down<l,l-1>"), the key that joins simulator
 // measurements to model quantities such as ChannelStats' rows.
 func FatTreeClassOf(ft *topology.FatTree, ch topology.ChannelID) string {
-	switch ft.Kind(ch) {
+	switch ft.Tables().Kind[ch] {
 	case topology.KindInjection:
 		return "up<0,1>"
 	case topology.KindEjection:

@@ -136,15 +136,18 @@ func TestSimBackendEvaluate(t *testing.T) {
 // processor, which trips the simulator's delivery assertion (a panic).
 type misdeliveringNet struct{ topology.Network }
 
-func (n *misdeliveringNet) EjectsTo(ch topology.ChannelID) int {
-	p := n.Network.EjectsTo(ch)
-	if p >= 0 {
-		return (p + 1) % n.NumProcessors()
+// Tables returns a copy of the embedded network's tables whose ejection
+// column names the next processor.
+func (n *misdeliveringNet) Tables() *topology.Tables {
+	tab := *n.Network.Tables()
+	tab.EjectsTo = append([]int32(nil), tab.EjectsTo...)
+	for ch, p := range tab.EjectsTo {
+		if p >= 0 {
+			tab.EjectsTo[ch] = (p + 1) % int32(n.NumProcessors())
+		}
 	}
-	return p
+	return &tab
 }
-
-func (n *misdeliveringNet) Tables() *topology.Tables { return topology.BuildTables(n) }
 
 // A request must not be able to kill or wedge a shard: a simulator panic
 // comes back as that cell's error, and the backend — whose pool must not

@@ -48,6 +48,11 @@ func HopWaits(ctx context.Context, numProc, msgFlits int, load float64, b sweep.
 		return nil, err
 	}
 	lambda0 := load / float64(msgFlits)
+	// Each channel's class, named once: the observer runs per grant.
+	classOf := make([]string, ft.NumChannels())
+	for ch := range classOf {
+		classOf[ch] = analytic.FatTreeClassOf(ft, topology.ChannelID(ch))
+	}
 
 	// Simulator side: aggregate waits per class.
 	agg := map[string]*stats.Stream{}
@@ -59,7 +64,7 @@ func HopWaits(ctx context.Context, numProc, msgFlits int, load float64, b sweep.
 		WarmupCycles:  b.Warmup,
 		MeasureCycles: b.Measure,
 		HopWaitObserver: func(ch topology.ChannelID, wait int64) {
-			name := analytic.FatTreeClassOf(ft, ch)
+			name := classOf[ch]
 			s := agg[name]
 			if s == nil {
 				s = &stats.Stream{}
@@ -82,8 +87,8 @@ func HopWaits(ctx context.Context, numProc, msgFlits int, load float64, b sweep.
 	}
 	g := model.Graph()
 	links := map[string]float64{}
-	for ch := topology.ChannelID(0); ch < topology.ChannelID(ft.NumChannels()); ch++ {
-		links[analytic.FatTreeClassOf(ft, ch)]++
+	for _, name := range classOf {
+		links[name]++
 	}
 	type blend struct{ num, den float64 }
 	blends := map[string]*blend{}

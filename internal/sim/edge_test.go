@@ -119,8 +119,8 @@ func TestBitComplementPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bcUp := res.BusyByKind(cfg.Net)[topology.KindUp]
-	unUp := uniform.BusyByKind(cfg.Net)[topology.KindUp]
+	bcUp := busyOf(res.BusyByKind(cfg.Net), topology.KindUp)
+	unUp := busyOf(uniform.BusyByKind(cfg.Net), topology.KindUp)
 	if bcUp <= unUp {
 		t.Errorf("bit-complement up busy %v should exceed uniform %v", bcUp, unUp)
 	}
@@ -158,13 +158,14 @@ func TestGroupPartitionRoundTrip(t *testing.T) {
 		topology.MustFatTree(256),
 		topology.MustHypercube(6),
 	} {
+		tab := net.Tables()
 		seen := make(map[topology.ChannelID]int)
-		for g, members := range net.Groups() {
-			for _, ch := range members {
+		for g := topology.GroupID(0); int(g) < len(tab.GroupOff)-1; g++ {
+			for _, ch := range tab.Group(g) {
 				seen[ch]++
-				if net.GroupOf(ch) != topology.GroupID(g) {
-					t.Errorf("%s: GroupOf(%d) = %d, in group %d",
-						net.Name(), ch, net.GroupOf(ch), g)
+				if tab.GroupOf[ch] != g {
+					t.Errorf("%s: GroupOf[%d] = %d, in group %d",
+						net.Name(), ch, tab.GroupOf[ch], g)
 				}
 			}
 		}

@@ -706,7 +706,7 @@ func (e *engine) createWorm(p int, t int64) {
 	e.soa.arrival[id] = a
 	e.soa.state[id] = stateRouting
 	e.soa.tracked[id] = a >= float64(e.measStart) && a < float64(e.measEnd)
-	e.enqueue(e.tab.GroupOf[e.net.InjectionChannel(p)], id, t)
+	e.enqueue(e.tab.GroupOf[e.tab.Inject[p]], id, t)
 	e.waitingInj[p] = true
 	e.active++
 }

@@ -24,22 +24,26 @@ type faultyNet struct {
 
 func (n *faultyNet) NextGroup(cur topology.ChannelID, dst int) topology.GroupID {
 	if n.selfLoop {
-		return n.GroupOf(cur)
+		return n.Tables().GroupOf[cur]
 	}
 	return n.Network.NextGroup(cur, dst)
 }
 
-func (n *faultyNet) EjectsTo(ch topology.ChannelID) int {
-	p := n.Network.EjectsTo(ch)
-	if n.misdeliver && p >= 0 {
-		return (p + 1) % n.NumProcessors()
+// Tables returns the embedded network's tables, or, to misdeliver, a copy
+// whose ejection column names the next processor.
+func (n *faultyNet) Tables() *topology.Tables {
+	if !n.misdeliver {
+		return n.Network.Tables()
 	}
-	return p
+	tab := *n.Network.Tables()
+	tab.EjectsTo = append([]int32(nil), tab.EjectsTo...)
+	for ch, p := range tab.EjectsTo {
+		if p >= 0 {
+			tab.EjectsTo[ch] = (p + 1) % int32(n.NumProcessors())
+		}
+	}
+	return &tab
 }
-
-// Tables rebuilds the tables through the overridden methods; the embedded
-// network's would route around the fault.
-func (n *faultyNet) Tables() *topology.Tables { return topology.BuildTables(n) }
 
 // reuseMatrix is the run matrix of the reuse tests: the pinned
 // families plus every option and workload kind that adds engine state.

@@ -149,22 +149,30 @@ func (r *Result) String() string {
 		r.ThroughputFlits, r.TrackedCompleted, r.TrackedInjected, r.Saturated)
 }
 
+// KindBusy is the mean busy fraction of one kind of channel.
+type KindBusy struct {
+	Kind topology.ChannelKind
+	Busy float64
+}
+
 // BusyByKind aggregates ChannelBusy into mean busy fractions per channel
-// kind, for comparison against the model's per-class utilizations.
-func (r *Result) BusyByKind(net topology.Network) map[topology.ChannelKind]float64 {
-	sums := map[topology.ChannelKind]*stats.Stream{}
+// kind, for comparison against the model's per-class utilizations: one
+// entry per kind the network has, in ChannelKind order.
+func (r *Result) BusyByKind(net topology.Network) []KindBusy {
+	kind := net.Tables().Kind
+	var sums []stats.Stream
 	for ch, b := range r.ChannelBusy {
-		k := net.Kind(topology.ChannelID(ch))
-		s, ok := sums[k]
-		if !ok {
-			s = &stats.Stream{}
-			sums[k] = s
+		k := int(kind[ch])
+		if k >= len(sums) {
+			sums = append(sums, make([]stats.Stream, k+1-len(sums))...)
 		}
-		s.Add(b)
+		sums[k].Add(b)
 	}
-	out := make(map[topology.ChannelKind]float64, len(sums))
-	for k, s := range sums {
-		out[k] = s.Mean()
+	var out []KindBusy
+	for k := range sums {
+		if sums[k].N() > 0 {
+			out = append(out, KindBusy{topology.ChannelKind(k), sums[k].Mean()})
+		}
 	}
 	return out
 }

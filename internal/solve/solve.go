@@ -1,4 +1,4 @@
-// Package solve brackets and bisects roots (GrowToUnstable, Bisect,
+// Package solve brackets and bisects roots (GrowToUnstable,
 // BisectContext, BisectBracket) for the saturation condition (paper
 // Eq. 26) and the capacity planner. Cyclic channel graphs are solved in
 // package core.
@@ -13,20 +13,15 @@ import (
 // ErrNoBracket is returned when a root is not bracketed by the interval.
 var ErrNoBracket = errors.New("solve: interval does not bracket a root")
 
-// Bisect finds x in [lo, hi] with f(x) = 0 to within xtol, assuming f is
-// monotone enough that f(lo) and f(hi) have opposite signs. +Inf counts as
-// positive and -Inf as negative; NaN is treated as +Inf, matching the
-// saturation use case where the model is undefined beyond the stable
-// region and the objective grows without bound as it is approached.
-func Bisect(f func(float64) float64, lo, hi, xtol float64, maxIter int) (float64, error) {
-	return BisectContext(context.Background(), f, lo, hi, xtol, maxIter)
-}
-
-// BisectContext is Bisect with cancellation: the context is checked
-// before every objective evaluation, so a search whose objective is
-// expensive (a capacity planner probing a remote Evaluator per call)
-// stops promptly — mid-solve, not at the next bracket — and returns the
-// context's error.
+// BisectContext finds x in [lo, hi] with f(x) = 0 to within xtol,
+// assuming f is monotone enough that f(lo) and f(hi) have opposite signs.
+// +Inf counts as positive and -Inf as negative; NaN is treated as +Inf,
+// matching the saturation use case where the model is undefined beyond
+// the stable region and the objective grows without bound as it is
+// approached. The context is checked before every objective evaluation,
+// so a search whose objective is expensive (a capacity planner probing a
+// remote Evaluator per call) stops promptly — mid-solve, not at the next
+// bracket — and returns the context's error.
 func BisectContext(ctx context.Context, f func(float64) float64, lo, hi, xtol float64, maxIter int) (float64, error) {
 	flo, err := evalAt(ctx, f, lo)
 	if err != nil {
@@ -39,10 +34,10 @@ func BisectContext(ctx context.Context, f func(float64) float64, lo, hi, xtol fl
 	return bisect(ctx, f, lo, hi, flo, fhi, xtol, maxIter)
 }
 
-// BisectBracket is Bisect over a bracket whose ends the caller has
-// already evaluated, flo = f(lo) and fhi = f(hi) — as GrowToUnstable's
-// caller has — so neither end is evaluated again. The result is
-// Bisect's, bit for bit.
+// BisectBracket is BisectContext, without cancellation, over a bracket
+// whose ends the caller has already evaluated, flo = f(lo) and
+// fhi = f(hi) — as GrowToUnstable's caller has — so neither end is
+// evaluated again. The result is BisectContext's, bit for bit.
 func BisectBracket(f func(float64) float64, lo, hi, flo, fhi, xtol float64, maxIter int) (float64, error) {
 	return bisect(context.Background(), f, lo, hi, nanToInf(flo), nanToInf(fhi), xtol, maxIter)
 }

@@ -9,7 +9,7 @@ import (
 
 func TestBisectSimpleRoot(t *testing.T) {
 	f := func(x float64) float64 { return x*x - 2 }
-	root, err := Bisect(f, 0, 2, 1e-12, 0)
+	root, err := BisectContext(context.Background(), f, 0, 2, 1e-12, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,18 +20,18 @@ func TestBisectSimpleRoot(t *testing.T) {
 
 func TestBisectEndpointsAreRoots(t *testing.T) {
 	f := func(x float64) float64 { return x }
-	if r, err := Bisect(f, 0, 1, 1e-12, 0); err != nil || r != 0 {
+	if r, err := BisectContext(context.Background(), f, 0, 1, 1e-12, 0); err != nil || r != 0 {
 		t.Errorf("lo root: %v %v", r, err)
 	}
 	f2 := func(x float64) float64 { return x - 1 }
-	if r, err := Bisect(f2, 0, 1, 1e-12, 0); err != nil || r != 1 {
+	if r, err := BisectContext(context.Background(), f2, 0, 1, 1e-12, 0); err != nil || r != 1 {
 		t.Errorf("hi root: %v %v", r, err)
 	}
 }
 
 func TestBisectNoBracket(t *testing.T) {
 	f := func(x float64) float64 { return x*x + 1 }
-	if _, err := Bisect(f, -1, 1, 1e-12, 0); err != ErrNoBracket {
+	if _, err := BisectContext(context.Background(), f, -1, 1, 1e-12, 0); err != ErrNoBracket {
 		t.Errorf("err = %v, want ErrNoBracket", err)
 	}
 }
@@ -45,7 +45,7 @@ func TestBisectWithInfinities(t *testing.T) {
 		}
 		return x - 0.5
 	}
-	root, err := Bisect(f, 0, 1, 1e-9, 0)
+	root, err := BisectContext(context.Background(), f, 0, 1, 1e-9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestBisectNaNMidpointTreatedAsUnstable(t *testing.T) {
 		}
 		return x - 0.5
 	}
-	root, err := Bisect(f, 0, 1, 1e-9, 0)
+	root, err := BisectContext(context.Background(), f, 0, 1, 1e-9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestBisectNaNMidpointTreatedAsUnstable(t *testing.T) {
 
 func TestBisectNaNEndpoint(t *testing.T) {
 	f := func(x float64) float64 { return math.NaN() }
-	if _, err := Bisect(f, 0, 1, 1e-9, 0); err != ErrNoBracket {
+	if _, err := BisectContext(context.Background(), f, 0, 1, 1e-9, 0); err != ErrNoBracket {
 		t.Errorf("err = %v, want ErrNoBracket", err)
 	}
 }
@@ -91,7 +91,7 @@ func TestBisectMonotoneFlatRegion(t *testing.T) {
 			return 0
 		}
 	}
-	root, err := Bisect(f, 0, 1, 1e-12, 0)
+	root, err := BisectContext(context.Background(), f, 0, 1, 1e-12, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestBisectFlatNonZeroHasNoBracket(t *testing.T) {
 	// Entirely flat and non-zero: no sign change anywhere, so the interval
 	// cannot bracket a root.
 	f := func(x float64) float64 { return 1 }
-	if _, err := Bisect(f, 0, 1, 1e-12, 0); !errors.Is(err, ErrNoBracket) {
+	if _, err := BisectContext(context.Background(), f, 0, 1, 1e-12, 0); !errors.Is(err, ErrNoBracket) {
 		t.Errorf("err = %v, want ErrNoBracket", err)
 	}
 }
@@ -114,7 +114,7 @@ func TestBisectUnstableAtBothBrackets(t *testing.T) {
 	// saturation, so the objective is +Inf (or NaN) at both — same sign,
 	// no root to find.
 	inf := func(x float64) float64 { return math.Inf(1) }
-	if _, err := Bisect(inf, 0.5, 1, 1e-9, 0); !errors.Is(err, ErrNoBracket) {
+	if _, err := BisectContext(context.Background(), inf, 0.5, 1, 1e-9, 0); !errors.Is(err, ErrNoBracket) {
 		t.Errorf("+Inf ends: err = %v, want ErrNoBracket", err)
 	}
 	mixed := func(x float64) float64 {
@@ -123,7 +123,7 @@ func TestBisectUnstableAtBothBrackets(t *testing.T) {
 		}
 		return math.Inf(1)
 	}
-	if _, err := Bisect(mixed, 0.5, 1, 1e-9, 0); !errors.Is(err, ErrNoBracket) {
+	if _, err := BisectContext(context.Background(), mixed, 0.5, 1, 1e-9, 0); !errors.Is(err, ErrNoBracket) {
 		t.Errorf("NaN/+Inf ends: err = %v, want ErrNoBracket", err)
 	}
 }
@@ -188,7 +188,7 @@ func TestGrowToUnstableNeverFails(t *testing.T) {
 }
 
 // TestBisectBracketReusesTheEnds: handed the objective's values at the
-// bracket's ends, BisectBracket returns Bisect's root bit for bit and
+// bracket's ends, BisectBracket returns BisectContext's root bit for bit and
 // evaluates the objective exactly twice less; a NaN end counts as +Inf
 // there too.
 func TestBisectBracketReusesTheEnds(t *testing.T) {
@@ -208,15 +208,15 @@ func TestBisectBracketReusesTheEnds(t *testing.T) {
 	} {
 		calls := 0
 		counted := func(x float64) float64 { calls++; return c.f(x) }
-		want, wantErr := Bisect(counted, c.lo, c.hi, 1e-12, 0)
+		want, wantErr := BisectContext(context.Background(), counted, c.lo, c.hi, 1e-12, 0)
 		full := calls
 		calls = 0
 		got, err := BisectBracket(counted, c.lo, c.hi, c.f(c.lo), c.f(c.hi), 1e-12, 0)
 		if math.Float64bits(got) != math.Float64bits(want) || !errors.Is(err, wantErr) {
-			t.Errorf("[%v, %v]: BisectBracket = %v, %v; Bisect = %v, %v", c.lo, c.hi, got, err, want, wantErr)
+			t.Errorf("[%v, %v]: BisectBracket = %v, %v; BisectContext = %v, %v", c.lo, c.hi, got, err, want, wantErr)
 		}
 		if calls != full-2 {
-			t.Errorf("[%v, %v]: %d evaluations, want %d (Bisect's %d less the two ends)", c.lo, c.hi, calls, full-2, full)
+			t.Errorf("[%v, %v]: %d evaluations, want %d (BisectContext's %d less the two ends)", c.lo, c.hi, calls, full-2, full)
 		}
 	}
 }

@@ -257,13 +257,13 @@ func each(ctx context.Context, workers, n int, fn func(i int)) {
 
 // claims is one pass of a pool over the cold cells of [lo, hi) of a grid,
 // a claim at a time. On the local pool, an untraced run claims a
-// model-only curve's cold cells whole and answers each run of
-// consecutive cold cells in it as one segment: one call per backend
-// (answer), one landing. Any other cell is claimed by itself and answered
-// through compute, under its own eval.cell span: a simulated curve's — a
-// simulation is long, and a curve claimed whole would run its loads in
-// series however many workers wait — every cell of a traced run, and
-// every cell of a fleet's.
+// model-only curve's cold cells whole, and a simulated curve's a cell at
+// a time — a simulation is long, and a curve claimed whole would run its
+// loads in series however many workers wait — and answers each run of
+// consecutive cold cells of a claim as one segment: one call per backend
+// (answer), one landing. Every cell of a traced run, and every cell of a
+// fleet's, is claimed by itself and answered through compute, under its
+// own eval.cell span.
 type claims struct {
 	sched  Scheduler
 	g      *Grid
@@ -374,7 +374,7 @@ func (c *claims) answer(ctx context.Context, seg *segment, cv, lo, hi int) bool 
 			n   int
 			err error
 		)
-		if hi-lo == 1 && !c.whole(cv) {
+		if c.local == nil || c.traced {
 			var cell Cell
 			if cell, err = compute(ctx, c.sched, c.g.cellKey(lo)); err == nil {
 				*c.point(lo) = cell
@@ -537,7 +537,8 @@ func (k cellKey) Key() string {
 }
 
 // compute answers one cold cell through sched.Compute under its eval.cell
-// span. A Compute that panics fails its cell, not the process.
+// span: a traced run's, a fleet's and Evaluate's. A Compute that panics
+// fails its cell, not the process.
 func compute(ctx context.Context, sched Scheduler, k cellKey) (cell Cell, err error) {
 	if err := ctx.Err(); err != nil {
 		return Cell{}, err

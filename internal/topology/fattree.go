@@ -34,17 +34,11 @@ type FatTree struct {
 	upGroup []GroupID      // arbitration group of the two up-links; None at level n
 	childCh [][4]ChannelID // down channel per sub-block index 0..3
 
-	// Per-channel data.
-	kind     []ChannelKind
-	toSw     []int32 // destination switch index, or -1 for ejection channels
-	ejectsTo []int32 // destination processor for ejection channels, else -1
-	groupOf  []GroupID
-	hops     []hop // what NextGroup needs at the switch each channel leads to
+	// Per-channel data beside the tables.
+	toSw []int32 // destination switch index, or -1 for ejection channels
+	hops []hop   // what NextGroup needs at the switch each channel leads to
 
-	injCh []ChannelID // per-processor injection channel
-
-	tab    *Tables
-	groups [][]ChannelID // views into tab.Members
+	tab *Tables
 }
 
 // hop packs everything NextGroup reads into one record per channel, so a
@@ -96,20 +90,20 @@ func NewFatTree(numProc int) (*FatTree, error) {
 	}
 	swIdx := func(l, a int) int { return offset[l] + a }
 
-	t.kind = make([]ChannelKind, 0, numCh)
+	kinds := make([]ChannelKind, 0, numCh)
+	ejectsTo := make([]int32, 0, numCh)
+	groupOf := make([]GroupID, 0, numCh)
 	t.toSw = make([]int32, 0, numCh)
-	t.ejectsTo = make([]int32, 0, numCh)
-	t.groupOf = make([]GroupID, 0, numCh)
 	// addChannel appends a channel to the group being formed (open);
 	// closeGroup ends that group, so a group is a run of consecutive
 	// channels.
 	open := GroupID(0)
 	addChannel := func(kind ChannelKind, to int32, ejProc int32) ChannelID {
-		id := ChannelID(len(t.kind))
-		t.kind = append(t.kind, kind)
+		id := ChannelID(len(kinds))
+		kinds = append(kinds, kind)
 		t.toSw = append(t.toSw, to)
-		t.ejectsTo = append(t.ejectsTo, ejProc)
-		t.groupOf = append(t.groupOf, open)
+		ejectsTo = append(ejectsTo, ejProc)
+		groupOf = append(groupOf, open)
 		return id
 	}
 	closeGroup := func() GroupID {
@@ -118,10 +112,10 @@ func NewFatTree(numProc int) (*FatTree, error) {
 	}
 
 	// Injection and ejection channels (processor <-> level-1 switches).
-	t.injCh = make([]ChannelID, numProc)
+	inject := make([]ChannelID, numProc)
 	for p := 0; p < numProc; p++ {
 		s := swIdx(1, p/4)
-		t.injCh[p] = addChannel(KindInjection, int32(s), -1)
+		inject[p] = addChannel(KindInjection, int32(s), -1)
 		closeGroup()
 		ej := addChannel(KindEjection, -1, int32(p))
 		closeGroup()
@@ -188,14 +182,10 @@ func NewFatTree(numProc int) (*FatTree, error) {
 		h.blk = t.addr[s] >> (t.level[s] - 1)
 		h.up = t.upGroup[s]
 		for sub, down := range t.childCh[s] {
-			h.down[sub] = t.groupOf[down]
+			h.down[sub] = groupOf[down]
 		}
 	}
-	// The tables carry equal copies of the two per-channel columns read
-	// through the interface; keep one.
-	t.tab = BuildTables(t)
-	t.groupOf, t.ejectsTo = t.tab.GroupOf, t.tab.EjectsTo
-	t.groups = t.tab.Groups()
+	t.tab = newTables(groupOf, ejectsTo, kinds, inject)
 	return t, nil
 }
 
@@ -240,22 +230,7 @@ func (t *FatTree) Name() string { return t.name.get("bft-", t.numProc) }
 func (t *FatTree) NumProcessors() int { return t.numProc }
 
 // NumChannels implements Network.
-func (t *FatTree) NumChannels() int { return len(t.kind) }
-
-// Groups implements Network.
-func (t *FatTree) Groups() [][]ChannelID { return t.groups }
-
-// GroupOf implements Network.
-func (t *FatTree) GroupOf(ch ChannelID) GroupID { return t.groupOf[ch] }
-
-// Kind implements Network.
-func (t *FatTree) Kind(ch ChannelID) ChannelKind { return t.kind[ch] }
-
-// InjectionChannel implements Network.
-func (t *FatTree) InjectionChannel(p int) ChannelID { return t.injCh[p] }
-
-// EjectsTo implements Network.
-func (t *FatTree) EjectsTo(ch ChannelID) int { return int(t.ejectsTo[ch]) }
+func (t *FatTree) NumChannels() int { return len(t.toSw) }
 
 // Tables implements Network.
 func (t *FatTree) Tables() *Tables { return t.tab }
@@ -329,7 +304,7 @@ func (t *FatTree) SwitchOf(ch ChannelID) (level, addr int, ok bool) {
 func (t *FatTree) Describe() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "butterfly fat-tree: N=%d processors, n=%d switch levels, %d channels, %d arbitration groups\n",
-		t.numProc, t.n, t.NumChannels(), len(t.groups))
+		t.numProc, t.n, t.NumChannels(), len(t.tab.GroupOff)-1)
 	for l := 1; l <= t.n; l++ {
 		fmt.Fprintf(&b, "level %d: %d switches\n", l, t.switchesAtLevel(l))
 	}
@@ -340,11 +315,11 @@ func (t *FatTree) Describe() string {
 			if down := t.toSw[ch]; down >= 0 {
 				fmt.Fprintf(&b, " child%d->S(%d,%d)", sub, t.level[down], t.addr[down])
 			} else {
-				fmt.Fprintf(&b, " child%d->P(%d)", sub, t.ejectsTo[ch])
+				fmt.Fprintf(&b, " child%d->P(%d)", sub, t.tab.EjectsTo[ch])
 			}
 		}
 		if g := t.upGroup[s]; g != None {
-			for i, up := range t.groups[g] {
+			for i, up := range t.tab.Group(g) {
 				ps := t.toSw[up]
 				fmt.Fprintf(&b, " parent%d->S(%d,%d)", i, t.level[ps], t.addr[ps])
 			}

@@ -13,15 +13,15 @@ import (
 // candidates with pick, and returns the channel path.
 func walk(t *testing.T, net Network, src, dst int, pick func(options []ChannelID) ChannelID) []ChannelID {
 	t.Helper()
-	groups := net.Groups()
-	ch := net.InjectionChannel(src)
+	tab := net.Tables()
+	ch := tab.Inject[src]
 	path := []ChannelID{ch}
-	for net.EjectsTo(ch) != dst {
+	for int(tab.EjectsTo[ch]) != dst {
 		if len(path) > 4*net.NumChannels() {
 			t.Fatalf("walk %d->%d did not terminate", src, dst)
 		}
 		g := net.NextGroup(ch, dst)
-		ch = pick(groups[g])
+		ch = pick(tab.Group(g))
 		path = append(path, ch)
 	}
 	return path
@@ -165,22 +165,22 @@ func TestFatTreeAvgDistanceMatchesEnumeration(t *testing.T) {
 
 func TestFatTreeGroups(t *testing.T) {
 	ft := MustFatTree(64)
-	groups := ft.Groups()
+	tab := ft.Tables()
 	pairCount := 0
-	for g, members := range groups {
-		switch len(members) {
+	for g := GroupID(0); int(g) < len(tab.GroupOff)-1; g++ {
+		switch members := tab.Group(g); len(members) {
 		case 1:
-			if k := ft.Kind(members[0]); k == KindUp {
+			if k := tab.Kind[members[0]]; k == KindUp {
 				t.Errorf("up channel %d in singleton group", members[0])
 			}
 		case 2:
 			pairCount++
 			for _, ch := range members {
-				if k := ft.Kind(ch); k != KindUp {
+				if k := tab.Kind[ch]; k != KindUp {
 					t.Errorf("group %d: non-up channel %d (%v) in a pair", g, ch, k)
 				}
-				if ft.GroupOf(ch) != GroupID(g) {
-					t.Errorf("GroupOf(%d) = %d, want %d", ch, ft.GroupOf(ch), g)
+				if tab.GroupOf[ch] != g {
+					t.Errorf("GroupOf[%d] = %d, want %d", ch, tab.GroupOf[ch], g)
 				}
 			}
 		default:
@@ -210,9 +210,9 @@ func TestFatTreeUpLinksBetween(t *testing.T) {
 	}
 	// Count the actual up channels between levels and compare.
 	counts := map[int]int{}
-	for ch := ChannelID(0); ch < ChannelID(ft.NumChannels()); ch++ {
-		if ft.Kind(ch) == KindUp {
-			l, _, ok := ft.SwitchOf(ch)
+	for ch, k := range ft.Tables().Kind {
+		if k == KindUp {
+			l, _, ok := ft.SwitchOf(ChannelID(ch))
 			if !ok {
 				t.Fatalf("up channel %d leads to a PE", ch)
 			}
@@ -227,27 +227,26 @@ func TestFatTreeUpLinksBetween(t *testing.T) {
 }
 
 func TestFatTreeInjectionEjection(t *testing.T) {
-	ft := MustFatTree(16)
+	tab := MustFatTree(16).Tables()
 	seen := map[ChannelID]bool{}
-	for p := 0; p < 16; p++ {
-		inj := ft.InjectionChannel(p)
+	for p, inj := range tab.Inject {
 		if seen[inj] {
 			t.Errorf("injection channel %d reused", inj)
 		}
 		seen[inj] = true
-		if ft.Kind(inj) != KindInjection {
-			t.Errorf("kind(inj %d) = %v", p, ft.Kind(inj))
+		if tab.Kind[inj] != KindInjection {
+			t.Errorf("kind(inj %d) = %v", p, tab.Kind[inj])
 		}
-		if ft.EjectsTo(inj) != -1 {
-			t.Errorf("injection channel reports EjectsTo = %d", ft.EjectsTo(inj))
+		if tab.EjectsTo[inj] != -1 {
+			t.Errorf("injection channel reports EjectsTo = %d", tab.EjectsTo[inj])
 		}
 	}
 	ejCount := 0
-	for ch := ChannelID(0); ch < ChannelID(ft.NumChannels()); ch++ {
-		if p := ft.EjectsTo(ch); p >= 0 {
+	for ch, p := range tab.EjectsTo {
+		if p >= 0 {
 			ejCount++
-			if ft.Kind(ch) != KindEjection {
-				t.Errorf("channel %d ejects but kind = %v", ch, ft.Kind(ch))
+			if tab.Kind[ch] != KindEjection {
+				t.Errorf("channel %d ejects but kind = %v", ch, tab.Kind[ch])
 			}
 		}
 	}
@@ -264,9 +263,9 @@ func TestFatTreeNextGroupPanics(t *testing.T) {
 		}
 	}()
 	var ej ChannelID = None
-	for ch := ChannelID(0); ch < ChannelID(ft.NumChannels()); ch++ {
-		if ft.EjectsTo(ch) == 3 {
-			ej = ch
+	for ch, p := range ft.Tables().EjectsTo {
+		if p == 3 {
+			ej = ChannelID(ch)
 			break
 		}
 	}
@@ -289,7 +288,7 @@ func TestFatTreeUpPathNeverDescendsEarly(t *testing.T) {
 		})
 		descending := false
 		for _, ch := range path[1:] { // skip injection
-			switch ft.Kind(ch) {
+			switch ft.Tables().Kind[ch] {
 			case KindDown, KindEjection:
 				descending = true
 			case KindUp:

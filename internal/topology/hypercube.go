@@ -20,15 +20,14 @@ import (
 //
 // Node v owns the dims+2 consecutive channels starting at v·(dims+2):
 // its injection channel, its ejection channel, then its link along each
-// dimension in turn. Group g is channel g. Everything but the tables the
-// simulator reads is therefore arithmetic on the channel ID.
+// dimension in turn. Group g is channel g. Routing is therefore
+// arithmetic on the channel ID.
 type Hypercube struct {
 	dims    int
 	numProc int
 	name    lazyName
 
-	tab    *Tables
-	groups [][]ChannelID // views into tab.Members
+	tab *Tables
 }
 
 // Slots of a node's channel block; slotLink+d is the link along dimension d.
@@ -45,8 +44,23 @@ func NewHypercube(dims int) (*Hypercube, error) {
 		return nil, fmt.Errorf("topology: hypercube dims %d out of range [1,20]", dims)
 	}
 	t := &Hypercube{dims: dims, numProc: 1 << dims}
-	t.tab = BuildTables(t)
-	t.groups = t.tab.Groups()
+	nCh := t.NumChannels()
+	groupOf := make([]GroupID, nCh)
+	ejectsTo := make([]int32, nCh)
+	kinds := make([]ChannelKind, nCh)
+	inject := make([]ChannelID, t.numProc)
+	for ch := range groupOf {
+		groupOf[ch] = ChannelID(ch)
+		ejectsTo[ch] = -1
+		kinds[ch] = KindLink
+	}
+	for v := range inject {
+		inj, ej := t.channel(v, slotInj), t.channel(v, slotEj)
+		inject[v] = inj
+		kinds[inj], kinds[ej] = KindInjection, KindEjection
+		ejectsTo[ej] = int32(v)
+	}
+	t.tab = newTables(groupOf, ejectsTo, kinds, inject)
 	return t, nil
 }
 
@@ -71,14 +85,8 @@ func (t *Hypercube) NumProcessors() int { return t.numProc }
 // NumChannels implements Network.
 func (t *Hypercube) NumChannels() int { return t.numProc * (t.dims + slotLink) }
 
-// Groups implements Network.
-func (t *Hypercube) Groups() [][]ChannelID { return t.groups }
-
 // Tables implements Network.
 func (t *Hypercube) Tables() *Tables { return t.tab }
-
-// GroupOf implements Network.
-func (t *Hypercube) GroupOf(ch ChannelID) GroupID { return ch }
 
 // split returns the node that owns ch and ch's slot in that node's block.
 func (t *Hypercube) split(ch ChannelID) (node, slot int) {
@@ -88,29 +96,6 @@ func (t *Hypercube) split(ch ChannelID) (node, slot int) {
 
 func (t *Hypercube) channel(node, slot int) ChannelID {
 	return ChannelID(node*(t.dims+slotLink) + slot)
-}
-
-// Kind implements Network.
-func (t *Hypercube) Kind(ch ChannelID) ChannelKind {
-	switch _, slot := t.split(ch); slot {
-	case slotInj:
-		return KindInjection
-	case slotEj:
-		return KindEjection
-	default:
-		return KindLink
-	}
-}
-
-// InjectionChannel implements Network.
-func (t *Hypercube) InjectionChannel(p int) ChannelID { return t.channel(p, slotInj) }
-
-// EjectsTo implements Network.
-func (t *Hypercube) EjectsTo(ch ChannelID) int {
-	if v, slot := t.split(ch); slot == slotEj {
-		return v
-	}
-	return -1
 }
 
 // NextGroup implements Network with e-cube routing: correct the lowest

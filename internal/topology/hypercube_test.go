@@ -34,12 +34,13 @@ func TestHypercubeRejectsBadDims(t *testing.T) {
 }
 
 func TestHypercubeAllGroupsSingleton(t *testing.T) {
-	hc := MustHypercube(6)
-	for g, members := range hc.Groups() {
+	tab := MustHypercube(6).Tables()
+	for g := GroupID(0); int(g) < len(tab.GroupOff)-1; g++ {
+		members := tab.Group(g)
 		if len(members) != 1 {
 			t.Errorf("group %d has %d members", g, len(members))
 		}
-		if hc.GroupOf(members[0]) != GroupID(g) {
+		if tab.GroupOf[members[0]] != g {
 			t.Errorf("GroupOf mismatch for group %d", g)
 		}
 	}
@@ -61,7 +62,7 @@ func TestHypercubeRoutesFollowECube(t *testing.T) {
 		// Dimension order: link channels must correct ascending bits.
 		lastDim := -1
 		for _, ch := range path {
-			if hc.Kind(ch) != KindLink {
+			if hc.Tables().Kind[ch] != KindLink {
 				continue
 			}
 			// Recover the dimension from the endpoints: channel v->v^2^d.
@@ -122,16 +123,16 @@ func TestHypercubeAvgDistanceMatchesEnumeration(t *testing.T) {
 
 func TestHypercubeEjection(t *testing.T) {
 	hc := MustHypercube(4)
-	for p := 0; p < 16; p++ {
-		inj := hc.InjectionChannel(p)
-		if hc.Kind(inj) != KindInjection {
-			t.Errorf("kind(inj) = %v", hc.Kind(inj))
+	tab := hc.Tables()
+	for p, inj := range tab.Inject {
+		if tab.Kind[inj] != KindInjection {
+			t.Errorf("kind(inj) = %v", tab.Kind[inj])
 		}
 		// Self-delivery: inject at p, next hop should eject directly.
 		g := hc.NextGroup(inj, p)
-		ej := hc.Groups()[g][0]
-		if hc.EjectsTo(ej) != p {
-			t.Errorf("ejection for node %d delivers to %d", p, hc.EjectsTo(ej))
+		ej := tab.Group(g)[0]
+		if int(tab.EjectsTo[ej]) != p {
+			t.Errorf("ejection for node %d delivers to %d", p, tab.EjectsTo[ej])
 		}
 	}
 }
@@ -143,9 +144,9 @@ func TestHypercubeNextGroupPanicsOnEjection(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	inj := hc.InjectionChannel(2)
+	inj := hc.Tables().Inject[2]
 	g := hc.NextGroup(inj, 2)
-	ej := hc.Groups()[g][0]
+	ej := hc.Tables().Group(g)[0]
 	hc.NextGroup(ej, 5)
 }
 

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -15,15 +14,15 @@ func nextGroupByDefinition(t *FatTree, cur ChannelID, dst int) GroupID {
 	s := t.toSw[cur]
 	l, a := int(t.level[s]), int(t.addr[s])
 	if dst>>(2*l) == a>>(l-1) {
-		return t.groupOf[t.childCh[s][dst>>(2*(l-1))&3]]
+		return t.tab.GroupOf[t.childCh[s][dst>>(2*(l-1))&3]]
 	}
 	return t.upGroup[s]
 }
 
-// TestTablesMatchInterface: the flat tables say what the interface
-// methods say, for every channel and group of every network size the repo
-// builds, and the fat-tree's packed routing record says what the routing
-// rule says.
+// TestTablesMatchInterface: every network size the repo builds has
+// columns the length of its channels and processors and groups that
+// partition its channels as GroupOf says, and the fat-tree's packed
+// routing record says what the routing rule says.
 func TestTablesMatchInterface(t *testing.T) {
 	var nets []Network
 	for n := 4; n <= 4096; n *= 4 {
@@ -34,38 +33,29 @@ func TestTablesMatchInterface(t *testing.T) {
 	}
 	for _, net := range nets {
 		tab := net.Tables()
-		groups := net.Groups()
-		if len(tab.GroupOf) != net.NumChannels() || len(tab.EjectsTo) != net.NumChannels() ||
-			len(tab.Members) != net.NumChannels() || len(tab.GroupOff) != len(groups)+1 {
-			t.Fatalf("%s: table sizes %d/%d/%d/%d for %d channels in %d groups", net.Name(),
-				len(tab.GroupOf), len(tab.EjectsTo), len(tab.Members), len(tab.GroupOff),
-				net.NumChannels(), len(groups))
+		nCh := net.NumChannels()
+		if len(tab.GroupOf) != nCh || len(tab.EjectsTo) != nCh || len(tab.Kind) != nCh ||
+			len(tab.Members) != nCh || len(tab.Inject) != net.NumProcessors() {
+			t.Fatalf("%s: column sizes %d/%d/%d/%d/%d for %d channels, %d processors", net.Name(),
+				len(tab.GroupOf), len(tab.EjectsTo), len(tab.Kind), len(tab.Members), len(tab.Inject),
+				nCh, net.NumProcessors())
 		}
-		for ch := ChannelID(0); int(ch) < net.NumChannels(); ch++ {
-			if tab.GroupOf[ch] != net.GroupOf(ch) || int(tab.EjectsTo[ch]) != net.EjectsTo(ch) {
-				t.Fatalf("%s: channel %d: tables say group %d ejects to %d, interface %d and %d",
-					net.Name(), ch, tab.GroupOf[ch], tab.EjectsTo[ch], net.GroupOf(ch), net.EjectsTo(ch))
-			}
-		}
-		for g, members := range groups {
-			csr := tab.Group(GroupID(g))
-			if fmt.Sprint(csr) != fmt.Sprint(members) {
-				t.Fatalf("%s: group %d: tables list %v, Groups() %v", net.Name(), g, csr, members)
-			}
-			for _, ch := range members {
-				if net.GroupOf(ch) != GroupID(g) {
-					t.Fatalf("%s: channel %d is listed in group %d but GroupOf says %d",
-						net.Name(), ch, g, net.GroupOf(ch))
+		for g := GroupID(0); int(g) < len(tab.GroupOff)-1; g++ {
+			members := tab.Group(g)
+			for i, ch := range members {
+				if tab.GroupOf[ch] != g || i > 0 && ch <= members[i-1] {
+					t.Fatalf("%s: group %d lists %v, against GroupOf or out of order",
+						net.Name(), g, members)
 				}
 			}
 		}
-		// Groups() hands out views of one array; an append to one must
+		// Group hands out views of one array; an append to one must
 		// reallocate, not run into the next group's members.
-		if len(groups) > 1 {
-			next := groups[1][0]
-			_ = append(groups[0], None)
-			if groups[1][0] != next {
-				t.Fatalf("%s: append to Groups()[0] overwrote group 1", net.Name())
+		if len(tab.GroupOff) > 2 {
+			next := tab.Group(1)[0]
+			_ = append(tab.Group(0), None)
+			if tab.Group(1)[0] != next {
+				t.Fatalf("%s: append to Group(0) overwrote group 1", net.Name())
 			}
 		}
 	}
@@ -131,7 +121,7 @@ func buildAllocs(build func()) float64 {
 // per arbitration group (3,578 allocations for bft-1024 before the tables).
 func TestFatTreeBuildAllocs(t *testing.T) {
 	for _, n := range []int{64, 1024} {
-		if got, want := buildAllocs(func() { MustFatTree(n) }), 18.0; got != want {
+		if got, want := buildAllocs(func() { MustFatTree(n) }), 15.0; got != want {
 			t.Errorf("bft-%d: %v allocations per build, want %v", n, got, want)
 		}
 	}
@@ -139,7 +129,7 @@ func TestFatTreeBuildAllocs(t *testing.T) {
 
 func TestHypercubeBuildAllocs(t *testing.T) {
 	for _, dims := range []int{6, 10} {
-		if got, want := buildAllocs(func() { MustHypercube(dims) }), 7.0; got != want {
+		if got, want := buildAllocs(func() { MustHypercube(dims) }), 8.0; got != want {
 			t.Errorf("hcube-%d: %v allocations per build, want %v", 1<<dims, got, want)
 		}
 	}

@@ -66,9 +66,11 @@ func (k ChannelKind) String() string {
 	}
 }
 
-// Network is the topology contract consumed by the simulator. All channels
-// have unit bandwidth and unit latency; a path's unloaded head latency is
-// its channel count.
+// Network is the topology contract consumed by the simulator: a network
+// is its tables and its router. Every per-channel and per-processor fact
+// is a column of Tables; the methods are the ones that compute. All
+// channels have unit bandwidth and unit latency; a path's unloaded head
+// latency is its channel count.
 type Network interface {
 	// Name identifies the network in reports, e.g. "bft-1024".
 	Name() string
@@ -76,24 +78,14 @@ type Network interface {
 	NumProcessors() int
 	// NumChannels returns the number of directed channels.
 	NumChannels() int
-	// Groups returns the arbitration groups; Groups()[g] lists the member
-	// channels of group g in ascending order. The result is shared; callers
-	// must not modify.
-	Groups() [][]ChannelID
-	// GroupOf returns the arbitration group a channel belongs to.
-	GroupOf(ch ChannelID) GroupID
-	// Kind returns a channel's classification.
-	Kind(ch ChannelID) ChannelKind
-	// InjectionChannel returns the channel from processor p into the
-	// network.
-	InjectionChannel(p int) ChannelID
-	// EjectsTo returns the processor a channel delivers to, or -1 if the
-	// channel is not an ejection channel.
-	EjectsTo(ch ChannelID) int
+	// Tables returns the network's columns. They are built with the
+	// network and shared; callers must not modify them. A network that
+	// perturbs another (a fault-injecting test) returns an edited copy.
+	Tables() *Tables
 	// NextGroup returns the arbitration group for the next hop of a worm
 	// whose head has just traversed channel cur and is destined for
 	// processor dst. It must not be called once the head has reached dst
-	// (i.e. when EjectsTo(cur) == dst).
+	// (i.e. when Tables().EjectsTo[cur] == dst).
 	NextGroup(cur ChannelID, dst int) GroupID
 	// PathLen returns the number of channels (including injection and
 	// ejection) on a shortest src -> dst path.
@@ -101,22 +93,21 @@ type Network interface {
 	// AvgDistance returns the mean of PathLen over uniformly random
 	// src != dst pairs (the paper's D̄).
 	AvgDistance() float64
-	// Tables returns the flat form of GroupOf, EjectsTo and Groups that
-	// the simulator's cycle loop reads instead of calling them per event.
-	// It is built with the network and shared; callers must not modify. A
-	// type that embeds a Network and overrides one of those methods must
-	// override Tables too (BuildTables on itself), or engines keep reading
-	// the inner network's.
-	Tables() *Tables
 }
 
-// Tables is a network's channel and group structure as arrays, built once
-// (BuildTables) and read by every engine that simulates the network.
+// Tables is what a network says about its channels and processors, as
+// columns built once by its constructor (newTables) and read by every
+// engine that simulates it and every report that classifies its channels.
 type Tables struct {
-	// GroupOf[ch] and EjectsTo[ch] are Network.GroupOf(ch) and
-	// Network.EjectsTo(ch).
-	GroupOf  []GroupID
+	// GroupOf[ch] is the arbitration group channel ch belongs to.
+	GroupOf []GroupID
+	// EjectsTo[ch] is the processor channel ch delivers to, or -1 if it
+	// is not an ejection channel.
 	EjectsTo []int32
+	// Kind[ch] classifies channel ch.
+	Kind []ChannelKind
+	// Inject[p] is the channel from processor p into the network.
+	Inject []ChannelID
 	// GroupOff and Members hold the arbitration groups in CSR form: the
 	// member channels of group g are Members[GroupOff[g]:GroupOff[g+1]],
 	// ascending.
@@ -124,40 +115,31 @@ type Tables struct {
 	Members  []ChannelID
 }
 
-// BuildTables fills a network's tables through its GroupOf and EjectsTo
-// methods; group membership follows from GroupOf. Both constructors end
-// with it, and a wrapper that overrides either method calls it on itself.
-func BuildTables(net Network) *Tables {
-	nCh := net.NumChannels()
-	t := &Tables{
-		GroupOf:  make([]GroupID, nCh),
-		EjectsTo: make([]int32, nCh),
-		Members:  make([]ChannelID, nCh),
-	}
+// newTables takes a network's columns and derives its arbitration groups
+// from groupOf.
+func newTables(groupOf []GroupID, ejectsTo []int32, kind []ChannelKind, inject []ChannelID) *Tables {
 	nGr := 0
-	for ch := range t.GroupOf {
-		g := net.GroupOf(ChannelID(ch))
-		t.GroupOf[ch] = g
-		t.EjectsTo[ch] = int32(net.EjectsTo(ChannelID(ch)))
+	for _, g := range groupOf {
 		nGr = max(nGr, int(g)+1)
 	}
 	// Counting sort of the channels by group: off[g] counts group g, then
 	// marks its end; filling from the last channel down walks each mark
 	// back to its group's start and leaves the members ascending.
 	off := make([]int32, nGr+1)
-	for _, g := range t.GroupOf {
+	for _, g := range groupOf {
 		off[g]++
 	}
 	for g := 1; g <= nGr; g++ {
 		off[g] += off[g-1]
 	}
-	for ch := nCh - 1; ch >= 0; ch-- {
-		g := t.GroupOf[ch]
+	members := make([]ChannelID, len(groupOf))
+	for ch := len(groupOf) - 1; ch >= 0; ch-- {
+		g := groupOf[ch]
 		off[g]--
-		t.Members[off[g]] = ChannelID(ch)
+		members[off[g]] = ChannelID(ch)
 	}
-	t.GroupOff = off
-	return t
+	return &Tables{GroupOf: groupOf, EjectsTo: ejectsTo, Kind: kind, Inject: inject,
+		GroupOff: off, Members: members}
 }
 
 // Group returns the member channels of group g: a view of Members,
@@ -165,16 +147,6 @@ func BuildTables(net Network) *Tables {
 func (t *Tables) Group(g GroupID) []ChannelID {
 	lo, hi := t.GroupOff[g], t.GroupOff[g+1]
 	return t.Members[lo:hi:hi]
-}
-
-// Groups returns every group's view, indexed by group: what
-// Network.Groups hands out.
-func (t *Tables) Groups() [][]ChannelID {
-	groups := make([][]ChannelID, len(t.GroupOff)-1)
-	for g := range groups {
-		groups[g] = t.Group(GroupID(g))
-	}
-	return groups
 }
 
 // lazyName is a network's name, "<prefix><processors>", built on the
