@@ -32,11 +32,12 @@ fuzz:
 		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s "$$pkg" || exit 1; \
 	done
 
-# One iteration per benchmark: keeps bench_test.go and the cyclic kernel's
-# BenchmarkCyclicKernel (internal/core) compiling and running without
-# turning CI into a measurement job.
+# One iteration per benchmark: keeps bench_test.go, the cyclic kernel's
+# BenchmarkCyclicKernel (internal/core) and the simulator's BenchmarkColdRun
+# (internal/sim) compiling and running without turning CI into a
+# measurement job.
 bench:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/core
+	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/core ./internal/sim
 
 # Every program under examples/ runs to completion; a non-zero exit
 # fails the target. They are the checked answer to "how do I call this

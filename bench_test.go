@@ -156,8 +156,9 @@ func BenchmarkTopologyFatTree1024(b *testing.B) {
 }
 
 // BenchmarkSimulatorCycles reports simulator speed on the paper's
-// 1024-processor configuration at a moderate load: cold builds an engine
-// per run (sim.Run), warm resets one pooled engine in place.
+// 1024-processor configuration at a moderate load: sim.Run on an engine
+// the process has parked, reset in place. internal/sim's BenchmarkColdRun
+// times the same run on a newly built engine.
 func BenchmarkSimulatorCycles(b *testing.B) {
 	cfg := sim.Config{
 		Net:           topology.MustFatTree(1024),
@@ -166,24 +167,17 @@ func BenchmarkSimulatorCycles(b *testing.B) {
 		WarmupCycles:  1000,
 		MeasureCycles: 4000,
 	}.FlitLoad(0.02)
-	var pool sim.Pool
-	if _, err := pool.Run(context.Background(), cfg); err != nil {
+	if _, err := sim.Run(context.Background(), cfg); err != nil {
 		b.Fatal(err)
 	}
-	for _, bc := range []struct {
-		name string
-		run  func(context.Context, sim.Config, ...sim.Option) (*sim.Result, error)
-	}{{"cold", sim.Run}, {"warm", pool.Run}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := bc.run(context.Background(), cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.Cycles), "cycles/op")
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := sim.Run(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(res.Cycles), "cycles/op")
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -187,8 +188,10 @@ func TestSimBackendSurvivesSimulatorPanic(t *testing.T) {
 	}
 }
 
-// sim.run spans say whether the run was on a recycled engine and how many
-// worm slots it needed; the engine counters move with them.
+// sim.run spans say whether the run was on a parked engine and how many
+// worm slots it needed; the engine counters move with them. The first
+// cell may find the process's list empty, the second always finds the
+// engine the first parked.
 func TestSimRunSpanReportsEngineReuse(t *testing.T) {
 	var buf bytes.Buffer
 	tr := obs.NewTracer(&buf)
@@ -210,13 +213,51 @@ func TestSimRunSpanReportsEngineReuse(t *testing.T) {
 	if len(events) != 2 {
 		t.Fatalf("got %d spans, want 2 sim.run", len(events))
 	}
+	var built int64
 	for i, ev := range events {
 		hw, _ := ev.Attrs["worms_high_water"].(float64)
-		if ev.Name != "sim.run" || ev.Attrs["engine_reused"] != (i == 1) || hw < 1 {
-			t.Errorf("span %d: %s %v, want sim.run with engine_reused=%v and a worm high-water mark", i, ev.Name, ev.Attrs, i == 1)
+		reused, ok := ev.Attrs["engine_reused"].(bool)
+		if ev.Name != "sim.run" || !ok || (i == 1 && !reused) || hw < 1 {
+			t.Errorf("span %d: %s %v, want sim.run with engine_reused (true on the second) and a worm high-water mark", i, ev.Name, ev.Attrs)
+		}
+		if !reused {
+			built++
 		}
 	}
-	for name, want := range map[string]int64{"sim_engines_built_total": 1, "sim_engines_reused_total": 1} {
+	for name, want := range map[string]int64{"sim_engines_built_total": built, "sim_engines_reused_total": 2 - built} {
+		if got := after[name] - before[name]; got != want {
+			t.Errorf("%s moved by %d, want %d (as the spans say)", name, got, want)
+		}
+	}
+}
+
+// A new backend simulates on what the process has parked: once one
+// sim.Run has parked an engine, a new SimBackend's first cell builds
+// none, and its sim.run span says so.
+func TestNewBackendSimulatesOnParkedEngine(t *testing.T) {
+	net, err := topology.NewFatTree(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.Config{Net: net, MsgFlits: 4, Seed: 1, WarmupCycles: 100, MeasureCycles: 500}.FlitLoad(0.01)
+	if _, err := sim.Run(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	ctx := obs.WithTracer(context.Background(), obs.NewTracer(&buf))
+	before := obs.Counters()
+	if _, err := NewSimBackend(NewAnalyticBackend()).Evaluate(ctx, bftScenario(true)); err != nil {
+		t.Fatal(err)
+	}
+	after := obs.Counters()
+	events, err := obs.ReadEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 1 || events[0].Name != "sim.run" || events[0].Attrs["engine_reused"] != true {
+		t.Errorf("spans %+v, want one sim.run with engine_reused=true", events)
+	}
+	for name, want := range map[string]int64{"sim_engines_built_total": 0, "sim_engines_reused_total": 1} {
 		if got := after[name] - before[name]; got != want {
 			t.Errorf("%s moved by %d, want %d", name, got, want)
 		}

@@ -18,10 +18,11 @@ import (
 // are resolved through the anchor (normally the AnalyticBackend of the
 // same sweep, so model and simulator probe identical absolute loads).
 // Scenarios with WithSim unset are answered with an empty Point — the
-// backend only measures where the grid asked for measurement. Runs draw
-// their engines from one sim.Pool, so a long-lived backend simulates on
-// warm engines. Safe for concurrent use; the simulator checks ctx inside
-// its cycle loop.
+// backend only measures where the grid asked for measurement. Every run
+// is a sim.Run, on the engines the process has parked, so even a new
+// backend simulates on warm engines once anything in the process has
+// simulated. Safe for concurrent use; the simulator checks ctx inside its
+// cycle loop.
 //
 // The lock covers the memo maps only: a network is built and a trace is
 // parsed outside it, once, with concurrent first callers of the same key
@@ -32,7 +33,6 @@ type SimBackend struct {
 	building map[Topology]*netBuild // first builds in flight
 	traces   map[string]*traceEntry
 	anchor   LoadResolver
-	pool     sim.Pool
 }
 
 type netBuild struct {
@@ -141,8 +141,8 @@ func (b *SimBackend) EvaluateCurve(ctx context.Context, cells Cells) (int, error
 // the simulator's early-stopping and replica options; the achieved
 // relative precision comes back in Point.SimPrecision. A panic below
 // this call — a network or workload the simulator's invariants reject —
-// fails this cell only: it comes back as the cell's error, and the pool
-// never sees the engine it happened on again.
+// fails this cell only: it comes back as the cell's error, and the engine
+// it happened on is never parked.
 func (b *SimBackend) Evaluate(ctx context.Context, sc Scenario) (pt Point, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -192,7 +192,7 @@ func (b *SimBackend) Evaluate(ctx context.Context, sc Scenario) (pt Point, err e
 		opts = append(opts, sim.WithReplicas(sc.Budget.Replicas))
 	}
 	simCtx, span := obs.StartSpanFor(ctx, "sim.run", sc)
-	res, err := b.pool.Run(simCtx, cfg, opts...)
+	res, err := sim.Run(simCtx, cfg, opts...)
 	if err != nil {
 		span.End(obs.String("error", err.Error()))
 		return Point{}, err

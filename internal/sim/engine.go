@@ -190,9 +190,8 @@ func (q *linkedQueues) pop(i int32, next []int32) int32 {
 }
 
 // arrivalSlab stores the messages queued at their sources — arrival time
-// and, under preDests, destination — in one slab shared by all sources;
-// each source's FIFO is threaded through next (engine.srcQ), as is the
-// list of free slots.
+// and destination — in one slab shared by all sources; each source's FIFO
+// is threaded through next (engine.srcQ), as is the list of free slots.
 type arrivalSlab struct {
 	at   []float64
 	dst  []int32
@@ -292,16 +291,12 @@ type engine struct {
 	// injection channel takes them.
 	arr  arrivalSlab
 	srcQ linkedQueues
-	// pat is the resolved destination pattern (nil under trace replay,
-	// where destinations ride with the arrivals).
-	pat traffic.Pattern
-	// preDests: destinations are decided at arrival-pop time — either
-	// read from a replayed trace (destSrc non-empty) or pre-drawn from
-	// the pattern so a recorder can observe them — and queue in arr
-	// alongside the arrival times. Off (the default), destinations
-	// are drawn at worm-creation time; both orders consume each
-	// srcRNG[p] stream identically, so results are bit-identical.
-	preDests   bool
+	// A destination is decided when its arrival is taken in, and queues in
+	// arr beside the arrival time: read from a replayed trace (destSrc
+	// non-empty) or drawn from pat, the resolved destination pattern (nil
+	// under trace replay), on srcRNG[p]. Each source's stream is drawn in
+	// its messages' order either way.
+	pat        traffic.Pattern
 	destSrc    []traffic.DestSource
 	waitingInj []bool
 	rng        traffic.RNG
@@ -344,15 +339,16 @@ type engine struct {
 	obsGrants     int64
 	obsDrainSteps int64 // draining worms stepped
 
-	reused      bool // this run is on recycled storage (Pool)
+	reused      bool // this run is on a parked engine (takeEngine)
 	debugChecks bool // same-package tests enable per-cycle invariants
 }
 
-func newEngine(cfg Config) (*engine, error) {
+func newEngine(cfg Config, term Termination) (*engine, error) {
 	e := new(engine)
 	if err := e.reset(cfg); err != nil {
 		return nil, err
 	}
+	e.term = term
 	return e, nil
 }
 
@@ -434,7 +430,6 @@ func (e *engine) reset(cfg Config) error {
 		for p, s := range e.sources {
 			e.destSrc[p] = s.(traffic.DestSource)
 		}
-		e.preDests = true
 	} else {
 		// SplitInto does not consume the parent stream, so pulling the
 		// arrival streams here (after all destination streams) derives
@@ -457,9 +452,6 @@ func (e *engine) reset(cfg Config) error {
 			}
 		}
 		e.pat = pat
-	}
-	if cfg.Recorder != nil {
-		e.preDests = true
 	}
 	for p := 0; p < nProc; p++ {
 		e.scheduleArrival(p)
@@ -649,15 +641,13 @@ func (e *engine) arrivals(t int64) {
 				break
 			}
 			var d int32
-			if e.preDests {
-				if len(e.destSrc) > 0 {
-					d = int32(e.destSrc[p].LastDest())
-				} else {
-					d = int32(e.pat.Dest(p, e.nProc, &e.srcRNG[p]))
-				}
-				if e.cfg.Recorder != nil {
-					e.cfg.Recorder(p, int(d), a)
-				}
+			if len(e.destSrc) > 0 {
+				d = int32(e.destSrc[p].LastDest())
+			} else {
+				d = int32(e.pat.Dest(p, e.nProc, &e.srcRNG[p]))
+			}
+			if rec := e.cfg.Recorder; rec != nil {
+				rec(p, int(d), a)
 			}
 			e.srcQ.push(int32(p), e.arr.put(a, d), e.arr.next)
 			e.totalQueued++
@@ -697,11 +687,7 @@ func (e *engine) createWorm(p int, t int64) {
 	a := e.arr.at[slot]
 	id := e.alloc()
 	e.soa.src[id] = int32(p)
-	if e.preDests {
-		e.soa.dst[id] = e.arr.dst[slot]
-	} else {
-		e.soa.dst[id] = int32(e.pat.Dest(p, e.nProc, &e.srcRNG[p]))
-	}
+	e.soa.dst[id] = e.arr.dst[slot]
 	e.arr.release(slot)
 	e.soa.arrival[id] = a
 	e.soa.state[id] = stateRouting

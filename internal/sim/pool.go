@@ -14,48 +14,49 @@ import (
 	"repro/internal/topology"
 )
 
-// Pool recycles engines between runs: a finished engine is parked and the
-// next Run resets it in place (engine.reset) instead of building a new
-// one, so a warm run allocates little beyond its Result. The zero value is
-// ready and safe for concurrent use. Results are bit-identical to Run's,
-// whatever ran on the engine before — another network, message length,
-// policy or workload.
+// parked holds the process's idle engines. A finished run parks its
+// engines here, and the next Run — from any caller, backend or goroutine —
+// resets one in place (engine.reset) instead of building one, so a warm
+// run allocates little beyond its Result; results are bit-identical to a
+// new engine's, whatever ran on the engine before.
 //
 // Only engines whose run returned a Result are parked. One that failed
 // (cancelled context, ErrDeadlock, a workload the network rejects) or
 // panicked is left to the garbage collector, so no later run starts from
-// state an aborted cycle loop left behind. A pool therefore retains at
-// most as many engines as it has ever run concurrently, each as large as
-// the largest network it has simulated; parked engines hold no reference
-// to a caller's Config (engine.release).
-type Pool struct {
+// state an aborted cycle loop left behind. The process therefore retains
+// at most as many engines as it has ever run at once, each as large as the
+// largest network it has simulated; parked engines hold no reference to a
+// caller's Config (engine.release). A mutex-guarded slice, not a
+// sync.Pool: the garbage collector never drops an engine between two runs,
+// and the race detector never drops a park.
+var parked struct {
 	mu   sync.Mutex
 	free []*engine
 }
 
-// engine returns an engine reset for cfg: a parked one when there is one.
-func (p *Pool) engine(cfg Config, term Termination) (*engine, error) {
-	p.mu.Lock()
+// takeEngine returns an engine reset for cfg: a parked one when there is
+// one, otherwise a new one.
+func takeEngine(cfg Config, term Termination) (*engine, error) {
+	parked.mu.Lock()
 	var e *engine
-	if n := len(p.free); n > 0 {
-		e, p.free[n-1] = p.free[n-1], nil
-		p.free = p.free[:n-1]
+	if n := len(parked.free); n > 0 {
+		e, parked.free[n-1] = parked.free[n-1], nil
+		parked.free = parked.free[:n-1]
 	}
-	p.mu.Unlock()
-	reused := e != nil
-	if !reused {
-		e = new(engine)
+	parked.mu.Unlock()
+	if e == nil {
+		return newEngine(cfg, term)
 	}
 	if err := e.reset(cfg); err != nil {
 		return nil, err
 	}
-	e.term, e.reused = term, reused
+	e.term, e.reused = term, true
 	return e, nil
 }
 
-// park describes the finished engines on the caller's span, then takes
-// them back.
-func (p *Pool) park(ctx context.Context, engines ...*engine) {
+// park describes the finished engines on the caller's span, then parks
+// them.
+func park(ctx context.Context, engines []*engine) {
 	if obs.Enabled(ctx) {
 		reused, highWater := true, 0
 		for _, e := range engines {
@@ -67,9 +68,9 @@ func (p *Pool) park(ctx context.Context, engines ...*engine) {
 	for _, e := range engines {
 		e.release()
 	}
-	p.mu.Lock()
-	p.free = append(p.free, engines...)
-	p.mu.Unlock()
+	parked.mu.Lock()
+	parked.free = append(parked.free, engines...)
+	parked.mu.Unlock()
 }
 
 // Run simulates the configured system and returns the measured result.
@@ -84,15 +85,10 @@ func (p *Pool) park(ctx context.Context, engines ...*engine) {
 // Cancellation does not perturb determinism — an uncancelled run is
 // unaffected by its context.
 //
-// Run builds its engines and discards them; callers that simulate
-// repeatedly keep a Pool.
+// Run takes its engines from those the process has parked and builds only
+// what it cannot take, so a caller that simulates repeatedly needs nothing
+// but Run. It is safe for concurrent use.
 func Run(ctx context.Context, cfg Config, opts ...Option) (*Result, error) {
-	return new(Pool).Run(ctx, cfg, opts...)
-}
-
-// Run is the package-level Run on the pool's engines; every replica draws
-// from the same pool.
-func (p *Pool) Run(ctx context.Context, cfg Config, opts ...Option) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -120,34 +116,30 @@ func (p *Pool) Run(ctx context.Context, cfg Config, opts ...Option) (*Result, er
 			term.RelHalfWidth *= math.Sqrt(float64(o.replicas))
 		}
 	}
-	if o.replicas == 1 {
-		// One replica needs no engine list: a warm run allocates only its
-		// Result.
-		cfg.Seed = ReplicaSeed(cfg.Seed, 0)
-		e, err := p.engine(cfg, term)
-		if err != nil {
-			return nil, err
-		}
-		res, err := e.run(ctx)
-		if err != nil {
-			return nil, err
-		}
-		p.park(ctx, e)
-		return res, nil
+	// One replica's engine list stays on the stack: a warm run allocates
+	// only its Result.
+	var one [1]*engine
+	engines := one[:]
+	if o.replicas > 1 {
+		engines = make([]*engine, o.replicas)
 	}
-	engines := make([]*engine, o.replicas)
 	for r := range engines {
 		rcfg := cfg
 		rcfg.Seed = ReplicaSeed(cfg.Seed, r)
-		if engines[r], err = p.engine(rcfg, term); err != nil {
+		if engines[r], err = takeEngine(rcfg, term); err != nil {
 			return nil, err
 		}
 	}
-	res, err := runReplicas(ctx, engines)
+	var res *Result
+	if len(engines) == 1 {
+		res, err = engines[0].run(ctx)
+	} else {
+		res, err = runReplicas(ctx, engines)
+	}
 	if err != nil {
 		return nil, err
 	}
-	p.park(ctx, engines...)
+	park(ctx, engines)
 	return res, nil
 }
 
@@ -160,9 +152,9 @@ func runReplicas(ctx context.Context, engines []*engine) (*Result, error) {
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var wg sync.WaitGroup
-	for r := range engines {
+	for r, e := range engines {
 		wg.Add(1)
-		go func(r int) {
+		go func(r int, e *engine) {
 			defer wg.Done()
 			_, sp := obs.StartSpanKeyed(rctx, "sim.replica", strconv.Itoa(r))
 			defer func() {
@@ -177,8 +169,8 @@ func runReplicas(ctx context.Context, engines []*engine) (*Result, error) {
 					cancel()
 				}
 			}()
-			results[r], errs[r] = engines[r].run(rctx)
-		}(r)
+			results[r], errs[r] = e.run(rctx)
+		}(r, e)
 	}
 	wg.Wait()
 	// Prefer a substantive failure (deadlock, parent cancellation) over

@@ -79,12 +79,42 @@ func reuseMatrix(t *testing.T) []simCase {
 	)
 }
 
-// freshResults runs every case on its own throwaway engine.
+// freshRun is Run in a process that has parked nothing: with the parked
+// engines set aside, Run builds every engine it needs with the internal
+// constructor (newEngine), and what it parks is dropped afterwards.
+func freshRun(ctx context.Context, cfg Config, opts ...Option) (*Result, error) {
+	parked.mu.Lock()
+	kept := parked.free
+	parked.free = nil
+	parked.mu.Unlock()
+	defer func() {
+		parked.mu.Lock()
+		parked.free = kept
+		parked.mu.Unlock()
+	}()
+	return Run(ctx, cfg, opts...)
+}
+
+// parkedEngines is how many engines the process has parked.
+func parkedEngines() int {
+	parked.mu.Lock()
+	defer parked.mu.Unlock()
+	return len(parked.free)
+}
+
+// lastParked is the engine the latest run parked.
+func lastParked() *engine {
+	parked.mu.Lock()
+	defer parked.mu.Unlock()
+	return parked.free[len(parked.free)-1]
+}
+
+// freshResults runs every case on engines of its own.
 func freshResults(t *testing.T, cases []simCase) []*Result {
 	t.Helper()
 	want := make([]*Result, len(cases))
 	for i, tc := range cases {
-		res, err := Run(context.Background(), tc.cfg, tc.opts...)
+		res, err := freshRun(context.Background(), tc.cfg, tc.opts...)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -93,65 +123,68 @@ func freshResults(t *testing.T, cases []simCase) []*Result {
 	return want
 }
 
-// TestPoolReuseBitIdentical is the pin of reset-and-reuse: one pool runs
-// the whole matrix back to back — networks, message lengths, policies,
-// options and workloads changing under the same engines — in two
-// different orders, and every Result must equal a fresh Run's bit for
-// bit. A cancelled run, a deadlocked one and a panicked one are thrown in
+// TestPoolReuseBitIdentical is the pin of reset-and-reuse: Run takes the
+// whole matrix back to back on the process's parked engines — networks,
+// message lengths, policies, options and workloads changing under the
+// same engines — in two different orders, and every Result must equal
+// one from engines the internal constructor built, bit for bit. A
+// cancelled run, a deadlocked one and a panicked one are thrown in
 // between; their engines must not come back.
 func TestPoolReuseBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	cases := reuseMatrix(t)
 	want := freshResults(t, cases)
 
-	var p Pool
 	check := func(i int) {
 		t.Helper()
-		got, err := p.Run(ctx, cases[i].cfg, cases[i].opts...)
+		got, err := Run(ctx, cases[i].cfg, cases[i].opts...)
 		if err != nil {
 			t.Fatalf("%s: %v", cases[i].name, err)
 		}
-		mustMatch(t, "pooled "+cases[i].name, got, want[i])
+		mustMatch(t, "parked "+cases[i].name, got, want[i])
 	}
+	before := parkedEngines()
 	for i := range cases {
 		check(i)
 	}
-	if n := len(p.free); n != 3 {
-		t.Errorf("pool holds %d engines after a serial pass with one 3-replica run, want 3", n)
+	// A serial run parks the engines it took; the 3-replica run builds
+	// what it cannot take.
+	if n, want := parkedEngines(), max(before, 3); n != want {
+		t.Errorf("%d engines parked after a serial pass with one 3-replica run, want %d", n, want)
 	}
 
 	// A run cancelled mid-flight: its engine is dropped, and the next run
 	// is unaffected.
-	parked := len(p.free)
+	parked := parkedEngines()
 	cctx, cancel := context.WithCancel(ctx)
 	endless := cases[0].cfg
 	endless.MeasureCycles = 1 << 40
 	endless.Recorder = func(int, int, float64) { cancel() }
-	if _, err := p.Run(cctx, endless); !errors.Is(err, context.Canceled) {
+	if _, err := Run(cctx, endless); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
 	}
-	if len(p.free) != parked-1 {
-		t.Errorf("pool holds %d engines after a cancelled run, want %d (the engine dropped)", len(p.free), parked-1)
+	if n := parkedEngines(); n != parked-1 {
+		t.Errorf("%d engines parked after a cancelled run, want %d (the engine dropped)", n, parked-1)
 	}
 	check(1)
 
 	// A deadlocked run.
-	parked = len(p.free)
+	parked = parkedEngines()
 	stuck := cases[0].cfg
 	stuck.Net = &faultyNet{Network: stuck.Net, selfLoop: true}
 	// The drain limit outlasts the watchdog, so the run ends in
 	// ErrDeadlock rather than at its hard end.
 	stuck.DrainLimit = 2 * progressTimeout
-	if _, err := p.Run(ctx, stuck); !errors.Is(err, ErrDeadlock) {
+	if _, err := Run(ctx, stuck); !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("deadlocked run: err = %v, want ErrDeadlock", err)
 	}
-	if len(p.free) != parked-1 {
-		t.Errorf("pool holds %d engines after a deadlocked run, want %d", len(p.free), parked-1)
+	if n := parkedEngines(); n != parked-1 {
+		t.Errorf("%d engines parked after a deadlocked run, want %d", n, parked-1)
 	}
 	check(3)
 
 	// A panicking run.
-	parked = len(p.free)
+	parked = parkedEngines()
 	lost := cases[0].cfg
 	lost.Net = &faultyNet{Network: lost.Net, misdeliver: true}
 	func() {
@@ -160,14 +193,19 @@ func TestPoolReuseBitIdentical(t *testing.T) {
 				t.Error("misdelivering network did not panic")
 			}
 		}()
-		p.Run(ctx, lost)
+		Run(ctx, lost)
 	}()
-	if len(p.free) != parked-1 {
-		t.Errorf("pool holds %d engines after a panicked run, want %d", len(p.free), parked-1)
+	if n := parkedEngines(); n != parked-1 {
+		t.Errorf("%d engines parked after a panicked run, want %d", n, parked-1)
 	}
-	// A replica's panic surfaces as the run's error, not a crash.
-	if _, err := p.Run(ctx, lost, WithReplicas(2)); err == nil || !strings.Contains(err.Error(), "panicked") {
+	// A replica's panic surfaces as the run's error, not a crash, and
+	// parks neither replica's engine.
+	parked = parkedEngines()
+	if _, err := Run(ctx, lost, WithReplicas(2)); err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Errorf("panicking replicas: err = %v, want a replica-panicked error", err)
+	}
+	if n := parkedEngines(); n != max(parked-2, 0) {
+		t.Errorf("%d engines parked after panicked replicas, want %d", n, max(parked-2, 0))
 	}
 
 	for i := len(cases) - 1; i >= 0; i-- {
@@ -177,32 +215,31 @@ func TestPoolReuseBitIdentical(t *testing.T) {
 
 // TestReplicasAreCapped: replicas whose engines together would simulate
 // more than topology.MaxProcessors processors are refused before any
-// engine is built, so a replica count alone cannot exhaust memory; the
-// cap is inclusive.
+// engine is taken or built, so a replica count alone cannot exhaust
+// memory; the cap is inclusive.
 func TestReplicasAreCapped(t *testing.T) {
 	ft, err := topology.NewFatTree(16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var p Pool
+	before := parkedEngines()
 	for _, replicas := range []int{topology.MaxProcessors/16 + 1, 1_000_000_000} {
-		_, err := p.Run(context.Background(), lightConfig(ft, 8, 0.01, 1), WithReplicas(replicas))
+		_, err := Run(context.Background(), lightConfig(ft, 8, 0.01, 1), WithReplicas(replicas))
 		if err == nil || !strings.Contains(err.Error(), "limit is 65536 processors") {
 			t.Errorf("%d replicas of bft-16: err = %v, want the processor limit", replicas, err)
 		}
 	}
-	if len(p.free) != 0 {
-		t.Errorf("a refused run left %d engine(s) in the pool", len(p.free))
+	if n := parkedEngines(); n != before {
+		t.Errorf("a refused run moved the parked engines from %d to %d", before, n)
 	}
 }
 
-// TestPoolConcurrent runs one pool from four goroutines, each walking the
-// matrix from a different offset, so engines migrate between goroutines
-// and shapes; run under -race.
+// TestPoolConcurrent runs Run from four goroutines, each walking the
+// matrix from a different offset, so parked engines migrate between
+// goroutines and shapes; run under -race.
 func TestPoolConcurrent(t *testing.T) {
 	cases := reuseMatrix(t)
 	want := freshResults(t, cases)
-	var p Pool
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -210,7 +247,7 @@ func TestPoolConcurrent(t *testing.T) {
 			defer wg.Done()
 			for k := range cases {
 				i := (k + g*len(cases)/4) % len(cases)
-				got, err := p.Run(context.Background(), cases[i].cfg, cases[i].opts...)
+				got, err := Run(context.Background(), cases[i].cfg, cases[i].opts...)
 				if err != nil {
 					t.Errorf("goroutine %d, %s: %v", g, cases[i].name, err)
 					return
@@ -222,6 +259,46 @@ func TestPoolConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// TestParkedEnginesAreBounded pins what the process retains: after N
+// goroutines have run at once, at most N engines are parked, however many
+// runs each made, and a later serial run builds none.
+func TestParkedEnginesAreBounded(t *testing.T) {
+	parked.mu.Lock()
+	parked.free = nil // start from a process that has parked nothing
+	parked.mu.Unlock()
+
+	const goroutines, runs = 3, 4
+	cfg := lightConfig(topology.MustFatTree(16), 8, 0.2, 7)
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start.Wait()
+			for i := 0; i < runs; i++ {
+				if _, err := Run(context.Background(), cfg); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	start.Done()
+	wg.Wait()
+	n := parkedEngines()
+	if n < 1 || n > goroutines {
+		t.Fatalf("%d engines parked after %d goroutines ran at once, want 1 to %d", n, goroutines, goroutines)
+	}
+	built := simEnginesBuilt.Load()
+	if _, err := Run(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if d := simEnginesBuilt.Load() - built; d != 0 || parkedEngines() != n {
+		t.Errorf("a serial run after them built %d engines and left %d parked, want 0 and %d", d, parkedEngines(), n)
+	}
+}
+
 // TestPoolPinsNothing: a parked engine holds no reference to the caller's
 // closures, trace, sources, pattern or network (tables included), and a
 // Result never aliases engine memory — neither scribbling on a returned
@@ -230,12 +307,11 @@ func TestPoolPinsNothing(t *testing.T) {
 	ctx := context.Background()
 	cfg := lightConfig(topology.MustFatTree(64), 16, 0.3, 1234)
 	tr, _ := recordTrace(t, cfg)
-	want, err := Run(ctx, cfg)
+	want, err := freshRun(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	var p Pool
 	hooked := cfg
 	hooked.Recorder = func(int, int, float64) {}
 	hooked.HopWaitObserver = func(topology.ChannelID, int64) {}
@@ -243,10 +319,10 @@ func TestPoolPinsNothing(t *testing.T) {
 	replay := cfg
 	replay.Trace = tr
 	for _, c := range []Config{hooked, replay} {
-		if _, err := p.Run(ctx, c); err != nil {
+		if _, err := Run(ctx, c); err != nil {
 			t.Fatal(err)
 		}
-		e := p.free[len(p.free)-1]
+		e := lastParked()
 		if e.cfg.Recorder != nil || e.cfg.HopWaitObserver != nil || e.cfg.Trace != nil ||
 			e.cfg.Workload != nil || e.cfg.Net != nil || e.net != nil ||
 			e.sources != nil || e.pat != nil {
@@ -262,7 +338,7 @@ func TestPoolPinsNothing(t *testing.T) {
 		}
 	}
 
-	first, err := p.Run(ctx, cfg)
+	first, err := Run(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +346,7 @@ func TestPoolPinsNothing(t *testing.T) {
 		first.ChannelBusy[ch] = -1
 	}
 	first.Name = "scribbled"
-	second, err := p.Run(ctx, cfg)
+	second, err := Run(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,6 +355,28 @@ func TestPoolPinsNothing(t *testing.T) {
 		if b != -1 {
 			t.Fatalf("rerun wrote through the earlier Result: ChannelBusy[%d] = %v", ch, b)
 		}
+	}
+}
+
+// BenchmarkColdRun times a run on an engine the internal constructor
+// builds, on the paper's 1024-processor configuration at a moderate load:
+// what Run costs a process that has parked nothing. The root package's
+// BenchmarkSimulatorCycles times Run itself, on a parked engine.
+func BenchmarkColdRun(b *testing.B) {
+	cfg := Config{
+		Net:           topology.MustFatTree(1024),
+		MsgFlits:      16,
+		Seed:          9,
+		WarmupCycles:  1000,
+		MeasureCycles: 4000,
+	}.FlitLoad(0.02)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := freshRun(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(res.Cycles), "cycles/op")
 	}
 }
 

@@ -24,7 +24,7 @@ func resultString(t *testing.T, cfg Config) string {
 // mustEngine builds the event engine directly for white-box tests.
 func mustEngine(t *testing.T, cfg Config) *engine {
 	t.Helper()
-	e, err := newEngine(cfg)
+	e, err := newEngine(cfg, Termination{})
 	if err != nil {
 		t.Fatal(err)
 	}

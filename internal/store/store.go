@@ -174,22 +174,33 @@ func Open(dir string) (*Store, error) {
 
 // replay loads one segment into the cache, dropping corrupt lines. Each
 // key is split where it lies in its line, and a put writes a curve's
-// records together, so a curve key is copied once per run of records on
-// its curve, not once per record.
+// records together, so a run of records on one curve goes in with one
+// PutCurve, its curve key copied once. A run ends at a curve change,
+// before a key outside the key grammar and at the end of the segment, so
+// records land in file order and later ones still win.
 func (s *Store) replay(path string) error {
 	var buf []byte
-	curve := ""
+	var curve string
+	var tokens []eval.Token
+	var cells []eval.Point
+	flush := func() {
+		s.cells.PutCurve(curve, tokens, cells)
+		tokens, cells = tokens[:0], cells[:0]
+	}
 	dropped, err := eachRecord(path, func(key []byte, pt eval.Point, _ []byte) {
 		c, t, ok := eval.SplitKey(buf[:0], key)
 		if buf = c; !ok {
+			flush()
 			s.cells.Put(string(key), pt)
 			return
 		}
 		if string(c) != curve {
+			flush()
 			curve = string(c)
 		}
-		s.cells.PutCurve(curve, []eval.Token{t}, []eval.Point{pt})
+		tokens, cells = append(tokens, t), append(cells, pt)
 	})
+	flush()
 	s.dropped += dropped
 	return err
 }
