@@ -6,6 +6,9 @@
 //	           [-measure 50000] [-seed 1] [-policy pairqueue|randomfixed]
 //	           [-cube dims] [-hist] [-precision 0.05] [-replicas 4]
 //	           [-workload '{"process":"mmpp","on_frac":0.25,"burst_cycles":200}']
+//	           [-record burst.ndjson] [-result-out result.txt]
+//	bft replay -trace burst.ndjson [-result-out result.txt]
+//	bft stats  -trace burst.ndjson [-top 8]
 //	bft bounds [-n 64] [-flits 16] [-load 0.02] [-onfrac 0.25 -burstcycles 200]
 //	           [-json] [-csv]
 //
@@ -27,6 +30,14 @@
 // drops to the given value, with -measure acting as a ceiling. -replicas
 // runs independent replicas concurrently and pools their statistics.
 //
+// sim -record writes the run's arrivals to an NDJSON trace whose header
+// is the run's recipe (see docs/workload.md); recording does not perturb
+// the run. replay reruns that recipe on the recorded arrivals, and its
+// Result is bit-identical to the recording's: -result-out writes it in a
+// canonical text form, so bit-identity is a file diff. stats prints a
+// trace's header and summary (events, rate, interarrival SCV, top
+// destinations) as JSON.
+//
 // bounds derives the network-calculus worst-case latency bound, printing
 // the per-hop composition — burst σ, delay and backlog at every channel
 // class on the longest route — alongside the end-to-end guarantee: the
@@ -42,6 +53,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
+	"os"
 
 	"repro/internal/analytic"
 	"repro/internal/bounds"
@@ -58,17 +72,21 @@ func main() { cliutil.Main("bft", run) }
 
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if len(args) < 1 {
-		return errors.New("usage: bft model|sim|bounds [flags] (run 'bft <cmd> -h' for flags)")
+		return errors.New("usage: bft model|sim|replay|stats|bounds [flags] (run 'bft <cmd> -h' for flags)")
 	}
 	switch args[0] {
 	case "model":
 		return model(args[1:], stdout, stderr)
 	case "sim":
 		return simulate(ctx, args[1:], stdout, stderr)
+	case "replay":
+		return replay(ctx, args[1:], stdout, stderr)
+	case "stats":
+		return stats(args[1:], stdout, stderr)
 	case "bounds":
 		return bound(args[1:], stdout, stderr)
 	default:
-		return fmt.Errorf("unknown subcommand %q (want model, sim or bounds)", args[0])
+		return fmt.Errorf("unknown subcommand %q (want model, sim, replay, stats or bounds)", args[0])
 	}
 }
 
@@ -143,7 +161,7 @@ func model(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-func simulate(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+func simulate(ctx context.Context, args []string, stdout, stderr io.Writer) (rerr error) {
 	fs := cliutil.Flags("bft sim", stderr)
 	n, flits, load := pointFlags(fs, 1024)
 	var (
@@ -156,6 +174,8 @@ func simulate(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		prec    = fs.Float64("precision", 0, "stop early once the latency CI is within this relative half-width (0 = fixed window)")
 		reps    = fs.Int("replicas", 1, "independent replicas to run and pool")
 		wlJSON  = fs.String("workload", "", `workload spec as JSON, e.g. '{"process":"mmpp","on_frac":0.25,"burst_cycles":200}' (empty = steady uniform Poisson)`)
+		record  = fs.String("record", "", "write every accepted arrival to this NDJSON trace (bft replay -trace reads it)")
+		resOut  = fs.String("result-out", "", "write the Result in its canonical text form to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -163,40 +183,44 @@ func simulate(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	if *flits != float64(int(*flits)) {
 		return fmt.Errorf("-flits %v: the simulator moves whole flits", *flits)
 	}
+	if *record != "" && *prec > 0 {
+		return errors.New("-record writes a fixed-window trace: drop -precision")
+	}
 
-	var net topology.Network
-	var err error
+	h := workload.TraceHeader{
+		Family:   "fattree",
+		Size:     *n,
+		MsgFlits: int(*flits),
+		Lambda0:  *load / *flits,
+		Warmup:   *warmup,
+		Measure:  *measure,
+		Seed:     *seed,
+		Policy:   *policy,
+	}
 	if *cube > 0 {
-		net, err = topology.NewHypercube(*cube)
-	} else {
-		net, err = topology.NewFatTree(*n)
+		h.Family, h.Size = "hypercube", 1<<*cube
 	}
+	cfg, err := config(h)
 	if err != nil {
 		return err
 	}
-	pol, err := sim.ParsePolicy(*policy)
-	if err != nil {
-		return err
-	}
-
-	cfg := sim.Config{
-		Net:              net,
-		MsgFlits:         int(*flits),
-		Seed:             *seed,
-		WarmupCycles:     *warmup,
-		MeasureCycles:    *measure,
-		Policy:           pol,
-		LatencyHistogram: *hist,
-	}.FlitLoad(*load)
+	cfg.LatencyHistogram = *hist
 	if *wlJSON != "" {
 		var wl workload.Spec
 		if err := sweep.DecodeStrict([]byte(*wlJSON), &wl); err != nil {
 			return fmt.Errorf("decoding -workload: %w", err)
 		}
-		if err := wl.Validate(); err != nil {
-			return err
-		}
 		cfg.Workload = &wl
+	}
+	var tr *workload.Trace
+	if *record != "" {
+		h.Policy, h.Workload = cfg.Policy.String(), cfg.Workload.Canonical()
+		tr = &workload.Trace{Header: h}
+		cfg.Recorder = func(src, dst int, cycle float64) {
+			tr.Events = append(tr.Events, workload.TraceEvent{
+				Src: src, Dst: dst, Cycle: cycle, MsgFlits: cfg.MsgFlits,
+			})
+		}
 	}
 	var opts []sim.Option
 	if *prec > 0 {
@@ -209,7 +233,59 @@ func simulate(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	if err != nil {
 		return err
 	}
+	if tr != nil {
+		f, err := os.Create(*record)
+		if err != nil {
+			return err
+		}
+		defer cliutil.CloseInto(&rerr, "-record", f.Close)
+		if err := workload.WriteTrace(f, tr); err != nil {
+			return err
+		}
+	}
+	return report(stdout, res, cfg.Net, *resOut)
+}
 
+// config builds the run a trace header describes — bft sim's from its
+// flags, bft replay's from the recording's header — on a fat-tree or a
+// binary hypercube of h.Size processors.
+func config(h workload.TraceHeader) (sim.Config, error) {
+	var net topology.Network
+	var err error
+	switch {
+	case h.Family == "fattree" || h.Family == "bft":
+		net, err = topology.NewFatTree(h.Size)
+	case h.Family == "hypercube" && h.Size >= 2 && bits.OnesCount(uint(h.Size)) == 1:
+		net, err = topology.NewHypercube(bits.TrailingZeros(uint(h.Size)))
+	default:
+		err = fmt.Errorf("no %s network of %d processors", h.Family, h.Size)
+	}
+	if err != nil {
+		return sim.Config{}, err
+	}
+	pol, err := sim.ParsePolicy(h.Policy)
+	return sim.Config{
+		Net:           net,
+		MsgFlits:      h.MsgFlits,
+		Lambda0:       h.Lambda0,
+		Seed:          h.Seed,
+		WarmupCycles:  h.Warmup,
+		MeasureCycles: h.Measure,
+		DrainLimit:    h.DrainLimit,
+		Policy:        pol,
+	}, err
+}
+
+// report writes res to resOut, when given, and prints it: the measured
+// latency, throughput and per-channel-kind busy fractions.
+func report(stdout io.Writer, res *sim.Result, net topology.Network, resOut string) error {
+	if resOut != "" {
+		// Canonical text form: %+v spells NaN literally, so bit-identity
+		// between a recording and its replay is a plain file diff.
+		if err := os.WriteFile(resOut, []byte(fmt.Sprintf("%+v\n", *res)), 0o644); err != nil {
+			return err
+		}
+	}
 	fmt.Fprintln(stdout, res.String())
 	fmt.Fprintf(stdout, "  latency: mean=%.3f ±%.3f (95%% CI), min=%.1f, max=%.1f cycles\n",
 		res.LatencyMean, res.LatencyCI95, res.LatencyMin, res.LatencyMax)
@@ -217,7 +293,7 @@ func simulate(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		fmt.Fprintf(stdout, "  effort: %d replicas, %d measured cycles, achieved precision %.4f\n",
 			res.Replicas, res.MeasuredCycles, res.Precision)
 	}
-	if *hist {
+	if !math.IsNaN(res.LatencyP50) { // -hist
 		fmt.Fprintf(stdout, "  percentiles: p50=%.1f p95=%.1f p99=%.1f cycles\n",
 			res.LatencyP50, res.LatencyP95, res.LatencyP99)
 	}
@@ -232,6 +308,66 @@ func simulate(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		fmt.Fprintf(stdout, "    %-5v %.4f\n", kb.Kind, kb.Busy)
 	}
 	return nil
+}
+
+// readTrace reads the trace at path, which -trace names.
+func readTrace(path string) (*workload.Trace, error) {
+	if path == "" {
+		return nil, errors.New("-trace is required")
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return workload.ReadTrace(f)
+}
+
+// replay rebuilds the recording run from the trace header and feeds it
+// the recorded arrivals: its Result is bit-identical to the recording's.
+func replay(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cliutil.Flags("bft replay", stderr)
+	var (
+		path   = fs.String("trace", "", "trace file to replay (required)")
+		resOut = fs.String("result-out", "", "write the Result in its canonical text form to this file")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	tr, err := readTrace(*path)
+	if err != nil {
+		return err
+	}
+	cfg, err := config(tr.Header)
+	if err != nil {
+		return err
+	}
+	cfg.Trace = tr
+	res, err := sim.Run(ctx, cfg)
+	if err != nil {
+		return err
+	}
+	return report(stdout, res, cfg.Net, *resOut)
+}
+
+// stats prints a trace's header and summary statistics as JSON.
+func stats(args []string, stdout, stderr io.Writer) error {
+	fs := cliutil.Flags("bft stats", stderr)
+	var (
+		path = fs.String("trace", "", "trace file to summarise (required)")
+		top  = fs.Int("top", 8, "number of top destinations to list")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	tr, err := readTrace(*path)
+	if err != nil {
+		return err
+	}
+	return cliutil.DumpJSON(stdout, struct {
+		Header workload.TraceHeader `json:"header"`
+		Stats  workload.TraceStats  `json:"stats"`
+	}{tr.Header, tr.Stats(*top)})
 }
 
 func bound(args []string, stdout, stderr io.Writer) error {

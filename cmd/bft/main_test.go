@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/bounds"
+	"repro/internal/workload"
 )
 
 // bftCLI calls run in-process the way main does, returning stdout.
@@ -120,6 +123,59 @@ func TestSimKindRows(t *testing.T) {
 	}
 }
 
+// TestRecordReplayBitIdentity is the workload subsystem's determinism
+// contract end to end: a 512-PE bursty (MMPP on-off) run recorded to an
+// NDJSON arrival trace replays to a byte-identical Result file, and the
+// recorded process really is bursty (pooled interarrival SCV >= 2;
+// Poisson would read ~1).
+func TestRecordReplayBitIdentity(t *testing.T) {
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "burst512.ndjson")
+	recorded, replayed := filepath.Join(dir, "recorded.txt"), filepath.Join(dir, "replayed.txt")
+
+	// 512 processors = a 9-dimension binary hypercube (fat-tree sizes
+	// are powers of four).
+	if _, err := bftCLI("sim", "-record", trace, "-cube", "9", "-flits", "16",
+		"-load", "0.08", "-warmup", "4000", "-measure", "20000", "-seed", "1",
+		"-workload", `{"process":"mmpp","on_frac":0.25,"burst_cycles":200}`,
+		"-result-out", recorded); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bftCLI("replay", "-trace", trace, "-result-out", replayed); err != nil {
+		t.Fatal(err)
+	}
+
+	want, err := os.ReadFile(recorded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(replayed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || !bytes.Equal(got, want) {
+		t.Errorf("replay diverged from the recording:\n--- recorded\n%s--- replayed\n%s", want, got)
+	}
+
+	out, err := bftCLI("stats", "-trace", trace, "-top", "1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st struct {
+		Header workload.TraceHeader `json:"header"`
+		Stats  workload.TraceStats  `json:"stats"`
+	}
+	if err := json.Unmarshal([]byte(out), &st); err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	if st.Header.Size != 512 || st.Stats.Events == 0 {
+		t.Errorf("stats: %d processors, %d events; want 512 and a recorded run", st.Header.Size, st.Stats.Events)
+	}
+	if st.Stats.SCV < 2 {
+		t.Errorf("interarrival SCV %.3g: the bursty workload is not clearly bursty (want >= 2)", st.Stats.SCV)
+	}
+}
+
 // TestOutputNamesNoFoldedBinary: bftmodel, bftsim and bftbounds are this
 // binary's subcommands now; nothing it prints sends a reader to them.
 func TestOutputNamesNoFoldedBinary(t *testing.T) {
@@ -143,16 +199,36 @@ func TestOutputNamesNoFoldedBinary(t *testing.T) {
 
 // TestUsageErrors: what is wrong with the command line is named.
 func TestUsageErrors(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		want string
-	}{
-		{nil, "usage: bft model|sim|bounds"},
+	wantUsageErrors(t, []usageCase{
+		{nil, "usage: bft model|sim|replay|stats|bounds"},
 		{[]string{"latency"}, `unknown subcommand "latency"`},
 		{[]string{"sim", "-n", "16", "-workload", `{"proces":"mmpp"}`}, `unknown field "proces"`},
 		{[]string{"sim", "-flits", "2.5"}, "whole flits"},
 		{[]string{"sim", "-policy", "fifo"}, `unknown policy "fifo"`},
-	} {
+	})
+}
+
+// TestTraceUsageErrors: the arrival-trace paths — sim -record, replay and
+// stats — name what is wrong with their command line.
+func TestTraceUsageErrors(t *testing.T) {
+	wantUsageErrors(t, []usageCase{
+		{[]string{"sim", "-n", "16", "-record", filepath.Join(t.TempDir(), "r.ndjson"), "-replicas", "2"}, "recording with replicas > 1"},
+		{[]string{"sim", "-n", "16", "-record", filepath.Join(t.TempDir(), "r.ndjson"), "-precision", "0.05"}, "drop -precision"},
+		{[]string{"replay"}, "-trace is required"},
+		{[]string{"stats", "-trace", filepath.Join(t.TempDir(), "absent.ndjson")}, "no such file"},
+	})
+}
+
+type usageCase struct {
+	args []string
+	want string
+}
+
+// wantUsageErrors checks that each case fails with an error naming want
+// and prints nothing.
+func wantUsageErrors(t *testing.T, cases []usageCase) {
+	t.Helper()
+	for _, tc := range cases {
 		if out, err := bftCLI(tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) || out != "" {
 			t.Errorf("bft %q: stdout %q, error %v; want an error naming %q", tc.args, out, err, tc.want)
 		}

@@ -13,7 +13,7 @@
 // Usage:
 //
 //	calib -store DIR                 # mine DIR and report
-//	calib -store DIR -json           # the report plus mining time as JSON
+//	calib -store DIR -json           # the report as JSON
 //	calib -store DIR -check          # coverage gate (one line on ok)
 package main
 
@@ -25,7 +25,6 @@ import (
 	"math"
 	"os"
 	"text/tabwriter"
-	"time"
 
 	"repro/internal/calib"
 	"repro/internal/cliutil"
@@ -38,7 +37,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := cliutil.Flags("calib", stderr)
 	var (
 		storeDir = fs.String("store", "", "persistent result store directory to mine (cmd/sweep -cache-dir)")
-		jsonOut  = fs.Bool("json", false, "emit the report plus mining time as JSON")
+		jsonOut  = fs.Bool("json", false, "emit the report as JSON")
 		check    = fs.Bool("check", false, "gate: non-zero exit when the mined map is empty or has a non-finite MAPE")
 		maxMAPE  = fs.Float64("max-mape", calib.DefaultGate.MaxMAPE, "trust threshold annotated per region in the report")
 		minPairs = fs.Int("min-pairs", calib.DefaultGate.MinPairs, "minimum pairs per region for a trust verdict")
@@ -60,9 +59,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	defer st.Close() // only read
 	m := calib.NewMap()
-	start := time.Now()
 	m.Mine(ctx, st)
-	mineSecs := time.Since(start).Seconds()
 
 	rep := m.Report()
 	if *check {
@@ -70,18 +67,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *jsonOut {
-		out := struct {
-			calib.Report
-			MineMS      float64 `json:"mine_ms"`
-			PairsPerSec float64 `json:"pairs_per_sec,omitempty"`
-		}{Report: rep, MineMS: mineSecs * 1e3}
-		if mineSecs > 0 {
-			out.PairsPerSec = float64(rep.Pairs) / mineSecs
-		}
-		return cliutil.DumpJSON(stdout, out)
+		return cliutil.DumpJSON(stdout, rep)
 	}
 
-	printReport(stdout, rep, mineSecs, calib.Gate{MaxMAPE: *maxMAPE, MinPairs: *minPairs}, m)
+	printReport(stdout, rep, calib.Gate{MaxMAPE: *maxMAPE, MinPairs: *minPairs}, m)
 	return nil
 }
 
@@ -101,9 +90,8 @@ func runCheck(w io.Writer, rep calib.Report) error {
 
 // printReport renders the human-readable region table with the verdict
 // each region would get under the given gate.
-func printReport(w io.Writer, rep calib.Report, mineSecs float64, gate calib.Gate, m *calib.Map) {
-	fmt.Fprintf(w, "calibration map: %d pair(s) across %d region(s), mined in %.0f ms\n",
-		rep.Pairs, len(rep.Regions), mineSecs*1e3)
+func printReport(w io.Writer, rep calib.Report, gate calib.Gate, m *calib.Map) {
+	fmt.Fprintf(w, "calibration map: %d pair(s) across %d region(s)\n", rep.Pairs, len(rep.Regions))
 	if rep.WorstMAPE != nil {
 		fmt.Fprintf(w, "worst region: %s (MAPE %.3g)\n", rep.WorstRegion, *rep.WorstMAPE)
 	}

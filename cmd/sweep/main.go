@@ -45,7 +45,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/cliutil"
 	"repro/internal/dispatch"
@@ -54,22 +53,15 @@ import (
 	"repro/internal/sweep"
 )
 
-// specList collects repeated -spec flags.
-type specList []string
-
-func (s *specList) String() string { return strings.Join(*s, ",") }
-
-func (s *specList) Set(v string) error {
-	*s = append(*s, v)
-	return nil
-}
-
 func main() { cliutil.Main("sweep", run) }
 
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) (rerr error) {
 	fs := cliutil.Flags("sweep", stderr)
-	var specs specList
-	fs.Var(&specs, "spec", "spec file path or builtin:<name>; repeat to run several sweeps against one cache")
+	var specs []string
+	fs.Func("spec", "spec file path or builtin:<name>; repeat to run several sweeps against one cache", func(v string) error {
+		specs = append(specs, v)
+		return nil
+	})
 	var (
 		list     = fs.Bool("list", false, "list built-in specs and exit")
 		dump     = fs.String("dump", "", "print the named spec (file path or builtin:<name>) as JSON and exit")

@@ -161,7 +161,10 @@ func TestPropertyOrderedPassIsTheFixedPoint(t *testing.T) {
 }
 
 // Scaling all rates down can only shrink service times (monotonicity in
-// offered load), for the paper model and for every ablation variant.
+// offered load), for the paper model and for every ablation variant. A
+// saturated model's service time is unbounded, so the full load
+// saturating holds the property whatever the lighter load does; the
+// lighter load saturating alone breaks it.
 func TestPropertyServiceMonotoneInLoad(t *testing.T) {
 	variants := []Options{
 		{},
@@ -179,6 +182,9 @@ func TestPropertyServiceMonotoneInLoad(t *testing.T) {
 		for _, opt := range variants {
 			full, err1 := m.Resolve(opt)
 			light, err2 := lighter.Resolve(opt)
+			if IsUnstable(err1) {
+				continue // unbounded at full load
+			}
 			if err1 != nil || err2 != nil {
 				return false
 			}
@@ -189,6 +195,11 @@ func TestPropertyServiceMonotoneInLoad(t *testing.T) {
 			}
 		}
 		return true
+	}
+	// A seed testing/quick once drew: under CVExponential the full load
+	// saturates class ca1 (rho=1.3269) and a tenth of it resolves.
+	if !f(0x296b9f13fbae4230, 0) {
+		t.Error("seed 0x296b9f13fbae4230: full-load saturation counted against monotonicity")
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)

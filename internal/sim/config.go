@@ -130,7 +130,7 @@ type Config struct {
 	Trace *workload.Trace
 	// Recorder, when non-nil, observes every arrival the engine accepts
 	// (source, pre-drawn destination, continuous arrival cycle) — the
-	// hook cmd/trace uses to record traces. Recording does not perturb
+	// hook bft sim -record uses to record traces. Recording does not perturb
 	// the run: a recorded run's Result is bit-identical to an
 	// unrecorded one. Incompatible with replicas > 1.
 	Recorder func(src, dst int, cycle float64)

@@ -261,9 +261,9 @@ func each(ctx context.Context, workers, n int, fn func(i int)) {
 // a time — a simulation is long, and a curve claimed whole would run its
 // loads in series however many workers wait — and answers each run of
 // consecutive cold cells of a claim as one segment: one call per backend
-// (answer), one landing. Every cell of a traced run, and every cell of a
-// fleet's, is claimed by itself and answered through compute, under its
-// own eval.cell span.
+// (answer), one landing. A traced run claims each cell by itself, a
+// one-cell segment under its own eval.cell span; a Scheduler's cells
+// (EvaluateList on a fleet) each go through compute.
 type claims struct {
 	sched  Scheduler
 	g      *Grid
@@ -281,7 +281,7 @@ type claims struct {
 	fail func(i int, err error) bool
 
 	// local is the runner whose backends answer a segment: the local
-	// pool's, nil on a fleet, whose cells each go through compute.
+	// pool's, nil on a Scheduler, whose cells each go through compute.
 	local  *Runner
 	traced bool
 	next   atomic.Int64
@@ -374,7 +374,7 @@ func (c *claims) answer(ctx context.Context, seg *segment, cv, lo, hi int) bool 
 			n   int
 			err error
 		)
-		if c.local == nil || c.traced {
+		if c.local == nil {
 			var cell Cell
 			if cell, err = compute(ctx, c.sched, c.g.cellKey(lo)); err == nil {
 				*c.point(lo) = cell
@@ -385,7 +385,13 @@ func (c *claims) answer(ctx context.Context, seg *segment, cv, lo, hi int) bool 
 			if c.slab != nil {
 				seg.slab = c.slab[lo-c.lo : hi-c.lo]
 			}
-			n, err = c.local.answer(ctx, seg)
+			if !c.traced {
+				n, err = c.local.answer(ctx, seg)
+			} else { // a traced claim is one cell, under its own span
+				sctx, span := obs.StartSpanKeyed(ctx, "eval.cell", c.g.cellKey(lo).Key())
+				n, err = c.local.answer(sctx, seg)
+				endCell(span, err)
+			}
 		}
 		if n > 0 {
 			c.land(lo, lo+n)
@@ -537,8 +543,8 @@ func (k cellKey) Key() string {
 }
 
 // compute answers one cold cell through sched.Compute under its eval.cell
-// span: a traced run's, a fleet's and Evaluate's. A Compute that panics
-// fails its cell, not the process.
+// span: a Scheduler's and Evaluate's. A Compute that panics fails its
+// cell, not the process.
 func compute(ctx context.Context, sched Scheduler, k cellKey) (cell Cell, err error) {
 	if err := ctx.Err(); err != nil {
 		return Cell{}, err
@@ -551,13 +557,18 @@ func compute(ctx context.Context, sched Scheduler, k cellKey) (cell Cell, err er
 		if p := recover(); p != nil {
 			cell, err = Cell{}, fmt.Errorf("backend panic on cell %s: %v", k.Key(), p)
 		}
-		if err != nil {
-			span.End(obs.Bool("cached", false), obs.String("error", err.Error()))
-			return
-		}
-		span.End(obs.Bool("cached", false))
+		endCell(span, err)
 	}()
 	return sched.Compute(ctx, *k.sc)
+}
+
+// endCell ends a computed cell's eval.cell span (nil when untraced).
+func endCell(span *obs.Span, err error) {
+	if err != nil {
+		span.End(obs.Bool("cached", false), obs.String("error", err.Error()))
+		return
+	}
+	span.End(obs.Bool("cached", false))
 }
 
 // observe feeds one completed cell to the calibration observer, if any.

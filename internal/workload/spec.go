@@ -92,7 +92,7 @@ type Spec struct {
 	// Decay is the locality decay per channel of distance, in (0, 1).
 	Decay float64 `json:"decay,omitempty"`
 
-	// Trace replays a recorded arrival trace (see Trace and cmd/trace)
+	// Trace replays a recorded arrival trace (see Trace and bft sim -record)
 	// from this NDJSON file instead of generating arrivals; all process,
 	// mix and pattern fields must be unset. The canonical key includes
 	// the path — trace files are immutable by contract (re-record under
@@ -359,7 +359,7 @@ func (s *Spec) Validate() error {
 
 // SCV returns the squared coefficient of variation of the interarrival
 // process (1 for Poisson; NaN for trace workloads, where it is an
-// empirical quantity — see cmd/trace stats).
+// empirical quantity — see bft stats).
 func (s *Spec) SCV(lambda0 float64) float64 {
 	if s == nil {
 		return 1

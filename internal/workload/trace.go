@@ -229,7 +229,7 @@ func (s *TraceSource) PopBefore(limit float64) (float64, bool) {
 // LastDest implements traffic.DestSource.
 func (s *TraceSource) LastDest() int { return s.lastDst }
 
-// TraceStats summarises a trace for cmd/trace stats.
+// TraceStats summarises a trace for bft stats.
 type TraceStats struct {
 	Events int     `json:"events"`
 	Span   float64 `json:"span_cycles"`
