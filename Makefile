@@ -57,8 +57,8 @@ lint:
 		echo "outbound requests must be built in internal/eval/remote.go only (one fleet transport)"; exit 1; }
 	@test -z "$$(git ls-files '*.sh')" || { \
 		echo "no shell scripts: end-to-end checks are Go tests (cmd/*/main_test.go), timings live in the bench/ ledger"; exit 1; }
-	@! grep -rlE 'bench[-]out|PerSec|_per_sec"|elapsed_sec|mine_ms|events/sec' --include='*.go' cmd | grep -v '_test\.go$$' || { \
-		echo "no benchmark-output flags or timing fields: timings are recorded by go run ./bench, not printed by the binaries"; exit 1; }
+	@! grep -rlE 'bench[-]out|PerSec|_per_sec"|elapsed_sec|elapsed_ms|Elapsed|mine_ms|events/sec' --include='*.go' cmd internal/sweep/result.go internal/plan/result.go | grep -v '_test\.go$$' || { \
+		echo "no benchmark-output flags or timing fields: timings are recorded by go run ./bench, not printed by the binaries or carried by sweep and plan results"; exit 1; }
 	@test -z "$$(grep -rl 'ObserveCell(' --include='*.go' internal cmd | grep -v '_test\.go$$' | grep -v '^internal/sweep/' | grep -vx 'internal/calib/calib.go')" && \
 	! grep -rlE '\.cache\.(Get|Put)\(' --include='*.go' internal/dispatch internal/serve | grep -v '_test\.go$$' || { \
 		echo "one cell path: the cache and the observer are fed by sweep.Runner only"; exit 1; }

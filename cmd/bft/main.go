@@ -248,8 +248,11 @@ func simulate(ctx context.Context, args []string, stdout, stderr io.Writer) (rer
 
 // config builds the run a trace header describes — bft sim's from its
 // flags, bft replay's from the recording's header — on a fat-tree or a
-// binary hypercube of h.Size processors.
+// binary hypercube of h.Size processors, at most topology.MaxProcessors.
 func config(h workload.TraceHeader) (sim.Config, error) {
+	if h.Size > topology.MaxProcessors {
+		return sim.Config{}, fmt.Errorf("%s network of %d processors is too large to simulate: the limit is %d processors", h.Family, h.Size, topology.MaxProcessors)
+	}
 	var net topology.Network
 	var err error
 	switch {

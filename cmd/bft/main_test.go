@@ -205,6 +205,8 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"sim", "-n", "16", "-workload", `{"proces":"mmpp"}`}, `unknown field "proces"`},
 		{[]string{"sim", "-flits", "2.5"}, "whole flits"},
 		{[]string{"sim", "-policy", "fifo"}, `unknown policy "fifo"`},
+		{[]string{"sim", "-cube", "17"}, "too large to simulate: the limit is 65536 processors"},
+		{[]string{"sim", "-n", "262144"}, "too large to simulate: the limit is 65536 processors"},
 	})
 }
 

@@ -91,12 +91,12 @@ func getJSON(t *testing.T, url string, into any) {
 	}
 }
 
-// resultJSON renders a sweep result without its wall clock or cache
-// provenance, so two runs compare byte for byte.
+// resultJSON renders a sweep result without its cache provenance, so two
+// runs compare byte for byte.
 func resultJSON(t *testing.T, res *sweep.Result) string {
 	t.Helper()
 	cp := *res
-	cp.Elapsed, cp.CacheHits, cp.CacheMisses = 0, 0, 0
+	cp.CacheHits, cp.CacheMisses = 0, 0
 	cp.Rows = append([]sweep.Row(nil), res.Rows...)
 	for i := range cp.Rows {
 		cp.Rows[i].Cached = false

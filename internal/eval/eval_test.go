@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/race"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -130,6 +131,30 @@ func TestSimBackendEvaluate(t *testing.T) {
 	}
 	if !math.IsNaN(skip.Sim) || !math.IsNaN(skip.LoadFlits) {
 		t.Errorf("WithSim=false should yield an empty point: %+v", skip)
+	}
+}
+
+// TestSimEvaluateAllocs: a warm fixed-window cell allocates nothing. The
+// network and the load anchor are memoized, the engine is parked, and
+// the Result stays on Evaluate's frame because sim.Run inlines there and
+// the run builds no ChannelBusy; an allocation here means one of those
+// stopped holding.
+func TestSimEvaluateAllocs(t *testing.T) {
+	ctx := context.Background()
+	sb := NewSimBackend(NewAnalyticBackend())
+	sc := bftScenario(true)
+	if _, err := sb.Evaluate(ctx, sc); err != nil {
+		t.Fatal(err)
+	}
+	// Ten runs, as in sim's TestWarmRunAllocs: a burst of runtime
+	// housekeeping after a collection stays below one allocation per run.
+	got := testing.AllocsPerRun(10, func() {
+		if _, err := sb.Evaluate(ctx, sc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 0 && !race.Enabled {
+		t.Errorf("a warm fixed-window SimBackend.Evaluate allocates %v times, want 0", got)
 	}
 }
 

@@ -21,8 +21,11 @@ import (
 // backend only measures where the grid asked for measurement. Every run
 // is a sim.Run, on the engines the process has parked, so even a new
 // backend simulates on warm engines once anything in the process has
-// simulated. Safe for concurrent use; the simulator checks ctx inside its
-// cycle loop.
+// simulated. A Point takes four scalars of the run's Result, so the run
+// builds no per-channel column (sim.WithoutChannelBusy) and the Result
+// stays on Evaluate's stack: a warm fixed-window cell allocates nothing
+// (TestSimEvaluateAllocs). Safe for concurrent use; the simulator checks
+// ctx inside its cycle loop.
 //
 // The lock covers the memo maps only: a network is built and a trace is
 // parsed outside it, once, with concurrent first callers of the same key
@@ -184,7 +187,7 @@ func (b *SimBackend) Evaluate(ctx context.Context, sc Scenario) (pt Point, err e
 			cfg.Workload = sc.Workload
 		}
 	}
-	var opts []sim.Option
+	opts := []sim.Option{sim.WithoutChannelBusy()}
 	if sc.Budget.Precision > 0 {
 		opts = append(opts, sim.WithTermination(sim.Termination{RelHalfWidth: sc.Budget.Precision}))
 	}

@@ -68,7 +68,7 @@ func LoadsUpTo(m *analytic.Model, points int, frac float64) ([]float64, error) {
 func CompareCurve(model *analytic.Model, net topology.Network, flits int,
 	loads []float64, b sweep.Budget, policy sim.UpLinkPolicy) ([]ComparisonPoint, error) {
 
-	var opts []sim.Option
+	opts := []sim.Option{sim.WithoutChannelBusy()}
 	if b.Precision > 0 {
 		opts = append(opts, sim.WithTermination(sim.Termination{RelHalfWidth: b.Precision}))
 	}

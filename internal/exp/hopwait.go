@@ -73,7 +73,7 @@ func HopWaits(ctx context.Context, numProc, msgFlits int, load float64, b sweep.
 			s.Add(float64(wait))
 		},
 	}.FlitLoad(load)
-	if _, err := sim.Run(ctx, cfg); err != nil {
+	if _, err := sim.Run(ctx, cfg, sim.WithoutChannelBusy()); err != nil {
 		return nil, err
 	}
 

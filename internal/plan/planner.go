@@ -7,7 +7,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/calib"
 	"repro/internal/eval"
@@ -113,7 +112,6 @@ var errAbandoned = errors.New("plan: consumer gone")
 // Pareto extraction, sim certification. emit (nillable) observes every
 // update and aborts the run by returning false.
 func (p *Planner) run(ctx context.Context, spec Spec, emit func(Update) bool) (res *Result, err error) {
-	start := time.Now()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -229,7 +227,6 @@ func (p *Planner) run(ctx context.Context, spec Spec, emit func(Update) bool) (r
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res.Elapsed = time.Since(start)
 	return res, nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"time"
 
 	"repro/internal/eval"
 	"repro/internal/series"
@@ -130,8 +129,6 @@ type Result struct {
 	// spec skipped it.
 	Frontier []Candidate
 	Stats    Stats
-	// Elapsed is the wall-clock duration of the search.
-	Elapsed time.Duration
 }
 
 // Best returns the frontier's top candidate under the objective, or nil
@@ -245,7 +242,6 @@ type jsonResult struct {
 	Candidates  []Candidate `json:"candidates"`
 	Frontier    []Candidate `json:"frontier"`
 	Stats       Stats       `json:"stats"`
-	ElapsedMS   int64       `json:"elapsed_ms"`
 }
 
 // MarshalJSON serialises the result (spec reduced to its labels; a
@@ -258,7 +254,6 @@ func (r *Result) MarshalJSON() ([]byte, error) {
 		Candidates:  r.Candidates,
 		Frontier:    r.Frontier,
 		Stats:       r.Stats,
-		ElapsedMS:   r.Elapsed.Milliseconds(),
 	})
 }
 
@@ -356,9 +351,9 @@ func (r *Result) Table() *series.Table {
 // Summary renders a short account of the search.
 func (r *Result) Summary() string {
 	s := r.Stats
-	out := fmt.Sprintf("%s (%s): %d candidate(s) -> %d pruned, %d refined, frontier %d (%d sim-certified), %s\n",
+	out := fmt.Sprintf("%s (%s): %d candidate(s) -> %d pruned, %d refined, frontier %d (%d sim-certified)\n",
 		r.Spec.Name, r.Spec.Objective, s.Candidates, s.Pruned, s.Refined,
-		s.FrontierSize, s.Certified, r.Elapsed.Round(time.Millisecond))
+		s.FrontierSize, s.Certified)
 	out += fmt.Sprintf("  evaluations: %d analytic (%d coarse + %d probes, %d warm), %d sim\n",
 		s.AnalyticEvals(), s.CoarseCells, s.Probes, s.CoarseCacheHits, s.SimEvals)
 	if !r.Spec.Workload.IsDefault() {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/eval"
 	"repro/internal/sweep"
@@ -210,10 +209,9 @@ func TestCandidateWireBytes(t *testing.T) {
 			Candidates: []Candidate{pruned},
 			Frontier:   []Candidate{},
 			Stats:      Stats{Candidates: 1, Pruned: 1},
-			Elapsed:    1500 * time.Millisecond,
 		}, `{"name":"n","objective":"max-load","candidates":[` + prunedJSON + `],"frontier":[],` +
 			`"stats":{"candidates":1,"pruned":1,"refined":0,"frontier_size":0,"certified":0,` +
-			`"coarse_cells":0,"coarse_cache_hits":0,"probes":0,"sim_evals":0},"elapsed_ms":1500}`},
+			`"coarse_cells":0,"coarse_cache_hits":0,"probes":0,"sim_evals":0}}`},
 	} {
 		got, err := json.Marshal(tc.v)
 		if err != nil {

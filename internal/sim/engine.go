@@ -339,6 +339,7 @@ type engine struct {
 	obsGrants     int64
 	obsDrainSteps int64 // draining worms stepped
 
+	noBusy      bool // the Result carries no ChannelBusy (WithoutChannelBusy)
 	reused      bool // this run is on a parked engine (takeEngine)
 	debugChecks bool // same-package tests enable per-cycle invariants
 }
@@ -543,7 +544,7 @@ func (e *engine) heapReplaceTop(ev arrEvent) {
 // — prompt cancellation at negligible cost.
 const ctxCheckMask = 1<<12 - 1
 
-func (e *engine) run(ctx context.Context) (*Result, error) {
+func (e *engine) run(ctx context.Context) (Result, error) {
 	e.hardEnd = e.measEnd + int64(e.cfg.drainLimit())
 	t := int64(0)
 	for iter := int64(0); ; t, iter = t+1, iter+1 {
@@ -552,7 +553,7 @@ func (e *engine) run(ctx context.Context) (*Result, error) {
 		}
 		if iter&ctxCheckMask == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("sim: aborted at cycle %d: %w", t, err)
+				return Result{}, fmt.Errorf("sim: aborted at cycle %d: %w", t, err)
 			}
 		}
 		if e.active == 0 {
@@ -577,7 +578,7 @@ func (e *engine) run(ctx context.Context) (*Result, error) {
 				}
 			}
 		} else if t-e.lastProgress > progressTimeout {
-			return nil, fmt.Errorf("%w (cycle %d, %d worms active)", ErrDeadlock, t, e.active)
+			return Result{}, fmt.Errorf("%w (cycle %d, %d worms active)", ErrDeadlock, t, e.active)
 		}
 		e.arrivals(t)
 		if t >= e.measStart && t < e.measEnd {
@@ -1012,7 +1013,7 @@ func (e *engine) queueHalves() (first, second float64) {
 	return cumAtMid, total - cumAtMid
 }
 
-func (e *engine) finish(t int64) *Result {
+func (e *engine) finish(t int64) Result {
 	simEventsPopped.Add(e.obsPopped)
 	simIdleSkipped.Add(e.obsIdleSkip)
 	simGroupVisits.Add(e.obsVisits)
@@ -1044,7 +1045,7 @@ func (e *engine) finish(t int64) *Result {
 	}
 	e.applyReleases()
 
-	res := &Result{
+	res := Result{
 		Name:             e.net.Name(),
 		OfferedFlits:     e.cfg.Lambda0 * float64(e.cfg.MsgFlits),
 		TrackedInjected:  e.trackedArrived,
@@ -1054,7 +1055,7 @@ func (e *engine) finish(t int64) *Result {
 		Replicas:         1,
 		EarlyStopped:     e.earlyStopped,
 	}
-	e.fill(res, e.measEnd-e.measStart, e.nProc)
+	e.fill(&res, e.measEnd-e.measStart, e.nProc, !e.noBusy)
 	// A run is saturated when tracked messages were left unfinished, when
 	// delivery fell visibly short of the offer, or when source queues
 	// kept growing through the measurement window.

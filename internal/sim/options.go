@@ -45,7 +45,8 @@ func (t Termination) validate() error {
 
 // Option configures a Run beyond its Config, in the same functional-option
 // style as sweep.NewRunner. Options cover the statistical machinery layered
-// on top of the deterministic core: replica fan-out and early stopping.
+// on top of the deterministic core, replica fan-out and early stopping, and
+// what the Result carries.
 // An option maps the options so far to the next, by value, so a Run's
 // options stay on its stack.
 type Option func(runOptions) runOptions
@@ -53,6 +54,7 @@ type Option func(runOptions) runOptions
 type runOptions struct {
 	replicas int
 	term     Termination
+	noBusy   bool // WithoutChannelBusy
 }
 
 // WithReplicas runs n independent replicas of the simulation concurrently
@@ -68,6 +70,18 @@ func WithReplicas(n int) Option {
 // disable the rule.
 func WithTermination(t Termination) Option {
 	return func(o runOptions) runOptions { o.term = t; return o }
+}
+
+// WithoutChannelBusy leaves Result.ChannelBusy nil, for a caller that
+// reads only the Result's scalars: the run then builds no per-channel
+// column (a float per channel, 32 KB on bft-1024), and a replicated run
+// merges none. Every other field is bit-identical to a run without the
+// option. A caller that also keeps the Result local — it does not return
+// it or store it past the call — holds it on its own stack, since Run
+// inlines into it, so a single-replica run on a parked engine allocates
+// nothing.
+func WithoutChannelBusy() Option {
+	return func(o runOptions) runOptions { o.noBusy = true; return o }
 }
 
 func buildOptions(opts []Option) (runOptions, error) {

@@ -234,6 +234,51 @@ func TestResultDigestsPinned(t *testing.T) {
 	}
 }
 
+// TestWithoutChannelBusyChangesNothingElse: the option only drops the
+// per-channel column. On every pinned family, an early-stopped run and a
+// merged pair of replicas, the Result without ChannelBusy hashes to the
+// default Result's digest with its ChannelBusy left out, and carries a
+// nil ChannelBusy.
+func TestWithoutChannelBusyChangesNothingElse(t *testing.T) {
+	ctx := context.Background()
+	bft64 := Config{
+		Net: topology.MustFatTree(64), MsgFlits: 16, Seed: 42,
+		WarmupCycles: 2000, MeasureCycles: 60000,
+	}
+	short := bft64
+	short.WarmupCycles, short.MeasureCycles = 1000, 4000
+	cases := append(pinnedFamilies(),
+		simCase{name: "early-stopped", cfg: bft64.FlitLoad(0.01), opts: []Option{WithTermination(DefaultTermination)}},
+		simCase{name: "replicas-2", cfg: short.FlitLoad(0.03), opts: []Option{WithReplicas(2)}},
+	)
+	for _, tc := range cases {
+		def, err := Run(ctx, tc.cfg, tc.opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		bare, err := Run(ctx, tc.cfg, append(tc.opts, WithoutChannelBusy())...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if bare.ChannelBusy != nil {
+			t.Errorf("%s: ChannelBusy has %d entries, want nil", tc.name, len(bare.ChannelBusy))
+		}
+		if len(def.ChannelBusy) != tc.cfg.Net.NumChannels() {
+			t.Errorf("%s: default ChannelBusy has %d entries, want one per channel (%d)",
+				tc.name, len(def.ChannelBusy), tc.cfg.Net.NumChannels())
+		}
+		want := *def
+		want.ChannelBusy = nil
+		if got, w := resultDigest(bare), resultDigest(&want); got != w {
+			t.Errorf("%s: digest %#016x without ChannelBusy, %#016x by default with it left out; the Results:\n%+v\n%+v",
+				tc.name, got, w, *bare, want)
+		}
+		if tc.name == "early-stopped" && !bare.EarlyStopped {
+			t.Errorf("%s: the rule did not fire; the case pins nothing", tc.name)
+		}
+	}
+}
+
 // TestSeedDerivationGolden pins the seed-derivation map: the salts, the
 // first draws of each derived stream, and the replica seed schedule. Any
 // change here invalidates stored sweep results and replica independence —

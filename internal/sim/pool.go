@@ -34,9 +34,10 @@ var parked struct {
 	free []*engine
 }
 
-// takeEngine returns an engine reset for cfg: a parked one when there is
-// one, otherwise a new one.
-func takeEngine(cfg Config, term Termination) (*engine, error) {
+// takeEngine returns an engine reset for cfg and set up for o's
+// termination rule and Result: a parked one when there is one, otherwise
+// a new one.
+func takeEngine(cfg Config, o runOptions) (*engine, error) {
 	parked.mu.Lock()
 	var e *engine
 	if n := len(parked.free); n > 0 {
@@ -45,12 +46,17 @@ func takeEngine(cfg Config, term Termination) (*engine, error) {
 	}
 	parked.mu.Unlock()
 	if e == nil {
-		return newEngine(cfg, term)
+		var err error
+		if e, err = newEngine(cfg, o.term); err != nil {
+			return nil, err
+		}
+	} else {
+		if err := e.reset(cfg); err != nil {
+			return nil, err
+		}
+		e.term, e.reused = o.term, true
 	}
-	if err := e.reset(cfg); err != nil {
-		return nil, err
-	}
-	e.term, e.reused = term, true
+	e.noBusy = o.noBusy
 	return e, nil
 }
 
@@ -78,7 +84,8 @@ func park(ctx context.Context, engines []*engine) {
 // pinned digests of TestResultDigestsPinned hold it); options add
 // the statistical machinery on top: WithTermination for CI-width early
 // stopping, WithReplicas for concurrent independent replicas merged by
-// pooled batch means.
+// pooled batch means, and WithoutChannelBusy for a Result without its
+// per-channel column.
 //
 // The cycle loop checks ctx periodically, so a cancelled context aborts
 // mid-simulation (not just between runs) with an error wrapping ctx.Err().
@@ -88,36 +95,50 @@ func park(ctx context.Context, engines []*engine) {
 // Run takes its engines from those the process has parked and builds only
 // what it cannot take, so a caller that simulates repeatedly needs nothing
 // but Run. It is safe for concurrent use.
+//
+// Run is a wrapper small enough to inline over a body that builds the
+// Result as a value, so the Result lives where the caller keeps it: a
+// caller that only reads it, and returns or stores neither it nor its
+// address, holds it on its own stack.
 func Run(ctx context.Context, cfg Config, opts ...Option) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	o, err := buildOptions(opts)
+	r, err := run(ctx, cfg, opts)
 	if err != nil {
 		return nil, err
 	}
-	term := o.term
+	return &r, nil
+}
+
+// run is Run's body: it validates cfg and opts, takes the engines, runs
+// them and parks them, and returns the Result by value.
+func run(ctx context.Context, cfg Config, opts []Option) (Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
+	o, err := buildOptions(opts)
+	if err != nil {
+		return Result{}, err
+	}
 	if o.replicas > 1 {
 		// Every replica builds its own engine, as large as the network.
 		if n := cfg.Net.NumProcessors(); o.replicas > topology.MaxProcessors/max(n, 1) {
-			return nil, fmt.Errorf("sim: %d replicas of %d processors are too large to simulate: the limit is %d processors", o.replicas, n, topology.MaxProcessors)
+			return Result{}, fmt.Errorf("sim: %d replicas of %d processors are too large to simulate: the limit is %d processors", o.replicas, n, topology.MaxProcessors)
 		}
 		if cfg.Trace != nil {
-			return nil, errors.New("sim: trace replay is a single deterministic run; replicas > 1 is not meaningful")
+			return Result{}, errors.New("sim: trace replay is a single deterministic run; replicas > 1 is not meaningful")
 		}
 		if cfg.Recorder != nil {
-			return nil, errors.New("sim: recording with replicas > 1 would interleave traces; run one replica")
+			return Result{}, errors.New("sim: recording with replicas > 1 would interleave traces; run one replica")
 		}
-		if term.Enabled() {
+		if o.term.Enabled() {
 			// Each replica stops on its own (deterministic) statistics, so ask
 			// every replica for a CI √n looser than the request: pooling n
 			// independent replicas tightens the half-width by about √n,
 			// landing the merged CI near the requested target.
-			term.RelHalfWidth *= math.Sqrt(float64(o.replicas))
+			o.term.RelHalfWidth *= math.Sqrt(float64(o.replicas))
 		}
 	}
 	// One replica's engine list stays on the stack: a warm run allocates
-	// only its Result.
+	// at most its ChannelBusy.
 	var one [1]*engine
 	engines := one[:]
 	if o.replicas > 1 {
@@ -126,18 +147,18 @@ func Run(ctx context.Context, cfg Config, opts ...Option) (*Result, error) {
 	for r := range engines {
 		rcfg := cfg
 		rcfg.Seed = ReplicaSeed(cfg.Seed, r)
-		if engines[r], err = takeEngine(rcfg, term); err != nil {
-			return nil, err
+		if engines[r], err = takeEngine(rcfg, o); err != nil {
+			return Result{}, err
 		}
 	}
-	var res *Result
+	var res Result
 	if len(engines) == 1 {
 		res, err = engines[0].run(ctx)
 	} else {
 		res, err = runReplicas(ctx, engines)
 	}
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	park(ctx, engines)
 	return res, nil
@@ -146,8 +167,8 @@ func Run(ctx context.Context, cfg Config, opts ...Option) (*Result, error) {
 // runReplicas runs one engine per replica concurrently, cancels the rest
 // on the first failure, and merges the survivors in replica-index order so
 // the merged Result does not depend on goroutine scheduling.
-func runReplicas(ctx context.Context, engines []*engine) (*Result, error) {
-	results := make([]*Result, len(engines))
+func runReplicas(ctx context.Context, engines []*engine) (Result, error) {
+	results := make([]Result, len(engines))
 	errs := make([]error, len(engines))
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -184,11 +205,11 @@ func runReplicas(ctx context.Context, engines []*engine) (*Result, error) {
 			firstErr = err
 		}
 		if ctx.Err() != nil || !errors.Is(err, context.Canceled) {
-			return nil, err
+			return Result{}, err
 		}
 	}
 	if firstErr != nil {
-		return nil, firstErr
+		return Result{}, firstErr
 	}
 	mergeStart := time.Now()
 	res := mergeReplicas(engines, results)
@@ -199,14 +220,18 @@ func runReplicas(ctx context.Context, engines []*engine) (*Result, error) {
 // mergeReplicas pools the replica tallies into one Result: batch means
 // and sample streams are merged exactly (stats.Stream/BatchMeans parallel
 // reduction), counts are summed, and rates are re-derived from the pooled
-// totals over the replicas' summed measured windows.
-func mergeReplicas(engines []*engine, results []*Result) *Result {
+// totals over the replicas' summed measured windows. Without a
+// ChannelBusy to fill, it pools no busy counts.
+func mergeReplicas(engines []*engine, results []Result) Result {
 	first := engines[0]
 	pooled := first.tally
-	pooled.busyInMeas = slices.Clone(first.busyInMeas)
+	pooled.busyInMeas = nil
+	if !first.noBusy {
+		pooled.busyInMeas = slices.Clone(first.busyInMeas)
+	}
 	measured := first.measEnd - first.measStart
 
-	res := *results[0]
+	res := results[0]
 	for r := 1; r < len(engines); r++ {
 		e := engines[r]
 		pooled.merge(&e.tally)
@@ -218,7 +243,7 @@ func mergeReplicas(engines []*engine, results []*Result) *Result {
 		res.Saturated = res.Saturated || results[r].Saturated
 		res.EarlyStopped = res.EarlyStopped || results[r].EarlyStopped
 	}
-	pooled.fill(&res, measured, first.nProc)
+	pooled.fill(&res, measured, first.nProc, !first.noBusy)
 	res.Replicas = len(engines)
-	return &res
+	return res
 }

@@ -55,7 +55,8 @@ type Result struct {
 	// matter near saturation, where the mean hides the blocked worms.
 	LatencyP50, LatencyP95, LatencyP99 float64
 	// ChannelBusy is the per-channel busy fraction over the measurement
-	// window, indexed by ChannelID.
+	// window, indexed by ChannelID: a fresh slice per Run, or nil when the
+	// run was asked for none (WithoutChannelBusy).
 	ChannelBusy []float64
 	// Name echoes the network name.
 	Name string
@@ -100,16 +101,18 @@ func (t *tally) merge(o *tally) {
 	}
 	t.flitsDelivered += o.flitsDelivered
 	t.queueIntegral += o.queueIntegral
-	for ch, b := range o.busyInMeas {
-		t.busyInMeas[ch] += b
+	if t.busyInMeas != nil {
+		for ch, b := range o.busyInMeas {
+			t.busyInMeas[ch] += b
+		}
 	}
 }
 
 // fill sets res's measured fields — latency statistics and percentiles,
-// injection wait and service, throughput, source queue, channel busy
-// fractions, MeasuredCycles and Precision — from the tally over measured
-// cycles on nProc processors.
-func (t *tally) fill(res *Result, measured int64, nProc int) {
+// injection wait and service, throughput, source queue, MeasuredCycles,
+// Precision and, when busy is set, the channel busy fractions — from the
+// tally over measured cycles on nProc processors.
+func (t *tally) fill(res *Result, measured int64, nProc int, busy bool) {
 	meas := float64(measured)
 	res.LatencyMean = t.latAll.Mean()
 	res.LatencyCI95 = t.lat.HalfWidth(0.95)
@@ -119,9 +122,11 @@ func (t *tally) fill(res *Result, measured int64, nProc int) {
 	res.ServiceInjMean = t.xInj.Mean()
 	res.ThroughputFlits = float64(t.flitsDelivered) / (meas * float64(nProc))
 	res.MeanSourceQueue = t.queueIntegral / (meas * float64(nProc))
-	res.ChannelBusy = make([]float64, len(t.busyInMeas))
-	for ch, b := range t.busyInMeas {
-		res.ChannelBusy[ch] = float64(b) / meas
+	if busy {
+		res.ChannelBusy = make([]float64, len(t.busyInMeas))
+		for ch, b := range t.busyInMeas {
+			res.ChannelBusy[ch] = float64(b) / meas
+		}
 	}
 	res.MeasuredCycles = int(measured)
 	res.Precision = relPrecision(res.LatencyCI95, res.LatencyMean)

@@ -174,7 +174,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 // paper's largest configuration: a run on an engine the internal
 // constructor builds stays in the hundreds of allocations (slabs, not
 // per-worm or per-source objects), and a single-replica Run on a parked
-// engine allocates its answer only: the Result and its ChannelBusy slice.
+// engine whose Result the caller drops allocates its ChannelBusy slice
+// only (Run inlines, so the Result itself is on the caller's stack), and
+// nothing at all under WithoutChannelBusy.
 func TestWarmRunAllocs(t *testing.T) {
 	cfg := Config{
 		Net: topology.MustFatTree(1024), MsgFlits: 32, Seed: 42,
@@ -196,13 +198,21 @@ func TestWarmRunAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	bare := testing.AllocsPerRun(10, func() {
+		if _, err := Run(ctx, cfg, WithoutChannelBusy()); err != nil {
+			t.Fatal(err)
+		}
+	})
 	if cold > 500 {
 		t.Errorf("a run on a new engine allocates %v times, want <= 500", cold)
 	}
-	if warm > 2 {
-		t.Errorf("a Run on a parked engine allocates %v times, want <= 2 (the Result and ChannelBusy)", warm)
+	if warm > 1 {
+		t.Errorf("a Run on a parked engine allocates %v times, want <= 1 (ChannelBusy)", warm)
 	}
-	t.Logf("bft-1024 s=32: cold %v allocs/run, warm %v", cold, warm)
+	if bare > 0 {
+		t.Errorf("a Run on a parked engine WithoutChannelBusy allocates %v times, want 0", bare)
+	}
+	t.Logf("bft-1024 s=32: cold %v allocs/run, warm %v, without ChannelBusy %v", cold, warm, bare)
 }
 
 // TestEarlyStopPinned pins early-stopped runs bit for bit. The pinned

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/eval"
 	"repro/internal/series"
@@ -58,8 +57,6 @@ type Result struct {
 	Curves []CurveInfo
 	// CacheHits and CacheMisses count this run's cells by provenance.
 	CacheHits, CacheMisses int
-	// Elapsed is the wall-clock duration of the run.
-	Elapsed time.Duration
 
 	// curves are the grid's curves, whose cells Rows holds.
 	curves []Curve
@@ -179,9 +176,8 @@ func (r *Result) Summary() string {
 	if name == "" {
 		name = "sweep"
 	}
-	out := fmt.Sprintf("%s: %d cells (%d curves), %d computed, %d cached, %s\n",
-		name, len(r.Rows), len(r.Curves), r.CacheMisses, r.CacheHits,
-		r.Elapsed.Round(time.Millisecond))
+	out := fmt.Sprintf("%s: %d cells (%d curves), %d computed, %d cached\n",
+		name, len(r.Rows), len(r.Curves), r.CacheMisses, r.CacheHits)
 	for _, c := range r.Curves {
 		sat := "n/a"
 		if !math.IsNaN(c.SaturationLoad) {
@@ -244,7 +240,6 @@ type jsonResult struct {
 	Rows        []jsonRow   `json:"rows"`
 	CacheHits   int         `json:"cache_hits"`
 	CacheMisses int         `json:"cache_misses"`
-	ElapsedMS   int64       `json:"elapsed_ms"`
 }
 
 // MarshalJSON serialises the result with non-finite values mapped to
@@ -255,7 +250,6 @@ func (r *Result) MarshalJSON() ([]byte, error) {
 		Description: r.Spec.Description,
 		CacheHits:   r.CacheHits,
 		CacheMisses: r.CacheMisses,
-		ElapsedMS:   r.Elapsed.Milliseconds(),
 	}
 	for _, c := range r.Curves {
 		out.Curves = append(out.Curves, jsonCurve{

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/analytic"
 	"repro/internal/bounds"
@@ -944,12 +943,10 @@ func (r *Runner) sweep(ctx context.Context, spec Spec, res *Result, emit func(Ro
 // cache: a curve is written back when its last cold cell lands, and the
 // landed cells of a curve left unfinished before Run returns.
 func (r *Runner) Run(ctx context.Context, spec Spec) (*Result, error) {
-	start := time.Now()
 	res := &Result{Spec: spec}
 	if err := r.sweep(ctx, spec, res, nil); err != nil {
 		return nil, err
 	}
-	res.Elapsed = time.Since(start)
 	return res, nil
 }
 
