@@ -57,11 +57,14 @@ lint:
 		echo "outbound requests must be built in internal/eval/remote.go only (one fleet transport)"; exit 1; }
 	@test -z "$$(git ls-files '*.sh')" || { \
 		echo "no shell scripts: end-to-end checks are Go tests (cmd/*/main_test.go), timings live in the bench/ ledger"; exit 1; }
-	@! grep -rlE 'bench[-]out|PerSec|_per_sec"|elapsed_sec|elapsed_ms|Elapsed|mine_ms|events/sec' --include='*.go' cmd internal/sweep/result.go internal/plan/result.go | grep -v '_test\.go$$' || { \
-		echo "no benchmark-output flags or timing fields: timings are recorded by go run ./bench, not printed by the binaries or carried by sweep and plan results"; exit 1; }
-	@test -z "$$(grep -rl 'ObserveCell(' --include='*.go' internal cmd | grep -v '_test\.go$$' | grep -v '^internal/sweep/' | grep -vx 'internal/calib/calib.go')" && \
-	! grep -rlE '\.cache\.(Get|Put)\(' --include='*.go' internal/dispatch internal/serve | grep -v '_test\.go$$' || { \
-		echo "one cell path: the cache and the observer are fed by sweep.Runner only"; exit 1; }
+	@! grep -rlE 'bench[-]out|PerSec|_per_sec"|elapsed_sec|elapsed_ms|Elapsed|mine_ms|events/sec|time\.Since\(' --include='*.go' cmd internal/sweep/result.go internal/plan/result.go internal/exp/runall.go | grep -v '_test\.go$$' || { \
+		echo "no benchmark-output flags or timing fields: timings are recorded by go run ./bench, not printed by the binaries or carried by sweep and plan results or the reproduction's SUMMARY.txt"; exit 1; }
+	@! grep -rlE '\.cache\.(Get|Put)\(' --include='*.go' internal/dispatch internal/serve | grep -v '_test\.go$$' || { \
+		echo "one cell path: the cache is fed by sweep.Runner only"; exit 1; }
+	@test -z "$$(grep -rlE 'ObserveCell\(|CellObserver|CalibObserved|handleCalib|"calib\.observe"|"/v1/calib"' --include='*.go' internal cmd | grep -v '_test\.go$$' | grep -vx 'internal/calib/calib.go')" && \
+	! grep -rl 'WithCalibration' --include='*.go' internal/serve internal/sweep cmd/sweepd | grep -v '_test\.go$$' && \
+	! grep -nE '^func \(m \*Map\) (Collect|Summary)\(|"calib\.observe"' internal/calib/calib.go || { \
+		echo "no live calibration observer: a calibration map is filled only by calib.Mine over a store (cmd/calib -store, cmd/plan -cache-dir); no runner, shard or span feeds one as cells land, a shard serves no /v1/calib, healthz block or calib_* series, and Map.ObserveCell (internal/calib/calib.go) is the benchmark's door only"; exit 1; }
 	@test "$$(grep -rlE 'eval\.NewSimBackend\(|bounds\.New\(' --include='*.go' internal cmd | grep -v '_test\.go$$')" = internal/sweep/run.go || { \
 		echo "one built-in stack: analytic+sim+bounds is assembled in internal/sweep/run.go only"; exit 1; }
 	@! grep -nE 'analytic\.(New|Must)[A-Za-z]*Model\(|\.NewModel\(' $$(find internal/bounds -name '*.go' ! -name '*_test.go') || { \
@@ -97,7 +100,7 @@ lint:
 	@test -z "$$(grep -rlF '.Key()' --include='*.go' internal/sweep internal/dispatch internal/serve internal/store | grep -v '_test\.go$$' | grep -vx internal/sweep/run.go)" && \
 	test "$$(grep -rlF '.AppendCurveKey(' --include='*.go' . | grep -v '_test\.go$$' | sort | tr '\n' ' ')" = "./internal/sweep/expand.go ./internal/sweep/run.go " && \
 	test "$$(grep -rlF 'AppendJoinKey(' --include='*.go' . | grep -v '_test\.go$$' | sort | tr '\n' ' ')" = "./internal/eval/scenario.go ./internal/store/store.go ./internal/sweep/cache.go ./internal/sweep/run.go " || { \
-		echo "keys are built once per curve: a grid's curve keys are written by Scenario.AppendCurveKey in internal/sweep/expand.go (and, for Runner.Evaluate's one cell, run.go) and a cell is its curve key and eval.Token; a cell's full key is joined (eval.AppendJoinKey) only where it leaves the process: run.go (a traced span, the observer, an error), cache.go (Cache.Range) and internal/store/store.go (a store line); Scenario.Key() is called in internal/sweep, dispatch, serve and store only by run.go"; exit 1; }
+		echo "keys are built once per curve: a grid's curve keys are written by Scenario.AppendCurveKey in internal/sweep/expand.go (and, for Runner.Evaluate's one cell, run.go) and a cell is its curve key and eval.Token; a cell's full key is joined (eval.AppendJoinKey) only where it leaves the process: run.go (a traced span, an error), cache.go (Cache.Range) and internal/store/store.go (a store line); Scenario.Key() is called in internal/sweep, dispatch, serve and store only by run.go"; exit 1; }
 	@! grep -nE 'map\[string\]eval\.Point|KeyArena' $$(find internal/store -name '*.go' ! -name '*_test.go') && \
 	test "$$(grep -rlF 'Name: "sweep_cache_' --include='*.go' . | grep -v '_test\.go$$')" = ./internal/sweep/cache.go || { \
 		echo "one cell index: a store's live cells are its sweep.Cache and the store keeps only its segment log (non-test internal/store declares no map[string]eval.Point and names no KeyArena), and the sweep_cache_* series are written in internal/sweep/cache.go only"; exit 1; }

@@ -5,7 +5,9 @@
 // policy, workload and load band (see internal/calib and
 // docs/calibration.md). The map is mined afresh on every run and never
 // saved: the store is the record, so cells that landed since the last
-// run show up in the next report.
+// run show up in the next report. A shard (sweepd) keeps no map of its
+// own: its calibration is this report on its -cache-dir, which may be
+// read while the shard writes it — the run changes no byte there.
 //
 // With -check the command gates instead of reporting: it exits non-zero
 // when the mined map is empty or carries a non-finite MAPE.

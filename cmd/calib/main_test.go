@@ -10,11 +10,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/calib"
 	"repro/internal/dispatch"
+	"repro/internal/eval"
 	"repro/internal/serve"
 	"repro/internal/store"
 	"repro/internal/sweep"
@@ -133,5 +135,126 @@ func TestMissingStoreIsAnError(t *testing.T) {
 		if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
 			t.Fatalf("%v: the run left %s behind (stat: %v)", args, dir, err)
 		}
+	}
+}
+
+// dirBytes reads every file of dir, by name.
+func dirBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(data)
+	}
+	return files
+}
+
+// TestReadsAStoreBeingWritten: a shard keeps no calibration map, so an
+// operator reads its calibration with calib -store on the directory the
+// shard's open store is still writing. The report is the pairs a fresh
+// miner finds in the flushed cells; a line still being appended — half a
+// record past the writer's offset — reads as a dropped line; not a byte
+// of the directory changes; and the writer goes on, its next record
+// landing where its own write would have ended.
+func TestReadsAStoreBeingWritten(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := eval.Topology{Family: eval.FamilyBFT, Size: 64}
+	put := func(msgFlits int, fracs ...float64) {
+		t.Helper()
+		sat, err := eval.NewAnalyticBackend().SaturationLoad(topo, msgFlits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			curve  string
+			tokens []eval.Token
+			cells  []eval.Point
+		)
+		for i, frac := range fracs {
+			sc := eval.Scenario{
+				Topology: topo, MsgFlits: msgFlits, LoadIndex: i,
+				Load: eval.Load{Frac: true, Value: frac}, WithSim: true,
+				Budget: eval.Budget{Warmup: 100, Measure: 200, Seed: 1},
+			}
+			curve = string(sc.AppendCurveKey(nil, ""))
+			pt := eval.NewPoint()
+			pt.LoadFlits, pt.Model, pt.Sim = frac*sat, 100+10*frac, 100
+			tokens, cells = append(tokens, sc.Token()), append(cells, pt)
+		}
+		st.PutCurve(curve, tokens, cells)
+	}
+	put(8, 0.3, 0.6, 0.7)
+	put(16, 0.6, 0.95)
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := calib.NewMap()
+	if n := want.Mine(ctx, st); n != 5 {
+		t.Fatalf("the flushed cells mine to %d pair(s), want 5", n)
+	}
+
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.ndjson"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v (%v), want one", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	record, _, _ := bytes.Cut(data, []byte("\n"))
+	f, err := os.OpenFile(segs[0], os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(record[:len(record)/2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	before := dirBytes(t, dir)
+	got := reportJSON(t, dir)
+	wantJSON, err := json.Marshal(want.Report())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantRep calib.Report
+	if err := json.Unmarshal(wantJSON, &wantRep); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, wantRep) {
+		t.Errorf("calib -store on an open store reports\n%+v\nwant a fresh miner's\n%+v", got, wantRep)
+	}
+	if after := dirBytes(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("calib -store changed the directory: %d file(s) before, %d after", len(before), len(after))
+	}
+
+	put(16, 0.7)
+	if err := st.Flush(); err != nil {
+		t.Fatalf("the writer's next flush: %v", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("the writer's close: %v", err)
+	}
+	reopened, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if n, dropped := reopened.Len(), reopened.Dropped(); n != 6 || dropped != 0 {
+		t.Errorf("the written directory reopens with %d cell(s) and %d dropped line(s), want 6 and 0", n, dropped)
 	}
 }

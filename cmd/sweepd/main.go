@@ -25,16 +25,13 @@
 // an optional index range in, its cells out as an NDJSON stream; the
 // spec alone streams the whole grid), POST /v1/batch (an explicit
 // scenario list, same stream), POST /v1/eval, POST /v1/curve (a grid's
-// spec in, every curve's model context out), GET /v1/calib (model-vs-sim
-// calibration report, with -cache-dir), GET /healthz, GET /metrics
+// spec in, every curve's model context out), GET /healthz, GET /metrics
 // (Prometheus text). A coordinator asks /v1/curve in the same spec form
 // as /v1/sweep/part, so coordinators and shards upgrade together.
 //
-// With -cache-dir the daemon also keeps a calibration map (see
-// docs/calibration.md): mined from the store at startup, after any
-// prune, fed live by every sim-carrying cell the daemon computes, and
-// served on /v1/calib, /healthz and /metrics. It is never written to
-// disk; the store is the record.
+// The daemon keeps no calibration map: its store is the record, and
+// `calib -store DIR` mines a shard's calibration from the directory,
+// even while the daemon is writing it (see docs/calibration.md).
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: new connections are
 // refused, in-flight streams get -grace to finish, then connections are
@@ -60,7 +57,6 @@ import (
 	"net/http/pprof"
 	"time"
 
-	"repro/internal/calib"
 	"repro/internal/cliutil"
 	"repro/internal/serve"
 	"repro/internal/store"
@@ -94,7 +90,6 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) (rerr error) {
 	logger := slog.New(slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: level}))
 
 	var cache sweep.CacheStore = sweep.NewCache()
-	var calibMap *calib.Map
 	if *cacheDir != "" {
 		st, err := store.Open(*cacheDir)
 		if err != nil {
@@ -134,12 +129,6 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) (rerr error) {
 			return nil
 		}
 		cache = st
-		// The calibration map is a view of the store: mined from what it
-		// holds now, then fed live while serving.
-		calibMap = calib.NewMap()
-		calibMap.Mine(ctx, st)
-		sum := calibMap.Summary()
-		logger.Info("calibration mined", "pairs", sum.Pairs, "regions", sum.Regions)
 	} else if *compact {
 		return errors.New("-compact needs -cache-dir")
 	} else if *maxBytes > 0 {
@@ -152,9 +141,6 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) (rerr error) {
 		serve.WithCache(cache),
 		serve.WithWorkers(*workers),
 		serve.WithLogger(logger),
-	}
-	if calibMap != nil {
-		opts = append(opts, serve.WithCalibration(calibMap))
 	}
 	if *traceOut != "" {
 		tracer, closeTracer, err := cliutil.OpenTracer(*traceOut)

@@ -1,32 +1,29 @@
 // Package calib is the calibration observatory: it mines model-vs-sim
-// result pairs out of cache keys and points (the persistent store, the
-// in-memory sweep cache, or live cells as they land), buckets them into
-// regions of scenario space, and maintains per-region accuracy metrics
-// — MAPE, signed bias, Pearson correlation, max relative error — that
-// tell the rest of the system where the analytic model can be trusted.
+// result pairs out of a result store (or any other Range-able cache),
+// buckets them into regions of scenario space, and keeps per-region
+// accuracy metrics — MAPE, signed bias, Pearson correlation, max
+// relative error — that tell the rest of the system where the analytic
+// model can be trusted.
 //
 // A region is topology instance × message length × policy × workload ×
 // load band (relative to the model's saturation point). One cell
 // contributes one pair when both its model and sim sides are finite and
 // unsaturated; the derived seed and budget deliberately do not split
 // regions, so replicated measurements of the same physical question
-// accumulate together. A cell is its scenario key, which is what every
-// runner feeds the map; a store may also hold the same key behind a
-// backend salt (the custom backend lists, fleet tags and spelled-out
-// built-in lists older versions wrote) — mined, it is the same
-// measurement and pairs once. Only the paper's model is
-// calibrated — a sim-carrying cell of an ablation variant is observed
-// but never pairs, because the trust gate reads a region as the base
-// model's error.
+// accumulate together. A cell is its scenario key; a store may also
+// hold the same key behind a backend salt (the custom backend lists,
+// fleet tags and spelled-out built-in lists older versions wrote) —
+// mined, it is the same measurement and pairs once. Only the paper's
+// model is calibrated — a sim-carrying cell of an ablation variant is
+// mined but never pairs, because the trust gate reads a region as the
+// base model's error.
 //
-// A map lives in memory only: the result store is the record. A process
-// with a store builds one with NewMap, Mines the store at start, and
-// keeps it current as cells land — every with-sim sweep cell and every
-// planner certification calls Observe (wired through sweep.CellObserver),
-// traced as calib.observe spans and counted by calib_pairs_total /
-// calib_regions_total. The planner consumes the map through Verdict,
-// which grades a region trusted / escalated / uncalibrated against a
-// Gate; docs/calibration.md specifies the semantics.
+// The result store is the record and a map is a read of it: a process
+// builds one with NewMap and Mines the store (cmd/calib -store,
+// cmd/plan -cache-dir); nothing feeds a map as cells land. The planner
+// consumes the map through Verdict, which grades a region trusted /
+// escalated / uncalibrated against a Gate; docs/calibration.md
+// specifies the semantics.
 package calib
 
 import (
@@ -37,7 +34,6 @@ import (
 	"sync"
 
 	"repro/internal/eval"
-	"repro/internal/obs"
 )
 
 // Verdicts returned by Map.Verdict and recorded on plan.decision spans.
@@ -85,7 +81,7 @@ func BandOf(rel float64) string {
 }
 
 // Region is one bucket of scenario space. It is comparable, so it keys
-// the map directly and two observers of the same region always merge.
+// the map directly and two cells of the same region always merge.
 type Region struct {
 	// Topo is the topology instance name (eval.Topology.String()), e.g.
 	// "bft-256" — family and size in one coordinate.
@@ -219,17 +215,15 @@ func (a *acc) boundTightness() float64 {
 }
 
 // Map is the calibration map: per-region accuracy accumulators plus the
-// set of scenario keys already observed in this process (so mining a
-// store twice, mining a store that a live observer already walked, or
-// meeting one cell in a store under two salts never double-counts a
+// set of scenario keys already observed (so mining a store twice, or
+// meeting one cell in a store under two salts, never double-counts a
 // pair). All methods are safe for concurrent use; a nil *Map is a valid
-// no-op observer.
+// empty map.
 type Map struct {
 	mu      sync.Mutex
 	regions map[Region]*acc
 	seen    map[string]struct{}
 	pairs   int64
-	badKeys int64 // observed keys eval.ParseKey rejected
 	sat     *eval.AnalyticBackend
 }
 
@@ -262,41 +256,21 @@ func pairable(pt eval.Point) bool {
 // became a new calibration pair. Cells without simulator evidence
 // return immediately; sim-carrying cells are deduplicated by scenario
 // key — a stored line minus its backend salt, if Mine met one — so
-// feeding the same cell twice, under whichever salts, is harmless. Each sim-carrying
-// observation emits a calib.observe span (when ctx carries a tracer)
-// whose attrs say which region the cell landed in and whether it
-// paired.
-func (m *Map) Observe(ctx context.Context, key string, pt eval.Point) bool {
+// feeding the same cell twice, under whichever salts, is harmless.
+func (m *Map) Observe(_ context.Context, key string, pt eval.Point) bool {
 	if m == nil || !simCarrying(pt) {
 		return false
 	}
-	_, span := obs.StartSpanKeyed(ctx, "calib.observe", key)
-	paired, region := m.observe(key, pt)
-	if region != "" {
-		span.SetAttr(obs.String("region", region))
-	}
-	span.End(obs.Bool("paired", paired))
-	return paired
-}
-
-// observe is the locked core of Observe; it returns whether the cell
-// paired and the region name it resolved to ("" when the key did not
-// parse).
-func (m *Map) observe(key string, pt eval.Point) (bool, string) {
 	_, cell := eval.CutSalt(key)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, dup := m.seen[cell]; dup {
-		return false, ""
+		return false
 	}
 	m.seen[cell] = struct{}{}
 	sc, wk, err := eval.ParseKey(cell)
-	if err != nil {
-		m.badKeys++
-		return false, ""
-	}
-	if !pairable(pt) || !sc.Variant.IsBase() {
-		return false, ""
+	if err != nil || !pairable(pt) || !sc.Variant.IsBase() {
+		return false
 	}
 	rel := math.NaN()
 	if sat, err := m.sat.SaturationLoad(sc.Topology, sc.MsgFlits); err == nil && sat > 0 && !math.IsNaN(pt.LoadFlits) {
@@ -310,12 +284,12 @@ func (m *Map) observe(key string, pt eval.Point) (bool, string) {
 	}
 	a.add(pt.Model, pt.Sim, pt.BoundMax)
 	m.pairs++
-	return true, r.String()
+	return true
 }
 
-// ObserveCell satisfies sweep.CellObserver (sweep.Cell is an alias of
-// eval.Point), letting a Map ride along as the runner's and
-// dispatcher's live calibration observer.
+// ObserveCell is Observe without its result. Its only caller is the
+// benchmark's calib.observe_us probe (bench/layers.go), which prices one
+// mined cell through it.
 func (m *Map) ObserveCell(ctx context.Context, key string, cell eval.Point) {
 	m.Observe(ctx, key, cell)
 }
@@ -327,9 +301,7 @@ type Source interface {
 }
 
 // Mine walks src and observes every cell, returning how many new pairs
-// it added. Already-observed keys are skipped, so Mine is idempotent:
-// run it when a store opens, and live observation keeps the map current
-// from there.
+// it added. Already-observed keys are skipped, so Mine is idempotent.
 func (m *Map) Mine(ctx context.Context, src Source) (added int) {
 	if m == nil {
 		return 0
@@ -382,7 +354,7 @@ type RegionReport struct {
 	BoundTightness *float64 `json:"bound_tightness,omitempty"`
 }
 
-// Report is the full map rendered for humans and HTTP: every region's
+// Report is the full map rendered for humans and JSON: every region's
 // metrics (sorted by name) plus the global pair count and the worst
 // region by MAPE.
 type Report struct {
@@ -424,49 +396,6 @@ func (m *Map) Report() Report {
 	}
 	rep.WorstMAPE = eval.Finite(worst)
 	return rep
-}
-
-// Collect implements obs.Collector with this map's numbers: how many
-// pairs and regions it holds (calib_pairs_total and calib_regions_total
-// are the same two figures under their counter names — a map only
-// grows), the keys it could not parse, and one calib_mape sample per
-// region, labelled with the region name.
-func (m *Map) Collect(emit func(obs.Sample)) {
-	if m == nil {
-		return
-	}
-	rep := m.Report()
-	m.mu.Lock()
-	badKeys := m.badKeys
-	m.mu.Unlock()
-	pairs, regions := float64(rep.Pairs), float64(len(rep.Regions))
-	emit(obs.Sample{Name: "calib_pairs_total", Kind: obs.KindCounter, Value: pairs})
-	emit(obs.Sample{Name: "calib_regions_total", Kind: obs.KindCounter, Value: regions})
-	emit(obs.Sample{Name: "calib_parse_errors_total", Kind: obs.KindCounter, Value: float64(badKeys)})
-	emit(obs.Sample{Name: "calib_pairs", Kind: obs.KindGauge, Value: pairs})
-	emit(obs.Sample{Name: "calib_regions", Kind: obs.KindGauge, Value: regions})
-	for _, r := range rep.Regions {
-		emit(obs.Sample{Name: "calib_mape", Kind: obs.KindGauge, Labels: obs.Label("region", r.Name), Value: r.MAPE})
-	}
-}
-
-// Summary is the compact health view of the map for /healthz.
-type Summary struct {
-	Pairs       int64    `json:"pairs"`
-	Regions     int      `json:"regions"`
-	WorstMAPE   *float64 `json:"worst_mape,omitempty"`
-	WorstRegion string   `json:"worst_region,omitempty"`
-}
-
-// Summary condenses the map to totals and the worst region.
-func (m *Map) Summary() Summary {
-	rep := m.Report()
-	return Summary{
-		Pairs:       rep.Pairs,
-		Regions:     len(rep.Regions),
-		WorstMAPE:   rep.WorstMAPE,
-		WorstRegion: rep.WorstRegion,
-	}
 }
 
 // Pairs returns the total pair count.

@@ -1,7 +1,7 @@
 // Package dispatch is the distributed sweep scheduler: the fleet
 // implementation of sweep.Scheduler. The grid engine (sweep.Runner) does
 // everything a sweep has in common — expansion, the cache pass and
-// write-back, the observer, progress, the result — and hands the cold
+// write-back, progress, the result — and hands the cold
 // cells of the grid to this package, which partitions them into
 // contiguous index ranges and dispatches each range to a worker shard
 // over the batched wire protocol (POST /v1/sweep/part — spec plus range
@@ -50,7 +50,7 @@ import (
 // Dispatcher schedules sweeps across a shard fleet. Construct with New;
 // it is safe for concurrent use and reusable across sweeps (statistics
 // accumulate over its lifetime). It is a sweep.Runner — Run, Stream
-// (completion order, as every stream is), Evaluate and the Cache, Calib
+// (completion order, as every stream is), Evaluate and the Cache
 // and Progress fields are the embedded engine's own — whose Scheduler is
 // the dispatcher itself, so it drops in anywhere a Runner does, including
 // as the capacity planner's engine (plan.Engine): Run carries the coarse

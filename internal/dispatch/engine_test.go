@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -42,21 +41,6 @@ func slowSpec() sweep.Spec {
 		WithSim:    true,
 		Budget:     sweep.Budget{Warmup: 10000, Measure: 150000, Seed: 5},
 	}
-}
-
-// recorder is a CellObserver counting observations per key.
-type recorder struct {
-	mu   sync.Mutex
-	seen map[string]int
-}
-
-func (r *recorder) ObserveCell(_ context.Context, key string, _ sweep.Cell) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.seen == nil {
-		r.seen = make(map[string]int)
-	}
-	r.seen[key]++
 }
 
 // engine is one way of building the grid engine for the contract: the
@@ -109,7 +93,7 @@ func drain(t *testing.T, ch <-chan sweep.PointResult, timeout time.Duration) (ro
 // TestEngineContract is the one engine's behaviour, asserted against both
 // of its schedulers: the local pool, and the dispatcher's ranges over
 // three shards. Whatever computes the cold cells, everything around them
-// — rows, hit and miss accounting, cache lines, the observer feed, trace
+// — rows, hit and miss accounting, cache lines, progress events, trace
 // spans, failure and cancellation — is the same code and must read the
 // same.
 func TestEngineContract(t *testing.T) {
@@ -143,8 +127,9 @@ func TestEngineContract(t *testing.T) {
 
 			t.Run("cold then warm", func(t *testing.T) {
 				e := ec.new(t)
-				seen := &recorder{}
-				e.Cache, e.Calib = sweep.NewCache(), seen
+				e.Cache = sweep.NewCache()
+				var events []sweep.Event
+				e.Progress = func(ev sweep.Event) { events = append(events, ev) }
 				cold, err := e.Run(ctx, spec)
 				if err != nil {
 					t.Fatal(err)
@@ -156,8 +141,8 @@ func TestEngineContract(t *testing.T) {
 
 				var buf bytes.Buffer
 				tracer := obs.NewTracer(&buf)
-				var events []sweep.Event
-				e.Progress = func(ev sweep.Event) { events = append(events, ev) }
+				coldEvents := events
+				events = nil
 				warm, err := e.Run(obs.WithTracer(ctx, tracer), spec)
 				if err != nil {
 					t.Fatal(err)
@@ -183,12 +168,18 @@ func TestEngineContract(t *testing.T) {
 				}
 
 				// Once per cell per pass, under Scenario.Key.
-				if len(seen.seen) != n {
-					t.Errorf("observer saw %d distinct key(s), want %d: %v", len(seen.seen), n, seen.seen)
-				}
-				for _, key := range keys {
-					if got := seen.seen[key]; got != 2 {
-						t.Errorf("cell observed %d time(s) under its key over two passes, want 2: %s", got, key)
+				for pass, evs := range map[string][]sweep.Event{"cold": coldEvents, "warm": events} {
+					seen := make(map[string]int, n)
+					for _, ev := range evs {
+						seen[ev.Scenario.Key()]++
+					}
+					if len(seen) != n {
+						t.Errorf("%s pass reported %d distinct key(s), want %d: %v", pass, len(seen), n, seen)
+					}
+					for _, key := range keys {
+						if got := seen[key]; got != 1 {
+							t.Errorf("%s pass reported a cell %d time(s) under its key, want once: %s", pass, got, key)
+						}
 					}
 				}
 
@@ -216,9 +207,6 @@ func TestEngineContract(t *testing.T) {
 				}
 				if _, cached, err := e.Evaluate(ctx, probe); err != nil || !cached {
 					t.Errorf("a repeated probe missed the cache: cached=%v, err=%v", cached, err)
-				}
-				if seen.seen[probe.Key()] != 2 {
-					t.Errorf("probe observed %d time(s) over two Evaluates, want 2", seen.seen[probe.Key()])
 				}
 			})
 
@@ -319,8 +307,9 @@ func TestEngineContract(t *testing.T) {
 
 	// A cell is Scenario.Key whoever computed it: a cache the fleet filled
 	// is all hits for a default local runner, and the reverse; and a
-	// calibration map fed by both, and by a third run that computes every
-	// cell over again the other way, counts each measurement once.
+	// calibration map mined from that cache, and from a third run's that
+	// computed every cell over again the other way, counts each
+	// measurement once.
 	t.Run("one key space", func(t *testing.T) {
 		ctx := context.Background()
 		spec := contractSpec()
@@ -333,15 +322,15 @@ func TestEngineContract(t *testing.T) {
 			{"local then fleet", local, fleet},
 		} {
 			t.Run(pair.name, func(t *testing.T) {
-				cache, m := sweep.NewCache(), calib.NewMap()
+				cache := sweep.NewCache()
 				filler := pair.fill(t)
-				filler.Cache, filler.Calib = cache, m
+				filler.Cache = cache
 				cold, err := filler.Run(ctx, spec)
 				if err != nil {
 					t.Fatal(err)
 				}
 				reader := pair.read(t)
-				reader.Cache, reader.Calib = cache, m
+				reader.Cache = cache
 				warm, err := reader.Run(ctx, spec)
 				if err != nil {
 					t.Fatal(err)
@@ -360,9 +349,15 @@ func TestEngineContract(t *testing.T) {
 					t.Errorf("two engines left %d lines for %d cells", cache.Len(), n)
 				}
 				again := pair.read(t)
-				again.Calib = m
+				againCache := sweep.NewCache()
+				again.Cache = againCache
 				if _, err := again.Run(ctx, spec); err != nil {
 					t.Fatal(err)
+				}
+				m := calib.NewMap()
+				m.Mine(ctx, cache)
+				if added := m.Mine(ctx, againCache); added != 0 {
+					t.Errorf("the recomputed cells added %d pair(s) to a map mined from the first cache, want 0", added)
 				}
 				pairable := 0
 				for _, row := range cold.Rows {
@@ -371,7 +366,7 @@ func TestEngineContract(t *testing.T) {
 					}
 				}
 				if pairable == 0 || m.Pairs() != int64(pairable) {
-					t.Errorf("the map holds %d pair(s) after %d measurements were computed one way, read back and computed the other way", m.Pairs(), pairable)
+					t.Errorf("the mined map holds %d pair(s) after %d measurements were computed one way, read back and computed the other way", m.Pairs(), pairable)
 				}
 			})
 		}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/sweep"
 )
@@ -49,7 +48,6 @@ func RunAll(ctx context.Context, cfg RunAllConfig) (string, error) {
 		}),
 	)
 
-	start := time.Now()
 	var summary string
 	for i := range All {
 		e := &All[i]
@@ -70,9 +68,8 @@ func RunAll(ctx context.Context, cfg RunAllConfig) (string, error) {
 		}
 		summary += fmt.Sprintf("%-6s %-16s %s\n", e.ID, files, out.Note)
 	}
-	text := fmt.Sprintf("full reproduction run, %s\n\n", time.Since(start).Round(time.Second)) + summary
-	if err := write("SUMMARY.txt", text); err != nil {
+	if err := write("SUMMARY.txt", summary); err != nil {
 		return "", err
 	}
-	return text, nil
+	return summary, nil
 }

@@ -138,15 +138,9 @@ type Report struct {
 	CacheHits   int
 	CacheMisses int
 	Decisions   map[string]int
-	// Calibration observation tally from calib.observe spans: how many
-	// sim-carrying cells the run offered the calibration map, and how
-	// many became model-vs-sim pairs (the rest were duplicates,
-	// saturated, or unparseable).
-	CalibObserved int
-	CalibPaired   int
-	Shards        []ShardStat
-	RootDurUS     int64
-	RootName      string
+	Shards      []ShardStat
+	RootDurUS   int64
+	RootName    string
 }
 
 // Analyze reassembles events and computes the summary: per-layer time,
@@ -180,12 +174,6 @@ func Analyze(events []Event) *Report {
 		}
 		if v, ok := ev.Attrs["verdict"].(string); ok {
 			r.Decisions[v]++
-		}
-		if ev.Name == "calib.observe" {
-			r.CalibObserved++
-			if p, ok := ev.Attrs["paired"].(bool); ok && p {
-				r.CalibPaired++
-			}
 		}
 		if addr, ok := ev.Attrs["shard"].(string); ok {
 			ss := shards[addr]
@@ -269,9 +257,6 @@ func (r *Report) Format(w io.Writer) {
 			fmt.Fprintf(w, " %s=%d", v, r.Decisions[v])
 		}
 		fmt.Fprintln(w)
-	}
-	if r.CalibObserved > 0 {
-		fmt.Fprintf(w, "calibration: %d cell(s) observed, %d paired\n", r.CalibObserved, r.CalibPaired)
 	}
 	if len(r.Layers) > 0 {
 		fmt.Fprintln(w, "per-layer time:")

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/calib"
 	"repro/internal/eval"
 	"repro/internal/obs"
 	"repro/internal/race"
@@ -29,9 +28,9 @@ func scrape(t *testing.T, url string) map[string]float64 {
 }
 
 // TestMetricsArePerInstance: two servers in one process, each over its
-// own store and calibration map. Pruning one store and pairing into one
-// map moves that server's series and leaves the other's at zero — a
-// Store and a Map are instances, and so are their numbers.
+// own store. Filling and pruning one store moves that server's series
+// and leaves the other's at zero — a Store is an instance, and so are
+// its numbers.
 func TestMetricsArePerInstance(t *testing.T) {
 	open := func() *store.Store {
 		st, err := store.Open(t.TempDir())
@@ -51,14 +50,18 @@ func TestMetricsArePerInstance(t *testing.T) {
 	if evicted, err := busy.Prune(1); err != nil || evicted == 0 {
 		t.Fatalf("Prune evicted %d cells, err %v", evicted, err)
 	}
-	a := scrape(t, newTestServer(t, WithCache(busy), WithCalibration(seedCalibMap(t))).URL)
-	b := scrape(t, newTestServer(t, WithCache(idle), WithCalibration(calib.NewMap())).URL)
-
-	if a["store_pruned_bytes_total"] <= 0 || a["calib_pairs_total"] != 1 || a["calib_regions_total"] != 1 || a["calib_pairs"] != 1 {
-		t.Errorf("busy server: pruned %v, pairs_total %v, regions_total %v, pairs %v; want >0, 1, 1, 1",
-			a["store_pruned_bytes_total"], a["calib_pairs_total"], a["calib_regions_total"], a["calib_pairs"])
+	busy.Put("key-after-prune", eval.NewPoint())
+	if err := busy.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	for _, name := range []string{"store_pruned_bytes_total", "calib_pairs_total", "calib_regions_total", "calib_parse_errors_total", "calib_pairs"} {
+	a := scrape(t, newTestServer(t, WithCache(busy)).URL)
+	b := scrape(t, newTestServer(t, WithCache(idle)).URL)
+
+	if a["store_pruned_bytes_total"] <= 0 || a["sweep_store_disk_bytes"] <= 0 || a["sweep_cache_cells"] <= 0 {
+		t.Errorf("busy server: pruned %v, disk bytes %v, cells %v; want each > 0",
+			a["store_pruned_bytes_total"], a["sweep_store_disk_bytes"], a["sweep_cache_cells"])
+	}
+	for _, name := range []string{"store_pruned_bytes_total", "sweep_store_disk_bytes", "sweep_cache_cells"} {
 		if v, ok := b[name]; !ok || v != 0 {
 			t.Errorf("idle server: %s = %v (present %v), want 0: another instance's work leaked in", name, v, ok)
 		}

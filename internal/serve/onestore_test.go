@@ -97,9 +97,7 @@ func TestOneDirectoryThreeFrontDoors(t *testing.T) {
 	if cells != len(res.Rows)+len(grid.Rows) {
 		t.Fatalf("store holds %d cells after %d+%d were computed", cells, len(res.Rows), len(grid.Rows))
 	}
-	m := calib.NewMap()
-	m.Mine(ctx, st)
-	srv := newTestServer(t, WithCache(st), WithCalibration(m))
+	srv := newTestServer(t, WithCache(st))
 	body, _ := json.Marshal(figure3)
 	items := decodeItems(t, postJSON(t, srv.URL+"/v1/sweep/part", `{"spec":`+string(body)+`}`))
 	if len(items) != len(res.Rows) {
@@ -124,9 +122,6 @@ func TestOneDirectoryThreeFrontDoors(t *testing.T) {
 	var health struct {
 		CacheHits   int `json:"cache_hits"`
 		CacheMisses int `json:"cache_misses"`
-		Calibration struct {
-			Pairs int `json:"pairs"`
-		} `json:"calibration"`
 	}
 	if err := json.NewDecoder(hz.Body).Decode(&health); err != nil {
 		t.Fatal(err)
@@ -134,8 +129,8 @@ func TestOneDirectoryThreeFrontDoors(t *testing.T) {
 	if health.CacheMisses != 0 || health.CacheHits != len(res.Rows) {
 		t.Errorf("the daemon missed %d and hit %d of the %d cells the sweep had stored", health.CacheMisses, health.CacheHits, len(res.Rows))
 	}
-	if health.Calibration.Pairs != pairable {
-		t.Errorf("/healthz calibration.pairs = %d for %d measurements", health.Calibration.Pairs, pairable)
+	if n := calib.NewMap().Mine(ctx, st); n != pairable {
+		t.Errorf("a map mined from the served directory holds %d pairs for %d measurements", n, pairable)
 	}
 
 	// Door four: a coordinator over two shards on the same directory, as

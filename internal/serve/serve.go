@@ -16,14 +16,14 @@
 //	                    endpoint behind eval.RemoteBackend
 //	POST /v1/curve      sweep.Spec in → one eval.CurveDesc (model name,
 //	                    D̄, saturation anchor) per curve, in grid order
-//	GET  /v1/calib      the calibration map's full region report
-//	                    (model-vs-sim accuracy per region; see
-//	                    internal/calib), when a map is attached
-//	GET  /healthz       liveness plus cache and calibration statistics
+//	GET  /healthz       liveness plus cache statistics
 //	GET  /metrics       Prometheus text metrics: obs.WriteMetrics over
 //	                    the server's collectors (its own traffic, see
-//	                    metrics.go; the library counters; the cache and
-//	                    calibration map it was given)
+//	                    metrics.go; the library counters; the cache it
+//	                    was given)
+//
+// A shard keeps no calibration map: calibration is mined from its store
+// by whoever reads it (cmd/calib -store, cmd/plan -cache-dir).
 //
 // A cell that fails is that cell's {"index":N,"error":…} line; the
 // stream goes on. The server shares one Runner (and therefore one
@@ -45,7 +45,6 @@ import (
 	"runtime/debug"
 	"time"
 
-	"repro/internal/calib"
 	"repro/internal/eval"
 	"repro/internal/obs"
 	"repro/internal/sweep"
@@ -57,7 +56,6 @@ type Server struct {
 	mux     *http.ServeMux
 	runner  *sweep.Runner
 	cache   sweep.CacheStore
-	calib   *calib.Map
 	workers int
 	started time.Time
 	traffic traffic
@@ -92,13 +90,6 @@ func WithTracer(t *obs.Tracer) Option { return func(s *Server) { s.tracer = t } 
 // ID). Level filtering belongs to the logger's handler.
 func WithLogger(l *slog.Logger) Option { return func(s *Server) { s.log = l } }
 
-// WithCalibration attaches a calibration map: the server's runner feeds
-// it every sim-carrying cell it completes, and the map surfaces on
-// /v1/calib, /healthz and /metrics. The map lives in memory only; a
-// caller with a store Mines it into the map before serving (cmd/sweepd
-// -cache-dir).
-func WithCalibration(m *calib.Map) Option { return func(s *Server) { s.calib = m } }
-
 // New builds the server. Its runner is a default sweep.Runner: the
 // built-in stack, shared across requests — so models, saturation searches
 // and simulator networks are built once per server instance, not once per
@@ -113,22 +104,15 @@ func New(opts ...Option) *Server {
 	s.runner = sweep.NewRunner(sweep.WithWorkers(s.workers), sweep.WithCache(s.cache))
 	// The metrics surface: the server's own traffic and the process-wide
 	// library counters, plus each attached component that describes
-	// itself (sweep.Cache, store.Store, calib.Map).
+	// itself (sweep.Cache, store.Store).
 	s.collectors = []obs.Collector{&s.traffic, obs.Process}
 	if c, ok := s.cache.(obs.Collector); ok {
 		s.collectors = append(s.collectors, c)
-	}
-	// A calibration map observes every sim-carrying cell the server's
-	// runner completes.
-	if s.calib != nil {
-		s.runner.Calib = s.calib
-		s.collectors = append(s.collectors, s.calib)
 	}
 	s.handle("/v1/batch", post(s.handleBatch))
 	s.handle("/v1/sweep/part", post(s.handlePart))
 	s.handle("/v1/eval", post(s.handleEval))
 	s.handle("/v1/curve", post(s.handleCurve))
-	s.handle("/v1/calib", get(s.handleCalib))
 	s.handle("/healthz", get(s.handleHealthz))
 	s.handle("/metrics", get(s.handleMetrics))
 	return s
@@ -233,19 +217,6 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(curves)
 }
 
-// handleCalib serves the calibration map's full region report: per-
-// region pair counts, MAPE, signed bias, Pearson correlation and bound
-// tightness. 404 when the server carries no map, so probes can tell
-// "not calibrating" from "calibrating with zero pairs".
-func (s *Server) handleCalib(w http.ResponseWriter, r *http.Request) {
-	if s.calib == nil {
-		httpError(w, http.StatusNotFound, errors.New("no calibration map attached (see cmd/sweepd -cache-dir)"))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.calib.Report())
-}
-
 // The module version (and VCS revision, when the binary was built from
 // a checkout), resolved once per process.
 var buildVersion, buildRevision = func() (version, revision string) {
@@ -295,18 +266,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if n, ok := vals["sweep_store_disk_bytes"]; ok {
 		payload["store_disk_bytes"] = int64(n)
-	}
-	if s.calib != nil {
-		sum := s.calib.Summary()
-		cal := map[string]any{
-			"pairs":   sum.Pairs,
-			"regions": sum.Regions,
-		}
-		if sum.WorstMAPE != nil {
-			cal["worst_mape"] = *sum.WorstMAPE
-			cal["worst_region"] = sum.WorstRegion
-		}
-		payload["calibration"] = cal
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(payload)

@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -614,10 +615,24 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// rangeCounter is a cache that counts full-index walks.
+type rangeCounter struct {
+	*sweep.Cache
+	ranges atomic.Int64
+}
+
+func (c *rangeCounter) Range(fn func(key string, cell sweep.Cell) bool) {
+	c.ranges.Add(1)
+	c.Cache.Range(fn)
+}
+
 // TestHealthzVersionInfo pins /healthz: liveness, the Go toolchain and
-// module version, and the cache stats beside them.
+// module version, and the cache stats beside them — read from the
+// cache's counters, so the liveness probe stays O(1): it never walks the
+// cache.
 func TestHealthzVersionInfo(t *testing.T) {
-	srv := newTestServer(t, WithCache(sweep.NewCache()))
+	cache := &rangeCounter{Cache: sweep.NewCache()}
+	srv := newTestServer(t, WithCache(cache))
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -640,6 +655,9 @@ func TestHealthzVersionInfo(t *testing.T) {
 	}
 	if _, ok := health["cache_cells"]; !ok {
 		t.Errorf("cache stats lost from healthz: %+v", health)
+	}
+	if n := cache.ranges.Load(); n != 0 {
+		t.Errorf("/healthz walked the cache %d time(s), want 0", n)
 	}
 }
 

@@ -24,9 +24,9 @@ type Event struct {
 
 // Runner is the grid engine: every sweep in the stack — local or
 // dispatched across a fleet — is one Runner doing expand → cache pass →
-// schedule the cold cells → write back → observe → hand rows to the
-// caller, under Run, Stream and Evaluate. A curve is its unit of work: a
-// grid is expanded into curves, each looked up in one GetCurve and
+// schedule the cold cells → write back → hand rows to the caller, under
+// Run, Stream and Evaluate. A curve is its unit of work: a grid is
+// expanded into curves, each looked up in one GetCurve and
 // written back in one PutCurve; the local pool claims a model-only
 // curve's cold cells whole and each backend answers them in one call
 // (eval.CurveEvaluator); a cell is answered in place, in its row of the
@@ -67,13 +67,6 @@ type Runner struct {
 	// concern them (the simulator skips cells with WithSim unset). A runner with a custom list never consults Cache, so
 	// no cell of such a list is ever served as the built-in stack's.
 	Backends []eval.Evaluator
-	// Calib, when non-nil, receives every completed cell (fresh and
-	// cached alike) under its Scenario.Key — joined for it, from the
-	// cell's curve key and token — making the runner a live feed
-	// for the calibration map (internal/calib). Observers must dedupe by
-	// key themselves and be safe for concurrent calls — cells arrive
-	// straight from the scheduler's goroutines.
-	Calib CellObserver
 	// Scheduler, when non-nil, computes every cold cell — a grid's, and
 	// Evaluate's one at a time — and describes grid curves in place of
 	// the local worker pool. It is the one seam a fleet plugs into, not a
@@ -86,14 +79,6 @@ type Runner struct {
 
 	// Lifetime cell counts: served from cache, computed fresh.
 	hits, fresh atomic.Int64
-}
-
-// CellObserver consumes completed cells as they land. internal/calib's
-// Map is the canonical implementation; the interface lives here so the
-// runner can feed observations without depending on the calibration
-// layer.
-type CellObserver interface {
-	ObserveCell(ctx context.Context, key string, cell Cell)
 }
 
 // Option configures a Runner.
@@ -196,7 +181,7 @@ func (g *Grid) CellError(i int, err error) error {
 // (Evaluate's). Curves describes the grid's curves: one eval.CurveDesc
 // per g.Curves entry, in order, or an error naming the curve the model
 // rejects. Everything around them — expansion, the cache pass before and
-// the write-back after, the observer, Progress, the result — is the
+// the write-back after, Progress, the result — is the
 // Runner's. The local worker pool is the default; internal/dispatch's
 // fleet scheduler is the other.
 type Scheduler interface {
@@ -521,7 +506,7 @@ func (p localPool) Compute(ctx context.Context, sc Scenario) (Cell, error) {
 
 // cellKey is a cell's key, unbuilt: its scenario and its curve's key,
 // joined (eval.AppendJoinKey) only where the key leaves the process — a
-// traced span, the observer, an error message.
+// traced span, an error message.
 type cellKey struct {
 	sc    *Scenario
 	curve string // "" when the curve's key was never built
@@ -570,27 +555,13 @@ func endCell(span *obs.Span, err error) {
 	span.End(obs.Bool("cached", false))
 }
 
-// observe feeds one completed cell to the calibration observer, if any.
-func (r *Runner) observe(ctx context.Context, k cellKey, cell Cell) {
-	if r.Calib != nil {
-		r.Calib.ObserveCell(ctx, k.Key(), cell)
-	}
-}
-
-// land accounts one fresh cell: the observer feed, the count.
-func (r *Runner) land(ctx context.Context, k cellKey, cell Cell) {
-	r.observe(ctx, k, cell)
-	r.fresh.Add(1)
-}
-
-// served accounts one cell served from the cache: the cached eval.cell
-// span, the observer feed.
-func (r *Runner) served(ctx context.Context, k cellKey, cell Cell) {
+// served traces one cell served from the cache as a cached eval.cell
+// span.
+func (r *Runner) served(ctx context.Context, k cellKey) {
 	if obs.Enabled(ctx) {
 		_, span := obs.StartSpanKeyed(ctx, "eval.cell", k.Key())
 		span.End(obs.Bool("cached", true))
 	}
-	r.observe(ctx, k, cell)
 }
 
 // Evaluate answers one scenario through the runner's cache and its
@@ -612,7 +583,7 @@ func (r *Runner) Evaluate(ctx context.Context, sc Scenario) (Cell, bool, error) 
 		pr.tok[0] = sc.Token()
 		if r.Cache.GetCurve(curve, pr.tok[:], pr.cell[:], pr.found[:]) > 0 {
 			r.hits.Add(1)
-			r.served(ctx, cellKey{&sc, curve}, pr.cell[0])
+			r.served(ctx, cellKey{&sc, curve})
 			return pr.cell[0], true, nil
 		}
 	}
@@ -625,7 +596,7 @@ func (r *Runner) Evaluate(ctx context.Context, sc Scenario) (Cell, bool, error) 
 		pr.cell[0] = cell
 		r.Cache.PutCurve(curve, pr.tok[:], pr.cell[:])
 	}
-	r.land(ctx, k, cell)
+	r.fresh.Add(1)
 	return cell, false, nil
 }
 
@@ -657,7 +628,7 @@ func (r *Runner) EvaluateList(ctx context.Context, g *Grid, lo, hi int, fn func(
 	c := &claims{
 		sched: r.scheduler(), g: g, lo: lo, hi: hi, slab: p.slab, warm: p.warm,
 		land: func(a, b int) {
-			p.land(ctx, a, b)
+			p.land(a, b)
 			for i := a; i < b; i++ {
 				fn(i, p.slab[i-lo], nil)
 			}
@@ -768,7 +739,7 @@ func (p *pass) lookup(ctx context.Context, hit func(i int, cell Cell) bool) (col
 			} else {
 				g.Rows[i].Cell, g.Rows[i].Cached = p.cells[j], true
 			}
-			p.r.served(ctx, cellKey{&g.Rows[i].Scenario, cv.Key}, p.cells[j])
+			p.r.served(ctx, cellKey{&g.Rows[i].Scenario, cv.Key})
 			if !hit(i, p.cells[j]) {
 				return 0, false
 			}
@@ -785,20 +756,15 @@ func (p *pass) cell(i int) *Cell {
 	return &p.g.Rows[i].Cell
 }
 
-// land takes the fresh cells [lo, hi) of one curve in: to the observer,
-// and — with the last cold cells of their curve — into the cache with the
-// rest of the curve. Safe for concurrent calls on distinct cells.
-func (p *pass) land(ctx context.Context, lo, hi int) {
-	c := p.g.curveOf(lo)
-	if p.r.Calib != nil {
-		for i := lo; i < hi; i++ {
-			p.r.observe(ctx, cellKey{&p.g.Rows[i].Scenario, p.g.Curves[c].Key}, *p.cell(i))
-		}
-	}
+// land takes the fresh cells [lo, hi) of one curve in: with the last cold
+// cells of their curve, into the cache with the rest of the curve. Safe
+// for concurrent calls on distinct cells.
+func (p *pass) land(lo, hi int) {
 	p.r.fresh.Add(int64(hi - lo))
 	if p.cache == nil {
 		return
 	}
+	c := p.g.curveOf(lo)
 	for i := lo; i < hi; i++ {
 		p.landed[i-p.lo] = true
 	}
@@ -839,7 +805,7 @@ func (p *pass) put(c int) {
 type landing struct{ lo, hi int32 }
 
 // sweep is the one grid path under Run and Stream: expand, root span,
-// cache pass, schedule the cold cells, write back, observe, account. Every
+// cache pass, schedule the cold cells, write back, account. Every
 // cell is answered in its own row of the grid, and the grid's rows are
 // Run's result. A caller that takes the rows one by one — emit (Stream's)
 // or Progress — gets them on this goroutine in completion order, warm
@@ -893,7 +859,7 @@ func (r *Runner) sweep(ctx context.Context, spec Spec, res *Result, emit func(Ro
 		if emit == nil && r.Progress == nil {
 			// Nobody takes rows one by one: they land in place and the
 			// landings need no hand-over.
-			schedErr = sched.Schedule(ctx, g, cold, func(lo, hi int) { p.land(ctx, lo, hi) })
+			schedErr = sched.Schedule(ctx, g, cold, p.land)
 			done += cold
 		} else {
 			runCtx, cancel := context.WithCancel(ctx)
@@ -904,7 +870,7 @@ func (r *Runner) sweep(ctx context.Context, spec Spec, res *Result, emit func(Ro
 			go func() {
 				defer close(out)
 				schedErr = sched.Schedule(runCtx, g, cold, func(lo, hi int) {
-					p.land(ctx, lo, hi)
+					p.land(lo, hi)
 					out <- landing{int32(lo), int32(hi)}
 				})
 			}()
