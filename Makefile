@@ -84,9 +84,11 @@ lint:
 	@test -z "$$(grep -rlE '"(family| (size|k|flits|policy|frac|load|variant|sim|warmup|measure|seed|drain|prec|reps|workload|bounds))=' --include='*.go' . | grep -v '_test\.go$$' | grep -vx -e ./internal/eval/scenario.go -e ./internal/eval/parsekey.go)" && \
 	test -z "$$(grep -rl 'eval\.ParseKey(' --include='*.go' . | grep -v '_test\.go$$' | grep -v '^\./internal/calib/')" || { \
 		echo "one key grammar: the key's field literals appear only in internal/eval/scenario.go (appendKey writes them) and parsekey.go (ParseKey reads them back), and eval.ParseKey is called from internal/calib only"; exit 1; }
-	@test "$$(grep -rl 'NewBatchBackend(' --include='*.go' internal cmd | grep -v '_test\.go$$')" = internal/eval/batch.go && \
+	@test "$$(grep -rl 'NewBatchBackend(' --include='*.go' internal cmd | grep -v '_test\.go$$')" = internal/eval/remote.go && \
 	test -z "$$(grep -rl 'eval\.NewRemoteBackend(' --include='*.go' internal cmd examples | grep -v '_test\.go$$' | grep -vx internal/dispatch/dispatch.go)" || { \
 		echo "one fleet door: grids reach a fleet through internal/dispatch (the fleet client is built in internal/dispatch/dispatch.go only; NewBatchBackend is a deprecated alias for the frozen bench/)"; exit 1; }
+	@test -z "$$(grep -rlE '"/v1/batch"|handleBatch|ListGrid|callBatch|BatchItem' --include='*.go' internal cmd | grep -v '_test\.go$$')" || { \
+		echo "one list route: a shard answers a list of cells only as a grid range, /v1/sweep/part (eval.PartItem lines, Runner.EvaluateList on the shard's own pool); there is no /v1/batch, no explicit-list grid (ListGrid) and no batch client (callBatch), and EvaluateBatch is a loop of Evaluate calls kept as the bench's door"; exit 1; }
 	@test -z "$$(grep -lE '"repro/internal/(plan|dispatch)"' $$(find internal/serve -name '*.go' ! -name '*_test.go'))" && \
 	test -z "$$(grep -rl '"/v1/plan"' --include='*.go' . | grep -v '_test\.go$$')" || { \
 		echo "a sweepd is a shard: internal/serve answers from its local runner (no internal/plan or internal/dispatch import) and there is no /v1/plan; the process that asks coordinates its fleet"; exit 1; }
@@ -96,7 +98,7 @@ lint:
 	@test -z "$$(grep -rlE '"/v1/(sweep|builtins)"' --include='*.go' internal cmd examples | grep -v '_test\.go$$')" && \
 	! grep -nE '^func \([a-z]* ?\*?Row\) UnmarshalJSON\(' $$(find internal/sweep -name '*.go' ! -name '*_test.go') && \
 	! grep -nE '^func \([a-z]* ?\*?(Candidate|Result)\) UnmarshalJSON\(' $$(find internal/plan -name '*.go' ! -name '*_test.go') || { \
-		echo "one grid stream: a shard streams a grid as /v1/sweep/part BatchItems (a spec with no range is the whole grid); there is no /v1/sweep or /v1/builtins, and sweep.Row (cmd/sweep -stream), plan.Candidate and plan.Result (cmd/plan -json, -stream) are written, never decoded"; exit 1; }
+		echo "one grid stream: a shard streams a grid as /v1/sweep/part PartItems (a spec with no range is the whole grid); there is no /v1/sweep or /v1/builtins, and sweep.Row (cmd/sweep -stream), plan.Candidate and plan.Result (cmd/plan -json, -stream) are written, never decoded"; exit 1; }
 	@test -z "$$(grep -rlF '.Key()' --include='*.go' internal/sweep internal/dispatch internal/serve internal/store | grep -v '_test\.go$$' | grep -vx internal/sweep/run.go)" && \
 	test "$$(grep -rlF '.AppendCurveKey(' --include='*.go' . | grep -v '_test\.go$$' | sort | tr '\n' ' ')" = "./internal/sweep/expand.go ./internal/sweep/run.go " && \
 	test "$$(grep -rlF 'AppendJoinKey(' --include='*.go' . | grep -v '_test\.go$$' | sort | tr '\n' ' ')" = "./internal/eval/scenario.go ./internal/store/store.go ./internal/sweep/cache.go ./internal/sweep/run.go " || { \

@@ -23,10 +23,9 @@
 //
 // Endpoints (see docs/serve.md): POST /v1/sweep/part (a grid's spec and
 // an optional index range in, its cells out as an NDJSON stream; the
-// spec alone streams the whole grid), POST /v1/batch (an explicit
-// scenario list, same stream), POST /v1/eval, POST /v1/curve (a grid's
-// spec in, every curve's model context out), GET /healthz, GET /metrics
-// (Prometheus text). A coordinator asks /v1/curve in the same spec form
+// spec alone streams the whole grid), POST /v1/eval (one scenario in,
+// its cell out), POST /v1/curve (a grid's spec in, every curve's model
+// context out), GET /healthz, GET /metrics (Prometheus text). A coordinator asks /v1/curve in the same spec form
 // as /v1/sweep/part, so coordinators and shards upgrade together.
 //
 // The daemon keeps no calibration map: its store is the record, and

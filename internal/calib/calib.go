@@ -257,7 +257,7 @@ func pairable(pt eval.Point) bool {
 // return immediately; sim-carrying cells are deduplicated by scenario
 // key — a stored line minus its backend salt, if Mine met one — so
 // feeding the same cell twice, under whichever salts, is harmless.
-func (m *Map) Observe(_ context.Context, key string, pt eval.Point) bool {
+func (m *Map) Observe(key string, pt eval.Point) bool {
 	if m == nil || !simCarrying(pt) {
 		return false
 	}
@@ -287,11 +287,11 @@ func (m *Map) Observe(_ context.Context, key string, pt eval.Point) bool {
 	return true
 }
 
-// ObserveCell is Observe without its result. Its only caller is the
-// benchmark's calib.observe_us probe (bench/layers.go), which prices one
-// mined cell through it.
-func (m *Map) ObserveCell(ctx context.Context, key string, cell eval.Point) {
-	m.Observe(ctx, key, cell)
+// ObserveCell is Observe without its result, and with the context the
+// benchmark's calib.observe_us probe (bench/layers.go), its only caller,
+// passes. It prices one mined cell.
+func (m *Map) ObserveCell(_ context.Context, key string, cell eval.Point) {
+	m.Observe(key, cell)
 }
 
 // Source is anything the map can mine: a snapshot iterator over cache
@@ -302,12 +302,13 @@ type Source interface {
 
 // Mine walks src and observes every cell, returning how many new pairs
 // it added. Already-observed keys are skipped, so Mine is idempotent.
-func (m *Map) Mine(ctx context.Context, src Source) (added int) {
+// The context is unused: the benchmark calls Mine with one.
+func (m *Map) Mine(_ context.Context, src Source) (added int) {
 	if m == nil {
 		return 0
 	}
 	src.Range(func(key string, pt eval.Point) bool {
-		if m.Observe(ctx, key, pt) {
+		if m.Observe(key, pt) {
 			added++
 		}
 		return true

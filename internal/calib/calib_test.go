@@ -68,34 +68,33 @@ func TestBandOf(t *testing.T) {
 
 func TestObserveAccumulatesMetrics(t *testing.T) {
 	m := NewMap()
-	ctx := context.Background()
 
 	// Two pairs in the 50-75% band: model 10% high, model 10% low.
 	k1, p1 := testCell(t, 0.6, 0, 110, 100)
 	k2, p2 := testCell(t, 0.7, 1, 180, 200)
-	if !m.Observe(ctx, k1, p1) || !m.Observe(ctx, k2, p2) {
+	if !m.Observe(k1, p1) || !m.Observe(k2, p2) {
 		t.Fatal("pairable cells did not pair")
 	}
 	// Duplicate key: ignored.
-	if m.Observe(ctx, k1, p1) {
+	if m.Observe(k1, p1) {
 		t.Error("duplicate key paired twice")
 	}
 	// Model-only cell: ignored without even entering the seen set.
 	mo := eval.NewPoint()
 	mo.Model = 12
-	if m.Observe(ctx, "family=bft size=64 k=0 flits=8 policy=pairqueue frac=false load=0x1p-03 sim=false", mo) {
+	if m.Observe("family=bft size=64 k=0 flits=8 policy=pairqueue frac=false load=0x1p-03 sim=false", mo) {
 		t.Error("model-only cell paired")
 	}
 	// Saturated sim: seen (it is sim evidence) but never a pair.
 	k3, p3 := testCell(t, 0.99, 2, 400, math.NaN())
 	p3.SimSaturated = true
-	if m.Observe(ctx, k3, p3) {
+	if m.Observe(k3, p3) {
 		t.Error("saturated cell paired")
 	}
 	// Unparseable key: counted as a parse error, not a pair.
 	bad := eval.NewPoint()
 	bad.Model, bad.Sim = 10, 10
-	if m.Observe(ctx, "9d5f0c2ab15e44b1a7c3e8d2f6a9b0c4", bad) {
+	if m.Observe("9d5f0c2ab15e44b1a7c3e8d2f6a9b0c4", bad) {
 		t.Error("hashed legacy key paired")
 	}
 
@@ -156,11 +155,10 @@ func TestObserveCellAllocs(t *testing.T) {
 
 func TestObserveSplitsBandsAndPolicies(t *testing.T) {
 	m := NewMap()
-	ctx := context.Background()
 	k1, p1 := testCell(t, 0.3, 0, 10, 10)
 	k2, p2 := testCell(t, 0.8, 1, 10, 10)
-	m.Observe(ctx, k1, p1)
-	m.Observe(ctx, k2, p2)
+	m.Observe(k1, p1)
+	m.Observe(k2, p2)
 	// Same coordinates, other policy.
 	sat := saturation(t)
 	sc := eval.Scenario{
@@ -170,7 +168,7 @@ func TestObserveSplitsBandsAndPolicies(t *testing.T) {
 	}
 	pt := eval.NewPoint()
 	pt.LoadFlits, pt.Model, pt.Sim = 0.3*sat, 10, 10
-	m.Observe(ctx, sc.Key(), pt)
+	m.Observe(sc.Key(), pt)
 
 	rep := m.Report()
 	if len(rep.Regions) != 3 {
@@ -184,10 +182,9 @@ func TestObserveSplitsBandsAndPolicies(t *testing.T) {
 
 func TestVerdict(t *testing.T) {
 	m := NewMap()
-	ctx := context.Background()
 	for i, mv := range []float64{102, 98, 103} { // MAPE ≈ 0.024
 		k, p := testCell(t, 0.6, i, mv, 100)
-		m.Observe(ctx, k, p)
+		m.Observe(k, p)
 	}
 	region := RegionFor(testTopo, 8, "pairqueue", "", 0.6)
 	gate := Gate{MaxMAPE: 0.1, MinPairs: 3}
@@ -255,7 +252,7 @@ func TestOneCellUnderSeveralSaltsPairsOnce(t *testing.T) {
 	ctx := context.Background()
 	for first := range salts {
 		m := NewMap()
-		if !m.Observe(ctx, salts[first]+key, pt) {
+		if !m.Observe(salts[first]+key, pt) {
 			t.Fatalf("first sighting under salt %q did not pair", salts[first])
 		}
 		src := sourceFunc(func(fn func(string, eval.Point) bool) {
@@ -285,8 +282,7 @@ func TestAblationVariantsDoNotCalibrate(t *testing.T) {
 		t.Fatalf("crafted key %q does not parse as an ablation variant: %+v, %v", ablated, sc, err)
 	}
 	m := NewMap()
-	ctx := context.Background()
-	if m.Observe(ctx, ablated, pt) {
+	if m.Observe(ablated, pt) {
 		t.Error("an ablation-variant cell paired")
 	}
 	if m.Pairs() != 0 || len(m.Report().Regions) != 0 {
@@ -297,7 +293,7 @@ func TestAblationVariantsDoNotCalibrate(t *testing.T) {
 	}
 	// The base cell at the same coordinates is a different key and pairs.
 	base, good := testCell(t, 0.6, 0, 102, 100)
-	if !m.Observe(ctx, base, good) {
+	if !m.Observe(base, good) {
 		t.Error("base-variant cell did not pair beside its ablated twin")
 	}
 	if v, mape, pairs := m.Verdict(RegionFor(testTopo, 8, "pairqueue", "", 0.6), Gate{MaxMAPE: 0.1, MinPairs: 1}); v != VerdictTrusted || pairs != 1 {
@@ -319,7 +315,7 @@ func TestObserveUnanchoredWorkloadRegion(t *testing.T) {
 	pt := eval.NewPoint()
 	pt.LoadFlits, pt.Model, pt.Sim = 0.6*sat, 100, 100
 	m := NewMap()
-	if !m.Observe(context.Background(), key, pt) {
+	if !m.Observe(key, pt) {
 		t.Fatal("workload cell did not pair")
 	}
 	rep := m.Report()

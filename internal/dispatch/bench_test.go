@@ -18,8 +18,8 @@ func benchSpec(points int) sweep.Spec {
 	}
 }
 
-// BenchmarkDispatchedSweepWarmShards measures the batched wire
-// protocol's per-cell cost against warm shards: the servers answer from
+// BenchmarkDispatchedSweepWarmShards measures the range protocol's
+// per-cell cost against warm shards: the servers answer from
 // cache, so the number is transport + merge, the quantity the dispatcher
 // exists to shrink.
 func BenchmarkDispatchedSweepWarmShards(b *testing.B) {

@@ -4,8 +4,8 @@
 // write-back, progress, the result — and hands the cold
 // cells of the grid to this package, which partitions them into
 // contiguous index ranges and dispatches each range to a worker shard
-// over the batched wire protocol (POST /v1/sweep/part — spec plus range
-// in, NDJSON cells out); a Run's curve context is one more request with
+// over the list route (POST /v1/sweep/part — spec plus range in, NDJSON
+// cells out); a Run's curve context is one more request with
 // the same spec (POST /v1/curve), whatever the cache holds, and a cold
 // cell Evaluate asks for alone is one POST /v1/eval. The Scheduler is
 // the fleet's only way into the engine: the Runner keeps no fleet
@@ -350,7 +350,7 @@ func (r *run) dispatchSpan(addr string, sp span) (got map[int]bool, err error) {
 		return nil, fmt.Errorf("dispatch: encoding part request: %w", err)
 	}
 	got = make(map[int]bool, sp.end-sp.start)
-	err = r.d.rb.Stream(spanCtx, addr, "/v1/sweep/part", body, sp.start, sp.end, func(it *eval.BatchItem) error {
+	err = r.d.rb.Stream(spanCtx, addr, "/v1/sweep/part", body, sp.start, sp.end, func(it *eval.PartItem) error {
 		if it.Error != "" {
 			return r.g.CellError(it.Index, errors.New(it.Error))
 		}

@@ -141,8 +141,8 @@ func modelOnlySpec() sweep.Spec {
 // as a count instead of a stopwatch: a cold grid of N >= 120 cells over
 // 3 shards costs the dispatcher at most 4 range requests per shard and
 // one curve request, where the fleet client's per-cell Evaluate pays one
-// /v1/eval round trip per cell. (The throughput this buys is the ledger's
-// eval.batch_cells_per_s against eval.remote_rtt_us.)
+// /v1/eval round trip per cell. (The ledger's throughput for it is
+// fs.cells_per_s and dispatch.ranges_per_run against eval.remote_rtt_us.)
 func TestRangeDispatchAmortisesRequests(t *testing.T) {
 	fl := fleettest.New(t, fleettest.Schedule{Shards: 3})
 	spec := modelOnlySpec()

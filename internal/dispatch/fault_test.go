@@ -30,10 +30,9 @@ import (
 //  4. a shard restarted over a store cut at byte b holds exactly the
 //     complete records in those b bytes (checked by the fleet).
 //
-// A grid schedule runs four phases through one dispatcher: "model" (Run
-// of faultModelSpec), "batch" (EvaluateBatch of those cells over a
-// RemoteBackend on the same fleet), "probe" (Evaluate of an off-grid
-// cell) and "sim" (Stream of faultSimSpec); a plan schedule runs "plan".
+// A grid schedule runs three phases through one dispatcher: "model" (Run
+// of faultModelSpec), "probe" (Evaluate of an off-grid cell) and "sim"
+// (Stream of faultSimSpec); a plan schedule runs "plan".
 // The named schedules of internal/fleettest/testdata seed the fuzzer,
 // and the tests they were folded from run them here with the
 // expectations the invariants do not cover.
@@ -105,11 +104,10 @@ func renderRows(rows []sweep.Row, curves []sweep.CurveInfo) string {
 
 // faultRef is the in-process answer to everything a grid schedule asks.
 type faultRef struct {
-	model, sim, batchCells, probeCell string
-	batch                             []sweep.Scenario
-	probe                             sweep.Scenario
-	simCells                          int
-	keys                              []string // every cell the grid phases cache
+	model, sim, probeCell string
+	probe                 sweep.Scenario
+	simCells              int
+	keys                  []string // every cell the grid phases cache
 }
 
 var gridReference = sync.OnceValues(func() (*faultRef, error) {
@@ -123,13 +121,9 @@ var gridReference = sync.OnceValues(func() (*faultRef, error) {
 		return nil, err
 	}
 	ref := &faultRef{model: renderRows(model.Rows, model.Curves), sim: renderRows(sim.Rows, nil), simCells: len(sim.Rows)}
-	cells := make([]sweep.Cell, len(model.Rows))
-	for i, row := range model.Rows {
-		ref.batch = append(ref.batch, row.Scenario)
-		cells[i] = row.Cell
+	for _, row := range model.Rows {
 		ref.keys = append(ref.keys, row.Scenario.Key())
 	}
-	ref.batchCells = render(cells, cells...)
 	ref.probe = model.Rows[0].Scenario
 	ref.probe.Load = sweep.Load{Value: model.Rows[0].LoadFlits * 1.01}
 	probe, _, err := r.Evaluate(ctx, ref.probe)
@@ -260,18 +254,6 @@ func runSchedule(t *testing.T, data []byte) faultOutcome {
 		}
 		return err
 	})
-	phase("batch", func() error {
-		rb, err := eval.NewRemoteBackend(fl.Addrs(), eval.WithHTTPClient(fl.Client()),
-			eval.WithIdleTimeout(fleettest.IdleBound), eval.WithRetry(0, time.Millisecond))
-		if err != nil {
-			return err
-		}
-		pts, err := rb.EvaluateBatch(ctx, ref.batch)
-		if err == nil && render(pts, pts...) != ref.batchCells {
-			err = differ("batch cells")
-		}
-		return err
-	})
 	phase("probe", func() error {
 		cell, cached, err := d.Evaluate(ctx, ref.probe)
 		if err == nil && (cached || render(cell, cell) != ref.probeCell) {
@@ -351,30 +333,21 @@ var namedExpectations = map[string]func(*testing.T, faultOutcome){
 			t.Errorf("shard 0 was offered a range %v after its 429, inside its 1 s Retry-After", gap)
 		}
 	},
-	// The idle watchdog under both consumers of the stream reader: only
-	// its cancel gets a caller off the shard that went silent, and only
-	// its per-line reset keeps the heartbeating one from being cut off
-	// too.
+	// The idle watchdog under the dispatcher's stream reader: only its
+	// cancel gets a caller off the shard that went silent, and only its
+	// per-line reset keeps the heartbeating one from being cut off too.
 	"stalled-stream": func(t *testing.T, o faultOutcome) {
 		t.Run("Dispatcher", func(t *testing.T) {
 			// The stalled range's delivered cell is kept and only its
 			// remainder requeued: invariant 2 would see the cell twice.
 			expectCounts(t, o, "model", [3]int64{1, 1, 1})
 		})
-		t.Run("EvaluateBatch", func(t *testing.T) {
-			if a, b := o.fleet.Count("batch", 0, "batch"), o.fleet.Count("batch", 1, "batch"); a != 1 || b != 1 {
-				t.Errorf("want one stalled attempt then one full answer, saw %d and %d request(s)", a, b)
-			}
-		})
 	},
 	// Keepalive lines are transparent, before a range's first cell or
-	// between a batch's cells, even when they run past the idle bound.
+	// between its cells, even when they run past the idle bound.
 	"heartbeats": func(t *testing.T, o faultOutcome) {
 		for _, phase := range []string{"model", "sim"} {
 			expectCounts(t, o, phase, [3]int64{})
-		}
-		if n := o.fleet.Count("batch", 0, "batch"); n != 1 {
-			t.Errorf("heartbeats cost the batch %d request(s), want 1", n)
 		}
 	},
 	// The curve request rides the transport's retry loop, so a dead first

@@ -266,9 +266,9 @@ func digits(b []byte, i int) int {
 	return i
 }
 
-// AppendItem appends the success line of a batched response,
+// AppendItem appends the success line of a part response,
 // {"index":N,"point":{…}}\n — what json.Encoder emits for
-// BatchItem{Index: N, Point: &p}. Error and heartbeat lines are rare and
+// PartItem{Index: N, Point: &p}. Error and heartbeat lines are rare and
 // stay on encoding/json.
 func AppendItem(dst []byte, index int, p Point) []byte {
 	dst = strconv.AppendInt(append(dst, `{"index":`...), int64(index), 10)

@@ -197,7 +197,7 @@ func FuzzPointCodec(f *testing.F) {
 // json.Decoder over the whole stream. FuzzParseItem holds the new reader
 // to it, so the accepted stream language and every error class are
 // pinned, not described.
-func refReadItems(r io.Reader, alive func(), url string, lo, hi int, fn func(*BatchItem) error) error {
+func refReadItems(r io.Reader, alive func(), url string, lo, hi int, fn func(*PartItem) error) error {
 	s := itemStream{alive: alive, url: url, lo: lo, hi: hi, fn: fn, seen: make([]bool, hi-lo)}
 	return s.decode(r)
 }
@@ -205,10 +205,10 @@ func refReadItems(r io.Reader, alive func(), url string, lo, hi int, fn func(*Ba
 // itemTrace runs one reader over a stream and records everything a
 // caller can observe: each delivered item, the keepalive count, the
 // error's text and class.
-func itemTrace(read func(io.Reader, func(), string, int, int, func(*BatchItem) error) error, stream []byte) string {
+func itemTrace(read func(io.Reader, func(), string, int, int, func(*PartItem) error) error, stream []byte) string {
 	var b strings.Builder
 	alive := 0
-	err := read(bytes.NewReader(stream), func() { alive++ }, "u", 0, 8, func(it *BatchItem) error {
+	err := read(bytes.NewReader(stream), func() { alive++ }, "u", 0, 8, func(it *PartItem) error {
 		fmt.Fprintf(&b, "item %d err=%q", it.Index, it.Error)
 		if it.Point != nil {
 			fmt.Fprintf(&b, " point=%s", AppendPoint(nil, *it.Point))
@@ -317,7 +317,7 @@ func TestItemLinePrefixesRejected(t *testing.T) {
 			if _, ok := parseItem(value[:n], &pt); ok {
 				t.Errorf("scan path accepted the %d-byte prefix %q", n, value[:n])
 			}
-			var it BatchItem
+			var it PartItem
 			if err := json.Unmarshal(value[:n], &it); err == nil {
 				t.Errorf("encoding/json accepted the %d-byte prefix %q", n, value[:n])
 			}

@@ -8,6 +8,7 @@ package eval_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -21,7 +22,7 @@ import (
 	"repro/internal/sweep"
 )
 
-const evalRoute, batchRoute = "eval", "batch"
+const evalRoute, partRoute = "eval", "sweep/part"
 
 // scenario is a bft-64 cell at fraction v of saturation.
 func scenario(v float64) eval.Scenario {
@@ -85,7 +86,7 @@ func evaluate(t *testing.T, ctx context.Context, rb *eval.RemoteBackend, sc eval
 	expectLocal(t, []eval.Scenario{sc}, []eval.Point{pt})
 }
 
-// batch sends scs through rb and checks the answers.
+// batch sends scs through rb's EvaluateBatch and checks the answers.
 func batch(t *testing.T, rb *eval.RemoteBackend, scs []eval.Scenario) {
 	t.Helper()
 	pts, err := rb.EvaluateBatch(context.Background(), scs)
@@ -201,9 +202,13 @@ func TestRemoteBackendRetryBudgetCappedByContext(t *testing.T) {
 	}
 }
 
-// TestBatchBackendCoalescesConcurrentEvaluates: the client holds no
+// The door the benchmark calls: EvaluateBatch is a loop of Evaluate
+// calls over /v1/eval.
+
+// TestBatchBackendCoalescesConcurrentEvaluates: the door holds no
 // batching state to share — concurrent EvaluateBatch calls travel as one
-// request each, and every caller gets its own cells back.
+// /v1/eval request per scenario, and every caller gets its own cells
+// back, in its own order.
 func TestBatchBackendCoalescesConcurrentEvaluates(t *testing.T) {
 	fl, rb := remote(t, clean(1))
 	const n = 8
@@ -224,27 +229,27 @@ func TestBatchBackendCoalescesConcurrentEvaluates(t *testing.T) {
 		}
 		expectLocal(t, scs[i], pts[i])
 	}
-	expectCounts(t, fl, batchRoute, n)
+	expectCounts(t, fl, evalRoute, 2*n)
 }
 
-// TestBatchBackendSizeBoundFlushes: an explicit list travels whole — the
-// client has no size bound to split it at, so 200 scenarios are one
-// request.
+// TestBatchBackendSizeBoundFlushes: an explicit list travels as it is —
+// the door has no size bound to split it at and no batch to fill, so 200
+// scenarios are 200 /v1/eval requests, answered in request order.
 func TestBatchBackendSizeBoundFlushes(t *testing.T) {
 	fl, rb := remote(t, clean(1))
 	batch(t, rb, scenarios(200, 0))
-	expectCounts(t, fl, batchRoute, 1)
+	expectCounts(t, fl, evalRoute, 200)
 }
 
 func TestEvaluateBatchSingleCell(t *testing.T) {
 	fl, rb := remote(t, clean(1))
 	batch(t, rb, scenarios(1, 0))
-	expectCounts(t, fl, batchRoute, 1)
+	expectCounts(t, fl, evalRoute, 1)
 }
 
 // TestEvaluateBatchUnstablePoint pins the NaN/Inf → null wire rule
-// through the batched path: a saturated model cell (model +Inf, sim NaN)
-// crosses as nulls and comes back losslessly.
+// through the door: a saturated model cell (model +Inf, sim NaN) crosses
+// as nulls and comes back losslessly.
 func TestEvaluateBatchUnstablePoint(t *testing.T) {
 	_, rb := remote(t, clean(1))
 	pts, err := rb.EvaluateBatch(context.Background(), []eval.Scenario{scenario(1.2)})
@@ -256,62 +261,33 @@ func TestEvaluateBatchUnstablePoint(t *testing.T) {
 	}
 }
 
-// TestEvaluateBatchTornStream: a stream torn mid-line is retryable; a
-// shard that always tears exhausts the attempts with a torn-stream
-// error.
-func TestEvaluateBatchTornStream(t *testing.T) {
-	fl, rb := remote(t, named("batch-torn"))
-	batch(t, rb, scenarios(2, 0))
-	expectCounts(t, fl, batchRoute, 2)
-
-	always := fleettest.Fault{Route: batchRoute, Kind: fleettest.Cut, Arg: 3} // every request: torn after one cell
-	fl, rb = remote(t, fleettest.Schedule{Shards: 1, Faults: []fleettest.Fault{always}}, eval.WithRetry(2, time.Millisecond))
-	if _, err := rb.EvaluateBatch(context.Background(), scenarios(2, 0)); err == nil || !strings.Contains(err.Error(), "torn") {
-		t.Fatalf("want a torn-stream error, got %v", err)
-	}
-	expectCounts(t, fl, batchRoute, 2)
-}
-
-// TestEvaluateBatchShortStreamRecovers: a stream that ends cleanly but
-// short (a shard shutting down mid-batch) is retried.
-func TestEvaluateBatchShortStreamRecovers(t *testing.T) {
-	fl, rb := remote(t, named("batch-short"))
-	batch(t, rb, scenarios(2, 0))
-	expectCounts(t, fl, batchRoute, 2)
-}
-
-// TestEvaluateBatchPerItemError: a scenario-level verdict inside the
-// stream is permanent and surfaces with its index.
+// TestEvaluateBatchPerItemError: the first scenario the shard refuses
+// fails the call, permanently, naming its index; no scenario after it is
+// sent.
 func TestEvaluateBatchPerItemError(t *testing.T) {
 	fl, rb := remote(t, clean(1), eval.WithRetry(3, time.Millisecond))
-	scs := scenarios(2, 0)
+	scs := scenarios(3, 0)
 	scs[1].Topology.Size = 5
 	if _, err := rb.EvaluateBatch(context.Background(), scs); err == nil || !strings.Contains(err.Error(), "scenario 1") {
 		t.Fatalf("want the indexed verdict, got %v", err)
 	}
-	expectCounts(t, fl, batchRoute, 1)
+	expectCounts(t, fl, evalRoute, 2)
 }
 
-// TestEvaluateBatchSkipsHeartbeats: keepalive lines between a batch's
-// cells, past the idle bound, are transparent — they only feed the idle
-// watchdog.
-func TestEvaluateBatchSkipsHeartbeats(t *testing.T) {
-	fl, rb := remote(t, named("heartbeats"))
-	batch(t, rb, scenarios(3, 0))
-	expectCounts(t, fl, batchRoute, 1)
-}
-
+// TestBatchBackendFailsOverToHealthyShard: each of the door's requests
+// rides the retry loop, the first from shard 0 and the second from shard
+// 1, past the failing shards to the healthy one.
 func TestBatchBackendFailsOverToHealthyShard(t *testing.T) {
 	fl, rb := remote(t, named("remote-failover"))
 	batch(t, rb, scenarios(2, 0))
-	expectCounts(t, fl, batchRoute, 1, 1, 1)
+	expectCounts(t, fl, evalRoute, 1, 2, 2)
 }
 
 // TestBatchBackendCallerCancellation: cancelling an EvaluateBatch whose
 // shard has gone quiet (and no idle bound to end it) returns the
 // context's error promptly, and the client answers the next call.
 func TestBatchBackendCallerCancellation(t *testing.T) {
-	stall := fleettest.Fault{Route: batchRoute, Nth: 1, Kind: fleettest.Stall}
+	stall := fleettest.Fault{Route: evalRoute, Nth: 1, Kind: fleettest.Stall}
 	fl, rb := remote(t, fleettest.Schedule{Shards: 1, Faults: []fleettest.Fault{stall}}, eval.WithIdleTimeout(0))
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -319,7 +295,7 @@ func TestBatchBackendCallerCancellation(t *testing.T) {
 		_, err := rb.EvaluateBatch(ctx, scenarios(1, 0))
 		done <- err
 	}()
-	for fl.Count("", 0, batchRoute) == 0 {
+	for fl.Count("", 0, evalRoute) == 0 {
 		time.Sleep(time.Millisecond) // cancel mid-request, not before it
 	}
 	cancel()
@@ -332,4 +308,224 @@ func TestBatchBackendCallerCancellation(t *testing.T) {
 		t.Fatal("cancelled caller never returned")
 	}
 	batch(t, rb, scenarios(1, 0))
+}
+
+// The list route: Stream is one attempt at a /v1/sweep/part range on the
+// shard its caller names.
+
+// gridSpec is a bft-64 model grid: n loads at fractions in (0, 1) of
+// saturation, for each of sizes (64 when none are given).
+func gridSpec(n int, sizes ...int) sweep.Spec {
+	if len(sizes) == 0 {
+		sizes = []int{64}
+	}
+	fracs := make([]float64, n)
+	for i := range fracs {
+		fracs[i] = float64(i+1) / float64(n+1)
+	}
+	return sweep.Spec{
+		Name:       "part",
+		Topologies: []sweep.TopologySpec{{Family: sweep.FamilyBFT, Sizes: sizes}},
+		MsgFlits:   []int{8},
+		Loads:      sweep.LoadSpec{Fracs: fracs},
+	}
+}
+
+// partBody is the /v1/sweep/part request for the cells [lo, hi) of spec.
+func partBody(t *testing.T, spec sweep.Spec, lo, hi int) []byte {
+	t.Helper()
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(eval.PartRequest{Spec: specJSON, Start: lo, End: hi})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// stream asks shard 0 for the cells [lo, hi) of spec in one Stream and
+// returns the items it delivered, by grid index.
+func stream(t *testing.T, ctx context.Context, rb *eval.RemoteBackend, spec sweep.Spec, lo, hi int) (map[int]eval.PartItem, error) {
+	t.Helper()
+	got := make(map[int]eval.PartItem)
+	err := rb.Stream(ctx, rb.Addrs()[0], "/v1/sweep/part", partBody(t, spec, lo, hi), lo, hi, func(it *eval.PartItem) error {
+		kept := *it
+		if it.Point != nil {
+			pt := *it.Point // the stream reuses it for the next line
+			kept.Point = &pt
+		}
+		got[it.Index] = kept
+		return nil
+	})
+	return got, err
+}
+
+// expectGrid fails t unless got holds exactly the cells [lo, hi) of spec,
+// as the in-process runner computes them.
+func expectGrid(t *testing.T, spec sweep.Spec, lo, hi int, got map[int]eval.PartItem) {
+	t.Helper()
+	res, err := sweep.NewRunner().Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scs []eval.Scenario
+	var pts []eval.Point
+	for i := lo; i < hi; i++ {
+		it, ok := got[i]
+		if !ok || it.Point == nil {
+			t.Fatalf("cell %d not delivered: %+v", i, got)
+		}
+		scs, pts = append(scs, res.Rows[i].Scenario), append(pts, *it.Point)
+	}
+	if len(got) != hi-lo {
+		t.Errorf("%d cell(s) delivered for [%d, %d)", len(got), lo, hi)
+	}
+	expectLocal(t, scs, pts)
+}
+
+func TestStreamAnswersRange(t *testing.T) {
+	fl, rb := remote(t, clean(1))
+	spec := gridSpec(4)
+	got, err := stream(t, context.Background(), rb, spec, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectGrid(t, spec, 1, 3, got)
+	expectCounts(t, fl, partRoute, 1)
+}
+
+// expectTransient fails t unless err is a transient failure saying what.
+func expectTransient(t *testing.T, err error, what string) {
+	t.Helper()
+	if _, transient := eval.Transient(err); !transient || !strings.Contains(err.Error(), what) {
+		t.Fatalf("want a transient %s-stream error, got %v", what, err)
+	}
+}
+
+// TestStreamTornIsTransient: a stream torn mid-line is a transient
+// failure — a shard's, not the cells' — that keeps the cell delivered
+// before the tear; the caller's next attempt is answered whole, and a
+// shard that always tears fails every attempt the same way.
+func TestStreamTornIsTransient(t *testing.T) {
+	fl, rb := remote(t, named("batch-torn"))
+	spec := gridSpec(3)
+	got, err := stream(t, context.Background(), rb, spec, 0, 3)
+	expectTransient(t, err, "torn")
+	if len(got) != 1 {
+		t.Errorf("the torn stream delivered %d cell(s), want the one before the tear", len(got))
+	}
+	if got, err = stream(t, context.Background(), rb, spec, 0, 3); err != nil {
+		t.Fatal(err)
+	}
+	expectGrid(t, spec, 0, 3, got)
+	expectCounts(t, fl, partRoute, 2)
+
+	always := fleettest.Fault{Route: partRoute, Kind: fleettest.Cut, Arg: 3} // every request: torn after one cell
+	fl, rb = remote(t, fleettest.Schedule{Shards: 1, Faults: []fleettest.Fault{always}})
+	for i := 0; i < 2; i++ {
+		_, err := stream(t, context.Background(), rb, spec, 0, 3)
+		expectTransient(t, err, "torn")
+	}
+	expectCounts(t, fl, partRoute, 2)
+}
+
+// TestStreamShortIsTransient: a stream that ends cleanly but short (a
+// shard shutting down mid-range) is a transient failure; the next
+// attempt is answered.
+func TestStreamShortIsTransient(t *testing.T) {
+	fl, rb := remote(t, named("batch-short"))
+	spec := gridSpec(3)
+	got, err := stream(t, context.Background(), rb, spec, 0, 3)
+	expectTransient(t, err, "short")
+	if len(got) != 1 {
+		t.Errorf("the short stream delivered %d cell(s), want 1", len(got))
+	}
+	if got, err = stream(t, context.Background(), rb, spec, 0, 3); err != nil {
+		t.Fatal(err)
+	}
+	expectGrid(t, spec, 0, 3, got)
+	expectCounts(t, fl, partRoute, 2)
+}
+
+// TestStreamSkipsHeartbeats: keepalive lines before a range's first
+// cell or between its cells, past the idle bound, are transparent — they
+// only feed the idle watchdog.
+func TestStreamSkipsHeartbeats(t *testing.T) {
+	fl, rb := remote(t, named("heartbeats"))
+	spec := gridSpec(3)
+	for i := 0; i < 2; i++ {
+		got, err := stream(t, context.Background(), rb, spec, 0, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		expectGrid(t, spec, 0, 3, got)
+	}
+	expectCounts(t, fl, partRoute, 2)
+}
+
+// TestStreamPerItemError: a cell the shard fails arrives as that cell's
+// error line, not the stream's: the stream succeeds, the other cells
+// carry their points.
+func TestStreamPerItemError(t *testing.T) {
+	_, rb := remote(t, clean(1))
+	spec := gridSpec(2, 64, 5) // 5 is not a power of four
+	got, err := stream(t, context.Background(), rb, spec, 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 4 {
+		t.Fatalf("%d item(s), want 4: %+v", len(got), got)
+	}
+	for i, it := range got {
+		bad := i >= 2 // the bft-5 curve
+		if bad != (it.Error != "") || bad != (it.Point == nil) || bad && !strings.Contains(it.Error, "size 5") {
+			t.Errorf("cell %d: %+v", i, it)
+		}
+	}
+}
+
+// TestStreamIndexOutOfRangeIsPermanent: a line for an index outside the
+// caller's range is a protocol breach, which no other shard would answer
+// differently.
+func TestStreamIndexOutOfRangeIsPermanent(t *testing.T) {
+	_, rb := remote(t, clean(1))
+	body := partBody(t, gridSpec(3), 0, 3)
+	err := rb.Stream(context.Background(), rb.Addrs()[0], "/v1/sweep/part", body, 0, 1, func(*eval.PartItem) error { return nil })
+	if _, transient := eval.Transient(err); err == nil || transient || !strings.Contains(err.Error(), "outside [0, 1)") {
+		t.Fatalf("want a permanent out-of-range error, got %v", err)
+	}
+}
+
+// TestStreamCallerCancellation: cancelling a Stream whose shard has gone
+// quiet (and no idle bound to end it) returns the context's error
+// promptly, and the client answers the next call.
+func TestStreamCallerCancellation(t *testing.T) {
+	stall := fleettest.Fault{Route: partRoute, Nth: 1, Kind: fleettest.Stall}
+	fl, rb := remote(t, fleettest.Schedule{Shards: 1, Faults: []fleettest.Fault{stall}}, eval.WithIdleTimeout(0))
+	spec := gridSpec(2)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := stream(t, ctx, rb, spec, 0, 2)
+		done <- err
+	}()
+	for fl.Count("", 0, partRoute) == 0 {
+		time.Sleep(time.Millisecond) // cancel mid-request, not before it
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled stream returned %v, want the context's error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled caller never returned")
+	}
+	got, err := stream(t, context.Background(), rb, spec, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectGrid(t, spec, 0, 2, got)
 }

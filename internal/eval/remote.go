@@ -19,14 +19,15 @@ import (
 
 // RemoteBackend is the fleet transport: every request this module sends
 // to a sweep shard (see internal/serve and cmd/sweepd) — per-cell
-// /v1/eval, batched /v1/batch, and the dispatch coordinator's
-// /v1/sweep/part ranges and one /v1/curve request per grid — is built,
-// classified and retried here. It is not an Evaluator: a fleet reaches a
-// sweep.Runner only as its Scheduler (internal/dispatch). Requests are
-// sharded round-robin across the configured addresses; transient
-// failures (connection errors, 5xx and 429 responses, torn, short or
-// stalled NDJSON streams) are retried with exponential backoff, rotating
-// to the next shard on every attempt. Safe for concurrent use.
+// /v1/eval, and the dispatch coordinator's /v1/sweep/part ranges and one
+// /v1/curve request per grid — is built and classified here. It is not
+// an Evaluator: a fleet reaches a sweep.Runner only as its Scheduler
+// (internal/dispatch). Single-shot requests are sharded round-robin
+// across the configured addresses, and their transient failures
+// (connection errors, 5xx and 429 responses, torn answers) are retried
+// with exponential backoff, rotating to the next shard on every attempt.
+// A stream is one attempt against the shard its caller names (Stream).
+// Safe for concurrent use.
 //
 // The backend describes no single curve: a grid's curves are one
 // /v1/curve request over the grid's spec (Curves), which a coordinator
@@ -61,11 +62,10 @@ func WithRetry(attempts int, backoff time.Duration) RemoteOption {
 }
 
 // WithIdleTimeout sets the stream progress watchdog: a shard that
-// accepts a /v1/batch or /v1/sweep/part request but delivers no header,
-// cell or heartbeat for this long is treated as failed — the batch
-// retries on the next shard, the dispatcher steals the range's remainder
-// (default 60s; 0 disables). A flat deadline would kill long legitimate
-// streams; an idle bound only kills stalled ones.
+// accepts a /v1/sweep/part request but delivers no header, cell or
+// heartbeat for this long is treated as failed — the dispatcher steals
+// the range's remainder (default 60s; 0 disables). A flat deadline would
+// kill long legitimate streams; an idle bound only kills stalled ones.
 func WithIdleTimeout(t time.Duration) RemoteOption {
 	return func(b *RemoteBackend) { b.idle = t }
 }
@@ -144,6 +144,33 @@ func (b *RemoteBackend) Evaluate(ctx context.Context, sc Scenario) (Point, error
 	return p, nil
 }
 
+// NewBatchBackend is NewRemoteBackend under the name bench/ calls it by
+// for its EvaluateBatch probe; both go when that harness is next edited.
+//
+// Deprecated: call NewRemoteBackend.
+func NewBatchBackend(addrs []string, opts ...RemoteOption) (*RemoteBackend, error) {
+	return NewRemoteBackend(addrs, opts...)
+}
+
+// EvaluateBatch answers scs one Evaluate call at a time and returns their
+// points in request order; the first failure fails the call and names its
+// scenario, and an empty list sends no request. It is the bench's door
+// only: a list of cells reaches a fleet as a grid, through
+// internal/dispatch.
+func (b *RemoteBackend) EvaluateBatch(ctx context.Context, scs []Scenario) ([]Point, error) {
+	if len(scs) == 0 {
+		return nil, nil
+	}
+	pts := make([]Point, len(scs))
+	for i, sc := range scs {
+		var err error
+		if pts[i], err = b.Evaluate(ctx, sc); err != nil {
+			return nil, fmt.Errorf("eval: batch: scenario %d: %w", i, err)
+		}
+	}
+	return pts, nil
+}
+
 // readPoint reads a /v1/eval answer into p. The canonical answer — what
 // AppendPoint writes and a newline — is scanned; any other body goes to
 // decodeReply, which reads its first JSON value as encoding/json does.
@@ -191,25 +218,18 @@ func decodeReply(r io.Reader, v any, url string) error {
 	return nil
 }
 
-// Stream POSTs body to path and hands the NDJSON BatchItem answer to fn,
-// one call per cell with an index in [lo, hi), each index at most once.
-// With shard empty the request runs under the retry loop, rotating
-// shards (fn then sees a retried attempt's cells again); with shard set
-// — one of Addrs — it is a single attempt against that shard, and the
-// caller decides what a failure means: Transient tells a shard's
-// failure from a verdict. An error from fn ends the stream and is
-// returned as is. The item fn sees, and the Point behind it, may be
-// reused for the next line: fn copies what it keeps.
-func (b *RemoteBackend) Stream(ctx context.Context, shard, path string, body []byte, lo, hi int, fn func(*BatchItem) error) error {
-	attempt := func(addr string) error {
-		return b.post(ctx, addr+path, body, b.idle, func(r io.Reader, alive func()) error {
-			return readItems(r, alive, addr+path, lo, hi, fn)
-		})
-	}
-	if shard != "" {
-		return attempt(shard)
-	}
-	return b.retry(ctx, attempt)
+// Stream POSTs body to path on shard — one of Addrs — and hands the
+// NDJSON PartItem answer to fn, one call per cell with an index in
+// [lo, hi), each index at most once. It is a single attempt, and the
+// caller decides what a failure means: Transient tells a shard's failure
+// from a verdict. An error from fn ends the stream and is returned as
+// is. The item fn sees, and the Point behind it, may be reused for the
+// next line: fn copies what it keeps.
+func (b *RemoteBackend) Stream(ctx context.Context, shard, path string, body []byte, lo, hi int, fn func(*PartItem) error) error {
+	url := shard + path
+	return b.post(ctx, url, body, b.idle, func(r io.Reader, alive func()) error {
+		return readItems(r, alive, url, lo, hi, fn)
+	})
 }
 
 // transientError marks a failure another shard or a later attempt may
@@ -331,7 +351,7 @@ func (b *RemoteBackend) post(ctx context.Context, url string, body []byte, idle 
 	return consume(resp.Body, alive)
 }
 
-// readItems decodes one NDJSON BatchItem stream. Every decoded line —
+// readItems decodes one NDJSON PartItem stream. Every decoded line —
 // heartbeats included, which are otherwise skipped — proves the shard
 // alive. Torn lines, mid-stream request-level errors and streams that
 // end short of hi-lo distinct cells are transient: the cells already
@@ -344,14 +364,13 @@ func (b *RemoteBackend) post(ctx context.Context, url string, body []byte, idle 
 // error, a heartbeat, another producer's formatting, a torn tail — hands
 // it and the rest of the stream to a json.Decoder, so what the stream may
 // contain and how each defect is classified are encoding/json's. On the
-// scan path fn sees the same *BatchItem, and the same Point behind it,
-// on every call: it must copy what it keeps (dispatch's deliver and
-// callBatch both do).
-func readItems(r io.Reader, alive func(), url string, lo, hi int, fn func(*BatchItem) error) error {
+// scan path fn sees the same *PartItem, and the same Point behind it,
+// on every call: it must copy what it keeps (dispatch's deliver does).
+func readItems(r io.Reader, alive func(), url string, lo, hi int, fn func(*PartItem) error) error {
 	s := itemStream{alive: alive, url: url, lo: lo, hi: hi, fn: fn, seen: make([]bool, hi-lo)}
 	br := bufio.NewReader(r)
 	var pt Point
-	it := BatchItem{Point: &pt}
+	it := PartItem{Point: &pt}
 	for {
 		line, err := br.ReadSlice('\n')
 		if len(line) == 0 {
@@ -370,13 +389,13 @@ func readItems(r io.Reader, alive func(), url string, lo, hi int, fn func(*Batch
 	}
 }
 
-// itemStream is the protocol state of one BatchItem stream, whichever
+// itemStream is the protocol state of one PartItem stream, whichever
 // decoder feeds it.
 type itemStream struct {
 	alive  func()
 	url    string
 	lo, hi int
-	fn     func(*BatchItem) error
+	fn     func(*PartItem) error
 	seen   []bool
 	n      int // distinct cells handed to fn
 }
@@ -386,7 +405,7 @@ type itemStream struct {
 func (s *itemStream) decode(r io.Reader) error {
 	dec := json.NewDecoder(r)
 	for {
-		var it BatchItem
+		var it PartItem
 		if err := dec.Decode(&it); err == io.EOF {
 			return s.end()
 		} else if err != nil {
@@ -399,7 +418,7 @@ func (s *itemStream) decode(r io.Reader) error {
 }
 
 // take applies one decoded line; done ends the stream with err.
-func (s *itemStream) take(it *BatchItem) (done bool, err error) {
+func (s *itemStream) take(it *PartItem) (done bool, err error) {
 	s.alive()
 	if it.Index < 0 {
 		if it.Error == "" {

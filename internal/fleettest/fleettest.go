@@ -61,8 +61,8 @@ const (
 )
 
 // routes are the shard routes, by path under /v1/, in schedule-letter
-// order ("pceb").
-var routes = [...]string{"sweep/part", "curve", "eval", "batch"}
+// order ("pce").
+var routes = [...]string{"sweep/part", "curve", "eval"}
 
 // Fault is what happens to a shard's Nth request on Route (every request
 // when Nth is 0). Arg depends on Kind:
@@ -98,7 +98,7 @@ type Schedule struct {
 // skipped. Five header bytes — workload (g grid, p plan), shards (1–3),
 // batch (0–4, 0 auto), fails (1–3), survivor (0–2) — are followed by
 // five bytes per fault: shard (0–2), route (p sweep/part, c curve, e
-// eval, b batch), nth (0–9), kind (a Kind letter) and arg (0–9). A digit
+// eval), nth (0–9), kind (a Kind letter) and arg (0–9). A digit
 // or listed letter reads as itself and any other byte wraps into its
 // field's range, so "g3110 2p2k0" is a grid on three shards, one cell
 // per range, one failure ejects, shard 0 survives, and shard 2 dies at
@@ -124,9 +124,9 @@ func Decode(data []byte) Schedule {
 		allowed = min(allowed, 1)
 	}
 	for rest := data[min(len(data), 5):]; len(rest) >= 5 && len(faults) < MaxFaults; rest = rest[5:] {
-		f := Fault{Shard: pick(rest[0], 0, 2) % s.Shards, Route: routes[letter(rest[1], "pceb")],
+		f := Fault{Shard: pick(rest[0], 0, 2) % s.Shards, Route: routes[letter(rest[1], "pce")],
 			Nth: pick(rest[2], 0, 9), Kind: Kind(letter(rest[3], "rbcshkt")), Arg: pick(rest[4], 0, 9)}
-		if (f.Kind == Stall || f.Kind == Slow) && f.Route != routes[0] && f.Route != routes[3] {
+		if (f.Kind == Stall || f.Kind == Slow) && f.Route != routes[0] {
 			f.Kind, f.Arg = Cut, 1
 		}
 		if f.Kind == Slow && f.Nth == 0 {

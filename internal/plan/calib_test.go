@@ -39,7 +39,7 @@ func seedCalib(t *testing.T, m *calib.Map, policy sim.UpLinkPolicy, models []flo
 		pt.LoadFlits = rel * sat
 		pt.Model = model
 		pt.Sim = 100
-		if !m.Observe(context.Background(), sc.Key(), pt) {
+		if !m.Observe(sc.Key(), pt) {
 			t.Fatalf("synthetic cell %d (%s) did not pair", i, policy)
 		}
 	}

@@ -19,7 +19,7 @@ import (
 // Engine is what the planner needs from the Evaluator spine: spec-level
 // execution for the coarse prune grid and scenario-level evaluation for
 // the bisection probes and sim certification. sweep.Runner satisfies it
-// directly (in-process, per-cell remote or batched backends), and so
+// directly (in-process, over any backend list), and so
 // does dispatch.Dispatcher — the distributed form over a sweepd fleet:
 // grids dispatch as contiguous ranges, probes rotate per-cell with
 // retry, and both cache under Scenario.Key as the in-process form does,

@@ -41,7 +41,7 @@ func TestPartStreamAllocs(t *testing.T) {
 	}
 	stream := func() {
 		n := 0
-		err := rb.Stream(context.Background(), srv.URL, "/v1/sweep/part", body, 0, cells, func(it *eval.BatchItem) error {
+		err := rb.Stream(context.Background(), srv.URL, "/v1/sweep/part", body, 0, cells, func(it *eval.PartItem) error {
 			if it.Error != "" || it.Point == nil {
 				t.Errorf("cell %d: %+v", it.Index, it)
 			}

@@ -38,6 +38,8 @@ func TestOversizedRequestCannotKillShard(t *testing.T) {
 			"with_sim":true,"budget":{"warmup":10,"measure":100,"seed":1}}`
 		hugeCube = `{"topology":{"family":"hypercube","size":18},"msg_flits":8,"load":{"value":0.01},
 			"with_sim":true,"budget":{"warmup":10,"measure":100,"seed":1}}`
+		hugeCubes = `{"topologies":[{"family":"hypercube","sizes":[18]}],"msg_flits":[8],
+			"loads":{"fracs":[0.5]},"with_sim":true,"budget":{"warmup":10,"measure":100,"seed":1}}`
 		// Twice the limit in eight replicas of a network that fits alone.
 		manyReplicas = `{"topologies":[{"family":"bft","sizes":[16384]}],"msg_flits":[8],
 			"loads":{"fracs":[0.5]},"with_sim":true,"budget":{"warmup":10,"measure":100,"seed":1,"replicas":8}}`
@@ -54,8 +56,8 @@ func TestOversizedRequestCannotKillShard(t *testing.T) {
 		{"part cells", "/v1/sweep/part", `{"spec":` + manyCells + `,"start":0,"end":1}`, cells},
 		{"part network", "/v1/sweep/part", `{"spec":` + hugeNet + `,"start":0,"end":1}`, procs},
 		{"part replicas", "/v1/sweep/part", `{"spec":` + manyReplicas + `,"start":0,"end":1}`, procs},
-		{"batch network", "/v1/batch", `[` + hugeCell + `]`, procs},
-		{"batch replicas", "/v1/batch", `[` + replicaCell + `]`, procs},
+		{"sweep replicas", "/v1/sweep/part", `{"spec":` + manyReplicas + `}`, procs},
+		{"part hypercube", "/v1/sweep/part", `{"spec":` + hugeCubes + `,"start":0,"end":1}`, procs},
 		{"eval network", "/v1/eval", hugeCell, procs},
 		{"eval replicas", "/v1/eval", replicaCell, procs},
 		{"eval hypercube", "/v1/eval", hugeCube, procs},

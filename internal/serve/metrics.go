@@ -14,7 +14,7 @@ import (
 // This file is the server's own share of the metrics surface: its
 // traffic statistics — per endpoint a request counter, an error counter
 // (status >= 400) and a latency histogram, plus the handlers' named
-// counters (batch cells, streamed rows, …) — described through
+// counters (part cells, streamed rows, …) — described through
 // obs.Collector like every other component's numbers. GET /metrics
 // hands the server's collectors to obs.WriteMetrics, the one place
 // that knows the Prometheus text format.

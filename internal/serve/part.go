@@ -13,30 +13,22 @@ import (
 	"repro/internal/sweep"
 )
 
-// This file is the server side of the batched wire protocol (see
-// eval.BatchItem for the line format):
+// This file is the server side of the list route (see eval.PartItem for
+// the line format):
 //
-//	POST /v1/batch       JSON array of scenarios in → one NDJSON
-//	                     BatchItem per cell out, in completion order,
-//	                     flushed per row; Index is the scenario's
-//	                     position in the request array
 //	POST /v1/sweep/part  {"spec": …, "start": a, "end": b} in → the
-//	                     cells of the spec's expanded grid in [a, b),
-//	                     same NDJSON framing with grid indices; the
+//	                     cells of the spec's expanded grid in [a, b), one
+//	                     NDJSON PartItem per cell out, in completion
+//	                     order, flushed per row, with grid indices; the
 //	                     shard re-derives its slice locally, so cells
 //	                     never cross the wire twice. A zero (absent) end
 //	                     is the grid's end: {"spec": …} alone streams
 //	                     the whole grid
 //
-// Both endpoints evaluate through the server's shared runner (memoized
-// backends, shared cache) on the runner's own bounded pool, and both
-// cancel through the request context: a coordinator that walks away
-// mid-stream aborts the slice's remaining cells inside their simulation
-// loops.
-
-// batchBodyLimit bounds a batched request body; scenario wire records
-// are ~200 bytes, so this admits tens of thousands of cells.
-const batchBodyLimit = 16 << 20
+// The route evaluates through the server's shared runner (memoized
+// backends, shared cache) on the runner's own bounded pool, and cancels
+// through the request context: a coordinator that walks away mid-stream
+// aborts the slice's remaining cells inside their simulation loops.
 
 // flushTick bounds how long a completed, encoded row may sit in the
 // response buffer before it is flushed to the client: slow cells stream
@@ -49,9 +41,9 @@ const flushTick = 25 * time.Millisecond
 // a client-side idle watchdog can tell a slow cell from a stalled shard.
 const heartbeatTick = 10 * time.Second
 
-// ndjson is the one streaming response writer, under /v1/batch and
-// /v1/sweep/part: one BatchItem line per write, safe for concurrent
-// writers, flushed to the client within flushTick of being encoded.
+// ndjson is the one streaming response writer, under /v1/sweep/part:
+// one PartItem line per write, safe for concurrent writers, flushed to
+// the client within flushTick of being encoded.
 type ndjson struct {
 	mu    sync.Mutex // guards the response writer, buf, lines and dirty
 	w     io.Writer
@@ -84,7 +76,7 @@ func newNDJSON(w http.ResponseWriter) *ndjson {
 			case <-tick.C:
 				n.mu.Lock()
 				if !n.dirty && time.Since(quiet) >= heartbeatTick {
-					n.dirty = n.enc.Encode(eval.BatchItem{Index: -1}) == nil
+					n.dirty = n.enc.Encode(eval.PartItem{Index: -1}) == nil
 				}
 				if n.dirty {
 					flusher.Flush()
@@ -114,7 +106,7 @@ func (n *ndjson) write(v any) error {
 }
 
 // writeItem writes a cell's success line, {"index":N,"point":{…}} — the
-// hot line of /v1/batch and /v1/sweep/part — through the Point codec
+// hot line of /v1/sweep/part — through the Point codec
 // rather than the encoder: the same bytes in one Write, no reflection.
 func (n *ndjson) writeItem(index int, pt eval.Point) error {
 	n.mu.Lock()
@@ -134,34 +126,6 @@ func (n *ndjson) close() int64 {
 	close(n.stopc)
 	<-n.done
 	return n.lines
-}
-
-// handleBatch evaluates an explicit scenario list. An empty list is a
-// valid batch with an empty response.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	data, err := readBodyN(r, batchBodyLimit)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	var scs []eval.Scenario
-	if err := json.Unmarshal(data, &scs); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding scenario batch: %w", err))
-		return
-	}
-	for i := range scs {
-		// Sized before anything is built, like a spec: an oversized
-		// network is the request's fault, not one cell's.
-		if scs[i].WithSim {
-			if err := scs[i].Topology.CheckSimSize(scs[i].Budget.Replicas); err != nil {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("scenario %d: %w", i, err))
-				return
-			}
-		}
-	}
-	s.traffic.add("sweep_batch_requests_total", 1)
-	s.traffic.add("sweep_batch_cells_total", int64(len(scs)))
-	s.streamItems(w, r, sweep.ListGrid(scs), 0, len(scs))
 }
 
 // expansions memoizes recent grid expansions (sweep.Grid: scenarios and
@@ -246,7 +210,7 @@ func (s *Server) handlePart(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamItems answers the cells [lo, hi) of grid through the runner's
-// list path, writing one BatchItem NDJSON line per cell as it completes
+// list path, writing one PartItem NDJSON line per cell as it completes
 // (completion order): cell i's line carries Index i. A cell's failure is
 // that item's error, never the stream's. Closing the connection cancels
 // the remaining evaluations through the request context.
@@ -257,7 +221,7 @@ func (s *Server) streamItems(w http.ResponseWriter, r *http.Request, grid *sweep
 	defer cancel()
 	s.runner.EvaluateList(ctx, grid, lo, hi, func(i int, cell sweep.Cell, err error) {
 		if err != nil {
-			err = out.write(eval.BatchItem{Index: i, Error: err.Error()})
+			err = out.write(eval.PartItem{Index: i, Error: err.Error()})
 		} else {
 			err = out.writeItem(i, cell)
 		}

@@ -6,12 +6,10 @@
 // exposes:
 //
 //	POST /v1/sweep/part spec + optional grid index range in → those
-//	                    cells out as NDJSON BatchItems, one line per
+//	                    cells out as NDJSON PartItems, one line per
 //	                    cell as it completes; the shard re-derives the
 //	                    grid locally, and a request with no end streams
-//	                    the whole grid (see batch.go)
-//	POST /v1/batch      JSON array of scenarios in → NDJSON BatchItem
-//	                    stream out (batched form of /v1/eval)
+//	                    the whole grid (see part.go)
 //	POST /v1/eval       one eval.Scenario in → one eval.Point out; the
 //	                    endpoint behind eval.RemoteBackend
 //	POST /v1/curve      sweep.Spec in → one eval.CurveDesc (model name,
@@ -109,7 +107,6 @@ func New(opts ...Option) *Server {
 	if c, ok := s.cache.(obs.Collector); ok {
 		s.collectors = append(s.collectors, c)
 	}
-	s.handle("/v1/batch", post(s.handleBatch))
 	s.handle("/v1/sweep/part", post(s.handlePart))
 	s.handle("/v1/eval", post(s.handleEval))
 	s.handle("/v1/curve", post(s.handleCurve))
@@ -148,12 +145,9 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-// readBody reads a bounded request body.
-func readBody(r *http.Request) ([]byte, error) { return readBodyN(r, 1<<20) }
-
-// readBodyN reads a request body bounded at n bytes.
-func readBodyN(r *http.Request, n int64) ([]byte, error) {
-	body := http.MaxBytesReader(nil, r.Body, n)
+// readBody reads a request body bounded at 1 MiB.
+func readBody(r *http.Request) ([]byte, error) {
+	body := http.MaxBytesReader(nil, r.Body, 1<<20)
 	defer body.Close()
 	data, err := io.ReadAll(body)
 	if err != nil {

@@ -41,11 +41,10 @@ func postJSON(t *testing.T, url string, body string) *http.Response {
 }
 
 // TestRemoteParityFigure3 is the serving subsystem's central pin: the
-// paper's Figure 3 grid evaluated cell by cell (one /v1/eval each,
-// through a dispatcher's Evaluate) against a live server matches the
-// in-process run — models to 1e-9, simulator cells bit for bit — and so
-// does its curve metadata, asked of the server through the same
-// dispatcher.
+// paper's Figure 3 grid run by a dispatcher against a live server — its
+// cells as /v1/sweep/part streams, its curve metadata as one /v1/curve
+// request — matches the in-process run: models to 1e-9, simulator cells
+// bit for bit.
 func TestRemoteParityFigure3(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure3 grid in -short mode")
@@ -65,22 +64,16 @@ func TestRemoteParityFigure3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := sweep.ExpandGrid(spec)
+	res, err := d.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Rows) != len(local.Rows) {
-		t.Fatalf("row counts differ: remote %d, local %d", len(g.Rows), len(local.Rows))
+	if st := d.Stats(); st.Batches == 0 || st.Cells != int64(len(local.Rows)) {
+		t.Fatalf("the dispatcher streamed %d cell(s) in %d range(s), want all %d over the part route", st.Cells, st.Batches, len(local.Rows))
 	}
-	remote := make([]sweep.Row, len(g.Rows))
-	errs := make([]error, len(g.Rows))
-	d.EvaluateList(context.Background(), g, 0, len(g.Rows), func(i int, cell sweep.Cell, err error) {
-		remote[i], errs[i] = sweep.Row{Scenario: g.Rows[i].Scenario, Cell: cell}, err
-	})
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("cell %d: %v", i, err)
-		}
+	remote := res.Rows
+	if len(remote) != len(local.Rows) {
+		t.Fatalf("row counts differ: remote %d, local %d", len(remote), len(local.Rows))
 	}
 	for i := range local.Rows {
 		lr, rr := local.Rows[i], remote[i]
@@ -96,12 +89,7 @@ func TestRemoteParityFigure3(t *testing.T) {
 			t.Errorf("row %d: cell metadata drifted:\n  local  %+v\n  remote %+v", i, lr.Cell, rr.Cell)
 		}
 	}
-	// Curve context is a grid's, asked of the fleet in one request by the
-	// one fleet door.
-	curves, err := d.Runner.Curves(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	curves := res.Curves
 	if len(curves) != len(local.Curves) {
 		t.Fatalf("curve counts differ: remote %d, local %d", len(curves), len(local.Curves))
 	}
@@ -169,7 +157,7 @@ func TestTwoFleetsShareCells(t *testing.T) {
 
 // partLines posts a /v1/sweep/part body and returns the stream's lines
 // keyed by grid index, failing on a status other than 200, a line that
-// is no BatchItem, or an index answered twice.
+// is no PartItem, or an index answered twice.
 func partLines(t *testing.T, url, body string) map[int]string {
 	t.Helper()
 	resp := postJSON(t, url+"/v1/sweep/part", body)
@@ -178,7 +166,7 @@ func partLines(t *testing.T, url, body string) map[int]string {
 	}
 	lines := make(map[int]string)
 	for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
-		var it eval.BatchItem
+		var it eval.PartItem
 		if err := json.Unmarshal(sc.Bytes(), &it); err != nil {
 			t.Fatalf("bad NDJSON line: %v\n%s", err, sc.Text())
 		}
@@ -192,7 +180,7 @@ func partLines(t *testing.T, url, body string) map[int]string {
 
 // TestSweepStreamsNDJSON pins the one grid stream: a /v1/sweep/part
 // request carrying only the spec answers every grid index exactly once,
-// as NDJSON BatchItems in completion order, and its lines are byte for
+// as NDJSON PartItems in completion order, and its lines are byte for
 // byte those of the explicit [0, n) range.
 func TestSweepStreamsNDJSON(t *testing.T) {
 	srv := newTestServer(t)
@@ -202,7 +190,7 @@ func TestSweepStreamsNDJSON(t *testing.T) {
 		t.Fatalf("streamed %d cells, want 4", len(whole))
 	}
 	for idx, line := range whole {
-		var it eval.BatchItem
+		var it eval.PartItem
 		json.Unmarshal([]byte(line), &it)
 		if idx < 0 || idx >= 4 || it.Point == nil || math.IsNaN(it.Point.Model) || it.Point.Model <= 0 {
 			t.Errorf("streamed line without a model value: %s", line)
@@ -425,8 +413,8 @@ func TestMethodGate(t *testing.T) {
 	}
 }
 
-// decodeItems reads a batched NDJSON response into items keyed by index.
-func decodeItems(t *testing.T, resp *http.Response) map[int]eval.BatchItem {
+// decodeItems reads a part NDJSON response into items keyed by index.
+func decodeItems(t *testing.T, resp *http.Response) map[int]eval.PartItem {
 	t.Helper()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %s", resp.Status)
@@ -434,10 +422,10 @@ func decodeItems(t *testing.T, resp *http.Response) map[int]eval.BatchItem {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Errorf("Content-Type %q", ct)
 	}
-	items := make(map[int]eval.BatchItem)
+	items := make(map[int]eval.PartItem)
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
-		var it eval.BatchItem
+		var it eval.PartItem
 		if err := json.Unmarshal(sc.Bytes(), &it); err != nil {
 			t.Fatalf("bad NDJSON line: %v\n%s", err, sc.Text())
 		}
@@ -446,60 +434,61 @@ func decodeItems(t *testing.T, resp *http.Response) map[int]eval.BatchItem {
 	return items
 }
 
-// TestBatchEndpoint pins the /v1/batch framing: scenarios in as a JSON
-// array, one BatchItem per cell out, indexed by request position, with
-// values identical to /v1/eval's.
+// TestBatchEndpoint: a shard has one list route, /v1/sweep/part. The
+// explicit-list route is gone: POST /v1/batch answers 404, and /metrics
+// carries no sweep_batch_* series.
 func TestBatchEndpoint(t *testing.T) {
+	srv := newTestServer(t)
+	one := `[{"topology":{"family":"bft","size":16},"msg_flits":4,"load":{"value":0.01}}]`
+	if resp := postJSON(t, srv.URL+"/v1/batch", one); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /v1/batch: status %s, want 404", resp.Status)
+	}
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, _ := io.ReadAll(resp.Body)
+	if strings.Contains(string(data), "sweep_batch_") {
+		t.Errorf("metrics still carry batch series:\n%s", data)
+	}
+}
+
+// TestPartEndpointEmptyAndSingle pins the degenerate ranges: an empty
+// range is a valid request with an empty stream, a one-cell range
+// answers exactly one line — the cell /v1/eval answers, bit for bit —
+// and a body that is no part request is refused.
+func TestPartEndpointEmptyAndSingle(t *testing.T) {
 	srv := newTestServer(t, WithCache(sweep.NewCache()))
-	batch := `[{"topology":{"family":"bft","size":64},"msg_flits":8,"load":{"value":0.01}},
-	           {"topology":{"family":"bft","size":64},"msg_flits":8,"load":{"value":0.02}}]`
-	items := decodeItems(t, postJSON(t, srv.URL+"/v1/batch", batch))
-	if len(items) != 2 {
-		t.Fatalf("batch of 2 answered %d item(s)", len(items))
+	spec := `{"topologies":[{"family":"bft","sizes":[64]}],"msg_flits":[8],"loads":{"flits":[0.01,0.02]}}`
+	if items := decodeItems(t, postJSON(t, srv.URL+"/v1/sweep/part", `{"spec":`+spec+`,"start":1,"end":1}`)); len(items) != 0 {
+		t.Errorf("empty range answered %d item(s)", len(items))
 	}
-	for i := 0; i < 2; i++ {
-		it, ok := items[i]
-		if !ok || it.Point == nil || it.Error != "" {
-			t.Fatalf("item %d missing or failed: %+v", i, it)
-		}
+	items := decodeItems(t, postJSON(t, srv.URL+"/v1/sweep/part", `{"spec":`+spec+`,"start":0,"end":1}`))
+	if len(items) != 1 || items[0].Point == nil {
+		t.Fatalf("one-cell range: %+v", items)
 	}
-	// The batched cell equals the per-cell endpoint's answer bit for bit.
 	resp := postJSON(t, srv.URL+"/v1/eval", `{"topology":{"family":"bft","size":64},"msg_flits":8,"load":{"value":0.01}}`)
 	var single eval.Point
 	if err := json.NewDecoder(resp.Body).Decode(&single); err != nil {
 		t.Fatal(err)
 	}
 	if math.Float64bits(items[0].Point.Model) != math.Float64bits(single.Model) {
-		t.Errorf("batched cell drifted from /v1/eval: %v vs %v", items[0].Point.Model, single.Model)
+		t.Errorf("the range's cell drifted from /v1/eval: %v vs %v", items[0].Point.Model, single.Model)
+	}
+	if resp := postJSON(t, srv.URL+"/v1/sweep/part", `["not","a part request"]`); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("a body that is no part request: status %s", resp.Status)
 	}
 }
 
-// TestBatchEndpointEmptyAndSingle pins the degenerate batches: an empty
-// array is a valid request with an empty stream, a single-cell batch
-// answers exactly one line.
-func TestBatchEndpointEmptyAndSingle(t *testing.T) {
-	srv := newTestServer(t)
-	if items := decodeItems(t, postJSON(t, srv.URL+"/v1/batch", `[]`)); len(items) != 0 {
-		t.Errorf("empty batch answered %d item(s)", len(items))
-	}
-	one := `[{"topology":{"family":"bft","size":16},"msg_flits":4,"load":{"value":0.01}}]`
-	items := decodeItems(t, postJSON(t, srv.URL+"/v1/batch", one))
-	if len(items) != 1 || items[0].Point == nil {
-		t.Fatalf("single-cell batch: %+v", items)
-	}
-	if resp := postJSON(t, srv.URL+"/v1/batch", `{"not":"an array"}`); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("non-array batch: status %s", resp.Status)
-	}
-}
-
-// TestBatchEndpointUnstablePoint pins the NaN/Inf → null rule through
-// the batched wire: a cell whose model saturates (+Inf) crosses as null
-// plus the saturation marker, never as a bare Inf token.
-func TestBatchEndpointUnstablePoint(t *testing.T) {
+// TestPartEndpointUnstablePoint pins the NaN/Inf → null rule through the
+// part stream: a cell whose model saturates (+Inf) crosses as null plus
+// the saturation marker, never as a bare Inf token.
+func TestPartEndpointUnstablePoint(t *testing.T) {
 	srv := newTestServer(t)
 	// A fractional load beyond saturation forces model = +Inf.
-	batch := `[{"topology":{"family":"bft","size":16},"msg_flits":4,"load":{"frac":true,"value":1.5}}]`
-	resp := postJSON(t, srv.URL+"/v1/batch", batch)
+	spec := `{"topologies":[{"family":"bft","sizes":[16]}],"msg_flits":[4],"loads":{"fracs":[1.5]}}`
+	resp := postJSON(t, srv.URL+"/v1/sweep/part", `{"spec":`+spec+`}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %s", resp.Status)
 	}
@@ -511,27 +500,12 @@ func TestBatchEndpointUnstablePoint(t *testing.T) {
 	if strings.Contains(line, "Inf") || strings.Contains(line, "NaN") {
 		t.Fatalf("non-finite token leaked onto the wire: %s", line)
 	}
-	var it eval.BatchItem
+	var it eval.PartItem
 	if err := json.Unmarshal([]byte(line), &it); err != nil {
 		t.Fatal(err)
 	}
 	if it.Point == nil || !it.Point.ModelSaturated || !math.IsInf(it.Point.Model, 1) {
 		t.Errorf("saturated cell not recovered: %s -> %+v", line, it.Point)
-	}
-}
-
-// TestBatchEndpointPerItemError: one bad scenario inside a batch fails
-// as its own indexed item; the rest still answer.
-func TestBatchEndpointPerItemError(t *testing.T) {
-	srv := newTestServer(t)
-	batch := `[{"topology":{"family":"bft","size":64},"msg_flits":8,"load":{"value":0.01}},
-	           {"topology":{"family":"mesh","size":64},"msg_flits":8,"load":{"value":0.01}}]`
-	items := decodeItems(t, postJSON(t, srv.URL+"/v1/batch", batch))
-	if it := items[0]; it.Point == nil || it.Error != "" {
-		t.Errorf("healthy cell caught the neighbour's failure: %+v", it)
-	}
-	if it := items[1]; it.Error == "" || it.Point != nil {
-		t.Errorf("bad cell did not fail: %+v", it)
 	}
 }
 
@@ -579,12 +553,13 @@ func TestPartEndpointRejectsBadRanges(t *testing.T) {
 }
 
 // TestMetricsEndpoint pins the Prometheus text surface: per-endpoint
-// request/error counters, latency histograms, and the batch counters.
+// request/error counters, latency histograms, and the part counters.
 func TestMetricsEndpoint(t *testing.T) {
 	srv := newTestServer(t)
 	postJSON(t, srv.URL+"/v1/eval", `{"topology":{"family":"bft","size":16},"msg_flits":4,"load":{"value":0.01}}`)
 	postJSON(t, srv.URL+"/v1/eval", `{"policy":"lifo"}`) // a 400
-	postJSON(t, srv.URL+"/v1/batch", `[]`)
+	spec := `{"topologies":[{"family":"bft","sizes":[16]}],"msg_flits":[4],"loads":{"flits":[0.01,0.02]}}`
+	decodeItems(t, postJSON(t, srv.URL+"/v1/sweep/part", `{"spec":`+spec+`,"start":1}`))
 
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
@@ -601,8 +576,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		`sweep_http_errors_total{path="/v1/eval"} 1`,
 		`sweep_http_request_duration_seconds_bucket{path="/v1/eval",le="+Inf"} 2`,
 		`sweep_http_request_duration_seconds_count{path="/v1/eval"} 2`,
-		`sweep_batch_requests_total 1`,
-		`sweep_batch_cells_total 0`,
+		`sweep_part_requests_total 1`,
+		`sweep_part_cells_total 1`,
+		`sweep_stream_rows_total 1`,
 		`# TYPE sweep_http_request_duration_seconds histogram`,
 		// The simulator's per-cycle work counters (process-wide).
 		`# TYPE sim_group_visits_total counter`,
@@ -782,7 +758,7 @@ func TestBackendPanicCannotKillShard(t *testing.T) {
 		return fmt.Sprintf(`{"topology":{"family":"bft","size":64},"msg_flits":%d,"load":{"value":0.01}}`, flits)
 	}
 	spec := `{"topologies":[{"family":"bft","sizes":[64]}],"msg_flits":[8,13,16],"loads":{"flits":[0.01]}}`
-	// itemsFailOnly asserts a three-cell BatchItem stream whose middle
+	// itemsFailOnly asserts a three-cell PartItem stream whose middle
 	// cell alone failed with the panic.
 	itemsFailOnly := func(t *testing.T, resp *http.Response) {
 		items := decodeItems(t, resp)
@@ -810,7 +786,6 @@ func TestBackendPanicCannotKillShard(t *testing.T) {
 				t.Errorf("status %s, payload %v; want 422 with a backend-panic error", resp.Status, payload)
 			}
 		}},
-		{"batch", "/v1/batch", "[" + scen(8) + "," + scen(13) + "," + scen(16) + "]", itemsFailOnly},
 		{"part", "/v1/sweep/part", `{"spec":` + spec + `,"start":0,"end":3}`, itemsFailOnly},
 		{"sweep", "/v1/sweep/part", `{"spec":` + spec + `}`, itemsFailOnly},
 	} {

@@ -165,7 +165,7 @@ func TestParentFleetLinesStayReadable(t *testing.T) {
 			continue // not a model-vs-sim pair
 		}
 		// The first measurement has also been made live, under its key.
-		if measured == 0 && !m.Observe(ctx, key, p) {
+		if measured == 0 && !m.Observe(key, p) {
 			t.Errorf("the plain key %q did not pair", key)
 		}
 		measured++

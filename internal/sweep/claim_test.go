@@ -242,3 +242,62 @@ func TestRunAllocsIndependentOfCurves(t *testing.T) {
 		t.Errorf("a Run allocates %v times on 16 curves and %v on 64: something is allocated per curve", a, b)
 	}
 }
+
+// deadFleet is a Scheduler that fails every call, as a fleet with no
+// shard left does.
+type deadFleet struct{}
+
+var errDeadFleet = errors.New("no shard left")
+
+func (deadFleet) Schedule(context.Context, *Grid, int, func(lo, hi int)) error { return errDeadFleet }
+
+func (deadFleet) Compute(context.Context, Scenario) (Cell, error) { return Cell{}, errDeadFleet }
+
+func (deadFleet) Curves(context.Context, *Grid) ([]eval.CurveDesc, error) { return nil, errDeadFleet }
+
+// TestEvaluateListAnswersOnItsOwnPool: EvaluateList is a shard's list
+// path on the runner's own pool and backends, whatever its Scheduler. On
+// a runner whose Scheduler fails every call it still answers every cell
+// of a model grid and of a simulated one — the cells an in-process Run
+// computes, on every Point field — while Evaluate, which does go through
+// the Scheduler, fails.
+func TestEvaluateListAnswersOnItsOwnPool(t *testing.T) {
+	ctx := context.Background()
+	for _, spec := range []Spec{modelGrid(), tinySpec()} {
+		t.Run(spec.Name, func(t *testing.T) {
+			want, err := NewRunner().Run(ctx, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := ExpandGrid(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := NewRunner(WithWorkers(2), WithCache(NewCache()))
+			r.Scheduler = deadFleet{}
+			got := make([]Cell, len(g.Rows))
+			var answered atomic.Int32
+			r.EvaluateList(ctx, g, 0, len(g.Rows), func(i int, cell Cell, err error) {
+				if err != nil {
+					t.Errorf("cell %d: %v", i, err)
+					return
+				}
+				got[i] = cell
+				answered.Add(1)
+			})
+			if int(answered.Load()) != len(g.Rows) {
+				t.Fatalf("EvaluateList answered %d of %d cells", answered.Load(), len(g.Rows))
+			}
+			for i := range got {
+				if f := samePoint(got[i], want.Rows[i].Cell); f != "" {
+					t.Errorf("cell %d: %s differs from the in-process run's", i, f)
+				}
+			}
+			off := g.Rows[0].Scenario
+			off.Load.Value *= 0.5 // not on the grid, so not in the cache
+			if _, _, err := r.Evaluate(ctx, off); !errors.Is(err, errDeadFleet) {
+				t.Errorf("Evaluate = %v, want the Scheduler's failure", err)
+			}
+		})
+	}
+}

@@ -209,28 +209,6 @@ func repeatedLoads(loads []Load) []bool {
 	return repeat
 }
 
-// ListGrid is an explicit scenario list as a Grid, for the runner's list
-// path (Runner.EvaluateList): each run of consecutive scenarios that share
-// a curve key is one curve. The list is taken as it is, duplicates and
-// all.
-func ListGrid(scens []Scenario) *Grid {
-	g := &Grid{Rows: make([]Row, len(scens))}
-	var (
-		arena   keyArena
-		scratch [256]byte
-	)
-	for i := range scens {
-		g.Rows[i].Scenario = scens[i]
-		key := scens[i].AppendCurveKey(scratch[:0], scens[i].Workload.Canonical())
-		if n := len(g.Curves); n > 0 && g.Curves[n-1].Key == string(key) {
-			g.Curves[n-1].End++
-			continue
-		}
-		g.Curves = append(g.Curves, Curve{Key: arena.cut(key, len(scens)-i), Start: i, End: i + 1})
-	}
-	return g
-}
-
 // keyArena hands out strings cut from fixed strings.Builder chunks, so
 // the curve keys of a grid cost a few allocations rather than one each.
 // A Builder only ever appends, so a string cut from its buffer stays

@@ -67,10 +67,11 @@ type Runner struct {
 	// concern them (the simulator skips cells with WithSim unset). A runner with a custom list never consults Cache, so
 	// no cell of such a list is ever served as the built-in stack's.
 	Backends []eval.Evaluator
-	// Scheduler, when non-nil, computes every cold cell — a grid's, and
-	// Evaluate's one at a time — and describes grid curves in place of
-	// the local worker pool. It is the one seam a fleet plugs into, not a
-	// tuning knob: dispatch.New sets it.
+	// Scheduler, when non-nil, computes every cold cell of Run, Stream
+	// and Evaluate and describes grid curves in place of the local worker
+	// pool; EvaluateList, a shard's list path, always answers on the
+	// local pool. It is the one seam a fleet plugs into, not a tuning
+	// knob: dispatch.New sets it.
 	Scheduler Scheduler
 
 	// Built once by backends: Backends, or the built-in stack.
@@ -209,7 +210,7 @@ func (p localPool) Schedule(ctx context.Context, g *Grid, cold int, land func(lo
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 	c := &claims{
-		sched: p, g: g, hi: len(g.Rows), land: land,
+		r: p.r, g: g, hi: len(g.Rows), land: land,
 		fail: func(i int, err error) bool {
 			cancel(g.CellError(i, err)) // fail fast; the first cause stands
 			return false
@@ -239,17 +240,17 @@ func each(ctx context.Context, workers, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// claims is one pass of a pool over the cold cells of [lo, hi) of a grid,
-// a claim at a time. On the local pool, an untraced run claims a
-// model-only curve's cold cells whole, and a simulated curve's a cell at
-// a time — a simulation is long, and a curve claimed whole would run its
-// loads in series however many workers wait — and answers each run of
-// consecutive cold cells of a claim as one segment: one call per backend
-// (answer), one landing. A traced run claims each cell by itself, a
-// one-cell segment under its own eval.cell span; a Scheduler's cells
-// (EvaluateList on a fleet) each go through compute.
+// claims is one pass of a runner's pool over the cold cells of [lo, hi)
+// of a grid, a claim at a time, on the runner's own backends. An
+// untraced pass claims a model-only curve's cold cells whole, and a
+// simulated curve's a cell at a time — a simulation is long, and a curve
+// claimed whole would run its loads in series however many workers wait
+// — and answers each run of consecutive cold cells of a claim as one
+// segment: one call per backend (answer), one landing. A traced pass
+// claims each cell by itself, a one-cell segment under its own eval.cell
+// span.
 type claims struct {
-	sched  Scheduler
+	r      *Runner
 	g      *Grid
 	lo, hi int
 	// slab and warm are EvaluateList's, over a grid shared between calls:
@@ -264,9 +265,6 @@ type claims struct {
 	land func(lo, hi int)
 	fail func(i int, err error) bool
 
-	// local is the runner whose backends answer a segment: the local
-	// pool's, nil on a Scheduler, whose cells each go through compute.
-	local  *Runner
 	traced bool
 	next   atomic.Int64
 }
@@ -274,9 +272,6 @@ type claims struct {
 // run claims on `workers` goroutines, the caller's among them, until the
 // cells run out, ctx ends or fail says stop.
 func (c *claims) run(ctx context.Context, workers int) {
-	if lp, ok := c.sched.(localPool); ok {
-		c.local = lp.r
-	}
 	c.traced = obs.Enabled(ctx)
 	c.next.Store(int64(c.lo))
 	workers = max(workers, 1)
@@ -338,7 +333,7 @@ func (c *claims) claim() (lo, hi, cv int, ok bool) {
 
 // whole reports whether curve cv is claimed whole.
 func (c *claims) whole(cv int) bool {
-	return c.local != nil && !c.traced && !c.g.Rows[c.g.Curves[cv].Start].Scenario.WithSim
+	return !c.traced && !c.g.Rows[c.g.Curves[cv].Start].Scenario.WithSim
 }
 
 // cold reports whether cell i was left for the pool.
@@ -354,28 +349,20 @@ func (c *claims) cold(i int) bool {
 // unless fail says stop, which answer reports.
 func (c *claims) answer(ctx context.Context, seg *segment, cv, lo, hi int) bool {
 	for lo < hi {
+		*seg = segment{rows: c.g.Rows[lo:hi], curve: c.g.Curves[cv].Key}
+		if c.slab != nil {
+			seg.slab = c.slab[lo-c.lo : hi-c.lo]
+		}
 		var (
 			n   int
 			err error
 		)
-		if c.local == nil {
-			var cell Cell
-			if cell, err = compute(ctx, c.sched, c.g.cellKey(lo)); err == nil {
-				*c.point(lo) = cell
-				n = 1
-			}
-		} else {
-			*seg = segment{rows: c.g.Rows[lo:hi], curve: c.g.Curves[cv].Key}
-			if c.slab != nil {
-				seg.slab = c.slab[lo-c.lo : hi-c.lo]
-			}
-			if !c.traced {
-				n, err = c.local.answer(ctx, seg)
-			} else { // a traced claim is one cell, under its own span
-				sctx, span := obs.StartSpanKeyed(ctx, "eval.cell", c.g.cellKey(lo).Key())
-				n, err = c.local.answer(sctx, seg)
-				endCell(span, err)
-			}
+		if !c.traced {
+			n, err = c.r.answer(ctx, seg)
+		} else { // a traced claim is one cell, under its own span
+			sctx, span := obs.StartSpanKeyed(ctx, "eval.cell", c.g.cellKey(lo).Key())
+			n, err = c.r.answer(sctx, seg)
+			endCell(span, err)
 		}
 		if n > 0 {
 			c.land(lo, lo+n)
@@ -389,14 +376,6 @@ func (c *claims) answer(ctx context.Context, seg *segment, cv, lo, hi int) bool 
 		lo += n + 1
 	}
 	return true
-}
-
-// point returns where cell i's answer goes.
-func (c *claims) point(i int) *Cell {
-	if c.slab != nil {
-		return &c.slab[i-c.lo]
-	}
-	return &c.g.Rows[i].Cell
 }
 
 // segment is a run of consecutive cells of one curve answered in one call
@@ -526,10 +505,10 @@ func (k cellKey) Key() string {
 	return string(eval.AppendJoinKey(buf[:0], k.curve, k.sc.Token()))
 }
 
-// compute answers one cold cell through sched.Compute under its eval.cell
-// span: a Scheduler's and Evaluate's. A Compute that panics fails its
-// cell, not the process.
-func compute(ctx context.Context, sched Scheduler, k cellKey) (cell Cell, err error) {
+// compute answers Evaluate's one cold cell through the Scheduler's
+// Compute under its eval.cell span. A Compute that panics fails its cell,
+// not the process.
+func (r *Runner) compute(ctx context.Context, k cellKey) (cell Cell, err error) {
 	if err := ctx.Err(); err != nil {
 		return Cell{}, err
 	}
@@ -543,7 +522,7 @@ func compute(ctx context.Context, sched Scheduler, k cellKey) (cell Cell, err er
 		}
 		endCell(span, err)
 	}()
-	return sched.Compute(ctx, *k.sc)
+	return r.scheduler().Compute(ctx, *k.sc)
 }
 
 // endCell ends a computed cell's eval.cell span (nil when untraced).
@@ -588,7 +567,7 @@ func (r *Runner) Evaluate(ctx context.Context, sc Scenario) (Cell, bool, error) 
 		}
 	}
 	k := cellKey{&sc, curve}
-	cell, err := compute(ctx, r.scheduler(), k)
+	cell, err := r.compute(ctx, k)
 	if err != nil {
 		return Cell{}, false, err
 	}
@@ -600,10 +579,10 @@ func (r *Runner) Evaluate(ctx context.Context, sc Scenario) (Cell, bool, error) 
 	return cell, false, nil
 }
 
-// EvaluateList answers the cells [lo, hi) of g — an expanded grid's, or
-// an explicit list's (ListGrid) — through the cache, a curve at a time,
-// and the runner's pool, claiming as Run's does: the list form of
-// Evaluate, behind /v1/batch and /v1/sweep/part. g may be shared between
+// EvaluateList answers the cells [lo, hi) of an expanded grid g through
+// the cache, a curve at a time, and the runner's own pool over its own
+// backends, claiming as Run's local pool does, whatever the Scheduler: it
+// is a shard's list path, behind /v1/sweep/part. g may be shared between
 // concurrent calls (a shard memoizes its grids): its rows are only read,
 // and the cells are answered into a slab the length of the range. Every
 // cell's outcome — its point, or its own error; one failure does not
@@ -626,7 +605,7 @@ func (r *Runner) EvaluateList(ctx context.Context, g *Grid, lo, hi int, fn func(
 		return
 	}
 	c := &claims{
-		sched: r.scheduler(), g: g, lo: lo, hi: hi, slab: p.slab, warm: p.warm,
+		r: r, g: g, lo: lo, hi: hi, slab: p.slab, warm: p.warm,
 		land: func(a, b int) {
 			p.land(a, b)
 			for i := a; i < b; i++ {
