@@ -134,6 +134,8 @@ lint:
 	e="$$(awk '/^func \(b \*RemoteBackend\) Evaluate\(/,/^}/' internal/eval/remote.go)"; \
 	test -n "$$h" && test -n "$$e" && ! printf '%s\n%s\n' "$$h" "$$e" | grep -n 'json\.' || { \
 		echo "one cell on the wire: a /v1/eval scenario and its point cross the wire through internal/eval's codec (AppendScenario and readPoint in RemoteBackend.Evaluate, DecodeScenario and AppendPoint in internal/serve's handleEval), whose encoding/json fall-through lives behind those calls; neither body names json."; exit 1; }
+	@test "$$(awk '/^func / { f = $$0; sub(/^func (\([^)]*\) )?/, "", f); sub(/\(.*/, "", f) } /\.Evaluate([^A-Za-z0-9_]|$$)/ { print f ":" (/engine\.Evaluate/ ? "engine" : /search\.Evaluate/ ? "search" : "other") }' $$(find internal/plan -name '*.go' ! -name '*_test.go') | sort | tr '\n' ' ')" = "certify:engine operate:engine searchAt:search " || { \
+		echo "a plan's search is local: non-test internal/plan evaluates one cell through its Engine only from operate (a refined candidate's operating point) and certify (the sim certification), and every load-search probe through the planner's own runner in searchAt"; exit 1; }
 
 # The size every change reports: non-test Go lines outside bench/. CI
 # prints it; it is not a gate.

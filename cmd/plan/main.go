@@ -16,17 +16,18 @@
 //	plan -dumpspec builtin:cheapest-sla          # print a spec as JSON
 //	plan -spec builtin:bft-capacity -shards :8713,:8714
 //	                                             # search over a sweepd fleet
-//	plan -spec builtin:bft-capacity -cache-dir d # persistent probe cache
+//	plan -spec builtin:bft-capacity -cache-dir d # persistent result cache
 //	plan -spec builtin:bft-capacity -trace-out t.ndjson   # NDJSON span trace
 //	plan -spec builtin:calibrated-capacity -cache-dir d
 //	                                             # trust-gated certification
 //
 // Progress streams to stderr; results go to stdout. The search always
-// runs in this process. With -shards every evaluation executes on the
-// named sweepd fleet: the coarse grid is dispatched as contiguous
-// ranges (work stealing, shard failover) and the bisection probes
-// rotate per-cell with retry, all warming the cache lines a local run
-// reads and writes.
+// runs in this process, and its bisection probes are answered on its own
+// in-process model. With -shards every cell the plan reports executes on
+// the named sweepd fleet: the coarse grid is dispatched as contiguous
+// ranges (work stealing, shard failover) and the operating points and
+// certifications rotate per-cell with retry, all warming the cache lines
+// a local run reads and writes.
 //
 // A spec with a "calibration" section is trust-gated against the
 // calibration map mined from -cache-dir when the search starts (see
@@ -63,8 +64,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (rerr err
 		timeout  = fs.Duration("timeout", 0, "abort the search after this duration (0 = no deadline)")
 		quiet    = fs.Bool("quiet", false, "suppress progress output")
 		backend  = fs.String("backend", "", "override spec backends: comma-separated subset of model,sim,bounds (empty = spec's own; omitting sim skips certification)")
-		shards   = fs.String("shards", "", "execute the search over these sweepd shard(s), comma-separated")
-		cacheDir = fs.String("cache-dir", "", "persist the probe cache to this directory, and trust-gate a calibration spec on what it holds (empty = in-memory)")
+		shards   = fs.String("shards", "", "evaluate the plan's grids, operating points and certifications on these sweepd shard(s), comma-separated")
+		cacheDir = fs.String("cache-dir", "", "persist the result cache to this directory, and trust-gate a calibration spec on what it holds (empty = in-memory)")
 		traceOut = fs.String("trace-out", "", "write NDJSON span traces to this file (see docs/observability.md)")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -54,9 +54,9 @@ import (
 // and Progress fields are the embedded engine's own — whose Scheduler is
 // the dispatcher itself, so it drops in anywhere a Runner does, including
 // as the capacity planner's engine (plan.Engine): Run carries the coarse
-// grids as ranges, Evaluate the per-cell probes with shard rotation and
-// retry (Compute), both cached under Scenario.Key like any local run's
-// cells.
+// grids as ranges, Evaluate the operating points and certifications with
+// shard rotation and retry (Compute), both cached under Scenario.Key like
+// any local run's cells; the plan's load search stays in process.
 type Dispatcher struct {
 	*sweep.Runner
 	addrs    []string

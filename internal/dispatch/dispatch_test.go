@@ -293,7 +293,7 @@ func TestNewRejectsEmptyFleet(t *testing.T) {
 }
 
 // TestDispatcherEvaluate covers the dispatcher's single-cell engine
-// surface (the capacity planner's probe path): off-grid scenarios
+// surface (the capacity planner's operating points): off-grid scenarios
 // answer through the fleet and share the dispatched sweeps' cache
 // lines.
 func TestDispatcherEvaluate(t *testing.T) {
@@ -316,8 +316,8 @@ func TestDispatcherEvaluate(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("fleet run returned %d rows", len(res.Rows))
 	}
-	// An off-grid probe — the planner's bisection shape — is a cache
-	// miss, computed remotely and written back.
+	// An off-grid probe — an operating point's shape — is a cache miss,
+	// computed remotely and written back.
 	sc := res.Rows[0].Scenario
 	sc.Load = sweep.Load{Value: res.Rows[0].LoadFlits * 1.01}
 	pt, cached, err := d.Evaluate(context.Background(), sc)

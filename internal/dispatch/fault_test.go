@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -70,7 +71,8 @@ func faultSimSpec() sweep.Spec {
 }
 
 // faultPlanSpec is the property's capacity search: coarse grids as
-// ranges, per-cell probes, simulator certification.
+// ranges, operating points as per-cell requests, simulator
+// certification (the load search itself never leaves the process).
 func faultPlanSpec() plan.Spec {
 	return plan.Spec{
 		Name: "shard-kill",
@@ -357,14 +359,15 @@ var namedExpectations = map[string]func(*testing.T, faultOutcome){
 			t.Errorf("%d and %d /v1/curve attempt(s), want one refused and one answered", a, b)
 		}
 	},
-	// The killed shard saw two cell requests: it died mid-search.
-	"plan-kill-shard-0": func(t *testing.T, o faultOutcome) { expectKilledMidSearch(t, o, 0) },
-	"plan-kill-shard-1": func(t *testing.T, o faultOutcome) { expectKilledMidSearch(t, o, 1) },
+	// The killed shard saw two cell requests: it died mid-plan, on an
+	// operating point or the certification.
+	"plan-kill-shard-0": func(t *testing.T, o faultOutcome) { expectKilledMidPlan(t, o, 0) },
+	"plan-kill-shard-1": func(t *testing.T, o faultOutcome) { expectKilledMidPlan(t, o, 1) },
 }
 
-func expectKilledMidSearch(t *testing.T, o faultOutcome, shard int) {
+func expectKilledMidPlan(t *testing.T, o faultOutcome, shard int) {
 	if n := o.fleet.Count("plan", shard, "eval"); n < 2 {
-		t.Errorf("shard %d saw %d cell request(s): the search ended before it died", shard, n)
+		t.Errorf("shard %d saw %d cell request(s): the plan ended before it died", shard, n)
 	}
 }
 
@@ -419,9 +422,59 @@ func TestDispatcherSkipsHeartbeats(t *testing.T) { runNamed(t, "heartbeats") }
 
 func TestCurveRequestFailsOver(t *testing.T) { runNamed(t, "curve-failover") }
 
+// countingEngine counts the cells a plan asks its engine for one at a
+// time, model-only and simulated apart.
+type countingEngine struct {
+	plan.Engine
+	model, sim atomic.Int64
+}
+
+func (e *countingEngine) Evaluate(ctx context.Context, sc sweep.Scenario) (sweep.Cell, bool, error) {
+	if sc.WithSim {
+		e.sim.Add(1)
+	} else {
+		e.model.Add(1)
+	}
+	return e.Engine.Evaluate(ctx, sc)
+}
+
+// TestPlanSendsOnlyItsReportedCells: over a two-shard fleet, a capacity
+// plan's /v1/eval requests are its operating points — one or two
+// attempts per refined candidate — and its certifications, one request
+// each; the load search's probes never leave the process.
+func TestPlanSendsOnlyItsReportedCells(t *testing.T) {
+	fl := fleettest.New(t, fleettest.Decode([]byte("p2010")))
+	d := newDispatcher(t, fl.Addrs(), WithHTTPClient(fl.Client()))
+	spec, err := plan.Builtin("bft-capacity")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := &countingEngine{Engine: d}
+	fl.SetPhase("plan")
+	res, err := plan.New(eng).Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats
+	ops, sims := int(eng.model.Load()), int(eng.sim.Load())
+	if ops < st.Refined || ops > 2*st.Refined {
+		t.Errorf("the engine answered %d model-only cells for %d refined candidates (%d probes): the search reached it",
+			ops, st.Refined, st.Probes)
+	}
+	if sims != st.SimEvals {
+		t.Errorf("the engine answered %d simulated cells for %d certifications", sims, st.SimEvals)
+	}
+	n := fl.Count("plan", 0, "eval") + fl.Count("plan", 1, "eval")
+	if n != ops+sims {
+		t.Errorf("the fleet saw %d /v1/eval requests for %d operating points and %d certifications",
+			n, ops, sims)
+	}
+	t.Logf("%d /v1/eval requests: %d operating point(s), %d certification(s); %d probes in all", n, ops, sims, st.Probes)
+}
+
 // TestPlanSurvivesShardKill is the planner's failover pin: whichever of
-// the two shards dies mid-search, the frontier equals the in-process
-// search's.
+// the two shards dies mid-plan, the frontier equals the in-process
+// plan's.
 func TestPlanSurvivesShardKill(t *testing.T) {
 	for _, name := range []string{"plan-kill-shard-0", "plan-kill-shard-1"} {
 		t.Run(name, func(t *testing.T) { runNamed(t, name) })

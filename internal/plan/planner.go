@@ -18,17 +18,18 @@ import (
 
 // Engine is what the planner needs from the Evaluator spine: spec-level
 // execution for the coarse prune grid and scenario-level evaluation for
-// the bisection probes and sim certification. sweep.Runner satisfies it
-// directly (in-process, over any backend list), and so
-// does dispatch.Dispatcher — the distributed form over a sweepd fleet:
-// grids dispatch as contiguous ranges, probes rotate per-cell with
-// retry, and both cache under Scenario.Key as the in-process form does,
-// so every search warms the one store.
+// the cells the plan reports — each refined candidate's operating point
+// and the sim certification. sweep.Runner satisfies it directly
+// (in-process, over any backend list), and so does dispatch.Dispatcher —
+// the distributed form over a sweepd fleet: grids dispatch as contiguous
+// ranges, single cells rotate per-cell with retry, and both cache under
+// Scenario.Key as the in-process form does. The load search's own probes
+// never reach the Engine: the Planner answers them on its own model.
 type Engine interface {
 	// Run executes a full sweep spec (the coarse prune grid).
 	Run(ctx context.Context, spec sweep.Spec) (*sweep.Result, error)
-	// Evaluate answers one scenario — the planner's off-grid probes.
-	// The bool reports a cache hit.
+	// Evaluate answers one scenario — an operating point or a
+	// certification. The bool reports a cache hit.
 	Evaluate(ctx context.Context, sc eval.Scenario) (eval.Point, bool, error)
 }
 
@@ -36,6 +37,11 @@ type Engine interface {
 // for concurrent use (per-run state lives on the stack).
 type Planner struct {
 	engine Engine
+	// search answers the load search's probes in process: a cache-less
+	// runner over the built-in model and bounds stack, whose models carry
+	// over from one plan to the next. A probe is a few microseconds of
+	// math, cheaper than a store line or a round trip to a shard.
+	search *sweep.Runner
 	calib  *calib.Map
 }
 
@@ -50,7 +56,7 @@ func WithCalibration(m *calib.Map) Option { return func(p *Planner) { p.calib = 
 
 // New builds a Planner over the given engine.
 func New(engine Engine, opts ...Option) *Planner {
-	p := &Planner{engine: engine}
+	p := &Planner{engine: engine, search: sweep.NewRunner()}
 	for _, opt := range opts {
 		opt(p)
 	}
@@ -176,9 +182,9 @@ func (p *Planner) run(ctx context.Context, spec Spec, emit func(Update) bool) (r
 		obs.Int("candidates", res.Stats.Candidates))
 
 	// Phase 2 — refinement: bisection on the load axis per surviving
-	// candidate, bounded-parallel (each candidate's probes are
-	// sequential; the fleet parallelism comes from refining many
-	// candidates at once).
+	// candidate on the planner's own model, bounded-parallel (each
+	// candidate's probes are sequential), then each refined candidate's
+	// operating point through the engine.
 	refineCtx, refineSpan := obs.StartSpanKeyed(ctx, "plan.refine", "")
 	if err := p.refine(refineCtx, d, cands, res, notify); err != nil {
 		refineSpan.End(obs.String("error", err.Error()))
@@ -367,7 +373,8 @@ func traceDecision(ctx context.Context, c *Candidate, verdict, constraint string
 
 // refine locates every surviving candidate's knee: the largest load
 // satisfying the constraints, bisected to the spec's tolerance with
-// internal/solve, probing the Engine off the fixed grid. Candidates
+// internal/solve, probing the planner's own model off the fixed grid,
+// then reported at its operating point through the Engine. Candidates
 // refine in parallel (Search.Workers, default GOMAXPROCS); completion
 // updates are emitted from this goroutine in completion order.
 func (p *Planner) refine(ctx context.Context, d Spec, cands []candidate, res *Result, notify func(Update) error) error {
@@ -451,7 +458,8 @@ func (p *Planner) refine(ctx context.Context, d Spec, cands []candidate, res *Re
 	return ctx.Err()
 }
 
-// refineOne runs the load search for one candidate.
+// refineOne runs the load search for one candidate on the planner's own
+// model, then reports it at its operating point through the engine.
 func (p *Planner) refineOne(ctx context.Context, d Spec, e *candidate) error {
 	c := e.c
 	var probeErr error
@@ -459,14 +467,7 @@ func (p *Planner) refineOne(ctx context.Context, d Spec, e *candidate) error {
 		if probeErr != nil || ctx.Err() != nil {
 			return eval.Point{}, false
 		}
-		sc := eval.Scenario{
-			Topology:   c.Topology,
-			MsgFlits:   c.MsgFlits,
-			Policy:     e.policy,
-			Load:       eval.Load{Value: load},
-			WithBounds: d.wantBounds(),
-		}
-		pt, _, err := p.engine.Evaluate(ctx, sc)
+		pt, err := p.searchAt(ctx, d, e, load)
 		c.Probes++
 		if err != nil {
 			probeErr = err
@@ -549,20 +550,47 @@ func (p *Planner) refineOne(ctx context.Context, d Spec, e *candidate) error {
 		return nil
 	}
 	c.MaxLoad = maxLoad
+	return p.operate(ctx, d, e)
+}
 
-	// The operating point: the required load when the spec names one,
-	// else a headroom fraction of the knee.
+// searchAt answers one probe of the load search — the candidate,
+// model-only, at an absolute load — on the planner's own runner.
+func (p *Planner) searchAt(ctx context.Context, d Spec, e *candidate, load float64) (eval.Point, error) {
+	pt, _, err := p.search.Evaluate(ctx, e.at(d, load))
+	return pt, err
+}
+
+// at is the candidate's model-only scenario at an absolute load: a
+// search probe's, and an operating point's.
+func (e *candidate) at(d Spec, load float64) eval.Scenario {
+	return eval.Scenario{
+		Topology:   e.c.Topology,
+		MsgFlits:   e.c.MsgFlits,
+		Policy:     e.policy,
+		Load:       eval.Load{Value: load},
+		WithBounds: d.wantBounds(),
+	}
+}
+
+// operate reports a refined candidate at its operating point — the
+// required load when the spec names one, else a headroom fraction of the
+// knee — in a cell the engine answers, as it answers every cell the plan
+// reports. Each attempt counts as a probe.
+func (p *Planner) operate(ctx context.Context, d Spec, e *candidate) error {
+	c := e.c
+	evaluate := func(load float64) (eval.Point, error) {
+		pt, _, err := p.engine.Evaluate(ctx, e.at(d, load))
+		c.Probes++
+		return pt, err
+	}
 	pinned := d.Constraints.MinLoad > 0
-	op := d.Search.OperatingFrac * maxLoad
+	op := d.Search.OperatingFrac * c.MaxLoad
 	if pinned {
 		op = d.Constraints.MinLoad
 	}
-	pt, ok := probe(op)
-	if !ok {
-		if probeErr != nil {
-			return probeErr
-		}
-		return ctx.Err()
+	pt, err := evaluate(op)
+	if err != nil {
+		return err
 	}
 	if !d.feasible(pt) {
 		if pinned {
@@ -577,15 +605,12 @@ func (p *Planner) refineOne(ctx context.Context, d Spec, e *candidate) error {
 		}
 		// The knee estimate overshot the boundary by less than the
 		// tolerance; step the operating point just inside it.
-		op = maxLoad * (1 - 4*d.Search.Tolerance)
-		if pt, ok = probe(op); !ok {
-			if probeErr != nil {
-				return probeErr
-			}
-			return ctx.Err()
+		op = c.MaxLoad * (1 - 4*d.Search.Tolerance)
+		if pt, err = evaluate(op); err != nil {
+			return err
 		}
 		if !d.feasible(pt) {
-			return fmt.Errorf("operating point %.6g infeasible below the located knee %.6g", op, maxLoad)
+			return fmt.Errorf("operating point %.6g infeasible below the located knee %.6g", op, c.MaxLoad)
 		}
 	}
 	c.OperatingLoad = op

@@ -38,8 +38,9 @@ func (c *countingEvaluator) Curve(ctx context.Context, sc eval.Scenario) (eval.C
 // TestMaxLoadMatchesGridSaturation pins the planner's reason to exist:
 // its max-load answer for a builtin topology agrees with the saturation
 // point read off the corresponding full sweep grid to 1e-6 relative on
-// the load axis, while issuing measurably fewer backend evaluations
-// than the grid.
+// the load axis, while issuing measurably fewer analytic evaluations
+// than the grid — and its engine sees only the coarse grid and the
+// operating point, never a search probe.
 func TestMaxLoadMatchesGridSaturation(t *testing.T) {
 	ctx := context.Background()
 
@@ -110,16 +111,19 @@ func TestMaxLoadMatchesGridSaturation(t *testing.T) {
 		t.Errorf("planner max-load %v outside the grid's knee bracket [%v, %v]",
 			best.MaxLoad, lastStable, firstSat)
 	}
-	planEvals := int(planCounter.n.Load())
-	if planEvals >= gridEvals/2 {
-		t.Errorf("planner issued %d evaluations, want measurably fewer than the grid's %d",
-			planEvals, gridEvals)
+	if evals := res.Stats.AnalyticEvals(); evals >= gridEvals/2 {
+		t.Errorf("planner issued %d analytic evaluations, want measurably fewer than the grid's %d",
+			evals, gridEvals)
 	}
-	if res.Stats.AnalyticEvals() != planEvals {
-		t.Errorf("stats report %d analytic evals, counter saw %d", res.Stats.AnalyticEvals(), planEvals)
+	// The engine answers the coarse grid and the one refined candidate's
+	// operating point (0.9 of a knee located to 1e-8 needs no retry).
+	if got, want := int(planCounter.n.Load()), res.Stats.CoarseCells+res.Stats.Refined; got != want {
+		t.Errorf("the engine evaluated %d cells, want the %d coarse cells and %d operating point(s)",
+			got, res.Stats.CoarseCells, res.Stats.Refined)
 	}
-	t.Logf("grid: %d evals; planner: %d evals (%.1fx fewer), rel err %.2g",
-		gridEvals, planEvals, float64(gridEvals)/float64(planEvals), rel)
+	t.Logf("grid: %d evals; planner: %d evals (%.1fx fewer), %d of them on its engine, rel err %.2g",
+		gridEvals, res.Stats.AnalyticEvals(), float64(gridEvals)/float64(res.Stats.AnalyticEvals()),
+		planCounter.n.Load(), rel)
 }
 
 // TestStreamMatchesRun pins Stream's contract: same frontier as Run,

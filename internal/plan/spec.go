@@ -11,9 +11,10 @@
 // the sweep engine, so it shards across a sweepd fleet and warms the
 // shared result store) prunes infeasible candidates and brackets the
 // feasibility boundary of the survivors; per-candidate bisection on the
-// load axis (internal/solve) then locates the saturation knee — the
-// largest load that stays stable (core.IsUnstable) and inside the SLO —
-// to a relative tolerance a fixed grid could never afford; the
+// load axis (internal/solve, on the planner's own in-process model) then
+// locates the saturation knee — the largest load that stays stable
+// (core.IsUnstable) and inside the SLO — to a relative tolerance a fixed
+// grid could never afford; the
 // Pareto frontier over (cost, latency, sustainable load) is extracted;
 // and finally only the frontier candidates are re-evaluated with the
 // flit-level simulator to certify the analytic ranking. See
