@@ -480,3 +480,35 @@ func TestPlanSurvivesShardKill(t *testing.T) {
 		t.Run(name, func(t *testing.T) { runNamed(t, name) })
 	}
 }
+
+// TestPlanFaultsReachThePlansRequests: the fault-free plan sends its fleet
+// fleettest.PlanEvals cell requests, at least PlanEvals/shards to each
+// shard, and a plan schedule's eval faults are decoded onto one of those,
+// so a fuzzed plan fault fires; a plan-kill seed keeps its second request.
+func TestPlanFaultsReachThePlansRequests(t *testing.T) {
+	for shards := 1; shards <= 3; shards++ {
+		o := runSchedule(t, []byte(fmt.Sprintf("p%d010", shards)))
+		share := fleettest.PlanEvals / shards
+		if n := o.fleet.Count("plan", -1, "eval"); n != fleettest.PlanEvals {
+			t.Errorf("%d shard(s): the plan sent %d cell requests, want %d", shards, n, fleettest.PlanEvals)
+		}
+		for shard := 0; shard < shards; shard++ {
+			if n := o.fleet.Count("plan", shard, "eval"); n < share {
+				t.Errorf("%d shard(s): shard %d got %d cell requests, want at least %d", shards, shard, n, share)
+			}
+		}
+		for nth := 0; nth <= 9; nth++ {
+			s := fleettest.Decode([]byte(fmt.Sprintf("p%d010 0e%dt0 0p%dt0", shards, nth, nth)))
+			eval, part := s.Faults[0], s.Faults[1]
+			if nth > 0 && (eval.Nth < 1 || eval.Nth > share) || nth == 0 && eval.Nth != 0 || part.Nth != nth {
+				t.Errorf("%d shard(s), nth %d: decoded eval nth %d (want in [1, %d]), sweep/part nth %d",
+					shards, nth, eval.Nth, share, part.Nth)
+			}
+		}
+	}
+	for _, name := range []string{"plan-kill-shard-0", "plan-kill-shard-1"} {
+		if f := fleettest.Decode(fleettest.Named(name)).Faults; len(f) != 1 || f[0].Nth != 2 {
+			t.Errorf("%s decodes to %+v, want its one fault at the second request", name, f)
+		}
+	}
+}

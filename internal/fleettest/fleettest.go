@@ -44,6 +44,10 @@ const (
 	// Latency is how long every answer takes to start, as over a network,
 	// so that each shard's worker gets its share of a grid's ranges.
 	Latency = time.Millisecond
+	// PlanEvals is how many /v1/eval requests a Plan schedule's capacity
+	// plan sends the whole fleet, rotated over the shards: the refined
+	// candidates' operating points and the certification.
+	PlanEvals = 5
 )
 
 // Kind is what a fault does to the request it hits.
@@ -104,6 +108,10 @@ type Schedule struct {
 // per range, one failure ejects, shard 0 survives, and shard 2 dies at
 // its second range.
 //
+// A plan's eval fault counts among the requests a shard gets of the
+// plan's PlanEvals: its nth wraps into [1, PlanEvals/shards], so that a
+// fuzzed fault lands on a request the plan sends.
+//
 // Decoding keeps every run finishable. A single answer (curve, eval) has
 // no idle bound, so a stall or heartbeat there tears it instead; a
 // heartbeat stretch hits one request, never every one. The survivor is
@@ -131,6 +139,9 @@ func Decode(data []byte) Schedule {
 		}
 		if f.Kind == Slow && f.Nth == 0 {
 			f.Nth = 1
+		}
+		if s.Plan && f.Route == "eval" && f.Nth > 0 {
+			f.Nth = 1 + (f.Nth-1)%max(1, PlanEvals/s.Shards)
 		}
 		if f.hold() == time.Hour && f.Shard != s.Survivor {
 			allowed = 0

@@ -40,7 +40,9 @@ type Planner struct {
 	// search answers the load search's probes in process: a cache-less
 	// runner over the built-in model and bounds stack, whose models carry
 	// over from one plan to the next. A probe is a few microseconds of
-	// math, cheaper than a store line or a round trip to a shard.
+	// math, cheaper than a store line or a round trip to a shard. A local
+	// engine on the built-in stack lends it that stack, so each
+	// candidate's network and Eq. 26 search are built once.
 	search *sweep.Runner
 	calib  *calib.Map
 }
@@ -56,7 +58,12 @@ func WithCalibration(m *calib.Map) Option { return func(p *Planner) { p.calib = 
 
 // New builds a Planner over the given engine.
 func New(engine Engine, opts ...Option) *Planner {
-	p := &Planner{engine: engine, search: sweep.NewRunner()}
+	p := &Planner{engine: engine}
+	if r, ok := engine.(*sweep.Runner); ok && r.Backends == nil && r.Scheduler == nil {
+		p.search = r.Uncached()
+	} else {
+		p.search = sweep.NewRunner()
+	}
 	for _, opt := range opts {
 		opt(p)
 	}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/analytic"
 	"repro/internal/eval"
 	"repro/internal/sweep"
 	"repro/internal/workload"
@@ -473,5 +474,49 @@ func TestWorkloadSpecValidation(t *testing.T) {
 	spec.Workload = &workload.Spec{Trace: "t.ndjson"}
 	if err := spec.Validate(); err == nil {
 		t.Error("trace workload accepted in a plan")
+	}
+}
+
+// TestLocalPlanBuildsEachModelOnce: a local planner searches on its
+// engine's own stack, so a cold plan builds each network once and runs
+// one Eq. 26 saturation search per candidate curve, where a search runner
+// beside the engine built every network a second time; and its frontier
+// is the one a planner with a search runner of its own finds.
+func TestLocalPlanBuildsEachModelOnce(t *testing.T) {
+	ctx := context.Background()
+	spec, err := Builtin("bft-capacity-small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	networks := int64(len(spec.Space.Topologies[0].Sizes))
+	run := func(p *Planner) (res *Result, searches, models int64) {
+		s0, m0 := analytic.SaturationSearches(), analytic.ModelsBuilt()
+		res, err := p.Run(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, analytic.SaturationSearches() - s0, analytic.ModelsBuilt() - m0
+	}
+	cache := sweep.NewCache()
+	res, searches, models := run(NewLocal(cache))
+	if want := int64(res.Stats.Candidates); searches != want || models != networks {
+		t.Errorf("a cold local plan ran %d saturation searches and built %d models, want %d and %d",
+			searches, models, want, networks)
+	}
+	// An Engine that is not a *sweep.Runner keeps a search runner of its
+	// own, as a dispatcher does.
+	refCache := sweep.NewCache()
+	ref, _, models := run(New(struct{ *sweep.Runner }{sweep.NewRunner(sweep.WithCache(refCache))}))
+	if models != 2*networks {
+		t.Errorf("a planner with a search runner of its own built %d models, want %d", models, 2*networks)
+	}
+	// Search probes write no cache line on either route.
+	if cache.Len() != refCache.Len() {
+		t.Errorf("the local plan left %d cache lines, a search runner of its own %d", cache.Len(), refCache.Len())
+	}
+	a, _ := json.Marshal(res.Frontier)
+	b, _ := json.Marshal(ref.Frontier)
+	if len(res.Frontier) == 0 || string(a) != string(b) {
+		t.Errorf("frontier searched on the engine's stack:\n%s\non a search runner of its own:\n%s", a, b)
 	}
 }

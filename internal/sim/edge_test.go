@@ -161,7 +161,8 @@ func TestGroupPartitionRoundTrip(t *testing.T) {
 		tab := net.Tables()
 		seen := make(map[topology.ChannelID]int)
 		for g := topology.GroupID(0); int(g) < len(tab.GroupOff)-1; g++ {
-			for _, ch := range tab.Group(g) {
+			lo, hi := tab.Group(g)
+			for ch := lo; ch < hi; ch++ {
 				seen[ch]++
 				if tab.GroupOf[ch] != g {
 					t.Errorf("%s: GroupOf[%d] = %d, in group %d",

@@ -769,10 +769,10 @@ func (e *engine) enqueue(g topology.GroupID, id int32, t int64) {
 	e.soa.enqueuedAt[id] = t
 	q := g
 	if e.cfg.Policy == RandomFixed {
-		members := e.tab.Group(g)
-		q = members[0]
-		if len(members) > 1 {
-			q = members[e.rng.Intn(len(members))]
+		lo, hi := e.tab.Group(g)
+		q = lo
+		if hi-lo > 1 {
+			q += topology.ChannelID(e.rng.Intn(int(hi - lo)))
 		}
 	}
 	e.arbQ.push(q, id, e.soa.next)
@@ -800,10 +800,10 @@ func (e *engine) grants(t int64) {
 // grantGroup returns true if the group still has waiters afterwards.
 func (e *engine) grantGroup(g topology.GroupID, t int64) bool {
 	e.obsVisits++
-	members := e.tab.Group(g)
+	lo, hi := e.tab.Group(g)
 	if e.cfg.Policy == RandomFixed {
 		waiters := false
-		for _, ch := range members {
+		for ch := lo; ch < hi; ch++ {
 			for !e.arbQ.empty(ch) && !e.busy[ch] {
 				e.grant(e.arbQ.pop(ch, e.soa.next), ch, g, t)
 			}
@@ -814,27 +814,27 @@ func (e *engine) grantGroup(g topology.GroupID, t int64) bool {
 		return waiters
 	}
 	for !e.arbQ.empty(g) && e.free[g] > 0 {
-		ch := members[0]
-		if len(members) > 1 {
-			ch = e.pickFree(members, e.free[g])
+		ch := lo
+		if hi-lo > 1 {
+			ch = e.pickFree(lo, hi, e.free[g])
 		}
 		e.grant(e.arbQ.pop(g, e.soa.next), ch, g, t)
 	}
 	return !e.arbQ.empty(g)
 }
 
-// pickFree returns a uniformly random one of the n > 0 free member
-// channels. Worms "select an up-link randomly" when both are available
-// (§3.1).
-func (e *engine) pickFree(members []topology.ChannelID, n int32) topology.ChannelID {
+// pickFree returns a uniformly random one of the n > 0 free channels of
+// the group [lo, hi). Worms "select an up-link randomly" when both are
+// available (§3.1).
+func (e *engine) pickFree(lo, hi topology.ChannelID, n int32) topology.ChannelID {
 	k := 0
 	if n > 1 {
 		k = e.rng.Intn(int(n))
 	}
-	if int(n) == len(members) {
-		return members[k]
+	if n == hi-lo {
+		return lo + topology.ChannelID(k)
 	}
-	for _, ch := range members {
+	for ch := lo; ch < hi; ch++ {
 		if !e.busy[ch] {
 			if k == 0 {
 				return ch
@@ -1126,7 +1126,8 @@ func (e *engine) checkInvariants(t int64) {
 	}
 	for g, free := range e.free {
 		n := int32(0)
-		for _, ch := range e.tab.Group(topology.GroupID(g)) {
+		lo, hi := e.tab.Group(topology.GroupID(g))
+		for ch := lo; ch < hi; ch++ {
 			if !e.busy[ch] {
 				n++
 			}

@@ -328,7 +328,7 @@ func TestPoolPinsNothing(t *testing.T) {
 			e.sources != nil || e.pat != nil {
 			t.Errorf("parked engine still references its last run: cfg %+v sources %v pat %v", e.cfg, e.sources, e.pat)
 		}
-		if e.tab.GroupOf != nil || e.tab.EjectsTo != nil || e.tab.GroupOff != nil || e.tab.Members != nil {
+		if e.tab.GroupOf != nil || e.tab.EjectsTo != nil || e.tab.GroupOff != nil || e.tab.Kind != nil {
 			t.Error("parked engine still holds the network's tables")
 		}
 		for i, d := range e.destSrc[:cap(e.destSrc)] {

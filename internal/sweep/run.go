@@ -136,6 +136,13 @@ func (r *Runner) backends() []eval.Evaluator {
 	return r.stack
 }
 
+// Uncached returns a runner that answers on r's evaluator stack — the
+// same models and memos — and consults no cache, Scheduler or Progress:
+// a local planner's load search, whose probes write no cache line.
+func (r *Runner) Uncached() *Runner {
+	return &Runner{Workers: r.Workers, Backends: r.backends()}
+}
+
 // caches reports whether the runner reads and writes Cache: it has one,
 // and answers with the built-in stack (or a Scheduler running it).
 func (r *Runner) caches() bool { return r.Cache != nil && r.Backends == nil }

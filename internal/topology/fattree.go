@@ -23,30 +23,31 @@ import (
 // ⌊a/2^(l−1)⌋; a worm headed outside that block may take either parent
 // (the redundancy the paper models as an M/G/2 channel), while downward
 // routes are unique.
+//
+// Routing is per switch, and a channel finds its switch from its place in
+// the layout. Processor p owns injection channel 2p and ejection channel
+// 2p+1, each a group of its own. Switch s below the top level (switches
+// are indexed level by level) owns the four channels from 2N+4s: its two
+// up-links, one group, then the down-links from its parent0 and parent1,
+// a group each. So injection channel 2p leads to level-1 switch p/4,
+// channels 2N+4s+{2,3} lead to s, and channels 2N+4s+{0,1} lead to s's
+// parents.
 type FatTree struct {
 	n       int // N = 4^n
 	numProc int
 	name    lazyName
 
-	// Per-switch data, indexed by switchIndex.
-	level   []int32
-	addr    []int32
-	upGroup []GroupID      // arbitration group of the two up-links; None at level n
-	childCh [][4]ChannelID // down channel per sub-block index 0..3
-
-	// Per-channel data beside the tables.
-	toSw []int32 // destination switch index, or -1 for ejection channels
-	hops []hop   // what NextGroup needs at the switch each channel leads to
+	sw      []route    // the routing record of every switch (switchIndex)
+	parents [][2]int32 // the two parents of every switch below the top
 
 	tab *Tables
 }
 
-// hop packs everything NextGroup reads into one record per channel, so a
-// routing decision is one load instead of a walk through the per-switch
-// arrays: the switch the channel leads to covers processor block blk at
-// granularity 2^shift (shift = 2·level; 0 marks an ejection channel),
-// reaches sub-block i through group down[i] and its parents through up.
-type hop struct {
+// route is what NextGroup reads at one switch: the switch covers
+// processor block blk at granularity 2^shift (shift = 2·level), reaches
+// sub-block i through group down[i] and its parents through up (None at
+// the top level).
+type route struct {
 	shift int32
 	blk   int32
 	up    GroupID
@@ -61,131 +62,82 @@ func NewFatTree(numProc int) (*FatTree, error) {
 		return nil, fmt.Errorf("topology: fat-tree size %d is not a power of four >= 4", numProc)
 	}
 	t := &FatTree{n: n, numProc: numProc}
+	below := t.switchIndex(n, 0) // switches below the top level
+	numCh := 2*numProc + 4*below
+	t.sw = make([]route, t.switchIndex(n+1, 0))
+	t.parents = make([][2]int32, below)
+	groupOf := make([]GroupID, numCh)
+	ejectsTo := make([]int32, numCh)
+	kinds := make([]ChannelKind, numCh)
+	inject := make([]ChannelID, numProc)
 
-	// Index switches level by level, and size the channel columns: every
-	// processor has an injection and an ejection channel, every switch
-	// below the top two up-links and the two down-links that mirror them.
-	offset := make([]int, n+2)
-	total := 0
-	for l := 1; l <= n; l++ {
-		offset[l] = total
-		total += t.switchesAtLevel(l)
+	// The columns, in the layout above: group IDs count the runs.
+	for p := range inject {
+		inj, ej := 2*p, 2*p+1
+		inject[p] = ChannelID(inj)
+		groupOf[inj], groupOf[ej] = GroupID(inj), GroupID(ej)
+		kinds[inj], kinds[ej] = KindInjection, KindEjection
+		ejectsTo[inj], ejectsTo[ej] = -1, int32(p)
 	}
-	offset[n+1] = total
-	numCh := 2*numProc + 4*offset[n]
-	t.level = make([]int32, total)
-	t.addr = make([]int32, total)
-	t.upGroup = make([]GroupID, total)
-	t.childCh = make([][4]ChannelID, total)
-	for s := range t.childCh {
-		t.upGroup[s] = None
-		t.childCh[s] = [4]ChannelID{None, None, None, None}
+	for s := 0; s < below; s++ {
+		ch, g := 2*numProc+4*s, GroupID(2*numProc+3*s)
+		*(*[4]GroupID)(groupOf[ch:]) = [4]GroupID{g, g, g + 1, g + 2}
+		*(*[4]ChannelKind)(kinds[ch:]) = [4]ChannelKind{KindUp, KindUp, KindDown, KindDown}
+		*(*[4]int32)(ejectsTo[ch:]) = [4]int32{-1, -1, -1, -1}
 	}
+
 	for l := 1; l <= n; l++ {
 		for a := 0; a < t.switchesAtLevel(l); a++ {
-			s := offset[l] + a
-			t.level[s] = int32(l)
-			t.addr[s] = int32(a)
+			s := t.switchIndex(l, a)
+			r := &t.sw[s]
+			r.shift, r.blk, r.up = int32(2*l), int32(a>>(l-1)), None
+			r.down = [4]GroupID{None, None, None, None}
+			if l < n {
+				r.up = groupOf[2*numProc+4*s]
+			}
+			if l == 1 {
+				for sub := range r.down {
+					r.down[sub] = groupOf[2*(4*a+sub)+1]
+				}
+			}
 		}
 	}
-	swIdx := func(l, a int) int { return offset[l] + a }
 
-	kinds := make([]ChannelKind, 0, numCh)
-	ejectsTo := make([]int32, 0, numCh)
-	groupOf := make([]GroupID, 0, numCh)
-	t.toSw = make([]int32, 0, numCh)
-	// addChannel appends a channel to the group being formed (open);
-	// closeGroup ends that group, so a group is a run of consecutive
-	// channels.
-	open := GroupID(0)
-	addChannel := func(kind ChannelKind, to int32, ejProc int32) ChannelID {
-		id := ChannelID(len(kinds))
-		kinds = append(kinds, kind)
-		t.toSw = append(t.toSw, to)
-		ejectsTo = append(ejectsTo, ejProc)
-		groupOf = append(groupOf, open)
-		return id
-	}
-	closeGroup := func() GroupID {
-		open++
-		return open - 1
-	}
-
-	// Injection and ejection channels (processor <-> level-1 switches).
-	inject := make([]ChannelID, numProc)
-	for p := 0; p < numProc; p++ {
-		s := swIdx(1, p/4)
-		inject[p] = addChannel(KindInjection, int32(s), -1)
-		closeGroup()
-		ej := addChannel(KindEjection, -1, int32(p))
-		closeGroup()
-		sub := p & 3
-		if t.childCh[s][sub] != None {
-			return nil, fmt.Errorf("topology: duplicate child port %d on S(1,%d)", sub, p/4)
-		}
-		t.childCh[s][sub] = ej
-	}
-
-	// Switch-to-switch channels for levels 1..n-1.
+	// Switch-to-switch wiring for levels 1..n-1, as §3.1 states it. The
+	// child port a switch takes on both parents is its sub-block index
+	// ⌊(a mod 2^(l+1))/2^(l−1)⌋, which is what the router relies on.
 	for l := 1; l < n; l++ {
 		stride := 1 << (l - 1) // 2^(l-1)
 		for a := 0; a < t.switchesAtLevel(l); a++ {
-			s := swIdx(l, a)
+			s := t.switchIndex(l, a)
 			base := a / (2 << l) * (1 << l) // ⌊a/2^(l+1)⌋·2^l
-			pa0 := base + a%(1<<l)
-			pa1 := base + (a+stride)%(1<<l)
-			childPort := a % (2 << l) / stride // ⌊(a mod 2^(l+1))/2^(l−1)⌋
-
-			addChannel(KindUp, int32(swIdx(l+1, pa0)), -1)
-			addChannel(KindUp, int32(swIdx(l+1, pa1)), -1)
-			t.upGroup[s] = closeGroup()
-
-			for _, pa := range []int{pa0, pa1} {
-				ps := swIdx(l+1, pa)
-				down := addChannel(KindDown, int32(s), -1)
-				closeGroup()
-				if t.childCh[ps][childPort] != None {
+			childPort := a % (2 << l) / stride
+			for i, pa := range [2]int{base + a%(1<<l), base + (a+stride)%(1<<l)} {
+				ps := t.switchIndex(l+1, pa)
+				t.parents[s][i] = int32(ps)
+				down := &t.sw[ps].down[childPort]
+				if *down != None {
 					return nil, fmt.Errorf("topology: duplicate child port %d on S(%d,%d)",
 						childPort, l+1, pa)
 				}
-				t.childCh[ps][childPort] = down
+				*down = groupOf[2*numProc+4*s+2+i]
+			}
+		}
+	}
+	for s, r := range t.sw {
+		for sub, g := range r.down {
+			if g == None {
+				l, a := t.switchAt(s)
+				return nil, fmt.Errorf("topology: unwired child port %d on S(%d,%d)", sub, l, a)
 			}
 		}
 	}
 
-	// Sanity: every child port of every switch must be wired, and the
-	// child port index must coincide with the sub-block index used for
-	// routing (a property of the butterfly wiring the router relies on).
-	for s := range t.childCh {
-		for sub, ch := range t.childCh[s] {
-			if ch == None {
-				return nil, fmt.Errorf("topology: unwired child port %d on S(%d,%d)",
-					sub, t.level[s], t.addr[s])
-			}
-			if down := t.toSw[ch]; down >= 0 {
-				wantSub := int(t.addr[down]) >> (int(t.level[down]) - 1) & 3
-				if wantSub != sub {
-					return nil, fmt.Errorf("topology: child port %d of S(%d,%d) leads to sub-block %d",
-						sub, t.level[s], t.addr[s], wantSub)
-				}
-			}
-		}
+	tab, err := newTables(groupOf, ejectsTo, kinds, inject)
+	if err != nil {
+		return nil, err
 	}
-
-	t.hops = make([]hop, numCh)
-	for ch, s := range t.toSw {
-		if s < 0 {
-			continue
-		}
-		h := &t.hops[ch]
-		h.shift = 2 * t.level[s]
-		h.blk = t.addr[s] >> (t.level[s] - 1)
-		h.up = t.upGroup[s]
-		for sub, down := range t.childCh[s] {
-			h.down[sub] = groupOf[down]
-		}
-	}
-	t.tab = newTables(groupOf, ejectsTo, kinds, inject)
+	t.tab = tab
 	return t, nil
 }
 
@@ -217,6 +169,32 @@ func intPow4(n int) int { return 1 << (2 * n) }
 
 func (t *FatTree) switchesAtLevel(l int) int { return t.numProc / (2 << l) } // N/2^(l+1)
 
+// switchIndex numbers S(l,a) level by level: N/2 − N/2^l switches lie
+// below level l. switchIndex(n+1, 0) is the number of switches.
+func (t *FatTree) switchIndex(l, a int) int { return t.numProc/2 - t.numProc>>l + a }
+
+// switchAt is switchIndex's inverse.
+func (t *FatTree) switchAt(s int) (level, addr int) {
+	level = int(t.sw[s].shift) / 2
+	return level, s - t.switchIndex(level, 0)
+}
+
+// switchOf returns the index of the switch channel ch leads to, or -1 for
+// an ejection channel, from the channel layout NewFatTree lays down.
+func (t *FatTree) switchOf(ch ChannelID) int {
+	c := int(ch) - 2*t.numProc
+	switch {
+	case c < 0 && ch&1 == 0:
+		return int(ch) >> 3 // injection channel 2p: S(1, p/4)
+	case c < 0:
+		return -1
+	case c&2 != 0:
+		return c >> 2
+	default:
+		return int(t.parents[c>>2][c&1])
+	}
+}
+
 // Levels returns n = log4(N), the number of switch levels.
 func (t *FatTree) Levels() int { return t.n }
 
@@ -230,7 +208,7 @@ func (t *FatTree) Name() string { return t.name.get("bft-", t.numProc) }
 func (t *FatTree) NumProcessors() int { return t.numProc }
 
 // NumChannels implements Network.
-func (t *FatTree) NumChannels() int { return len(t.toSw) }
+func (t *FatTree) NumChannels() int { return len(t.tab.GroupOf) }
 
 // Tables implements Network.
 func (t *FatTree) Tables() *Tables { return t.tab }
@@ -240,18 +218,19 @@ func (t *FatTree) Tables() *Tables { return t.tab }
 // block (a unique child) and otherwise contends for the switch's up-link
 // pair.
 func (t *FatTree) NextGroup(cur ChannelID, dst int) GroupID {
-	h := &t.hops[cur]
-	if h.shift == 0 {
+	s := t.switchOf(cur)
+	if s < 0 {
 		panic("topology: NextGroup called on an ejection channel")
 	}
-	if dst>>h.shift == int(h.blk) {
-		return h.down[dst>>(h.shift-2)&3]
+	r := &t.sw[s]
+	if dst>>r.shift == int(r.blk) {
+		return r.down[dst>>(r.shift-2)&3]
 	}
-	if h.up == None {
-		l, a, _ := t.SwitchOf(cur)
+	if r.up == None {
+		l, a := t.switchAt(s)
 		panic(fmt.Sprintf("topology: no up-links at root switch S(%d,%d) for dst %d", l, a, dst))
 	}
-	return h.up
+	return r.up
 }
 
 // PathLen implements Network: a message whose lowest common subtree with
@@ -292,11 +271,12 @@ func (t *FatTree) UpLinksBetween(l int) int {
 // SwitchOf returns the (level, addr) pair of the switch a channel leads
 // to, with ok=false for ejection channels.
 func (t *FatTree) SwitchOf(ch ChannelID) (level, addr int, ok bool) {
-	s := t.toSw[ch]
+	s := t.switchOf(ch)
 	if s < 0 {
 		return 0, 0, false
 	}
-	return int(t.level[s]), int(t.addr[s]), true
+	level, addr = t.switchAt(s)
+	return level, addr, true
 }
 
 // Describe dumps the switch wiring in a human-readable form, reproducing
@@ -308,20 +288,21 @@ func (t *FatTree) Describe() string {
 	for l := 1; l <= t.n; l++ {
 		fmt.Fprintf(&b, "level %d: %d switches\n", l, t.switchesAtLevel(l))
 	}
-	for s := range t.level {
-		l, a := int(t.level[s]), int(t.addr[s])
+	for s, r := range t.sw {
+		l, a := t.switchAt(s)
 		fmt.Fprintf(&b, "S(%d,%d):", l, a)
-		for sub, ch := range t.childCh[s] {
-			if down := t.toSw[ch]; down >= 0 {
-				fmt.Fprintf(&b, " child%d->S(%d,%d)", sub, t.level[down], t.addr[down])
+		for sub, g := range r.down {
+			ch, _ := t.tab.Group(g)
+			if cl, ca, ok := t.SwitchOf(ch); ok {
+				fmt.Fprintf(&b, " child%d->S(%d,%d)", sub, cl, ca)
 			} else {
 				fmt.Fprintf(&b, " child%d->P(%d)", sub, t.tab.EjectsTo[ch])
 			}
 		}
-		if g := t.upGroup[s]; g != None {
-			for i, up := range t.tab.Group(g) {
-				ps := t.toSw[up]
-				fmt.Fprintf(&b, " parent%d->S(%d,%d)", i, t.level[ps], t.addr[ps])
+		if s < len(t.parents) {
+			for i, ps := range t.parents[s] {
+				pl, pa := t.switchAt(int(ps))
+				fmt.Fprintf(&b, " parent%d->S(%d,%d)", i, pl, pa)
 			}
 		}
 		b.WriteByte('\n')

@@ -10,8 +10,9 @@ import (
 )
 
 // walk follows NextGroup from src to dst, choosing among adaptive
-// candidates with pick, and returns the channel path.
-func walk(t *testing.T, net Network, src, dst int, pick func(options []ChannelID) ChannelID) []ChannelID {
+// candidates, the group's channels [lo, hi), with pick, and returns the
+// channel path.
+func walk(t *testing.T, net Network, src, dst int, pick func(lo, hi ChannelID) ChannelID) []ChannelID {
 	t.Helper()
 	tab := net.Tables()
 	ch := tab.Inject[src]
@@ -27,8 +28,8 @@ func walk(t *testing.T, net Network, src, dst int, pick func(options []ChannelID
 	return path
 }
 
-func first(options []ChannelID) ChannelID { return options[0] }
-func last(options []ChannelID) ChannelID  { return options[len(options)-1] }
+func first(lo, _ ChannelID) ChannelID { return lo }
+func last(_, hi ChannelID) ChannelID  { return hi - 1 }
 
 func TestFatTreeSizes(t *testing.T) {
 	cases := []struct {
@@ -105,11 +106,11 @@ func TestFatTreeRoutesReachDestination(t *testing.T) {
 				continue
 			}
 			// All adaptive choices must reach dst on a shortest path.
-			for name, pick := range map[string]func([]ChannelID) ChannelID{
+			for name, pick := range map[string]func(lo, hi ChannelID) ChannelID{
 				"first": first,
 				"last":  last,
-				"rand": func(opt []ChannelID) ChannelID {
-					return opt[rng.Intn(len(opt))]
+				"rand": func(lo, hi ChannelID) ChannelID {
+					return lo + ChannelID(rng.Intn(int(hi-lo)))
 				},
 			} {
 				path := walk(t, ft, src, dst, pick)
@@ -168,14 +169,14 @@ func TestFatTreeGroups(t *testing.T) {
 	tab := ft.Tables()
 	pairCount := 0
 	for g := GroupID(0); int(g) < len(tab.GroupOff)-1; g++ {
-		switch members := tab.Group(g); len(members) {
+		switch lo, hi := tab.Group(g); hi - lo {
 		case 1:
-			if k := tab.Kind[members[0]]; k == KindUp {
-				t.Errorf("up channel %d in singleton group", members[0])
+			if k := tab.Kind[lo]; k == KindUp {
+				t.Errorf("up channel %d in singleton group", lo)
 			}
 		case 2:
 			pairCount++
-			for _, ch := range members {
+			for ch := lo; ch < hi; ch++ {
 				if k := tab.Kind[ch]; k != KindUp {
 					t.Errorf("group %d: non-up channel %d (%v) in a pair", g, ch, k)
 				}
@@ -184,7 +185,7 @@ func TestFatTreeGroups(t *testing.T) {
 				}
 			}
 		default:
-			t.Errorf("group %d has %d members", g, len(members))
+			t.Errorf("group %d has %d members", g, hi-lo)
 		}
 	}
 	// One up-pair per switch below the top level: levels 1..n-1.
@@ -283,8 +284,8 @@ func TestFatTreeUpPathNeverDescendsEarly(t *testing.T) {
 		if src == dst {
 			return true
 		}
-		path := walk(t, ft, src, dst, func(opt []ChannelID) ChannelID {
-			return opt[rng.Intn(len(opt))]
+		path := walk(t, ft, src, dst, func(lo, hi ChannelID) ChannelID {
+			return lo + ChannelID(rng.Intn(int(hi-lo)))
 		})
 		descending := false
 		for _, ch := range path[1:] { // skip injection

@@ -60,7 +60,11 @@ func NewHypercube(dims int) (*Hypercube, error) {
 		kinds[inj], kinds[ej] = KindInjection, KindEjection
 		ejectsTo[ej] = int32(v)
 	}
-	t.tab = newTables(groupOf, ejectsTo, kinds, inject)
+	tab, err := newTables(groupOf, ejectsTo, kinds, inject)
+	if err != nil {
+		return nil, err
+	}
+	t.tab = tab
 	return t, nil
 }
 

@@ -5,8 +5,8 @@
 //
 // A network is described as a set of unit-bandwidth directed channels
 // (1 flit/cycle, as the paper assumes) plus arbitration groups: a group is
-// a set of outgoing channels that worms contend for as a single logical
-// multi-server resource. In the butterfly fat-tree the two up-links of a
+// a run of consecutive outgoing channels that worms contend for as a
+// single logical multi-server resource. In the butterfly fat-tree the two up-links of a
 // switch form one group of two servers — exactly the resource the paper
 // models with an M/G/2 queue — while every other channel is a group of one.
 package topology
@@ -98,6 +98,10 @@ type Network interface {
 // Tables is what a network says about its channels and processors, as
 // columns built once by its constructor (newTables) and read by every
 // engine that simulates it and every report that classifies its channels.
+//
+// An arbitration group is a run of consecutive channels, and groups are
+// numbered in channel order: GroupOf starts at 0 and steps by 0 or 1 from
+// each channel to the next.
 type Tables struct {
 	// GroupOf[ch] is the arbitration group channel ch belongs to.
 	GroupOf []GroupID
@@ -108,45 +112,35 @@ type Tables struct {
 	Kind []ChannelKind
 	// Inject[p] is the channel from processor p into the network.
 	Inject []ChannelID
-	// GroupOff and Members hold the arbitration groups in CSR form: the
-	// member channels of group g are Members[GroupOff[g]:GroupOff[g+1]],
-	// ascending.
+	// GroupOff[g] is the first channel of group g; GroupOff[NumGroups]
+	// is the number of channels.
 	GroupOff []int32
-	Members  []ChannelID
 }
 
-// newTables takes a network's columns and derives its arbitration groups
-// from groupOf.
-func newTables(groupOf []GroupID, ejectsTo []int32, kind []ChannelKind, inject []ChannelID) *Tables {
+// newTables takes a network's columns and derives where each arbitration
+// group starts from groupOf, which must number its groups as runs.
+func newTables(groupOf []GroupID, ejectsTo []int32, kind []ChannelKind, inject []ChannelID) (*Tables, error) {
 	nGr := 0
-	for _, g := range groupOf {
-		nGr = max(nGr, int(g)+1)
+	if len(groupOf) > 0 {
+		nGr = max(0, int(groupOf[len(groupOf)-1])+1)
 	}
-	// Counting sort of the channels by group: off[g] counts group g, then
-	// marks its end; filling from the last channel down walks each mark
-	// back to its group's start and leaves the members ascending.
-	off := make([]int32, nGr+1)
-	for _, g := range groupOf {
-		off[g]++
+	off := make([]int32, 0, nGr+1)
+	for ch, g := range groupOf {
+		switch next := GroupID(len(off)); {
+		case g == next:
+			off = append(off, int32(ch))
+		case g != next-1 || ch == 0:
+			return nil, fmt.Errorf("topology: channel %d is in group %d after group %d: "+
+				"a group must be a run of channels, numbered in channel order", ch, g, next-1)
+		}
 	}
-	for g := 1; g <= nGr; g++ {
-		off[g] += off[g-1]
-	}
-	members := make([]ChannelID, len(groupOf))
-	for ch := len(groupOf) - 1; ch >= 0; ch-- {
-		g := groupOf[ch]
-		off[g]--
-		members[off[g]] = ChannelID(ch)
-	}
-	return &Tables{GroupOf: groupOf, EjectsTo: ejectsTo, Kind: kind, Inject: inject,
-		GroupOff: off, Members: members}
+	off = append(off, int32(len(groupOf)))
+	return &Tables{GroupOf: groupOf, EjectsTo: ejectsTo, Kind: kind, Inject: inject, GroupOff: off}, nil
 }
 
-// Group returns the member channels of group g: a view of Members,
-// capacity-limited so that an append cannot reach the next group's.
-func (t *Tables) Group(g GroupID) []ChannelID {
-	lo, hi := t.GroupOff[g], t.GroupOff[g+1]
-	return t.Members[lo:hi:hi]
+// Group returns group g's channels, the run [lo, hi).
+func (t *Tables) Group(g GroupID) (lo, hi ChannelID) {
+	return t.GroupOff[g], t.GroupOff[g+1]
 }
 
 // lazyName is a network's name, "<prefix><processors>", built on the
