@@ -121,8 +121,8 @@ lint:
 	@! grep -nE '^func \([a-z]* ?\*?(FatTreeModel|TorusModel)\) (Latency|ServiceInj|SaturationLoad|ChannelStats|Name|MsgFlits|AvgDist|BuildCoreModel|setRates)\(' internal/analytic/*.go && \
 	test -z "$$(grep -rlE '^type (NetworkModel|HypercubeModel)[[:space:]]' --include='*.go' . | grep -v '_test\.go$$')" || { \
 		echo "one analytic model: Latency, ServiceInj, SaturationLoad, ChannelStats, Name, MsgFlits, AvgDist and BuildCoreModel are declared on analytic.Model only (FatTreeModel and TorusModel embed it and give their rates as perLink), and no NetworkModel or HypercubeModel type is declared"; exit 1; }
-	@! grep -nE '^func \([^)]*\) (Groups|GroupOf|Kind|InjectionChannel|EjectsTo)\(|^[[:space:]]+Members[[:space:]]' $$(find internal/topology -name '*.go' ! -name '*_test.go') || { \
-		echo "a network's per-channel facts are its Tables: no type in internal/topology declares Groups, GroupOf, Kind, InjectionChannel or EjectsTo; every reader, the simulator's cycle loop first, takes the column (GroupOf, EjectsTo, Kind, Inject), and a group is a run of channels, Group(g) = [GroupOff[g], GroupOff[g+1]), with no Members list beside it"; exit 1; }
+	@! grep -nE '^func \([^)]*\) (Groups|GroupOf|Kind|InjectionChannel|EjectsTo)\(|^[[:space:]]+(Members|GroupOf|GroupOff|EjectsTo|Inject)[[:space:]]' $$(find internal/topology -name '*.go' ! -name '*_test.go') || { \
+		echo "a network's tables are two bytes per channel and a stride: no type in internal/topology declares Groups, GroupOf, Kind, InjectionChannel or EjectsTo, or a Members, GroupOf, GroupOff, EjectsTo or Inject column; every reader, the simulator's cycle loop first, takes Tables' Kind and Lead columns, a group is the run named by its first channel (channel ch is in group ch - Lead[ch]), and processor p's channels are where Stride puts them, Injection(p) = p*Stride and Ejection(p) = p*Stride+1"; exit 1; }
 	@test -z "$$(grep -rlE 'calib-map|LoadMap\(|MapPath\(|func \(m \*Map\) Save' --include='*.go' . | grep -v '_test\.go$$')" && \
 	! grep -lE '^[[:space:]]*(import[[:space:]]+)?"os"$$' $$(find internal/calib -name '*.go' ! -name '*_test.go') || { \
 		echo "one calibration record: the result store is the record; a calibration map is mined from it in memory and never saved or loaded (internal/calib does not import os)"; exit 1; }

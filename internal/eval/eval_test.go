@@ -158,21 +158,17 @@ func TestSimEvaluateAllocs(t *testing.T) {
 	}
 }
 
-// misdeliveringNet labels every ejection channel with the wrong
-// processor, which trips the simulator's delivery assertion (a panic).
+// misdeliveringNet routes every worm's last hop to the next processor's
+// ejection channel, which trips the simulator's delivery assertion (a
+// panic).
 type misdeliveringNet struct{ topology.Network }
 
-// Tables returns a copy of the embedded network's tables whose ejection
-// column names the next processor.
-func (n *misdeliveringNet) Tables() *topology.Tables {
-	tab := *n.Network.Tables()
-	tab.EjectsTo = append([]int32(nil), tab.EjectsTo...)
-	for ch, p := range tab.EjectsTo {
-		if p >= 0 {
-			tab.EjectsTo[ch] = (p + 1) % int32(n.NumProcessors())
-		}
+func (n *misdeliveringNet) NextGroup(cur topology.ChannelID, dst int) topology.GroupID {
+	g, tab := n.Network.NextGroup(cur, dst), n.Tables()
+	if g == tab.Ejection(dst) {
+		return tab.Ejection((dst + 1) % n.NumProcessors())
 	}
-	return &tab
+	return g
 }
 
 // A request must not be able to kill or wedge a shard: a simulator panic

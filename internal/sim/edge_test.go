@@ -160,13 +160,16 @@ func TestGroupPartitionRoundTrip(t *testing.T) {
 	} {
 		tab := net.Tables()
 		seen := make(map[topology.ChannelID]int)
-		for g := topology.GroupID(0); int(g) < len(tab.GroupOff)-1; g++ {
+		for g := topology.GroupID(0); int(g) < net.NumChannels(); g++ {
+			if tab.Lead[g] != 0 {
+				continue // groups are named by their first channel
+			}
 			lo, hi := tab.Group(g)
 			for ch := lo; ch < hi; ch++ {
 				seen[ch]++
-				if tab.GroupOf[ch] != g {
-					t.Errorf("%s: GroupOf[%d] = %d, in group %d",
-						net.Name(), ch, tab.GroupOf[ch], g)
+				if lead := topology.ChannelID(tab.Lead[ch]); ch-lead != g {
+					t.Errorf("%s: channel %d leads by %d, in group %d",
+						net.Name(), ch, lead, g)
 				}
 			}
 		}

@@ -258,7 +258,8 @@ type engine struct {
 	sFlits int32
 
 	// tab is the network's flat structure (shared, read-only) and free the
-	// one mutable column on it: free channels per arbitration group.
+	// one mutable column on it: the free channels of each arbitration
+	// group, at the group's first channel.
 	tab  topology.Tables
 	free []int32
 
@@ -269,8 +270,10 @@ type engine struct {
 	busy       []bool
 	acquiredAt []int64
 
-	// arbQ holds the arbitration FIFOs, one per group (PairQueue) or per
-	// channel (RandomFixed), threaded through soa.next.
+	// arbQ holds the arbitration FIFOs by channel, threaded through
+	// soa.next: a group's one FIFO at its first channel (PairQueue), or one
+	// per channel (RandomFixed). pending and inPending name groups the same
+	// way.
 	arbQ      linkedQueues
 	pending   []topology.GroupID
 	inPending []bool
@@ -366,7 +369,6 @@ func (e *engine) reset(cfg Config) error {
 	nProc := net.NumProcessors()
 	nCh := net.NumChannels()
 	tab := net.Tables()
-	nGr := len(tab.GroupOff) - 1
 	old := *e
 	*e = engine{
 		cfg:        cfg,
@@ -374,14 +376,14 @@ func (e *engine) reset(cfg Config) error {
 		nProc:      nProc,
 		sFlits:     int32(cfg.MsgFlits),
 		tab:        *tab,
-		free:       resized(old.free, nGr),
+		free:       resized(old.free, nCh),
 		soa:        old.soa,
 		freeList:   old.freeList[:0],
 		busy:       resized(old.busy, nCh),
 		acquiredAt: resized(old.acquiredAt, nCh),
 		arbQ:       old.arbQ,
 		pending:    old.pending[:0],
-		inPending:  resized(old.inPending, nGr),
+		inPending:  resized(old.inPending, nCh),
 		routeNow:   old.routeNow[:0],
 		routeNext:  old.routeNext[:0],
 		draining:   old.draining[:0],
@@ -404,16 +406,12 @@ func (e *engine) reset(cfg Config) error {
 			busyInMeas: resized(old.busyInMeas, nCh),
 		},
 	}
-	for g := range e.free {
-		e.free[g] = tab.GroupOff[g+1] - tab.GroupOff[g]
+	for ch, lead := range tab.Lead {
+		e.free[ch-int(lead)]++
 	}
 	diam := diameter(net)
 	e.soa.recycle(nProc, diam)
-	if cfg.Policy == RandomFixed {
-		e.arbQ.recycle(nCh)
-	} else {
-		e.arbQ.recycle(nGr)
-	}
+	e.arbQ.recycle(nCh)
 	e.srcQ.recycle(nProc)
 	e.arr.recycle()
 	if cfg.LatencyHistogram {
@@ -693,7 +691,7 @@ func (e *engine) createWorm(p int, t int64) {
 	e.soa.arrival[id] = a
 	e.soa.state[id] = stateRouting
 	e.soa.tracked[id] = a >= float64(e.measStart) && a < float64(e.measEnd)
-	e.enqueue(e.tab.GroupOf[e.tab.Inject[p]], id, t)
+	e.enqueue(e.tab.Injection(p), id, t)
 	e.waitingInj[p] = true
 	e.active++
 }
@@ -874,9 +872,9 @@ func (e *engine) grant(id int32, ch topology.ChannelID, g topology.GroupID, t in
 	e.shift(id, t)
 	e.lastProgress = t
 	dst := e.soa.dst[id]
-	if p := e.tab.EjectsTo[ch]; p >= 0 {
-		if p != dst {
-			panic(fmt.Sprintf("sim: worm for %d delivered to %d", dst, p))
+	if e.tab.Kind[ch] == topology.KindEjection {
+		if ch != e.tab.Ejection(int(dst)) {
+			panic(fmt.Sprintf("sim: worm for %d delivered to %d", dst, ch/e.tab.Stride))
 		}
 		e.soa.consumed[id] = 1 // the head's traversal of the ejection channel
 		e.countFlit(t)
@@ -961,7 +959,7 @@ func (e *engine) scheduleRelease(ch topology.ChannelID, t int64) {
 func (e *engine) applyReleases() {
 	for _, ch := range e.releases {
 		e.busy[ch] = false
-		e.free[e.tab.GroupOf[ch]]++
+		e.free[ch-topology.ChannelID(e.tab.Lead[ch])]++
 	}
 	e.releases = e.releases[:0]
 }
@@ -1118,7 +1116,8 @@ func (e *engine) checkInvariants(t int64) {
 		}
 	}
 	// Releases are applied before this check runs, so the busy set and
-	// the held set must match exactly, and the free counters with them.
+	// the held set must match exactly, and the free counters with them: a
+	// group's at its first channel, 0 at every other.
 	for ch, b := range e.busy {
 		if _, isHeld := held[topology.ChannelID(ch)]; b != isHeld {
 			panic(fmt.Sprintf("cycle %d: channel %d busy=%v held=%v", t, ch, b, isHeld))
@@ -1126,10 +1125,12 @@ func (e *engine) checkInvariants(t int64) {
 	}
 	for g, free := range e.free {
 		n := int32(0)
-		lo, hi := e.tab.Group(topology.GroupID(g))
-		for ch := lo; ch < hi; ch++ {
-			if !e.busy[ch] {
-				n++
+		if e.tab.Lead[g] == 0 {
+			lo, hi := e.tab.Group(topology.GroupID(g))
+			for ch := lo; ch < hi; ch++ {
+				if !e.busy[ch] {
+					n++
+				}
 			}
 		}
 		if n != free {

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -14,35 +15,25 @@ import (
 // faultyNet is a working network with one routing fault injected.
 type faultyNet struct {
 	topology.Network
-	// selfLoop routes every head back to the channel it just crossed,
-	// which its own worm still holds: nothing ever advances (deadlock).
+	// selfLoop routes every head back to the group of the channel it just
+	// crossed, which its own worm still holds: nothing ever advances
+	// (deadlock).
 	selfLoop bool
-	// misdeliver relabels every ejection channel with the wrong
-	// processor, tripping grant's delivery assertion (panic).
+	// misdeliver routes every head's last hop to the next processor's
+	// ejection channel, tripping grant's delivery assertion (panic).
 	misdeliver bool
 }
 
 func (n *faultyNet) NextGroup(cur topology.ChannelID, dst int) topology.GroupID {
+	tab := n.Tables()
 	if n.selfLoop {
-		return n.Tables().GroupOf[cur]
+		return cur - topology.ChannelID(tab.Lead[cur])
 	}
-	return n.Network.NextGroup(cur, dst)
-}
-
-// Tables returns the embedded network's tables, or, to misdeliver, a copy
-// whose ejection column names the next processor.
-func (n *faultyNet) Tables() *topology.Tables {
-	if !n.misdeliver {
-		return n.Network.Tables()
+	g := n.Network.NextGroup(cur, dst)
+	if n.misdeliver && g == tab.Ejection(dst) {
+		return tab.Ejection((dst + 1) % n.NumProcessors())
 	}
-	tab := *n.Network.Tables()
-	tab.EjectsTo = append([]int32(nil), tab.EjectsTo...)
-	for ch, p := range tab.EjectsTo {
-		if p >= 0 {
-			tab.EjectsTo[ch] = (p + 1) % int32(n.NumProcessors())
-		}
-	}
-	return &tab
+	return g
 }
 
 // reuseMatrix is the run matrix of the reuse tests: the pinned
@@ -189,8 +180,8 @@ func TestPoolReuseBitIdentical(t *testing.T) {
 	lost.Net = &faultyNet{Network: lost.Net, misdeliver: true}
 	func() {
 		defer func() {
-			if v := recover(); v == nil {
-				t.Error("misdelivering network did not panic")
+			if v := recover(); !strings.Contains(fmt.Sprint(v), "delivered to") {
+				t.Errorf("misdelivering network: panic %v, want the delivery assertion", v)
 			}
 		}()
 		Run(ctx, lost)
@@ -328,7 +319,7 @@ func TestPoolPinsNothing(t *testing.T) {
 			e.sources != nil || e.pat != nil {
 			t.Errorf("parked engine still references its last run: cfg %+v sources %v pat %v", e.cfg, e.sources, e.pat)
 		}
-		if e.tab.GroupOf != nil || e.tab.EjectsTo != nil || e.tab.GroupOff != nil || e.tab.Kind != nil {
+		if e.tab.Kind != nil || e.tab.Lead != nil {
 			t.Error("parked engine still holds the network's tables")
 		}
 		for i, d := range e.destSrc[:cap(e.destSrc)] {

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strings"
@@ -26,12 +27,12 @@ import (
 //
 // Routing is per switch, and a channel finds its switch from its place in
 // the layout. Processor p owns injection channel 2p and ejection channel
-// 2p+1, each a group of its own. Switch s below the top level (switches
-// are indexed level by level) owns the four channels from 2N+4s: its two
-// up-links, one group, then the down-links from its parent0 and parent1,
-// a group each. So injection channel 2p leads to level-1 switch p/4,
-// channels 2N+4s+{2,3} lead to s, and channels 2N+4s+{0,1} lead to s's
-// parents.
+// 2p+1, each a group of its own (the tables' stride is 2). Switch s below
+// the top level (switches are indexed level by level) owns the four
+// channels from 2N+4s: its two up-links, one group, then the down-links
+// from its parent0 and parent1, a group each. So injection channel 2p
+// leads to level-1 switch p/4, channels 2N+4s+{2,3} lead to s, and
+// channels 2N+4s+{0,1} lead to s's parents.
 type FatTree struct {
 	n       int // N = 4^n
 	numProc int
@@ -46,7 +47,7 @@ type FatTree struct {
 // route is what NextGroup reads at one switch: the switch covers
 // processor block blk at granularity 2^shift (shift = 2·level), reaches
 // sub-block i through group down[i] and its parents through up (None at
-// the top level).
+// the top level), each group named by its first channel.
 type route struct {
 	shift int32
 	blk   int32
@@ -66,24 +67,18 @@ func NewFatTree(numProc int) (*FatTree, error) {
 	numCh := 2*numProc + 4*below
 	t.sw = make([]route, t.switchIndex(n+1, 0))
 	t.parents = make([][2]int32, below)
-	groupOf := make([]GroupID, numCh)
-	ejectsTo := make([]int32, numCh)
 	kinds := make([]ChannelKind, numCh)
-	inject := make([]ChannelID, numProc)
+	lead := make([]uint8, numCh)
 
-	// The columns, in the layout above: group IDs count the runs.
-	for p := range inject {
-		inj, ej := 2*p, 2*p+1
-		inject[p] = ChannelID(inj)
-		groupOf[inj], groupOf[ej] = GroupID(inj), GroupID(ej)
-		kinds[inj], kinds[ej] = KindInjection, KindEjection
-		ejectsTo[inj], ejectsTo[ej] = -1, int32(p)
+	// The columns, in the layout above: only a second up-link trails the
+	// first channel of its group.
+	for p := 0; p < numProc; p++ {
+		kinds[2*p], kinds[2*p+1] = KindInjection, KindEjection
 	}
 	for s := 0; s < below; s++ {
-		ch, g := 2*numProc+4*s, GroupID(2*numProc+3*s)
-		*(*[4]GroupID)(groupOf[ch:]) = [4]GroupID{g, g, g + 1, g + 2}
+		ch := 2*numProc + 4*s
 		*(*[4]ChannelKind)(kinds[ch:]) = [4]ChannelKind{KindUp, KindUp, KindDown, KindDown}
-		*(*[4]int32)(ejectsTo[ch:]) = [4]int32{-1, -1, -1, -1}
+		lead[ch+1] = 1
 	}
 
 	for l := 1; l <= n; l++ {
@@ -93,11 +88,11 @@ func NewFatTree(numProc int) (*FatTree, error) {
 			r.shift, r.blk, r.up = int32(2*l), int32(a>>(l-1)), None
 			r.down = [4]GroupID{None, None, None, None}
 			if l < n {
-				r.up = groupOf[2*numProc+4*s]
+				r.up = GroupID(2*numProc + 4*s)
 			}
 			if l == 1 {
 				for sub := range r.down {
-					r.down[sub] = groupOf[2*(4*a+sub)+1]
+					r.down[sub] = GroupID(2*(4*a+sub) + 1)
 				}
 			}
 		}
@@ -120,7 +115,7 @@ func NewFatTree(numProc int) (*FatTree, error) {
 					return nil, fmt.Errorf("topology: duplicate child port %d on S(%d,%d)",
 						childPort, l+1, pa)
 				}
-				*down = groupOf[2*numProc+4*s+2+i]
+				*down = GroupID(2*numProc + 4*s + 2 + i)
 			}
 		}
 	}
@@ -133,7 +128,7 @@ func NewFatTree(numProc int) (*FatTree, error) {
 		}
 	}
 
-	tab, err := newTables(groupOf, ejectsTo, kinds, inject)
+	tab, err := newTables(kinds, lead, 2, numProc)
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +203,7 @@ func (t *FatTree) Name() string { return t.name.get("bft-", t.numProc) }
 func (t *FatTree) NumProcessors() int { return t.numProc }
 
 // NumChannels implements Network.
-func (t *FatTree) NumChannels() int { return len(t.tab.GroupOf) }
+func (t *FatTree) NumChannels() int { return len(t.tab.Kind) }
 
 // Tables implements Network.
 func (t *FatTree) Tables() *Tables { return t.tab }
@@ -284,7 +279,7 @@ func (t *FatTree) SwitchOf(ch ChannelID) (level, addr int, ok bool) {
 func (t *FatTree) Describe() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "butterfly fat-tree: N=%d processors, n=%d switch levels, %d channels, %d arbitration groups\n",
-		t.numProc, t.n, t.NumChannels(), len(t.tab.GroupOff)-1)
+		t.numProc, t.n, t.NumChannels(), bytes.Count(t.tab.Lead, []byte{0}))
 	for l := 1; l <= t.n; l++ {
 		fmt.Fprintf(&b, "level %d: %d switches\n", l, t.switchesAtLevel(l))
 	}
@@ -292,11 +287,10 @@ func (t *FatTree) Describe() string {
 		l, a := t.switchAt(s)
 		fmt.Fprintf(&b, "S(%d,%d):", l, a)
 		for sub, g := range r.down {
-			ch, _ := t.tab.Group(g)
-			if cl, ca, ok := t.SwitchOf(ch); ok {
+			if cl, ca, ok := t.SwitchOf(g); ok {
 				fmt.Fprintf(&b, " child%d->S(%d,%d)", sub, cl, ca)
 			} else {
-				fmt.Fprintf(&b, " child%d->P(%d)", sub, t.tab.EjectsTo[ch])
+				fmt.Fprintf(&b, " child%d->P(%d)", sub, g/t.tab.Stride)
 			}
 		}
 		if s < len(t.parents) {

@@ -15,9 +15,9 @@ import (
 func walk(t *testing.T, net Network, src, dst int, pick func(lo, hi ChannelID) ChannelID) []ChannelID {
 	t.Helper()
 	tab := net.Tables()
-	ch := tab.Inject[src]
+	ch := tab.Injection(src)
 	path := []ChannelID{ch}
-	for int(tab.EjectsTo[ch]) != dst {
+	for ch != tab.Ejection(dst) {
 		if len(path) > 4*net.NumChannels() {
 			t.Fatalf("walk %d->%d did not terminate", src, dst)
 		}
@@ -168,7 +168,10 @@ func TestFatTreeGroups(t *testing.T) {
 	ft := MustFatTree(64)
 	tab := ft.Tables()
 	pairCount := 0
-	for g := GroupID(0); int(g) < len(tab.GroupOff)-1; g++ {
+	for g := GroupID(0); int(g) < ft.NumChannels(); g++ {
+		if tab.Lead[g] != 0 {
+			continue // groups are named by their first channel
+		}
 		switch lo, hi := tab.Group(g); hi - lo {
 		case 1:
 			if k := tab.Kind[lo]; k == KindUp {
@@ -180,8 +183,8 @@ func TestFatTreeGroups(t *testing.T) {
 				if k := tab.Kind[ch]; k != KindUp {
 					t.Errorf("group %d: non-up channel %d (%v) in a pair", g, ch, k)
 				}
-				if tab.GroupOf[ch] != g {
-					t.Errorf("GroupOf[%d] = %d, want %d", ch, tab.GroupOf[ch], g)
+				if lead := ChannelID(tab.Lead[ch]); ch-lead != g {
+					t.Errorf("channel %d leads by %d, in group %d", ch, lead, g)
 				}
 			}
 		default:
@@ -229,30 +232,21 @@ func TestFatTreeUpLinksBetween(t *testing.T) {
 
 func TestFatTreeInjectionEjection(t *testing.T) {
 	tab := MustFatTree(16).Tables()
-	seen := map[ChannelID]bool{}
-	for p, inj := range tab.Inject {
-		if seen[inj] {
-			t.Errorf("injection channel %d reused", inj)
+	for p := 0; p < 16; p++ {
+		inj, ej := tab.Injection(p), tab.Ejection(p)
+		if inj != ChannelID(2*p) || ej != ChannelID(2*p+1) {
+			t.Errorf("processor %d's channels are %d and %d, want %d and %d", p, inj, ej, 2*p, 2*p+1)
 		}
-		seen[inj] = true
-		if tab.Kind[inj] != KindInjection {
-			t.Errorf("kind(inj %d) = %v", p, tab.Kind[inj])
-		}
-		if tab.EjectsTo[inj] != -1 {
-			t.Errorf("injection channel reports EjectsTo = %d", tab.EjectsTo[inj])
+		if tab.Kind[inj] != KindInjection || tab.Kind[ej] != KindEjection {
+			t.Errorf("processor %d's channels have kinds %v and %v", p, tab.Kind[inj], tab.Kind[ej])
 		}
 	}
-	ejCount := 0
-	for ch, p := range tab.EjectsTo {
-		if p >= 0 {
-			ejCount++
-			if tab.Kind[ch] != KindEjection {
-				t.Errorf("channel %d ejects but kind = %v", ch, tab.Kind[ch])
-			}
-		}
+	count := map[ChannelKind]int{}
+	for _, k := range tab.Kind {
+		count[k]++
 	}
-	if ejCount != 16 {
-		t.Errorf("ejection channels = %d, want 16", ejCount)
+	if count[KindInjection] != 16 || count[KindEjection] != 16 {
+		t.Errorf("%d injection and %d ejection channels, want 16 each", count[KindInjection], count[KindEjection])
 	}
 }
 
@@ -263,14 +257,7 @@ func TestFatTreeNextGroupPanics(t *testing.T) {
 			t.Error("NextGroup on an ejection channel should panic")
 		}
 	}()
-	var ej ChannelID = None
-	for ch, p := range ft.Tables().EjectsTo {
-		if p == 3 {
-			ej = ChannelID(ch)
-			break
-		}
-	}
-	ft.NextGroup(ej, 5)
+	ft.NextGroup(ft.Tables().Ejection(3), 5)
 }
 
 func TestFatTreeUpPathNeverDescendsEarly(t *testing.T) {

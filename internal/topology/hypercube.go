@@ -18,10 +18,10 @@ import (
 // multi-server machinery degenerates to M/G/1 as the paper notes for
 // deterministic routing).
 //
-// Node v owns the dims+2 consecutive channels starting at v·(dims+2):
-// its injection channel, its ejection channel, then its link along each
-// dimension in turn. Group g is channel g. Routing is therefore
-// arithmetic on the channel ID.
+// Node v owns the dims+2 consecutive channels starting at v·(dims+2) (the
+// tables' stride): its injection channel, its ejection channel, then its
+// link along each dimension in turn. Group g is channel g. Routing is
+// therefore arithmetic on the channel ID.
 type Hypercube struct {
 	dims    int
 	numProc int
@@ -45,22 +45,14 @@ func NewHypercube(dims int) (*Hypercube, error) {
 	}
 	t := &Hypercube{dims: dims, numProc: 1 << dims}
 	nCh := t.NumChannels()
-	groupOf := make([]GroupID, nCh)
-	ejectsTo := make([]int32, nCh)
 	kinds := make([]ChannelKind, nCh)
-	inject := make([]ChannelID, t.numProc)
-	for ch := range groupOf {
-		groupOf[ch] = ChannelID(ch)
-		ejectsTo[ch] = -1
+	for ch := range kinds {
 		kinds[ch] = KindLink
 	}
-	for v := range inject {
-		inj, ej := t.channel(v, slotInj), t.channel(v, slotEj)
-		inject[v] = inj
-		kinds[inj], kinds[ej] = KindInjection, KindEjection
-		ejectsTo[ej] = int32(v)
+	for v := 0; v < t.numProc; v++ {
+		kinds[t.channel(v, slotInj)], kinds[t.channel(v, slotEj)] = KindInjection, KindEjection
 	}
-	tab, err := newTables(groupOf, ejectsTo, kinds, inject)
+	tab, err := newTables(kinds, make([]uint8, nCh), int32(dims+slotLink), t.numProc)
 	if err != nil {
 		return nil, err
 	}

@@ -35,13 +35,12 @@ func TestHypercubeRejectsBadDims(t *testing.T) {
 
 func TestHypercubeAllGroupsSingleton(t *testing.T) {
 	tab := MustHypercube(6).Tables()
-	for g := GroupID(0); int(g) < len(tab.GroupOff)-1; g++ {
-		lo, hi := tab.Group(g)
-		if hi-lo != 1 {
-			t.Errorf("group %d has %d members", g, hi-lo)
+	for ch, lead := range tab.Lead {
+		if lead != 0 {
+			t.Errorf("channel %d leads its group by %d", ch, lead)
 		}
-		if tab.GroupOf[lo] != g {
-			t.Errorf("GroupOf mismatch for group %d", g)
+		if lo, hi := tab.Group(GroupID(ch)); lo != GroupID(ch) || hi-lo != 1 {
+			t.Errorf("group %d is [%d, %d)", ch, lo, hi)
 		}
 	}
 }
@@ -124,15 +123,15 @@ func TestHypercubeAvgDistanceMatchesEnumeration(t *testing.T) {
 func TestHypercubeEjection(t *testing.T) {
 	hc := MustHypercube(4)
 	tab := hc.Tables()
-	for p, inj := range tab.Inject {
+	for p := 0; p < hc.NumProcessors(); p++ {
+		inj := tab.Injection(p)
 		if tab.Kind[inj] != KindInjection {
 			t.Errorf("kind(inj) = %v", tab.Kind[inj])
 		}
 		// Self-delivery: inject at p, next hop should eject directly.
-		g := hc.NextGroup(inj, p)
-		ej, _ := tab.Group(g)
-		if int(tab.EjectsTo[ej]) != p {
-			t.Errorf("ejection for node %d delivers to %d", p, tab.EjectsTo[ej])
+		if g := hc.NextGroup(inj, p); g != tab.Ejection(p) {
+			t.Errorf("node %d's own worm goes from injection to group %d, want its ejection channel %d",
+				p, g, tab.Ejection(p))
 		}
 	}
 }
@@ -144,10 +143,7 @@ func TestHypercubeNextGroupPanicsOnEjection(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	inj := hc.Tables().Inject[2]
-	g := hc.NextGroup(inj, 2)
-	ej, _ := hc.Tables().Group(g)
-	hc.NextGroup(ej, 5)
+	hc.NextGroup(hc.Tables().Ejection(2), 5)
 }
 
 func TestHypercubeName(t *testing.T) {

@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -22,12 +24,17 @@ type perChannelRouter struct {
 func newPerChannelRouter(numProc int) *perChannelRouter {
 	n, _ := log4(numProc)
 	r := new(perChannelRouter)
+	// addCh appends a channel to group g or, for g = None, starts a group
+	// that the channel names.
 	addCh := func(l, a int, g GroupID) int {
+		ch := len(r.toSw)
+		if g == None {
+			g = GroupID(ch)
+		}
 		r.toSw = append(r.toSw, [2]int{l, a})
 		r.group = append(r.group, g)
-		return len(r.toSw) - 1
+		return ch
 	}
-	g := GroupID(0)
 	childCh := map[[2]int]*[4]int{}
 	child := func(l, a int) *[4]int {
 		if childCh[[2]int{l, a}] == nil {
@@ -37,9 +44,8 @@ func newPerChannelRouter(numProc int) *perChannelRouter {
 	}
 	upGroup := map[[2]int]GroupID{}
 	for p := 0; p < numProc; p++ {
-		addCh(1, p/4, g)
-		child(1, p/4)[p%4] = addCh(0, p, g+1)
-		g += 2
+		addCh(1, p/4, None)
+		child(1, p/4)[p%4] = addCh(0, p, None)
 	}
 	for l := 1; l < n; l++ {
 		stride := 1 << (l - 1)
@@ -47,12 +53,11 @@ func newPerChannelRouter(numProc int) *perChannelRouter {
 			base := a / (2 << l) * (1 << l)
 			pa := [2]int{base + a%(1<<l), base + (a+stride)%(1<<l)}
 			port := a % (2 << l) / stride
-			addCh(l+1, pa[0], g)
-			addCh(l+1, pa[1], g)
-			upGroup[[2]int{l, a}] = g
-			child(l+1, pa[0])[port] = addCh(l, a, g+1)
-			child(l+1, pa[1])[port] = addCh(l, a, g+2)
-			g += 3
+			up := GroupID(addCh(l+1, pa[0], None))
+			addCh(l+1, pa[1], up)
+			upGroup[[2]int{l, a}] = up
+			child(l+1, pa[0])[port] = addCh(l, a, None)
+			child(l+1, pa[1])[port] = addCh(l, a, None)
 		}
 	}
 	r.hops = make([]route, len(r.toSw))
@@ -98,8 +103,8 @@ func TestFatTreeRoutesBySwitch(t *testing.T) {
 			if want := ref.toSw[ch]; !ok && want[0] != 0 || ok && [2]int{l, a} != want {
 				t.Fatalf("bft-%d: channel %d leads to S(%d,%d) ok=%v, the wiring says %v", n, ch, l, a, ok, want)
 			}
-			if ft.Tables().GroupOf[ch] != ref.group[ch] {
-				t.Fatalf("bft-%d: channel %d in group %d, the wiring says %d", n, ch, ft.Tables().GroupOf[ch], ref.group[ch])
+			if g := ChannelID(ch) - ChannelID(ft.Tables().Lead[ch]); g != ref.group[ch] {
+				t.Fatalf("bft-%d: channel %d in group %d, the wiring says %d", n, ch, g, ref.group[ch])
 			}
 		}
 		check := func(ch ChannelID, dst int) {
@@ -129,9 +134,12 @@ func TestFatTreeRoutesBySwitch(t *testing.T) {
 	}
 }
 
-// TestTablesMatchInterface: every network size the repo builds has
-// columns the length of its channels and processors, and its groups are
-// runs of channels numbered in channel order, as GroupOf says.
+// TestTablesMatchInterface: every network size the repo builds keeps the
+// tables' layout rule. Processor p's channels at p·Stride and p·Stride+1
+// are its injection and ejection channels and lead their groups; every
+// group is the run from a channel of lead 0 to the next; and NextGroup
+// names groups by their first channel. Networks up to 4M channel and
+// destination pairs route every pair, larger ones 200,000 sampled pairs.
 func TestTablesMatchInterface(t *testing.T) {
 	var nets []Network
 	for n := 4; n <= MaxProcessors; n *= 4 {
@@ -140,58 +148,137 @@ func TestTablesMatchInterface(t *testing.T) {
 	for dims := 1; 1<<dims <= MaxProcessors; dims++ {
 		nets = append(nets, MustHypercube(dims))
 	}
+	rng := traffic.NewRNG(55)
 	for _, net := range nets {
 		tab := net.Tables()
-		nCh := net.NumChannels()
-		if len(tab.GroupOf) != nCh || len(tab.EjectsTo) != nCh || len(tab.Kind) != nCh ||
-			len(tab.Inject) != net.NumProcessors() {
-			t.Fatalf("%s: column sizes %d/%d/%d/%d for %d channels, %d processors", net.Name(),
-				len(tab.GroupOf), len(tab.EjectsTo), len(tab.Kind), len(tab.Inject),
-				nCh, net.NumProcessors())
+		nCh, nProc, stride := net.NumChannels(), net.NumProcessors(), int(tab.Stride)
+		if len(tab.Kind) != nCh || len(tab.Lead) != nCh {
+			t.Fatalf("%s: %d kinds and %d lead bytes for %d channels", net.Name(), len(tab.Kind), len(tab.Lead), nCh)
 		}
-		nGr := GroupID(len(tab.GroupOff) - 1)
-		if tab.GroupOff[0] != 0 || tab.GroupOff[nGr] != int32(nCh) {
-			t.Fatalf("%s: groups span [%d, %d), want [0, %d)", net.Name(), tab.GroupOff[0], tab.GroupOff[nGr], nCh)
-		}
-		for g := GroupID(0); g < nGr; g++ {
-			lo, hi := tab.Group(g)
-			if lo >= hi {
-				t.Fatalf("%s: group %d is the empty run [%d, %d)", net.Name(), g, lo, hi)
+		for p := 0; p < nProc; p++ {
+			inj, ej := ChannelID(p*stride), ChannelID(p*stride+1)
+			if tab.Injection(p) != inj || tab.Ejection(p) != ej {
+				t.Fatalf("%s: processor %d's channels are %d and %d, the stride puts them at %d and %d",
+					net.Name(), p, tab.Injection(p), tab.Ejection(p), inj, ej)
 			}
-			for ch := lo; ch < hi; ch++ {
-				if tab.GroupOf[ch] != g {
-					t.Fatalf("%s: channel %d of group %d's run [%d, %d) is in group %d",
-						net.Name(), ch, g, lo, hi, tab.GroupOf[ch])
+			if tab.Kind[inj] != KindInjection || tab.Kind[ej] != KindEjection || tab.Lead[inj] != 0 || tab.Lead[ej] != 0 {
+				t.Fatalf("%s: processor %d's channels %d and %d have kinds %v, %v and lead bytes %d, %d",
+					net.Name(), p, inj, ej, tab.Kind[inj], tab.Kind[ej], tab.Lead[inj], tab.Lead[ej])
+			}
+		}
+		lo := ChannelID(0)
+		for ch := ChannelID(1); int(ch) <= nCh; ch++ {
+			if int(ch) < nCh && tab.Lead[ch] != 0 {
+				if int(tab.Lead[ch]) != int(ch-lo) {
+					t.Fatalf("%s: channel %d leads by %d, %d channels into the group at %d",
+						net.Name(), ch, tab.Lead[ch], ch-lo, lo)
+				}
+				continue
+			}
+			if glo, ghi := tab.Group(lo); glo != lo || ghi != ch {
+				t.Fatalf("%s: group %d is [%d, %d), want the run [%d, %d)", net.Name(), lo, glo, ghi, lo, ch)
+			}
+			lo = ch
+		}
+		if tab.Lead[0] != 0 {
+			t.Fatalf("%s: channel 0 leads by %d", net.Name(), tab.Lead[0])
+		}
+		check := func(ch ChannelID, dst int) {
+			if tab.Kind[ch] == KindEjection {
+				return
+			}
+			if g := net.NextGroup(ch, dst); g < 0 || int(g) >= nCh || tab.Lead[g] != 0 {
+				t.Fatalf("%s: NextGroup(%d, %d) = %d, not a group's first channel", net.Name(), ch, dst, g)
+			}
+		}
+		if nCh*nProc <= 4<<20 {
+			for ch := ChannelID(0); int(ch) < nCh; ch++ {
+				for dst := 0; dst < nProc; dst++ {
+					check(ch, dst)
 				}
 			}
+			continue
+		}
+		for i := 0; i < 200_000; i++ {
+			check(ChannelID(rng.Intn(nCh)), rng.Intn(nProc))
 		}
 	}
 }
 
-// newTables takes only a GroupOf column whose groups are runs numbered in
-// channel order.
+// newTables takes only columns that keep the layout rule: a lead byte that
+// steps by one from 0 within a group, and each processor's injection and
+// ejection channels at the stride, in groups of their own, the only
+// channels of those kinds.
 func TestNewTablesRejectsScatteredGroups(t *testing.T) {
-	for _, groupOf := range [][]GroupID{
-		{0, 1, 0},    // group 0 split in two
-		{1, 0},       // numbered against channel order
-		{0, 2},       // group 1 missing
-		{1},          // group 0 missing
-		{-1, 0},      // a channel in no group
-		{0, 0, 1, 3}, // a gap at the end
+	const (
+		I, E, U, D = KindInjection, KindEjection, KindUp, KindDown
+	)
+	// Two processors at stride 3, then two up-links and a down-link.
+	kind := []ChannelKind{I, E, D, I, E, D, U, U, D}
+	lead := []uint8{0, 0, 0, 0, 0, 0, 0, 1, 0}
+	for _, c := range []struct {
+		name string
+		at   int
+		kind ChannelKind
+		lead uint8
+		want string
+	}{
+		{"a group starting at a lead of 1", 0, I, 1, "run of channels"},
+		{"a lead byte that skips", 7, U, 2, "run of channels"},
+		{"a lead byte that starts mid-run", 8, D, 1, "run of channels"},
+		{"an ejection channel in its injection channel's group", 1, E, 1, "groups of their own"},
+		{"a processor channel of the wrong kind", 3, D, 0, "injection and an ejection"},
+		{"an injection channel of no processor", 6, I, 0, "no processor's"},
+		{"an ejection channel at an injection channel's place", 5, E, 0, "no processor's"},
+		{"a group trailing an ejection channel", 5, D, 1, "groups of their own"},
 	} {
-		n := len(groupOf)
-		_, err := newTables(groupOf, make([]int32, n), make([]ChannelKind, n), nil)
-		if err == nil || !strings.Contains(err.Error(), "run of channels") {
-			t.Errorf("newTables(%v): error %v, want a rejection", groupOf, err)
+		k, l := append([]ChannelKind(nil), kind...), append([]uint8(nil), lead...)
+		k[c.at], l[c.at] = c.kind, c.lead
+		_, err := newTables(k, l, 3, 2)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one saying %q", c.name, err, c.want)
 		}
 	}
-	tab, err := newTables([]GroupID{0, 0, 1, 2, 2, 2}, make([]int32, 6), make([]ChannelKind, 6), nil)
+	for _, c := range []struct {
+		name    string
+		lead    []uint8
+		stride  int32
+		numProc int
+	}{
+		{"a lead column of the wrong length", lead[:8], 3, 2},
+		{"a stride of 1", lead, 1, 2},
+		{"more processors than channels", lead, 3, 3},
+		{"no processors", lead, 3, 0},
+	} {
+		if _, err := newTables(kind, c.lead, c.stride, c.numProc); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+	tab, err := newTables(kind, lead, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []int32{0, 2, 3, 6}; len(tab.GroupOff) != len(want) ||
-		tab.GroupOff[0] != want[0] || tab.GroupOff[1] != want[1] || tab.GroupOff[2] != want[2] || tab.GroupOff[3] != want[3] {
-		t.Errorf("GroupOff = %v, want %v", tab.GroupOff, want)
+	for g, want := range map[GroupID]ChannelID{0: 1, 2: 3, 5: 6, 6: 8, 8: 9} {
+		if lo, hi := tab.Group(g); lo != g || hi != want {
+			t.Errorf("Group(%d) = [%d, %d), want [%d, %d)", g, lo, hi, g, want)
+		}
+	}
+}
+
+// TestFatTreeDescribePinned: Describe's dump of bft-4 through bft-1024,
+// one SHA-256 per size, as it was when groups were numbered in their own
+// column and the processor a channel ejects to was read from a table.
+func TestFatTreeDescribePinned(t *testing.T) {
+	for n, want := range map[int]string{
+		4:    "6762927191a3ef5abfb20df77f3a07d281ed376593e0078a2f4391d4614464d9",
+		16:   "ff8e9c01e9a525d2337d1cdb02530fbf53a31f2e213ee10a46b33475b4ffe2c8",
+		64:   "eb0c72f955494c18dadf0822559ee4b4845d421b2342e68c940c7dbf3d9d330b",
+		256:  "b9eb880c018504b58d6b68e3e6b08b1f86fcb112260929608db461ec2a6da775",
+		1024: "423c5aaf427a5127d43a93e40082caac2fc08d2dc6945e362098bad4d5e4f96a",
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(MustFatTree(n).Describe()))); got != want {
+			t.Errorf("bft-%d: Describe hashes to %s, want %s", n, got, want)
+		}
 	}
 }
 
@@ -226,9 +313,11 @@ func buildAllocs(build func()) float64 {
 // TestFatTreeBuildAllocs and TestHypercubeBuildAllocs pin what building a
 // network costs: a fixed number of arrays whatever its size, not one slice
 // per arbitration group (3,578 allocations for bft-1024 before the tables).
+// A fat-tree is its struct, its routing records and parents, its two
+// columns and the Tables that holds them; a hypercube has no records.
 func TestFatTreeBuildAllocs(t *testing.T) {
 	for _, n := range []int{64, 1024} {
-		if got, want := buildAllocs(func() { MustFatTree(n) }), 9.0; got != want {
+		if got, want := buildAllocs(func() { MustFatTree(n) }), 6.0; got != want {
 			t.Errorf("bft-%d: %v allocations per build, want %v", n, got, want)
 		}
 	}
@@ -236,25 +325,41 @@ func TestFatTreeBuildAllocs(t *testing.T) {
 
 func TestHypercubeBuildAllocs(t *testing.T) {
 	for _, dims := range []int{6, 10} {
-		if got, want := buildAllocs(func() { MustHypercube(dims) }), 7.0; got != want {
+		if got, want := buildAllocs(func() { MustHypercube(dims) }), 4.0; got != want {
 			t.Errorf("hcube-%d: %v allocations per build, want %v", 1<<dims, got, want)
 		}
 	}
 }
 
-// TestFatTreeBuildAllocBytes caps what one bft-1024 build allocates, about
-// 74 KB, so a per-channel table cannot come back unnoticed: a routing
-// record per channel alone was 111 KB.
-func TestFatTreeBuildAllocBytes(t *testing.T) {
-	const builds, budget = 20, 100 << 10
+// buildBytes is what one build allocates, averaged over builds.
+func buildBytes(builds int, build func()) uint64 {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < builds; i++ {
-		MustFatTree(1024)
+		build()
 	}
 	runtime.ReadMemStats(&after)
-	if got := (after.TotalAlloc - before.TotalAlloc) / builds; got > budget {
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(builds)
+}
+
+// TestFatTreeBuildAllocBytes caps what one bft-1024 build allocates, about
+// 27 KB, so a per-channel table cannot come back unnoticed: the four int32
+// columns the lead byte and the stride replaced were 47 KB, and a routing
+// record per channel 111 KB.
+func TestFatTreeBuildAllocBytes(t *testing.T) {
+	const budget = 32 << 10
+	if got := buildBytes(20, func() { MustFatTree(1024) }); got > budget {
 		t.Errorf("bft-1024: %d bytes per build, budget %d", got, budget)
+	}
+}
+
+// TestHypercubeBuildAllocBytes caps the 16-cube, the largest hypercube a
+// request may ask for: two bytes for each of its 1,179,648 channels, about
+// 2.36 MB, where the four int32 columns made it 15.6 MB.
+func TestHypercubeBuildAllocBytes(t *testing.T) {
+	const budget = 2500 << 10
+	if got := buildBytes(3, func() { MustHypercube(16) }); got > budget {
+		t.Errorf("hcube-65536: %d bytes per build, budget %d", got, budget)
 	}
 }

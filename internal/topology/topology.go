@@ -6,9 +6,13 @@
 // A network is described as a set of unit-bandwidth directed channels
 // (1 flit/cycle, as the paper assumes) plus arbitration groups: a group is
 // a run of consecutive outgoing channels that worms contend for as a
-// single logical multi-server resource. In the butterfly fat-tree the two up-links of a
-// switch form one group of two servers — exactly the resource the paper
-// models with an M/G/2 queue — while every other channel is a group of one.
+// single logical multi-server resource, named by its first channel. In
+// the butterfly fat-tree the two up-links of a switch form one group of
+// two servers — exactly the resource the paper models with an M/G/2
+// queue — while every other channel is a group of one. Both networks lay
+// each processor's injection and ejection channels side by side at a
+// fixed stride, so a network's tables are two bytes per channel (its
+// kind and its place in its group) and that stride.
 package topology
 
 import (
@@ -21,8 +25,8 @@ import (
 // [0, NumChannels).
 type ChannelID = int32
 
-// GroupID identifies an arbitration group. IDs are dense in
-// [0, NumGroups).
+// GroupID identifies an arbitration group by its first channel, so IDs
+// are a subset of [0, NumChannels).
 type GroupID = int32
 
 // None marks the absence of a channel or group.
@@ -67,10 +71,10 @@ func (k ChannelKind) String() string {
 }
 
 // Network is the topology contract consumed by the simulator: a network
-// is its tables and its router. Every per-channel and per-processor fact
-// is a column of Tables; the methods are the ones that compute. All
-// channels have unit bandwidth and unit latency; a path's unloaded head
-// latency is its channel count.
+// is its tables and its router. Every per-channel fact is a column of
+// Tables and every processor's channels sit where its Stride puts them;
+// the methods are the ones that compute. All channels have unit bandwidth
+// and unit latency; a path's unloaded head latency is its channel count.
 type Network interface {
 	// Name identifies the network in reports, e.g. "bft-1024".
 	Name() string
@@ -79,13 +83,13 @@ type Network interface {
 	// NumChannels returns the number of directed channels.
 	NumChannels() int
 	// Tables returns the network's columns. They are built with the
-	// network and shared; callers must not modify them. A network that
-	// perturbs another (a fault-injecting test) returns an edited copy.
+	// network and shared; callers must not modify them.
 	Tables() *Tables
-	// NextGroup returns the arbitration group for the next hop of a worm
-	// whose head has just traversed channel cur and is destined for
-	// processor dst. It must not be called once the head has reached dst
-	// (i.e. when Tables().EjectsTo[cur] == dst).
+	// NextGroup returns the arbitration group, named by its first
+	// channel, for the next hop of a worm whose head has just traversed
+	// channel cur and is destined for processor dst. It must not be
+	// called once the head has reached dst (i.e. when cur is
+	// Tables().Ejection(dst)).
 	NextGroup(cur ChannelID, dst int) GroupID
 	// PathLen returns the number of channels (including injection and
 	// ejection) on a shortest src -> dst path.
@@ -95,52 +99,78 @@ type Network interface {
 	AvgDistance() float64
 }
 
-// Tables is what a network says about its channels and processors, as
-// columns built once by its constructor (newTables) and read by every
-// engine that simulates it and every report that classifies its channels.
+// Tables is what a network says about its channels and processors: two
+// bytes per channel and a stride, built once by its constructor
+// (newTables) and read by every engine that simulates it and every report
+// that classifies its channels.
 //
-// An arbitration group is a run of consecutive channels, and groups are
-// numbered in channel order: GroupOf starts at 0 and steps by 0 or 1 from
-// each channel to the next.
+// An arbitration group is a run of consecutive channels named by its
+// first channel: Lead[ch] is ch's distance from that channel, so ch is in
+// group ch − Lead[ch], and a group runs from a channel of lead 0 to the
+// next. Processor p's injection channel is Injection(p) = p·Stride and
+// its ejection channel Ejection(p) = p·Stride+1, each a group of its own;
+// no other channel has either kind.
 type Tables struct {
-	// GroupOf[ch] is the arbitration group channel ch belongs to.
-	GroupOf []GroupID
-	// EjectsTo[ch] is the processor channel ch delivers to, or -1 if it
-	// is not an ejection channel.
-	EjectsTo []int32
 	// Kind[ch] classifies channel ch.
 	Kind []ChannelKind
-	// Inject[p] is the channel from processor p into the network.
-	Inject []ChannelID
-	// GroupOff[g] is the first channel of group g; GroupOff[NumGroups]
-	// is the number of channels.
-	GroupOff []int32
+	// Lead[ch] is channel ch's distance from the first channel of its
+	// arbitration group: 0 for that channel, one more for each after it.
+	Lead []uint8
+	// Stride is the distance from one processor's injection channel to
+	// the next one's.
+	Stride int32
 }
 
-// newTables takes a network's columns and derives where each arbitration
-// group starts from groupOf, which must number its groups as runs.
-func newTables(groupOf []GroupID, ejectsTo []int32, kind []ChannelKind, inject []ChannelID) (*Tables, error) {
-	nGr := 0
-	if len(groupOf) > 0 {
-		nGr = max(0, int(groupOf[len(groupOf)-1])+1)
+// newTables checks a network's columns against the contract above: every
+// group is a run, and the numProc processors' channels sit at the stride.
+func newTables(kind []ChannelKind, lead []uint8, stride int32, numProc int) (*Tables, error) {
+	if len(lead) != len(kind) {
+		return nil, fmt.Errorf("topology: %d lead bytes for %d channels", len(lead), len(kind))
 	}
-	off := make([]int32, 0, nGr+1)
-	for ch, g := range groupOf {
-		switch next := GroupID(len(off)); {
-		case g == next:
-			off = append(off, int32(ch))
-		case g != next-1 || ch == 0:
-			return nil, fmt.Errorf("topology: channel %d is in group %d after group %d: "+
-				"a group must be a run of channels, numbered in channel order", ch, g, next-1)
+	for ch, l := range lead {
+		if l != 0 && (ch == 0 || l != lead[ch-1]+1) {
+			return nil, fmt.Errorf("topology: channel %d leads its group by %d: "+
+				"a group must be a run of channels, each one further from its first", ch, l)
 		}
 	}
-	off = append(off, int32(len(groupOf)))
-	return &Tables{GroupOf: groupOf, EjectsTo: ejectsTo, Kind: kind, Inject: inject, GroupOff: off}, nil
+	if numProc < 1 || stride < 2 || (numProc-1)*int(stride)+1 >= len(kind) {
+		return nil, fmt.Errorf("topology: %d processors at stride %d do not fit %d channels",
+			numProc, stride, len(kind))
+	}
+	t := &Tables{Kind: kind, Lead: lead, Stride: stride}
+	leads := func(ch int) bool { return ch == len(lead) || lead[ch] == 0 }
+	for p := 0; p < numProc; p++ {
+		inj, ej := int(t.Injection(p)), int(t.Ejection(p))
+		if kind[inj] != KindInjection || kind[ej] != KindEjection ||
+			!leads(inj) || !leads(ej) || !leads(ej+1) {
+			return nil, fmt.Errorf("topology: processor %d's channels %d (%v) and %d (%v) "+
+				"are not an injection and an ejection channel in groups of their own",
+				p, inj, kind[inj], ej, kind[ej])
+		}
+	}
+	for ch, k := range kind {
+		if (k == KindInjection || k == KindEjection) &&
+			(ch/int(stride) >= numProc || ch%int(stride) != int(k-KindInjection)) {
+			return nil, fmt.Errorf("topology: channel %d has kind %v but is no processor's", ch, k)
+		}
+	}
+	return t, nil
 }
 
-// Group returns group g's channels, the run [lo, hi).
+// Injection returns processor p's injection channel, a group of its own.
+func (t *Tables) Injection(p int) ChannelID { return ChannelID(p) * t.Stride }
+
+// Ejection returns processor p's ejection channel, a group of its own.
+func (t *Tables) Ejection(p int) ChannelID { return ChannelID(p)*t.Stride + 1 }
+
+// Group returns group g's channels, the run [g, hi) up to the next
+// channel that leads a group.
 func (t *Tables) Group(g GroupID) (lo, hi ChannelID) {
-	return t.GroupOff[g], t.GroupOff[g+1]
+	hi = g + 1
+	for int(hi) < len(t.Lead) && t.Lead[hi] != 0 {
+		hi++
+	}
+	return g, hi
 }
 
 // lazyName is a network's name, "<prefix><processors>", built on the
