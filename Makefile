@@ -33,11 +33,12 @@ fuzz:
 	done
 
 # One iteration per benchmark: keeps bench_test.go, the cyclic kernel's
-# BenchmarkCyclicKernel (internal/core) and the simulator's BenchmarkColdRun
-# (internal/sim) compiling and running without turning CI into a
+# BenchmarkCyclicKernel (internal/core), the simulator's BenchmarkColdRun
+# (internal/sim) and the fat-tree router's BenchmarkNextGroup
+# (internal/topology) compiling and running without turning CI into a
 # measurement job.
 bench:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/core ./internal/sim
+	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/core ./internal/sim ./internal/topology
 
 # Every program under examples/ runs to completion; a non-zero exit
 # fails the target. They are the checked answer to "how do I call this
@@ -123,6 +124,8 @@ lint:
 		echo "one analytic model: Latency, ServiceInj, SaturationLoad, ChannelStats, Name, MsgFlits, AvgDist and BuildCoreModel are declared on analytic.Model only (FatTreeModel and TorusModel embed it and give their rates as perLink), and no NetworkModel or HypercubeModel type is declared"; exit 1; }
 	@! grep -nE '^func \([^)]*\) (Groups|GroupOf|Kind|InjectionChannel|EjectsTo)\(|^[[:space:]]+(Members|GroupOf|GroupOff|EjectsTo|Inject)[[:space:]]' $$(find internal/topology -name '*.go' ! -name '*_test.go') || { \
 		echo "a network's tables are two bytes per channel and a stride: no type in internal/topology declares Groups, GroupOf, Kind, InjectionChannel or EjectsTo, or a Members, GroupOf, GroupOff, EjectsTo or Inject column; every reader, the simulator's cycle loop first, takes Tables' Kind and Lead columns, a group is the run named by its first channel (channel ch is in group ch - Lead[ch]), and processor p's channels are where Stride puts them, Injection(p) = p*Stride and Ejection(p) = p*Stride+1"; exit 1; }
+	@! grep -nE '^type route[[:space:]]|^[[:space:]]+(sw|parents)[[:space:]]+[][*A-Za-z]' $$(find internal/topology -name '*.go' ! -name '*_test.go') || { \
+		echo "a fat-tree routes by §3.1's formulas and keeps no per-switch records: non-test internal/topology declares no route type and no sw or parents field; NextGroup reads a switch's level from its index (one bits.Len) and computes its parents, its up group and its down-links from the wiring (the per-channel reference in internal/topology/tables_test.go checks them)"; exit 1; }
 	@test -z "$$(grep -rlE 'calib-map|LoadMap\(|MapPath\(|func \(m \*Map\) Save' --include='*.go' . | grep -v '_test\.go$$')" && \
 	! grep -lE '^[[:space:]]*(import[[:space:]]+)?"os"$$' $$(find internal/calib -name '*.go' ! -name '*_test.go') || { \
 		echo "one calibration record: the result store is the record; a calibration map is mined from it in memory and never saved or loaded (internal/calib does not import os)"; exit 1; }

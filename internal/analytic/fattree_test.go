@@ -56,11 +56,10 @@ func TestFatTreeUpRateMatchesPaperEq14(t *testing.T) {
 // past level l, and the per-link rates match the link counts of §3.2.
 func TestFatTreeRateConservation(t *testing.T) {
 	m := MustFatTreeModel(256, 32, core.Options{})
-	ft := topology.MustFatTree(256)
 	const lambda0 = 0.0005
 	total := 256 * lambda0
 	for l := 1; l < m.Levels(); l++ {
-		links := float64(ft.UpLinksBetween(l))
+		links := math.Ldexp(256, -l) // §3.2: 4^n/2^l links from level l to l+1
 		gotTotal := m.UpRate(l, lambda0) * links
 		wantTotal := total * m.UpProb(l)
 		if math.Abs(gotTotal-wantTotal) > 1e-12 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 )
 
@@ -25,34 +26,22 @@ import (
 // (the redundancy the paper models as an M/G/2 channel), while downward
 // routes are unique.
 //
-// Routing is per switch, and a channel finds its switch from its place in
-// the layout. Processor p owns injection channel 2p and ejection channel
-// 2p+1, each a group of its own (the tables' stride is 2). Switch s below
-// the top level (switches are indexed level by level) owns the four
-// channels from 2N+4s: its two up-links, one group, then the down-links
-// from its parent0 and parent1, a group each. So injection channel 2p
-// leads to level-1 switch p/4, channels 2N+4s+{2,3} lead to s, and
-// channels 2N+4s+{0,1} lead to s's parents.
+// Routing is arithmetic on these formulas, and a channel finds its switch
+// from its place in the layout. Processor p owns injection channel 2p and
+// ejection channel 2p+1, each a group of its own (the tables' stride is
+// 2). Switch s below the top level (switches are indexed level by level)
+// owns the four channels from 2N+4s: its two up-links, one group, then the
+// down-links from its parent0 and parent1, a group each. So injection
+// channel 2p leads to level-1 switch p/4, channels 2N+4s+{2,3} lead to s,
+// and channels 2N+4s+{0,1} lead to s's parents. A switch's level is read
+// from its index, and no per-switch record is kept: the two columns of
+// Tables are the whole network.
 type FatTree struct {
 	n       int // N = 4^n
 	numProc int
 	name    lazyName
 
-	sw      []route    // the routing record of every switch (switchIndex)
-	parents [][2]int32 // the two parents of every switch below the top
-
 	tab *Tables
-}
-
-// route is what NextGroup reads at one switch: the switch covers
-// processor block blk at granularity 2^shift (shift = 2·level), reaches
-// sub-block i through group down[i] and its parents through up (None at
-// the top level), each group named by its first channel.
-type route struct {
-	shift int32
-	blk   int32
-	up    GroupID
-	down  [4]GroupID
 }
 
 // NewFatTree builds a butterfly fat-tree with numProc processors, which
@@ -63,10 +52,7 @@ func NewFatTree(numProc int) (*FatTree, error) {
 		return nil, fmt.Errorf("topology: fat-tree size %d is not a power of four >= 4", numProc)
 	}
 	t := &FatTree{n: n, numProc: numProc}
-	below := t.switchIndex(n, 0) // switches below the top level
-	numCh := 2*numProc + 4*below
-	t.sw = make([]route, t.switchIndex(n+1, 0))
-	t.parents = make([][2]int32, below)
+	numCh := 2*numProc + 4*int(t.switchIndex(uint(n-1), 0))
 	kinds := make([]ChannelKind, numCh)
 	lead := make([]uint8, numCh)
 
@@ -75,57 +61,9 @@ func NewFatTree(numProc int) (*FatTree, error) {
 	for p := 0; p < numProc; p++ {
 		kinds[2*p], kinds[2*p+1] = KindInjection, KindEjection
 	}
-	for s := 0; s < below; s++ {
-		ch := 2*numProc + 4*s
+	for ch := 2 * numProc; ch < numCh; ch += 4 {
 		*(*[4]ChannelKind)(kinds[ch:]) = [4]ChannelKind{KindUp, KindUp, KindDown, KindDown}
 		lead[ch+1] = 1
-	}
-
-	for l := 1; l <= n; l++ {
-		for a := 0; a < t.switchesAtLevel(l); a++ {
-			s := t.switchIndex(l, a)
-			r := &t.sw[s]
-			r.shift, r.blk, r.up = int32(2*l), int32(a>>(l-1)), None
-			r.down = [4]GroupID{None, None, None, None}
-			if l < n {
-				r.up = GroupID(2*numProc + 4*s)
-			}
-			if l == 1 {
-				for sub := range r.down {
-					r.down[sub] = GroupID(2*(4*a+sub) + 1)
-				}
-			}
-		}
-	}
-
-	// Switch-to-switch wiring for levels 1..n-1, as §3.1 states it. The
-	// child port a switch takes on both parents is its sub-block index
-	// ⌊(a mod 2^(l+1))/2^(l−1)⌋, which is what the router relies on.
-	for l := 1; l < n; l++ {
-		stride := 1 << (l - 1) // 2^(l-1)
-		for a := 0; a < t.switchesAtLevel(l); a++ {
-			s := t.switchIndex(l, a)
-			base := a / (2 << l) * (1 << l) // ⌊a/2^(l+1)⌋·2^l
-			childPort := a % (2 << l) / stride
-			for i, pa := range [2]int{base + a%(1<<l), base + (a+stride)%(1<<l)} {
-				ps := t.switchIndex(l+1, pa)
-				t.parents[s][i] = int32(ps)
-				down := &t.sw[ps].down[childPort]
-				if *down != None {
-					return nil, fmt.Errorf("topology: duplicate child port %d on S(%d,%d)",
-						childPort, l+1, pa)
-				}
-				*down = GroupID(2*numProc + 4*s + 2 + i)
-			}
-		}
-	}
-	for s, r := range t.sw {
-		for sub, g := range r.down {
-			if g == None {
-				l, a := t.switchAt(s)
-				return nil, fmt.Errorf("topology: unwired child port %d on S(%d,%d)", sub, l, a)
-			}
-		}
 	}
 
 	tab, err := newTables(kinds, lead, 2, numProc)
@@ -162,39 +100,46 @@ func log4(v int) (int, bool) {
 
 func intPow4(n int) int { return 1 << (2 * n) }
 
-func (t *FatTree) switchesAtLevel(l int) int { return t.numProc / (2 << l) } // N/2^(l+1)
+// Levels are counted from h = l − 1 in what follows: a switch S(l,a) is one
+// of 2^h in its processor block, so a>>h is that block. The routing
+// arithmetic shifts by h, and h&15 says to the compiler what log4 already
+// ensures, that a fat-tree has at most 15 levels; it then shifts without
+// guarding against counts of 64 or more. NextGroup runs once per hop of
+// every simulated worm.
 
-// switchIndex numbers S(l,a) level by level: N/2 − N/2^l switches lie
-// below level l. switchIndex(n+1, 0) is the number of switches.
-func (t *FatTree) switchIndex(l, a int) int { return t.numProc/2 - t.numProc>>l + a }
-
-// switchAt is switchIndex's inverse.
-func (t *FatTree) switchAt(s int) (level, addr int) {
-	level = int(t.sw[s].shift) / 2
-	return level, s - t.switchIndex(level, 0)
+// switchIndex numbers S(h+1,a) level by level: N/2 − N/2^(h+1) switches
+// lie below level h+1, which holds N/2^(h+2).
+func (t *FatTree) switchIndex(h, a uint) uint {
+	return uint(t.numProc)/2 - uint(t.numProc)>>(h&15+1) + a
 }
 
-// switchOf returns the index of the switch channel ch leads to, or -1 for
-// an ejection channel, from the channel layout NewFatTree lays down.
-func (t *FatTree) switchOf(ch ChannelID) int {
-	c := int(ch) - 2*t.numProc
-	switch {
-	case c < 0 && ch&1 == 0:
-		return int(ch) >> 3 // injection channel 2p: S(1, p/4)
-	case c < 0:
-		return -1
-	case c&2 != 0:
-		return c >> 2
-	default:
-		return int(t.parents[c>>2][c&1])
-	}
+// switchAt is switchIndex's inverse. Switch s at level h+1 leaves
+// N/2 − s − 1 in [N/2^(h+2), N/2^(h+1)), a number of 2n − h − 1 bits.
+func (t *FatTree) switchAt(s uint) (h, a uint) {
+	h = uint(2*t.n-1-bits.Len(uint(t.numProc)/2-1-s)) & 15
+	return h, s - t.switchIndex(h, 0)
+}
+
+// parent returns the address of parent i of S(h+1,a), at level h+2
+// (§3.1): ⌊a/2^(h+2)⌋·2^(h+1) + (a + i·2^h) mod 2^(h+1).
+func parent(h, a, i uint) uint {
+	h &= 15
+	return a>>(h+2)<<(h+1) + (a+i<<h)&(1<<(h+1)-1)
+}
+
+// down returns the group from a switch S(h+2,p) into its child at level
+// h+1 whose block of 4^(h+1) processors is q: the down-link into child
+// c = q·2^h + p mod 2^h from its parent i, where i is bit h of p XOR bit 0
+// of q, since c's child port on its parents is q mod 4. Only bit h of p
+// and the bits below it matter.
+func (t *FatTree) down(h, p, q uint) GroupID {
+	h &= 15
+	c := q<<h | p&(1<<h-1)
+	return GroupID(2*uint(t.numProc) + 4*t.switchIndex(h, c) + 2 + (p>>h^q)&1)
 }
 
 // Levels returns n = log4(N), the number of switch levels.
 func (t *FatTree) Levels() int { return t.n }
-
-// SwitchesAtLevel returns the number of switches at level l (1 <= l <= n).
-func (t *FatTree) SwitchesAtLevel(l int) int { return t.switchesAtLevel(l) }
 
 // Name implements Network.
 func (t *FatTree) Name() string { return t.name.get("bft-", t.numProc) }
@@ -209,23 +154,56 @@ func (t *FatTree) NumChannels() int { return len(t.tab.Kind) }
 func (t *FatTree) Tables() *Tables { return t.tab }
 
 // NextGroup implements Network. A worm whose head traversed cur sits at the
-// switch cur leads to; it goes down if dst lies in that switch's subtree
-// block (a unique child) and otherwise contends for the switch's up-link
-// pair.
+// switch S(l,a) cur leads to, an ancestor of the 4^l processors in block
+// ⌊a/2^(l−1)⌋. It goes down if dst lies in that block (a unique child) and
+// otherwise contends for the switch's up-link pair. The body decodes cur
+// as SwitchOf does, written out so that a hop makes no call.
 func (t *FatTree) NextGroup(cur ChannelID, dst int) GroupID {
-	s := t.switchOf(cur)
-	if s < 0 {
+	base, d := 2*uint(t.numProc), uint(dst) // base: the first switch channel
+	c := uint(cur) - base
+	if int(c) < 0 { // processor channel 2p; an injection channel leads to S(1, p/4)
+		a := uint(cur) >> 3
+		switch {
+		case cur&1 != 0 || d>>2 != a && t.n == 1:
+			return t.noRoute(cur, dst)
+		case d>>2 == a:
+			return GroupID(2*d + 1) // processor dst's ejection channel
+		}
+		return GroupID(base + 4*a)
+	}
+	h, a := t.switchAt(c >> 2) // cur's owner, S(h+1,a)
+	if c&2 == 0 {
+		// An up-link leads to the owner's parent c&1, at level h+2 and
+		// in block a>>(h+2). Its address differs from a at bit h by c&1
+		// and agrees with it below.
+		if d>>(2*h+4) != a>>(h+2) {
+			if int(h)+2 == t.n {
+				return t.noRoute(cur, dst)
+			}
+			return GroupID(base + 4*t.switchIndex(h+1, parent(h, a, c&1)))
+		}
+		return t.down(h, a^(c&1)<<h, d>>(2*h+2))
+	}
+	// A down-link leads to its owner, whose up-link pair is cur &^ 3.
+	if d>>(2*h+2) != a>>h {
+		return GroupID(uint(cur) &^ 3)
+	}
+	if h == 0 {
+		return GroupID(2*d + 1)
+	}
+	return t.down(h-1, a, d>>(2*h))
+}
+
+// noRoute panics for a worm NextGroup cannot route: one on an ejection
+// channel, or one at a root switch headed outside the machine. It never
+// returns; NextGroup returns its result so that no value is live across
+// the call.
+func (t *FatTree) noRoute(cur ChannelID, dst int) GroupID {
+	l, a, ok := t.SwitchOf(cur)
+	if !ok {
 		panic("topology: NextGroup called on an ejection channel")
 	}
-	r := &t.sw[s]
-	if dst>>r.shift == int(r.blk) {
-		return r.down[dst>>(r.shift-2)&3]
-	}
-	if r.up == None {
-		l, a := t.switchAt(s)
-		panic(fmt.Sprintf("topology: no up-links at root switch S(%d,%d) for dst %d", l, a, dst))
-	}
-	return r.up
+	panic(fmt.Sprintf("topology: no up-links at root switch S(%d,%d) for dst %d", l, a, dst))
 }
 
 // PathLen implements Network: a message whose lowest common subtree with
@@ -254,24 +232,23 @@ func (t *FatTree) AvgDistance() float64 {
 	return num / float64(t.numProc-1)
 }
 
-// UpLinksBetween returns the number of channels from level l to level l+1
-// (equal to the number from l+1 down to l): 4^n / 2^l, as in §3.2.
-func (t *FatTree) UpLinksBetween(l int) int {
-	if l < 1 || l >= t.n {
-		return 0
-	}
-	return t.numProc >> l
-}
-
 // SwitchOf returns the (level, addr) pair of the switch a channel leads
-// to, with ok=false for ejection channels.
+// to, with ok=false for ejection channels, from the channel layout
+// NewFatTree lays down: an up-link leads to its owner's parent, one level
+// up. NextGroup decodes a channel the same way, in its own body.
 func (t *FatTree) SwitchOf(ch ChannelID) (level, addr int, ok bool) {
-	s := t.switchOf(ch)
-	if s < 0 {
-		return 0, 0, false
+	c := uint(ch) - 2*uint(t.numProc)
+	switch {
+	case int(c) < 0 && ch&1 != 0:
+		return 0, 0, false // ejection channel 2p+1 leads to processor p
+	case int(c) < 0:
+		return 1, int(ch) >> 3, true // injection channel 2p leads to S(1, p/4)
 	}
-	level, addr = t.switchAt(s)
-	return level, addr, true
+	h, a := t.switchAt(c >> 2)
+	if c&2 == 0 {
+		h, a = h+1, parent(h, a, c&1)
+	}
+	return int(h) + 1, int(a), true
 }
 
 // Describe dumps the switch wiring in a human-readable form, reproducing
@@ -281,23 +258,24 @@ func (t *FatTree) Describe() string {
 	fmt.Fprintf(&b, "butterfly fat-tree: N=%d processors, n=%d switch levels, %d channels, %d arbitration groups\n",
 		t.numProc, t.n, t.NumChannels(), bytes.Count(t.tab.Lead, []byte{0}))
 	for l := 1; l <= t.n; l++ {
-		fmt.Fprintf(&b, "level %d: %d switches\n", l, t.switchesAtLevel(l))
+		fmt.Fprintf(&b, "level %d: %d switches\n", l, t.numProc/(2<<l))
 	}
-	for s, r := range t.sw {
-		l, a := t.switchAt(s)
-		fmt.Fprintf(&b, "S(%d,%d):", l, a)
-		for sub, g := range r.down {
+	for s := uint(0); s < t.switchIndex(uint(t.n), 0); s++ {
+		h, a := t.switchAt(s)
+		fmt.Fprintf(&b, "S(%d,%d):", h+1, a)
+		for sub := uint(0); sub < 4; sub++ {
+			g := GroupID(2*(4*a+sub) + 1)
+			if h > 0 {
+				g = t.down(h-1, a, a>>h<<2|sub)
+			}
 			if cl, ca, ok := t.SwitchOf(g); ok {
 				fmt.Fprintf(&b, " child%d->S(%d,%d)", sub, cl, ca)
 			} else {
 				fmt.Fprintf(&b, " child%d->P(%d)", sub, g/t.tab.Stride)
 			}
 		}
-		if s < len(t.parents) {
-			for i, ps := range t.parents[s] {
-				pl, pa := t.switchAt(int(ps))
-				fmt.Fprintf(&b, " parent%d->S(%d,%d)", i, pl, pa)
-			}
+		for i := uint(0); int(h)+1 < t.n && i < 2; i++ {
+			fmt.Fprintf(&b, " parent%d->S(%d,%d)", i, h+2, parent(h, a, i))
 		}
 		b.WriteByte('\n')
 	}

@@ -60,9 +60,14 @@ func TestFatTreeSizes(t *testing.T) {
 		if ft.NumChannels() != c.channels {
 			t.Errorf("N=%d: channels = %d, want %d", c.n, ft.NumChannels(), c.channels)
 		}
-		if ft.SwitchesAtLevel(c.levels) != c.topLevelSwitches {
-			t.Errorf("N=%d: top switches = %d, want %d",
-				c.n, ft.SwitchesAtLevel(c.levels), c.topLevelSwitches)
+		top := map[int]bool{}
+		for ch := ChannelID(0); int(ch) < ft.NumChannels(); ch++ {
+			if l, a, ok := ft.SwitchOf(ch); ok && l == c.levels {
+				top[a] = true
+			}
+		}
+		if len(top) != c.topLevelSwitches || c.n/(2<<c.levels) != c.topLevelSwitches {
+			t.Errorf("N=%d: channels lead to %d top switches, want %d", c.n, len(top), c.topLevelSwitches)
 		}
 		if ft.NumProcessors() != c.n {
 			t.Errorf("N=%d: NumProcessors = %d", c.n, ft.NumProcessors())
@@ -191,28 +196,21 @@ func TestFatTreeGroups(t *testing.T) {
 			t.Errorf("group %d has %d members", g, hi-lo)
 		}
 	}
-	// One up-pair per switch below the top level: levels 1..n-1.
+	// One up-pair per switch below the top level: N/2^(l+1) at each of
+	// levels 1..n-1.
 	want := 0
 	for l := 1; l < ft.Levels(); l++ {
-		want += ft.SwitchesAtLevel(l)
+		want += 64 / (2 << l)
 	}
 	if pairCount != want {
 		t.Errorf("up-link pairs = %d, want %d", pairCount, want)
 	}
 }
 
+// §3.2: 4^n/2^l channels lead up from level l to level l+1, for
+// 1 <= l < n, and none leave the top level.
 func TestFatTreeUpLinksBetween(t *testing.T) {
 	ft := MustFatTree(1024)
-	// §3.2: 4^n / 2^l links between level l and l+1.
-	for l := 1; l < ft.Levels(); l++ {
-		if got, want := ft.UpLinksBetween(l), 1024>>l; got != want {
-			t.Errorf("UpLinksBetween(%d) = %d, want %d", l, got, want)
-		}
-	}
-	if ft.UpLinksBetween(0) != 0 || ft.UpLinksBetween(ft.Levels()) != 0 {
-		t.Error("UpLinksBetween out of range should be 0")
-	}
-	// Count the actual up channels between levels and compare.
 	counts := map[int]int{}
 	for ch, k := range ft.Tables().Kind {
 		if k == KindUp {
@@ -223,9 +221,13 @@ func TestFatTreeUpLinksBetween(t *testing.T) {
 			counts[l-1]++
 		}
 	}
-	for l := 1; l < ft.Levels(); l++ {
-		if counts[l] != ft.UpLinksBetween(l) {
-			t.Errorf("actual up channels l=%d: %d, want %d", l, counts[l], ft.UpLinksBetween(l))
+	for l := 0; l <= ft.Levels(); l++ {
+		want := 1024 >> l
+		if l < 1 || l == ft.Levels() {
+			want = 0
+		}
+		if counts[l] != want {
+			t.Errorf("up channels from level %d: %d, want %d", l, counts[l], want)
 		}
 	}
 }
@@ -307,7 +309,7 @@ func TestFatTreeDescribeMentionsAllSwitches(t *testing.T) {
 	ft := MustFatTree(64)
 	desc := ft.Describe()
 	for l := 1; l <= ft.Levels(); l++ {
-		for a := 0; a < ft.SwitchesAtLevel(l); a++ {
+		for a := 0; a < 64/(2<<l); a++ {
 			tag := "S(" + itoa(l) + "," + itoa(a) + "):"
 			if !strings.Contains(desc, tag) {
 				t.Errorf("Describe missing %s", tag)

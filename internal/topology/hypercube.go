@@ -69,9 +69,6 @@ func MustHypercube(dims int) *Hypercube {
 	return t
 }
 
-// Dims returns the number of dimensions.
-func (t *Hypercube) Dims() int { return t.dims }
-
 // Name implements Network.
 func (t *Hypercube) Name() string { return t.name.get("hcube-", t.numProc) }
 

@@ -19,8 +19,8 @@ func TestHypercubeSizes(t *testing.T) {
 		if want := n * (2 + dims); hc.NumChannels() != want {
 			t.Errorf("dims=%d: channels = %d, want %d", dims, hc.NumChannels(), want)
 		}
-		if hc.Dims() != dims {
-			t.Errorf("Dims = %d", hc.Dims())
+		if stride := hc.Tables().Stride; stride != int32(2+dims) {
+			t.Errorf("dims=%d: stride = %d, want %d", dims, stride, 2+dims)
 		}
 	}
 }
@@ -79,7 +79,7 @@ func TestHypercubeRoutesFollowECube(t *testing.T) {
 // dimOf recovers the dimension of a link channel from the construction
 // layout: per node the channels are [inj, ej, link0..link_{d-1}].
 func dimOf(hc *Hypercube, ch ChannelID) int {
-	per := 2 + hc.Dims()
+	per := 2 + bits.TrailingZeros(uint(hc.NumProcessors()))
 	return int(ch)%per - 2
 }
 

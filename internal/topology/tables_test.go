@@ -13,12 +13,24 @@ import (
 // perChannelRouter is the fat-tree's router built the per-channel way: the
 // §3.1 wiring walked switch by switch, channels appended in construction
 // order, and every channel given the switch it leads to and that switch's
-// routing record. It is the reference the per-switch records and the
-// position-derived switch of a channel are checked against.
+// routing record. It is the reference NextGroup's formulas and the
+// position-derived switch of a channel are checked against, and the
+// wiring's only check.
 type perChannelRouter struct {
 	toSw  [][2]int // (level, addr) of the switch each channel leads to; level 0 for ejection
 	hops  []route  // the routing record of that switch
 	group []GroupID
+}
+
+// route is what the reference reads at one switch: the switch covers
+// processor block blk at granularity 2^shift (shift = 2·level), reaches
+// sub-block i through group down[i] and its parents through up (None at
+// the top level), each group named by its first channel.
+type route struct {
+	shift int32
+	blk   int32
+	up    GroupID
+	down  [4]GroupID
 }
 
 func newPerChannelRouter(numProc int) *perChannelRouter {
@@ -86,7 +98,7 @@ func (r *perChannelRouter) nextGroup(cur ChannelID, dst int) GroupID {
 	return h.up
 }
 
-// TestFatTreeRoutesBySwitch: the per-switch records route every worm as
+// TestFatTreeRoutesBySwitch: NextGroup's formulas route every worm as
 // the per-channel reference does, and the switch a channel's position
 // names is the one the wiring leads it to. bft-4 through bft-1024 are
 // checked for every channel and destination, bft-4096 and bft-65536 on
@@ -313,11 +325,12 @@ func buildAllocs(build func()) float64 {
 // TestFatTreeBuildAllocs and TestHypercubeBuildAllocs pin what building a
 // network costs: a fixed number of arrays whatever its size, not one slice
 // per arbitration group (3,578 allocations for bft-1024 before the tables).
-// A fat-tree is its struct, its routing records and parents, its two
-// columns and the Tables that holds them; a hypercube has no records.
+// Either network is its struct, its two columns and the Tables that holds
+// them: a fat-tree routes by §3.1's formulas and keeps no per-switch
+// records (6 allocations with them).
 func TestFatTreeBuildAllocs(t *testing.T) {
 	for _, n := range []int{64, 1024} {
-		if got, want := buildAllocs(func() { MustFatTree(n) }), 6.0; got != want {
+		if got, want := buildAllocs(func() { MustFatTree(n) }), 4.0; got != want {
 			t.Errorf("bft-%d: %v allocations per build, want %v", n, got, want)
 		}
 	}
@@ -344,11 +357,13 @@ func buildBytes(builds int, build func()) uint64 {
 }
 
 // TestFatTreeBuildAllocBytes caps what one bft-1024 build allocates, about
-// 27 KB, so a per-channel table cannot come back unnoticed: the four int32
-// columns the lead byte and the stride replaced were 47 KB, and a routing
+// 8 KB (two bytes for each of its 3,968 channels), so no per-switch or
+// per-channel table can come back unnoticed: the routing record per switch
+// and the parents table the formulas replaced were 18 KB, the four int32
+// columns the lead byte and the stride replaced 47 KB, and a routing
 // record per channel 111 KB.
 func TestFatTreeBuildAllocBytes(t *testing.T) {
-	const budget = 32 << 10
+	const budget = 10 << 10
 	if got := buildBytes(20, func() { MustFatTree(1024) }); got > budget {
 		t.Errorf("bft-1024: %d bytes per build, budget %d", got, budget)
 	}

@@ -12,7 +12,9 @@
 // queue — while every other channel is a group of one. Both networks lay
 // each processor's injection and ejection channels side by side at a
 // fixed stride, so a network's tables are two bytes per channel (its
-// kind and its place in its group) and that stride.
+// kind and its place in its group) and that stride. Those tables are all
+// a network keeps: both route by arithmetic on a channel's position, the
+// hypercube by e-cube routing and the fat-tree by §3.1's wiring formulas.
 package topology
 
 import (
