@@ -33,8 +33,8 @@ import (
 // owns the four channels from 2N+4s: its two up-links, one group, then the
 // down-links from its parent0 and parent1, a group each. So injection
 // channel 2p leads to level-1 switch p/4, channels 2N+4s+{2,3} lead to s,
-// and channels 2N+4s+{0,1} lead to s's parents. A switch's level is read
-// from its index, and no per-switch record is kept: the two columns of
+// and channels 2N+4s+{0,1} lead to s's parents. A channel's level is read
+// from its position, and no per-switch record is kept: the two columns of
 // Tables are the whole network.
 type FatTree struct {
 	n       int // N = 4^n
@@ -52,7 +52,7 @@ func NewFatTree(numProc int) (*FatTree, error) {
 		return nil, fmt.Errorf("topology: fat-tree size %d is not a power of four >= 4", numProc)
 	}
 	t := &FatTree{n: n, numProc: numProc}
-	numCh := 2*numProc + 4*int(t.switchIndex(uint(n-1), 0))
+	numCh := int(t.levelBase(uint(n - 1))) // the top level owns no channels
 	kinds := make([]ChannelKind, numCh)
 	lead := make([]uint8, numCh)
 
@@ -107,17 +107,19 @@ func intPow4(n int) int { return 1 << (2 * n) }
 // guarding against counts of 64 or more. NextGroup runs once per hop of
 // every simulated worm.
 
-// switchIndex numbers S(h+1,a) level by level: N/2 − N/2^(h+1) switches
-// lie below level h+1, which holds N/2^(h+2).
-func (t *FatTree) switchIndex(h, a uint) uint {
-	return uint(t.numProc)/2 - uint(t.numProc)>>(h&15+1) + a
+// levelBase returns the first channel of the switches at level h+1:
+// 2N processor channels and 4 per switch below, N/2 − N/2^(h+1) of them.
+func (t *FatTree) levelBase(h uint) uint {
+	return 4*uint(t.numProc) - 4*uint(t.numProc)>>(h&15+1)
 }
 
-// switchAt is switchIndex's inverse. Switch s at level h+1 leaves
-// N/2 − s − 1 in [N/2^(h+2), N/2^(h+1)), a number of 2n − h − 1 bits.
-func (t *FatTree) switchAt(s uint) (h, a uint) {
-	h = uint(2*t.n-1-bits.Len(uint(t.numProc)/2-1-s)) & 15
-	return h, s - t.switchIndex(h, 0)
+// place decodes switch channel ch from the layout: it is channel o&3 of
+// switch S(h+1, o>>2), 0 and 1 its up-links, 2 and 3 its down-links from
+// parent0 and parent1. 4N − 1 − ch lies in [2N/2^(h+1), 2N/2^h), a number
+// of 2n + 1 − h bits, so the level takes one bits.Len.
+func (t *FatTree) place(ch ChannelID) (h, o uint) {
+	h = uint(2*t.n+1-bits.Len(4*uint(t.numProc)-1-uint(ch))) & 15
+	return h, uint(ch) - t.levelBase(h)
 }
 
 // parent returns the address of parent i of S(h+1,a), at level h+2
@@ -127,15 +129,15 @@ func parent(h, a, i uint) uint {
 	return a>>(h+2)<<(h+1) + (a+i<<h)&(1<<(h+1)-1)
 }
 
-// down returns the group from a switch S(h+2,p) into its child at level
-// h+1 whose block of 4^(h+1) processors is q: the down-link into child
+// down returns the group from a switch S(h+2,p), given as u = 4p + j for
+// any j < 4 (an offset from place serves), into its child at level h+1
+// whose block of 4^(h+1) processors is q: the down-link into child
 // c = q·2^h + p mod 2^h from its parent i, where i is bit h of p XOR bit 0
 // of q, since c's child port on its parents is q mod 4. Only bit h of p
 // and the bits below it matter.
-func (t *FatTree) down(h, p, q uint) GroupID {
+func (t *FatTree) down(h, u, q uint) GroupID {
 	h &= 15
-	c := q<<h | p&(1<<h-1)
-	return GroupID(2*uint(t.numProc) + 4*t.switchIndex(h, c) + 2 + (p>>h^q)&1)
+	return GroupID(t.levelBase(h) + (q<<(h+2) | u&(4<<h-4)) + 2 + (u>>(h+2)^q)&1)
 }
 
 // Levels returns n = log4(N), the number of switch levels.
@@ -156,12 +158,10 @@ func (t *FatTree) Tables() *Tables { return t.tab }
 // NextGroup implements Network. A worm whose head traversed cur sits at the
 // switch S(l,a) cur leads to, an ancestor of the 4^l processors in block
 // ⌊a/2^(l−1)⌋. It goes down if dst lies in that block (a unique child) and
-// otherwise contends for the switch's up-link pair. The body decodes cur
-// as SwitchOf does, written out so that a hop makes no call.
+// otherwise contends for the switch's up-link pair.
 func (t *FatTree) NextGroup(cur ChannelID, dst int) GroupID {
-	base, d := 2*uint(t.numProc), uint(dst) // base: the first switch channel
-	c := uint(cur) - base
-	if int(c) < 0 { // processor channel 2p; an injection channel leads to S(1, p/4)
+	d := uint(dst)
+	if uint(cur) < 2*uint(t.numProc) { // processor channel 2p; injection leads to S(1, p/4)
 		a := uint(cur) >> 3
 		switch {
 		case cur&1 != 0 || d>>2 != a && t.n == 1:
@@ -169,29 +169,29 @@ func (t *FatTree) NextGroup(cur ChannelID, dst int) GroupID {
 		case d>>2 == a:
 			return GroupID(2*d + 1) // processor dst's ejection channel
 		}
-		return GroupID(base + 4*a)
+		return GroupID(t.levelBase(0) + 4*a)
 	}
-	h, a := t.switchAt(c >> 2) // cur's owner, S(h+1,a)
-	if c&2 == 0 {
-		// An up-link leads to the owner's parent c&1, at level h+2 and
-		// in block a>>(h+2). Its address differs from a at bit h by c&1
-		// and agrees with it below.
-		if d>>(2*h+4) != a>>(h+2) {
-			if int(h)+2 == t.n {
-				return t.noRoute(cur, dst)
-			}
-			return GroupID(base + 4*t.switchIndex(h+1, parent(h, a, c&1)))
+	h, o := t.place(cur)
+	if o&2 != 0 {
+		// A down-link leads to its owner S(h+1, o>>2), whose up-link pair
+		// is cur &^ 3.
+		switch {
+		case d>>(2*h+2) != o>>(h+2):
+			return GroupID(uint(cur) &^ 3)
+		case h == 0:
+			return GroupID(2*d + 1)
 		}
-		return t.down(h, a^(c&1)<<h, d>>(2*h+2))
+		return t.down(h-1, o, d>>(2*h))
 	}
-	// A down-link leads to its owner, whose up-link pair is cur &^ 3.
-	if d>>(2*h+2) != a>>h {
-		return GroupID(uint(cur) &^ 3)
+	// An up-link leads to its owner's parent o&1, S(h+2, p).
+	p := parent(h, o>>2, o&1)
+	if d>>(2*h+4) == p>>(h+1) {
+		return t.down(h, 4*p, d>>(2*h+2))
 	}
-	if h == 0 {
-		return GroupID(2*d + 1)
+	if int(h)+2 == t.n {
+		return t.noRoute(cur, dst)
 	}
-	return t.down(h-1, a, d>>(2*h))
+	return GroupID(t.levelBase(h+1) + 4*p)
 }
 
 // noRoute panics for a worm NextGroup cannot route: one on an ejection
@@ -233,22 +233,20 @@ func (t *FatTree) AvgDistance() float64 {
 }
 
 // SwitchOf returns the (level, addr) pair of the switch a channel leads
-// to, with ok=false for ejection channels, from the channel layout
-// NewFatTree lays down: an up-link leads to its owner's parent, one level
-// up. NextGroup decodes a channel the same way, in its own body.
+// to, with ok=false for ejection channels, decoding the channel as
+// NextGroup does.
 func (t *FatTree) SwitchOf(ch ChannelID) (level, addr int, ok bool) {
-	c := uint(ch) - 2*uint(t.numProc)
 	switch {
-	case int(c) < 0 && ch&1 != 0:
+	case uint(ch) < 2*uint(t.numProc) && ch&1 != 0:
 		return 0, 0, false // ejection channel 2p+1 leads to processor p
-	case int(c) < 0:
+	case uint(ch) < 2*uint(t.numProc):
 		return 1, int(ch) >> 3, true // injection channel 2p leads to S(1, p/4)
 	}
-	h, a := t.switchAt(c >> 2)
-	if c&2 == 0 {
-		h, a = h+1, parent(h, a, c&1)
+	h, o := t.place(ch)
+	if o&2 != 0 {
+		return int(h) + 1, int(o >> 2), true
 	}
-	return int(h) + 1, int(a), true
+	return int(h) + 2, int(parent(h, o>>2, o&1)), true
 }
 
 // Describe dumps the switch wiring in a human-readable form, reproducing
@@ -260,24 +258,25 @@ func (t *FatTree) Describe() string {
 	for l := 1; l <= t.n; l++ {
 		fmt.Fprintf(&b, "level %d: %d switches\n", l, t.numProc/(2<<l))
 	}
-	for s := uint(0); s < t.switchIndex(uint(t.n), 0); s++ {
-		h, a := t.switchAt(s)
-		fmt.Fprintf(&b, "S(%d,%d):", h+1, a)
-		for sub := uint(0); sub < 4; sub++ {
-			g := GroupID(2*(4*a+sub) + 1)
-			if h > 0 {
-				g = t.down(h-1, a, a>>h<<2|sub)
+	for h := uint(0); h < uint(t.n); h++ {
+		for a := uint(0); a < uint(t.numProc)>>(h+2); a++ {
+			fmt.Fprintf(&b, "S(%d,%d):", h+1, a)
+			for sub := uint(0); sub < 4; sub++ {
+				g := GroupID(2*(4*a+sub) + 1)
+				if h > 0 {
+					g = t.down(h-1, 4*a, a>>h<<2|sub)
+				}
+				if cl, ca, ok := t.SwitchOf(g); ok {
+					fmt.Fprintf(&b, " child%d->S(%d,%d)", sub, cl, ca)
+				} else {
+					fmt.Fprintf(&b, " child%d->P(%d)", sub, g/t.tab.Stride)
+				}
 			}
-			if cl, ca, ok := t.SwitchOf(g); ok {
-				fmt.Fprintf(&b, " child%d->S(%d,%d)", sub, cl, ca)
-			} else {
-				fmt.Fprintf(&b, " child%d->P(%d)", sub, g/t.tab.Stride)
+			for i := uint(0); int(h)+1 < t.n && i < 2; i++ {
+				fmt.Fprintf(&b, " parent%d->S(%d,%d)", i, h+2, parent(h, a, i))
 			}
+			b.WriteByte('\n')
 		}
-		for i := uint(0); int(h)+1 < t.n && i < 2; i++ {
-			fmt.Fprintf(&b, " parent%d->S(%d,%d)", i, h+2, parent(h, a, i))
-		}
-		b.WriteByte('\n')
 	}
 	return b.String()
 }
