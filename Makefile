@@ -88,6 +88,8 @@ lint:
 	@test "$$(grep -rl 'NewBatchBackend(' --include='*.go' internal cmd | grep -v '_test\.go$$')" = internal/eval/remote.go && \
 	test -z "$$(grep -rl 'eval\.NewRemoteBackend(' --include='*.go' internal cmd examples | grep -v '_test\.go$$' | grep -vx internal/dispatch/dispatch.go)" || { \
 		echo "one fleet door: grids reach a fleet through internal/dispatch (the fleet client is built in internal/dispatch/dispatch.go only; NewBatchBackend is a deprecated alias for the frozen bench/)"; exit 1; }
+	@test -z "$$(grep -rl 'http\.Client' --include='*.go' internal/eval internal/dispatch | grep -v '_test\.go$$')" || { \
+		echo "one deadline rule: the fleet transport sends each request as one RoundTrip on an http.RoundTripper (WithTransport) and bounds it itself, a single-shot request at 30 s and a stream by the idle watchdog, under the request context; no non-test file in internal/eval or internal/dispatch names http.Client, whose Timeout would be a second rule"; exit 1; }
 	@test -z "$$(grep -rlE '"/v1/batch"|handleBatch|ListGrid|callBatch|BatchItem' --include='*.go' internal cmd | grep -v '_test\.go$$')" || { \
 		echo "one list route: a shard answers a list of cells only as a grid range, /v1/sweep/part (eval.PartItem lines, Runner.EvaluateList on the shard's own pool); there is no /v1/batch, no explicit-list grid (ListGrid) and no batch client (callBatch), and EvaluateBatch is a loop of Evaluate calls kept as the bench's door"; exit 1; }
 	@test -z "$$(grep -lE '"repro/internal/(plan|dispatch)"' $$(find internal/serve -name '*.go' ! -name '*_test.go'))" && \

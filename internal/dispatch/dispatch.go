@@ -82,11 +82,12 @@ func WithBatch(n int) Option { return func(d *Dispatcher) { d.batch = n } }
 // is written back.
 func WithCache(c sweep.CacheStore) Option { return func(d *Dispatcher) { d.Cache = c } }
 
-// WithHTTPClient replaces the transport's default HTTP client on every
-// path — range streams, per-cell Evaluate and /v1/curve requests — with
-// eval.WithHTTPClient's semantics.
-func WithHTTPClient(c *http.Client) Option {
-	return func(d *Dispatcher) { d.ropts = append(d.ropts, eval.WithHTTPClient(c)) }
+// WithTransport sends every request of the dispatcher — range streams,
+// per-cell Evaluate and /v1/curve requests — through rt, with
+// eval.WithTransport's semantics: the deadlines stay the fleet
+// transport's.
+func WithTransport(rt http.RoundTripper) Option {
+	return func(d *Dispatcher) { d.ropts = append(d.ropts, eval.WithTransport(rt)) }
 }
 
 // WithShardBackoff sets the base delay a failing shard sits out before
@@ -181,7 +182,7 @@ type span struct{ start, end int }
 // run is the per-sweep state shared by the shard workers.
 type run struct {
 	d     *Dispatcher
-	spec  json.RawMessage // the wire form every range request repeats
+	spec  []byte // the spec's compact JSON, spliced into every range request
 	g     *sweep.Grid
 	land  func(lo, hi int)
 	ctx   context.Context
@@ -328,33 +329,40 @@ func (r *run) worker(addr string) {
 	}
 }
 
+// rangeKey names a dispatch.range span: the shard and the range. It is
+// formatted only when the span is recorded.
+type rangeKey struct {
+	addr string
+	sp   span
+}
+
+func (k rangeKey) Key() string { return fmt.Sprintf("%s:%d-%d", k.addr, k.sp.start, k.sp.end) }
+
 // dispatchSpan sends one range to addr — one attempt, through the fleet
-// transport — and forwards its cells. It returns the set of delivered
-// indices alongside any error, so the caller requeues exactly the
-// remainder; eval.Transient tells a shard failure (connection error,
-// 5xx/429, torn, short or stalled stream) from a scenario verdict or
-// protocol breach.
-func (r *run) dispatchSpan(addr string, sp span) (got map[int]bool, err error) {
+// transport — and forwards its cells. It returns which cells of the
+// range were delivered (got[i] for index sp.start+i) alongside any
+// error, so the caller requeues exactly the remainder; eval.Transient
+// tells a shard failure (connection error, 5xx/429, torn, short or
+// stalled stream) from a scenario verdict or protocol breach.
+func (r *run) dispatchSpan(addr string, sp span) (got []bool, err error) {
 	r.d.batches.Add(1)
-	spanCtx, rspan := obs.StartSpanKeyed(r.ctx, "dispatch.range",
-		fmt.Sprintf("%s:%d-%d", addr, sp.start, sp.end))
+	spanCtx, rspan := obs.StartSpanFor(r.ctx, "dispatch.range", rangeKey{addr, sp})
+	n := 0 // cells delivered
 	defer func() {
 		if err != nil {
 			rspan.SetAttr(obs.String("error", err.Error()))
 		}
 		rspan.End(obs.String("shard", addr), obs.Int("start", sp.start),
-			obs.Int("end", sp.end), obs.Int("cells", len(got)))
+			obs.Int("end", sp.end), obs.Int("cells", n))
 	}()
-	body, err := json.Marshal(eval.PartRequest{Spec: r.spec, Start: sp.start, End: sp.end})
-	if err != nil {
-		return nil, fmt.Errorf("dispatch: encoding part request: %w", err)
-	}
-	got = make(map[int]bool, sp.end-sp.start)
+	body := eval.AppendPartRequest(nil, r.spec, sp.start, sp.end)
+	got = make([]bool, sp.end-sp.start)
 	err = r.d.rb.Stream(spanCtx, addr, "/v1/sweep/part", body, sp.start, sp.end, func(it *eval.PartItem) error {
 		if it.Error != "" {
 			return r.g.CellError(it.Index, errors.New(it.Error))
 		}
-		got[it.Index] = true
+		got[it.Index-sp.start] = true
+		n++
 		r.g.Rows[it.Index].Cell = *it.Point
 		r.land(it.Index, it.Index+1)
 		if r.left.Add(-1) == 0 {
@@ -385,12 +393,13 @@ func partition(g *sweep.Grid, size int) []span {
 	return spans
 }
 
-// remainder returns the undelivered sub-spans of sp.
-func remainder(sp span, got map[int]bool) []span {
+// remainder returns the undelivered sub-spans of sp, whose index
+// sp.start+i got[i] reports delivered.
+func remainder(sp span, got []bool) []span {
 	var out []span
 	start := -1
 	for i := sp.start; i < sp.end; i++ {
-		if got[i] {
+		if got[i-sp.start] {
 			if start >= 0 {
 				out = append(out, span{start, i})
 				start = -1

@@ -166,7 +166,7 @@ func TestRangeDispatchAmortisesRequests(t *testing.T) {
 		t.Errorf("dispatcher issued %d per-cell and %d curve request(s), want 0 and 1", evals, curves)
 	}
 
-	rb, err := eval.NewRemoteBackend(fl.Addrs(), eval.WithHTTPClient(fl.Client()))
+	rb, err := eval.NewRemoteBackend(fl.Addrs(), eval.WithTransport(fl))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestPartition(t *testing.T) {
 
 func TestRemainder(t *testing.T) {
 	sp := span{10, 16}
-	got := map[int]bool{11: true, 12: true, 15: true}
+	got := []bool{false, true, true, false, false, true} // 11, 12 and 15
 	rest := remainder(sp, got)
 	want := []span{{10, 11}, {13, 15}}
 	if len(rest) != len(want) {
@@ -278,10 +278,10 @@ func TestRemainder(t *testing.T) {
 			t.Fatalf("remainder = %v, want %v", rest, want)
 		}
 	}
-	if r := remainder(span{0, 3}, map[int]bool{0: true, 1: true, 2: true}); len(r) != 0 {
+	if r := remainder(span{0, 3}, []bool{true, true, true}); len(r) != 0 {
 		t.Errorf("fully delivered span has remainder %v", r)
 	}
-	if r := remainder(span{0, 2}, nil); len(r) != 1 || r[0] != (span{0, 2}) {
+	if r := remainder(span{0, 2}, []bool{false, false}); len(r) != 1 || r[0] != (span{0, 2}) {
 		t.Errorf("untouched span remainder = %v", r)
 	}
 }
@@ -340,12 +340,12 @@ func TestDispatcherEvaluate(t *testing.T) {
 	}
 }
 
-// TestWithHTTPClientCoversEveryPath pins that a caller-supplied client
+// TestWithTransportCoversEveryPath pins that a caller-supplied transport
 // carries all of the dispatcher's traffic — per-cell Evaluate and curve
-// resolution as well as the range streams — so a custom transport
+// resolution as well as the range streams — so a custom RoundTripper
 // (auth, proxy, TLS) is never bypassed: the fleet's shards answer only
-// through its client.
-func TestWithHTTPClientCoversEveryPath(t *testing.T) {
+// through it.
+func TestWithTransportCoversEveryPath(t *testing.T) {
 	fl := fleettest.New(t, fleettest.Schedule{Shards: 1})
 	d := faultDispatcher(t, fl)
 	spec := modelOnlySpec()
@@ -361,7 +361,7 @@ func TestWithHTTPClientCoversEveryPath(t *testing.T) {
 	}
 	for _, route := range []string{"eval", "curve", "sweep/part"} {
 		if fl.Count("", 0, route) == 0 {
-			t.Errorf("no /v1/%s request went through the WithHTTPClient transport", route)
+			t.Errorf("no /v1/%s request went through the WithTransport RoundTripper", route)
 		}
 	}
 }

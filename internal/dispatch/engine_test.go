@@ -108,7 +108,7 @@ func TestEngineContract(t *testing.T) {
 			addrs, _ := newFleet(t, 3)
 			tr := &http.Transport{}
 			t.Cleanup(tr.CloseIdleConnections)
-			d := newDispatcher(t, addrs, WithBatch(1), WithHTTPClient(&http.Client{Transport: tr}))
+			d := newDispatcher(t, addrs, WithBatch(1), WithTransport(tr))
 			return engine{Runner: d.Runner, settle: tr.CloseIdleConnections}
 		}},
 	}

@@ -173,15 +173,15 @@ func (c *countingCache) PutCurve(curve string, tokens []eval.Token, cells []swee
 func faultDispatcher(t testing.TB, fl *fleettest.Fleet, opts ...Option) *Dispatcher {
 	s := fl.Schedule
 	return newDispatcher(t, fl.Addrs(), append([]Option{
-		WithHTTPClient(fl.Client()), WithBatch(s.Batch),
+		WithTransport(fl), WithBatch(s.Batch),
 		WithShardBackoff(time.Millisecond), WithMaxShardFailures(s.MaxFails),
-		withTransport(eval.WithIdleTimeout(fleettest.IdleBound), eval.WithRetry(0, time.Millisecond)),
+		withRemoteOptions(eval.WithIdleTimeout(fleettest.IdleBound), eval.WithRetry(0, time.Millisecond)),
 	}, opts...)...)
 }
 
-// withTransport sets transport options through d.ropts, as no
-// production option does.
-func withTransport(opts ...eval.RemoteOption) Option {
+// withRemoteOptions sets the fleet transport's options through d.ropts,
+// as no production option does.
+func withRemoteOptions(opts ...eval.RemoteOption) Option {
 	return func(d *Dispatcher) { d.ropts = append(d.ropts, opts...) }
 }
 
@@ -389,7 +389,7 @@ func TestDispatchedFigure3SurvivesShardKill(t *testing.T) {
 	fl := fleettest.New(t, fleettest.Decode(fleettest.Named("shard-kill")))
 	// A figure3 cell may compute for longer than the harness's idle
 	// bound; the schedule stalls nothing.
-	d := faultDispatcher(t, fl, WithCache(sweep.NewCache()), withTransport(eval.WithIdleTimeout(time.Minute)))
+	d := faultDispatcher(t, fl, WithCache(sweep.NewCache()), withRemoteOptions(eval.WithIdleTimeout(time.Minute)))
 	spec, err := sweep.Builtin("figure3")
 	if err != nil {
 		t.Fatal(err)
@@ -444,7 +444,7 @@ func (e *countingEngine) Evaluate(ctx context.Context, sc sweep.Scenario) (sweep
 // each; the load search's probes never leave the process.
 func TestPlanSendsOnlyItsReportedCells(t *testing.T) {
 	fl := fleettest.New(t, fleettest.Decode([]byte("p2010")))
-	d := newDispatcher(t, fl.Addrs(), WithHTTPClient(fl.Client()))
+	d := newDispatcher(t, fl.Addrs(), WithTransport(fl))
 	spec, err := plan.Builtin("bft-capacity")
 	if err != nil {
 		t.Fatal(err)

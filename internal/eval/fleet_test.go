@@ -64,7 +64,7 @@ func expectLocal(t *testing.T, scs []eval.Scenario, got []eval.Point) {
 func remote(t *testing.T, s fleettest.Schedule, opts ...eval.RemoteOption) (*fleettest.Fleet, *eval.RemoteBackend) {
 	t.Helper()
 	fl := fleettest.New(t, s)
-	rb, err := eval.NewRemoteBackend(fl.Addrs(), append([]eval.RemoteOption{eval.WithHTTPClient(fl.Client()),
+	rb, err := eval.NewRemoteBackend(fl.Addrs(), append([]eval.RemoteOption{eval.WithTransport(fl),
 		eval.WithIdleTimeout(fleettest.IdleBound), eval.WithRetry(0, time.Millisecond)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,9 @@
 package eval
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"strconv"
+)
 
 // This file is the wire form of a shard's list route: POST
 // /v1/sweep/part carries a spec and an index range of its expanded grid
@@ -36,4 +39,18 @@ type PartRequest struct {
 	Spec  json.RawMessage `json:"spec"`
 	Start int             `json:"start"`
 	End   int             `json:"end"`
+}
+
+// AppendPartRequest appends the wire form of PartRequest{Spec: spec,
+// Start: start, End: end} to dst. spec goes in as is, so when it is what
+// json.Marshal writes for a spec — compact, HTML-escaped — the bytes are
+// json.Marshal's for the request, without its second pass over spec.
+func AppendPartRequest(dst, spec []byte, start, end int) []byte {
+	dst = append(dst, `{"spec":`...)
+	dst = append(dst, spec...)
+	dst = append(dst, `,"start":`...)
+	dst = strconv.AppendInt(dst, int64(start), 10)
+	dst = append(dst, `,"end":`...)
+	dst = strconv.AppendInt(dst, int64(end), 10)
+	return append(dst, '}')
 }

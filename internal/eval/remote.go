@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -33,26 +34,26 @@ import (
 // /v1/curve request over the grid's spec (Curves), which a coordinator
 // and its shards must therefore speak alike — they upgrade together.
 type RemoteBackend struct {
-	addrs   []string // normalized base URLs, in round-robin order
-	client  *http.Client
+	addrs   []string          // normalized base URLs, in round-robin order
+	rt      http.RoundTripper // nil: http.DefaultTransport, read at each request
 	next    atomic.Uint64
 	retries int
 	backoff time.Duration
-	single  time.Duration // flat bound on one single-shot request; 0 leaves it to the caller's client
+	single  time.Duration // flat bound on one single-shot request
 	idle    time.Duration // progress bound on one NDJSON stream
 }
 
 // RemoteOption configures the fleet transport.
 type RemoteOption func(*RemoteBackend)
 
-// WithHTTPClient replaces the default HTTP client, which carries no
-// timeout of its own (the transport bounds single-shot requests at 30 s
-// and streams by the idle watchdog). A caller-supplied client owns the
-// single-shot deadline through its Timeout — simulation-heavy scenarios
-// may need a laxer one, or none at all, leaving deadlines to the request
-// context; note that a Timeout also bounds whole streams.
-func WithHTTPClient(c *http.Client) RemoteOption {
-	return func(b *RemoteBackend) { b.client, b.single = c, 0 }
+// WithTransport sends every request through rt instead of
+// http.DefaultTransport (a nil rt keeps the default, read at each
+// request, so a decorator installed there later still sees every trip).
+// The deadlines are the backend's whatever carries the bytes: a
+// single-shot request is bounded at 30 s, a stream by the idle watchdog
+// (WithIdleTimeout), and both by the request context.
+func WithTransport(rt http.RoundTripper) RemoteOption {
+	return func(b *RemoteBackend) { b.rt = rt }
 }
 
 // WithRetry sets the per-request attempt budget and the base backoff
@@ -75,7 +76,6 @@ func WithIdleTimeout(t time.Duration) RemoteOption {
 // required; duplicates and empty entries are dropped.
 func NewRemoteBackend(addrs []string, opts ...RemoteOption) (*RemoteBackend, error) {
 	b := &RemoteBackend{
-		client:  &http.Client{},
 		backoff: 100 * time.Millisecond,
 		single:  30 * time.Second,
 		idle:    60 * time.Second,
@@ -134,7 +134,7 @@ func (b *RemoteBackend) Evaluate(ctx context.Context, sc Scenario) (Point, error
 	var p Point
 	err = b.retry(ctx, func(addr string) error {
 		url := addr + "/v1/eval"
-		return b.post(ctx, url, body, b.single, func(r io.Reader, _ func()) error {
+		return b.post(ctx, url, body, b.single, false, func(r io.Reader, _ func()) error {
 			return readPoint(r, &p, url)
 		})
 	})
@@ -171,19 +171,33 @@ func (b *RemoteBackend) EvaluateBatch(ctx context.Context, scs []Scenario) ([]Po
 	return pts, nil
 }
 
+// answerBufs holds readPoint's buffers: a canonical answer is a few
+// hundred bytes, and a buffer an interface's Read fills lives on the
+// heap, so one is reused rather than allocated per round trip.
+var answerBufs = sync.Pool{New: func() any { return new([512]byte) }}
+
 // readPoint reads a /v1/eval answer into p. The canonical answer — what
-// AppendPoint writes and a newline — is scanned; any other body goes to
-// decodeReply, which reads its first JSON value as encoding/json does.
+// AppendPoint writes and a newline — is scanned out of a pooled buffer;
+// any other body, or one too long for the buffer, goes to decodeReply,
+// which reads its first JSON value as encoding/json does.
 func readPoint(r io.Reader, p *Point, url string) error {
-	data, err := io.ReadAll(r)
-	if err != nil {
+	buf := answerBufs.Get().(*[512]byte)
+	defer answerBufs.Put(buf)
+	n, err := io.ReadFull(r, buf[:])
+	switch err {
+	case io.EOF, io.ErrUnexpectedEOF: // the whole body is buf[:n]
+		data := buf[:n]
+		if rest, ok := ParsePoint(data, p); ok && (len(rest) == 0 || string(rest) == "\n") {
+			return nil
+		}
+		r = bytes.NewReader(data)
+	case nil: // longer than any canonical answer
+		r = io.MultiReader(bytes.NewReader(buf[:]), r)
+	default:
 		return &transientError{err: fmt.Errorf("eval: remote: %s: decoding response: %w", url, err)}
 	}
-	if rest, ok := ParsePoint(data, p); ok && (len(rest) == 0 || string(rest) == "\n") {
-		return nil
-	}
 	var q Point // the fallback's own: p stays off the heap on the scan path
-	if err := decodeReply(bytes.NewReader(data), &q, url); err != nil {
+	if err := decodeReply(r, &q, url); err != nil {
 		return err
 	}
 	*p = q
@@ -200,7 +214,7 @@ func (b *RemoteBackend) Curves(ctx context.Context, spec []byte) ([]CurveDesc, e
 	var out []CurveDesc
 	err := b.retry(ctx, func(addr string) error {
 		url := addr + "/v1/curve"
-		return b.post(ctx, url, spec, b.single, func(r io.Reader, _ func()) error {
+		return b.post(ctx, url, spec, b.single, false, func(r io.Reader, _ func()) error {
 			out = nil // a retried attempt starts from a clean value
 			return decodeReply(r, &out, url)
 		})
@@ -227,7 +241,7 @@ func decodeReply(r io.Reader, v any, url string) error {
 // next line: fn copies what it keeps.
 func (b *RemoteBackend) Stream(ctx context.Context, shard, path string, body []byte, lo, hi int, fn func(*PartItem) error) error {
 	url := shard + path
-	return b.post(ctx, url, body, b.idle, func(r io.Reader, alive func()) error {
+	return b.post(ctx, url, body, b.idle, true, func(r io.Reader, alive func()) error {
 		return readItems(r, alive, url, lo, hi, fn)
 	})
 }
@@ -265,7 +279,7 @@ func Transient(err error) (holdOff time.Duration, ok bool) {
 // a delay that cannot complete before the context's deadline is not
 // slept at all.
 func (b *RemoteBackend) retry(ctx context.Context, attempt func(addr string) error) error {
-	var last *transientError
+	var last *transientError       // the latest failure
 	var holds map[string]time.Time // per shard, the end of the hold-off it asked for
 	first := b.next.Add(1) - 1
 	for n := 0; n < b.retries; n++ {
@@ -281,9 +295,14 @@ func (b *RemoteBackend) retry(ctx context.Context, attempt func(addr string) err
 			}
 		}
 		err := attempt(addr)
-		if !errors.As(err, &last) {
-			return err // done, or a permanent failure
+		if err == nil {
+			return nil
 		}
+		var te *transientError // errors.As's target, allocated on a failure only
+		if !errors.As(err, &te) {
+			return err // a permanent failure
+		}
+		last = te
 		if last.after > 0 {
 			if holds == nil {
 				holds = make(map[string]time.Time)
@@ -314,29 +333,42 @@ func Backoff(base time.Duration, n int) time.Duration {
 	return min(d, maxBackoff)
 }
 
-// post performs one request and hands the 200 response's body to
-// consume. Connection errors, 5xx responses and 429s are transient (with
-// the server's Retry-After hold-off); any other non-200 response is a
-// permanent error carrying the server's message. A positive idle arms
-// the watchdog: the request is cancelled — a transient failure — unless
-// consume calls alive at least that often, which is what defends a
-// caller against a shard that accepts the connection and then hangs.
-func (b *RemoteBackend) post(ctx context.Context, url string, body []byte, idle time.Duration, consume func(r io.Reader, alive func()) error) error {
+// jsonType is every request's Content-Type value, shared: a transport
+// reads a request's header and never writes it.
+var jsonType = []string{"application/json"}
+
+// post performs one request, one RoundTrip on the backend's transport,
+// and hands the 200 response's body to consume. Connection errors, 5xx
+// responses and 429s are transient (with the server's Retry-After
+// hold-off); any other non-200 response is a permanent error carrying
+// the server's message. A positive bound arms the watchdog: the request
+// is cancelled — a transient failure — once bound passes. On a stream
+// consume rearms it through alive, so the bound is on progress, which is
+// what defends a caller against a shard that accepts the connection and
+// then hangs; a single-shot request's bound is flat, and its alive does
+// nothing.
+func (b *RemoteBackend) post(ctx context.Context, url string, body []byte, bound time.Duration, stream bool, consume func(r io.Reader, alive func()) error) error {
 	reqCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	alive := func() {}
-	if idle > 0 {
-		watchdog := time.AfterFunc(idle, cancel)
+	if bound > 0 {
+		watchdog := time.AfterFunc(bound, cancel)
 		defer watchdog.Stop()
-		alive = func() { watchdog.Reset(idle) }
+		if stream {
+			alive = func() { watchdog.Reset(bound) }
+		}
 	}
 	req, err := http.NewRequestWithContext(reqCtx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("eval: remote: %w", err)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header["Content-Type"] = jsonType
 	obs.Inject(ctx, req.Header)
-	resp, err := b.client.Do(req)
+	rt := b.rt
+	if rt == nil {
+		rt = http.DefaultTransport
+	}
+	resp, err := rt.RoundTrip(req)
 	if err != nil {
 		return &transientError{err: fmt.Errorf("eval: remote: %s: %w", url, err)}
 	}

@@ -1,9 +1,9 @@
 // Package fleettest is a shard fleet you can break on purpose: n
 // in-process sweep shards, each a serve.Server over its own store.Store,
 // behind one http.RoundTripper that applies a Schedule of per-request
-// faults. A client reaches it through its WithHTTPClient option with
-// Client, over the addresses Addrs returns; nothing listens on a socket,
-// so a property can build a fresh fleet per input.
+// faults. A client takes the Fleet itself as that RoundTripper, through
+// its WithTransport option, over the addresses Addrs returns; nothing
+// listens on a socket, so a property can build a fresh fleet per input.
 //
 // The fleet checks one invariant itself: a shard restarted over a store
 // cut at byte b holds exactly the complete records in those b bytes; a
@@ -289,9 +289,6 @@ func (f *Fleet) Addrs() []string {
 	}
 	return addrs
 }
-
-// Client returns an HTTP client whose every request goes to the fleet.
-func (f *Fleet) Client() *http.Client { return &http.Client{Transport: f} }
 
 // SetPhase labels the requests that arrive from now on.
 func (f *Fleet) SetPhase(name string) {

@@ -59,3 +59,42 @@ func TestPartStreamAllocs(t *testing.T) {
 		t.Errorf("/v1/sweep/part stream: %.2f allocs per cell, budget 1.5 — has a line left the codec for encoding/json?", perCell)
 	}
 }
+
+// TestEvalRoundTripAllocs budgets one /v1/eval round trip end to end: a
+// model-only RemoteBackend.Evaluate against an in-process shard over
+// loopback HTTP. The count is process-wide — the client's request and
+// answer scan, the shard's body read, decode and answer, the
+// instrumentation, and net/http on both sides, which makes nearly all of
+// it — so the budget is held from both ends, a few allocations either
+// side of the 85 measured with go1.24: a count above it is a regression,
+// one below it a gain to record here. It was 98 while the client sent
+// through http.Client.Do and allocated its answer, its watchdog closure
+// and its retry target per trip, and the shard its body, its header
+// value and its status recorder.
+func TestEvalRoundTripAllocs(t *testing.T) {
+	srv := newTestServer(t, WithWorkers(1))
+	rb, err := eval.NewRemoteBackend([]string{srv.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := eval.Scenario{
+		Topology: eval.Topology{Family: eval.FamilyBFT, Size: 256},
+		MsgFlits: 32,
+		Load:     eval.Load{Frac: true, Value: 0.4},
+	}
+	probe := func() {
+		if _, err := rb.Evaluate(context.Background(), sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probe() // build the shard's model and open the connection
+	got := testing.AllocsPerRun(200, probe)
+	t.Logf("%.1f allocs per /v1/eval round trip", got)
+	if race.Enabled {
+		return
+	}
+	const lo, hi = 82, 88
+	if got < lo || got > hi {
+		t.Errorf("/v1/eval round trip: %.1f allocs, budget [%d, %d]", got, lo, hi)
+	}
+}

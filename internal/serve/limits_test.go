@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -98,5 +99,40 @@ func TestOversizedRequestCannotKillShard(t *testing.T) {
 				t.Errorf("/healthz answers %s after the request", health.Status)
 			}
 		})
+	}
+}
+
+// TestBodyBound: a request body is read to 1 MiB (maxBody) and no
+// further. A body of exactly maxBody bytes is answered, one byte more is
+// a 400 naming the bound, on the pooled /v1/eval read and on the copy
+// the other routes keep.
+func TestBodyBound(t *testing.T) {
+	srv := newTestServer(t)
+	const (
+		cell = `{"topology":{"family":"bft","size":64},"msg_flits":8,"load":{"frac":true,"value":0.5}}`
+		spec = `{"topologies":[{"family":"bft","sizes":[64]}],"msg_flits":[8],"loads":{"fracs":[0.5]}}`
+	)
+	for _, tc := range []struct {
+		path, body string
+		pad        int
+		code       int
+	}{
+		{"/v1/eval", cell, maxBody - len(cell), http.StatusOK},
+		{"/v1/eval", cell, maxBody + 1 - len(cell), http.StatusBadRequest},
+		{"/v1/curve", spec, maxBody - len(spec), http.StatusOK},
+		{"/v1/curve", spec, maxBody + 1 - len(spec), http.StatusBadRequest},
+		{"/v1/sweep/part", `{"spec":` + spec + `}`, maxBody + 1 - len(spec) - 9, http.StatusBadRequest},
+	} {
+		resp, err := http.Post(srv.URL+tc.path, "application/json", strings.NewReader(strings.Repeat(" ", tc.pad)+tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.code {
+			t.Errorf("%s with a %d-byte body: %s %s, want %d", tc.path, tc.pad+len(tc.body), resp.Status, msg, tc.code)
+		} else if tc.code != http.StatusOK && !strings.Contains(string(msg), "request body too large") {
+			t.Errorf("%s with a %d-byte body: %s does not name the bound", tc.path, tc.pad+len(tc.body), msg)
+		}
 	}
 }

@@ -122,7 +122,8 @@ func (t *traffic) Collect(emit func(obs.Sample)) {
 
 // statusRecorder captures the status code a handler writes, delegating
 // Flush so streaming endpoints keep their per-row flush behaviour
-// through the instrumentation layer.
+// through the instrumentation layer. One serves one request at a time,
+// from recorders: no handler keeps its writer past its return.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
@@ -146,6 +147,8 @@ func (r *statusRecorder) Flush() {
 	}
 }
 
+var recorders = sync.Pool{New: func() any { return new(statusRecorder) }}
+
 // instrument wraps a handler with per-endpoint accounting, the request
 // span (parented on the client's span when trace headers arrive) and
 // the request-scoped structured log record. With no tracer, no logger
@@ -160,10 +163,13 @@ func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 		if ctx != r.Context() {
 			r = r.WithContext(ctx)
 		}
-		rec := &statusRecorder{ResponseWriter: w}
+		rec := recorders.Get().(*statusRecorder)
+		rec.ResponseWriter = w
 		start := time.Now()
 		h(rec, r)
 		status := rec.status
+		*rec = statusRecorder{}
+		recorders.Put(rec)
 		if status == 0 {
 			status = http.StatusOK
 		}

@@ -181,7 +181,7 @@ func (e *expansions) get(specJSON []byte) (*sweep.Grid, error) {
 // any scenario crossing the wire (and the expansion is memoized across
 // the sweep's range requests).
 func (s *Server) handlePart(w http.ResponseWriter, r *http.Request) {
-	data, err := readBody(r)
+	data, err := readBody(r, nil)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return

@@ -41,6 +41,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"repro/internal/eval"
@@ -138,23 +139,52 @@ func methodGate(method string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// jsonType is every JSON answer's Content-Type value, shared: the
+// server copies a handler's header when it writes it.
+var jsonType = []string{"application/json"}
+
 // httpError writes a JSON error payload.
 func httpError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonType
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-// readBody reads a request body bounded at 1 MiB.
-func readBody(r *http.Request) ([]byte, error) {
-	body := http.MaxBytesReader(nil, r.Body, 1<<20)
-	defer body.Close()
-	data, err := io.ReadAll(body)
-	if err != nil {
-		return nil, fmt.Errorf("reading request body: %w", err)
+// maxBody bounds every request body: a longer one is a 400.
+const maxBody = 1 << 20
+
+// readBody appends r's body to dst (a nil dst starts at 512 bytes, as
+// io.ReadAll does) and returns the extended slice, refusing a body over
+// maxBody bytes.
+func readBody(r *http.Request, dst []byte) ([]byte, error) {
+	defer r.Body.Close()
+	if dst == nil {
+		dst = make([]byte, 0, 512)
 	}
-	return data, nil
+	limit := len(dst) + maxBody + 1 // one byte past the bound tells an overlong body
+	for {
+		if len(dst) == cap(dst) {
+			dst = append(dst, 0)[:len(dst)]
+		}
+		n, err := r.Body.Read(dst[len(dst):min(cap(dst), limit)])
+		dst = dst[:len(dst)+n]
+		switch {
+		case len(dst) == limit:
+			return dst, fmt.Errorf("reading request body: %w", &http.MaxBytesError{Limit: maxBody})
+		case err == io.EOF:
+			return dst, nil
+		case err != nil:
+			return dst, fmt.Errorf("reading request body: %w", err)
+		}
+	}
 }
+
+// evalBufs holds /v1/eval's buffers: the body is read into one and the
+// answer written over it, and it goes back once the answer is sent —
+// unless a large body grew it past maxPooled.
+var evalBufs = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+
+const maxPooled = 64 << 10
 
 // handleEval answers one scenario: the endpoint behind
 // RemoteBackend.Evaluate. A canonical body (eval.AppendScenario's) is
@@ -162,7 +192,14 @@ func readBody(r *http.Request) ([]byte, error) {
 // and the cell goes back as eval.AppendPoint writes it, one line in one
 // Write: the bytes json.Encoder would write.
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
-	data, err := readBody(r)
+	buf := evalBufs.Get().(*[]byte)
+	data, err := readBody(r, (*buf)[:0])
+	defer func() {
+		if cap(data) <= maxPooled {
+			*buf = data
+			evalBufs.Put(buf)
+		}
+	}()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -181,18 +218,20 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		httpError(w, code, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h["Content-Type"] = jsonType
 	if cached {
-		w.Header().Set("X-Cache", "hit")
+		h.Set("X-Cache", "hit")
 	}
 	// sc holds no bytes of the body, so its buffer takes the answer.
-	w.Write(append(eval.AppendPoint(data[:0], cell), '\n'))
+	data = append(eval.AppendPoint(data[:0], cell), '\n')
+	w.Write(data)
 }
 
 // handleCurve describes every curve of a grid (model name, D̄, saturation
 // anchor), expanding the spec through the memo its ranges share.
 func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
-	data, err := readBody(r)
+	data, err := readBody(r, nil) // the expansion memo keeps it
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -207,7 +246,7 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonType
 	json.NewEncoder(w).Encode(curves)
 }
 
@@ -261,7 +300,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if n, ok := vals["sweep_store_disk_bytes"]; ok {
 		payload["store_disk_bytes"] = int64(n)
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonType
 	json.NewEncoder(w).Encode(payload)
 }
 

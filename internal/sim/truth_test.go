@@ -118,3 +118,63 @@ func TestTruthCells(t *testing.T) {
 		})
 	}
 }
+
+// FuzzTruthCells is TestTruthCells' long form: it draws a truth cell —
+// the n-cube, n in 1..6, under bit-complement with e-cube routing
+// (D = n + 2), s in [2, 64] and a load of at most 0.85·s/h, so that
+// ρ = λ₀h ≤ 0.85 — and holds the mean latency of eight seeded replicas
+// to truthLatency within the 99.5 % t interval of their means. A correct
+// simulator misses one such interval in 200, and a fuzzer draws hundreds
+// of cells, so a cell fails only when the law misses the intervals of
+// three independent sets of replicas; a wrong hold moves the mean past
+// every one.
+//
+// The windows are sized in the queue's relaxation time, τ ≈ h/(1 − √ρ)²
+// cycles: a warmup of 5τ, and a measurement of 400τ spread over the
+// network's independent sources, but at least 4000 messages; an input
+// takes about 70 ms on average and under a second at worst.
+func FuzzTruthCells(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint8(160), uint64(1))  // the 1-cube, s = 2, ρ ≈ 0.53
+	f.Add(uint8(3), uint8(14), uint8(255), uint64(2)) // the 4-cube, s = 16, ρ = 0.85
+	f.Add(uint8(5), uint8(62), uint8(96), uint64(3))  // the 6-cube, s = 64, ρ ≈ 0.32
+	f.Fuzz(func(t *testing.T, dims, flits, rho uint8, seed uint64) {
+		const (
+			replicas = 8
+			tries    = 3
+			periods  = 400  // relaxation times per replica, over all sources
+			messages = 4000 // per replica, at least
+		)
+		n, s := 1+int(dims)%6, 2+int(flits)%63
+		h := s + truthHoldExtra
+		ρ := 0.85 * float64(1+int(rho)) / 256
+		load := ρ * float64(s) / float64(h)
+		net := topology.MustHypercube(n)
+		procs := float64(net.NumProcessors())
+		tau := float64(h) / math.Pow(1-math.Sqrt(ρ), 2)
+		measure := int(max(periods*tau, messages*float64(h)/ρ) / procs)
+		law := truthLatency(s, n+2, h, load)
+		var mean, hw float64
+		for try := 0; try < tries; try++ {
+			means := stats.NewBatchMeans(1)
+			for r := 0; r < replicas; r++ {
+				res, err := Run(context.Background(), Config{
+					Net:           net,
+					MsgFlits:      s,
+					Pattern:       traffic.BitComplement{},
+					Seed:          ReplicaSeed(seed, try*replicas+r),
+					WarmupCycles:  int(5 * tau),
+					MeasureCycles: measure,
+				}.FlitLoad(load))
+				if err != nil {
+					t.Fatal(err)
+				}
+				means.Add(res.LatencyMean)
+			}
+			if mean, hw = means.Mean(), means.HalfWidth(0.995); math.Abs(mean-law) <= hw {
+				return
+			}
+		}
+		t.Errorf("%d-cube, s = %d, load %.4g (ρ = %.3f): latency %.3f ± %.3f on the last of %d sets of replicas, the law (D = %d, h = %d) gives %.3f",
+			n, s, load, ρ, mean, hw, tries, n+2, h, law)
+	})
+}
