@@ -257,7 +257,7 @@ func storeEvidence(t *testing.T, dir string) (cells int, pairs int64, bytes int6
 	if bytes, err = st.DiskBytes(); err != nil {
 		t.Fatal(err)
 	}
-	return st.Len(), m.Pairs(), bytes
+	return st.Len(), m.Report().Pairs, bytes
 }
 
 // TestCalibrationForgetsPrunedCells: calibration is mined from the store,

@@ -68,10 +68,6 @@ var (
 // their own work (a delta around a call).
 func SaturationSearches() int64 { return satSearches.Load() }
 
-// ModelsBuilt returns how many models this process has built, read the
-// same way as SaturationSearches.
-func ModelsBuilt() int64 { return modelsBuilt.Load() }
-
 // Latency is the model's prediction at one operating point.
 type Latency struct {
 	// Total is the average message latency L in cycles (Eq. 25).
@@ -335,13 +331,6 @@ func (m *Model) bind(ws *core.Workspace, lambda0 float64) {
 	for i, r := range m.net.perLink {
 		rates[i] = lambda0 * r
 	}
-}
-
-// ServiceInj returns the injection-channel service time x̄₀₁(λ₀), the
-// quantity whose crossing with 1/λ₀ defines saturation (Eq. 26).
-func (m *Model) ServiceInj(lambda0 float64) (float64, error) {
-	lat, err := m.Latency(lambda0)
-	return lat.ServiceInj, err
 }
 
 // SaturationLoad finds the paper's maximum-throughput operating point

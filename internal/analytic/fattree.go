@@ -79,28 +79,14 @@ func (m *FatTreeModel) NumProcessors() int { return m.net.numProc }
 // Levels returns n = log4(N).
 func (m *FatTreeModel) Levels() int { return m.net.n }
 
-// UpProb returns P↑_l = (4^n − 4^l)/(4^n − 1), the probability that a
-// message at a level-l switch must continue upward (Eq. 12).
-func (m *FatTreeModel) UpProb(l int) float64 { return m.net.upProbAt(l) }
-
-func (net *network) upProbAt(l int) float64 {
-	if l >= 0 && l <= net.n {
-		return net.upProb[l]
-	}
-	n4 := float64(net.numProc)
-	return (n4 - math.Pow(4, float64(l))) / (n4 - 1)
-}
-
-// UpRate returns λ_{l,l+1}, the per-link message rate of an up channel
-// from level l (Eq. 14), with λ_{0,1} = λ₀. Down rates mirror up rates
-// (Eq. 15): λ_{l+1,l} = λ_{l,l+1}.
-func (m *FatTreeModel) UpRate(l int, lambda0 float64) float64 { return m.net.upRate(l, lambda0) }
-
+// upRate returns λ_{l,l+1}, the per-link message rate of an up channel
+// from level l < n (Eq. 14), with λ_{0,1} = λ₀. Down rates mirror up
+// rates (Eq. 15): λ_{l+1,l} = λ_{l,l+1}.
 func (net *network) upRate(l int, lambda0 float64) float64 {
 	if l == 0 {
 		return lambda0
 	}
-	return lambda0 * net.upProbAt(l) * float64(int(1)<<l)
+	return lambda0 * net.upProb[l] * float64(int(1)<<l)
 }
 
 // ratio computes λa/λb for the blocking corrections; with no traffic at
@@ -291,9 +277,4 @@ func FatTreeClassOf(ft *topology.FatTree, ch topology.ChannelID) string {
 	default:
 		return "?"
 	}
-}
-
-// Topology materialises the matching topology.FatTree (for simulation).
-func (m *FatTreeModel) Topology() *topology.FatTree {
-	return topology.MustFatTree(m.net.numProc)
 }

@@ -28,26 +28,26 @@ func TestFatTreeUpProbMatchesPaperEq12(t *testing.T) {
 	// P↑_l = (4^5 - 4^l)/(4^5 - 1).
 	for l := 1; l < 5; l++ {
 		want := (1024.0 - math.Pow(4, float64(l))) / 1023.0
-		if got := m.UpProb(l); math.Abs(got-want) > 1e-12 {
-			t.Errorf("UpProb(%d) = %v, want %v", l, got, want)
+		if got := m.net.upProb[l]; math.Abs(got-want) > 1e-12 {
+			t.Errorf("P↑(%d) = %v, want %v", l, got, want)
 		}
 	}
 	// At the root everything must go down.
-	if got := m.UpProb(5); got != 0 {
-		t.Errorf("UpProb(n) = %v, want 0", got)
+	if got := m.net.upProb[5]; got != 0 {
+		t.Errorf("P↑(n) = %v, want 0", got)
 	}
 }
 
 func TestFatTreeUpRateMatchesPaperEq14(t *testing.T) {
 	m := MustFatTreeModel(1024, 16, core.Options{})
 	const lambda0 = 0.001
-	if got := m.UpRate(0, lambda0); got != lambda0 {
-		t.Errorf("UpRate(0) = %v, want λ0", got)
+	if got := m.net.upRate(0, lambda0); got != lambda0 {
+		t.Errorf("λ(0,1) = %v, want λ0", got)
 	}
 	for l := 1; l < 5; l++ {
 		want := lambda0 * (1024 - math.Pow(4, float64(l))) / 1023 * math.Pow(2, float64(l))
-		if got := m.UpRate(l, lambda0); math.Abs(got-want) > 1e-15 {
-			t.Errorf("UpRate(%d) = %v, want %v", l, got, want)
+		if got := m.net.upRate(l, lambda0); math.Abs(got-want) > 1e-15 {
+			t.Errorf("λ(%d,%d+1) = %v, want %v", l, l, got, want)
 		}
 	}
 }
@@ -60,8 +60,8 @@ func TestFatTreeRateConservation(t *testing.T) {
 	total := 256 * lambda0
 	for l := 1; l < m.Levels(); l++ {
 		links := math.Ldexp(256, -l) // §3.2: 4^n/2^l links from level l to l+1
-		gotTotal := m.UpRate(l, lambda0) * links
-		wantTotal := total * m.UpProb(l)
+		gotTotal := m.net.upRate(l, lambda0) * links
+		wantTotal := total * m.net.upProb[l]
 		if math.Abs(gotTotal-wantTotal) > 1e-12 {
 			t.Errorf("level %d: aggregate up rate %v, want %v", l, gotTotal, wantTotal)
 		}
@@ -236,6 +236,13 @@ func TestFatTreeUnstableAboveSaturation(t *testing.T) {
 	}
 }
 
+// serviceInj is the injection-channel service time x̄₀₁(λ₀), the
+// quantity whose crossing with 1/λ₀ defines saturation (Eq. 26).
+func serviceInj(m *FatTreeModel, lambda0 float64) (float64, error) {
+	lat, err := m.Latency(lambda0)
+	return lat.ServiceInj, err
+}
+
 // The saturation condition itself (Eq. 26): the reported load brackets the
 // crossing of λ0·x̄01 with 1. The product is extremely steep near the
 // operating point (the top-level waits scale like 1/(1−ρ)), so we assert
@@ -248,7 +255,7 @@ func TestFatTreeSaturationCondition(t *testing.T) {
 			t.Fatal(err)
 		}
 		lambdaSat := sat / s
-		x, err := m.ServiceInj(0.999 * lambdaSat)
+		x, err := serviceInj(m, 0.999*lambdaSat)
 		if err != nil {
 			t.Fatalf("s=%v: just below saturation: %v", s, err)
 		}
@@ -256,7 +263,7 @@ func TestFatTreeSaturationCondition(t *testing.T) {
 			t.Errorf("s=%v: λ·x̄ = %v just below saturation, want < 1", s, prod)
 		}
 		// Just above: either λ·x̄ >= 1 or the model is already unstable.
-		x, err = m.ServiceInj(1.001 * lambdaSat)
+		x, err = serviceInj(m, 1.001*lambdaSat)
 		if err == nil {
 			if prod := 1.001 * lambdaSat * x; prod < 1 {
 				t.Errorf("s=%v: λ·x̄ = %v just above saturation, want >= 1", s, prod)
@@ -431,14 +438,6 @@ func TestFatTreeModelName(t *testing.T) {
 	}
 	if m.NumProcessors() != 256 || m.Levels() != 4 || m.MsgFlits() != 32 {
 		t.Error("accessors broken")
-	}
-}
-
-func TestFatTreeTopologyAccessor(t *testing.T) {
-	m := MustFatTreeModel(64, 16, core.Options{})
-	ft := m.Topology()
-	if ft.NumProcessors() != 64 {
-		t.Errorf("topology size %d", ft.NumProcessors())
 	}
 }
 

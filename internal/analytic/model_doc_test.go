@@ -19,7 +19,7 @@ import (
 // table row there, every row is still cited by some comment, every test a
 // row names exists in one of the three packages, and every Go identifier
 // the page names — `analytic.(*Model).Latency`, `core.blocking`,
-// `core.Options.CV`, `(*TorusModel).ClosedForm` — is declared in their
+// `core.Options.SingleServerGroups`, `(*TorusModel).ClosedForm` — is declared in their
 // non-test files (a method on exactly that receiver type, a field of that
 // struct). Local names such as `lamDown` are not checked.
 func TestEquationMapCoversCitedEquations(t *testing.T) {

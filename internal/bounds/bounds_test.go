@@ -9,6 +9,7 @@ import (
 	"repro/internal/bounds"
 	"repro/internal/core"
 	"repro/internal/eval"
+	"repro/internal/obs"
 	"repro/internal/race"
 	"repro/internal/sweep"
 	"repro/internal/workload"
@@ -229,7 +230,7 @@ func TestModelBoundsRunBuildsEachModelOnce(t *testing.T) {
 		Loads:      sweep.LoadSpec{Fracs: []float64{0.2, 0.5, 0.8}},
 		Backends:   []string{sweep.BackendModel, sweep.BackendBounds},
 	}
-	before := analytic.ModelsBuilt()
+	before := obs.Counters()["analytic_models_built_total"]
 	res, err := sweep.NewRunner().Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +240,7 @@ func TestModelBoundsRunBuildsEachModelOnce(t *testing.T) {
 			t.Fatalf("%s: no bound: %+v", r.Scenario.Key(), r.Cell)
 		}
 	}
-	if got, want := analytic.ModelsBuilt()-before, int64(3); got != want {
+	if got, want := obs.Counters()["analytic_models_built_total"]-before, int64(3); got != want {
 		t.Errorf("a model,bounds run over 3×2 fat-tree curves built %d models, want %d", got, want)
 	}
 }

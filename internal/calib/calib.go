@@ -10,13 +10,10 @@
 // contributes one pair when both its model and sim sides are finite and
 // unsaturated; the derived seed and budget deliberately do not split
 // regions, so replicated measurements of the same physical question
-// accumulate together. A cell is its scenario key; a store may also
-// hold the same key behind a backend salt (the custom backend lists,
-// fleet tags and spelled-out built-in lists older versions wrote) —
-// mined, it is the same measurement and pairs once. Only the paper's
-// model is calibrated — a sim-carrying cell of an ablation variant is
-// mined but never pairs, because the trust gate reads a region as the
-// base model's error.
+// accumulate together. A cell is its scenario key, and pairs once
+// however often it is mined. Only the paper's model is calibrated — a
+// sim-carrying cell of an ablation variant is mined but never pairs,
+// because the trust gate reads a region as the base model's error.
 //
 // The result store is the record and a map is a read of it: a process
 // builds one with NewMap and Mines the store (cmd/calib -store,
@@ -215,10 +212,9 @@ func (a *acc) boundTightness() float64 {
 }
 
 // Map is the calibration map: per-region accuracy accumulators plus the
-// set of scenario keys already observed (so mining a store twice, or
-// meeting one cell in a store under two salts, never double-counts a
-// pair). All methods are safe for concurrent use; a nil *Map is a valid
-// empty map.
+// set of scenario keys already observed (so mining a store twice never
+// double-counts a pair). All methods are safe for concurrent use; a nil
+// *Map is a valid empty map.
 type Map struct {
 	mu      sync.Mutex
 	regions map[Region]*acc
@@ -255,20 +251,18 @@ func pairable(pt eval.Point) bool {
 // Observe feeds one cache cell into the map and reports whether it
 // became a new calibration pair. Cells without simulator evidence
 // return immediately; sim-carrying cells are deduplicated by scenario
-// key — a stored line minus its backend salt, if Mine met one — so
-// feeding the same cell twice, under whichever salts, is harmless.
+// key, so feeding the same cell twice is harmless.
 func (m *Map) Observe(key string, pt eval.Point) bool {
 	if m == nil || !simCarrying(pt) {
 		return false
 	}
-	_, cell := eval.CutSalt(key)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, dup := m.seen[cell]; dup {
+	if _, dup := m.seen[key]; dup {
 		return false
 	}
-	m.seen[cell] = struct{}{}
-	sc, wk, err := eval.ParseKey(cell)
+	m.seen[key] = struct{}{}
+	sc, wk, err := eval.ParseKey(key)
 	if err != nil || !pairable(pt) || !sc.Variant.IsBase() {
 		return false
 	}
@@ -397,14 +391,4 @@ func (m *Map) Report() Report {
 	}
 	rep.WorstMAPE = eval.Finite(worst)
 	return rep
-}
-
-// Pairs returns the total pair count.
-func (m *Map) Pairs() int64 {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.pairs
 }

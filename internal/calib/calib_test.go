@@ -145,8 +145,8 @@ func TestObserveCellAllocs(t *testing.T) {
 		i++
 		m.ObserveCell(ctx, keys[i], pt)
 	})
-	if m.Pairs() != runs+1 {
-		t.Fatalf("%d of %d cells paired", m.Pairs(), runs+1)
+	if m.Report().Pairs != runs+1 {
+		t.Fatalf("%d of %d cells paired", m.Report().Pairs, runs+1)
 	}
 	if allocs > budget {
 		t.Errorf("ObserveCell allocates %.0f/op, budget %d", allocs, budget)
@@ -241,36 +241,6 @@ func TestMineIsIdempotent(t *testing.T) {
 	}
 }
 
-// TestOneCellUnderSeveralSaltsPairsOnce: a store that several front
-// doors wrote holds the same scenario under several backend salts — none
-// from a default runner, the built-in list's from an older daemon, a fleet
-// tag from a dispatcher. It is one measurement: it pairs once, in
-// whichever order the lines arrive.
-func TestOneCellUnderSeveralSaltsPairsOnce(t *testing.T) {
-	key, pt := testCell(t, 0.6, 0, 110, 100)
-	salts := []string{"", "backends=analytic,sim,bounds|", "backends=remote(http://10.0.0.1:8713,http://10.0.0.2:8713)|"}
-	ctx := context.Background()
-	for first := range salts {
-		m := NewMap()
-		if !m.Observe(salts[first]+key, pt) {
-			t.Fatalf("first sighting under salt %q did not pair", salts[first])
-		}
-		src := sourceFunc(func(fn func(string, eval.Point) bool) {
-			for _, salt := range salts {
-				if !fn(salt+key, pt) {
-					return
-				}
-			}
-		})
-		if added := m.Mine(ctx, src); added != 0 || m.Pairs() != 1 {
-			t.Errorf("seen under %q: mining its other salts added %d pairs (total %d), want 0 (1)", salts[first], added, m.Pairs())
-		}
-		if reg := m.Report().Regions; len(reg) != 1 || reg[0].Pairs != 1 {
-			t.Errorf("seen under %q: regions %+v, want one region with one pair", salts[first], reg)
-		}
-	}
-}
-
 // TestAblationVariantsDoNotCalibrate: the trust gate reads a region as
 // the paper's model's error, so a sim-carrying cell of an ablated model —
 // a spec may set with_sim on any variant; its key parses — is observed
@@ -285,8 +255,8 @@ func TestAblationVariantsDoNotCalibrate(t *testing.T) {
 	if m.Observe(ablated, pt) {
 		t.Error("an ablation-variant cell paired")
 	}
-	if m.Pairs() != 0 || len(m.Report().Regions) != 0 {
-		t.Errorf("ablation-variant cell left %d pairs in %d regions, want none", m.Pairs(), len(m.Report().Regions))
+	if m.Report().Pairs != 0 || len(m.Report().Regions) != 0 {
+		t.Errorf("ablation-variant cell left %d pairs in %d regions, want none", m.Report().Pairs, len(m.Report().Regions))
 	}
 	if _, seen := m.seen[ablated]; !seen {
 		t.Error("ablation-variant cell was not seen")

@@ -112,20 +112,6 @@ type Class struct {
 	Out []Transition
 }
 
-// CVMode selects the service-time variability approximation used in the
-// waiting-time formulas.
-type CVMode int
-
-// CV modes.
-const (
-	// CVWormhole is the paper's Eq. 5: C²b = (x̄ − s)²/x̄².
-	CVWormhole CVMode = iota
-	// CVDeterministic forces C²b = 0 (M/D/m behaviour); ablation.
-	CVDeterministic
-	// CVExponential forces C²b = 1 (M/M/m behaviour); ablation.
-	CVExponential
-)
-
 // Options toggles the model's novel ingredients for ablation studies.
 // The zero value is the paper's model.
 type Options struct {
@@ -141,8 +127,6 @@ type Options struct {
 	// Eq. 21/23, feeding the M/G/m formula the per-link rate instead of
 	// the group rate. Kept for the erratum ablation.
 	NoPairRateCorrection bool
-	// CV selects the C²b approximation.
-	CV CVMode
 }
 
 // Model is a channel-class graph plus workload parameters.
@@ -436,28 +420,17 @@ func (ws *Workspace) Blocking(i ClassID) []float64 {
 	return ws.block[ws.g.offset[i]:ws.g.offset[i+1]]
 }
 
-func cv2(mode CVMode, x, msgFlits float64) float64 {
-	switch mode {
-	case CVDeterministic:
-		return queueing.CV2Deterministic
-	case CVExponential:
-		return queueing.CV2Exponential
-	default:
-		return queueing.CV2Wormhole(x, msgFlits)
-	}
-}
-
 // wait is the group waiting time of class i at mean service time x under
-// the options Resolve decoded.
+// the options Resolve decoded, with Eq. 5's C²b = (x̄ − s)²/x̄².
 func (ws *Workspace) wait(i int, x float64) float64 {
 	servers := ws.g.classes[i].Servers
 	if ws.opt.SingleServerGroups {
 		servers = 1
 	}
-	if servers == 1 && ws.opt.CV == CVWormhole {
+	if servers == 1 {
 		return waitWormhole1(ws.qRate[i], x, ws.msgFlits)
 	}
-	return queueing.WaitMGm(servers, ws.qRate[i], x, cv2(ws.opt.CV, x, ws.msgFlits))
+	return queueing.WaitMGm(servers, ws.qRate[i], x, queueing.CV2Wormhole(x, ws.msgFlits))
 }
 
 // waitWormhole1 is queueing.WaitMGm(1, lambda, x, queueing.CV2Wormhole(x, s)),
@@ -560,13 +533,13 @@ func (ws *Workspace) damped() bool {
 		x[i], movedAt[i] = s, 0
 	}
 	ws.relist(0)
-	wormhole, single := ws.opt.CV == CVWormhole, ws.opt.SingleServerGroups
+	single := ws.opt.SingleServerGroups
 	for sweep := 1; sweep <= maxSweeps; sweep++ {
 		ws.Iterations = sweep
 		for _, j := range ws.waits {
 			c := &classes[j]
 			xj := x[j]
-			if wormhole && (c.Servers == 1 || single) {
+			if c.Servers == 1 || single {
 				// waitWormhole1 inlined (s > 0 here), critical divisions first.
 				lambda, a := q[j], q[j]*xj
 				mm1 := waitMM1(a, xj)
@@ -792,14 +765,4 @@ func (m *Model) Resolve(opt Options) (*Result, error) {
 		return nil, err
 	}
 	return &Result{ServiceTime: ws.ServiceTime, Wait: ws.Wait, Utilization: ws.Utilization}, nil
-}
-
-// ClassByName returns the id of the named class, or -1.
-func (m *Model) ClassByName(name string) ClassID {
-	for i := range m.Classes {
-		if m.Classes[i].Name == name {
-			return ClassID(i)
-		}
-	}
-	return -1
 }

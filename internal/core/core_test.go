@@ -154,12 +154,12 @@ func TestResolveUnstableDetected(t *testing.T) {
 
 func TestResolveNearSaturationDivergenceDetected(t *testing.T) {
 	// Stable at raw transmission time but diverges once waits feed back:
-	// rho_raw = 0.059*16 = 0.944, with full-wait feedback it blows up.
+	// rho_raw = 0.059*16 = 0.944, so the ejection wait (C²b = 0 at x̄ = s)
+	// is about 135 cycles, and charged in full it lifts the relay's x̄ to
+	// about 151 and its rho to about 8.9.
 	m := twoHop(0.059, 16)
-	m.Classes[1].Out[0].Prob = 1
-	_, err := m.Resolve(Options{NoBlockingCorrection: true, CV: CVExponential})
+	lat, err := m.Resolve(Options{NoBlockingCorrection: true})
 	if err == nil {
-		lat, _ := m.Resolve(Options{NoBlockingCorrection: true, CV: CVExponential})
 		t.Fatalf("expected divergence, got service times %v", lat.ServiceTime)
 	}
 	if !errors.Is(err, ErrUnstable) {
@@ -195,42 +195,6 @@ func TestValidateCatchesBadModels(t *testing.T) {
 		if _, err := m.Resolve(Options{}); err == nil {
 			t.Errorf("%s: Resolve accepted a bad model", name)
 		}
-	}
-}
-
-func TestCVModes(t *testing.T) {
-	m := twoHop(0.01, 16)
-	base, err := m.Resolve(Options{NoBlockingCorrection: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	det, err := m.Resolve(Options{NoBlockingCorrection: true, CV: CVDeterministic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp, err := m.Resolve(Options{NoBlockingCorrection: true, CV: CVExponential})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At x = s the wormhole CV2 is 0, so the first wait matches
-	// deterministic; downstream of that the service times stay ordered:
-	// deterministic <= wormhole <= exponential.
-	for i := range base.ServiceTime {
-		if det.ServiceTime[i] > base.ServiceTime[i]+1e-12 ||
-			base.ServiceTime[i] > exp.ServiceTime[i]+1e-12 {
-			t.Errorf("class %d: CV ordering violated: det=%v worm=%v exp=%v",
-				i, det.ServiceTime[i], base.ServiceTime[i], exp.ServiceTime[i])
-		}
-	}
-}
-
-func TestClassByName(t *testing.T) {
-	m := twoHop(0.01, 16)
-	if id := m.ClassByName("relay"); id != 1 {
-		t.Errorf("ClassByName(relay) = %d, want 1", id)
-	}
-	if id := m.ClassByName("nope"); id != -1 {
-		t.Errorf("ClassByName(nope) = %d, want -1", id)
 	}
 }
 

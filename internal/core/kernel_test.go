@@ -215,10 +215,9 @@ func kernelGraph(rng *traffic.RNG, flags uint8, msgFlits float64) *Model {
 }
 
 // kernelOptions decodes the option combination a fuzz input names: the
-// CV mode and the three ablation switches.
+// three ablation switches.
 func kernelOptions(flags uint8) Options {
 	return Options{
-		CV:                   CVMode(flags&3) % 3,
 		SingleServerGroups:   flags&4 != 0,
 		NoPairRateCorrection: flags&8 != 0,
 		NoBlockingCorrection: flags&16 != 0,
@@ -604,7 +603,7 @@ func TestKernelLargeGraphs(t *testing.T) {
 	for _, n := range []int{70, 130} {
 		rng := traffic.NewRNG(uint64(n))
 		for _, m := range []*Model{randomCyclicGraph(rng, 1+rng.Intn(4), n, 16), torusShapedModel(rng, n-2, 16)} {
-			for _, opt := range []Options{{}, {SingleServerGroups: true, CV: CVExponential, NoBlockingCorrection: true}} {
+			for _, opt := range []Options{{}, {SingleServerGroups: true, NoBlockingCorrection: true}} {
 				lo, hi := 0.0, 1.0
 				for hi-lo > 1e-3 {
 					mid := (lo + hi) / 2

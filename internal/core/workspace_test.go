@@ -52,7 +52,7 @@ func resolveVia(ws *Workspace, m *Model, opt Options) (*Result, error) {
 // turn — growing, shrinking, cyclic and acyclic, and a saturated call in
 // between — gives exactly what a fresh workspace per model gives.
 func TestWorkspaceReuse(t *testing.T) {
-	opts := []Options{{}, {NoBlockingCorrection: true}, {SingleServerGroups: true}, {NoPairRateCorrection: true}, {CV: CVExponential}}
+	opts := []Options{{}, {NoBlockingCorrection: true}, {SingleServerGroups: true}, {NoPairRateCorrection: true}}
 	var shared Workspace
 	for round := 0; round < 2; round++ {
 		for _, n := range []int{7, 2, 12, 3, 12, 5} {

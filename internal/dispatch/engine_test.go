@@ -365,8 +365,8 @@ func TestEngineContract(t *testing.T) {
 						pairable++
 					}
 				}
-				if pairable == 0 || m.Pairs() != int64(pairable) {
-					t.Errorf("the mined map holds %d pair(s) after %d measurements were computed one way, read back and computed the other way", m.Pairs(), pairable)
+				if pairable == 0 || m.Report().Pairs != int64(pairable) {
+					t.Errorf("the mined map holds %d pair(s) after %d measurements were computed one way, read back and computed the other way", m.Report().Pairs, pairable)
 				}
 			})
 		}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/analytic"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/race"
 	"repro/internal/workload"
 )
@@ -176,7 +177,7 @@ func TestCurveEntryAllocs(t *testing.T) {
 	if _, err := b.entry(topo, 1, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	built := analytic.ModelsBuilt()
+	built := obs.Counters()["analytic_models_built_total"]
 	for _, tc := range []struct {
 		name string
 		add  func(flits int) error
@@ -202,7 +203,7 @@ func TestCurveEntryAllocs(t *testing.T) {
 			t.Errorf("a new %s curve on a built network allocates %v times, want at most 2", tc.name, got)
 		}
 	}
-	if got := analytic.ModelsBuilt() - built; got != 0 {
+	if got := obs.Counters()["analytic_models_built_total"] - built; got != 0 {
 		t.Errorf("new curves on a built network built %d models, want 0", got)
 	}
 }

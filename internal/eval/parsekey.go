@@ -10,29 +10,10 @@ import (
 	"repro/internal/sim"
 )
 
-// CutSalt splits a stored cache line into the backend salt it was
-// written under ("backends=<names>|") and the Scenario.Key behind it; a
-// line without one is the key. No runner writes salted lines any more;
-// older versions did, for a custom backend list (sweep.WithBackends), a
-// fleet's cells ("backends=remote(<shards>)|") and the built-in list
-// spelled out, and stores keep them: the same evaluated scenario may sit
-// in a store under several of them and is one measurement under all —
-// this is how the calibration layer, the one reader of stored lines,
-// tells. A "backends=" prefix with no '|' terminator is not a salt.
-func CutSalt(line string) (salt, key string) {
-	if strings.HasPrefix(line, "backends=") {
-		if i := strings.IndexByte(line, '|'); i >= 0 {
-			return line[:i+1], line[i+1:]
-		}
-	}
-	return "", line
-}
-
 // ParseKey inverts Scenario.Key: it returns the scenario coordinates a
 // key encodes and the workload's canonical form ("" for the default
 // workload). It is the primitive the calibration layer mines the
-// persistent store with (a stored line's salt, if any, is cut off first
-// — see CutSalt).
+// persistent store with.
 //
 // The grammar is appendKey's and nothing else: ParseKey accepts key
 // exactly when appendKey writes it back byte for byte, so reordered,

@@ -9,19 +9,12 @@ import (
 	"repro/internal/workload"
 )
 
-// TestParseKeyRoundTrip drives CutSalt and ParseKey over the cross product
-// of every optional spelling a stored line can carry — salts, variants,
-// budget knobs, workloads, bounds, fractional and absolute loads: the
-// salt comes off whole, what is left is the scenario's key to the byte,
-// and the coordinates recovered from it are the scenario's.
+// TestParseKeyRoundTrip drives ParseKey over the cross product of every
+// optional spelling a key can carry — variants, budget knobs, workloads,
+// bounds, fractional and absolute loads: the coordinates recovered from
+// a key are the scenario's, and a key behind a legacy "backends=…|" salt
+// is refused.
 func TestParseKeyRoundTrip(t *testing.T) {
-	salts := []string{
-		"",
-		"backends=bounds|",
-		"backends=analytic,sim|",
-		"backends=fleet-2,batch|",
-		"backends=remote(http://10.0.0.1:8713,http://10.0.0.2:8713)|",
-	}
 	budgets := []Budget{
 		{Warmup: 4000, Measure: 20000, Seed: 1},
 		{Warmup: 4000, Measure: 20000, Seed: 1, DrainLimit: 5000},
@@ -51,30 +44,28 @@ func TestParseKeyRoundTrip(t *testing.T) {
 	policies := []sim.UpLinkPolicy{sim.PairQueue, sim.RandomFixed}
 
 	n := 0
-	for _, salt := range salts {
-		for _, bud := range budgets {
-			for _, v := range variants {
-				for _, wk := range workloads {
-					for _, topo := range topos {
-						for _, ld := range loads {
-							for _, pol := range policies {
-								for _, withSim := range []bool{false, true} {
-									for _, withBounds := range []bool{false, true} {
-										sc := Scenario{
-											Topology:   topo,
-											MsgFlits:   20,
-											Policy:     pol,
-											Load:       ld,
-											Variant:    v,
-											LoadIndex:  3,
-											WithSim:    withSim,
-											Budget:     bud,
-											WithBounds: withBounds,
-											Workload:   wk,
-										}
-										checkRoundTrip(t, salt, sc)
-										n++
+	for _, bud := range budgets {
+		for _, v := range variants {
+			for _, wk := range workloads {
+				for _, topo := range topos {
+					for _, ld := range loads {
+						for _, pol := range policies {
+							for _, withSim := range []bool{false, true} {
+								for _, withBounds := range []bool{false, true} {
+									sc := Scenario{
+										Topology:   topo,
+										MsgFlits:   20,
+										Policy:     pol,
+										Load:       ld,
+										Variant:    v,
+										LoadIndex:  3,
+										WithSim:    withSim,
+										Budget:     bud,
+										WithBounds: withBounds,
+										Workload:   wk,
 									}
+									checkRoundTrip(t, sc)
+									n++
 								}
 							}
 						}
@@ -86,21 +77,15 @@ func TestParseKeyRoundTrip(t *testing.T) {
 	t.Logf("round-tripped %d keys", n)
 }
 
-func checkRoundTrip(t *testing.T, salt string, sc Scenario) {
+func checkRoundTrip(t *testing.T, sc Scenario) {
 	t.Helper()
-	line := salt + sc.Key()
-	cut, key := CutSalt(line)
-	if cut != salt || key != sc.Key() {
-		t.Fatalf("CutSalt(%q) = %q, %q; want %q, %q", line, cut, key, salt, sc.Key())
-	}
+	key := sc.Key()
 	got, wk, err := ParseKey(key)
 	if err != nil {
 		t.Fatalf("ParseKey(%q): %v", key, err)
 	}
-	if salt != "" {
-		if _, _, err := ParseKey(line); err == nil {
-			t.Fatalf("ParseKey(%q) accepted a salted line: a key is a Scenario.Key", line)
-		}
+	if _, _, err := ParseKey("backends=analytic,sim|" + key); err == nil {
+		t.Fatalf("ParseKey accepted %q behind a salt: a key is a Scenario.Key", key)
 	}
 	// What a key carries comes back; what it does not (Index, LoadIndex,
 	// the variant's name and sim flag, a model-only budget) comes back
@@ -187,12 +172,11 @@ func TestParseKeyMalformed(t *testing.T) {
 	}
 }
 
-// FuzzParseKey reads an arbitrary stored line the way the calibration
-// layer does — CutSalt, then ParseKey on what is left — and asserts that
-// neither panics, that salt plus key re-assembles the line, that a salt is
-// exactly a "backends=" prefix up to its first '|' (a prefix without one is
-// not a salt), and that every accepted key is what appendKey writes for
-// the scenario and workload ParseKey returned.
+// FuzzParseKey reads an arbitrary stored key the way the calibration
+// layer does and asserts that ParseKey does not panic, that every key it
+// accepts is what appendKey writes for the scenario and workload it
+// returned, and that SplitKey accepts that key too: what calibration can
+// read, a store keeps.
 func FuzzParseKey(f *testing.F) {
 	seeds := []string{
 		"",
@@ -210,20 +194,13 @@ func FuzzParseKey(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
-	f.Fuzz(func(t *testing.T, line string) {
-		salt, key := CutSalt(line)
-		if salt+key != line {
-			t.Fatalf("CutSalt(%q) = %q, %q: does not re-assemble", line, salt, key)
-		}
-		if salted := strings.HasPrefix(line, "backends=") && strings.Contains(line, "|"); salted != (salt != "") {
-			t.Fatalf("CutSalt(%q): salt %q", line, salt)
-		}
-		if salt != "" && strings.IndexByte(salt, '|') != len(salt)-1 {
-			t.Fatalf("CutSalt(%q): salt %q does not end at its first '|'", line, salt)
-		}
+	f.Fuzz(func(t *testing.T, key string) {
 		if sc, wk, err := ParseKey(key); err == nil {
 			if again := string(sc.appendKey(nil, wk, false)); again != key {
 				t.Fatalf("ParseKey(%q) accepted a key appendKey writes as %q", key, again)
+			}
+			if _, _, ok := SplitKey(nil, key); !ok {
+				t.Fatalf("ParseKey accepts %q and SplitKey refuses it", key)
 			}
 		}
 	})

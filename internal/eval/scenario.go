@@ -428,12 +428,14 @@ func AppendJoinKey(b []byte, curve string, t Token) []byte {
 
 // SplitKey inverts AppendJoinKey: it appends key's curve key to b and
 // returns it with the cell's token. ok is false for a string
-// AppendJoinKey would not write back byte for byte — no load= field, or
-// a load or seed value in a non-canonical spelling — and b is then
-// returned unchanged. The key may be a record's bytes, read in place.
+// AppendJoinKey would not write back byte for byte — one that does not
+// begin with family= (as a key behind an older version's backend salt
+// does), has no load= field, or spells a load or seed value in a
+// non-canonical form — and b is then returned unchanged. The key may be a
+// record's bytes, read in place.
 func SplitKey[K string | []byte](b []byte, key K) (curve []byte, t Token, ok bool) {
 	load := index(key, "load=")
-	if load < 0 {
+	if load < 0 || index(key, "family=") != 0 {
 		return b, Token{}, false
 	}
 	load += len("load=")

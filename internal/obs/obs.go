@@ -344,14 +344,6 @@ func (s *Span) End(attrs ...Attr) {
 	s.t.emit(ev)
 }
 
-// ID returns the span's ID ("" on a nil span).
-func (s *Span) ID() string {
-	if s == nil {
-		return ""
-	}
-	return s.id
-}
-
 // fnv-64a, inlined so the disabled path never allocates a hash.Hash.
 const (
 	fnvOffset64 = 14695981039346656037

@@ -114,8 +114,8 @@ func TestDisabledSpanAllocs(t *testing.T) {
 	on := WithTracer(context.Background(), tr)
 	_, a := StartSpanFor(on, "bounds.eval", k)
 	_, b := StartSpanKeyed(on, "bounds.eval", k.Key())
-	if a.ID() == "" || a.ID() != b.ID() {
-		t.Fatalf("StartSpanFor id %q, StartSpanKeyed id %q", a.ID(), b.ID())
+	if a.id == "" || a.id != b.id {
+		t.Fatalf("StartSpanFor id %q, StartSpanKeyed id %q", a.id, b.id)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/analytic"
 	"repro/internal/eval"
+	"repro/internal/obs"
 	"repro/internal/sweep"
 	"repro/internal/workload"
 )
@@ -490,12 +491,12 @@ func TestLocalPlanBuildsEachModelOnce(t *testing.T) {
 	}
 	networks := int64(len(spec.Space.Topologies[0].Sizes))
 	run := func(p *Planner) (res *Result, searches, models int64) {
-		s0, m0 := analytic.SaturationSearches(), analytic.ModelsBuilt()
+		s0, m0 := analytic.SaturationSearches(), obs.Counters()["analytic_models_built_total"]
 		res, err := p.Run(ctx, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, analytic.SaturationSearches() - s0, analytic.ModelsBuilt() - m0
+		return res, analytic.SaturationSearches() - s0, obs.Counters()["analytic_models_built_total"] - m0
 	}
 	cache := sweep.NewCache()
 	res, searches, models := run(NewLocal(cache))

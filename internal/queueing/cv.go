@@ -22,13 +22,3 @@ func CV2Wormhole(xbar, msgFlits float64) float64 {
 	d := (xbar - msgFlits) / xbar
 	return d * d
 }
-
-// CV2Deterministic is the squared coefficient of variation of a
-// deterministic service time (M/D/m behaviour).
-const CV2Deterministic = 0.0
-
-// CV2Exponential is the squared coefficient of variation of an
-// exponentially distributed service time (M/M/m behaviour). It is provided
-// for ablation studies that replace the paper's Eq. 5 with a memoryless
-// assumption.
-const CV2Exponential = 1.0

@@ -11,14 +11,6 @@ func Utilization(m int, lambda, xbar float64) float64 {
 	return lambda * xbar / float64(m)
 }
 
-// Stable reports whether an m-server queue with combined arrival rate
-// lambda and mean service time xbar is stable (ρ < 1). Zero arrival rate is
-// always stable.
-func Stable(m int, lambda, xbar float64) bool {
-	rho := Utilization(m, lambda, xbar)
-	return !math.IsNaN(rho) && rho < 1
-}
-
 // WaitMGm returns the mean waiting time of an M/G/m queue with combined
 // arrival rate lambda, mean service time xbar, and squared coefficient of
 // variation cv2, in the approximation
@@ -63,13 +55,6 @@ func WaitMGm(m int, lambda, xbar, cv2 float64) float64 {
 // See WaitMGm for boundary behaviour.
 func WaitMG1(lambda, xbar, cv2 float64) float64 {
 	return WaitMGm(1, lambda, xbar, cv2)
-}
-
-// WaitMG2 returns the mean M/G/2 waiting time in Hokstad's approximation
-// (paper Eq. 7/8). lambda is the combined rate offered to both servers.
-// See WaitMGm for boundary behaviour.
-func WaitMG2(lambda, xbar, cv2 float64) float64 {
-	return WaitMGm(2, lambda, xbar, cv2)
 }
 
 // WaitWormholeMG1 composes WaitMG1 with the Draper–Ghosh CV² approximation

@@ -77,8 +77,8 @@ func TestWaitUnstable(t *testing.T) {
 	if w := WaitMG1(0.1, 16, 0); !math.IsInf(w, 1) {
 		t.Errorf("WaitMG1 at rho=1.6 = %v, want +Inf", w)
 	}
-	if w := WaitMG2(0.2, 16, 0); !math.IsInf(w, 1) {
-		t.Errorf("WaitMG2 at rho=1.6 = %v, want +Inf", w)
+	if w := WaitMGm(2, 0.2, 16, 0); !math.IsInf(w, 1) {
+		t.Errorf("WaitMGm(2, …) at rho=1.6 = %v, want +Inf", w)
 	}
 	// Exactly at the boundary rho == 1.
 	if w := WaitMG1(1.0/16, 16, 0); !math.IsInf(w, 1) {
@@ -137,7 +137,7 @@ func TestWaitMGmReducesToMM1ForExponential(t *testing.T) {
 	lambda, xbar := 0.04, 16.0
 	rho := lambda * xbar
 	want := rho * xbar / (1 - rho)
-	got := WaitMG1(lambda, xbar, CV2Exponential)
+	got := WaitMG1(lambda, xbar, 1) // C²b = 1
 	if !almostEqual(got, want, 1e-12) {
 		t.Errorf("M/M/1 wait = %v, want %v", got, want)
 	}
@@ -148,7 +148,7 @@ func TestWaitMGmReducesToMD1ForDeterministic(t *testing.T) {
 	lambda, xbar := 0.04, 16.0
 	rho := lambda * xbar
 	want := rho * xbar / (2 * (1 - rho))
-	got := WaitMG1(lambda, xbar, CV2Deterministic)
+	got := WaitMG1(lambda, xbar, 0) // C²b = 0
 	if !almostEqual(got, want, 1e-12) {
 		t.Errorf("M/D/1 wait = %v, want %v", got, want)
 	}
@@ -267,16 +267,17 @@ func TestUtilizationAndStable(t *testing.T) {
 	if got := Utilization(2, 0.1, 10); !almostEqual(got, 0.5, 1e-12) {
 		t.Errorf("Utilization = %v, want 0.5", got)
 	}
-	if !Stable(2, 0.1, 10) {
-		t.Error("Stable(2, 0.1, 10) = false, want true")
+	// A queue is stable while ρ < 1: there its wait is finite.
+	if w := WaitMGm(2, 0.1, 10, 0); math.IsInf(w, 0) || math.IsNaN(w) {
+		t.Errorf("WaitMGm(2, 0.1, 10) = %v at rho=0.5, want finite", w)
 	}
-	if Stable(1, 0.1, 10) {
-		t.Error("Stable(1, 0.1, 10) = true, want false")
+	if w := WaitMGm(1, 0.1, 10, 0); !math.IsInf(w, 1) {
+		t.Errorf("WaitMGm(1, 0.1, 10) = %v at rho=1, want +Inf", w)
 	}
-	if Stable(0, 0.1, 10) {
-		t.Error("Stable with m=0 should be false")
+	if !math.IsNaN(Utilization(0, 0.1, 10)) || !math.IsNaN(WaitMGm(0, 0.1, 10, 0)) {
+		t.Error("m=0 should give NaN")
 	}
-	if !Stable(1, 0, 10) {
-		t.Error("zero arrival rate must be stable")
+	if w := WaitMGm(1, 0, 10, 0); w != 0 {
+		t.Errorf("zero arrival rate waits %v, want 0", w)
 	}
 }

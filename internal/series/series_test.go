@@ -109,8 +109,8 @@ func TestTableAlignmentAndCSV(t *testing.T) {
 	if !strings.HasPrefix(csv, "N,model,simulation\n64,22.5,23.3\n") {
 		t.Errorf("CSV:\n%s", csv)
 	}
-	if tbl.NumRows() != 2 {
-		t.Errorf("NumRows = %d", tbl.NumRows())
+	if len(tbl.rows) != 2 {
+		t.Errorf("%d rows, want 2", len(tbl.rows))
 	}
 }
 

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"net/http"
 	"testing"
 	"time"
@@ -41,8 +40,12 @@ func TestMetricsArePerInstance(t *testing.T) {
 		return st
 	}
 	busy, idle := open(), open()
+	key := func(i int) string {
+		sc := eval.Scenario{Topology: eval.Topology{Family: eval.FamilyBFT, Size: 64}, MsgFlits: 16, Load: eval.Load{Frac: true, Value: float64(i+1) / 64}}
+		return sc.Key()
+	}
 	for i := 0; i < 20; i++ {
-		busy.Put(fmt.Sprintf("key-%02d", i), eval.NewPoint())
+		busy.Put(key(i), eval.NewPoint())
 	}
 	if err := busy.Flush(); err != nil {
 		t.Fatal(err)
@@ -50,7 +53,7 @@ func TestMetricsArePerInstance(t *testing.T) {
 	if evicted, err := busy.Prune(1); err != nil || evicted == 0 {
 		t.Fatalf("Prune evicted %d cells, err %v", evicted, err)
 	}
-	busy.Put("key-after-prune", eval.NewPoint())
+	busy.Put(key(20), eval.NewPoint())
 	if err := busy.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -928,7 +928,6 @@ func (e *engine) finalize(id int32, t int64) {
 	if e.soa.tracked[id] {
 		latency := float64(t+1) - e.soa.arrival[id]
 		e.lat.Add(latency)
-		e.latAll.Add(latency)
 		if e.latHist != nil {
 			e.latHist.Add(latency)
 		}

@@ -81,7 +81,6 @@ type Result struct {
 // engine fills one; replicas merge theirs.
 type tally struct {
 	lat            stats.BatchMeans
-	latAll         stats.Stream
 	latHist        *stats.Histogram
 	wInj, xInj     stats.Stream
 	flitsDelivered int64
@@ -93,7 +92,6 @@ type tally struct {
 // histogram bin by bin, counts and integrals summed.
 func (t *tally) merge(o *tally) {
 	t.lat.Merge(&o.lat)
-	t.latAll.Merge(&o.latAll)
 	t.wInj.Merge(&o.wInj)
 	t.xInj.Merge(&o.xInj)
 	if t.latHist != nil && o.latHist != nil {
@@ -114,10 +112,10 @@ func (t *tally) merge(o *tally) {
 // tally over measured cycles on nProc processors.
 func (t *tally) fill(res *Result, measured int64, nProc int, busy bool) {
 	meas := float64(measured)
-	res.LatencyMean = t.latAll.Mean()
+	res.LatencyMean = t.lat.Mean()
 	res.LatencyCI95 = t.lat.HalfWidth(0.95)
-	res.LatencyMin = t.latAll.Min()
-	res.LatencyMax = t.latAll.Max()
+	res.LatencyMin = t.lat.Min()
+	res.LatencyMax = t.lat.Max()
 	res.WaitInjMean = t.wInj.Mean()
 	res.ServiceInjMean = t.xInj.Mean()
 	res.ThroughputFlits = float64(t.flitsDelivered) / (meas * float64(nProc))

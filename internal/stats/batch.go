@@ -33,9 +33,6 @@ func (b *BatchMeans) Add(x float64) {
 	}
 }
 
-// N returns the total number of observations.
-func (b *BatchMeans) N() int64 { return b.all.N() }
-
 // Merge folds other into b as if other's observations had been Added to a
 // parallel accumulator of the same batch size: the grand stream and the
 // completed-batch stream are both pooled, so HalfWidth afterwards is the
@@ -56,6 +53,11 @@ func (b *BatchMeans) Batches() int64 { return b.batches.N() }
 
 // Mean returns the grand sample mean over all observations.
 func (b *BatchMeans) Mean() float64 { return b.all.Mean() }
+
+// Min and Max return the smallest and largest observation, or NaN if
+// there is none.
+func (b *BatchMeans) Min() float64 { return b.all.Min() }
+func (b *BatchMeans) Max() float64 { return b.all.Max() }
 
 // HalfWidth returns the half-width of an approximate confidence interval on
 // the steady-state mean at the given confidence level (e.g. 0.95), computed

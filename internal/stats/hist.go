@@ -73,13 +73,6 @@ func (h *Histogram) Merge(other *Histogram) {
 // Count returns the count of bin i.
 func (h *Histogram) Count(i int) int64 { return h.bins[i] }
 
-// NumBins returns the number of bins.
-func (h *Histogram) NumBins() int { return len(h.bins) }
-
-// Underflow and Overflow return the out-of-range counters.
-func (h *Histogram) Underflow() int64 { return h.underflow }
-func (h *Histogram) Overflow() int64  { return h.overflow }
-
 // Quantile returns an estimate of the q-quantile (0 < q < 1) by linear
 // interpolation within bins; observations in the under/overflow bins pin
 // the estimate to the range boundary. Returns the lower bound for empty

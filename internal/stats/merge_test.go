@@ -34,8 +34,8 @@ func TestBatchMeansMergeMatchesSequential(t *testing.T) {
 	}
 	a.Merge(b)
 
-	if a.N() != whole.N() {
-		t.Errorf("merged N = %d, sequential %d", a.N(), whole.N())
+	if a.Min() != whole.Min() || a.Max() != whole.Max() {
+		t.Errorf("merged range [%v, %v], sequential [%v, %v]", a.Min(), a.Max(), whole.Min(), whole.Max())
 	}
 	if a.Batches() != whole.Batches() {
 		t.Errorf("merged Batches = %d, sequential %d", a.Batches(), whole.Batches())
@@ -61,8 +61,9 @@ func TestBatchMeansMergeKeepsPartialBatchesOut(t *testing.T) {
 		b.Add(100 + float64(i))
 	}
 	a.Merge(b)
-	if a.N() != 38 {
-		t.Errorf("N = %d, want 38", a.N())
+	// The grand stream keeps every observation, partials included.
+	if want := (300.0 + 13*100 + 78) / 38; math.Abs(a.Mean()-want) > 1e-12 {
+		t.Errorf("Mean = %v, want %v", a.Mean(), want)
 	}
 	if a.Batches() != 3 {
 		t.Errorf("Batches = %d, want 3 (partials excluded)", a.Batches())
@@ -97,11 +98,11 @@ func TestHistogramMergeMatchesSequential(t *testing.T) {
 	if a.Total() != whole.Total() {
 		t.Errorf("merged Total = %d, sequential %d", a.Total(), whole.Total())
 	}
-	if a.Underflow() != whole.Underflow() || a.Overflow() != whole.Overflow() {
+	if a.underflow != whole.underflow || a.overflow != whole.overflow {
 		t.Errorf("out-of-range counters diverge: %d/%d vs %d/%d",
-			a.Underflow(), a.Overflow(), whole.Underflow(), whole.Overflow())
+			a.underflow, a.overflow, whole.underflow, whole.overflow)
 	}
-	for i := 0; i < whole.NumBins(); i++ {
+	for i := 0; i < len(whole.bins); i++ {
 		if a.Count(i) != whole.Count(i) {
 			t.Errorf("bin %d: merged %d, sequential %d", i, a.Count(i), whole.Count(i))
 		}

@@ -113,8 +113,8 @@ func TestBatchMeansTooFewBatches(t *testing.T) {
 	if !math.IsNaN(bm.HalfWidth(0.95)) {
 		t.Error("HalfWidth with <2 batches should be NaN")
 	}
-	if bm.N() != 500 {
-		t.Errorf("N = %d, want 500", bm.N())
+	if bm.Mean() != 1 || bm.Min() != 1 || bm.Max() != 1 {
+		t.Errorf("Mean, Min, Max = %v, %v, %v; want 1", bm.Mean(), bm.Min(), bm.Max())
 	}
 }
 
@@ -149,15 +149,15 @@ func TestHistogramBasics(t *testing.T) {
 			t.Errorf("bin %d = %d, want 10", i, h.Count(i))
 		}
 	}
-	if h.Underflow() != 1 || h.Overflow() != 1 {
-		t.Errorf("under/over = %d/%d, want 1/1", h.Underflow(), h.Overflow())
+	if h.underflow != 1 || h.overflow != 1 {
+		t.Errorf("under/over = %d/%d, want 1/1", h.underflow, h.overflow)
 	}
 	// Median of uniform 0..99 ~ 50 within a bin width.
 	if q := h.Quantile(0.5); math.Abs(q-50) > 10 {
 		t.Errorf("median = %v, want ~50", q)
 	}
-	if h.NumBins() != 10 {
-		t.Errorf("NumBins = %d", h.NumBins())
+	if len(h.bins) != 10 {
+		t.Errorf("%d bins", len(h.bins))
 	}
 }
 
@@ -169,8 +169,8 @@ func TestHistogramEdgeValues(t *testing.T) {
 	if h.Count(0) != 1 {
 		t.Errorf("bin0 = %d, want 1", h.Count(0))
 	}
-	if h.Overflow() != 1 {
-		t.Errorf("overflow = %d, want 1", h.Overflow())
+	if h.overflow != 1 {
+		t.Errorf("overflow = %d, want 1", h.overflow)
 	}
 	if h.Count(9) != 1 {
 		t.Errorf("last bin = %d, want 1", h.Count(9))

@@ -13,9 +13,11 @@ import (
 // every key it is given into a curve key and a token (eval.SplitKey) and
 // joins it back (eval.AppendJoinKey) for Range — and a segment's keys are
 // untrusted input. For any string SplitKey accepts, AppendJoinKey writes
-// it back byte for byte, and SplitKey splits its bytes alike; and any
-// valid-UTF-8 key Put into a Store comes back byte for byte from Range
-// and Get after Close and Open, and again after Compact and Open.
+// it back byte for byte, and SplitKey splits its bytes alike. Any
+// valid-UTF-8 key SplitKey accepts, Put into a Store, comes back byte for
+// byte from Range and Get after Close and Open, and again after Compact
+// and Open; any key it refuses is not a cell's key, and the Store keeps
+// nothing under it.
 func FuzzStoreKeys(f *testing.F) {
 	const grid = "family=bft size=64 k=0 flits=16 policy=pairqueue frac=true load=0x1.999999999999ap-04 sim=true warmup=1000 measure=5000 seed=42"
 	for _, key := range []string{
@@ -51,6 +53,12 @@ func FuzzStoreKeys(f *testing.F) {
 				keys = append(keys, k)
 				return true
 			})
+			if !ok {
+				if _, hit := s.Get(key); len(keys) != 0 || hit {
+					t.Fatalf("%s: Range gives %q and Get hits %v for a key SplitKey refuses", when, keys, hit)
+				}
+				return
+			}
 			if len(keys) != 1 || keys[0] != key {
 				t.Fatalf("%s: Range gives %q, want [%q]", when, keys, key)
 			}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/eval"
@@ -13,7 +12,7 @@ func TestRangeVisitsEveryCell(t *testing.T) {
 	defer s.Close()
 	want := map[string]float64{}
 	for i := 0; i < 50; i++ {
-		k := fmt.Sprintf("cell-%02d", i)
+		k := cellKey(i)
 		s.Put(k, pt(float64(i), float64(i)*2, float64(i)*2+1))
 		want[k] = float64(i)
 	}
@@ -36,7 +35,7 @@ func TestRangeEarlyStop(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	defer s.Close()
 	for i := 0; i < 20; i++ {
-		s.Put(fmt.Sprintf("k%d", i), pt(1, 2, 3))
+		s.Put(cellKey(i), pt(1, 2, 3))
 	}
 	n := 0
 	s.Range(func(string, eval.Point) bool {
@@ -53,13 +52,14 @@ func TestRangeEarlyStop(t *testing.T) {
 func TestRangeReentrant(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	defer s.Close()
-	s.Put("a", pt(1, 2, 3))
-	s.Put("b", pt(4, 5, 6))
+	derived := map[string]string{cellKey(0): cellKey(2), cellKey(1): cellKey(3)}
+	s.Put(cellKey(0), pt(1, 2, 3))
+	s.Put(cellKey(1), pt(4, 5, 6))
 	s.Range(func(key string, p eval.Point) bool {
 		if _, ok := s.Get(key); !ok {
 			t.Errorf("re-entrant Get(%q) missed", key)
 		}
-		s.Put("derived-"+key, p)
+		s.Put(derived[key], p)
 		return true
 	})
 	if s.Len() != 4 {
@@ -75,7 +75,7 @@ func TestRangeConcurrent(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	defer s.Close()
 	for i := 0; i < 64; i++ {
-		s.Put(fmt.Sprintf("seed-%02d", i), pt(float64(i), float64(i), float64(i)))
+		s.Put(cellKey(i), pt(float64(i), float64(i), float64(i)))
 	}
 
 	var wg sync.WaitGroup
@@ -90,7 +90,7 @@ func TestRangeConcurrent(t *testing.T) {
 			default:
 			}
 			f := float64(v)
-			s.Put(fmt.Sprintf("seed-%02d", v%64), pt(f, f, f))
+			s.Put(cellKey(v%64), pt(f, f, f))
 		}
 	}()
 	wg.Add(1)

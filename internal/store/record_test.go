@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,10 +11,10 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/calib"
 	"repro/internal/eval"
 	"repro/internal/race"
 	"repro/internal/sweep"
+	"repro/internal/workload"
 )
 
 // refRecord is the reflective record the codec replaced: appendRecord
@@ -32,6 +31,11 @@ type refRecord struct {
 // need escaping. Its fleet keys were re-spelled in the load values
 // Scenario.Key writes once ParseKey accepted only those, and the segment
 // re-written by the commit before that change — same codec, same bytes.
+// When a store came to keep only a cell's key, the rest of its keys were
+// re-spelled as Scenario.Keys (the escapes in a trace workload's path),
+// the float forms were put under plain keys too, and the segment was
+// re-written by the commit before that change: its first 17 lines are
+// the legacy fleet lines, unchanged.
 func parentCells() (keys []string, pts []eval.Point) {
 	floats := []float64{
 		0, math.Copysign(0, -1), 0.04, 88.125, 1e-6, 1e-7, 9.999e-7, 1e20, 1e21,
@@ -44,22 +48,38 @@ func parentCells() (keys []string, pts []eval.Point) {
 		p.BoundUnbounded, p.BoundNA = flags&8 != 0, flags&16 != 0
 		return p
 	}
-	for i, v := range floats {
-		w := floats[(i+5)%len(floats)]
-		add("backends=remote(http://127.0.0.1:8080,http://127.0.0.1:8081)|family=bft size=1024 k=0 flits=16 policy=pairqueue frac=true load="+
-			strconv.FormatFloat(0.5+float64(i)/64, 'x', -1, 64)+" sim=false",
-			flag(eval.Point{LoadFlits: v, Model: w, Sim: w, SimCI: v, SimPrecision: w, BoundMax: v}, i))
+	key := func(size int, load float64, trace string) string {
+		sc := eval.Scenario{Topology: eval.Topology{Family: eval.FamilyBFT, Size: size}, MsgFlits: 16, Load: eval.Load{Frac: true, Value: load}}
+		if trace != "" {
+			sc.Workload = &workload.Spec{Trace: trace}
+		}
+		return sc.Key()
+	}
+	for _, salt := range []string{legacySalt, ""} {
+		size := 256
+		if salt != "" {
+			size = 1024
+		}
+		for i, v := range floats {
+			w := floats[(i+5)%len(floats)]
+			add(salt+key(size, 0.5+float64(i)/64, ""),
+				flag(eval.Point{LoadFlits: v, Model: w, Sim: w, SimCI: v, SimPrecision: w, BoundMax: v}, i))
+		}
 	}
 	for flags := 0; flags < 32; flags++ {
 		p := eval.NewPoint()
 		p.LoadFlits, p.Model = 0.02, 12.8037109375
-		add(fmt.Sprintf("flags=%d", flags), flag(p, flags))
+		add(key(64, float64(flags+1)/64, ""), flag(p, flags))
 	}
-	add(`quote"and\backslash`, eval.NewPoint())
-	add("html <&> sensitive", eval.Point{LoadFlits: 1, Model: 2, Sim: 3, SimCI: 4, SimPrecision: 5, BoundMax: 6})
-	add("non-ascii κλειδί \u2028 \x7f \t", eval.Point{LoadFlits: 0.5, Model: math.Inf(1), ModelSaturated: true, Sim: math.NaN(), SimCI: math.NaN(), SimPrecision: math.NaN(), BoundMax: math.NaN()})
+	add(key(64, 0.5, `quote"and\backslash`), eval.NewPoint())
+	add(key(64, 0.5, "html <&> sensitive"), eval.Point{LoadFlits: 1, Model: 2, Sim: 3, SimCI: 4, SimPrecision: 5, BoundMax: 6})
+	add(key(64, 0.5, "non-ascii κλειδί \u2028 \x7f \t"), eval.Point{LoadFlits: 0.5, Model: math.Inf(1), ModelSaturated: true, Sim: math.NaN(), SimCI: math.NaN(), SimPrecision: math.NaN(), BoundMax: math.NaN()})
 	return keys, pts
 }
+
+// legacySalt is the fleet tag older dispatchers wrote before a cell's
+// key ("backends=remote(<shards>)|"): no runner writes or reads it.
+const legacySalt = "backends=remote(http://127.0.0.1:8080,http://127.0.0.1:8081)|"
 
 // viaWire is p as a replay returns it: what the encoding collapses to
 // null comes back NaN, or +Inf under its flag.
@@ -75,7 +95,10 @@ func viaWire(t *testing.T, p eval.Point) eval.Point {
 // TestParentSegmentInterop is the compatibility gate in both
 // directions: a segment the parent commit's binary wrote replays cell
 // for cell under this one, and this one writes the same Puts to the
-// same bytes — so the parent replays ours.
+// same bytes — so the parent replays ours. The segment's legacy fleet
+// lines are not cells (TestParentFleetLinesStayReadable): this one neither
+// replays nor writes them, and its codec still spells them as the parent
+// did.
 func TestParentSegmentInterop(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "parent-seg-000001.ndjson"))
 	if err != nil {
@@ -89,10 +112,26 @@ func TestParentSegmentInterop(t *testing.T) {
 	}
 	s := mustOpen(t, old)
 	defer s.Close()
-	if s.Recovered() != len(keys) || s.Dropped() != 0 {
-		t.Fatalf("parent segment: recovered %d dropped %d, want %d/0", s.Recovered(), s.Dropped(), len(keys))
+	var cells []byte // want without its legacy lines
+	for i, k := range keys {
+		ref, err := json.Marshal(refRecord{Key: k, Point: pts[i]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if line := appendRecord(nil, k, pts[i]); string(line) != string(ref)+"\n" {
+			t.Errorf("appendRecord(%q)\n got  %s want %s", k, line, ref)
+		}
+		if !strings.HasPrefix(k, legacySalt) {
+			cells = append(append(cells, ref...), '\n')
+		}
+	}
+	if s.Recovered() != len(keys)-17 || s.Dropped() != 17 {
+		t.Fatalf("parent segment: recovered %d dropped %d, want %d/17", s.Recovered(), s.Dropped(), len(keys)-17)
 	}
 	for i, k := range keys {
+		if strings.HasPrefix(k, legacySalt) {
+			continue
+		}
 		got, ok := s.Get(k)
 		if !ok || !eval.Same(got, viaWire(t, pts[i])) {
 			t.Errorf("parent cell %q replayed as %+v (found %v), want %+v", k, got, ok, viaWire(t, pts[i]))
@@ -111,27 +150,17 @@ func TestParentSegmentInterop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("segment bytes differ from the parent-written one:\n got  %s\n want %s", got, want)
-	}
-	for i, k := range keys {
-		ref, err := json.Marshal(refRecord{Key: k, Point: pts[i]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if line := appendRecord(nil, k, pts[i]); string(line) != string(ref)+"\n" {
-			t.Errorf("appendRecord(%q)\n got  %s want %s", k, line, ref)
-		}
+	if !bytes.Equal(got, cells) {
+		t.Errorf("segment bytes differ from the parent-written one's cells:\n got  %s\n want %s", got, cells)
 	}
 }
 
-// TestParentFleetLinesStayReadable: the parent's segment holds fleet cells
-// under the "backends=remote(<shards>)|" salt no runner writes or asks for
-// any more. They are never hit again, and nothing migrates them: the
-// segment still opens whole, the calibration layer still mines the
-// measurements behind the salt — once each, whatever a live run under the
-// plain key has already fed it — and Prune evicts them oldest-first like
-// any other record.
+// TestParentFleetLinesStayReadable: the parent's segment holds 17 fleet
+// cells under the "backends=remote(<shards>)|" salt no runner writes or
+// asks for any more. A stored key is a cell's key or nothing: Open drops
+// the salted lines and counts them, the segment's plain cells recover and
+// are served, a salted line answers for no key, and Compact — or a Prune
+// that folds the segments — leaves none of them on disk.
 func TestParentFleetLinesStayReadable(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "parent-seg-000001.ndjson"))
 	if err != nil {
@@ -144,83 +173,91 @@ func TestParentFleetLinesStayReadable(t *testing.T) {
 	s := mustOpen(t, dir)
 	defer s.Close()
 	keys, pts := parentCells()
-	if s.Recovered() != len(keys) || s.Dropped() != 0 {
-		t.Fatalf("recovered %d dropped %d, want %d/0", s.Recovered(), s.Dropped(), len(keys))
+	if n := bytes.Count(data, []byte(`{"key":"`+legacySalt)); n != 17 {
+		t.Fatalf("the parent segment holds %d legacy fleet lines, want 17", n)
 	}
-
-	ctx := context.Background()
-	var legacy, measured int
-	m := calib.NewMap()
-	for i, line := range keys {
-		_, key, ok := strings.Cut(line, "|")
-		if !ok || !strings.HasPrefix(line, "backends=remote(") {
+	if s.Recovered() != len(keys)-17 || s.Dropped() != 17 {
+		t.Fatalf("recovered %d dropped %d, want %d/17", s.Recovered(), s.Dropped(), len(keys)-17)
+	}
+	for i, k := range keys {
+		plain, legacy := strings.CutPrefix(k, legacySalt)
+		if legacy {
+			if _, ok := s.Get(k); ok {
+				t.Errorf("the legacy fleet line %q is served", k)
+			}
+			if _, ok := s.Get(plain); ok {
+				t.Errorf("a legacy fleet line answers for the plain key %q", plain)
+			}
 			continue
 		}
-		legacy++
-		if _, ok := s.Get(key); ok {
-			t.Errorf("a legacy fleet line answers for the plain key %q", key)
+		if got, ok := s.Get(k); !ok || !eval.Same(got, viaWire(t, pts[i])) {
+			t.Errorf("plain cell %q served as %+v (found %v)", k, got, ok)
 		}
-		p := viaWire(t, pts[i])
-		if p.ModelSaturated || p.ModelNA || p.SimSaturated || math.IsInf(p.Model, 0) || !(p.Sim > 0) {
-			continue // not a model-vs-sim pair
-		}
-		// The first measurement has also been made live, under its key.
-		if measured == 0 && !m.Observe(key, p) {
-			t.Errorf("the plain key %q did not pair", key)
-		}
-		measured++
-	}
-	if legacy != 17 || measured < 2 {
-		t.Fatalf("the parent segment holds %d legacy fleet line(s), %d of them usable measurements", legacy, measured)
-	}
-	if added, again := m.Mine(ctx, s), m.Mine(ctx, s); added != measured-1 || again != 0 {
-		t.Errorf("mining added %d pair(s) beside the one fed live, then %d more; want %d and 0", added, again, measured-1)
 	}
 
-	before, err := s.DiskBytes()
-	if err != nil {
+	pruned := t.TempDir()
+	if err := os.WriteFile(filepath.Join(pruned, "seg-000001.ndjson"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	evicted, err := s.Prune(before / 2)
-	if err != nil {
+	p := mustOpen(t, pruned)
+	defer p.Close()
+	// A bound one byte under the segment makes Prune fold it; the legacy
+	// lines' room is enough, so no cell is evicted.
+	if evicted, err := p.Prune(int64(len(data)) - 1); err != nil || evicted != 0 {
+		t.Fatalf("Prune evicted %d cells, err %v; want 0", evicted, err)
+	}
+	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if evicted == 0 || evicted >= len(keys) {
-		t.Fatalf("halving the bound evicted %d of %d cells", evicted, len(keys))
-	}
-	for i, key := range keys {
-		if _, ok := s.Get(key); ok != (i >= evicted) {
-			t.Errorf("record %d (%q): live=%v after the %d oldest were evicted", i, key, ok, evicted)
+	for _, d := range []string{dir, pruned} {
+		segs, _ := filepath.Glob(filepath.Join(d, segPattern))
+		for _, seg := range segs {
+			b, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Contains(b, []byte("backends=")) {
+				t.Errorf("%s keeps a legacy fleet line after folding", seg)
+			}
 		}
+		re := mustOpen(t, d)
+		if re.Recovered() != len(keys)-17 || re.Dropped() != 0 {
+			t.Errorf("%s after folding: recovered %d dropped %d, want %d/0", d, re.Recovered(), re.Dropped(), len(keys)-17)
+		}
+		re.Close()
 	}
 }
 
 // TestStoreDropsRecordsWithoutAPoint is the corruption table for lines
 // that are valid JSON but not a record: each once replayed as a cell —
 // all zeros ("measured latency 0 cycles") or all NaN — and was served as
-// a hit forever. A record carries a key and a point object with its
-// load_flits member, in whatever spelling; everything else is dropped
-// and counted.
+// a hit forever. A record carries a cell's key and a point object with
+// its load_flits member, in whatever spelling; everything else — a valid
+// point under a key that is not a cell's key included — is dropped and
+// counted.
 func TestStoreDropsRecordsWithoutAPoint(t *testing.T) {
+	k := func(i int) string { return strconv.Quote(cellKey(i)) }
 	lines := []struct {
 		line string
 		keep bool
 	}{
-		{`{"key":"a","point":{"load_flits":0.01,"model":1}}`, true},
-		{`{"key":"nopoint"}`, false},
-		{`{"key":"empty","point":{}}`, false},
-		{`{"key":"null","point":null}`, false},
-		{`{"key":"noload","point":{"model":3}}`, false},
-		{`{"key":"noload2", "point": {"model": 3, "sim": 4}}`, false},
+		{`{"key":` + k(0) + `,"point":{"load_flits":0.01,"model":1}}`, true},
+		{`{"key":` + k(10) + `}`, false},
+		{`{"key":` + k(11) + `,"point":{}}`, false},
+		{`{"key":` + k(12) + `,"point":null}`, false},
+		{`{"key":` + k(13) + `,"point":{"model":3}}`, false},
+		{`{"key":` + k(14) + `, "point": {"model": 3, "sim": 4}}`, false},
 		{`{"key":"","point":{"load_flits":0.01,"model":1}}`, false},
 		{`{"point":{"load_flits":0.01,"model":1}}`, false},
-		{`{"key":"num","point":5}`, false},
+		{`{"key":` + k(15) + `,"point":5}`, false},
 		{`this line is not JSON at all`, false},
-		{`{"key":"nullload","point":{"load_flits":null,"model":null}}`, true},
-		{`{ "key": "spaced", "point": { "model": 2, "load_flits": 0.5 } }`, true},
-		{`{"key":"escaped","point":{"load_flits":0.02,"model":2}}`, true},
-		{`{"key":"extra","point":{"load_flits":0.02,"model":2,"future_field":1},"also":true}`, true},
-		{`{"key":"b","point":{"load_flits":0.02,"model":2}}`, true},
+		{`{"key":"a","point":{"load_flits":0.01,"model":1}}`, false},
+		{`{"key":` + strconv.Quote(legacySalt+cellKey(16)) + `,"point":{"load_flits":0.01,"model":1}}`, false},
+		{`{"key":` + k(1) + `,"point":{"load_flits":null,"model":null}}`, true},
+		{`{ "key": ` + k(2) + `, "point": { "model": 2, "load_flits": 0.5 } }`, true},
+		{`{"key":` + strings.Replace(k(3), "=", `\u003d`, 1) + `,"point":{"load_flits":0.02,"model":2}}`, true},
+		{`{"key":` + k(4) + `,"point":{"load_flits":0.02,"model":2,"future_field":1},"also":true}`, true},
+		{`{"key":` + k(5) + `,"point":{"load_flits":0.02,"model":2}}`, true},
 	}
 	var content strings.Builder
 	kept := 0
@@ -239,14 +276,14 @@ func TestStoreDropsRecordsWithoutAPoint(t *testing.T) {
 	if s.Recovered() != kept || s.Dropped() != len(lines)-kept {
 		t.Errorf("recovered %d dropped %d, want %d/%d", s.Recovered(), s.Dropped(), kept, len(lines)-kept)
 	}
-	for _, k := range []string{"nopoint", "empty", "null", "noload", "noload2", "num"} {
-		if p, ok := s.Get(k); ok {
-			t.Errorf("pointless record %q served as the cell %+v", k, p)
+	for _, i := range []int{10, 11, 12, 13, 14, 15} {
+		if p, ok := s.Get(cellKey(i)); ok {
+			t.Errorf("pointless record %q served as the cell %+v", cellKey(i), p)
 		}
 	}
-	for _, k := range []string{"a", "nullload", "spaced", "escaped", "extra", "b"} {
-		if _, ok := s.Get(k); !ok {
-			t.Errorf("valid record %q lost", k)
+	for i := 0; i < 6; i++ {
+		if _, ok := s.Get(cellKey(i)); !ok {
+			t.Errorf("valid record %q lost", cellKey(i))
 		}
 	}
 }

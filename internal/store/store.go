@@ -30,9 +30,11 @@
 // corruption-tolerant: a line that does not parse — the truncated tail of
 // a crashed writer, a torn write — or that lacks a key or a point object
 // with its load_flits member (always written, even as null) is dropped
-// and counted, not fatal; everything before and after it is kept.
-// Compact folds all live cells into one fresh segment and deletes the
-// rest.
+// and counted, not fatal; everything before and after it is kept. So is a
+// record whose key is not a cell's key (eval.SplitKey refuses it), such as
+// a line an older version wrote behind a backend salt. Compact folds all
+// live cells into one fresh segment and deletes the rest, dropped lines
+// included.
 package store
 
 import (
@@ -149,7 +151,8 @@ type Store struct {
 
 // Open opens (creating if needed) the store directory and replays its
 // segments into memory. Unparseable lines — truncated tails of crashed
-// writers — are dropped, not fatal; Dropped reports how many.
+// writers — and records under a key that is not a cell's key are
+// dropped, not fatal; Dropped reports how many.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -172,12 +175,14 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// replay loads one segment into the cache, dropping corrupt lines. Each
-// key is split where it lies in its line, and a put writes a curve's
+// replay loads one segment into the cache, dropping corrupt lines and
+// records whose key is not a cell's key (one eval.SplitKey refuses, such
+// as an older version's salted key); Compact removes them from disk.
+// Each key is split where it lies in its line, and a put writes a curve's
 // records together, so a run of records on one curve goes in with one
-// PutCurve, its curve key copied once. A run ends at a curve change,
-// before a key outside the key grammar and at the end of the segment, so
-// records land in file order and later ones still win.
+// PutCurve, its curve key copied once. A run ends at a curve change and
+// at the end of the segment, so records land in file order and later ones
+// still win.
 func (s *Store) replay(path string) error {
 	var buf []byte
 	var curve string
@@ -190,8 +195,7 @@ func (s *Store) replay(path string) error {
 	dropped, err := eachRecord(path, func(key []byte, pt eval.Point, _ []byte) {
 		c, t, ok := eval.SplitKey(buf[:0], key)
 		if buf = c; !ok {
-			flush()
-			s.cells.Put(string(key), pt)
+			s.dropped++
 			return
 		}
 		if string(c) != curve {
@@ -350,7 +354,8 @@ func (s *Store) Collect(emit func(obs.Sample)) {
 	emit(obs.Sample{Name: "store_pruned_bytes_total", Kind: obs.KindCounter, Value: float64(pruned)})
 }
 
-// Dropped returns how many corrupt or truncated lines recovery skipped.
+// Dropped returns how many lines recovery skipped: corrupt or truncated
+// ones, and records under a key that is not a cell's key.
 func (s *Store) Dropped() int { return s.dropped }
 
 // Compact folds every live cell into one fresh segment and removes all
@@ -465,7 +470,8 @@ func (s *Store) Prune(maxBytes int64) (evicted int, err error) {
 	}
 
 	// Gather the newest record line of every live key, in write order
-	// (replay order; a rewritten key moves to its newest position).
+	// (replay order; a rewritten key moves to its newest position). A
+	// record replay drops, its key no cell's key, is left out.
 	type entry struct {
 		key  string
 		line []byte
@@ -473,8 +479,13 @@ func (s *Store) Prune(maxBytes int64) (evicted int, err error) {
 	var entries []entry
 	latest := make(map[string]int)
 	var liveBytes int64
+	var curve []byte
 	for _, path := range segs {
 		_, err := eachRecord(path, func(k []byte, _ eval.Point, line []byte) {
+			var ok bool
+			if curve, _, ok = eval.SplitKey(curve[:0], k); !ok {
+				return
+			}
 			line = append(make([]byte, 0, len(line)+1), line...)
 			if line[len(line)-1] != '\n' {
 				line = append(line, '\n')

@@ -2,7 +2,6 @@ package store
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -25,6 +24,16 @@ func mustOpen(t *testing.T, dir string) *Store {
 	return s
 }
 
+// cellKey is the key of cell i of one model curve: a Scenario.Key, as
+// every key a store keeps is.
+func cellKey(i int) string {
+	sc := eval.Scenario{Topology: eval.Topology{Family: eval.FamilyBFT, Size: 64}, MsgFlits: 16, Load: eval.Load{Frac: true, Value: float64(i+1) / 1024}}
+	return sc.Key()
+}
+
+// record is a segment line holding p under key, as appendRecord writes it.
+func record(key string, p eval.Point) string { return string(appendRecord(nil, key, p)) }
+
 func pt(load, model, sim float64) eval.Point {
 	p := eval.NewPoint()
 	p.LoadFlits, p.Model, p.Sim = load, model, sim
@@ -37,9 +46,9 @@ func TestStoreRoundTripAcrossReopen(t *testing.T) {
 	sat := eval.NewPoint()
 	sat.LoadFlits, sat.Model, sat.ModelSaturated = 1.5, math.Inf(1), true
 	cells := map[string]eval.Point{
-		"k1": pt(0.01, 42.5, math.NaN()),
-		"k2": pt(0.02, 50.25, 51.125),
-		"k3": sat,
+		cellKey(1): pt(0.01, 42.5, math.NaN()),
+		cellKey(2): pt(0.02, 50.25, 51.125),
+		cellKey(3): sat,
 	}
 	for k, p := range cells {
 		s.Put(k, p)
@@ -65,7 +74,7 @@ func TestStoreRoundTripAcrossReopen(t *testing.T) {
 			t.Errorf("key %s changed across reopen:\n  in  %+v\n  out %+v", k, want, got)
 		}
 	}
-	if _, ok := re.Get("absent"); ok {
+	if _, ok := re.Get(cellKey(4)); ok {
 		t.Error("phantom cell")
 	}
 	if hits, misses := re.Stats(); hits != 3 || misses != 1 {
@@ -76,16 +85,17 @@ func TestStoreRoundTripAcrossReopen(t *testing.T) {
 func TestStoreLastWriteWinsAndCompact(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	s.Put("k", pt(0.01, 1, math.NaN()))
-	s.Put("k", pt(0.01, 2, math.NaN())) // supersedes
-	s.Put("j", pt(0.02, 3, math.NaN()))
-	s.Put("j", pt(0.02, 3, math.NaN())) // identical: no extra record
+	k, j := cellKey(1), cellKey(2)
+	s.Put(k, pt(0.01, 1, math.NaN()))
+	s.Put(k, pt(0.01, 2, math.NaN())) // supersedes
+	s.Put(j, pt(0.02, 3, math.NaN()))
+	s.Put(j, pt(0.02, 3, math.NaN())) // identical: no extra record
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	re := mustOpen(t, dir)
-	if got, _ := re.Get("k"); got.Model != 2 {
+	if got, _ := re.Get(k); got.Model != 2 {
 		t.Errorf("last write did not win: %+v", got)
 	}
 	if err := re.Compact(); err != nil {
@@ -103,7 +113,7 @@ func TestStoreLastWriteWinsAndCompact(t *testing.T) {
 		t.Errorf("compacted segment has %d records, want 2:\n%s", n, data)
 	}
 	// The store stays usable after compaction.
-	re.Put("new", pt(0.03, 4, math.NaN()))
+	re.Put(cellKey(3), pt(0.03, 4, math.NaN()))
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -134,19 +144,17 @@ func TestRePutAppendsWhateverFieldChanged(t *testing.T) {
 		default:
 			t.Fatalf("eval.Point.%s is a %s: teach this test (and eval.Same) to compare it", name, f.Kind())
 		}
-		// A key outside the grammar, and a cell on a curve.
-		for _, key := range []string{"k", "family=bft size=16 k=0 flits=4 policy=pairqueue frac=true load=0x1p-01 sim=false"} {
-			c := sweep.NewCache()
-			if !c.Put(key, base) || c.Put(key, base) || !c.Put(key, changed) {
-				t.Errorf("%s: a cache's Put under %q did not report exactly the new cell and the change", name, key)
-			}
+		key := cellKey(0)
+		c := sweep.NewCache()
+		if !c.Put(key, base) || c.Put(key, base) || !c.Put(key, changed) {
+			t.Errorf("%s: a cache's Put under %q did not report exactly the new cell and the change", name, key)
 		}
 		dir := t.TempDir()
 		s := mustOpen(t, dir)
-		s.Put("k", base)
-		s.Put("k", base) // identical: skipped
-		s.Put("k", changed)
-		if got, _ := s.Get("k"); !eval.Same(got, changed) {
+		s.Put(key, base)
+		s.Put(key, base) // identical: skipped
+		s.Put(key, changed)
+		if got, _ := s.Get(key); !eval.Same(got, changed) {
 			t.Errorf("%s: Get after re-Put = %+v, want %+v", name, got, changed)
 		}
 		if err := s.Close(); err != nil {
@@ -164,7 +172,7 @@ func TestRePutAppendsWhateverFieldChanged(t *testing.T) {
 			t.Errorf("%s: a re-Put that changes it left %d records on disk, want 2:\n%s", name, n, data)
 		}
 		re := mustOpen(t, dir)
-		if got, _ := re.Get("k"); !eval.Same(got, viaWire(t, changed)) {
+		if got, _ := re.Get(key); !eval.Same(got, viaWire(t, changed)) {
 			t.Errorf("%s: reopen recovered %+v, want %+v", name, got, viaWire(t, changed))
 		}
 		re.Close()
@@ -174,7 +182,7 @@ func TestRePutAppendsWhateverFieldChanged(t *testing.T) {
 func TestStoreDropsTruncatedTail(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	s.Put("whole", pt(0.01, 9, math.NaN()))
+	s.Put(cellKey(0), pt(0.01, 9, math.NaN()))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +192,8 @@ func TestStoreDropsTruncatedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"key":"torn","point":{"load_fl`); err != nil {
+	torn := record(cellKey(1), pt(0.02, 9, math.NaN()))
+	if _, err := f.WriteString(torn[:len(torn)/2]); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -197,10 +206,10 @@ func TestStoreDropsTruncatedTail(t *testing.T) {
 	if re.Recovered() != 1 {
 		t.Errorf("recovered %d cells, want 1", re.Recovered())
 	}
-	if _, ok := re.Get("whole"); !ok {
+	if _, ok := re.Get(cellKey(0)); !ok {
 		t.Error("intact record lost to its torn neighbour")
 	}
-	if _, ok := re.Get("torn"); ok {
+	if _, ok := re.Get(cellKey(1)); ok {
 		t.Error("torn record resurrected")
 	}
 }
@@ -208,10 +217,9 @@ func TestStoreDropsTruncatedTail(t *testing.T) {
 func TestStoreDropsCorruptMiddleLine(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "seg-000001.ndjson")
-	content := `{"key":"a","point":{"load_flits":0.01,"model":1}}
-this line is not JSON at all
-{"key":"b","point":{"load_flits":0.02,"model":2}}
-`
+	content := record(cellKey(0), pt(0.01, 1, math.NaN())) +
+		"this line is not JSON at all\n" +
+		record(cellKey(1), pt(0.02, 2, math.NaN()))
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +228,7 @@ this line is not JSON at all
 	if s.Recovered() != 2 || s.Dropped() != 1 {
 		t.Fatalf("recovered %d dropped %d, want 2/1", s.Recovered(), s.Dropped())
 	}
-	if _, ok := s.Get("b"); !ok {
+	if _, ok := s.Get(cellKey(1)); !ok {
 		t.Error("record after the corrupt line lost")
 	}
 }
@@ -232,9 +240,9 @@ func TestStoreSurvivesHugeGarbageLine(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "seg-000001.ndjson")
 	var b strings.Builder
-	b.WriteString(`{"key":"before","point":{"load_flits":0.01,"model":1}}` + "\n")
+	b.WriteString(record(cellKey(0), pt(0.01, 1, math.NaN())))
 	b.WriteString(strings.Repeat("x", 2<<20) + "\n")
-	b.WriteString(`{"key":"after","point":{"load_flits":0.02,"model":2}}` + "\n")
+	b.WriteString(record(cellKey(1), pt(0.02, 2, math.NaN())))
 	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +251,7 @@ func TestStoreSurvivesHugeGarbageLine(t *testing.T) {
 	if s.Recovered() != 2 || s.Dropped() != 1 {
 		t.Fatalf("recovered %d dropped %d, want 2/1", s.Recovered(), s.Dropped())
 	}
-	if _, ok := s.Get("after"); !ok {
+	if _, ok := s.Get(cellKey(1)); !ok {
 		t.Error("record after the garbage run lost")
 	}
 }
@@ -252,15 +260,15 @@ func TestStoreSegmentsAccumulatePerSession(t *testing.T) {
 	dir := t.TempDir()
 	for i := 0; i < 3; i++ {
 		s := mustOpen(t, dir)
-		s.Put("shared", pt(0.01, 1, math.NaN()))
-		s.Put(string(rune('a'+i)), pt(0.02, float64(i), math.NaN()))
+		s.Put(cellKey(0), pt(0.01, 1, math.NaN()))
+		s.Put(cellKey(1+i), pt(0.02, float64(i), math.NaN()))
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	segs, _ := filepath.Glob(filepath.Join(dir, segPattern))
-	// Session 1 writes "shared"+"a"; later sessions re-Put an identical
-	// "shared" (skipped) plus one new key each.
+	// Session 1 writes cells 0 and 1; later sessions re-Put an identical
+	// cell 0 (skipped) plus one new cell each.
 	if len(segs) != 3 {
 		t.Fatalf("want 3 segments, got %v", segs)
 	}
@@ -280,7 +288,7 @@ func TestStoreConcurrentPuts(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				key := string(rune('a'+w)) + string(rune('0'+i%10))
+				key := cellKey(10*w + i%10)
 				s.Put(key, pt(float64(i), float64(w), math.NaN()))
 				s.Get(key)
 			}
@@ -356,7 +364,7 @@ func TestPruneStaysWithinBoundsAndServesSurvivors(t *testing.T) {
 	const n = 50
 	keys := make([]string, n)
 	for i := 0; i < n; i++ {
-		keys[i] = fmt.Sprintf("key-%03d", i)
+		keys[i] = cellKey(i)
 		s.Put(keys[i], pt(float64(i)/100, float64(i), math.NaN()))
 	}
 	if err := s.Close(); err != nil {
@@ -424,7 +432,7 @@ func TestPruneCompactsDuplicatesFirst(t *testing.T) {
 	// Put appends.
 	for round := 0; round < 40; round++ {
 		for i := 0; i < 5; i++ {
-			s.Put(fmt.Sprintf("k%d", i), pt(0.01, float64(round*10+i), math.NaN()))
+			s.Put(cellKey(i), pt(0.01, float64(round*10+i), math.NaN()))
 		}
 	}
 	if err := s.Close(); err != nil {
@@ -441,9 +449,9 @@ func TestPruneCompactsDuplicatesFirst(t *testing.T) {
 		t.Errorf("compaction alone should fit the bound, but %d cell(s) were evicted", evicted)
 	}
 	for i := 0; i < 5; i++ {
-		got, ok := s.Get(fmt.Sprintf("k%d", i))
+		got, ok := s.Get(cellKey(i))
 		if !ok || got.Model != float64(390+i) {
-			t.Errorf("k%d: want the newest rewrite, got %v %v", i, got, ok)
+			t.Errorf("cell %d: want the newest rewrite, got %v %v", i, got, ok)
 		}
 	}
 }
@@ -452,7 +460,7 @@ func TestPruneCompactsDuplicatesFirst(t *testing.T) {
 func TestPruneNoopUnderBound(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	s.Put("k", pt(0.01, 1, math.NaN()))
+	s.Put(cellKey(0), pt(0.01, 1, math.NaN()))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +473,7 @@ func TestPruneNoopUnderBound(t *testing.T) {
 	if _, err := s.Prune(0); err == nil {
 		t.Error("non-positive bound accepted")
 	}
-	if _, ok := s.Get("k"); !ok {
+	if _, ok := s.Get(cellKey(0)); !ok {
 		t.Error("cell lost by a no-op prune")
 	}
 }
@@ -487,7 +495,7 @@ func TestAutoPruneKeepsLongRunningStoreUnderBound(t *testing.T) {
 	// several prune ticks interleave with live Puts.
 	const n = 400
 	for i := 0; i < n; i++ {
-		s.Put(fmt.Sprintf("auto-%04d", i), pt(float64(i)/1000, float64(i), math.NaN()))
+		s.Put(cellKey(i), pt(float64(i)/1000, float64(i), math.NaN()))
 		if i%50 == 49 {
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -515,7 +523,7 @@ func TestAutoPruneKeepsLongRunningStoreUnderBound(t *testing.T) {
 	}
 
 	// The newest cell survived the evictions and the store still serves.
-	if got, ok := s.Get(fmt.Sprintf("auto-%04d", n-1)); !ok || got.Model != float64(n-1) {
+	if got, ok := s.Get(cellKey(n - 1)); !ok || got.Model != float64(n-1) {
 		t.Errorf("newest cell lost under auto-prune: %v %v", got, ok)
 	}
 	if s.Len() == 0 {
@@ -525,7 +533,7 @@ func TestAutoPruneKeepsLongRunningStoreUnderBound(t *testing.T) {
 	// After stop, the loop is gone: grow the store past the bound and
 	// verify nothing shrinks it behind our back.
 	for i := 0; i < 100; i++ {
-		s.Put(fmt.Sprintf("post-%04d", i), pt(0.5, float64(i), math.NaN()))
+		s.Put(cellKey(n+i), pt(0.5, float64(i), math.NaN()))
 	}
 	time.Sleep(20 * time.Millisecond)
 	after, err := s.DiskBytes()

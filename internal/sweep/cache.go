@@ -38,9 +38,6 @@ type CacheStore interface {
 type Cache struct {
 	mu     sync.Mutex
 	curves map[string]curveSlots
-	// loose holds the cells Put under a key outside the key grammar
-	// (one eval.SplitKey refuses).
-	loose  map[string]Cell
 	cells  int
 	hits   int64
 	misses int64
@@ -188,14 +185,13 @@ func (c *Cache) PutCurveChanged(curve string, tokens []eval.Token, cells []Cell,
 
 // Get returns the cell cached under a full key (Scenario.Key), counting a
 // hit or miss: the one-cell GetCurve, for callers that hold a joined key.
+// A key eval.SplitKey refuses is a miss.
 func (c *Cache) Get(key string) (cell Cell, ok bool) {
 	var buf [256]byte
 	curve, t, split := eval.SplitKey(buf[:0], key)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !split {
-		cell, ok = c.loose[key]
-	} else if s, has := c.curves[string(curve)]; has {
+	if s, has := c.curves[string(curve)]; split && has {
 		if j := s.find(t, 0); j >= 0 {
 			cell, ok = s.slot(j).cell, true
 		}
@@ -209,25 +205,12 @@ func (c *Cache) Get(key string) (cell Cell, ok bool) {
 }
 
 // Put stores a cell under a full key, the one-cell PutCurve, and reports
-// whether it changed.
+// whether it changed. A key eval.SplitKey refuses is not a cell's key:
+// Put stores nothing under it and reports false.
 func (c *Cache) Put(key string, cell Cell) bool {
 	var buf [256]byte
-	if curve, t, split := eval.SplitKey(buf[:0], key); split {
-		return c.PutCurveChanged(string(curve), []eval.Token{t}, []Cell{cell}, nil) > 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	old, ok := c.loose[key]
-	if !ok {
-		c.cells++
-	} else if eval.Same(old, cell) {
-		return false
-	}
-	if c.loose == nil {
-		c.loose = make(map[string]Cell)
-	}
-	c.loose[key] = cell
-	return true
+	curve, t, split := eval.SplitKey(buf[:0], key)
+	return split && c.PutCurveChanged(string(curve), []eval.Token{t}, []Cell{cell}, nil) > 0
 }
 
 // Delete drops the cell cached under a full key, if there is one.
@@ -236,16 +219,9 @@ func (c *Cache) Delete(key string) {
 	curve, t, split := eval.SplitKey(buf[:0], key)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !split {
-		if _, ok := c.loose[key]; ok {
-			delete(c.loose, key)
-			c.cells--
-		}
-		return
-	}
 	s, ok := c.curves[string(curve)]
 	j := s.find(t, 0)
-	if !ok || j < 0 {
+	if !split || !ok || j < 0 {
 		return
 	}
 	c.cells--
@@ -283,9 +259,6 @@ func (c *Cache) Range(fn func(key string, cell Cell) bool) {
 			buf = eval.AppendJoinKey(buf[:0], s.key, sl.tok)
 			snap = append(snap, kv{string(buf), sl.cell})
 		}
-	}
-	for k, v := range c.loose {
-		snap = append(snap, kv{k, v})
 	}
 	c.mu.Unlock()
 	for _, e := range snap {

@@ -92,9 +92,10 @@ func FuzzCurveKey(f *testing.F) {
 }
 
 // TestSplitKeyRefusesWhatJoinWouldNotWrite: a key whose load or seed is
-// spelled in any other form than the one AppendJoinKey writes, or that
-// has no load, does not split — the cache's full-key adapters would
-// otherwise file it under another cell's slot.
+// spelled in any other form than the one AppendJoinKey writes, that has
+// no load, or that does not begin with family= (a legacy salted key) does
+// not split — the cache's full-key adapters would otherwise file it under
+// another cell's slot, or under a curve no scenario names.
 func TestSplitKeyRefusesWhatJoinWouldNotWrite(t *testing.T) {
 	sc := Scenario{Topology: Topology{Family: FamilyBFT, Size: 16}, MsgFlits: 16, Load: Load{Value: 0.25}, WithSim: true, Budget: Budget{Seed: 3}}
 	key := sc.Key()
@@ -103,6 +104,8 @@ func TestSplitKeyRefusesWhatJoinWouldNotWrite(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"no load here",
+		"backends=remote(a,b)|" + key,
+		" " + key,
 		"family=bft size=16 k=0 flits=16 policy=pairqueue frac=false load= sim=false",
 		"family=bft size=16 k=0 flits=16 policy=pairqueue frac=false load=0.25 sim=false",
 		"family=bft size=16 k=0 flits=16 policy=pairqueue frac=false load=0x2p-03 sim=false",
@@ -256,9 +259,10 @@ func TestLandedCellsSurvivePartialCurve(t *testing.T) {
 
 // TestCacheSlots: a Cache finds a curve's cells whatever order they were
 // put and asked for in — past the 32 a scan covers too, where the curve
-// is indexed — keeps one slot per token (a later put wins), and keeps a
-// key outside the grammar, which its full-key adapters cannot split,
-// under the key itself.
+// is indexed — and keeps one slot per token (a later put wins). A key
+// its full-key adapters cannot split (eval.SplitKey refuses it) is not a
+// cell's key: Put stores nothing under it and reports false, and Get
+// misses.
 func TestCacheSlots(t *testing.T) {
 	const curve, n = "a curve key", 100
 	toks := make([]eval.Token, n)
@@ -296,24 +300,32 @@ func TestCacheSlots(t *testing.T) {
 
 	cell := eval.NewPoint()
 	cell.Model = 7
-	c.Put("not a key", cell)
-	if back, ok := c.Get("not a key"); !ok || back.Model != 7 || c.Len() != n+1 {
-		t.Errorf("Get of a key outside the grammar = %+v, %v; Len %d", back, ok, c.Len())
+	sc := Scenario{Topology: Topology{Family: FamilyBFT, Size: 16}, MsgFlits: 16, Load: Load{Value: 0.25}}
+	for _, bad := range []string{"not a key", "backends=analytic|" + sc.Key()} {
+		if _, _, ok := eval.SplitKey(nil, bad); ok {
+			t.Fatalf("SplitKey accepts %q", bad)
+		}
+		if c.Put(bad, cell) {
+			t.Errorf("Put(%q) reported a change", bad)
+		}
+		if back, ok := c.Get(bad); ok || c.Len() != n {
+			t.Errorf("Get of a key outside the grammar = %+v, %v; Len %d", back, ok, c.Len())
+		}
 	}
 	seen := 0
 	c.Range(func(key string, cell Cell) bool {
 		seen++
 		return true
 	})
-	if seen != n+1 {
-		t.Errorf("Range saw %d cells, want %d", seen, n+1)
+	if seen != n {
+		t.Errorf("Range saw %d cells, want %d", seen, n)
 	}
 }
 
 // TestCacheDelete: Delete drops exactly the cell under a full key — first,
-// middle or last on its curve, on a scanned curve and an indexed one, or
-// a key outside the grammar — and a curve whose last cell goes is gone,
-// ready to be put afresh; a key the cache does not hold changes nothing.
+// middle or last on its curve, on a scanned curve and an indexed one — and
+// a curve whose last cell goes is gone, ready to be put afresh; a key the
+// cache does not hold, or one outside the grammar, changes nothing.
 func TestCacheDelete(t *testing.T) {
 	c := NewCache()
 	want := map[string]float64{}
@@ -336,7 +348,6 @@ func TestCacheDelete(t *testing.T) {
 			put(short[i], float64(i))
 		}
 	}
-	put("not a key", -1)
 	check := func(when string) {
 		t.Helper()
 		if c.Len() != len(want) {
@@ -372,7 +383,8 @@ func TestCacheDelete(t *testing.T) {
 	for _, i := range []int{4, 0, 2, 1, 3} {
 		del(short[i])
 	}
-	del("not a key")
+	c.Delete("not a key")
+	check("deleting a key outside the grammar")
 	put(short[2], 99) // the emptied curve, afresh
 	check("putting the emptied curve again")
 }

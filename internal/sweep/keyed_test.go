@@ -195,7 +195,7 @@ func benchModelGrid() Spec {
 func TestModelGridNetworkAllocs(t *testing.T) {
 	spec := benchModelGrid()
 	spec.Loads.Points = 4
-	before := analytic.ModelsBuilt()
+	before := obs.Counters()["analytic_models_built_total"]
 	res, err := NewRunner().Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +203,7 @@ func TestModelGridNetworkAllocs(t *testing.T) {
 	if got := len(res.Curves); got != 80 {
 		t.Fatalf("the grid has %d curves, want 80", got)
 	}
-	if got, want := analytic.ModelsBuilt()-before, int64(5); got != want {
+	if got, want := obs.Counters()["analytic_models_built_total"]-before, int64(5); got != want {
 		t.Errorf("a Run over 80 curves on 5 fat-trees built %d models, want %d", got, want)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/eval"
+	"repro/internal/traffic"
 	"repro/internal/workload"
 )
 
@@ -365,7 +366,7 @@ func FuzzWorkloadSpec(f *testing.F) {
 		}
 		key := w.Canonical()
 		_ = w.Label()
-		w.Rates(n, 0.01)
+		w.Sources(new(workload.SourceSlab), n, 0.01, func(int) *traffic.RNG { return traffic.NewRNG(1) })
 		w.BuildPattern(n, dist)
 		again, err := json.Marshal(&w)
 		if err != nil {

@@ -54,17 +54,8 @@ func checkRate(kind string, rate float64) error {
 // Poisson (with a different, equally valid, draw sequence).
 type GammaSource struct{ renewalSource }
 
-// NewGammaSource creates a Gamma-interarrival source with the given mean
-// rate (messages/cycle) and shape.
-func NewGammaSource(rate, shape float64, rng *RNG) (*GammaSource, error) {
-	s := new(GammaSource)
-	if err := s.Init(rate, shape, rng); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Init is NewGammaSource into caller-owned storage.
+// Init sets s up, in caller-owned storage, as a Gamma-interarrival
+// source with the given mean rate (messages/cycle) and shape.
 func (s *GammaSource) Init(rate, shape float64, rng *RNG) error {
 	if err := checkRate("gamma", rate); err != nil {
 		return err
@@ -84,17 +75,8 @@ func gammaGap(s *renewalSource) float64 { return s.rng.Gamma(s.shape) * s.scale 
 // light tail; shape=1 degenerates to Poisson.
 type WeibullSource struct{ renewalSource }
 
-// NewWeibullSource creates a Weibull-interarrival source with the given
-// mean rate (messages/cycle) and shape.
-func NewWeibullSource(rate, shape float64, rng *RNG) (*WeibullSource, error) {
-	s := new(WeibullSource)
-	if err := s.Init(rate, shape, rng); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Init is NewWeibullSource into caller-owned storage.
+// Init sets s up, in caller-owned storage, as a Weibull-interarrival
+// source with the given mean rate (messages/cycle) and shape.
 func (s *WeibullSource) Init(rate, shape float64, rng *RNG) error {
 	if err := checkRate("weibull", rate); err != nil {
 		return err
@@ -110,13 +92,6 @@ func (s *WeibullSource) Init(rate, shape float64, rng *RNG) error {
 func weibullGap(s *renewalSource) float64 {
 	u := 1 - s.rng.Float64() // (0,1]
 	return s.scale * math.Pow(-math.Log(u), 1/s.shape)
-}
-
-// WeibullSCV returns the squared coefficient of variation of Weibull
-// interarrivals with the given shape: Γ(1+2/k)/Γ(1+1/k)² − 1.
-func WeibullSCV(shape float64) float64 {
-	g1 := math.Gamma(1 + 1/shape)
-	return math.Gamma(1+2/shape)/(g1*g1) - 1
 }
 
 // MMPPSource is a two-state Markov-modulated Poisson process (an
@@ -136,18 +111,9 @@ type MMPPSource struct {
 	next     float64
 }
 
-// NewMMPPSource creates an on-off bursty source: mean rate
-// (messages/cycle), onFrac the stationary fraction of time spent ON
-// (0 < onFrac <= 1), burstCycles the mean ON duration in cycles.
-func NewMMPPSource(rate, onFrac, burstCycles float64, rng *RNG) (*MMPPSource, error) {
-	s := new(MMPPSource)
-	if err := s.Init(rate, onFrac, burstCycles, rng); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Init is NewMMPPSource into caller-owned storage.
+// Init sets s up, in caller-owned storage, as an on-off bursty source:
+// mean rate (messages/cycle), onFrac the stationary fraction of time
+// spent ON (0 < onFrac <= 1), burstCycles the mean ON duration in cycles.
 func (s *MMPPSource) Init(rate, onFrac, burstCycles float64, rng *RNG) error {
 	if err := checkRate("mmpp", rate); err != nil {
 		return err
@@ -217,27 +183,4 @@ func (s *MMPPSource) PopBefore(limit float64) (float64, bool) {
 	t := s.next
 	s.next = s.advance()
 	return t, true
-}
-
-// IPPSCV returns the squared coefficient of variation of the
-// interarrival times of an interrupted Poisson process with mean rate
-// rate, ON fraction onFrac and mean burst burstCycles. It uses the exact
-// Kuczura H2 equivalence: the interarrival distribution is a mixture of
-// two exponentials whose rates are the roots of
-// μ² − (λ+ω1+ω2)μ + λω2 = 0.
-func IPPSCV(rate, onFrac, burstCycles float64) float64 {
-	if onFrac >= 1 {
-		return 1 // plain Poisson
-	}
-	lambda := rate / onFrac
-	w1 := 1 / burstCycles                       // ON -> OFF
-	w2 := onFrac / (burstCycles * (1 - onFrac)) // OFF -> ON
-	sum := lambda + w1 + w2
-	disc := math.Sqrt(sum*sum - 4*lambda*w2)
-	mu1 := (sum + disc) / 2
-	mu2 := (sum - disc) / 2
-	p := (lambda - mu2) / (mu1 - mu2)
-	m1 := p/mu1 + (1-p)/mu2
-	m2 := 2*p/(mu1*mu1) + 2*(1-p)/(mu2*mu2)
-	return m2/(m1*m1) - 1
 }

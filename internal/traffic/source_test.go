@@ -40,7 +40,7 @@ func empiricalSCV(xs []float64) (mean, scv float64) {
 
 func TestGammaSourceMeanAndSCV(t *testing.T) {
 	for _, shape := range []float64{0.5, 2, 4} {
-		src, err := NewGammaSource(0.1, shape, NewRNG(7))
+		src, err := newGamma(0.1, shape, NewRNG(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func TestGammaSourceMeanAndSCV(t *testing.T) {
 
 func TestWeibullSourceMeanAndSCV(t *testing.T) {
 	for _, shape := range []float64{0.7, 1.5} {
-		src, err := NewWeibullSource(0.1, shape, NewRNG(9))
+		src, err := newWeibull(0.1, shape, NewRNG(9))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestWeibullSourceMeanAndSCV(t *testing.T) {
 		if math.Abs(mean-10) > 0.5 {
 			t.Errorf("shape %v: mean gap %v, want ~10", shape, mean)
 		}
-		want := WeibullSCV(shape)
+		want := weibullSCV(shape)
 		if math.Abs(scv-want) > 0.2*want {
 			t.Errorf("shape %v: SCV %v, want ~%v", shape, scv, want)
 		}
@@ -75,14 +75,14 @@ func TestWeibullSourceMeanAndSCV(t *testing.T) {
 }
 
 func TestWeibullSCVShapeOneIsPoisson(t *testing.T) {
-	if got := WeibullSCV(1); math.Abs(got-1) > 1e-9 {
-		t.Errorf("WeibullSCV(1) = %v, want 1", got)
+	if got := weibullSCV(1); math.Abs(got-1) > 1e-9 {
+		t.Errorf("weibullSCV(1) = %v, want 1", got)
 	}
 }
 
 func TestMMPPSourceMeanRateAndBurstiness(t *testing.T) {
 	const rate, onFrac, burst = 0.05, 0.25, 200.0
-	src, err := NewMMPPSource(rate, onFrac, burst, NewRNG(13))
+	src, err := newMMPP(rate, onFrac, burst, NewRNG(13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,9 +93,9 @@ func TestMMPPSourceMeanRateAndBurstiness(t *testing.T) {
 		t.Errorf("mean rate %v, want ~%v", got, rate)
 	}
 	_, scv := empiricalSCV(gaps)
-	want := IPPSCV(rate, onFrac, burst)
+	want := ippSCV(rate, onFrac, burst)
 	if want <= 1.5 {
-		t.Fatalf("IPPSCV = %v: expected a clearly bursty process", want)
+		t.Fatalf("ippSCV = %v: expected a clearly bursty process", want)
 	}
 	if math.Abs(scv-want) > 0.25*want {
 		t.Errorf("SCV %v, want ~%v", scv, want)
@@ -103,7 +103,7 @@ func TestMMPPSourceMeanRateAndBurstiness(t *testing.T) {
 }
 
 func TestMMPPSourceFullOnIsPoisson(t *testing.T) {
-	src, err := NewMMPPSource(0.05, 1, 200, NewRNG(21))
+	src, err := newMMPP(0.05, 1, 200, NewRNG(21))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,8 +112,8 @@ func TestMMPPSourceFullOnIsPoisson(t *testing.T) {
 	if math.Abs(scv-1) > 0.1 {
 		t.Errorf("onFrac=1 SCV %v, want ~1 (Poisson)", scv)
 	}
-	if got := IPPSCV(0.05, 1, 200); math.Abs(got-1) > 1e-9 {
-		t.Errorf("IPPSCV(onFrac=1) = %v, want 1", got)
+	if got := ippSCV(0.05, 1, 200); math.Abs(got-1) > 1e-9 {
+		t.Errorf("ippSCV(onFrac=1) = %v, want 1", got)
 	}
 }
 
@@ -122,14 +122,14 @@ func TestSourceConstructorsRejectBadParams(t *testing.T) {
 		name string
 		err  error
 	}{
-		{"gamma negative rate", errOf(NewGammaSource(-1, 2, NewRNG(1)))},
-		{"gamma zero shape", errOf(NewGammaSource(0.1, 0, NewRNG(1)))},
-		{"weibull NaN rate", errOf(NewWeibullSource(math.NaN(), 1, NewRNG(1)))},
-		{"weibull negative shape", errOf(NewWeibullSource(0.1, -2, NewRNG(1)))},
-		{"mmpp negative rate", errOf(NewMMPPSource(-0.1, 0.5, 100, NewRNG(1)))},
-		{"mmpp onFrac 0", errOf(NewMMPPSource(0.1, 0, 100, NewRNG(1)))},
-		{"mmpp onFrac >1", errOf(NewMMPPSource(0.1, 1.5, 100, NewRNG(1)))},
-		{"mmpp burst 0", errOf(NewMMPPSource(0.1, 0.5, 0, NewRNG(1)))},
+		{"gamma negative rate", errOf(newGamma(-1, 2, NewRNG(1)))},
+		{"gamma zero shape", errOf(newGamma(0.1, 0, NewRNG(1)))},
+		{"weibull NaN rate", errOf(newWeibull(math.NaN(), 1, NewRNG(1)))},
+		{"weibull negative shape", errOf(newWeibull(0.1, -2, NewRNG(1)))},
+		{"mmpp negative rate", errOf(newMMPP(-0.1, 0.5, 100, NewRNG(1)))},
+		{"mmpp onFrac 0", errOf(newMMPP(0.1, 0, 100, NewRNG(1)))},
+		{"mmpp onFrac >1", errOf(newMMPP(0.1, 1.5, 100, NewRNG(1)))},
+		{"mmpp burst 0", errOf(newMMPP(0.1, 0.5, 0, NewRNG(1)))},
 	}
 	for _, c := range cases {
 		if c.err == nil {
@@ -142,9 +142,9 @@ func errOf[T any](_ T, err error) error { return err }
 
 func TestSourcesAreDeterministic(t *testing.T) {
 	build := func() []Source {
-		g, _ := NewGammaSource(0.1, 2, NewRNG(5))
-		w, _ := NewWeibullSource(0.1, 1.5, NewRNG(5))
-		m, _ := NewMMPPSource(0.1, 0.25, 100, NewRNG(5))
+		g, _ := newGamma(0.1, 2, NewRNG(5))
+		w, _ := newWeibull(0.1, 1.5, NewRNG(5))
+		m, _ := newMMPP(0.1, 0.25, 100, NewRNG(5))
 		return []Source{g, w, m}
 	}
 	a, b := build(), build()
@@ -157,4 +157,56 @@ func TestSourcesAreDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The sources as the tests build them: Init into fresh storage.
+
+func newPoisson(rate float64, rng *RNG) (*PoissonSource, error) {
+	s := new(PoissonSource)
+	return s, s.Init(rate, rng)
+}
+
+func newGamma(rate, shape float64, rng *RNG) (*GammaSource, error) {
+	s := new(GammaSource)
+	return s, s.Init(rate, shape, rng)
+}
+
+func newWeibull(rate, shape float64, rng *RNG) (*WeibullSource, error) {
+	s := new(WeibullSource)
+	return s, s.Init(rate, shape, rng)
+}
+
+func newMMPP(rate, onFrac, burstCycles float64, rng *RNG) (*MMPPSource, error) {
+	s := new(MMPPSource)
+	return s, s.Init(rate, onFrac, burstCycles, rng)
+}
+
+// weibullSCV returns the squared coefficient of variation of Weibull
+// interarrivals with the given shape: Γ(1+2/k)/Γ(1+1/k)² − 1.
+func weibullSCV(shape float64) float64 {
+	g1 := math.Gamma(1 + 1/shape)
+	return math.Gamma(1+2/shape)/(g1*g1) - 1
+}
+
+// ippSCV returns the squared coefficient of variation of the
+// interarrival times of an interrupted Poisson process with mean rate
+// rate, ON fraction onFrac and mean burst burstCycles. It uses the exact
+// Kuczura H2 equivalence: the interarrival distribution is a mixture of
+// two exponentials whose rates are the roots of
+// μ² − (λ+ω1+ω2)μ + λω2 = 0.
+func ippSCV(rate, onFrac, burstCycles float64) float64 {
+	if onFrac >= 1 {
+		return 1 // plain Poisson
+	}
+	lambda := rate / onFrac
+	w1 := 1 / burstCycles                       // ON -> OFF
+	w2 := onFrac / (burstCycles * (1 - onFrac)) // OFF -> ON
+	sum := lambda + w1 + w2
+	disc := math.Sqrt(sum*sum - 4*lambda*w2)
+	mu1 := (sum + disc) / 2
+	mu2 := (sum - disc) / 2
+	p := (lambda - mu2) / (mu1 - mu2)
+	m1 := p/mu1 + (1-p)/mu2
+	m2 := 2*p/(mu1*mu1) + 2*(1-p)/(mu2*mu2)
+	return m2/(m1*m1) - 1
 }

@@ -179,20 +179,12 @@ type PoissonSource struct {
 	next float64
 }
 
-// NewPoissonSource creates a source with the given arrival rate
-// (messages/cycle) and seed. A rate of 0 yields a source that never
-// fires; a negative or NaN rate is an error (it would otherwise take
-// down a whole sweepd shard on a malformed remote spec).
-func NewPoissonSource(rate float64, rng *RNG) (*PoissonSource, error) {
-	s := new(PoissonSource)
-	if err := s.Init(rate, rng); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Init is NewPoissonSource into caller-owned storage (an element of a
-// per-network slab): it overwrites s and draws the first arrival.
+// Init sets s up, in caller-owned storage (an element of a per-network
+// slab), as a source with the given arrival rate (messages/cycle) drawing
+// from rng: it overwrites s and draws the first arrival. A rate of 0
+// yields a source that never fires; a negative or NaN rate is an error
+// (it would otherwise take down a whole sweepd shard on a malformed
+// remote spec).
 func (s *PoissonSource) Init(rate float64, rng *RNG) error {
 	if rate < 0 || math.IsNaN(rate) || math.IsInf(rate, 1) {
 		return fmt.Errorf("traffic: arrival rate must be finite and non-negative, got %v", rate)

@@ -97,17 +97,17 @@ func TestExpPanicsOnBadRate(t *testing.T) {
 // mustPoisson builds a Poisson source, failing the test on a bad rate.
 func mustPoisson(t *testing.T, rate float64, rng *RNG) *PoissonSource {
 	t.Helper()
-	src, err := NewPoissonSource(rate, rng)
+	src, err := newPoisson(rate, rng)
 	if err != nil {
-		t.Fatalf("NewPoissonSource(%v): %v", rate, err)
+		t.Fatalf("newPoisson(%v): %v", rate, err)
 	}
 	return src
 }
 
 func TestPoissonSourceRejectsBadRate(t *testing.T) {
 	for _, rate := range []float64{-1, math.NaN(), math.Inf(1)} {
-		if _, err := NewPoissonSource(rate, NewRNG(1)); err == nil {
-			t.Errorf("NewPoissonSource(%v): expected error", rate)
+		if _, err := newPoisson(rate, NewRNG(1)); err == nil {
+			t.Errorf("newPoisson(%v): expected error", rate)
 		}
 	}
 }

@@ -357,40 +357,10 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// SCV returns the squared coefficient of variation of the interarrival
-// process (1 for Poisson; NaN for trace workloads, where it is an
-// empirical quantity — see bft stats).
-func (s *Spec) SCV(lambda0 float64) float64 {
-	if s == nil {
-		return 1
-	}
-	if s.Trace != "" {
-		return math.NaN()
-	}
-	switch s.Process {
-	case ProcessGamma:
-		return 1 / s.Shape
-	case ProcessWeibull:
-		return traffic.WeibullSCV(s.Shape)
-	case ProcessMMPP:
-		return traffic.IPPSCV(lambda0, s.OnFrac, s.BurstCycles)
-	default:
-		return 1
-	}
-}
-
-// Rates spreads the mean per-source rate lambda0 over n sources
-// according to the mix. Every mix is mean-preserving: the rates average
-// to lambda0 exactly, so workloads compare at equal offered load.
-func (s *Spec) Rates(n int, lambda0 float64) ([]float64, error) {
-	rates := make([]float64, n)
-	if err := s.fillRates(rates, lambda0); err != nil {
-		return nil, err
-	}
-	return rates, nil
-}
-
-// fillRates is Rates into caller-owned storage, one rate per element.
+// fillRates spreads the mean per-source rate lambda0 over the sources,
+// one rate per element of rates, according to the mix. Every mix is
+// mean-preserving: the rates average to lambda0 exactly, so workloads
+// compare at equal offered load.
 func (s *Spec) fillRates(rates []float64, lambda0 float64) error {
 	if lambda0 < 0 || math.IsNaN(lambda0) {
 		return fmt.Errorf("workload: negative or NaN mean rate %v", lambda0)

@@ -133,6 +133,12 @@ func TestValidateRejectsBadParams(t *testing.T) {
 	}
 }
 
+// ratesOf is the per-source rates a spec's sources are built with.
+func ratesOf(s *Spec, n int, lambda0 float64) ([]float64, error) {
+	r := make([]float64, n)
+	return r, s.fillRates(r, lambda0)
+}
+
 func TestRatesPreserveMean(t *testing.T) {
 	const n, lambda0 = 64, 0.0125
 	specs := []Spec{
@@ -141,7 +147,7 @@ func TestRatesPreserveMean(t *testing.T) {
 		{Mix: MixTopK, MixK: 8, MixFrac: 0.5},
 	}
 	for _, s := range specs {
-		rates, err := s.Rates(n, lambda0)
+		rates, err := ratesOf(&s, n, lambda0)
 		if err != nil {
 			t.Fatalf("%+v: %v", s, err)
 		}
@@ -162,7 +168,7 @@ func TestRatesPreserveMean(t *testing.T) {
 }
 
 func TestRatesRamp(t *testing.T) {
-	rates, err := (&Spec{Mix: MixRamp, RampRatio: 4}).Rates(8, 0.1)
+	rates, err := ratesOf(&Spec{Mix: MixRamp, RampRatio: 4}, 8, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,20 +183,41 @@ func TestRatesRamp(t *testing.T) {
 }
 
 func TestRatesTopKTooLarge(t *testing.T) {
-	if _, err := (&Spec{Mix: MixTopK, MixK: 8, MixFrac: 0.5}).Rates(8, 0.1); err == nil {
+	if _, err := ratesOf(&Spec{Mix: MixTopK, MixK: 8, MixFrac: 0.5}, 8, 0.1); err == nil {
 		t.Error("expected error when mix_k >= n")
 	}
 }
 
+// TestSCV: a spec's sources draw interarrival gaps with the squared
+// coefficient of variation (SCV) of its process — 1 for Poisson, 1/shape
+// for gamma, above 1 for a bursty MMPP — over 20,000 gaps of one source.
 func TestSCV(t *testing.T) {
-	if got := (&Spec{}).SCV(0.01); math.Abs(got-1) > 1e-12 {
+	scv := func(s *Spec, lambda0 float64) float64 {
+		t.Helper()
+		srcs, err := s.Sources(new(SourceSlab), 1, lambda0, func(int) *traffic.RNG { return traffic.NewRNG(5) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 20000
+		var sum, sum2, prev float64
+		for i := 0; i < n; i++ {
+			at, ok := srcs[0].PopBefore(math.Inf(1))
+			if !ok {
+				t.Fatalf("%+v: source ran dry after %d arrivals", s, i)
+			}
+			gap := at - prev
+			sum, sum2, prev = sum+gap, sum2+gap*gap, at
+		}
+		mean := sum / n
+		return (sum2/n - mean*mean) / (mean * mean)
+	}
+	if got := scv(&Spec{}, 0.01); math.Abs(got-1) > 0.1 {
 		t.Errorf("Poisson SCV = %v, want 1", got)
 	}
-	if got := (&Spec{Process: ProcessGamma, Shape: 4}).SCV(0.01); math.Abs(got-0.25) > 1e-12 {
+	if got := scv(&Spec{Process: ProcessGamma, Shape: 4}, 0.01); math.Abs(got-0.25) > 0.03 {
 		t.Errorf("Gamma(4) SCV = %v, want 0.25", got)
 	}
-	burst := (&Spec{Process: ProcessMMPP, OnFrac: 0.25, BurstCycles: 200}).SCV(0.05)
-	if burst <= 1 {
+	if burst := scv(&Spec{Process: ProcessMMPP, OnFrac: 0.25, BurstCycles: 200}, 0.05); burst <= 1 {
 		t.Errorf("MMPP SCV = %v, want > 1 (bursty)", burst)
 	}
 }
@@ -211,8 +238,8 @@ func TestSourcesDefaultMatchesPoisson(t *testing.T) {
 	}
 	master2 := traffic.NewRNG(1234)
 	for p := 0; p < n; p++ {
-		want, err := traffic.NewPoissonSource(lambda0, master2.Split(uint64(p)))
-		if err != nil {
+		want := new(traffic.PoissonSource)
+		if err := want.Init(lambda0, master2.Split(uint64(p))); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 100; i++ {
