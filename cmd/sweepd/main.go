@@ -96,7 +96,7 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) (rerr error) {
 		}
 		defer cliutil.CloseInto(&rerr, "closing store", st.Close)
 		if dropped := st.Dropped(); dropped > 0 {
-			logger.Warn("store recovery dropped corrupt lines", "dropped", dropped)
+			logger.Warn("store recovery dropped lines that are not cells: corrupt ones, or legacy salted records, which are neither served nor mined and leave disk at the next compact or prune", "dropped", dropped)
 		}
 		logger.Info("store recovered", "cells", st.Recovered(), "dir", *cacheDir)
 		if *maxBytes > 0 {

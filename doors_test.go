@@ -50,7 +50,10 @@ var doorsAllowed = map[string]string{
 // when a file of its package names it or a file importing its package
 // selects it. A method counts as used, whatever its receiver, when a file
 // calls x.Name(…), an interface declares Name, or a file selects x.Name
-// and no struct in the module has a field Name.
+// and no struct in the module has a field Name. So a method is checked by
+// its name only: a test-only method that shares its name with a method
+// programs call on another type (stats.BatchMeans.N beside Stream.N)
+// passes unseen. Widening the allowlist is no answer to such a miss.
 func TestNoTestOnlyDoors(t *testing.T) {
 	fset := token.NewFileSet()
 	type file struct {

@@ -434,8 +434,12 @@ func AppendJoinKey(b []byte, curve string, t Token) []byte {
 // non-canonical form — and b is then returned unchanged. The key may be a
 // record's bytes, read in place.
 func SplitKey[K string | []byte](b []byte, key K) (curve []byte, t Token, ok bool) {
+	const family = "family="
+	if len(key) < len(family) || string(key[:len(family)]) != family {
+		return b, Token{}, false
+	}
 	load := index(key, "load=")
-	if load < 0 || index(key, "family=") != 0 {
+	if load < 0 {
 		return b, Token{}, false
 	}
 	load += len("load=")

@@ -112,7 +112,6 @@ func TestParentSegmentInterop(t *testing.T) {
 	}
 	s := mustOpen(t, old)
 	defer s.Close()
-	var cells []byte // want without its legacy lines
 	for i, k := range keys {
 		ref, err := json.Marshal(refRecord{Key: k, Point: pts[i]})
 		if err != nil {
@@ -121,8 +120,11 @@ func TestParentSegmentInterop(t *testing.T) {
 		if line := appendRecord(nil, k, pts[i]); string(line) != string(ref)+"\n" {
 			t.Errorf("appendRecord(%q)\n got  %s want %s", k, line, ref)
 		}
-		if !strings.HasPrefix(k, legacySalt) {
-			cells = append(append(cells, ref...), '\n')
+	}
+	var cells []byte // want's own lines, its legacy fleet lines left out
+	for _, line := range bytes.SplitAfter(want, []byte("\n")) {
+		if !bytes.HasPrefix(line, []byte(`{"key":"`+legacySalt)) {
+			cells = append(cells, line...)
 		}
 	}
 	if s.Recovered() != len(keys)-17 || s.Dropped() != 17 {

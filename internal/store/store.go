@@ -355,7 +355,10 @@ func (s *Store) Collect(emit func(obs.Sample)) {
 }
 
 // Dropped returns how many lines recovery skipped: corrupt or truncated
-// ones, and records under a key that is not a cell's key.
+// ones, and records under a key that is not a cell's key. The latter
+// include an older version's salted records, good measurements once:
+// they are neither served nor mined, and the next Compact or folding
+// Prune removes them without counting them in store_pruned_bytes_total.
 func (s *Store) Dropped() int { return s.dropped }
 
 // Compact folds every live cell into one fresh segment and removes all
