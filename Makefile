@@ -69,10 +69,11 @@ lint:
 	@test "$$(grep -rlE 'eval\.NewSimBackend\(|bounds\.New\(' --include='*.go' internal cmd | grep -v '_test\.go$$')" = internal/sweep/run.go || { \
 		echo "one built-in stack: analytic+sim+bounds is assembled in internal/sweep/run.go only"; exit 1; }
 	@! grep -nE 'analytic\.(New|Must)[A-Za-z]*Model\(|\.NewModel\(' $$(find internal/bounds -name '*.go' ! -name '*_test.go') || { \
-		echo "one model memo per stack: internal/bounds composes over the paper model the AnalyticBackend beside it memoizes (PaperModel) and builds none"; exit 1; }
-	@test "$$(grep -rnF '.NewModel(' --include='*.go' internal/eval | grep -v '_test\.go:' | wc -l)" = 1 && \
-	grep -qE '^		m, err := key\.topo\.NewModel\(key\.flits, key\.variant\)$$' internal/eval/analytic.go || { \
-		echo "one network per topology per stack: non-test internal/eval builds a model at one call site, the AnalyticBackend's network memo (entryLocked in analytic.go), and takes every curve's model as a view of that network (analytic.Model.View)"; exit 1; }
+		echo "bounds builds no model: internal/bounds composes over the paper model the AnalyticBackend beside it memoizes (PaperModel) and builds none"; exit 1; }
+	@test "$$(grep -rnF '.NewModel(' --include='*.go' internal/eval | grep -v '_test\.go:' | cut -d: -f1)" = internal/eval/networks.go && \
+	test "$$(grep -rnF '.NewNetwork(' --include='*.go' internal/eval | grep -v '_test\.go:' | cut -d: -f1)" = internal/eval/networks.go && \
+	! grep -nE 'map\[Topology\]' internal/eval/analytic.go internal/eval/simbackend.go || { \
+		echo "one network per topology per process: non-test internal/eval builds an analytic network (.NewModel) and a simulator topology (.NewNetwork) at one call site each, the process-wide registries in networks.go; neither backend keeps a network map, and every curve's model is a view of the shared network (analytic.Model.View)"; exit 1; }
 	@test -z "$$(grep -rlE '# (TYPE|HELP)' --include='*.go' internal cmd | grep -v '_test\.go$$' | grep -v '^internal/obs/')" && \
 	test -z "$$(grep -rl 'obs\.NewCounter(' --include='*.go' internal cmd | grep -v '_test\.go$$' | grep -vE '^internal/(sim|analytic|bounds|obs)/')" || { \
 		echo "one metrics writer: Prometheus text is rendered by internal/obs only (components implement obs.Collector; obs.NewCounter is for the sim, analytic and bounds libraries)"; exit 1; }

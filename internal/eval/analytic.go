@@ -11,22 +11,20 @@ import (
 )
 
 // AnalyticBackend evaluates scenarios with the paper's analytical model.
-// It builds one network per topology instance — the channel-class graph,
-// its rates, D̄ and closed-form tables, which depend on neither the
-// message length nor the variant — and takes every curve's model, one per
-// message length and variant, as a view of it (analytic.Model.View). The
-// Eq. 26 saturation searches anchoring fractional load points are
-// memoized per instance and message length, on the paper view. However
-// many goroutines touch a fresh curve at the same moment, a network is
-// built once and every anchor is searched exactly once; lookups take only
-// the shared side of the memo's lock. The zero value is not usable;
+// It takes every curve's model, one per topology instance, message
+// length and variant, as a view (analytic.Model.View) of the instance's
+// network — the channel-class graph, its rates, D̄ and closed-form
+// tables, which depend on neither the message length nor the variant —
+// and the process builds that network once, for every backend (see
+// analyticNets). The Eq. 26 saturation searches anchoring fractional
+// load points are memoized per backend, instance and message length, on
+// the paper view: however many goroutines touch a fresh curve at the
+// same moment, every anchor is searched exactly once, and lookups take
+// only the shared side of the memo's lock. The zero value is not usable;
 // construct with NewAnalyticBackend. Safe for concurrent use.
 type AnalyticBackend struct {
-	mu sync.RWMutex
-	// networks holds, per instance, the model its network was built
-	// with: the source of every view, never itself a curve's model.
-	networks map[Topology]*analytic.Model
-	curves   map[modelKey]*curveEntry
+	mu     sync.RWMutex
+	curves map[modelKey]*curveEntry
 }
 
 type modelKey struct {
@@ -49,13 +47,15 @@ type curveEntry struct {
 
 // NewAnalyticBackend returns an empty backend.
 func NewAnalyticBackend() *AnalyticBackend {
-	return &AnalyticBackend{networks: make(map[Topology]*analytic.Model), curves: make(map[modelKey]*curveEntry)}
+	return &AnalyticBackend{curves: make(map[modelKey]*curveEntry)}
 }
 
 // Name implements Evaluator.
 func (b *AnalyticBackend) Name() string { return "analytic" }
 
-// entry returns the memoized model entry for the curve.
+// entry returns the memoized model entry for the curve. A new curve
+// takes its network from the process (waiting, outside the memo's lock,
+// for its one build) and its view under the write lock.
 func (b *AnalyticBackend) entry(topo Topology, flits int, opt core.Options) (*curveEntry, error) {
 	key := modelKey{topo, flits, opt}
 	b.mu.RLock()
@@ -64,26 +64,20 @@ func (b *AnalyticBackend) entry(topo Topology, flits int, opt core.Options) (*cu
 	if e != nil {
 		return e, nil
 	}
+	net, err := analyticNets.get(topo)
+	if err != nil {
+		return nil, err
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.entryLocked(key)
+	return b.entryLocked(net, key)
 }
 
-// entryLocked takes the view for key (and its base) of the instance's
-// network under the write lock, building the network on first use — the
-// memo's one model build. Failures are not memoized.
-func (b *AnalyticBackend) entryLocked(key modelKey) (*curveEntry, error) {
+// entryLocked takes the view of net for key (and its base) under the
+// write lock. Failures are not memoized.
+func (b *AnalyticBackend) entryLocked(net *analytic.Model, key modelKey) (*curveEntry, error) {
 	if e := b.curves[key]; e != nil {
 		return e, nil
-	}
-	net := b.networks[key.topo]
-	if net == nil {
-		m, err := key.topo.NewModel(key.flits, key.variant)
-		if err != nil {
-			return nil, err
-		}
-		net = m
-		b.networks[key.topo] = net
 	}
 	view, err := net.View(float64(key.flits), key.variant)
 	if err != nil {
@@ -92,7 +86,7 @@ func (b *AnalyticBackend) entryLocked(key modelKey) (*curveEntry, error) {
 	e := &curveEntry{model: view}
 	e.base = e
 	if key.variant != (core.Options{}) {
-		if e.base, err = b.entryLocked(modelKey{key.topo, key.flits, core.Options{}}); err != nil {
+		if e.base, err = b.entryLocked(net, modelKey{key.topo, key.flits, core.Options{}}); err != nil {
 			return nil, err
 		}
 	}
@@ -126,8 +120,8 @@ func (b *AnalyticBackend) SaturationLoad(topo Topology, flits int) (float64, err
 
 // PaperModel returns the memoized base (paper) view for the given
 // instance and message length — the one SaturationLoad searches, and the
-// one the bounds calculus composes over, so a stack builds its network
-// once.
+// one the bounds calculus composes over, so the calculus builds no
+// network of its own.
 func (b *AnalyticBackend) PaperModel(topo Topology, flits int) (*analytic.Model, error) {
 	e, err := b.entry(topo, flits, core.Options{})
 	if err != nil {

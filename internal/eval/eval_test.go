@@ -191,7 +191,7 @@ func TestSimBackendSurvivesSimulatorPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb.nets[broken.Topology] = &misdeliveringNet{net}
+	withSimNet(t, broken.Topology, &misdeliveringNet{net})
 	for _, replicas := range []int{1, 2} {
 		broken.Budget.Replicas = replicas
 		_, err := sb.Evaluate(ctx, broken)
@@ -530,46 +530,109 @@ func TestScenarioKeyVariantSensitivity(t *testing.T) {
 	}
 }
 
-// First touch of a topology builds it outside the backend's lock, once:
-// concurrent first callers all get the one network. A build that fails is
-// not remembered; a trace that fails to load is.
-func TestSimBackendMemoBuildsOnce(t *testing.T) {
-	sb := NewSimBackend(nil)
-	topo := Topology{Family: FamilyBFT, Size: 256}
-	nets := make([]topology.Network, 8)
+// withSimNet makes net the process's simulator topology for topo until
+// the test ends.
+func withSimNet(t *testing.T, topo Topology, net topology.Network) {
+	e := &shared[topology.Network]{v: net}
+	e.once.Do(func() {})
+	simNets.mu.Lock()
+	if simNets.built == nil {
+		simNets.built = make(map[Topology]*shared[topology.Network])
+	}
+	prev := simNets.built[topo]
+	simNets.built[topo] = e
+	simNets.mu.Unlock()
+	t.Cleanup(func() {
+		simNets.mu.Lock()
+		if delete(simNets.built, topo); prev != nil {
+			simNets.built[topo] = prev
+		}
+		simNets.mu.Unlock()
+	})
+}
+
+// The process builds each network once, whichever backend asks first:
+// goroutines on fresh backends asking for the same and for distinct
+// instances at once get one analytic network (the build counter) and one
+// simulator topology (the pointer) per instance. A build that fails is
+// not kept, so the next caller fails the same way; a trace that fails to
+// load is memoized per backend.
+func TestNetworksBuildOncePerProcess(t *testing.T) {
+	ctx := context.Background()
+	topos := []Topology{
+		{Family: FamilyBFT, Size: 4096},
+		{Family: FamilyHypercube, Size: 9},
+		{Family: FamilyTorus, Size: 5, K: 3}, // model-only
+	}
+	analyticNets.mu.Lock()
+	fresh := int64(0)
+	for _, topo := range topos {
+		if analyticNets.built[topo] == nil {
+			fresh++
+		}
+	}
+	analyticNets.mu.Unlock()
+	built := obs.Counters()["analytic_models_built_total"]
+	nets := make([]topology.Network, 4*len(topos))
 	var wg sync.WaitGroup
 	for i := range nets {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			net, err := sb.network(topo)
-			if err != nil {
+			topo := topos[i%len(topos)]
+			sc := Scenario{Topology: topo, MsgFlits: 8, Load: Load{Value: 0.01}}
+			if _, err := NewAnalyticBackend().Evaluate(ctx, sc); err != nil {
 				t.Error(err)
 			}
-			nets[i] = net
+			if topo.Family == FamilyTorus {
+				return
+			}
+			sc.WithSim, sc.Budget = true, Budget{Warmup: 10, Measure: 20, DrainLimit: 1}
+			if _, err := NewSimBackend(nil).Evaluate(ctx, sc); err != nil {
+				t.Error(err)
+			}
+			nets[i], _ = simNets.get(topo)
 		}(i)
 	}
 	wg.Wait()
+	if got := obs.Counters()["analytic_models_built_total"] - built; got != fresh {
+		t.Errorf("%d backends on %d instances built %d networks, want %d", len(nets), len(topos), got, fresh)
+	}
 	for i, net := range nets {
-		if net != nets[0] {
-			t.Fatalf("caller %d got its own network: the build ran more than once", i)
+		if j := i % len(topos); net != nets[j] {
+			t.Errorf("caller %d got its own %s: the build ran more than once", i, topos[j])
 		}
 	}
-	if again, _ := sb.network(topo); again != nets[0] {
-		t.Error("a later caller got a different network")
-	}
-	if len(sb.building) != 0 {
-		t.Errorf("%d finished builds still listed as in flight", len(sb.building))
+	if nets[0] == nil || nets[0] == nets[1] {
+		t.Error("distinct instances share a simulator topology")
 	}
 
-	bad := Topology{Family: FamilyBFT, Size: 5}
-	for i := 0; i < 2; i++ {
-		if _, err := sb.network(bad); err == nil {
-			t.Fatal("a 5-processor fat-tree was built")
+	sb := NewSimBackend(nil)
+	for _, bad := range []struct {
+		fresh func() Evaluator
+		sc    Scenario
+	}{
+		{func() Evaluator { return NewSimBackend(nil) }, Scenario{Topology: Topology{Family: FamilyBFT, Size: 1 << 18}, MsgFlits: 8, WithSim: true}},
+		{func() Evaluator { return NewAnalyticBackend() }, Scenario{Topology: Topology{Family: FamilyTorus, Size: 2, K: 1}, MsgFlits: 8}},
+	} {
+		var errs []string
+		for i := 0; i < 2; i++ {
+			_, err := bad.fresh().Evaluate(ctx, bad.sc)
+			if err == nil {
+				t.Fatalf("%s was built", bad.sc.Topology)
+			}
+			errs = append(errs, err.Error())
 		}
-	}
-	if _, kept := sb.nets[bad]; kept || len(sb.building) != 0 {
-		t.Error("a failed network build was memoized")
+		if errs[0] != errs[1] {
+			t.Errorf("%s: a second call failed otherwise: %q, then %q", bad.sc.Topology, errs[0], errs[1])
+		}
+		simNets.mu.Lock()
+		analyticNets.mu.Lock()
+		if simNets.built[bad.sc.Topology] != nil || analyticNets.built[bad.sc.Topology] != nil {
+			t.Errorf("the failed build of %s was kept", bad.sc.Topology)
+		}
+		analyticNets.mu.Unlock()
+		simNets.mu.Unlock()
 	}
 
 	missing := filepath.Join(t.TempDir(), "trace.ndjson")

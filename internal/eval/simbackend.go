@@ -8,40 +8,32 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/topology"
 	"repro/internal/traffic"
 	"repro/internal/workload"
 )
 
 // SimBackend evaluates scenarios with the flit-level wormhole simulator.
-// Networks are memoized per topology instance; fractional load points
-// are resolved through the anchor (normally the AnalyticBackend of the
-// same sweep, so model and simulator probe identical absolute loads).
-// Scenarios with WithSim unset are answered with an empty Point — the
-// backend only measures where the grid asked for measurement. Every run
-// is a sim.Run, on the engines the process has parked, so even a new
-// backend simulates on warm engines once anything in the process has
-// simulated. A Point takes four scalars of the run's Result, so the run
-// builds no per-channel column (sim.WithoutChannelBusy) and the Result
-// stays on Evaluate's stack: a warm fixed-window cell allocates nothing
+// It simulates on the process's one topology per instance (see simNets);
+// fractional load points are resolved through the anchor (normally the
+// AnalyticBackend of the same sweep, so model and simulator probe
+// identical absolute loads). Scenarios with WithSim unset are answered
+// with an empty Point — the backend only measures where the grid asked
+// for measurement. Every run is a sim.Run, on the engines the process
+// has parked, so even a new backend simulates on a built network and
+// warm engines once anything in the process has simulated. A Point
+// takes four scalars of the run's Result, so the run builds no
+// per-channel column (sim.WithoutChannelBusy) and the Result stays on
+// Evaluate's stack: a warm fixed-window cell allocates nothing
 // (TestSimEvaluateAllocs). Safe for concurrent use; the simulator checks
 // ctx inside its cycle loop.
 //
-// The lock covers the memo maps only: a network is built and a trace is
-// parsed outside it, once, with concurrent first callers of the same key
-// waiting for that one build while every other cell goes on.
+// The lock covers the trace memo only: a trace is parsed outside it,
+// once, with concurrent first callers of the same path waiting for that
+// one parse while every other cell goes on.
 type SimBackend struct {
-	mu       sync.Mutex
-	nets     map[Topology]topology.Network
-	building map[Topology]*netBuild // first builds in flight
-	traces   map[string]*traceEntry
-	anchor   LoadResolver
-}
-
-type netBuild struct {
-	once sync.Once
-	net  topology.Network
-	err  error
+	mu     sync.Mutex
+	traces map[string]*traceEntry
+	anchor LoadResolver
 }
 
 type traceEntry struct {
@@ -53,11 +45,7 @@ type traceEntry struct {
 // NewSimBackend returns a backend resolving fractional loads through
 // anchor. A nil anchor restricts the backend to absolute load points.
 func NewSimBackend(anchor LoadResolver) *SimBackend {
-	return &SimBackend{
-		nets:   make(map[Topology]topology.Network),
-		traces: make(map[string]*traceEntry),
-		anchor: anchor,
-	}
+	return &SimBackend{traces: make(map[string]*traceEntry), anchor: anchor}
 }
 
 // trace returns the memoized parsed trace for a path. Trace files are
@@ -86,36 +74,6 @@ func (b *SimBackend) trace(path string) (*workload.Trace, error) {
 
 // Name implements Evaluator.
 func (b *SimBackend) Name() string { return "sim" }
-
-// network returns the memoized simulator topology for the instance. A
-// failed build is not memoized: its entry goes with it, and the next
-// caller builds again.
-func (b *SimBackend) network(topo Topology) (topology.Network, error) {
-	b.mu.Lock()
-	if n, ok := b.nets[topo]; ok {
-		b.mu.Unlock()
-		return n, nil
-	}
-	e := b.building[topo]
-	if e == nil {
-		e = new(netBuild)
-		if b.building == nil { // made on first use: a model-only backend never builds
-			b.building = make(map[Topology]*netBuild)
-		}
-		b.building[topo] = e
-	}
-	b.mu.Unlock()
-	e.once.Do(func() {
-		e.net, e.err = topo.NewNetwork()
-		b.mu.Lock()
-		if e.err == nil {
-			b.nets[topo] = e.net
-		}
-		delete(b.building, topo)
-		b.mu.Unlock()
-	})
-	return e.net, e.err
-}
 
 // ResolveLoad implements LoadResolver, delegating fractions to the
 // anchor.
@@ -158,7 +116,7 @@ func (b *SimBackend) Evaluate(ctx context.Context, sc Scenario) (pt Point, err e
 	if !sc.WithSim {
 		return NewPoint(), nil
 	}
-	net, err := b.network(sc.Topology)
+	net, err := simNets.get(sc.Topology)
 	if err != nil {
 		return Point{}, err
 	}

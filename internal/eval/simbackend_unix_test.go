@@ -3,6 +3,7 @@
 package eval
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -12,13 +13,13 @@ import (
 
 // First touch of a trace must not stall the backend's other cells: while
 // one caller sits in a load that does not return (a FIFO nobody writes
-// to), a cell on another key still gets its network.
+// to), a cell on another key is still simulated.
 func TestSimBackendFirstTouchDoesNotStall(t *testing.T) {
 	fifo := filepath.Join(t.TempDir(), "trace.fifo")
 	if err := syscall.Mkfifo(fifo, 0o600); err != nil {
 		t.Skipf("no FIFOs here: %v", err)
 	}
-	sb := NewSimBackend(nil)
+	sb := NewSimBackend(NewAnalyticBackend())
 	loaded := make(chan error, 1)
 	go func() {
 		_, err := sb.trace(fifo)
@@ -43,7 +44,7 @@ func TestSimBackendFirstTouchDoesNotStall(t *testing.T) {
 	}
 	built := make(chan error, 1)
 	go func() {
-		_, err := sb.network(Topology{Family: FamilyBFT, Size: 64})
+		_, err := sb.Evaluate(context.Background(), bftScenario(true))
 		built <- err
 	}()
 	select {
@@ -52,6 +53,6 @@ func TestSimBackendFirstTouchDoesNotStall(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("a network lookup waited for another key's trace load")
+		t.Fatal("a cell waited for another key's trace load")
 	}
 }

@@ -190,21 +190,72 @@ func benchModelGrid() Spec {
 }
 
 // TestModelGridNetworkAllocs: a model-only Run of the bench's model grid
-// — 5 sizes × 4 message lengths × 4 variants, 80 curves — builds one
-// network per size and takes every curve's model as a view of it.
+// — 5 sizes × 4 message lengths × 4 variants, 80 curves — takes every
+// curve's model as a view of one network per size, which the process
+// builds once: the first Run builds at most 5 (none that an earlier test
+// built), and a second fresh Runner builds none.
 func TestModelGridNetworkAllocs(t *testing.T) {
 	spec := benchModelGrid()
 	spec.Loads.Points = 4
-	before := obs.Counters()["analytic_models_built_total"]
-	res, err := NewRunner().Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
+	for i, most := range []int64{5, 0} {
+		before := obs.Counters()["analytic_models_built_total"]
+		res, err := NewRunner().Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(res.Curves); got != 80 {
+			t.Fatalf("the grid has %d curves, want 80", got)
+		}
+		if got := obs.Counters()["analytic_models_built_total"] - before; got > most {
+			t.Errorf("Runner %d: a Run over 80 curves on 5 fat-trees built %d models, want at most %d", i+1, got, most)
+		}
 	}
-	if got := len(res.Curves); got != 80 {
-		t.Fatalf("the grid has %d curves, want 80", got)
+}
+
+// TestGeneralGridNetworkAllocs: the bench's general-sweep grid — model
+// and bounds over 3 fat-trees, 3 hypercubes and 2 tori, 512 cells. Once a
+// first Run has built its networks, a fresh Runner's cold Run builds none
+// and stays within its allocation budget, yet runs every Eq. 26 search
+// again: the process shares networks, not results.
+func TestGeneralGridNetworkAllocs(t *testing.T) {
+	spec := Spec{
+		Name: "bench-general",
+		Topologies: []TopologySpec{
+			{Family: FamilyBFT, Sizes: []int{64, 256, 1024}},
+			{Family: FamilyHypercube, Sizes: []int{6, 8, 10}},
+			{Family: FamilyTorus, Sizes: []int{3, 4}, K: 4},
+		},
+		MsgFlits: []int{16, 32},
+		Backends: []string{BackendModel, BackendBounds},
+		Loads:    LoadSpec{Points: 32, MaxFrac: 0.95},
 	}
-	if got, want := obs.Counters()["analytic_models_built_total"]-before, int64(5); got != want {
-		t.Errorf("a Run over 80 curves on 5 fat-trees built %d models, want %d", got, want)
+	ctx := context.Background()
+	var cells int
+	run := func() (searches int64) {
+		s0 := analytic.SaturationSearches()
+		res, err := NewRunner().Run(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells = len(res.Rows)
+		return analytic.SaturationSearches() - s0
+	}
+	first := run()
+	built := obs.Counters()["analytic_models_built_total"]
+	if again := run(); again != first || first == 0 {
+		t.Errorf("a fresh Runner ran %d saturation searches, the first %d", again, first)
+	}
+	perCell := testing.AllocsPerRun(5, func() { run() }) / float64(cells)
+	if got := obs.Counters()["analytic_models_built_total"] - built; got != 0 {
+		t.Errorf("fresh Runners over built networks built %d models, want 0", got)
+	}
+	t.Logf("%.3f allocs/cell over %d cells", perCell, cells)
+	budget := 0.2
+	if race.Enabled {
+		budget = 12
+	}
+	if perCell > budget {
+		t.Errorf("a fresh Runner's cold Run of the general grid: %.3f allocs/cell, budget %v", perCell, budget)
 	}
 }
 
