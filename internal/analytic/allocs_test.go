@@ -107,6 +107,14 @@ func TestSaturationLoadAllocs(t *testing.T) {
 // TestPredictAllocs: Predict answers what Latency answers — the same
 // latency on a stable point, saturated exactly where Latency returns
 // core.ErrUnstable — and allocates nothing on either side of saturation.
+// predict is one prediction on a fresh Predictor, as a curve's first load
+// or a saturation search's first probe makes it.
+func predict(m *Model, lambda0 float64) (Latency, bool, error) {
+	p := m.Predictor()
+	defer p.Done()
+	return p.Predict(lambda0)
+}
+
 func TestPredictAllocs(t *testing.T) {
 	for _, v := range goldenVariants {
 		for _, m := range []*Model{
@@ -121,11 +129,11 @@ func TestPredictAllocs(t *testing.T) {
 			for _, frac := range []float64{0.5, 1.02, 4} {
 				lambda0 := frac * sat / m.MsgFlits()
 				want, errL := m.Latency(lambda0)
-				lat, saturated, err := m.Predict(lambda0)
+				lat, saturated, err := predict(m, lambda0)
 				if err != nil || saturated != core.IsUnstable(errL) || lat != want {
 					t.Errorf("%s %s at %v×: Predict %+v saturated=%v (%v), Latency %+v (%v)", m.Name(), v.name, frac, lat, saturated, err, want, errL)
 				}
-				got := testing.AllocsPerRun(100, func() { m.Predict(lambda0) })
+				got := testing.AllocsPerRun(100, func() { predict(m, lambda0) })
 				if got > allocBudget(0) {
 					t.Errorf("%s %s at %v×: Predict allocates %v times, want 0", m.Name(), v.name, frac, got)
 				}

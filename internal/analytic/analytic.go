@@ -37,10 +37,11 @@
 //
 // An unstable point's *core.UnstableError, with its label (the fat-tree
 // closed form's "<class>@<model>"), is built only when Latency,
-// ChannelStats or Resolve returns it. Predict reports saturation as a
-// flag instead (core.Workspace.Stable, and the closed form's saturation
-// value), so neither a sweep cell past saturation nor the Eq. 26 search,
-// which probes past it on every other bisection step, allocates.
+// ChannelStats or Resolve returns it. Predictor.Predict reports saturation
+// as a flag instead (core.Workspace.Stable, and the closed form's
+// saturation value), so neither a sweep cell past saturation nor the
+// Eq. 26 search, which probes past it on every other bisection step,
+// allocates.
 package analytic
 
 import (
@@ -251,22 +252,11 @@ func (m *Model) latencyOf(ws *core.Workspace) Latency {
 	}
 }
 
-// Predict is Latency for callers that take saturation for an answer
-// rather than a failure — a sweep cell's +Inf, a probe of the Eq. 26
-// search: past saturation it reports saturated and builds no error value,
-// so no operating point allocates. Its error reports a bad arrival rate
-// only.
-func (m *Model) Predict(lambda0 float64) (lat Latency, saturated bool, err error) {
-	p := m.Predictor()
-	defer p.Done()
-	return p.Predict(lambda0)
-}
-
 // Predictor predicts operating points of one model in turn — a curve's
 // loads, the probes of a saturation search — on one workspace, acquired
 // on first use (a closed form needs none), and counts their fixed-point
 // iterations once, in Done. Each prediction binds the workspace afresh,
-// so it is bit for bit the one Predict makes alone.
+// so it is bit for bit the one a fresh Predictor makes.
 type Predictor struct {
 	m     *Model
 	ws    *core.Workspace
@@ -276,7 +266,11 @@ type Predictor struct {
 // Predictor returns a Predictor over m; call Done when finished.
 func (m *Model) Predictor() Predictor { return Predictor{m: m} }
 
-// Predict is Model.Predict on the predictor's workspace.
+// Predict is Latency for callers that take saturation for an answer
+// rather than a failure — a sweep cell's +Inf, a probe of the Eq. 26
+// search: past saturation it reports saturated and builds no error value,
+// so no operating point allocates. Its error reports a bad arrival rate
+// only.
 func (p *Predictor) Predict(lambda0 float64) (lat Latency, saturated bool, err error) {
 	m := p.m
 	if lambda0 < 0 || math.IsNaN(lambda0) {

@@ -73,9 +73,6 @@ func MustFatTreeModel(numProc int, msgFlits float64, opt core.Options) *FatTreeM
 	return m
 }
 
-// NumProcessors returns the configured machine size.
-func (m *FatTreeModel) NumProcessors() int { return m.net.numProc }
-
 // Levels returns n = log4(N).
 func (m *FatTreeModel) Levels() int { return m.net.n }
 

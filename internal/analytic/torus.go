@@ -95,9 +95,6 @@ func MustHypercubeModel(dims int, msgFlits float64, opt core.Options) *TorusMode
 	return m
 }
 
-// NumProcessors returns k^dims.
-func (m *TorusModel) NumProcessors() int { return m.net.numProc }
-
 // hopsPerDim is E[hops in one dimension | dst != src]
 // = N(k−1)/(2(N−1)).
 func (net *network) hopsPerDim() float64 {

@@ -35,7 +35,7 @@ func TestTorusTransitionProbabilitiesValid(t *testing.T) {
 	for _, c := range [][2]int{{2, 1}, {2, 4}, {2, 8}, {3, 3}, {4, 2}, {4, 4}, {8, 3}, {16, 2}} {
 		m := MustTorusModel(c[0], c[1], 16, core.Options{})
 		cm := m.BuildCoreModel(0.001)
-		if err := cm.Validate(); err != nil {
+		if _, err := core.Compile(cm.Classes); err != nil {
 			t.Errorf("k=%d dims=%d: %v", c[0], c[1], err)
 		}
 	}
@@ -126,9 +126,8 @@ func TestHypercubeModelZeroLoad(t *testing.T) {
 func TestHypercubeAvgDistMatchesTopology(t *testing.T) {
 	for _, dims := range []int{2, 4, 6, 8} {
 		m := MustHypercubeModel(dims, 16, core.Options{})
-		hc := topology.MustHypercube(dims)
-		if math.Abs(m.AvgDist()-hc.AvgDistance()) > 1e-9 {
-			t.Errorf("dims=%d: model D̄=%v, topology D̄=%v", dims, m.AvgDist(), hc.AvgDistance())
+		if d := meanPathLen(topology.MustHypercube(dims)); math.Abs(m.AvgDist()-d) > 1e-9 {
+			t.Errorf("dims=%d: model D̄=%v, mean topology PathLen=%v", dims, m.AvgDist(), d)
 		}
 	}
 }
@@ -181,9 +180,6 @@ func TestTorusNames(t *testing.T) {
 	hm := MustHypercubeModel(8, 16, core.Options{})
 	if got := hm.Name(); got != "hcube-256/s=16" {
 		t.Errorf("Name = %q", got)
-	}
-	if hm.NumProcessors() != 256 {
-		t.Errorf("NumProcessors = %d", hm.NumProcessors())
 	}
 	if hm.MsgFlits() != 16 {
 		t.Errorf("MsgFlits = %v", hm.MsgFlits())
@@ -250,7 +246,7 @@ func TestSaturationCausePerFamily(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		lambda := (1 - 1e-6) * sat / s
-		lat, saturated, err := c.m.Predict(lambda)
+		lat, saturated, err := predict(c.m, lambda)
 		if err != nil || saturated {
 			t.Fatalf("%s: just below the reported point the model is saturated (%v, %v)", c.name, saturated, err)
 		}

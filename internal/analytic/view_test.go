@@ -65,8 +65,8 @@ func FuzzModelView(f *testing.F) {
 		same("saturation load", []any{sat, satErr}, []any{wantSat, wantSatErr})
 		for i := 1; i <= 8; i++ {
 			lambda0 := 0.98 * wantSat * float64(i) / 8 / s
-			lat, saturated, err := view.Predict(lambda0)
-			wantLat, wantSaturated, wantErr := fresh.Predict(lambda0)
+			lat, saturated, err := predict(&view, lambda0)
+			wantLat, wantSaturated, wantErr := predict(fresh, lambda0)
 			same(fmt.Sprintf("Predict(%v)", lambda0), []any{lat, saturated, err}, []any{wantLat, wantSaturated, wantErr})
 			lat, err = view.Latency(lambda0)
 			wantLat, wantErr = fresh.Latency(lambda0)

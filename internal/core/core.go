@@ -173,15 +173,6 @@ func (e *UnstableError) Unwrap() error { return ErrUnstable }
 // network (errors.Is on ErrUnstable anywhere in the chain).
 func IsUnstable(err error) bool { return errors.Is(err, ErrUnstable) }
 
-// Validate checks the message length and the classes' structural
-// invariants (see Compile).
-func (m *Model) Validate() error {
-	if m.MsgFlits <= 0 {
-		return fmt.Errorf("core: MsgFlits = %v, must be positive", m.MsgFlits)
-	}
-	return validateClasses(m.Classes)
-}
-
 // validateClasses checks structural invariants: transition probabilities
 // sum to 1 on non-terminal classes, terminal classes have no transitions,
 // rates and server counts are sane.

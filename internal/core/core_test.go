@@ -189,8 +189,8 @@ func TestValidateCatchesBadModels(t *testing.T) {
 			{Name: "x", Out: []Transition{{To: 0, Prob: 1, Groups: -1}}}}},
 	}
 	for name, m := range cases {
-		if err := m.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted a bad model", name)
+		if _, err := Compile(m.Classes); err == nil && m.MsgFlits > 0 {
+			t.Errorf("%s: Compile accepted a bad model", name)
 		}
 		if _, err := m.Resolve(Options{}); err == nil {
 			t.Errorf("%s: Resolve accepted a bad model", name)

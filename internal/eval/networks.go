@@ -29,6 +29,10 @@ var (
 	simNets = registry[topology.Network]{build: func(t Topology) (topology.Network, error) { return t.NewNetwork() }}
 )
 
+// SimNetwork returns the process's one simulator topology of t, the one
+// every SimBackend simulates t on, building it on first use.
+func SimNetwork(t Topology) (topology.Network, error) { return simNets.get(t) }
+
 // registry holds one build per instance. Concurrent first callers of an
 // instance wait for one build while other instances build in parallel;
 // a failed build is not kept, so the next caller builds again.

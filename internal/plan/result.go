@@ -76,15 +76,6 @@ func (c Candidate) Key() string {
 	return c.Topology.String() + "/s=" + strconv.Itoa(c.MsgFlits) + "/" + c.Policy
 }
 
-// RelErr returns |sim−model|/model at the operating point, or NaN when
-// either side is missing.
-func (c Candidate) RelErr() float64 {
-	if math.IsNaN(c.Sim) || math.IsNaN(c.Latency) || math.IsInf(c.Latency, 0) {
-		return math.NaN()
-	}
-	return math.Abs(c.Sim-c.Latency) / c.Latency
-}
-
 // Stats accounts for the search's work — the quantities that justify
 // its existence against a full grid.
 type Stats struct {

@@ -30,8 +30,16 @@ func TestSingleFlitMessages(t *testing.T) {
 		t.Fatal("no single-flit messages completed")
 	}
 	// Latency of a 1-flit worm is its hop count (+ queueing + the
-	// sub-cycle offset): mean ≈ D̄.
-	want := cfg.Net.AvgDistance()
+	// sub-cycle offset): mean ≈ D̄, the mean PathLen over src != dst.
+	var want float64
+	n := cfg.Net.NumProcessors()
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			if src != dst {
+				want += float64(cfg.Net.PathLen(src, dst)) / float64(n*(n-1))
+			}
+		}
+	}
 	if math.Abs(res.LatencyMean-want) > 2.5 {
 		t.Errorf("1-flit latency %v, want ~%v", res.LatencyMean, want)
 	}

@@ -1,16 +1,16 @@
 package sim
 
 // Seed-derivation map. Every random stream in a run derives from
-// Config.Seed through traffic.RNG.Split with the salts below; this file is
+// Config.Seed through traffic.RNG.SplitInto with the salts below; this file is
 // the single place those salts live, and TestSeedDerivationGolden pins the
 // first values of every stream so a refactor cannot silently reshuffle
 // them (which would break bit-compatibility with stored sweep results and
 // make replica merging statistically unsound).
 //
 //	master            = traffic.NewRNG(cfg.Seed)
-//	shuffle/arbiter   = master.Split(streamShuffle)     salt 0xa11ce
-//	destination for p = master.Split(streamDest(p))     salt p + 1
-//	arrivals for p    = master.Split(streamArrival(p))  salt p + 1'000'003
+//	shuffle/arbiter   = master.SplitInto(_, streamShuffle)     salt 0xa11ce
+//	destination for p = master.SplitInto(_, streamDest(p))     salt p + 1
+//	arrivals for p    = master.SplitInto(_, streamArrival(p))  salt p + 1'000'003
 //
 // The destination and arrival salts differ by an accident of history (the
 // Poisson sources were added later with their own offset). The offsets are

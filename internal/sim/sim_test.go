@@ -241,7 +241,7 @@ func TestHotspotTrafficRuns(t *testing.T) {
 	cfg := Config{
 		Net:           topology.MustFatTree(64),
 		MsgFlits:      8,
-		Pattern:       traffic.Hotspot{Hot: 5, Fraction: 0.3},
+		Pattern:       traffic.MultiHotspot{Hot: []int{5}, Fraction: 0.3},
 		Seed:          17,
 		WarmupCycles:  1000,
 		MeasureCycles: 5000,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/stats"
@@ -75,7 +76,8 @@ func TestTruthCells(t *testing.T) {
 		{topology.MustHypercube(4), traffic.BitComplement{}, 6, 16, 0.5, 40_000},
 		{topology.MustFatTree(4), traffic.BitComplement{}, 2, 16, 0.5, 200_000},
 	} {
-		name := fmt.Sprintf("%s/%s/s=%d/load=%v", c.net.Name(), c.pattern.Name(), c.s, c.load)
+		pattern := strings.ToLower(strings.TrimPrefix(fmt.Sprintf("%T", c.pattern), "traffic."))
+		name := fmt.Sprintf("%s/%s/s=%d/load=%v", c.net.Name(), pattern, c.s, c.load)
 		t.Run(name, func(t *testing.T) {
 			h := c.s + truthHoldExtra
 			means := stats.NewBatchMeans(1)

@@ -1,10 +1,5 @@
 package stats
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Histogram is a fixed-width bin histogram over [Lo, Hi) with overflow and
 // underflow counters. It is used for latency distributions in the simulator
 // reports.
@@ -70,9 +65,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	h.total += other.total
 }
 
-// Count returns the count of bin i.
-func (h *Histogram) Count(i int) int64 { return h.bins[i] }
-
 // Quantile returns an estimate of the q-quantile (0 < q < 1) by linear
 // interpolation within bins; observations in the under/overflow bins pin
 // the estimate to the range boundary. Returns the lower bound for empty
@@ -95,33 +87,4 @@ func (h *Histogram) Quantile(q float64) float64 {
 		cum = next
 	}
 	return h.hi
-}
-
-// Render draws an ASCII bar chart with the given maximum bar width.
-func (h *Histogram) Render(width int) string {
-	if width < 1 {
-		width = 40
-	}
-	var peak int64
-	for _, c := range h.bins {
-		if c > peak {
-			peak = c
-		}
-	}
-	var b strings.Builder
-	for i, c := range h.bins {
-		lo := h.lo + float64(i)*h.binWidth
-		bar := 0
-		if peak > 0 {
-			bar = int(float64(c) / float64(peak) * float64(width))
-		}
-		fmt.Fprintf(&b, "%10.1f | %-*s %d\n", lo, width, strings.Repeat("#", bar), c)
-	}
-	if h.underflow > 0 {
-		fmt.Fprintf(&b, "underflow: %d\n", h.underflow)
-	}
-	if h.overflow > 0 {
-		fmt.Fprintf(&b, "overflow: %d\n", h.overflow)
-	}
-	return b.String()
 }

@@ -145,8 +145,8 @@ func TestHistogramBasics(t *testing.T) {
 		t.Fatalf("Total = %d, want 102", h.Total())
 	}
 	for i := 0; i < 10; i++ {
-		if h.Count(i) != 10 {
-			t.Errorf("bin %d = %d, want 10", i, h.Count(i))
+		if h.bins[i] != 10 {
+			t.Errorf("bin %d = %d, want 10", i, h.bins[i])
 		}
 	}
 	if h.underflow != 1 || h.overflow != 1 {
@@ -166,14 +166,14 @@ func TestHistogramEdgeValues(t *testing.T) {
 	h.Add(0)                     // exactly lo -> bin 0
 	h.Add(10)                    // exactly hi -> overflow
 	h.Add(math.Nextafter(10, 0)) // just under hi -> last bin
-	if h.Count(0) != 1 {
-		t.Errorf("bin0 = %d, want 1", h.Count(0))
+	if h.bins[0] != 1 {
+		t.Errorf("bin0 = %d, want 1", h.bins[0])
 	}
 	if h.overflow != 1 {
 		t.Errorf("overflow = %d, want 1", h.overflow)
 	}
-	if h.Count(9) != 1 {
-		t.Errorf("last bin = %d, want 1", h.Count(9))
+	if h.bins[9] != 1 {
+		t.Errorf("last bin = %d, want 1", h.bins[9])
 	}
 }
 
@@ -188,39 +188,6 @@ func TestHistogramPanicsOnBadArgs(t *testing.T) {
 	}
 	mustPanic("nbins", func() { NewHistogram(0, 1, 0) })
 	mustPanic("range", func() { NewHistogram(1, 1, 4) })
-}
-
-func TestHistogramRender(t *testing.T) {
-	h := NewHistogram(0, 4, 2)
-	h.Add(1)
-	h.Add(1)
-	h.Add(3)
-	h.Add(-1)
-	h.Add(9)
-	out := h.Render(20)
-	if out == "" {
-		t.Fatal("empty render")
-	}
-	for _, want := range []string{"#", "underflow: 1", "overflow: 1"} {
-		if !containsStr(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
-		}
-	}
-	// Default width path.
-	if h.Render(0) == "" {
-		t.Error("render with width 0 should use a default")
-	}
-}
-
-func containsStr(s, sub string) bool {
-	return len(s) >= len(sub) && (func() bool {
-		for i := 0; i+len(sub) <= len(s); i++ {
-			if s[i:i+len(sub)] == sub {
-				return true
-			}
-		}
-		return false
-	})()
 }
 
 func TestQuantileEmptyAndExtremes(t *testing.T) {

@@ -3,7 +3,6 @@ package topology
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"math/bits"
 	"strings"
 )
@@ -140,9 +139,6 @@ func (t *FatTree) down(h, u, q uint) GroupID {
 	return GroupID(t.levelBase(h) + (q<<(h+2) | u&(4<<h-4)) + 2 + (u>>(h+2)^q)&1)
 }
 
-// Levels returns n = log4(N), the number of switch levels.
-func (t *FatTree) Levels() int { return t.n }
-
 // Name implements Network.
 func (t *FatTree) Name() string { return t.name.get("bft-", t.numProc) }
 
@@ -219,17 +215,6 @@ func (t *FatTree) PathLen(src, dst int) int {
 		}
 	}
 	panic("topology: unreachable destination")
-}
-
-// AvgDistance implements Network: D̄ = Σ_{l=1..n} 2l·3·4^(l−1)/(4^n − 1),
-// since 3·4^(l−1) of a processor's 4^n − 1 possible destinations have
-// their lowest common subtree at level l.
-func (t *FatTree) AvgDistance() float64 {
-	num := 0.0
-	for l := 1; l <= t.n; l++ {
-		num += float64(2*l) * 3 * math.Pow(4, float64(l-1))
-	}
-	return num / float64(t.numProc-1)
 }
 
 // SwitchOf returns the (level, addr) pair of the switch a channel leads

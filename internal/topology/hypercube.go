@@ -2,7 +2,6 @@ package topology
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 )
 
@@ -116,11 +115,4 @@ func (t *Hypercube) PathLen(src, dst int) int {
 		return 0
 	}
 	return bits.OnesCount(uint(src^dst)) + 2
-}
-
-// AvgDistance implements Network: E[Hamming | src != dst] + 2
-// = n·2^(n−1)/(2^n − 1) + 2.
-func (t *Hypercube) AvgDistance() float64 {
-	n := float64(t.dims)
-	return n*math.Exp2(n-1)/(float64(t.numProc)-1) + 2
 }

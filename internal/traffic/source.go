@@ -11,21 +11,17 @@ import (
 // closure, so a slab of sources costs no allocation per source.
 type renewalSource struct {
 	rng          *RNG
-	rate         float64
 	next         float64
 	shape, scale float64
 	gap          func(*renewalSource) float64
 }
 
 func (s *renewalSource) init(rate, shape, scale float64, rng *RNG, gap func(*renewalSource) float64) {
-	*s = renewalSource{rng: rng, rate: rate, next: math.Inf(1), shape: shape, scale: scale, gap: gap}
+	*s = renewalSource{rng: rng, next: math.Inf(1), shape: shape, scale: scale, gap: gap}
 	if rate > 0 {
 		s.next = gap(s)
 	}
 }
-
-// Rate returns the configured mean arrival rate.
-func (s *renewalSource) Rate() float64 { return s.rate }
 
 // Peek returns the time of the next arrival without consuming it.
 func (s *renewalSource) Peek() float64 { return s.next }
@@ -102,7 +98,6 @@ func weibullGap(s *renewalSource) float64 {
 // degenerates to plain Poisson.
 type MMPPSource struct {
 	rng      *RNG
-	rate     float64 // mean rate over both states
 	lambdaOn float64 // arrival rate while ON
 	rOn      float64 // hazard ON->OFF (1/mean burst)
 	rOff     float64 // hazard OFF->ON (1/mean gap)
@@ -126,7 +121,6 @@ func (s *MMPPSource) Init(rate, onFrac, burstCycles float64, rng *RNG) error {
 	}
 	*s = MMPPSource{
 		rng:      rng,
-		rate:     rate,
 		lambdaOn: rate / onFrac,
 		rOn:      1 / burstCycles,
 		rOff:     onFrac / (burstCycles * (1 - onFrac)), // 1 / mean OFF
@@ -167,9 +161,6 @@ func (s *MMPPSource) advance() float64 {
 		s.onEnd = s.t + s.rng.Exp(s.rOn)
 	}
 }
-
-// Rate returns the configured mean arrival rate.
-func (s *MMPPSource) Rate() float64 { return s.rate }
 
 // Peek returns the time of the next arrival without consuming it.
 func (s *MMPPSource) Peek() float64 { return s.next }

@@ -52,17 +52,9 @@ func (r *RNG) Seed(seed uint64) {
 	}
 }
 
-// Split derives a new independent generator from r, keyed by id. The parent
-// stream is not consumed.
-func (r *RNG) Split(id uint64) *RNG {
-	var c RNG
-	r.SplitInto(&c, id)
-	return &c
-}
-
-// SplitInto is Split into caller-owned storage: dst becomes the generator
-// Split(id) would return, so a slab of per-source streams needs no
-// per-stream allocation.
+// SplitInto derives a new independent generator from r, keyed by id, into
+// caller-owned storage (so a slab of per-source streams needs no
+// per-stream allocation). The parent stream is not consumed.
 func (r *RNG) SplitInto(dst *RNG, id uint64) {
 	st := r.s[0] ^ (id+1)*0xd1342543de82ef95
 	dst.Seed(splitmix64(&st))
@@ -151,8 +143,6 @@ func (r *RNG) Gamma(shape float64) float64 {
 // paper's workload; internal/workload builds the bursty and trace-replay
 // variants behind the same interface.
 type Source interface {
-	// Rate returns the configured mean arrival rate (messages/cycle).
-	Rate() float64
 	// Peek returns the time of the next arrival without consuming it
 	// (+Inf when the stream is exhausted or silent).
 	Peek() float64
@@ -195,9 +185,6 @@ func (s *PoissonSource) Init(rate float64, rng *RNG) error {
 	}
 	return nil
 }
-
-// Rate returns the configured arrival rate.
-func (s *PoissonSource) Rate() float64 { return s.rate }
 
 // Peek returns the time of the next arrival without consuming it.
 func (s *PoissonSource) Peek() float64 { return s.next }

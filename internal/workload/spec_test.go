@@ -227,19 +227,20 @@ func TestSourcesDefaultMatchesPoisson(t *testing.T) {
 	// sources: same RNG stream consumption, same arrival times.
 	const n, lambda0 = 8, 0.05
 	master := traffic.NewRNG(1234)
-	rngs := make([]*traffic.RNG, n)
-	for p := 0; p < n; p++ {
-		rngs[p] = master.Split(uint64(p))
+	rngs := make([]traffic.RNG, n)
+	for p := range rngs {
+		master.SplitInto(&rngs[p], uint64(p))
 	}
 	var nilSpec *Spec
-	got, err := nilSpec.Sources(new(SourceSlab), n, lambda0, func(p int) *traffic.RNG { return rngs[p] })
+	got, err := nilSpec.Sources(new(SourceSlab), n, lambda0, func(p int) *traffic.RNG { return &rngs[p] })
 	if err != nil {
 		t.Fatal(err)
 	}
 	master2 := traffic.NewRNG(1234)
 	for p := 0; p < n; p++ {
-		want := new(traffic.PoissonSource)
-		if err := want.Init(lambda0, master2.Split(uint64(p))); err != nil {
+		want, rng := new(traffic.PoissonSource), new(traffic.RNG)
+		master2.SplitInto(rng, uint64(p))
+		if err := want.Init(lambda0, rng); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 100; i++ {
@@ -267,7 +268,7 @@ func TestBuildPatternRangeChecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Name() == "" {
-		t.Error("empty pattern name")
+	if h, ok := p.(traffic.MultiHotspot); !ok || len(h.Hot) != 2 || h.Fraction != 0.4 {
+		t.Errorf("hotspot pattern = %#v, want MultiHotspot{Hot: [1 3], Fraction: 0.4}", p)
 	}
 }

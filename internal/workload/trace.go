@@ -174,13 +174,8 @@ func (tr *Trace) Sources() []traffic.Source {
 	}
 	out := make([]traffic.Source, tr.Header.Size)
 	slab := make([]TraceSource, tr.Header.Size)
-	span := tr.Span()
 	for p := range out {
-		rate := 0.0
-		if span > 0 {
-			rate = float64(len(per[p])) / span
-		}
-		slab[p] = TraceSource{events: per[p], rate: rate, lastDst: -1}
+		slab[p] = TraceSource{events: per[p], lastDst: -1}
 		out[p] = &slab[p]
 	}
 	return out
@@ -200,12 +195,8 @@ func (tr *Trace) Span() float64 {
 type TraceSource struct {
 	events  []TraceEvent
 	idx     int
-	rate    float64
 	lastDst int
 }
-
-// Rate returns the empirical mean arrival rate over the trace span.
-func (s *TraceSource) Rate() float64 { return s.rate }
 
 // Peek returns the next recorded arrival time, +Inf when exhausted.
 func (s *TraceSource) Peek() float64 {
