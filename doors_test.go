@@ -22,13 +22,13 @@ import (
 	"repro/internal/race"
 )
 
-// doorsAllowed are the functions and methods that no program reaches and
-// that stay anyway, each with its reason. A key names one object, as
-// "pkg.Func", "pkg.Type.Method" or "pkg.Interface.Method", or a whole
-// package as "pkg" (pkg is the last element of its import path). An
-// allowlisted object is kept with everything it reaches. An entry that
-// names nothing, or whose objects a program reaches anyway, fails the
-// test too.
+// doorsAllowed are the doors that no program reaches and that stay
+// anyway, each with its reason. A key names one object, as "pkg.Func",
+// "pkg.Type.Method", "pkg.Interface.Method" or "pkg.Name" for a
+// package-level constant, variable or type, or a whole package as "pkg"
+// (pkg is the last element of its import path). An allowlisted object is
+// kept with everything it reaches. An entry that names nothing, or whose
+// objects a program reaches anyway, fails the test too.
 var doorsAllowed = map[string]string{
 	"fleettest": "the fleet harness that the cmd and dispatch tests share",
 
@@ -46,12 +46,15 @@ var doorsAllowed = map[string]string{
 	"analytic.MustHypercubeModel": "a test constructor shared across packages",
 	"topology.MustHypercube":      "a test constructor shared across packages",
 	"topology.MustFatTree":        "a test constructor shared across packages",
+
+	"race.Enabled": "how tests relax allocation budgets under -race, where sync.Pool drops Puts",
 }
 
-// TestNoTestOnlyDoors fails when a function or method of the module is
-// reached by no program: a door kept open only for its own tests. Delete
-// it, or move its test onto the code that programs call; the allowlist
-// above is for what stays with a reason. The analysis (findDoors) is
+// TestNoTestOnlyDoors fails when a function or method of the module, or
+// an exported package-level constant, variable or type, is reached by no
+// program: a door kept open only for its own tests. Delete it, or move
+// its test onto the code that programs call; the allowlist above is for
+// what stays with a reason. The analysis (findDoors) is
 // checked first on the planted module under testdata/doors.
 //
 // Under -race the type check of the module and the standard library
@@ -71,13 +74,18 @@ func TestNoTestOnlyDoors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Two planted doors: a test-only method that shares its name with
-		// a method programs call, and an interface method no program calls
-		// (with its two implementations). The registry's generic get, the
-		// shape reached only through an interface call, the MarshalJSON
-		// that only encoding/json calls and the build-tagged pair pass.
+		// The planted doors: a test-only method that shares its name with
+		// a method programs call, an interface method no program calls
+		// (with its two implementations), and a constant, a variable and a
+		// type that only a test names. The constant a program names, the
+		// registry's generic get, the shape reached only through an
+		// interface call, the MarshalJSON that only encoding/json calls
+		// and the build-tagged pair pass.
 		want := []string{
 			"stats.BatchMeans.N",
+			"stats.Default",
+			"stats.Levels",
+			"stats.Summary",
 			"traffic.Source.Rate",
 			"traffic.burst.Rate",
 			"traffic.uniform.Rate",
@@ -149,10 +157,11 @@ func (e dirEntryInfo) Mode() fs.FileMode  { return e.Type() }
 func (e dirEntryInfo) ModTime() time.Time { return time.Time{} }
 func (e dirEntryInfo) Sys() any           { return nil }
 
-// A door is a function or an interface method of the module.
+// A door is a function or an interface method of the module, or an
+// exported package-level constant, variable or type.
 type door struct {
 	key, pos string
-	obj      *types.Func
+	obj      types.Object
 }
 
 type doorReport struct {
@@ -199,12 +208,12 @@ func (c *doorChecker) findDoors(root string, allowed map[string]string) (*doorRe
 		return nil, err
 	}
 	var doors []door
-	byKey := map[string][]*types.Func{} // doors by key and by package, for the allowlist
-	var programs, bench []*types.Func
+	byKey := map[string][]types.Object{} // doors by key and by package, for the allowlist
+	var programs, bench []types.Object
 	for _, p := range m.pkgs {
 		top, _, _ := strings.Cut(p.rel, "/")
 		if p.types.Name() == "main" {
-			mainFn, _ := p.types.Scope().Lookup("main").(*types.Func)
+			mainFn := p.types.Scope().Lookup("main")
 			switch top {
 			case "cmd", "examples":
 				programs = append(programs, mainFn)
@@ -215,7 +224,7 @@ func (c *doorChecker) findDoors(root string, allowed map[string]string) (*doorRe
 		if top == "bench" {
 			continue
 		}
-		add := func(f *types.Func) {
+		add := func(f types.Object) {
 			d := door{doorKey(f), m.pos(f.Pos()), f}
 			doors = append(doors, d)
 			pkg := path.Base(p.types.Path())
@@ -229,8 +238,11 @@ func (c *doorChecker) findDoors(root string, allowed map[string]string) (*doorRe
 			}
 		}
 		for _, name := range p.types.Scope().Names() {
-			obj, ok := p.types.Scope().Lookup(name).(*types.TypeName)
-			if !ok {
+			obj := p.types.Scope().Lookup(name)
+			if _, fn := obj.(*types.Func); !fn && obj.Exported() {
+				add(obj)
+			}
+			if _, ok := obj.(*types.TypeName); !ok {
 				continue
 			}
 			if it, ok := obj.Type().Underlying().(*types.Interface); ok {
@@ -243,7 +255,7 @@ func (c *doorChecker) findDoors(root string, allowed map[string]string) (*doorRe
 	prog, benchReach := m.reach(programs), m.reach(bench)
 
 	rep := &doorReport{}
-	var keep []*types.Func
+	var keep []types.Object
 	for k := range allowed {
 		let := false
 		for _, f := range byKey[k] {
@@ -270,10 +282,12 @@ func (c *doorChecker) findDoors(root string, allowed map[string]string) (*doorRe
 	return rep, nil
 }
 
-// doorKey names f as the allowlist does: "pkg.Func" or "pkg.Type.Method".
-func doorKey(f *types.Func) string {
+// doorKey names f as the allowlist does: "pkg.Func", "pkg.Type.Method"
+// or "pkg.Name".
+func doorKey(f types.Object) string {
 	key := path.Base(f.Pkg().Path()) + "."
-	if recv := f.Type().(*types.Signature).Recv(); recv != nil {
+	if sig, ok := f.Type().(*types.Signature); ok && sig.Recv() != nil {
+		recv := sig.Recv()
 		t := recv.Type()
 		if p, ok := t.(*types.Pointer); ok {
 			t = p.Elem()
@@ -443,21 +457,23 @@ func (m *doorModule) ImportFrom(path, dir string, mode types.ImportMode) (*types
 // method the standard library calls through its own interfaces is reached
 // when its type is. A type is reached when a reached function or
 // initialiser names it or has a value of it, and with it the types of its
-// fields and elements.
+// fields and elements; a package-level constant or variable when one
+// names it.
 type doorReach struct {
 	*doorModule
-	funcs  map[*types.Func]bool     // reached functions, and interface methods called
-	named  map[*types.TypeName]bool // reached module types, by origin
-	seen   map[types.Type]bool
-	types  []*types.Named // the reached module types
-	called []*types.Func  // the interface methods called
-	work   []*types.Func
+	reached map[types.Object]bool    // reached functions, interface methods called, types and named objects
+	named   map[*types.TypeName]bool // reached module types, by origin
+	seen    map[types.Type]bool
+	types   []*types.Named // the reached module types
+	called  []*types.Func  // the interface methods called
+	work    []*types.Func
 }
 
-// reach returns the functions and interface methods that roots reach.
-func (m *doorModule) reach(roots []*types.Func) map[*types.Func]bool {
+// reach returns the functions, interface methods, types and package-level
+// objects that roots reach.
+func (m *doorModule) reach(roots []types.Object) map[types.Object]bool {
 	r := &doorReach{
-		doorModule: m, funcs: map[*types.Func]bool{},
+		doorModule: m, reached: map[types.Object]bool{},
 		named: map[*types.TypeName]bool{}, seen: map[types.Type]bool{},
 	}
 	// The module packages the roots import, with their initialisers.
@@ -487,9 +503,14 @@ func (m *doorModule) reach(roots []*types.Func) map[*types.Func]bool {
 			}
 		}
 	}
-	for _, f := range roots {
-		imports(f.Pkg())
-		r.use(f)
+	for _, o := range roots {
+		imports(o.Pkg())
+		if f, ok := o.(*types.Func); ok {
+			r.use(f)
+		} else {
+			r.reached[o] = true
+			r.mark(o.Type())
+		}
 	}
 	for len(r.work) > 0 {
 		f := r.work[len(r.work)-1]
@@ -498,7 +519,7 @@ func (m *doorModule) reach(roots []*types.Func) map[*types.Func]bool {
 			r.walk(m.pkgOf[f.Pkg()], fd)
 		}
 	}
-	return r.funcs
+	return r.reached
 }
 
 // walk reaches what a function body or an initialiser names.
@@ -509,6 +530,8 @@ func (r *doorReach) walk(p *doorPkg, n ast.Node) {
 			obj := p.info.Uses[n]
 			if obj == nil {
 				obj = p.info.Defs[n]
+			} else if _, fn := obj.(*types.Func); !fn && obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
+				r.reached[obj] = true // a package-level object named, not declared
 			}
 			switch o := obj.(type) {
 			case *types.Func:
@@ -527,10 +550,10 @@ func (r *doorReach) walk(p *doorPkg, n ast.Node) {
 // method through every reached type that implements its interface.
 func (r *doorReach) use(f *types.Func) {
 	f = f.Origin()
-	if r.funcs[f] {
+	if r.reached[f] {
 		return
 	}
-	r.funcs[f] = true
+	r.reached[f] = true
 	recv := f.Type().(*types.Signature).Recv()
 	if recv == nil || !types.IsInterface(recv.Type()) {
 		r.work = append(r.work, f)
@@ -571,6 +594,7 @@ func (r *doorReach) mark(t types.Type) {
 			return
 		}
 		r.named[o.Obj()] = true
+		r.reached[o.Obj()] = true
 		r.types = append(r.types, o)
 		if !types.IsInterface(o) {
 			for _, f := range r.called {

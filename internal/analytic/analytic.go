@@ -152,7 +152,12 @@ func (net *network) view(msgFlits float64, opt core.Options) Model {
 		b = append(b, "cube"...)
 	}
 	b = strconv.AppendFloat(append(b, "/s="...), msgFlits, 'g', -1, 64)
-	return Model{net: net, name: string(b), msgFlits: msgFlits, opt: opt,
+	return net.named(string(b), msgFlits, opt)
+}
+
+// named is the network's view under a name already written.
+func (net *network) named(name string, msgFlits float64, opt core.Options) Model {
+	return Model{net: net, name: name, msgFlits: msgFlits, opt: opt,
 		closed: net.family == familyFatTree && opt == (core.Options{})}
 }
 
@@ -168,11 +173,15 @@ func checkMsgFlits(msgFlits float64) error {
 // under opt: bit for bit what the family's constructor returns for the
 // same instance, message length and options, sharing m's classes, rates,
 // compiled graph, D̄ and closed-form tables instead of building them
-// again. It is the one way to take another view of a built network, and
-// it allocates only the view's name.
+// again. It is the one way to take another view of a built network. It
+// allocates only the view's name, and nothing at m's own message length,
+// where the view takes m's name string.
 func (m *Model) View(msgFlits float64, opt core.Options) (Model, error) {
 	if err := checkMsgFlits(msgFlits); err != nil {
 		return Model{}, err
+	}
+	if msgFlits == m.msgFlits {
+		return m.net.named(m.name, msgFlits, opt), nil
 	}
 	return m.net.view(msgFlits, opt), nil
 }

@@ -3,6 +3,7 @@ package analytic
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 )
@@ -89,5 +90,23 @@ func TestViewRejectsBadMessageLength(t *testing.T) {
 		if _, err := NewFatTreeModel(64, s, core.Options{}); err == nil {
 			t.Errorf("NewFatTreeModel(64, %v) succeeded", s)
 		}
+	}
+}
+
+// TestViewAllocs: a view at another message length allocates its name
+// and nothing else; a view at the model's own length, whatever the
+// variant, allocates nothing and shares the model's name string.
+func TestViewAllocs(t *testing.T) {
+	m := MustFatTreeModel(1024, 16, core.Options{})
+	opt := core.Options{SingleServerGroups: true}
+	var v Model
+	if got := testing.AllocsPerRun(100, func() { v, _ = m.View(32, opt) }); got != 1 {
+		t.Errorf("a view at another length allocates %v times, want 1", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { v, _ = m.View(16, opt) }); got != 0 {
+		t.Errorf("a view at the model's own length allocates %v times, want 0", got)
+	}
+	if unsafe.StringData(v.Name()) != unsafe.StringData(m.Name()) {
+		t.Errorf("a view at the model's own length has a name of its own, %q", v.Name())
 	}
 }

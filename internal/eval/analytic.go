@@ -11,87 +11,111 @@ import (
 )
 
 // AnalyticBackend evaluates scenarios with the paper's analytical model.
-// It takes every curve's model, one per topology instance, message
-// length and variant, as a view (analytic.Model.View) of the instance's
-// network — the channel-class graph, its rates, D̄ and closed-form
-// tables, which depend on neither the message length nor the variant —
-// and the process builds that network once, for every backend (see
-// analyticNets). The Eq. 26 saturation searches anchoring fractional
-// load points are memoized per backend, instance and message length, on
-// the paper view: however many goroutines touch a fresh curve at the
-// same moment, every anchor is searched exactly once, and lookups take
-// only the shared side of the memo's lock. The zero value is not usable;
-// construct with NewAnalyticBackend. Safe for concurrent use.
+// It takes every curve's model as a view (analytic.Model.View) of the
+// instance's network — the channel-class graph, its rates, D̄ and
+// closed-form tables, which depend on neither the message length nor the
+// variant — which the process builds once, for every backend (see
+// analyticNets). It keeps one entry per instance and message length: the
+// paper view, its memoized Eq. 26 saturation load, which anchors every
+// variant's fractional load points, and one block of every variant's
+// view, built whole when a variant is first asked for. However many
+// goroutines touch a fresh curve at the same moment, every anchor is
+// searched once, and lookups take only the shared side of the memo's
+// lock. The zero value is not usable; construct with NewAnalyticBackend.
+// Safe for concurrent use.
 type AnalyticBackend struct {
 	mu     sync.RWMutex
-	curves map[modelKey]*curveEntry
+	curves map[curveKey]*curveEntry
 }
 
-type modelKey struct {
-	topo    Topology
-	flits   int
-	variant core.Options
+type curveKey struct {
+	topo  Topology
+	flits int
 }
 
-// curveEntry is one memoized view. base is the entry of the paper
-// variant of the same instance and message length (the entry itself for
-// the paper variant), whose saturation load anchors fractional loads.
+// curveEntry is the memo of one instance and message length.
 type curveEntry struct {
-	model analytic.Model
-	base  *curveEntry
+	paper    analytic.Model
+	variants *variantViews // nil until a variant is asked for
 
 	satOnce sync.Once
 	sat     float64
 	satErr  error
 }
 
+// variantViews holds each variant's view at its variantSlot. The views
+// share the paper view's name, so the block is their one allocation.
+type variantViews [1 << 3]analytic.Model
+
+// variantSlot numbers a variant by its core.Options toggles, one bit
+// each; the paper model is slot 0.
+func variantSlot(opt core.Options) (slot int) {
+	for i, on := range [...]bool{opt.NoBlockingCorrection, opt.SingleServerGroups, opt.NoPairRateCorrection} {
+		if on {
+			slot |= 1 << i
+		}
+	}
+	return slot
+}
+
 // NewAnalyticBackend returns an empty backend.
 func NewAnalyticBackend() *AnalyticBackend {
-	return &AnalyticBackend{curves: make(map[modelKey]*curveEntry)}
+	return &AnalyticBackend{curves: make(map[curveKey]*curveEntry)}
 }
 
 // Name implements Evaluator.
 func (b *AnalyticBackend) Name() string { return "analytic" }
 
-// entry returns the memoized model entry for the curve. A new curve
-// takes its network from the process (waiting, outside the memo's lock,
-// for its one build) and its view under the write lock.
-func (b *AnalyticBackend) entry(topo Topology, flits int, opt core.Options) (*curveEntry, error) {
-	key := modelKey{topo, flits, opt}
+// model returns the entry's view for opt, or nil when there is none yet.
+func (e *curveEntry) model(opt core.Options) *analytic.Model {
+	switch {
+	case e == nil:
+		return nil
+	case opt == core.Options{}:
+		return &e.paper
+	case e.variants == nil:
+		return nil
+	}
+	return &e.variants[variantSlot(opt)]
+}
+
+// view returns the memo entry of the curve's instance and message length
+// and the curve's model. A new entry takes its network from the process
+// (waiting, outside the memo's lock, for its one build); the entry and
+// its variants' block are made under the write lock. Failures are not
+// memoized.
+func (b *AnalyticBackend) view(topo Topology, flits int, opt core.Options) (*curveEntry, *analytic.Model, error) {
+	key := curveKey{topo, flits}
 	b.mu.RLock()
 	e := b.curves[key]
+	m := e.model(opt)
 	b.mu.RUnlock()
-	if e != nil {
-		return e, nil
+	if m != nil {
+		return e, m, nil
 	}
 	net, err := analyticNets.get(topo)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.entryLocked(net, key)
-}
-
-// entryLocked takes the view of net for key (and its base) under the
-// write lock. Failures are not memoized.
-func (b *AnalyticBackend) entryLocked(net *analytic.Model, key modelKey) (*curveEntry, error) {
-	if e := b.curves[key]; e != nil {
-		return e, nil
-	}
-	view, err := net.View(float64(key.flits), key.variant)
-	if err != nil {
-		return nil, err
-	}
-	e := &curveEntry{model: view}
-	e.base = e
-	if key.variant != (core.Options{}) {
-		if e.base, err = b.entryLocked(net, modelKey{key.topo, key.flits, core.Options{}}); err != nil {
-			return nil, err
+	if e = b.curves[key]; e == nil {
+		paper, err := net.View(float64(flits), core.Options{})
+		if err != nil {
+			return nil, nil, err
 		}
+		e = &curveEntry{paper: paper}
+		b.curves[key] = e
 	}
-	b.curves[key] = e
-	return e, nil
+	if e.model(opt) == nil {
+		vs := new(variantViews)
+		for slot := range vs { // View at the paper view's own length cannot fail
+			vs[slot], _ = e.paper.View(e.paper.MsgFlits(), core.Options{
+				NoBlockingCorrection: slot&1 != 0, SingleServerGroups: slot&2 != 0, NoPairRateCorrection: slot&4 != 0})
+		}
+		e.variants = vs
+	}
+	return e, e.model(opt), nil
 }
 
 // saturation runs the entry's Eq. 26 search on first use — exactly once,
@@ -99,7 +123,7 @@ func (b *AnalyticBackend) entryLocked(net *analytic.Model, key modelKey) (*curve
 // (NaN with the search's error when it failed).
 func (e *curveEntry) saturation() (float64, error) {
 	e.satOnce.Do(func() {
-		if e.sat, e.satErr = e.model.SaturationLoad(); e.satErr != nil {
+		if e.sat, e.satErr = e.paper.SaturationLoad(); e.satErr != nil {
 			e.sat = math.NaN()
 		}
 	})
@@ -111,7 +135,7 @@ func (e *curveEntry) saturation() (float64, error) {
 // the anchor for fractional load points: variants are probed at the base
 // model's operating points so their curves stay comparable.
 func (b *AnalyticBackend) SaturationLoad(topo Topology, flits int) (float64, error) {
-	e, err := b.entry(topo, flits, core.Options{})
+	e, _, err := b.view(topo, flits, core.Options{})
 	if err != nil {
 		return math.NaN(), err
 	}
@@ -123,11 +147,8 @@ func (b *AnalyticBackend) SaturationLoad(topo Topology, flits int) (float64, err
 // one the bounds calculus composes over, so the calculus builds no
 // network of its own.
 func (b *AnalyticBackend) PaperModel(topo Topology, flits int) (*analytic.Model, error) {
-	e, err := b.entry(topo, flits, core.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return &e.model, nil
+	_, m, err := b.view(topo, flits, core.Options{})
+	return m, err
 }
 
 // resolveLoad maps the scenario's load point to absolute
@@ -136,7 +157,7 @@ func (e *curveEntry) resolveLoad(sc *Scenario) (float64, error) {
 	if !sc.Load.Frac {
 		return sc.Load.Value, nil
 	}
-	sat, err := e.base.saturation()
+	sat, err := e.saturation()
 	if err != nil {
 		return math.NaN(), fmt.Errorf("saturation load (needed for fractional load points): %w", err)
 	}
@@ -150,7 +171,7 @@ func (b *AnalyticBackend) ResolveLoad(sc Scenario) (float64, error) {
 	if !sc.Load.Frac {
 		return sc.Load.Value, nil
 	}
-	e, err := b.entry(sc.Topology, sc.MsgFlits, core.Options{})
+	e, _, err := b.view(sc.Topology, sc.MsgFlits, core.Options{})
 	if err != nil {
 		return math.NaN(), fmt.Errorf("saturation load (needed for fractional load points): %w", err)
 	}
@@ -163,12 +184,12 @@ func (b *AnalyticBackend) ResolveLoad(sc Scenario) (float64, error) {
 // context is unused here (the model is local and memoized) but part of
 // the describer contract, which remote implementations need.
 func (b *AnalyticBackend) Curve(ctx context.Context, sc Scenario) (CurveDesc, error) {
-	e, err := b.entry(sc.Topology, sc.MsgFlits, sc.Variant.Options())
+	e, m, err := b.view(sc.Topology, sc.MsgFlits, sc.Variant.Options())
 	if err != nil {
 		return CurveDesc{}, err
 	}
-	sat, _ := e.base.saturation()
-	return CurveDesc{Model: e.model.Name(), AvgDist: e.model.AvgDist(), SaturationLoad: sat}, nil
+	sat, _ := e.saturation()
+	return CurveDesc{Model: m.Name(), AvgDist: m.AvgDist(), SaturationLoad: sat}, nil
 }
 
 // Evaluate implements Evaluator: the model's latency prediction at the
@@ -177,11 +198,11 @@ func (b *AnalyticBackend) Evaluate(ctx context.Context, sc Scenario) (Point, err
 	if err := ctx.Err(); err != nil {
 		return Point{}, err
 	}
-	e, err := b.entry(sc.Topology, sc.MsgFlits, sc.Variant.Options())
+	e, m, err := b.view(sc.Topology, sc.MsgFlits, sc.Variant.Options())
 	if err != nil {
 		return Point{}, err
 	}
-	pr := e.model.Predictor()
+	pr := m.Predictor()
 	defer pr.Done()
 	return e.point(&pr, &sc)
 }
@@ -193,11 +214,11 @@ func (b *AnalyticBackend) EvaluateCurve(ctx context.Context, cells Cells) (int, 
 		return 0, err
 	}
 	sc, _ := cells.Cell(0)
-	e, err := b.entry(sc.Topology, sc.MsgFlits, sc.Variant.Options())
+	e, m, err := b.view(sc.Topology, sc.MsgFlits, sc.Variant.Options())
 	if err != nil {
 		return 0, err
 	}
-	pr := e.model.Predictor()
+	pr := m.Predictor()
 	defer pr.Done()
 	for j, n := 0, cells.Len(); j < n; j++ {
 		sc, pt := cells.Cell(j)

@@ -14,8 +14,9 @@ import (
 // and safe for concurrent use, so the process builds each once and every
 // backend shares it: a fresh AnalyticBackend takes its curves' models as
 // views of analyticNets' network, a fresh SimBackend simulates on
-// simNets' topology. Only structure is shared; curve entries and their
-// saturation searches stay per backend.
+// simNets' topology. Only structure is shared; the analytic memo entries
+// (one per instance and message length, with every variant's view) and
+// their saturation searches stay per backend.
 //
 // The registries keep what they build for the life of the process.
 // Simulator topologies are bounded by topology.MaxProcessors: at most 8

@@ -123,7 +123,8 @@ func TestTruthCells(t *testing.T) {
 
 // FuzzTruthCells is TestTruthCells' long form: it draws a truth cell —
 // the n-cube, n in 1..6, under bit-complement with e-cube routing
-// (D = n + 2), s in [2, 64] and a load of at most 0.85·s/h, so that
+// (D = n + 2), or bft-4 under bit-complement (D = 2), whichever dims
+// picks modulo 7; s in [2, 64] and a load of at most 0.85·s/h, so that
 // ρ = λ₀h ≤ 0.85 — and holds the mean latency of eight seeded replicas
 // to truthLatency within the 99.5 % t interval of their means. A correct
 // simulator misses one such interval in 200, and a fuzzer draws hundreds
@@ -146,15 +147,21 @@ func FuzzTruthCells(f *testing.F) {
 			periods  = 400  // relaxation times per replica, over all sources
 			messages = 4000 // per replica, at least
 		)
-		n, s := 1+int(dims)%6, 2+int(flits)%63
+		n, s := 1+int(dims)%7, 2+int(flits)%63
 		h := s + truthHoldExtra
 		ρ := 0.85 * float64(1+int(rho)) / 256
 		load := ρ * float64(s) / float64(h)
-		net := topology.MustHypercube(n)
+		var net topology.Network
+		D := n + 2
+		if n == 7 {
+			net, D = topology.MustFatTree(4), 2
+		} else {
+			net = topology.MustHypercube(n)
+		}
 		procs := float64(net.NumProcessors())
 		tau := float64(h) / math.Pow(1-math.Sqrt(ρ), 2)
 		measure := int(max(periods*tau, messages*float64(h)/ρ) / procs)
-		law := truthLatency(s, n+2, h, load)
+		law := truthLatency(s, D, h, load)
 		var mean, hw float64
 		for try := 0; try < tries; try++ {
 			means := stats.NewBatchMeans(1)
@@ -176,7 +183,7 @@ func FuzzTruthCells(f *testing.F) {
 				return
 			}
 		}
-		t.Errorf("%d-cube, s = %d, load %.4g (ρ = %.3f): latency %.3f ± %.3f on the last of %d sets of replicas, the law (D = %d, h = %d) gives %.3f",
-			n, s, load, ρ, mean, hw, tries, n+2, h, law)
+		t.Errorf("%s, s = %d, load %.4g (ρ = %.3f): latency %.3f ± %.3f on the last of %d sets of replicas, the law (D = %d, h = %d) gives %.3f",
+			net.Name(), s, load, ρ, mean, hw, tries, D, h, law)
 	})
 }

@@ -38,6 +38,7 @@ type CacheStore interface {
 type Cache struct {
 	mu     sync.Mutex
 	curves map[string]curveSlots
+	slab   []slot // the uncut rest of the slab fresh curves' slots are cut from
 	cells  int
 	hits   int64
 	misses int64
@@ -49,33 +50,29 @@ type slot struct {
 	cell Cell
 }
 
-// curveSlots holds one curve's cells. The first is inline, so the curve of
-// a single probe costs no allocation of its own; the rest are in more, and
-// at indexes them once the curve outgrows a scan.
+// curveSlots holds one curve's cells, which at indexes once the curve
+// outgrows a scan. A fresh curve's slots are cut from the cache's slab,
+// so a curve costs no allocation of its own, with a capacity of their
+// own: outgrowing it moves the curve to a slice of its own, never into
+// the next curve's slots.
 type curveSlots struct {
 	key   string
-	first slot
-	more  []slot
+	slots []slot
 	at    map[eval.Token]int32
 }
 
 // scanSlots is the longest curve whose tokens are found by a scan.
 const scanSlots = 32
 
-func (s *curveSlots) len() int { return 1 + len(s.more) }
-
-func (s *curveSlots) slot(j int) *slot {
-	if j == 0 {
-		return &s.first
-	}
-	return &s.more[j-1]
-}
+// slabSlots is the size of a slab: 256 slots are 18 KiB, one of the
+// allocator's size classes, and hold eight curves of 32 loads.
+const slabSlots = 256
 
 // find returns the slot holding t, or -1. hint is where t sits when cells
 // are asked for in the order they were put, as a re-run of a grid asks.
 func (s *curveSlots) find(t eval.Token, hint int) int {
-	n := s.len()
-	if hint < n && s.slot(hint).tok == t {
+	n := len(s.slots)
+	if hint < n && s.slots[hint].tok == t {
 		return hint
 	}
 	if s.at != nil {
@@ -84,44 +81,44 @@ func (s *curveSlots) find(t eval.Token, hint int) int {
 		}
 		return -1
 	}
-	for j := 0; j < n; j++ {
-		if s.slot(j).tok == t {
+	for j := range s.slots {
+		if s.slots[j].tok == t {
 			return j
 		}
 	}
 	return -1
 }
 
-// put stores cell under t on the curve s — in its first slot when the
-// curve is fresh — with hint as for find and room how many more cells the
-// caller is about to put, so a curve's slots grow once per batch. It
-// counts a cell new to the cache and reports whether the cell changed:
-// new, or not the same (eval.Same) as the one it replaces.
-func (c *Cache) put(s *curveSlots, fresh bool, t eval.Token, cell Cell, hint, room int) bool {
-	if fresh {
-		s.first = slot{t, cell}
-		c.cells++
-		return true
-	}
+// put stores cell under t on the curve s, with hint as for find and room
+// how many more cells the caller is about to put, so a curve's slots grow
+// once per batch. It counts a cell new to the cache and reports whether
+// the cell changed: new, or not the same (eval.Same) as the one it
+// replaces.
+func (c *Cache) put(s *curveSlots, t eval.Token, cell Cell, hint, room int) bool {
 	if j := s.find(t, hint); j >= 0 {
-		sl := s.slot(j)
+		sl := &s.slots[j]
 		if eval.Same(sl.cell, cell) {
 			return false
 		}
 		sl.cell = cell
 		return true
 	}
-	if len(s.more) == cap(s.more) {
-		s.more = slices.Grow(s.more, room)
+	if cap(s.slots) == 0 && room <= slabSlots {
+		if len(c.slab) < room {
+			c.slab = make([]slot, slabSlots)
+		}
+		s.slots, c.slab = c.slab[:0:room], c.slab[room:]
+	} else if len(s.slots) == cap(s.slots) {
+		s.slots = slices.Grow(s.slots, room)
 	}
-	s.more = append(s.more, slot{t, cell})
-	switch n := s.len(); {
+	s.slots = append(s.slots, slot{t, cell})
+	switch n := len(s.slots); {
 	case s.at != nil:
 		s.at[t] = int32(n - 1)
 	case n > scanSlots:
 		s.at = make(map[eval.Token]int32, n)
-		for j := 0; j < n; j++ {
-			s.at[s.slot(j).tok] = int32(j)
+		for j := range s.slots {
+			s.at[s.slots[j].tok] = int32(j)
 		}
 	}
 	c.cells++
@@ -145,7 +142,7 @@ func (c *Cache) GetCurve(curve string, tokens []eval.Token, cells []Cell, found 
 			j = s.find(t, i)
 		}
 		if found[i] = j >= 0; found[i] {
-			cells[i] = s.slot(j).cell
+			cells[i] = s.slots[j].cell
 			hits++
 		}
 	}
@@ -171,7 +168,7 @@ func (c *Cache) PutCurveChanged(curve string, tokens []eval.Token, cells []Cell,
 	}
 	n := 0
 	for i, t := range tokens {
-		if c.put(&s, !ok && i == 0, t, cells[i], i, len(tokens)-i) {
+		if c.put(&s, t, cells[i], i, len(tokens)-i) {
 			if n++; changed != nil {
 				changed[i] = true
 			}
@@ -193,7 +190,7 @@ func (c *Cache) Get(key string) (cell Cell, ok bool) {
 	defer c.mu.Unlock()
 	if s, has := c.curves[string(curve)]; split && has {
 		if j := s.find(t, 0); j >= 0 {
-			cell, ok = s.slot(j).cell, true
+			cell, ok = s.slots[j].cell, true
 		}
 	}
 	if ok {
@@ -225,18 +222,18 @@ func (c *Cache) Delete(key string) {
 		return
 	}
 	c.cells--
-	last := s.len() - 1
+	last := len(s.slots) - 1
 	if last == 0 {
 		delete(c.curves, s.key)
 		return
 	}
 	// The curve's last cell takes the deleted one's slot.
 	if s.at != nil {
-		s.at[s.slot(last).tok] = int32(j)
+		s.at[s.slots[last].tok] = int32(j)
 		delete(s.at, t)
 	}
-	*s.slot(j) = *s.slot(last)
-	s.more = s.more[:last-1]
+	s.slots[j] = s.slots[last]
+	s.slots = s.slots[:last]
 	c.curves[s.key] = s
 }
 
@@ -254,8 +251,8 @@ func (c *Cache) Range(fn func(key string, cell Cell) bool) {
 	snap := make([]kv, 0, c.cells)
 	var buf []byte
 	for _, s := range c.curves {
-		for j := 0; j < s.len(); j++ {
-			sl := s.slot(j)
+		for j := range s.slots {
+			sl := &s.slots[j]
 			buf = eval.AppendJoinKey(buf[:0], s.key, sl.tok)
 			snap = append(snap, kv{string(buf), sl.cell})
 		}

@@ -120,7 +120,7 @@ func TestSplitKeyRefusesWhatJoinWouldNotWrite(t *testing.T) {
 
 // TestEvaluateAllocs: a one-cell probe through a Runner with a Cache
 // costs its curve key and nothing else, hit or miss, on a curve the
-// cache holds or on a new one (whose entry holds its first cell inline):
+// cache holds or on a new one (whose slots are cut from the cache's slab):
 // the one allocation Scenario.Key cost when the cache was keyed by cell.
 func TestEvaluateAllocs(t *testing.T) {
 	scens, err := Expand(modelGrid())
@@ -387,4 +387,72 @@ func TestCacheDelete(t *testing.T) {
 	check("deleting a key outside the grammar")
 	put(short[2], 99) // the emptied curve, afresh
 	check("putting the emptied curve again")
+}
+
+// TestCacheSlabNeighbours: curves cut from one slab stay apart. The first
+// of two outgrows the room it was cut with, which moves it to slots of its
+// own rather than into its neighbour's, then loses cells and gets them
+// back; through all of it the neighbour's cells, Range and Len stay exact.
+func TestCacheSlabNeighbours(t *testing.T) {
+	c := NewCache()
+	want := map[string]float64{}
+	curve := func(size string) string {
+		return "family=bft size=" + size + " k=0 flits=4 policy=pairqueue frac=true load= sim=false"
+	}
+	tok := func(i int) eval.Token { return eval.Token{Load: math.Float64bits(float64(i+1) / 128)} }
+	put := func(size string, from, to int, model float64) {
+		var toks []eval.Token
+		var cells []Cell
+		for i := from; i < to; i++ {
+			cell := eval.NewPoint()
+			cell.Model = model + float64(i)
+			toks, cells = append(toks, tok(i)), append(cells, cell)
+			want[string(eval.AppendJoinKey(nil, curve(size), tok(i)))] = cell.Model
+		}
+		c.PutCurve(curve(size), toks, cells)
+	}
+	check := func(when string) {
+		t.Helper()
+		if c.Len() != len(want) {
+			t.Fatalf("%s: Len %d, want %d", when, c.Len(), len(want))
+		}
+		seen := 0
+		c.Range(func(key string, cell Cell) bool {
+			if model, ok := want[key]; !ok || cell.Model != model {
+				t.Fatalf("%s: Range gives %q holding %v; want %v, %v", when, key, cell.Model, model, ok)
+			}
+			seen++
+			return true
+		})
+		if seen != len(want) {
+			t.Fatalf("%s: Range saw %d cells, want %d", when, seen, len(want))
+		}
+		toks, got, found := make([]eval.Token, 8), make([]Cell, 8), make([]bool, 8)
+		for i := range toks {
+			toks[i] = tok(i)
+		}
+		if hits := c.GetCurve(curve("64"), toks, got, found); hits != 8 {
+			t.Fatalf("%s: %d of the neighbour's 8 cells found", when, hits)
+		}
+		for i, cell := range got {
+			if cell.Model != 100+float64(i) {
+				t.Fatalf("%s: the neighbour's cell %d holds %v, want %v", when, i, cell.Model, 100+i)
+			}
+		}
+	}
+	put("16", 0, 8, 0)   // eight slots cut from the slab
+	put("64", 0, 8, 100) // the neighbour, cut right after them
+	check("two curves")
+	put("16", 8, 12, 0) // four past the first curve's room
+	check("the first curve outgrowing its room")
+	for _, i := range []int{1, 9, 5} {
+		key := string(eval.AppendJoinKey(nil, curve("16"), tok(i)))
+		c.Delete(key)
+		delete(want, key)
+	}
+	check("deleting three of the first curve's cells")
+	put("16", 1, 2, 50)
+	put("16", 5, 6, 50)
+	put("16", 9, 14, 50)
+	check("putting them again, and two more")
 }

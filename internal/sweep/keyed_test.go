@@ -212,6 +212,37 @@ func TestModelGridNetworkAllocs(t *testing.T) {
 	}
 }
 
+// TestModelGridCurveAllocs: a fresh Runner's cold Run of the bench's
+// model grid — 80 curves, 32 loads each, on 20 instance × length pairs —
+// into a fresh cache stays within 2 allocations per curve (3.8 when the
+// analytic backend kept an entry and a name per curve and the cache a
+// slot slice per curve). A curve costs no allocation of its own: the
+// backend keeps one entry per instance and length, whose variants share
+// one block of views, and the cache cuts the curves' slots from slabs;
+// the rest is the grid's, the pool's and the result's.
+func TestModelGridCurveAllocs(t *testing.T) {
+	spec := benchModelGrid()
+	ctx := context.Background()
+	curves := 0
+	run := func() {
+		res, err := NewRunner(WithCache(NewCache())).Run(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		curves = len(res.Curves)
+	}
+	run()
+	perCurve := testing.AllocsPerRun(5, run) / float64(curves)
+	t.Logf("%.2f allocs/curve over %d curves", perCurve, curves)
+	budget := 2.0
+	if race.Enabled {
+		budget = 400 // sync.Pool drops Puts under the detector
+	}
+	if perCurve > budget {
+		t.Errorf("a cold Run of the model grid: %.2f allocs/curve, budget %v", perCurve, budget)
+	}
+}
+
 // TestGeneralGridNetworkAllocs: the bench's general-sweep grid — model
 // and bounds over 3 fat-trees, 3 hypercubes and 2 tori, 512 cells. Once a
 // first Run has built its networks, a fresh Runner's cold Run builds none

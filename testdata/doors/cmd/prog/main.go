@@ -19,7 +19,7 @@ func main() {
 	var b stats.BatchMeans
 	s.Add(1)
 	b.Add(1)
-	fmt.Println(s.N(), b.Mean())
+	fmt.Println(s.N(), b.Mean(), stats.Confidence)
 
 	for _, src := range traffic.Sources() {
 		fmt.Println(src.Next())

@@ -1,6 +1,18 @@
 // Package stats plants a test-only method whose name a method that
-// programs call shares: BatchMeans.N beside Stream.N.
+// programs call shares, BatchMeans.N beside Stream.N, and a constant, a
+// variable and a type that only its test names, beside a constant that
+// the program names.
 package stats
+
+// Confidence is the level the program prints.
+const Confidence = 0.95
+
+// Levels, Default and Summary are named by this package's test only.
+const Levels = 3
+
+var Default Stream
+
+type Summary struct{ Mean float64 }
 
 type Stream struct{ n int }
 

@@ -9,3 +9,9 @@ func TestBatchMeansN(t *testing.T) {
 		t.Fatal(b.N())
 	}
 }
+
+func TestDefaults(t *testing.T) {
+	if Levels != 3 || Default.N() != 0 || (Summary{}).Mean != 0 {
+		t.Fatal("defaults")
+	}
+}
